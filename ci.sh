@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=629
+min_tests=632
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -56,54 +56,35 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     fi
 
-    # Smoke-run the PR-4 bench bin so BENCH_4.json generation can't rot:
-    # quick instances, table-vs-reference equality asserted inside the bin,
-    # JSON written out of tree (the committed BENCH_4.json is a full run).
-    echo "==> solver_bench --json --quick (BENCH_4 smoke)"
-    cargo run --release -q -p scope-bench --bin solver_bench -- \
-        --json --quick --out target/BENCH_4.quick.json
+    # Smoke-run the bench bins so BENCH_N.json generation can't rot: quick
+    # instances, JSON written out of tree (the committed BENCH_N.json are
+    # full runs). Each bin asserts its fast-path == reference equalities
+    # in-process before it times anything: solver (cost-table solvers vs the
+    # model-driven paths), train (trees, forests, boosting, entropies, DP
+    # plans), throughput (word-level codecs byte-identical to the
+    # byte-at-a-time pipelines; sharded billing bit-identical for threads
+    # 1/2/7), serve (incremental == full resolve on every epoch, any thread
+    # count, plus the 5x steady-state floor), chaos (heat == fault-free
+    # twin, quarantine == expected_intake, healthy shards == full resolve,
+    # crash+restore == never-crashed as raw checkpoint bytes), recovery
+    # (recovered journaled engine == never-crashed twin, per epoch, under
+    # none/light/heavy storage faults; its file journal lives in a child of
+    # a throwaway directory under target/).
+    for bench in solver:4 train:5 throughput:7 serve:8 chaos:9 recovery:10; do
+        bin="${bench%%:*}_bench" issue="${bench##*:}"
+        extra=""
+        if [[ "$bin" == recovery_bench ]]; then
+            extra="--dir target/recovery_bench_ci"
+        fi
+        echo "==> $bin --json --quick (BENCH_$issue smoke)"
+        cargo run --release -q -p scope-bench --bin "$bin" -- \
+            --json --quick $extra --out "target/BENCH_$issue.quick.json"
+    done
 
-    # Same for the PR-5 learning-pipeline bench: fast-vs-reference equality
-    # (trees, forests, boosting, entropies, DP plans) asserted inside the
-    # bin on quick instances.
-    echo "==> train_bench --json --quick (BENCH_5 smoke)"
-    cargo run --release -q -p scope-bench --bin train_bench -- \
-        --json --quick --out target/BENCH_5.quick.json
-
-    # PR-7 throughput suite: word-level codec kernels vs the byte-at-a-time
-    # compress::reference pipelines (byte-identical streams asserted in the
-    # bin) and the sharded column billing engine vs the sequential reference
-    # (bit-identical reports for threads 1/2/7 asserted before timing).
-    echo "==> throughput_bench --json --quick (BENCH_7 smoke)"
-    cargo run --release -q -p scope-bench --bin throughput_bench -- \
-        --json --quick --out target/BENCH_7.quick.json
-
-    # PR-8 serving suite: the incremental serving engine vs the preserved
-    # batch full-resolve (bit-identical choices/objectives asserted on every
-    # epoch, plus thread-count independence, before any timing) and the
-    # steady-state speedup floor asserted inside the bin.
-    echo "==> serve_bench --json --quick (BENCH_8 smoke)"
-    cargo run --release -q -p scope-bench --bin serve_bench -- \
-        --json --quick --out target/BENCH_8.quick.json
-
-    # PR-9 chaos suite: seeded fault injection against the serving loop.
-    # The bin asserts, in-process before timing: heat bit-identical to a
-    # fault-free twin, quarantine == the independent expected_intake
-    # reference, healthy shards == full_resolve, and crash+restore ==
-    # never-crashed (checkpoints compared as raw bytes).
-    echo "==> chaos_bench --json --quick (BENCH_9 smoke)"
-    cargo run --release -q -p scope-bench --bin chaos_bench -- \
-        --json --quick --out target/BENCH_9.quick.json
-
-    # PR-10 recovery suite: durable intake journal + end-to-end crash
-    # recovery. The bin fuzzes crash points under none/light/heavy
-    # storage-fault plans and asserts recovered state bit-identical to a
-    # never-crashed twin (checkpoints as raw bytes, per epoch) before
-    # timing journaling overhead; journal segments live in a throwaway
-    # directory under target/.
-    echo "==> recovery_bench --json --quick (BENCH_10 smoke)"
-    cargo run --release -q -p scope-bench --bin recovery_bench -- \
-        --json --quick --dir target/recovery_bench_ci --out target/BENCH_10.quick.json
+    # The end-to-end benchmark is its own package outside the workspace;
+    # checking it here turns API drift against it into a red build.
+    echo "==> cargo check benchmark/ (out-of-workspace package)"
+    cargo check --locked --offline --features alloc-count --manifest-path benchmark/Cargo.toml
 fi
 
 echo "==> cargo bench --no-run (criterion benches must compile)"

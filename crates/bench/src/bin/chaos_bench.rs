@@ -31,301 +31,79 @@
 //! number is the degraded-mode overhead — wall-clock of the faulted
 //! replay over the fault-free replay of the same trace.
 
-use scope_cloudsim::{BillingEvent, EventColumns, TierCatalog, TierId};
-use scope_faults::{expected_intake, FaultPlan, FaultRates};
-use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
+use scope_bench::{min_seconds, BenchArgs, ServeFixture};
+use scope_cloudsim::EventColumns;
+use scope_core::lockstep::{replay_chaos, split_batches, ChaosOutcome, Schedule};
+use scope_faults::{FaultPlan, FaultRates};
+use scope_serve::ServeEngine;
 use std::error::Error;
 use std::time::Instant;
 
 const SEED: u64 = 0xC4A0_5EED;
+const BATCHES_PER_EPOCH: usize = 4;
 
-struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
-    objects: usize,
-    accounts: usize,
-    epochs: u32,
-    epoch_days: u32,
-    events_per_day: usize,
-    batches_per_epoch: usize,
-    reps: usize,
-}
-
-impl Config {
-    fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_9.json".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out)"
-                    ))
-                }
-            }
-        }
-        Ok(Config {
-            quick,
-            json,
-            out,
-            objects: if quick { 1000 } else { 4000 },
-            accounts: 8,
-            epochs: if quick { 6 } else { 10 },
-            epoch_days: 15,
-            events_per_day: if quick { 2400 } else { 6000 },
-            batches_per_epoch: 4,
-            reps: if quick { 1 } else { 3 },
-        })
+/// Differential pass for one fault mix: the lockstep driver runs three
+/// engines over the identical faulted stream — one that crashes and
+/// restores on crash epochs, one that never crashes, and a fault-free
+/// twin fed the filtered stream — and every recovery equality it reports
+/// is asserted here (see module docs). Panics (no JSON) on divergence.
+fn verify_mix(
+    fixture: &ServeFixture,
+    schedule: &Schedule,
+    rates: FaultRates,
+    label: &str,
+) -> Result<ChaosOutcome, Box<dyn Error>> {
+    let outcome = replay_chaos(&fixture.fleet(1), schedule, &FaultPlan::new(SEED, rates)?)?;
+    assert_eq!(outcome.epochs.len(), fixture.epochs as usize, "{label}");
+    for (epoch, e) in outcome.epochs.iter().enumerate() {
+        assert!(
+            e.heat_matches_twin,
+            "{label}: epoch {epoch} heat diverged from the fault-free twin"
+        );
+        assert!(
+            e.matches_reference,
+            "{label}: epoch {epoch} a healthy shard diverged from full resolve"
+        );
+        assert!(
+            e.checkpoint_matches_twin && e.objective_bits_match,
+            "{label}: epoch {epoch} diverged from the never-crashed engine"
+        );
     }
-}
-
-fn schemes() -> Vec<CompressionOption> {
-    vec![
-        CompressionOption::none(),
-        CompressionOption::new("gzip", 3.5, 1.5),
-        CompressionOption::new("zstd", 2.4, 0.35),
-        CompressionOption::new("lz4", 2.1, 0.15),
-        CompressionOption::new("snappy", 1.8, 0.08),
-        CompressionOption::new("brotli", 3.9, 2.6),
-    ]
-}
-
-/// The `serve_bench` fleet: distinct-size objects round-robined into
-/// billing accounts, every third with a latency threshold.
-fn build_engine(cfg: &Config) -> Result<ServeEngine, Box<dyn Error>> {
-    let horizon_days = cfg.epochs * cfg.epoch_days;
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_days) / 30.0,
-        threads: 1,
-        decay_per_day: 0.82,
-        bucket_base: 3.0,
-        bucket_hysteresis: 4.0,
-        ..ServeConfig::default()
-    };
-    let mut engine = ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config)?;
-    for i in 0..cfg.objects {
-        let mut spec = ServeObject::new(
-            format!("obj-{i:06}"),
-            format!("account-{}", i % cfg.accounts),
-            0.5 + (i as f64) * 0.173,
-            TierId(i % 2),
-        )
-        .with_residency_days((i as u32 * 13) % 200);
-        if i % 3 == 0 {
-            spec = spec.with_latency_threshold(2.0);
-        }
-        engine.register(spec)?;
-    }
-    Ok(engine)
-}
-
-/// The `serve_bench` skewed drifting trace (same LCG, same mix).
-fn build_trace(engine: &ServeEngine, cfg: &Config) -> EventColumns {
-    let mut seed = 0x8eed_5e12_u64;
-    let mut draw = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (seed >> 33) as u32
-    };
-    let n = engine.len() as u32;
-    let days = cfg.epochs * cfg.epoch_days;
-    let mut events = Vec::with_capacity(days as usize * cfg.events_per_day);
-    for day in 0..days {
-        for _ in 0..cfg.events_per_day {
-            let r = draw() % n;
-            let id = ((u64::from(r) * u64::from(r) / u64::from(n)) as u32 + day) % n;
-            let name = engine
-                .object_name(id.min(n - 1))
-                .unwrap_or_default()
-                .to_string();
-            let volume = 0.02 + f64::from(draw() % 128) / 100.0;
-            if draw() % 10 == 0 {
-                events.push(BillingEvent::write(name, day, volume));
-            } else {
-                events.push(BillingEvent::read(name, day, volume));
-            }
-        }
-    }
-    engine.columns_from_events(&events)
-}
-
-/// Split `columns` into `n` contiguous batches, preserving trace order.
-fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
-    let total = columns.len();
-    let per = total.div_ceil(n.max(1)).max(1);
-    let mut out = Vec::with_capacity(n);
-    for b in 0..n.max(1) {
-        let lo = (b * per).min(total);
-        let hi = ((b + 1) * per).min(total);
-        let mut batch = EventColumns::default();
-        batch.days.extend_from_slice(&columns.days[lo..hi]);
-        batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-        batch
-            .object_ids
-            .extend_from_slice(&columns.object_ids[lo..hi]);
-        batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-        batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-        out.push(batch);
-    }
-    out
-}
-
-#[derive(Default)]
-struct ChaosStats {
-    quarantined: u64,
-    truncated: u64,
-    duplicates: u64,
-    crashes: usize,
-    degraded_shard_epochs: usize,
-    retier_decisions: usize,
-}
-
-/// Differential pass for one fault mix: three engines run the identical
-/// faulted stream in lockstep — one that crashes and restores on crash
-/// epochs, one that never crashes, and a fault-free twin fed the filtered
-/// stream — and every recovery equality is asserted (see module docs).
-/// Panics (no JSON) on divergence.
-fn verify_mix(cfg: &Config, rates: FaultRates, label: &str) -> Result<ChaosStats, Box<dyn Error>> {
-    let plan = FaultPlan::new(SEED, rates)?;
-    let mut crashed = build_engine(cfg)?; // crash + restore on crash epochs
-    let mut steady = build_engine(cfg)?; // same stream, never crashes
-    let mut twin = build_engine(cfg)?; // fault-free, filtered stream
-    let columns = build_trace(&crashed, cfg);
-    let horizon_days = cfg.epochs * cfg.epoch_days;
-    let shards = cfg.accounts.min(cfg.objects);
-
-    let mut stats = ChaosStats::default();
-    let mut delivered_in_order: Vec<EventColumns> = Vec::new();
-    let mut next_seq = 0u64;
-    for epoch in 0..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
-        let window = columns.filter_day_range(lo, hi);
-
-        let mut sequenced = Vec::with_capacity(cfg.batches_per_epoch);
-        for batch in split_batches(&window, cfg.batches_per_epoch) {
-            let seq = next_seq;
-            next_seq += 1;
-            let corrupted = plan.corrupt_batch(seq, &batch, horizon_days);
-            stats.quarantined += corrupted.expected_quarantined;
-            stats.truncated += corrupted.expected_truncated;
-            twin.ingest(&corrupted.clean);
-            delivered_in_order.push(corrupted.delivered.clone());
-            sequenced.push((seq, corrupted.delivered));
-        }
-        for (seq, batch) in plan.deliver(u64::from(epoch), &sequenced) {
-            crashed.ingest_sequenced(seq, &batch)?;
-            steady.ingest_sequenced(seq, &batch)?;
-        }
-        crashed.advance(hi);
-        steady.advance(hi);
-        twin.advance(hi);
-
-        // Cold reference before the re-solve (both price transitions from
-        // the same pre-solve placements).
-        let cold = reference::full_resolve(&crashed)?;
-        let faults = plan.shard_faults(u64::from(epoch), shards);
-        let outcome = crashed.reoptimize_with_faults(&faults)?;
-        steady.reoptimize_with_faults(&faults)?;
-        twin.reoptimize()?;
-
-        stats.degraded_shard_epochs += outcome.degraded_accounts;
-        stats.retier_decisions += outcome.retier_decisions;
-
-        // Intake equality: heat must match the fault-free twin exactly.
-        for id in 0..crashed.len() as u32 {
-            assert_eq!(
-                crashed.heat(id).map(f64::to_bits),
-                twin.heat(id).map(f64::to_bits),
-                "{label}: epoch {epoch} heat diverged from the fault-free twin (object {id})"
-            );
-        }
-        // Degraded-mode serving: healthy shards match the cold reference.
-        assert_eq!(outcome.accounts.len(), cold.len(), "{label}: epoch {epoch}");
-        for (inc, full) in outcome.accounts.iter().zip(&cold) {
-            if inc.stale {
-                continue;
-            }
-            assert_eq!(
-                inc.assignment.choices, full.assignment.choices,
-                "{label}: epoch {epoch} healthy shard {} diverged from full resolve",
-                inc.account
-            );
-            assert_eq!(
-                inc.assignment.objective.to_bits(),
-                full.assignment.objective.to_bits(),
-                "{label}: epoch {epoch} objective bits diverged for {}",
-                inc.account
-            );
-        }
-        // Crash consistency: restore round-trips the snapshot exactly and
-        // the run continues on the restored engine.
-        if plan.crash_after_epoch(u64::from(epoch)) {
-            let snapshot = crashed.checkpoint();
-            let restored =
-                ServeEngine::restore(TierCatalog::azure_hot_cool_archive(), schemes(), &snapshot)?;
-            assert_eq!(
-                restored.checkpoint(),
-                snapshot,
-                "{label}: epoch {epoch} restore did not round-trip its snapshot"
-            );
-            crashed = restored;
-            stats.crashes += 1;
-        }
-    }
-    stats.duplicates = steady.duplicate_batches();
-
-    // Fault-free ≡ recovered: after the full replay the crash-and-restore
-    // engine must be byte-identical to the engine that never crashed.
-    assert_eq!(
-        crashed.checkpoint(),
-        steady.checkpoint(),
+    assert!(
+        outcome.recoveries_bit_identical,
+        "{label}: a restore did not round-trip its snapshot"
+    );
+    assert!(
+        outcome.recovered_matches_never_crashed,
         "{label}: recovered engine diverged from the never-crashed engine"
     );
-    // Quarantine accounting versus the independent intake reference.
-    let expected = expected_intake(
-        &delivered_in_order,
-        horizon_days,
-        steady.len() as u32,
-        steady.quarantine().capacity(),
+    assert!(
+        outcome.intake_matches_expected,
+        "{label}: quarantine ledger or intake counters diverged from the reference intake"
     );
-    assert_eq!(
-        steady.quarantine().entries(),
-        expected.records.as_slice(),
-        "{label}: quarantine ledger diverged from the reference intake"
-    );
-    assert_eq!(steady.quarantine().total(), expected.quarantined, "{label}");
-    assert_eq!(steady.dropped_events(), expected.dropped, "{label}");
-    assert_eq!(steady.events_seen(), expected.events_seen, "{label}");
-    Ok(stats)
+    Ok(outcome)
 }
 
 /// One full faulted replay (no verification, crash epochs included),
 /// returning the wall-clock seconds of the epoch loop.
-fn timed_replay(cfg: &Config, rates: FaultRates) -> Result<f64, Box<dyn Error>> {
+fn timed_replay(
+    fixture: &ServeFixture,
+    trace: &EventColumns,
+    rates: FaultRates,
+) -> Result<f64, Box<dyn Error>> {
     let plan = FaultPlan::new(SEED, rates)?;
-    let mut engine = build_engine(cfg)?;
-    let columns = build_trace(&engine, cfg);
-    let horizon_days = cfg.epochs * cfg.epoch_days;
-    let shards = cfg.accounts.min(cfg.objects);
+    let fleet = fixture.fleet(1);
+    let mut engine = fleet.engine()?;
+    let horizon_days = fixture.horizon_days();
+    let shards = fleet.accounts();
 
     let t = Instant::now();
     let mut next_seq = 0u64;
-    for epoch in 0..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
-        let window = columns.filter_day_range(lo, hi);
-        let mut sequenced = Vec::with_capacity(cfg.batches_per_epoch);
-        for batch in split_batches(&window, cfg.batches_per_epoch) {
+    for epoch in 0..fixture.epochs {
+        let (lo, hi) = (epoch * fixture.epoch_days, (epoch + 1) * fixture.epoch_days);
+        let window = trace.filter_day_range(lo, hi);
+        let mut sequenced = Vec::with_capacity(BATCHES_PER_EPOCH);
+        for batch in split_batches(&window, BATCHES_PER_EPOCH) {
             let seq = next_seq;
             next_seq += 1;
             sequenced.push((seq, plan.corrupt_batch(seq, &batch, horizon_days).delivered));
@@ -337,24 +115,16 @@ fn timed_replay(cfg: &Config, rates: FaultRates) -> Result<f64, Box<dyn Error>> 
         engine.reoptimize_with_faults(&plan.shard_faults(u64::from(epoch), shards))?;
         if plan.crash_after_epoch(u64::from(epoch)) {
             let snapshot = engine.checkpoint();
-            engine =
-                ServeEngine::restore(TierCatalog::azure_hot_cool_archive(), schemes(), &snapshot)?;
+            engine = ServeEngine::restore(fleet.catalog.clone(), fleet.schemes.clone(), &snapshot)?;
         }
     }
     Ok(t.elapsed().as_secs_f64())
 }
 
-/// Min-of-reps timing of a full replay under `rates`.
-fn bench_mix(cfg: &Config, rates: FaultRates) -> Result<f64, Box<dyn Error>> {
-    let mut best = timed_replay(cfg, rates)?;
-    for _ in 1..cfg.reps {
-        best = best.min(timed_replay(cfg, rates)?);
-    }
-    Ok(best)
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
-    let cfg = Config::from_args()?;
+    let args = BenchArgs::parse("BENCH_9.json", &[])?;
+    let cfg = ServeFixture::new(args.quick);
+    let reps = if args.quick { 1 } else { 3 };
     println!(
         "chaos_bench: {} objects, {} accounts, {} epochs x {} days, {} events/day, {} batches/epoch{}",
         cfg.objects,
@@ -362,71 +132,87 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.epochs,
         cfg.epoch_days,
         cfg.events_per_day,
-        cfg.batches_per_epoch,
-        if cfg.quick { " [quick]" } else { "" }
+        BATCHES_PER_EPOCH,
+        if args.quick { " [quick]" } else { "" }
     );
+    let trace = cfg.trace();
+    let schedule = Schedule::new(
+        &trace,
+        cfg.horizon_days(),
+        cfg.epoch_days,
+        BATCHES_PER_EPOCH,
+    )?;
 
-    let light = verify_mix(&cfg, FaultRates::light(), "light")?;
-    let heavy = verify_mix(&cfg, FaultRates::heavy(), "heavy")?;
+    let light = verify_mix(&cfg, &schedule, FaultRates::light(), "light")?;
+    let heavy = verify_mix(&cfg, &schedule, FaultRates::heavy(), "heavy")?;
     println!(
         "differential pass: heat == twin, quarantine == reference, healthy shards == full \
          resolve, recovered == never-crashed, on every epoch of both mixes"
     );
     assert!(
-        light.quarantined > 0 && heavy.quarantined > light.quarantined,
+        light.quarantined_events > 0 && heavy.quarantined_events > light.quarantined_events,
         "fault mixes did not inject meaningful corruption"
     );
     assert!(
         light.crashes > 0 && heavy.crashes > 0,
         "fault mixes did not exercise crash recovery"
     );
+    let truncated = |o: &ChaosOutcome| -> u64 { o.epochs.iter().map(|e| e.truncated_events).sum() };
+    let degraded =
+        |o: &ChaosOutcome| -> usize { o.epochs.iter().map(|e| e.degraded_accounts).sum() };
 
-    let clean_s = bench_mix(&cfg, FaultRates::none())?;
-    let light_s = bench_mix(&cfg, FaultRates::light())?;
-    let heavy_s = bench_mix(&cfg, FaultRates::heavy())?;
+    let clean_s = min_seconds(reps, || timed_replay(&cfg, &trace, FaultRates::none()))?;
+    let light_s = min_seconds(reps, || timed_replay(&cfg, &trace, FaultRates::light()))?;
+    let heavy_s = min_seconds(reps, || timed_replay(&cfg, &trace, FaultRates::heavy()))?;
     let light_overhead = (light_s / clean_s - 1.0) * 100.0;
     let heavy_overhead = (heavy_s / clean_s - 1.0) * 100.0;
     println!("clean replay   {clean_s:>9.4} s  (the BENCH_8 steady loop behind sequenced intake)");
     println!(
         "light faults   {light_s:>9.4} s  ({light_overhead:>+7.1}% — {} quarantined, {} dup \
          batches, {} crashes, {} degraded shard-epochs)",
-        light.quarantined, light.duplicates, light.crashes, light.degraded_shard_epochs
+        light.quarantined_events,
+        light.duplicate_batches,
+        light.crashes,
+        degraded(&light)
     );
     println!(
         "heavy faults   {heavy_s:>9.4} s  ({heavy_overhead:>+7.1}% — {} quarantined, {} dup \
          batches, {} crashes, {} degraded shard-epochs)",
-        heavy.quarantined, heavy.duplicates, heavy.crashes, heavy.degraded_shard_epochs
+        heavy.quarantined_events,
+        heavy.duplicate_batches,
+        heavy.crashes,
+        degraded(&heavy)
     );
 
-    if cfg.json {
+    if args.json {
         let json = format!(
             "{{\n  \"issue\": 9,\n  \"quick\": {},\n  \"config\": {{\n    \"objects\": {},\n    \"accounts\": {},\n    \"epochs\": {},\n    \"epoch_days\": {},\n    \"events_per_day\": {},\n    \"batches_per_epoch\": {},\n    \"reps\": {}\n  }},\n  \"chaos\": {{\n    \"clean_replay_s\": {:.6},\n    \"light_replay_s\": {:.6},\n    \"heavy_replay_s\": {:.6},\n    \"light_overhead_pct\": {:.1},\n    \"heavy_overhead_pct\": {:.1},\n    \"light_quarantined_events\": {},\n    \"light_truncated_events\": {},\n    \"light_duplicate_batches\": {},\n    \"light_crashes\": {},\n    \"light_degraded_shard_epochs\": {},\n    \"heavy_quarantined_events\": {},\n    \"heavy_truncated_events\": {},\n    \"heavy_duplicate_batches\": {},\n    \"heavy_crashes\": {},\n    \"heavy_degraded_shard_epochs\": {},\n    \"note\": \"overhead = faulted replay wall-clock over the fault-free replay of the same trace (sequenced intake + validation + quarantine + retry/backoff + checkpoint/restore on crash epochs); before timing, this process asserted for both mixes that heat is bit-identical to a fault-free twin, the quarantine ledger equals the independent expected_intake reference, healthy shards match reference::full_resolve bit-for-bit, every restore round-trips its snapshot, and the crash-and-restore engine's final checkpoint is byte-identical to a never-crashed engine's\"\n  }}\n}}\n",
-            cfg.quick,
+            args.quick,
             cfg.objects,
             cfg.accounts,
             cfg.epochs,
             cfg.epoch_days,
             cfg.events_per_day,
-            cfg.batches_per_epoch,
-            cfg.reps,
+            BATCHES_PER_EPOCH,
+            reps,
             clean_s,
             light_s,
             heavy_s,
             light_overhead,
             heavy_overhead,
-            light.quarantined,
-            light.truncated,
-            light.duplicates,
+            light.quarantined_events,
+            truncated(&light),
+            light.duplicate_batches,
             light.crashes,
-            light.degraded_shard_epochs,
-            heavy.quarantined,
-            heavy.truncated,
-            heavy.duplicates,
+            degraded(&light),
+            heavy.quarantined_events,
+            truncated(&heavy),
+            heavy.duplicate_batches,
             heavy.crashes,
-            heavy.degraded_shard_epochs,
+            degraded(&heavy),
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&args.out, &json)?;
+        println!("wrote {}", args.out);
     }
     Ok(())
 }

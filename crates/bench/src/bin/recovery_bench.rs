@@ -9,8 +9,9 @@
 //!   `BENCH_10.json` in the working directory; override with `--out`).
 //! * `--quick` — the CI smoke configuration.
 //! * `--dir`   — directory for the file-backed journal used by the
-//!   timing phase (default `target/recovery_bench_wal`; wiped between
-//!   repetitions).
+//!   timing phase (default `target/recovery_bench_wal`). Every
+//!   repetition creates its own `rep-<pid>-<n>` child there and removes
+//!   only that child afterwards; the directory itself is never wiped.
 //!
 //! **Correctness before speed:** the verification phase runs the
 //! [`scope_core::run_recovery`] crash-recovery scenario in this process,
@@ -25,191 +26,46 @@
 //!
 //! Only then is journaling overhead timed on the BENCH_8 steady loop
 //! (the `serve_bench` fleet and trace, sequenced intake, epoch
-//! advance + incremental re-solve): a plain [`ServeEngine`] replay
+//! advance + incremental re-solve): a plain [`scope_serve::ServeEngine`] replay
 //! versus the same loop behind [`JournaledEngine`] — once over
 //! [`MemStorage`] (framing + CRC cost alone) and once over
 //! [`FileStorage`] with real fsyncs at epoch boundaries and atomic
 //! durable checkpoints (the headline overhead).
 
-use scope_core::{run_recovery, RecoveryOptions, RecoveryOutcome};
+use scope_bench::{min_seconds, BenchArgs, ServeFixture};
+use scope_cloudsim::EventColumns;
+use scope_core::lockstep::split_batches;
+use scope_core::{run_recovery, RecoveryOptions, RecoveryOutcome, ServingOptions};
 use scope_faults::StorageFaultRates;
-use scope_serve::{CompressionOption, JournaledEngine, ServeConfig, ServeEngine, ServeObject};
+use scope_serve::JournaledEngine;
 use scope_wal::{FileStorage, JournalConfig, MemStorage, Storage};
 use scope_workload::EnterpriseOptions;
 use std::error::Error;
+use std::path::Path;
 use std::time::Instant;
 
-use scope_cloudsim::{BillingEvent, EventColumns, TierCatalog, TierId};
-
-struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
-    dir: String,
-    objects: usize,
-    accounts: usize,
-    epochs: u32,
-    epoch_days: u32,
-    events_per_day: usize,
-    batches_per_epoch: usize,
-    segment_records: usize,
-    reps: usize,
-    verify_datasets: usize,
-    verify_months: u32,
-}
-
-impl Config {
-    fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_10.json".to_string();
-        let mut dir = "target/recovery_bench_wal".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                "--dir" => match args.next() {
-                    Some(path) => dir = path,
-                    None => return Err("--dir requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out / --dir)"
-                    ))
-                }
-            }
-        }
-        Ok(Config {
-            quick,
-            json,
-            out,
-            dir,
-            objects: if quick { 1000 } else { 4000 },
-            accounts: 8,
-            epochs: if quick { 6 } else { 10 },
-            epoch_days: 15,
-            events_per_day: if quick { 2400 } else { 6000 },
-            batches_per_epoch: 4,
-            segment_records: 64,
-            reps: if quick { 1 } else { 3 },
-            verify_datasets: if quick { 40 } else { 60 },
-            verify_months: 6,
-        })
-    }
-}
-
-fn schemes() -> Vec<CompressionOption> {
-    vec![
-        CompressionOption::none(),
-        CompressionOption::new("gzip", 3.5, 1.5),
-        CompressionOption::new("zstd", 2.4, 0.35),
-        CompressionOption::new("lz4", 2.1, 0.15),
-        CompressionOption::new("snappy", 1.8, 0.08),
-        CompressionOption::new("brotli", 3.9, 2.6),
-    ]
-}
-
-/// The `serve_bench` fleet (same shape as `chaos_bench`).
-fn build_engine(cfg: &Config) -> Result<ServeEngine, Box<dyn Error>> {
-    let horizon_days = cfg.epochs * cfg.epoch_days;
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_days) / 30.0,
-        threads: 1,
-        decay_per_day: 0.82,
-        bucket_base: 3.0,
-        bucket_hysteresis: 4.0,
-        ..ServeConfig::default()
-    };
-    let mut engine = ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config)?;
-    for i in 0..cfg.objects {
-        let mut spec = ServeObject::new(
-            format!("obj-{i:06}"),
-            format!("account-{}", i % cfg.accounts),
-            0.5 + (i as f64) * 0.173,
-            TierId(i % 2),
-        )
-        .with_residency_days((i as u32 * 13) % 200);
-        if i % 3 == 0 {
-            spec = spec.with_latency_threshold(2.0);
-        }
-        engine.register(spec)?;
-    }
-    Ok(engine)
-}
-
-/// The `serve_bench` skewed drifting trace (same LCG, same mix).
-fn build_trace(engine: &ServeEngine, cfg: &Config) -> EventColumns {
-    let mut seed = 0x8eed_5e12_u64;
-    let mut draw = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (seed >> 33) as u32
-    };
-    let n = engine.len() as u32;
-    let days = cfg.epochs * cfg.epoch_days;
-    let mut events = Vec::with_capacity(days as usize * cfg.events_per_day);
-    for day in 0..days {
-        for _ in 0..cfg.events_per_day {
-            let r = draw() % n;
-            let id = ((u64::from(r) * u64::from(r) / u64::from(n)) as u32 + day) % n;
-            let name = engine
-                .object_name(id.min(n - 1))
-                .unwrap_or_default()
-                .to_string();
-            let volume = 0.02 + f64::from(draw() % 128) / 100.0;
-            if draw() % 10 == 0 {
-                events.push(BillingEvent::write(name, day, volume));
-            } else {
-                events.push(BillingEvent::read(name, day, volume));
-            }
-        }
-    }
-    engine.columns_from_events(&events)
-}
-
-/// Split `columns` into `n` contiguous batches, preserving trace order.
-fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
-    let total = columns.len();
-    let per = total.div_ceil(n.max(1)).max(1);
-    let mut out = Vec::with_capacity(n);
-    for b in 0..n.max(1) {
-        let lo = (b * per).min(total);
-        let hi = ((b + 1) * per).min(total);
-        let mut batch = EventColumns::default();
-        batch.days.extend_from_slice(&columns.days[lo..hi]);
-        batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-        batch
-            .object_ids
-            .extend_from_slice(&columns.object_ids[lo..hi]);
-        batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-        batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-        out.push(batch);
-    }
-    out
-}
+const BATCHES_PER_EPOCH: usize = 4;
+const SEGMENT_RECORDS: usize = 64;
+const VERIFY_MONTHS: u32 = 6;
 
 /// One crash-recovery scenario over fault-injected in-memory storage,
 /// with the bit-for-bit contracts asserted in this process. Panics (no
 /// JSON) on any divergence.
 fn verify_plan(
-    cfg: &Config,
+    verify_datasets: usize,
     rates: StorageFaultRates,
     seed: u64,
     label: &str,
 ) -> Result<RecoveryOutcome, Box<dyn Error>> {
     let outcome = run_recovery(&RecoveryOptions {
-        workload: EnterpriseOptions {
-            n_datasets: cfg.verify_datasets,
-            history_months: cfg.verify_months,
-            future_months: cfg.verify_months,
-            seed: seed ^ 11,
+        serving: ServingOptions {
+            workload: EnterpriseOptions {
+                n_datasets: verify_datasets,
+                history_months: VERIFY_MONTHS,
+                future_months: VERIFY_MONTHS,
+                seed: seed ^ 11,
+                ..Default::default()
+            },
             ..Default::default()
         },
         seed,
@@ -239,13 +95,13 @@ fn verify_plan(
 
 /// The BENCH_8 steady loop: sequenced intake, epoch advance, incremental
 /// re-solve — no journal. Returns the wall-clock seconds of the loop.
-fn timed_plain(cfg: &Config, trace: &EventColumns) -> Result<f64, Box<dyn Error>> {
-    let mut engine = build_engine(cfg)?;
+fn timed_plain(fixture: &ServeFixture, trace: &EventColumns) -> Result<f64, Box<dyn Error>> {
+    let mut engine = fixture.fleet(1).engine()?;
     let t = Instant::now();
     let mut next_seq = 0u64;
-    for epoch in 0..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
-        for batch in split_batches(&trace.filter_day_range(lo, hi), cfg.batches_per_epoch) {
+    for epoch in 0..fixture.epochs {
+        let (lo, hi) = (epoch * fixture.epoch_days, (epoch + 1) * fixture.epoch_days);
+        for batch in split_batches(&trace.filter_day_range(lo, hi), BATCHES_PER_EPOCH) {
             engine.ingest_sequenced(next_seq, &batch)?;
             next_seq += 1;
         }
@@ -260,20 +116,20 @@ fn timed_plain(cfg: &Config, trace: &EventColumns) -> Result<f64, Box<dyn Error>
 /// batch appended before intake, synced epoch boundaries, durable
 /// atomic checkpoints.
 fn timed_journaled<S: Storage>(
-    cfg: &Config,
+    fixture: &ServeFixture,
     trace: &EventColumns,
     storage: S,
 ) -> Result<f64, Box<dyn Error>> {
     let journal_cfg = JournalConfig {
-        segment_records: cfg.segment_records,
+        segment_records: SEGMENT_RECORDS,
         ..JournalConfig::default()
     };
-    let mut engine = JournaledEngine::create(build_engine(cfg)?, storage, journal_cfg)?;
+    let mut engine = JournaledEngine::create(fixture.fleet(1).engine()?, storage, journal_cfg)?;
     let t = Instant::now();
     let mut next_seq = 0u64;
-    for epoch in 0..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
-        for batch in split_batches(&trace.filter_day_range(lo, hi), cfg.batches_per_epoch) {
+    for epoch in 0..fixture.epochs {
+        let (lo, hi) = (epoch * fixture.epoch_days, (epoch + 1) * fixture.epoch_days);
+        for batch in split_batches(&trace.filter_day_range(lo, hi), BATCHES_PER_EPOCH) {
             engine.ingest_sequenced(next_seq, &batch)?;
             next_seq += 1;
         }
@@ -284,40 +140,30 @@ fn timed_journaled<S: Storage>(
     Ok(t.elapsed().as_secs_f64())
 }
 
-fn bench_plain(cfg: &Config, trace: &EventColumns) -> Result<f64, Box<dyn Error>> {
-    let mut best = timed_plain(cfg, trace)?;
-    for _ in 1..cfg.reps {
-        best = best.min(timed_plain(cfg, trace)?);
-    }
-    Ok(best)
-}
-
-fn bench_mem(cfg: &Config, trace: &EventColumns) -> Result<f64, Box<dyn Error>> {
-    let mut best = timed_journaled(cfg, trace, MemStorage::new())?;
-    for _ in 1..cfg.reps {
-        best = best.min(timed_journaled(cfg, trace, MemStorage::new())?);
-    }
-    Ok(best)
-}
-
-fn bench_file(cfg: &Config, trace: &EventColumns) -> Result<f64, Box<dyn Error>> {
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps {
-        // A fresh directory per rep: the journal refuses a dirty store.
-        if std::fs::metadata(&cfg.dir).is_ok() {
-            std::fs::remove_dir_all(&cfg.dir)?;
-        }
-        let storage = FileStorage::create(&cfg.dir)?;
-        best = best.min(timed_journaled(cfg, trace, storage)?);
-    }
-    if std::fs::metadata(&cfg.dir).is_ok() {
-        std::fs::remove_dir_all(&cfg.dir)?;
-    }
-    Ok(best)
+/// The journaled loop over a fresh file-backed store. The journal refuses
+/// a dirty store, so every call works in a child of `dir` that it creates
+/// and is the only thing it removes; `dir` itself may hold anything.
+fn timed_file(
+    fixture: &ServeFixture,
+    trace: &EventColumns,
+    dir: &Path,
+    rep: &mut usize,
+) -> Result<f64, Box<dyn Error>> {
+    *rep += 1;
+    let child = dir.join(format!("rep-{}-{rep}", std::process::id()));
+    std::fs::create_dir_all(dir)?;
+    std::fs::create_dir(&child)?;
+    let timed = (|| timed_journaled(fixture, trace, FileStorage::create(&child)?))();
+    std::fs::remove_dir_all(&child)?;
+    timed
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let cfg = Config::from_args()?;
+    let args = BenchArgs::parse("BENCH_10.json", &["--dir"])?;
+    let dir = Path::new(args.value("--dir").unwrap_or("target/recovery_bench_wal"));
+    let cfg = ServeFixture::new(args.quick);
+    let reps = if args.quick { 1 } else { 3 };
+    let verify_datasets = if args.quick { 40 } else { 60 };
     println!(
         "recovery_bench: {} objects, {} accounts, {} epochs x {} days, {} events/day, \
          {} batches/epoch, {} records/segment{}",
@@ -326,9 +172,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.epochs,
         cfg.epoch_days,
         cfg.events_per_day,
-        cfg.batches_per_epoch,
-        cfg.segment_records,
-        if cfg.quick { " [quick]" } else { "" }
+        BATCHES_PER_EPOCH,
+        SEGMENT_RECORDS,
+        if args.quick { " [quick]" } else { "" }
     );
 
     // Phase 1: crash-recovery equalities, every plan, in this process.
@@ -338,17 +184,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         ("heavy", StorageFaultRates::heavy()),
     ];
     let seeds = [0xD0_5EED_u64, 7];
-    let mut crashes = 0usize;
-    let mut recoveries_started_fresh = 0usize;
-    let mut unrecoverable_resets = 0usize;
-    let mut quarantined_checkpoints = 0usize;
-    let mut quarantined_records = 0usize;
-    let mut torn_bytes = 0u64;
-    let mut replayed_records = 0u64;
-    let mut redelivered_batches = 0u64;
+    let mut total = RecoveryOutcome::default();
     for (name, rates) in &plans {
         for &seed in &seeds {
-            let outcome = verify_plan(&cfg, *rates, seed, &format!("{name}/seed-{seed}"))?;
+            let outcome = verify_plan(
+                verify_datasets,
+                *rates,
+                seed,
+                &format!("{name}/seed-{seed}"),
+            )?;
             println!(
                 "verified {name:>5} seed {seed:#x}: {} crashes ({} forced, {} torn, {} bit-flip), \
                  {} replayed, {} re-delivered, {} ckpt quarantined, {} fresh, {} resets",
@@ -362,62 +206,64 @@ fn main() -> Result<(), Box<dyn Error>> {
                 outcome.recoveries_started_fresh,
                 outcome.unrecoverable_resets,
             );
-            crashes += outcome.crashes;
-            recoveries_started_fresh += outcome.recoveries_started_fresh;
-            unrecoverable_resets += outcome.unrecoverable_resets;
-            quarantined_checkpoints += outcome.quarantined_checkpoints;
-            quarantined_records += outcome.quarantined_records;
-            torn_bytes += outcome.torn_bytes;
-            replayed_records += outcome.replayed_records;
-            redelivered_batches += outcome.redelivered_batches;
+            total.crashes += outcome.crashes;
+            total.recoveries_started_fresh += outcome.recoveries_started_fresh;
+            total.unrecoverable_resets += outcome.unrecoverable_resets;
+            total.quarantined_checkpoints += outcome.quarantined_checkpoints;
+            total.quarantined_records += outcome.quarantined_records;
+            total.torn_bytes += outcome.torn_bytes;
+            total.replayed_records += outcome.replayed_records;
+            total.redelivered_batches += outcome.redelivered_batches;
         }
     }
     println!(
         "differential pass: every recovered checkpoint and final state byte-identical to the \
-         never-crashed twin, across {crashes} crashes over all seeded storage-fault plans"
+         never-crashed twin, across {} crashes over all seeded storage-fault plans",
+        total.crashes
     );
 
     // Phase 2: journaling overhead on the BENCH_8 steady loop.
-    let trace = build_trace(&build_engine(&cfg)?, &cfg);
-    let plain_s = bench_plain(&cfg, &trace)?;
-    let mem_s = bench_mem(&cfg, &trace)?;
-    let file_s = bench_file(&cfg, &trace)?;
+    let trace = cfg.trace();
+    let plain_s = min_seconds(reps, || timed_plain(&cfg, &trace))?;
+    let mem_s = min_seconds(reps, || timed_journaled(&cfg, &trace, MemStorage::new()))?;
+    let mut rep = 0;
+    let file_s = min_seconds(reps, || timed_file(&cfg, &trace, dir, &mut rep))?;
     let mem_overhead = (mem_s / plain_s - 1.0) * 100.0;
     let file_overhead = (file_s / plain_s - 1.0) * 100.0;
     println!("plain loop     {plain_s:>9.4} s  (the BENCH_8 steady loop, no journal)");
     println!("journaled mem  {mem_s:>9.4} s  ({mem_overhead:>+7.1}% — framing + CRC, no disk)");
     println!("journaled file {file_s:>9.4} s  ({file_overhead:>+7.1}% — epoch fsyncs + atomic durable checkpoints)");
 
-    if cfg.json {
+    if args.json {
         let json = format!(
             "{{\n  \"issue\": 10,\n  \"quick\": {},\n  \"config\": {{\n    \"objects\": {},\n    \"accounts\": {},\n    \"epochs\": {},\n    \"epoch_days\": {},\n    \"events_per_day\": {},\n    \"batches_per_epoch\": {},\n    \"segment_records\": {},\n    \"reps\": {},\n    \"verify_datasets\": {},\n    \"verify_seeds\": {}\n  }},\n  \"recovery\": {{\n    \"verified_plans\": [\"none\", \"light\", \"heavy\"],\n    \"crashes\": {},\n    \"recoveries_started_fresh\": {},\n    \"unrecoverable_resets\": {},\n    \"quarantined_checkpoints\": {},\n    \"quarantined_records\": {},\n    \"torn_bytes\": {},\n    \"replayed_records\": {},\n    \"redelivered_batches\": {},\n    \"plain_loop_s\": {:.6},\n    \"journaled_mem_s\": {:.6},\n    \"journaled_file_s\": {:.6},\n    \"journaled_mem_overhead_pct\": {:.1},\n    \"journaled_file_overhead_pct\": {:.1},\n    \"note\": \"overhead = the BENCH_8 steady loop (sequenced intake, epoch advance, incremental re-solve) behind the write-ahead intake journal over the plain loop; mem = framing + CRC only, file = real fsyncs at epoch boundaries plus atomic durable checkpoints; before timing, this process ran the crash-recovery scenario for every storage-fault plan (none/light/heavy, two seeds each, >= 3 fuzzed crash points plus the plan's own crash/torn-write/bit-flip schedule) and asserted the recovered engine byte-identical to a never-crashed twin after every crash: heat bits, placement choices, objective bits, checkpoint bytes\"\n  }}\n}}\n",
-            cfg.quick,
+            args.quick,
             cfg.objects,
             cfg.accounts,
             cfg.epochs,
             cfg.epoch_days,
             cfg.events_per_day,
-            cfg.batches_per_epoch,
-            cfg.segment_records,
-            cfg.reps,
-            cfg.verify_datasets,
+            BATCHES_PER_EPOCH,
+            SEGMENT_RECORDS,
+            reps,
+            verify_datasets,
             seeds.len(),
-            crashes,
-            recoveries_started_fresh,
-            unrecoverable_resets,
-            quarantined_checkpoints,
-            quarantined_records,
-            torn_bytes,
-            replayed_records,
-            redelivered_batches,
+            total.crashes,
+            total.recoveries_started_fresh,
+            total.unrecoverable_resets,
+            total.quarantined_checkpoints,
+            total.quarantined_records,
+            total.torn_bytes,
+            total.replayed_records,
+            total.redelivered_batches,
             plain_s,
             mem_s,
             file_s,
             mem_overhead,
             file_overhead,
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&args.out, &json)?;
+        println!("wrote {}", args.out);
     }
     Ok(())
 }

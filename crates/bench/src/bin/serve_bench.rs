@@ -27,198 +27,35 @@
 //! path must clear 5x the full-resolve baseline on the quick config, and
 //! the binary asserts that floor before writing any numbers.
 
-use scope_cloudsim::{BillingEvent, EventColumns, TierCatalog, TierId};
-use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
+use scope_bench::{time_min, BenchArgs, ServeFixture};
+use scope_core::lockstep::{replay_serving, Schedule};
+use scope_serve::reference;
 use std::error::Error;
 use std::time::Instant;
 
-struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
-    objects: usize,
-    accounts: usize,
-    epochs: u32,
-    epoch_days: u32,
-    events_per_day: usize,
-    reps: usize,
-}
-
-impl Config {
-    fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_8.json".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out)"
-                    ))
-                }
-            }
-        }
-        Ok(Config {
-            quick,
-            json,
-            out,
-            objects: if quick { 1000 } else { 4000 },
-            accounts: 8,
-            epochs: if quick { 6 } else { 10 },
-            epoch_days: 15,
-            events_per_day: if quick { 2400 } else { 6000 },
-            reps: if quick { 1 } else { 3 },
-        })
-    }
-}
-
-/// Min-of-reps wall clock (seconds) of `f`, returning the last result.
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let mut out = f();
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
-
-fn schemes() -> Vec<CompressionOption> {
-    vec![
-        CompressionOption::none(),
-        CompressionOption::new("gzip", 3.5, 1.5),
-        CompressionOption::new("zstd", 2.4, 0.35),
-        CompressionOption::new("lz4", 2.1, 0.15),
-        CompressionOption::new("snappy", 1.8, 0.08),
-        CompressionOption::new("brotli", 3.9, 2.6),
-    ]
-}
-
-/// A fleet of `objects` distinct-size objects round-robined into
-/// `accounts` billing accounts; every third object carries a latency
-/// threshold that rules the archive tier out.
-fn build_engine(cfg: &Config, threads: usize) -> Result<ServeEngine, Box<dyn Error>> {
-    let horizon_days = cfg.epochs * cfg.epoch_days;
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_days) / 30.0,
-        threads,
-        // Serving-tuned heat dynamics: a short memory window (heat
-        // equilibrates within the cold epoch), coarse buckets, and a wide
-        // hysteresis band keep steady-state heat inside its bucket unless
-        // the access pattern genuinely shifts, which is what makes the
-        // delta path a delta (the differential pass holds for ANY
-        // setting; these only trade estimate freshness for patch volume).
-        decay_per_day: 0.82,
-        bucket_base: 3.0,
-        bucket_hysteresis: 4.0,
-        ..ServeConfig::default()
-    };
-    let mut engine = ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config)?;
-    for i in 0..cfg.objects {
-        let mut spec = ServeObject::new(
-            format!("obj-{i:06}"),
-            format!("account-{}", i % cfg.accounts),
-            0.5 + (i as f64) * 0.173,
-            TierId(i % 2),
-        )
-        .with_residency_days((i as u32 * 13) % 200);
-        if i % 3 == 0 {
-            spec = spec.with_latency_threshold(2.0);
-        }
-        engine.register(spec)?;
-    }
-    Ok(engine)
-}
-
-/// Skewed deterministic trace: squared-uniform draws concentrate reads on
-/// a hot set that drifts by one object id per day (so each epoch a handful
-/// of objects genuinely change heat class while the rest stay put), ~10%
-/// writes, volumes in (0.02, 1.3) GB.
-fn build_trace(engine: &ServeEngine, cfg: &Config) -> EventColumns {
-    let mut seed = 0x8eed_5e12_u64;
-    let mut draw = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (seed >> 33) as u32
-    };
-    let n = engine.len() as u32;
-    let days = cfg.epochs * cfg.epoch_days;
-    let mut events = Vec::with_capacity(days as usize * cfg.events_per_day);
-    for day in 0..days {
-        for _ in 0..cfg.events_per_day {
-            let r = draw() % n;
-            let id = ((u64::from(r) * u64::from(r) / u64::from(n)) as u32 + day) % n;
-            let name = engine
-                .object_name(id.min(n - 1))
-                .unwrap_or_default()
-                .to_string();
-            let volume = 0.02 + f64::from(draw() % 128) / 100.0;
-            if draw() % 10 == 0 {
-                events.push(BillingEvent::write(name, day, volume));
-            } else {
-                events.push(BillingEvent::read(name, day, volume));
-            }
-        }
-    }
-    engine.columns_from_events(&events)
-}
-
 /// Differential pass: every epoch of the replay must match the batch
-/// reference bit-for-bit, and a 1-thread engine must match the default
-/// fan-out. Runs before any timing; panics (no JSON) on divergence.
-fn verify(cfg: &Config) -> Result<(), Box<dyn Error>> {
-    let mut engine = build_engine(cfg, 0)?;
-    let mut sequential = build_engine(cfg, 1)?;
-    let columns = build_trace(&engine, cfg);
-    for epoch in 0..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
-        let batch = columns.filter_day_range(lo, hi);
-        engine.ingest(&batch);
-        sequential.ingest(&batch);
-        engine.advance(hi);
-        sequential.advance(hi);
-
-        let cold = reference::full_resolve(&engine)?;
-        let outcome = engine.reoptimize()?;
-        let outcome_seq = sequential.reoptimize()?;
-
-        assert_eq!(outcome.accounts.len(), cold.len());
-        for (inc, full) in outcome.accounts.iter().zip(&cold) {
-            assert_eq!(inc.account, full.account, "epoch {epoch}");
-            assert_eq!(
-                inc.assignment.choices, full.assignment.choices,
-                "epoch {epoch}: incremental choices diverged from full resolve for {}",
-                inc.account
-            );
-            assert_eq!(
-                inc.assignment.objective.to_bits(),
-                full.assignment.objective.to_bits(),
-                "epoch {epoch}: objective bits diverged for {}",
-                inc.account
-            );
-        }
-        assert_eq!(
-            outcome.total_objective.to_bits(),
-            reference::total_objective(&cold).to_bits(),
-            "epoch {epoch}: totals diverged"
+/// reference bit-for-bit (the lockstep driver's `matches_reference`:
+/// accounts, choices, per-account and total objective bits), and a
+/// 1-thread engine must match the default fan-out. Runs before any
+/// timing; panics (no JSON) on divergence.
+fn verify(fixture: &ServeFixture) -> Result<(), Box<dyn Error>> {
+    // One batch per epoch, as in the timed loop.
+    let horizon_days = fixture.horizon_days();
+    let schedule = Schedule::new(&fixture.trace(), horizon_days, fixture.epoch_days, 1)?;
+    let outcome = replay_serving(&fixture.fleet(0), &schedule)?;
+    let sequential = replay_serving(&fixture.fleet(1), &schedule)?;
+    assert_eq!(outcome.epochs.len(), fixture.epochs as usize);
+    for (epoch, (e, seq)) in outcome.epochs.iter().zip(&sequential.epochs).enumerate() {
+        assert!(
+            e.matches_reference && seq.matches_reference,
+            "epoch {epoch}: incremental outcome diverged from full resolve"
         );
         assert_eq!(
-            outcome.total_objective.to_bits(),
-            outcome_seq.total_objective.to_bits(),
+            e.total_objective.to_bits(),
+            seq.total_objective.to_bits(),
             "epoch {epoch}: thread fan-out changed the outcome"
         );
-        assert_eq!(outcome.rows_patched, outcome_seq.rows_patched);
+        assert_eq!(e.rows_patched, seq.rows_patched);
     }
     Ok(())
 }
@@ -243,16 +80,16 @@ struct ServeNumbers {
 /// separately in the differential pass. The immutable full resolve is
 /// min-of-reps; the incremental re-solve mutates state so each epoch is
 /// timed once and the epochs are summed.
-fn bench_serve(cfg: &Config) -> Result<ServeNumbers, Box<dyn Error>> {
-    if cfg.epochs <= 2 {
+fn bench_serve(fixture: &ServeFixture, reps: usize) -> Result<ServeNumbers, Box<dyn Error>> {
+    if fixture.epochs <= 2 {
         return Err("need at least three epochs: two warm-up plus steady state".into());
     }
-    let mut engine = build_engine(cfg, 1)?;
-    let columns = build_trace(&engine, cfg);
+    let mut engine = fixture.fleet(1).engine()?;
+    let columns = fixture.trace();
 
     // Warm-up: cold table build, then the re-pricing epoch it induces.
     for epoch in 0..2 {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
+        let (lo, hi) = (epoch * fixture.epoch_days, (epoch + 1) * fixture.epoch_days);
         engine.ingest(&columns.filter_day_range(lo, hi));
         engine.advance(hi);
         engine.reoptimize()?;
@@ -262,12 +99,12 @@ fn bench_serve(cfg: &Config) -> Result<ServeNumbers, Box<dyn Error>> {
     let mut incremental_s = 0.0;
     let mut rows_patched = 0usize;
     let mut retier_decisions = 0usize;
-    for epoch in 2..cfg.epochs {
-        let (lo, hi) = (epoch * cfg.epoch_days, (epoch + 1) * cfg.epoch_days);
+    for epoch in 2..fixture.epochs {
+        let (lo, hi) = (epoch * fixture.epoch_days, (epoch + 1) * fixture.epoch_days);
         engine.ingest(&columns.filter_day_range(lo, hi));
         engine.advance(hi);
 
-        let (t_full, cold) = time_min(cfg.reps, || reference::full_resolve(&engine));
+        let (t_full, cold) = time_min(reps, || reference::full_resolve(&engine));
         let cold = cold?;
         full_resolve_s += t_full;
 
@@ -286,8 +123,8 @@ fn bench_serve(cfg: &Config) -> Result<ServeNumbers, Box<dyn Error>> {
         retier_decisions += outcome.retier_decisions;
     }
 
-    let steady_epochs = cfg.epochs - 2;
-    let decisions = f64::from(steady_epochs) * cfg.objects as f64;
+    let steady_epochs = fixture.epochs - 2;
+    let decisions = f64::from(steady_epochs) * fixture.objects as f64;
     let numbers = ServeNumbers {
         steady_epochs,
         full_resolve_s,
@@ -302,7 +139,9 @@ fn bench_serve(cfg: &Config) -> Result<ServeNumbers, Box<dyn Error>> {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let cfg = Config::from_args()?;
+    let args = BenchArgs::parse("BENCH_8.json", &[])?;
+    let cfg = ServeFixture::new(args.quick);
+    let reps = if args.quick { 1 } else { 3 };
     println!(
         "serve_bench: {} objects, {} accounts, {} epochs x {} days, {} events/day{}",
         cfg.objects,
@@ -310,13 +149,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.epochs,
         cfg.epoch_days,
         cfg.events_per_day,
-        if cfg.quick { " [quick]" } else { "" }
+        if args.quick { " [quick]" } else { "" }
     );
-
     verify(&cfg)?;
     println!("differential pass: incremental == full resolve bit-for-bit on every epoch");
 
-    let serve = bench_serve(&cfg)?;
+    let serve = bench_serve(&cfg, reps)?;
     println!(
         "full resolve   {:>9.4} s over {} steady epochs ({:>10.0} decisions/s)",
         serve.full_resolve_s, serve.steady_epochs, serve.full_decisions_per_s
@@ -336,16 +174,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         serve.speedup
     );
 
-    if cfg.json {
+    if args.json {
         let json = format!(
             "{{\n  \"issue\": 8,\n  \"quick\": {},\n  \"config\": {{\n    \"objects\": {},\n    \"accounts\": {},\n    \"epochs\": {},\n    \"epoch_days\": {},\n    \"events_per_day\": {},\n    \"reps\": {}\n  }},\n  \"serve\": {{\n    \"steady_epochs\": {},\n    \"full_resolve_s\": {:.6},\n    \"incremental_s\": {:.6},\n    \"full_decisions_per_s\": {:.0},\n    \"incremental_decisions_per_s\": {:.0},\n    \"speedup\": {:.2},\n    \"rows_patched\": {},\n    \"retier_decisions\": {},\n    \"note\": \"steady-state re-tiering decisions/s over post-cold-start epochs; every epoch asserted bit-identical to reference::full_resolve (and thread-count independent) in this process before timing; incremental path re-evaluates only heat-rebucketed rows via CostTable::patch_rows and re-decides them with the same first-minimum rule as the batch greedy\"\n  }}\n}}\n",
-            cfg.quick,
+            args.quick,
             cfg.objects,
             cfg.accounts,
             cfg.epochs,
             cfg.epoch_days,
             cfg.events_per_day,
-            cfg.reps,
+            reps,
             serve.steady_epochs,
             serve.full_resolve_s,
             serve.incremental_s,
@@ -355,8 +193,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             serve.rows_patched,
             serve.retier_decisions,
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&args.out, &json)?;
+        println!("wrote {}", args.out);
     }
     Ok(())
 }

@@ -24,7 +24,10 @@
 //! event (the allocation the engine used to pay); *after* — one interned-id
 //! lookup and a `Vec` index (what `run_days` does now).
 
-use scope_bench::{billing_fixture, billing_object_names, BILLING_HORIZON_DAYS as HORIZON_DAYS};
+use scope_bench::{
+    billing_fixture, billing_object_names, time_min, time_min_try, BenchArgs,
+    BILLING_HORIZON_DAYS as HORIZON_DAYS,
+};
 use scope_cloudsim::ProviderCatalog;
 use scope_optassign::reference::{
     solve_branch_and_bound_reference, solve_equal_size_matching_reference, solve_greedy_reference,
@@ -35,12 +38,9 @@ use scope_optassign::{
 };
 use std::collections::HashMap;
 use std::error::Error;
-use std::time::Instant;
 
 struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
+    args: BenchArgs,
     partitions: usize,
     reps: usize,
     billing_objects: usize,
@@ -49,62 +49,16 @@ struct Config {
 
 impl Config {
     fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_4.json".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out)"
-                    ))
-                }
-            }
-        }
+        let args = BenchArgs::parse("BENCH_4.json", &[])?;
+        let quick = args.quick;
         Ok(Config {
-            quick,
-            json,
-            out,
+            args,
             partitions: if quick { 200 } else { 1000 },
             reps: if quick { 1 } else { 3 },
             billing_objects: 1000,
             billing_events: if quick { 20_000 } else { 200_000 },
         })
     }
-}
-
-/// Min-of-reps wall clock (seconds) of `f`, returning the last result.
-/// Runs at least once even for `reps == 0`.
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let mut out = f();
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
-
-/// [`time_min`] for fallible work: the first error aborts the bench.
-fn time_min_try<R, E>(reps: usize, mut f: impl FnMut() -> Result<R, E>) -> Result<(f64, R), E> {
-    let t = Instant::now();
-    let mut out = f()?;
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f()?;
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    Ok((best, out))
 }
 
 /// The greedy / branch-and-bound instance: `n` partitions with mixed sizes,
@@ -258,7 +212,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "solver_bench: {} partitions, merged 3-provider catalog (12 tiers), min of {} rep(s){}",
         cfg.partitions,
         cfg.reps,
-        if cfg.quick { " [quick]" } else { "" }
+        if cfg.args.quick { " [quick]" } else { "" }
     );
 
     let greedy = bench_greedy(&cfg)?;
@@ -298,10 +252,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         billing.accounting_before_s / billing.accounting_after_s
     );
 
-    if cfg.json {
+    if cfg.args.json {
         let json = format!(
             "{{\n  \"issue\": 4,\n  \"quick\": {},\n  \"config\": {{\n    \"partitions\": {},\n    \"catalog\": \"azure+s3+gcs merged (12 tiers)\",\n    \"reps\": {},\n    \"billing_objects\": {},\n    \"billing_events\": {}\n  }},\n  \"solver\": {{\n    \"greedy\": {{ \"model_driven_s\": {:.6}, \"table_driven_s\": {:.6}, \"speedup\": {:.2} }},\n    \"branch_and_bound\": {{ \"model_driven_s\": {:.6}, \"table_driven_s\": {:.6}, \"speedup\": {:.2} }},\n    \"matching\": {{ \"model_driven_s\": {:.6}, \"table_driven_s\": {:.6}, \"speedup\": {:.2} }}\n  }},\n  \"billing\": {{\n    \"run_days_s\": {:.6},\n    \"events_per_s\": {:.0},\n    \"accounting_before_clone_per_event_s\": {:.6},\n    \"accounting_after_interned_s\": {:.6},\n    \"accounting_speedup\": {:.2},\n    \"note\": \"before = pre-PR-4 run_days accounting (ev.object.clone() into a HashMap<String,f64> entry per event); after = interned dense-id Vec indexing, the scheme run_days now uses — the engine's event loop is clone- and allocation-free per event\"\n  }}\n}}\n",
-            cfg.quick,
+            cfg.args.quick,
             cfg.partitions,
             cfg.reps,
             cfg.billing_objects,
@@ -321,8 +275,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             billing.accounting_after_s,
             billing.accounting_before_s / billing.accounting_after_s,
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&cfg.args.out, &json)?;
+        println!("wrote {}", cfg.args.out);
     }
     Ok(())
 }

@@ -25,7 +25,7 @@
 //! headline number is events/s at the default thread count; the PR-4
 //! baseline for the same fixture shape was ~19.7 M events/s.
 
-use scope_bench::{billing_fixture, BILLING_HORIZON_DAYS as HORIZON_DAYS};
+use scope_bench::{billing_fixture, time_min, BenchArgs, BILLING_HORIZON_DAYS as HORIZON_DAYS};
 use scope_cloudsim::reference::run_days_reference;
 use scope_cloudsim::{parallel, BillingReport};
 use scope_compress::lz77::MatcherParams;
@@ -35,12 +35,9 @@ use scope_compress::reference::{
 };
 use scope_compress::{measure, Codec, CompressionScheme};
 use std::error::Error;
-use std::time::Instant;
 
 struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
+    args: BenchArgs,
     codec_bytes: usize,
     reps: usize,
     billing_objects: usize,
@@ -49,48 +46,16 @@ struct Config {
 
 impl Config {
     fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_7.json".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out)"
-                    ))
-                }
-            }
-        }
+        let args = BenchArgs::parse("BENCH_7.json", &[])?;
+        let quick = args.quick;
         Ok(Config {
-            quick,
-            json,
-            out,
+            args,
             codec_bytes: if quick { 1 << 19 } else { 1 << 22 },
             reps: if quick { 1 } else { 5 },
             billing_objects: 1000,
             billing_events: if quick { 100_000 } else { 1_000_000 },
         })
     }
-}
-
-/// Min-of-reps wall clock (seconds) of `f`, returning the last result.
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let mut out = f();
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, out)
 }
 
 /// Synthetic tabular text with the repetition profile of a TPC-H-ish dump:
@@ -217,7 +182,7 @@ fn bench_billing(cfg: &Config) -> Result<BillingNumbers, Box<dyn Error>> {
     // A single replay is ~10 ms, short enough that scheduler noise on a
     // shared host dominates a small rep count; billing takes more reps
     // than the (much longer) codec passes and reports the min.
-    let billing_reps = if cfg.quick { 1 } else { cfg.reps * 3 };
+    let billing_reps = if cfg.args.quick { 1 } else { cfg.reps * 3 };
     let (run_columns_s, report): (f64, Result<BillingReport, _>) =
         time_min(billing_reps, || sim.run_columns(HORIZON_DAYS, &columns));
     assert_eq!(report?, expected);
@@ -236,7 +201,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.codec_bytes / 1024,
         cfg.billing_events,
         cfg.reps,
-        if cfg.quick { " [quick]" } else { "" }
+        if cfg.args.quick { " [quick]" } else { "" }
     );
 
     let codecs = bench_codecs(&cfg);
@@ -257,7 +222,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         billing.threads
     );
 
-    if cfg.json {
+    if cfg.args.json {
         let codec_json: Vec<String> = codecs
             .iter()
             .map(|c| {
@@ -269,7 +234,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .collect();
         let json = format!(
             "{{\n  \"issue\": 7,\n  \"quick\": {},\n  \"config\": {{\n    \"codec_bytes\": {},\n    \"reps\": {},\n    \"billing_reps\": {},\n    \"billing_objects\": {},\n    \"billing_events\": {},\n    \"billing_threads\": {}\n  }},\n  \"codecs\": {{\n{}\n  }},\n  \"billing\": {{\n    \"run_columns_s\": {:.6},\n    \"events_per_s\": {:.0},\n    \"note\": \"run_columns over prebuilt EventColumns (interning + day bucketing paid once); report asserted bit-identical to the sequential reference engine for threads 1/2/7 in this process before timing; billing_threads reflects this host's core count and the shard fan-out scales events/s with it\"\n  }}\n}}\n",
-            cfg.quick,
+            cfg.args.quick,
             cfg.codec_bytes,
             cfg.reps,
             billing.reps,
@@ -280,8 +245,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             billing.run_columns_s,
             billing.events_per_s,
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&cfg.args.out, &json)?;
+        println!("wrote {}", cfg.args.out);
     }
     Ok(())
 }

@@ -21,6 +21,7 @@
 //! min-of-reps wall-clock per path. The headline numbers are forest
 //! training at 50 000 rows and the ordered DP at 2 000 partitions.
 
+use scope_bench::{time_min, time_min_try, BenchArgs};
 use scope_compredict::features::{weighted_entropy_by_type, weighted_entropy_by_type_reference};
 use scope_datapart::DataPartError;
 use scope_datapart::{solve_ordered_exact, solve_ordered_exact_reference, OrderedPartition};
@@ -39,12 +40,9 @@ use scope_learn::{
 };
 use scope_table::{TableError, TpchGenerator, TpchOptions, TpchTable};
 use std::error::Error;
-use std::time::Instant;
 
 struct Config {
-    quick: bool,
-    json: bool,
-    out: String,
+    args: BenchArgs,
     rows: usize,
     reps: usize,
     dp_partitions: usize,
@@ -52,61 +50,15 @@ struct Config {
 
 impl Config {
     fn from_args() -> Result<Config, String> {
-        let mut quick = false;
-        let mut json = false;
-        let mut out = "BENCH_5.json".to_string();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--out" => match args.next() {
-                    Some(path) => out = path,
-                    None => return Err("--out requires a path".to_string()),
-                },
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --json / --quick / --out)"
-                    ))
-                }
-            }
-        }
+        let args = BenchArgs::parse("BENCH_5.json", &[])?;
+        let quick = args.quick;
         Ok(Config {
-            quick,
-            json,
-            out,
+            args,
             rows: if quick { 5_000 } else { 50_000 },
             reps: if quick { 1 } else { 2 },
             dp_partitions: if quick { 400 } else { 2_000 },
         })
     }
-}
-
-/// Min-of-reps wall clock (seconds) of `f`, returning the last result.
-/// Runs at least once even for `reps == 0`.
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let mut out = f();
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, out)
-}
-
-/// [`time_min`] for fallible work: the first error aborts the bench.
-fn time_min_try<R, E>(reps: usize, mut f: impl FnMut() -> Result<R, E>) -> Result<(f64, R), E> {
-    let t = Instant::now();
-    let mut out = f()?;
-    let mut best = t.elapsed().as_secs_f64();
-    for _ in 1..reps {
-        let t = Instant::now();
-        out = f()?;
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    Ok((best, out))
 }
 
 /// Synthetic training set shaped like the predictors' real inputs:
@@ -406,7 +358,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.rows,
         cfg.dp_partitions,
         cfg.reps,
-        if cfg.quick { " [quick]" } else { "" }
+        if cfg.args.quick { " [quick]" } else { "" }
     );
     let (f, t, labels) = training_data(cfg.rows, 42);
 
@@ -419,12 +371,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     print_row("forest train (clf)", &forest_clf);
     let boosting = bench_boosting(&f, &t, cfg.reps)?;
     print_row("boosting train", &boosting);
-    let (features, feature_rows) = bench_features(cfg.quick, cfg.reps)?;
+    let (features, feature_rows) = bench_features(cfg.args.quick, cfg.reps)?;
     print_row("entropy features", &features);
     let (dp, budget_units) = bench_ordered_dp(cfg.dp_partitions, cfg.reps)?;
     print_row("ordered DP", &dp);
 
-    if cfg.json {
+    if cfg.args.json {
         let section = |c: &Comparison| {
             match c.seed_s {
             Some(seed_s) => format!(
@@ -445,7 +397,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         };
         let json = format!(
             "{{\n  \"issue\": 5,\n  \"quick\": {},\n  \"config\": {{\n    \"rows\": {},\n    \"features\": 6,\n    \"forest_trees\": 8,\n    \"forest_seed_timed_on_trees\": 1,\n    \"clf_seed_timed_on_row_prefix\": 2500,\n    \"boosting_stages\": 30,\n    \"entropy_rows\": {},\n    \"dp_partitions\": {},\n    \"dp_budget_units\": {},\n    \"reps\": {}\n  }},\n  \"train\": {{\n    \"tree\": {},\n    \"forest\": {},\n    \"forest_classifier\": {},\n    \"boosting\": {}\n  }},\n  \"predict\": {{\n    \"forest_batch\": {}\n  }},\n  \"features\": {{\n    \"weighted_entropy\": {}\n  }},\n  \"datapart\": {{\n    \"ordered_dp\": {}\n  }},\n  \"note\": \"seed = the pre-PR-5 implementations verbatim (two-pass impurity per candidate split, per-node re-sorts, clone bootstraps, sequential training; the entropy and DP references are themselves the seed paths: String-per-cell rendering, O(n) merge stats per DP cell). scan_reference = the seed-shaped oracle with shared scan scoring, bit-for-bit equal to fast (asserted in-bin, with seed-vs-fast prediction agreement asserted statistically). fast = presort CART on column-major data, index bagging, deterministic parallel fan-out (single-core in this environment, so speedups are purely algorithmic), distinct-value entropy counting, O(1) incremental DP window stats. speedup = vs seed where benched, else vs the reference.\"\n}}\n",
-            cfg.quick,
+            cfg.args.quick,
             cfg.rows,
             feature_rows,
             cfg.dp_partitions,
@@ -459,8 +411,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             section(&features),
             section(&dp),
         );
-        std::fs::write(&cfg.out, &json)?;
-        println!("wrote {}", cfg.out);
+        std::fs::write(&cfg.args.out, &json)?;
+        println!("wrote {}", cfg.args.out);
     }
     Ok(())
 }

@@ -15,10 +15,18 @@
 //!   G-PART handles hundreds of query families, the codecs process MBs in
 //!   milliseconds).
 //!
-//! This library holds small shared formatting helpers plus the billing
-//! benchmark fixture shared by the `billing_bench` criterion bench and the
-//! `solver_bench` bin (one definition, so the two always measure the same
-//! workload).
+//! This library holds what the targets share, each defined once: the
+//! `*_bench` bins' command line and min-of-reps timers ([`harness`]), the
+//! synthetic serving fixture of `serve_bench`, `chaos_bench` and
+//! `recovery_bench` ([`serve_fixture`]), the billing benchmark fixture of
+//! the `billing_bench` criterion bench and the `solver_bench` bin, and
+//! small formatting helpers.
+
+pub mod harness;
+pub mod serve_fixture;
+
+pub use harness::{min_seconds, time_min, time_min_try, BenchArgs};
+pub use serve_fixture::ServeFixture;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

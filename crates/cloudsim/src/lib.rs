@@ -85,9 +85,7 @@ pub use billing::{
 };
 pub use cost::{CostBreakdown, CostModel, CostWeights, ObjectSpec};
 pub use error::CloudSimError;
-pub use parallel::{
-    parallel_map, parallel_map_mut, parallel_map_mut_with_threads, parallel_map_with_threads,
-};
+pub use parallel::{parallel_map, parallel_map_mut_with_threads, parallel_map_with_threads};
 pub use providers::{Provider, ProviderCatalog, ProviderId, ProviderTopology};
 pub use sla::{LatencyEstimate, SlaPolicy};
 pub use tiers::{Tier, TierCatalog, TierId};

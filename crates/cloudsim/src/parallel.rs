@@ -58,60 +58,57 @@ where
     if threads == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk_len = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
+    let (len, chunk_len) = (items.len(), items.len().div_ceil(threads));
+    fan_out(items.chunks(chunk_len), len, chunk_len, |base, slice| {
+        slice
+            .iter()
             .enumerate()
-            .map(|(ci, slice)| {
-                let base = ci * chunk_len;
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, item)| f(base + j, item))
-                        .collect::<Vec<R>>()
-                })
-            })
+            .map(|(j, item)| f(base + j, item))
+            .collect()
+    })
+}
+
+/// Run `work(base_index, chunk)` on one scoped thread per `chunk_len`-item
+/// chunk and concatenate the per-chunk results (`len` in all) in chunk
+/// order. A worker's panic is re-raised on the caller thread with its own
+/// payload instead of being wrapped in a second panic.
+fn fan_out<C, R>(
+    chunks: impl Iterator<Item = C>,
+    len: usize,
+    chunk_len: usize,
+    work: impl Fn(usize, C) -> Vec<R> + Sync,
+) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+{
+    let mut out = Vec::with_capacity(len);
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(ci, chunk)| scope.spawn(move || work(ci * chunk_len, chunk)))
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok(chunk) => chunks.push(chunk),
-                // Re-raise the worker's own panic payload on the caller
-                // thread instead of wrapping it in a second panic.
+                Ok(chunk) => out.extend(chunk),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in chunks {
-        out.extend(chunk);
-    }
     out
 }
 
 /// Map `f` over `items` in parallel **with mutable access to each item**,
 /// returning results in index order — the in-place counterpart of
-/// [`parallel_map`] for workers that update owned per-item state (e.g. the
-/// serving engine patching each account shard's cost table) while the
-/// merge stays deterministic. Bit-for-bit identical to
-/// `items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()`.
-pub fn parallel_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    parallel_map_mut_with_threads(items, default_threads(), f)
-}
-
-/// [`parallel_map_mut`] with an explicit thread count (1 = plain
-/// sequential loop). Items are chunked into contiguous disjoint
-/// `chunks_mut` ranges, so each item is visited by exactly one worker and
-/// the thread count affects only wall-clock time, never the output or the
-/// final item states.
+/// [`parallel_map_with_threads`] for workers that update owned per-item
+/// state (e.g. the serving engine patching each account shard's cost
+/// table) while the merge stays deterministic. Bit-for-bit identical to
+/// `items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()`: with
+/// `threads == 1` it is that loop, and otherwise items are chunked into
+/// contiguous disjoint `chunks_mut` ranges, so each item is visited by
+/// exactly one worker and the thread count affects only wall-clock time,
+/// never the output or the final item states.
 pub fn parallel_map_mut_with_threads<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -122,59 +119,29 @@ where
     if threads == 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk_len = items.len().div_ceil(threads);
-    let n = items.len();
-    let mut chunks: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let base = ci * chunk_len;
-                scope.spawn(move || {
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, item)| f(base + j, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk) => chunks.push(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+    let (len, chunk_len) = (items.len(), items.len().div_ceil(threads));
+    fan_out(
+        items.chunks_mut(chunk_len),
+        len,
+        chunk_len,
+        |base, slice| {
+            slice
+                .iter_mut()
+                .enumerate()
+                .map(|(j, item)| f(base + j, item))
+                .collect()
+        },
+    )
 }
 
-/// Fallible [`parallel_map`]: `f` returns `Result` per item and the whole
-/// fan-out returns `Ok(results)` only when every item succeeded, else the
-/// error of the **lowest-indexed** failing item — the same error a
-/// sequential short-circuiting loop would surface, regardless of which
-/// worker hit its error first. Workers always run their whole chunk (no
-/// cross-thread cancellation), so the choice of surfaced error is a pure
-/// index-order fold over per-item results and never racy.
-pub fn try_parallel_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_parallel_map_with_threads(items, default_threads(), f)
-}
-
-/// [`try_parallel_map`] with an explicit thread count (1 = sequential
-/// short-circuiting loop, except that later items are still evaluated; the
-/// *returned* error is identical either way).
+/// Fallible [`parallel_map_with_threads`]: `f` returns `Result` per item
+/// and the whole fan-out returns `Ok(results)` only when every item
+/// succeeded, else the error of the **lowest-indexed** failing item — the
+/// same error a sequential short-circuiting loop would surface, regardless
+/// of which worker hit its error first. Workers always run their whole
+/// chunk (no cross-thread cancellation, and with 1 thread later items are
+/// still evaluated), so the choice of surfaced error is a pure index-order
+/// fold over per-item results and never racy.
 pub fn try_parallel_map_with_threads<T, R, E, F>(
     items: &[T],
     threads: usize,
@@ -186,46 +153,9 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    collect_first_error(parallel_map_with_threads(items, threads, f))
-}
-
-/// Fallible [`parallel_map_mut`]: every item is visited (each worker runs
-/// its whole chunk, so all per-item state updates happen exactly as in the
-/// infallible form), then the results fold to `Ok(all)` or the error of
-/// the lowest-indexed failing item.
-pub fn try_parallel_map_mut<T, R, E, F>(items: &mut [T], f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &mut T) -> Result<R, E> + Sync,
-{
-    try_parallel_map_mut_with_threads(items, default_threads(), f)
-}
-
-/// [`try_parallel_map_mut`] with an explicit thread count.
-pub fn try_parallel_map_mut_with_threads<T, R, E, F>(
-    items: &mut [T],
-    threads: usize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &mut T) -> Result<R, E> + Sync,
-{
-    collect_first_error(parallel_map_mut_with_threads(items, threads, f))
-}
-
-/// Fold per-item `Result`s in index order: all-`Ok` collects, otherwise
-/// the first (lowest-index) error wins deterministically.
-fn collect_first_error<R, E>(results: Vec<Result<R, E>>) -> Result<Vec<R>, E> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
+    parallel_map_with_threads(items, threads, f)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -290,7 +220,7 @@ mod tests {
             }
         }
         let mut empty: Vec<u32> = Vec::new();
-        assert!(parallel_map_mut(&mut empty, |_, x: &mut u32| *x).is_empty());
+        assert!(parallel_map_mut_with_threads(&mut empty, 4, |_, x: &mut u32| *x).is_empty());
     }
 
     #[test]
@@ -311,27 +241,6 @@ mod tests {
                 try_parallel_map_with_threads(&items, threads, |_, &x| Ok::<u32, String>(x * 2))
                     .unwrap();
             assert_eq!(ok, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fallible_mutable_fan_out_still_visits_every_item() {
-        // Even when an early item errors, later items' state updates must
-        // happen (workers run whole chunks) so that error handling does not
-        // depend on the thread count.
-        for threads in [1usize, 2, 4, 8] {
-            let mut items: Vec<u64> = (0..50).collect();
-            let got = try_parallel_map_mut_with_threads(&mut items, threads, |_, x| {
-                *x += 1;
-                if *x == 8 {
-                    Err("boom")
-                } else {
-                    Ok(*x)
-                }
-            });
-            assert_eq!(got, Err("boom"), "threads = {threads}");
-            let expected: Vec<u64> = (1..=50).collect();
-            assert_eq!(items, expected, "threads = {threads}");
         }
     }
 

@@ -1,387 +1,30 @@
-//! Chaos-replay scenario: the serving loop under a seeded fault schedule.
-//!
-//! Where [`crate::serving`] replays a clean enterprise trace through the
-//! incremental [`ServeEngine`], this scenario replays the *same* trace
-//! through a gauntlet of injected faults — corrupt and torn intake
-//! batches, duplicated and reordered delivery, per-shard re-solve
-//! failures and deadline overruns, and end-of-epoch crashes — and asserts
-//! the engine's degraded-mode contracts *exactly*, not approximately:
-//!
-//! * **Intake equality.** A fault-free twin engine is fed the filtered
-//!   stream each [`scope_faults::CorruptedBatch`] prescribes; after every
-//!   epoch the chaos engine's per-object heat must be bit-for-bit equal
-//!   to the twin's, no matter how batches were corrupted, torn,
-//!   duplicated, or reordered.
-//! * **Quarantine accounting.** At the end of the run the engine's
-//!   [`scope_serve::QuarantineLedger`] and drop/seen counters must equal
-//!   the independent [`scope_faults::expected_intake`] reference over the
-//!   delivered stream.
-//! * **Degraded-mode serving.** Every healthy (non-stale) shard's
-//!   placement must match the cold batch reference
-//!   ([`scope_serve::reference::full_resolve`]) bit-for-bit; faulted
-//!   shards serve their stored incumbent and re-converge after their
-//!   deterministic backoff.
-//! * **Crash consistency.** On crash epochs the engine is checkpointed,
-//!   dropped, restored, and the restored engine's checkpoint must be
-//!   byte-identical to the snapshot; the run then *continues on the
-//!   restored engine*, so every later equality doubles as evidence the
-//!   recovery was lossless.
+//! The chaos replay: the serving loop under a seeded [`scope_faults`]
+//! schedule — corrupt, torn, duplicated and reordered intake, per-shard
+//! re-solve failures and deadline overruns, end-of-epoch crashes — run as
+//! a three-engine lockstep by the [`crate::lockstep`] driver. This module
+//! is the scenario's path and its pinned tests; the code and the
+//! contracts live in [`crate::lockstep`].
 
-use crate::lifecycle::billing_events;
-use crate::ScopeError;
-use scope_cloudsim::{EventColumns, TierCatalog, TierId, DAYS_PER_MONTH};
-use scope_faults::{expected_intake, FaultPlan, FaultRates};
-use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
-use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
-use serde::{Deserialize, Serialize};
-
-/// Options for the chaos replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosOptions {
-    /// The enterprise account to generate (catalog + day-resolution log).
-    pub workload: EnterpriseOptions,
-    /// Tier catalog the engine re-optimizes over.
-    pub catalog: TierCatalog,
-    /// Compression schemes shared by all objects (index 0 must be the
-    /// identity scheme).
-    pub schemes: Vec<CompressionOption>,
-    /// Re-optimization cadence in days.
-    pub epoch_days: u32,
-    /// Number of synthetic billing accounts (shards).
-    pub accounts: usize,
-    /// Batches each epoch's events are split into before delivery (the
-    /// unit of tearing, duplication, and reordering).
-    pub batches_per_epoch: usize,
-    /// Worker threads for the sharded re-solve (0 = default).
-    pub threads: usize,
-    /// Per-day heat decay for the engine.
-    pub decay_per_day: f64,
-    /// Geometric heat-bucket base for the engine.
-    pub bucket_base: f64,
-    /// Fault-plan seed.
-    pub seed: u64,
-    /// Fault-plan rates.
-    pub rates: FaultRates,
-    /// Run the cold reference solve on the chaos engine every epoch and
-    /// check healthy shards against it.
-    pub verify: bool,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            workload: EnterpriseOptions::default(),
-            catalog: TierCatalog::azure_hot_cool_archive(),
-            schemes: vec![
-                CompressionOption::none(),
-                CompressionOption::new("zstd", 2.4, 0.35),
-            ],
-            epoch_days: 15,
-            accounts: 4,
-            batches_per_epoch: 4,
-            threads: 0,
-            decay_per_day: 0.98,
-            bucket_base: 2.0,
-            seed: 0xC4A0_5EED,
-            rates: FaultRates::light(),
-            verify: true,
-        }
-    }
-}
-
-/// One epoch of the chaos replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosEpoch {
-    /// Day the engine advanced to before this re-solve.
-    pub day: u32,
-    /// Events folded into heat this epoch (chaos engine).
-    pub folded_events: u64,
-    /// Events quarantined this epoch.
-    pub quarantined_events: u64,
-    /// Events lost to torn columns this epoch.
-    pub truncated_events: u64,
-    /// Shards degraded (faulted or backing off) this epoch.
-    pub degraded_accounts: usize,
-    /// Shards still serving a stale incumbent after this epoch.
-    pub stale_accounts: usize,
-    /// Placement changes this epoch.
-    pub retier_decisions: usize,
-    /// Total objective across shards after the re-solve.
-    pub total_objective: f64,
-    /// Whether the chaos engine's heat matched the fault-free twin's
-    /// bit-for-bit after this epoch.
-    pub heat_matches_twin: bool,
-    /// Whether every healthy (non-stale) shard matched the cold batch
-    /// reference bit-for-bit (only meaningful when `verified`).
-    pub healthy_match_reference: bool,
-    /// Whether the cold reference solve was run this epoch.
-    pub verified: bool,
-    /// Whether this epoch ended in a simulated crash + restore.
-    pub crashed: bool,
-}
-
-/// Outcome of the chaos replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosOutcome {
-    /// Per-epoch records, in replay order.
-    pub epochs: Vec<ChaosEpoch>,
-    /// Objects served.
-    pub objects: usize,
-    /// Account shards.
-    pub accounts: usize,
-    /// Simulated crashes survived (checkpoint → restore → continue).
-    pub crashes: usize,
-    /// Whether every restored engine's checkpoint was byte-identical to
-    /// the snapshot it was restored from.
-    pub recoveries_bit_identical: bool,
-    /// Total events quarantined (including past ledger capacity).
-    pub quarantined_events: u64,
-    /// Whether the final quarantine ledger, drop and seen counters
-    /// matched the independent [`scope_faults::expected_intake`]
-    /// reference exactly.
-    pub intake_matches_expected: bool,
-    /// Out-of-horizon events dropped by ingestion.
-    pub dropped_events: u64,
-    /// Duplicate batch deliveries rejected by sequenced intake.
-    pub duplicate_batches: u64,
-    /// Placement changes across all epochs.
-    pub total_retier_decisions: usize,
-    /// Total objective after the final epoch.
-    pub final_total_objective: f64,
-}
-
-/// Split `columns` into `n` contiguous batches, preserving trace order.
-/// The final batch absorbs the remainder; empty batches are kept so the
-/// sequence-number stream stays dense.
-fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
-    let total = columns.len();
-    let per = total.div_ceil(n.max(1)).max(1);
-    let mut out = Vec::with_capacity(n);
-    for b in 0..n.max(1) {
-        let lo = (b * per).min(total);
-        let hi = ((b + 1) * per).min(total);
-        let mut batch = EventColumns::default();
-        batch.days.extend_from_slice(&columns.days[lo..hi]);
-        batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-        batch
-            .object_ids
-            .extend_from_slice(&columns.object_ids[lo..hi]);
-        batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-        batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-        out.push(batch);
-    }
-    out
-}
-
-/// Bit-exact heat comparison between two engines over the same objects.
-fn heat_matches(a: &ServeEngine, b: &ServeEngine) -> bool {
-    (0..a.len() as u32).all(|id| a.heat(id).map(f64::to_bits) == b.heat(id).map(f64::to_bits))
-}
-
-/// Replay the projection window of a generated enterprise account through
-/// the serving engine under the seeded fault schedule, verifying the
-/// degraded-mode contracts every epoch (see the [module docs](self)).
-pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
-    if options.epoch_days == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "epoch_days must be positive".into(),
-        ));
-    }
-    if options.accounts == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one account shard is required".into(),
-        ));
-    }
-    if options.batches_per_epoch == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one batch per epoch is required".into(),
-        ));
-    }
-    let plan = FaultPlan::new(options.seed, options.rates)
-        .map_err(|e| ScopeError::InvalidConfig(e.to_string()))?;
-
-    let workload = EnterpriseWorkload::generate(options.workload.clone())?;
-    let horizon_months = workload.options.future_months;
-    let horizon_days = horizon_months * DAYS_PER_MONTH;
-    let events = billing_events(
-        &workload,
-        workload.projection_start() * DAYS_PER_MONTH,
-        horizon_days,
-    );
-
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_months),
-        decay_per_day: options.decay_per_day,
-        bucket_base: options.bucket_base,
-        threads: options.threads,
-        ..ServeConfig::default()
-    };
-    let build = || -> Result<ServeEngine, ScopeError> {
-        let mut engine = ServeEngine::new(
-            options.catalog.clone(),
-            options.schemes.clone(),
-            config.clone(),
-        )?;
-        for d in workload.catalog.iter() {
-            engine.register(
-                ServeObject::new(
-                    d.name.clone(),
-                    format!("account-{}", d.id % options.accounts),
-                    d.size_gb,
-                    TierId(0),
-                )
-                .with_latency_threshold(d.latency_threshold_seconds),
-            )?;
-        }
-        Ok(engine)
-    };
-    let mut engine = build()?; // under chaos
-    let mut twin = build()?; // fault-free, fed the filtered stream
-    let columns = engine.columns_from_events(&events);
-
-    let mut outcome = ChaosOutcome {
-        epochs: Vec::new(),
-        objects: engine.len(),
-        accounts: options.accounts.min(engine.len()),
-        crashes: 0,
-        recoveries_bit_identical: true,
-        quarantined_events: 0,
-        intake_matches_expected: false,
-        dropped_events: 0,
-        duplicate_batches: 0,
-        total_retier_decisions: 0,
-        final_total_objective: 0.0,
-    };
-    // The exactly-once delivered stream, in sequence order — the input to
-    // the independent intake reference at the end of the run.
-    let mut delivered_in_order: Vec<EventColumns> = Vec::new();
-    let mut next_seq = 0u64;
-    let mut epoch_idx = 0u64;
-    let mut day = 0u32;
-    while day < horizon_days {
-        let hi = (day + options.epoch_days).min(horizon_days);
-        let window = columns.filter_day_range(day, hi);
-
-        // Corrupt each batch, keeping the clean stream for the twin.
-        let mut sequenced = Vec::with_capacity(options.batches_per_epoch);
-        let mut quarantined = 0u64;
-        let mut truncated = 0u64;
-        for batch in split_batches(&window, options.batches_per_epoch) {
-            let seq = next_seq;
-            next_seq += 1;
-            let corrupted = plan.corrupt_batch(seq, &batch, horizon_days);
-            quarantined += corrupted.expected_quarantined;
-            truncated += corrupted.expected_truncated;
-            twin.ingest(&corrupted.clean);
-            delivered_in_order.push(corrupted.delivered.clone());
-            sequenced.push((seq, corrupted.delivered));
-        }
-        outcome.quarantined_events += quarantined;
-
-        // Deliver with duplication and local reordering; sequenced intake
-        // must neutralize both.
-        let mut folded = 0u64;
-        for (seq, batch) in plan.deliver(epoch_idx, &sequenced) {
-            folded += engine.ingest_sequenced(seq, &batch)?.folded;
-        }
-
-        engine.advance(hi);
-        twin.advance(hi);
-
-        // The cold batch reference must be taken before the incremental
-        // re-solve: both solve from the same pre-solve placements (the
-        // re-solve then updates them, changing transition costs).
-        let cold = if options.verify {
-            Some(reference::full_resolve(&engine)?)
-        } else {
-            None
-        };
-
-        // Inject compute faults and re-solve.
-        let faults = plan.shard_faults(epoch_idx, outcome.accounts);
-        let resolved = engine.reoptimize_with_faults(&faults)?;
-        twin.reoptimize()?;
-
-        let heat_ok = heat_matches(&engine, &twin);
-        let healthy_ok = match &cold {
-            Some(cold) => {
-                cold.len() == resolved.accounts.len()
-                    && cold.iter().zip(&resolved.accounts).all(|(c, i)| {
-                        i.stale
-                            || (c.account == i.account
-                                && c.assignment.choices == i.assignment.choices
-                                && c.assignment.objective.to_bits()
-                                    == i.assignment.objective.to_bits())
-                    })
-            }
-            None => false,
-        };
-
-        // Crash epochs: checkpoint, drop the engine, restore, verify the
-        // restored state is byte-identical, and continue on the restoree.
-        let crashed = plan.crash_after_epoch(epoch_idx);
-        if crashed {
-            let snapshot = engine.checkpoint();
-            let restored =
-                ServeEngine::restore(options.catalog.clone(), options.schemes.clone(), &snapshot)?;
-            if restored.checkpoint() != snapshot {
-                outcome.recoveries_bit_identical = false;
-            }
-            engine = restored;
-            outcome.crashes += 1;
-        }
-
-        outcome.total_retier_decisions += resolved.retier_decisions;
-        outcome.final_total_objective = resolved.total_objective;
-        outcome.dropped_events = resolved.dropped_events;
-        outcome.duplicate_batches = engine.duplicate_batches();
-        outcome.epochs.push(ChaosEpoch {
-            day: hi,
-            folded_events: folded,
-            quarantined_events: quarantined,
-            truncated_events: truncated,
-            degraded_accounts: resolved.degraded_accounts,
-            stale_accounts: engine.stale_accounts().len(),
-            retier_decisions: resolved.retier_decisions,
-            total_objective: resolved.total_objective,
-            heat_matches_twin: heat_ok,
-            healthy_match_reference: healthy_ok,
-            verified: cold.is_some(),
-            crashed,
-        });
-        day = hi;
-        epoch_idx += 1;
-    }
-
-    // Final intake accounting versus the independent reference over the
-    // exactly-once delivered stream.
-    let expected = expected_intake(
-        &delivered_in_order,
-        horizon_days,
-        engine.len() as u32,
-        engine.quarantine().capacity(),
-    );
-    outcome.intake_matches_expected = engine.quarantine().entries() == expected.records
-        && engine.quarantine().total() == expected.quarantined
-        && engine.quarantine().truncated() == expected.truncated
-        && engine.dropped_events() == expected.dropped
-        && engine.events_seen() == expected.events_seen
-        && outcome.quarantined_events == expected.quarantined;
-    Ok(outcome)
-}
+pub use crate::lockstep::{run_chaos, ChaosOptions, ChaosOutcome};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::ServingOptions;
+    use crate::ScopeError;
+    use scope_faults::FaultRates;
+    use scope_workload::EnterpriseOptions;
 
     fn options() -> ChaosOptions {
         ChaosOptions {
-            workload: EnterpriseOptions {
-                n_datasets: 60,
-                history_months: 6,
-                future_months: 6,
-                seed: 11,
+            serving: ServingOptions {
+                workload: EnterpriseOptions {
+                    n_datasets: 60,
+                    history_months: 6,
+                    future_months: 6,
+                    seed: 11,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             ..Default::default()
@@ -393,9 +36,8 @@ mod tests {
         assert!(outcome.intake_matches_expected);
         for (i, e) in outcome.epochs.iter().enumerate() {
             assert!(e.heat_matches_twin, "epoch {i} heat diverged from twin");
-            assert!(e.verified, "epoch {i} skipped verification");
             assert!(
-                e.healthy_match_reference,
+                e.matches_reference,
                 "epoch {i} healthy shards diverged from reference"
             );
         }
@@ -444,11 +86,7 @@ mod tests {
         assert!(outcome.epochs.iter().all(|e| e.degraded_accounts == 0));
         // With no faults the chaos loop must reproduce the serving
         // scenario's replay exactly (same trace, same engine settings).
-        let serving = crate::serving::run_serving(&crate::serving::ServingOptions {
-            workload: options().workload,
-            ..Default::default()
-        })
-        .unwrap();
+        let serving = crate::serving::run_serving(&options().serving).unwrap();
         assert_eq!(
             outcome.final_total_objective.to_bits(),
             serving.final_total_objective.to_bits()
@@ -463,15 +101,24 @@ mod tests {
     fn chaos_options_are_validated() {
         for bad in [
             ChaosOptions {
-                epoch_days: 0,
+                serving: ServingOptions {
+                    epoch_days: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             ChaosOptions {
-                accounts: 0,
+                serving: ServingOptions {
+                    accounts: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             ChaosOptions {
-                batches_per_epoch: 0,
+                serving: ServingOptions {
+                    batches_per_epoch: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             ChaosOptions {

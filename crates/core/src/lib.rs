@@ -37,16 +37,27 @@
 //!   account placed inside each single provider vs across the merged
 //!   multi-provider tier space with egress-aware planning, reporting the
 //!   egress-adjusted savings split,
-//! * [`serving`] — the deployment loop: an enterprise day log replayed
-//!   through the incremental serving engine (`scope-serve`), epoch by
-//!   epoch, with every incremental re-solve differentially checked
-//!   against the preserved batch path.
+//! * [`lockstep`] — the deployment loop, once: a generated account's day
+//!   log laid out as one schedule of sequenced deliveries and epoch
+//!   boundaries and replayed through the incremental serving engine
+//!   (`scope-serve`) by one step loop. Three scenarios configure it, each
+//!   pinned exactly: [`run_serving`] (every incremental re-solve equals
+//!   the preserved batch path bit-for-bit), [`run_chaos`] (under seeded
+//!   intake, compute and crash faults, heat equals a fault-free twin's,
+//!   the quarantine equals the independent intake reference, healthy
+//!   shards equal the batch path, and a crash-and-restore engine stays
+//!   byte-identical to one that never crashed) and [`run_recovery`] (the
+//!   journaled engine over fault-injected storage, crashed at fuzzed
+//!   positions and recovered by replay, leaves checkpoints byte-identical
+//!   to a never-crashed twin's after every epoch). [`serving`], [`chaos`]
+//!   and [`recovery`] are those scenarios' paths and hold their tests.
 
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod enterprise;
 pub mod lifecycle;
+pub mod lockstep;
 pub mod multicloud;
 pub mod pipeline;
 pub mod policy;
@@ -55,23 +66,24 @@ pub mod scenario;
 pub mod serving;
 pub mod tradeoff;
 
-pub use chaos::{run_chaos, ChaosEpoch, ChaosOptions, ChaosOutcome};
 pub use enterprise::{
     customer_benefit_table, predictor_confusion, tiering_baseline_comparison, BaselineRow,
     CustomerBenefit,
 };
 pub use lifecycle::{lifecycle_tradeoff, run_lifecycle, LifecycleOptions, LifecycleOutcome};
+pub use lockstep::{
+    run_chaos, run_recovery, run_serving, ChaosOptions, ChaosOutcome, EpochRecord, RecoveryOptions,
+    RecoveryOutcome, ServingOptions, ServingOutcome,
+};
 pub use multicloud::{
     multicloud_egress_sweep, run_multicloud, MultiCloudOptions, MultiCloudOutcome,
     SingleProviderOutcome,
 };
 pub use pipeline::{run_all_policies, run_policy, PolicyOutcome};
 pub use policy::Policy;
-pub use recovery::{run_recovery, RecoveryEpoch, RecoveryOptions, RecoveryOutcome};
 pub use scenario::{
     enterprise2_scenario, tpch_scenario, PipelineInputs, ScenarioOptions, TableProfile,
 };
-pub use serving::{run_serving, ServingEpoch, ServingOptions, ServingOutcome};
 pub use tradeoff::{tradeoff_sweep, PredictorVariant, TradeoffPoint};
 
 /// Errors produced by the pipeline.

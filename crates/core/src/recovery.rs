@@ -1,520 +1,30 @@
-//! Crash-recovery scenario: the journaled serving loop under seeded
-//! storage faults.
-//!
-//! Where [`crate::chaos`] injects faults into the *event stream* and the
-//! *compute*, this scenario injects them into the *storage* underneath
-//! the write-ahead intake journal, and crashes the engine mid-flight:
-//!
-//! * The full delivery schedule — sequenced batches interleaved with
-//!   epoch boundaries (sync, heat decay, incremental re-solve, durable
-//!   checkpoint) — is laid out up front as a step list. A fault-free
-//!   **twin** engine runs the whole schedule once, cleanly, recording its
-//!   checkpoint bytes and objective bits after every epoch.
-//! * The journaled engine then runs the same schedule over a
-//!   [`FaultyStorage`]-wrapped in-memory backend. The seeded
-//!   [`StorageFaultPlan`] fails and tears appends, fails syncs, and picks
-//!   crash points; at every crash the plan may additionally tear the
-//!   unsynced tail and flip a durable bit. On top of the plan's own
-//!   schedule, [`StorageFaultPlan::fuzz_points`] forces at least
-//!   [`RecoveryOptions::fuzz_crashes`] crashes at fuzzed step positions,
-//!   so even a rates-none plan exercises full crash/recovery cycles.
-//! * Every crash runs the **single recovery protocol**
-//!   ([`scope_serve::JournaledEngine::recover`]) and resumes the schedule
-//!   from the position the [`scope_serve::RecoveryReport`] proves durable
-//!   (`max` of the checkpoint marker and the position after the last
-//!   recovered delivery); lost deliveries are simply re-delivered. The
-//!   journal's epoch-boundary markers guarantee the resume point never
-//!   lands past an un-replayed boundary — recovery cuts its tail at the
-//!   first marker, so the harness re-runs the boundary's decay/re-solve
-//!   instead of replaying deliveries across it. If
-//!   corruption ever destroys every checkpoint *and* the journal's
-//!   origin, the harness wipes storage and restarts the schedule from
-//!   step zero — recovery by total re-delivery.
-//! * After every epoch the journaled engine's checkpoint must be
-//!   **byte-identical** to the twin's for that epoch, and the final
-//!   states must match bit-for-bit — the end-to-end pin that journaling,
-//!   crash, recovery, and replay are lossless.
-//!
-//! Livelock is impossible by construction: [`FaultyStorage`] mixes its
-//! crash generation into every draw (a replayed operation re-draws its
-//! faults), forced fuzz crashes fire exactly once, and after
-//! [`RecoveryOptions::crash_cap`] crashes the harness swaps in a
-//! rates-none plan and lets the run drain cleanly.
+//! The crash-recovery replay: the journaled serving loop over
+//! fault-injected storage, crashed at fuzzed step positions and recovered
+//! by the single recovery protocol, pinned byte-for-byte against a
+//! never-crashed twin by the [`crate::lockstep`] driver. This module is
+//! the scenario's path and its pinned tests; the code and the contracts
+//! live in [`crate::lockstep`].
 
-use crate::lifecycle::billing_events;
-use crate::ScopeError;
-use scope_cloudsim::{EventColumns, TierCatalog, TierId, DAYS_PER_MONTH};
-use scope_faults::{FaultyStorage, StorageFaultPlan, StorageFaultRates};
-use scope_serve::{
-    CompressionOption, JournaledEngine, ServeConfig, ServeEngine, ServeError, ServeObject,
-};
-use scope_wal::{JournalConfig, MemStorage, WalError};
-use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
-use serde::{Deserialize, Serialize};
-
-/// Options for the crash-recovery replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryOptions {
-    /// The enterprise account to generate (catalog + day-resolution log).
-    pub workload: EnterpriseOptions,
-    /// Tier catalog the engine re-optimizes over.
-    pub catalog: TierCatalog,
-    /// Compression schemes shared by all objects (index 0 must be the
-    /// identity scheme).
-    pub schemes: Vec<CompressionOption>,
-    /// Re-optimization cadence in days.
-    pub epoch_days: u32,
-    /// Number of synthetic billing accounts (shards).
-    pub accounts: usize,
-    /// Batches each epoch's events are split into before delivery.
-    pub batches_per_epoch: usize,
-    /// Worker threads for the sharded re-solve (0 = default).
-    pub threads: usize,
-    /// Per-day heat decay for the engine.
-    pub decay_per_day: f64,
-    /// Geometric heat-bucket base for the engine.
-    pub bucket_base: f64,
-    /// Storage-fault-plan seed.
-    pub seed: u64,
-    /// Storage-fault-plan rates.
-    pub rates: StorageFaultRates,
-    /// Records per journal segment (small values exercise rolling).
-    pub segment_records: usize,
-    /// Crashes forced at fuzzed step positions regardless of the crash
-    /// rate (each fires exactly once). The issue floor is 3.
-    pub fuzz_crashes: usize,
-    /// After this many crashes the plan is swapped for rates-none so the
-    /// run always drains (forced fuzz crashes still fire).
-    pub crash_cap: usize,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            workload: EnterpriseOptions::default(),
-            catalog: TierCatalog::azure_hot_cool_archive(),
-            schemes: vec![
-                CompressionOption::none(),
-                CompressionOption::new("zstd", 2.4, 0.35),
-            ],
-            epoch_days: 15,
-            accounts: 4,
-            batches_per_epoch: 4,
-            threads: 0,
-            decay_per_day: 0.98,
-            bucket_base: 2.0,
-            seed: 0xD0_5EED,
-            rates: StorageFaultRates::light(),
-            segment_records: 8,
-            fuzz_crashes: 3,
-            crash_cap: 48,
-        }
-    }
-}
-
-/// One epoch of the recovery replay (last attempt wins after re-runs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryEpoch {
-    /// Day the engine advanced to before this re-solve.
-    pub day: u32,
-    /// Times this epoch step executed (re-runs after crashes included).
-    pub attempts: u32,
-    /// Whether the durable checkpoint equalled the twin's byte-for-byte.
-    pub checkpoint_matches_twin: bool,
-    /// Whether the re-solve objective equalled the twin's bit-for-bit.
-    pub objective_bits_match: bool,
-}
-
-/// Outcome of the crash-recovery replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryOutcome {
-    /// Per-epoch records, in schedule order.
-    pub epochs: Vec<RecoveryEpoch>,
-    /// Objects served.
-    pub objects: usize,
-    /// Steps in the schedule (deliveries + epochs).
-    pub steps: usize,
-    /// Crashes survived (plan-drawn, fault-triggered, and forced).
-    pub crashes: usize,
-    /// Crashes forced at fuzzed positions.
-    pub forced_crashes: usize,
-    /// Injected append/sync failures that surfaced as typed errors.
-    pub injected_op_faults: usize,
-    /// Crashes that tore the unsynced tail.
-    pub torn_crashes: usize,
-    /// Crashes that flipped a durable bit.
-    pub bit_flip_crashes: usize,
-    /// Recoveries that found no usable checkpoint and rebuilt fresh.
-    pub recoveries_started_fresh: usize,
-    /// Full restarts after storage corruption destroyed the journal
-    /// origin (recovery by total re-delivery).
-    pub unrecoverable_resets: usize,
-    /// Checkpoints quarantined (deleted) during walk-back, total.
-    pub quarantined_checkpoints: usize,
-    /// Corrupt interior records quarantined, total.
-    pub quarantined_records: usize,
-    /// Torn tail bytes truncated, total.
-    pub torn_bytes: u64,
-    /// Journal records replayed through the validating intake, total.
-    pub replayed_records: u64,
-    /// Deliveries re-executed after recoveries (the re-delivery cost).
-    pub redelivered_batches: u64,
-    /// Whether every epoch's durable checkpoint matched the twin's.
-    pub checkpoints_bit_identical: bool,
-    /// Whether the final engine state matched the twin's bit-for-bit.
-    pub final_bit_identical: bool,
-    /// Whether the crash cap was hit and the plan swapped to rates-none.
-    pub fault_injection_capped: bool,
-}
-
-/// One step of the serving schedule.
-enum Step {
-    /// Deliver sequenced batch `seq`.
-    Deliver(u64, EventColumns),
-    /// Epoch boundary: sync, advance to `day`, re-solve, checkpoint.
-    Epoch { day: u32, epoch: usize },
-}
-
-/// Split `columns` into `n` contiguous batches, preserving trace order
-/// (same contract as the chaos scenario's splitter).
-fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
-    let total = columns.len();
-    let per = total.div_ceil(n.max(1)).max(1);
-    let mut out = Vec::with_capacity(n);
-    for b in 0..n.max(1) {
-        let lo = (b * per).min(total);
-        let hi = ((b + 1) * per).min(total);
-        let mut batch = EventColumns::default();
-        batch.days.extend_from_slice(&columns.days[lo..hi]);
-        batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-        batch
-            .object_ids
-            .extend_from_slice(&columns.object_ids[lo..hi]);
-        batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-        batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-        out.push(batch);
-    }
-    out
-}
-
-/// Was this error injected by the fault plan (as opposed to a real bug)?
-fn is_injected(err: &ServeError) -> bool {
-    matches!(
-        err,
-        ServeError::Wal(WalError::Io { reason, .. }) if reason.starts_with("injected fault")
-    )
-}
-
-/// Apply the plan's crash-time corruption to the raw store: possibly tear
-/// the newest pending tail, drop the rest of the pending bytes, possibly
-/// flip one durable bit. Returns `(tore, flipped)`.
-fn corrupt_at_crash(
-    plan: &StorageFaultPlan,
-    generation: u64,
-    pos: u64,
-    mem: &mut MemStorage,
-) -> (bool, bool) {
-    let mut tore = false;
-    if let Some((name, pending)) = mem.pending_objects().into_iter().next_back() {
-        if let Some(keep) = plan.torn_keep(generation, pos, pending) {
-            mem.crash_torn(&name, keep);
-            tore = true;
-        }
-    }
-    mem.crash();
-    let mut flipped = false;
-    if let Some(draw) = plan.flip_bit(generation, pos) {
-        let targets: Vec<String> = mem
-            .durable_objects()
-            .into_iter()
-            .filter(|(_, len)| *len > 0)
-            .map(|(name, _)| name)
-            .collect();
-        if !targets.is_empty() {
-            let target = &targets[(draw >> 48) as usize % targets.len()];
-            flipped = mem.flip_durable_bit(target, draw & 0xffff_ffff_ffff);
-        }
-    }
-    (tore, flipped)
-}
-
-/// Replay the projection window of a generated enterprise account through
-/// the journaled serving engine under the seeded storage-fault schedule,
-/// crashing and recovering along the way, and pin the recovered states
-/// bit-for-bit against a never-crashed twin (see the [module docs](self)).
-pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeError> {
-    if options.epoch_days == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "epoch_days must be positive".into(),
-        ));
-    }
-    if options.accounts == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one account shard is required".into(),
-        ));
-    }
-    if options.batches_per_epoch == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one batch per epoch is required".into(),
-        ));
-    }
-    let plan = StorageFaultPlan::new(options.seed, options.rates)
-        .map_err(|e| ScopeError::InvalidConfig(e.to_string()))?;
-    let nofault = StorageFaultPlan::new(options.seed, StorageFaultRates::none())
-        .map_err(|e| ScopeError::InvalidConfig(e.to_string()))?;
-    let journal_cfg = JournalConfig {
-        segment_records: options.segment_records,
-        ..JournalConfig::default()
-    };
-
-    let workload = EnterpriseWorkload::generate(options.workload.clone())?;
-    let horizon_months = workload.options.future_months;
-    let horizon_days = horizon_months * DAYS_PER_MONTH;
-    let events = billing_events(
-        &workload,
-        workload.projection_start() * DAYS_PER_MONTH,
-        horizon_days,
-    );
-
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_months),
-        decay_per_day: options.decay_per_day,
-        bucket_base: options.bucket_base,
-        threads: options.threads,
-        ..ServeConfig::default()
-    };
-    let build = || -> Result<ServeEngine, ServeError> {
-        let mut engine = ServeEngine::new(
-            options.catalog.clone(),
-            options.schemes.clone(),
-            config.clone(),
-        )?;
-        for d in workload.catalog.iter() {
-            engine.register(
-                ServeObject::new(
-                    d.name.clone(),
-                    format!("account-{}", d.id % options.accounts),
-                    d.size_gb,
-                    TierId(0),
-                )
-                .with_latency_threshold(d.latency_threshold_seconds),
-            )?;
-        }
-        Ok(engine)
-    };
-
-    // Lay out the schedule: per-epoch batch deliveries, then the epoch
-    // boundary step. `after_delivery[d]` is the step position just after
-    // the `d`-th delivery — where a recovery covering `d` deliveries
-    // resumes (unless the checkpoint marker proves more progress).
-    let columns = build()?.columns_from_events(&events);
-    let mut steps: Vec<Step> = Vec::new();
-    let mut after_delivery: Vec<usize> = vec![0];
-    let mut next_seq = 0u64;
-    let mut epoch_count = 0usize;
-    let mut day = 0u32;
-    while day < horizon_days {
-        let hi = (day + options.epoch_days).min(horizon_days);
-        for batch in split_batches(
-            &columns.filter_day_range(day, hi),
-            options.batches_per_epoch,
-        ) {
-            steps.push(Step::Deliver(next_seq, batch));
-            after_delivery.push(steps.len());
-            next_seq += 1;
-        }
-        steps.push(Step::Epoch {
-            day: hi,
-            epoch: epoch_count,
-        });
-        epoch_count += 1;
-        day = hi;
-    }
-
-    // Fault-free twin: run the whole schedule once, cleanly, recording
-    // the reference trajectory.
-    let mut twin = build()?;
-    let mut twin_checkpoints: Vec<Vec<u8>> = Vec::with_capacity(epoch_count);
-    let mut twin_objectives: Vec<u64> = Vec::with_capacity(epoch_count);
-    for step in &steps {
-        match step {
-            Step::Deliver(seq, batch) => {
-                twin.ingest_sequenced(*seq, batch)?;
-            }
-            Step::Epoch { day, .. } => {
-                twin.advance(*day);
-                let resolved = twin.reoptimize()?;
-                twin_objectives.push(resolved.total_objective.to_bits());
-                twin_checkpoints.push(twin.checkpoint());
-            }
-        }
-    }
-
-    let mut outcome = RecoveryOutcome {
-        epochs: Vec::new(),
-        objects: twin.len(),
-        steps: steps.len(),
-        crashes: 0,
-        forced_crashes: 0,
-        injected_op_faults: 0,
-        torn_crashes: 0,
-        bit_flip_crashes: 0,
-        recoveries_started_fresh: 0,
-        unrecoverable_resets: 0,
-        quarantined_checkpoints: 0,
-        quarantined_records: 0,
-        torn_bytes: 0,
-        replayed_records: 0,
-        redelivered_batches: 0,
-        checkpoints_bit_identical: true,
-        final_bit_identical: false,
-        fault_injection_capped: false,
-    };
-    let mut epochs: Vec<Option<RecoveryEpoch>> = vec![None; epoch_count];
-    let mut attempts: Vec<u32> = vec![0; epoch_count];
-
-    // Forced crash positions, each firing exactly once.
-    let mut pending_fuzz = plan.fuzz_points(steps.len() as u64, options.fuzz_crashes);
-
-    let active_plan = |crashes: usize| {
-        if crashes >= options.crash_cap {
-            &nofault
-        } else {
-            &plan
-        }
-    };
-    let mut journaled = JournaledEngine::create(
-        build()?,
-        FaultyStorage::new(MemStorage::new(), active_plan(0).clone()),
-        journal_cfg.clone(),
-    )?;
-    let mut pos = 0usize;
-    let mut max_pos = 0usize;
-    while pos < steps.len() {
-        let step_pos = pos;
-        let result: Result<(), ServeError> = match &steps[step_pos] {
-            Step::Deliver(seq, batch) => {
-                if step_pos < max_pos {
-                    outcome.redelivered_batches += 1;
-                }
-                journaled.ingest_sequenced(*seq, batch).map(|_| ())
-            }
-            Step::Epoch { day, epoch } => (|| {
-                journaled.advance(*day)?;
-                let resolved = journaled.reoptimize()?;
-                journaled.checkpoint_durable(step_pos as u64 + 1)?;
-                attempts[*epoch] += 1;
-                let checkpoint_ok = journaled.engine().checkpoint() == twin_checkpoints[*epoch];
-                let objective_ok = resolved.total_objective.to_bits() == twin_objectives[*epoch];
-                if !checkpoint_ok {
-                    outcome.checkpoints_bit_identical = false;
-                }
-                epochs[*epoch] = Some(RecoveryEpoch {
-                    day: *day,
-                    attempts: attempts[*epoch],
-                    checkpoint_matches_twin: checkpoint_ok,
-                    objective_bits_match: objective_ok,
-                });
-                Ok(())
-            })(),
-        };
-
-        let mut crash = false;
-        match result {
-            Ok(()) => {
-                pos += 1;
-                max_pos = max_pos.max(pos);
-                // Forced fuzz crash at this position?
-                if pending_fuzz.first() == Some(&(step_pos as u64)) {
-                    pending_fuzz.remove(0);
-                    outcome.forced_crashes += 1;
-                    crash = true;
-                } else if outcome.crashes < options.crash_cap
-                    && plan.crash_at(journaled.journal().storage().generation(), step_pos as u64)
-                {
-                    crash = true;
-                }
-            }
-            Err(err) if is_injected(&err) => {
-                outcome.injected_op_faults += 1;
-                crash = true;
-            }
-            Err(err) => return Err(err.into()),
-        }
-        if !crash {
-            continue;
-        }
-        outcome.crashes += 1;
-
-        // Crash: drop all in-memory state, apply crash-time corruption,
-        // bump the generation, recover, resume from proven progress.
-        let mut faulty = journaled.crash();
-        let generation = faulty.generation();
-        let (tore, flipped) =
-            corrupt_at_crash(&plan, generation, step_pos as u64, faulty.inner_mut());
-        outcome.torn_crashes += usize::from(tore);
-        outcome.bit_flip_crashes += usize::from(flipped);
-        faulty.bump_generation();
-        let generations = faulty.generation();
-        if outcome.crashes == options.crash_cap {
-            outcome.fault_injection_capped = true;
-        }
-        // Past the cap, rebuild the wrapper around the surviving bytes
-        // with the rates-none plan so the run drains.
-        if outcome.crashes >= options.crash_cap {
-            faulty = FaultyStorage::new(faulty.into_inner(), nofault.clone());
-        }
-        match JournaledEngine::recover(
-            faulty,
-            journal_cfg.clone(),
-            options.catalog.clone(),
-            options.schemes.clone(),
-            build,
-        ) {
-            Ok((recovered, report)) => {
-                outcome.recoveries_started_fresh += usize::from(report.started_fresh);
-                outcome.quarantined_checkpoints += report.wal.quarantined_checkpoints.len();
-                outcome.quarantined_records += report.wal.quarantined_records.len();
-                outcome.torn_bytes += report.wal.torn_bytes;
-                outcome.replayed_records += report.replayed;
-                journaled = recovered;
-                pos = after_delivery[report.resume_deliveries as usize].max(report.marker as usize);
-            }
-            Err(ServeError::Wal(WalError::Unrecoverable(_))) => {
-                // Storage corruption destroyed the journal origin: wipe
-                // and restart the whole schedule — recovery by total
-                // re-delivery. The generation keeps counting so the
-                // replay draws a fresh fault schedule.
-                outcome.unrecoverable_resets += 1;
-                let mut fresh =
-                    FaultyStorage::new(MemStorage::new(), active_plan(outcome.crashes).clone());
-                for _ in 0..generations {
-                    fresh.bump_generation();
-                }
-                journaled = JournaledEngine::create(build()?, fresh, journal_cfg.clone())?;
-                pos = 0;
-            }
-            Err(err) => return Err(err.into()),
-        }
-    }
-
-    outcome.final_bit_identical = journaled.engine().checkpoint() == twin.checkpoint();
-    outcome.epochs = epochs.into_iter().flatten().collect();
-    Ok(outcome)
-}
+pub use crate::lockstep::{run_recovery, RecoveryOptions, RecoveryOutcome};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::ServingOptions;
+    use crate::ScopeError;
+    use scope_faults::StorageFaultRates;
+    use scope_workload::EnterpriseOptions;
 
     fn options() -> RecoveryOptions {
         RecoveryOptions {
-            workload: EnterpriseOptions {
-                n_datasets: 60,
-                history_months: 6,
-                future_months: 6,
-                seed: 11,
+            serving: ServingOptions {
+                workload: EnterpriseOptions {
+                    n_datasets: 60,
+                    history_months: 6,
+                    future_months: 6,
+                    seed: 11,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             ..Default::default()
@@ -584,15 +94,24 @@ mod tests {
     fn recovery_options_are_validated() {
         for bad in [
             RecoveryOptions {
-                epoch_days: 0,
+                serving: ServingOptions {
+                    epoch_days: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             RecoveryOptions {
-                accounts: 0,
+                serving: ServingOptions {
+                    accounts: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             RecoveryOptions {
-                batches_per_epoch: 0,
+                serving: ServingOptions {
+                    batches_per_epoch: 0,
+                    ..options().serving
+                },
                 ..options()
             },
             RecoveryOptions {

@@ -1,210 +1,16 @@
-//! Serving scenario: an enterprise day log replayed through the
-//! incremental serving engine.
-//!
-//! Where [`crate::lifecycle`] *plans ahead* (a DP over the projected
-//! access series, lowered to a placement schedule and billed once), this
-//! scenario runs the deployment loop the paper's production setting
-//! implies: a long-running [`ServeEngine`] holds the account's objects,
-//! day-granular access events stream in epoch by epoch, heat decays and
-//! re-buckets, and only the objects whose heat moved get their cost rows
-//! re-evaluated before an incremental, account-sharded re-solve.
-//!
-//! With `verify` enabled (the default), every epoch also runs the
-//! preserved batch path — [`scope_serve::reference::full_resolve`] — and
-//! records whether the incremental outcome matched it bit-for-bit: the
-//! scenario doubles as a differential harness over a realistic replayed
-//! trace.
+//! The plain serving replay: a generated enterprise account's day log
+//! replayed epoch by epoch through the incremental [`scope_serve`] engine
+//! by the [`crate::lockstep`] driver, every re-solve checked against the
+//! batch reference. This module is the scenario's path and its pinned
+//! tests; the code lives in [`crate::lockstep`].
 
-use crate::lifecycle::billing_events;
-use crate::ScopeError;
-use scope_cloudsim::{TierCatalog, TierId, DAYS_PER_MONTH};
-use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
-use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
-use serde::{Deserialize, Serialize};
-
-/// Options for the serving replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingOptions {
-    /// The enterprise account to generate (catalog + day-resolution log).
-    pub workload: EnterpriseOptions,
-    /// Tier catalog the engine re-optimizes over.
-    pub catalog: TierCatalog,
-    /// Compression schemes shared by all objects (index 0 must be the
-    /// identity scheme).
-    pub schemes: Vec<CompressionOption>,
-    /// Re-optimization cadence in days (an epoch = one ingest + advance +
-    /// re-solve round).
-    pub epoch_days: u32,
-    /// Number of synthetic billing accounts the datasets are sharded
-    /// into round-robin (each account re-solves independently).
-    pub accounts: usize,
-    /// Worker threads for the sharded re-solve (0 = default).
-    pub threads: usize,
-    /// Per-day heat decay for the engine.
-    pub decay_per_day: f64,
-    /// Geometric heat-bucket base for the engine.
-    pub bucket_base: f64,
-    /// Run the cold reference solve every epoch and record whether the
-    /// incremental outcome matched it bit-for-bit.
-    pub verify: bool,
-}
-
-impl Default for ServingOptions {
-    fn default() -> Self {
-        ServingOptions {
-            workload: EnterpriseOptions::default(),
-            catalog: TierCatalog::azure_hot_cool_archive(),
-            schemes: vec![
-                CompressionOption::none(),
-                CompressionOption::new("zstd", 2.4, 0.35),
-            ],
-            epoch_days: 15,
-            accounts: 4,
-            threads: 0,
-            decay_per_day: 0.98,
-            bucket_base: 2.0,
-            verify: true,
-        }
-    }
-}
-
-/// One epoch of the serving replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingEpoch {
-    /// Day the engine advanced to before this re-solve.
-    pub day: u32,
-    /// Events folded into heat this epoch.
-    pub folded_events: u64,
-    /// Cost-table rows (re)evaluated this epoch.
-    pub rows_patched: usize,
-    /// Objects whose placement changed this epoch.
-    pub retier_decisions: usize,
-    /// Total objective across accounts after the re-solve.
-    pub total_objective: f64,
-    /// Whether the cold reference solve was run this epoch.
-    pub verified: bool,
-    /// Whether the incremental outcome matched the reference bit-for-bit
-    /// (only meaningful when `verified` is true).
-    pub matches_reference: bool,
-}
-
-/// Outcome of the serving replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServingOutcome {
-    /// Per-epoch records, in replay order.
-    pub epochs: Vec<ServingEpoch>,
-    /// Objects served.
-    pub objects: usize,
-    /// Account shards.
-    pub accounts: usize,
-    /// Total objective after the final epoch.
-    pub final_total_objective: f64,
-    /// Placement changes across all epochs.
-    pub total_retier_decisions: usize,
-    /// Row evaluations across all epochs (the work an equivalent sequence
-    /// of batch solves would have spent is `epochs * objects`).
-    pub total_rows_patched: usize,
-    /// Out-of-horizon events dropped by ingestion.
-    pub dropped_events: u64,
-}
-
-/// Replay the projection window of a generated enterprise account through
-/// the serving engine, re-optimizing every `epoch_days`.
-pub fn run_serving(options: &ServingOptions) -> Result<ServingOutcome, ScopeError> {
-    if options.epoch_days == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "epoch_days must be positive".into(),
-        ));
-    }
-    if options.accounts == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one account shard is required".into(),
-        ));
-    }
-    let workload = EnterpriseWorkload::generate(options.workload.clone())?;
-    let horizon_months = workload.options.future_months;
-    let horizon_days = horizon_months * DAYS_PER_MONTH;
-    let events = billing_events(
-        &workload,
-        workload.projection_start() * DAYS_PER_MONTH,
-        horizon_days,
-    );
-
-    let config = ServeConfig {
-        horizon_days,
-        horizon_months: f64::from(horizon_months),
-        decay_per_day: options.decay_per_day,
-        bucket_base: options.bucket_base,
-        threads: options.threads,
-        ..ServeConfig::default()
-    };
-    let mut engine = ServeEngine::new(options.catalog.clone(), options.schemes.clone(), config)?;
-    // Everything starts on the platform default (index 0 = fastest tier),
-    // round-robined into synthetic billing accounts.
-    for d in workload.catalog.iter() {
-        engine.register(
-            ServeObject::new(
-                d.name.clone(),
-                format!("account-{}", d.id % options.accounts),
-                d.size_gb,
-                TierId(0),
-            )
-            .with_latency_threshold(d.latency_threshold_seconds),
-        )?;
-    }
-    let columns = engine.columns_from_events(&events);
-
-    let mut outcome = ServingOutcome {
-        epochs: Vec::new(),
-        objects: engine.len(),
-        accounts: options.accounts.min(engine.len()),
-        final_total_objective: 0.0,
-        total_retier_decisions: 0,
-        total_rows_patched: 0,
-        dropped_events: 0,
-    };
-    let mut day = 0u32;
-    while day < horizon_days {
-        let hi = (day + options.epoch_days).min(horizon_days);
-        let ingest = engine.ingest(&columns.filter_day_range(day, hi));
-        engine.advance(hi);
-        let cold = if options.verify {
-            Some(reference::full_resolve(&engine)?)
-        } else {
-            None
-        };
-        let resolved = engine.reoptimize()?;
-        let matches_reference = match &cold {
-            Some(cold) => {
-                reference::total_objective(cold).to_bits() == resolved.total_objective.to_bits()
-                    && cold.len() == resolved.accounts.len()
-                    && cold.iter().zip(&resolved.accounts).all(|(c, i)| {
-                        c.account == i.account && c.assignment.choices == i.assignment.choices
-                    })
-            }
-            None => false,
-        };
-        outcome.total_retier_decisions += resolved.retier_decisions;
-        outcome.total_rows_patched += resolved.rows_patched;
-        outcome.final_total_objective = resolved.total_objective;
-        outcome.dropped_events = resolved.dropped_events;
-        outcome.epochs.push(ServingEpoch {
-            day: hi,
-            folded_events: ingest.folded,
-            rows_patched: resolved.rows_patched,
-            retier_decisions: resolved.retier_decisions,
-            total_objective: resolved.total_objective,
-            verified: cold.is_some(),
-            matches_reference,
-        });
-        day = hi;
-    }
-    Ok(outcome)
-}
+pub use crate::lockstep::{run_serving, ServingOptions, ServingOutcome};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScopeError;
+    use scope_workload::EnterpriseOptions;
 
     fn options() -> ServingOptions {
         ServingOptions {
@@ -225,7 +31,6 @@ mod tests {
         assert_eq!(outcome.objects, 60);
         assert_eq!(outcome.epochs.len(), 12); // 180 days / 15-day epochs
         for (i, e) in outcome.epochs.iter().enumerate() {
-            assert!(e.verified, "epoch {i} skipped verification");
             assert!(e.matches_reference, "epoch {i} diverged from reference");
         }
         // The first epoch is a cold build; the steady state is a delta

@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope::core::chaos::{run_chaos, ChaosOptions};
+use scope::core::ServingOptions;
 use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
 use scope_faults::{expected_intake, FaultPlan, FaultRates};
 use scope_serve::{CompressionOption, ServeConfig, ServeEngine, ServeObject};
@@ -302,23 +303,25 @@ proptest! {
 fn chaos_scenario_upholds_every_contract_end_to_end() {
     for (seed, rates) in [(3u64, FaultRates::light()), (17, FaultRates::heavy())] {
         let outcome = run_chaos(&ChaosOptions {
-            workload: EnterpriseOptions {
-                n_datasets: 40,
-                history_months: 4,
-                future_months: 4,
-                seed: 5,
+            serving: ServingOptions {
+                workload: EnterpriseOptions {
+                    n_datasets: 40,
+                    history_months: 4,
+                    future_months: 4,
+                    seed: 5,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             seed,
             rates,
-            ..Default::default()
         })
         .unwrap();
         assert!(outcome.recoveries_bit_identical, "seed {seed}");
         assert!(outcome.intake_matches_expected, "seed {seed}");
         for (i, e) in outcome.epochs.iter().enumerate() {
             assert!(e.heat_matches_twin, "seed {seed} epoch {i}");
-            assert!(e.healthy_match_reference, "seed {seed} epoch {i}");
+            assert!(e.matches_reference, "seed {seed} epoch {i}");
         }
     }
 }
@@ -329,11 +332,14 @@ fn degraded_shards_reconverge_once_faults_stop() {
     // degrade shards, and a later fault-free window must clear every stale
     // flag — the bounded backoff guarantees retries resume.
     let outcome = run_chaos(&ChaosOptions {
-        workload: EnterpriseOptions {
-            n_datasets: 40,
-            history_months: 4,
-            future_months: 6,
-            seed: 5,
+        serving: ServingOptions {
+            workload: EnterpriseOptions {
+                n_datasets: 40,
+                history_months: 4,
+                future_months: 6,
+                seed: 5,
+                ..Default::default()
+            },
             ..Default::default()
         },
         seed: 23,
@@ -342,7 +348,6 @@ fn degraded_shards_reconverge_once_faults_stop() {
             deadline_overrun: 0.1,
             ..FaultRates::none()
         },
-        ..Default::default()
     })
     .unwrap();
     let first_stale = outcome

