@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=632
+min_tests=643
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -85,6 +85,15 @@ if [[ $quick -eq 0 ]]; then
     # checking it here turns API drift against it into a red build.
     echo "==> cargo check benchmark/ (out-of-workspace package)"
     cargo check --locked --offline --features alloc-count --manifest-path benchmark/Cargo.toml
+
+    # ... and running its quick suite (about 6 s once built) puts the
+    # in-process end-to-end checks on every build: each workload verifies
+    # its outputs, and serve_durable crashes a FileStorage journal
+    # mid-epoch and requires the recovered engine's checkpoint to equal a
+    # never-crashed engine's byte for byte. Non-zero exit on any failed
+    # operation or check.
+    echo "==> benchmark/run.sh --quick (end-to-end smoke, FileStorage crash/recover)"
+    benchmark/run.sh --quick --out target/e2e-quick
 fi
 
 echo "==> cargo bench --no-run (criterion benches must compile)"

@@ -13,23 +13,29 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 1)
+//! ## Wire layout (version 2)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 1)
+//! version u32 little-endian            (currently 2)
 //! payload                              (engine state, see below)
-//! checksum u64 little-endian           (FNV-1a over magic..payload)
+//! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
 //!
 //! Everything is little-endian. `f64`s are stored as their raw IEEE-754
 //! bits (so NaN payloads and signed zeros round-trip exactly); strings are
 //! length-prefixed UTF-8. The payload leads with a **fingerprint**: an
-//! FNV-1a digest of the tier catalog and compression-scheme list the
+//! XXH64 digest of the tier catalog and compression-scheme list the
 //! checkpoint was taken under. [`crate::ServeEngine::restore`] recomputes
 //! the fingerprint from the catalog/schemes it is given and rejects a
 //! mismatch with [`crate::ServeError::Checkpoint`] — restoring placements
 //! against different prices would silently corrupt every later re-solve.
+//!
+//! The checksum is [`scope_wal::xxh64()`], the workspace's one bulk
+//! digest (the journal's checkpoint frame uses it too): a snapshot is
+//! taken at every epoch boundary, so it has to cost what its bytes cost.
+//! Version 1 (FNV-1a digests in the same two positions) is rejected as
+//! an unsupported version.
 //!
 //! ## Versioning rules
 //!
@@ -40,6 +46,7 @@
 
 use scope_cloudsim::TierCatalog;
 use scope_optassign::CompressionOption;
+use scope_wal::xxh64;
 
 use crate::error::ServeError;
 
@@ -47,33 +54,29 @@ use crate::error::ServeError;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SCPK";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit digest of `bytes`.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// Little-endian byte writer that appends to a caller's buffer.
+pub(crate) struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where this writer's output starts in `buf`.
+    start: usize,
 }
 
-/// Little-endian byte writer for checkpoint payloads.
-#[derive(Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        let mut w = Writer { buf: Vec::new() };
+impl<'a> Writer<'a> {
+    /// Start a checkpoint after whatever `buf` already holds: magic and
+    /// version, then the caller's payload, then [`Writer::finish`].
+    pub(crate) fn new(buf: &'a mut Vec<u8>) -> Self {
+        let mut w = Writer::bare(buf);
         w.buf.extend_from_slice(&CHECKPOINT_MAGIC);
         w.u32(CHECKPOINT_VERSION);
         w
+    }
+
+    /// A writer with no header, for digesting a value's encoding.
+    fn bare(buf: &'a mut Vec<u8>) -> Self {
+        let start = buf.len();
+        Writer { buf, start }
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -97,11 +100,15 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Append the trailing checksum and return the finished bytes.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
+    /// Digest of everything written through this writer.
+    fn digest(&self) -> u64 {
+        xxh64(&self.buf[self.start..])
+    }
+
+    /// Append the trailing checksum, completing the checkpoint.
+    pub(crate) fn finish(mut self) {
+        let checksum = self.digest();
         self.u64(checksum);
-        self.buf
     }
 }
 
@@ -127,24 +134,26 @@ impl<'a> Reader<'a> {
                 "bad magic: not a serve checkpoint".into(),
             ));
         }
-        let body = &bytes[..bytes.len() - 8];
-        let mut trailer = [0u8; 8];
-        trailer.copy_from_slice(&bytes[bytes.len() - 8..]);
-        let stored = u64::from_le_bytes(trailer);
-        let actual = fnv1a(body);
-        if stored != actual {
-            return Err(ServeError::Checkpoint(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
         let mut reader = Reader {
-            bytes: body,
+            bytes: &bytes[..bytes.len() - 8],
             pos: CHECKPOINT_MAGIC.len(),
         };
+        // The version names the layout, checksum algorithm included, so
+        // it is judged first: an older snapshot is "unsupported", not
+        // "corrupt".
         let version = reader.u32()?;
         if version != CHECKPOINT_VERSION {
             return Err(ServeError::Checkpoint(format!(
                 "unsupported version {version} (this build reads {CHECKPOINT_VERSION})"
+            )));
+        }
+        let mut trailer = [0u8; 8];
+        trailer.copy_from_slice(&bytes[bytes.len() - 8..]);
+        let stored = u64::from_le_bytes(trailer);
+        let actual = xxh64(reader.bytes);
+        if stored != actual {
+            return Err(ServeError::Checkpoint(format!(
+                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
             )));
         }
         Ok(reader)
@@ -217,11 +226,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a fingerprint of the catalog + compression-scheme configuration a
+/// XXH64 fingerprint of the catalog + compression-scheme configuration a
 /// checkpoint is only valid under. Covers every field that feeds pricing
 /// or feasibility; restoring under a different configuration is rejected.
 pub(crate) fn config_fingerprint(catalog: &TierCatalog, schemes: &[CompressionOption]) -> u64 {
-    let mut w = Writer::default();
+    let mut encoded = Vec::new();
+    let mut w = Writer::bare(&mut encoded);
     w.u64(catalog.len() as u64);
     for (_, tier) in catalog.iter() {
         w.str(&tier.name);
@@ -245,23 +255,40 @@ pub(crate) fn config_fingerprint(catalog: &TierCatalog, schemes: &[CompressionOp
         w.f64_bits(s.ratio);
         w.f64_bits(s.decompress_seconds);
     }
-    fnv1a(&w.buf)
+    w.digest()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A finished checkpoint holding whatever `payload` writes.
+    fn checkpoint_of(payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut w = Writer::new(&mut bytes);
+        payload(&mut w);
+        w.finish();
+        bytes
+    }
+
+    fn open_error(bytes: &[u8]) -> String {
+        match Reader::open(bytes) {
+            Err(ServeError::Checkpoint(reason)) => reason,
+            Err(other) => panic!("not a checkpoint error: {other:?}"),
+            Ok(_) => panic!("opened"),
+        }
+    }
+
     #[test]
     fn writer_reader_round_trip_and_checksum() {
-        let mut w = Writer::new();
-        w.u8(7);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX - 3);
-        w.f64_bits(-0.0);
-        w.f64_bits(f64::NAN);
-        w.str("héllo");
-        let bytes = w.finish();
+        let bytes = checkpoint_of(|w| {
+            w.u8(7);
+            w.u32(0xdead_beef);
+            w.u64(u64::MAX - 3);
+            w.f64_bits(-0.0);
+            w.f64_bits(f64::NAN);
+            w.str("héllo");
+        });
 
         let mut r = Reader::open(&bytes).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
@@ -275,17 +302,12 @@ mod tests {
 
     #[test]
     fn corruption_truncation_and_bad_headers_are_typed_errors() {
-        let mut w = Writer::new();
-        w.str("payload");
-        let good = w.finish();
+        let good = checkpoint_of(|w| w.str("payload"));
 
         // Flip one payload bit: checksum must catch it.
         let mut flipped = good.clone();
         flipped[9] ^= 0x40;
-        assert!(matches!(
-            Reader::open(&flipped),
-            Err(ServeError::Checkpoint(_))
-        ));
+        assert!(open_error(&flipped).contains("checksum mismatch"));
 
         // Truncation (drops the trailer or part of it).
         for cut in [0, 3, good.len() - 1] {
@@ -298,26 +320,23 @@ mod tests {
         // Wrong magic.
         let mut magic = good.clone();
         magic[0] = b'X';
-        assert!(matches!(
-            Reader::open(&magic),
-            Err(ServeError::Checkpoint(_))
-        ));
+        assert!(open_error(&magic).contains("bad magic"));
 
-        // Unknown version (re-checksummed so only the version check fires).
-        let mut vers = good.clone();
-        vers[4] = 99;
-        let body_len = vers.len() - 8;
-        let sum = fnv1a(&vers[..body_len]).to_le_bytes();
-        vers[body_len..].copy_from_slice(&sum);
-        assert!(matches!(
-            Reader::open(&vers),
-            Err(ServeError::Checkpoint(_))
-        ));
+        // Unknown versions — 1, the retired FNV-1a layout, among them —
+        // re-checksummed so the version check is the only one that can
+        // fire.
+        for version in [0u8, 1, 3, 99] {
+            let mut vers = good.clone();
+            vers[4] = version;
+            let body_len = vers.len() - 8;
+            let sum = xxh64(&vers[..body_len]).to_le_bytes();
+            vers[body_len..].copy_from_slice(&sum);
+            let reason = open_error(&vers);
+            assert!(reason.contains("unsupported version"), "{reason}");
+        }
 
         // A corrupt length cannot demand a giant allocation.
-        let mut w = Writer::new();
-        w.u64(u64::MAX);
-        let huge = w.finish();
+        let huge = checkpoint_of(|w| w.u64(u64::MAX));
         let mut r = Reader::open(&huge).unwrap();
         assert!(matches!(r.len(8), Err(ServeError::Checkpoint(_))));
     }

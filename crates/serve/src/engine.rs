@@ -861,7 +861,34 @@ impl ServeEngine {
     /// from here on produce byte-identical checkpoints (the dense cost
     /// table — a pure cache — is the only state not captured).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut out = Vec::with_capacity(self.checkpoint_size_hint());
+        self.checkpoint_into(&mut out);
+        out
+    }
+
+    /// Roughly how many bytes [`Self::checkpoint`] will produce — a
+    /// capacity for its buffer, nothing more: the fixed-width fields of
+    /// every object, its name, and a full incumbent assignment per shard.
+    /// Short by the reorder buffer and the ledger, which are bounded and
+    /// usually empty at an epoch boundary.
+    fn checkpoint_size_hint(&self) -> usize {
+        const OBJECT_FIXED: usize = 68;
+        const INCUMBENT_ROW: usize = 16;
+        let names: usize = self.names.iter().map(String::len).sum();
+        let dirty: usize = self.shards.iter().map(|s| s.dirty.len()).sum();
+        256 + names
+            + self.locs.len() * (OBJECT_FIXED + INCUMBENT_ROW)
+            + dirty * 8
+            + self.shards.len() * 128
+    }
+
+    /// Append the checkpoint [`Self::checkpoint`] returns to `out`, after
+    /// whatever it already holds: a caller that wraps snapshots in a
+    /// frame of its own (the journal) or takes one per epoch serializes
+    /// into one long-lived buffer instead of a fresh allocation and a
+    /// copy. The checksum covers the appended bytes only.
+    pub fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
         w.u64(config_fingerprint(&self.catalog, &self.schemes));
         // Configuration.
         w.u32(self.config.horizon_days);
@@ -976,7 +1003,7 @@ impl ServeEngine {
                 w.f64_bits(v);
             }
         }
-        w.finish()
+        w.finish();
     }
 
     /// Rebuild an engine from a [`Self::checkpoint`] taken under the same
@@ -2075,6 +2102,153 @@ mod tests {
             ),
             Err(ServeError::Checkpoint(_))
         ));
+    }
+
+    /// A small engine whose checkpoint exercises every section of the
+    /// layout: a degraded shard holding an incumbent and dirty rows, a
+    /// quarantine entry, and a batch parked in the reorder buffer.
+    fn eventful_engine() -> ServeEngine {
+        let mut engine = demo_engine(2, 2, ServeConfig::default());
+        let mut batch = EventColumns::default();
+        batch.push_resolved(1, 0, AccessKind::Read, 0.75);
+        batch.push_resolved(2, 3, AccessKind::Write, 0.5);
+        batch.push_resolved(3, 1, AccessKind::Read, f64::NAN);
+        engine.ingest_sequenced(0, &batch).unwrap();
+        engine.advance(15);
+        engine.reoptimize().unwrap();
+        engine
+            .reoptimize_with_faults(&[None, Some(ShardFault::SolveFailure)])
+            .unwrap();
+        let mut early = EventColumns::default();
+        early.push_resolved(16, 2, AccessKind::Read, 1.0);
+        engine.ingest_sequenced(4, &early).unwrap();
+        engine
+    }
+
+    fn restore_demo(bytes: &[u8]) -> Result<ServeEngine, ServeError> {
+        ServeEngine::restore(
+            scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+            schemes(),
+            bytes,
+        )
+    }
+
+    #[test]
+    fn checkpoint_equals_checkpoint_into_after_arbitrary_existing_bytes() {
+        let engine = eventful_engine();
+        let snapshot = engine.checkpoint();
+        for prefix in [
+            &b""[..],
+            b"x",
+            b"WCKP\x02\0\0\0 a frame header of some length",
+        ] {
+            let mut buf = prefix.to_vec();
+            engine.checkpoint_into(&mut buf);
+            assert_eq!(&buf[..prefix.len()], prefix);
+            assert_eq!(&buf[prefix.len()..], &snapshot[..]);
+        }
+        // The capacity hint is only a hint, but it should be a good one.
+        let hint = engine.checkpoint_size_hint();
+        assert!(
+            hint >= snapshot.len() / 2 && hint <= snapshot.len() * 2,
+            "hint {hint} for a {}-byte checkpoint",
+            snapshot.len()
+        );
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_checkpoint_is_a_typed_error() {
+        let snapshot = eventful_engine().checkpoint();
+        assert_eq!(restore_demo(&snapshot).unwrap().checkpoint(), snapshot);
+        for byte in 0..snapshot.len() {
+            for bit in 0..8 {
+                let mut bad = snapshot.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    matches!(restore_demo(&bad), Err(ServeError::Checkpoint(_))),
+                    "flip at byte {byte} bit {bit} restored"
+                );
+            }
+        }
+        for cut in 0..snapshot.len() {
+            assert!(
+                matches!(
+                    restore_demo(&snapshot[..cut]),
+                    Err(ServeError::Checkpoint(_))
+                ),
+                "prefix of {cut} bytes restored"
+            );
+        }
+    }
+
+    /// An `SCPK` version-2 checkpoint, byte for byte: two objects in one
+    /// account on [`golden_catalog`] / [`golden_schemes`] with explicit
+    /// (non-default) configuration, one folded and one quarantined (NaN)
+    /// event, one boundary at day 15 with a re-solve, and a batch parked
+    /// in the reorder buffer under sequence number 2. A layout change
+    /// must bump `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    const GOLDEN_SCPK_V2: &str = "\
+             5343504b02000000232f3441bcbf95593c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f010000000000000001e80300\
+             00000000000f0000000000000000000000020000000000000001000000000000\
+             0001000000000000000000000000000000010000000000000004000000000000\
+             0061636374020000000000000001000000000000006100000000010000000000\
+             00000100000000000000000000000000f83f07000000000000000000f07f0000\
+             000000000000000000000000103f0f0000000100000000000000620000000001\
+             0000000000000001000000000000000000000000001040000000000000000000\
+             000840000000000000000000000000000000000f000000000000000000000000\
+             0200000000000000000000000000000001000000000000000102000000000000\
+             0001000000000000000100000000000000010000000000000001000000000000\
+             000000000000000f4000000000000006400000000000000000000000000000f2\
+             3f00000000000000000000000000000000000400000000000001000000000000\
+             0000000000000000000100000000000000010000000000000002000000010000\
+             00000000000000f87f0001000000000000000200000000000000010000000000\
+             0000100000000100000000000000000000000100000000000000010000000100\
+             000000000000010100000000000000000000000000e03f74baba67929a93b5";
+
+    #[test]
+    fn the_version_2_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden: Vec<u8> = GOLDEN_SCPK_V2
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        assert_eq!(golden.len(), 543);
+        assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
+        assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
+
+        let restored = ServeEngine::restore(golden_catalog(), golden_schemes(), &golden).unwrap();
+        assert_eq!(restored.len(), 2);
+        assert_eq!(restored.object_name(1), Some("b"));
+        assert_eq!((restored.day(), restored.epoch()), (15, 1));
+        assert_eq!(restored.config().node_budget, Some(1000));
+        assert_eq!(restored.placement(0), Some((TierId(1), 1)));
+        assert_eq!(
+            restored.heat(0).map(f64::to_bits),
+            Some(0x3f10_0000_0000_0000)
+        );
+        assert_eq!(restored.quarantine().total(), 1);
+        assert_eq!((restored.next_seq(), restored.pending_batches()), (1, 1));
+        // The writer reproduces the fixture from the decoded state.
+        assert_eq!(restored.checkpoint(), golden);
+    }
+
+    fn golden_catalog() -> scope_cloudsim::TierCatalog {
+        use scope_cloudsim::Tier;
+        scope_cloudsim::TierCatalog::new(vec![
+            Tier::new("fast", 2.0, 0.5, 0.25, 0.01),
+            Tier::new("cold", 0.5, 4.0, 1.0, 2.0)
+                .with_early_deletion_days(30)
+                .with_capacity_gb(64.0),
+        ])
+        .unwrap()
+    }
+
+    fn golden_schemes() -> Vec<CompressionOption> {
+        vec![
+            CompressionOption::none(),
+            CompressionOption::new("lz", 2.0, 0.5),
+        ]
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   snapshot taken after an epoch's re-solve from one taken before it.
 //!
 //! **Recovery is one protocol**, [`JournaledEngine::recover`]: load the
-//! newest checkpoint that passes both the frame CRC and
+//! newest checkpoint that passes both the frame checksum and
 //! [`ServeEngine::restore`]'s own validation (walking back past corrupt
 //! ones), truncate the journal's torn tail, quarantine corrupt interior
 //! records with typed errors, then replay the surviving tail through the
@@ -150,9 +150,14 @@ impl<S: Storage> JournaledEngine<S> {
     /// Publish a durable checkpoint of the engine through the journal's
     /// atomic path and retire covered segments. `marker` is the caller's
     /// progress position, stored in the frame and returned by recovery.
+    ///
+    /// The engine serializes straight into the journal's frame buffer,
+    /// behind the frame header: one buffer, kept across epochs, holds
+    /// the snapshot from the moment it is written until storage has it.
     pub fn checkpoint_durable(&mut self, marker: u64) -> Result<(), ServeError> {
-        let snapshot = self.engine.checkpoint();
-        self.journal.publish_checkpoint(&snapshot, marker)?;
+        let engine = &self.engine;
+        self.journal
+            .publish_checkpoint_with(marker, |frame| engine.checkpoint_into(frame))?;
         Ok(())
     }
 
@@ -173,12 +178,17 @@ impl<S: Storage> JournaledEngine<S> {
         schemes: Vec<CompressionOption>,
         fresh: impl FnOnce() -> Result<ServeEngine, ServeError>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
+        // The journal's walk stops at the first snapshot the validator
+        // accepts, so the engine that validation built *is* the restored
+        // engine: the surviving snapshot is decoded and checksummed once.
+        let mut restored = None;
         let recovered = Journal::recover(storage, cfg, |state| {
-            ServeEngine::restore(catalog.clone(), schemes.clone(), state).is_ok()
+            restored = ServeEngine::restore(catalog.clone(), schemes.clone(), state).ok();
+            restored.is_some()
         })?;
-        let started_fresh = recovered.state.is_none();
-        let mut engine = match &recovered.state {
-            Some(state) => ServeEngine::restore(catalog, schemes, state)?,
+        let started_fresh = restored.is_none();
+        let mut engine = match restored {
+            Some(engine) => engine,
             None => fresh()?,
         };
         for record in &recovered.tail {
@@ -359,6 +369,79 @@ mod tests {
             twin.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
         }
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
+    }
+
+    #[test]
+    fn durable_checkpoints_from_the_reused_buffer_equal_the_encoded_frame() {
+        let mut j = journaled();
+        j.ingest_sequenced(0, &batch(0, 6)).unwrap();
+        // Epoch 1 snapshots a batch parked in the reorder buffer; epoch 2,
+        // with the gap filled, is shorter — the buffer must carry nothing
+        // over from the longer frame (nor from the record frames between).
+        j.ingest_sequenced(2, &batch(2, 40)).unwrap();
+        let mut lens = Vec::new();
+        for (epoch, marker) in [(1u64, 10u64), (2, 20)] {
+            j.advance(15 * epoch as u32).unwrap();
+            j.reoptimize().unwrap();
+            j.checkpoint_durable(marker).unwrap();
+            let ordinal = j.journal().active_segment();
+            let published = j
+                .journal()
+                .storage()
+                .read(&scope_wal::checkpoint_name(ordinal))
+                .unwrap();
+            let expect = scope_wal::CheckpointFrame {
+                replay_from: ordinal,
+                deliveries: j.deliveries(),
+                marker,
+                state: j.engine().checkpoint(),
+            };
+            assert_eq!(published, expect.encode(), "epoch {epoch}");
+            assert_eq!(
+                scope_wal::CheckpointFrame::decode("ckpt", &published).unwrap(),
+                expect
+            );
+            lens.push(published.len());
+            j.ingest_sequenced(epoch, &batch(epoch, 6)).unwrap();
+        }
+        assert!(lens[1] < lens[0], "{lens:?}");
+    }
+
+    #[test]
+    fn a_rejected_newest_snapshot_walks_back_to_one_restore_of_the_older() {
+        // The newest checkpoint is frame-valid but holds a snapshot the
+        // engine refuses (taken under other schemes): recovery must not
+        // keep anything from the failed validation.
+        let mut j = journaled();
+        for seq in 0..3 {
+            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
+        }
+        j.sync().unwrap();
+        j.checkpoint_durable(1).unwrap();
+        j.ingest_sequenced(3, &batch(3, 6)).unwrap();
+        j.sync().unwrap();
+        let mut storage = j.crash();
+        let foreign = ServeEngine::new(
+            TierCatalog::azure_hot_cool_archive(),
+            vec![CompressionOption::none()],
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let frame = scope_wal::CheckpointFrame {
+            replay_from: 2,
+            deliveries: 4,
+            marker: 2,
+            state: foreign.checkpoint(),
+        };
+        storage
+            .write_atomic(&scope_wal::checkpoint_name(2), &frame.encode())
+            .unwrap();
+        let (j2, report) = recover_mem(storage);
+        assert_eq!(report.marker, 1);
+        assert!(!report.started_fresh);
+        assert_eq!(report.wal.quarantined_checkpoints.len(), 1);
+        assert_eq!(report.resume_deliveries, 4);
+        assert_eq!(j2.engine().checkpoint(), plain_after(4).checkpoint());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`Journal::recover`] is the one protocol, used by every caller:
 //!
 //! 1. Walk checkpoints newest → oldest. A checkpoint that fails its
-//!    frame CRC — or that the caller-supplied validator rejects (the
+//!    frame checksum — or that the caller-supplied validator rejects (the
 //!    serving engine validates its own versioned, checksummed snapshot
 //!    format) — is quarantined (deleted and reported) and the walk
 //!    continues. If no checkpoint survives, recovery starts from the
@@ -55,8 +55,8 @@
 
 use crate::error::WalError;
 use crate::record::{
-    decode_frame, encode_epoch_record, encode_record, CheckpointFrame, FrameOutcome, Record,
-    RecordPayload,
+    decode_frame, encode_epoch_record_into, encode_record_into, CheckpointFrame, FrameOutcome,
+    Record, RecordPayload,
 };
 use crate::storage::Storage;
 use scope_cloudsim::EventColumns;
@@ -189,6 +189,10 @@ pub struct Journal<S: Storage> {
     active_records: usize,
     /// Total deliveries ever appended (snapshot-covered + live).
     appended: u64,
+    /// The one encode buffer: every record frame and every checkpoint
+    /// frame is built here and handed to storage as a slice, so steady
+    /// state appends and publishes allocate nothing.
+    frame: Vec<u8>,
 }
 
 impl<S: Storage> Journal<S> {
@@ -212,6 +216,7 @@ impl<S: Storage> Journal<S> {
             active: 0,
             active_records: 0,
             appended: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -236,7 +241,8 @@ impl<S: Storage> Journal<S> {
         self.storage
     }
 
-    fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
+    /// Append the record framed in `self.frame` to the active segment.
+    fn append_frame(&mut self) -> Result<(), WalError> {
         if self.active_records >= self.cfg.segment_records {
             // Seal the full segment before rolling: later syncs only
             // touch the new active segment, and an unsynced hole in the
@@ -245,14 +251,16 @@ impl<S: Storage> Journal<S> {
             self.active += 1;
             self.active_records = 0;
         }
-        self.storage.append(&segment_name(self.active), frame)?;
+        self.storage
+            .append(&segment_name(self.active), &self.frame)?;
         self.active_records += 1;
         Ok(())
     }
 
     /// Append one delivered batch. Not durable until [`Journal::sync`].
     pub fn append(&mut self, seq: u64, columns: &EventColumns) -> Result<(), WalError> {
-        self.append_frame(&encode_record(seq, columns))?;
+        encode_record_into(&mut self.frame, seq, columns);
+        self.append_frame()?;
         self.appended += 1;
         Ok(())
     }
@@ -261,7 +269,8 @@ impl<S: Storage> Journal<S> {
     /// rolling but not toward [`Journal::appended`] — they carry no
     /// delivery; they pin where recovery must cut its replay tail.
     pub fn append_epoch(&mut self, seq: u64, day: u32) -> Result<(), WalError> {
-        self.append_frame(&encode_epoch_record(seq, day))
+        encode_epoch_record_into(&mut self.frame, seq, day);
+        self.append_frame()
     }
 
     /// Durability barrier on the active segment.
@@ -275,15 +284,29 @@ impl<S: Storage> Journal<S> {
     /// caller progress value stored in the frame and handed back by
     /// recovery.
     pub fn publish_checkpoint(&mut self, state: &[u8], marker: u64) -> Result<(), WalError> {
+        self.publish_checkpoint_with(marker, |frame| frame.extend_from_slice(state))
+    }
+
+    /// [`Journal::publish_checkpoint`] for a caller that can serialize
+    /// its state on the spot: `write_state` appends the state to the
+    /// buffer it is given — the journal's own frame buffer, already
+    /// holding the frame header — so the snapshot is written once, where
+    /// it is checksummed and published from.
+    pub fn publish_checkpoint_with(
+        &mut self,
+        marker: u64,
+        write_state: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WalError> {
         let new_ordinal = self.active + 1;
-        let frame = CheckpointFrame {
-            replay_from: new_ordinal,
-            deliveries: self.appended,
+        CheckpointFrame::encode_with(
+            &mut self.frame,
+            new_ordinal,
+            self.appended,
             marker,
-            state: state.to_vec(),
-        };
+            write_state,
+        );
         self.storage
-            .write_atomic(&checkpoint_name(new_ordinal), &frame.encode())?;
+            .write_atomic(&checkpoint_name(new_ordinal), &self.frame)?;
         self.active = new_ordinal;
         self.active_records = 0;
         self.retire()
@@ -434,12 +457,11 @@ impl<S: Storage> Journal<S> {
                         records_here += 1;
                         offset = next;
                     }
-                    FrameOutcome::Overrun { kind } if last_segment => {
+                    FrameOutcome::Overrun { .. } if last_segment => {
                         // Torn tail: cut the unacknowledged bytes.
                         report.torn_bytes += (bytes.len() - offset) as u64;
                         storage.truncate(&name, offset as u64)?;
                         offset = bytes.len();
-                        let _ = kind;
                     }
                     FrameOutcome::Overrun { kind } | FrameOutcome::Invalid { kind } => {
                         // Interior corruption (or a checksum-invalid frame
@@ -481,6 +503,7 @@ impl<S: Storage> Journal<S> {
                 active,
                 active_records,
                 appended,
+                frame: Vec::new(),
             },
             state,
             marker,
@@ -494,6 +517,7 @@ impl<S: Storage> Journal<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_record;
     use crate::storage::MemStorage;
     use scope_cloudsim::AccessKind;
 

@@ -9,6 +9,17 @@
 //!
 //! # Durability and recovery
 //!
+//! **Two checksums, one per job.** Record frames carry [`crc32`]
+//! (IEEE, slicing-by-8): they are small, written often, and a torn or
+//! bit-flipped sector is exactly the burst error a CRC is built to
+//! catch. Checkpoint frames — and the engine snapshot inside them, and
+//! its configuration fingerprint — carry [`xxh64()`], a four-lane bulk
+//! hash: a snapshot is megabytes long and is checksummed at every epoch
+//! boundary by both layers (the engine seals its own format, the journal
+//! seals the object it publishes), which stays affordable only because
+//! the digest runs at memory speed. Both are from scratch, safe Rust,
+//! and pinned to their published test vectors.
+//!
 //! **Record framing.** Each delivery is one self-checking frame —
 //! `len | crc32 | kind | seq | payload` — with the batch encoded
 //! column-wise, little-endian (see [`record`]). The same encoding is the
@@ -35,7 +46,7 @@
 //!
 //! **Recovery walk-back.** [`Journal::recover`] walks checkpoints newest
 //! to oldest, quarantining (deleting and reporting) any that fail the
-//! frame CRC or the caller's engine-level validation; then scans the
+//! frame checksum or the caller's engine-level validation; then scans the
 //! surviving snapshot's uncovered segments. A torn tail — an incomplete
 //! frame at the end of the last segment — is truncated; a corrupt
 //! interior frame is quarantined with a typed [`WalError`] and the
@@ -57,6 +68,7 @@ pub mod file;
 pub mod journal;
 pub mod record;
 mod storage;
+pub mod xxh64;
 
 pub use crc::crc32;
 pub use error::{CorruptKind, WalError};
@@ -70,3 +82,4 @@ pub use record::{
     CheckpointFrame, FrameOutcome, Record, RecordPayload,
 };
 pub use storage::{MemStorage, Storage};
+pub use xxh64::xxh64;

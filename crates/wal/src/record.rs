@@ -41,9 +41,32 @@
 //!                        the round trip for the validating intake to
 //!                        quarantine)
 //! ```
+//!
+//! # Checkpoint frame (`WCKP`, version 2)
+//!
+//! A published checkpoint is one object, not a journal record, and wraps
+//! the engine's opaque snapshot in the journal's resume metadata:
+//!
+//! ```text
+//! magic       b"WCKP"
+//! version     u32 LE    (currently 2)
+//! replay_from u64 LE    first segment ordinal the snapshot does not cover
+//! deliveries  u64 LE    deliveries reflected in the snapshot
+//! marker      u64 LE    opaque caller progress value
+//! state_len   u64 LE
+//! state       state_len bytes
+//! checksum    u64 LE    XXH64 (seed 0) of magic..state
+//! ```
+//!
+//! Snapshots are megabytes long, so the trailer is the bulk checksum
+//! ([`crate::xxh64`]) rather than the record frames' CRC-32. Version 1
+//! (a `u32` CRC-32 trailer) is rejected as an unsupported version; any
+//! layout change bumps the version again, and a golden fixture in this
+//! module's tests makes that a deliberate act.
 
 use crate::crc::crc32;
 use crate::error::{CorruptKind, WalError};
+use crate::xxh64::xxh64;
 use scope_cloudsim::{AccessKind, EventColumns};
 
 /// Record kind: one delivered `EventColumns` batch.
@@ -97,27 +120,57 @@ impl Record {
     }
 }
 
-fn encode_frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = FRAME_BODY_MIN + payload.len();
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body_len);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0, 0, 0, 0]); // crc placeholder
+/// Bytes per event in the batch payload: three `u32` columns, the kind
+/// byte and the `u64` volume bits.
+const EVENT_BYTES: usize = 21;
+
+/// Start a frame in `out`, replacing what it held: a zeroed `(len, crc)`
+/// header, then `kind` and `seq`. The payload is appended after this and
+/// [`seal_frame`] fills the header in.
+fn begin_frame(out: &mut Vec<u8>, kind: u8, seq: u64) {
+    out.clear();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     out.push(kind);
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[FRAME_HEADER_LEN..]);
-    out[4..8].copy_from_slice(&crc.to_le_bytes());
-    out
+}
+
+/// Write the length and the CRC of the body into a begun frame's header.
+fn seal_frame(frame: &mut [u8]) {
+    let body_len = (frame.len() - FRAME_HEADER_LEN) as u32;
+    frame[0..4].copy_from_slice(&body_len.to_le_bytes());
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Frame a batch delivery into `out`, replacing what it held: header,
+/// columns and CRC all land in that one buffer, which a caller that
+/// frames many batches keeps and reuses.
+pub(crate) fn encode_record_into(out: &mut Vec<u8>, seq: u64, columns: &EventColumns) {
+    begin_frame(out, RECORD_BATCH, seq);
+    append_columns(out, columns);
+    seal_frame(out);
+}
+
+/// Frame an epoch-boundary marker into `out`, replacing what it held.
+pub(crate) fn encode_epoch_record_into(out: &mut Vec<u8>, seq: u64, day: u32) {
+    begin_frame(out, RECORD_EPOCH, seq);
+    out.extend_from_slice(&day.to_le_bytes());
+    seal_frame(out);
 }
 
 /// Encode a batch delivery as one framed record.
 pub fn encode_record(seq: u64, columns: &EventColumns) -> Vec<u8> {
-    encode_frame(RECORD_BATCH, seq, &encode_columns(columns))
+    let mut out =
+        Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + 4 + columns.len() * EVENT_BYTES);
+    encode_record_into(&mut out, seq, columns);
+    out
 }
 
 /// Encode an epoch-boundary marker as one framed record.
 pub fn encode_epoch_record(seq: u64, day: u32) -> Vec<u8> {
-    encode_frame(RECORD_EPOCH, seq, &day.to_le_bytes())
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + 4);
+    encode_epoch_record_into(&mut out, seq, day);
+    out
 }
 
 /// Outcome of decoding the frame starting at `offset` in `bytes`.
@@ -211,28 +264,47 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
 
 /// Encode an `EventColumns` batch column-wise (see the module docs).
 pub fn encode_columns(columns: &EventColumns) -> Vec<u8> {
-    let n = columns.len();
-    let mut out = Vec::with_capacity(4 + n * 21);
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    for &d in &columns.days {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
-    for &p in &columns.periods {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
-    for &id in &columns.object_ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-    for &k in &columns.kinds {
-        out.push(match k {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        });
-    }
-    for &v in &columns.volumes {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(4 + columns.len() * EVENT_BYTES);
+    append_columns(&mut out, columns);
     out
+}
+
+/// Fill the front of `dst` with `src`, `W` little-endian bytes per
+/// element, and return what is left of `dst`.
+fn fill_le<'a, T: Copy, const W: usize>(
+    dst: &'a mut [u8],
+    src: &[T],
+    le: impl Fn(T) -> [u8; W],
+) -> &'a mut [u8] {
+    let (column, rest) = dst.split_at_mut(src.len() * W);
+    for (slot, &value) in column.chunks_exact_mut(W).zip(src) {
+        slot.copy_from_slice(&le(value));
+    }
+    rest
+}
+
+/// Append the column block of `columns` to `out`: the buffer grows once
+/// to the block's size and each column is written as one run. Every
+/// column goes out at its own length — the fields are public, and a
+/// ragged batch must frame to bytes that fail [`decode_columns`], not to
+/// a silently squared-off one.
+fn append_columns(out: &mut Vec<u8>, columns: &EventColumns) {
+    let block = 4
+        + 4 * (columns.days.len() + columns.periods.len() + columns.object_ids.len())
+        + columns.kinds.len()
+        + 8 * columns.volumes.len();
+    let start = out.len();
+    out.resize(start + block, 0);
+    let dst = &mut out[start..];
+    dst[..4].copy_from_slice(&(columns.len() as u32).to_le_bytes());
+    let dst = fill_le(&mut dst[4..], &columns.days, u32::to_le_bytes);
+    let dst = fill_le(dst, &columns.periods, u32::to_le_bytes);
+    let dst = fill_le(dst, &columns.object_ids, u32::to_le_bytes);
+    let dst = fill_le(dst, &columns.kinds, |k| match k {
+        AccessKind::Read => [0u8],
+        AccessKind::Write => [1u8],
+    });
+    fill_le(dst, &columns.volumes, |v: f64| v.to_bits().to_le_bytes());
 }
 
 /// Decode an `EventColumns` batch; `None` when `bytes` is not exactly
@@ -242,37 +314,35 @@ pub fn decode_columns(bytes: &[u8]) -> Option<EventColumns> {
         return None;
     }
     let n = read_u32(bytes, 0) as usize;
-    let expect = 4usize
-        .checked_add(n.checked_mul(21)?)
-        .filter(|&e| e == bytes.len())?;
-    let _ = expect;
-    let mut cols = EventColumns::default();
-    let mut o = 4;
-    for _ in 0..n {
-        cols.days.push(read_u32(bytes, o));
-        o += 4;
+    if n.checked_mul(EVENT_BYTES)?.checked_add(4)? != bytes.len() {
+        return None;
     }
-    for _ in 0..n {
-        cols.periods.push(read_u32(bytes, o));
-        o += 4;
-    }
-    for _ in 0..n {
-        cols.object_ids.push(read_u32(bytes, o));
-        o += 4;
-    }
-    for _ in 0..n {
-        cols.kinds.push(match bytes[o] {
+    // `n` is validated against the input length, so it bounds every
+    // allocation below.
+    let (days, rest) = bytes[4..].split_at(4 * n);
+    let (periods, rest) = rest.split_at(4 * n);
+    let (object_ids, rest) = rest.split_at(4 * n);
+    let (kinds, volumes) = rest.split_at(n);
+    let u32s =
+        |column: &[u8]| -> Vec<u32> { column.chunks_exact(4).map(|w| read_u32(w, 0)).collect() };
+    let mut kind_column = Vec::with_capacity(n);
+    for &k in kinds {
+        kind_column.push(match k {
             0 => AccessKind::Read,
             1 => AccessKind::Write,
             _ => return None,
         });
-        o += 1;
     }
-    for _ in 0..n {
-        cols.volumes.push(f64::from_bits(read_u64(bytes, o)));
-        o += 8;
-    }
-    Some(cols)
+    Some(EventColumns {
+        days: u32s(days),
+        periods: u32s(periods),
+        object_ids: u32s(object_ids),
+        kinds: kind_column,
+        volumes: volumes
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(read_u64(w, 0)))
+            .collect(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -283,12 +353,18 @@ pub fn decode_columns(bytes: &[u8]) -> Option<EventColumns> {
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"WCKP";
 
 /// Checkpoint frame version.
-pub const CHECKPOINT_FRAME_VERSION: u32 = 1;
+pub const CHECKPOINT_FRAME_VERSION: u32 = 2;
+
+/// Bytes before the state: magic, version and four metadata words.
+const CHECKPOINT_FIXED: usize = 4 + 4 + 8 * 4;
+
+/// Bytes after the state: the XXH64 trailer.
+const CHECKPOINT_TRAILER: usize = 8;
 
 /// The journal's wrapper around an engine checkpoint: enough metadata to
 /// resume the journal (which segments to replay, how many deliveries the
 /// snapshot covers) plus an opaque caller progress `marker`, all under
-/// one trailing CRC.
+/// one trailing checksum (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointFrame {
     /// First segment ordinal whose records are *not* covered by this
@@ -306,19 +382,42 @@ pub struct CheckpointFrame {
 }
 
 impl CheckpointFrame {
-    /// Serialize the frame: magic, version, metadata, state, CRC.
+    /// Serialize the frame: magic, version, metadata, state, checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 4 + 8 * 4 + self.state.len() + 4);
+        let mut out = Vec::with_capacity(CHECKPOINT_FIXED + self.state.len() + CHECKPOINT_TRAILER);
+        Self::encode_with(
+            &mut out,
+            self.replay_from,
+            self.deliveries,
+            self.marker,
+            |out| out.extend_from_slice(&self.state),
+        );
+        out
+    }
+
+    /// Build a frame in `out`, replacing what it held, around a state
+    /// that `write_state` appends in place — a snapshot serialized
+    /// straight into the frame is never copied. The bytes equal
+    /// [`CheckpointFrame::encode`] of the same fields.
+    pub(crate) fn encode_with(
+        out: &mut Vec<u8>,
+        replay_from: u64,
+        deliveries: u64,
+        marker: u64,
+        write_state: impl FnOnce(&mut Vec<u8>),
+    ) {
+        out.clear();
         out.extend_from_slice(CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_FRAME_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.replay_from.to_le_bytes());
-        out.extend_from_slice(&self.deliveries.to_le_bytes());
-        out.extend_from_slice(&self.marker.to_le_bytes());
-        out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.state);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        out.extend_from_slice(&replay_from.to_le_bytes());
+        out.extend_from_slice(&deliveries.to_le_bytes());
+        out.extend_from_slice(&marker.to_le_bytes());
+        out.extend_from_slice(&[0; 8]); // state_len, known once the state is written
+        write_state(out);
+        let state_len = (out.len() - CHECKPOINT_FIXED) as u64;
+        out[CHECKPOINT_FIXED - 8..CHECKPOINT_FIXED].copy_from_slice(&state_len.to_le_bytes());
+        let checksum = xxh64(out);
+        out.extend_from_slice(&checksum.to_le_bytes());
     }
 
     /// Parse and validate a frame read back from storage.
@@ -327,32 +426,33 @@ impl CheckpointFrame {
             object: object.to_string(),
             reason: reason.to_string(),
         };
-        const FIXED: usize = 4 + 4 + 8 * 4; // magic + version + 4 metadata words
-        if bytes.len() < FIXED + 4 {
+        if bytes.len() < CHECKPOINT_FIXED + CHECKPOINT_TRAILER {
             return Err(reject("shorter than a checkpoint frame"));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        if crc32(body) != read_u32(trailer, 0) {
-            return Err(reject("frame checksum mismatch"));
-        }
-        if &body[0..4] != CHECKPOINT_MAGIC {
+        if &bytes[0..4] != CHECKPOINT_MAGIC {
             return Err(reject("bad magic"));
         }
-        if read_u32(body, 4) != CHECKPOINT_FRAME_VERSION {
+        // The version decides how the rest is laid out — trailer width
+        // included — so it is read before the checksum is looked for.
+        if read_u32(bytes, 4) != CHECKPOINT_FRAME_VERSION {
             return Err(reject("unsupported frame version"));
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - CHECKPOINT_TRAILER);
+        if xxh64(body) != read_u64(trailer, 0) {
+            return Err(reject("frame checksum mismatch"));
         }
         let replay_from = read_u64(body, 8);
         let deliveries = read_u64(body, 16);
         let marker = read_u64(body, 24);
-        let state_len = read_u64(body, 32) as usize;
-        if body.len() - FIXED != state_len {
+        let state_len = read_u64(body, 32);
+        if (body.len() - CHECKPOINT_FIXED) as u64 != state_len {
             return Err(reject("state length mismatch"));
         }
         Ok(CheckpointFrame {
             replay_from,
             deliveries,
             marker,
-            state: body[FIXED..].to_vec(),
+            state: body[CHECKPOINT_FIXED..].to_vec(),
         })
     }
 }
@@ -422,6 +522,12 @@ mod tests {
         let mut bad_kind = enc;
         bad_kind[4 + 5 * 12] = 7;
         assert!(decode_columns(&bad_kind).is_none());
+        // A ragged batch is encoded as it stands, and so fails to decode.
+        let mut ragged = batch(5);
+        ragged.volumes.pop();
+        let enc = encode_columns(&ragged);
+        assert_eq!(enc.len(), 4 + 5 * 21 - 8);
+        assert!(decode_columns(&enc).is_none());
     }
 
     #[test]
@@ -508,27 +614,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_frames_round_trip_and_self_check() {
-        let frame = CheckpointFrame {
+    fn checkpoint_frame() -> CheckpointFrame {
+        CheckpointFrame {
             replay_from: 7,
             deliveries: 1234,
             marker: 99,
             state: (0u8..200).collect(),
-        };
+        }
+    }
+
+    fn decode_error(bytes: &[u8]) -> String {
+        match CheckpointFrame::decode("ckpt", bytes) {
+            Err(WalError::Checkpoint { object, reason }) => {
+                assert_eq!(object, "ckpt");
+                reason
+            }
+            other => panic!("not a checkpoint error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoint_frames_round_trip_and_self_check() {
+        let frame = checkpoint_frame();
         let enc = frame.encode();
         assert_eq!(CheckpointFrame::decode("ckpt", &enc).unwrap(), frame);
         for byte in 0..enc.len() {
-            let mut bad = enc.clone();
-            bad[byte] ^= 0x10;
-            assert!(
-                CheckpointFrame::decode("ckpt", &bad).is_err(),
-                "flip at byte {byte} accepted"
-            );
+            for bit in 0..8 {
+                let mut bad = enc.clone();
+                bad[byte] ^= 1 << bit;
+                decode_error(&bad);
+            }
         }
-        assert!(matches!(
-            CheckpointFrame::decode("ckpt", &enc[..10]),
-            Err(WalError::Checkpoint { .. })
-        ));
+        for cut in 0..enc.len() {
+            decode_error(&enc[..cut]);
+        }
+        // An empty state is still a whole frame.
+        let empty = CheckpointFrame {
+            state: Vec::new(),
+            ..frame
+        };
+        assert_eq!(
+            CheckpointFrame::decode("ckpt", &empty.encode()).unwrap(),
+            empty
+        );
     }
+
+    #[test]
+    fn encode_with_replaces_the_buffer_and_equals_encode() {
+        let frame = checkpoint_frame();
+        let mut buf = vec![0xAA; 1000];
+        CheckpointFrame::encode_with(
+            &mut buf,
+            frame.replay_from,
+            frame.deliveries,
+            frame.marker,
+            |out| {
+                // The state may be appended piecewise.
+                out.extend_from_slice(&frame.state[..50]);
+                out.extend_from_slice(&frame.state[50..]);
+            },
+        );
+        assert_eq!(buf, frame.encode());
+    }
+
+    #[test]
+    fn other_frame_versions_are_rejected_as_unsupported() {
+        // Re-checksummed, so the version check is the only one that can
+        // fire. Version 1 was the CRC-32-trailer layout.
+        for version in [0u32, 1, 3, 99] {
+            let mut enc = checkpoint_frame().encode();
+            enc[4..8].copy_from_slice(&version.to_le_bytes());
+            let body = enc.len() - 8;
+            let sum = xxh64(&enc[..body]);
+            enc[body..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(decode_error(&enc), "unsupported frame version");
+        }
+        let mut magic = checkpoint_frame().encode();
+        magic[0] = b'X';
+        assert_eq!(decode_error(&magic), "bad magic");
+    }
+
+    #[test]
+    fn the_version_2_layout_is_pinned_by_a_golden_frame() {
+        let frame = CheckpointFrame {
+            replay_from: 3,
+            deliveries: 0x0102_0304,
+            marker: u64::MAX - 1,
+            state: b"engine snapshot".to_vec(),
+        };
+        let mut golden = Vec::new();
+        golden.extend_from_slice(b"WCKP");
+        golden.extend_from_slice(&[2, 0, 0, 0]);
+        golden.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[4, 3, 2, 1, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
+        golden.extend_from_slice(&[15, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(b"engine snapshot");
+        golden.extend_from_slice(&GOLDEN_TRAILER);
+        assert_eq!(frame.encode(), golden);
+        assert_eq!(CheckpointFrame::decode("ckpt", &golden).unwrap(), frame);
+    }
+
+    /// XXH64 of the golden frame's first 55 bytes, little-endian. A layout
+    /// change must bump `CHECKPOINT_FRAME_VERSION` and replace the golden
+    /// bytes on purpose.
+    const GOLDEN_TRAILER: [u8; 8] = [0x25, 0xAA, 0x72, 0xC7, 0xA3, 0x97, 0x68, 0x6F];
 }
