@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=643
+min_tests=651
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -94,6 +94,32 @@ if [[ $quick -eq 0 ]]; then
     # operation or check.
     echo "==> benchmark/run.sh --quick (end-to-end smoke, FileStorage crash/recover)"
     benchmark/run.sh --quick --out target/e2e-quick
+
+    # Allocation ratchet. The traced quick run counts the allocator calls
+    # of a `threads: 1` repetition's re-solves (one cold, five steady) and
+    # checkpoints (six); the counts depend on nothing but the code and
+    # repeat exactly from run to run, so they may only go down: a count
+    # above its ceiling means a per-row or per-epoch allocation crept back
+    # into the epoch boundary. When you remove allocations, tighten the
+    # ceiling to what the run prints.
+    max_resolve_allocs=612
+    max_checkpoint_allocs=6
+    echo "==> benchmark/run.sh serve_steady --trace 1 --quick (allocation ratchet)"
+    traced=$(benchmark/run.sh --workload serve_steady --seed 12 --seconds 1 --trace 1 --quick \
+        --out target/e2e-quick 2>&1 >/dev/null) || {
+        echo "$traced"
+        echo "FAIL: traced serve_steady run failed"
+        exit 1
+    }
+    for ceiling in "resolve_allocs $max_resolve_allocs" "checkpoint_allocs $max_checkpoint_allocs"; do
+        name="serve.${ceiling% *}" max="${ceiling#* }"
+        got=$(echo "$traced" | awk -v name="$name" '$2 == name {printf "%d", $3}')
+        echo "    $name $got (ceiling $max)"
+        if [[ -z "$got" || "$got" -gt "$max" ]]; then
+            echo "FAIL: $name is '$got', above its ceiling $max"
+            exit 1
+        fi
+    done
 fi
 
 echo "==> cargo bench --no-run (criterion benches must compile)"

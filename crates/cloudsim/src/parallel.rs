@@ -18,6 +18,19 @@
 //! and the determinism proptests pin `threads = n` against it. No work
 //! stealing, no reduction-order dependence, no rayon in the shims.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Worker threads spawned by this module since the process started.
+static WORKERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// Worker threads every fan-out of this module has spawned since the
+/// process started — a statistic (relaxed, publishes nothing) that lets a
+/// test prove a call ran sequentially or did not nest: a fan-out over `n`
+/// chunks adds exactly `n`, and the `threads == 1` paths add nothing.
+pub fn workers_spawned() -> u64 {
+    WORKERS_SPAWNED.load(Ordering::Relaxed)
+}
+
 /// Upper bound on worker threads: fan-outs nest (a sweep over
 /// configurations may build cost tables in parallel inside each
 /// configuration), so each level stays modest instead of oversubscribing
@@ -89,6 +102,7 @@ where
             .enumerate()
             .map(|(ci, chunk)| scope.spawn(move || work(ci * chunk_len, chunk)))
             .collect();
+        WORKERS_SPAWNED.fetch_add(handles.len() as u64, Ordering::Relaxed);
         for handle in handles {
             match handle.join() {
                 Ok(chunk) => out.extend(chunk),
@@ -242,6 +256,20 @@ mod tests {
                     .unwrap();
             assert_eq!(ok, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn every_spawned_worker_is_counted() {
+        // Other tests of this binary fan out concurrently, so the counter
+        // may move by more than this test's workers, never by fewer. (The
+        // exact counts, and that sequential paths add nothing, are pinned
+        // by `scope-serve`'s `tests/fan_out.rs`, alone in its process.)
+        let mut items: Vec<u32> = (0..10).collect();
+        let before = workers_spawned();
+        parallel_map_with_threads(&items, 3, |_, &x| x);
+        parallel_map_mut_with_threads(&mut items, 4, |_, x| *x += 1);
+        // Ten items over 3 and over 4 workers are chunks of 4 and of 3.
+        assert!(workers_spawned() - before >= 3 + 4);
     }
 
     #[test]

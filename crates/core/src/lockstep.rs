@@ -26,8 +26,10 @@
 //!   path — [`reference::full_resolve`], taken after the advance and
 //!   before the incremental re-solve so both price transitions from the
 //!   same placements — must match every healthy (non-stale) shard
-//!   bit-for-bit: account, choices, objective bits, and the total when no
-//!   shard is stale ([`EpochRecord::matches_reference`]).
+//!   bit-for-bit: account, choices, objective bits and breakdown (the
+//!   engine sums a dense mirror of its chosen table entries, the
+//!   reference a freshly built table), and the total when no shard is
+//!   stale ([`EpochRecord::matches_reference`]).
 //! * **Intake equality** (chaos). The plan's corrupt, torn, duplicated
 //!   and reordered batches become the delivered schedule, next to the
 //!   *clean* schedule a fault-free twin replays; after
@@ -780,7 +782,8 @@ fn matches_reference(cold: &[AccountAssignment], resolved: &ResolveOutcome) -> b
             i.stale
                 || (c.account == i.account
                     && c.assignment.choices == i.assignment.choices
-                    && c.assignment.objective.to_bits() == i.assignment.objective.to_bits())
+                    && c.assignment.objective.to_bits() == i.assignment.objective.to_bits()
+                    && c.assignment.breakdown == i.assignment.breakdown)
         })
         && (resolved.accounts.iter().any(|a| a.stale)
             || reference::total_objective(cold).to_bits() == resolved.total_objective.to_bits())

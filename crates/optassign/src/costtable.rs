@@ -16,66 +16,141 @@
 //! alongside a per-entry SLA-feasibility mask and precomputed per-partition
 //! column minima, and the solvers do table lookups from then on.
 //!
-//! Construction fans out across partitions with the deterministic parallel
-//! helper ([`scope_cloudsim::parallel`]) on large instances; because every
-//! row is a pure function of its partition, the table — and therefore every
+//! ## The row kernel
+//!
+//! One function prices a partition: [`Run::price`] writes the row's
+//! tier-major block straight into the table's `cost` / `feasible` /
+//! `breakdowns` arrays and records its feasible minimum — no per-row
+//! temporaries, no copy. [`CostTable::build`] runs it over every row of a
+//! freshly sized table and [`CostTable::patch_rows`] over a worklist, so a
+//! patched row is bit for bit the row a from-scratch build would produce.
+//! Per `(row, tier)` the kernel hoists what no compression option changes
+//! (the egress charge, the early-deletion penalty, the tier's time to
+//! first byte) out of the scheme loop; the expressions and their order
+//! are those of [`OptAssignProblem::cost_breakdown_with`], which is
+//! written over the same two helpers, so the table — and therefore every
 //! solver result — is **bit-for-bit identical** to the sequential,
 //! model-driven path (enforced by the differential proptests in
-//! `tests/differential_costtable.rs` against [`crate::reference`]).
+//! `tests/differential_costtable.rs` against [`crate::reference`]). A NaN
+//! price (an unvalidated problem's foreign tier) is stored like any other
+//! but never becomes a row's minimum.
+//!
+//! ## Who decides the thread count
+//!
+//! The caller that owns the fan-out does. [`CostTable::build_with_threads`]
+//! and [`CostTable::patch_rows_with_threads`] take the worker count: `1`
+//! prices on the calling thread and spawns nothing — what a caller that
+//! has already fanned out (the serving engine, one worker per group of
+//! account shards) passes — and `n > 1` cuts the table's arrays at row
+//! boundaries into `n` disjoint `split_at_mut` stretches, one scoped
+//! worker of [`scope_cloudsim::parallel`] each, which price in place. The
+//! unsuffixed [`CostTable::build`] / [`CostTable::patch_rows`] are for
+//! callers that have not fanned out (the batch solvers): they use
+//! [`default_threads`] from `PARALLEL_MIN_ROWS` rows on and one thread
+//! below it. The thread count changes wall-clock time only.
 
 use crate::error::OptAssignError;
-use crate::problem::{Assignment, OptAssignProblem, PartitionSpec};
-use scope_cloudsim::parallel::parallel_map;
+use crate::problem::{improves_minimum, Assignment, OptAssignProblem};
+use scope_cloudsim::parallel::{default_threads, parallel_map_mut_with_threads};
 use scope_cloudsim::{CostBreakdown, CostModel, TierId};
 
-/// Below this partition count the table is built sequentially: thread
-/// spawn overhead would dominate the handful of evaluations. Purely a
-/// wall-clock heuristic — the parallel and sequential builds are
-/// bit-identical.
-const PARALLEL_BUILD_MIN_PARTITIONS: usize = 64;
+/// Rows from which the unsuffixed [`CostTable::build`] /
+/// [`CostTable::patch_rows`] fan out by themselves: the serving engine's
+/// measured floor (`FAN_OUT_MIN_ROWS` in `scope-serve`, from the same
+/// sweep on the 2-vCPU reference host). A row of the serving fleet
+/// (3 tiers × 6 schemes) prices in about 0.4 µs and a scoped-thread
+/// fan-out costs about 130 µs (`cloudsim.parallel_map_overhead_us`), so
+/// below a few thousand rows a second worker saves less than it costs.
+/// Purely a wall-clock heuristic — every thread count produces the same
+/// bits.
+const PARALLEL_MIN_ROWS: usize = 4096;
 
-/// One partition's slice of the table, produced independently (and
-/// possibly on another thread) during construction.
-struct Row {
-    cost: Vec<f64>,
-    feasible: Vec<bool>,
-    breakdowns: Vec<CostBreakdown>,
-    min_feasible: Option<(f64, TierId, usize)>,
+/// A partition's feasible minimum: `(cost, tier, option)`.
+type RowMin = Option<(f64, TierId, usize)>;
+
+/// A contiguous stretch of the table — the rows from `first_row` up to
+/// wherever its slices end — borrowed mutably so one worker can price
+/// rows of it in place.
+struct Run<'a> {
+    problem: &'a OptAssignProblem,
+    model: &'a CostModel,
+    n_tiers: usize,
+    offsets: &'a [usize],
+    n_options: &'a [usize],
+    first_row: usize,
+    cost: &'a mut [f64],
+    feasible: &'a mut [bool],
+    breakdowns: &'a mut [CostBreakdown],
+    min_feasible: &'a mut [RowMin],
 }
 
-/// Evaluate one partition's tier-major block. Shared by the full build and
-/// [`CostTable::patch_rows`] so a patched row is bit-for-bit the row a
-/// from-scratch build would produce for the same spec.
-fn build_row(
-    problem: &OptAssignProblem,
-    model: &CostModel,
-    n_tiers: usize,
-    p: &PartitionSpec,
-) -> Row {
-    let n_opts = p.compression_options.len();
-    let mut cost = Vec::with_capacity(n_tiers * n_opts);
-    let mut feasible = Vec::with_capacity(n_tiers * n_opts);
-    let mut breakdowns = Vec::with_capacity(n_tiers * n_opts);
-    let mut min_feasible: Option<(f64, TierId, usize)> = None;
-    for t in 0..n_tiers {
-        let tier = TierId(t);
-        for k in 0..n_opts {
-            let b = problem.cost_breakdown_with(model, p, tier, k);
-            let c = problem.weighted_objective(&b);
-            let ok = problem.is_feasible(p, tier, k);
-            if ok && min_feasible.map(|(mc, _, _)| c < mc).unwrap_or(true) {
-                min_feasible = Some((c, tier, k));
+impl<'a> Run<'a> {
+    /// The row kernel: price partition `row` (which this run must cover)
+    /// into its tier-major block and record its feasible minimum — the
+    /// first minimum in tier-major order, never a NaN.
+    fn price(&mut self, row: usize) {
+        let p = &self.problem.partitions[row];
+        let n_opts = self.n_options[row];
+        let lo = self.offsets[row] - self.offsets[self.first_row];
+        let len = self.n_tiers * n_opts;
+        let cost = &mut self.cost[lo..lo + len];
+        let feasible = &mut self.feasible[lo..lo + len];
+        let breakdowns = &mut self.breakdowns[lo..lo + len];
+        let mut min: RowMin = None;
+        for t in 0..self.n_tiers {
+            let tier = TierId(t);
+            let terms = self.problem.move_terms(self.model, p, tier);
+            let ttfb = self.problem.ttfb_seconds(tier);
+            for k in 0..n_opts {
+                let b = self
+                    .problem
+                    .cost_breakdown_on(self.model, p, tier, k, &terms);
+                let c = self.problem.weighted_objective(&b);
+                let ok = self.problem.is_feasible_at(p, ttfb, k);
+                if ok && improves_minimum(c, min.map(|(mc, _, _)| mc)) {
+                    min = Some((c, tier, k));
+                }
+                let e = t * n_opts + k;
+                cost[e] = c;
+                feasible[e] = ok;
+                breakdowns[e] = b;
             }
-            cost.push(c);
-            feasible.push(ok);
-            breakdowns.push(b);
+        }
+        self.min_feasible[row - self.first_row] = min;
+    }
+
+    /// Price `rows` (each of which this run must cover) in the order given.
+    fn price_all(&mut self, rows: impl Iterator<Item = usize>) {
+        for row in rows {
+            self.price(row);
         }
     }
-    Row {
-        cost,
-        feasible,
-        breakdowns,
-        min_feasible,
+
+    /// Cut the run in two at `row`, which it must cover: the rows before
+    /// it, and `row` onward.
+    fn split_at(self, row: usize) -> (Run<'a>, Run<'a>) {
+        let rows = row - self.first_row;
+        let entries = self.offsets[row] - self.offsets[self.first_row];
+        let (cost, cost_tail) = self.cost.split_at_mut(entries);
+        let (feasible, feasible_tail) = self.feasible.split_at_mut(entries);
+        let (breakdowns, breakdowns_tail) = self.breakdowns.split_at_mut(entries);
+        let (min_feasible, min_feasible_tail) = self.min_feasible.split_at_mut(rows);
+        let head = Run {
+            cost,
+            feasible,
+            breakdowns,
+            min_feasible,
+            ..self
+        };
+        let tail = Run {
+            first_row: row,
+            cost: cost_tail,
+            feasible: feasible_tail,
+            breakdowns: breakdowns_tail,
+            min_feasible: min_feasible_tail,
+            ..head
+        };
+        (head, tail)
     }
 }
 
@@ -103,56 +178,77 @@ pub struct CostTable {
     /// Per-partition `(cost, tier, k)` minimum over feasible entries, in
     /// exactly the scan order and tie-break of
     /// [`OptAssignProblem::min_feasible_cost`].
-    min_feasible: Vec<Option<(f64, TierId, usize)>>,
+    min_feasible: Vec<RowMin>,
 }
 
 impl CostTable {
-    /// Evaluate the full cost matrix for a **validated** problem.
+    /// Evaluate the full cost matrix for a **validated** problem, on
+    /// [`default_threads`] workers once the instance is large enough to
+    /// repay a fan-out (see the [module docs](self)) and on the calling
+    /// thread below that.
     ///
-    /// One [`CostModel`](scope_cloudsim::CostModel) is hoisted for the
-    /// whole build; rows are computed in parallel (chunked by partition
-    /// index, merged in index order) once the instance is large enough to
-    /// repay the fan-out.
-    ///
-    /// # Panics
-    ///
-    /// May panic on unvalidated problems (out-of-catalog current tiers) —
-    /// call [`OptAssignProblem::validate`] first, as every solver does.
+    /// An unvalidated problem (a current tier outside the catalog) does
+    /// not panic: the affected entries are priced NaN and never become a
+    /// row's minimum — call [`OptAssignProblem::validate`] first, as every
+    /// solver does, for a typed error instead.
     pub fn build(problem: &OptAssignProblem) -> CostTable {
-        let model = problem.cost_model();
+        Self::build_with_threads(problem, auto_threads(problem.partitions.len()))
+    }
+
+    /// [`Self::build`] on exactly `threads` workers (`1`, or `0`, prices on
+    /// the calling thread and spawns nothing). The table is sized up
+    /// front and every row priced in place by the one row kernel under
+    /// one hoisted [`CostModel`]; with several workers each takes a
+    /// contiguous range of partitions and the disjoint stretch of the
+    /// arrays that belongs to it.
+    pub fn build_with_threads(problem: &OptAssignProblem, threads: usize) -> CostTable {
         let n_tiers = problem.n_tiers();
-
-        let rows: Vec<Row> = if problem.partitions.len() >= PARALLEL_BUILD_MIN_PARTITIONS {
-            parallel_map(&problem.partitions, |_, p| {
-                build_row(problem, &model, n_tiers, p)
-            })
-        } else {
-            problem
-                .partitions
-                .iter()
-                .map(|p| build_row(problem, &model, n_tiers, p))
-                .collect()
-        };
-
-        let total: usize = rows.iter().map(|r| r.cost.len()).sum();
+        let n = problem.partitions.len();
+        let n_options: Vec<usize> = problem
+            .partitions
+            .iter()
+            .map(|p| p.compression_options.len())
+            .collect();
+        let mut offsets = Vec::with_capacity(n);
+        let mut total = 0;
+        for &k in &n_options {
+            offsets.push(total);
+            total += n_tiers * k;
+        }
         let mut table = CostTable {
             n_tiers,
-            offsets: Vec::with_capacity(rows.len()),
-            n_options: Vec::with_capacity(rows.len()),
-            cost: Vec::with_capacity(total),
-            feasible: Vec::with_capacity(total),
-            breakdowns: Vec::with_capacity(total),
-            min_feasible: Vec::with_capacity(rows.len()),
+            offsets,
+            n_options,
+            cost: vec![0.0; total],
+            feasible: vec![false; total],
+            breakdowns: vec![CostBreakdown::default(); total],
+            min_feasible: vec![None; n],
         };
-        for (row, p) in rows.into_iter().zip(&problem.partitions) {
-            table.offsets.push(table.cost.len());
-            table.n_options.push(p.compression_options.len());
-            table.cost.extend(row.cost);
-            table.feasible.extend(row.feasible);
-            table.breakdowns.extend(row.breakdowns);
-            table.min_feasible.push(row.min_feasible);
+        let model = problem.cost_model();
+        let mut whole = table.run(problem, &model);
+        if threads.min(n) <= 1 {
+            whole.price_all(0..n);
+        } else {
+            let all: Vec<usize> = (0..n).collect();
+            price_in_parallel(whole, &all, threads);
         }
         table
+    }
+
+    /// The whole table as one [`Run`].
+    fn run<'a>(&'a mut self, problem: &'a OptAssignProblem, model: &'a CostModel) -> Run<'a> {
+        Run {
+            problem,
+            model,
+            n_tiers: self.n_tiers,
+            offsets: &self.offsets,
+            n_options: &self.n_options,
+            first_row: 0,
+            cost: &mut self.cost,
+            feasible: &mut self.feasible,
+            breakdowns: &mut self.breakdowns,
+            min_feasible: &mut self.min_feasible,
+        }
     }
 
     /// Number of tiers per partition block.
@@ -210,12 +306,12 @@ impl CostTable {
     /// deltas changes the projected accesses of a few partitions, only
     /// their rows are re-priced and every untouched row is reused verbatim.
     ///
-    /// Each patched block is computed by the same [`build_row`] arithmetic
-    /// (one hoisted model, tier-major scan, identical min-feasible
-    /// tie-break) the full build uses, so a patched table is **bit-for-bit
-    /// equal** to `CostTable::build` of the mutated problem. Large
-    /// worklists fan out over the deterministic parallel map, merged in
-    /// worklist order.
+    /// Each listed row is priced by the same row kernel (one hoisted
+    /// model, tier-major scan, identical min-feasible tie-break) the full
+    /// build uses, so a patched table is **bit-for-bit equal** to
+    /// `CostTable::build` of the mutated problem. The worklist may be in
+    /// any order and may repeat rows. Large worklists fan out as
+    /// [`Self::build`] does.
     ///
     /// `problem` must be the same instance the table was built from, with
     /// only per-partition spec fields mutated: the partition count, tier
@@ -225,6 +321,18 @@ impl CostTable {
         &mut self,
         problem: &OptAssignProblem,
         rows: &[usize],
+    ) -> Result<(), OptAssignError> {
+        self.patch_rows_with_threads(problem, rows, auto_threads(rows.len()))
+    }
+
+    /// [`Self::patch_rows`] on exactly `threads` workers (`1`, or `0`,
+    /// prices on the calling thread, in worklist order, and neither
+    /// spawns nor allocates).
+    pub fn patch_rows_with_threads(
+        &mut self,
+        problem: &OptAssignProblem,
+        rows: &[usize],
+        threads: usize,
     ) -> Result<(), OptAssignError> {
         if problem.partitions.len() != self.offsets.len() || problem.n_tiers() != self.n_tiers {
             return Err(OptAssignError::InvalidProblem(format!(
@@ -251,22 +359,16 @@ impl CostTable {
             }
         }
         let model = problem.cost_model();
-        let patched: Vec<Row> = if rows.len() >= PARALLEL_BUILD_MIN_PARTITIONS {
-            parallel_map(rows, |_, &n| {
-                build_row(problem, &model, self.n_tiers, &problem.partitions[n])
-            })
+        let mut whole = self.run(problem, &model);
+        if threads.min(rows.len()) <= 1 {
+            whole.price_all(rows.iter().copied());
         } else {
-            rows.iter()
-                .map(|&n| build_row(problem, &model, self.n_tiers, &problem.partitions[n]))
-                .collect()
-        };
-        for (&n, row) in rows.iter().zip(patched) {
-            let lo = self.offsets[n];
-            let hi = lo + self.n_tiers * self.n_options[n];
-            self.cost[lo..hi].copy_from_slice(&row.cost);
-            self.feasible[lo..hi].copy_from_slice(&row.feasible);
-            self.breakdowns[lo..hi].copy_from_slice(&row.breakdowns);
-            self.min_feasible[n] = row.min_feasible;
+            // Workers own disjoint stretches of the arrays, so the
+            // worklist is put in row order and repeats dropped first.
+            let mut sorted = rows.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            price_in_parallel(whole, &sorted, threads);
         }
         Ok(())
     }
@@ -315,6 +417,39 @@ impl CostTable {
             breakdown,
         })
     }
+}
+
+/// The worker count the unsuffixed entry points choose for `rows` rows.
+fn auto_threads(rows: usize) -> usize {
+    if rows >= PARALLEL_MIN_ROWS {
+        default_threads()
+    } else {
+        1
+    }
+}
+
+/// Price `rows` — ascending and distinct — on up to `threads` workers:
+/// the worklist is chunked evenly, `whole` is cut at each chunk's first
+/// row, and every worker prices its chunk inside the stretch it owns.
+fn price_in_parallel(whole: Run<'_>, rows: &[usize], threads: usize) {
+    let workers = threads.min(rows.len());
+    let mut chunks = rows.chunks(rows.len().div_ceil(workers)).peekable();
+    let mut work = Vec::with_capacity(workers);
+    let mut rest = whole;
+    while let Some(chunk) = chunks.next() {
+        let Some(next) = chunks.peek() else {
+            work.push((rest, chunk));
+            break;
+        };
+        let (head, tail) = rest.split_at(next[0]);
+        work.push((head, chunk));
+        rest = tail;
+    }
+    // One worker per chunk (rounding can leave fewer chunks than workers).
+    let workers = work.len();
+    parallel_map_mut_with_threads(&mut work, workers, |_, (run, chunk)| {
+        run.price_all(chunk.iter().copied());
+    });
 }
 
 #[cfg(test)]
@@ -374,28 +509,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        // 80 partitions crosses the parallel threshold; compare against a
-        // small problem replicated row-by-row through the sequential path.
-        let catalog = TierCatalog::azure_adls_gen2();
-        let parts: Vec<PartitionSpec> = (0..80)
-            .map(|i| partition(i, 1.0 + (i % 13) as f64, (i % 7) as f64))
-            .collect();
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        problem.validate().unwrap();
-        let table = CostTable::build(&problem);
+    /// Every entry, flag and row minimum of `a` equals `b`'s, bit for bit.
+    fn assert_same_table(a: &CostTable, b: &CostTable, problem: &OptAssignProblem) {
+        assert_eq!(a.n_partitions(), b.n_partitions());
         for (n, p) in problem.partitions.iter().enumerate() {
             for tier in problem.catalog.tier_ids() {
                 for k in 0..p.compression_options.len() {
                     assert_eq!(
-                        table.cost(n, tier, k).to_bits(),
+                        a.cost(n, tier, k).to_bits(),
+                        b.cost(n, tier, k).to_bits(),
+                        "entry ({n}, {tier}, {k})"
+                    );
+                    assert_eq!(a.breakdown(n, tier, k), b.breakdown(n, tier, k));
+                    assert_eq!(a.is_feasible(n, tier, k), b.is_feasible(n, tier, k));
+                }
+            }
+            assert_eq!(a.min_feasible(n), b.min_feasible(n));
+        }
+    }
+
+    #[test]
+    fn parallel_build_is_bit_identical_to_sequential() {
+        // Rows of two widths (every 5th partition has one option more),
+        // so the workers' stretches of the arrays start at uneven offsets.
+        let catalog = TierCatalog::azure_adls_gen2();
+        let parts: Vec<PartitionSpec> = (0..80)
+            .map(|i| {
+                let p = partition(i, 1.0 + (i % 13) as f64, (i % 7) as f64);
+                if i % 5 == 0 {
+                    p.with_compression_option(CompressionOption::new("lz4", 1.5, 0.1))
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let problem = OptAssignProblem::new(catalog, parts, 6.0);
+        problem.validate().unwrap();
+        let sequential = CostTable::build_with_threads(&problem, 1);
+        for (n, p) in problem.partitions.iter().enumerate() {
+            for tier in problem.catalog.tier_ids() {
+                for k in 0..p.compression_options.len() {
+                    assert_eq!(
+                        sequential.cost(n, tier, k).to_bits(),
                         problem.placement_cost(p, tier, k).to_bits(),
                         "entry ({n}, {tier}, {k})"
                     );
                 }
             }
         }
+        // More workers than rows is clamped; 0 means the calling thread.
+        for threads in [0, 2, 3, 7, 80, 200] {
+            let table = CostTable::build_with_threads(&problem, threads);
+            assert_same_table(&table, &sequential, &problem);
+        }
+        assert_same_table(&CostTable::build(&problem), &sequential, &problem);
     }
 
     #[test]
@@ -433,34 +600,30 @@ mod tests {
             .collect();
         let mut problem = OptAssignProblem::new(catalog, parts, 6.0);
         problem.validate().unwrap();
-        let mut table = CostTable::build(&problem);
+        let built = CostTable::build(&problem);
 
         // Mutate a scattered worklist of projected accesses (the serving
-        // engine's rebucketing) and patch only those rows.
-        let worklist: Vec<usize> = (0..90).filter(|i| i % 7 == 3).collect();
+        // engine's rebucketing) and patch only those rows — listed out of
+        // order and with a repeat, which every worker count must accept.
+        let mut worklist: Vec<usize> = (0..90).filter(|i| i % 7 == 3).rev().collect();
+        worklist.push(worklist[2]);
         for &n in &worklist {
-            problem.partitions[n].predicted_accesses *= 31.0;
+            problem.partitions[n].predicted_accesses += 31.0;
         }
-        table.patch_rows(&problem, &worklist).unwrap();
-
         let rebuilt = CostTable::build(&problem);
-        for (n, p) in problem.partitions.iter().enumerate() {
-            for tier in problem.catalog.tier_ids() {
-                for k in 0..p.compression_options.len() {
-                    assert_eq!(
-                        table.cost(n, tier, k).to_bits(),
-                        rebuilt.cost(n, tier, k).to_bits(),
-                        "entry ({n}, {tier}, {k})"
-                    );
-                    assert_eq!(table.breakdown(n, tier, k), rebuilt.breakdown(n, tier, k));
-                    assert_eq!(
-                        table.is_feasible(n, tier, k),
-                        rebuilt.is_feasible(n, tier, k)
-                    );
-                }
-            }
-            assert_eq!(table.min_feasible(n), rebuilt.min_feasible(n));
+        for threads in [1, 2, 4, 64] {
+            let mut table = built.clone();
+            table
+                .patch_rows_with_threads(&problem, &worklist, threads)
+                .unwrap();
+            assert_same_table(&table, &rebuilt, &problem);
         }
+        let mut table = built.clone();
+        table.patch_rows(&problem, &worklist).unwrap();
+        assert_same_table(&table, &rebuilt, &problem);
+        // An empty worklist is a no-op for any worker count.
+        table.patch_rows_with_threads(&problem, &[], 4).unwrap();
+        assert_same_table(&table, &rebuilt, &problem);
     }
 
     #[test]

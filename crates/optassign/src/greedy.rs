@@ -28,7 +28,18 @@ use crate::problem::{Assignment, OptAssignProblem};
 /// latency requirements" prescription.
 pub fn solve_greedy(problem: &OptAssignProblem) -> Result<Assignment, OptAssignError> {
     problem.validate()?;
-    let table = CostTable::build(problem);
+    choose_minima(problem, &CostTable::build(problem))
+}
+
+/// The greedy rule over an evaluated table: every partition takes its
+/// feasible minimum. A partition without one — no placement meets its
+/// constraints, or (on a problem nobody validated) every feasible
+/// placement priced NaN — is the typed infeasibility, never a NaN
+/// objective.
+fn choose_minima(
+    problem: &OptAssignProblem,
+    table: &CostTable,
+) -> Result<Assignment, OptAssignError> {
     let mut choices = Vec::with_capacity(problem.partitions.len());
     for (i, p) in problem.partitions.iter().enumerate() {
         match table.min_feasible(i) {
@@ -228,5 +239,46 @@ mod tests {
         let problem = OptAssignProblem::new(catalog, parts, 6.0);
         let a = solve_greedy(&problem).unwrap();
         assert_eq!(a.choices.len(), 1000);
+    }
+
+    #[test]
+    fn a_nan_priced_row_is_the_typed_infeasibility_never_a_nan_objective() {
+        use scope_cloudsim::TierId;
+        // Partition 1 sits on a tier the catalog does not have and nobody
+        // validated the problem: leaving that tier prices the
+        // early-deletion term NaN, and no catalog tier is the one it is
+        // on, so every one of its entries is NaN.
+        let catalog = TierCatalog::azure_adls_gen2();
+        let parts = vec![
+            partition(0, 10.0, 5.0),
+            partition(1, 20.0, 1.0).with_current_tier(TierId(99)),
+        ];
+        let problem = OptAssignProblem::new(catalog, parts, 6.0);
+        assert!(problem.validate().is_err());
+        let table = CostTable::build(&problem);
+        for tier in problem.catalog.tier_ids() {
+            for k in 0..3 {
+                assert!(table.is_feasible(1, tier, k));
+                assert!(table.cost(1, tier, k).is_nan());
+                assert!(table.cost(0, tier, k).is_finite());
+            }
+        }
+        // The first feasible entry used to win the first-minimum by
+        // default and, nothing comparing below NaN, keep it.
+        assert_eq!(table.min_feasible(1), None);
+        assert_eq!(problem.min_feasible_cost(&problem.partitions[1]), None);
+        let healthy = table.min_feasible(0).unwrap();
+        assert_eq!(
+            problem.min_feasible_cost(&problem.partitions[0]),
+            Some(healthy)
+        );
+        assert!(healthy.0.is_finite());
+        assert_eq!(
+            choose_minima(&problem, &table),
+            Err(OptAssignError::InfeasiblePartition {
+                partition: 1,
+                name: "p1".into(),
+            })
+        );
     }
 }

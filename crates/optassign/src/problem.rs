@@ -320,27 +320,36 @@ impl OptAssignProblem {
 
     /// Access latency of partition `p` on tier `tier` under option `k`.
     pub fn latency_seconds(&self, p: &PartitionSpec, tier: TierId, k: usize) -> f64 {
-        let ttfb = self
-            .catalog
-            .tier(tier)
-            .map(|t| t.ttfb_seconds)
-            .unwrap_or(f64::INFINITY);
-        ttfb + p.compression_options[k].decompress_seconds
+        self.ttfb_seconds(tier) + p.compression_options[k].decompress_seconds
     }
 
     /// Is the (tier, option) choice feasible for partition `p` with respect
     /// to the latency threshold and the fixed-compression constraint?
     /// (Capacity is a coupling constraint handled by the solvers.)
     pub fn is_feasible(&self, p: &PartitionSpec, tier: TierId, k: usize) -> bool {
-        if k >= p.compression_options.len() {
-            return false;
-        }
+        k < p.compression_options.len() && self.is_feasible_at(p, self.ttfb_seconds(tier), k)
+    }
+
+    /// Time to first byte of `tier` (infinite for a tier outside the
+    /// catalog, which no threshold admits).
+    pub(crate) fn ttfb_seconds(&self, tier: TierId) -> f64 {
+        self.catalog
+            .tier(tier)
+            .map(|t| t.ttfb_seconds)
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// [`Self::is_feasible`] for an existing option `k` on a tier whose
+    /// time to first byte the caller already looked up — the single
+    /// definition of the rule, so the cost-table row kernel can hoist the
+    /// lookup out of its scheme loop.
+    pub(crate) fn is_feasible_at(&self, p: &PartitionSpec, ttfb_seconds: f64, k: usize) -> bool {
         if let Some(fixed) = p.fixed_compression {
             if k != fixed {
                 return false;
             }
         }
-        self.latency_seconds(p, tier, k) <= p.latency_threshold_seconds
+        ttfb_seconds + p.compression_options[k].decompress_seconds <= p.latency_threshold_seconds
     }
 
     /// Unweighted cost breakdown of placing partition `p` on `tier` with
@@ -375,33 +384,64 @@ impl OptAssignProblem {
         tier: TierId,
         k: usize,
     ) -> CostBreakdown {
+        self.cost_breakdown_on(model, p, tier, k, &self.move_terms(model, p, tier))
+    }
+
+    /// The terms of moving partition `p` onto `tier` that no compression
+    /// option changes: both are charged on the partition's current,
+    /// uncompressed size.
+    pub(crate) fn move_terms(
+        &self,
+        model: &CostModel,
+        p: &PartitionSpec,
+        tier: TierId,
+    ) -> MoveTerms {
+        MoveTerms {
+            // Egress covers the bytes leaving the source tier, matching
+            // the billing engine.
+            egress: model.egress_cost(p.current_tier, tier, p.size_gb),
+            // Same rule the billing engine applies; `validate` checks
+            // current tiers against the catalog, so lookup only fails for
+            // an unvalidated problem — poison the breakdown with NaN
+            // (rejected by every cost comparison) instead of panicking
+            // mid-solve.
+            early_deletion: p.current_tier.filter(|&from| from != tier).map(|from| {
+                model
+                    .early_deletion_penalty(from, p.size_gb, p.residency_days)
+                    .unwrap_or(f64::NAN)
+            }),
+        }
+    }
+
+    /// [`Self::cost_breakdown_with`] over the `(p, tier)` pair's
+    /// already-priced [`MoveTerms`] — the one definition of a placement's
+    /// price. The cost-table row kernel prices the terms once per tier and
+    /// calls this per option; the per-call form prices them per call. Same
+    /// expressions in the same order either way, so the two agree bit for
+    /// bit.
+    pub(crate) fn cost_breakdown_on(
+        &self,
+        model: &CostModel,
+        p: &PartitionSpec,
+        tier: TierId,
+        k: usize,
+        terms: &MoveTerms,
+    ) -> CostBreakdown {
         let opt = &p.compression_options[k];
         // Storage and migration are charged on the full stored size; reads
         // only touch `read_fraction` of it.
         let stored_gb = p.stored_gb(k);
         let accesses = self.effective_accesses(p);
         let mut write = model.read_write_cost(p.current_tier, tier, stored_gb);
-        // Egress covers the bytes leaving the source tier (the partition's
-        // current, uncompressed size), matching the billing engine.
-        let egress = model.egress_cost(p.current_tier, tier, p.size_gb);
-        if let Some(from) = p.current_tier {
-            if from != tier {
-                // Same rule the billing engine applies; `validate` checks
-                // current tiers against the catalog, so lookup only fails
-                // for an unvalidated problem — poison the breakdown with
-                // NaN (rejected by every cost comparison) instead of
-                // panicking mid-solve.
-                write += model
-                    .early_deletion_penalty(from, p.size_gb, p.residency_days)
-                    .unwrap_or(f64::NAN);
-            }
+        if let Some(penalty) = terms.early_deletion {
+            write += penalty;
         }
         CostBreakdown {
             storage: model.storage_cost(tier, stored_gb, self.horizon_months),
             read: model.read_cost(tier, stored_gb * p.read_fraction.clamp(0.0, 1.0), accesses),
             write,
             decompression: model.decompression_cost(opt.decompress_seconds, accesses),
-            egress,
+            egress: terms.egress,
         }
     }
 
@@ -452,12 +492,36 @@ impl OptAssignProblem {
                     continue;
                 }
                 let cost = self.placement_cost(p, tier, k);
-                if best.map(|(c, _, _)| cost < c).unwrap_or(true) {
+                if improves_minimum(cost, best.map(|(c, _, _)| c)) {
                     best = Some((cost, tier, k));
                 }
             }
         }
         best
+    }
+}
+
+/// The option-independent terms of moving a partition onto one tier (see
+/// [`OptAssignProblem::move_terms`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MoveTerms {
+    /// Inter-provider egress charge (zero within a provider).
+    egress: f64,
+    /// Early-deletion penalty owed for leaving the current tier; `None`
+    /// when the placement keeps the partition where it is (or it is newly
+    /// ingested), so nothing is added to the write term.
+    early_deletion: Option<f64>,
+}
+
+/// The first-minimum rule every feasible-cost scan shares: does `cost`
+/// replace the running minimum `best`? A NaN price (an unvalidated
+/// problem's foreign tier) never does — not even as the first candidate,
+/// where `cost < best` alone would let it in and then never out again,
+/// since nothing compares below NaN.
+pub(crate) fn improves_minimum(cost: f64, best: Option<f64>) -> bool {
+    match best {
+        Some(best) => cost < best,
+        None => !cost.is_nan(),
     }
 }
 

@@ -13,29 +13,77 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 2)
+//! ## Wire layout (version 3)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 2)
+//! version u32 little-endian            (currently 3)
 //! payload                              (engine state, see below)
 //! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
 //!
 //! Everything is little-endian. `f64`s are stored as their raw IEEE-754
 //! bits (so NaN payloads and signed zeros round-trip exactly); strings are
-//! length-prefixed UTF-8. The payload leads with a **fingerprint**: an
-//! XXH64 digest of the tier catalog and compression-scheme list the
-//! checkpoint was taken under. [`crate::ServeEngine::restore`] recomputes
-//! the fingerprint from the catalog/schemes it is given and rejects a
-//! mismatch with [`crate::ServeError::Checkpoint`] — restoring placements
-//! against different prices would silently corrupt every later re-solve.
+//! UTF-8 behind a `u64` length. The payload, in order:
+//!
+//! ```text
+//! fingerprint   u64   XXH64 of the tier catalog and scheme list
+//! config        horizon_days u32, horizon_months f64, decay_per_day f64,
+//!               bucket_base f64, bucket_hysteresis f64,
+//!               node_budget: tag u8 (0 none | 1 some) [+ u64]
+//! counters      day u32, dropped_events u64, events_seen u64, epoch u64,
+//!               next_seq u64, duplicate_batches u64
+//! accounts      count u64, then each name (string), in shard order
+//! objects       count u64 (N)
+//! static        byte length u64, then N records in interned-id order:
+//!               name (string), shard u32, size_gb f64, residency_days u32,
+//!               latency_threshold_seconds f64
+//! dynamic       five columns of N cells each, in interned-id order:
+//!               tier (W_t bytes), scheme (W_s bytes), bucket
+//!               representative f64, heat f64, last_day u32
+//! shards        per shard, in order: failures u32, retry_after u32,
+//!               stale u8 (0 | 1), dirty count u64 + rows u32 each,
+//!               incumbent: tag u8 (0 none | 1 some)
+//!               [+ objective f64, storage, read, write, decompression,
+//!               egress f64]
+//! quarantine    capacity u64, total u64, truncated u64, count u64, then
+//!               per entry ordinal u64, day u32, object_id u32,
+//!               volume bits u64, reason u8
+//! pending       count u64, then per buffered batch: seq u64 and its five
+//!               columns, each a count u64 and its cells (days u32,
+//!               periods u32, object_ids u32, kinds u8, volumes f64)
+//! ```
+//!
+//! The **static section** holds what cannot change once an object is
+//! registered. The engine keeps it encoded — appended to by `register`,
+//! never invalidated — and every snapshot copies it in one piece; a
+//! restore re-registers the objects from it and rejects a section that
+//! does not re-encode to the same bytes. The **dynamic columns** are what
+//! an epoch can change (every heat cell decays at every boundary), each
+//! written as one tight array. Tier and scheme ids take the narrowest of
+//! 1, 2, 4 or 8 bytes that holds every id of the catalog (`W_t`) and of
+//! the scheme list (`W_s`) the checkpoint was taken under — both are
+//! pinned by the fingerprint, so the widths are not stored and an id can
+//! never be truncated. The **incumbent** of a shard is the objective and
+//! breakdown its last healthy re-solve summed to; its choices are the
+//! applied placements of the tier and scheme columns (only a healthy
+//! re-solve changes either, and it changes both), so they are not written
+//! a second time. `ServeConfig::threads` is not part of a snapshot: it
+//! cannot change a result, and a restored engine decides its own fan-out.
+//!
+//! The payload leads with the **fingerprint**.
+//! [`crate::ServeEngine::restore`] recomputes it from the catalog/schemes
+//! it is given and rejects a mismatch with
+//! [`crate::ServeError::Checkpoint`] — restoring placements against
+//! different prices would silently corrupt every later re-solve.
 //!
 //! The checksum is [`scope_wal::xxh64()`], the workspace's one bulk
 //! digest (the journal's checkpoint frame uses it too): a snapshot is
 //! taken at every epoch boundary, so it has to cost what its bytes cost.
-//! Version 1 (FNV-1a digests in the same two positions) is rejected as
-//! an unsupported version.
+//! Version 1 (FNV-1a digests) and version 2 (one interleaved record per
+//! object with `u64` tier and scheme ids, the configured thread count,
+//! and each shard's incumbent choices spelled out beside the applied
+//! ones) are rejected as unsupported versions.
 //!
 //! ## Versioning rules
 //!
@@ -54,7 +102,7 @@ use crate::error::ServeError;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SCPK";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {
@@ -73,8 +121,9 @@ impl<'a> Writer<'a> {
         w
     }
 
-    /// A writer with no header, for digesting a value's encoding.
-    fn bare(buf: &'a mut Vec<u8>) -> Self {
+    /// A writer with no header: for digesting a value's encoding, or for
+    /// appending to the engine's pre-encoded static section.
+    pub(crate) fn bare(buf: &'a mut Vec<u8>) -> Self {
         let start = buf.len();
         Writer { buf, start }
     }
@@ -96,8 +145,21 @@ impl<'a> Writer<'a> {
     }
 
     pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// A length-prefixed run of already-encoded bytes.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append `len` zero bytes and hand them out to be filled in place
+    /// (a block of fixed-width columns).
+    pub(crate) fn zeroed(&mut self, len: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + len, 0);
+        &mut self.buf[at..]
     }
 
     /// Digest of everything written through this writer.
@@ -159,8 +221,15 @@ impl<'a> Reader<'a> {
         Ok(reader)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        if self.pos + n > self.bytes.len() {
+    /// A reader over bare bytes (no header, no checksum): a section a
+    /// checked reader handed out.
+    pub(crate) fn over(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes, whatever they encode.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
+        if n > self.bytes.len() - self.pos {
             return Err(ServeError::Checkpoint(format!(
                 "truncated payload: wanted {n} bytes at offset {}, only {} remain",
                 self.pos,
@@ -208,10 +277,14 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self) -> Result<String, ServeError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.bytes()?.to_vec())
             .map_err(|_| ServeError::Checkpoint("string is not valid UTF-8".into()))
+    }
+
+    /// A length-prefixed run of bytes (see [`Writer::bytes`]).
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], ServeError> {
+        let n = self.len(1)?;
+        self.take(n)
     }
 
     /// Error unless the payload was consumed exactly.
@@ -224,6 +297,33 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// Bytes an id column cell takes when ids range over `0..count`: the
+/// narrowest of 1, 2, 4 or 8 that holds `count - 1`.
+pub(crate) fn id_width(count: usize) -> usize {
+    match count.saturating_sub(1) as u64 {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// Store `id` in a column cell of [`id_width`] bytes.
+#[inline]
+pub(crate) fn put_id(cell: &mut [u8], id: usize) {
+    match cell {
+        [byte] => *byte = id as u8,
+        _ => cell.copy_from_slice(&(id as u64).to_le_bytes()[..cell.len()]),
+    }
+}
+
+/// The id a column cell of up to 8 bytes holds.
+pub(crate) fn get_id(cell: &[u8]) -> usize {
+    let mut wide = [0u8; 8];
+    wide[..cell.len()].copy_from_slice(cell);
+    u64::from_le_bytes(wide) as usize
 }
 
 /// XXH64 fingerprint of the catalog + compression-scheme configuration a
@@ -322,10 +422,10 @@ mod tests {
         magic[0] = b'X';
         assert!(open_error(&magic).contains("bad magic"));
 
-        // Unknown versions — 1, the retired FNV-1a layout, among them —
-        // re-checksummed so the version check is the only one that can
-        // fire.
-        for version in [0u8, 1, 3, 99] {
+        // Unknown versions — 1, the retired FNV-1a layout, and 2, the
+        // retired row-interleaved one, among them — re-checksummed so the
+        // version check is the only one that can fire.
+        for version in [0u8, 1, 2, 4, 99] {
             let mut vers = good.clone();
             vers[4] = version;
             let body_len = vers.len() - 8;

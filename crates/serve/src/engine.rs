@@ -17,6 +17,15 @@
 //!    [`parallel fan-out`](scope_cloudsim::parallel) — so the outcome is
 //!    independent of the thread count and equal to
 //!    [`crate::reference::full_resolve`] on the same state.
+//!
+//! An epoch boundary (`advance` → `reoptimize` → `checkpoint`) is the
+//! recurring cost of running the optimizer every billing period, so each
+//! step costs what changed: a re-solve makes **one** fan-out decision
+//! ([`ServeConfig::threads`]) and prices, re-decides and applies only the
+//! stale rows — the objective is an in-order sum over a dense per-row
+//! mirror of the chosen entries, not a gather over the table — and a
+//! checkpoint copies the pre-encoded static section and writes the
+//! dynamic columns (see [`crate::checkpoint`]).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -29,7 +38,7 @@ use scope_optassign::{
     OptAssignError, OptAssignProblem, PartitionSpec,
 };
 
-use crate::checkpoint::{config_fingerprint, Reader, Writer};
+use crate::checkpoint::{config_fingerprint, get_id, id_width, put_id, Reader, Writer};
 use crate::error::ServeError;
 use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
 
@@ -61,9 +70,16 @@ pub struct ServeConfig {
     /// stored representative, so bit-for-bit equality with the batch
     /// reference holds for any setting.
     pub bucket_hysteresis: f64,
-    /// Worker threads for the account-sharded re-solve fan-out
-    /// (0 = [`default_threads`]). The thread count never changes the
-    /// outcome, only the wall-clock.
+    /// Worker threads for the account-sharded re-solve. `n >= 1` is
+    /// honoured exactly: every [`ServeEngine::reoptimize`] fans the shards
+    /// out over `n` workers (at most one per shard) and `1` runs on the
+    /// calling thread and never spawns. `0` lets the engine decide, once
+    /// per re-solve, from the work in hand: [`default_threads`] workers
+    /// when the rows to build or patch, summed over the shards, reach the
+    /// measured floor, one below it. Whichever way
+    /// the count is chosen, nothing under the re-solve fans out again.
+    /// The thread count never changes the outcome, only the wall-clock,
+    /// and is not part of a checkpoint (a restored engine has `0`).
     pub threads: usize,
     /// `Some(budget)` switches re-solves from per-partition greedy to
     /// warm-started branch-and-bound with this node budget (needed when
@@ -223,15 +239,34 @@ pub(crate) struct AccountShard {
     /// Whether the shard's served placement is the stale incumbent (set on
     /// failure, cleared when a re-solve re-converges).
     pub(crate) stale: bool,
-    /// The last successfully applied assignment — the incumbent served
-    /// verbatim while the shard is degraded. `None` until the first
-    /// healthy re-solve (or after a registration changed the shape).
-    pub(crate) last_assignment: Option<Assignment>,
+    /// Objective and breakdown of the last successfully applied
+    /// assignment — with `choices`, which only a successful re-solve
+    /// changes, the incumbent served verbatim while the shard is
+    /// degraded. `None` until the first healthy re-solve (or after a
+    /// registration changed the shape).
+    pub(crate) incumbent: Option<Totals>,
+    /// Dense mirror of the table entry each row's choice selects (cost
+    /// and breakdown), refreshed only when the row is re-priced or its
+    /// choice changes: the objective is the in-order sum over these 48
+    /// contiguous bytes per row instead of a gather over the table.
+    /// Sized by the cold re-solve; a pure cache like the table.
+    chosen_cost: Vec<f64>,
+    chosen_breakdown: Vec<CostBreakdown>,
+    /// Rows whose placement the running re-solve moved; swapped with
+    /// `dirty` on success and kept for its capacity.
+    moved: Vec<usize>,
+}
+
+/// What an assignment sums to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Totals {
+    pub(crate) objective: f64,
+    pub(crate) breakdown: CostBreakdown,
 }
 
 /// Result of one shard's re-solve (internal; merged in account order).
 struct ShardDelta {
-    assignment: Assignment,
+    totals: Totals,
     rows_patched: usize,
     retier_decisions: usize,
 }
@@ -343,6 +378,12 @@ pub struct ServeEngine {
     names: Vec<String>,
     name_ids: HashMap<String, u32>,
     pub(crate) heat: Vec<HeatState>,
+    /// Bucket representative of each object, by interned id: a dense
+    /// mirror of its partition's `predicted_accesses`, which only
+    /// [`Self::advance`] (and a restore) writes — so the boundary's
+    /// per-object passes stream 8 bytes per object instead of gathering
+    /// them out of the shards' partition specs.
+    bucket_reps: Vec<f64>,
     /// Day the engine state was last advanced to.
     day: u32,
     dropped_events: u64,
@@ -361,7 +402,26 @@ pub struct ServeEngine {
     pending: BTreeMap<u64, EventColumns>,
     /// Batches rejected as duplicates by the sequenced intake.
     duplicate_batches: u64,
+    /// The checkpoint's static section, kept encoded: one record per
+    /// object, appended by [`Self::register`] and never rewritten, because
+    /// nothing in it (name, shard, size, residency, latency threshold)
+    /// can change afterwards. Every snapshot copies it whole.
+    static_image: Vec<u8>,
+    /// [`config_fingerprint`] of `catalog` and `schemes`, neither of which
+    /// changes after construction: every snapshot leads with it.
+    fingerprint: u64,
 }
+
+/// Re-solve work, in cost-table rows to build or patch summed over the
+/// shards, from which a `threads: 0` engine fans the shards out. Read off
+/// `benchmark/run.sh --sweep` and per-epoch timings on the 2-vCPU
+/// reference host (the curve is in CHANGES.md, PR 18): a re-solve of
+/// about 3 900 rows is the smallest that two workers finish sooner than
+/// one, at 2 000 rows and below the scoped-thread fan-out (about 130 µs,
+/// `cloudsim.parallel_map_overhead_us`) and the shared memory bus cost
+/// more than the second worker saves, and a cold start or the epoch
+/// after one (every row) gains the most.
+const FAN_OUT_MIN_ROWS: usize = 4096;
 
 impl ServeEngine {
     /// Create an engine over `catalog` with a shared compression-scheme
@@ -403,6 +463,7 @@ impl ServeEngine {
         }
         Ok(ServeEngine {
             config,
+            fingerprint: config_fingerprint(&catalog, &schemes),
             catalog,
             schemes,
             shards: Vec::new(),
@@ -411,6 +472,7 @@ impl ServeEngine {
             names: Vec::new(),
             name_ids: HashMap::new(),
             heat: Vec::new(),
+            bucket_reps: Vec::new(),
             day: 0,
             dropped_events: 0,
             events_seen: 0,
@@ -419,6 +481,7 @@ impl ServeEngine {
             next_seq: 0,
             pending: BTreeMap::new(),
             duplicate_batches: 0,
+            static_image: Vec::new(),
         })
     }
 
@@ -473,7 +536,10 @@ impl ServeEngine {
                     failures: 0,
                     retry_after: 0,
                     stale: false,
-                    last_assignment: None,
+                    incumbent: None,
+                    chosen_cost: Vec::new(),
+                    chosen_breakdown: Vec::new(),
+                    moved: Vec::new(),
                 });
                 i
             }
@@ -493,15 +559,23 @@ impl ServeEngine {
             partition = partition.with_latency_threshold(spec.latency_threshold_seconds);
         }
         partition.compression_options = self.schemes.clone();
+        // The static record holds the partition's fields, not the spec's:
+        // what a restore registers again must encode to the same bytes.
+        let mut w = Writer::bare(&mut self.static_image);
+        w.str(&spec.name);
+        w.u32(shard_idx as u32);
+        w.f64_bits(partition.size_gb);
+        w.u32(partition.residency_days);
+        w.f64_bits(partition.latency_threshold_seconds);
         shard.problem.partitions.push(partition);
         shard.choices.push((spec.current_tier, spec.compression));
         // Shape changed: the dense table no longer matches the problem,
-        // and the incumbent assignment no longer covers every row (a
-        // degraded epoch right after a registration falls back to pricing
-        // the per-row incumbent choices instead).
+        // and the incumbent totals no longer cover every row (a degraded
+        // epoch right after a registration falls back to pricing the
+        // per-row incumbent choices instead).
         shard.table = None;
         shard.dirty.clear();
-        shard.last_assignment = None;
+        shard.incumbent = None;
         self.locs.push((shard_idx as u32, row as u32));
         self.name_ids.insert(spec.name.clone(), gid);
         self.names.push(spec.name);
@@ -509,6 +583,7 @@ impl ServeEngine {
             value: 0.0,
             last_day: self.day,
         });
+        self.bucket_reps.push(0.0);
         Ok(gid)
     }
 
@@ -745,16 +820,12 @@ impl ServeEngine {
     /// per object (the clock never runs backwards).
     pub fn advance(&mut self, day: u32) {
         self.day = self.day.max(day);
-        for id in 0..self.heat.len() {
-            let h = &mut self.heat[id];
+        for (id, (h, bucket_rep)) in self.heat.iter_mut().zip(&mut self.bucket_reps).enumerate() {
             if day > h.last_day {
                 h.value *= self.config.decay_per_day.powi((day - h.last_day) as i32);
                 h.last_day = day;
             }
-            let (shard_idx, row) = self.locs[id];
-            let shard = &mut self.shards[shard_idx as usize];
-            let partition = &mut shard.problem.partitions[row as usize];
-            let rep = partition.predicted_accesses;
+            let rep = *bucket_rep;
             let base = self.config.bucket_base;
             let hyst = self.config.bucket_hysteresis;
             // Re-bucket only once the heat leaves the representative's
@@ -774,7 +845,10 @@ impl ServeEngine {
                     base.powf(h.value.log(base).floor())
                 };
                 if target.to_bits() != rep.to_bits() {
-                    partition.predicted_accesses = target;
+                    *bucket_rep = target;
+                    let (shard_idx, row) = self.locs[id];
+                    let shard = &mut self.shards[shard_idx as usize];
+                    shard.problem.partitions[row as usize].predicted_accesses = target;
                     shard.dirty.push(row as usize);
                 }
             }
@@ -784,10 +858,11 @@ impl ServeEngine {
     /// Re-solve incrementally and apply the result: each account shard
     /// patches its dirty rows in place, re-decides (greedy per-row, or
     /// warm-started branch-and-bound under a node budget), and updates the
-    /// incumbent; shards fan out over the deterministic parallel map and
-    /// merge in account order, so the outcome is bit-for-bit identical for
-    /// any thread count — and to [`crate::reference::full_resolve`] on the
-    /// same state.
+    /// incumbent; shards fan out over the deterministic parallel map —
+    /// on the worker count [`ServeConfig::threads`] resolves to, decided
+    /// once here and never again below — and merge in account order, so
+    /// the outcome is bit-for-bit identical for any thread count — and to
+    /// [`crate::reference::full_resolve`] on the same state.
     pub fn reoptimize(&mut self) -> Result<ResolveOutcome, ServeError> {
         self.reoptimize_with_faults(&[])
     }
@@ -808,10 +883,12 @@ impl ServeEngine {
         &mut self,
         faults: &[Option<ShardFault>],
     ) -> Result<ResolveOutcome, ServeError> {
-        let threads = if self.config.threads == 0 {
-            default_threads()
-        } else {
-            self.config.threads
+        // The one fan-out decision of the re-solve: the shards below
+        // price, decide and apply on the worker that runs them.
+        let threads = match self.config.threads {
+            0 if self.stale_rows() >= FAN_OUT_MIN_ROWS => default_threads(),
+            0 => 1,
+            n => n,
         };
         let node_budget = self.config.node_budget;
         self.epoch += 1;
@@ -846,6 +923,18 @@ impl ServeEngine {
         Ok(outcome)
     }
 
+    /// Cost-table rows the next re-solve has to build or patch, summed
+    /// over the shards (before the worklists are deduplicated, and
+    /// whether or not a shard is backing off: a size of the work, not a
+    /// count of it).
+    fn stale_rows(&self) -> usize {
+        let rows = |shard: &AccountShard| match shard.table {
+            Some(_) => shard.dirty.len(),
+            None => shard.problem.partitions.len(),
+        };
+        self.shards.iter().map(rows).sum()
+    }
+
     /// The account shards, in registration order (crate-internal: the
     /// reference resolver walks the same problems cold).
     pub(crate) fn shards(&self) -> &[AccountShard] {
@@ -858,8 +947,10 @@ impl ServeEngine {
 impl ServeEngine {
     /// Serialize the engine's full dynamic state into a versioned,
     /// checksummed checkpoint. Two engines that would behave identically
-    /// from here on produce byte-identical checkpoints (the dense cost
-    /// table — a pure cache — is the only state not captured).
+    /// from here on produce byte-identical checkpoints (what is not
+    /// captured is derived: the dense cost table and the chosen-entry
+    /// mirror are pure caches, and [`ServeConfig::threads`] cannot change
+    /// a result).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.checkpoint_size_hint());
         self.checkpoint_into(&mut out);
@@ -867,19 +958,30 @@ impl ServeEngine {
     }
 
     /// Roughly how many bytes [`Self::checkpoint`] will produce — a
-    /// capacity for its buffer, nothing more: the fixed-width fields of
-    /// every object, its name, and a full incumbent assignment per shard.
-    /// Short by the reorder buffer and the ledger, which are bounded and
-    /// usually empty at an epoch boundary.
+    /// capacity for its buffer, nothing more: the static section, the
+    /// dynamic columns, the worklists and the shard records. Short by the
+    /// reorder buffer and the ledger, which are bounded and usually empty
+    /// at an epoch boundary.
     fn checkpoint_size_hint(&self) -> usize {
-        const OBJECT_FIXED: usize = 68;
-        const INCUMBENT_ROW: usize = 16;
-        let names: usize = self.names.iter().map(String::len).sum();
         let dirty: usize = self.shards.iter().map(|s| s.dirty.len()).sum();
-        256 + names
-            + self.locs.len() * (OBJECT_FIXED + INCUMBENT_ROW)
-            + dirty * 8
-            + self.shards.len() * 128
+        let accounts: usize = self.shards.iter().map(|s| s.account.len()).sum();
+        256 + self.static_image.len()
+            + self.locs.len() * self.dynamic_row_bytes()
+            + dirty * 4
+            + accounts
+            + self.shards.len() * 80
+    }
+
+    /// Cell widths of the tier and scheme id columns (see [`id_width`]).
+    fn id_widths(&self) -> (usize, usize) {
+        (id_width(self.catalog.len()), id_width(self.schemes.len()))
+    }
+
+    /// Bytes one object takes across the dynamic columns: tier and scheme
+    /// ids, bucket representative, heat bits, `last_day`.
+    fn dynamic_row_bytes(&self) -> usize {
+        let (tier_width, scheme_width) = self.id_widths();
+        tier_width + scheme_width + 8 + 8 + 4
     }
 
     /// Append the checkpoint [`Self::checkpoint`] returns to `out`, after
@@ -889,14 +991,13 @@ impl ServeEngine {
     /// copy. The checksum covers the appended bytes only.
     pub fn checkpoint_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer::new(out);
-        w.u64(config_fingerprint(&self.catalog, &self.schemes));
+        w.u64(self.fingerprint);
         // Configuration.
         w.u32(self.config.horizon_days);
         w.f64_bits(self.config.horizon_months);
         w.f64_bits(self.config.decay_per_day);
         w.f64_bits(self.config.bucket_base);
         w.f64_bits(self.config.bucket_hysteresis);
-        w.u64(self.config.threads as u64);
         match self.config.node_budget {
             None => w.u8(0),
             Some(budget) => {
@@ -916,25 +1017,34 @@ impl ServeEngine {
         for shard in &self.shards {
             w.str(&shard.account);
         }
-        // Objects, in interned-id order. Re-registering them in this order
-        // on restore reproduces the identical shard/row layout.
-        w.u64(self.locs.len() as u64);
-        for gid in 0..self.locs.len() {
-            let (shard_idx, row) = self.locs[gid];
-            let shard = &self.shards[shard_idx as usize];
-            let partition = &shard.problem.partitions[row as usize];
-            let (tier, scheme) = shard.choices[row as usize];
-            w.str(&self.names[gid]);
-            w.u32(shard_idx);
-            w.u64(tier.index() as u64);
-            w.u64(scheme as u64);
-            w.f64_bits(partition.size_gb);
-            w.u32(partition.residency_days);
-            w.f64_bits(partition.latency_threshold_seconds);
-            w.f64_bits(partition.predicted_accesses);
-            let h = &self.heat[gid];
-            w.f64_bits(h.value);
-            w.u32(h.last_day);
+        // Objects, in interned-id order: the static section as it stands,
+        // then the dynamic columns, filled side by side in one pass over
+        // the objects. Re-registering the objects in this order on
+        // restore reproduces the identical shard/row layout.
+        let n = self.locs.len();
+        w.u64(n as u64);
+        w.bytes(&self.static_image);
+        let (tier_width, scheme_width) = self.id_widths();
+        let columns = w.zeroed(n * self.dynamic_row_bytes());
+        let (tiers, columns) = columns.split_at_mut(n * tier_width);
+        let (schemes, columns) = columns.split_at_mut(n * scheme_width);
+        let (reps, columns) = columns.split_at_mut(n * 8);
+        let (heats, last_days) = columns.split_at_mut(n * 8);
+        let cells = tiers
+            .chunks_exact_mut(tier_width)
+            .zip(schemes.chunks_exact_mut(scheme_width))
+            .zip(reps.chunks_exact_mut(8))
+            .zip(heats.chunks_exact_mut(8).zip(last_days.chunks_exact_mut(4)));
+        let objects = self.locs.iter().zip(&self.heat).zip(&self.bucket_reps);
+        for (((&(shard_idx, row), h), bucket_rep), (((tier, scheme), rep), (heat, last_day))) in
+            objects.zip(cells)
+        {
+            let (on_tier, with_scheme) = self.shards[shard_idx as usize].choices[row as usize];
+            put_id(tier, on_tier.index());
+            put_id(scheme, with_scheme);
+            rep.copy_from_slice(&bucket_rep.to_bits().to_le_bytes());
+            heat.copy_from_slice(&h.value.to_bits().to_le_bytes());
+            last_day.copy_from_slice(&h.last_day.to_le_bytes());
         }
         // Per-shard degraded-mode state.
         for shard in &self.shards {
@@ -943,23 +1053,18 @@ impl ServeEngine {
             w.u8(u8::from(shard.stale));
             w.u64(shard.dirty.len() as u64);
             for &row in &shard.dirty {
-                w.u64(row as u64);
+                w.u32(row as u32);
             }
-            match &shard.last_assignment {
+            match &shard.incumbent {
                 None => w.u8(0),
-                Some(a) => {
+                Some(totals) => {
                     w.u8(1);
-                    w.u64(a.choices.len() as u64);
-                    for &(tier, scheme) in &a.choices {
-                        w.u64(tier.index() as u64);
-                        w.u64(scheme as u64);
-                    }
-                    w.f64_bits(a.objective);
-                    w.f64_bits(a.breakdown.storage);
-                    w.f64_bits(a.breakdown.read);
-                    w.f64_bits(a.breakdown.write);
-                    w.f64_bits(a.breakdown.decompression);
-                    w.f64_bits(a.breakdown.egress);
+                    w.f64_bits(totals.objective);
+                    w.f64_bits(totals.breakdown.storage);
+                    w.f64_bits(totals.breakdown.read);
+                    w.f64_bits(totals.breakdown.write);
+                    w.f64_bits(totals.breakdown.decompression);
+                    w.f64_bits(totals.breakdown.egress);
                 }
             }
         }
@@ -1032,7 +1137,8 @@ impl ServeEngine {
             decay_per_day: r.f64_bits()?,
             bucket_base: r.f64_bits()?,
             bucket_hysteresis: r.f64_bits()?,
-            threads: r.u64()? as usize,
+            // Not part of a snapshot: the restored engine decides.
+            threads: 0,
             node_budget: match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
@@ -1051,26 +1157,39 @@ impl ServeEngine {
         for _ in 0..n_accounts {
             accounts.push(r.str()?);
         }
-        let n_objects = r.len(8)?;
+        // A static record is at least its five fixed-width fields.
+        const STATIC_RECORD_MIN: usize = 8 + 4 + 8 + 4 + 8;
+        let n_objects = r.len(STATIC_RECORD_MIN + engine.dynamic_row_bytes())?;
+        let static_image = r.bytes()?;
+        let (tier_width, scheme_width) = engine.id_widths();
+        let tiers = r.take(n_objects * tier_width)?;
+        let schemes = r.take(n_objects * scheme_width)?;
+        let reps = r.take(n_objects * 8)?;
+        let heats = r.take(n_objects * 8)?;
+        let last_days = r.take(n_objects * 4)?;
+        let mut statics = Reader::over(static_image);
+        let (mut reps, mut heats, mut last_days) = (
+            Reader::over(reps),
+            Reader::over(heats),
+            Reader::over(last_days),
+        );
         for gid in 0..n_objects {
-            let name = r.str()?;
-            let shard_idx = r.u32()? as usize;
+            let name = statics.str()?;
+            let shard_idx = statics.u32()? as usize;
             let account = accounts.get(shard_idx).ok_or_else(|| {
                 ServeError::Checkpoint(format!(
                     "object {name:?} references shard {shard_idx} but only \
                      {n_accounts} accounts exist"
                 ))
             })?;
-            let tier = TierId(r.u64()? as usize);
-            let scheme = r.u64()? as usize;
             let spec = ServeObject {
                 name,
                 account: account.clone(),
-                size_gb: r.f64_bits()?,
-                current_tier: tier,
-                compression: scheme,
-                residency_days: r.u32()?,
-                latency_threshold_seconds: r.f64_bits()?,
+                size_gb: statics.f64_bits()?,
+                current_tier: TierId(get_id(&tiers[gid * tier_width..][..tier_width])),
+                compression: get_id(&schemes[gid * scheme_width..][..scheme_width]),
+                residency_days: statics.u32()?,
+                latency_threshold_seconds: statics.f64_bits()?,
             };
             let got = engine.register(spec)?;
             if got as usize != gid {
@@ -1079,12 +1198,22 @@ impl ServeEngine {
                 )));
             }
             let (s, row) = engine.locs[gid];
+            let bucket_rep = reps.f64_bits()?;
+            engine.bucket_reps[gid] = bucket_rep;
             engine.shards[s as usize].problem.partitions[row as usize].predicted_accesses =
-                r.f64_bits()?;
+                bucket_rep;
             engine.heat[gid] = HeatState {
-                value: r.f64_bits()?,
-                last_day: r.u32()?,
+                value: heats.f64_bits()?,
+                last_day: last_days.u32()?,
             };
+        }
+        // Registration re-encoded every record; anything but the bytes it
+        // was decoded from (trailing records, a field `register`
+        // normalises) is not a section this engine wrote.
+        if engine.static_image != static_image {
+            return Err(ServeError::Checkpoint(
+                "static section does not re-encode to itself".into(),
+            ));
         }
         if engine.shards.len() != n_accounts {
             return Err(ServeError::Checkpoint(format!(
@@ -1104,10 +1233,10 @@ impl ServeEngine {
                 }
             };
             let rows = engine.shards[i].problem.partitions.len();
-            let n_dirty = r.len(8)?;
+            let n_dirty = r.len(4)?;
             let mut dirty = Vec::with_capacity(n_dirty);
             for _ in 0..n_dirty {
-                let row = r.u64()? as usize;
+                let row = r.u32()? as usize;
                 if row >= rows {
                     return Err(ServeError::Checkpoint(format!(
                         "dirty row {row} out of range for shard {i} ({rows} rows)"
@@ -1115,36 +1244,20 @@ impl ServeEngine {
                 }
                 dirty.push(row);
             }
-            let last_assignment = match r.u8()? {
+            let incumbent = match r.u8()? {
                 0 => None,
-                1 => {
-                    let n_choices = r.len(16)?;
-                    if n_choices != rows {
-                        return Err(ServeError::Checkpoint(format!(
-                            "incumbent assignment for shard {i} covers {n_choices} \
-                             rows, shard has {rows}"
-                        )));
-                    }
-                    let mut choices = Vec::with_capacity(n_choices);
-                    for _ in 0..n_choices {
-                        choices.push((TierId(r.u64()? as usize), r.u64()? as usize));
-                    }
-                    Some(Assignment {
-                        choices,
-                        objective: r.f64_bits()?,
-                        breakdown: CostBreakdown {
-                            storage: r.f64_bits()?,
-                            read: r.f64_bits()?,
-                            write: r.f64_bits()?,
-                            decompression: r.f64_bits()?,
-                            egress: r.f64_bits()?,
-                        },
-                    })
-                }
+                1 => Some(Totals {
+                    objective: r.f64_bits()?,
+                    breakdown: CostBreakdown {
+                        storage: r.f64_bits()?,
+                        read: r.f64_bits()?,
+                        write: r.f64_bits()?,
+                        decompression: r.f64_bits()?,
+                        egress: r.f64_bits()?,
+                    },
+                }),
                 tag => {
-                    return Err(ServeError::Checkpoint(format!(
-                        "bad incumbent-assignment tag {tag}"
-                    )));
+                    return Err(ServeError::Checkpoint(format!("bad incumbent tag {tag}")));
                 }
             };
             let shard = &mut engine.shards[i];
@@ -1152,7 +1265,7 @@ impl ServeEngine {
             shard.retry_after = retry_after;
             shard.stale = stale;
             shard.dirty = dirty;
-            shard.last_assignment = last_assignment;
+            shard.incumbent = incumbent;
         }
         // The capacity is a configured bound, not an element count — no
         // allocation is sized from it, so it is read unguarded.
@@ -1243,9 +1356,9 @@ impl AccountShard {
                 self.failures = 0;
                 self.retry_after = 0;
                 self.stale = false;
-                self.last_assignment = Some(delta.assignment.clone());
+                self.incumbent = Some(delta.totals);
                 Ok(GuardedDelta {
-                    assignment: delta.assignment,
+                    assignment: self.assignment(delta.totals),
                     rows_patched: delta.rows_patched,
                     retier_decisions: delta.retier_decisions,
                     degraded: false,
@@ -1278,8 +1391,8 @@ impl AccountShard {
     /// before any re-solve ever succeeded — the registered per-row
     /// incumbent choices priced fresh.
     fn incumbent_delta(&mut self) -> Result<GuardedDelta, OptAssignError> {
-        let assignment = match &self.last_assignment {
-            Some(a) => a.clone(),
+        let assignment = match self.incumbent {
+            Some(totals) => self.assignment(totals),
             None => Assignment::from_choices(&self.problem, self.choices.clone())?,
         };
         Ok(GuardedDelta {
@@ -1291,113 +1404,136 @@ impl AccountShard {
         })
     }
 
-    /// One shard re-solve: patch stale rows, re-decide, apply. The dirty
-    /// worklist is consumed only after every fallible step succeeded.
+    /// The applied choices as an [`Assignment`] that sums to `totals`.
+    fn assignment(&self, totals: Totals) -> Assignment {
+        Assignment {
+            choices: self.choices.clone(),
+            objective: totals.objective,
+            breakdown: totals.breakdown,
+        }
+    }
+
+    /// One shard re-solve, on the calling thread: re-price the stale rows
+    /// (every row on a cold start), re-decide, apply. Nothing but the
+    /// table — where re-patching a row reproduces the same bits — is
+    /// touched before every fallible step succeeded, so a failed re-solve
+    /// keeps the worklist and the incumbent.
     fn resolve(&mut self, node_budget: Option<u64>) -> Result<ShardDelta, OptAssignError> {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         let n = self.problem.partitions.len();
-        let rows_patched;
-        let choices = match &mut self.table {
+        let cold = self.table.is_none();
+        // A cold table is kept only once the re-solve succeeded, so that a
+        // failed cold start is retried cold.
+        let mut built = None;
+        let table: &CostTable = match &mut self.table {
+            Some(table) => {
+                table.patch_rows_with_threads(&self.problem, &self.dirty, 1)?;
+                table
+            }
             None => {
                 // Cold start (first resolve, or the shape changed after a
                 // registration): full build, full decide.
                 self.problem.validate()?;
-                let table = CostTable::build(&self.problem);
-                rows_patched = n;
-                let choices = match node_budget {
-                    None => greedy_choices(&table, &self.problem, 0..n, None)?,
-                    Some(budget) => {
-                        // The cold branch-and-bound builds its own table
-                        // internally; its rows are bit-identical to ours,
-                        // so adopting its choices keeps the two in lockstep.
-                        let (assignment, _) = solve_branch_and_bound(&self.problem, budget)?;
-                        assignment.choices
-                    }
-                };
-                self.table = Some(table);
-                choices
+                built.insert(CostTable::build_with_threads(&self.problem, 1))
             }
-            Some(table) => {
-                // Re-patching an already-patched row reproduces the same
-                // bits, so retrying after a failure here is idempotent.
-                table.patch_rows(&self.problem, &self.dirty)?;
-                rows_patched = self.dirty.len();
-                match node_budget {
-                    None => greedy_choices(
-                        table,
-                        &self.problem,
-                        self.dirty.iter().copied(),
-                        Some(self.choices.clone()),
-                    )?,
-                    Some(budget) => {
-                        // The incumbent stays feasible across heat changes
-                        // (feasibility depends only on latency thresholds
-                        // and sizes, which never change here), so it seeds
-                        // the warm search directly.
-                        let (assignment, _) = solve_branch_and_bound_warm(
-                            &self.problem,
-                            table,
-                            &self.choices,
-                            budget,
-                        )?;
-                        assignment.choices
+        };
+        // The re-priced rows: all of them cold, the worklist otherwise.
+        let (all, listed) = if cold {
+            (0..n, &[][..])
+        } else {
+            (0..0, &self.dirty[..])
+        };
+        let stale = all.chain(listed.iter().copied());
+        let rows_patched = if cold { n } else { self.dirty.len() };
+
+        // Decide. Greedy re-decides exactly the re-priced rows, by
+        // `CostTable::min_feasible` — the rule `solve_greedy` applies,
+        // first minimum in tier-major order, so incremental and batch
+        // paths tie-break identically; branch-and-bound returns every
+        // row's choice.
+        let searched = match node_budget {
+            None => {
+                if let Some(row) = stale.clone().find(|&r| table.min_feasible(r).is_none()) {
+                    return Err(OptAssignError::InfeasiblePartition {
+                        partition: self.problem.partitions[row].id,
+                        name: self.problem.partitions[row].name.clone(),
+                    });
+                }
+                None
+            }
+            // The cold branch-and-bound builds its own table internally
+            // (under the batch rule of `CostTable::build`); its rows are
+            // bit-identical to ours, so adopting its choices keeps the
+            // two in lockstep.
+            Some(budget) if cold => Some(solve_branch_and_bound(&self.problem, budget)?.0.choices),
+            // The incumbent stays feasible across heat changes
+            // (feasibility depends only on latency thresholds and sizes,
+            // which never change here), so it seeds the warm search
+            // directly.
+            Some(budget) => Some(
+                solve_branch_and_bound_warm(&self.problem, table, &self.choices, budget)?
+                    .0
+                    .choices,
+            ),
+        };
+
+        // Apply: success from here on. A re-priced or moved row refreshes
+        // its mirror entry; an applied move changes the row's transition
+        // costs (they are priced from `current_tier`), so the row is
+        // stale for the *next* epoch.
+        if cold {
+            self.chosen_cost.clear();
+            self.chosen_cost.resize(n, 0.0);
+            self.chosen_breakdown.clear();
+            self.chosen_breakdown.resize(n, CostBreakdown::default());
+        }
+        self.moved.clear();
+        let mut place = |row: usize, new: (TierId, usize)| {
+            self.chosen_cost[row] = table.cost(row, new.0, new.1);
+            self.chosen_breakdown[row] = *table.breakdown(row, new.0, new.1);
+            if new != self.choices[row] {
+                self.choices[row] = new;
+                self.problem.partitions[row].current_tier = Some(new.0);
+                self.moved.push(row);
+            }
+        };
+        match searched {
+            None => {
+                for row in stale {
+                    if let Some((_, tier, scheme)) = table.min_feasible(row) {
+                        place(row, (tier, scheme));
                     }
                 }
             }
-        };
-        let Some(table) = self.table.as_ref() else {
-            return Err(OptAssignError::InvalidProblem(
-                "shard lost its cost table mid-resolve".into(),
-            ));
-        };
-        let assignment = table.assignment(&self.problem, choices.clone())?;
-        // Success: the worklist is consumed, then applied moves re-dirty
-        // their rows for the next epoch.
-        self.dirty.clear();
-        let mut retier_decisions = 0;
-        for (row, (&new, &old)) in choices.iter().zip(&self.choices).enumerate() {
-            if new != old {
-                retier_decisions += 1;
-                // Applying the move changes the row's transition costs
-                // (they are priced from current_tier), so the row is stale
-                // for the *next* epoch.
-                self.problem.partitions[row].current_tier = Some(new.0);
-                self.dirty.push(row);
+            Some(choices) => {
+                for (row, &new) in choices.iter().enumerate() {
+                    place(row, new);
+                }
             }
         }
-        self.choices = choices;
+        // The worklist is consumed; the applied moves are the next one.
+        std::mem::swap(&mut self.dirty, &mut self.moved);
+        if built.is_some() {
+            self.table = built;
+        }
+
+        // Same accumulation order (row order) and the same values as
+        // `CostTable::assignment` over the applied choices.
+        let mut totals = Totals {
+            objective: 0.0,
+            breakdown: CostBreakdown::default(),
+        };
+        for (cost, breakdown) in self.chosen_cost.iter().zip(&self.chosen_breakdown) {
+            totals.objective += cost;
+            totals.breakdown.accumulate(breakdown);
+        }
         Ok(ShardDelta {
-            assignment,
+            totals,
             rows_patched,
-            retier_decisions,
+            retier_decisions: self.dirty.len(),
         })
     }
-}
-
-/// Per-row greedy decisions over `rows`, starting from `seed` (or empty
-/// choices when re-deciding everything). Uses [`CostTable::min_feasible`],
-/// the exact rule `solve_greedy` applies — first minimum in tier-major
-/// order — so incremental and batch paths tie-break identically.
-fn greedy_choices(
-    table: &CostTable,
-    problem: &OptAssignProblem,
-    rows: impl Iterator<Item = usize>,
-    seed: Option<Vec<(TierId, usize)>>,
-) -> Result<Vec<(TierId, usize)>, OptAssignError> {
-    let mut choices = seed.unwrap_or_else(|| vec![(TierId(0), 0); problem.partitions.len()]);
-    for row in rows {
-        match table.min_feasible(row) {
-            Some((_, tier, scheme)) => choices[row] = (tier, scheme),
-            None => {
-                return Err(OptAssignError::InfeasiblePartition {
-                    partition: problem.partitions[row].id,
-                    name: problem.partitions[row].name.clone(),
-                })
-            }
-        }
-    }
-    Ok(choices)
 }
 
 #[cfg(test)]
@@ -1491,6 +1627,11 @@ mod tests {
                 inc.assignment.objective.to_bits(),
                 cold.assignment.objective.to_bits(),
                 "epoch {epoch}: objective bits diverged for {}",
+                inc.account
+            );
+            assert_eq!(
+                inc.assignment.breakdown, cold.assignment.breakdown,
+                "epoch {epoch}: breakdown diverged for {}",
                 inc.account
             );
         }
@@ -1636,8 +1777,23 @@ mod tests {
             engine.ingest(&columns.filter_day_range(lo, hi));
             engine.advance(hi);
             let cold = reference::full_resolve(&engine).unwrap();
+            // Applying the re-solve moves `current_tier`s, which the
+            // model prices transitions from: keep the problems it solved.
+            let solved: Vec<OptAssignProblem> =
+                engine.shards().iter().map(|s| s.problem.clone()).collect();
             let outcome = engine.reoptimize().unwrap();
             assert_outcome_matches_reference(&outcome, &cold, epoch);
+            // The sum over the dense chosen-entry mirror is the
+            // model-driven sum over the same choices, bit for bit.
+            for (problem, account) in solved.iter().zip(&outcome.accounts) {
+                let choices = account.assignment.choices.clone();
+                assert_eq!(
+                    Assignment::from_choices(problem, choices).unwrap(),
+                    account.assignment,
+                    "epoch {epoch}: {}",
+                    account.account
+                );
+            }
             assert_eq!(outcome.day, hi);
             assert_eq!(outcome.objects, engine.len());
             if epoch == 0 {
@@ -2181,12 +2337,32 @@ mod tests {
         }
     }
 
-    /// An `SCPK` version-2 checkpoint, byte for byte: two objects in one
+    /// An `SCPK` version-3 checkpoint, byte for byte: two objects in one
     /// account on [`golden_catalog`] / [`golden_schemes`] with explicit
     /// (non-default) configuration, one folded and one quarantined (NaN)
-    /// event, one boundary at day 15 with a re-solve, and a batch parked
-    /// in the reorder buffer under sequence number 2. A layout change
-    /// must bump `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    /// event, one boundary at day 15 with a re-solve that moved both
+    /// objects, and a batch parked in the reorder buffer under sequence
+    /// number 2. A layout change must bump `CHECKPOINT_VERSION` and
+    /// replace these bytes on purpose.
+    const GOLDEN_SCPK_V3: &str = "\
+             5343504b03000000232f3441bcbf95593c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
+             0000000000000000000200000000000000010000000000000001000000000000\
+             0000000000000000000100000000000000040000000000000061636374020000\
+             0000000000420000000000000001000000000000006100000000000000000000\
+             f83f07000000000000000000f07f010000000000000062000000000000000000\
+             0010400000000000000000000002400100010100000000000000000000000000\
+             000000000000000000103f00000000000000000f0000000f0000000000000000\
+             0000000002000000000000000000000001000000010000000000c02340000000\
+             00008021400000000000000000000000000000f23f0000000000000000000000\
+             0000000000000400000000000001000000000000000000000000000000010000\
+             000000000001000000000000000200000001000000000000000000f87f000100\
+             0000000000000200000000000000010000000000000010000000010000000000\
+             0000000000000100000000000000010000000100000000000000010100000000\
+             000000000000000000e03f1aa8623f5caa85ad";
+
+    /// The retired version-2 layout's fixture (the same scenario, one
+    /// interleaved record per object): kept to be refused.
     const GOLDEN_SCPK_V2: &str = "\
              5343504b02000000232f3441bcbf95593c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f010000000000000001e80300\
@@ -2206,14 +2382,17 @@ mod tests {
              0000100000000100000000000000000000000100000000000000010000000100\
              000000000000010100000000000000000000000000e03f74baba67929a93b5";
 
-    #[test]
-    fn the_version_2_layout_is_pinned_by_a_golden_checkpoint() {
-        let golden: Vec<u8> = GOLDEN_SCPK_V2
-            .as_bytes()
+    fn unhex(hex: &str) -> Vec<u8> {
+        hex.as_bytes()
             .chunks(2)
             .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-            .collect();
-        assert_eq!(golden.len(), 543);
+            .collect()
+    }
+
+    #[test]
+    fn the_version_3_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden = unhex(GOLDEN_SCPK_V3);
+        assert_eq!(golden.len(), 467);
         assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
 
@@ -2222,7 +2401,10 @@ mod tests {
         assert_eq!(restored.object_name(1), Some("b"));
         assert_eq!((restored.day(), restored.epoch()), (15, 1));
         assert_eq!(restored.config().node_budget, Some(1000));
+        // The fixture was taken at `threads: 1`; a snapshot does not say.
+        assert_eq!(restored.config().threads, 0);
         assert_eq!(restored.placement(0), Some((TierId(1), 1)));
+        assert_eq!(restored.placement(1), Some((TierId(0), 1)));
         assert_eq!(
             restored.heat(0).map(f64::to_bits),
             Some(0x3f10_0000_0000_0000)
@@ -2231,6 +2413,15 @@ mod tests {
         assert_eq!((restored.next_seq(), restored.pending_batches()), (1, 1));
         // The writer reproduces the fixture from the decoded state.
         assert_eq!(restored.checkpoint(), golden);
+
+        // A real version-2 snapshot is refused by name, not misread.
+        let retired = unhex(GOLDEN_SCPK_V2);
+        match ServeEngine::restore(golden_catalog(), golden_schemes(), &retired) {
+            Err(ServeError::Checkpoint(reason)) => {
+                assert!(reason.contains("unsupported version 2"), "{reason}")
+            }
+            other => panic!("a version-2 snapshot was not refused: {other:?}"),
+        }
     }
 
     fn golden_catalog() -> scope_cloudsim::TierCatalog {

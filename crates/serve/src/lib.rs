@@ -22,7 +22,9 @@
 //!   recomputed for exactly those rows (or a warm-started branch-and-bound
 //!   is seeded from the incumbent), and account shards fan out over the
 //!   deterministic [`scope_cloudsim::parallel`] primitives with an
-//!   in-order merge — the outcome is bit-for-bit identical for any thread
+//!   in-order merge — once per re-solve, on the worker count
+//!   [`ServeConfig::threads`] resolves to, with nothing underneath fanning
+//!   out again — so the outcome is bit-for-bit identical for any thread
 //!   count.
 //! * [`reference::full_resolve`] is the preserved batch path: a cold
 //!   from-scratch solve over the same state, pinned bit-for-bit equal to

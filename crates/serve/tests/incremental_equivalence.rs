@@ -2,7 +2,7 @@
 //! oracle: after any random sequence of heat-delta batches, the
 //! incremental re-solve equals a from-scratch solve of the final state
 //! bit-for-bit, and the account-sharded fan-out is thread-count
-//! independent.
+//! independent — down to the bytes of every epoch's checkpoint.
 
 use proptest::prelude::*;
 use scope_cloudsim::{BillingEvent, TierCatalog, TierId};
@@ -119,6 +119,15 @@ proptest! {
                     epoch,
                     inc.account
                 );
+                // The engine sums its dense mirror of the chosen entries,
+                // the reference a freshly built table.
+                prop_assert_eq!(
+                    inc.assignment.breakdown,
+                    full.assignment.breakdown,
+                    "epoch {}: breakdown diverged for {}",
+                    epoch,
+                    inc.account
+                );
             }
             prop_assert_eq!(
                 outcome.total_objective.to_bits(),
@@ -130,7 +139,9 @@ proptest! {
     }
 
     /// The account-sharded fan-out merges in account order: any thread
-    /// count must produce the sequential outcome bit-for-bit.
+    /// count — one, several, or the engine's own choice — must produce
+    /// the sequential outcome bit-for-bit, and a snapshot, which does not
+    /// record the knob, the same bytes after every epoch.
     #[test]
     fn sharded_resolve_is_thread_count_independent(
         accounts in 2usize..5,
@@ -139,27 +150,37 @@ proptest! {
         events_per_day in 5u32..30,
         seed in 0u64..1_000_000_000,
     ) {
-        let sequential_cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
-        let parallel_cfg = ServeConfig { threads, ..ServeConfig::default() };
-        let mut sequential = build_engine(accounts, per_account, sequential_cfg);
-        let mut parallel = build_engine(accounts, per_account, parallel_cfg);
+        let engine = |threads| {
+            build_engine(accounts, per_account, ServeConfig { threads, ..ServeConfig::default() })
+        };
+        let mut sequential = engine(1);
+        let mut others = [engine(threads), engine(2), engine(0)];
 
         let events = seeded_trace(&sequential, 45, events_per_day, seed);
         let columns = sequential.columns_from_events(&events);
         for epoch in 0..3u32 {
             let batch = columns.filter_day_range(epoch * 15, epoch * 15 + 15);
             sequential.ingest(&batch);
-            parallel.ingest(&batch);
             sequential.advance(epoch * 15 + 15);
-            parallel.advance(epoch * 15 + 15);
-
             let a = sequential.reoptimize().expect("sequential solve");
-            let b = parallel.reoptimize().expect("parallel solve");
-            prop_assert_eq!(a.total_objective.to_bits(), b.total_objective.to_bits());
-            prop_assert_eq!(a.rows_patched, b.rows_patched);
-            prop_assert_eq!(a.retier_decisions, b.retier_decisions);
-            for (x, y) in a.accounts.iter().zip(&b.accounts) {
-                prop_assert_eq!(&x.assignment.choices, &y.assignment.choices);
+            let snapshot = sequential.checkpoint();
+            for parallel in &mut others {
+                parallel.ingest(&batch);
+                parallel.advance(epoch * 15 + 15);
+                let b = parallel.reoptimize().expect("parallel solve");
+                prop_assert_eq!(a.total_objective.to_bits(), b.total_objective.to_bits());
+                prop_assert_eq!(a.rows_patched, b.rows_patched);
+                prop_assert_eq!(a.retier_decisions, b.retier_decisions);
+                for (x, y) in a.accounts.iter().zip(&b.accounts) {
+                    prop_assert_eq!(&x.assignment, &y.assignment);
+                }
+                prop_assert_eq!(
+                    &parallel.checkpoint(),
+                    &snapshot,
+                    "epoch {}: threads = {}",
+                    epoch,
+                    parallel.config().threads
+                );
             }
         }
     }

@@ -21,8 +21,8 @@ use scope_optassign::reference::{
 };
 use scope_optassign::{
     ideal_tier_labels, plan_tier_schedule_with_model, solve_branch_and_bound,
-    solve_equal_size_matching, solve_greedy, CompressionOption, OptAssignProblem, PartitionSpec,
-    PeriodAccess, ScheduleOptions, TierSchedule,
+    solve_equal_size_matching, solve_greedy, Assignment, CompressionOption, CostTable,
+    OptAssignProblem, PartitionSpec, PeriodAccess, ScheduleOptions, TierSchedule,
 };
 
 /// Random OPTASSIGN instance over either the Azure ladder or the merged
@@ -71,6 +71,40 @@ fn build_problem(
         OptAssignProblem::multi_provider(&providers, parts, 6.0)
     } else {
         OptAssignProblem::new(TierCatalog::azure_adls_gen2(), parts, 6.0)
+    }
+}
+
+/// Every entry of `table` — cost bits, breakdown, feasibility — and every
+/// row minimum equals the model-driven evaluation of `problem`.
+fn assert_table_matches_model(table: &CostTable, problem: &OptAssignProblem, what: &str) {
+    assert_eq!(table.n_partitions(), problem.partitions.len(), "{what}");
+    for (n, p) in problem.partitions.iter().enumerate() {
+        assert_eq!(table.n_options(n), p.compression_options.len(), "{what}");
+        for tier in problem.catalog.tier_ids() {
+            for k in 0..p.compression_options.len() {
+                assert_eq!(
+                    table.cost(n, tier, k).to_bits(),
+                    problem.placement_cost(p, tier, k).to_bits(),
+                    "{what}: cost of ({n}, {tier}, {k})"
+                );
+                assert_eq!(
+                    table.breakdown(n, tier, k),
+                    &problem.cost_breakdown(p, tier, k),
+                    "{what}: breakdown of ({n}, {tier}, {k})"
+                );
+                assert_eq!(
+                    table.is_feasible(n, tier, k),
+                    problem.is_feasible(p, tier, k),
+                    "{what}: feasibility of ({n}, {tier}, {k})"
+                );
+            }
+        }
+        let (by_table, by_model) = (table.min_feasible(n), problem.min_feasible_cost(p));
+        assert_eq!(
+            by_table.map(|(c, tier, k)| (c.to_bits(), tier, k)),
+            by_model.map(|(c, tier, k)| (c.to_bits(), tier, k)),
+            "{what}: minimum of row {n}"
+        );
     }
 }
 
@@ -337,6 +371,87 @@ proptest! {
         let sequential = parallel_map_with_threads(&items, 1, f);
         let parallel = parallel_map_with_threads(&items, threads, f);
         prop_assert_eq!(sequential, parallel);
+    }
+
+    /// The in-place row kernel: `build` on 1–4 workers ≡ the model-driven
+    /// evaluation ≡ a stale table after `patch_rows` on 1–4 workers, over
+    /// partitions of *different* option counts (so the workers' stretches
+    /// of the arrays begin at uneven offsets) and worklists that are
+    /// empty, repeat rows, cover every row or come unsorted; and summing
+    /// the table over explicit choices ≡ `Assignment::from_choices`.
+    #[test]
+    fn in_place_row_kernel_matches_the_model_for_any_worklist_and_thread_count(
+        n_parts in 1usize..14,
+        sizes in proptest::collection::vec(0.1f64..500.0, 4),
+        accesses in proptest::collection::vec(0.0f64..300.0, 4),
+        ratios in proptest::collection::vec(1.1f64..8.0, 4),
+        thresholds in proptest::collection::vec(0.0f64..10.0, 4),
+        current_picks in proptest::collection::vec(0usize..16, 4),
+        residencies in proptest::collection::vec(0u32..200, 4),
+        extra_options in proptest::collection::vec(0usize..4, 5),
+        worklist in proptest::collection::vec(0usize..1000, 0..40),
+        worklist_kind in 0usize..4,
+        picks in proptest::collection::vec(0usize..1000, 14),
+        multi in proptest::arbitrary::any::<bool>(),
+    ) {
+        let mut problem = build_problem(
+            multi, n_parts, &sizes, &accesses, &ratios, &thresholds, &current_picks, &residencies,
+        );
+        // Variable row width: 2 to 5 options, partition by partition.
+        for (i, p) in problem.partitions.iter_mut().enumerate() {
+            for extra in 0..extra_options[i % extra_options.len()] {
+                p.compression_options.push(CompressionOption::new(
+                    format!("x{extra}"),
+                    1.2 + extra as f64 + ratios[i % ratios.len()] / 8.0,
+                    0.05 * (extra + 1) as f64,
+                ));
+            }
+        }
+        prop_assert!(problem.validate().is_ok());
+        let stale = CostTable::build_with_threads(&problem, 1);
+        assert_table_matches_model(&stale, &problem, "sequential build");
+        for threads in 2..=4 {
+            let built = CostTable::build_with_threads(&problem, threads);
+            assert_table_matches_model(&built, &problem, &format!("build on {threads} workers"));
+        }
+
+        // What an epoch changes: projected accesses, and the tier a row's
+        // transitions are priced from.
+        let n_tiers = problem.n_tiers();
+        let rows: Vec<usize> = match worklist_kind {
+            0 => Vec::new(),
+            1 => (0..n_parts).collect(),
+            2 => worklist.iter().map(|r| r % n_parts).collect(),
+            _ => {
+                let mut rows: Vec<usize> = worklist.iter().map(|r| r % n_parts).collect();
+                rows.extend(rows.clone());
+                rows.reverse();
+                rows
+            }
+        };
+        for &row in &rows {
+            let p = &mut problem.partitions[row];
+            p.predicted_accesses = p.predicted_accesses * 1.5 + 1.0;
+            p.current_tier = Some(TierId((row + picks[row]) % n_tiers));
+        }
+        for threads in 1..=4 {
+            let mut patched = stale.clone();
+            prop_assert!(patched.patch_rows_with_threads(&problem, &rows, threads).is_ok());
+            assert_table_matches_model(&patched, &problem, &format!("patch on {threads} workers"));
+        }
+        let mut patched = stale;
+        prop_assert!(patched.patch_rows(&problem, &rows).is_ok());
+        assert_table_matches_model(&patched, &problem, "patch_rows");
+
+        let choices: Vec<(TierId, usize)> = problem
+            .partitions
+            .iter()
+            .zip(&picks)
+            .map(|(p, pick)| (TierId(pick % n_tiers), pick % p.compression_options.len()))
+            .collect();
+        let via_table = patched.assignment(&problem, choices.clone());
+        let via_model = Assignment::from_choices(&problem, choices);
+        prop_assert_eq!(via_table, via_model);
     }
 }
 
