@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=651
+min_tests=668
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -104,9 +104,13 @@ if [[ $quick -eq 0 ]]; then
     # ceiling to what the run prints.
     max_resolve_allocs=612
     max_checkpoint_allocs=6
+    # The metric lines (stderr) of one workload's traced quick run at seed 12.
+    traced_quick() {
+        benchmark/run.sh --workload "$1" --seed 12 --seconds 1 --trace 1 --quick \
+            --out target/e2e-quick 2>&1 >/dev/null
+    }
     echo "==> benchmark/run.sh serve_steady --trace 1 --quick (allocation ratchet)"
-    traced=$(benchmark/run.sh --workload serve_steady --seed 12 --seconds 1 --trace 1 --quick \
-        --out target/e2e-quick 2>&1 >/dev/null) || {
+    traced=$(traced_quick serve_steady) || {
         echo "$traced"
         echo "FAIL: traced serve_steady run failed"
         exit 1
@@ -117,6 +121,34 @@ if [[ $quick -eq 0 ]]; then
         echo "    $name $got (ceiling $max)"
         if [[ -z "$got" || "$got" -gt "$max" ]]; then
             echo "FAIL: $name is '$got', above its ceiling $max"
+            exit 1
+        fi
+    done
+
+    # Plan-facts ratchet. These six numbers of the traced quick `plan_batch`
+    # run are functions of the seed alone — how many samples COMPREDICT
+    # trains on, what G-PART merges to, how many nodes branch-and-bound
+    # expands, what gzip makes of the tables, how far the ratio predictor is
+    # off, what the plan saves — so they are compared, as printed, with the
+    # values recorded when the ratchet was added: any drift in codec bytes,
+    # sampling, partitioning or the solvers is a red build, not a slow
+    # surprise in a later comparison. A change that moves one on purpose
+    # records the new value here and says why.
+    plan_facts="compredict.samples=71.000000 datapart.partitions_out=18.000000
+        optassign.bnb_nodes=438.000000 compress.gzip_ratio=3.307809
+        compredict.ratio_mape_pct=14.421388 plan_benefit_pct=87.447713"
+    echo "==> benchmark/run.sh plan_batch --trace 1 --quick (plan-facts ratchet)"
+    traced=$(traced_quick plan_batch) || {
+        echo "$traced"
+        echo "FAIL: traced plan_batch run failed"
+        exit 1
+    }
+    for fact in $plan_facts; do
+        name="${fact%%=*}" want="${fact#*=}"
+        got=$(echo "$traced" | awk -v name="$name" '$2 == name {print $3}')
+        echo "    $name $got (recorded $want)"
+        if [[ "$got" != "$want" ]]; then
+            echo "FAIL: $name is '$got', recorded as $want"
             exit 1
         fi
     done

@@ -7,16 +7,30 @@
 //! feeds golden-pinned tables and differential oracles. This module
 //! provides the one fan-out shape that guarantees it:
 //!
-//! * work is chunked by **index** into contiguous slices,
+//! * work is chunked by **index** into contiguous slices — cut either by
+//!   **count** (equal-length chunks, the `parallel_map*` forms) or by
+//!   **cumulative weight** ([`parallel_map_weighted_with_threads`]: a chunk
+//!   ends where the running sum of a caller-supplied per-item weight
+//!   crosses the next multiple of `total / threads`),
 //! * each worker computes its slice with the shared closure,
 //! * results are merged back **in index order**.
 //!
 //! Because every item's result is a pure function of `(index, item)` and
 //! floating-point arithmetic is performed per item exactly as the
-//! sequential loop would, the output is independent of the thread count —
-//! [`parallel_map_with_threads`] with 1 thread *is* the sequential loop,
-//! and the determinism proptests pin `threads = n` against it. No work
-//! stealing, no reduction-order dependence, no rayon in the shims.
+//! sequential loop would, the output is independent of the thread count
+//! and of where the cuts fall — [`parallel_map_with_threads`] with 1 thread
+//! *is* the sequential loop, and the determinism proptests pin
+//! `threads = n` against it for both kinds of cut. No work stealing, no
+//! reduction-order dependence, no rayon in the shims.
+//!
+//! The weight cut exists because item order is the caller's and item cost
+//! can be wildly uneven along it: COMPREDICT's 91 training samples of the
+//! end-to-end benchmark arrive in table order, and the two equal-count
+//! halves of that list hold 7 564 058 and 205 629 serialised bytes (97.4%
+//! / 2.6%) — an equal-count cut leaves the second worker idle for all but
+//! a sliver of the span. A cut by weight keeps the chunks contiguous (so
+//! the merge and the guarantee are unchanged) and bounds the heaviest chunk
+//! by `total / threads` plus one item's weight.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,6 +125,79 @@ where
         }
     });
     out
+}
+
+/// [`parallel_map_with_threads`] with the chunks cut by **cumulative
+/// weight** instead of by count: `weight(item)` is the caller's estimate of
+/// an item's cost (any unit), and chunk `k` ends at the first item where
+/// the running sum reaches `(k + 1) · total / threads`. Chunks stay
+/// contiguous and are merged in index order, so the output is bit-for-bit
+/// the sequential loop's for any weights and any thread count; the weights
+/// affect only wall-clock time. The heaviest chunk weighs at most
+/// `total / threads` plus its last item; there may be fewer chunks than
+/// `threads` (one item can cross several cut points), never more, and none
+/// is empty. All-zero weights cut by count. `threads` clamps to the item
+/// count, so a single item (or `threads == 1`) runs on the calling thread
+/// and spawns nothing.
+pub fn parallel_map_weighted_with_threads<T, R, W, F>(
+    items: &[T],
+    threads: usize,
+    weight: W,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    W: Fn(&T) -> u64,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let weights: Vec<u64> = items.iter().map(weight).collect();
+    let ends = weight_cuts(&weights, threads);
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    // Each chunk carries its own base index; `fan_out`'s equal-length base
+    // (`ci * chunk_len`) is not used.
+    let chunks = starts
+        .zip(&ends)
+        .map(|(start, &end)| (start, &items[start..end]));
+    fan_out(chunks, items.len(), 0, |_, (base, slice)| {
+        slice
+            .iter()
+            .enumerate()
+            .map(|(j, item)| f(base + j, item))
+            .collect()
+    })
+}
+
+/// Exclusive end index of each chunk of a cut of `weights` over at most
+/// `threads` contiguous, non-empty chunks (the last end is
+/// `weights.len()`): chunk `k` is closed by the first item at which the
+/// cumulative weight reaches `(k + 1) · total / threads`, and the last
+/// chunk takes whatever remains. An item that crosses several cut points
+/// closes one chunk and skips the others. All-zero weights count as all
+/// ones.
+fn weight_cuts(weights: &[u64], threads: usize) -> Vec<usize> {
+    let sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let by_count = sum == 0;
+    let total = if by_count { weights.len() as u128 } else { sum };
+    let threads = threads as u128;
+    let mut ends = Vec::with_capacity(threads as usize);
+    // `crossed` cut points lie at or below the running sum `cum`.
+    let (mut cum, mut crossed) = (0u128, 0u128);
+    for (i, &w) in weights.iter().enumerate() {
+        cum += if by_count { 1 } else { u128::from(w) };
+        if crossed + 1 < threads && cum * threads >= (crossed + 1) * total {
+            ends.push(i + 1);
+            crossed = cum * threads / total;
+        }
+    }
+    if ends.last() != Some(&weights.len()) && !weights.is_empty() {
+        ends.push(weights.len());
+    }
+    ends
 }
 
 /// Map `f` over `items` in parallel **with mutable access to each item**,
@@ -263,13 +350,229 @@ mod tests {
         // Other tests of this binary fan out concurrently, so the counter
         // may move by more than this test's workers, never by fewer. (The
         // exact counts, and that sequential paths add nothing, are pinned
-        // by `scope-serve`'s `tests/fan_out.rs`, alone in its process.)
+        // by `scope-serve`'s `tests/fan_out.rs` and the workspace's
+        // `tests/plan_fan_out.rs`, each alone in its process.)
         let mut items: Vec<u32> = (0..10).collect();
         let before = workers_spawned();
         parallel_map_with_threads(&items, 3, |_, &x| x);
         parallel_map_mut_with_threads(&mut items, 4, |_, x| *x += 1);
-        // Ten items over 3 and over 4 workers are chunks of 4 and of 3.
-        assert!(workers_spawned() - before >= 3 + 4);
+        parallel_map_weighted_with_threads(&items, 5, |_| 1, |_, &x| x);
+        // Ten items over 3 and over 4 workers are chunks of 4 and of 3; ten
+        // equal weights over 5 are chunks of 2.
+        assert!(workers_spawned() - before >= 3 + 4 + 5);
+    }
+
+    /// `(rows × columns, serialised bytes)` of the 91 COMPREDICT training
+    /// samples of the end-to-end benchmark's `plan_batch` workload at seed
+    /// 12, in the table order `build_examples` receives them.
+    const PLAN_SAMPLES: [(u64, u64); 91] = [
+        (93536, 785910),
+        (49136, 413022),
+        (49136, 413074),
+        (24864, 209033),
+        (14800, 124333),
+        (14800, 124723),
+        (14800, 124531),
+        (29600, 248878),
+        (29600, 248821),
+        (57424, 483517),
+        (58608, 492300),
+        (10064, 85055),
+        (14800, 124596),
+        (13120, 110399),
+        (8288, 69977),
+        (11840, 99694),
+        (11840, 99602),
+        (10064, 84735),
+        (58608, 492524),
+        (57424, 482977),
+        (4144, 35156),
+        (20128, 169676),
+        (48640, 408408),
+        (48048, 403615),
+        (6993, 78705),
+        (6993, 78752),
+        (3663, 41382),
+        (2331, 26475),
+        (4329, 48598),
+        (4329, 49081),
+        (8172, 92469),
+        (8172, 92048),
+        (1665, 19047),
+        (4329, 49178),
+        (4329, 48529),
+        (8172, 92012),
+        (8172, 92271),
+        (6840, 77225),
+        (6840, 77531),
+        (5661, 63826),
+        (1225, 23874),
+        (1595, 31393),
+        (1665, 32868),
+        (2035, 39549),
+        (2590, 50742),
+        (1225, 23947),
+        (304, 5802),
+        (304, 5763),
+        (1200, 22280),
+        (1200, 22280),
+        (1200, 22280),
+        (1200, 22280),
+        (592, 11124),
+        (592, 11085),
+        (592, 11035),
+        (612, 5675),
+        (306, 3117),
+        (306, 3125),
+        (306, 3089),
+        (576, 5231),
+        (576, 5311),
+        (306, 3009),
+        (306, 3089),
+        (306, 3009),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (70, 1352),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (100, 1690),
+        (15, 293),
+        (15, 293),
+        (15, 293),
+    ];
+
+    /// The cut the public function makes of `weights` (same clamp), with
+    /// its invariants asserted: at most `threads` chunks, contiguous,
+    /// non-empty, covering every index, the heaviest at most
+    /// `total / threads` plus the heaviest item.
+    fn checked_cuts(weights: &[u64], threads: usize) -> Vec<usize> {
+        let threads = threads.clamp(1, weights.len().max(1));
+        let ends = weight_cuts(weights, threads);
+        if weights.is_empty() {
+            assert!(ends.is_empty());
+            return ends;
+        }
+        assert!(ends.len() <= threads, "{weights:?} over {threads}");
+        assert_eq!(ends.last(), Some(&weights.len()));
+        assert!(ends[0] > 0 && ends.windows(2).all(|w| w[0] < w[1]));
+        // All-zero weights count as all ones.
+        let by_count = weights.iter().all(|&w| w == 0);
+        let effective = |w: u64| if by_count { 1 } else { u128::from(w) };
+        let total: u128 = weights.iter().map(|&w| effective(w)).sum();
+        let heaviest_item = weights.iter().map(|&w| effective(w)).max().unwrap_or(0);
+        let mut start = 0;
+        for &end in &ends {
+            let chunk: u128 = weights[start..end].iter().map(|&w| effective(w)).sum();
+            assert!(
+                chunk * threads as u128 <= total + heaviest_item * threads as u128,
+                "chunk {start}..{end} of {weights:?} over {threads} weighs {chunk}"
+            );
+            start = end;
+        }
+        ends
+    }
+
+    #[test]
+    fn weight_cuts_are_contiguous_non_empty_and_balanced() {
+        let shapes: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![5],
+            vec![0; 9],
+            vec![7; 24],
+            vec![1, 2, 3],
+            (1..=40).collect(),
+            (1..=40).rev().collect(),
+            // One item holding more than 90% of the weight: first, middle, last.
+            vec![1000, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            vec![1, 2, 3, 4, 1000, 5, 6, 7, 8, 9],
+            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 1000],
+            // Zero-weight items around and between the weight.
+            vec![0, 0, 0, 9, 0, 0, 9, 0, 0, 0],
+            vec![u64::MAX, u64::MAX, 1, u64::MAX],
+        ];
+        for weights in &shapes {
+            for threads in 1..=13 {
+                checked_cuts(weights, threads);
+            }
+        }
+        // Equal weights over a divisor of the count cut evenly, a single
+        // heavy item closes its chunk at once, and trailing zero-weight
+        // items join the last chunk instead of forming one more.
+        assert_eq!(checked_cuts(&[7; 24], 4), vec![6, 12, 18, 24]);
+        assert_eq!(checked_cuts(&[1000, 1, 2, 3], 2), vec![1, 4]);
+        assert_eq!(checked_cuts(&[4, 4, 0, 0], 2), vec![1, 4]);
+        assert_eq!(checked_cuts(&[0; 9], 3), vec![3, 6, 9]);
+    }
+
+    #[test]
+    fn the_plan_sample_profile_splits_no_worse_than_60_40_on_two_workers() {
+        let share = |cut: usize, of: fn(&(u64, u64)) -> u64| {
+            let first: u64 = PLAN_SAMPLES[..cut].iter().map(of).sum();
+            let total: u64 = PLAN_SAMPLES.iter().map(of).sum();
+            first as f64 / total as f64
+        };
+        // The equal-count cut this form replaces: 46 + 45 samples, 97.4% of
+        // the serialised bytes on the first worker.
+        assert_eq!(PLAN_SAMPLES.iter().map(|s| s.1).sum::<u64>(), 7_769_687);
+        assert!(share(PLAN_SAMPLES.len().div_ceil(2), |s| s.1) > 0.97);
+        // Cut by rows × columns, both the weight and the bytes it stands
+        // for land within 60/40.
+        let weights: Vec<u64> = PLAN_SAMPLES.iter().map(|s| s.0).collect();
+        let ends = checked_cuts(&weights, 2);
+        assert_eq!(ends.len(), 2);
+        for of in [|s: &(u64, u64)| s.0, |s: &(u64, u64)| s.1] {
+            let first = share(ends[0], of);
+            assert!((0.4..=0.6).contains(&first), "first worker's share {first}");
+        }
+    }
+
+    #[test]
+    fn weighted_fan_out_is_the_sequential_loop_for_any_weights_and_thread_count() {
+        let items: Vec<f64> = (0..97).map(|i| 0.1 * i as f64 + 0.037).collect();
+        let f = |i: usize, &x: &f64| (i, ((x * 1.0001 + i as f64 / 3.0).sin() * x).to_bits());
+        let sequential: Vec<(usize, u64)> =
+            items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        let weightings: [fn(&f64) -> u64; 4] = [
+            |_| 1,
+            |_| 0,
+            |&x| (x * x * 100.0) as u64,
+            |&x| if x < 0.1 { 1_000_000 } else { 1 },
+        ];
+        for weight in weightings {
+            for threads in 1..=13 {
+                let got = parallel_map_weighted_with_threads(&items, threads, weight, f);
+                assert_eq!(got, sequential, "threads = {threads}");
+            }
+        }
+        let empty: Vec<f64> = Vec::new();
+        assert!(parallel_map_weighted_with_threads(&empty, 4, |_| 1, f).is_empty());
+        // A single item runs on the calling thread whatever `threads` says.
+        let caller = std::thread::current().id();
+        let ran_on = parallel_map_weighted_with_threads(
+            &items[..1],
+            8,
+            |_| 1,
+            |_, _| std::thread::current().id(),
+        );
+        assert_eq!(ran_on, vec![caller]);
     }
 
     #[test]

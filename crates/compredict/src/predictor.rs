@@ -8,13 +8,39 @@
 //! gradient-boosted trees (the "XGBoost" row), a small MLP (the "Neural
 //! Network" row) and k-NN (standing in for SVR). Evaluation reports MAE,
 //! MAPE and R² exactly as the paper's tables do.
+//!
+//! # What a ground-truth example costs
+//!
+//! [`build_examples`] pays only for what a [`TrainingExample`] holds, in
+//! two halves:
+//!
+//! * **The deterministic half is fanned out.** Serialise → compress
+//!   **once** → extract features is a pure function of the sample, so it
+//!   runs over `scope_learn::parallel`'s weight-cut fan-out (weight = rows
+//!   × columns, known before serialising; sample lists arrive in table
+//!   order, so an equal-count cut would hand one worker nearly all the
+//!   bytes). Each worker drops its serialised buffer and keeps only the
+//!   compressed stream, the serialised length and the features; results
+//!   merge in sample order, so `features`, `ratio` and `serialized_bytes`
+//!   are bit-identical for any thread count.
+//! * **The timed half is sequential.** After the join, the caller's thread
+//!   times decompression of each kept stream with
+//!   [`scope_compress::measure_decompression`] (the one min-of-reps
+//!   protocol). `decompress_sec_per_gb` is a training target (Table VIII),
+//!   and a target measured while this function's own workers compete for
+//!   the cores and the cache would be a measurement of the fan-out, not of
+//!   the codec — so no timing ever runs under self-inflicted contention.
+//!
+//! Compression is never timed here: compression time is not a COMPREDICT
+//! target, and `scope_compress::measure`'s three-or-more compression
+//! passes per sample were most of what an example used to cost.
 
 use crate::features::FeatureExtractor;
 use crate::CompredictError;
-use scope_compress::{measure, CompressionScheme};
+use scope_compress::{measure_decompression, CompressionScheme};
 use scope_learn::{
-    mae, mape, r2_score, ColumnMatrix, GradientBoostingRegressor, KnnRegressor, MeanRegressor,
-    MlpRegressor, RandomForestRegressor, Regressor, Standardizer,
+    mae, mape, parallel, r2_score, ColumnMatrix, GradientBoostingRegressor, KnnRegressor,
+    MeanRegressor, MlpRegressor, RandomForestRegressor, Regressor, Standardizer,
 };
 use scope_table::{format, DataLayout, Table};
 
@@ -91,24 +117,54 @@ pub struct TrainingExample {
 }
 
 /// Build training examples by serializing, compressing and featurising each
-/// sample table.
+/// sample table (see the module docs for what runs where). A single sample
+/// spawns no worker.
 pub fn build_examples(
     samples: &[Table],
     scheme: CompressionScheme,
     layout: DataLayout,
     extractor: &FeatureExtractor,
 ) -> Vec<TrainingExample> {
+    build_examples_with_threads(
+        samples,
+        scheme,
+        layout,
+        extractor,
+        parallel::default_threads(),
+    )
+}
+
+/// [`build_examples`] with the deterministic half on exactly `threads`
+/// workers (1 = the calling thread); the timed half is always sequential.
+pub(crate) fn build_examples_with_threads(
+    samples: &[Table],
+    scheme: CompressionScheme,
+    layout: DataLayout,
+    extractor: &FeatureExtractor,
+    threads: usize,
+) -> Vec<TrainingExample> {
     let codec = scheme.codec();
-    samples
-        .iter()
-        .map(|sample| {
-            let bytes = format::serialize(sample, layout);
-            let m = measure(codec.as_ref(), &bytes);
+    let compressed = parallel::parallel_map_weighted_with_threads(
+        samples,
+        threads,
+        |sample| (sample.n_rows() * sample.n_columns()) as u64,
+        |_, sample| {
+            let (stream, serialized_bytes) = {
+                let bytes = format::serialize(sample, layout);
+                (codec.compress(&bytes), bytes.len())
+            };
+            (stream, serialized_bytes, extractor.extract(sample))
+        },
+    );
+    compressed
+        .into_iter()
+        .map(|(stream, serialized_bytes, features)| {
+            let m = measure_decompression(codec.as_ref(), &stream, serialized_bytes);
             TrainingExample {
-                features: extractor.extract(sample),
+                features,
                 ratio: m.ratio,
                 decompress_sec_per_gb: m.decompress_seconds_per_gb,
-                serialized_bytes: bytes.len(),
+                serialized_bytes,
             }
         })
         .collect()
@@ -314,6 +370,102 @@ mod tests {
             DataLayout::Csv,
             &extractor,
         )
+    }
+
+    /// `build_examples` as it was before the fan-out: `measure` (which also
+    /// times compression) per sample, in order, on the calling thread.
+    fn build_examples_reference(
+        samples: &[Table],
+        scheme: CompressionScheme,
+        layout: DataLayout,
+        extractor: &FeatureExtractor,
+    ) -> Vec<TrainingExample> {
+        let codec = scheme.codec();
+        samples
+            .iter()
+            .map(|sample| {
+                let bytes = format::serialize(sample, layout);
+                let m = scope_compress::measure(codec.as_ref(), &bytes);
+                TrainingExample {
+                    features: extractor.extract(sample),
+                    ratio: m.ratio,
+                    decompress_sec_per_gb: m.decompress_seconds_per_gb,
+                    serialized_bytes: bytes.len(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn examples_equal_the_per_sample_measure_loop_for_any_thread_count() {
+        // Query samples of one table (in file order, sizes uneven), random
+        // samples of another, and a zero-row sample in the middle.
+        let gen = TpchGenerator::new(TpchOptions {
+            scale_factor: 0.1,
+            ..Default::default()
+        })
+        .unwrap();
+        let orders = gen.generate(TpchTable::Orders);
+        let files = orders.split_into_files(40).unwrap();
+        let workload = scope_workload::QueryWorkload::generate_tpch(
+            &[("orders".to_string(), files.len())],
+            &scope_workload::QueryWorkloadOptions {
+                queries_per_template: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut samples = crate::query_samples(&orders, &files, &workload.families).unwrap();
+        samples.truncate(6);
+        let customer = gen.generate(TpchTable::Customer);
+        samples.push(customer.slice_rows(0, 0).unwrap());
+        samples.extend(random_samples(&customer, 3, 25, 9).unwrap());
+        assert!(samples.len() >= 8 && samples.iter().any(|s| s.n_rows() == 0));
+
+        let extractor = FeatureExtractor::new(FeatureSet::WeightedEntropy);
+        for scheme in CompressionScheme::all() {
+            for layout in [DataLayout::Csv, DataLayout::Columnar] {
+                let reference = build_examples_reference(&samples, scheme, layout, &extractor);
+                for threads in [1, 2, 3, 8] {
+                    let got =
+                        build_examples_with_threads(&samples, scheme, layout, &extractor, threads);
+                    assert_eq!(got.len(), reference.len());
+                    for (g, r) in got.iter().zip(&reference) {
+                        let at = format!("{scheme} {layout:?} threads {threads}");
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&g.features), bits(&r.features), "{at}");
+                        assert_eq!(g.ratio.to_bits(), r.ratio.to_bits(), "{at}");
+                        assert_eq!(g.serialized_bytes, r.serialized_bytes, "{at}");
+                        // Standing caveat: timings are only ever sane, never
+                        // compared.
+                        assert!(
+                            g.decompress_sec_per_gb.is_finite() && g.decompress_sec_per_gb >= 0.0,
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+        // The public form is the same function at the default thread count.
+        let public = build_examples(
+            &samples,
+            CompressionScheme::Gzip,
+            DataLayout::Csv,
+            &extractor,
+        );
+        let reference = build_examples_reference(
+            &samples,
+            CompressionScheme::Gzip,
+            DataLayout::Csv,
+            &extractor,
+        );
+        assert!(public
+            .iter()
+            .zip(&reference)
+            .all(|(g, r)| g.ratio.to_bits() == r.ratio.to_bits() && g.features == r.features));
+        assert!(
+            build_examples(&[], CompressionScheme::Gzip, DataLayout::Csv, &extractor).is_empty()
+        );
     }
 
     #[test]

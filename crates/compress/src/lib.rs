@@ -95,12 +95,19 @@ pub mod snappyish;
 pub use error::CompressError;
 pub use gzipish::GzipishCodec;
 pub use lz4ish::Lz4ishCodec;
-pub use measure::{measure, CompressionMeasurement};
+pub use measure::{
+    measure, measure_decompression, CompressionMeasurement, DecompressionMeasurement,
+};
 pub use rle::RleCodec;
 pub use snappyish::SnappyishCodec;
 
 /// A lossless byte-stream compression codec.
-pub trait Codec {
+///
+/// `Send + Sync` are supertraits so that the `Box<dyn Codec>` of
+/// [`CompressionScheme::codec`] can be shared with the workers of a
+/// deterministic fan-out: a codec is a plain parameter struct and
+/// `compress`/`decompress` take `&self`.
+pub trait Codec: Send + Sync {
     /// Short name used in reports ("gzip", "snappy", "lz4", "none", ...).
     fn name(&self) -> &'static str;
 
@@ -209,6 +216,20 @@ mod tests {
         assert_eq!(c.compress(&data), data);
         assert_eq!(c.decompress(&data).unwrap(), data);
         assert_eq!(c.name(), "none");
+    }
+
+    #[test]
+    fn a_codec_can_cross_a_fan_out() {
+        // Compile-time: `dyn Codec` (what `CompressionScheme::codec` boxes)
+        // and every implementation are shareable between threads.
+        fn assert_send_sync<T: Send + Sync + ?Sized>() {}
+        assert_send_sync::<dyn Codec>();
+        assert_send_sync::<Box<dyn Codec>>();
+        assert_send_sync::<NoopCodec>();
+        assert_send_sync::<RleCodec>();
+        assert_send_sync::<SnappyishCodec>();
+        assert_send_sync::<Lz4ishCodec>();
+        assert_send_sync::<GzipishCodec>();
     }
 
     #[test]

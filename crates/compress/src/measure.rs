@@ -1,10 +1,39 @@
-//! Measurement of compression ratio and decompression speed.
+//! Measurement of compression ratio, compression speed and decompression
+//! speed.
 //!
-//! COMPREDICT's training targets are (compression ratio, decompression
-//! seconds per GB) pairs obtained by actually compressing sampled data.
-//! [`measure`] produces exactly those two numbers for any [`Codec`], timing
-//! the decompression with enough repetitions that small inputs still get a
-//! stable estimate.
+//! # One repetition protocol
+//!
+//! Every timing in this module comes from one private loop: repeat the
+//! codec call at least 3 times, until ~2 ms have elapsed or 32 repetitions,
+//! and report the **minimum** single-run time. Under CPU contention (e.g. a
+//! parallel test run) the minimum tracks the true cost of the work while an
+//! average is inflated by scheduler noise, and inflated timings have
+//! flipped borderline optimizer decisions before.
+//!
+//! # Two halves
+//!
+//! The protocol is applied to two independent halves:
+//!
+//! * the **compression-timing half** compresses the buffer under the
+//!   protocol (so at least three times) and keeps the first output, which
+//!   every later run must reproduce byte for byte;
+//! * the **decompression-timing half**, [`measure_decompression`],
+//!   decompresses an already compressed stream under the protocol and
+//!   derives ratio and compressed size from that stream. Every repetition
+//!   must give back exactly the original length, in release builds too — a
+//!   codec that does not round-trip is never timed and reported.
+//!
+//! [`measure`] is both halves and reports all three quantities; the
+//! codec-throughput benches and the end-to-end benchmark's
+//! `compress.measure` span need it. COMPREDICT's training targets (§V,
+//! Tables VI–VIII) are only the pair (compression ratio, decompression
+//! seconds per GB): data in the lake is compressed once when it is written
+//! and decompressed on every read, so compression *time* is not a cost the
+//! optimizer trades off and not something a predictor is trained for.
+//! Callers that only need the pair — `scope-compredict`'s `build_examples`
+//! and `scope-core`'s scenario profiles — therefore compress **once**
+//! themselves and call [`measure_decompression`], instead of paying two
+//! more compression passes per buffer for a number they would drop.
 
 use crate::Codec;
 use std::time::Instant;
@@ -34,94 +63,145 @@ pub struct CompressionMeasurement {
     pub decompress_gb_per_s: f64,
 }
 
-/// Measure `codec` on `data`.
+/// Result of [`measure_decompression`]: the two COMPREDICT targets of one
+/// compressed stream, without any compression timing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecompressionMeasurement {
+    /// Uncompressed size in bytes.
+    pub original_bytes: usize,
+    /// Compressed size in bytes.
+    pub compressed_bytes: usize,
+    /// Compression ratio `original / compressed`.
+    pub ratio: f64,
+    /// Wall-clock seconds taken by one decompression of the stream.
+    pub decompress_seconds: f64,
+    /// Decompression speed normalised to seconds per GB of *uncompressed*
+    /// data — the unit used in Table VIII.
+    pub decompress_seconds_per_gb: f64,
+}
+
+/// The module's one repetition protocol: call `run` at least 3 times, until
+/// ~2 ms have elapsed or 32 repetitions, timing nothing but the call.
+/// Returns the first run's output (later runs must reproduce it) and the
+/// minimum single-run seconds.
+fn min_of_reps(mut run: impl FnMut() -> Vec<u8>) -> (Vec<u8>, f64) {
+    let start = Instant::now();
+    let first = run();
+    let mut seconds = start.elapsed().as_secs_f64();
+    let mut reps = 1u32;
+    while !(reps >= 32 || (reps >= 3 && start.elapsed().as_secs_f64() > 0.002)) {
+        let rep_start = Instant::now();
+        let out = run();
+        seconds = seconds.min(rep_start.elapsed().as_secs_f64());
+        debug_assert_eq!(out, first);
+        reps += 1;
+    }
+    (first, seconds)
+}
+
+/// Measure `codec` on `data`: both halves of the module's protocol.
 ///
-/// Decompression is repeated (at least 3 times, until ~2 ms have elapsed or
-/// 32 repetitions) and the **minimum** single-run time is reported: under
-/// CPU contention (e.g. a parallel test run) the minimum tracks the true
-/// cost of the work while an average is inflated by scheduler noise, and
-/// inflated timings have flipped borderline optimizer decisions before.
-/// Returns a measurement with ratio 1.0 and zero time for empty input.
+/// Compression and decompression are each repeated (at least 3 times,
+/// until ~2 ms have elapsed or 32 repetitions) and the **minimum**
+/// single-run time is reported. Returns a measurement with ratio 1.0 and
+/// zero time for empty input.
 pub fn measure(codec: &dyn Codec, data: &[u8]) -> CompressionMeasurement {
-    if data.is_empty() {
-        return CompressionMeasurement {
-            original_bytes: 0,
-            compressed_bytes: 0,
-            ratio: 1.0,
-            decompress_seconds: 0.0,
-            decompress_seconds_per_gb: 0.0,
-            compress_seconds: 0.0,
-            compress_gb_per_s: 0.0,
-            decompress_gb_per_s: 0.0,
-        };
-    }
-    // Repeat compression, keeping the fastest observed run (and the output
-    // of the first, which every run must reproduce byte for byte anyway).
-    let mut compressed = Vec::new();
-    let mut compress_seconds = f64::INFINITY;
-    let mut reps = 0u32;
-    let c_start = Instant::now();
-    loop {
-        let rep_start = Instant::now();
-        let out = codec.compress(data);
-        compress_seconds = compress_seconds.min(rep_start.elapsed().as_secs_f64());
-        if reps == 0 {
-            compressed = out;
-        } else {
-            debug_assert_eq!(out, compressed);
-        }
-        reps += 1;
-        if reps >= 32 || (reps >= 3 && c_start.elapsed().as_secs_f64() > 0.002) {
-            break;
-        }
-    }
-
-    // Repeat decompression, keeping the fastest observed run.
-    let mut reps = 0u32;
-    let mut decompress_seconds = f64::INFINITY;
-    let d_start = Instant::now();
-    loop {
-        let rep_start = Instant::now();
-        let out = codec
-            .decompress(&compressed)
-            .expect("codec must round-trip its own output");
-        decompress_seconds = decompress_seconds.min(rep_start.elapsed().as_secs_f64());
-        debug_assert_eq!(out.len(), data.len());
-        reps += 1;
-        if reps >= 32 || (reps >= 3 && d_start.elapsed().as_secs_f64() > 0.002) {
-            break;
-        }
-    }
-
+    // Empty input is not run through the codec at all: no stream, no time
+    // (and the decompression half reports ratio 1.0 for it).
+    let (compressed, compress_seconds) = if data.is_empty() {
+        (Vec::new(), 0.0)
+    } else {
+        min_of_reps(|| codec.compress(data))
+    };
+    let d = measure_decompression(codec, &compressed, data.len());
     let gb = data.len() as f64 / 1e9;
     CompressionMeasurement {
-        original_bytes: data.len(),
-        compressed_bytes: compressed.len(),
-        ratio: data.len() as f64 / compressed.len() as f64,
-        decompress_seconds,
-        decompress_seconds_per_gb: if gb > 0.0 {
-            decompress_seconds / gb
-        } else {
-            0.0
-        },
+        original_bytes: d.original_bytes,
+        compressed_bytes: d.compressed_bytes,
+        ratio: d.ratio,
+        decompress_seconds: d.decompress_seconds,
+        decompress_seconds_per_gb: d.decompress_seconds_per_gb,
         compress_seconds,
         compress_gb_per_s: if compress_seconds > 0.0 {
             gb / compress_seconds
         } else {
             0.0
         },
-        decompress_gb_per_s: if decompress_seconds > 0.0 {
-            gb / decompress_seconds
+        decompress_gb_per_s: if d.decompress_seconds > 0.0 {
+            gb / d.decompress_seconds
         } else {
             0.0
         },
     }
 }
 
+/// The decompression-timing half on its own: time `codec` decompressing
+/// `compressed`, the stream it produced from `original_bytes` bytes, and
+/// report the ratio and the decompression speed — the same numbers
+/// [`measure`] reports for them, from one compression pass made by the
+/// caller instead of three or more.
+///
+/// Returns ratio 1.0 and zero time when `original_bytes` is 0, as
+/// [`measure`] does for empty input.
+///
+/// # Panics
+///
+/// If the codec fails on the stream or gives back any other length than
+/// `original_bytes` — on every repetition, in release builds too.
+pub fn measure_decompression(
+    codec: &dyn Codec,
+    compressed: &[u8],
+    original_bytes: usize,
+) -> DecompressionMeasurement {
+    if original_bytes == 0 {
+        return DecompressionMeasurement {
+            original_bytes: 0,
+            compressed_bytes: 0,
+            ratio: 1.0,
+            decompress_seconds: 0.0,
+            decompress_seconds_per_gb: 0.0,
+        };
+    }
+    let (_, decompress_seconds) = min_of_reps(|| {
+        codec
+            .decompress(compressed)
+            .ok()
+            .filter(|out| out.len() == original_bytes)
+            .expect("codec must round-trip its own output")
+    });
+    let gb = original_bytes as f64 / 1e9;
+    DecompressionMeasurement {
+        original_bytes,
+        compressed_bytes: compressed.len(),
+        ratio: original_bytes as f64 / compressed.len() as f64,
+        decompress_seconds,
+        decompress_seconds_per_gb: decompress_seconds / gb,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressionScheme, GzipishCodec, Lz4ishCodec, NoopCodec, SnappyishCodec};
+    use crate::{
+        CompressError, CompressionScheme, GzipishCodec, Lz4ishCodec, NoopCodec, SnappyishCodec,
+    };
+
+    /// Test-only codec that loses the last byte on the way back.
+    struct LossyCodec;
+
+    impl Codec for LossyCodec {
+        fn name(&self) -> &'static str {
+            "lossy"
+        }
+
+        fn compress(&self, data: &[u8]) -> Vec<u8> {
+            data.to_vec()
+        }
+
+        fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CompressError> {
+            Ok(data[..data.len().saturating_sub(1)].to_vec())
+        }
+    }
 
     fn tabular_text(rows: usize) -> Vec<u8> {
         let mut out = Vec::new();
@@ -256,5 +336,47 @@ mod tests {
         let empty = measure(&Lz4ishCodec::default(), b"");
         assert_eq!(empty.compress_gb_per_s, 0.0);
         assert_eq!(empty.decompress_gb_per_s, 0.0);
+    }
+
+    #[test]
+    fn decompression_half_reports_what_measure_reports() {
+        // Ratio and sizes are functions of the compressed bytes alone, so
+        // one compression pass must give `measure`'s numbers bit for bit;
+        // timings only have to be consistent with each other.
+        let data = tabular_text(150);
+        let gb = data.len() as f64 / 1e9;
+        for scheme in CompressionScheme::all() {
+            let codec = scheme.codec();
+            let m = measure(codec.as_ref(), &data);
+            let compressed = codec.compress(&data);
+            let d = measure_decompression(codec.as_ref(), &compressed, data.len());
+            assert_eq!(d.original_bytes, m.original_bytes, "{scheme}");
+            assert_eq!(d.compressed_bytes, m.compressed_bytes, "{scheme}");
+            assert_eq!(d.ratio.to_bits(), m.ratio.to_bits(), "{scheme}");
+            assert!(d.decompress_seconds.is_finite() && d.decompress_seconds >= 0.0);
+            assert!((d.decompress_seconds_per_gb - d.decompress_seconds / gb).abs() < 1e-9);
+        }
+        let codec = GzipishCodec::default();
+        let empty = measure_decompression(&codec, &codec.compress(b""), 0);
+        let reference = measure(&codec, b"");
+        assert_eq!(empty.ratio, reference.ratio);
+        assert_eq!(empty.compressed_bytes, reference.compressed_bytes);
+        assert_eq!(empty.decompress_seconds, 0.0);
+        assert_eq!(empty.decompress_seconds_per_gb, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "codec must round-trip its own output")]
+    fn measure_never_times_a_codec_that_loses_bytes() {
+        // The length check used to be a `debug_assert`, so a release build
+        // timed and reported this codec.
+        measure(&LossyCodec, &tabular_text(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "codec must round-trip its own output")]
+    fn the_decompression_half_never_times_a_codec_that_loses_bytes() {
+        let data = tabular_text(20);
+        measure_decompression(&LossyCodec, &LossyCodec.compress(&data), data.len());
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::ScopeError;
 use scope_cloudsim::TierCatalog;
-use scope_compress::{measure, CompressionScheme};
+use scope_compress::{measure_decompression, CompressionScheme};
 use scope_datapart::FileCatalog;
 use scope_optassign::CompressionOption;
 use scope_table::{format, DataLayout, TpchGenerator, TpchOptions, TpchTable};
@@ -171,14 +171,17 @@ impl Default for ScenarioOptions {
 const MIN_MEASUREMENT_BYTES: usize = 64 * 1024;
 
 /// Measure the compression profile of a table's bytes in the columnar
-/// (parquet-like) layout for the paper's three schemes plus "none".
+/// (parquet-like) layout for the paper's three schemes plus "none". A
+/// profile holds a ratio and a decompression speed, so each scheme
+/// compresses the bytes once and times only decompression.
 fn measure_profile(table: &scope_table::Table) -> Vec<CompressionOption> {
     let serialized = format::serialize(table, DataLayout::Columnar);
-    let bytes: Vec<u8> = if serialized.len() >= MIN_MEASUREMENT_BYTES || serialized.is_empty() {
-        serialized.to_vec()
+    let tiled;
+    let bytes: &[u8] = if serialized.len() >= MIN_MEASUREMENT_BYTES || serialized.is_empty() {
+        &serialized
     } else {
-        let repeats = MIN_MEASUREMENT_BYTES / serialized.len() + 1;
-        serialized.repeat(repeats)
+        tiled = serialized.repeat(MIN_MEASUREMENT_BYTES / serialized.len() + 1);
+        &tiled
     };
     let gb = (bytes.len() as f64 / 1e9).max(1e-12);
     let mut options = vec![CompressionOption::none()];
@@ -188,7 +191,7 @@ fn measure_profile(table: &scope_table::Table) -> Vec<CompressionOption> {
         CompressionScheme::Lz4,
     ] {
         let codec = scheme.codec();
-        let m = measure(codec.as_ref(), &bytes);
+        let m = measure_decompression(codec.as_ref(), &codec.compress(bytes), bytes.len());
         options.push(CompressionOption::new(
             scheme.name(),
             m.ratio.max(1.0),
@@ -358,6 +361,59 @@ mod tests {
         assert_eq!(
             fc.len(),
             inputs.tables.iter().map(|t| t.n_files).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn profile_ratios_are_measures_ratios_bit_for_bit() {
+        // A profile compresses once and times only decompression; its
+        // ratios must still be exactly what the full `measure` reports on
+        // the same bytes (small tables tiled up to the measurement floor).
+        let options = ScenarioOptions {
+            generator_scale: 0.3,
+            ..small_options()
+        };
+        let inputs = tpch_scenario(&options).unwrap();
+        let tables = TpchGenerator::new(TpchOptions {
+            scale_factor: options.generator_scale,
+            skew: options.skew,
+            seed: options.seed,
+        })
+        .unwrap()
+        .generate_all();
+        assert_eq!(tables.len(), inputs.tables.len());
+        let mut tiled = 0;
+        for (table, profile) in tables.iter().zip(&inputs.tables) {
+            assert_eq!(table.name, profile.name);
+            let mut bytes = format::serialize(table, DataLayout::Columnar).to_vec();
+            if bytes.len() < MIN_MEASUREMENT_BYTES {
+                bytes = bytes.repeat(MIN_MEASUREMENT_BYTES / bytes.len() + 1);
+                tiled += 1;
+            }
+            for (scheme, option) in [
+                CompressionScheme::Gzip,
+                CompressionScheme::Snappy,
+                CompressionScheme::Lz4,
+            ]
+            .iter()
+            .zip(&profile.options[1..])
+            {
+                assert_eq!(option.name, scheme.name());
+                let m = scope_compress::measure(scheme.codec().as_ref(), &bytes);
+                assert_eq!(
+                    option.ratio.to_bits(),
+                    m.ratio.max(1.0).to_bits(),
+                    "{} {scheme}",
+                    table.name
+                );
+                assert!(option.decompress_seconds.is_finite() && option.decompress_seconds > 0.0);
+            }
+        }
+        // Both the borrowed and the tiled buffer were exercised.
+        assert!(
+            tiled > 0 && tiled < tables.len(),
+            "{tiled} of {} tiled",
+            tables.len()
         );
     }
 

@@ -43,6 +43,12 @@
 //! * **Bounded k-NN selection** — queries keep a max-heap of the k best
 //!   neighbours instead of fully sorting all training distances.
 //!
+//! That fan-out module is re-exported as [`parallel`]: this crate already
+//! sits on `scope-cloudsim` for it, so the crates above (`scope-compredict`
+//! fans its ground-truth compression out over the samples) reach the one
+//! deterministic fan-out through `scope_learn::parallel` without a Cargo
+//! edge of their own.
+//!
 //! # The reference-oracle pattern
 //!
 //! The seed-shaped implementations (per-node sorts, clone-based bootstraps,
@@ -77,6 +83,7 @@ pub use metrics::{
     confusion_matrix, f1_score, mae, mape, precision, r2_score, recall, ConfusionMatrix,
 };
 pub use mlp::MlpRegressor;
+pub use scope_cloudsim::parallel;
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor};
 
 /// A trained regression model mapping a feature vector to a real value.

@@ -14,7 +14,9 @@
 //! containing raw `f64`s — no tolerances.
 
 use proptest::prelude::*;
-use scope_cloudsim::parallel::parallel_map_with_threads;
+use scope_cloudsim::parallel::{
+    parallel_map_weighted_with_threads, parallel_map_with_threads, workers_spawned,
+};
 use scope_cloudsim::{CostModel, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH};
 use scope_optassign::reference::{
     solve_branch_and_bound_reference, solve_equal_size_matching_reference, solve_greedy_reference,
@@ -371,6 +373,86 @@ proptest! {
         let sequential = parallel_map_with_threads(&items, 1, f);
         let parallel = parallel_map_with_threads(&items, threads, f);
         prop_assert_eq!(sequential, parallel);
+    }
+
+    /// The weight-cut fan-out over random weight vectors — as drawn, all
+    /// equal, all zero, one item holding over 90% of the weight, fewer
+    /// items than threads, empty — and 1–13 threads: the output is the
+    /// sequential loop's bit for bit and visits every index once; the
+    /// chunks (read off the worker thread each item ran on) are
+    /// contiguous, non-empty and at most `threads`; no chunk outweighs
+    /// `total / threads` plus the heaviest item; every chunk's worker is
+    /// counted, and one thread runs on the caller's. (Other tests of this
+    /// binary fan out concurrently, so the counter is bounded from below
+    /// here and pinned exactly in `tests/plan_fan_out.rs`.)
+    #[test]
+    fn weighted_fan_out_equals_sequential_and_cuts_within_the_balance_bound(
+        drawn in proptest::collection::vec(0u64..1000, 0..40),
+        shape in 0usize..5,
+        heavy_pick in 0usize..1000,
+        threads in 1usize..14,
+    ) {
+        let mut weights = drawn;
+        match shape {
+            1 => weights.iter_mut().for_each(|w| *w = 17),
+            2 => weights.iter_mut().for_each(|w| *w = 0),
+            3 if !weights.is_empty() => {
+                let rest: u64 = weights.iter().sum();
+                let heavy = heavy_pick % weights.len();
+                weights[heavy] = 10 * rest + 1;
+            }
+            4 => weights.truncate(threads - 1),
+            _ => {}
+        }
+        let n = weights.len();
+        let value = |i: usize, w: u64| {
+            ((w as f64 * 1.000001 + i as f64).sqrt() * (w as f64 + 0.5).ln_1p()).to_bits()
+        };
+        let f = |i: usize, &w: &u64| (i, value(i, w), std::thread::current().id());
+        let sequential: Vec<(usize, u64)> =
+            weights.iter().enumerate().map(|(i, &w)| (i, value(i, w))).collect();
+        let before = workers_spawned();
+        let got = parallel_map_weighted_with_threads(&weights, threads, |&w| w, f);
+        let spawned = workers_spawned() - before;
+        prop_assert_eq!(
+            got.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
+            sequential
+        );
+        prop_assert!(got.iter().map(|r| r.0).eq(0..n));
+
+        // Chunks: maximal runs of one worker's thread id.
+        let mut chunks: Vec<(std::thread::ThreadId, std::ops::Range<usize>)> = Vec::new();
+        for (i, r) in got.iter().enumerate() {
+            match chunks.last_mut() {
+                Some((id, range)) if *id == r.2 => range.end = i + 1,
+                _ => chunks.push((r.2, i..i + 1)),
+            }
+        }
+        let effective_threads = threads.clamp(1, n.max(1));
+        if effective_threads == 1 {
+            prop_assert!(chunks.iter().all(|(id, _)| *id == std::thread::current().id()));
+            return Ok(());
+        }
+        // A worker runs one contiguous chunk: no thread id comes back in a
+        // second run, and none is the caller's.
+        for (k, (id, _)) in chunks.iter().enumerate() {
+            prop_assert!(*id != std::thread::current().id());
+            prop_assert!(chunks[..k].iter().all(|(earlier, _)| earlier != id));
+        }
+        prop_assert!(!chunks.is_empty() && chunks.len() <= effective_threads);
+        prop_assert!(spawned >= chunks.len() as u64);
+        // All-zero weights count as all ones.
+        let by_count = weights.iter().all(|&w| w == 0);
+        let effective = |w: u64| if by_count { 1 } else { w };
+        let total: u64 = weights.iter().map(|&w| effective(w)).sum();
+        let heaviest_item = weights.iter().map(|&w| effective(w)).max().unwrap_or(0);
+        for (_, range) in &chunks {
+            let chunk: u64 = weights[range.clone()].iter().map(|&w| effective(w)).sum();
+            prop_assert!(
+                chunk * effective_threads as u64 <= total + heaviest_item * effective_threads as u64,
+                "chunk {:?} of {:?} over {} weighs {}", range, weights, effective_threads, chunk
+            );
+        }
     }
 
     /// The in-place row kernel: `build` on 1–4 workers ≡ the model-driven
