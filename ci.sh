@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=668
+min_tests=683
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -117,6 +117,37 @@ if [[ $quick -eq 0 ]]; then
     }
     for ceiling in "resolve_allocs $max_resolve_allocs" "checkpoint_allocs $max_checkpoint_allocs"; do
         name="serve.${ceiling% *}" max="${ceiling#* }"
+        got=$(echo "$traced" | awk -v name="$name" '$2 == name {printf "%d", $3}')
+        echo "    $name $got (ceiling $max)"
+        if [[ -z "$got" || "$got" -gt "$max" ]]; then
+            echo "FAIL: $name is '$got', above its ceiling $max"
+            exit 1
+        fi
+    done
+
+    # Durable-bytes ratchet. What the journaled loop writes, deletes and
+    # syncs in the traced quick `serve_durable` run (six epochs, so two
+    # full checkpoint frames and four dynamic ones) is a function of the
+    # code and the seed alone and repeats exactly: bytes published as
+    # checkpoint frames, objects deleted by retire, segment syncs and
+    # bytes appended as record frames may only go down. A count above its
+    # ceiling means a frame grew back, a publish went full that should be
+    # dynamic, or retention keeps less than it did. When you shrink one,
+    # tighten the ceiling to what the run prints.
+    max_checkpoint_bytes_written=446476
+    max_storage_deletes=7
+    max_storage_syncs=6
+    max_bytes_appended=2269134
+    echo "==> benchmark/run.sh serve_durable --trace 1 --quick (durable-bytes ratchet)"
+    traced=$(traced_quick serve_durable) || {
+        echo "$traced"
+        echo "FAIL: traced serve_durable run failed"
+        exit 1
+    }
+    for ceiling in "checkpoint_bytes_written $max_checkpoint_bytes_written" \
+        "storage_deletes $max_storage_deletes" "storage_syncs $max_storage_syncs" \
+        "bytes_appended $max_bytes_appended"; do
+        name="wal.${ceiling% *}" max="${ceiling#* }"
         got=$(echo "$traced" | awk -v name="$name" '$2 == name {printf "%d", $3}')
         echo "    $name $got (ceiling $max)"
         if [[ -z "$got" || "$got" -gt "$max" ]]; then

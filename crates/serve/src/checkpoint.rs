@@ -85,6 +85,39 @@
 //! and each shard's incumbent choices spelled out beside the applied
 //! ones) are rejected as unsupported versions.
 //!
+//! ## The dynamic snapshot (`SCPD`, same version)
+//!
+//! A durable checkpoint taken every epoch should cost what the epoch
+//! changed. The static section is two thirds of a snapshot and can only
+//! ever be appended to, so [`crate::ServeEngine::checkpoint_dynamic`]
+//! writes the layout above **with one substitution** under its own magic:
+//!
+//! ```text
+//! magic   b"SCPD"
+//! version u32                          (the full layout's: they change together)
+//! payload fingerprint … objects count  as above
+//!         static digest                byte length u64, XXH64 u64 of the
+//!                                      static section — not its bytes
+//!         dynamic … pending            as above
+//! checksum u64                         (XXH64 over magic..payload)
+//! ```
+//!
+//! The **static digest** — object count, static-section length, and its
+//! XXH64 — names the section the snapshot was taken over. The engine
+//! computes the hash when first asked and forgets it only when `register`
+//! appends, so a steady fleet hashes its static section once.
+//!
+//! Which restore takes what: [`crate::ServeEngine::restore`] takes a full
+//! snapshot and nothing else. [`crate::ServeEngine::restore_dynamic`]
+//! takes the **static section from a full snapshot** — any one of the same
+//! objects, however old; everything else in it is ignored — and
+//! **everything else from a dynamic snapshot**, after checking that the
+//! full one's section is the one the digest names (count, length, hash)
+//! and, as every restore does, that it re-encodes to itself. A mismatch —
+//! objects were registered in between — is a typed error; so is either
+//! kind offered in the other's place (the magics differ). There is no
+//! chain: a dynamic snapshot never depends on another dynamic snapshot.
+//!
 //! ## Versioning rules
 //!
 //! The version is bumped on **any** layout change; readers reject versions
@@ -98,10 +131,14 @@ use scope_wal::xxh64;
 
 use crate::error::ServeError;
 
-/// Magic bytes every checkpoint leads with.
+/// Magic bytes every (full) checkpoint leads with.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SCPK";
 
-/// Current checkpoint format version.
+/// Magic bytes every dynamic snapshot leads with.
+pub const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
+
+/// Current checkpoint format version, of both layouts: the dynamic one is
+/// the full one less a section, so they change together.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Little-endian byte writer that appends to a caller's buffer.
@@ -112,11 +149,11 @@ pub(crate) struct Writer<'a> {
 }
 
 impl<'a> Writer<'a> {
-    /// Start a checkpoint after whatever `buf` already holds: magic and
+    /// Start a checkpoint after whatever `buf` already holds: `magic` and
     /// version, then the caller's payload, then [`Writer::finish`].
-    pub(crate) fn new(buf: &'a mut Vec<u8>) -> Self {
+    pub(crate) fn new(buf: &'a mut Vec<u8>, magic: [u8; 4]) -> Self {
         let mut w = Writer::bare(buf);
-        w.buf.extend_from_slice(&CHECKPOINT_MAGIC);
+        w.buf.extend_from_slice(&magic);
         w.u32(CHECKPOINT_VERSION);
         w
     }
@@ -181,24 +218,25 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Validate magic, version and checksum; return a reader positioned at
-    /// the start of the payload (the checksum trailer is excluded).
-    pub(crate) fn open(bytes: &'a [u8]) -> Result<Self, ServeError> {
-        let header = CHECKPOINT_MAGIC.len() + 4;
+    /// Validate `magic`, version and checksum; return a reader positioned
+    /// at the start of the payload (the checksum trailer is excluded).
+    pub(crate) fn open(bytes: &'a [u8], magic: [u8; 4]) -> Result<Self, ServeError> {
+        let header = magic.len() + 4;
         if bytes.len() < header + 8 {
             return Err(ServeError::Checkpoint(format!(
                 "too short: {} bytes cannot hold a header and checksum",
                 bytes.len()
             )));
         }
-        if bytes[..4] != CHECKPOINT_MAGIC {
-            return Err(ServeError::Checkpoint(
-                "bad magic: not a serve checkpoint".into(),
-            ));
+        if bytes[..4] != magic {
+            return Err(ServeError::Checkpoint(format!(
+                "bad magic: not a serve `{}` snapshot",
+                String::from_utf8_lossy(&magic)
+            )));
         }
         let mut reader = Reader {
             bytes: &bytes[..bytes.len() - 8],
-            pos: CHECKPOINT_MAGIC.len(),
+            pos: magic.len(),
         };
         // The version names the layout, checksum algorithm included, so
         // it is judged first: an older snapshot is "unsupported", not
@@ -365,14 +403,14 @@ mod tests {
     /// A finished checkpoint holding whatever `payload` writes.
     fn checkpoint_of(payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let mut w = Writer::new(&mut bytes);
+        let mut w = Writer::new(&mut bytes, CHECKPOINT_MAGIC);
         payload(&mut w);
         w.finish();
         bytes
     }
 
     fn open_error(bytes: &[u8]) -> String {
-        match Reader::open(bytes) {
+        match Reader::open(bytes, CHECKPOINT_MAGIC) {
             Err(ServeError::Checkpoint(reason)) => reason,
             Err(other) => panic!("not a checkpoint error: {other:?}"),
             Ok(_) => panic!("opened"),
@@ -390,7 +428,7 @@ mod tests {
             w.str("héllo");
         });
 
-        let mut r = Reader::open(&bytes).unwrap();
+        let mut r = Reader::open(&bytes, CHECKPOINT_MAGIC).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
@@ -412,7 +450,7 @@ mod tests {
         // Truncation (drops the trailer or part of it).
         for cut in [0, 3, good.len() - 1] {
             assert!(matches!(
-                Reader::open(&good[..cut]),
+                Reader::open(&good[..cut], CHECKPOINT_MAGIC),
                 Err(ServeError::Checkpoint(_))
             ));
         }
@@ -437,7 +475,7 @@ mod tests {
 
         // A corrupt length cannot demand a giant allocation.
         let huge = checkpoint_of(|w| w.u64(u64::MAX));
-        let mut r = Reader::open(&huge).unwrap();
+        let mut r = Reader::open(&huge, CHECKPOINT_MAGIC).unwrap();
         assert!(matches!(r.len(8), Err(ServeError::Checkpoint(_))));
     }
 

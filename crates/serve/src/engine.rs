@@ -28,6 +28,7 @@
 //! dynamic columns (see [`crate::checkpoint`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use scope_cloudsim::parallel::{default_threads, parallel_map_mut_with_threads};
 use scope_cloudsim::{
@@ -38,7 +39,11 @@ use scope_optassign::{
     OptAssignError, OptAssignProblem, PartitionSpec,
 };
 
-use crate::checkpoint::{config_fingerprint, get_id, id_width, put_id, Reader, Writer};
+use scope_wal::{xxh64, StaticDigest};
+
+use crate::checkpoint::{
+    config_fingerprint, get_id, id_width, put_id, Reader, Writer, CHECKPOINT_MAGIC, DYNAMIC_MAGIC,
+};
 use crate::error::ServeError;
 use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
 
@@ -407,6 +412,10 @@ pub struct ServeEngine {
     /// nothing in it (name, shard, size, residency, latency threshold)
     /// can change afterwards. Every snapshot copies it whole.
     static_image: Vec<u8>,
+    /// XXH64 of `static_image`, computed when first asked for and
+    /// forgotten whenever [`Self::register`] appends: what a dynamic
+    /// snapshot names its static section by.
+    static_hash: OnceLock<u64>,
     /// [`config_fingerprint`] of `catalog` and `schemes`, neither of which
     /// changes after construction: every snapshot leads with it.
     fingerprint: u64,
@@ -482,6 +491,7 @@ impl ServeEngine {
             pending: BTreeMap::new(),
             duplicate_batches: 0,
             static_image: Vec::new(),
+            static_hash: OnceLock::new(),
         })
     }
 
@@ -567,6 +577,7 @@ impl ServeEngine {
         w.f64_bits(partition.size_gb);
         w.u32(partition.residency_days);
         w.f64_bits(partition.latency_threshold_seconds);
+        self.static_hash = OnceLock::new();
         shard.problem.partitions.push(partition);
         shard.choices.push((spec.current_tier, spec.compression));
         // Shape changed: the dense table no longer matches the problem,
@@ -990,7 +1001,45 @@ impl ServeEngine {
     /// into one long-lived buffer instead of a fresh allocation and a
     /// copy. The checksum covers the appended bytes only.
     pub fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let mut w = Writer::new(out);
+        self.snapshot_into(out, false);
+    }
+
+    /// Serialize everything [`Self::checkpoint`] does **except the static
+    /// section**, which is named by its digest instead (see
+    /// [`crate::checkpoint`] for the layout): what an epoch can change, at
+    /// about a third of the bytes. [`Self::restore_dynamic`] lays it over
+    /// the static section of any full checkpoint of the same objects.
+    pub fn checkpoint_dynamic(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.checkpoint_size_hint() - self.static_image.len());
+        self.checkpoint_dynamic_into(&mut out);
+        out
+    }
+
+    /// [`Self::checkpoint_dynamic`], appended to `out` after whatever it
+    /// already holds (see [`Self::checkpoint_into`]).
+    pub(crate) fn checkpoint_dynamic_into(&self, out: &mut Vec<u8>) {
+        self.snapshot_into(out, true);
+    }
+
+    /// What names the static section as it stands: how many objects it
+    /// describes, how long it is, and its XXH64.
+    pub(crate) fn static_digest(&self) -> StaticDigest {
+        StaticDigest {
+            objects: self.locs.len() as u64,
+            len: self.static_image.len() as u64,
+            xxh64: *self.static_hash.get_or_init(|| xxh64(&self.static_image)),
+        }
+    }
+
+    /// The one snapshot writer: the full layout, or with `dynamic` the
+    /// same less the static section's bytes.
+    fn snapshot_into(&self, out: &mut Vec<u8>, dynamic: bool) {
+        let magic = if dynamic {
+            DYNAMIC_MAGIC
+        } else {
+            CHECKPOINT_MAGIC
+        };
+        let mut w = Writer::new(out, magic);
         w.u64(self.fingerprint);
         // Configuration.
         w.u32(self.config.horizon_days);
@@ -1023,7 +1072,13 @@ impl ServeEngine {
         // restore reproduces the identical shard/row layout.
         let n = self.locs.len();
         w.u64(n as u64);
-        w.bytes(&self.static_image);
+        if dynamic {
+            let digest = self.static_digest();
+            w.u64(digest.len);
+            w.u64(digest.xxh64);
+        } else {
+            w.bytes(&self.static_image);
+        }
         let (tier_width, scheme_width) = self.id_widths();
         let columns = w.zeroed(n * self.dynamic_row_bytes());
         let (tiers, columns) = columns.split_at_mut(n * tier_width);
@@ -1122,45 +1177,61 @@ impl ServeEngine {
         schemes: Vec<CompressionOption>,
         bytes: &[u8],
     ) -> Result<ServeEngine, ServeError> {
-        let mut r = Reader::open(bytes)?;
-        let fingerprint = r.u64()?;
-        let expected = config_fingerprint(&catalog, &schemes);
-        if fingerprint != expected {
-            return Err(ServeError::Checkpoint(format!(
-                "catalog/scheme fingerprint mismatch: checkpoint was taken under \
-                 {fingerprint:#018x}, this configuration is {expected:#018x}"
-            )));
-        }
-        let config = ServeConfig {
-            horizon_days: r.u32()?,
-            horizon_months: r.f64_bits()?,
-            decay_per_day: r.f64_bits()?,
-            bucket_base: r.f64_bits()?,
-            bucket_hysteresis: r.f64_bits()?,
-            // Not part of a snapshot: the restored engine decides.
-            threads: 0,
-            node_budget: match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                tag => return Err(ServeError::Checkpoint(format!("bad node_budget tag {tag}"))),
-            },
+        let r = Reader::open(bytes, CHECKPOINT_MAGIC)?;
+        Self::restore_from(catalog, schemes, r, None)
+    }
+
+    /// Rebuild the engine `dynamic` (a [`Self::checkpoint_dynamic`]) was
+    /// taken from: the static section comes from `full` — any
+    /// [`Self::checkpoint`] of the same objects, however much older —
+    /// and everything else from `dynamic`. A `full` whose static section
+    /// is not the one `dynamic` names (another object count, length or
+    /// XXH64: objects were registered in between, or it is another
+    /// fleet's) is refused with [`ServeError::Checkpoint`], as is either
+    /// snapshot offered in the other's place.
+    pub fn restore_dynamic(
+        catalog: TierCatalog,
+        schemes: Vec<CompressionOption>,
+        full: &[u8],
+        dynamic: &[u8],
+    ) -> Result<ServeEngine, ServeError> {
+        let donor = static_section(&catalog, &schemes, full)?;
+        let r = Reader::open(dynamic, DYNAMIC_MAGIC)?;
+        Self::restore_from(catalog, schemes, r, Some(donor))
+    }
+
+    /// Decode the payload `r` stands at the start of: a full snapshot's,
+    /// or with `donor` (a static section and its digest) a dynamic one's.
+    fn restore_from(
+        catalog: TierCatalog,
+        schemes: Vec<CompressionOption>,
+        mut r: Reader<'_>,
+        donor: Option<(StaticDigest, &[u8])>,
+    ) -> Result<ServeEngine, ServeError> {
+        let head = Preamble::read(&mut r, config_fingerprint(&catalog, &schemes))?;
+        let n_accounts = head.accounts.len();
+        let mut engine = ServeEngine::new(catalog, schemes, head.config)?;
+        let (n_objects, static_image) = match donor {
+            None => {
+                let n_objects = r.len(STATIC_RECORD_MIN + engine.dynamic_row_bytes())?;
+                (n_objects, r.bytes()?)
+            }
+            Some((held, image)) => {
+                let n_objects = r.len(engine.dynamic_row_bytes())?;
+                let named = StaticDigest {
+                    objects: n_objects as u64,
+                    len: r.u64()?,
+                    xxh64: r.u64()?,
+                };
+                if held != named {
+                    return Err(ServeError::Checkpoint(format!(
+                        "static digest mismatch: the dynamic snapshot was taken over \
+                         {named:?}, the full one holds {held:?}"
+                    )));
+                }
+                (n_objects, image)
+            }
         };
-        let mut engine = ServeEngine::new(catalog, schemes, config)?;
-        let day = r.u32()?;
-        let dropped_events = r.u64()?;
-        let events_seen = r.u64()?;
-        let epoch = r.u64()?;
-        let next_seq = r.u64()?;
-        let duplicate_batches = r.u64()?;
-        let n_accounts = r.len(1)?;
-        let mut accounts = Vec::with_capacity(n_accounts);
-        for _ in 0..n_accounts {
-            accounts.push(r.str()?);
-        }
-        // A static record is at least its five fixed-width fields.
-        const STATIC_RECORD_MIN: usize = 8 + 4 + 8 + 4 + 8;
-        let n_objects = r.len(STATIC_RECORD_MIN + engine.dynamic_row_bytes())?;
-        let static_image = r.bytes()?;
         let (tier_width, scheme_width) = engine.id_widths();
         let tiers = r.take(n_objects * tier_width)?;
         let schemes = r.take(n_objects * scheme_width)?;
@@ -1176,7 +1247,7 @@ impl ServeEngine {
         for gid in 0..n_objects {
             let name = statics.str()?;
             let shard_idx = statics.u32()? as usize;
-            let account = accounts.get(shard_idx).ok_or_else(|| {
+            let account = head.accounts.get(shard_idx).ok_or_else(|| {
                 ServeError::Checkpoint(format!(
                     "object {name:?} references shard {shard_idx} but only \
                      {n_accounts} accounts exist"
@@ -1318,14 +1389,100 @@ impl ServeEngine {
             engine.pending.insert(seq, cols);
         }
         r.expect_end()?;
-        engine.day = day;
-        engine.dropped_events = dropped_events;
-        engine.events_seen = events_seen;
-        engine.epoch = epoch;
-        engine.next_seq = next_seq;
-        engine.duplicate_batches = duplicate_batches;
+        engine.day = head.day;
+        engine.dropped_events = head.dropped_events;
+        engine.events_seen = head.events_seen;
+        engine.epoch = head.epoch;
+        engine.next_seq = head.next_seq;
+        engine.duplicate_batches = head.duplicate_batches;
         Ok(engine)
     }
+}
+
+/// A static record is at least its five fixed-width fields.
+const STATIC_RECORD_MIN: usize = 8 + 4 + 8 + 4 + 8;
+
+/// What both snapshot layouts lead with, up to the object count.
+struct Preamble {
+    config: ServeConfig,
+    day: u32,
+    dropped_events: u64,
+    events_seen: u64,
+    epoch: u64,
+    next_seq: u64,
+    duplicate_batches: u64,
+    /// Account names, in shard order.
+    accounts: Vec<String>,
+}
+
+impl Preamble {
+    /// Read it, refusing a snapshot taken under another configuration
+    /// than the one `expected` fingerprints.
+    fn read(r: &mut Reader<'_>, expected: u64) -> Result<Self, ServeError> {
+        let fingerprint = r.u64()?;
+        if fingerprint != expected {
+            return Err(ServeError::Checkpoint(format!(
+                "catalog/scheme fingerprint mismatch: checkpoint was taken under \
+                 {fingerprint:#018x}, this configuration is {expected:#018x}"
+            )));
+        }
+        let config = ServeConfig {
+            horizon_days: r.u32()?,
+            horizon_months: r.f64_bits()?,
+            decay_per_day: r.f64_bits()?,
+            bucket_base: r.f64_bits()?,
+            bucket_hysteresis: r.f64_bits()?,
+            // Not part of a snapshot: the restored engine decides.
+            threads: 0,
+            node_budget: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                tag => return Err(ServeError::Checkpoint(format!("bad node_budget tag {tag}"))),
+            },
+        };
+        let day = r.u32()?;
+        let dropped_events = r.u64()?;
+        let events_seen = r.u64()?;
+        let epoch = r.u64()?;
+        let next_seq = r.u64()?;
+        let duplicate_batches = r.u64()?;
+        let n_accounts = r.len(1)?;
+        let mut accounts = Vec::with_capacity(n_accounts);
+        for _ in 0..n_accounts {
+            accounts.push(r.str()?);
+        }
+        Ok(Preamble {
+            config,
+            day,
+            dropped_events,
+            events_seen,
+            epoch,
+            next_seq,
+            duplicate_batches,
+            accounts,
+        })
+    }
+}
+
+/// The static section of the full checkpoint `full` and its digest,
+/// checked as far as a checksum and the configuration fingerprint go —
+/// what it costs to ask whether a snapshot can lend its static section.
+/// The records themselves are proven when a restore registers them again.
+pub(crate) fn static_section<'a>(
+    catalog: &TierCatalog,
+    schemes: &[CompressionOption],
+    full: &'a [u8],
+) -> Result<(StaticDigest, &'a [u8]), ServeError> {
+    let mut r = Reader::open(full, CHECKPOINT_MAGIC)?;
+    Preamble::read(&mut r, config_fingerprint(catalog, schemes))?;
+    let objects = r.len(STATIC_RECORD_MIN)? as u64;
+    let image = r.bytes()?;
+    let digest = StaticDigest {
+        objects,
+        len: image.len() as u64,
+        xxh64: xxh64(image),
+    };
+    Ok((digest, image))
 }
 
 impl AccountShard {
@@ -2421,6 +2578,172 @@ mod tests {
                 assert!(reason.contains("unsupported version 2"), "{reason}")
             }
             other => panic!("a version-2 snapshot was not refused: {other:?}"),
+        }
+    }
+
+    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V3`] holds: the
+    /// same bytes less the static section, whose place its length (0x42)
+    /// and XXH64 take, under the `SCPD` magic.
+    const GOLDEN_SCPD_V3: &str = "\
+             5343504403000000232f3441bcbf95593c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
+             0000000000000000000200000000000000010000000000000001000000000000\
+             0000000000000000000100000000000000040000000000000061636374020000\
+             00000000004200000000000000bf78d6998edd4dc10100010100000000000000\
+             000000000000000000000000000000103f00000000000000000f0000000f0000\
+             0000000000000000000002000000000000000000000001000000010000000000\
+             c0234000000000008021400000000000000000000000000000f23f0000000000\
+             0000000000000000000000000400000000000001000000000000000000000000\
+             0000000100000000000000010000000000000002000000010000000000000000\
+             00f87f0001000000000000000200000000000000010000000000000010000000\
+             0100000000000000000000000100000000000000010000000100000000000000\
+             010100000000000000000000000000e03ff327778526ccd637";
+
+    #[test]
+    fn the_dynamic_layout_is_pinned_by_a_golden_snapshot() {
+        let full = unhex(GOLDEN_SCPK_V3);
+        let golden = unhex(GOLDEN_SCPD_V3);
+        assert_eq!(golden.len(), 409);
+        let engine = ServeEngine::restore(golden_catalog(), golden_schemes(), &full).unwrap();
+        assert_eq!(engine.checkpoint_dynamic(), golden);
+        assert_eq!(golden[..4], crate::checkpoint::DYNAMIC_MAGIC);
+        assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
+        // Byte for byte the full layout around the static section.
+        let (at, section) = (0x85, 8 + 0x42);
+        assert_eq!(full[at..at + 8], 0x42u64.to_le_bytes());
+        assert_eq!(golden[4..at], full[4..at]);
+        assert_eq!(golden[at..at + 8], full[at..at + 8]);
+        assert_eq!(
+            golden[at + 8..at + 16],
+            xxh64(&full[at + 8..at + section]).to_le_bytes()
+        );
+        assert_eq!(
+            golden[at + 16..golden.len() - 8],
+            full[at + section..full.len() - 8]
+        );
+        assert_eq!(golden.len(), full.len() - 0x42 + 8);
+        assert_eq!(
+            engine.static_digest(),
+            StaticDigest {
+                objects: 2,
+                len: 0x42,
+                xxh64: xxh64(&full[at + 8..at + section]),
+            }
+        );
+
+        let restored =
+            ServeEngine::restore_dynamic(golden_catalog(), golden_schemes(), &full, &golden)
+                .unwrap();
+        assert_eq!(restored.checkpoint(), full);
+        assert_eq!(restored.checkpoint_dynamic(), golden);
+    }
+
+    fn checkpoint_error(result: Result<ServeEngine, ServeError>) -> String {
+        match result {
+            Err(ServeError::Checkpoint(reason)) => reason,
+            other => panic!("not a checkpoint error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dynamic_snapshot_restores_over_any_full_one_of_the_same_objects() {
+        // The full snapshot is taken early; the engine then lives on.
+        let mut engine = demo_engine(2, 2, ServeConfig::default());
+        let early = engine.checkpoint();
+        let mut batch = EventColumns::default();
+        batch.push_resolved(1, 0, AccessKind::Read, 0.75);
+        batch.push_resolved(3, 1, AccessKind::Read, f64::NAN);
+        engine.ingest_sequenced(0, &batch).unwrap();
+        engine.advance(15);
+        engine.reoptimize().unwrap();
+        let (full, dynamic) = (engine.checkpoint(), engine.checkpoint_dynamic());
+        assert!(dynamic.len() < full.len());
+        for donor in [&early, &full] {
+            let restored = ServeEngine::restore_dynamic(
+                scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+                schemes(),
+                donor,
+                &dynamic,
+            )
+            .unwrap();
+            assert_eq!(restored.checkpoint(), full);
+        }
+
+        // Each offered in the other's place is a typed error.
+        let restore_dynamic = |full: &[u8], dynamic: &[u8]| {
+            ServeEngine::restore_dynamic(
+                scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+                schemes(),
+                full,
+                dynamic,
+            )
+        };
+        let reason = checkpoint_error(restore_demo(&dynamic));
+        assert!(reason.contains("bad magic"), "{reason}");
+        let reason = checkpoint_error(restore_dynamic(&full, &full));
+        assert!(reason.contains("bad magic"), "{reason}");
+        let reason = checkpoint_error(restore_dynamic(&dynamic, &dynamic));
+        assert!(reason.contains("bad magic"), "{reason}");
+
+        // A registration after the full snapshot changes the digest: the
+        // old full one no longer carries this engine's static section.
+        let at = engine.len();
+        engine
+            .register(ServeObject::new("late", "acct-0", 2.5, TierId(0)))
+            .unwrap();
+        assert_eq!(engine.static_digest().objects, at as u64 + 1);
+        let grown = engine.checkpoint_dynamic();
+        let reason = checkpoint_error(restore_dynamic(&full, &grown));
+        assert!(reason.contains("static digest mismatch"), "{reason}");
+        let restored = restore_dynamic(&engine.checkpoint(), &grown).unwrap();
+        assert_eq!(restored.checkpoint(), engine.checkpoint());
+        // And the other way round: a full snapshot of more objects.
+        let reason = checkpoint_error(restore_dynamic(&engine.checkpoint(), &dynamic));
+        assert!(reason.contains("static digest mismatch"), "{reason}");
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_dynamic_snapshot_is_a_typed_error() {
+        let engine = eventful_engine();
+        let (full, dynamic) = (engine.checkpoint(), engine.checkpoint_dynamic());
+        let restore = |dynamic: &[u8]| {
+            ServeEngine::restore_dynamic(
+                scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+                schemes(),
+                &full,
+                dynamic,
+            )
+        };
+        assert_eq!(restore(&dynamic).unwrap().checkpoint(), full);
+        for byte in 0..dynamic.len() {
+            for bit in 0..8 {
+                let mut bad = dynamic.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    matches!(restore(&bad), Err(ServeError::Checkpoint(_))),
+                    "flip at byte {byte} bit {bit} restored"
+                );
+            }
+        }
+        for cut in 0..dynamic.len() {
+            assert!(
+                matches!(restore(&dynamic[..cut]), Err(ServeError::Checkpoint(_))),
+                "prefix of {cut} bytes restored"
+            );
+        }
+        // The donor is outside input too: a damaged one is refused whole.
+        for byte in (0..full.len()).step_by(7) {
+            let mut bad = full.clone();
+            bad[byte] ^= 0x10;
+            assert!(matches!(
+                ServeEngine::restore_dynamic(
+                    scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+                    schemes(),
+                    &bad,
+                    &dynamic,
+                ),
+                Err(ServeError::Checkpoint(_))
+            ));
         }
     }
 

@@ -76,7 +76,10 @@
 //! end: every accepted batch is appended to a segmented, CRC-framed
 //! write-ahead journal (`scope-wal`) *before* it mutates engine state,
 //! synced at epoch boundaries, and checkpoints are published atomically
-//! through the same storage with covered segments retired.
+//! through the same storage with covered segments retired — a full
+//! snapshot twice, then per epoch only the dynamic part
+//! ([`ServeEngine::checkpoint_dynamic`]), which restores over either full
+//! one ([`ServeEngine::restore_dynamic`]).
 //! [`JournaledEngine::recover`] is the single recovery protocol — newest
 //! valid checkpoint (walking back past corrupt ones), truncate the torn
 //! tail, quarantine corrupt interior records with typed errors, replay

@@ -9,10 +9,18 @@
 //! section — stays byte for byte the engine that never was. Registering
 //! *after* a snapshot was taken is the interesting case for the static
 //! section: it is appended to, never rebuilt.
+//!
+//! The dynamic snapshot rides along: laid over a full snapshot taken
+//! *earlier* — any number of epochs, deliveries and re-solves ago — it
+//! must restore to the engine as it stands now, and a registration in
+//! between (another static section) must be refused by digest, not
+//! misread.
 
 use proptest::prelude::*;
 use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
-use scope_serve::{CompressionOption, ServeConfig, ServeEngine, ServeObject, ShardFault};
+use scope_serve::{
+    CompressionOption, ServeConfig, ServeEngine, ServeError, ServeObject, ShardFault,
+};
 
 const HORIZON_DAYS: u32 = 400;
 const ACCOUNTS: usize = 3;
@@ -99,6 +107,8 @@ proptest! {
         let mut owners: Vec<String> = Vec::new();
         let (mut seq, mut day) = (0u64, 0u32);
         let mut snapshots = 0usize;
+        // A full snapshot from some way back, with the fleet size then.
+        let mut earlier: Option<(Vec<u8>, usize)> = None;
         // Two objects up front so that the first re-solve has shards.
         for op in [0usize, 7, 1, 2].into_iter().chain(ops.iter().copied()) {
             let (kind, arg) = (op % 6, op / 6);
@@ -163,10 +173,32 @@ proptest! {
                 _ => {
                     let snapshot = live.checkpoint();
                     prop_assert_eq!(&twin.checkpoint(), &snapshot);
-                    let restored = restore(&snapshot);
+                    let mut restored = restore(&snapshot);
                     prop_assert_eq!(&restored.checkpoint(), &snapshot);
                     prop_assert_eq!(restored.config().threads, 0);
+                    // The dynamic part over the earlier full snapshot is
+                    // the engine as it stands — unless objects were
+                    // registered since, which the digest refuses.
+                    let dynamic = live.checkpoint_dynamic();
+                    prop_assert_eq!(&twin.checkpoint_dynamic(), &dynamic);
+                    prop_assert!(dynamic.len() < snapshot.len() || owners.is_empty());
+                    let (full, objects) = earlier.get_or_insert((snapshot.clone(), owners.len()));
+                    let over = ServeEngine::restore_dynamic(catalog(), schemes(), full, &dynamic);
+                    if *objects == owners.len() {
+                        restored = over.expect("same static section");
+                        prop_assert_eq!(&restored.checkpoint(), &snapshot);
+                        prop_assert_eq!(&restored.checkpoint_dynamic(), &dynamic);
+                    } else {
+                        let refused = matches!(
+                            &over,
+                            Err(ServeError::Checkpoint(why)) if why.contains("static digest mismatch")
+                        );
+                        prop_assert!(refused, "{:?}", over.map(|_| "restored"));
+                    }
                     snapshots += 1;
+                    if snapshots % 3 == 0 {
+                        earlier = Some((snapshot, owners.len()));
+                    }
                     if snapshots % 2 == 0 {
                         live = restored;
                     }

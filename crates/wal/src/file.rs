@@ -9,7 +9,13 @@
 //!   durable until `sync` calls `sync_all` on that handle.
 //! * `write_atomic` is the classic publish dance: write `name.tmp`,
 //!   `sync_all` it, rename over `name`, then `sync_all` the directory so
-//!   the rename itself survives a crash.
+//!   the rename itself survives a crash. A crash between the create and
+//!   the rename leaves `name.tmp` behind; a temporary that exists when a
+//!   directory is opened belongs to a dead writer, so
+//!   [`FileStorage::create`] removes it.
+//! * `delete` unlinks and syncs the directory; `delete_many` unlinks the
+//!   whole batch and syncs the directory **once**. Until that sync any
+//!   subset of the unlinks may be what a crash leaves, in any order.
 //! * `truncate` uses `set_len`, re-opening the file read-write.
 //!
 //! Object names are restricted to a safe flat charset so a corrupted
@@ -47,16 +53,25 @@ fn valid_name(name: &str) -> bool {
         && !name.starts_with('.')
 }
 
+/// Suffix of the temporary `write_atomic` renames into place.
+const TMP_SUFFIX: &str = ".tmp";
+
 impl FileStorage {
-    /// Open (creating if needed) the directory at `root`.
+    /// Open (creating if needed) the directory at `root`, removing the
+    /// temporaries a writer that crashed inside `write_atomic` left there
+    /// (and syncing the directory once if there were any).
     pub fn create(root: impl Into<PathBuf>) -> Result<Self, WalError> {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| io_err(&root.to_string_lossy(), "create_dir", e))?;
-        Ok(FileStorage {
+        let mut storage = FileStorage {
             root,
             handles: BTreeMap::new(),
-        })
+        };
+        let mut stale = storage.list()?;
+        stale.retain(|name| name.ends_with(TMP_SUFFIX));
+        storage.delete_many(&stale)?;
+        Ok(storage)
     }
 
     /// The backing directory.
@@ -73,6 +88,19 @@ impl FileStorage {
             });
         }
         Ok(self.root.join(name))
+    }
+
+    /// Remove `name` from the directory, without making that durable.
+    fn unlink(&mut self, name: &str) -> Result<(), WalError> {
+        let path = self.path(name)?;
+        self.handles.remove(name);
+        match std::fs::remove_file(&path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(WalError::Missing {
+                object: name.to_string(),
+            }),
+            Err(e) => Err(io_err(name, "delete", e)),
+        }
     }
 
     fn sync_dir(&self, object: &str) -> Result<(), WalError> {
@@ -147,7 +175,7 @@ impl Storage for FileStorage {
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
         let path = self.path(name)?;
-        let tmp_name = format!("{name}.tmp");
+        let tmp_name = format!("{name}{TMP_SUFFIX}");
         let tmp = self.path(&tmp_name)?;
         self.handles.remove(name);
         let mut file = File::create(&tmp).map_err(|e| io_err(name, "write_atomic", e))?;
@@ -161,15 +189,16 @@ impl Storage for FileStorage {
     }
 
     fn delete(&mut self, name: &str) -> Result<(), WalError> {
-        let path = self.path(name)?;
-        self.handles.remove(name);
-        match std::fs::remove_file(&path) {
-            Ok(()) => self.sync_dir(name),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(WalError::Missing {
-                object: name.to_string(),
-            }),
-            Err(e) => Err(io_err(name, "delete", e)),
-        }
+        self.unlink(name)?;
+        self.sync_dir(name)
+    }
+
+    fn delete_many(&mut self, names: &[String]) -> Result<(), WalError> {
+        let Some(last) = names.last() else {
+            return Ok(());
+        };
+        names.iter().try_for_each(|name| self.unlink(name))?;
+        self.sync_dir(last)
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
@@ -239,6 +268,65 @@ mod tests {
         assert!(matches!(s.read("a"), Err(WalError::Missing { .. })));
         assert!(matches!(s.delete("a"), Err(WalError::Missing { .. })));
         assert!(matches!(s.truncate("a", 0), Err(WalError::Missing { .. })));
+    }
+
+    #[test]
+    fn a_batch_delete_removes_every_object_and_stops_at_a_missing_one() {
+        let mut s = FileStorage::create(scratch("batch")).unwrap();
+        for name in ["a", "b", "c", "d"] {
+            s.write_atomic(name, b"x").unwrap();
+        }
+        // An append handle to a deleted object must not outlive it.
+        s.append("b", b"y").unwrap();
+        s.delete_many(&["a", "b"].map(String::from)).unwrap();
+        s.delete_many(&[]).unwrap();
+        assert_eq!(s.list().unwrap(), ["c", "d"].map(String::from));
+        s.append("b", b"z").unwrap();
+        assert_eq!(s.read("b").unwrap(), b"z");
+        let batch = ["c", "missing", "d"].map(String::from);
+        assert!(matches!(
+            s.delete_many(&batch),
+            Err(WalError::Missing { .. })
+        ));
+        assert_eq!(s.list().unwrap(), ["b", "d"].map(String::from));
+    }
+
+    #[test]
+    fn opening_a_directory_removes_the_temporaries_of_a_dead_writer() {
+        use crate::journal::{checkpoint_name, Journal, JournalConfig};
+        use crate::record::FrameKind;
+
+        let dir = scratch("stale-tmp");
+        let storage = FileStorage::create(&dir).unwrap();
+        let mut journal = Journal::create(storage, JournalConfig::default()).unwrap();
+        journal.append(0, &Default::default()).unwrap();
+        journal.sync().unwrap();
+        journal.publish_checkpoint(b"published", 1).unwrap();
+        journal.append(1, &Default::default()).unwrap();
+        journal.sync().unwrap();
+        let live = journal.storage().list().unwrap();
+        drop(journal);
+        // The writer died between `File::create(tmp)` and the rename of
+        // its next checkpoint.
+        let stale = format!("{}.tmp", checkpoint_name(FrameKind::Full, 2));
+        std::fs::write(dir.join(&stale), b"half a fra").unwrap();
+
+        let storage = FileStorage::create(&dir).unwrap();
+        assert!(!dir.join(&stale).exists());
+        assert_eq!(storage.list().unwrap(), live);
+        let recovered = Journal::recover(storage, JournalConfig::default(), |_| true).unwrap();
+        assert_eq!(recovered.state.as_deref(), Some(&b"published"[..]));
+        assert_eq!(recovered.tail.len(), 1);
+        // Publishing that ordinal after all leaves no temporary either.
+        let mut journal = recovered.journal;
+        journal.publish_checkpoint(b"again", 2).unwrap();
+        assert!(journal
+            .storage()
+            .list()
+            .unwrap()
+            .iter()
+            .all(|name| !name.ends_with(TMP_SUFFIX)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,54 +9,106 @@
 //!   the active segment. A new segment starts when the active one
 //!   reaches [`JournalConfig::segment_records`] records and at every
 //!   checkpoint publish, so segment boundaries align with snapshots.
-//! * `ckpt-<ordinal>.ckpt` — checkpoint frames published atomically
-//!   (write-temp + rename in the file backend). A checkpoint named
-//!   `ordinal` covers every record in segments `< ordinal`; replay after
-//!   restoring it starts at segment `ordinal`.
+//! * `ckpt-<ordinal>.ckpt` / `ckpt-<ordinal>.dyn` — checkpoint frames of
+//!   the two [`FrameKind`]s, published atomically (write-temp + rename in
+//!   the file backend). A checkpoint named `ordinal` covers every record
+//!   in segments `< ordinal`; replay after restoring it starts at segment
+//!   `ordinal`. The name says the kind, so recovery and retirement know
+//!   what an object is without reading it.
+//!
+//! # Full and dynamic frames
+//!
+//! A **full** frame (`.ckpt`) holds a whole engine snapshot. A
+//! **dynamic** frame (`.dyn`) holds only what an epoch can change and
+//! restores over the static section of a full frame; both carry the
+//! [`StaticDigest`] of that section, and a dynamic frame restores over
+//! **any** retained full frame with an equal digest — a star, not a
+//! chain: no delta depends on another delta, nothing is ever re-based.
+//!
+//! **The publish rule.** [`Journal::publish_checkpoint_with`] is told the
+//! caller's current digest and writes a *full* frame whenever fewer than
+//! two retained full frames carry it — the first two publishes, after
+//! recovery quarantined one, after the static section grew — and a
+//! *dynamic* frame otherwise. Two, because the guarantee below is about
+//! losing any one object.
+//!
+//! **Retention** ([`Journal::retire`], after every publish). The newest
+//! [`JournalConfig::keep_checkpoints`] frames of either kind are the
+//! recovery **targets**; the segment floor is the oldest target's
+//! ordinal and every segment below it is retired. Besides the targets,
+//! the two newest full frames stay as static **donors**, however old:
+//! below the floor a full frame lends its static section and is never
+//! restored as a state. Everything else is deleted — checkpoints first,
+//! then segments — as **one batch under one durability barrier**
+//! ([`Storage::delete_many`]). Crash contract: a crash inside the batch
+//! may leave any subset of it behind (extra objects the next retire
+//! deletes again, or a hole in a run of segments that no target replays
+//! from), never too few: nothing a target or a donor needs is in a batch.
 //!
 //! # Durability contract
 //!
 //! Appends are durable only after [`Journal::sync`] (the serving engine
 //! syncs at epoch boundaries). Checkpoint publish is atomic and
-//! immediately durable. After publishing, the newest
-//! [`JournalConfig::keep_checkpoints`] snapshots are retained and every
-//! segment older than the oldest retained snapshot's ordinal is retired
-//! — so recovery can always walk back past one corrupt checkpoint to the
-//! previous one *and still find the segments it needs*.
+//! immediately durable. Retention keeps, for any one object that turns
+//! out corrupt or missing, another way to the same place or to one
+//! boundary earlier: a lost newest target walks back to the previous one
+//! *and still finds the segments it needs*, a lost donor leaves the other
+//! donor, a lost segment costs the deliveries from it on.
 //!
 //! # Recovery
 //!
 //! [`Journal::recover`] is the one protocol, used by every caller:
 //!
-//! 1. Walk checkpoints newest → oldest. A checkpoint that fails its
-//!    frame checksum — or that the caller-supplied validator rejects (the
-//!    serving engine validates its own versioned, checksummed snapshot
-//!    format) — is quarantined (deleted and reported) and the walk
-//!    continues. If no checkpoint survives, recovery starts from the
-//!    empty state, provided segment 0 still exists.
-//! 2. Scan segments from the surviving snapshot's `replay_from` ordinal
-//!    upward, decoding frames. A torn tail — an invalid frame that runs
-//!    to the end of the *last* segment — is truncated away (those bytes
-//!    were never acknowledged as durable). An invalid frame anywhere
-//!    else is *interior corruption*: the frame is quarantined with its
-//!    typed error, the journal is truncated at that point, and every
-//!    later segment is dropped — the records lost this way are exactly
-//!    the ones the producer must re-deliver, which the recovery report's
-//!    delivery count tells it. The scan also **cuts at the first
-//!    epoch-boundary marker** ([`crate::record::RECORD_EPOCH`]): replay
-//!    must not carry deliveries across a boundary whose engine effects
-//!    (decay, re-solve) cannot be replayed from the journal alone, so
-//!    the marker and everything after it are truncated away and
-//!    re-delivered. A marker already covered by a checkpoint (the
-//!    normal, crash-free case) is never scanned.
-//! 3. Return the valid tail records for the caller to replay through
+//! 1. **Verify every retained full frame** — frame checksum, then the
+//!    caller's validator ([`Candidate::Donor`]; the serving engine checks
+//!    its own snapshot format and that the static section digests to what
+//!    the frame says). A bad one is quarantined (deleted and reported), so
+//!    bit rot in a long-lived donor is found at the next recovery and the
+//!    next publish is a full frame again. Donors are verified at every
+//!    recovery and **not between recoveries**: a journal that never
+//!    crashes never re-reads them — a stated limit.
+//! 2. **Walk the targets newest → oldest** — the newest
+//!    `keep_checkpoints` frames present, less any whose segments were
+//!    retired (the oldest segment at or above its ordinal is neither its
+//!    own nor the next): a full frame below the segment floor lends its
+//!    static section and is never restored as a state, whatever happened
+//!    to the frames above it. A full frame is offered to the
+//!    validator alone, a dynamic frame over each verified full frame
+//!    with its digest, newest first ([`Candidate::Target`]). A frame
+//!    that fails its checksum, that the validator rejects or that has no
+//!    donor is quarantined and the walk continues. If no target
+//!    survives, recovery starts from the empty state, provided segment 0
+//!    still exists.
+//! 3. **Scan segments from the survivor's `replay_from` upward**,
+//!    decoding frames. A torn tail — an invalid frame that runs to the
+//!    end of the *last* segment — is truncated away (those bytes were
+//!    never acknowledged as durable). An invalid frame anywhere else is
+//!    *interior corruption*: the frame is quarantined with its typed
+//!    error, the journal is truncated at that point, and every later
+//!    segment is dropped — the records lost this way are exactly the
+//!    ones the producer must re-deliver, which the recovery report's
+//!    delivery count tells it. A **missing segment** below a present one
+//!    is treated the same way: a segment only rolls when its predecessor
+//!    is full or a checkpoint was published over it, so a hole is a
+//!    fault; the scan stops at it, later segments are dropped into
+//!    `discarded_bytes`, and the journal resumes from what is contiguous
+//!    (from the snapshot alone when the hole is its first segment — which
+//!    is also what a publish with no record since the previous one looks
+//!    like from the older checkpoint: safe, re-delivered). The scan also
+//!    **cuts at the first epoch-boundary marker**
+//!    ([`crate::record::RECORD_EPOCH`]): replay must not carry deliveries
+//!    across a boundary whose engine effects (decay, re-solve) cannot be
+//!    replayed from the journal alone, so the marker and everything after
+//!    it are truncated away and re-delivered. A marker already covered by
+//!    a checkpoint (the normal, crash-free case) is never scanned.
+//! 4. Return the valid tail records for the caller to replay through
 //!    its validating intake, plus a [`WalRecoveryReport`] accounting for
 //!    every byte that was kept, cut, or quarantined.
 
 use crate::error::WalError;
 use crate::record::{
-    decode_frame, encode_epoch_record_into, encode_record_into, CheckpointFrame, FrameOutcome,
-    Record, RecordPayload,
+    decode_frame, encode_epoch_record_into, encode_record_into, CheckpointFrame, FrameKind,
+    FrameOutcome, Record, RecordPayload, StaticDigest,
 };
 use crate::storage::Storage;
 use scope_cloudsim::EventColumns;
@@ -66,8 +118,8 @@ use scope_cloudsim::EventColumns;
 pub struct JournalConfig {
     /// Records per segment before rolling to a new one.
     pub segment_records: usize,
-    /// Checkpoints retained after a publish (≥ 2, so one corrupt newest
-    /// checkpoint can always be walked back past).
+    /// Checkpoints retained as recovery targets after a publish (≥ 2, so
+    /// one corrupt newest checkpoint can always be walked back past).
     pub keep_checkpoints: usize,
 }
 
@@ -98,14 +150,25 @@ impl JournalConfig {
     }
 }
 
+/// Full frames kept as static donors besides the recovery targets: two,
+/// so that losing either leaves one.
+const DONORS: usize = 2;
+
 /// Name of segment `ordinal`.
 pub fn segment_name(ordinal: u64) -> String {
     format!("wal-{ordinal:020}.seg")
 }
 
-/// Name of checkpoint `ordinal`.
-pub fn checkpoint_name(ordinal: u64) -> String {
-    format!("ckpt-{ordinal:020}.ckpt")
+fn checkpoint_suffix(kind: FrameKind) -> &'static str {
+    match kind {
+        FrameKind::Full => ".ckpt",
+        FrameKind::Dynamic => ".dyn",
+    }
+}
+
+/// Name of the checkpoint frame of `kind` published under `ordinal`.
+pub fn checkpoint_name(kind: FrameKind, ordinal: u64) -> String {
+    format!("ckpt-{ordinal:020}{}", checkpoint_suffix(kind))
 }
 
 fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -121,9 +184,22 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     parse_name(name, "wal-", ".seg")
 }
 
-/// Parse a checkpoint object name back to its ordinal.
-pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
-    parse_name(name, "ckpt-", ".ckpt")
+/// Parse a checkpoint object name back to its kind and ordinal.
+pub fn parse_checkpoint_name(name: &str) -> Option<(FrameKind, u64)> {
+    [FrameKind::Full, FrameKind::Dynamic]
+        .into_iter()
+        .find_map(|kind| Some((kind, parse_name(name, "ckpt-", checkpoint_suffix(kind))?)))
+}
+
+/// The checkpoint frames `names` holds, by ascending ordinal.
+fn checkpoints_in(names: &[String]) -> Vec<(u64, FrameKind)> {
+    let mut checkpoints: Vec<(u64, FrameKind)> = names
+        .iter()
+        .filter_map(|n| parse_checkpoint_name(n))
+        .map(|(kind, ordinal)| (ordinal, kind))
+        .collect();
+    checkpoints.sort_unstable_by_key(|&(ordinal, _)| ordinal);
+    checkpoints
 }
 
 /// One quarantined (corrupt, non-torn) journal frame.
@@ -142,15 +218,20 @@ pub struct QuarantinedRecord {
 pub struct WalRecoveryReport {
     /// Ordinal of the checkpoint recovery restored from, if any.
     pub used_checkpoint: Option<u64>,
-    /// Checkpoints that failed validation, newest first, with why. Each
-    /// was deleted so it never shadows a good older snapshot again.
+    /// Ordinal of the full frame whose static section the restored
+    /// checkpoint was laid over, when that checkpoint is a dynamic frame.
+    pub used_donor: Option<u64>,
+    /// Checkpoints that failed validation — bad donors first, then bad
+    /// targets newest first — with why. Each was deleted so it never
+    /// shadows a good older snapshot again.
     pub quarantined_checkpoints: Vec<(String, WalError)>,
     /// Bytes cut from the torn tail of the last segment.
     pub torn_bytes: u64,
     /// Corrupt interior frames (typed), at most one — the scan stops at
     /// the first.
     pub quarantined_records: Vec<QuarantinedRecord>,
-    /// Journal bytes dropped after an interior corruption point.
+    /// Journal bytes dropped after an interior corruption point or a
+    /// missing segment.
     pub discarded_bytes: u64,
     /// Journal bytes cut at and after the first epoch-boundary marker
     /// (those deliveries are re-delivered after the caller re-runs the
@@ -160,13 +241,33 @@ pub struct WalRecoveryReport {
     pub replayed_records: u64,
 }
 
+/// What [`Journal::recover`] asks its caller to judge.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidate<'a> {
+    /// A retained full frame, before any target is tried: is its snapshot
+    /// one whose static section dynamic frames may be laid over (and does
+    /// that section digest to `digest`)? Asked of every full frame, so it
+    /// should cost a checksum, not a restore.
+    Donor(&'a CheckpointFrame),
+    /// A recovery target: `full` alone, or `dynamic` over `full`'s static
+    /// section. The walk stops at the first one accepted, so whatever the
+    /// caller restored to answer *is* the recovered state.
+    Target {
+        /// The full frame (the target itself, or the donor).
+        full: &'a CheckpointFrame,
+        /// The dynamic frame to lay over it, when that is the target.
+        dynamic: Option<&'a CheckpointFrame>,
+    },
+}
+
 /// Everything [`Journal::recover`] hands back.
 #[derive(Debug)]
 pub struct RecoveredJournal<S: Storage> {
     /// The journal, positioned to continue appending.
     pub journal: Journal<S>,
-    /// Engine snapshot from the surviving checkpoint (`None` → start
-    /// from the empty/freshly-built state).
+    /// State bytes of the surviving checkpoint frame (`None` → start
+    /// from the empty/freshly-built state). For a dynamic frame these are
+    /// the dynamic part alone; the validator saw them over their donor.
     pub state: Option<Vec<u8>>,
     /// The surviving checkpoint's opaque progress marker (0 without one).
     pub marker: u64,
@@ -189,6 +290,10 @@ pub struct Journal<S: Storage> {
     active_records: usize,
     /// Total deliveries ever appended (snapshot-covered + live).
     appended: u64,
+    /// The retained full frames, oldest first, with the digest each
+    /// carries: what the publish rule counts and what [`Self::retire`]
+    /// picks donors from. Published or verified by this process.
+    fulls: Vec<(u64, StaticDigest)>,
     /// The one encode buffer: every record frame and every checkpoint
     /// frame is built here and handed to storage as a slice, so steady
     /// state appends and publishes allocate nothing.
@@ -216,6 +321,7 @@ impl<S: Storage> Journal<S> {
             active: 0,
             active_records: 0,
             appended: 0,
+            fulls: Vec::new(),
             frame: Vec::new(),
         })
     }
@@ -278,110 +384,234 @@ impl<S: Storage> Journal<S> {
         self.storage.sync(&segment_name(self.active))
     }
 
-    /// Atomically publish a checkpoint covering every record appended so
-    /// far, roll the active segment, and retire snapshots and segments
-    /// the retention policy no longer needs. `marker` is an opaque
+    /// Atomically publish `state` as a full checkpoint frame covering
+    /// every record appended so far, roll the active segment, and retire
+    /// what the retention policy no longer needs. `marker` is an opaque
     /// caller progress value stored in the frame and handed back by
-    /// recovery.
+    /// recovery. For a caller whose snapshots have no static/dynamic
+    /// split: every frame is a full one under the empty digest.
     pub fn publish_checkpoint(&mut self, state: &[u8], marker: u64) -> Result<(), WalError> {
-        self.publish_checkpoint_with(marker, |frame| frame.extend_from_slice(state))
+        self.publish(FrameKind::Full, marker, StaticDigest::default(), |frame| {
+            frame.extend_from_slice(state)
+        })
     }
 
-    /// [`Journal::publish_checkpoint`] for a caller that can serialize
-    /// its state on the spot: `write_state` appends the state to the
-    /// buffer it is given — the journal's own frame buffer, already
-    /// holding the frame header — so the snapshot is written once, where
-    /// it is checksummed and published from.
+    /// Publish a checkpoint of the kind the publish rule picks (see the
+    /// module docs): a full frame while fewer than two retained full
+    /// frames carry `digest`, the digest of the caller's static section
+    /// as it stands, a dynamic frame otherwise. `write_state` is told the
+    /// kind and appends that state to the buffer it is given — the
+    /// journal's own frame buffer, already holding the frame header — so
+    /// the snapshot is written once, where it is checksummed and
+    /// published from.
     pub fn publish_checkpoint_with(
         &mut self,
         marker: u64,
+        digest: StaticDigest,
+        write_state: impl FnOnce(FrameKind, &mut Vec<u8>),
+    ) -> Result<(), WalError> {
+        let donors = self.fulls.iter().filter(|(_, d)| *d == digest).count();
+        let kind = if donors < DONORS {
+            FrameKind::Full
+        } else {
+            FrameKind::Dynamic
+        };
+        self.publish(kind, marker, digest, |frame| write_state(kind, frame))
+    }
+
+    fn publish(
+        &mut self,
+        kind: FrameKind,
+        marker: u64,
+        digest: StaticDigest,
         write_state: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), WalError> {
         let new_ordinal = self.active + 1;
-        CheckpointFrame::encode_with(
-            &mut self.frame,
-            new_ordinal,
-            self.appended,
+        let head = CheckpointFrame {
+            kind,
+            replay_from: new_ordinal,
+            deliveries: self.appended,
             marker,
-            write_state,
-        );
+            digest,
+            state: Vec::new(),
+        };
+        head.encode_with(&mut self.frame, write_state);
         self.storage
-            .write_atomic(&checkpoint_name(new_ordinal), &self.frame)?;
+            .write_atomic(&checkpoint_name(kind, new_ordinal), &self.frame)?;
+        if kind == FrameKind::Full {
+            self.fulls.push((new_ordinal, digest));
+        }
         self.active = new_ordinal;
         self.active_records = 0;
         self.retire()
     }
 
-    /// Delete checkpoints beyond the retention window and segments fully
-    /// covered by every retained checkpoint. A checkpoint named `k`
-    /// replays from segment `k`, so the retirement floor is the oldest
-    /// retained checkpoint's ordinal.
+    /// Delete what retention no longer needs, as one batch (see the
+    /// module docs): every checkpoint below the oldest target that is not
+    /// one of the two newest full frames, then every segment below the
+    /// oldest target — a checkpoint named `k` replays from segment `k`.
     fn retire(&mut self) -> Result<(), WalError> {
         let names = self.storage.list()?;
-        let mut checkpoints: Vec<u64> = names
+        let checkpoints = checkpoints_in(&names);
+        let targets = self.cfg.keep_checkpoints.min(checkpoints.len());
+        let floor = checkpoints[checkpoints.len() - targets..]
+            .first()
+            .map_or(0, |&(ordinal, _)| ordinal);
+        // Full frames are kept oldest first and the floor only rises, so
+        // the ones to let go — below the floor, not among the newest two
+        // — are a prefix.
+        let spare = self.fulls.len().saturating_sub(DONORS);
+        let retired = self.fulls[..spare]
             .iter()
-            .filter_map(|n| parse_checkpoint_name(n))
+            .take_while(|&&(ordinal, _)| ordinal < floor)
+            .count();
+        self.fulls.drain(..retired);
+        let fulls = &self.fulls;
+        let is_donor = |ordinal: u64, kind: FrameKind| {
+            kind == FrameKind::Full && fulls.iter().any(|&(full, _)| full == ordinal)
+        };
+        let mut doomed: Vec<String> = checkpoints
+            .iter()
+            .filter(|&&(ordinal, kind)| ordinal < floor && !is_donor(ordinal, kind))
+            .map(|&(ordinal, kind)| checkpoint_name(kind, ordinal))
             .collect();
-        checkpoints.sort_unstable();
-        let keep = self.cfg.keep_checkpoints.min(checkpoints.len());
-        let (old, kept) = checkpoints.split_at(checkpoints.len() - keep);
-        for &ordinal in old {
-            self.storage.delete(&checkpoint_name(ordinal))?;
-        }
-        let floor = kept.first().copied().unwrap_or(0);
-        for name in &names {
-            if let Some(ordinal) = parse_segment_name(name) {
-                if ordinal < floor {
-                    self.storage.delete(name)?;
-                }
-            }
-        }
-        Ok(())
+        doomed.extend(
+            names
+                .iter()
+                .filter(|name| parse_segment_name(name).is_some_and(|ordinal| ordinal < floor))
+                .cloned(),
+        );
+        self.storage.delete_many(&doomed)
     }
 
     /// Run the recovery protocol (see the module docs) over an existing
-    /// storage state. `validate` is the caller's check of the engine
-    /// snapshot inside a frame-valid checkpoint — return `false` to
-    /// reject it and walk back.
+    /// storage state. `validate` is the caller's judgement of the engine
+    /// snapshots inside frame-valid checkpoints (see [`Candidate`]) —
+    /// return `false` to reject one and walk on.
     pub fn recover(
         storage: S,
         cfg: JournalConfig,
-        mut validate: impl FnMut(&[u8]) -> bool,
+        mut validate: impl FnMut(Candidate<'_>) -> bool,
     ) -> Result<RecoveredJournal<S>, WalError> {
         cfg.validate()?;
         let mut storage = storage;
         let mut report = WalRecoveryReport::default();
-
-        // 1. Newest surviving checkpoint, quarantining corrupt ones.
         let names = storage.list()?;
-        let mut checkpoints: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_checkpoint_name(n))
-            .collect();
-        checkpoints.sort_unstable();
-        let mut survivor: Option<CheckpointFrame> = None;
-        for &ordinal in checkpoints.iter().rev() {
-            let name = checkpoint_name(ordinal);
-            let verdict = storage.read(&name).and_then(|bytes| {
-                let frame = CheckpointFrame::decode(&name, &bytes)?;
-                if validate(&frame.state) {
+        let checkpoints = checkpoints_in(&names);
+        let mut segments: Vec<u64> = names.iter().filter_map(|n| parse_segment_name(n)).collect();
+        segments.sort_unstable();
+
+        // 1. Every retained full frame, verified as a static donor.
+        let mut donors: Vec<CheckpointFrame> = Vec::new();
+        for &(ordinal, kind) in &checkpoints {
+            if kind != FrameKind::Full {
+                continue;
+            }
+            let name = checkpoint_name(kind, ordinal);
+            let verdict = read_checkpoint(&storage, &name, kind, ordinal).and_then(|frame| {
+                if validate(Candidate::Donor(&frame)) {
                     Ok(frame)
                 } else {
-                    Err(WalError::Checkpoint {
-                        object: name.clone(),
-                        reason: "engine snapshot failed validation".to_string(),
-                    })
+                    Err(rejected(&name, "engine snapshot failed validation"))
                 }
             });
+            match verdict {
+                Ok(frame) => donors.push(frame),
+                Err(error) => quarantine(&mut storage, &mut report, name, error)?,
+            }
+        }
+        let mut fulls: Vec<(u64, StaticDigest)> = donors
+            .iter()
+            .map(|full| (full.replay_from, full.digest))
+            .collect();
+
+        // 2. Newest surviving target, quarantining unusable ones. Targets
+        //    are the newest `keep_checkpoints` frames whose segments were
+        //    not retired: the oldest segment at or above the frame's
+        //    ordinal is its own or the next (a lost first segment is a
+        //    hole the scan below handles; a longer gap means `retire` has
+        //    been here). Anything older or retired is a donor at most,
+        //    never a state.
+        let retired = |ordinal: u64| {
+            let at = segments.partition_point(|&segment| segment < ordinal);
+            segments.get(at).is_some_and(|&next| next > ordinal + 1)
+        };
+        let mut survivor: Option<CheckpointFrame> = None;
+        let mut passed_over: Vec<(u64, FrameKind)> = Vec::new();
+        for &(ordinal, kind) in checkpoints.iter().rev().take(cfg.keep_checkpoints) {
+            if retired(ordinal) {
+                passed_over.push((ordinal, kind));
+                continue;
+            }
+            let name = checkpoint_name(kind, ordinal);
+            let verdict = match kind {
+                FrameKind::Full => {
+                    let Some(at) = donors.iter().position(|d| d.replay_from == ordinal) else {
+                        continue; // quarantined in step 1
+                    };
+                    let full = donors.remove(at);
+                    if validate(Candidate::Target {
+                        full: &full,
+                        dynamic: None,
+                    }) {
+                        Ok(full)
+                    } else {
+                        fulls.retain(|&(o, _)| o != ordinal);
+                        Err(rejected(&name, "engine snapshot failed validation"))
+                    }
+                }
+                FrameKind::Dynamic => {
+                    read_checkpoint(&storage, &name, kind, ordinal).and_then(|frame| {
+                        let matching: Vec<&CheckpointFrame> = donors
+                            .iter()
+                            .rev()
+                            .filter(|full| full.digest == frame.digest)
+                            .collect();
+                        let donor = matching.iter().find(|full| {
+                            validate(Candidate::Target {
+                                full,
+                                dynamic: Some(&frame),
+                            })
+                        });
+                        match donor {
+                            Some(full) => {
+                                report.used_donor = Some(full.replay_from);
+                                Ok(frame)
+                            }
+                            None if matching.is_empty() => Err(rejected(
+                                &name,
+                                "no retained full frame carries its static digest",
+                            )),
+                            None => Err(rejected(&name, "engine snapshot failed validation")),
+                        }
+                    })
+                }
+            };
             match verdict {
                 Ok(frame) => {
                     survivor = Some(frame);
                     break;
                 }
-                Err(error) => {
-                    storage.delete(&name)?;
-                    report.quarantined_checkpoints.push((name, error));
+                Err(error) => quarantine(&mut storage, &mut report, name, error)?,
+            }
+        }
+        drop(donors);
+        if survivor.is_some() {
+            // Retention retires from the bottom, so a retired frame above
+            // a live one takes several faults — and must not outlive this
+            // recovery to shadow the journal that continues below it.
+            for (ordinal, kind) in passed_over {
+                let verified = fulls.iter().position(|&(full, _)| full == ordinal);
+                match (kind, verified) {
+                    (FrameKind::Full, None) => continue, // quarantined in step 1
+                    (FrameKind::Full, Some(at)) => {
+                        fulls.remove(at);
+                    }
+                    (FrameKind::Dynamic, _) => {}
                 }
+                let name = checkpoint_name(kind, ordinal);
+                let error = rejected(&name, "a retired frame above the restored checkpoint");
+                quarantine(&mut storage, &mut report, name, error)?;
             }
         }
 
@@ -398,13 +628,8 @@ impl<S: Storage> Journal<S> {
             None => (0, None, 0, 0),
         };
 
-        // 2. Scan segments from the replay floor.
-        let mut segments: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_segment_name(n))
-            .filter(|&o| o >= replay_from)
-            .collect();
-        segments.sort_unstable();
+        // 3. Scan segments from the replay floor.
+        segments.retain(|&o| o >= replay_from);
         if state.is_none() && segments.first().is_some_and(|&first| first > 0) {
             return Err(WalError::Unrecoverable(
                 "no valid checkpoint survives and the earliest segments were \
@@ -418,9 +643,14 @@ impl<S: Storage> Journal<S> {
         let mut stopped = false;
         let mut epoch_cut = false;
         for (idx, &ordinal) in segments.iter().enumerate() {
+            // A missing segment stops the scan like interior corruption
+            // does: the contiguous run ends at `active` (at the snapshot
+            // alone when the hole is its first segment).
+            stopped |= ordinal != replay_from + idx as u64;
             if stopped {
-                // Everything after an interior corruption (or past the
-                // epoch cut) is dropped; the producer re-delivers it.
+                // Everything after a hole or an interior corruption (or
+                // past the epoch cut) is dropped; the producer
+                // re-delivers it.
                 let name = segment_name(ordinal);
                 let dropped = storage.read(&name)?.len() as u64;
                 if epoch_cut {
@@ -485,13 +715,6 @@ impl<S: Storage> Journal<S> {
             }
             active = ordinal;
             active_records = records_here;
-            if stopped {
-                continue;
-            }
-        }
-        if segments.is_empty() {
-            active = replay_from;
-            active_records = 0;
         }
 
         report.replayed_records = tail.len() as u64;
@@ -503,6 +726,7 @@ impl<S: Storage> Journal<S> {
                 active,
                 active_records,
                 appended,
+                fulls,
                 frame: Vec::new(),
             },
             state,
@@ -512,6 +736,41 @@ impl<S: Storage> Journal<S> {
             report,
         })
     }
+}
+
+fn rejected(object: &str, reason: &str) -> WalError {
+    WalError::Checkpoint {
+        object: object.to_string(),
+        reason: reason.to_string(),
+    }
+}
+
+/// Read the checkpoint object `name` and decode the frame in it, which
+/// must be of the kind and under the ordinal the name says.
+fn read_checkpoint<S: Storage>(
+    storage: &S,
+    name: &str,
+    kind: FrameKind,
+    ordinal: u64,
+) -> Result<CheckpointFrame, WalError> {
+    let frame = CheckpointFrame::decode(name, &storage.read(name)?)?;
+    if frame.kind != kind || frame.replay_from != ordinal {
+        return Err(rejected(name, "frame does not match its object name"));
+    }
+    Ok(frame)
+}
+
+/// Delete a checkpoint recovery cannot use, so that it never shadows a
+/// good older one again, and report why.
+fn quarantine<S: Storage>(
+    storage: &mut S,
+    report: &mut WalRecoveryReport,
+    name: String,
+    error: WalError,
+) -> Result<(), WalError> {
+    storage.delete(&name)?;
+    report.quarantined_checkpoints.push((name, error));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -572,7 +831,17 @@ mod tests {
     #[test]
     fn names_round_trip_and_sort_by_ordinal() {
         assert_eq!(parse_segment_name(&segment_name(42)), Some(42));
-        assert_eq!(parse_checkpoint_name(&checkpoint_name(7)), Some(7));
+        for kind in [FrameKind::Full, FrameKind::Dynamic] {
+            assert_eq!(
+                parse_checkpoint_name(&checkpoint_name(kind, 7)),
+                Some((kind, 7))
+            );
+        }
+        assert_eq!(
+            parse_checkpoint_name("ckpt-00000000000000000007.ckpt.tmp"),
+            None
+        );
+        assert_eq!(parse_checkpoint_name("ckpt-7.dyn"), None);
         assert_eq!(parse_segment_name("ckpt-00000000000000000007.ckpt"), None);
         assert_eq!(parse_segment_name("wal-x.seg"), None);
         assert!(segment_name(9) < segment_name(10));
@@ -699,12 +968,9 @@ mod tests {
         // Two checkpoints retained; segments below the older one's
         // ordinal are gone.
         let names = j.storage().list().unwrap();
-        let ckpts: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_checkpoint_name(n))
-            .collect();
+        let ckpts = checkpoints_in(&names);
         assert_eq!(ckpts.len(), 2);
-        let floor = ckpts[0];
+        let floor = ckpts[0].0;
         assert!(names
             .iter()
             .filter_map(|n| parse_segment_name(n))
@@ -737,7 +1003,7 @@ mod tests {
         j.sync().unwrap();
 
         let mut storage = j.into_storage();
-        let newest = checkpoint_name(2);
+        let newest = checkpoint_name(FrameKind::Full, 2);
         storage.flip_durable_bit(&newest, 13);
         let rec = recover(storage);
         // Walk-back: B is quarantined (and deleted), A survives, and the
@@ -762,8 +1028,11 @@ mod tests {
         j.publish_checkpoint(b"evil", 2).unwrap();
         let mut storage = j.into_storage();
         storage.crash();
-        let rec =
-            Journal::recover(storage, JournalConfig::default(), |state| state == b"good").unwrap();
+        let rec = Journal::recover(storage, JournalConfig::default(), |candidate| {
+            let (Candidate::Donor(full) | Candidate::Target { full, .. }) = candidate;
+            full.state == b"good"
+        })
+        .unwrap();
         assert_eq!(rec.state.as_deref(), Some(b"good".as_ref()));
         assert_eq!(rec.report.quarantined_checkpoints.len(), 1);
         assert!(matches!(
@@ -860,6 +1129,365 @@ mod tests {
             names.iter().filter_map(|n| parse_segment_name(n)).count(),
             1
         );
+    }
+
+    /// What a publish wrote: the kind the rule picked and the epoch.
+    fn state_of(kind: FrameKind, epoch: u64) -> Vec<u8> {
+        format!("{kind:?}-{epoch}").into_bytes()
+    }
+
+    /// `epochs` boundaries of three deliveries each, two records to a
+    /// segment, every checkpoint published under `digest`.
+    fn publish_epochs<S: Storage>(j: &mut Journal<S>, epochs: std::ops::Range<u64>, xxh64: u64) {
+        let digest = StaticDigest {
+            objects: 3,
+            len: 40,
+            xxh64,
+        };
+        for epoch in epochs {
+            for seq in epoch * 3..epoch * 3 + 3 {
+                j.append(seq, &batch(seq, 1)).unwrap();
+            }
+            j.sync().unwrap();
+            j.publish_checkpoint_with(epoch + 1, digest, |kind, frame| {
+                frame.extend_from_slice(&state_of(kind, epoch))
+            })
+            .unwrap();
+        }
+    }
+
+    fn small_segments() -> JournalConfig {
+        JournalConfig {
+            segment_records: 2,
+            keep_checkpoints: 2,
+        }
+    }
+
+    /// The checkpoint frames in `storage`, oldest first, decoded.
+    fn frames(storage: &MemStorage) -> Vec<CheckpointFrame> {
+        checkpoints_in(&storage.list().unwrap())
+            .into_iter()
+            .map(|(ordinal, kind)| {
+                let name = checkpoint_name(kind, ordinal);
+                let frame = CheckpointFrame::decode(&name, &storage.read(&name).unwrap()).unwrap();
+                assert_eq!((frame.kind, frame.replay_from), (kind, ordinal));
+                frame
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_full_frames_then_dynamic_ones_and_both_donors_outlive_the_targets() {
+        let mut j = Journal::create(MemStorage::new(), small_segments()).unwrap();
+        publish_epochs(&mut j, 0..5, 0xd1);
+        let kept = frames(j.storage());
+        let kinds: Vec<FrameKind> = kept.iter().map(|f| f.kind).collect();
+        use FrameKind::{Dynamic, Full};
+        assert_eq!(kinds, [Full, Full, Dynamic, Dynamic]);
+        assert_eq!(kept[0].state, state_of(Full, 0));
+        assert_eq!(kept[1].state, state_of(Full, 1));
+        assert_eq!(kept[2].state, state_of(Dynamic, 3));
+        assert_eq!(kept[3].state, state_of(Dynamic, 4));
+        // The segment floor is the older target, far above the donors.
+        let floor = kept[2].replay_from;
+        assert!(kept[1].replay_from < floor);
+        let names = j.storage().list().unwrap();
+        assert!(names
+            .iter()
+            .filter_map(|n| parse_segment_name(n))
+            .all(|o| o >= floor));
+
+        // Recovery verifies both donors, then lays the newest dynamic
+        // frame over the newer of them.
+        let mut storage = j.into_storage();
+        storage.crash();
+        let mut asked = Vec::new();
+        let rec = Journal::recover(storage.clone(), small_segments(), |candidate| {
+            asked.push(match candidate {
+                Candidate::Donor(full) => (full.replay_from, None),
+                Candidate::Target { full, dynamic } => {
+                    (full.replay_from, dynamic.map(|d| d.replay_from))
+                }
+            });
+            true
+        })
+        .unwrap();
+        let (older, newer, newest) = (
+            kept[0].replay_from,
+            kept[1].replay_from,
+            kept[3].replay_from,
+        );
+        assert_eq!(asked, [(older, None), (newer, None), (newer, Some(newest))]);
+        assert_eq!(rec.state, Some(state_of(Dynamic, 4)));
+        assert_eq!(rec.marker, 5);
+        assert_eq!(rec.covered_deliveries, 15);
+        assert_eq!(rec.report.used_checkpoint, Some(newest));
+        assert_eq!(rec.report.used_donor, Some(newer));
+        assert!(rec.report.quarantined_checkpoints.is_empty());
+        // Two donors still carry the digest: the next publish is dynamic.
+        let mut j = rec.journal;
+        publish_epochs(&mut j, 5..6, 0xd1);
+        assert_eq!(frames(j.storage()).last().unwrap().kind, Dynamic);
+
+        // Either donor alone is enough — a star, not a chain — and the
+        // publish after losing one is a full frame again.
+        for (lost, left) in [(newer, older), (older, newer)] {
+            let mut storage = storage.clone();
+            storage.flip_durable_bit(&checkpoint_name(Full, lost), 301);
+            let rec = recover_small(storage);
+            assert_eq!(rec.state, Some(state_of(Dynamic, 4)));
+            assert_eq!(rec.report.used_donor, Some(left));
+            assert_eq!(rec.report.quarantined_checkpoints.len(), 1);
+            let mut j = rec.journal;
+            publish_epochs(&mut j, 5..7, 0xd1);
+            let kinds: Vec<FrameKind> = frames(j.storage()).iter().map(|f| f.kind).collect();
+            assert_eq!(kinds, [Full, Full, Dynamic]);
+        }
+
+        // A grown static section (another digest) is two full frames too,
+        // and the old digest's donors go once no target needs them.
+        let mut j = recover_small(storage.clone()).journal;
+        publish_epochs(&mut j, 5..8, 0xd2);
+        let kept = frames(j.storage());
+        let kinds: Vec<FrameKind> = kept.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [Full, Full, Dynamic]);
+        assert!(kept.iter().all(|f| f.digest.xxh64 == 0xd2));
+    }
+
+    fn recover_small(storage: MemStorage) -> RecoveredJournal<MemStorage> {
+        Journal::recover(storage, small_segments(), |_| true).unwrap()
+    }
+
+    #[test]
+    fn a_donor_below_the_segment_floor_is_never_restored_as_a_state() {
+        let mut j = Journal::create(MemStorage::new(), small_segments()).unwrap();
+        publish_epochs(&mut j, 0..5, 0xd1);
+        let storage = j.into_storage();
+        let kept = frames(&storage);
+
+        // Losing the newest target costs one boundary, as it always did.
+        let mut one = storage.clone();
+        one.flip_durable_bit(&checkpoint_name(FrameKind::Dynamic, kept[3].replay_from), 9);
+        let rec = recover_small(one);
+        assert_eq!(rec.state, Some(state_of(FrameKind::Dynamic, 3)));
+        assert_eq!(seqs(&rec.tail), vec![12, 13, 14]);
+
+        // Losing both targets leaves two valid full frames whose segments
+        // were retired long ago: they are donors, not states.
+        let mut both = storage.clone();
+        for target in &kept[2..] {
+            both.flip_durable_bit(&checkpoint_name(FrameKind::Dynamic, target.replay_from), 9);
+        }
+        assert!(matches!(
+            Journal::recover(both, small_segments(), |_| true),
+            Err(WalError::Unrecoverable(_))
+        ));
+
+        // The same one after the other, a recovery in between: the frames
+        // above a donor being gone does not make it a target.
+        let mut first = storage.clone();
+        first.flip_durable_bit(&checkpoint_name(FrameKind::Dynamic, kept[3].replay_from), 9);
+        let mut then = recover_small(first).journal.into_storage();
+        assert_eq!(frames(&then).len(), 3);
+        then.flip_durable_bit(&checkpoint_name(FrameKind::Dynamic, kept[2].replay_from), 9);
+        assert!(matches!(
+            Journal::recover(then, small_segments(), |_| true),
+            Err(WalError::Unrecoverable(_))
+        ));
+
+        // Losing both donors leaves targets with nothing to stand on.
+        let mut none = storage;
+        for donor in &kept[..2] {
+            none.flip_durable_bit(&checkpoint_name(FrameKind::Full, donor.replay_from), 9);
+        }
+        assert!(matches!(
+            Journal::recover(none, small_segments(), |_| true),
+            Err(WalError::Unrecoverable(_))
+        ));
+    }
+
+    #[test]
+    fn a_retired_frame_above_the_survivor_does_not_outlive_recovery() {
+        // Several faults at once: the newest target's first two segments
+        // are gone while a later one exists, so it looks retired; the
+        // older target is intact.
+        let mut j = Journal::create(MemStorage::new(), small_segments()).unwrap();
+        publish_epochs(&mut j, 0..5, 0xd1);
+        for seq in 15..20 {
+            j.append(seq, &batch(seq, 1)).unwrap();
+        }
+        j.sync().unwrap();
+        let mut storage = j.into_storage();
+        let kept = frames(&storage);
+        let (older, newest) = (kept[2].replay_from, kept[3].replay_from);
+        for lost in [newest, newest + 1] {
+            storage.delete(&segment_name(lost)).unwrap();
+        }
+        let rec = recover_small(storage);
+        assert_eq!(rec.report.used_checkpoint, Some(older));
+        assert_eq!(seqs(&rec.tail), vec![12, 13, 14]);
+        assert_eq!(
+            rec.report.quarantined_checkpoints[0].0,
+            checkpoint_name(FrameKind::Dynamic, newest)
+        );
+        assert!(rec.report.discarded_bytes > 0);
+        // Nothing above the survivor is left to shadow what comes next.
+        let names = rec.journal.storage().list().unwrap();
+        assert!(checkpoints_in(&names).iter().all(|&(o, _)| o <= older));
+        assert!(names
+            .iter()
+            .filter_map(|n| parse_segment_name(n))
+            .all(|o| o < newest));
+    }
+
+    /// A store that remembers every delete it was asked for, batch by
+    /// batch (a lone `delete` is a batch of one).
+    #[derive(Debug, Default)]
+    struct Batches {
+        inner: MemStorage,
+        deleted: Vec<Vec<String>>,
+    }
+
+    impl Storage for Batches {
+        fn list(&self) -> Result<Vec<String>, WalError> {
+            self.inner.list()
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, WalError> {
+            self.inner.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            self.inner.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), WalError> {
+            self.inner.sync(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn delete(&mut self, name: &str) -> Result<(), WalError> {
+            self.deleted.push(vec![name.to_string()]);
+            self.inner.delete(name)
+        }
+        fn delete_many(&mut self, names: &[String]) -> Result<(), WalError> {
+            self.deleted.push(names.to_vec());
+            self.inner.delete_many(names)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
+            self.inner.truncate(name, len)
+        }
+    }
+
+    #[test]
+    fn retire_deletes_one_batch_per_publish_checkpoints_before_segments() {
+        let mut j = Journal::create(Batches::default(), small_segments()).unwrap();
+        publish_epochs(&mut j, 0..6, 0xd1);
+        let batches = &j.storage().deleted;
+        assert_eq!(batches.len(), 6, "one batch per publish: {batches:?}");
+        // From the fifth publish on a batch leads with the dynamic frame
+        // that stopped being a target.
+        for batch in batches {
+            let first_segment = batch
+                .iter()
+                .position(|n| parse_segment_name(n).is_some())
+                .unwrap_or(batch.len());
+            assert!(batch[..first_segment]
+                .iter()
+                .all(|n| parse_checkpoint_name(n).is_some()));
+            assert!(batch[first_segment..]
+                .iter()
+                .all(|n| parse_segment_name(n).is_some()));
+        }
+        let checkpoints_deleted: Vec<&String> = batches
+            .iter()
+            .flatten()
+            .filter(|n| parse_checkpoint_name(n).is_some())
+            .collect();
+        assert_eq!(checkpoints_deleted.len(), 2, "{checkpoints_deleted:?}");
+        assert!(checkpoints_deleted
+            .iter()
+            .all(|n| matches!(parse_checkpoint_name(n), Some((FrameKind::Dynamic, _)))));
+    }
+
+    #[test]
+    fn a_missing_segment_stops_the_scan_and_later_segments_are_discarded() {
+        // Seven records over segments 0..=3, no checkpoint.
+        let build = || {
+            let mut j = Journal::create(MemStorage::new(), small_segments()).unwrap();
+            for seq in 0..7 {
+                j.append(seq, &batch(seq, 1)).unwrap();
+            }
+            j.sync().unwrap();
+            j.into_storage()
+        };
+        let segment_bytes = |s: &MemStorage, o: u64| s.durable_len(&segment_name(o)) as u64;
+
+        // An interior hole: resume from what is contiguous before it.
+        let mut storage = build();
+        let lost = segment_bytes(&storage, 2) + segment_bytes(&storage, 3);
+        storage.delete(&segment_name(1)).unwrap();
+        let rec = recover_small(storage);
+        assert_eq!(seqs(&rec.tail), vec![0, 1]);
+        assert_eq!(rec.journal.appended(), 2);
+        assert_eq!(rec.report.discarded_bytes, lost);
+        assert!(rec.report.quarantined_records.is_empty());
+        assert_eq!(rec.journal.active_segment(), 0);
+        // The later segments are gone, and re-delivery rebuilds them.
+        let mut j = rec.journal;
+        assert_eq!(j.storage().list().unwrap(), vec![segment_name(0)]);
+        for seq in 2..7 {
+            j.append(seq, &batch(seq, 1)).unwrap();
+        }
+        j.sync().unwrap();
+        assert_eq!(j.active_segment(), 3);
+        let rec = recover_small(j.into_storage());
+        assert_eq!(seqs(&rec.tail), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(rec.report.discarded_bytes, 0);
+
+        // The last segment missing is a journal that ended earlier.
+        let mut storage = build();
+        storage.delete(&segment_name(3)).unwrap();
+        let rec = recover_small(storage);
+        assert_eq!(seqs(&rec.tail), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(rec.report.discarded_bytes, 0);
+
+        // The first segment missing with no checkpoint: nothing valid
+        // remains to resume from.
+        let mut storage = build();
+        storage.delete(&segment_name(0)).unwrap();
+        assert!(matches!(
+            Journal::recover(storage, small_segments(), |_| true),
+            Err(WalError::Unrecoverable(_))
+        ));
+    }
+
+    #[test]
+    fn a_missing_first_segment_under_a_checkpoint_resumes_at_the_snapshot() {
+        let mut j = Journal::create(MemStorage::new(), small_segments()).unwrap();
+        publish_epochs(&mut j, 0..2, 0xd1);
+        for seq in 6..11 {
+            j.append(seq, &batch(seq, 1)).unwrap();
+        }
+        j.sync().unwrap();
+        let first = j.active_segment() - 2;
+        let mut storage = j.into_storage();
+        let lost = [first + 1, first + 2]
+            .map(|o| storage.durable_len(&segment_name(o)) as u64)
+            .iter()
+            .sum::<u64>();
+        storage.delete(&segment_name(first)).unwrap();
+        let rec = recover_small(storage);
+        assert_eq!(rec.report.used_checkpoint, Some(first));
+        assert_eq!(rec.covered_deliveries, 6);
+        assert!(rec.tail.is_empty());
+        assert_eq!(rec.journal.appended(), 6);
+        assert_eq!(rec.journal.active_segment(), first);
+        assert_eq!(rec.report.discarded_bytes, lost);
+        // Only the older target's segments are left.
+        let names = rec.journal.storage().list().unwrap();
+        assert!(names
+            .iter()
+            .filter_map(|n| parse_segment_name(n))
+            .all(|o| o < first));
     }
 
     #[test]

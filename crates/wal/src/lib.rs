@@ -33,25 +33,35 @@
 //! **Sync points.** Appends land in the backend's volatile tail and
 //! become durable at [`Journal::sync`] — the serving engine's epoch
 //! boundary. Rolling to a new segment seals (syncs) the old one, so a
-//! hole can never open mid-journal. Checkpoints are published atomically
-//! (write-temp + rename + directory sync in the file backend) and are
-//! durable the moment [`Journal::publish_checkpoint`] returns.
+//! hole can never open mid-journal (and recovery treats one it finds as
+//! the fault it is). Checkpoints are published atomically (write-temp +
+//! rename + directory sync in the file backend) and are durable the
+//! moment [`Journal::publish_checkpoint`] returns.
+//!
+//! **Publish what changed.** A checkpoint frame is *full* (a whole
+//! snapshot) or *dynamic* (what an epoch can change, laid over the static
+//! section of any full frame with the same [`StaticDigest`]); the journal
+//! publishes a full frame only while fewer than two retained ones carry
+//! the caller's current digest (see [`journal`]).
 //!
 //! **Checkpoint retirement.** A checkpoint with ordinal `k` covers every
 //! record in segments `< k`. After each publish the newest
-//! [`JournalConfig::keep_checkpoints`] (≥ 2) snapshots are retained,
-//! older ones are deleted, and segments below the oldest retained
-//! snapshot's ordinal are retired — bounded storage, while one corrupt
-//! newest checkpoint always leaves an older one *with its segments*.
+//! [`JournalConfig::keep_checkpoints`] (≥ 2) frames of either kind are
+//! retained as recovery targets plus the two newest full frames as static
+//! donors, and everything older — checkpoints, then the segments below
+//! the oldest target's ordinal — is deleted as one batch under one
+//! durability barrier: bounded storage, while any one corrupt or missing
+//! object always leaves another way back *with the segments it needs*.
 //!
-//! **Recovery walk-back.** [`Journal::recover`] walks checkpoints newest
-//! to oldest, quarantining (deleting and reporting) any that fail the
-//! frame checksum or the caller's engine-level validation; then scans the
-//! surviving snapshot's uncovered segments. A torn tail — an incomplete
-//! frame at the end of the last segment — is truncated; a corrupt
-//! interior frame is quarantined with a typed [`WalError`] and the
-//! journal is cut there, because everything past it must be re-delivered
-//! anyway. The valid tail records are handed back for replay through the
+//! **Recovery walk-back.** [`Journal::recover`] first verifies every
+//! retained full frame, then walks the targets newest to oldest,
+//! quarantining (deleting and reporting) any that fail the frame checksum
+//! or the caller's engine-level validation; then scans the surviving
+//! snapshot's uncovered segments. A torn tail — an incomplete frame at
+//! the end of the last segment — is truncated; a corrupt interior frame
+//! is quarantined with a typed [`WalError`], a missing segment is a hole,
+//! and the journal is cut at either, because everything past it must be
+//! re-delivered anyway. The valid tail records are handed back for replay through the
 //! engine's validating intake; the report says exactly how many
 //! deliveries the recovered state covers, which tells the producer where
 //! to resume.
@@ -74,12 +84,12 @@ pub use crc::crc32;
 pub use error::{CorruptKind, WalError};
 pub use file::FileStorage;
 pub use journal::{
-    checkpoint_name, parse_checkpoint_name, parse_segment_name, segment_name, Journal,
+    checkpoint_name, parse_checkpoint_name, parse_segment_name, segment_name, Candidate, Journal,
     JournalConfig, QuarantinedRecord, RecoveredJournal, WalRecoveryReport,
 };
 pub use record::{
     decode_columns, decode_frame, encode_columns, encode_epoch_record, encode_record,
-    CheckpointFrame, FrameOutcome, Record, RecordPayload,
+    CheckpointFrame, FrameKind, FrameOutcome, Record, RecordPayload, StaticDigest,
 };
 pub use storage::{MemStorage, Storage};
 pub use xxh64::xxh64;

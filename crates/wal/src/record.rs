@@ -42,27 +42,40 @@
 //!                        quarantine)
 //! ```
 //!
-//! # Checkpoint frame (`WCKP`, version 2)
+//! # Checkpoint frame (`WCKP`, version 3)
 //!
 //! A published checkpoint is one object, not a journal record, and wraps
 //! the engine's opaque snapshot in the journal's resume metadata:
 //!
 //! ```text
 //! magic       b"WCKP"
-//! version     u32 LE    (currently 2)
+//! version     u32 LE    (currently 3)
+//! kind        u8        1 = full | 2 = dynamic
 //! replay_from u64 LE    first segment ordinal the snapshot does not cover
 //! deliveries  u64 LE    deliveries reflected in the snapshot
 //! marker      u64 LE    opaque caller progress value
+//! static digest         objects u64 LE, len u64 LE, xxh64 u64 LE
 //! state_len   u64 LE
 //! state       state_len bytes
 //! checksum    u64 LE    XXH64 (seed 0) of magic..state
 //! ```
 //!
+//! The **kind** says what the state is ([`FrameKind`]): a *full* frame
+//! holds a whole engine snapshot and restores on its own; a *dynamic*
+//! frame holds only what an epoch can change and restores over the static
+//! section of a full frame. The **static digest** ([`StaticDigest`]) names
+//! that static section — how many objects it describes, how long its
+//! encoding is and the XXH64 of it — in both kinds, so the journal can
+//! pair a dynamic frame with **any** full frame carrying the same digest
+//! without understanding either state: there is no chain of deltas, only
+//! a star around whichever full frames survive.
+//!
 //! Snapshots are megabytes long, so the trailer is the bulk checksum
 //! ([`crate::xxh64`]) rather than the record frames' CRC-32. Version 1
-//! (a `u32` CRC-32 trailer) is rejected as an unsupported version; any
-//! layout change bumps the version again, and a golden fixture in this
-//! module's tests makes that a deliberate act.
+//! (a `u32` CRC-32 trailer) and version 2 (no kind, no digest: every
+//! frame was a full one) are rejected as unsupported versions; any layout
+//! change bumps the version again, and golden fixtures in this module's
+//! tests make that a deliberate act.
 
 use crate::crc::crc32;
 use crate::error::{CorruptKind, WalError};
@@ -353,13 +366,45 @@ pub fn decode_columns(bytes: &[u8]) -> Option<EventColumns> {
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"WCKP";
 
 /// Checkpoint frame version.
-pub const CHECKPOINT_FRAME_VERSION: u32 = 2;
+pub const CHECKPOINT_FRAME_VERSION: u32 = 3;
 
-/// Bytes before the state: magic, version and four metadata words.
-const CHECKPOINT_FIXED: usize = 4 + 4 + 8 * 4;
+/// Bytes before the state: magic, version, kind and seven metadata words.
+const CHECKPOINT_FIXED: usize = 4 + 4 + 1 + 8 * 7;
 
 /// Bytes after the state: the XXH64 trailer.
 const CHECKPOINT_TRAILER: usize = 8;
+
+/// What the state of a checkpoint frame is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A whole snapshot: restores on its own, and lends its static
+    /// section to dynamic frames carrying the same [`StaticDigest`].
+    Full,
+    /// Only what an epoch can change: restores over a full frame.
+    Dynamic,
+}
+
+impl FrameKind {
+    fn tag(self) -> u8 {
+        match self {
+            FrameKind::Full => 1,
+            FrameKind::Dynamic => 2,
+        }
+    }
+}
+
+/// Identity of the static section a frame's state was taken over: a
+/// dynamic frame restores over exactly the full frames that carry an
+/// equal digest. The journal only compares it; the caller computes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StaticDigest {
+    /// Objects the static section describes.
+    pub objects: u64,
+    /// Length of its encoding, in bytes.
+    pub len: u64,
+    /// XXH64 (seed 0) of its encoding.
+    pub xxh64: u64,
+}
 
 /// The journal's wrapper around an engine checkpoint: enough metadata to
 /// resume the journal (which segments to replay, how many deliveries the
@@ -367,6 +412,8 @@ const CHECKPOINT_TRAILER: usize = 8;
 /// one trailing checksum (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointFrame {
+    /// Whether `state` is a whole snapshot or the dynamic part of one.
+    pub kind: FrameKind,
     /// First segment ordinal whose records are *not* covered by this
     /// snapshot (replay starts here).
     pub replay_from: u64,
@@ -377,6 +424,8 @@ pub struct CheckpointFrame {
     /// position in the replay schedule, so recovery can tell a
     /// checkpoint taken *after* an epoch step from one taken before it).
     pub marker: u64,
+    /// The static section `state` was taken over.
+    pub digest: StaticDigest,
     /// The engine checkpoint bytes.
     pub state: Vec<u8>,
 }
@@ -385,34 +434,31 @@ impl CheckpointFrame {
     /// Serialize the frame: magic, version, metadata, state, checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(CHECKPOINT_FIXED + self.state.len() + CHECKPOINT_TRAILER);
-        Self::encode_with(
-            &mut out,
-            self.replay_from,
-            self.deliveries,
-            self.marker,
-            |out| out.extend_from_slice(&self.state),
-        );
+        self.encode_with(&mut out, |out| out.extend_from_slice(&self.state));
         out
     }
 
-    /// Build a frame in `out`, replacing what it held, around a state
-    /// that `write_state` appends in place — a snapshot serialized
-    /// straight into the frame is never copied. The bytes equal
+    /// Build a frame with this frame's metadata in `out`, replacing what
+    /// it held, around a state that `write_state` appends in place
+    /// (`self.state` is not read) — a snapshot serialized straight into
+    /// the frame is never copied. The bytes equal
     /// [`CheckpointFrame::encode`] of the same fields.
-    pub(crate) fn encode_with(
-        out: &mut Vec<u8>,
-        replay_from: u64,
-        deliveries: u64,
-        marker: u64,
-        write_state: impl FnOnce(&mut Vec<u8>),
-    ) {
+    pub(crate) fn encode_with(&self, out: &mut Vec<u8>, write_state: impl FnOnce(&mut Vec<u8>)) {
         out.clear();
         out.extend_from_slice(CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_FRAME_VERSION.to_le_bytes());
-        out.extend_from_slice(&replay_from.to_le_bytes());
-        out.extend_from_slice(&deliveries.to_le_bytes());
-        out.extend_from_slice(&marker.to_le_bytes());
-        out.extend_from_slice(&[0; 8]); // state_len, known once the state is written
+        out.push(self.kind.tag());
+        for word in [
+            self.replay_from,
+            self.deliveries,
+            self.marker,
+            self.digest.objects,
+            self.digest.len,
+            self.digest.xxh64,
+            0, // state_len, known once the state is written
+        ] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
         write_state(out);
         let state_len = (out.len() - CHECKPOINT_FIXED) as u64;
         out[CHECKPOINT_FIXED - 8..CHECKPOINT_FIXED].copy_from_slice(&state_len.to_le_bytes());
@@ -422,36 +468,52 @@ impl CheckpointFrame {
 
     /// Parse and validate a frame read back from storage.
     pub fn decode(object: &str, bytes: &[u8]) -> Result<Self, WalError> {
-        let reject = |reason: &str| WalError::Checkpoint {
+        let reject = |reason: String| WalError::Checkpoint {
             object: object.to_string(),
-            reason: reason.to_string(),
+            reason,
         };
-        if bytes.len() < CHECKPOINT_FIXED + CHECKPOINT_TRAILER {
-            return Err(reject("shorter than a checkpoint frame"));
+        let short = || reject("shorter than a checkpoint frame".into());
+        if bytes.len() < 8 {
+            return Err(short());
         }
         if &bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(reject("bad magic"));
+            return Err(reject("bad magic".into()));
         }
-        // The version decides how the rest is laid out — trailer width
-        // included — so it is read before the checksum is looked for.
-        if read_u32(bytes, 4) != CHECKPOINT_FRAME_VERSION {
-            return Err(reject("unsupported frame version"));
+        // The version decides how the rest is laid out — header length
+        // and trailer width included — so it is judged before either is
+        // looked for: an older frame is "unsupported", not "corrupt".
+        let version = read_u32(bytes, 4);
+        if version != CHECKPOINT_FRAME_VERSION {
+            return Err(reject(format!(
+                "unsupported version {version} (this build reads {CHECKPOINT_FRAME_VERSION})"
+            )));
+        }
+        if bytes.len() < CHECKPOINT_FIXED + CHECKPOINT_TRAILER {
+            return Err(short());
         }
         let (body, trailer) = bytes.split_at(bytes.len() - CHECKPOINT_TRAILER);
         if xxh64(body) != read_u64(trailer, 0) {
-            return Err(reject("frame checksum mismatch"));
+            return Err(reject("frame checksum mismatch".into()));
         }
-        let replay_from = read_u64(body, 8);
-        let deliveries = read_u64(body, 16);
-        let marker = read_u64(body, 24);
-        let state_len = read_u64(body, 32);
-        if (body.len() - CHECKPOINT_FIXED) as u64 != state_len {
-            return Err(reject("state length mismatch"));
+        let kind = match body[8] {
+            1 => FrameKind::Full,
+            2 => FrameKind::Dynamic,
+            tag => return Err(reject(format!("unknown frame kind {tag}"))),
+        };
+        let word = |i: usize| read_u64(body, 9 + 8 * i);
+        if (body.len() - CHECKPOINT_FIXED) as u64 != word(6) {
+            return Err(reject("state length mismatch".into()));
         }
         Ok(CheckpointFrame {
-            replay_from,
-            deliveries,
-            marker,
+            kind,
+            replay_from: word(0),
+            deliveries: word(1),
+            marker: word(2),
+            digest: StaticDigest {
+                objects: word(3),
+                len: word(4),
+                xxh64: word(5),
+            },
             state: body[CHECKPOINT_FIXED..].to_vec(),
         })
     }
@@ -614,14 +676,22 @@ mod tests {
         }
     }
 
-    fn checkpoint_frame() -> CheckpointFrame {
+    fn checkpoint_frame(kind: FrameKind) -> CheckpointFrame {
         CheckpointFrame {
+            kind,
             replay_from: 7,
             deliveries: 1234,
             marker: 99,
+            digest: StaticDigest {
+                objects: 12,
+                len: 345,
+                xxh64: 0xfeed_f00d_dead_beef,
+            },
             state: (0u8..200).collect(),
         }
     }
+
+    const KINDS: [FrameKind; 2] = [FrameKind::Full, FrameKind::Dynamic];
 
     fn decode_error(bytes: &[u8]) -> String {
         match CheckpointFrame::decode("ckpt", bytes) {
@@ -633,90 +703,147 @@ mod tests {
         }
     }
 
+    /// Rewrite the trailer of `enc` to match its (edited) body, so that
+    /// the checksum is not the check that fires.
+    fn reseal(enc: &mut [u8]) {
+        let body = enc.len() - 8;
+        let sum = xxh64(&enc[..body]);
+        enc[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn checkpoint_frames_round_trip_and_self_check() {
-        let frame = checkpoint_frame();
-        let enc = frame.encode();
-        assert_eq!(CheckpointFrame::decode("ckpt", &enc).unwrap(), frame);
-        for byte in 0..enc.len() {
-            for bit in 0..8 {
-                let mut bad = enc.clone();
-                bad[byte] ^= 1 << bit;
-                decode_error(&bad);
+        for kind in KINDS {
+            let frame = checkpoint_frame(kind);
+            let enc = frame.encode();
+            assert_eq!(CheckpointFrame::decode("ckpt", &enc).unwrap(), frame);
+            for byte in 0..enc.len() {
+                for bit in 0..8 {
+                    let mut bad = enc.clone();
+                    bad[byte] ^= 1 << bit;
+                    decode_error(&bad);
+                }
             }
+            for cut in 0..enc.len() {
+                decode_error(&enc[..cut]);
+            }
+            // An empty state is still a whole frame.
+            let empty = CheckpointFrame {
+                state: Vec::new(),
+                ..frame
+            };
+            assert_eq!(
+                CheckpointFrame::decode("ckpt", &empty.encode()).unwrap(),
+                empty
+            );
         }
-        for cut in 0..enc.len() {
-            decode_error(&enc[..cut]);
-        }
-        // An empty state is still a whole frame.
-        let empty = CheckpointFrame {
-            state: Vec::new(),
-            ..frame
-        };
-        assert_eq!(
-            CheckpointFrame::decode("ckpt", &empty.encode()).unwrap(),
-            empty
-        );
     }
 
     #[test]
     fn encode_with_replaces_the_buffer_and_equals_encode() {
-        let frame = checkpoint_frame();
-        let mut buf = vec![0xAA; 1000];
-        CheckpointFrame::encode_with(
-            &mut buf,
-            frame.replay_from,
-            frame.deliveries,
-            frame.marker,
-            |out| {
+        for kind in KINDS {
+            let frame = checkpoint_frame(kind);
+            let mut buf = vec![0xAA; 1000];
+            frame.encode_with(&mut buf, |out| {
                 // The state may be appended piecewise.
                 out.extend_from_slice(&frame.state[..50]);
                 out.extend_from_slice(&frame.state[50..]);
-            },
-        );
-        assert_eq!(buf, frame.encode());
+            });
+            assert_eq!(buf, frame.encode());
+        }
     }
 
     #[test]
     fn other_frame_versions_are_rejected_as_unsupported() {
         // Re-checksummed, so the version check is the only one that can
-        // fire. Version 1 was the CRC-32-trailer layout.
-        for version in [0u32, 1, 3, 99] {
-            let mut enc = checkpoint_frame().encode();
+        // fire. Version 1 was the CRC-32-trailer layout, version 2 the
+        // one without a kind or a digest.
+        for version in [0u32, 1, 2, 4, 99] {
+            let mut enc = checkpoint_frame(FrameKind::Full).encode();
             enc[4..8].copy_from_slice(&version.to_le_bytes());
-            let body = enc.len() - 8;
-            let sum = xxh64(&enc[..body]);
-            enc[body..].copy_from_slice(&sum.to_le_bytes());
-            assert_eq!(decode_error(&enc), "unsupported frame version");
+            reseal(&mut enc);
+            let reason = decode_error(&enc);
+            assert!(
+                reason.starts_with(&format!("unsupported version {version} ")),
+                "{reason}"
+            );
         }
-        let mut magic = checkpoint_frame().encode();
+        for kind in [0u8, 3, 0xff] {
+            let mut enc = checkpoint_frame(FrameKind::Dynamic).encode();
+            enc[8] = kind;
+            reseal(&mut enc);
+            assert_eq!(decode_error(&enc), format!("unknown frame kind {kind}"));
+        }
+        let mut magic = checkpoint_frame(FrameKind::Full).encode();
         magic[0] = b'X';
         assert_eq!(decode_error(&magic), "bad magic");
     }
 
-    #[test]
-    fn the_version_2_layout_is_pinned_by_a_golden_frame() {
-        let frame = CheckpointFrame {
-            replay_from: 3,
-            deliveries: 0x0102_0304,
-            marker: u64::MAX - 1,
-            state: b"engine snapshot".to_vec(),
-        };
+    /// The bytes of a version-3 frame of `kind` around "engine snapshot",
+    /// spelled out field by field.
+    fn golden_v3(kind: u8, trailer: [u8; 8]) -> Vec<u8> {
         let mut golden = Vec::new();
         golden.extend_from_slice(b"WCKP");
-        golden.extend_from_slice(&[2, 0, 0, 0]);
+        golden.extend_from_slice(&[3, 0, 0, 0]);
+        golden.push(kind);
         golden.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(&[4, 3, 2, 1, 0, 0, 0, 0]);
         golden.extend_from_slice(&[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
+        golden.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[0x42, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend_from_slice(&[0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01]);
         golden.extend_from_slice(&[15, 0, 0, 0, 0, 0, 0, 0]);
         golden.extend_from_slice(b"engine snapshot");
-        golden.extend_from_slice(&GOLDEN_TRAILER);
-        assert_eq!(frame.encode(), golden);
-        assert_eq!(CheckpointFrame::decode("ckpt", &golden).unwrap(), frame);
+        golden.extend_from_slice(&trailer);
+        golden
     }
 
-    /// XXH64 of the golden frame's first 55 bytes, little-endian. A layout
-    /// change must bump `CHECKPOINT_FRAME_VERSION` and replace the golden
-    /// bytes on purpose.
-    const GOLDEN_TRAILER: [u8; 8] = [0x25, 0xAA, 0x72, 0xC7, 0xA3, 0x97, 0x68, 0x6F];
+    #[test]
+    fn the_version_3_layout_is_pinned_by_a_golden_frame_of_each_kind() {
+        for (kind, tag, trailer) in [
+            (FrameKind::Full, 1, GOLDEN_FULL_TRAILER),
+            (FrameKind::Dynamic, 2, GOLDEN_DYNAMIC_TRAILER),
+        ] {
+            let frame = CheckpointFrame {
+                kind,
+                replay_from: 3,
+                deliveries: 0x0102_0304,
+                marker: u64::MAX - 1,
+                digest: StaticDigest {
+                    objects: 2,
+                    len: 0x42,
+                    xxh64: 0x0123_4567_89AB_CDEF,
+                },
+                state: b"engine snapshot".to_vec(),
+            };
+            let golden = golden_v3(tag, trailer);
+            assert_eq!(frame.encode(), golden);
+            assert_eq!(CheckpointFrame::decode("ckpt", &golden).unwrap(), frame);
+        }
+    }
+
+    /// XXH64 of each golden frame's first 80 bytes, little-endian. A
+    /// layout change must bump `CHECKPOINT_FRAME_VERSION` and replace the
+    /// golden bytes on purpose.
+    const GOLDEN_FULL_TRAILER: [u8; 8] = [0x05, 0x4C, 0xED, 0xD7, 0x47, 0x69, 0x8B, 0x08];
+    const GOLDEN_DYNAMIC_TRAILER: [u8; 8] = [0xA6, 0x2D, 0x5E, 0xC5, 0xFA, 0x37, 0x4E, 0x6A];
+
+    #[test]
+    fn the_version_2_layout_is_pinned_by_a_golden_frame() {
+        // The retired layout's fixture, byte for byte as version 2 wrote
+        // it (shorter than a version-3 header): kept to be refused by
+        // name, not misread.
+        let mut retired = Vec::new();
+        retired.extend_from_slice(b"WCKP");
+        retired.extend_from_slice(&[2, 0, 0, 0]);
+        retired.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]);
+        retired.extend_from_slice(&[4, 3, 2, 1, 0, 0, 0, 0]);
+        retired.extend_from_slice(&[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
+        retired.extend_from_slice(&[15, 0, 0, 0, 0, 0, 0, 0]);
+        retired.extend_from_slice(b"engine snapshot");
+        retired.extend_from_slice(&[0x25, 0xAA, 0x72, 0xC7, 0xA3, 0x97, 0x68, 0x6F]);
+        assert_eq!(xxh64(&retired[..55]).to_le_bytes(), retired[55..]);
+        let reason = decode_error(&retired);
+        assert!(reason.starts_with("unsupported version 2 "), "{reason}");
+    }
 }

@@ -3,7 +3,8 @@
 //!
 //! [`Storage`] is a deliberately small flat-object API: named byte
 //! objects with append, per-object durability barriers (`sync`), atomic
-//! whole-object publish (`write_atomic`), delete and truncate. The
+//! whole-object publish (`write_atomic`), delete (one object or a batch
+//! under one barrier) and truncate. The
 //! journal needs nothing else, and the surface is narrow enough that the
 //! in-memory backend can model real crash semantics exactly:
 //!
@@ -44,6 +45,14 @@ pub trait Storage {
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError>;
     /// Remove `name`.
     fn delete(&mut self, name: &str) -> Result<(), WalError>;
+    /// Remove every object of `names`, in order, stopping at the first
+    /// failure. One durability barrier may cover the whole batch (the
+    /// file backend syncs its directory once), so after a crash **any
+    /// subset** of the batch may still exist — callers order a batch so
+    /// that no subset of it is unsafe to find.
+    fn delete_many(&mut self, names: &[String]) -> Result<(), WalError> {
+        names.iter().try_for_each(|name| self.delete(name))
+    }
     /// Shrink `name` to its first `len` bytes (used by recovery to cut a
     /// torn or corrupt tail).
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError>;
@@ -255,6 +264,19 @@ mod tests {
         s.truncate("a", 1).unwrap();
         assert_eq!(s.read("a").unwrap(), b"a");
         s.delete("b").unwrap();
+        assert_eq!(s.list().unwrap(), vec!["a".to_string()]);
+        // A batch is deleted in order and stops at the first failure.
+        for name in ["c", "d", "e"] {
+            s.write_atomic(name, b"x").unwrap();
+        }
+        let batch = ["c", "z", "d"].map(String::from);
+        assert!(matches!(
+            s.delete_many(&batch),
+            Err(WalError::Missing { .. })
+        ));
+        assert_eq!(s.list().unwrap(), ["a", "d", "e"].map(String::from));
+        s.delete_many(&["d", "e"].map(String::from)).unwrap();
+        s.delete_many(&[]).unwrap();
         assert_eq!(s.list().unwrap(), vec!["a".to_string()]);
     }
 
