@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=683
+min_tests=697
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -124,6 +124,28 @@ if [[ $quick -eq 0 ]]; then
             exit 1
         fi
     done
+
+    # The billing replay under the same ratchet: the allocator calls of one
+    # `threads: 1` replay of the traced quick `bill_replay` run (2 000
+    # objects, 100 000 events). 6 of them are the replay's own — months,
+    # totals, the rate table's three columns, one event scratch — at every
+    # fleet size; the other 186 are the report's `BTreeMap` (one per node,
+    # ≈ 0.091 per object: 9 095 of the full-size run's 9 101), so the
+    # ceiling holds for this fleet size only. A count above it means a
+    # per-object or per-event allocation crept back into the replay.
+    max_run_columns_allocs=192
+    echo "==> benchmark/run.sh bill_replay --trace 1 --quick (replay allocation ratchet)"
+    traced=$(traced_quick bill_replay) || {
+        echo "$traced"
+        echo "FAIL: traced bill_replay run failed"
+        exit 1
+    }
+    got=$(echo "$traced" | awk '$2 == "cloudsim.run_columns_allocs" {printf "%d", $3}')
+    echo "    cloudsim.run_columns_allocs $got (ceiling $max_run_columns_allocs)"
+    if [[ -z "$got" || "$got" -gt "$max_run_columns_allocs" ]]; then
+        echo "FAIL: cloudsim.run_columns_allocs is '$got', above its ceiling $max_run_columns_allocs"
+        exit 1
+    fi
 
     # Durable-bytes ratchet. What the journaled loop writes, deletes and
     # syncs in the traced quick `serve_durable` run (six epochs, so two

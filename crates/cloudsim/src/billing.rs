@@ -16,6 +16,69 @@
 //! changes). [`BillingSimulator::run`] is the month-aligned compatibility
 //! path: it lifts a legacy monthly trace onto the day axis and produces
 //! totals identical to the historical whole-month replay.
+//!
+//! # The replay kernel
+//!
+//! Every entry point ends in one engine
+//! ([`BillingSimulator::run_columns_with_threads`]) that bills in two
+//! phases. Phase 1 walks each placed object's timeline (storage, moves,
+//! penalties) on the calling thread, in placement order, exactly as the
+//! sequential engine does. Phase 2 bills the access events — the bulk of a
+//! replay — as **one kernel in two stages over `UNIT_EVENTS`-event
+//! units**, handed to [`parallel::ordered_stream_with_threads`]:
+//!
+//! * **Resolve** is the order-free stage: `resolve_event` — horizon,
+//!   volume and id checks, the rate-line lookup, the divide and the
+//!   multiply — writes what billing each event of a unit costs into a
+//!   reused buffer of 24-byte `EventOutcome`s (code, amount, decompression
+//!   cost, billing period). No load of one event depends on another
+//!   event's, so the misses of neighbouring events are in flight together,
+//!   and any thread may run it.
+//! * **Apply** is the ordered stage: `apply_event` lands outcomes on the
+//!   monthly accumulators, the per-object totals, the dropped-event count
+//!   and the first error, strictly in trace order on the calling thread. It
+//!   is the only event-path code that touches them.
+//!
+//! With one thread the caller alternates the two stages per unit and
+//! spawns nothing; with `n` threads, `n - 1` resolvers fill units while
+//! the caller applies them in order (and resolves units itself whenever
+//! the next one has not arrived). The same two functions run in the same
+//! order over the same units either way, so the report is bit-for-bit
+//! identical for every thread count **by construction**, and
+//! [`crate::reference::run_days_reference`] — the preserved sequential
+//! engine — is the one oracle the differential suites pin it against.
+//! Memory is `O(threads × unit)`: a replay never holds an outcome per
+//! event.
+//!
+//! ## The rate line
+//!
+//! Phase 1's walk of an object's schedule also files everything phase 2
+//! needs about that object into one 64-byte, 64-byte-aligned `RateLine`:
+//! for each of the first two segments the compression divisor
+//! (`compression_ratio.max(f64::MIN_POSITIVE)`), the per-GB read rate
+//! (`read_cost(tier, 1.0, 1.0)`) and the per-access decompression cost
+//! (`decompression_cost(seconds, 1.0)`), plus the day the second segment
+//! starts — so picking the segment in force is `day >= start1`, a select,
+//! not a search, and pricing an event touches **one cache line** of a table
+//! that at 100k objects is larger than the L2. Each stored `f64` is the
+//! value of the very expression the cost model (and the reference engine)
+//! evaluates per event — a rate times 1.0 is that rate, bit for bit — and
+//! the event path still divides and multiplies exactly as
+//! [`CostModel::read_cost`] / [`CostModel::write_cost`] do, so pricing from
+//! the line cannot perturb a bit. The write rate (`write_cost(tier, 1.0)`),
+//! needed by one event in ten, lives in a parallel array; a schedule of
+//! three or more segments falls back to a binary-searched flat table.
+//!
+//! ## Who fans out
+//!
+//! Only phase 2 fans out: phase 1 is a fraction of a replay and most of
+//! what surrounds it (the report's map) is sequential anyway.
+//! [`BillingSimulator::run_columns_with_threads`] gives phase 2 exactly the
+//! threads it is given. [`BillingSimulator::run_columns`] — and so
+//! [`BillingSimulator::run_days`] and [`BillingSimulator::run`] — decides
+//! once from what it can see: [`parallel::default_threads`] at or above
+//! `FAN_OUT_MIN_EVENTS` events, one thread below. The measurements are
+//! beside the constants.
 
 use crate::cost::{CostBreakdown, CostModel, ObjectSpec};
 use crate::error::CloudSimError;
@@ -23,7 +86,7 @@ use crate::parallel;
 use crate::providers::ProviderCatalog;
 use crate::tiers::{TierCatalog, TierId};
 use crate::timeline::{
-    events_from_monthly, BillingEvent, EventColumns, PlacementSchedule, DAYS_PER_MONTH,
+    first_day_of_month, BillingEvent, EventColumns, PlacementSchedule, DAYS_PER_MONTH,
     UNKNOWN_OBJECT,
 };
 use serde::{Deserialize, Serialize};
@@ -265,7 +328,8 @@ impl BillingSimulator {
     /// Month-aligned compatibility path: run the simulation over
     /// `horizon_months` whole billing periods with a monthly aggregated
     /// trace. Events of month `m` are lifted to day `m * 30` (same billing
-    /// period) and the day-granular engine does the rest; for constant
+    /// period) straight into [`EventColumns`] — names are borrowed, never
+    /// cloned — and the day-granular engine does the rest; for constant
     /// schedules the resulting totals are identical to the historical
     /// whole-month replay.
     pub fn run(
@@ -279,8 +343,12 @@ impl BillingSimulator {
                 value: 0.0,
             });
         }
-        let events = events_from_monthly(accesses);
-        self.run_days(horizon_months * DAYS_PER_MONTH, &events)
+        let rows = accesses.iter().map(|ev| {
+            let day = first_day_of_month(ev.month);
+            (ev.object.as_str(), day, ev.kind, ev.volume_gb)
+        });
+        let columns = EventColumns::from_rows(rows, |name| self.name_ids.get(name).copied());
+        self.run_columns(horizon_months * DAYS_PER_MONTH, &columns)
     }
 
     /// Run the day-granular engine over `horizon_days` days with a
@@ -311,17 +379,16 @@ impl BillingSimulator {
     /// [`BillingReport::dropped_events`]; events naming unknown objects are
     /// ignored, as before.
     ///
-    /// Internally this builds [`EventColumns`] from the trace and runs the
-    /// sharded column engine ([`BillingSimulator::run_columns`]) with the
-    /// default thread count; totals are bit-for-bit identical for any
-    /// thread count, and to the preserved sequential engine
-    /// [`crate::reference::run_days_reference`].
+    /// Internally this builds [`EventColumns`] from the trace and replays
+    /// them with [`BillingSimulator::run_columns`]; totals are bit-for-bit
+    /// identical for any thread count, and to the preserved sequential
+    /// engine [`crate::reference::run_days_reference`].
     pub fn run_days(
         &self,
         horizon_days: u32,
         events: &[BillingEvent],
     ) -> Result<BillingReport, CloudSimError> {
-        self.run_days_with_threads(horizon_days, events, parallel::default_threads())
+        self.run_columns(horizon_days, &self.build_columns(events))
     }
 
     /// [`BillingSimulator::run_days`] with an explicit worker thread count
@@ -338,46 +405,66 @@ impl BillingSimulator {
     }
 
     /// Resolve a day-stamped trace into struct-of-arrays [`EventColumns`]
-    /// against this simulator's intern table: one name-hash and one
-    /// day-to-period division per event, paid **once**. The columns can be
-    /// replayed any number of times with
+    /// against this simulator's intern table: one name-hash per event, paid
+    /// **once**. The columns can be replayed any number of times with
     /// [`BillingSimulator::run_columns`] without touching a `String` again.
     pub fn build_columns(&self, events: &[BillingEvent]) -> EventColumns {
         EventColumns::from_events(events, |name| self.name_ids.get(name).copied())
     }
 
-    /// Replay prebuilt [`EventColumns`] with the default thread count. See
-    /// [`BillingSimulator::run_columns_with_threads`].
+    /// Replay prebuilt [`EventColumns`] on [`parallel::default_threads`]
+    /// threads for a trace of at least `FAN_OUT_MIN_EVENTS` events and on
+    /// the calling thread below it (the measurements are beside that
+    /// constant). See [`BillingSimulator::run_columns_with_threads`] for
+    /// the engine.
     pub fn run_columns(
         &self,
         horizon_days: u32,
         columns: &EventColumns,
     ) -> Result<BillingReport, CloudSimError> {
-        self.run_columns_with_threads(horizon_days, columns, parallel::default_threads())
+        let threads = if columns.len() < FAN_OUT_MIN_EVENTS {
+            1
+        } else {
+            parallel::default_threads()
+        };
+        self.run_columns_with_threads(horizon_days, columns, threads)
     }
 
-    /// The sharded day-granular engine.
+    /// The day-granular engine, in two phases.
     ///
-    /// **Phase 1 — timeline costs, sharded by object.** Each placed object
-    /// is an independent worker under [`parallel_map_with_threads`]: it
-    /// streams its schedule segments exactly as the sequential engine does
-    /// and emits an ordered ledger of (period, component, amount) postings
-    /// plus its own running total. The merge applies ledgers in placement
-    /// order, so every `f64` lands on the monthly accumulators in the exact
-    /// sequence the sequential loop would produce — bit-for-bit identical
-    /// totals for any thread count.
+    /// **Phase 1 — timeline costs**, on the calling thread. One walk of
+    /// each placed object's schedule segments, in placement order, accrues
+    /// its storage, moves and penalties exactly as the sequential engine
+    /// does and files its `RateLine` under the object's interned id.
     ///
-    /// **Phase 2 — access costs, sharded over the trace.** Each event's
-    /// cost is a pure function of its columns row (placement in force on
-    /// its day, compression-adjusted volume), so workers compute per-event
-    /// outcomes over contiguous index ranges and the merge accumulates them
-    /// in trace order. Dropped-event counting, unknown-object skipping and
-    /// the first-invalid-volume error all key off the merge's trace-order
-    /// walk, preserving the sequential engine's exact semantics (an invalid
-    /// volume *after* an earlier invalid one is never reported, just as the
-    /// sequential loop would have stopped at the first).
+    /// **Phase 2 — access costs**, the two-stage kernel of the module docs
+    /// in units of `UNIT_EVENTS` events, driven by
+    /// [`parallel::ordered_stream_with_threads`] with exactly `threads`
+    /// threads (`threads - 1` resolvers beside the caller; `threads <= 1`
+    /// spawns nothing). *Resolve* prices each event from its columns row
+    /// and its object's rate line; *apply* accumulates in trace order.
+    /// Dropped-event counting, unknown-object skipping and the first-error
+    /// rule all key off the apply stage's trace-order walk, preserving the
+    /// sequential engine's exact semantics (an invalid volume *after* an
+    /// earlier invalid one is never reported, just as the sequential loop
+    /// would have stopped at the first).
     ///
-    /// [`parallel_map_with_threads`]: crate::parallel::parallel_map_with_threads
+    /// The same resolve and apply functions run over the same units at
+    /// every thread count, so the report is bit-for-bit the same for any
+    /// `threads` by construction, and
+    /// [`crate::reference::run_days_reference`] is the one oracle.
+    ///
+    /// # Errors
+    ///
+    /// Checked in this order: a zero horizon; columns of unequal length
+    /// (`InvalidParameter` naming the first column whose length differs
+    /// from `days`', carrying that length) — before any event is billed;
+    /// then, per event in trace order after the horizon drop, a
+    /// non-finite or negative volume (`volume_gb`) and, after the
+    /// [`UNKNOWN_OBJECT`] skip, an id that is not an interned id of this
+    /// simulator (`object_id`, carrying the id) — columns built against
+    /// another simulator are a corrupt trace, not accesses to ignore. Each
+    /// is the same error at every thread count.
     pub fn run_columns_with_threads(
         &self,
         horizon_days: u32,
@@ -390,6 +477,7 @@ impl BillingSimulator {
                 value: 0.0,
             });
         }
+        columns.check_lengths()?;
         let n_periods = horizon_days.div_ceil(DAYS_PER_MONTH);
         let mut months: Vec<MonthlyCost> = (0..n_periods)
             .map(|m| MonthlyCost {
@@ -402,114 +490,15 @@ impl BillingSimulator {
         // once, in the final report.
         let mut totals: Vec<f64> = vec![0.0; self.names.len()];
 
-        // Phase 1: per-object ledgers, computed in parallel, merged in
-        // placement order.
-        let ledgers = parallel::try_parallel_map_with_threads(&self.objects, threads, |i, obj| {
-            self.object_ledger(obj, self.object_ids[i], horizon_days)
-        })?;
-        for ledger in ledgers {
-            for &(period, component, amount) in &ledger.postings {
-                let m = &mut months[period as usize];
-                match component {
-                    Component::Storage => m.breakdown.storage += amount,
-                    Component::Change => m.breakdown.write += amount,
-                    Component::Egress => m.breakdown.egress += amount,
-                    Component::Penalty => m.early_deletion_penalty += amount,
-                }
-            }
-            // Assignment (not +=) matches the historical insert-overwrite
-            // semantics when several objects share a name.
-            totals[ledger.id as usize] = ledger.total;
-        }
-
-        // Phase 2: pure per-event outcomes, merged in trace order. The
-        // per-object schedules are first flattened into one contiguous
-        // segment-rate table (with a per-object offset index) so the
-        // per-event work is one binary search over a flat slice plus a
-        // couple of multiplies — no catalog lookup, no per-object pointer
-        // chase. The stored values are the *exact* f64 expressions the
-        // cost model evaluates, so flattening cannot perturb a bit.
-        let rates = self.flat_rates(horizon_days);
-        let mut dropped_events: u64 = 0;
-        if threads <= 1 {
-            // Sequential fast path: compute and merge fused, skipping the
-            // outcome buffer entirely (the accumulation order is the same
-            // statement sequence either way), with all five columns
-            // streamed through one zipped iterator (no per-column bounds
-            // checks).
-            // Hand-fused copy of `outcome_of` + `apply_outcome` (the
-            // parallel branch below composes the same two functions; the
-            // differential suites pin both branches against the sequential
-            // reference bit for bit). `day / DAYS_PER_MONTH` equals
-            // `columns.periods[i]` — it was precomputed from the same
-            // expression, and the constant division is cheaper than
-            // streaming the column.
-            let rows = columns
-                .days
-                .iter()
-                .zip(&columns.object_ids)
-                .zip(&columns.kinds)
-                .zip(&columns.volumes);
-            for (((&day, &id), &kind), &volume_gb) in rows {
-                if day >= horizon_days {
-                    dropped_events += 1; // outside the billed horizon
-                    continue;
-                }
-                if !volume_gb.is_finite() || volume_gb < 0.0 {
-                    // Malformed volumes are rejected before object
-                    // resolution: an in-horizon NaN/negative volume is a
-                    // corrupt trace even when it names an unknown object.
-                    return Err(CloudSimError::InvalidParameter {
-                        name: "volume_gb",
-                        value: volume_gb,
-                    });
-                }
-                if id == UNKNOWN_OBJECT {
-                    continue; // accesses to unknown objects are ignored
-                }
-                let (lo, hi) = rates.spans[id as usize];
-                let table = &rates.entries[lo as usize..hi as usize];
-                let n = table.partition_point(|s| s.start_day <= day);
-                let seg = &table[n - 1];
-                let effective_gb = volume_gb / seg.ratio_max;
-                let m = &mut months[(day / DAYS_PER_MONTH) as usize];
-                match kind {
-                    AccessKind::Read => {
-                        let read = seg.read_rate * effective_gb * 1.0;
-                        m.breakdown.read += read;
-                        m.breakdown.decompression += seg.decomp_cost;
-                        totals[id as usize] += read + seg.decomp_cost;
-                    }
-                    AccessKind::Write => {
-                        let write = rates.write_rates[lo as usize + n - 1] * effective_gb;
-                        m.breakdown.write += write;
-                        totals[id as usize] += write;
-                    }
-                }
-            }
-        } else {
-            let outcomes =
-                parallel::parallel_map_with_threads(&columns.days, threads, |i, &day| {
-                    outcome_of(
-                        day,
-                        columns.object_ids[i],
-                        columns.kinds[i],
-                        columns.volumes[i],
-                        horizon_days,
-                        &rates,
-                    )
-                });
-            for (i, &outcome) in outcomes.iter().enumerate() {
-                apply_outcome(
-                    columns.periods[i],
-                    columns.object_ids[i],
-                    outcome,
-                    &mut months,
-                    &mut totals,
-                    &mut dropped_events,
-                )?;
-            }
-        }
+        let rates = self.bill_timelines(horizon_days, &mut months, &mut totals)?;
+        let dropped_events = bill_events(
+            columns,
+            horizon_days,
+            threads,
+            &rates,
+            &mut months,
+            &mut totals,
+        )?;
 
         Ok(BillingReport {
             months,
@@ -518,31 +507,97 @@ impl BillingSimulator {
         })
     }
 
-    /// Phase-1 worker: the timeline costs of one object, as an ordered
-    /// posting ledger. The arithmetic and its order are copied verbatim
-    /// from the sequential engine (preserved as
-    /// [`crate::reference::run_days_reference`]); only the destination of
-    /// each `+=` changed from the shared accumulators to the ledger.
-    fn object_ledger(
+    /// Phase 1: bill every placed object's timeline onto `months` and
+    /// `totals` in placement order, on the calling thread, and return the
+    /// rate table phase 2 prices events from.
+    fn bill_timelines(
         &self,
-        obj: &ObjectSpec,
-        id: u32,
         horizon_days: u32,
-    ) -> Result<ObjectLedger, CloudSimError> {
-        let schedule = &self.schedules[id as usize];
-        let mut ledger = ObjectLedger {
-            id,
-            postings: Vec::new(),
-            total: 0.0,
+        months: &mut [MonthlyCost],
+        totals: &mut [f64],
+    ) -> Result<RateTable, CloudSimError> {
+        let mut rates = RateTable {
+            lines: vec![RateLine::default(); self.names.len()],
+            write_rates: vec![[0.0; 2]; self.names.len()],
+            long: Vec::new(),
         };
+        for i in 0..self.objects.len() {
+            self.bill_timeline(i, horizon_days, months, totals, &mut rates)?;
+        }
+        Ok(rates)
+    }
+
+    /// The timeline costs of placed object `i`, accrued onto `months` and
+    /// filed in `totals` under its interned id. The arithmetic and its
+    /// order are copied verbatim from the sequential engine (preserved as
+    /// [`crate::reference::run_days_reference`]).
+    ///
+    /// The same walk fills the object's `RateLine`. Every stored f64 is
+    /// computed by the cost-model expression the per-event path of the
+    /// reference evaluates, so pricing from the line is bit-identical:
+    ///
+    /// * `ratio_max` is `compression_ratio.max(f64::MIN_POSITIVE)` — the
+    ///   event path still divides by it.
+    /// * `read_rate` / `write_rate` are the tier's per-GB cents rates,
+    ///   extracted by evaluating the model at 1.0 GB (multiplying a rate
+    ///   by 1.0 is a bitwise identity, so these are the exact tier
+    ///   constants); the event path multiplies exactly as
+    ///   [`CostModel::read_cost`] / [`CostModel::write_cost`] do.
+    /// * `decomp_cost` is the full per-access
+    ///   [`CostModel::decompression_cost`] (volume-independent, so it can
+    ///   be taken whole).
+    fn bill_timeline(
+        &self,
+        i: usize,
+        horizon_days: u32,
+        months: &mut [MonthlyCost],
+        totals: &mut [f64],
+        rates: &mut RateTable,
+    ) -> Result<(), CloudSimError> {
+        let (obj, id) = (&self.objects[i], self.object_ids[i]);
+        let schedule = &self.schedules[id as usize];
+        let mut total = 0.0;
+        let mut line = RateLine {
+            start1: u32::MAX,
+            ..RateLine::default()
+        };
+        let mut write_rates = [0.0; 2];
+        let long_lo = rates.long.len();
         // Where the object is coming from and how long it has been there:
         // seeds the early-deletion accounting of the first (and every
         // later) transition.
         let mut prev_tier = obj.current_tier;
         let mut prev_days_served = obj.residency_days;
         let mut prev_stored_gb = obj.size_gb;
-        for seg in schedule.segments(horizon_days) {
-            let stored_gb = obj.size_gb / seg.placement.compression_ratio.max(f64::MIN_POSITIVE);
+        for (k, seg) in schedule.iter_segments(horizon_days).enumerate() {
+            let ratio_max = seg.placement.compression_ratio.max(f64::MIN_POSITIVE);
+            let stored_gb = obj.size_gb / ratio_max;
+
+            let seg_rates = SegmentRates {
+                start_day: seg.start_day,
+                slot: RateSlot {
+                    ratio_max,
+                    read_rate: self.model.read_cost(seg.placement.tier, 1.0, 1.0),
+                    decomp_cost: self
+                        .model
+                        .decompression_cost(seg.placement.decompression_seconds, 1.0),
+                },
+                write_rate: self.model.write_cost(seg.placement.tier, 1.0),
+            };
+            match k {
+                // A one-segment schedule answers from either slot.
+                0 => {
+                    line.slots = [seg_rates.slot; 2];
+                    write_rates = [seg_rates.write_rate; 2];
+                }
+                1 => {
+                    line.start1 = seg.start_day;
+                    line.slots[1] = seg_rates.slot;
+                    write_rates[1] = seg_rates.write_rate;
+                }
+                _ => {}
+            }
+            rates.long.push(seg_rates);
 
             // Pro-rated storage in every billing period the segment
             // overlaps.
@@ -555,8 +610,8 @@ impl BillingSimulator {
                     stored_gb,
                     days as f64 / DAYS_PER_MONTH as f64,
                 );
-                ledger.postings.push((p, Component::Storage, c));
-                ledger.total += c;
+                months[p as usize].breakdown.storage += c;
+                total += c;
             }
 
             // The move onto this segment's placement, charged in the
@@ -566,7 +621,7 @@ impl BillingSimulator {
             // initial segment on the object's current tier charges
             // nothing, as before: the pre-horizon compression state is
             // unknown.)
-            let period = seg.start_day / DAYS_PER_MONTH;
+            let period = (seg.start_day / DAYS_PER_MONTH) as usize;
             let (change, egress) = if prev_tier != Some(seg.placement.tier) {
                 if let (true, Some(from)) = (seg.start_day > 0, prev_tier) {
                     // Mid-horizon move: the read off the old tier (and
@@ -605,11 +660,9 @@ impl BillingSimulator {
             } else {
                 (0.0, 0.0)
             };
-            // Posted unconditionally (even when 0.0), mirroring the
-            // sequential engine's unconditional `+=`.
-            ledger.postings.push((period, Component::Change, change));
-            ledger.postings.push((period, Component::Egress, egress));
-            ledger.total += change + egress;
+            months[period].breakdown.write += change;
+            months[period].breakdown.egress += egress;
+            total += change + egress;
 
             // Early-deletion penalty, pro-rated by the days already
             // served on the tier being left.
@@ -620,8 +673,8 @@ impl BillingSimulator {
                         prev_stored_gb,
                         prev_days_served,
                     )?;
-                    ledger.postings.push((period, Component::Penalty, penalty));
-                    ledger.total += penalty;
+                    months[period].early_deletion_penalty += penalty;
+                    total += penalty;
                 }
             }
 
@@ -635,200 +688,277 @@ impl BillingSimulator {
             prev_tier = Some(seg.placement.tier);
             prev_stored_gb = stored_gb;
         }
-        Ok(ledger)
-    }
-
-    /// Flatten every schedule over `[0, horizon_days)` into one contiguous
-    /// segment-rate table for the phase-2 hot loop, with `spans[id]`
-    /// delimiting object `id`'s entries. Every stored f64
-    /// is computed by the same cost-model expression the per-event path
-    /// used to evaluate, so replaying from the table is bit-identical:
-    ///
-    /// * `ratio_max` is `compression_ratio.max(f64::MIN_POSITIVE)` — the
-    ///   event path still divides by it.
-    /// * `read_rate` / `write_rate` are the tier's per-GB cents rates,
-    ///   extracted by evaluating the model at 1.0 GB (multiplying a rate
-    ///   by 1.0 is a bitwise identity, so these are the exact tier
-    ///   constants); the event path multiplies exactly as
-    ///   [`CostModel::read_cost`] / [`CostModel::write_cost`] do.
-    /// * `decomp_cost` is the full per-access
-    ///   [`CostModel::decompression_cost`] (volume-independent, so it can
-    ///   be taken whole).
-    fn flat_rates(&self, horizon_days: u32) -> FlatRates {
-        let mut spans = Vec::with_capacity(self.schedules.len());
-        let mut entries = Vec::with_capacity(self.schedules.len() * 2);
-        let mut write_rates = Vec::with_capacity(self.schedules.len() * 2);
-        for schedule in &self.schedules {
-            let lo = entries.len() as u32;
-            for seg in schedule.segments(horizon_days) {
-                entries.push(SegmentRates {
-                    start_day: seg.start_day,
-                    ratio_max: seg.placement.compression_ratio.max(f64::MIN_POSITIVE),
-                    read_rate: self.model.read_cost(seg.placement.tier, 1.0, 1.0),
-                    decomp_cost: self
-                        .model
-                        .decompression_cost(seg.placement.decompression_seconds, 1.0),
-                });
-                write_rates.push(self.model.write_cost(seg.placement.tier, 1.0));
-            }
-            spans.push((lo, entries.len() as u32));
+        if rates.long.len() - long_lo > 2 {
+            (line.long_lo, line.long_hi) = (long_lo as u32, rates.long.len() as u32);
+        } else {
+            // The line holds the whole schedule.
+            rates.long.truncate(long_lo);
         }
-        FlatRates {
-            spans,
-            entries,
-            write_rates,
-        }
+        // Assignment (not +=) matches the historical insert-overwrite
+        // semantics when several objects share a name (they share its
+        // schedule, hence its line).
+        totals[id as usize] = total;
+        rates.lines[id as usize] = line;
+        rates.write_rates[id as usize] = write_rates;
+        Ok(())
     }
 }
 
-/// Phase-2 worker: the billing outcome of one event — a pure function of
-/// its columns row and the flattened rate tables, safe to compute on any
-/// shard.
+/// Events per unit of the phase-2 kernel, at every thread count: resolved
+/// into one 32 768 × 24 B = 768 KB buffer (L2-resident), then applied. With
+/// resolvers beside the caller that is ≈ 0.4 ms of resolve work against a
+/// hand-off of microseconds, two buffers per thread. The size hardly
+/// matters — the out-of-order core already overlaps neighbouring events'
+/// misses — so one size serves one thread and many. `run_columns_with_threads`
+/// on this host (2 vCPUs, seed 12, median of 9, two rounds), 100k objects ×
+/// 4 M events at 4 096 / 8 192 / 16 384 / 32 768: `threads: 1` 95.4, 94.9 /
+/// 98.4, 96.2 / 100.6, 95.6 / 98.1, 90.1 ms (128: 93.0, 93.3, 107.0);
+/// `threads: 2` 64.0, 64.8 / 65.0, 62.0 / 62.1, 61.7 / 61.6, 56.9 ms (128:
+/// 153.8 — a hand-off per 1.5 µs of work). 1k objects × 1 M events:
+/// `threads: 1` 10.5–11.1 ms at every size, `threads: 2` 7.9 / 7.3 / 7.1 /
+/// 7.2 ms.
+const UNIT_EVENTS: usize = 32_768;
+
+/// [`BillingSimulator::run_columns`] fans phase 2 out from this many
+/// events. `run_columns_with_threads` on this host (2 vCPUs; 4 000 objects,
+/// median of 61 replays, `threads: 1` → `threads: 2`): 100k events 1.7 →
+/// 1.9 ms, 200k 2.8 → 2.8, 300k 3.9 → 3.1, 400k 5.0 → 3.9, 600k 7.1 → 5.3,
+/// 1 M 11.4 → 7.9; at 100k objects 4 M events 98.1 → 61.6 ms. Break-even
+/// is ≈ 200k events (a thread spawn and the buffers' first touch); the
+/// floor — eight units — sits between it and the first clear win. When
+/// the second vCPU is busy elsewhere two threads read as one (the caller
+/// resolves what the resolver does not), not slower.
+const FAN_OUT_MIN_EVENTS: usize = 8 * UNIT_EVENTS;
+
+/// Phase 2: bill every event of `columns` onto `months` and `totals` in
+/// trace order; returns the dropped-event count.
+fn bill_events(
+    columns: &EventColumns,
+    horizon_days: u32,
+    threads: usize,
+    rates: &RateTable,
+    months: &mut [MonthlyCost],
+    totals: &mut [f64],
+) -> Result<u64, CloudSimError> {
+    let unit_of = |unit: usize| unit * UNIT_EVENTS..((unit + 1) * UNIT_EVENTS).min(columns.len());
+    let mut dropped_events: u64 = 0;
+    parallel::ordered_stream_with_threads(
+        columns.len().div_ceil(UNIT_EVENTS),
+        threads,
+        // Reserved, not written: a buffer's pages are first touched by the
+        // unit that fills it, so a short trace pays for the buffers it uses.
+        || Vec::with_capacity(UNIT_EVENTS.min(columns.len())),
+        |unit, out: &mut Vec<EventOutcome>| {
+            let rows = unit_of(unit);
+            let rows = columns.days[rows.clone()]
+                .iter()
+                .zip(&columns.object_ids[rows.clone()])
+                .zip(&columns.kinds[rows.clone()])
+                .zip(&columns.volumes[rows]);
+            out.clear();
+            out.extend(rows.map(|(((&day, &id), &kind), &volume_gb)| {
+                resolve_event(day, id, kind, volume_gb, horizon_days, rates)
+            }));
+        },
+        |unit, out: &mut Vec<EventOutcome>| {
+            for (&id, outcome) in columns.object_ids[unit_of(unit)].iter().zip(out.iter()) {
+                apply_event(id, outcome, months, totals, &mut dropped_events)?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok(dropped_events)
+}
+
+/// Phase-2 resolve: the billing outcome of one event — a pure function of
+/// its columns row and its object's rate line, so every load is
+/// independent of every other event's and any thread may compute it.
 #[inline]
-fn outcome_of(
+fn resolve_event(
     day: u32,
     id: u32,
     kind: AccessKind,
     volume_gb: f64,
     horizon_days: u32,
-    rates: &FlatRates,
+    rates: &RateTable,
 ) -> EventOutcome {
+    // An outcome that bills nothing: a code and, for the errors, a payload.
+    let outcome = |code, amount| EventOutcome {
+        code,
+        amount,
+        ..EventOutcome::default()
+    };
     if day >= horizon_days {
-        return EventOutcome::Dropped;
+        return outcome(OutcomeCode::Dropped, 0.0);
     }
     if !volume_gb.is_finite() || volume_gb < 0.0 {
         // Checked before the unknown-object skip: a corrupt volume is a
         // corrupt trace regardless of whether its name resolved.
-        return EventOutcome::Invalid(volume_gb);
+        return outcome(OutcomeCode::InvalidVolume, volume_gb);
     }
     if id == UNKNOWN_OBJECT {
-        return EventOutcome::Unknown;
+        return outcome(OutcomeCode::Unknown, 0.0);
     }
-    // The segment in force on `day`: the last entry starting at or before
-    // it. Segments tile [0, horizon) and day < horizon, so the search
-    // always lands on one.
-    let (lo, hi) = rates.spans[id as usize];
-    let (lo, hi) = (lo as usize, hi as usize);
-    let table = &rates.entries[lo..hi];
-    let n = table.partition_point(|s| s.start_day <= day);
-    let seg = &table[n - 1];
-    let effective_gb = volume_gb / seg.ratio_max;
+    let Some(line) = rates.lines.get(id as usize) else {
+        return outcome(OutcomeCode::ForeignId, f64::from(id));
+    };
+    // The segment in force on `day`: the last one starting at or before
+    // it. Segments tile [0, horizon) and day < horizon, so one always is.
+    // The write rate is only pointed at: its cache line is touched by the
+    // one event in ten that is a write.
+    let (slot, write_rate) = if line.long_hi > line.long_lo {
+        let table = &rates.long[line.long_lo as usize..line.long_hi as usize];
+        let seg = &table[table.partition_point(|s| s.start_day <= day) - 1];
+        (&seg.slot, &seg.write_rate)
+    } else {
+        // `start1` is `u32::MAX` for a one-segment schedule and
+        // `day < horizon_days <= u32::MAX`, so this is a select.
+        let s = usize::from(day >= line.start1);
+        (&line.slots[s], &rates.write_rates[id as usize][s])
+    };
+    let effective_gb = volume_gb / slot.ratio_max;
+    let period = day / DAYS_PER_MONTH;
     match kind {
-        AccessKind::Read => EventOutcome::Read {
-            read: seg.read_rate * effective_gb * 1.0,
-            decomp: seg.decomp_cost,
+        AccessKind::Read => EventOutcome {
+            amount: slot.read_rate * effective_gb * 1.0,
+            decomp: slot.decomp_cost,
+            period,
+            code: OutcomeCode::Read,
         },
-        AccessKind::Write => EventOutcome::Write {
-            write: rates.write_rates[lo + n - 1] * effective_gb,
+        AccessKind::Write => EventOutcome {
+            amount: write_rate * effective_gb,
+            decomp: 0.0,
+            period,
+            code: OutcomeCode::Write,
         },
     }
 }
 
-/// Merge one phase-2 outcome onto the shared accumulators, in trace order
-/// — the exact statement sequence of the sequential engine's event loop.
+/// Phase-2 apply: land one outcome on the shared accumulators, in trace
+/// order — the exact statement sequence of the sequential engine's event
+/// loop, and the only code that touches them.
 #[inline]
-fn apply_outcome(
-    period: u32,
+fn apply_event(
     id: u32,
-    outcome: EventOutcome,
+    outcome: &EventOutcome,
     months: &mut [MonthlyCost],
     totals: &mut [f64],
     dropped_events: &mut u64,
 ) -> Result<(), CloudSimError> {
-    match outcome {
-        EventOutcome::Dropped => *dropped_events += 1, // outside the billed horizon
-        EventOutcome::Unknown => {}                    // accesses to unknown objects are ignored
-        EventOutcome::Invalid(value) => {
+    match outcome.code {
+        OutcomeCode::Read => {
+            let m = &mut months[outcome.period as usize];
+            m.breakdown.read += outcome.amount;
+            m.breakdown.decompression += outcome.decomp;
+            totals[id as usize] += outcome.amount + outcome.decomp;
+        }
+        OutcomeCode::Write => {
+            let m = &mut months[outcome.period as usize];
+            m.breakdown.write += outcome.amount;
+            totals[id as usize] += outcome.amount;
+        }
+        OutcomeCode::Dropped => *dropped_events += 1, // outside the billed horizon
+        OutcomeCode::Unknown => {}                    // accesses to unknown objects are ignored
+        OutcomeCode::InvalidVolume => {
             return Err(CloudSimError::InvalidParameter {
                 name: "volume_gb",
-                value,
+                value: outcome.amount,
             });
         }
-        EventOutcome::Read { read, decomp } => {
-            let m = &mut months[period as usize];
-            m.breakdown.read += read;
-            m.breakdown.decompression += decomp;
-            totals[id as usize] += read + decomp;
-        }
-        EventOutcome::Write { write } => {
-            let m = &mut months[period as usize];
-            m.breakdown.write += write;
-            totals[id as usize] += write;
+        OutcomeCode::ForeignId => {
+            return Err(CloudSimError::InvalidParameter {
+                name: "object_id",
+                value: outcome.amount,
+            });
         }
     }
     Ok(())
 }
 
-/// One flattened schedule segment for the phase-2 hot loop: the placement's
-/// compression divisor plus the read-path rates. Exactly 32 bytes, so the
-/// read-dominated hot loop touches a single cache line per lookup; the
-/// write rate (needed for ~1 event in 10) lives in a parallel array.
-#[derive(Debug, Clone, Copy)]
-struct SegmentRates {
-    start_day: u32,
+/// Everything phase 2 needs to price an event of one object, in one
+/// 64-byte, 64-byte-aligned record: one cache line per lookup. The slots
+/// hold the first two schedule segments' rates (a one-segment schedule
+/// repeats itself in slot 1), `start1` is the day slot 1 takes over
+/// (`u32::MAX` if it never does), and a schedule of three or more segments
+/// — rare: one transition is a lifecycle policy, two already a re-tiering
+/// — instead names its span of `RateTable::long` (`long_lo == long_hi`
+/// otherwise). The write rate, needed by one event in ten, lives in the
+/// parallel `RateTable::write_rates`.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct RateLine {
+    slots: [RateSlot; 2],
+    start1: u32,
+    long_lo: u32,
+    long_hi: u32,
+}
+
+/// The read-path rates of one schedule segment: the compression divisor,
+/// the per-GB read rate and the per-access decompression cost.
+#[derive(Debug, Clone, Copy, Default)]
+struct RateSlot {
     ratio_max: f64,
     read_rate: f64,
     decomp_cost: f64,
 }
 
-/// All objects' [`SegmentRates`] in one contiguous allocation, delimited by
-/// per-object `(lo, hi)` spans (one 8-byte load per lookup), with the cold
-/// write rates in a parallel array sharing the same entry indices.
-#[derive(Debug)]
-struct FlatRates {
-    spans: Vec<(u32, u32)>,
-    entries: Vec<SegmentRates>,
-    write_rates: Vec<f64>,
-}
-
-/// Which monthly accumulator a phase-1 posting lands on.
+/// One schedule segment's rates: what `bill_timeline` computes per
+/// segment, and the entry of the binary-searched table that schedules of
+/// three or more segments fall back to.
 #[derive(Debug, Clone, Copy)]
-enum Component {
-    /// Pro-rated segment storage → [`CostBreakdown::storage`].
-    Storage,
-    /// Tier-change / recompression transfer → [`CostBreakdown::write`].
-    Change,
-    /// Cross-provider move → [`CostBreakdown::egress`].
-    Egress,
-    /// Unmet-residency charge → [`MonthlyCost::early_deletion_penalty`].
-    Penalty,
+struct SegmentRates {
+    start_day: u32,
+    slot: RateSlot,
+    write_rate: f64,
 }
 
-/// Phase-1 worker output: one object's ordered postings and total.
+/// The phase-2 rate table: one `RateLine` and one pair of write rates
+/// per interned id, plus the flat segment table of the schedules too long
+/// for a line.
 #[derive(Debug)]
-struct ObjectLedger {
-    id: u32,
-    postings: Vec<(u32, Component, f64)>,
-    total: f64,
+struct RateTable {
+    lines: Vec<RateLine>,
+    write_rates: Vec<[f64; 2]>,
+    long: Vec<SegmentRates>,
 }
 
-/// Phase-2 worker output: the billing outcome of one event.
-#[derive(Debug, Clone, Copy)]
-enum EventOutcome {
+/// What billing one event does to the accumulators.
+#[derive(Debug, Clone, Copy, Default)]
+enum OutcomeCode {
     /// At or beyond the horizon: counted, not charged.
+    #[default]
     Dropped,
     /// Names no placed object: ignored.
     Unknown,
-    /// Non-finite or negative volume: the replay fails at the first such
-    /// event in trace order, carrying the offending value.
-    Invalid(f64),
-    /// A read: access cost plus decompression compute.
-    Read {
-        /// Read transfer cost, cents.
-        read: f64,
-        /// Decompression compute cost, cents.
-        decomp: f64,
-    },
-    /// A write: transfer cost only.
-    Write {
-        /// Write transfer cost, cents.
-        write: f64,
-    },
+    /// Non-finite or negative volume (carried in `amount`): the replay
+    /// fails at the first such event in trace order.
+    InvalidVolume,
+    /// An id that is neither [`UNKNOWN_OBJECT`] nor interned (carried in
+    /// `amount`, exactly — every `u32` is an `f64`): fails likewise.
+    ForeignId,
+    /// A read: `amount` of transfer plus `decomp` of compute.
+    Read,
+    /// A write: `amount` of transfer.
+    Write,
+}
+
+/// Phase-2 resolve output, 24 bytes: everything `apply_event` needs
+/// besides the event's object id.
+#[derive(Debug, Clone, Copy, Default)]
+struct EventOutcome {
+    /// Transfer cost in cents (or the payload of an error code).
+    amount: f64,
+    /// Decompression compute cost in cents (reads only).
+    decomp: f64,
+    /// Billing period the charge lands in, `day / DAYS_PER_MONTH`.
+    period: u32,
+    code: OutcomeCode,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::events_from_monthly;
 
     fn sim() -> BillingSimulator {
         BillingSimulator::new(TierCatalog::azure_adls_gen2())
@@ -1511,6 +1641,19 @@ mod tests {
                 "{name}: {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn kernel_sizes_are_the_ones_the_differential_suite_straddles() {
+        // `tests/differential_billing_sharded.rs` mirrors the unit size (it
+        // cannot see it) to put event counts and bad volumes on both sides
+        // of a unit seam, and `tests/fan_out.rs` sizes its traces by it and
+        // by the floor. Move them together.
+        assert_eq!(UNIT_EVENTS, 32_768);
+        assert_eq!(FAN_OUT_MIN_EVENTS, 262_144);
+        assert_eq!(std::mem::size_of::<RateLine>(), 64);
+        assert_eq!(std::mem::align_of::<RateLine>(), 64);
+        assert_eq!(std::mem::size_of::<EventOutcome>(), 24);
     }
 
     #[test]

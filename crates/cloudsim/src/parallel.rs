@@ -5,7 +5,7 @@
 //! schedule plan, configurations of a sweep), but their results must be
 //! **bit-for-bit identical** to the sequential path: the optimizer output
 //! feeds golden-pinned tables and differential oracles. This module
-//! provides the one fan-out shape that guarantees it:
+//! provides the fan-out shape that guarantees it:
 //!
 //! * work is chunked by **index** into contiguous slices — cut either by
 //!   **count** (equal-length chunks, the `parallel_map*` forms) or by
@@ -31,8 +31,24 @@
 //! a sliver of the span. A cut by weight keeps the chunks contiguous (so
 //! the merge and the guarantee are unchanged) and bounds the heaviest chunk
 //! by `total / threads` plus one item's weight.
+//!
+//! Beside the two cuts there is one **ordered-streaming** shape,
+//! [`ordered_stream_with_threads`], for work whose results are too many to
+//! collect and whose merge is itself the expensive, order-sensitive part
+//! (the billing replay: an outcome per event, accumulated in trace order).
+//! The work is cut into fixed-size *units*; an order-free `resolve` stage
+//! fills a small ring of reused buffers, one unit each, on whichever thread
+//! is free, and an ordered `apply` stage consumes them on the calling
+//! thread strictly in unit order. The guarantee is the same — the outcome
+//! is the sequential loop's for every thread count, because `apply` sees
+//! the same buffers in the same order — but memory is bounded by
+//! `threads × unit` instead of growing with the input.
+//!
+//! This module is the only place in the workspace where `std::thread` may
+//! appear (`scope-analyze`'s `no-raw-threads` rule).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Worker threads spawned by this module since the process started.
 static WORKERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
@@ -235,6 +251,182 @@ where
     )
 }
 
+/// Buffers each party of [`ordered_stream_with_threads`] (every resolver,
+/// and the caller for the units it resolves itself) cycles through: one
+/// being filled while the other waits for its turn under `apply`.
+const BUFFERS_PER_PARTY: usize = 2;
+
+/// Ordered streaming: run `resolve(unit, &mut buffer)` for every `unit` in
+/// `0..units` — on whichever thread is free — and hand each filled buffer
+/// to `apply(unit, &mut buffer)` on the **calling** thread, strictly in
+/// unit order. `resolve` must leave in the buffer a pure function of the
+/// unit (it overwrites whatever an earlier unit left there); `apply` is the
+/// only stage that may touch order-sensitive state, so the outcome is the
+/// sequential loop `for u in 0..units { resolve(u, b); apply(u, b)?; }` for
+/// every thread count — which is literally what runs, on one buffer and
+/// with nothing spawned, when `threads <= 1` or there is a single unit.
+///
+/// Otherwise `min(threads - 1, units - 1)` resolver threads claim units
+/// from a shared counter, each cycling through its own
+/// `BUFFERS_PER_PARTY` (2) buffers from `new_buffer`. The caller applies the
+/// next unit as soon as it has arrived; while it has not, the caller claims
+/// and resolves a unit itself (into buffers of its own) instead of
+/// waiting, so a resolver that is slow, descheduled or simply outnumbered
+/// by the work costs no more than its own unit. At most
+/// `2 × threads` buffers ever exist: memory is
+/// `O(threads × unit)`, never `O(units)`.
+///
+/// The first `Err` of `apply` is returned and stops the stream: the
+/// channels close, every resolver finishes at most the unit it is in and
+/// exits, and no later unit is applied. A panic inside `resolve` on a
+/// resolver thread stops the stream the same way and is re-raised on the
+/// caller with its own payload once every resolver has been joined.
+pub fn ordered_stream_with_threads<B, E, N, R, A>(
+    units: usize,
+    threads: usize,
+    mut new_buffer: N,
+    resolve: R,
+    mut apply: A,
+) -> Result<(), E>
+where
+    B: Send,
+    N: FnMut() -> B,
+    R: Fn(usize, &mut B) + Sync,
+    A: FnMut(usize, &mut B) -> Result<(), E>,
+{
+    if units == 0 {
+        return Ok(());
+    }
+    let resolvers = threads.saturating_sub(1).min(units - 1);
+    if resolvers == 0 {
+        let mut buffer = new_buffer();
+        for unit in 0..units {
+            resolve(unit, &mut buffer);
+            apply(unit, &mut buffer)?;
+        }
+        return Ok(());
+    }
+    // The next unclaimed unit. Relaxed: a claim publishes nothing — a
+    // resolved buffer reaches the caller through a channel, which orders it.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (resolve, next) = (&resolve, &next);
+        // A resolved unit, tagged with the resolver its buffer goes back
+        // to — or the payload of the panic that ended that resolver. Room
+        // for every resolver buffer at once, so a send never blocks.
+        type Panic = Box<dyn std::any::Any + Send>;
+        let (done_tx, done_rx) =
+            mpsc::sync_channel::<Result<(usize, usize, B), Panic>>(resolvers * BUFFERS_PER_PARTY);
+        let mut handles = Vec::with_capacity(resolvers);
+        let mut free_txs = Vec::with_capacity(resolvers);
+        for w in 0..resolvers {
+            let (free_tx, free_rx) = mpsc::sync_channel::<B>(BUFFERS_PER_PARTY);
+            for _ in 0..BUFFERS_PER_PARTY {
+                // Cannot fail: the receiver is alive and the channel has room.
+                let _ = free_tx.try_send(new_buffer());
+            }
+            let done_tx = done_tx.clone();
+            handles.push(scope.spawn(move || {
+                // Either channel closing means the caller stopped the
+                // stream (an `apply` error, or it is unwinding).
+                while let Ok(mut buffer) = free_rx.recv() {
+                    let unit = next.fetch_add(1, Ordering::Relaxed);
+                    if unit >= units {
+                        break;
+                    }
+                    let resolved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        resolve(unit, &mut buffer)
+                    }));
+                    let died = resolved.is_err();
+                    let message = resolved.map(|()| (unit, w, buffer));
+                    if done_tx.send(message).is_err() || died {
+                        break;
+                    }
+                }
+            }));
+            free_txs.push(free_tx);
+        }
+        drop(done_tx);
+        WORKERS_SPAWNED.fetch_add(resolvers as u64, Ordering::Relaxed);
+
+        let mut own: Vec<B> = (0..BUFFERS_PER_PARTY).map(|_| new_buffer()).collect();
+        // Resolved units waiting for their turn: never more than there are
+        // buffers, so a scan finds the next one.
+        let mut ready: Vec<(usize, usize, B)> =
+            Vec::with_capacity((resolvers + 1) * BUFFERS_PER_PARTY);
+        let mut result = Ok(());
+        let mut panicked = None;
+        let mut applied = 0;
+        while applied < units {
+            if let Some(at) = ready.iter().position(|&(unit, ..)| unit == applied) {
+                let (_, owner, mut buffer) = ready.swap_remove(at);
+                result = apply(applied, &mut buffer);
+                if result.is_err() {
+                    break;
+                }
+                applied += 1;
+                match free_txs.get(owner) {
+                    // The resolver may already have exited (no unit left).
+                    Some(free_tx) => {
+                        let _ = free_tx.send(buffer);
+                    }
+                    None => own.push(buffer),
+                }
+                continue;
+            }
+            let arrived = match done_rx.try_recv() {
+                Ok(message) => message,
+                Err(_) => {
+                    // Nothing has arrived: resolve a unit here, if one is
+                    // unclaimed and a buffer of the caller's is free …
+                    if let Some(mut buffer) = own.pop() {
+                        let unit = next.fetch_add(1, Ordering::Relaxed);
+                        if unit < units {
+                            resolve(unit, &mut buffer);
+                            ready.push((unit, resolvers, buffer));
+                            continue;
+                        }
+                        own.push(buffer);
+                    }
+                    // … else wait: the next unit is claimed by a resolver
+                    // that holds a buffer for it. (Every sender hanging up
+                    // first cannot happen — each sends its claimed unit or
+                    // its panic — and trips the assertion below if it does.)
+                    match done_rx.recv() {
+                        Ok(message) => message,
+                        Err(_) => break,
+                    }
+                }
+            };
+            match arrived {
+                Ok(done) => ready.push(done),
+                Err(payload) => {
+                    panicked = Some(payload);
+                    break;
+                }
+            }
+        }
+        // Close every channel before joining, so a resolver blocked on an
+        // empty free lane (or about to send) wakes up and exits.
+        drop((free_txs, done_rx));
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        // A stream that stopped short without an error or a panic would be
+        // a silently partial result (a wrong bill): never return `Ok` for it.
+        assert!(
+            result.is_err() || applied == units,
+            "ordered stream ended after {applied} of {units} units"
+        );
+        result
+    })
+}
+
 /// Fallible [`parallel_map_with_threads`]: `f` returns `Result` per item
 /// and the whole fan-out returns `Ok(results)` only when every item
 /// succeeded, else the error of the **lowest-indexed** failing item — the
@@ -342,6 +534,147 @@ mod tests {
                 try_parallel_map_with_threads(&items, threads, |_, &x| Ok::<u32, String>(x * 2))
                     .unwrap();
             assert_eq!(ok, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        }
+    }
+
+    /// What one [`stream`] run did.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Streamed {
+        result: Result<(), String>,
+        /// `(unit, payload bits)` in the order `apply` saw them.
+        log: Vec<(usize, u64)>,
+        /// An order-sensitive float fold over the payloads, as bits.
+        sum: u64,
+        buffers: usize,
+        resolves: usize,
+    }
+
+    /// Drive the primitive over `units` units, `apply` refusing `fail_at`.
+    fn stream(units: usize, threads: usize, fail_at: Option<usize>) -> Streamed {
+        let buffers = AtomicUsize::new(0);
+        let resolves = AtomicUsize::new(0);
+        let mut log = Vec::new();
+        let mut sum = 0.0f64;
+        let result = ordered_stream_with_threads(
+            units,
+            threads,
+            || {
+                buffers.fetch_add(1, Ordering::Relaxed);
+                (usize::MAX, 0.0f64)
+            },
+            |unit, buffer: &mut (usize, f64)| {
+                resolves.fetch_add(1, Ordering::Relaxed);
+                *buffer = (unit, (unit as f64 * 0.1 + 0.037).sin());
+            },
+            |unit, buffer: &mut (usize, f64)| {
+                if fail_at == Some(unit) {
+                    return Err(format!("unit {unit} refused"));
+                }
+                assert_eq!(buffer.0, unit, "buffer of another unit");
+                sum = sum * 1.000_1 + buffer.1;
+                log.push((unit, buffer.1.to_bits()));
+                Ok(())
+            },
+        );
+        Streamed {
+            result,
+            log,
+            sum: sum.to_bits(),
+            buffers: buffers.load(Ordering::Relaxed),
+            resolves: resolves.load(Ordering::Relaxed),
+        }
+    }
+
+    #[test]
+    fn ordered_stream_applies_units_in_index_order_for_every_thread_count() {
+        for units in [0usize, 1, 2, 3, 37, 200] {
+            let sequential = stream(units, 1, None);
+            assert_eq!(sequential.result, Ok(()));
+            assert_eq!(
+                sequential.log.iter().map(|&(u, _)| u).collect::<Vec<_>>(),
+                (0..units).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                (sequential.buffers, sequential.resolves),
+                (units.min(1), units)
+            );
+            for threads in [0usize, 2, 3, 5, 8, 13] {
+                // The ring: two buffers per thread that takes part, one
+                // buffer when nothing is spawned.
+                let parties = threads.clamp(1, units.max(1));
+                let expected = Streamed {
+                    buffers: if parties == 1 {
+                        units.min(1)
+                    } else {
+                        2 * parties
+                    },
+                    ..sequential.clone()
+                };
+                assert_eq!(
+                    stream(units, threads, None),
+                    expected,
+                    "units {units} threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_stream_returns_the_first_apply_error_and_stops_resolving() {
+        for threads in [1usize, 2, 3, 8] {
+            let got = stream(500, threads, Some(7));
+            assert_eq!(
+                got.result,
+                Err("unit 7 refused".to_string()),
+                "threads {threads}"
+            );
+            // Units before the failing one were applied, in order; none after.
+            assert_eq!(
+                got.log.iter().map(|&(u, _)| u).collect::<Vec<_>>(),
+                (0..7).collect::<Vec<_>>()
+            );
+            // Resolvers ran ahead by no more than the ring and then stopped:
+            // nowhere near the 500 units.
+            assert!(
+                (8..=8 + got.buffers).contains(&got.resolves),
+                "threads {threads}: {} units resolved with {} buffers",
+                got.resolves,
+                got.buffers
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_stream_re_raises_a_resolve_panic_with_its_own_payload() {
+        for threads in [1usize, 2, 3, 8] {
+            let mut applied = Vec::new();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ordered_stream_with_threads(
+                    64,
+                    threads,
+                    || 0usize,
+                    |unit, buffer: &mut usize| {
+                        if unit == 9 {
+                            std::panic::panic_any(format!("unit {unit} exploded"));
+                        }
+                        *buffer = unit;
+                    },
+                    |unit, _: &mut usize| {
+                        applied.push(unit);
+                        Ok::<(), String>(())
+                    },
+                )
+            }));
+            let payload = outcome.expect_err("the panic must cross the stream");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("unit 9 exploded"),
+                "threads {threads}"
+            );
+            // Whatever was applied before it was applied in order, and the
+            // exploded unit never was.
+            assert!(applied.len() <= 9, "threads {threads}: {applied:?}");
+            assert_eq!(applied, (0..applied.len()).collect::<Vec<_>>());
         }
     }
 

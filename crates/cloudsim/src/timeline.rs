@@ -31,6 +31,7 @@
 //! [`BillingSimulator`]: crate::billing::BillingSimulator
 
 use crate::billing::{AccessEvent, AccessKind, Placement};
+use crate::error::CloudSimError;
 use serde::{Deserialize, Serialize};
 
 /// Days per billing period ("month"). All month-denominated rates
@@ -115,10 +116,19 @@ pub const UNKNOWN_OBJECT: u32 = u32::MAX;
 /// object id, kind, volume); storing them as parallel `Vec`s instead of a
 /// `Vec` of [`BillingEvent`] structs removes the per-event `String` from
 /// the hot cache lines entirely and lets the engine stream each column
-/// sequentially. Object names are resolved to interned ids and days are
-/// bucketed into billing periods **once**, at column-build time — the
-/// replay itself (`BillingSimulator::run_columns`) never hashes a name or
-/// divides a day again.
+/// sequentially. Object names are resolved to interned ids **once**, at
+/// column-build time — the replay itself (`BillingSimulator::run_columns`)
+/// never hashes a name. `periods` is a convenience for consumers that
+/// bucket by billing period (the serving intake); the replay checks its
+/// length like every column's but bills each event into
+/// `day / DAYS_PER_MONTH`, derived from `days` in the order-free stage, so
+/// a `periods` entry that disagrees with its day cannot misroute a charge
+/// or index past the report's months.
+///
+/// The columns are `pub` and may be assembled by hand; the replay refuses
+/// columns of unequal length and ids that are neither [`UNKNOWN_OBJECT`]
+/// nor an interned id with a typed error (see
+/// `BillingSimulator::run_columns_with_threads`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventColumns {
     /// Day stamp of each event (0-based).
@@ -137,11 +147,23 @@ impl EventColumns {
     /// Build columns from a day-stamped trace, resolving each object name
     /// with `resolve` (typically the simulator's intern table). Unresolved
     /// names get [`UNKNOWN_OBJECT`].
-    pub fn from_events(
-        events: &[BillingEvent],
+    pub fn from_events(events: &[BillingEvent], resolve: impl FnMut(&str) -> Option<u32>) -> Self {
+        let rows = events
+            .iter()
+            .map(|ev| (ev.object.as_str(), ev.day, ev.kind, ev.volume_gb));
+        Self::from_rows(rows, resolve)
+    }
+
+    /// The one column builder: `(name, day, kind, volume_gb)` rows in trace
+    /// order, names resolved with `resolve`. [`EventColumns::from_events`]
+    /// and the month-aligned `BillingSimulator::run` (which lifts month `m`
+    /// to day `m * DAYS_PER_MONTH` on the fly) both feed it borrowed names,
+    /// so no adapter clones a `String` to get here.
+    pub(crate) fn from_rows<'a>(
+        rows: impl ExactSizeIterator<Item = (&'a str, u32, AccessKind, f64)>,
         mut resolve: impl FnMut(&str) -> Option<u32>,
     ) -> Self {
-        let n = events.len();
+        let n = rows.len();
         let mut cols = EventColumns {
             days: Vec::with_capacity(n),
             periods: Vec::with_capacity(n),
@@ -149,13 +171,13 @@ impl EventColumns {
             kinds: Vec::with_capacity(n),
             volumes: Vec::with_capacity(n),
         };
-        for ev in events {
-            cols.days.push(ev.day);
-            cols.periods.push(period_of_day(ev.day));
-            cols.object_ids
-                .push(resolve(&ev.object).unwrap_or(UNKNOWN_OBJECT));
-            cols.kinds.push(ev.kind);
-            cols.volumes.push(ev.volume_gb);
+        for (name, day, kind, volume_gb) in rows {
+            cols.push_resolved(
+                day,
+                resolve(name).unwrap_or(UNKNOWN_OBJECT),
+                kind,
+                volume_gb,
+            );
         }
         cols
     }
@@ -168,6 +190,25 @@ impl EventColumns {
     /// True if the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.days.is_empty()
+    }
+
+    /// `Ok` if all five columns hold one entry per event, else an
+    /// `InvalidParameter` naming the first column whose length differs
+    /// from `days`' and carrying that length.
+    pub(crate) fn check_lengths(&self) -> Result<(), CloudSimError> {
+        let lengths = [
+            ("columns.periods", self.periods.len()),
+            ("columns.object_ids", self.object_ids.len()),
+            ("columns.kinds", self.kinds.len()),
+            ("columns.volumes", self.volumes.len()),
+        ];
+        match lengths.iter().find(|&&(_, len)| len != self.days.len()) {
+            Some(&(name, len)) => Err(CloudSimError::InvalidParameter {
+                name,
+                value: len as f64,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Append one already-resolved event, preserving trace order — the
@@ -307,30 +348,48 @@ impl PlacementSchedule {
     /// constant-placement segments. Transitions at or after the horizon are
     /// ignored. Returns an empty vector for a zero-day horizon.
     pub fn segments(&self, horizon_days: u32) -> Vec<ScheduleSegment> {
-        let mut segments = Vec::with_capacity(self.transitions.len() + 1);
-        if horizon_days == 0 {
-            return segments;
+        self.iter_segments(horizon_days).collect()
+    }
+
+    /// [`PlacementSchedule::segments`] as an iterator: the same segments in
+    /// the same order, yielded one at a time with nothing allocated — the
+    /// form the billing engine walks once per object per replay.
+    pub fn iter_segments(&self, horizon_days: u32) -> impl Iterator<Item = ScheduleSegment> + '_ {
+        Segments {
+            next: (horizon_days > 0).then_some((0, self.initial)),
+            transitions: self.transitions.iter(),
+            horizon_days,
         }
-        let mut current = self.initial;
-        let mut start = 0u32;
-        for &(day, placement) in &self.transitions {
-            if day >= horizon_days {
-                break;
+    }
+}
+
+/// The iterator behind [`PlacementSchedule::iter_segments`].
+struct Segments<'a> {
+    /// Start day and placement of the segment to yield next.
+    next: Option<(u32, Placement)>,
+    transitions: std::slice::Iter<'a, (u32, Placement)>,
+    horizon_days: u32,
+}
+
+impl Iterator for Segments<'_> {
+    type Item = ScheduleSegment;
+
+    fn next(&mut self) -> Option<ScheduleSegment> {
+        let (start_day, placement) = self.next.take()?;
+        // Transitions are sorted by day: the first one at or past the
+        // horizon ends the walk.
+        let end_day = match self.transitions.next() {
+            Some(&(day, to)) if day < self.horizon_days => {
+                self.next = Some((day, to));
+                day
             }
-            segments.push(ScheduleSegment {
-                start_day: start,
-                end_day: day,
-                placement: current,
-            });
-            current = placement;
-            start = day;
-        }
-        segments.push(ScheduleSegment {
-            start_day: start,
-            end_day: horizon_days,
-            placement: current,
-        });
-        segments
+            _ => self.horizon_days,
+        };
+        Some(ScheduleSegment {
+            start_day,
+            end_day,
+            placement,
+        })
     }
 }
 
@@ -491,6 +550,104 @@ mod tests {
         rejoined.extend_from(&early);
         rejoined.extend_from(&late);
         assert_eq!(rejoined, cols);
+    }
+
+    /// The loop `PlacementSchedule::segments` was before it became a
+    /// `collect` of `iter_segments`, kept as its reference.
+    fn segments_reference(schedule: &PlacementSchedule, horizon_days: u32) -> Vec<ScheduleSegment> {
+        let mut segments = Vec::new();
+        if horizon_days == 0 {
+            return segments;
+        }
+        let mut current = *schedule.initial();
+        let mut start = 0u32;
+        for &(day, placement) in schedule.transitions() {
+            if day >= horizon_days {
+                break;
+            }
+            segments.push(ScheduleSegment {
+                start_day: start,
+                end_day: day,
+                placement: current,
+            });
+            current = placement;
+            start = day;
+        }
+        segments.push(ScheduleSegment {
+            start_day: start,
+            end_day: horizon_days,
+            placement: current,
+        });
+        segments
+    }
+
+    /// A small deterministic generator for the randomized check below
+    /// (this crate has no `proptest` dev-dependency).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as u32) % n
+        }
+    }
+
+    #[test]
+    fn iter_segments_matches_the_collecting_loop() {
+        let mut rng = Lcg(0xca1e);
+        for _ in 0..500 {
+            let mut schedule = PlacementSchedule::constant(placement(rng.below(4) as usize));
+            for _ in 0..rng.below(6) {
+                schedule =
+                    schedule.with_transition(rng.below(130), placement(rng.below(4) as usize));
+            }
+            for horizon in [0, 1, 29, 30, 31, 90, 129, 130, 200] {
+                let expected = segments_reference(&schedule, horizon);
+                assert_eq!(schedule.segments(horizon), expected);
+                assert_eq!(
+                    schedule.iter_segments(horizon).collect::<Vec<_>>(),
+                    expected
+                );
+                // Segments tile [0, horizon).
+                let mut day = 0;
+                for seg in schedule.iter_segments(horizon) {
+                    assert_eq!(seg.start_day, day);
+                    assert!(seg.end_day > seg.start_day);
+                    day = seg.end_day;
+                }
+                assert_eq!(day, horizon);
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_columns_are_named_with_their_length() {
+        let mut cols = EventColumns::default();
+        for day in 0..4 {
+            cols.push_resolved(day, 0, AccessKind::Read, 1.0);
+        }
+        assert_eq!(cols.check_lengths(), Ok(()));
+        assert_eq!(EventColumns::default().check_lengths(), Ok(()));
+        let cut = |f: fn(&mut EventColumns)| {
+            let mut ragged = cols.clone();
+            f(&mut ragged);
+            ragged.check_lengths()
+        };
+        let err = |name, value| Err(CloudSimError::InvalidParameter { name, value });
+        assert_eq!(cut(|c| c.periods.truncate(3)), err("columns.periods", 3.0));
+        assert_eq!(
+            cut(|c| c.object_ids.truncate(3)),
+            err("columns.object_ids", 3.0)
+        );
+        assert_eq!(cut(|c| c.kinds.truncate(3)), err("columns.kinds", 3.0));
+        assert_eq!(cut(|c| c.volumes.truncate(3)), err("columns.volumes", 3.0));
+        // A short `days` makes every other column the odd one out; the
+        // first is named.
+        assert_eq!(cut(|c| c.days.truncate(3)), err("columns.periods", 4.0));
+        assert_eq!(cut(|c| c.volumes.push(0.0)), err("columns.volumes", 5.0));
     }
 
     #[test]
