@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=697
+min_tests=700
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -104,18 +104,28 @@ if [[ $quick -eq 0 ]]; then
     # ceiling to what the run prints.
     max_resolve_allocs=612
     max_checkpoint_allocs=6
+    # Resident bytes per object, off the same run: VmRSS after the cold
+    # epoch minus VmRSS before the engine existed, over the quick fleet's
+    # 2 000 objects. Unlike the counts it is page-granular and moves by a
+    # few percent from run to run (1 118-1 165 B over four runs; the
+    # parent of PR 23 read 2 093-2 189 B), so the ceiling sits about 10%
+    # above the highest measured figure: it catches a per-object structure coming
+    # back (a stored breakdown per table entry is +720 B, a second copy of
+    # the scheme names +230 B), not a page.
+    max_rss_bytes_per_object=1280
     # The metric lines (stderr) of one workload's traced quick run at seed 12.
     traced_quick() {
         benchmark/run.sh --workload "$1" --seed 12 --seconds 1 --trace 1 --quick \
             --out target/e2e-quick 2>&1 >/dev/null
     }
-    echo "==> benchmark/run.sh serve_steady --trace 1 --quick (allocation ratchet)"
+    echo "==> benchmark/run.sh serve_steady --trace 1 --quick (allocation and resident-bytes ratchets)"
     traced=$(traced_quick serve_steady) || {
         echo "$traced"
         echo "FAIL: traced serve_steady run failed"
         exit 1
     }
-    for ceiling in "resolve_allocs $max_resolve_allocs" "checkpoint_allocs $max_checkpoint_allocs"; do
+    for ceiling in "resolve_allocs $max_resolve_allocs" "checkpoint_allocs $max_checkpoint_allocs" \
+        "rss_bytes_per_object $max_rss_bytes_per_object"; do
         name="serve.${ceiling% *}" max="${ceiling#* }"
         got=$(echo "$traced" | awk -v name="$name" '$2 == name {printf "%d", $3}')
         echo "    $name $got (ceiling $max)"

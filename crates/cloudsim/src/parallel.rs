@@ -427,30 +427,6 @@ where
     })
 }
 
-/// Fallible [`parallel_map_with_threads`]: `f` returns `Result` per item
-/// and the whole fan-out returns `Ok(results)` only when every item
-/// succeeded, else the error of the **lowest-indexed** failing item — the
-/// same error a sequential short-circuiting loop would surface, regardless
-/// of which worker hit its error first. Workers always run their whole
-/// chunk (no cross-thread cancellation, and with 1 thread later items are
-/// still evaluated), so the choice of surfaced error is a pure index-order
-/// fold over per-item results and never racy.
-pub fn try_parallel_map_with_threads<T, R, E, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    parallel_map_with_threads(items, threads, f)
-        .into_iter()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,27 +490,6 @@ mod tests {
         }
         let mut empty: Vec<u32> = Vec::new();
         assert!(parallel_map_mut_with_threads(&mut empty, 4, |_, x: &mut u32| *x).is_empty());
-    }
-
-    #[test]
-    fn fallible_fan_out_surfaces_the_lowest_indexed_error_for_every_thread_count() {
-        // Items 37 and 5 both fail; index order says 5 must win no matter
-        // which worker finished first.
-        let items: Vec<u32> = (0..100).collect();
-        for threads in [1usize, 2, 3, 8, 13] {
-            let got = try_parallel_map_with_threads(&items, threads, |_, &x| {
-                if x == 5 || x == 37 {
-                    Err(format!("item {x} failed"))
-                } else {
-                    Ok(x * 2)
-                }
-            });
-            assert_eq!(got, Err("item 5 failed".to_string()), "threads = {threads}");
-            let ok =
-                try_parallel_map_with_threads(&items, threads, |_, &x| Ok::<u32, String>(x * 2))
-                    .unwrap();
-            assert_eq!(ok, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        }
     }
 
     /// What one [`stream`] run did.

@@ -203,7 +203,7 @@ fn build_specs(
         .options
         .iter()
         .skip(1)
-        .map(|o| o.name.as_str())
+        .map(|o| &*o.name)
         .collect();
     let mut specs = Vec::with_capacity(partitions.len());
     for (idx, p) in partitions.iter().enumerate() {
@@ -251,7 +251,7 @@ fn build_specs(
                 let mut sec_per_gb_acc = 0.0;
                 for (table, gb) in &gb_per_table {
                     let profile = inputs.table(table).expect("validated above");
-                    if let Some(opt) = profile.options.iter().find(|o| o.name == scheme) {
+                    if let Some(opt) = profile.options.iter().find(|o| *o.name == *scheme) {
                         ratio_acc += opt.ratio * gb;
                         sec_per_gb_acc += opt.decompress_seconds * gb;
                     } else {

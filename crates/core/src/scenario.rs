@@ -350,9 +350,9 @@ mod tests {
         // Compression options: none + 3 schemes, gzip ratio > 1.
         for t in &inputs.tables {
             assert_eq!(t.options.len(), 4);
-            assert_eq!(t.options[0].name, "none");
+            assert_eq!(&*t.options[0].name, "none");
             let gzip = &t.options[1];
-            assert_eq!(gzip.name, "gzip");
+            assert_eq!(&*gzip.name, "gzip");
             assert!(gzip.ratio > 1.0, "{} gzip ratio {}", t.name, gzip.ratio);
             assert!(gzip.decompress_seconds > 0.0);
         }
@@ -398,7 +398,7 @@ mod tests {
             .iter()
             .zip(&profile.options[1..])
             {
-                assert_eq!(option.name, scheme.name());
+                assert_eq!(&*option.name, scheme.name());
                 let m = scope_compress::measure(scheme.codec().as_ref(), &bytes);
                 assert_eq!(
                     option.ratio.to_bits(),
@@ -424,8 +424,8 @@ mod tests {
         let mut gzip_ratio = 0.0;
         let mut snappy_ratio = 0.0;
         for t in &inputs.tables {
-            let g = t.options.iter().find(|o| o.name == "gzip").unwrap();
-            let s = t.options.iter().find(|o| o.name == "snappy").unwrap();
+            let g = t.options.iter().find(|o| &*o.name == "gzip").unwrap();
+            let s = t.options.iter().find(|o| &*o.name == "snappy").unwrap();
             gzip_ratio += g.ratio * t.size_gb;
             snappy_ratio += s.ratio * t.size_gb;
         }

@@ -14,13 +14,24 @@
 //! solve** with a single hoisted model (egress/topology-aware via
 //! [`CostModel::with_topology`] when the problem carries a topology),
 //! alongside a per-entry SLA-feasibility mask and precomputed per-partition
-//! column minima, and the solvers do table lookups from then on.
+//! column minima, and the solvers do table lookups from then on. It is
+//! also what a long-running caller holds per object between solves, so it
+//! stores what searches read — a number and a flag per entry — and not
+//! what can be priced again.
 //!
-//! ## The row kernel
+//! ## The cell, and the row kernel
+//!
+//! A table entry is 9 bytes: the weighted cost and the feasibility flag.
+//! Beside the entries each row keeps its feasible minimum and that one
+//! entry's unweighted [`CostBreakdown`] — what the greedy rule and the
+//! serving engine's applied-choice mirror read. The breakdown of any other
+//! entry is not stored: [`CostTable::breakdown`] prices it when asked
+//! (branch-and-bound's chosen entries, an explicit choice list), through
+//! [`OptAssignProblem::cost_breakdown_with`].
 //!
 //! One function prices a partition: [`Run::price`] writes the row's
-//! tier-major block straight into the table's `cost` / `feasible` /
-//! `breakdowns` arrays and records its feasible minimum — no per-row
+//! tier-major block straight into the table's `cost` / `feasible` arrays
+//! and records its feasible minimum with its breakdown — no per-row
 //! temporaries, no copy. [`CostTable::build`] runs it over every row of a
 //! freshly sized table and [`CostTable::patch_rows`] over a worklist, so a
 //! patched row is bit for bit the row a from-scratch build would produce.
@@ -28,12 +39,14 @@
 //! (the egress charge, the early-deletion penalty, the tier's time to
 //! first byte) out of the scheme loop; the expressions and their order
 //! are those of [`OptAssignProblem::cost_breakdown_with`], which is
-//! written over the same two helpers, so the table — and therefore every
-//! solver result — is **bit-for-bit identical** to the sequential,
-//! model-driven path (enforced by the differential proptests in
+//! written over the same two helpers — there is one definition of a
+//! price, whether it is weighed into the table, kept as a row's minimum
+//! or priced on demand — so the table, and therefore every solver result,
+//! is **bit-for-bit identical** to the sequential, model-driven path
+//! (enforced by the differential proptests in
 //! `tests/differential_costtable.rs` against [`crate::reference`]). A NaN
 //! price (an unvalidated problem's foreign tier) is stored like any other
-//! but never becomes a row's minimum.
+//! but never becomes a row's minimum nor a branch-and-bound candidate.
 //!
 //! ## Who decides the thread count
 //!
@@ -80,8 +93,8 @@ struct Run<'a> {
     first_row: usize,
     cost: &'a mut [f64],
     feasible: &'a mut [bool],
-    breakdowns: &'a mut [CostBreakdown],
     min_feasible: &'a mut [RowMin],
+    min_breakdown: &'a mut [CostBreakdown],
 }
 
 impl<'a> Run<'a> {
@@ -95,8 +108,8 @@ impl<'a> Run<'a> {
         let len = self.n_tiers * n_opts;
         let cost = &mut self.cost[lo..lo + len];
         let feasible = &mut self.feasible[lo..lo + len];
-        let breakdowns = &mut self.breakdowns[lo..lo + len];
         let mut min: RowMin = None;
+        let mut min_breakdown = CostBreakdown::default();
         for t in 0..self.n_tiers {
             let tier = TierId(t);
             let terms = self.problem.move_terms(self.model, p, tier);
@@ -109,14 +122,15 @@ impl<'a> Run<'a> {
                 let ok = self.problem.is_feasible_at(p, ttfb, k);
                 if ok && improves_minimum(c, min.map(|(mc, _, _)| mc)) {
                     min = Some((c, tier, k));
+                    min_breakdown = b;
                 }
                 let e = t * n_opts + k;
                 cost[e] = c;
                 feasible[e] = ok;
-                breakdowns[e] = b;
             }
         }
         self.min_feasible[row - self.first_row] = min;
+        self.min_breakdown[row - self.first_row] = min_breakdown;
     }
 
     /// Price `rows` (each of which this run must cover) in the order given.
@@ -133,21 +147,21 @@ impl<'a> Run<'a> {
         let entries = self.offsets[row] - self.offsets[self.first_row];
         let (cost, cost_tail) = self.cost.split_at_mut(entries);
         let (feasible, feasible_tail) = self.feasible.split_at_mut(entries);
-        let (breakdowns, breakdowns_tail) = self.breakdowns.split_at_mut(entries);
         let (min_feasible, min_feasible_tail) = self.min_feasible.split_at_mut(rows);
+        let (min_breakdown, min_breakdown_tail) = self.min_breakdown.split_at_mut(rows);
         let head = Run {
             cost,
             feasible,
-            breakdowns,
             min_feasible,
+            min_breakdown,
             ..self
         };
         let tail = Run {
             first_row: row,
             cost: cost_tail,
             feasible: feasible_tail,
-            breakdowns: breakdowns_tail,
             min_feasible: min_feasible_tail,
+            min_breakdown: min_breakdown_tail,
             ..head
         };
         (head, tail)
@@ -157,13 +171,15 @@ impl<'a> Run<'a> {
 /// Dense per-solve cost matrix over `[partition × tier × compression]`.
 ///
 /// Entry `(n, l, k)` holds the weighted objective contribution (Eq. 1) of
-/// placing partition `n` on tier `l` with compression option `k`, the
-/// matching unweighted [`CostBreakdown`], and whether the placement is
-/// feasible (latency threshold + fixed-compression constraint; capacity is
-/// a coupling constraint the solvers handle). Costs are priced for **all**
-/// entries — including infeasible ones — so explicit choice lists (e.g.
-/// re-pricing a plan under ground truth) can be evaluated from the table
-/// too; feasibility is a separate mask.
+/// placing partition `n` on tier `l` with compression option `k` and
+/// whether the placement is feasible (latency threshold +
+/// fixed-compression constraint; capacity is a coupling constraint the
+/// solvers handle) — 9 bytes. Costs are priced for **all** entries —
+/// including infeasible ones — so explicit choice lists (e.g. re-pricing a
+/// plan under ground truth) can be evaluated from the table too;
+/// feasibility is a separate mask. The unweighted [`CostBreakdown`] is
+/// stored for one entry per row, its feasible minimum; any other entry's
+/// is priced when asked for (see [`Self::breakdown`]).
 #[derive(Debug, Clone)]
 pub struct CostTable {
     n_tiers: usize,
@@ -174,11 +190,13 @@ pub struct CostTable {
     n_options: Vec<usize>,
     cost: Vec<f64>,
     feasible: Vec<bool>,
-    breakdowns: Vec<CostBreakdown>,
     /// Per-partition `(cost, tier, k)` minimum over feasible entries, in
     /// exactly the scan order and tie-break of
     /// [`OptAssignProblem::min_feasible_cost`].
     min_feasible: Vec<RowMin>,
+    /// The breakdown the row kernel priced for that minimum (all zero for
+    /// a row without one).
+    min_breakdown: Vec<CostBreakdown>,
 }
 
 impl CostTable {
@@ -221,8 +239,8 @@ impl CostTable {
             n_options,
             cost: vec![0.0; total],
             feasible: vec![false; total],
-            breakdowns: vec![CostBreakdown::default(); total],
             min_feasible: vec![None; n],
+            min_breakdown: vec![CostBreakdown::default(); n],
         };
         let model = problem.cost_model();
         let mut whole = table.run(problem, &model);
@@ -246,8 +264,8 @@ impl CostTable {
             first_row: 0,
             cost: &mut self.cost,
             feasible: &mut self.feasible,
-            breakdowns: &mut self.breakdowns,
             min_feasible: &mut self.min_feasible,
+            min_breakdown: &mut self.min_breakdown,
         }
     }
 
@@ -279,10 +297,25 @@ impl CostTable {
         self.cost[self.index(n, tier, k)]
     }
 
-    /// Unweighted cost breakdown of the same placement.
-    #[inline]
-    pub fn breakdown(&self, n: usize, tier: TierId, k: usize) -> &CostBreakdown {
-        &self.breakdowns[self.index(n, tier, k)]
+    /// Unweighted cost breakdown of the same placement, over a model from
+    /// [`OptAssignProblem::cost_model`] (hoist one per batch of reads).
+    /// Only the row minimum's breakdown is stored; any other entry is
+    /// priced here, by the expressions the row kernel priced its cost
+    /// with, so it is the breakdown [`Self::cost`] weighs — bit for bit —
+    /// as long as partition `n` has not changed since the row was last
+    /// priced.
+    pub fn breakdown(
+        &self,
+        problem: &OptAssignProblem,
+        model: &CostModel,
+        n: usize,
+        tier: TierId,
+        k: usize,
+    ) -> CostBreakdown {
+        match self.min_feasible[n] {
+            Some((_, min_tier, min_k)) if (min_tier, min_k) == (tier, k) => self.min_breakdown[n],
+            _ => problem.cost_breakdown_with(model, &problem.partitions[n], tier, k),
+        }
     }
 
     /// The SLA-feasibility mask: latency threshold and fixed-compression
@@ -299,6 +332,14 @@ impl CostTable {
     #[inline]
     pub fn min_feasible(&self, n: usize) -> Option<(f64, TierId, usize)> {
         self.min_feasible[n]
+    }
+
+    /// The stored breakdown of [`Self::min_feasible`]'s entry (all zero
+    /// when partition `n` has none) — what a caller that applies the row
+    /// minimum reads without a model.
+    #[inline]
+    pub fn min_breakdown(&self, n: usize) -> &CostBreakdown {
+        &self.min_breakdown[n]
     }
 
     /// Re-evaluate the blocks of the listed partitions in place — the delta
@@ -375,14 +416,19 @@ impl CostTable {
 
     /// Feasible candidates of partition `n` sorted by increasing cost, in
     /// exactly the construction order and (stable) sort the historical
-    /// branch-and-bound used, so the search expands identical nodes.
+    /// branch-and-bound used, so the search expands identical nodes. A NaN
+    /// price (an unvalidated problem's foreign tier) is no candidate, by
+    /// the rule that keeps it from being a row's minimum — so the first
+    /// candidate is [`Self::min_feasible`]'s entry, and every comparison
+    /// the sort makes is between ordered numbers.
     pub fn candidates_sorted(&self, n: usize) -> Vec<(f64, TierId, usize)> {
         let mut cands = Vec::new();
         for t in 0..self.n_tiers {
             let tier = TierId(t);
             for k in 0..self.n_options[n] {
-                if self.feasible[self.index(n, tier, k)] {
-                    cands.push((self.cost(n, tier, k), tier, k));
+                let e = self.index(n, tier, k);
+                if self.feasible[e] && improves_minimum(self.cost[e], None) {
+                    cands.push((self.cost[e], tier, k));
                 }
             }
         }
@@ -390,9 +436,11 @@ impl CostTable {
         cands
     }
 
-    /// Assemble an [`Assignment`] from explicit choices by summing table
-    /// entries — same accumulation order (partition order) and arithmetic
-    /// as [`Assignment::from_choices`], without touching the model again.
+    /// Assemble an [`Assignment`] from explicit choices: the objective sums
+    /// table entries, the breakdown the chosen entries' breakdowns (stored
+    /// for a row's minimum, priced under one hoisted model otherwise) —
+    /// same accumulation order (partition order) and arithmetic as
+    /// [`Assignment::from_choices`].
     pub fn assignment(
         &self,
         problem: &OptAssignProblem,
@@ -405,11 +453,12 @@ impl CostTable {
                 choices.len()
             )));
         }
+        let model = problem.cost_model();
         let mut objective = 0.0;
         let mut breakdown = CostBreakdown::default();
         for (n, &(tier, k)) in choices.iter().enumerate() {
             objective += self.cost(n, tier, k);
-            breakdown.accumulate(self.breakdown(n, tier, k));
+            breakdown.accumulate(&self.breakdown(problem, &model, n, tier, k));
         }
         Ok(Assignment {
             choices,
@@ -478,6 +527,7 @@ mod tests {
         let problem = OptAssignProblem::multi_provider(&providers, parts, 6.0);
         problem.validate().unwrap();
         let table = CostTable::build(&problem);
+        let model = problem.cost_model();
         assert_eq!(table.n_partitions(), 5);
         assert_eq!(table.n_tiers(), 12);
         for (n, p) in problem.partitions.iter().enumerate() {
@@ -490,8 +540,8 @@ mod tests {
                         problem.placement_cost(p, tier, k).to_bits()
                     );
                     assert_eq!(
-                        table.breakdown(n, tier, k),
-                        &problem.cost_breakdown(p, tier, k)
+                        table.breakdown(&problem, &model, n, tier, k),
+                        problem.cost_breakdown(p, tier, k)
                     );
                     assert_eq!(
                         table.is_feasible(n, tier, k),
@@ -512,6 +562,7 @@ mod tests {
     /// Every entry, flag and row minimum of `a` equals `b`'s, bit for bit.
     fn assert_same_table(a: &CostTable, b: &CostTable, problem: &OptAssignProblem) {
         assert_eq!(a.n_partitions(), b.n_partitions());
+        let model = problem.cost_model();
         for (n, p) in problem.partitions.iter().enumerate() {
             for tier in problem.catalog.tier_ids() {
                 for k in 0..p.compression_options.len() {
@@ -520,11 +571,15 @@ mod tests {
                         b.cost(n, tier, k).to_bits(),
                         "entry ({n}, {tier}, {k})"
                     );
-                    assert_eq!(a.breakdown(n, tier, k), b.breakdown(n, tier, k));
+                    assert_eq!(
+                        a.breakdown(problem, &model, n, tier, k),
+                        b.breakdown(problem, &model, n, tier, k)
+                    );
                     assert_eq!(a.is_feasible(n, tier, k), b.is_feasible(n, tier, k));
                 }
             }
             assert_eq!(a.min_feasible(n), b.min_feasible(n));
+            assert_eq!(a.min_breakdown(n), b.min_breakdown(n));
         }
     }
 

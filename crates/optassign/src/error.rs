@@ -1,6 +1,7 @@
 //! Error type for the OPTASSIGN crate.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced by the OPTASSIGN solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,8 +12,8 @@ pub enum OptAssignError {
     InfeasiblePartition {
         /// Id of the partition.
         partition: usize,
-        /// Name of the partition.
-        name: String,
+        /// Name of the partition (the spec's shared copy).
+        name: Arc<str>,
     },
     /// The total capacity across tiers cannot hold all partitions.
     InfeasibleCapacity,

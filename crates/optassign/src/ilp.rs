@@ -40,6 +40,9 @@ pub struct BranchAndBoundStats {
     pub proved_optimal: bool,
 }
 
+/// One partition's feasible `(cost, tier, k)` choices, sorted by cost.
+pub(crate) type Candidates = Vec<(f64, TierId, usize)>;
+
 struct SearchState<'a> {
     problem: &'a OptAssignProblem,
     /// Partition visit order (indices into problem.partitions).
@@ -47,7 +50,7 @@ struct SearchState<'a> {
     /// Remaining capacity per tier (GB), infinity when unreserved.
     capacity: Vec<f64>,
     /// Per-partition candidate (cost, tier, k) lists, sorted by cost.
-    candidates: Vec<Vec<(f64, TierId, usize)>>,
+    candidates: Vec<Candidates>,
     /// Suffix sums of per-partition minimum feasible costs along `order`.
     suffix_min: Vec<f64>,
     /// Incumbent.
@@ -108,7 +111,7 @@ impl<'a> SearchState<'a> {
 /// in.
 pub(crate) fn branch_and_bound_search(
     problem: &OptAssignProblem,
-    candidates: Vec<Vec<(f64, TierId, usize)>>,
+    candidates: Vec<Candidates>,
     node_budget: u64,
 ) -> Result<(Vec<(TierId, usize)>, BranchAndBoundStats), OptAssignError> {
     branch_and_bound_search_warm(problem, candidates, node_budget, None)
@@ -126,7 +129,7 @@ pub(crate) type WarmStart = (Vec<(TierId, usize)>, Vec<f64>);
 /// search would have found.
 pub(crate) fn branch_and_bound_search_warm(
     problem: &OptAssignProblem,
-    candidates: Vec<Vec<(f64, TierId, usize)>>,
+    candidates: Vec<Candidates>,
     node_budget: u64,
     warm: Option<WarmStart>,
 ) -> Result<(Vec<(TierId, usize)>, BranchAndBoundStats), OptAssignError> {
@@ -210,20 +213,13 @@ pub(crate) fn branch_and_bound_search_warm(
     Ok((choices, stats))
 }
 
-/// Solve OPTASSIGN exactly with capacity constraints by branch and bound.
-///
-/// `node_budget` caps the number of explored nodes; when it is hit the best
-/// incumbent found so far is returned with `proved_optimal = false`.
-pub fn solve_branch_and_bound(
+/// Every partition's sorted candidate list off an evaluated table; a
+/// partition without one is the typed infeasibility.
+fn candidate_lists(
     problem: &OptAssignProblem,
-    node_budget: u64,
-) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
-    problem.validate()?;
-    let table = CostTable::build(problem);
-
-    // Candidate lists from the table's precomputed feasible entries.
-    let mut candidates: Vec<Vec<(f64, TierId, usize)>> =
-        Vec::with_capacity(problem.partitions.len());
+    table: &CostTable,
+) -> Result<Vec<Candidates>, OptAssignError> {
+    let mut candidates = Vec::with_capacity(problem.partitions.len());
     for (i, p) in problem.partitions.iter().enumerate() {
         let cands = table.candidates_sorted(i);
         if cands.is_empty() {
@@ -234,7 +230,30 @@ pub fn solve_branch_and_bound(
         }
         candidates.push(cands);
     }
+    Ok(candidates)
+}
 
+/// Solve OPTASSIGN exactly with capacity constraints by branch and bound.
+///
+/// `node_budget` caps the number of explored nodes; when it is hit the best
+/// incumbent found so far is returned with `proved_optimal = false`.
+pub fn solve_branch_and_bound(
+    problem: &OptAssignProblem,
+    node_budget: u64,
+) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
+    problem.validate()?;
+    solve_branch_and_bound_on(problem, &CostTable::build(problem), node_budget)
+}
+
+/// [`solve_branch_and_bound`] over a caller-held [`CostTable`] of the
+/// **validated** `problem` — for a caller that has built (or keeps) the
+/// table anyway, so the instance is priced once.
+pub fn solve_branch_and_bound_on(
+    problem: &OptAssignProblem,
+    table: &CostTable,
+    node_budget: u64,
+) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
+    let candidates = candidate_lists(problem, table)?;
     let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget)?;
     let assignment = table.assignment(problem, choices)?;
     Ok((assignment, stats))
@@ -287,22 +306,9 @@ pub fn solve_branch_and_bound_warm(
         }
     }
 
-    let mut candidates: Vec<Vec<(f64, TierId, usize)>> =
-        Vec::with_capacity(problem.partitions.len());
-    for (i, p) in problem.partitions.iter().enumerate() {
-        let cands = table.candidates_sorted(i);
-        if cands.is_empty() {
-            return Err(OptAssignError::InfeasiblePartition {
-                partition: p.id,
-                name: p.name.clone(),
-            });
-        }
-        candidates.push(cands);
-    }
-
     let (choices, stats) = branch_and_bound_search_warm(
         problem,
-        candidates,
+        candidate_lists(problem, table)?,
         node_budget,
         Some((incumbent.to_vec(), costs)),
     )?;
@@ -496,6 +502,47 @@ mod tests {
             solve_branch_and_bound_warm(&problem, &table, &[(premium, 0), (premium, 0)], 1000),
             Err(OptAssignError::InvalidProblem(_))
         ));
+    }
+
+    #[test]
+    fn a_nan_price_never_enters_a_candidate_list() {
+        // Nobody validated this problem. Partition 1's gzip ratio is NaN:
+        // its gzip entries are feasible and priced NaN, beside finite
+        // ones. Partition 2 sits on a tier the catalog does not have:
+        // every entry of its row is NaN.
+        let catalog = TierCatalog::azure_adls_gen2();
+        let mut parts = vec![
+            partition(0, 10.0, 5.0),
+            partition(1, 20.0, 1.0),
+            partition(2, 30.0, 2.0).with_current_tier(TierId(99)),
+        ];
+        parts[1].compression_options[1].ratio = f64::NAN;
+        let mut problem = OptAssignProblem::new(catalog, parts, 6.0);
+        assert!(problem.validate().is_err());
+        let table = CostTable::build(&problem);
+
+        let listed = table.candidates_sorted(1);
+        assert_eq!(listed.len(), problem.n_tiers());
+        assert!(listed.iter().all(|&(c, _, k)| c.is_finite() && k == 0));
+        assert!(listed.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(table.min_feasible(1), Some(listed[0]));
+        assert!(table.candidates_sorted(2).is_empty());
+
+        // The search over that table reports the all-NaN row as the typed
+        // infeasibility; without it, it never places gzip on partition 1.
+        assert_eq!(
+            solve_branch_and_bound_on(&problem, &table, 100_000).map(|(a, _)| a),
+            Err(OptAssignError::InfeasiblePartition {
+                partition: 2,
+                name: "p2".into(),
+            })
+        );
+        problem.partitions.pop();
+        let table = CostTable::build(&problem);
+        let (a, stats) = solve_branch_and_bound_on(&problem, &table, 100_000).unwrap();
+        assert!(stats.proved_optimal);
+        assert_eq!(a.choices[1].1, 0);
+        assert!(a.objective.is_finite());
     }
 
     #[test]

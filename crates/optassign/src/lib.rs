@@ -73,7 +73,10 @@ pub mod schedule;
 pub use costtable::CostTable;
 pub use error::OptAssignError;
 pub use greedy::solve_greedy;
-pub use ilp::{solve_branch_and_bound, solve_branch_and_bound_warm, BranchAndBoundStats};
+pub use ilp::{
+    solve_branch_and_bound, solve_branch_and_bound_on, solve_branch_and_bound_warm,
+    BranchAndBoundStats,
+};
 pub use matching::solve_equal_size_matching;
 pub use predictor::{
     ideal_tier_labels, ideal_tier_labels_multi, PredictorFeatures, TierPredictor, TieringBaseline,

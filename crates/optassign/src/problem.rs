@@ -20,6 +20,7 @@ use scope_cloudsim::{
     CostBreakdown, CostModel, CostWeights, ProviderCatalog, ProviderTopology, TierCatalog, TierId,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Index of the mandatory "no compression" option in every partition's
 /// option list.
@@ -29,8 +30,10 @@ pub const NO_COMPRESSION: usize = 0;
 /// measured) performance on that partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompressionOption {
-    /// Scheme name ("none", "gzip", "snappy", "lz4", ...).
-    pub name: String,
+    /// Scheme name ("none", "gzip", "snappy", "lz4", ...). Shared: cloning
+    /// an option (one per partition of a fleet that offers the same
+    /// schemes) copies a pointer, not the text.
+    pub name: Arc<str>,
     /// Compression ratio `R^k_n` (>= 1 in practice; 1.0 for "none").
     pub ratio: f64,
     /// Decompression time `D^k_n` in seconds per access (0.0 for "none").
@@ -41,14 +44,14 @@ impl CompressionOption {
     /// The mandatory "no compression" option.
     pub fn none() -> Self {
         CompressionOption {
-            name: "none".to_string(),
+            name: "none".into(),
             ratio: 1.0,
             decompress_seconds: 0.0,
         }
     }
 
     /// A named compression option.
-    pub fn new(name: impl Into<String>, ratio: f64, decompress_seconds: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, ratio: f64, decompress_seconds: f64) -> Self {
         CompressionOption {
             name: name.into(),
             ratio,
@@ -62,8 +65,9 @@ impl CompressionOption {
 pub struct PartitionSpec {
     /// Dense id (index in the problem's partition list).
     pub id: usize,
-    /// Human-readable name.
-    pub name: String,
+    /// Human-readable name. Shared, so a caller that keys its own index
+    /// by the name (the serving engine) holds the one copy.
+    pub name: Arc<str>,
     /// Uncompressed size in GB (`Sp(P_n)`).
     pub size_gb: f64,
     /// Projected number of accesses over the horizon (`ρ(P_n)`).
@@ -91,7 +95,12 @@ pub struct PartitionSpec {
 impl PartitionSpec {
     /// Create a partition with only the "no compression" option and a
     /// best-effort latency threshold.
-    pub fn new(id: usize, name: impl Into<String>, size_gb: f64, predicted_accesses: f64) -> Self {
+    pub fn new(
+        id: usize,
+        name: impl Into<Arc<str>>,
+        size_gb: f64,
+        predicted_accesses: f64,
+    ) -> Self {
         PartitionSpec {
             id,
             name: name.into(),

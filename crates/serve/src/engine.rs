@@ -28,15 +28,15 @@
 //! dynamic columns (see [`crate::checkpoint`]).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use scope_cloudsim::parallel::{default_threads, parallel_map_mut_with_threads};
 use scope_cloudsim::{
     AccessKind, BillingEvent, CostBreakdown, EventColumns, TierCatalog, TierId, UNKNOWN_OBJECT,
 };
 use scope_optassign::{
-    solve_branch_and_bound, solve_branch_and_bound_warm, Assignment, CompressionOption, CostTable,
-    OptAssignError, OptAssignProblem, PartitionSpec,
+    solve_branch_and_bound_on, solve_branch_and_bound_warm, Assignment, CompressionOption,
+    CostTable, OptAssignError, OptAssignProblem, PartitionSpec,
 };
 
 use scope_wal::{xxh64, StaticDigest};
@@ -380,8 +380,10 @@ pub struct ServeEngine {
     account_ids: HashMap<String, usize>,
     /// Global object id -> (shard index, row within shard).
     locs: Vec<(u32, u32)>,
-    names: Vec<String>,
-    name_ids: HashMap<String, u32>,
+    /// Object names by interned id. One copy per object: `name_ids`' key
+    /// and the partition spec's `name` are this `Arc`.
+    names: Vec<Arc<str>>,
+    name_ids: HashMap<Arc<str>, u32>,
     pub(crate) heat: Vec<HeatState>,
     /// Bucket representative of each object, by interned id: a dense
     /// mirror of its partition's `predicted_accesses`, which only
@@ -505,7 +507,7 @@ impl ServeEngine {
     /// shard's cost table — the next re-solve rebuilds that shard from
     /// scratch, since the problem shape changed.
     pub fn register(&mut self, spec: ServeObject) -> Result<u32, ServeError> {
-        if self.name_ids.contains_key(&spec.name) {
+        if self.name_ids.contains_key(spec.name.as_str()) {
             return Err(ServeError::DuplicateObject(spec.name));
         }
         if !(spec.size_gb > 0.0) || !spec.size_gb.is_finite() {
@@ -562,7 +564,8 @@ impl ServeEngine {
         }
         let shard = &mut self.shards[shard_idx];
         let row = shard.problem.partitions.len();
-        let mut partition = PartitionSpec::new(row, spec.name.clone(), spec.size_gb, 0.0)
+        let name: Arc<str> = spec.name.into();
+        let mut partition = PartitionSpec::new(row, name.clone(), spec.size_gb, 0.0)
             .with_current_tier(spec.current_tier)
             .with_residency_days(spec.residency_days);
         if spec.latency_threshold_seconds.is_finite() {
@@ -572,7 +575,7 @@ impl ServeEngine {
         // The static record holds the partition's fields, not the spec's:
         // what a restore registers again must encode to the same bytes.
         let mut w = Writer::bare(&mut self.static_image);
-        w.str(&spec.name);
+        w.str(&name);
         w.u32(shard_idx as u32);
         w.f64_bits(partition.size_gb);
         w.u32(partition.residency_days);
@@ -588,8 +591,8 @@ impl ServeEngine {
         shard.dirty.clear();
         shard.incumbent = None;
         self.locs.push((shard_idx as u32, row as u32));
-        self.name_ids.insert(spec.name.clone(), gid);
-        self.names.push(spec.name);
+        self.name_ids.insert(name.clone(), gid);
+        self.names.push(name);
         self.heat.push(HeatState {
             value: 0.0,
             last_day: self.day,
@@ -605,7 +608,7 @@ impl ServeEngine {
 
     /// Name of object `id`, if it exists.
     pub fn object_name(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        self.names.get(id as usize).map(|name| &**name)
     }
 
     /// Number of registered objects.
@@ -1619,11 +1622,13 @@ impl AccountShard {
                 }
                 None
             }
-            // The cold branch-and-bound builds its own table internally
-            // (under the batch rule of `CostTable::build`); its rows are
-            // bit-identical to ours, so adopting its choices keeps the
-            // two in lockstep.
-            Some(budget) if cold => Some(solve_branch_and_bound(&self.problem, budget)?.0.choices),
+            // The cold branch-and-bound searches the table just built
+            // (the problem was validated on the way to it).
+            Some(budget) if cold => Some(
+                solve_branch_and_bound_on(&self.problem, table, budget)?
+                    .0
+                    .choices,
+            ),
             // The incumbent stays feasible across heat changes
             // (feasibility depends only on latency thresholds and sizes,
             // which never change here), so it seeds the warm search
@@ -1646,28 +1651,37 @@ impl AccountShard {
             self.chosen_breakdown.resize(n, CostBreakdown::default());
         }
         self.moved.clear();
-        let mut place = |row: usize, new: (TierId, usize)| {
+        let mut place = |row: usize, new: (TierId, usize), breakdown: CostBreakdown| {
             self.chosen_cost[row] = table.cost(row, new.0, new.1);
-            self.chosen_breakdown[row] = *table.breakdown(row, new.0, new.1);
+            self.chosen_breakdown[row] = breakdown;
             if new != self.choices[row] {
                 self.choices[row] = new;
-                self.problem.partitions[row].current_tier = Some(new.0);
                 self.moved.push(row);
             }
         };
         match searched {
+            // A row's minimum is the one entry whose breakdown the table
+            // stores: the greedy apply reads it and prices nothing.
             None => {
                 for row in stale {
                     if let Some((_, tier, scheme)) = table.min_feasible(row) {
-                        place(row, (tier, scheme));
+                        place(row, (tier, scheme), *table.min_breakdown(row));
                     }
                 }
             }
+            // Branch-and-bound may choose any entry: the chosen ones are
+            // priced under one hoisted model, before any move below
+            // changes what a row's transition costs are priced from.
             Some(choices) => {
-                for (row, &new) in choices.iter().enumerate() {
-                    place(row, new);
+                let model = self.problem.cost_model();
+                for (row, &(tier, scheme)) in choices.iter().enumerate() {
+                    let breakdown = table.breakdown(&self.problem, &model, row, tier, scheme);
+                    place(row, (tier, scheme), breakdown);
                 }
             }
+        }
+        for &row in &self.moved {
+            self.problem.partitions[row].current_tier = Some(self.choices[row].0);
         }
         // The worklist is consumed; the applied moves are the next one.
         std::mem::swap(&mut self.dirty, &mut self.moved);
@@ -1845,6 +1859,45 @@ mod tests {
         assert_eq!(engine.object_id("a"), Some(0));
         assert_eq!(engine.object_name(0), Some("a"));
         assert_eq!(engine.placement(0), Some((TierId(0), 0)));
+    }
+
+    #[test]
+    fn an_object_and_a_scheme_are_each_named_once() {
+        // "Said once" is a property of pointers, not of text: the name
+        // table, the interning key and the partition spec share one copy
+        // of an object's name, and every partition's options share the
+        // engine's copy of each scheme's — registered and restored alike.
+        fn assert_named_once(engine: &ServeEngine) {
+            assert_eq!(engine.names.len(), engine.len());
+            for (gid, name) in engine.names.iter().enumerate() {
+                let (key, &id) = engine.name_ids.get_key_value(&**name).unwrap();
+                assert_eq!(id as usize, gid);
+                assert!(Arc::ptr_eq(key, name), "interning key of {name}");
+                let (shard, row) = engine.locs[gid];
+                let partition = &engine.shards[shard as usize].problem.partitions[row as usize];
+                assert!(Arc::ptr_eq(&partition.name, name), "spec name of {name}");
+                assert_eq!(partition.compression_options.len(), engine.schemes.len());
+                for (option, scheme) in partition.compression_options.iter().zip(&engine.schemes) {
+                    assert!(
+                        Arc::ptr_eq(&option.name, &scheme.name),
+                        "scheme {} of {name}",
+                        scheme.name
+                    );
+                }
+            }
+        }
+        let mut engine = demo_engine(3, 7, ServeConfig::default());
+        assert_named_once(&engine);
+        engine.reoptimize().unwrap();
+        assert_named_once(&engine);
+        let restored = ServeEngine::restore(
+            scope_cloudsim::TierCatalog::azure_hot_cool_archive(),
+            schemes(),
+            &engine.checkpoint(),
+        )
+        .unwrap();
+        assert_eq!(restored.len(), engine.len());
+        assert_named_once(&restored);
     }
 
     #[test]

@@ -17,14 +17,17 @@ use proptest::prelude::*;
 use scope_cloudsim::parallel::{
     parallel_map_weighted_with_threads, parallel_map_with_threads, workers_spawned,
 };
-use scope_cloudsim::{CostModel, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH};
+use scope_cloudsim::{
+    CostBreakdown, CostModel, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH,
+};
 use scope_optassign::reference::{
     solve_branch_and_bound_reference, solve_equal_size_matching_reference, solve_greedy_reference,
 };
 use scope_optassign::{
     ideal_tier_labels, plan_tier_schedule_with_model, solve_branch_and_bound,
-    solve_equal_size_matching, solve_greedy, Assignment, CompressionOption, CostTable,
-    OptAssignProblem, PartitionSpec, PeriodAccess, ScheduleOptions, TierSchedule,
+    solve_branch_and_bound_on, solve_equal_size_matching, solve_greedy, Assignment,
+    CompressionOption, CostTable, OptAssignProblem, PartitionSpec, PeriodAccess, ScheduleOptions,
+    TierSchedule,
 };
 
 /// Random OPTASSIGN instance over either the Azure ladder or the merged
@@ -76,10 +79,18 @@ fn build_problem(
     }
 }
 
-/// Every entry of `table` — cost bits, breakdown, feasibility — and every
-/// row minimum equals the model-driven evaluation of `problem`.
+/// A breakdown's five terms as bit patterns, so that NaN-priced entries
+/// compare too.
+fn bits(b: &CostBreakdown) -> [u64; 5] {
+    [b.storage, b.read, b.write, b.decompression, b.egress].map(f64::to_bits)
+}
+
+/// Every entry of `table` — cost bits, breakdown bits (stored for a row's
+/// minimum, priced on demand otherwise), feasibility — and every row
+/// minimum equals the model-driven evaluation of `problem`.
 fn assert_table_matches_model(table: &CostTable, problem: &OptAssignProblem, what: &str) {
     assert_eq!(table.n_partitions(), problem.partitions.len(), "{what}");
+    let model = problem.cost_model();
     for (n, p) in problem.partitions.iter().enumerate() {
         assert_eq!(table.n_options(n), p.compression_options.len(), "{what}");
         for tier in problem.catalog.tier_ids() {
@@ -90,8 +101,8 @@ fn assert_table_matches_model(table: &CostTable, problem: &OptAssignProblem, wha
                     "{what}: cost of ({n}, {tier}, {k})"
                 );
                 assert_eq!(
-                    table.breakdown(n, tier, k),
-                    &problem.cost_breakdown(p, tier, k),
+                    bits(&table.breakdown(problem, &model, n, tier, k)),
+                    bits(&problem.cost_breakdown(p, tier, k)),
                     "{what}: breakdown of ({n}, {tier}, {k})"
                 );
                 assert_eq!(
@@ -106,6 +117,14 @@ fn assert_table_matches_model(table: &CostTable, problem: &OptAssignProblem, wha
             by_table.map(|(c, tier, k)| (c.to_bits(), tier, k)),
             by_model.map(|(c, tier, k)| (c.to_bits(), tier, k)),
             "{what}: minimum of row {n}"
+        );
+        let stored = by_model.map_or_else(CostBreakdown::default, |(_, tier, k)| {
+            problem.cost_breakdown(p, tier, k)
+        });
+        assert_eq!(
+            bits(table.min_breakdown(n)),
+            bits(&stored),
+            "{what}: stored breakdown of row {n}"
         );
     }
 }
@@ -534,6 +553,178 @@ proptest! {
         let via_table = patched.assignment(&problem, choices.clone());
         let via_model = Assignment::from_choices(&problem, choices);
         prop_assert_eq!(via_table, via_model);
+    }
+}
+
+/// A fleet nobody validated, over either ladder: rows with latency
+/// thresholds that exclude tiers and schemes (infeasible entries), a row
+/// on a tier the catalog does not have (every entry NaN), and a row whose
+/// middle option has a NaN ratio (NaN entries that are feasible, beside
+/// priced ones).
+fn unvalidated_problem(multi: bool) -> OptAssignProblem {
+    let n_tiers = if multi { 12 } else { 4 };
+    let parts: Vec<PartitionSpec> = (0..9)
+        .map(|i| {
+            let mut p =
+                PartitionSpec::new(i, format!("p{i}"), 3.0 + 17.0 * i as f64, (i * 11) as f64)
+                    .with_compression_option(CompressionOption::new("gzip", 3.5, 1.5))
+                    .with_compression_option(CompressionOption::new("lz4", 2.1, 0.15))
+                    .with_current_tier(TierId(i % n_tiers))
+                    .with_residency_days(7 * i as u32);
+            if i % 3 == 0 {
+                p = p.with_latency_threshold(0.5);
+            }
+            p
+        })
+        .collect();
+    let mut problem = if multi {
+        OptAssignProblem::multi_provider(&ProviderCatalog::azure_s3_gcs(), parts, 6.0)
+    } else {
+        OptAssignProblem::new(TierCatalog::azure_adls_gen2(), parts, 6.0)
+    };
+    problem.partitions[4].current_tier = Some(TierId(99));
+    problem.partitions[7].compression_options[1].ratio = f64::NAN;
+    assert!(problem.validate().is_err());
+    problem
+}
+
+/// The narrow cell: a breakdown read off the table — the stored one of a
+/// row's minimum, or any other entry's priced on demand — is
+/// `OptAssignProblem::cost_breakdown` bit for bit for **every**
+/// `(n, tier, k)`, infeasible and NaN-priced entries included, on fresh
+/// and on patched tables, single- and multi-provider.
+#[test]
+fn on_demand_breakdowns_equal_the_model_on_every_entry_of_an_unvalidated_table() {
+    for multi in [false, true] {
+        let mut problem = unvalidated_problem(multi);
+        let fresh = CostTable::build_with_threads(&problem, 1);
+        assert_table_matches_model(&fresh, &problem, "fresh");
+        assert_table_matches_model(
+            &CostTable::build_with_threads(&problem, 3),
+            &problem,
+            "fresh on 3 workers",
+        );
+
+        // The table holds what the test says it does.
+        let tiers = problem.catalog.tier_ids();
+        let entries = |n: usize| {
+            tiers
+                .iter()
+                .flat_map(move |&t| (0..3).map(move |k| (n, t, k)))
+        };
+        assert!(entries(0).any(|(n, t, k)| !fresh.is_feasible(n, t, k)));
+        assert!(entries(4).all(|(n, t, k)| fresh.cost(n, t, k).is_nan()));
+        assert_eq!(fresh.min_feasible(4), None);
+        assert!(entries(7).all(|(n, t, k)| fresh.is_feasible(n, t, k)));
+        assert!(entries(7).all(|(n, t, k)| fresh.cost(n, t, k).is_nan() == (k == 1)));
+        assert!(fresh
+            .min_feasible(7)
+            .is_some_and(|(c, _, k)| !c.is_nan() && k != 1));
+
+        // An epoch: heat and applied placements change, the rows are
+        // patched (the foreign-tier row moves onto the catalog, another
+        // row off it).
+        let rows = [1, 4, 5, 7, 8];
+        for &row in &rows {
+            let p = &mut problem.partitions[row];
+            p.predicted_accesses = p.predicted_accesses * 2.5 + 3.0;
+            p.current_tier = Some(TierId((row + 1) % tiers.len()));
+        }
+        problem.partitions[5].current_tier = Some(TierId(77));
+        for threads in [1, 2] {
+            let mut patched = fresh.clone();
+            patched
+                .patch_rows_with_threads(&problem, &rows, threads)
+                .unwrap();
+            assert_table_matches_model(&patched, &problem, &format!("patched on {threads}"));
+            assert!(patched.min_feasible(4).is_some());
+            assert_eq!(patched.min_feasible(5), None);
+        }
+    }
+}
+
+/// `CostTable::assignment` over choices that are **not** the rows' minima
+/// — what branch-and-bound returns under capacity — prices the chosen
+/// entries on demand: bit for bit `Assignment::from_choices`.
+#[test]
+fn table_assignment_over_non_minimum_choices_equals_from_choices() {
+    fn same(a: &Assignment, b: &Assignment) {
+        assert_eq!(a.choices, b.choices);
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(bits(&a.breakdown), bits(&b.breakdown));
+    }
+    for multi in [false, true] {
+        let mut problem = build_problem(
+            multi,
+            12,
+            &[40.0, 7.5, 120.0, 0.9],
+            &[0.0, 250.0, 12.0, 3.0],
+            &[2.0, 3.5, 1.4, 6.0],
+            &[0.3, 7.0, 2.0, 9.0],
+            &[0, 5, 2, 15],
+            &[0, 30, 120, 9],
+        );
+        problem.validate().unwrap();
+        let table = CostTable::build(&problem);
+
+        // Every row's dearest feasible entry, then every row's minimum
+        // shifted one tier on (feasible or not: every entry is priced).
+        let n_tiers = problem.n_tiers();
+        let dearest: Vec<(TierId, usize)> = (0..12)
+            .map(|n| {
+                table
+                    .candidates_sorted(n)
+                    .last()
+                    .map(|&(_, t, k)| (t, k))
+                    .unwrap()
+            })
+            .collect();
+        let shifted: Vec<(TierId, usize)> = (0..12)
+            .map(|n| {
+                let (_, tier, k) = table.min_feasible(n).unwrap();
+                (TierId((tier.index() + 1) % n_tiers), k)
+            })
+            .collect();
+        for choices in [dearest, shifted] {
+            assert!((0..12).all(|n| {
+                let (_, tier, k) = table.min_feasible(n).unwrap();
+                choices[n] != (tier, k)
+            }));
+            same(
+                &table.assignment(&problem, choices.clone()).unwrap(),
+                &Assignment::from_choices(&problem, choices).unwrap(),
+            );
+        }
+
+        // A capacity-bound search leaves some rows off their minimum: the
+        // tier most minima sit on gets room for half of what they store.
+        let mut stored = vec![0.0; n_tiers];
+        for (n, p) in problem.partitions.iter().enumerate() {
+            let (_, tier, k) = table.min_feasible(n).unwrap();
+            stored[tier.index()] += p.stored_gb(k);
+        }
+        let fullest = (0..n_tiers)
+            .max_by(|&a, &b| stored[a].total_cmp(&stored[b]))
+            .unwrap();
+        let name = problem.catalog.tier(TierId(fullest)).unwrap().name.clone();
+        problem
+            .catalog
+            .set_capacity(&name, stored[fullest] / 2.0)
+            .unwrap();
+        let bound = CostTable::build(&problem);
+        let (searched, _) = solve_branch_and_bound_on(&problem, &bound, 2_000_000).unwrap();
+        assert!((0..12).any(|n| {
+            let (_, tier, k) = bound.min_feasible(n).unwrap();
+            searched.choices[n] != (tier, k)
+        }));
+        same(
+            &searched,
+            &Assignment::from_choices(&problem, searched.choices.clone()).unwrap(),
+        );
+        same(
+            &searched,
+            &solve_branch_and_bound(&problem, 2_000_000).unwrap().0,
+        );
     }
 }
 
