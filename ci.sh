@@ -5,7 +5,7 @@
 #   ./ci.sh --quick  # skip the release build (debug test cycle only)
 #
 # Everything runs fully offline: the only non-std dependencies are the
-# in-tree shims under shims/ (rand, proptest, criterion, serde, bytes).
+# in-tree shims under shims/ (rand, proptest, serde, bytes).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -18,8 +18,8 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo build --release"
 if [[ $quick -eq 0 ]]; then
+    echo "==> cargo build --release"
     cargo build --release
 fi
 
@@ -28,9 +28,9 @@ cargo test -q
 
 # Invariant lint: determinism (no hash-order iteration, no wall-clock or
 # raw threads in logic), oracle discipline, panic-surface ratchet, shim
-# surface, bench-artifact schema and the test-count floor below are all
-# machine-checked by the in-tree analyzer. --deny fails on any unwaived
-# finding; waivers are inline comments, counted and capped.
+# surface and the test-count floor below are all machine-checked by the
+# in-tree analyzer. --deny fails on any unwaived finding; waivers are
+# inline comments, counted and capped.
 echo "==> scope-analyze --deny --json (workspace invariant lint)"
 cargo run -q -p scope-analyze -- --deny --json
 
@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=700
+min_tests=695
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -56,30 +56,9 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     fi
 
-    # Smoke-run the bench bins so BENCH_N.json generation can't rot: quick
-    # instances, JSON written out of tree (the committed BENCH_N.json are
-    # full runs). Each bin asserts its fast-path == reference equalities
-    # in-process before it times anything: solver (cost-table solvers vs the
-    # model-driven paths), train (trees, forests, boosting, entropies, DP
-    # plans), throughput (word-level codecs byte-identical to the
-    # byte-at-a-time pipelines; sharded billing bit-identical for threads
-    # 1/2/7), serve (incremental == full resolve on every epoch, any thread
-    # count, plus the 5x steady-state floor), chaos (heat == fault-free
-    # twin, quarantine == expected_intake, healthy shards == full resolve,
-    # crash+restore == never-crashed as raw checkpoint bytes), recovery
-    # (recovered journaled engine == never-crashed twin, per epoch, under
-    # none/light/heavy storage faults; its file journal lives in a child of
-    # a throwaway directory under target/).
-    for bench in solver:4 train:5 throughput:7 serve:8 chaos:9 recovery:10; do
-        bin="${bench%%:*}_bench" issue="${bench##*:}"
-        extra=""
-        if [[ "$bin" == recovery_bench ]]; then
-            extra="--dir target/recovery_bench_ci"
-        fi
-        echo "==> $bin --json --quick (BENCH_$issue smoke)"
-        cargo run --release -q -p scope-bench --bin "$bin" -- \
-            --json --quick $extra --out "target/BENCH_$issue.quick.json"
-    done
+    # The fast-path == reference and crash-recovery equalities ran in
+    # `cargo test` above. `benchmark/run.sh --quick` below checks them again
+    # in-process, on a 2 000-object fleet, before it reports a number.
 
     # The end-to-end benchmark is its own package outside the workspace;
     # checking it here turns API drift against it into a red build.
@@ -216,9 +195,6 @@ if [[ $quick -eq 0 ]]; then
         fi
     done
 fi
-
-echo "==> cargo bench --no-run (criterion benches must compile)"
-cargo bench --no-run
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

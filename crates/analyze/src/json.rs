@@ -1,10 +1,11 @@
-//! A minimal, dependency-free JSON parser — just enough to validate the
-//! committed `BENCH_*.json` artifacts (the offline-shims constraint rules
-//! out `serde_json`, and the serde shim is a no-op).
+//! A minimal, dependency-free JSON parser and string escaper — the
+//! repository's one JSON reader (the offline-shims constraint rules out
+//! `serde_json`, and the serde shim is a no-op). The analyzer's `--json`
+//! report uses [`escape`]; the out-of-workspace `benchmark/` package
+//! reads `BENCHMARK.json` and its own result files with [`parse`].
 //!
-//! Numbers are kept as `f64`; object keys preserve insertion order in a
-//! sorted map because the bench-schema rule only asks membership
-//! questions.
+//! Numbers are kept as `f64`; objects are sorted maps (key order is not
+//! preserved), which is all a membership or lookup question needs.
 
 use std::collections::BTreeMap;
 

@@ -11,7 +11,6 @@
 //! a reason-less waiver or a waiver naming an unknown rule is itself a
 //! finding, so the waiver file never rots.
 
-use crate::json;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileClass, SourceFile, Waiver, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +25,6 @@ pub const RULE_NAMES: &[&str] = &[
     "panic-surface",
     "oracle-discipline",
     "shim-surface",
-    "bench-schema",
     "ci-floor-consistency",
     "waiver-budget",
 ];
@@ -99,9 +97,6 @@ pub fn analyze_rules(root: &Path, active: &BTreeSet<&str>) -> std::io::Result<Re
     }
     if active.contains("shim-surface") {
         shim_surface(&ws, &mut findings);
-    }
-    if active.contains("bench-schema") {
-        bench_schema(&ws, &mut findings);
     }
     if active.contains("ci-floor-consistency") {
         ci_floor_consistency(&ws, &mut findings);
@@ -596,13 +591,11 @@ fn for_loop_over(
 // ---------------------------------------------------------------------------
 
 /// `std::time` makes results depend on the host clock. It is allowed only
-/// in the measurement harnesses: `compress::measure` and the bench crate.
+/// in `compress::measure`, the one place the workspace takes a timing.
 fn no_wallclock_in_logic(ws: &Workspace, findings: &mut Vec<Finding>) {
     for file in ws.files.values() {
         if file.class == FileClass::Shim
             || file.class == FileClass::Test
-            || file.class == FileClass::Bench
-            || file.crate_name == "scope-bench"
             || file.path.ends_with("compress/src/measure.rs")
         {
             continue;
@@ -617,8 +610,8 @@ fn no_wallclock_in_logic(ws: &Workspace, findings: &mut Vec<Finding>) {
                     rule: "no-wallclock-in-logic",
                     file: file.path.clone(),
                     line: file.tokens[code[p]].line,
-                    message: "wall-clock (`std::time`) outside compress::measure and the \
-                              bench harnesses makes results host-dependent"
+                    message: "wall-clock (`std::time`) outside compress::measure makes \
+                              results host-dependent"
                         .to_string(),
                 });
             }
@@ -668,15 +661,13 @@ fn no_raw_threads(ws: &Workspace, findings: &mut Vec<Finding>) {
 /// in pipeline code must flow through the `Storage` trait so the fault
 /// injector and crash fuzzer see it. `std::fs` paths and direct
 /// `File::` / `OpenOptions::` handles are allowed only in the file
-/// backend itself (`wal/src/file.rs`), the analyzer (which reads the
-/// sources it lints), and the bench harnesses.
+/// backend itself (`wal/src/file.rs`) and the analyzer (which reads the
+/// sources it lints).
 fn fs_confinement(ws: &Workspace, findings: &mut Vec<Finding>) {
     for file in ws.files.values() {
         if file.class == FileClass::Shim
             || file.class == FileClass::Test
-            || file.class == FileClass::Bench
             || file.crate_name == "scope-analyze"
-            || file.crate_name == "scope-bench"
             || file.path.ends_with("wal/src/file.rs")
         {
             continue;
@@ -1034,103 +1025,6 @@ fn collect_shim_exports(file: &SourceFile, set: &mut BTreeSet<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: bench-schema
-// ---------------------------------------------------------------------------
-
-/// Every committed `BENCH_*.json` must parse and carry the keys the
-/// benches and CI smoke runs rely on: `issue` (number), `quick` (bool),
-/// `config` (object).
-fn bench_schema(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let Ok(entries) = std::fs::read_dir(&ws.root) else {
-        return;
-    };
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().to_string())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-    for name in names {
-        let Ok(text) = std::fs::read_to_string(ws.root.join(&name)) else {
-            findings.push(Finding {
-                rule: "bench-schema",
-                file: name.clone(),
-                line: 0,
-                message: "unreadable bench artifact".to_string(),
-            });
-            continue;
-        };
-        let value = match json::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                findings.push(Finding {
-                    rule: "bench-schema",
-                    file: name.clone(),
-                    line: 0,
-                    message: format!("not valid JSON: {e}"),
-                });
-                continue;
-            }
-        };
-        let Some(obj) = value.as_object() else {
-            findings.push(Finding {
-                rule: "bench-schema",
-                file: name.clone(),
-                line: 0,
-                message: "top level must be a JSON object".to_string(),
-            });
-            continue;
-        };
-        type KeyCheck = (&'static str, fn(&json::Value) -> bool, &'static str);
-        let checks: [KeyCheck; 3] = [
-            ("issue", |v| matches!(v, json::Value::Number(_)), "a number"),
-            ("quick", |v| matches!(v, json::Value::Bool(_)), "a bool"),
-            (
-                "config",
-                |v| matches!(v, json::Value::Object(_)),
-                "an object",
-            ),
-        ];
-        for (key, type_check, wanted) in checks {
-            match obj.get(key) {
-                None => findings.push(Finding {
-                    rule: "bench-schema",
-                    file: name.clone(),
-                    line: 0,
-                    message: format!("missing required key \"{key}\" ({wanted})"),
-                }),
-                Some(v) if !type_check(v) => findings.push(Finding {
-                    rule: "bench-schema",
-                    file: name.clone(),
-                    line: 0,
-                    message: format!("key \"{key}\" must be {wanted}"),
-                }),
-                Some(_) => {}
-            }
-        }
-        // The filename's number is the artifact's identity — it must agree
-        // with the `issue` field, or a copied template silently misfiles a
-        // PR's numbers under another PR's name.
-        if let (Some(stem), Some(json::Value::Number(issue))) = (
-            name.strip_prefix("BENCH_")
-                .and_then(|s| s.strip_suffix(".json")),
-            obj.get("issue"),
-        ) {
-            if stem.parse::<f64>() != Ok(*issue) {
-                findings.push(Finding {
-                    rule: "bench-schema",
-                    file: name.clone(),
-                    line: 0,
-                    message: format!(
-                        "filename number \"{stem}\" does not match \"issue\": {issue}"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: ci-floor-consistency
 // ---------------------------------------------------------------------------
 
@@ -1180,7 +1074,7 @@ fn ci_floor_consistency(ws: &Workspace, findings: &mut Vec<Finding>) {
 
 /// Static count of test functions in targets `cargo test` runs by default:
 /// crate/shim sources (unit tests, including bins) and top-level
-/// `tests/*.rs` integration tests — not benches, not examples. Counts
+/// `tests/*.rs` integration tests — not examples. Counts
 /// `#[test]` attributes outside `macro_rules!` templates. The proptest
 /// shim's `proptest!` keeps each case's `#[test]` meta verbatim in the
 /// invocation, so proptest cases are counted by the same scan — counting
@@ -1190,7 +1084,7 @@ pub fn count_tests(ws: &Workspace) -> usize {
     for file in ws.files.values() {
         match file.class {
             FileClass::Lib | FileClass::Test | FileClass::Shim => {}
-            FileClass::Bench | FileClass::Example => continue,
+            FileClass::Example => continue,
         }
         let code = code_view(file);
         for p in 0..code.len() {
@@ -1331,11 +1225,11 @@ mod tests {
             ),
         );
         ws.files.insert(
-            "crates/bench/benches/b.rs".into(),
+            "examples/e.rs".into(),
             SourceFile::parse(
-                "crates/bench/benches/b.rs".into(),
-                "scope-bench".into(),
-                FileClass::Bench,
+                "examples/e.rs".into(),
+                "scope".into(),
+                FileClass::Example,
                 "#[test]\nfn not_run_by_cargo_test() {}",
             ),
         );

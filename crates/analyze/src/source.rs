@@ -3,8 +3,8 @@
 //!
 //! The walker follows the layout conventions of this repository (and of the
 //! fixture mini-workspaces under `tests/fixtures/`): `src/`, `tests/*.rs`
-//! and `examples/` for the root package, `crates/<name>/{src,tests,benches}`
-//! for member crates, `shims/<name>/src` for the vendored dependency shims.
+//! and `examples/` for the root package, `crates/<name>/{src,tests}` for
+//! member crates, `shims/<name>/src` for the vendored dependency shims.
 //! Only files cargo actually compiles are walked — in particular
 //! subdirectories of `tests/` (fixture corpora) are skipped.
 
@@ -20,9 +20,6 @@ pub enum FileClass {
     Lib,
     /// An integration-test file (`tests/*.rs`).
     Test,
-    /// A criterion bench (`benches/*.rs`) or a bench binary of the
-    /// `scope-bench` crate.
-    Bench,
     /// A runnable example (`examples/*.rs`).
     Example,
     /// Vendored offline shim source (`shims/*/src`).
@@ -126,16 +123,8 @@ impl Workspace {
         // Member crates.
         for (dir, name) in sorted_subdirs(&root.join("crates"))? {
             let crate_name = format!("scope-{name}");
-            let bin_class = if name == "bench" {
-                // The bench crate's binaries are measurement harnesses; they
-                // share the bench exemptions (e.g. wall-clock timing).
-                FileClass::Bench
-            } else {
-                FileClass::Lib
-            };
-            ws.add_tree_classified(dir.join("src"), &crate_name, FileClass::Lib, bin_class)?;
+            ws.add_tree(dir.join("src"), &crate_name, FileClass::Lib)?;
             ws.add_flat(dir.join("tests"), &crate_name, FileClass::Test)?;
-            ws.add_flat(dir.join("benches"), &crate_name, FileClass::Bench)?;
         }
         // Shims keep their upstream names.
         for (dir, name) in sorted_subdirs(&root.join("shims"))? {
@@ -167,18 +156,6 @@ impl Workspace {
         crate_name: &str,
         class: FileClass,
     ) -> std::io::Result<()> {
-        self.add_tree_classified(dir, crate_name, class, class)
-    }
-
-    /// Like [`Workspace::add_tree`] but classifying files under a `bin/`
-    /// subdirectory differently (bench binaries vs library sources).
-    fn add_tree_classified(
-        &mut self,
-        dir: PathBuf,
-        crate_name: &str,
-        class: FileClass,
-        bin_class: FileClass,
-    ) -> std::io::Result<()> {
         if !dir.is_dir() {
             return Ok(());
         }
@@ -188,19 +165,15 @@ impl Workspace {
                 stack.push(sub);
             }
             for entry in sorted_rs_files(&d)? {
-                let in_bin = entry
-                    .components()
-                    .any(|c| c.as_os_str().to_string_lossy() == "bin");
-                let c = if in_bin { bin_class } else { class };
-                self.add_file(&entry, crate_name, c)?;
+                self.add_file(&entry, crate_name, class)?;
             }
         }
         Ok(())
     }
 
     /// Add only the top-level `.rs` files of a directory (how cargo
-    /// discovers `tests/` and `benches/` targets — subdirectories such as
-    /// fixture corpora are not compiled).
+    /// discovers `tests/` targets — subdirectories such as fixture corpora
+    /// are not compiled).
     fn add_flat(
         &mut self,
         dir: PathBuf,

@@ -154,39 +154,6 @@ fn shim_surface_pos_neg_waived() {
 }
 
 #[test]
-fn bench_schema_checks_keys_types_and_parse() {
-    let report = run("bench-schema", &["bench-schema"]);
-    let msgs = messages(&report);
-    assert_eq!(report.findings.len(), 5, "{msgs:?}");
-    let bad_keys = report
-        .findings
-        .iter()
-        .filter(|f| f.file == "BENCH_11.json")
-        .count();
-    assert_eq!(bad_keys, 3, "{msgs:?}");
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("missing required key \"issue\"")));
-    assert!(msgs.iter().any(|m| m.contains("\"quick\" must be a bool")));
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("\"config\" must be an object")));
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("BENCH_12.json") && m.contains("not valid JSON")),
-        "{msgs:?}"
-    );
-    // The filename number is the artifact's identity.
-    assert!(
-        msgs.iter().any(|m| m.contains("BENCH_13.json")
-            && m.contains("filename number \"13\" does not match \"issue\": 99")),
-        "{msgs:?}"
-    );
-    // BENCH_10.json is well-formed and produces nothing.
-    assert!(!msgs.iter().any(|m| m.contains("BENCH_10")), "{msgs:?}");
-}
-
-#[test]
 fn ci_floor_matches_static_recount() {
     let ok = run("ci-floor-ok", &["ci-floor-consistency"]);
     assert!(ok.findings.is_empty(), "{:?}", messages(&ok));

@@ -175,7 +175,7 @@ fn int_len(x: i64) -> usize {
 /// strings are rendered **once per distinct value**, not once per cell as
 /// the seed implementation did
 /// ([`weighted_entropy_by_type_reference`], preserved as the differential
-/// oracle and the `train_bench` baseline). Distinct values are then merged
+/// oracle). Distinct values are then merged
 /// by their rendered string and the entropy sum runs in the same
 /// lexicographic order over the same `(string, count)` pairs, so the
 /// result is bit-for-bit identical.
@@ -262,8 +262,7 @@ pub fn weighted_entropy_by_type(
 /// The seed implementation of [`weighted_entropy_by_type`]: one rendered
 /// `String` map key **per cell**. Preserved as the differential oracle
 /// (bit-for-bit equality is pinned in this module's tests and in
-/// `tests/differential_learn.rs`) and as the before/after baseline the
-/// `train_bench` bin measures feature extraction against.
+/// `tests/differential_learn.rs`).
 pub fn weighted_entropy_by_type_reference(
     table: &Table,
     start: usize,

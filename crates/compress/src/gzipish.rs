@@ -50,8 +50,7 @@ impl Default for GzipishCodec {
 }
 
 impl GzipishCodec {
-    /// Create a codec with custom matcher parameters (used by tests and the
-    /// ablation benches).
+    /// Create a codec with custom matcher parameters (used by tests).
     pub fn with_params(params: MatcherParams) -> Self {
         GzipishCodec {
             inner: Lz4ishCodec::with_params(params),

@@ -24,8 +24,7 @@
 //!   codec that does not round-trip is never timed and reported.
 //!
 //! [`measure`] is both halves and reports all three quantities; the
-//! codec-throughput benches and the end-to-end benchmark's
-//! `compress.measure` span need it. COMPREDICT's training targets (§V,
+//! end-to-end benchmark's `compress.measure` span needs it. COMPREDICT's training targets (§V,
 //! Tables VI–VIII) are only the pair (compression ratio, decompression
 //! seconds per GB): data in the lake is compressed once when it is written
 //! and decompressed on every read, so compression *time* is not a cost the

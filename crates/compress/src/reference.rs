@@ -7,8 +7,8 @@
 //! production kernels in [`crate::lz77`], [`crate::lz4ish`], [`crate::rle`],
 //! [`crate::gzipish`] and [`crate::huffman`] must produce **identical output
 //! bytes** (and identical [`CompressError`] values on corrupted streams),
-//! which the `differential_compress` workspace tests and the
-//! `throughput_bench` bin pin fast-vs-reference on every run.
+//! which the `differential_compress` workspace tests pin
+//! fast-vs-reference.
 //!
 //! Nothing here is reachable from production code: the modules exist only to
 //! keep the slow, obviously-correct paths alive as oracles.

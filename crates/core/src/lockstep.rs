@@ -5,12 +5,12 @@
 //! arrive, heat moves, OPTASSIGN re-tiers. This module owns that loop
 //! once:
 //!
-//! * a [`Fleet`] is everything needed to build (and restore) identical
+//! * a `Fleet` is everything needed to build (and restore) identical
 //!   registered [`ServeEngine`]s;
-//! * a [`Schedule`] is the step list every engine replays: deliveries of
-//!   sequenced batches (cut by the only batch splitter,
-//!   [`split_batches`]) interleaved with epoch boundaries (advance,
-//!   incremental re-solve, checkpoint);
+//! * a `Schedule` is the step list every engine replays: deliveries of
+//!   sequenced batches (cut by the only batch splitter, `split_batches`)
+//!   interleaved with epoch boundaries (advance, incremental re-solve,
+//!   checkpoint);
 //! * the private `drive` function is the only place that delivers,
 //!   advances and re-solves. It runs a plain engine or a
 //!   [`JournaledEngine`] over fault-injected storage, optionally under a
@@ -18,9 +18,9 @@
 //!   its crash policy says so, and writes one [`EpochRecord`] per boundary.
 //!
 //! [`run_serving`], [`run_chaos`] and [`run_recovery`] are configurations
-//! of that loop over a generated enterprise account; [`replay_serving`]
-//! and [`replay_chaos`] take any fleet and schedule (the bench bins pass
-//! their synthetic fixture). The contracts, all exact:
+//! of that loop over a generated enterprise account, and with their
+//! option / outcome types the module's whole public surface. The
+//! contracts, all exact:
 //!
 //! * **Reference equality** (every scenario, every epoch). The cold batch
 //!   path — [`reference::full_resolve`], taken after the advance and
@@ -337,7 +337,7 @@ enum Step {
 
 /// The delivery schedule every engine of a scenario replays.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
+struct Schedule {
     steps: Vec<Step>,
     epochs: usize,
     horizon_days: u32,
@@ -346,7 +346,7 @@ pub struct Schedule {
 /// Split `columns` into `n` contiguous batches, preserving trace order.
 /// The batches are equal-sized up to the remainder; empty batches are
 /// kept so the sequence-number stream stays dense.
-pub fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
+fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
     let total = columns.len();
     let per = total.div_ceil(n.max(1)).max(1);
     (0..n.max(1))
@@ -367,7 +367,7 @@ impl Schedule {
     /// Lay `columns` out as epochs of `epoch_days` up to `horizon_days`,
     /// each delivered as `batches_per_epoch` sequenced batches followed by
     /// its boundary.
-    pub fn new(
+    fn new(
         columns: &EventColumns,
         horizon_days: u32,
         epoch_days: u32,
@@ -451,20 +451,20 @@ impl Schedule {
 /// Everything needed to build, and after a crash rebuild, identical
 /// registered engines.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fleet {
+struct Fleet {
     /// Tier catalog the engines re-optimize over.
-    pub catalog: TierCatalog,
+    catalog: TierCatalog,
     /// Compression schemes shared by all objects.
-    pub schemes: Vec<CompressionOption>,
+    schemes: Vec<CompressionOption>,
     /// Engine configuration.
-    pub config: ServeConfig,
+    config: ServeConfig,
     /// The objects, in registration (= interned id) order.
-    pub objects: Vec<ServeObject>,
+    objects: Vec<ServeObject>,
 }
 
 impl Fleet {
     /// A fresh engine with every object registered.
-    pub fn engine(&self) -> Result<ServeEngine, ServeError> {
+    fn engine(&self) -> Result<ServeEngine, ServeError> {
         let mut engine = ServeEngine::new(
             self.catalog.clone(),
             self.schemes.clone(),
@@ -477,7 +477,7 @@ impl Fleet {
     }
 
     /// Number of account shards.
-    pub fn accounts(&self) -> usize {
+    fn accounts(&self) -> usize {
         let accounts: BTreeSet<&str> = self.objects.iter().map(|o| o.account.as_str()).collect();
         accounts.len()
     }
@@ -906,16 +906,22 @@ fn drive<'a>(
     })
 }
 
-/// Replay `schedule` through a plain engine built from `fleet`, checking
+/// [`drive`] a fresh plain engine that never crashes and has no twin.
+fn drive_plain(
+    fleet: &Fleet,
+    schedule: &Schedule,
+    compute: Option<&FaultPlan>,
+) -> Result<Replayed<'static>, ScopeError> {
+    let driven = Driven::Plain(fleet.engine()?, None);
+    drive(fleet, schedule, compute, driven, None)
+}
+
+/// Replay the projection window of a generated enterprise account through
+/// a plain serving engine, re-optimizing every `epoch_days` and checking
 /// every epoch against the batch reference.
-pub fn replay_serving(fleet: &Fleet, schedule: &Schedule) -> Result<ServingOutcome, ScopeError> {
-    let run = drive(
-        fleet,
-        schedule,
-        None,
-        Driven::Plain(fleet.engine()?, None),
-        None,
-    )?;
+pub fn run_serving(options: &ServingOptions) -> Result<ServingOutcome, ScopeError> {
+    let (fleet, schedule) = enterprise_replay(options)?;
+    let run = drive_plain(&fleet, &schedule, None)?;
     let engine = run.driven.engine();
     let epochs = run.records();
     Ok(ServingOutcome {
@@ -930,28 +936,23 @@ pub fn replay_serving(fleet: &Fleet, schedule: &Schedule) -> Result<ServingOutco
     })
 }
 
-/// Replay `schedule` under `plan` as a three-engine lockstep: one engine
-/// takes the faulted stream and compute faults and is checkpointed,
-/// dropped and restored on the plan's crash epochs; a second takes the
-/// same stream and faults and never crashes; a fault-free twin takes the
-/// filtered stream.
-pub fn replay_chaos(
-    fleet: &Fleet,
-    schedule: &Schedule,
-    plan: &FaultPlan,
-) -> Result<ChaosOutcome, ScopeError> {
-    let (delivered, clean, in_order) = schedule.inject(plan);
-    let plain = |schedule, compute| {
-        let driven = Driven::Plain(fleet.engine()?, None);
-        drive(fleet, schedule, compute, driven, None)
-    };
-    let twin = plain(&clean, None)?;
-    let steady = plain(&delivered, Some(plan))?;
+/// Replay the same window under the seeded fault schedule as a
+/// three-engine lockstep, verifying the degraded-mode contracts every
+/// epoch (see the [module docs](self)): one engine takes the faulted
+/// stream and compute faults and is checkpointed, dropped and restored on
+/// the plan's crash epochs; a second takes the same stream and faults and
+/// never crashes; a fault-free twin takes the filtered stream.
+pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
+    let plan = FaultPlan::new(options.seed, options.rates).map_err(invalid)?;
+    let (fleet, schedule) = enterprise_replay(&options.serving)?;
+    let (delivered, clean, in_order) = schedule.inject(&plan);
+    let twin = drive_plain(&fleet, &clean, None)?;
+    let steady = drive_plain(&fleet, &delivered, Some(&plan))?;
     let run = drive(
-        fleet,
+        &fleet,
         &delivered,
-        Some(plan),
-        Driven::Plain(fleet.engine()?, Some(plan)),
+        Some(&plan),
+        Driven::Plain(fleet.engine()?, Some(&plan)),
         Some((&twin.epochs, &steady.epochs)),
     )?;
 
@@ -991,21 +992,6 @@ fn invalid(err: impl std::fmt::Display) -> ScopeError {
     ScopeError::InvalidConfig(err.to_string())
 }
 
-/// Replay the projection window of a generated enterprise account through
-/// the serving engine, re-optimizing every `epoch_days`.
-pub fn run_serving(options: &ServingOptions) -> Result<ServingOutcome, ScopeError> {
-    let (fleet, schedule) = enterprise_replay(options)?;
-    replay_serving(&fleet, &schedule)
-}
-
-/// Replay the same window under the seeded fault schedule, verifying the
-/// degraded-mode contracts every epoch (see the [module docs](self)).
-pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
-    let plan = FaultPlan::new(options.seed, options.rates).map_err(invalid)?;
-    let (fleet, schedule) = enterprise_replay(&options.serving)?;
-    replay_chaos(&fleet, &schedule, &plan)
-}
-
 /// Replay the same window through the journaled engine under the seeded
 /// storage-fault schedule, crashing and recovering along the way, and pin
 /// the recovered states bit-for-bit against a never-crashed twin (see the
@@ -1018,13 +1004,7 @@ pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeE
     let steps = &schedule.steps;
 
     // The never-crashed twin runs the whole schedule once, cleanly.
-    let twin = drive(
-        &fleet,
-        &schedule,
-        None,
-        Driven::Plain(fleet.engine()?, None),
-        None,
-    )?;
+    let twin = drive_plain(&fleet, &schedule, None)?;
 
     let journal_cfg = JournalConfig {
         segment_records: options.segment_records,

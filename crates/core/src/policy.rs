@@ -49,8 +49,7 @@ impl Policy {
             capacity_fractions: None,
             // Freeze merged partitions once they reach 15% of the data
             // volume: large enough that hot query footprints coalesce, small
-            // enough that hot and cold files end up in different partitions
-            // (the ablation benches sweep this knob).
+            // enough that hot and cold files end up in different partitions.
             span_threshold_fraction: 0.15,
         }
     }

@@ -114,7 +114,7 @@ fn merge_stats(partitions: &[OrderedPartition], from: usize, to: usize) -> (f64,
 /// `O(N²·C·n)` hot loop); it is preserved verbatim as
 /// [`solve_ordered_exact_reference`] and pinned bit-for-bit (identical
 /// plans, spaces and costs) against this path in
-/// `tests/differential_learn.rs` and the `train_bench` bin.
+/// `tests/differential_learn.rs`.
 ///
 /// The incremental statistics fold in exactly the order
 /// [`merge_stats`]' left-to-right scans do (min/max/sum extended on the
@@ -239,12 +239,12 @@ pub fn solve_ordered_exact(
 }
 
 /// The seed implementation of [`solve_ordered_exact`], preserved verbatim
-/// as a differential oracle and benchmark baseline: every `(i, k)` merge
+/// as a differential oracle: every `(i, k)` merge
 /// candidate recomputes its span/frequency statistics with a full
 /// [`merge_stats`] window scan (`O(N²·(N + C))` overall). The production
 /// path maintains the statistics incrementally and must return bit-for-bit
 /// identical plans; `tests/differential_learn.rs` pins that on random
-/// instances and the `train_bench` bin asserts it at benchmark scale.
+/// instances.
 pub fn solve_ordered_exact_reference(
     partitions: &[OrderedPartition],
     cost_threshold: f64,

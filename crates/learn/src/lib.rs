@@ -57,8 +57,9 @@
 //! path is bit-for-bit equal to the reference by construction — tree
 //! structures, forest votes, boosting predictions and k-NN regressions are
 //! pinned against the oracles on randomized instances in
-//! `tests/differential_learn.rs`, and the `train_bench` bin measures the
-//! speedup against exactly the reference cost (equality asserted in-bin).
+//! `tests/differential_learn.rs`. The shared scorer itself is checked
+//! against the seed's two-pass formulas (`reference::fit_*_seed`) in
+//! `crates/learn/tests/differential_seed_oracles.rs`.
 
 #![warn(missing_docs)]
 

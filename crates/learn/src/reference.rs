@@ -21,8 +21,13 @@
 //! defined exactly once, so the two families are bit-for-bit identical by
 //! construction. `tests/differential_learn.rs` pins that equality (tree
 //! structures, forest votes, boosting predictions, k-NN regressions) on
-//! randomized instances, and the `train_bench` bin measures the fast path's
-//! speedup against exactly this pre-PR-5 cost, not a strawman.
+//! randomized instances.
+//!
+//! The three `fit_*_seed` functions at the end are a different kind of
+//! oracle: they score splits the seed's own two-pass way and share no
+//! `SplitScan` with the fast path, so they are the only check of the
+//! shared scorer itself. `crates/learn/tests/differential_seed_oracles.rs`
+//! pins the fast path against them.
 
 use crate::boosting::BoostingParams;
 use crate::error::LearnError;
@@ -449,9 +454,10 @@ impl SeedBuilder<'_> {
 }
 
 /// The seed's `DecisionTreeRegressor::fit_seeded`, two-pass scoring and
-/// all. Timing baseline for `train_bench`; trees agree with the fast path
-/// except where two candidate splits score within rounding of each other
-/// (the formulas differ by float reassociation only).
+/// all: an oracle for the split scorer that does not share `SplitScan`
+/// with the fast path. Trees agree with the fast path except where two
+/// candidate splits score within rounding of each other (the formulas
+/// differ by float reassociation only).
 pub fn fit_tree_regressor_seed(
     features: &[Vec<f64>],
     targets: &[f64],
@@ -473,7 +479,8 @@ pub fn fit_tree_regressor_seed(
 }
 
 /// The seed's `RandomForestRegressor::fit`: sequential clone-bootstrap
-/// trees scored the two-pass way. Timing baseline for `train_bench`.
+/// trees scored the two-pass way, so independent of `SplitScan` like
+/// [`fit_tree_regressor_seed`].
 pub fn fit_forest_regressor_seed(
     features: &[Vec<f64>],
     targets: &[f64],
@@ -508,7 +515,8 @@ pub fn fit_forest_regressor_seed(
 }
 
 /// The seed's `RandomForestClassifier::fit` (two-pass Gini scoring,
-/// clone-bootstraps, sequential). Timing baseline for `train_bench`.
+/// clone-bootstraps, sequential), independent of `SplitScan` like
+/// [`fit_tree_regressor_seed`].
 pub fn fit_forest_classifier_seed(
     features: &[Vec<f64>],
     labels: &[usize],

@@ -1,7 +1,7 @@
 //! Differential pins for the seed-shaped training oracles in
-//! `scope_learn::reference` that previously were only exercised by
-//! `train_bench`: the fast paths must agree with
-//! `fit_tree_regressor_seed`, `fit_forest_regressor_seed` and
+//! `scope_learn::reference` — the only check of the split scorer that
+//! does not share `SplitScan` with the fast path: the fast paths must
+//! agree with `fit_tree_regressor_seed`, `fit_forest_regressor_seed` and
 //! `fit_forest_classifier_seed`, and the oracles themselves must be
 //! deterministic.
 //!

@@ -6,7 +6,7 @@
 //! `O(N · L · K)` — linear in the number of partitions for fixed tier and
 //! scheme counts — which is what makes OPTASSIGN "scalable and effective"
 //! on petabyte-scale catalogs (2.53 s for 463 datasets in the paper; the
-//! Criterion benches reproduce the scaling).
+//! end-to-end benchmark's `optassign.greedy_s` times it).
 //!
 //! The per-partition minima come from a [`CostTable`] evaluated once per
 //! solve (with one hoisted cost model, in parallel on large instances)
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn scales_linearly_in_partition_count() {
-        // Not a timing assertion (those live in the benches), just a check
+        // Not a timing assertion (timings live in `benchmark/`), just a check
         // that a thousand-partition instance solves and assigns everything.
         let catalog = TierCatalog::azure_adls_gen2();
         let parts: Vec<_> = (0..1000)

@@ -7,15 +7,10 @@
 //! [`crate::solve_branch_and_bound`] and
 //! [`crate::solve_equal_size_matching`] search a precomputed
 //! [`CostTable`](crate::costtable::CostTable) instead. The reference paths
-//! exist for two reasons:
-//!
-//! 1. **Differential oracles** — `tests/differential_costtable.rs` pins the
-//!    table-driven solvers bit-for-bit equal to these on random single- and
-//!    multi-provider instances, so the table engine can never silently
-//!    drift from the objective definition.
-//! 2. **Benchmark baselines** — the `solver_bench` bin and the Criterion
-//!    benches measure the table engine's speedup against exactly the
-//!    pre-table evaluation cost, not a strawman.
+//! exist as **differential oracles**: `tests/differential_costtable.rs`
+//! pins the table-driven solvers bit-for-bit equal to these on random
+//! single- and multi-provider instances, so the table engine can never
+//! silently drift from the objective definition.
 //!
 //! Both solver families share their search cores (the branch-and-bound
 //! tree walk, the tier-copy construction + Hungarian matching); the only

@@ -61,8 +61,8 @@
 //! (`resume_deliveries`) and the last durable schedule position
 //! (`marker`); re-delivering from there makes the recovered engine
 //! bit-for-bit equal — heat bits, placements, objective bits, checkpoint
-//! bytes — to an engine that never crashed, which `recovery_bench` and
-//! the chaos suites assert in-process.
+//! bytes — to an engine that never crashed, which
+//! `tests/integration_recovery.rs` asserts after every crash.
 
 use crate::engine::{static_section, IngestReport, ResolveOutcome, ServeEngine, ShardFault};
 use crate::error::ServeError;

@@ -28,15 +28,15 @@
 //!   count.
 //! * [`reference::full_resolve`] is the preserved batch path: a cold
 //!   from-scratch solve over the same state, pinned bit-for-bit equal to
-//!   the incremental path by the differential tests and in-process by
-//!   `serve_bench` before any timing runs.
+//!   the incremental path on every epoch by
+//!   `crates/serve/tests/incremental_equivalence.rs` and, through the
+//!   lockstep driver, by `tests/integration_serving.rs`.
 //!
 //! # Failure model
 //!
 //! The engine is built to keep serving — deterministically — under three
 //! classes of fault, each with an *exact* recovery contract (exercised by
-//! the `scope-faults` plans, the `tests/integration_chaos.rs` suite, and
-//! in-process by `chaos_bench` before any timing):
+//! the `scope-faults` plans and the `tests/integration_chaos.rs` suite):
 //!
 //! * **Malformed intake.** [`ServeEngine::ingest`] validates every event:
 //!   out-of-horizon events are dropped (counted in `dropped_events`,
@@ -85,8 +85,7 @@
 //! tail, quarantine corrupt interior records with typed errors, replay
 //! the tail through the validating intake — and is pinned bit-for-bit
 //! equal to a never-crashed engine across fuzzed crash points and seeded
-//! storage faults by `tests/integration_recovery.rs` and, in-process
-//! before any timing, by `recovery_bench`.
+//! storage faults by `tests/integration_recovery.rs`.
 
 #![warn(missing_docs)]
 

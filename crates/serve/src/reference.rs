@@ -5,7 +5,8 @@
 //! [`CostTable`](scope_optassign::CostTable) build and a fresh greedy (or
 //! branch-and-bound) solve over the engine's *current* bucketed heat
 //! state — exactly what a batch deployment of the optimizer would do each
-//! epoch. The differential tests and `serve_bench` assert that
+//! epoch. `crates/serve/tests/incremental_equivalence.rs` and
+//! `tests/integration_serving.rs` assert that
 //! [`ServeEngine::reoptimize`](crate::ServeEngine::reoptimize) reproduces
 //! this bit-for-bit on every epoch; the incremental path earns its speedup
 //! purely by skipping work, never by approximating.

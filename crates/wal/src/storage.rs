@@ -21,8 +21,8 @@
 //!   mechanics live here.
 //!
 //! The real-file backend lives in [`crate::file`] and is the only place
-//! in the workspace outside the analyzer and the bench bins allowed to
-//! touch `std::fs` (enforced by the `fs-confinement` lint).
+//! in the workspace outside the analyzer allowed to touch `std::fs`
+//! (enforced by the `fs-confinement` lint).
 
 use crate::error::WalError;
 use std::collections::BTreeMap;

@@ -301,7 +301,12 @@ proptest! {
 
 #[test]
 fn chaos_scenario_upholds_every_contract_end_to_end() {
-    for (seed, rates) in [(3u64, FaultRates::light()), (17, FaultRates::heavy())] {
+    let mut quarantined = Vec::new();
+    // Seeds whose plans end at least one of the eight epochs in a crash.
+    for (seed, rates) in [
+        (0xC4A0_5EED_u64, FaultRates::light()),
+        (17, FaultRates::heavy()),
+    ] {
         let outcome = run_chaos(&ChaosOptions {
             serving: ServingOptions {
                 workload: EnterpriseOptions {
@@ -317,13 +322,23 @@ fn chaos_scenario_upholds_every_contract_end_to_end() {
             rates,
         })
         .unwrap();
+        assert!(outcome.crashes > 0, "seed {seed}: no crash epoch fired");
         assert!(outcome.recoveries_bit_identical, "seed {seed}");
+        assert!(outcome.recovered_matches_never_crashed, "seed {seed}");
         assert!(outcome.intake_matches_expected, "seed {seed}");
         for (i, e) in outcome.epochs.iter().enumerate() {
             assert!(e.heat_matches_twin, "seed {seed} epoch {i}");
             assert!(e.matches_reference, "seed {seed} epoch {i}");
+            assert!(e.checkpoint_matches_twin, "seed {seed} epoch {i}");
+            assert!(e.objective_bits_match, "seed {seed} epoch {i}");
         }
+        quarantined.push(outcome.quarantined_events);
     }
+    // The mixes inject what they are named for.
+    assert!(
+        0 < quarantined[0] && quarantined[0] < quarantined[1],
+        "light/heavy quarantined {quarantined:?}"
+    );
 }
 
 #[test]

@@ -387,7 +387,9 @@ fn epoch_boundary_cut_lands_on_the_twin_without_a_checkpoint() {
 #[test]
 fn recovery_scenario_upholds_every_contract_end_to_end() {
     for (seed, rates) in [
-        (3u64, StorageFaultRates::light()),
+        // No plan faults: every crash comes from the fuzzed points alone.
+        (7u64, StorageFaultRates::none()),
+        (3, StorageFaultRates::light()),
         (17, StorageFaultRates::heavy()),
     ] {
         let outcome = run_recovery(&RecoveryOptions {
@@ -407,6 +409,7 @@ fn recovery_scenario_upholds_every_contract_end_to_end() {
         })
         .unwrap();
         assert!(outcome.crashes >= 3, "seed {seed}: {outcome:?}");
+        assert!(outcome.forced_crashes >= 3, "seed {seed}: {outcome:?}");
         assert!(
             outcome.checkpoints_bit_identical,
             "seed {seed}: {outcome:?}"
