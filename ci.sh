@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the SCOPe workspace. Run from the repo root.
 #
-#   ./ci.sh          # fmt + build + test + clippy (the tier-1 verify plus lints)
+#   ./ci.sh          # fmt + build + test + rustdoc + clippy (the tier-1 verify plus lints)
 #   ./ci.sh --quick  # skip the release build (debug test cycle only)
 #
 # Everything runs fully offline: the only non-std dependencies are the
@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=695
+min_tests=694
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -195,6 +195,11 @@ if [[ $quick -eq 0 ]]; then
         fi
     done
 fi
+
+# Intra-doc links: a deleted or renamed public item must not leave a
+# dangling or ambiguous link behind.
+echo "==> cargo doc --no-deps --workspace --offline (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -391,19 +391,6 @@ impl BillingSimulator {
         self.run_columns(horizon_days, &self.build_columns(events))
     }
 
-    /// [`BillingSimulator::run_days`] with an explicit worker thread count
-    /// (1 = plain sequential replay). The thread count only affects
-    /// wall-clock time, never the report.
-    pub fn run_days_with_threads(
-        &self,
-        horizon_days: u32,
-        events: &[BillingEvent],
-        threads: usize,
-    ) -> Result<BillingReport, CloudSimError> {
-        let columns = self.build_columns(events);
-        self.run_columns_with_threads(horizon_days, &columns, threads)
-    }
-
     /// Resolve a day-stamped trace into struct-of-arrays [`EventColumns`]
     /// against this simulator's intern table: one name-hash per event, paid
     /// **once**. The columns can be replayed any number of times with
@@ -1564,8 +1551,11 @@ mod tests {
         let (s, events, horizon) = differential_fixture();
         let expected = crate::reference::run_days_reference(&s, horizon, &events).unwrap();
         assert!(expected.dropped_events > 0, "fixture must drop events");
+        let columns = s.build_columns(&events);
         for threads in [1, 2, 7] {
-            let got = s.run_days_with_threads(horizon, &events, threads).unwrap();
+            let got = s
+                .run_columns_with_threads(horizon, &columns, threads)
+                .unwrap();
             assert_eq!(got, expected, "threads={threads}");
         }
     }
@@ -1594,7 +1584,7 @@ mod tests {
         events[300] = BillingEvent::read("obj-2", 3, -4.0);
         let expected = crate::reference::run_days_reference(&s, horizon, &events);
         for threads in [1, 2, 7] {
-            let got = s.run_days_with_threads(horizon, &events, threads);
+            let got = s.run_columns_with_threads(horizon, &s.build_columns(&events), threads);
             // NaN payloads break PartialEq; compare the rendered error.
             assert_eq!(
                 format!("{got:?}"),
@@ -1618,7 +1608,7 @@ mod tests {
             "reference must reject the corrupt unknown-object event: {expected:?}"
         );
         for threads in [1, 2, 7] {
-            let got = s.run_days_with_threads(horizon, &events, threads);
+            let got = s.run_columns_with_threads(horizon, &s.build_columns(&events), threads);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{expected:?}"),
@@ -1664,8 +1654,11 @@ mod tests {
         let (s, mut events, horizon) = differential_fixture();
         events[11] = BillingEvent::read("obj-1", horizon + 3, f64::NAN);
         let expected = crate::reference::run_days_reference(&s, horizon, &events).unwrap();
+        let columns = s.build_columns(&events);
         for threads in [1, 2, 7] {
-            let got = s.run_days_with_threads(horizon, &events, threads).unwrap();
+            let got = s
+                .run_columns_with_threads(horizon, &columns, threads)
+                .unwrap();
             assert_eq!(got, expected, "threads={threads}");
         }
         assert!(expected.dropped_events > 0);

@@ -283,31 +283,20 @@ impl CostModel {
         }
     }
 
-    /// The intra-cloud half of a tier change: a read off the source tier
-    /// plus a write onto the destination (no egress). Moving data to the
-    /// tier it already occupies is free; newly ingested data
-    /// (`from == None`) only pays the write. Callers that bill egress
-    /// separately compose this with [`CostModel::egress_cost`] on the
-    /// source-resident byte count, which can differ from `size_gb` when a
-    /// move also changes compression.
+    /// The intra-cloud half of a tier change `Delta_{u,v}`: a read off the
+    /// source tier plus a write onto the destination (no egress). Moving
+    /// data to the tier it already occupies is free; newly ingested data
+    /// (`from == None`) only pays the write. A full tier change is this
+    /// plus [`CostModel::egress_cost`], each on its own byte count — the
+    /// source-resident bytes leave, which differ from `size_gb` when the
+    /// move also changes compression. The billing engine, the OPTASSIGN
+    /// objective and the schedule DP all compose the two that way.
     pub fn read_write_cost(&self, from: Option<TierId>, to: TierId, size_gb: f64) -> f64 {
         match from {
             Some(f) if f == to => 0.0,
             Some(f) => self.read_cost(f, size_gb, 1.0) + self.write_cost(to, size_gb),
             None => self.write_cost(to, size_gb),
         }
-    }
-
-    /// Tier change cost `Delta_{u,v}` for moving `size_gb` GB from `from` to
-    /// `to`: a read from the source tier plus a write to the destination,
-    /// plus — in a provider-aware model — the inter-provider egress charge.
-    /// The single size covers both ends, so this is the right call for
-    /// moves that keep the stored byte count (e.g. the uncompressed
-    /// schedule DP); compression-changing moves should compose
-    /// [`CostModel::read_write_cost`] and [`CostModel::egress_cost`] with
-    /// their respective byte counts.
-    pub fn tier_change_cost(&self, from: Option<TierId>, to: TierId, size_gb: f64) -> f64 {
-        self.read_write_cost(from, to, size_gb) + self.egress_cost(from, to, size_gb)
     }
 
     /// Decompression compute cost (cents) for `accesses` accesses each
@@ -446,14 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn tier_change_cost_same_tier_is_free_and_new_data_only_writes() {
+    fn read_write_cost_same_tier_is_free_and_new_data_only_writes() {
         let m = model();
         let hot = m.catalog().tier_id("Hot").unwrap();
         let cool = m.catalog().tier_id("Cool").unwrap();
-        assert_eq!(m.tier_change_cost(Some(hot), hot, 100.0), 0.0);
-        let new_ingest = m.tier_change_cost(None, cool, 100.0);
+        assert_eq!(m.read_write_cost(Some(hot), hot, 100.0), 0.0);
+        let new_ingest = m.read_write_cost(None, cool, 100.0);
         assert!((new_ingest - m.write_cost(cool, 100.0)).abs() < 1e-12);
-        let change = m.tier_change_cost(Some(hot), cool, 100.0);
+        let change = m.read_write_cost(Some(hot), cool, 100.0);
         assert!(change > new_ingest, "a move pays a read plus the write");
     }
 
@@ -555,8 +544,8 @@ mod tests {
         let hot = single.catalog().tier_id("Hot").unwrap();
         let cool = single.catalog().tier_id("Cool").unwrap();
         assert_eq!(
-            m.tier_change_cost(Some(azure_hot), azure_cool, 100.0),
-            single.tier_change_cost(Some(hot), cool, 100.0)
+            m.read_write_cost(Some(azure_hot), azure_cool, 100.0),
+            single.read_write_cost(Some(hot), cool, 100.0)
         );
         assert_eq!(m.egress_cost(Some(azure_hot), azure_cool, 100.0), 0.0);
 
@@ -564,7 +553,6 @@ mod tests {
         let rw = m.read_write_cost(Some(azure_hot), s3_ia, 100.0);
         let eg = m.egress_cost(Some(azure_hot), s3_ia, 100.0);
         assert!((eg - 2.0 * 100.0).abs() < 1e-9);
-        assert!((m.tier_change_cost(Some(azure_hot), s3_ia, 100.0) - (rw + eg)).abs() < 1e-12);
         // New ingests and stay-put moves never pay egress.
         assert_eq!(m.egress_cost(None, s3_ia, 100.0), 0.0);
         assert_eq!(m.egress_cost(Some(s3_ia), s3_ia, 100.0), 0.0);

@@ -67,7 +67,7 @@ pub fn workers_spawned() -> u64 {
 /// quadratically.
 const MAX_THREADS: usize = 8;
 
-/// Number of hardware threads to fan out over, capped at [`MAX_THREADS`].
+/// Number of hardware threads to fan out over, capped at `MAX_THREADS`.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

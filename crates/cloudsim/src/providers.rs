@@ -17,9 +17,9 @@
 //!   across providers without modification,
 //! * [`ProviderTopology`] — the companion mapping from merged [`TierId`]s
 //!   back to providers plus the egress matrix; attached to a
-//!   [`CostModel`](crate::CostModel) it makes `tier_change_cost` (and
-//!   therefore the billing engine and the OPTASSIGN objective) egress
-//!   aware.
+//!   [`CostModel`](crate::CostModel) it makes `egress_cost` non-zero on
+//!   cross-provider moves, and therefore the billing engine, the OPTASSIGN
+//!   objective and the schedule DP egress aware.
 //!
 //! The shipped [`ProviderCatalog::azure_s3_gcs`] combines the Azure ladder
 //! of Table I with the S3- and GCS-style ladders of

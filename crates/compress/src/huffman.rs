@@ -217,7 +217,7 @@ pub struct HuffmanDecoder {
 impl HuffmanDecoder {
     /// Decode one symbol from the bit reader. Consumes exactly the bits of
     /// one code; errors with `Truncated` at the first missing bit and with
-    /// `InvalidSymbol` after [`MAX_CODE_LEN`] unmatched bits (identical
+    /// `InvalidSymbol` after `MAX_CODE_LEN` unmatched bits (identical
     /// positions to the preserved binary-search decoder in
     /// [`crate::reference`]).
     pub fn decode(&self, reader: &mut BitReader) -> Result<u8, CompressError> {

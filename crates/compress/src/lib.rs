@@ -25,7 +25,7 @@
 //! layout — which is exactly what the COMPREDICT features try to capture —
 //! and that the orderings (gzip densest/slowest, snappy fastest/lightest)
 //! match the real libraries, which they do (see the cross-codec tests in
-//! [`measure`]).
+//! [`measure`](mod@measure)).
 //!
 //! ## Block format
 //!
@@ -63,7 +63,7 @@
 //!
 //! Every optimized path is pinned **byte-for-byte** (output bytes and error
 //! values, not just round-trip success) against the preserved
-//! byte-at-a-time implementations in [`reference`], both in unit tests and
+//! byte-at-a-time implementations in [`reference`](mod@reference), both in unit tests and
 //! in the workspace-level `differential_compress` proptest suite.
 //!
 //! ```

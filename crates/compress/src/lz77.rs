@@ -21,7 +21,7 @@
 //!
 //! Everything is safe Rust: word loads go through `copy_from_slice` into an
 //! 8-byte array, and every load is bounds-guaranteed by the `len + 8 <=
-//! max_len` loop condition (see the safety notes on [`match_len`]).
+//! max_len` loop condition (see the safety notes on `match_len`).
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,7 +26,7 @@ use scope_cloudsim::{
     billing::Placement, BillingEvent, BillingReport, BillingSimulator, ObjectSpec,
     PlacementSchedule, TierCatalog, TierId, DAYS_PER_MONTH,
 };
-use scope_optassign::{ideal_tier_labels, ideal_tier_schedules, TierSchedule};
+use scope_optassign::{ideal_tier_labels, ideal_tier_schedules, CompressionOption};
 use scope_workload::{DatasetCatalog, EnterpriseOptions, EnterpriseWorkload};
 use serde::{Deserialize, Serialize};
 
@@ -215,7 +215,7 @@ fn run_prepared(
 ) -> Result<LifecycleOutcome, ScopeError> {
     // Per-period schedules from the residency-aware DP, lowered onto the
     // billing timeline.
-    let plans: Vec<TierSchedule> = ideal_tier_schedules(
+    let plans = ideal_tier_schedules(
         &options.catalog,
         &ctx.workload.catalog,
         &ctx.workload.series,
@@ -226,8 +226,11 @@ fn run_prepared(
         options.retier_every,
     )?;
     let transitions = plans.iter().map(|p| p.transition_count()).sum();
-    let scheduled: Vec<PlacementSchedule> =
-        plans.iter().map(|p| p.to_placement_schedule()).collect();
+    let none = [CompressionOption::none()];
+    let scheduled: Vec<PlacementSchedule> = plans
+        .iter()
+        .map(|p| p.to_placement_schedule(&none))
+        .collect();
     let scheduled_report = simulate_schedules(
         &options.catalog,
         &ctx.workload.catalog,

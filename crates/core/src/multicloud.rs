@@ -35,7 +35,7 @@ use scope_cloudsim::{
     billing::Placement, BillingEvent, BillingReport, BillingSimulator, CostModel, ObjectSpec,
     PlacementSchedule, ProviderCatalog, ProviderTopology, TierId, DAYS_PER_MONTH,
 };
-use scope_optassign::{ideal_tier_schedules_with_model, TierSchedule};
+use scope_optassign::{ideal_tier_schedules_with_model, CompressionOption, PlacementPlan};
 use scope_workload::{DatasetCatalog, EnterpriseOptions, EnterpriseWorkload};
 use serde::{Deserialize, Serialize};
 
@@ -137,11 +137,11 @@ fn simulate(
 
 /// Count the moves of a plan that cross a provider boundary, including the
 /// initial move off the home tier.
-fn count_cross_moves(plans: &[TierSchedule], topo: &ProviderTopology, home: TierId) -> usize {
+fn count_cross_moves(plans: &[PlacementPlan], topo: &ProviderTopology, home: TierId) -> usize {
     let mut moves = 0;
     for plan in plans {
         let mut prev = home;
-        for &tier in &plan.tiers {
+        for &(tier, _) in &plan.placements {
             if tier != prev && topo.crosses_providers(prev, tier) {
                 moves += 1;
             }
@@ -157,6 +157,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
     let topo = providers.topology();
     let model = CostModel::with_topology(providers.merged_catalog(), topo.clone());
     let home = providers.merged_tier_id(&options.home_provider, &options.home_tier)?;
+    let none = [CompressionOption::none()];
 
     let workload = EnterpriseWorkload::generate(options.workload.clone())?;
     let start = workload.projection_start();
@@ -195,8 +196,10 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
             WRITE_VOLUME_FRACTION,
             options.retier_every,
         )?;
-        let schedules: Vec<PlacementSchedule> =
-            plans.iter().map(|p| p.to_placement_schedule()).collect();
+        let schedules: Vec<PlacementSchedule> = plans
+            .iter()
+            .map(|p| p.to_placement_schedule(&none))
+            .collect();
         let report = simulate(
             providers,
             &workload.catalog,
@@ -236,7 +239,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
     )?;
     let cross_schedules: Vec<PlacementSchedule> = cross_plans
         .iter()
-        .map(|p| p.to_placement_schedule())
+        .map(|p| p.to_placement_schedule(&none))
         .collect();
     let cross_report = simulate(
         providers,

@@ -117,7 +117,7 @@ fn merge_stats(partitions: &[OrderedPartition], from: usize, to: usize) -> (f64,
 /// `tests/differential_learn.rs`.
 ///
 /// The incremental statistics fold in exactly the order
-/// [`merge_stats`]' left-to-right scans do (min/max/sum extended on the
+/// `merge_stats`' left-to-right scans do (min/max/sum extended on the
 /// right), and ties between equally-good merge lengths resolve to the
 /// shortest merge in both paths, so the two are floating-point identical.
 pub fn solve_ordered_exact(
@@ -241,7 +241,7 @@ pub fn solve_ordered_exact(
 /// The seed implementation of [`solve_ordered_exact`], preserved verbatim
 /// as a differential oracle: every `(i, k)` merge
 /// candidate recomputes its span/frequency statistics with a full
-/// [`merge_stats`] window scan (`O(N²·(N + C))` overall). The production
+/// `merge_stats` window scan (`O(N²·(N + C))` overall). The production
 /// path maintains the statistics incrementally and must return bit-for-bit
 /// identical plans; `tests/differential_learn.rs` pins that on random
 /// instances.

@@ -52,7 +52,7 @@
 //! # The reference-oracle pattern
 //!
 //! The seed-shaped implementations (per-node sorts, clone-based bootstraps,
-//! sequential loops, full k-NN sorts) are preserved in [`reference`]. Both
+//! sequential loops, full k-NN sorts) are preserved in [`reference`](mod@reference). Both
 //! families score splits through the *same* code in [`tree`], so the fast
 //! path is bit-for-bit equal to the reference by construction — tree
 //! structures, forest votes, boosting predictions and k-NN regressions are

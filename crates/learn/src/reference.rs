@@ -16,7 +16,7 @@
 //! * k-NN queries **fully sort** all training distances.
 //!
 //! Split scoring is shared with the fast path
-//! ([`crate::tree::SplitScan`] / [`crate::tree::best_split_scan`]): every
+//! (`crate::tree::SplitScan` / `crate::tree::best_split_scan`): every
 //! floating-point operation that decides a split, a leaf value or a vote is
 //! defined exactly once, so the two families are bit-for-bit identical by
 //! construction. `tests/differential_learn.rs` pins that equality (tree

@@ -14,13 +14,13 @@
 //! arrays are stably partitioned down the recursion, so a node costs
 //! `O(features · samples)` instead of the per-node re-sorts the seed
 //! implementation paid. Split scores are evaluated by a single left-to-right
-//! scan with running prefix statistics ([`SplitScan`]): `O(1)` per candidate
+//! scan with running prefix statistics (`SplitScan`): `O(1)` per candidate
 //! threshold for regression, `O(classes)` for Gini.
 //!
 //! The seed-shaped builder (per-node `sort_by`, clone-based bootstrap,
 //! sequential everything) is preserved in [`crate::reference`] as a
 //! differential oracle. Both builders call the *same* scoring code in this
-//! module — [`SplitScan`] and [`best_split_scan`] — so every floating-point
+//! module — `SplitScan` and `best_split_scan` — so every floating-point
 //! operation that decides a split is defined exactly once and the two paths
 //! are bit-for-bit identical by construction (and pinned by
 //! `tests/differential_learn.rs`).

@@ -29,7 +29,7 @@
 //! (branch-and-bound's chosen entries, an explicit choice list), through
 //! [`OptAssignProblem::cost_breakdown_with`].
 //!
-//! One function prices a partition: [`Run::price`] writes the row's
+//! One function prices a partition: `Run::price` writes the row's
 //! tier-major block straight into the table's `cost` / `feasible` arrays
 //! and records its feasible minimum with its breakdown — no per-row
 //! temporaries, no copy. [`CostTable::build`] runs it over every row of a

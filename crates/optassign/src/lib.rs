@@ -24,11 +24,13 @@
 //!   dataset size, age, recent monthly reads/writes; labels: the
 //!   cost-optimal tier) together with the caching/recency baselines of
 //!   Table IV,
-//! * [`schedule`] — per-billing-period tier schedules: a dynamic program
-//!   that prices storage, accesses, transition costs and day-exact
-//!   early-deletion (residency) penalties per period and finds the
-//!   cost-optimal mid-horizon re-tiering plan, the objective the paper's
-//!   per-billing-period tier changes call for.
+//! * [`schedule`] — per-billing-period placement schedules: one dynamic
+//!   program over `(tier, scheme, tier-entry period)` states that prices
+//!   storage, accesses, decompression, moves, in-place recompressions and
+//!   day-exact early-deletion (residency) penalties per period and finds
+//!   the cost-optimal mid-horizon plan, the objective the paper's
+//!   per-billing-period tier changes call for; tier-only planning is its
+//!   one-scheme case.
 //!
 //! Every solver also searches **merged multi-provider tier spaces**: build
 //! the problem with [`OptAssignProblem::multi_provider`] (or pass a
@@ -50,12 +52,12 @@
 //! precomputed for the greedy choice and the branch-and-bound lower bound.
 //!
 //! **When to use which path:** the solvers and `ideal_tier_labels` are
-//! already table-driven — just call them. Use
-//! [`plan_tier_schedule_with_model`] / `*_with`-suffixed problem methods
-//! with a hoisted model when you price many placements yourself; the
-//! per-call convenience methods ([`OptAssignProblem::placement_cost`] et
-//! al.) clone the catalog per evaluation and are for one-off pricing. The
-//! pre-table model-driven solvers survive in [`reference`] as differential
+//! already table-driven — just call them. The schedule DP
+//! ([`plan_placement_schedule`]) and the `*_with`-suffixed problem methods
+//! take a hoisted model: use them when you price many placements yourself;
+//! the per-call convenience methods ([`OptAssignProblem::placement_cost`]
+//! et al.) clone the catalog per evaluation and are for one-off pricing. The
+//! pre-table model-driven solvers survive in [`reference`](mod@reference) as differential
 //! oracles and benchmark baselines — never as production paths.
 
 #![warn(missing_docs)]
@@ -84,8 +86,5 @@ pub use predictor::{
 pub use problem::{Assignment, CompressionOption, OptAssignProblem, PartitionSpec, NO_COMPRESSION};
 pub use schedule::{
     ideal_tier_schedules, ideal_tier_schedules_with_model, placement_schedule_cost,
-    placement_schedule_cost_with_model, plan_placement_schedule,
-    plan_placement_schedule_with_model, plan_tier_schedule, plan_tier_schedule_with_model,
-    schedule_cost, schedule_cost_with_model, PeriodAccess, PeriodUsage, PlacementPlan,
-    ScheduleOptions, TierSchedule,
+    plan_placement_schedule, PeriodUsage, PlacementPlan, ScheduleOptions,
 };

@@ -10,11 +10,11 @@
 //! with the Hungarian algorithm (Jonker-Volgenant style potentials).
 //!
 //! Two engines share that algorithm: the dense JV over the copy-expanded
-//! `n × m` matrix ([`hungarian`], kept as the reference semantics — on
+//! `n × m` matrix (`hungarian`, kept as the reference semantics — on
 //! copy-expanded matrices its zero-cost within-tier displacement cycles
 //! make every augmentation walk the matched prefix of its preferred tiers,
 //! `O(n²·m)` overall), and the **collapsed-copy emulation**
-//! ([`hungarian_collapsed`]) the production solver uses, which exploits the
+//! (`hungarian_collapsed`) the production solver uses, which exploits the
 //! fact that identical copy columns form two per-tier equivalence classes
 //! to run the same tree growth at `O(L)` per step — step-for-step
 //! equivalent, ties included.
@@ -191,7 +191,7 @@ pub(crate) fn equal_size_matching_collapsed(
 ///
 /// Edge weights come from a [`CostTable`] evaluated once per solve, and
 /// the Hungarian search runs on the **collapsed-copy emulation**
-/// ([`hungarian_collapsed`]) — `O(L)` per tree-growth step instead of
+/// (`hungarian_collapsed`) — `O(L)` per tree-growth step instead of
 /// `O(n·L)` over the copy-expanded matrix. The result is exactly the
 /// assignment of the pre-table solver preserved in
 /// [`crate::reference::solve_equal_size_matching_reference`], which the

@@ -24,7 +24,7 @@ use crate::problem::{Assignment, OptAssignProblem, NO_COMPRESSION};
 use scope_cloudsim::TierId;
 
 /// [`crate::solve_greedy`] evaluated through the model instead of a
-/// [`CostTable`]: per partition, scan every `(tier, scheme)` pair with
+/// [`CostTable`](crate::CostTable): per partition, scan every `(tier, scheme)` pair with
 /// [`OptAssignProblem::min_feasible_cost`] (a catalog clone per price).
 pub fn solve_greedy_reference(problem: &OptAssignProblem) -> Result<Assignment, OptAssignError> {
     problem.validate()?;

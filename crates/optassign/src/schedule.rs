@@ -1,53 +1,45 @@
-//! Per-billing-period tier schedules: the day-granular extension of the
-//! tier predictor's objective.
+//! Per-billing-period placement schedules: the day-granular extension of
+//! the OPTASSIGN objective.
 //!
-//! The paper recommends *per-billing-period* tier changes: instead of
-//! freezing one tier per object for the whole projection horizon, the
+//! The paper's OPTASSIGN picks a partition's tier *and* compression scheme
+//! together, and recommends *per-billing-period* tier changes: instead of
+//! freezing one placement per object for the whole projection horizon, the
 //! placement may move at period boundaries as data cools. This module
-//! prices a schedule exactly the way the day-granular billing engine bills
-//! it — per-period storage, read/write volume charges, tier-transition
-//! costs in the period they occur, and early-deletion penalties pro-rated
-//! by the **days** of unmet minimum residency — and finds the cost-optimal
-//! schedule by dynamic programming.
+//! prices a per-period `(tier, scheme)` plan exactly the way the
+//! day-granular billing engine bills it — per-period storage of the stored
+//! bytes, read/write volume charges, decompression compute per read, moves
+//! and in-place recompressions in the period they occur, and early-deletion
+//! penalties pro-rated by the **days** of unmet minimum residency — and
+//! finds the cost-optimal plan by dynamic programming
+//! ([`plan_placement_schedule`]);
+//! [`placement_schedule_cost`] prices an explicit plan.
 //!
-//! The DP state is `(tier, period the tier was entered)`: the entry period
-//! is what makes residency accounting exact, since the days served on a
-//! tier at the moment of a move determine the early-deletion penalty. With
-//! `L` tiers and `T` periods the state space is `O(L·T)` and the transition
-//! space `O(L²·T²)` — trivial for realistic horizons (`T ≤ 24`).
+//! The DP state is `(tier, scheme, period the tier was entered)`: the entry
+//! period is what makes residency accounting exact, since the days served
+//! on a tier at the moment of a move determine the early-deletion penalty.
+//! With `O` tier × scheme options and `T` periods the state space is
+//! `O(O·T)` and the transition space `O(O²·T²)` — trivial for realistic
+//! horizons (`T ≤ 24`).
 //!
-//! The DP also searches **merged multi-provider tier spaces**: via
-//! [`plan_tier_schedule_with_model`] with a provider-aware
-//! [`CostModel`] the transition costs include the inter-provider egress
-//! charge, so a schedule only crosses clouds when the destination ladder's
-//! savings repay the egress (and any unmet-residency penalty of the tier
-//! being left).
+//! Tier-only planning is the one-scheme case: [`ideal_tier_schedules`]
+//! runs the DP over `[CompressionOption::none()]`, whose plans lower onto
+//! uncompressed placements.
+//!
+//! The DP also searches **merged multi-provider tier spaces**: with a
+//! provider-aware [`CostModel`] every move also pays the inter-provider
+//! egress charge on the bytes leaving the source, so a plan only crosses
+//! clouds when the destination ladder's savings repay the egress (and any
+//! unmet-residency penalty of the tier being left).
 
 use crate::error::OptAssignError;
-use crate::problem::CompressionOption;
+use crate::problem::{improves_minimum, CompressionOption};
 use scope_cloudsim::billing::Placement;
 use scope_cloudsim::timeline::{PlacementSchedule, DAYS_PER_MONTH};
 use scope_cloudsim::{CostModel, TierCatalog, TierId};
 use scope_workload::{AccessSeries, DatasetCatalog};
 use serde::{Deserialize, Serialize};
 
-/// Projected access volumes of one object in one billing period.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct PeriodAccess {
-    /// GB expected to be read during the period.
-    pub read_gb: f64,
-    /// GB expected to be written during the period.
-    pub write_gb: f64,
-}
-
-impl PeriodAccess {
-    /// Convenience constructor.
-    pub fn new(read_gb: f64, write_gb: f64) -> Self {
-        PeriodAccess { read_gb, write_gb }
-    }
-}
-
-/// Options for [`plan_tier_schedule`].
+/// Options for [`plan_placement_schedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleOptions {
     /// Tier the object occupies before the horizon starts (`None` = newly
@@ -58,9 +50,9 @@ pub struct ScheduleOptions {
     pub residency_days: u32,
     /// Access-latency SLA: tiers whose TTFB exceeds this are never used.
     pub latency_threshold_seconds: f64,
-    /// Re-tiering granularity: transitions are only allowed at period
-    /// boundaries that are multiples of this (1 = every billing period,
-    /// `u32::MAX`-ish values degenerate to a frozen placement).
+    /// Re-tiering granularity: placement changes are only allowed at
+    /// period boundaries that are multiples of this (1 = every billing
+    /// period, `u32::MAX`-ish values degenerate to a frozen placement).
     pub retier_every: u32,
 }
 
@@ -75,312 +67,12 @@ impl Default for ScheduleOptions {
     }
 }
 
-/// A cost-optimal per-period tier schedule for one object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TierSchedule {
-    /// The tier occupied in each billing period of the horizon.
-    pub tiers: Vec<TierId>,
-    /// The projected cost (cents) of the schedule: storage + accesses +
-    /// transitions + residency penalties, exactly as the day-granular
-    /// billing engine would charge them for period-aligned moves.
-    pub planned_cost: f64,
-}
-
-impl TierSchedule {
-    /// Number of mid-horizon transitions (period boundaries where the tier
-    /// actually changes).
-    pub fn transition_count(&self) -> usize {
-        self.tiers.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
-    /// Lower the schedule onto the billing timeline: an uncompressed
-    /// [`PlacementSchedule`] whose transitions sit on period-boundary days.
-    pub fn to_placement_schedule(&self) -> PlacementSchedule {
-        let mut schedule = PlacementSchedule::constant(Placement::uncompressed(self.tiers[0]));
-        for (p, w) in self.tiers.windows(2).enumerate() {
-            if w[0] != w[1] {
-                schedule = schedule.with_transition(
-                    (p as u32 + 1) * DAYS_PER_MONTH,
-                    Placement::uncompressed(w[1]),
-                );
-            }
-        }
-        schedule
-    }
-}
-
-/// Cost (cents) of spending one period on `tier` with the given projected
-/// access volumes: a full period of storage plus read/write volume charges.
-fn period_cost(model: &CostModel, tier: TierId, size_gb: f64, access: &PeriodAccess) -> f64 {
-    model.storage_cost(tier, size_gb, 1.0)
-        + model.read_cost(tier, access.read_gb, 1.0)
-        + model.write_cost(tier, access.write_gb)
-}
-
-/// Early-deletion penalty (cents) for leaving `tier` after `days_served`
-/// days — delegates to the shared [`CostModel::early_deletion_penalty`]
-/// rule so the DP prices exactly what the billing engine charges.
-fn departure_penalty(
-    model: &CostModel,
-    tier: TierId,
-    size_gb: f64,
-    days_served: u32,
-) -> Result<f64, OptAssignError> {
-    model
-        .early_deletion_penalty(tier, size_gb, days_served)
-        .map_err(|e| OptAssignError::InvalidProblem(e.to_string()))
-}
-
-/// Find the cost-minimal per-period tier schedule for one object.
-///
-/// `periods[p]` is the projected access volume of billing period `p`; the
-/// returned schedule has one tier per period. Costs are priced exactly as
-/// the day-granular billing engine bills period-aligned schedules, so the
-/// planned cost of the optimum is what the simulator will report (up to
-/// float accumulation order) when the projection is exact.
-pub fn plan_tier_schedule(
-    catalog: &TierCatalog,
-    size_gb: f64,
-    periods: &[PeriodAccess],
-    options: &ScheduleOptions,
-) -> Result<TierSchedule, OptAssignError> {
-    plan_tier_schedule_with_model(
-        &CostModel::new(catalog.clone()),
-        size_gb,
-        periods,
-        options,
-        None,
-    )
-}
-
-/// [`plan_tier_schedule`] over an explicit [`CostModel`] — the entry point
-/// for multi-provider planning: with a provider-aware model (see
-/// [`CostModel::with_topology`]) the DP's transition costs include the
-/// inter-provider egress charge, so the optimum crosses providers only when
-/// the storage/read savings repay the egress.
-///
-/// `allowed_tiers` optionally restricts the search to a subset of the
-/// catalog (e.g. one provider's tiers inside a merged catalog); `None`
-/// searches the whole catalog. The latency threshold of `options` filters
-/// on top of this.
-pub fn plan_tier_schedule_with_model(
-    model: &CostModel,
-    size_gb: f64,
-    periods: &[PeriodAccess],
-    options: &ScheduleOptions,
-    allowed_tiers: Option<&[TierId]>,
-) -> Result<TierSchedule, OptAssignError> {
-    let catalog = model.catalog();
-    if periods.is_empty() {
-        return Err(OptAssignError::InvalidProblem(
-            "schedule horizon must cover at least one period".to_string(),
-        ));
-    }
-    if !(size_gb >= 0.0) || !size_gb.is_finite() {
-        return Err(OptAssignError::InvalidProblem(format!(
-            "invalid object size {size_gb}"
-        )));
-    }
-    let retier_every = options.retier_every.max(1);
-    let candidates: Vec<TierId> = match allowed_tiers {
-        Some(ids) => ids.to_vec(),
-        None => catalog.tier_ids(),
-    };
-    let mut usable: Vec<TierId> = Vec::with_capacity(candidates.len());
-    for id in candidates {
-        let tier = catalog
-            .tier(id)
-            .map_err(|e| OptAssignError::InvalidProblem(e.to_string()))?;
-        if tier.ttfb_seconds <= options.latency_threshold_seconds {
-            usable.push(id);
-        }
-    }
-    if usable.is_empty() {
-        return Err(OptAssignError::InvalidProblem(
-            "no tier satisfies the latency threshold".to_string(),
-        ));
-    }
-
-    let n = periods.len();
-    // DP over states (tier, period the tier was entered): cost[idx(t, e)]
-    // is the minimal cost of periods 0..=p with the object on tier t since
-    // the start of period e. The entry period makes residency accounting
-    // exact. parents[p][state] is the state occupied at period p - 1
-    // (usize::MAX marks the DP root at p = 0).
-    let n_tiers = usable.len();
-    let idx = |t: usize, e: usize| t * n + e;
-    let inf = f64::INFINITY;
-
-    // Cost tables hoisted out of the transition loops: the per-period stay
-    // cost of each usable tier and the usable×usable tier-change matrix are
-    // pure functions of (tier, period) / (from, to), so evaluating them
-    // once (instead of once per DP transition — O(L²·T²) model calls)
-    // changes nothing but the wall clock; the values are the exact f64s the
-    // inner loops computed before.
-    let mut stay_cost = Vec::with_capacity(n_tiers * n);
-    for &tier in &usable {
-        for access in periods {
-            stay_cost.push(period_cost(model, tier, size_gb, access));
-        }
-    }
-    let mut change_cost = Vec::with_capacity(n_tiers * n_tiers);
-    for &from in &usable {
-        for &to in &usable {
-            change_cost.push(model.tier_change_cost(Some(from), to, size_gb));
-        }
-    }
-
-    let mut cost = vec![inf; n_tiers * n];
-    let mut parents: Vec<Vec<usize>> = Vec::with_capacity(n);
-
-    // Seed: at the start of period 0 the object moves from `current_tier`
-    // (possibly nowhere) onto its first tier, paying the transition and any
-    // unmet-residency penalty of the pre-horizon tier.
-    for (ti, &tier) in usable.iter().enumerate() {
-        let mut c = model.tier_change_cost(options.current_tier, tier, size_gb);
-        if let Some(from) = options.current_tier {
-            if from != tier {
-                c += departure_penalty(model, from, size_gb, options.residency_days)?;
-            }
-        }
-        c += stay_cost[ti * n];
-        cost[idx(ti, 0)] = c;
-    }
-    parents.push(vec![usize::MAX; n_tiers * n]);
-
-    for p in 1..n {
-        let mut next = vec![inf; n_tiers * n];
-        let mut parent = vec![usize::MAX; n_tiers * n];
-        let may_move = (p as u32) % retier_every == 0;
-        for (ti, &tier) in usable.iter().enumerate() {
-            for e in 0..p {
-                let s = idx(ti, e);
-                if cost[s] == inf {
-                    continue;
-                }
-                // Stay on the same tier: the entry period is unchanged.
-                let stay = cost[s] + stay_cost[ti * n + p];
-                if stay < next[s] {
-                    next[s] = stay;
-                    parent[s] = s;
-                }
-                // Move to another tier at this boundary.
-                if !may_move {
-                    continue;
-                }
-                // Days served on `tier` at the start of period p; the
-                // pre-horizon residency counts if the object entered the
-                // horizon on this tier without an initial move.
-                let mut days_served = (p - e) as u32 * DAYS_PER_MONTH;
-                if e == 0 && options.current_tier == Some(tier) {
-                    days_served += options.residency_days;
-                }
-                let penalty = departure_penalty(model, tier, size_gb, days_served)?;
-                for ui in 0..n_tiers {
-                    if ui == ti {
-                        continue;
-                    }
-                    let c =
-                        cost[s] + change_cost[ti * n_tiers + ui] + penalty + stay_cost[ui * n + p];
-                    let d = idx(ui, p);
-                    if c < next[d] {
-                        next[d] = c;
-                        parent[d] = s;
-                    }
-                }
-            }
-        }
-        cost = next;
-        parents.push(parent);
-    }
-
-    // Best final state and schedule reconstruction.
-    let Some((mut best_state, best_cost)) = cost
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, &c)| (i, c))
-    else {
-        return Err(OptAssignError::InvalidProblem(
-            "empty tier-schedule state space".to_string(),
-        ));
-    };
-    if !best_cost.is_finite() {
-        return Err(OptAssignError::InvalidProblem(
-            "no feasible tier schedule".to_string(),
-        ));
-    }
-    let mut tiers = vec![usable[0]; n];
-    for p in (0..n).rev() {
-        tiers[p] = usable[best_state / n];
-        best_state = parents[p][best_state];
-    }
-    debug_assert_eq!(best_state, usize::MAX, "walked past the DP root");
-    Ok(TierSchedule {
-        tiers,
-        planned_cost: best_cost,
-    })
-}
-
-/// Price an *explicit* per-period tier sequence with the same cost model
-/// the DP optimizes (useful for comparing a frozen placement against the
-/// optimal schedule).
-pub fn schedule_cost(
-    catalog: &TierCatalog,
-    size_gb: f64,
-    periods: &[PeriodAccess],
-    tiers: &[TierId],
-    options: &ScheduleOptions,
-) -> Result<f64, OptAssignError> {
-    schedule_cost_with_model(
-        &CostModel::new(catalog.clone()),
-        size_gb,
-        periods,
-        tiers,
-        options,
-    )
-}
-
-/// [`schedule_cost`] over an explicit [`CostModel`] — prices egress-aware
-/// transitions when the model carries a provider topology.
-pub fn schedule_cost_with_model(
-    model: &CostModel,
-    size_gb: f64,
-    periods: &[PeriodAccess],
-    tiers: &[TierId],
-    options: &ScheduleOptions,
-) -> Result<f64, OptAssignError> {
-    if tiers.len() != periods.len() || periods.is_empty() {
-        return Err(OptAssignError::InvalidProblem(format!(
-            "schedule length {} does not match horizon {}",
-            tiers.len(),
-            periods.len()
-        )));
-    }
-    let mut prev = options.current_tier;
-    let mut days_served = options.residency_days;
-    let mut total = 0.0;
-    for (&tier, access) in tiers.iter().zip(periods) {
-        if prev != Some(tier) {
-            total += model.tier_change_cost(prev, tier, size_gb);
-            if let Some(from) = prev {
-                total += departure_penalty(model, from, size_gb, days_served)?;
-            }
-            days_served = 0;
-        }
-        total += period_cost(model, tier, size_gb, access);
-        days_served += DAYS_PER_MONTH;
-        prev = Some(tier);
-    }
-    Ok(total)
-}
-
 /// Projected access volumes and read-event count of one object in one
-/// billing period — the input row of the compression-aware planner.
+/// billing period — the input row of the planner.
 ///
-/// Unlike [`PeriodAccess`], this also carries the number of read *events*:
-/// the billing engine charges decompression compute per access, not per
-/// GB, so a scheme-aware plan needs both.
+/// The billing engine charges decompression compute per access, not per
+/// GB, so a scheme-aware plan needs the read *events* as well as the
+/// volumes.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PeriodUsage {
     /// GB expected to be read during the period.
@@ -403,8 +95,7 @@ impl PeriodUsage {
     }
 }
 
-/// A cost-optimal per-period `(tier, scheme)` schedule for one object: the
-/// compression-aware counterpart of [`TierSchedule`].
+/// A cost-optimal per-period `(tier, scheme)` schedule for one object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementPlan {
     /// Per billing period: the tier occupied and the index into the
@@ -422,17 +113,9 @@ impl PlacementPlan {
         self.placements.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
-    /// Number of mid-horizon scheme changes that stay on the same tier —
-    /// the in-place recompressions the tier-only DP could not price.
-    pub fn recompression_count(&self) -> usize {
-        self.placements
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
-            .count()
-    }
-
     /// Lower the plan onto the billing timeline, resolving scheme indices
-    /// against the same `schemes` list the planner searched over.
+    /// against the same `schemes` list the planner searched over; the
+    /// transitions sit on period-boundary days.
     pub fn to_placement_schedule(&self, schemes: &[CompressionOption]) -> PlacementSchedule {
         let placement = |(tier, k): (TierId, usize)| Placement {
             tier,
@@ -448,6 +131,20 @@ impl PlacementPlan {
         }
         schedule
     }
+}
+
+/// Early-deletion penalty (cents) for leaving `tier` after `days_served`
+/// days — delegates to the shared [`CostModel::early_deletion_penalty`]
+/// rule so the DP prices exactly what the billing engine charges.
+fn departure_penalty(
+    model: &CostModel,
+    tier: TierId,
+    size_gb: f64,
+    days_served: u32,
+) -> Result<f64, OptAssignError> {
+    model
+        .early_deletion_penalty(tier, size_gb, days_served)
+        .map_err(|e| OptAssignError::InvalidProblem(e.to_string()))
 }
 
 fn validate_schemes(schemes: &[CompressionOption]) -> Result<(), OptAssignError> {
@@ -492,29 +189,15 @@ fn period_usage_cost(
 }
 
 /// Find the cost-minimal per-period `(tier, scheme)` placement plan for
-/// one object — [`plan_tier_schedule`] extended with compression in the DP
-/// state, closing the standing caveat that the tier-only DP could not
-/// price the recompression rewrites the billing engine charges.
-pub fn plan_placement_schedule(
-    catalog: &TierCatalog,
-    size_gb: f64,
-    schemes: &[CompressionOption],
-    periods: &[PeriodUsage],
-    options: &ScheduleOptions,
-) -> Result<PlacementPlan, OptAssignError> {
-    plan_placement_schedule_with_model(
-        &CostModel::new(catalog.clone()),
-        size_gb,
-        schemes,
-        periods,
-        options,
-        None,
-    )
-}
-
-/// [`plan_placement_schedule`] over an explicit [`CostModel`] and optional
-/// tier restriction — the multi-provider entry point, mirroring
-/// [`plan_tier_schedule_with_model`].
+/// one object.
+///
+/// `periods[p]` is the projected usage of billing period `p`; the returned
+/// plan has one placement per period. `allowed_tiers` optionally restricts
+/// the search to a subset of the catalog (e.g. one provider's tiers inside
+/// a merged catalog); `None` searches the whole catalog. The latency
+/// threshold of `options` filters on top of this. With a provider-aware
+/// model (see [`CostModel::with_topology`]) every move also pays egress,
+/// so the optimum crosses providers only when the savings repay it.
 ///
 /// The DP state is `(tier, scheme, period the tier was entered)`: a scheme
 /// change that stays on the tier keeps the entry period (billing accrues
@@ -526,7 +209,7 @@ pub fn plan_placement_schedule(
 /// the same read+write rewrite with no egress and no penalty; the day-0
 /// segment on the object's current tier charges nothing (the pre-horizon
 /// compression state is unknown).
-pub fn plan_placement_schedule_with_model(
+pub fn plan_placement_schedule(
     model: &CostModel,
     size_gb: f64,
     schemes: &[CompressionOption],
@@ -560,12 +243,8 @@ pub fn plan_placement_schedule_with_model(
         }
     }
     let retier_every = options.retier_every.max(1);
-    let candidates: Vec<TierId> = match allowed_tiers {
-        Some(ids) => ids.to_vec(),
-        None => catalog.tier_ids(),
-    };
-    let mut usable: Vec<TierId> = Vec::with_capacity(candidates.len());
-    for id in candidates {
+    let mut usable: Vec<TierId> = Vec::new();
+    for id in allowed_tiers.map_or_else(|| catalog.tier_ids(), <[TierId]>::to_vec) {
         let tier = catalog
             .tier(id)
             .map_err(|e| OptAssignError::InvalidProblem(e.to_string()))?;
@@ -579,9 +258,12 @@ pub fn plan_placement_schedule_with_model(
         ));
     }
 
-    // The DP's choice space is the cross product tier × scheme; the entry
-    // period in the state tracks the *tier* only, since that is what
-    // residency accounting keys on.
+    // The DP's choice space is the cross product tier × scheme, tier-major;
+    // the entry period in the state tracks the *tier* only, since that is
+    // what residency accounting keys on. cost[idx(o, e)] is the minimal
+    // cost of periods 0..=p on option o with its tier entered at the start
+    // of period e; parents[p][state] is the state occupied at period p - 1
+    // (usize::MAX marks the DP root at p = 0).
     let opts_list: Vec<(TierId, usize)> = usable
         .iter()
         .flat_map(|&t| (0..schemes.len()).map(move |k| (t, k)))
@@ -599,32 +281,23 @@ pub fn plan_placement_schedule_with_model(
     // placement-change matrix (the penalty term stays in the loop — it
     // depends on days served, which is state).
     let mut stay_cost = Vec::with_capacity(n_opts * n);
-    for (o, &(tier, k)) in opts_list.iter().enumerate() {
-        for usage in periods {
-            stay_cost.push(period_usage_cost(
-                model,
-                tier,
-                stored[o],
-                &schemes[k],
-                usage,
-            ));
-        }
+    for (&(tier, k), &gb) in opts_list.iter().zip(&stored) {
+        let price = |u| period_usage_cost(model, tier, gb, &schemes[k], u);
+        stay_cost.extend(periods.iter().map(price));
     }
     let mut change_cost = Vec::with_capacity(n_opts * n_opts);
     for (oi, &(ti, _)) in opts_list.iter().enumerate() {
         for (oj, &(tj, _)) in opts_list.iter().enumerate() {
-            change_cost.push(if ti != tj {
-                // Mid-horizon move: read + egress cover the bytes resident
-                // under the old scheme, the write lands the new stored
-                // size — exactly the billing ledger's move branch.
+            // A move reads (and egresses) the bytes resident under the old
+            // scheme and writes the new stored size — exactly the billing
+            // ledger's move branch; an in-place recompression is the same
+            // rewrite with zero egress; same tier and size is no change.
+            change_cost.push(if ti == tj && stored[oi] == stored[oj] {
+                0.0
+            } else {
                 model.read_cost(ti, stored[oi], 1.0)
                     + model.write_cost(tj, stored[oj])
                     + model.egress_cost(Some(ti), tj, stored[oi])
-            } else if stored[oi] != stored[oj] {
-                // In-place recompression: a physical rewrite, no egress.
-                model.read_cost(ti, stored[oi], 1.0) + model.write_cost(tj, stored[oj])
-            } else {
-                0.0
             });
         }
     }
@@ -669,6 +342,9 @@ pub fn plan_placement_schedule_with_model(
                 if !may_move {
                     continue;
                 }
+                // Days served on `ti` at the start of period p; the
+                // pre-horizon residency counts if the object entered the
+                // horizon on this tier without an initial move.
                 let mut days_served = (p - e) as u32 * DAYS_PER_MONTH;
                 if e == 0 && options.current_tier == Some(ti) {
                     days_served += options.residency_days;
@@ -678,13 +354,17 @@ pub fn plan_placement_schedule_with_model(
                     if oj == oi {
                         continue;
                     }
+                    // The penalty goes in before the destination's stay
+                    // cost: with one scheme every sum is then the tier-only
+                    // arithmetic `tests/differential_costtable.rs` pins bit
+                    // for bit. A recompression that stays put keeps the
+                    // tier's entry period: residency accrues.
                     let tier_change = tj != ti;
-                    let mut c = cost[s] + change_cost[oi * n_opts + oj] + stay_cost[oj * n + p];
+                    let mut c = cost[s] + change_cost[oi * n_opts + oj];
                     if tier_change {
                         c += penalty;
                     }
-                    // A recompression that stays put keeps the tier's
-                    // entry period: residency keeps accruing.
+                    c += stay_cost[oj * n + p];
                     let d = idx(oj, if tier_change { p } else { e });
                     if c < next[d] {
                         next[d] = c;
@@ -697,56 +377,35 @@ pub fn plan_placement_schedule_with_model(
         parents.push(parent);
     }
 
-    let Some((mut best_state, best_cost)) = cost
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, &c)| (i, c))
-    else {
-        return Err(OptAssignError::InvalidProblem(
-            "empty placement-plan state space".to_string(),
-        ));
-    };
-    if !best_cost.is_finite() {
+    // The first strictly cheapest final state; a NaN-priced state (a tier
+    // with NaN rates) never wins over a finite one.
+    let mut best: Option<(usize, f64)> = None;
+    for (state, &c) in cost.iter().enumerate() {
+        if improves_minimum(c, best.map(|(_, b)| b)) {
+            best = Some((state, c));
+        }
+    }
+    let Some((mut state, planned_cost)) = best.filter(|&(_, c)| c.is_finite()) else {
         return Err(OptAssignError::InvalidProblem(
             "no feasible placement plan".to_string(),
         ));
-    }
+    };
     let mut placements = vec![opts_list[0]; n];
     for p in (0..n).rev() {
-        placements[p] = opts_list[best_state / n];
-        best_state = parents[p][best_state];
+        placements[p] = opts_list[state / n];
+        state = parents[p][state];
     }
-    debug_assert_eq!(best_state, usize::MAX, "walked past the DP root");
+    debug_assert_eq!(state, usize::MAX, "walked past the DP root");
     Ok(PlacementPlan {
         placements,
-        planned_cost: best_cost,
+        planned_cost,
     })
 }
 
 /// Price an *explicit* per-period `(tier, scheme)` placement sequence with
-/// the same branch-for-branch billing arithmetic the compression-aware DP
-/// optimizes.
+/// the same branch-for-branch billing arithmetic the DP optimizes (useful
+/// for comparing a frozen placement against the optimal plan).
 pub fn placement_schedule_cost(
-    catalog: &TierCatalog,
-    size_gb: f64,
-    schemes: &[CompressionOption],
-    periods: &[PeriodUsage],
-    placements: &[(TierId, usize)],
-    options: &ScheduleOptions,
-) -> Result<f64, OptAssignError> {
-    placement_schedule_cost_with_model(
-        &CostModel::new(catalog.clone()),
-        size_gb,
-        schemes,
-        periods,
-        placements,
-        options,
-    )
-}
-
-/// [`placement_schedule_cost`] over an explicit [`CostModel`].
-pub fn placement_schedule_cost_with_model(
     model: &CostModel,
     size_gb: f64,
     schemes: &[CompressionOption],
@@ -801,6 +460,8 @@ pub fn placement_schedule_cost_with_model(
 /// series — the per-billing-period counterpart of
 /// [`ideal_tier_labels`](crate::predictor::ideal_tier_labels).
 ///
+/// The plans search the one uncompressed scheme, so every scheme index is
+/// 0; lower them with `to_placement_schedule(&[CompressionOption::none()])`.
 /// `write_volume_fraction` is the fraction of a dataset's size written per
 /// write access (writes are appends/updates, not full rewrites);
 /// `retier_every` is the re-tiering granularity in periods (1 = every
@@ -815,7 +476,7 @@ pub fn ideal_tier_schedules(
     current_tier: TierId,
     write_volume_fraction: f64,
     retier_every: u32,
-) -> Result<Vec<TierSchedule>, OptAssignError> {
+) -> Result<Vec<PlacementPlan>, OptAssignError> {
     ideal_tier_schedules_with_model(
         &CostModel::new(catalog.clone()),
         None,
@@ -851,15 +512,17 @@ pub fn ideal_tier_schedules_with_model(
     current_tier: TierId,
     write_volume_fraction: f64,
     retier_every: u32,
-) -> Result<Vec<TierSchedule>, OptAssignError> {
+) -> Result<Vec<PlacementPlan>, OptAssignError> {
     let datasets: Vec<_> = datasets.iter().collect();
+    let schemes = [CompressionOption::none()];
     let plans = scope_cloudsim::parallel::parallel_map(&datasets, |_, d| {
-        let periods: Vec<PeriodAccess> = (from_month..from_month + horizon_months)
+        let periods: Vec<PeriodUsage> = (from_month..from_month + horizon_months)
             .map(|m| {
                 let acc = series.get(d.id, m);
-                PeriodAccess {
+                PeriodUsage {
                     read_gb: acc.reads * acc.read_fraction * d.size_gb,
                     write_gb: acc.writes * write_volume_fraction * d.size_gb,
+                    read_events: acc.reads,
                 }
             })
             .collect();
@@ -869,7 +532,14 @@ pub fn ideal_tier_schedules_with_model(
             retier_every,
             ..Default::default()
         };
-        plan_tier_schedule_with_model(model, d.size_gb, &periods, &options, allowed_tiers)
+        plan_placement_schedule(
+            model,
+            d.size_gb,
+            &schemes,
+            &periods,
+            &options,
+            allowed_tiers,
+        )
     });
     // Index-order collection: the first error surfaced is the one the
     // sequential loop would have hit first.
@@ -901,20 +571,56 @@ mod tests {
         }
     }
 
+    /// Tier-only usage: read and write volumes, no read events.
+    fn usage(read_gb: f64, write_gb: f64) -> PeriodUsage {
+        PeriodUsage::new(read_gb, write_gb, 0.0)
+    }
+
+    /// The tier-only plan: the one DP over the single uncompressed scheme.
+    fn plan_tiers(
+        catalog: &TierCatalog,
+        size_gb: f64,
+        periods: &[PeriodUsage],
+        options: &ScheduleOptions,
+    ) -> Result<PlacementPlan, OptAssignError> {
+        let model = CostModel::new(catalog.clone());
+        let none = [CompressionOption::none()];
+        plan_placement_schedule(&model, size_gb, &none, periods, options, None)
+    }
+
+    /// The tiers of a plan, one per period.
+    fn tiers(plan: &PlacementPlan) -> Vec<TierId> {
+        plan.placements.iter().map(|&(t, _)| t).collect()
+    }
+
+    /// The price of an uncompressed tier sequence.
+    fn price_tiers(size_gb: f64, periods: &[PeriodUsage], tiers: &[TierId]) -> f64 {
+        let placements: Vec<(TierId, usize)> = tiers.iter().map(|&t| (t, 0)).collect();
+        placement_schedule_cost(
+            &CostModel::new(catalog()),
+            size_gb,
+            &[CompressionOption::none()],
+            periods,
+            &placements,
+            &on_hot(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn cold_object_moves_off_hot_immediately() {
-        let periods = vec![PeriodAccess::default(); 6];
-        let s = plan_tier_schedule(&catalog(), 1000.0, &periods, &on_hot()).unwrap();
-        assert_eq!(s.tiers.len(), 6);
-        assert!(s.tiers.iter().all(|&t| t == archive()));
+        let periods = vec![PeriodUsage::default(); 6];
+        let s = plan_tiers(&catalog(), 1000.0, &periods, &on_hot()).unwrap();
+        assert_eq!(s.placements.len(), 6);
+        assert!(tiers(&s).iter().all(|&t| t == archive()));
         assert!(s.planned_cost > 0.0);
     }
 
     #[test]
     fn hot_object_stays_hot() {
-        let periods = vec![PeriodAccess::new(50_000.0, 0.0); 4];
-        let s = plan_tier_schedule(&catalog(), 100.0, &periods, &on_hot()).unwrap();
-        assert!(s.tiers.iter().all(|&t| t == hot()));
+        let periods = vec![usage(50_000.0, 0.0); 4];
+        let s = plan_tiers(&catalog(), 100.0, &periods, &on_hot()).unwrap();
+        assert!(tiers(&s).iter().all(|&t| t == hot()));
         assert_eq!(s.transition_count(), 0);
     }
 
@@ -923,22 +629,16 @@ mod tests {
         // Heavy reads in the first periods, silence afterwards: the optimal
         // schedule starts Hot and moves to a colder tier once the reads
         // stop — the lifecycle the frozen placement cannot express.
-        let mut periods = vec![PeriodAccess::new(20_000.0, 0.0); 2];
-        periods.extend(vec![PeriodAccess::default(); 8]);
-        let s = plan_tier_schedule(&catalog(), 100.0, &periods, &on_hot()).unwrap();
-        assert_eq!(s.tiers[0], hot());
-        assert!(s.transition_count() >= 1, "schedule: {:?}", s.tiers);
-        assert_ne!(*s.tiers.last().unwrap(), hot());
+        let mut periods = vec![usage(20_000.0, 0.0); 2];
+        periods.extend(vec![PeriodUsage::default(); 8]);
+        let s = plan_tiers(&catalog(), 100.0, &periods, &on_hot()).unwrap();
+        let plan = tiers(&s);
+        assert_eq!(plan[0], hot());
+        assert!(s.transition_count() >= 1, "schedule: {plan:?}");
+        assert_ne!(*plan.last().unwrap(), hot());
         // And the schedule strictly beats every frozen placement.
         for tier in catalog().tier_ids() {
-            let frozen = schedule_cost(
-                &catalog(),
-                100.0,
-                &periods,
-                &vec![tier; periods.len()],
-                &on_hot(),
-            )
-            .unwrap();
+            let frozen = price_tiers(100.0, &periods, &vec![tier; periods.len()]);
             assert!(
                 s.planned_cost < frozen - 1e-6,
                 "schedule {} vs frozen {:?} {}",
@@ -954,14 +654,14 @@ mod tests {
         // One quiet period on Cool: moving to Archive would pay Cool's
         // unmet 30-day residency plus the change cost for no storage gain
         // worth it at this horizon, so the DP stays put.
-        let periods = vec![PeriodAccess::default()];
+        let periods = vec![PeriodUsage::default()];
         let opts = ScheduleOptions {
             current_tier: Some(cool()),
             residency_days: 0,
             ..Default::default()
         };
-        let s = plan_tier_schedule(&catalog(), 100.0, &periods, &opts).unwrap();
-        assert_eq!(s.tiers, vec![cool()]);
+        let s = plan_tiers(&catalog(), 100.0, &periods, &opts).unwrap();
+        assert_eq!(tiers(&s), vec![cool()]);
         // With the residency window already met pre-horizon, the same
         // object is free to leave and the archive wins.
         let opts_met = ScheduleOptions {
@@ -969,8 +669,8 @@ mod tests {
             residency_days: 30,
             ..Default::default()
         };
-        let s2 = plan_tier_schedule(&catalog(), 100.0, &periods, &opts_met).unwrap();
-        assert_eq!(s2.tiers, vec![archive()]);
+        let s2 = plan_tiers(&catalog(), 100.0, &periods, &opts_met).unwrap();
+        assert_eq!(tiers(&s2), vec![archive()]);
         assert!(s2.planned_cost < s.planned_cost);
     }
 
@@ -978,13 +678,13 @@ mod tests {
     fn dp_matches_schedule_cost_pricing() {
         // The DP's planned cost must equal re-pricing its own schedule.
         let periods = vec![
-            PeriodAccess::new(5000.0, 10.0),
-            PeriodAccess::new(100.0, 0.0),
-            PeriodAccess::default(),
-            PeriodAccess::default(),
+            usage(5000.0, 10.0),
+            usage(100.0, 0.0),
+            PeriodUsage::default(),
+            PeriodUsage::default(),
         ];
-        let s = plan_tier_schedule(&catalog(), 250.0, &periods, &on_hot()).unwrap();
-        let repriced = schedule_cost(&catalog(), 250.0, &periods, &s.tiers, &on_hot()).unwrap();
+        let s = plan_tiers(&catalog(), 250.0, &periods, &on_hot()).unwrap();
+        let repriced = price_tiers(250.0, &periods, &tiers(&s));
         assert!(
             (s.planned_cost - repriced).abs() < 1e-9 * (1.0 + repriced),
             "dp {} vs repriced {}",
@@ -996,13 +696,12 @@ mod tests {
     #[test]
     fn dp_beats_or_matches_every_frozen_placement() {
         for seed_reads in [0.0, 50.0, 5_000.0] {
-            let periods: Vec<PeriodAccess> = (0..6)
-                .map(|p| PeriodAccess::new(seed_reads / (1 + p) as f64, 0.0))
+            let periods: Vec<PeriodUsage> = (0..6)
+                .map(|p| usage(seed_reads / (1 + p) as f64, 0.0))
                 .collect();
-            let s = plan_tier_schedule(&catalog(), 42.0, &periods, &on_hot()).unwrap();
+            let s = plan_tiers(&catalog(), 42.0, &periods, &on_hot()).unwrap();
             for tier in catalog().tier_ids() {
-                let frozen =
-                    schedule_cost(&catalog(), 42.0, &periods, &[tier; 6], &on_hot()).unwrap();
+                let frozen = price_tiers(42.0, &periods, &[tier; 6]);
                 assert!(
                     s.planned_cost <= frozen + 1e-9,
                     "reads {seed_reads}: dp {} vs frozen {:?} {}",
@@ -1016,29 +715,28 @@ mod tests {
 
     #[test]
     fn latency_threshold_excludes_slow_tiers() {
-        let periods = vec![PeriodAccess::default(); 3];
+        let periods = vec![PeriodUsage::default(); 3];
         let opts = ScheduleOptions {
             current_tier: Some(hot()),
             latency_threshold_seconds: 1.0, // excludes Archive's 3600 s TTFB
             ..Default::default()
         };
-        let s = plan_tier_schedule(&catalog(), 1000.0, &periods, &opts).unwrap();
-        assert!(s.tiers.iter().all(|&t| t != archive()));
-        assert!(s.tiers.iter().all(|&t| t == cool()), "{:?}", s.tiers);
+        let s = plan_tiers(&catalog(), 1000.0, &periods, &opts).unwrap();
+        assert!(tiers(&s).iter().all(|&t| t == cool()), "{:?}", s.placements);
     }
 
     #[test]
     fn retier_every_limits_transition_boundaries() {
         // Strong cooling every period, but transitions only allowed every
         // 3 periods: tier changes must sit on multiples of 3.
-        let mut periods = vec![PeriodAccess::new(30_000.0, 0.0); 1];
-        periods.extend(vec![PeriodAccess::default(); 8]);
+        let mut periods = vec![usage(30_000.0, 0.0); 1];
+        periods.extend(vec![PeriodUsage::default(); 8]);
         let opts = ScheduleOptions {
             retier_every: 3,
             ..on_hot()
         };
-        let s = plan_tier_schedule(&catalog(), 100.0, &periods, &opts).unwrap();
-        for (p, w) in s.tiers.windows(2).enumerate() {
+        let s = plan_tiers(&catalog(), 100.0, &periods, &opts).unwrap();
+        for (p, w) in s.placements.windows(2).enumerate() {
             if w[0] != w[1] {
                 assert_eq!(
                     (p as u32 + 1) % 3,
@@ -1049,20 +747,25 @@ mod tests {
             }
         }
         // The unconstrained schedule is at least as cheap.
-        let free = plan_tier_schedule(&catalog(), 100.0, &periods, &on_hot()).unwrap();
+        let free = plan_tiers(&catalog(), 100.0, &periods, &on_hot()).unwrap();
         assert!(free.planned_cost <= s.planned_cost + 1e-9);
     }
 
     #[test]
     fn placement_schedule_lowering_sits_on_period_boundaries() {
-        let mut periods = vec![PeriodAccess::new(20_000.0, 0.0); 2];
-        periods.extend(vec![PeriodAccess::default(); 4]);
-        let s = plan_tier_schedule(&catalog(), 100.0, &periods, &on_hot()).unwrap();
-        let placement = s.to_placement_schedule();
-        assert_eq!(placement.initial().tier, s.tiers[0]);
+        let mut periods = vec![usage(20_000.0, 0.0); 2];
+        periods.extend(vec![PeriodUsage::default(); 4]);
+        let s = plan_tiers(&catalog(), 100.0, &periods, &on_hot()).unwrap();
+        let plan = tiers(&s);
+        // The one-scheme lowering is exactly the uncompressed placements.
+        let placement = s.to_placement_schedule(&[CompressionOption::none()]);
+        assert_eq!(*placement.initial(), Placement::uncompressed(plan[0]));
         for &(day, p) in placement.transitions() {
             assert_eq!(day % DAYS_PER_MONTH, 0);
-            assert_eq!(p.tier, s.tiers[(day / DAYS_PER_MONTH) as usize]);
+            assert_eq!(
+                p,
+                Placement::uncompressed(plan[(day / DAYS_PER_MONTH) as usize])
+            );
         }
         assert_eq!(placement.transitions().len(), s.transition_count());
     }
@@ -1075,35 +778,35 @@ mod tests {
         let azure_hot = providers.merged_tier_id("azure", "Hot").unwrap();
         let azure = providers.provider_id("azure").unwrap();
         let azure_tiers = providers.provider_tier_ids(azure).unwrap();
+        let none = [CompressionOption::none()];
         // One busy period, then quiet; a 60 s latency SLA rules out the
         // azure and s3 archives, so azure's best cold tier is Cool
         // (1.52 c/GB/mo) while s3/gcs offer 0.4 c/GB/mo.
-        let mut periods = vec![PeriodAccess::new(5_000.0, 0.0)];
-        periods.extend(vec![PeriodAccess::default(); 5]);
+        let mut periods = vec![usage(5_000.0, 0.0)];
+        periods.extend(vec![PeriodUsage::default(); 5]);
         let opts = ScheduleOptions {
             current_tier: Some(azure_hot),
             latency_threshold_seconds: 60.0,
             ..Default::default()
         };
-        let cross = plan_tier_schedule_with_model(&model, 100.0, &periods, &opts, None).unwrap();
-        let home_only =
-            plan_tier_schedule_with_model(&model, 100.0, &periods, &opts, Some(&azure_tiers))
-                .unwrap();
+        let plan = |model: &CostModel, allowed: Option<&[TierId]>| {
+            plan_placement_schedule(model, 100.0, &none, &periods, &opts, allowed).unwrap()
+        };
+        let cross = plan(&model, None);
+        let home_only = plan(&model, Some(&azure_tiers));
         // At ~2 c/GB interconnect egress the 1.12 c/GB/mo saving over the
         // remaining periods repays the move: the plan leaves azure…
         let topo = providers.topology();
         assert!(
-            cross
-                .tiers
+            tiers(&cross)
                 .iter()
                 .any(|&t| topo.provider_of(t) != Some(azure)),
             "cross plan stayed home: {:?}",
-            cross.tiers
+            cross.placements
         );
         assert!(cross.planned_cost < home_only.planned_cost - 1e-6);
         // …and the restricted plan never does.
-        assert!(home_only
-            .tiers
+        assert!(tiers(&home_only)
             .iter()
             .all(|&t| topo.provider_of(t) == Some(azure)));
 
@@ -1111,9 +814,8 @@ mod tests {
         // unrestricted optimum coincides with the azure-only plan.
         let expensive = providers.clone().with_egress_scale(10.0).unwrap();
         let model_x = CostModel::with_topology(expensive.merged_catalog(), expensive.topology());
-        let stay = plan_tier_schedule_with_model(&model_x, 100.0, &periods, &opts, None).unwrap();
-        assert!(stay
-            .tiers
+        let stay = plan(&model_x, None);
+        assert!(tiers(&stay)
             .iter()
             .all(|&t| topo.provider_of(t) == Some(azure)));
         assert!((stay.planned_cost - home_only.planned_cost).abs() < 1e-9);
@@ -1121,36 +823,56 @@ mod tests {
 
     #[test]
     fn allowed_tiers_restriction_validates_ids() {
-        let periods = vec![PeriodAccess::default(); 2];
+        let periods = vec![PeriodUsage::default(); 2];
         let model = CostModel::new(catalog());
-        let bad = [TierId(99)];
-        assert!(
-            plan_tier_schedule_with_model(&model, 1.0, &periods, &on_hot(), Some(&bad)).is_err()
-        );
+        let none = [CompressionOption::none()];
+        let plan = |allowed: &[TierId]| {
+            plan_placement_schedule(&model, 1.0, &none, &periods, &on_hot(), Some(allowed))
+        };
+        assert!(plan(&[TierId(99)]).is_err());
         // Restricting to a single tier forces a frozen schedule on it.
-        let only_cool = [cool()];
-        let s = plan_tier_schedule_with_model(&model, 1.0, &periods, &on_hot(), Some(&only_cool))
-            .unwrap();
-        assert!(s.tiers.iter().all(|&t| t == cool()));
+        let s = plan(&[cool()]).unwrap();
+        assert!(tiers(&s).iter().all(|&t| t == cool()));
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(plan_tier_schedule(&catalog(), 1.0, &[], &on_hot()).is_err());
-        assert!(
-            plan_tier_schedule(&catalog(), f64::NAN, &[PeriodAccess::default()], &on_hot())
-                .is_err()
-        );
+        let invalid = |r: Result<PlacementPlan, OptAssignError>| {
+            matches!(r, Err(OptAssignError::InvalidProblem(_)))
+        };
+        let quiet = [PeriodUsage::default()];
+        assert!(invalid(plan_tiers(&catalog(), 1.0, &[], &on_hot())));
+        assert!(invalid(plan_tiers(&catalog(), f64::NAN, &quiet, &on_hot())));
+        // A negative or NaN volume is rejected at entry, not priced as a
+        // negative cost or surfaced as "no feasible plan".
+        for bad in [usage(-1.0, 0.0), usage(0.0, -1.0), usage(f64::NAN, 0.0)] {
+            assert!(invalid(plan_tiers(&catalog(), 1.0, &[bad], &on_hot())));
+        }
         let impossible = ScheduleOptions {
             latency_threshold_seconds: 1e-9,
             ..on_hot()
         };
-        assert!(
-            plan_tier_schedule(&catalog(), 1.0, &[PeriodAccess::default()], &impossible).is_err()
-        );
-        assert!(
-            schedule_cost(&catalog(), 1.0, &[PeriodAccess::default()], &[], &on_hot()).is_err()
-        );
+        assert!(invalid(plan_tiers(&catalog(), 1.0, &quiet, &impossible)));
+        assert!(placement_schedule_cost(
+            &CostModel::new(catalog()),
+            1.0,
+            &[CompressionOption::none()],
+            &quiet,
+            &[],
+            &on_hot()
+        )
+        .is_err());
+        // A NaN-rated tier listed first never wins the final argmin: the
+        // finite plan on the other tier comes back.
+        let nan_first = TierCatalog::new(vec![
+            scope_cloudsim::Tier::new("nan", f64::NAN, 0.0, 0.0, 0.01),
+            scope_cloudsim::Tier::new("ok", 1.0, 0.1, 0.1, 0.01),
+        ])
+        .unwrap();
+        let fresh = ScheduleOptions::default();
+        let s = plan_tiers(&nan_first, 1.0, &quiet, &fresh).unwrap();
+        assert_eq!(tiers(&s), vec![TierId(1)]);
+        assert!(s.planned_cost.is_finite());
     }
 
     fn none_and_gzip() -> Vec<CompressionOption> {
@@ -1160,7 +882,7 @@ mod tests {
         ]
     }
 
-    /// Catalog whose compute rate makes decompression CPU a first-class
+    /// Cost model whose compute rate makes decompression CPU a first-class
     /// cost: heavy-read periods then favor "none", quiet periods favor
     /// compressed storage, so optimal plans recompress mid-horizon.
     fn compute_heavy_catalog() -> TierCatalog {
@@ -1169,125 +891,24 @@ mod tests {
         c
     }
 
-    #[test]
-    fn compression_dp_with_none_only_matches_the_tier_dp() {
-        let periods = vec![
-            PeriodAccess::new(5000.0, 10.0),
-            PeriodAccess::new(100.0, 0.0),
-            PeriodAccess::default(),
-            PeriodAccess::default(),
-        ];
-        let usage: Vec<PeriodUsage> = periods
-            .iter()
-            .map(|a| PeriodUsage::new(a.read_gb, a.write_gb, 0.0))
-            .collect();
-        let tiers_only = plan_tier_schedule(&catalog(), 250.0, &periods, &on_hot()).unwrap();
-        let plan = plan_placement_schedule(
-            &catalog(),
-            250.0,
-            &[CompressionOption::none()],
-            &usage,
-            &on_hot(),
-        )
-        .unwrap();
-        assert_eq!(
-            plan.placements.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            tiers_only.tiers
-        );
-        assert!(plan.placements.iter().all(|&(_, k)| k == 0));
-        assert!(
-            (plan.planned_cost - tiers_only.planned_cost).abs()
-                < 1e-9 * (1.0 + tiers_only.planned_cost),
-            "scheme dp {} vs tier dp {}",
-            plan.planned_cost,
-            tiers_only.planned_cost
-        );
-    }
-
-    #[test]
-    fn compression_dp_matches_placement_pricer() {
-        let usage = vec![
-            PeriodUsage::new(300.0, 30.0, 3.0),
-            PeriodUsage::new(300.0, 30.0, 3.0),
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-        ];
-        let catalog = compute_heavy_catalog();
-        let schemes = none_and_gzip();
-        let plan = plan_placement_schedule(&catalog, 100.0, &schemes, &usage, &on_hot()).unwrap();
-        let repriced = placement_schedule_cost(
-            &catalog,
-            100.0,
-            &schemes,
-            &usage,
-            &plan.placements,
-            &on_hot(),
-        )
-        .unwrap();
-        assert!(
-            (plan.planned_cost - repriced).abs() < 1e-9 * (1.0 + repriced),
-            "dp {} vs repriced {}",
-            plan.planned_cost,
-            repriced
-        );
-    }
-
-    /// The recompression-caveat regression test: an optimal plan that
-    /// recompresses *in place* mid-horizon is billed exactly what the DP
-    /// planned — the tier-only DP could not even express this schedule.
-    #[test]
-    fn in_place_recompression_plan_matches_billed_cost() {
+    /// Replay `plan` for a 100 GB object on `current` through the billing
+    /// engine, with a trace matching the projected usage — per period,
+    /// `read_events` reads sharing the read volume plus one write — and
+    /// check it is billed exactly what the DP planned.
+    fn assert_billed_as_planned(
+        catalog: TierCatalog,
+        current: TierId,
+        plan: &PlacementPlan,
+        schemes: &[CompressionOption],
+        usage: &[PeriodUsage],
+    ) {
         use scope_cloudsim::timeline::BillingEvent;
         use scope_cloudsim::{BillingSimulator, ObjectSpec};
 
-        let catalog = compute_heavy_catalog();
-        let schemes = none_and_gzip();
-        // Two heavy-read periods (decompression CPU makes gzip a loss),
-        // then four quiet ones (compressed storage wins, and the rewrite
-        // cost is trivially repaid).
-        let busy = PeriodUsage::new(300.0, 30.0, 3.0);
-        let usage = vec![
-            busy,
-            busy,
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-            PeriodUsage::default(),
-        ];
-        let only_hot = [hot()];
-        let model = CostModel::new(catalog.clone());
-        let plan = plan_placement_schedule_with_model(
-            &model,
-            100.0,
-            &schemes,
-            &usage,
-            &on_hot(),
-            Some(&only_hot),
-        )
-        .unwrap();
-        assert!(
-            plan.recompression_count() >= 1,
-            "plan never recompresses: {:?}",
-            plan.placements
-        );
-        assert_eq!(
-            plan.placements[0],
-            (hot(), 0),
-            "busy start should stay uncompressed"
-        );
-        assert_eq!(plan.placements[5].1, 1, "quiet tail should be compressed");
-
-        // Replay the plan through the billing engine with a trace matching
-        // the projected usage: per busy period, three reads of a third of
-        // the volume each plus one write.
         let mut sim = BillingSimulator::new(catalog);
-        sim.place_scheduled(
-            ObjectSpec::new("obj", 100.0).on_tier(hot()),
-            plan.to_placement_schedule(&schemes),
-        )
-        .unwrap();
+        let obj = ObjectSpec::new("obj", 100.0).on_tier(current);
+        sim.place_scheduled(obj, plan.to_placement_schedule(schemes))
+            .unwrap();
         let mut events = Vec::new();
         for (p, u) in usage.iter().enumerate() {
             let day = p as u32 * DAYS_PER_MONTH;
@@ -1302,10 +923,8 @@ mod tests {
                 events.push(BillingEvent::write("obj", day + 5, u.write_gb));
             }
         }
-        let report = sim
-            .run_days(usage.len() as u32 * DAYS_PER_MONTH, &events)
-            .unwrap();
-        let billed = report.total();
+        let horizon = usage.len() as u32 * DAYS_PER_MONTH;
+        let billed = sim.run_days(horizon, &events).unwrap().total();
         assert!(
             (plan.planned_cost - billed).abs() < 1e-9 * (1.0 + billed),
             "planned {} vs billed {}",
@@ -1314,25 +933,100 @@ mod tests {
         );
     }
 
+    #[test]
+    fn compression_dp_matches_placement_pricer() {
+        let mut usage = vec![PeriodUsage::new(300.0, 30.0, 3.0); 2];
+        usage.extend([PeriodUsage::default(); 4]);
+        let model = CostModel::new(compute_heavy_catalog());
+        let schemes = none_and_gzip();
+        let plan =
+            plan_placement_schedule(&model, 100.0, &schemes, &usage, &on_hot(), None).unwrap();
+        let repriced =
+            placement_schedule_cost(&model, 100.0, &schemes, &usage, &plan.placements, &on_hot())
+                .unwrap();
+        assert!(
+            (plan.planned_cost - repriced).abs() < 1e-9 * (1.0 + repriced),
+            "dp {} vs repriced {}",
+            plan.planned_cost,
+            repriced
+        );
+    }
+
+    /// The recompression-caveat regression test: an optimal plan that
+    /// recompresses *in place* mid-horizon is billed exactly what the DP
+    /// planned.
+    #[test]
+    fn in_place_recompression_plan_matches_billed_cost() {
+        let catalog = compute_heavy_catalog();
+        let schemes = none_and_gzip();
+        // Two heavy-read periods (decompression CPU makes gzip a loss),
+        // then four quiet ones (compressed storage wins, and the rewrite
+        // cost is trivially repaid).
+        let mut usage = vec![PeriodUsage::new(300.0, 30.0, 3.0); 2];
+        usage.extend([PeriodUsage::default(); 4]);
+        let only_hot = [hot()];
+        let model = CostModel::new(catalog.clone());
+        let plan =
+            plan_placement_schedule(&model, 100.0, &schemes, &usage, &on_hot(), Some(&only_hot))
+                .unwrap();
+        assert!(
+            plan.placements
+                .windows(2)
+                .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1),
+            "plan never recompresses: {:?}",
+            plan.placements
+        );
+        assert_eq!(
+            plan.placements[0],
+            (hot(), 0),
+            "busy start should stay uncompressed"
+        );
+        assert_eq!(plan.placements[5].1, 1, "quiet tail should be compressed");
+        assert_billed_as_planned(catalog, hot(), &plan, &schemes, &usage);
+
+        // Residency accrues across an in-place recompression: on a tier
+        // with a 90-day window the plan recompresses at period 1 and leaves
+        // at period 3, when the window counted from period 0 is met. Had
+        // the recompression restarted the count, leaving would pay 60
+        // unmet days and staying would win.
+        let mut catalog = TierCatalog::new(vec![
+            scope_cloudsim::Tier::new("a", 10.0, 0.01, 0.01, 0.01).with_early_deletion_days(90),
+            scope_cloudsim::Tier::new("b", 0.5, 10.0, 0.01, 0.01),
+        ])
+        .unwrap();
+        catalog.compute_cost_cents_per_second = 50.0;
+        let (a, b) = (TierId(0), TierId(1));
+        let mut usage = vec![
+            PeriodUsage::new(1000.0, 0.0, 20.0),
+            PeriodUsage::new(1000.0, 0.0, 1.0),
+        ];
+        usage.extend([PeriodUsage::default(); 2]);
+        let on_a = ScheduleOptions {
+            current_tier: Some(a),
+            ..Default::default()
+        };
+        let model = CostModel::new(catalog.clone());
+        let plan = plan_placement_schedule(&model, 100.0, &schemes, &usage, &on_a, None).unwrap();
+        assert_eq!(plan.placements, vec![(a, 0), (a, 1), (a, 1), (b, 1)]);
+        assert_billed_as_planned(catalog, a, &plan, &schemes, &usage);
+    }
+
     /// A mid-horizon move that recompresses in flight: the billing ledger
     /// reads/egresses the bytes resident under the old scheme but writes
     /// the new stored size, and the DP prices exactly that.
     #[test]
     fn move_with_recompression_matches_billed_cost() {
-        use scope_cloudsim::timeline::BillingEvent;
-        use scope_cloudsim::{BillingSimulator, ObjectSpec};
-
         let catalog = compute_heavy_catalog();
         let schemes = none_and_gzip();
-        let busy = PeriodUsage::new(10_000.0, 0.0, 3.0);
-        let mut usage = vec![busy];
-        usage.extend(vec![PeriodUsage::default(); 5]);
+        let mut usage = vec![PeriodUsage::new(10_000.0, 0.0, 3.0)];
+        usage.extend([PeriodUsage::default(); 5]);
         let opts = ScheduleOptions {
             current_tier: Some(hot()),
             latency_threshold_seconds: 60.0, // rules out Archive
             ..Default::default()
         };
-        let plan = plan_placement_schedule(&catalog, 100.0, &schemes, &usage, &opts).unwrap();
+        let model = CostModel::new(catalog.clone());
+        let plan = plan_placement_schedule(&model, 100.0, &schemes, &usage, &opts, None).unwrap();
         assert_eq!(plan.placements[0], (hot(), 0));
         assert!(
             plan.placements
@@ -1342,61 +1036,29 @@ mod tests {
             plan.placements
         );
         assert_eq!(*plan.placements.last().unwrap(), (cool(), 1));
-
-        let mut sim = BillingSimulator::new(catalog);
-        sim.place_scheduled(
-            ObjectSpec::new("obj", 100.0).on_tier(hot()),
-            plan.to_placement_schedule(&schemes),
-        )
-        .unwrap();
-        let mut events = Vec::new();
-        for (p, u) in usage.iter().enumerate() {
-            let day = p as u32 * DAYS_PER_MONTH;
-            for i in 0..u.read_events as u32 {
-                events.push(BillingEvent::read(
-                    "obj",
-                    day + i,
-                    u.read_gb / u.read_events,
-                ));
-            }
-        }
-        let report = sim
-            .run_days(usage.len() as u32 * DAYS_PER_MONTH, &events)
-            .unwrap();
-        let billed = report.total();
-        assert!(
-            (plan.planned_cost - billed).abs() < 1e-9 * (1.0 + billed),
-            "planned {} vs billed {}",
-            plan.planned_cost,
-            billed
-        );
+        assert_billed_as_planned(catalog, hot(), &plan, &schemes, &usage);
     }
 
     #[test]
     fn placement_planner_and_pricer_validate_inputs() {
         let usage = vec![PeriodUsage::default(); 2];
         let schemes = none_and_gzip();
+        let model = CostModel::new(catalog());
+        let plan = |schemes: &[CompressionOption], usage: &[PeriodUsage]| {
+            plan_placement_schedule(&model, 1.0, schemes, usage, &on_hot(), None)
+        };
+        let price = |placements: &[(TierId, usize)]| {
+            placement_schedule_cost(&model, 1.0, &schemes, &usage, placements, &on_hot())
+        };
         // Empty scheme list.
-        assert!(plan_placement_schedule(&catalog(), 1.0, &[], &usage, &on_hot()).is_err());
+        assert!(plan(&[], &usage).is_err());
         // Non-finite usage.
-        let bad_usage = vec![PeriodUsage::new(f64::NAN, 0.0, 0.0)];
-        assert!(plan_placement_schedule(&catalog(), 1.0, &schemes, &bad_usage, &on_hot()).is_err());
+        assert!(plan(&schemes, &[PeriodUsage::new(f64::NAN, 0.0, 0.0)]).is_err());
         // Invalid scheme ratio.
-        let bad_scheme = vec![CompressionOption::new("broken", 0.0, 0.0)];
-        assert!(plan_placement_schedule(&catalog(), 1.0, &bad_scheme, &usage, &on_hot()).is_err());
+        assert!(plan(&[CompressionOption::new("broken", 0.0, 0.0)], &usage).is_err());
         // Pricer: length mismatch and out-of-range scheme index.
-        assert!(
-            placement_schedule_cost(&catalog(), 1.0, &schemes, &usage, &[], &on_hot()).is_err()
-        );
-        assert!(placement_schedule_cost(
-            &catalog(),
-            1.0,
-            &schemes,
-            &usage,
-            &[(hot(), 99), (hot(), 99)],
-            &on_hot(),
-        )
-        .is_err());
+        assert!(price(&[]).is_err());
+        assert!(price(&[(hot(), 99), (hot(), 99)]).is_err());
     }
 
     #[test]
@@ -1415,7 +1077,10 @@ mod tests {
         let schedules =
             ideal_tier_schedules(&catalog, &w.catalog, &w.series, 6, 4, hot, 0.05, 1).unwrap();
         assert_eq!(schedules.len(), 60);
-        assert!(schedules.iter().all(|s| s.tiers.len() == 4));
+        assert!(schedules.iter().all(|s| s.placements.len() == 4));
+        assert!(schedules
+            .iter()
+            .all(|s| s.placements.iter().all(|&(_, k)| k == 0)));
         // The lake cools over time: at least one dataset is re-tiered
         // mid-horizon rather than frozen.
         assert!(schedules.iter().any(|s| s.transition_count() > 0));

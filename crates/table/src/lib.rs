@@ -8,9 +8,9 @@
 //! This crate provides everything needed to regenerate that setting without
 //! external data:
 //!
-//! * [`schema`] / [`column`] — a typed, columnar in-memory table
+//! * [`schema`] / [`column`](mod@column) — a typed, columnar in-memory table
 //!   representation with projections, filters and sorting,
-//! * [`format`] — serialization to a row-oriented CSV layout and a
+//! * [`format`](mod@format) — serialization to a row-oriented CSV layout and a
 //!   simplified columnar ("parquet-like") layout with per-column dictionary
 //!   and run-length encodings; these bytes are what `scope-compress` codecs
 //!   compress,

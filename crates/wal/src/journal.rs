@@ -32,7 +32,7 @@
 //! *dynamic* frame otherwise. Two, because the guarantee below is about
 //! losing any one object.
 //!
-//! **Retention** ([`Journal::retire`], after every publish). The newest
+//! **Retention** (`Journal::retire`, after every publish). The newest
 //! [`JournalConfig::keep_checkpoints`] frames of either kind are the
 //! recovery **targets**; the segment floor is the oldest target's
 //! ordinal and every segment below it is retired. Besides the targets,

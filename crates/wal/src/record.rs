@@ -25,7 +25,7 @@
 //! A reader can always either validate a frame completely or classify
 //! the failure: not enough bytes for a header, an implausible length, a
 //! checksum mismatch, an unknown kind, or an undecodable payload — each
-//! a distinct [`CorruptKind`](crate::CorruptKind).
+//! a distinct [`CorruptKind`].
 //!
 //! # Batch payload (the wire format)
 //!
@@ -71,7 +71,7 @@
 //! a star around whichever full frames survive.
 //!
 //! Snapshots are megabytes long, so the trailer is the bulk checksum
-//! ([`crate::xxh64`]) rather than the record frames' CRC-32. Version 1
+//! ([`crate::xxh64`](fn@crate::xxh64)) rather than the record frames' CRC-32. Version 1
 //! (a `u32` CRC-32 trailer) and version 2 (no kind, no digest: every
 //! frame was a full one) are rejected as unsupported versions; any layout
 //! change bumps the version again, and golden fixtures in this module's

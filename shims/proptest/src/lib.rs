@@ -151,7 +151,7 @@ pub mod collection {
     use rand::rngs::SmallRng;
     use rand::Rng;
 
-    /// Size specification for [`vec`]: an exact length or a half-open range.
+    /// Size specification for [`vec`](fn@vec): an exact length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -85,12 +85,8 @@ proptest! {
     ) {
         let (sim, events, horizon) = random_fixture(n_objects, n_events, seed);
         let expected = run_days_reference(&sim, horizon, &events).unwrap();
-        for threads in [1usize, 2, 7] {
-            let got = sim.run_days_with_threads(horizon, &events, threads).unwrap();
-            prop_assert_eq!(&got, &expected, "threads={}", threads);
-        }
-        // The column path over prebuilt columns agrees too, and the
-        // default-thread entry point is just a special case of the same.
+        // The column path at every thread count, and the default-thread
+        // entry point, which is just a special case of the same.
         let columns = sim.build_columns(&events);
         prop_assert_eq!(columns.len(), events.len());
         for threads in [1usize, 2, 7] {
@@ -119,7 +115,7 @@ proptest! {
         }
         let expected = run_days_reference(&sim, horizon, &events);
         for threads in [1usize, 2, 7] {
-            let got = sim.run_days_with_threads(horizon, &events, threads);
+            let got = sim.run_columns_with_threads(horizon, &sim.build_columns(&events), threads);
             prop_assert_eq!(format!("{:?}", got), format!("{:?}", expected), "threads={}", threads);
         }
     }
@@ -137,8 +133,9 @@ proptest! {
             ev.day += horizon;
         }
         let expected = run_days_reference(&sim, horizon, &events).unwrap();
+        let columns = sim.build_columns(&events);
         for threads in [1usize, 2, 7] {
-            let got = sim.run_days_with_threads(horizon, &events, threads).unwrap();
+            let got = sim.run_columns_with_threads(horizon, &columns, threads).unwrap();
             prop_assert_eq!(got.dropped_events, expected.dropped_events, "threads={}", threads);
             prop_assert_eq!(&got, &expected);
         }
@@ -276,8 +273,11 @@ fn kernel_handles_an_empty_fleet_and_a_large_one() {
     let events = kernel_events(0, 131, 90, 1);
     let expected = run_days_reference(&empty, 90, &events).unwrap();
     assert!(expected.per_object.is_empty());
+    let columns = empty.build_columns(&events);
     for threads in KERNEL_THREADS {
-        let got = empty.run_days_with_threads(90, &events, threads).unwrap();
+        let got = empty
+            .run_columns_with_threads(90, &columns, threads)
+            .unwrap();
         assert_eq!(got, expected, "threads={threads}");
     }
     // Thousands of objects: a flat table of many 3+-segment spans, and
@@ -285,9 +285,10 @@ fn kernel_handles_an_empty_fleet_and_a_large_one() {
     let (sim, horizon) = kernel_fleet(3_000);
     let events = kernel_events(3_000, UNIT + 131, horizon, 2);
     let expected = run_days_reference(&sim, horizon, &events).unwrap();
+    let columns = sim.build_columns(&events);
     for threads in KERNEL_THREADS {
         let got = sim
-            .run_days_with_threads(horizon, &events, threads)
+            .run_columns_with_threads(horizon, &columns, threads)
             .unwrap();
         assert_eq!(got, expected, "threads={threads}");
     }
@@ -322,7 +323,7 @@ fn kernel_reports_the_first_error_in_trace_order_wherever_it_falls() {
         let expected = run_days_reference(&sim, horizon, &events);
         assert!(expected.is_err(), "{label}");
         for threads in KERNEL_THREADS {
-            let got = sim.run_days_with_threads(horizon, &events, threads);
+            let got = sim.run_columns_with_threads(horizon, &sim.build_columns(&events), threads);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{expected:?}"),
@@ -341,17 +342,16 @@ fn kernel_reports_the_first_error_in_trace_order_wherever_it_falls() {
     let mut dropped = base.clone();
     dropped[UNIT + 41] = BillingEvent::read("obj-1", horizon, f64::NAN);
     let expected_dropped = run_days_reference(&sim, horizon, &dropped).unwrap();
+    let (columns, dropped) = (sim.build_columns(&events), sim.build_columns(&dropped));
     for threads in KERNEL_THREADS {
-        let got = sim.run_days_with_threads(horizon, &events, threads);
+        let got = sim.run_columns_with_threads(horizon, &columns, threads);
         assert_eq!(
             format!("{got:?}"),
             format!("{expected:?}"),
             "threads={threads}"
         );
-        let got = sim
-            .run_days_with_threads(horizon, &dropped, threads)
-            .unwrap();
-        assert_eq!(got, expected_dropped, "threads={threads}");
+        let got = sim.run_columns_with_threads(horizon, &dropped, threads);
+        assert_eq!(got.unwrap(), expected_dropped, "threads={threads}");
     }
 }
 

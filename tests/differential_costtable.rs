@@ -24,10 +24,9 @@ use scope_optassign::reference::{
     solve_branch_and_bound_reference, solve_equal_size_matching_reference, solve_greedy_reference,
 };
 use scope_optassign::{
-    ideal_tier_labels, plan_tier_schedule_with_model, solve_branch_and_bound,
-    solve_branch_and_bound_on, solve_equal_size_matching, solve_greedy, Assignment,
-    CompressionOption, CostTable, OptAssignProblem, PartitionSpec, PeriodAccess, ScheduleOptions,
-    TierSchedule,
+    ideal_tier_labels, plan_placement_schedule, solve_branch_and_bound, solve_branch_and_bound_on,
+    solve_equal_size_matching, solve_greedy, Assignment, CompressionOption, CostTable,
+    OptAssignProblem, PartitionSpec, PeriodUsage, PlacementPlan, ScheduleOptions,
 };
 
 /// Random OPTASSIGN instance over either the Azure ladder or the merged
@@ -132,13 +131,14 @@ fn assert_table_matches_model(table: &CostTable, problem: &OptAssignProblem, wha
 /// Independent re-implementation of the schedule DP *without* the hoisted
 /// stay/change cost tables — the exact pre-PR-4 transition arithmetic,
 /// evaluated through the model on every transition. Serves as the
-/// bit-for-bit oracle for the cached DP.
-fn plan_tier_schedule_uncached(
+/// bit-for-bit oracle for the cached DP over the one uncompressed scheme:
+/// returns the plan's tiers and its planned cost.
+fn tier_schedule_dp_uncached(
     model: &CostModel,
     size_gb: f64,
-    periods: &[PeriodAccess],
+    periods: &[PeriodUsage],
     options: &ScheduleOptions,
-) -> TierSchedule {
+) -> (Vec<TierId>, f64) {
     let catalog = model.catalog();
     let usable: Vec<TierId> = catalog
         .iter()
@@ -147,7 +147,7 @@ fn plan_tier_schedule_uncached(
         .collect();
     assert!(!usable.is_empty());
     let retier_every = options.retier_every.max(1);
-    let period_cost = |tier: TierId, access: &PeriodAccess| {
+    let period_cost = |tier: TierId, access: &PeriodUsage| {
         model.storage_cost(tier, size_gb, 1.0)
             + model.read_cost(tier, access.read_gb, 1.0)
             + model.write_cost(tier, access.write_gb)
@@ -164,7 +164,8 @@ fn plan_tier_schedule_uncached(
     let mut cost = vec![inf; n_tiers * n];
     let mut parents: Vec<Vec<usize>> = Vec::with_capacity(n);
     for (ti, &tier) in usable.iter().enumerate() {
-        let mut c = model.tier_change_cost(options.current_tier, tier, size_gb);
+        let mut c = model.read_write_cost(options.current_tier, tier, size_gb)
+            + model.egress_cost(options.current_tier, tier, size_gb);
         if let Some(from) = options.current_tier {
             if from != tier {
                 c += penalty(from, options.residency_days);
@@ -202,7 +203,8 @@ fn plan_tier_schedule_uncached(
                         continue;
                     }
                     let c = cost[s]
-                        + model.tier_change_cost(Some(tier), to, size_gb)
+                        + (model.read_write_cost(Some(tier), to, size_gb)
+                            + model.egress_cost(Some(tier), to, size_gb))
                         + pen
                         + period_cost(to, period);
                     let d = idx(ui, p);
@@ -228,10 +230,7 @@ fn plan_tier_schedule_uncached(
         tiers[p] = usable[best_state / n];
         best_state = parents[p][best_state];
     }
-    TierSchedule {
-        tiers,
-        planned_cost: best_cost,
-    }
+    (tiers, best_cost)
 }
 
 proptest! {
@@ -340,8 +339,9 @@ proptest! {
         }
     }
 
-    /// The cached schedule DP ≡ the uncached per-transition arithmetic, bit
-    /// for bit, including on egress-aware merged catalogs.
+    /// The cached schedule DP over the one uncompressed scheme ≡ the
+    /// uncached per-transition tier-only arithmetic, bit for bit, including
+    /// on egress-aware merged catalogs.
     #[test]
     fn cached_schedule_dp_is_bit_identical_to_uncached(
         n_periods in 1usize..6,
@@ -360,10 +360,13 @@ proptest! {
             CostModel::new(TierCatalog::azure_adls_gen2())
         };
         let n_tiers = model.catalog().len();
-        let periods: Vec<PeriodAccess> = (0..n_periods)
-            .map(|p| PeriodAccess::new(
+        // Non-zero read events: the uncompressed scheme's zero-second
+        // decompression term must vanish exactly.
+        let periods: Vec<PeriodUsage> = (0..n_periods)
+            .map(|p| PeriodUsage::new(
                 volumes[2 * p % volumes.len()],
                 volumes[(2 * p + 1) % volumes.len()] / 10.0,
+                volumes[2 * p % volumes.len()] / 100.0,
             ))
             .collect();
         // A sub-5s threshold keeps at least the fast tiers usable on both
@@ -376,9 +379,13 @@ proptest! {
             latency_threshold_seconds: latency,
             retier_every,
         };
-        let cached = plan_tier_schedule_with_model(&model, size_gb, &periods, &options, None).unwrap();
-        let uncached = plan_tier_schedule_uncached(&model, size_gb, &periods, &options);
-        prop_assert_eq!(cached, uncached);
+        let none = [CompressionOption::none()];
+        let cached = plan_placement_schedule(&model, size_gb, &none, &periods, &options, None).unwrap();
+        prop_assert!(cached.placements.iter().all(|&(_, k)| k == 0));
+        let cached_tiers: Vec<TierId> = cached.placements.iter().map(|&(t, _)| t).collect();
+        let (tiers, planned_cost) = tier_schedule_dp_uncached(&model, size_gb, &periods, &options);
+        prop_assert_eq!(cached_tiers, tiers);
+        prop_assert_eq!(cached.planned_cost.to_bits(), planned_cost.to_bits());
     }
 
     /// The deterministic fan-out returns exactly the sequential map for
@@ -809,17 +816,19 @@ fn parallel_schedule_fanout_equals_sequential_planning() {
         1,
     )
     .unwrap();
-    // Sequential oracle: one plan_tier_schedule_with_model call per dataset.
-    let sequential: Vec<TierSchedule> = w
+    // Sequential oracle: one DP call per dataset.
+    let none = [CompressionOption::none()];
+    let sequential: Vec<PlacementPlan> = w
         .catalog
         .iter()
         .map(|d| {
-            let periods: Vec<PeriodAccess> = (6..10)
+            let periods: Vec<PeriodUsage> = (6..10)
                 .map(|m| {
                     let acc = w.series.get(d.id, m);
-                    PeriodAccess {
+                    PeriodUsage {
                         read_gb: acc.reads * acc.read_fraction * d.size_gb,
                         write_gb: acc.writes * write_fraction * d.size_gb,
+                        read_events: acc.reads,
                     }
                 })
                 .collect();
@@ -829,7 +838,7 @@ fn parallel_schedule_fanout_equals_sequential_planning() {
                 retier_every: 1,
                 ..Default::default()
             };
-            plan_tier_schedule_with_model(&model, d.size_gb, &periods, &options, None).unwrap()
+            plan_placement_schedule(&model, d.size_gb, &none, &periods, &options, None).unwrap()
         })
         .collect();
     assert_eq!(fanned, sequential);

@@ -100,7 +100,7 @@ fn reference_monthly_replay(
             m.breakdown.storage += c;
             obj_total += c;
         }
-        let change = model.tier_change_cost(obj.current_tier, placement.tier, stored_gb);
+        let change = model.read_write_cost(obj.current_tier, placement.tier, stored_gb);
         months[0].breakdown.write += change;
         obj_total += change;
         if let Some(from) = obj.current_tier {

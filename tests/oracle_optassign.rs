@@ -2,10 +2,10 @@
 //! and differential tests between independent solvers.
 //!
 //! * The per-period schedule DP is checked against exhaustive enumeration
-//!   of every `(tier, period)` plan on small instances (≤ 3 tiers × ≤ 4
-//!   periods), in both single-provider and egress-aware two-provider
-//!   catalogs — this is the class of instance where off-by-one-period
-//!   residency bugs are visible.
+//!   of every `(tier, scheme, period)` plan on small instances (≤ 3 tiers
+//!   × ≤ 2 schemes × ≤ 4 periods), in both single-provider and egress-aware
+//!   two-provider catalogs — this is the class of instance where
+//!   off-by-one-period residency and recompression bugs are visible.
 //! * The greedy solver is checked against the exact branch-and-bound on
 //!   random unbounded instances (where the documented approximation bound
 //!   is *equality*, Theorem 3), and B&B is checked against the Hungarian
@@ -15,9 +15,9 @@
 use proptest::prelude::*;
 use scope_cloudsim::{CostModel, Provider, ProviderCatalog, Tier, TierCatalog, TierId};
 use scope_optassign::{
-    plan_tier_schedule_with_model, schedule_cost_with_model, solve_branch_and_bound,
+    placement_schedule_cost, plan_placement_schedule, solve_branch_and_bound,
     solve_equal_size_matching, solve_greedy, CompressionOption, OptAssignProblem, PartitionSpec,
-    PeriodAccess, ScheduleOptions,
+    PeriodUsage, ScheduleOptions,
 };
 
 /// Decode flat random vectors into a small tier ladder. `params` supplies
@@ -39,24 +39,31 @@ fn small_catalog(n_tiers: usize, params: &[f64]) -> TierCatalog {
     TierCatalog::new(tiers).expect("non-empty ladder")
 }
 
-/// Enumerate every |tiers|^|periods| plan and return the cheapest cost.
+/// Enumerate every `(|tiers| · |schemes|)^|periods|` plan and return the
+/// cheapest cost.
 fn brute_force_min(
     model: &CostModel,
     size_gb: f64,
-    periods: &[PeriodAccess],
+    schemes: &[CompressionOption],
+    periods: &[PeriodUsage],
     options: &ScheduleOptions,
 ) -> f64 {
-    let tier_ids = model.catalog().tier_ids();
+    let choices: Vec<(TierId, usize)> = model
+        .catalog()
+        .tier_ids()
+        .into_iter()
+        .flat_map(|t| (0..schemes.len()).map(move |k| (t, k)))
+        .collect();
     let n = periods.len();
     let mut best = f64::INFINITY;
     let mut plan = vec![0usize; n];
     loop {
-        let tiers: Vec<TierId> = plan.iter().map(|&i| tier_ids[i]).collect();
-        let cost = schedule_cost_with_model(model, size_gb, periods, &tiers, options)
+        let placements: Vec<(TierId, usize)> = plan.iter().map(|&i| choices[i]).collect();
+        let cost = placement_schedule_cost(model, size_gb, schemes, periods, &placements, options)
             .expect("well-formed plan prices");
         // Respect the retier_every granularity the DP is constrained by:
-        // skip plans that change tier at a disallowed boundary.
-        let granular = tiers
+        // skip plans that change tier or scheme at a disallowed boundary.
+        let granular = placements
             .windows(2)
             .enumerate()
             .all(|(p, w)| w[0] == w[1] || (p as u32 + 1) % options.retier_every.max(1) == 0);
@@ -70,13 +77,29 @@ fn brute_force_min(
                 return best;
             }
             plan[digit] += 1;
-            if plan[digit] < tier_ids.len() {
+            if plan[digit] < choices.len() {
                 break;
             }
             plan[digit] = 0;
             digit += 1;
         }
     }
+}
+
+/// Per-period usage drawn from flat vectors: read and write volumes from
+/// `volumes`, read events from `events` clamped at zero — about half the
+/// periods have no reads to decompress, so the cheaper scheme flips
+/// mid-horizon and optimal plans recompress in place.
+fn usage(n_periods: usize, volumes: &[f64], events: &[f64]) -> Vec<PeriodUsage> {
+    (0..n_periods)
+        .map(|p| {
+            PeriodUsage::new(
+                volumes[2 * p % volumes.len()],
+                volumes[(2 * p + 1) % volumes.len()] / 10.0,
+                events[p % events.len()].max(0.0),
+            )
+        })
+        .collect()
 }
 
 fn schedule_options(
@@ -98,33 +121,51 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The schedule DP's plan cost is exactly the minimum over all
-    /// (tier, period) plans — the brute-force oracle.
+    /// (tier, scheme, period) plans — the brute-force oracle. Two schemes,
+    /// a non-zero compute rate and read-free periods make some optimal
+    /// plans recompress in place: no penalty, and the tier-entry period is
+    /// kept. (The kept entry period rarely decides an optimum here;
+    /// `schedule::tests::in_place_recompression_plan_matches_billed_cost`
+    /// has a case where it does.)
     #[test]
     fn schedule_dp_is_exactly_minimal(
         n_tiers in 1usize..4,
+        n_schemes in 1usize..3,
         n_periods in 1usize..5,
         params in proptest::collection::vec(0.0f64..10.0, 12),
+        scheme_params in proptest::collection::vec(0.0f64..1.0, 4),
         volumes in proptest::collection::vec(0.0f64..500.0, 8),
+        events in proptest::collection::vec(-20.0f64..20.0, 4),
+        compute_rate in 1.0f64..50.0,
         size_gb in 0.0f64..300.0,
         current_pick in 0usize..5,
         residency in 0u32..200,
         retier_every in 1u32..3,
     ) {
-        let catalog = small_catalog(n_tiers, &params);
+        let mut catalog = small_catalog(n_tiers, &params);
+        catalog.compute_cost_cents_per_second = compute_rate;
         let model = CostModel::new(catalog);
-        let periods: Vec<PeriodAccess> = (0..n_periods)
-            .map(|p| PeriodAccess::new(volumes[2 * p % volumes.len()], volumes[(2 * p + 1) % volumes.len()] / 10.0))
+        // Ratio in [1, 4], decompression in [0, 2] s.
+        let schemes: Vec<CompressionOption> = (0..n_schemes)
+            .map(|k| CompressionOption::new(
+                format!("z{k}"),
+                1.0 + 3.0 * scheme_params[2 * k],
+                2.0 * scheme_params[2 * k + 1],
+            ))
             .collect();
+        let periods = usage(n_periods, &volumes, &events);
         let options = schedule_options(n_tiers, current_pick % (n_tiers + 1), residency, retier_every);
-        let dp = plan_tier_schedule_with_model(&model, size_gb, &periods, &options, None).unwrap();
-        let oracle = brute_force_min(&model, size_gb, &periods, &options);
+        let dp = plan_placement_schedule(&model, size_gb, &schemes, &periods, &options, None).unwrap();
+        let oracle = brute_force_min(&model, size_gb, &schemes, &periods, &options);
         prop_assert!(
             (dp.planned_cost - oracle).abs() <= 1e-9 * (1.0 + oracle.abs()),
-            "dp {} vs oracle {} (tiers {}, periods {})",
-            dp.planned_cost, oracle, n_tiers, n_periods
+            "dp {} vs oracle {} (tiers {}, schemes {}, periods {})",
+            dp.planned_cost, oracle, n_tiers, n_schemes, n_periods
         );
         // And the DP's own plan re-prices to its claimed cost.
-        let repriced = schedule_cost_with_model(&model, size_gb, &periods, &dp.tiers, &options).unwrap();
+        let repriced = placement_schedule_cost(
+            &model, size_gb, &schemes, &periods, &dp.placements, &options,
+        ).unwrap();
         prop_assert!((dp.planned_cost - repriced).abs() <= 1e-9 * (1.0 + repriced.abs()));
     }
 
@@ -150,12 +191,11 @@ proptest! {
             vec![vec![0.0, egress_ab], vec![egress_ba, 0.0]],
         ).unwrap();
         let model = CostModel::with_topology(providers.merged_catalog(), providers.topology());
-        let periods: Vec<PeriodAccess> = (0..n_periods)
-            .map(|p| PeriodAccess::new(volumes[2 * p % volumes.len()], volumes[(2 * p + 1) % volumes.len()] / 10.0))
-            .collect();
+        let periods = usage(n_periods, &volumes, &[0.0]);
         let options = schedule_options(3, current_pick % 4, residency, 1);
-        let dp = plan_tier_schedule_with_model(&model, size_gb, &periods, &options, None).unwrap();
-        let oracle = brute_force_min(&model, size_gb, &periods, &options);
+        let none = [CompressionOption::none()];
+        let dp = plan_placement_schedule(&model, size_gb, &none, &periods, &options, None).unwrap();
+        let oracle = brute_force_min(&model, size_gb, &none, &periods, &options);
         prop_assert!(
             (dp.planned_cost - oracle).abs() <= 1e-9 * (1.0 + oracle.abs()),
             "dp {} vs oracle {} (egress {} / {})",
