@@ -13,7 +13,7 @@
 //! * [`ProviderCatalog::merged_catalog`] — the flattened "merged tier
 //!   space": one [`TierCatalog`] concatenating every provider's ladder
 //!   with `provider:tier` qualified names, so every existing solver
-//!   (greedy, matching, branch-and-bound, the schedule DP) can search
+//!   (greedy, branch-and-bound, the schedule DP) can search
 //!   across providers without modification,
 //! * [`ProviderTopology`] — the companion mapping from merged [`TierId`]s
 //!   back to providers plus the egress matrix; attached to a

@@ -233,9 +233,11 @@ impl StorageFaultPlan {
 }
 
 /// A [`Storage`] backend with plan-driven fault injection on the
-/// durability hot path (`append` and `sync`). All other operations pass
-/// through untouched — recovery itself is assumed reliable; what is
-/// being tested is what recovery finds.
+/// durability hot path (`append` and `sync`). All other operations —
+/// the batched `delete_many` included, so a batch keeps the inner
+/// backend's one durability barrier — pass through untouched: recovery
+/// itself is assumed reliable; what is being tested is what recovery
+/// finds.
 #[derive(Debug, Clone)]
 pub struct FaultyStorage<S: Storage> {
     inner: S,
@@ -338,6 +340,10 @@ impl<S: Storage> Storage for FaultyStorage<S> {
         self.inner.delete(name)
     }
 
+    fn delete_many(&mut self, names: &[String]) -> Result<(), WalError> {
+        self.inner.delete_many(names)
+    }
+
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
         self.inner.truncate(name, len)
     }
@@ -432,6 +438,59 @@ mod tests {
         let _ = store.append("seg", &[1u8]);
         let after = store.inner().pending_objects();
         assert!(after == before || after[0].1 == before[0].1 + 1);
+    }
+
+    /// A backend that records which deletion entry point each call used.
+    #[derive(Default)]
+    struct Recording {
+        inner: MemStorage,
+        deletes: Vec<Vec<String>>,
+    }
+
+    impl Storage for Recording {
+        fn list(&self) -> Result<Vec<String>, WalError> {
+            self.inner.list()
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, WalError> {
+            self.inner.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            self.inner.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), WalError> {
+            self.inner.sync(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn delete(&mut self, name: &str) -> Result<(), WalError> {
+            self.deletes.push(vec![name.to_string()]);
+            self.inner.delete(name)
+        }
+        fn delete_many(&mut self, names: &[String]) -> Result<(), WalError> {
+            self.deletes.push(names.to_vec());
+            self.inner.delete_many(names)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
+            self.inner.truncate(name, len)
+        }
+    }
+
+    #[test]
+    fn a_batched_delete_reaches_the_inner_backend_as_one_call() {
+        let mut store = FaultyStorage::new(
+            Recording::default(),
+            StorageFaultPlan::new(3, StorageFaultRates::heavy()).unwrap(),
+        );
+        let names: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        for name in &names {
+            store.write_atomic(name, b"xyz").unwrap();
+        }
+        store.delete_many(&names).unwrap();
+        // One call for the whole batch, no fault draw, objects gone.
+        assert_eq!(store.inner().deletes, vec![names]);
+        assert_eq!(store.ops(), 0);
+        assert!(store.list().unwrap().is_empty());
     }
 
     #[test]

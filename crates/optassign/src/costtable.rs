@@ -3,9 +3,8 @@
 //! the [`CostModel`].
 //!
 //! The OPTASSIGN inner loops are pure cost evaluation: the greedy scans
-//! every `(tier, scheme)` pair per partition, branch-and-bound builds
-//! sorted candidate lists and suffix lower bounds from the same values, and
-//! the Hungarian matching fills an `n × m` edge-weight matrix with them.
+//! every `(tier, scheme)` pair per partition, and branch-and-bound builds
+//! sorted candidate lists and suffix lower bounds from the same values.
 //! Before this engine each evaluation went through
 //! [`OptAssignProblem::placement_cost`], which clones the catalog (and, on
 //! merged multi-provider instances, the topology) into a fresh model per

@@ -20,9 +20,6 @@ pub enum OptAssignError {
     /// The problem definition is malformed (empty partitions, bad sizes,
     /// missing "no compression" option, ...).
     InvalidProblem(String),
-    /// The matching specialisation was called on a problem that is not an
-    /// equal-size / no-compression instance.
-    NotEqualSizeInstance(String),
 }
 
 impl fmt::Display for OptAssignError {
@@ -36,9 +33,6 @@ impl fmt::Display for OptAssignError {
                 write!(f, "tier capacity reservations cannot hold all partitions")
             }
             OptAssignError::InvalidProblem(msg) => write!(f, "invalid problem: {msg}"),
-            OptAssignError::NotEqualSizeInstance(msg) => {
-                write!(f, "not an equal-size/no-compression instance: {msg}")
-            }
         }
     }
 }

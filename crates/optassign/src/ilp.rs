@@ -14,14 +14,19 @@
 //! which ignores the capacity coupling and is therefore admissible. On the
 //! capacity-free instances of the paper it collapses to the greedy solution
 //! immediately; on 3-PARTITION-like instances it still finds the exact
-//! optimum, just more slowly.
+//! optimum, just more slowly. Theorem 2's equal-size, uncompressed
+//! instances are solved here too: they are a special case, not a separate
+//! solver.
 //!
-//! Candidate costs come from a [`CostTable`] evaluated once per solve (the
-//! bound's suffix minima are the table's precomputed column-min scans); the
-//! pre-table, clone-per-evaluation path survives as
+//! Two entry points share one search: [`solve_branch_and_bound`] prices the
+//! problem itself, [`solve_branch_and_bound_on`] searches a caller-held
+//! table, optionally seeded with an incumbent. Candidate costs come from a
+//! [`CostTable`] (the bound's suffix minima are the table's precomputed
+//! column-min scans); the pre-table, clone-per-evaluation path survives as
 //! [`crate::reference::solve_branch_and_bound_reference`] for differential
-//! tests and benchmarks, sharing this module's search core so only the cost
-//! evaluation differs.
+//! tests, sharing this module's search core so only the cost evaluation
+//! differs. `tests/oracle_optassign.rs` checks optimality independently of
+//! that core, against exhaustive enumeration.
 
 use crate::costtable::CostTable;
 use crate::error::OptAssignError;
@@ -104,30 +109,22 @@ impl<'a> SearchState<'a> {
     }
 }
 
+/// An incumbent seed for the search: the choices and per-partition costs of
+/// a known-feasible assignment.
+pub(crate) type WarmStart = (Vec<(TierId, usize)>, Vec<f64>);
+
 /// The search core shared by the table-driven and reference solvers: given
 /// per-partition sorted candidate lists (each guaranteed non-empty by the
 /// caller), run the branch-and-bound and return the best choices. How the
 /// candidate costs were *evaluated* is the only thing the two paths differ
 /// in.
+///
+/// `warm`, when given, seeds the incumbent. The seed only tightens the
+/// pruning bound — ties lose to the incumbent (the leaf comparison is
+/// strict), so seeding with an optimum returns that optimum's exact
+/// choices, and seeding with anything else returns what the cold search
+/// would have found.
 pub(crate) fn branch_and_bound_search(
-    problem: &OptAssignProblem,
-    candidates: Vec<Candidates>,
-    node_budget: u64,
-) -> Result<(Vec<(TierId, usize)>, BranchAndBoundStats), OptAssignError> {
-    branch_and_bound_search_warm(problem, candidates, node_budget, None)
-}
-
-/// An incumbent seed for the warm search: the choices and per-partition
-/// costs of a known-feasible assignment.
-pub(crate) type WarmStart = (Vec<(TierId, usize)>, Vec<f64>);
-
-/// [`branch_and_bound_search`] with an optional incumbent seed: `warm` is
-/// `(choices, per-partition cost)` of a known-feasible assignment. The seed
-/// only tightens the pruning bound — ties lose to the incumbent (the leaf
-/// comparison is strict), so seeding with an optimum returns that optimum's
-/// exact choices, and seeding with anything else returns what the cold
-/// search would have found.
-pub(crate) fn branch_and_bound_search_warm(
     problem: &OptAssignProblem,
     candidates: Vec<Candidates>,
     node_budget: u64,
@@ -242,40 +239,44 @@ pub fn solve_branch_and_bound(
     node_budget: u64,
 ) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
     problem.validate()?;
-    solve_branch_and_bound_on(problem, &CostTable::build(problem), node_budget)
+    solve_branch_and_bound_on(problem, &CostTable::build(problem), None, node_budget)
 }
 
-/// [`solve_branch_and_bound`] over a caller-held [`CostTable`] of the
-/// **validated** `problem` — for a caller that has built (or keeps) the
-/// table anyway, so the instance is priced once.
+/// [`solve_branch_and_bound`] over a caller-held [`CostTable`] of `problem`
+/// — for a caller that keeps the table between solves, so the instance is
+/// priced once. This is the serving engine's re-solve entry point: the
+/// table is typically the previous epoch's, delta-patched with
+/// [`CostTable::patch_rows`], and `incumbent` the previous epoch's
+/// assignment (`None` on a cold start).
+///
+/// An incumbent seeds the search's best cost/choices, so the bound prunes
+/// from the first node; because the leaf comparison is strict, an optimal
+/// incumbent is returned unchanged and a stale one is improved to exactly
+/// what the cold search finds. It must be feasible for the *current* table
+/// (per-entry mask + capacity), which is checked up front.
 pub fn solve_branch_and_bound_on(
     problem: &OptAssignProblem,
     table: &CostTable,
+    incumbent: Option<&[(TierId, usize)]>,
     node_budget: u64,
 ) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
+    problem.validate()?;
+    let warm = incumbent
+        .map(|incumbent| warm_start(problem, table, incumbent))
+        .transpose()?;
     let candidates = candidate_lists(problem, table)?;
-    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget)?;
+    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget, warm)?;
     let assignment = table.assignment(problem, choices)?;
     Ok((assignment, stats))
 }
 
-/// Warm-started branch and bound over a caller-held [`CostTable`] — the
-/// serving-engine re-solve entry point: the table is typically the previous
-/// epoch's, delta-patched with [`CostTable::patch_rows`], and `incumbent`
-/// is the previous epoch's assignment.
-///
-/// The incumbent seeds the search's best cost/choices, so the bound prunes
-/// from the first node; because the leaf comparison is strict, an optimal
-/// incumbent is returned unchanged and a stale one is improved to exactly
-/// what the cold search finds. The incumbent must be feasible for the
-/// *current* table (per-entry mask + capacity), which is checked up front.
-pub fn solve_branch_and_bound_warm(
+/// Check that `incumbent` covers every partition, respects the table's
+/// feasibility mask and fits every reservation, and price it.
+fn warm_start(
     problem: &OptAssignProblem,
     table: &CostTable,
     incumbent: &[(TierId, usize)],
-    node_budget: u64,
-) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
-    problem.validate()?;
+) -> Result<WarmStart, OptAssignError> {
     if incumbent.len() != problem.partitions.len() {
         return Err(OptAssignError::InvalidProblem(format!(
             "incumbent covers {} partitions, problem has {}",
@@ -305,15 +306,7 @@ pub fn solve_branch_and_bound_warm(
             }
         }
     }
-
-    let (choices, stats) = branch_and_bound_search_warm(
-        problem,
-        candidate_lists(problem, table)?,
-        node_budget,
-        Some((incumbent.to_vec(), costs)),
-    )?;
-    let assignment = table.assignment(problem, choices)?;
-    Ok((assignment, stats))
+    Ok((incumbent.to_vec(), costs))
 }
 
 #[cfg(test)]
@@ -444,7 +437,7 @@ mod tests {
 
         let table = CostTable::build(&problem);
         let (warm, warm_stats) =
-            solve_branch_and_bound_warm(&problem, &table, &cold.choices, 1_000_000).unwrap();
+            solve_branch_and_bound_on(&problem, &table, Some(&cold.choices), 1_000_000).unwrap();
         // The strict leaf comparison keeps the seeded optimum on ties, so
         // the choices — not just the objective — are identical.
         assert_eq!(warm.choices, cold.choices);
@@ -468,7 +461,7 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(n, &(t, k))| table.is_feasible(n, t, k)));
-        let (warm, _) = solve_branch_and_bound_warm(&problem, &table, &bad, 1_000_000).unwrap();
+        let (warm, _) = solve_branch_and_bound_on(&problem, &table, Some(&bad), 1_000_000).unwrap();
         let (cold, _) = solve_branch_and_bound(&problem, 1_000_000).unwrap();
         assert_eq!(warm.choices, cold.choices);
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
@@ -486,20 +479,23 @@ mod tests {
         let problem = OptAssignProblem::new(catalog, parts, 6.0);
         let table = CostTable::build(&problem);
 
+        let warm = |incumbent: &[(TierId, usize)]| {
+            solve_branch_and_bound_on(&problem, &table, Some(incumbent), 1000)
+        };
         // Wrong length.
         assert!(matches!(
-            solve_branch_and_bound_warm(&problem, &table, &[(TierId(0), 0)], 1000),
+            warm(&[(TierId(0), 0)]),
             Err(OptAssignError::InvalidProblem(_))
         ));
         // Infeasible entry: "a" has a latency threshold archive tiers miss.
         let archive = problem.catalog.tier_id("Archive").unwrap();
         assert!(matches!(
-            solve_branch_and_bound_warm(&problem, &table, &[(archive, 0), (TierId(0), 0)], 1000),
+            warm(&[(archive, 0), (TierId(0), 0)]),
             Err(OptAssignError::InvalidProblem(_))
         ));
         // Overfilled capacity: both 10 GB objects on the 15 GB premium tier.
         assert!(matches!(
-            solve_branch_and_bound_warm(&problem, &table, &[(premium, 0), (premium, 0)], 1000),
+            warm(&[(premium, 0), (premium, 0)]),
             Err(OptAssignError::InvalidProblem(_))
         ));
     }
@@ -528,10 +524,15 @@ mod tests {
         assert_eq!(table.min_feasible(1), Some(listed[0]));
         assert!(table.candidates_sorted(2).is_empty());
 
-        // The search over that table reports the all-NaN row as the typed
-        // infeasibility; without it, it never places gzip on partition 1.
+        // The entry point refuses the problem before searching; the search
+        // core under it reports the all-NaN row as the typed infeasibility
+        // and, without it, never places gzip on partition 1.
+        assert!(matches!(
+            solve_branch_and_bound_on(&problem, &table, None, 100_000),
+            Err(OptAssignError::InvalidProblem(_))
+        ));
         assert_eq!(
-            solve_branch_and_bound_on(&problem, &table, 100_000).map(|(a, _)| a),
+            candidate_lists(&problem, &table).map(|_| ()),
             Err(OptAssignError::InfeasiblePartition {
                 partition: 2,
                 name: "p2".into(),
@@ -539,9 +540,12 @@ mod tests {
         );
         problem.partitions.pop();
         let table = CostTable::build(&problem);
-        let (a, stats) = solve_branch_and_bound_on(&problem, &table, 100_000).unwrap();
+        let candidates = candidate_lists(&problem, &table).unwrap();
+        let (choices, stats) =
+            branch_and_bound_search(&problem, candidates, 100_000, None).unwrap();
         assert!(stats.proved_optimal);
-        assert_eq!(a.choices[1].1, 0);
+        assert_eq!(choices[1].1, 0);
+        let a = table.assignment(&problem, choices).unwrap();
         assert!(a.objective.is_finite());
     }
 

@@ -17,9 +17,6 @@
 //!   capacity-constrained case (the problem is strongly NP-hard, Theorem 1,
 //!   so exponential worst-case time is expected; the bound makes realistic
 //!   instances fast),
-//! * [`matching`] — the minimum-weight bipartite matching (Hungarian
-//!   algorithm) specialisation for equal-sized partitions with no
-//!   compression (Theorem 2),
 //! * [`predictor`] — the Random-Forest tier predictor of §IV-C (features:
 //!   dataset size, age, recent monthly reads/writes; labels: the
 //!   cost-optimal tier) together with the caching/recency baselines of
@@ -39,6 +36,14 @@
 //! catalog's egress matrix — the SkyStore-style generalisation of the
 //! paper's single-cloud OPTASSIGN.
 //!
+//! Theorem 2's special case — equal-size, uncompressed partitions under
+//! capacities, which reduces to min-cost bipartite matching — has no solver
+//! of its own: branch-and-bound solves it exactly like any other capacity
+//! instance, and no problem this repository builds has that shape (the
+//! pipeline's capacity rows compress partitions of unequal sizes, and an
+//! enterprise catalog's datasets differ in size). A second exact solver
+//! would only be a second implementation to keep equal to the first.
+//!
 //! ## The cost-table engine ([`costtable`])
 //!
 //! Every solver's inner loop is pure cost evaluation, so each solve first
@@ -51,8 +56,12 @@
 //! (`offset[n] + tier · K_n + k`), with per-partition column minima
 //! precomputed for the greedy choice and the branch-and-bound lower bound.
 //!
-//! **When to use which path:** the solvers and `ideal_tier_labels` are
-//! already table-driven — just call them. The schedule DP
+//! **When to use which path:** without capacity reservations call
+//! [`solve_greedy`]; with them call [`solve_branch_and_bound`] (greedy
+//! ignores reservations). A caller that holds a [`CostTable`] between
+//! solves — the serving engine — calls [`solve_branch_and_bound_on`] over
+//! it, optionally seeded with its previous assignment. `ideal_tier_labels`
+//! is table-driven too — just call it. The schedule DP
 //! ([`plan_placement_schedule`]) and the `*_with`-suffixed problem methods
 //! take a hoisted model: use them when you price many placements yourself;
 //! the per-call convenience methods ([`OptAssignProblem::placement_cost`]
@@ -66,7 +75,6 @@ pub mod costtable;
 pub mod error;
 pub mod greedy;
 pub mod ilp;
-pub mod matching;
 pub mod predictor;
 pub mod problem;
 pub mod reference;
@@ -75,11 +83,7 @@ pub mod schedule;
 pub use costtable::CostTable;
 pub use error::OptAssignError;
 pub use greedy::solve_greedy;
-pub use ilp::{
-    solve_branch_and_bound, solve_branch_and_bound_on, solve_branch_and_bound_warm,
-    BranchAndBoundStats,
-};
-pub use matching::solve_equal_size_matching;
+pub use ilp::{solve_branch_and_bound, solve_branch_and_bound_on, BranchAndBoundStats};
 pub use predictor::{
     ideal_tier_labels, ideal_tier_labels_multi, PredictorFeatures, TierPredictor, TieringBaseline,
 };

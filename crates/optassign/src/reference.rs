@@ -3,24 +3,22 @@
 //! [`OptAssignProblem::placement_cost`], which builds (clones) a fresh
 //! [`CostModel`](scope_cloudsim::CostModel) per call.
 //!
-//! These are *not* the production entry points — [`crate::solve_greedy`],
-//! [`crate::solve_branch_and_bound`] and
-//! [`crate::solve_equal_size_matching`] search a precomputed
+//! These are *not* the production entry points — [`crate::solve_greedy`]
+//! and [`crate::solve_branch_and_bound`] search a precomputed
 //! [`CostTable`](crate::costtable::CostTable) instead. The reference paths
 //! exist as **differential oracles**: `tests/differential_costtable.rs`
 //! pins the table-driven solvers bit-for-bit equal to these on random
 //! single- and multi-provider instances, so the table engine can never
 //! silently drift from the objective definition.
 //!
-//! Both solver families share their search cores (the branch-and-bound
-//! tree walk, the tier-copy construction + Hungarian matching); the only
+//! The two branch-and-bound paths share their search core; the only
 //! difference is whether a placement price is a table lookup or a fresh
-//! model evaluation.
+//! model evaluation. Whether that core finds the optimum is checked apart
+//! from it, against exhaustive enumeration in `tests/oracle_optassign.rs`.
 
 use crate::error::OptAssignError;
 use crate::ilp::{branch_and_bound_search, BranchAndBoundStats};
-use crate::matching::equal_size_matching_core;
-use crate::problem::{Assignment, OptAssignProblem, NO_COMPRESSION};
+use crate::problem::{Assignment, OptAssignProblem};
 use scope_cloudsim::TierId;
 
 /// [`crate::solve_greedy`] evaluated through the model instead of a
@@ -72,32 +70,16 @@ pub fn solve_branch_and_bound_reference(
         cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         candidates.push(cands);
     }
-    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget)?;
+    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget, None)?;
     let assignment = Assignment::from_choices(problem, choices)?;
     Ok((assignment, stats))
-}
-
-/// [`crate::solve_equal_size_matching`] with the `n × m` edge-weight matrix
-/// evaluated through the model (one [`OptAssignProblem::placement_cost`] —
-/// and therefore one catalog clone — per cell, duplicate tier copies
-/// included), exactly as the pre-table solver priced it.
-pub fn solve_equal_size_matching_reference(
-    problem: &OptAssignProblem,
-) -> Result<Assignment, OptAssignError> {
-    let choices = equal_size_matching_core(problem, |i, tier| {
-        let p = &problem.partitions[i];
-        problem
-            .is_feasible(p, tier, NO_COMPRESSION)
-            .then(|| problem.placement_cost(p, tier, NO_COMPRESSION))
-    })?;
-    Assignment::from_choices(problem, choices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{CompressionOption, PartitionSpec};
-    use crate::{solve_branch_and_bound, solve_equal_size_matching, solve_greedy};
+    use crate::{solve_branch_and_bound, solve_greedy};
     use scope_cloudsim::TierCatalog;
 
     fn partition(id: usize, size: f64, accesses: f64) -> PartitionSpec {
@@ -124,18 +106,6 @@ mod tests {
         let (ref_bnb, ref_stats) = solve_branch_and_bound_reference(&problem, 1_000_000).unwrap();
         assert_eq!(table_bnb, ref_bnb);
         assert_eq!(table_stats, ref_stats);
-
-        // Equal-size / no-compression instance for the matching.
-        let parts: Vec<_> = (0..5)
-            .map(|i| PartitionSpec::new(i, format!("q{i}"), 20.0, (i * 50) as f64))
-            .collect();
-        let mut catalog = TierCatalog::azure_adls_gen2();
-        catalog.set_capacity("Premium", 45.0).unwrap();
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        assert_eq!(
-            solve_equal_size_matching(&problem).unwrap(),
-            solve_equal_size_matching_reference(&problem).unwrap()
-        );
     }
 
     #[test]
@@ -149,10 +119,6 @@ mod tests {
         ));
         assert!(matches!(
             solve_branch_and_bound_reference(&problem, 1000),
-            Err(OptAssignError::InfeasiblePartition { partition: 0, .. })
-        ));
-        assert!(matches!(
-            solve_equal_size_matching_reference(&problem),
             Err(OptAssignError::InfeasiblePartition { partition: 0, .. })
         ));
     }

@@ -35,8 +35,8 @@ use scope_cloudsim::{
     AccessKind, BillingEvent, CostBreakdown, EventColumns, TierCatalog, TierId, UNKNOWN_OBJECT,
 };
 use scope_optassign::{
-    solve_branch_and_bound_on, solve_branch_and_bound_warm, Assignment, CompressionOption,
-    CostTable, OptAssignError, OptAssignProblem, PartitionSpec,
+    solve_branch_and_bound_on, Assignment, CompressionOption, CostTable, OptAssignError,
+    OptAssignProblem, PartitionSpec,
 };
 
 use scope_wal::{xxh64, StaticDigest};
@@ -87,8 +87,10 @@ pub struct ServeConfig {
     /// and is not part of a checkpoint (a restored engine has `0`).
     pub threads: usize,
     /// `Some(budget)` switches re-solves from per-partition greedy to
-    /// warm-started branch-and-bound with this node budget (needed when
-    /// tiers have capacity constraints that couple partitions).
+    /// warm-started branch-and-bound with this node budget. It is required
+    /// when a tier reserves capacity: the reservation couples partitions,
+    /// greedy would ignore it, and [`ServeEngine::new`] refuses a capacity
+    /// catalog under `None`.
     pub node_budget: Option<u64>,
 }
 
@@ -446,6 +448,14 @@ impl ServeEngine {
         config.validate()?;
         if catalog.is_empty() {
             return Err(ServeError::InvalidConfig("tier catalog is empty".into()));
+        }
+        if config.node_budget.is_none() {
+            if let Some((_, tier)) = catalog.iter().find(|(_, t)| t.capacity_gb.is_some()) {
+                return Err(ServeError::InvalidConfig(format!(
+                    "tier {} reserves capacity, which greedy re-solves ignore; set node_budget",
+                    tier.name
+                )));
+            }
         }
         if schemes.is_empty() {
             return Err(ServeError::InvalidConfig(
@@ -1622,22 +1632,17 @@ impl AccountShard {
                 }
                 None
             }
-            // The cold branch-and-bound searches the table just built
-            // (the problem was validated on the way to it).
-            Some(budget) if cold => Some(
-                solve_branch_and_bound_on(&self.problem, table, budget)?
-                    .0
-                    .choices,
-            ),
-            // The incumbent stays feasible across heat changes
-            // (feasibility depends only on latency thresholds and sizes,
-            // which never change here), so it seeds the warm search
-            // directly.
-            Some(budget) => Some(
-                solve_branch_and_bound_warm(&self.problem, table, &self.choices, budget)?
-                    .0
-                    .choices,
-            ),
+            // A warm search is seeded with the incumbent: it stays feasible
+            // across heat changes (feasibility depends only on latency
+            // thresholds and sizes, which never change here).
+            Some(budget) => {
+                let incumbent = (!cold).then_some(&self.choices[..]);
+                Some(
+                    solve_branch_and_bound_on(&self.problem, table, incumbent, budget)?
+                        .0
+                        .choices,
+                )
+            }
         };
 
         // Apply: success from here on. A re-priced or moved row refreshes
@@ -1834,6 +1839,14 @@ mod tests {
             ServeConfig::default(),
         )
         .is_err());
+        // A capacity reservation needs branch-and-bound re-solves: greedy
+        // would overfill the reserved tier.
+        let mut reserved = catalog.clone();
+        reserved.set_capacity("Hot", 10.0).unwrap();
+        assert!(matches!(
+            ServeEngine::new(reserved, schemes(), ServeConfig::default()),
+            Err(ServeError::InvalidConfig(_))
+        ));
 
         let mut engine = ServeEngine::new(catalog, schemes(), ServeConfig::default()).unwrap();
         engine

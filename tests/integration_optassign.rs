@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use scope_cloudsim::{CostWeights, TierCatalog};
 use scope_optassign::{
-    solve_branch_and_bound, solve_equal_size_matching, solve_greedy, CompressionOption,
-    OptAssignProblem, PartitionSpec,
+    solve_branch_and_bound, solve_greedy, CompressionOption, OptAssignProblem, PartitionSpec,
 };
 
 fn partition(id: usize, size: f64, accesses: f64) -> PartitionSpec {
@@ -25,26 +24,6 @@ fn greedy_and_branch_and_bound_agree_without_capacities() {
     let (exact, stats) = solve_branch_and_bound(&problem, 10_000_000).unwrap();
     assert!(stats.proved_optimal);
     assert!((greedy.objective - exact.objective).abs() < 1e-6);
-}
-
-#[test]
-fn matching_agrees_with_exact_solver_on_equal_size_instances() {
-    let mut catalog = TierCatalog::azure_adls_gen2();
-    catalog.set_capacity("Premium", 100.0).unwrap();
-    catalog.set_capacity("Hot", 150.0).unwrap();
-    let parts: Vec<_> = (0..6)
-        .map(|i| PartitionSpec::new(i, format!("p{i}"), 50.0, (i * 40) as f64))
-        .collect();
-    let problem = OptAssignProblem::new(catalog, parts, 6.0);
-    let matched = solve_equal_size_matching(&problem).unwrap();
-    let (exact, stats) = solve_branch_and_bound(&problem, 10_000_000).unwrap();
-    assert!(stats.proved_optimal);
-    assert!(
-        (matched.objective - exact.objective).abs() < 1e-6,
-        "matching {} vs exact {}",
-        matched.objective,
-        exact.objective
-    );
 }
 
 proptest! {

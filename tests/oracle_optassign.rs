@@ -8,16 +8,18 @@
 //!   off-by-one-period residency and recompression bugs are visible.
 //! * The greedy solver is checked against the exact branch-and-bound on
 //!   random unbounded instances (where the documented approximation bound
-//!   is *equality*, Theorem 3), and B&B is checked against the Hungarian
-//!   matching on capacity-constrained equal-size instances (two exact
-//!   solvers must agree).
+//!   is *equality*, Theorem 3).
+//! * Branch-and-bound is checked against exhaustive enumeration of every
+//!   `(tier, scheme)` plan on small capacity-constrained instances with
+//!   compression and unequal sizes (≤ 8⁴ plans) — the only check of its
+//!   optimality under capacities that shares nothing with its search core.
 
 use proptest::prelude::*;
 use scope_cloudsim::{CostModel, Provider, ProviderCatalog, Tier, TierCatalog, TierId};
 use scope_optassign::{
-    placement_schedule_cost, plan_placement_schedule, solve_branch_and_bound,
-    solve_equal_size_matching, solve_greedy, CompressionOption, OptAssignProblem, PartitionSpec,
-    PeriodUsage, ScheduleOptions,
+    placement_schedule_cost, plan_placement_schedule, solve_branch_and_bound, solve_greedy,
+    CompressionOption, OptAssignError, OptAssignProblem, PartitionSpec, PeriodUsage,
+    ScheduleOptions,
 };
 
 /// Decode flat random vectors into a small tier ladder. `params` supplies
@@ -39,6 +41,27 @@ fn small_catalog(n_tiers: usize, params: &[f64]) -> TierCatalog {
     TierCatalog::new(tiers).expect("non-empty ladder")
 }
 
+/// Call `visit` with every index vector `plan` where each
+/// `plan[i] < radices[i]` (every radix positive), odometer order.
+fn for_each_plan(radices: &[usize], mut visit: impl FnMut(&[usize])) {
+    let mut plan = vec![0usize; radices.len()];
+    loop {
+        visit(&plan);
+        let mut digit = 0;
+        loop {
+            if digit == plan.len() {
+                return;
+            }
+            plan[digit] += 1;
+            if plan[digit] < radices[digit] {
+                break;
+            }
+            plan[digit] = 0;
+            digit += 1;
+        }
+    }
+}
+
 /// Enumerate every `(|tiers| · |schemes|)^|periods|` plan and return the
 /// cheapest cost.
 fn brute_force_min(
@@ -54,10 +77,8 @@ fn brute_force_min(
         .into_iter()
         .flat_map(|t| (0..schemes.len()).map(move |k| (t, k)))
         .collect();
-    let n = periods.len();
     let mut best = f64::INFINITY;
-    let mut plan = vec![0usize; n];
-    loop {
+    for_each_plan(&vec![choices.len(); periods.len()], |plan| {
         let placements: Vec<(TierId, usize)> = plan.iter().map(|&i| choices[i]).collect();
         let cost = placement_schedule_cost(model, size_gb, schemes, periods, &placements, options)
             .expect("well-formed plan prices");
@@ -70,20 +91,50 @@ fn brute_force_min(
         if granular && cost < best {
             best = cost;
         }
-        // Odometer increment.
-        let mut digit = 0;
-        loop {
-            if digit == n {
-                return best;
-            }
-            plan[digit] += 1;
-            if plan[digit] < choices.len() {
-                break;
-            }
-            plan[digit] = 0;
-            digit += 1;
-        }
+    });
+    best
+}
+
+/// The cheapest plan of `problem` over every partition's `(tier, scheme)`
+/// pairs, skipping plans that break a latency threshold or overfill a
+/// reserved tier by more than branch-and-bound's 1e-9 GB slack; `None`
+/// when no plan is feasible.
+fn enumerated_min(problem: &OptAssignProblem) -> Option<f64> {
+    let options: Vec<Vec<(TierId, usize)>> = problem
+        .partitions
+        .iter()
+        .map(|p| {
+            problem
+                .catalog
+                .tier_ids()
+                .into_iter()
+                .flat_map(|t| (0..p.compression_options.len()).map(move |k| (t, k)))
+                .filter(|&(t, k)| problem.is_feasible(p, t, k))
+                .collect()
+        })
+        .collect();
+    if options.iter().any(Vec::is_empty) {
+        return None;
     }
+    let mut best = None;
+    let radices: Vec<usize> = options.iter().map(Vec::len).collect();
+    for_each_plan(&radices, |plan| {
+        let mut used = vec![0.0; problem.n_tiers()];
+        let mut cost = 0.0;
+        for ((p, choices), &i) in problem.partitions.iter().zip(&options).zip(plan) {
+            let (tier, k) = choices[i];
+            used[tier.index()] += p.stored_gb(k);
+            cost += problem.placement_cost(p, tier, k);
+        }
+        let fits = problem
+            .catalog
+            .iter()
+            .all(|(t, tier)| used[t.index()] <= tier.capacity_gb.unwrap_or(f64::INFINITY) + 1e-9);
+        if fits && cost < best.unwrap_or(f64::INFINITY) {
+            best = Some(cost);
+        }
+    });
+    best
 }
 
 /// Per-period usage drawn from flat vectors: read and write volumes from
@@ -256,35 +307,60 @@ proptest! {
         );
     }
 
-    /// Differential: on capacity-constrained equal-size no-compression
-    /// instances the two exact solvers (branch-and-bound, Hungarian
-    /// matching) agree, and the capacity-oblivious greedy lower-bounds
-    /// them.
+    /// Branch-and-bound is exactly minimal under capacity pressure, in the
+    /// NP-hard case (Theorem 1): partitions of unequal sizes, some with a
+    /// compression scheme, Premium/Hot/Cool bounded and sometimes Archive
+    /// too. Its objective is the enumerated minimum, it reports
+    /// `InfeasibleCapacity` exactly when no plan fits, and the
+    /// capacity-oblivious greedy lower-bounds it.
     #[test]
-    fn exact_solvers_agree_under_capacity_pressure(
+    fn branch_and_bound_is_exactly_minimal_under_capacity(
         n_parts in 1usize..5,
-        size in 1.0f64..100.0,
+        sizes in proptest::collection::vec(1.0f64..100.0, 4),
         accesses in proptest::collection::vec(0.0f64..5000.0, 4),
-        cap_units in proptest::collection::vec(0usize..4, 3),
+        ratios in proptest::collection::vec(1.1f64..8.0, 4),
+        decompress in proptest::collection::vec(0.0f64..2.0, 4),
+        compressed in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 4),
+        cap_units in proptest::collection::vec(0.0f64..2.0, 4),
+        bound_archive in proptest::arbitrary::any::<bool>(),
     ) {
-        let mut catalog = TierCatalog::azure_adls_gen2();
-        // Bound three tiers in units of the common partition size; leave
-        // Archive unbounded so the instance is always feasible.
-        for (name, &units) in ["Premium", "Hot", "Cool"].iter().zip(&cap_units) {
-            catalog.set_capacity(name, size * units as f64).unwrap();
-        }
         let parts: Vec<PartitionSpec> = (0..n_parts)
-            .map(|i| PartitionSpec::new(i, format!("p{i}"), size, accesses[i % accesses.len()]))
+            .map(|i| {
+                let p = PartitionSpec::new(i, format!("p{i}"), sizes[i], accesses[i]);
+                if compressed[i] {
+                    p.with_compression_option(CompressionOption::new("z", ratios[i], decompress[i]))
+                } else {
+                    p
+                }
+            })
             .collect();
+        // Reservations in units of the mean partition size: with Archive
+        // bounded too, some instances cannot be packed at all.
+        let mean = parts.iter().map(|p| p.size_gb).sum::<f64>() / n_parts as f64;
+        let bounded = ["Premium", "Hot", "Cool", "Archive"];
+        let mut catalog = TierCatalog::azure_adls_gen2();
+        for (name, &units) in bounded[..3 + bound_archive as usize].iter().zip(&cap_units) {
+            catalog.set_capacity(name, mean * units).unwrap();
+        }
         let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        let matched = solve_equal_size_matching(&problem).unwrap();
-        let (exact, stats) = solve_branch_and_bound(&problem, 50_000_000).unwrap();
+        let solved = solve_branch_and_bound(&problem, 50_000_000);
+        let min = enumerated_min(&problem);
+        prop_assert!(
+            matches!(
+                (&solved, min),
+                (Ok(_), Some(_)) | (Err(OptAssignError::InfeasibleCapacity), None)
+            ),
+            "b&b {solved:?} vs enumeration {min:?}"
+        );
+        let (Ok((exact, stats)), Some(min)) = (solved, min) else {
+            return Ok(()); // infeasible, and both say so
+        };
         prop_assert!(stats.proved_optimal);
         prop_assert!(
-            (matched.objective - exact.objective).abs() <= 1e-6 * (1.0 + exact.objective.abs()),
-            "matching {} vs b&b {}", matched.objective, exact.objective
+            (exact.objective - min).abs() <= 1e-9 * (1.0 + min.abs()),
+            "b&b {} vs enumeration {}", exact.objective, min
         );
-        // The capacity-free greedy is a valid lower bound on both.
+        // The capacity-free greedy is a valid lower bound.
         let greedy = solve_greedy(&problem).unwrap();
         prop_assert!(greedy.objective <= exact.objective + 1e-9 * (1.0 + exact.objective.abs()));
         // Capacities are actually respected by the exact solution.
