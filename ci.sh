@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=682
+min_tests=684
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -148,7 +148,7 @@ if [[ $quick -eq 0 ]]; then
     max_checkpoint_bytes_written=446476
     max_storage_deletes=7
     max_storage_syncs=6
-    max_bytes_appended=2269134
+    max_bytes_appended=1837710
     echo "==> benchmark/run.sh serve_durable --trace 1 --quick (durable-bytes ratchet)"
     traced=$(traced_quick serve_durable) || {
         echo "$traced"

@@ -9,17 +9,6 @@
 //! is the out-of-workspace `benchmark/` package behind `BENCHMARK.json`.
 //! This library holds the formatting helpers the binaries share.
 
-/// Format a floating-point cell with a fixed width for the printed tables.
-pub fn cell(value: f64) -> String {
-    if value.abs() >= 1000.0 {
-        format!("{value:>10.1}")
-    } else if value.abs() >= 1.0 {
-        format!("{value:>10.2}")
-    } else {
-        format!("{value:>10.4}")
-    }
-}
-
 /// Print a titled separator so the binary outputs are easy to scan.
 pub fn heading(title: &str) {
     println!("\n==== {title} ====");
@@ -46,17 +35,4 @@ pub fn print_policy_header() {
         "{:<42} {:>10} {:>9} {:>9} {:>10} {:>9} {:>10}  Tiering",
         "Policy", "Storage", "Decomp", "Read", "Total", "TTFB(s)", "Decomp(ms)"
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cell_widths_adapt_to_magnitude() {
-        assert!(cell(12345.6).contains("12345.6"));
-        assert!(cell(7.25159).contains("7.25"));
-        assert!(cell(0.01234).contains("0.0123"));
-        assert_eq!(cell(1.0).len(), 10);
-    }
 }

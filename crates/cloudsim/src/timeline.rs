@@ -22,9 +22,13 @@
 //!   which the placement is constant; [`PlacementSchedule::segments`]
 //!   decomposes a schedule over a horizon into these spans, which is what
 //!   the billing engine streams over.
+//! * [`EventColumns`] — a resolved trace (or one delivered batch of it)
+//!   in struct-of-arrays form, and the one byte layout of such a batch
+//!   ([`EventColumns::encode_into`] / [`EventColumns::decode`]) that the
+//!   write-ahead journal and the serving checkpoint both carry.
 //!
 //! A billing **period** is the fixed [`DAYS_PER_MONTH`]-day window the
-//! provider invoices on; [`period_of_day`] maps a day to its period. The
+//! provider invoices on: day `d` falls in period `d / DAYS_PER_MONTH`. The
 //! whole-month convention (30 days) matches the `early_deletion_days / 30`
 //! arithmetic the tier catalog and the paper's Table I use.
 //!
@@ -33,6 +37,7 @@
 use crate::billing::{AccessEvent, AccessKind, Placement};
 use crate::error::CloudSimError;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Days per billing period ("month"). All month-denominated rates
 /// (`storage_cost_cents_per_gb_month`, `early_deletion_days / 30`) are
@@ -42,11 +47,6 @@ pub const DAYS_PER_MONTH: u32 = 30;
 /// First day of billing period `month` (0-based).
 pub fn first_day_of_month(month: u32) -> u32 {
     month * DAYS_PER_MONTH
-}
-
-/// Billing period (0-based) containing `day`.
-pub fn period_of_day(day: u32) -> u32 {
-    day / DAYS_PER_MONTH
 }
 
 /// One access to an object, stamped with the day it happens on.
@@ -118,23 +118,18 @@ pub const UNKNOWN_OBJECT: u32 = u32::MAX;
 /// the hot cache lines entirely and lets the engine stream each column
 /// sequentially. Object names are resolved to interned ids **once**, at
 /// column-build time — the replay itself (`BillingSimulator::run_columns`)
-/// never hashes a name. `periods` is a convenience for consumers that
-/// bucket by billing period (the serving intake); the replay checks its
-/// length like every column's but bills each event into
-/// `day / DAYS_PER_MONTH`, derived from `days` in the order-free stage, so
-/// a `periods` entry that disagrees with its day cannot misroute a charge
-/// or index past the report's months.
+/// never hashes a name.
 ///
 /// The columns are `pub` and may be assembled by hand; the replay refuses
 /// columns of unequal length and ids that are neither [`UNKNOWN_OBJECT`]
 /// nor an interned id with a typed error (see
-/// `BillingSimulator::run_columns_with_threads`).
+/// `BillingSimulator::run_columns_with_threads`). The byte layout
+/// ([`EventColumns::encode_into`]) carries such a ragged batch as it
+/// stands, for the consumer to judge.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventColumns {
     /// Day stamp of each event (0-based).
     pub days: Vec<u32>,
-    /// Billing period of each event (`day / DAYS_PER_MONTH`, precomputed).
-    pub periods: Vec<u32>,
     /// Interned object id of each event, or [`UNKNOWN_OBJECT`].
     pub object_ids: Vec<u32>,
     /// Read or write.
@@ -166,7 +161,6 @@ impl EventColumns {
         let n = rows.len();
         let mut cols = EventColumns {
             days: Vec::with_capacity(n),
-            periods: Vec::with_capacity(n),
             object_ids: Vec::with_capacity(n),
             kinds: Vec::with_capacity(n),
             volumes: Vec::with_capacity(n),
@@ -192,18 +186,20 @@ impl EventColumns {
         self.days.is_empty()
     }
 
-    /// `Ok` if all five columns hold one entry per event, else an
+    /// Each column's length, in block order (see [`Self::encode_into`]).
+    fn column_lens(&self) -> [usize; 4] {
+        let (days, ids) = (self.days.len(), self.object_ids.len());
+        [days, ids, self.kinds.len(), self.volumes.len()]
+    }
+
+    /// `Ok` if all four columns hold one entry per event, else an
     /// `InvalidParameter` naming the first column whose length differs
     /// from `days`' and carrying that length.
     pub(crate) fn check_lengths(&self) -> Result<(), CloudSimError> {
-        let lengths = [
-            ("columns.periods", self.periods.len()),
-            ("columns.object_ids", self.object_ids.len()),
-            ("columns.kinds", self.kinds.len()),
-            ("columns.volumes", self.volumes.len()),
-        ];
-        match lengths.iter().find(|&&(_, len)| len != self.days.len()) {
-            Some(&(name, len)) => Err(CloudSimError::InvalidParameter {
+        let names = ["columns.object_ids", "columns.kinds", "columns.volumes"];
+        let [days, rest @ ..] = self.column_lens();
+        match names.into_iter().zip(rest).find(|&(_, len)| len != days) {
+            Some((name, len)) => Err(CloudSimError::InvalidParameter {
                 name,
                 value: len as f64,
             }),
@@ -217,7 +213,6 @@ impl EventColumns {
     /// incrementally instead of materializing a `Vec<BillingEvent>` first.
     pub fn push_resolved(&mut self, day: u32, object_id: u32, kind: AccessKind, volume_gb: f64) {
         self.days.push(day);
-        self.periods.push(period_of_day(day));
         self.object_ids.push(object_id);
         self.kinds.push(kind);
         self.volumes.push(volume_gb);
@@ -227,10 +222,25 @@ impl EventColumns {
     /// both traces' internal order (batch concatenation).
     pub fn extend_from(&mut self, other: &EventColumns) {
         self.days.extend_from_slice(&other.days);
-        self.periods.extend_from_slice(&other.periods);
         self.object_ids.extend_from_slice(&other.object_ids);
         self.kinds.extend_from_slice(&other.kinds);
         self.volumes.extend_from_slice(&other.volumes);
+    }
+
+    /// Events `range.start..range.end`, in trace order — the one range
+    /// copier behind every batch splitter. A column shorter than the range
+    /// gives what it holds of it, so a ragged batch is cut, not refused.
+    pub fn range(&self, range: Range<usize>) -> EventColumns {
+        fn cut<T: Copy>(column: &[T], range: &Range<usize>) -> Vec<T> {
+            let end = range.end.min(column.len());
+            column[range.start.min(end)..end].to_vec()
+        }
+        EventColumns {
+            days: cut(&self.days, &range),
+            object_ids: cut(&self.object_ids, &range),
+            kinds: cut(&self.kinds, &range),
+            volumes: cut(&self.volumes, &range),
+        }
     }
 
     /// The sub-trace of events with `start_day <= day < end_day`, in the
@@ -243,7 +253,6 @@ impl EventColumns {
             let day = self.days[i];
             if day >= start_day && day < end_day {
                 out.days.push(day);
-                out.periods.push(self.periods[i]);
                 out.object_ids.push(self.object_ids[i]);
                 out.kinds.push(self.kinds[i]);
                 out.volumes.push(self.volumes[i]);
@@ -251,6 +260,95 @@ impl EventColumns {
         }
         out
     }
+
+    /// Bytes [`EventColumns::encode_into`] appends for this batch: a
+    /// 16-byte header, then 17 bytes per event of a square batch.
+    pub fn encoded_len(&self) -> usize {
+        let [days, ids, kinds, volumes] = self.column_lens();
+        16 + 4 * (days + ids) + kinds + 8 * volumes
+    }
+
+    /// Append this batch's **column block** to `out`: the one byte layout
+    /// of an event batch, carried by the journal's batch records and by
+    /// the serving checkpoint's reorder buffer. Little-endian:
+    ///
+    /// ```text
+    /// lengths:    4 × u32   days, object_ids, kinds, volumes
+    /// days:       u32 each
+    /// object_ids: u32 each
+    /// kinds:      u8 each   (0 = Read, 1 = Write)
+    /// volumes:    u64 each  (f64 bit patterns, so NaN payloads survive)
+    /// ```
+    ///
+    /// Every column goes out at its own length, so a ragged batch is
+    /// written as it stands and [`EventColumns::decode`] reads it back
+    /// exactly: neither refused nor squared off. `out` grows once, to the
+    /// block's size. A column of more than `u32::MAX` events has no block.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.encoded_len(), 0);
+        let lens = self.column_lens().map(|n| n as u32);
+        let dst = fill_le(&mut out[start..], &lens, u32::to_le_bytes);
+        let dst = fill_le(dst, &self.days, u32::to_le_bytes);
+        let dst = fill_le(dst, &self.object_ids, u32::to_le_bytes);
+        let dst = fill_le(dst, &self.kinds, |k| [u8::from(k == AccessKind::Write)]);
+        fill_le(dst, &self.volumes, |v: f64| v.to_bits().to_le_bytes());
+    }
+
+    /// Decode exactly one column block (see [`EventColumns::encode_into`]),
+    /// or `None` if `bytes` is anything else: a length other than its
+    /// header declares, or a kind byte other than 0 or 1. The lengths are
+    /// checked against `bytes` before anything is allocated, so a corrupt
+    /// header cannot ask for more memory than the input is long, and a
+    /// decoded batch re-encodes to exactly `bytes`.
+    pub fn decode(bytes: &[u8]) -> Option<EventColumns> {
+        let header = bytes.get(..16)?;
+        let [days, ids, kinds, volumes] =
+            std::array::from_fn(|i| u32::from_le_bytes(le(&header[4 * i..][..4])) as u64);
+        if 16 + 4 * (days + ids) + kinds + 8 * volumes != bytes.len() as u64 {
+            return None;
+        }
+        let (days, rest) = bytes[16..].split_at(4 * days as usize);
+        let (ids, rest) = rest.split_at(4 * ids as usize);
+        let (kinds, volumes) = rest.split_at(kinds as usize);
+        if kinds.iter().any(|&k| k > 1) {
+            return None;
+        }
+        Some(EventColumns {
+            days: cells(days, u32::from_le_bytes),
+            object_ids: cells(ids, u32::from_le_bytes),
+            kinds: cells(kinds, |[k]| {
+                [AccessKind::Read, AccessKind::Write][k as usize]
+            }),
+            volumes: cells(volumes, |b| f64::from_bits(u64::from_le_bytes(b))),
+        })
+    }
+}
+
+/// Fill the front of `dst` with `src`, `W` little-endian bytes per
+/// element, and return what is left of `dst`.
+fn fill_le<'a, T: Copy, const W: usize>(
+    dst: &'a mut [u8],
+    src: &[T],
+    le: impl Fn(T) -> [u8; W],
+) -> &'a mut [u8] {
+    let (column, rest) = dst.split_at_mut(src.len() * W);
+    for (slot, &value) in column.chunks_exact_mut(W).zip(src) {
+        slot.copy_from_slice(&le(value));
+    }
+    rest
+}
+
+/// A `W`-byte slice as an array.
+fn le<const W: usize>(chunk: &[u8]) -> [u8; W] {
+    let mut bytes = [0u8; W];
+    bytes.copy_from_slice(chunk);
+    bytes
+}
+
+/// A column of `W`-byte cells, each read with `read`.
+fn cells<T, const W: usize>(column: &[u8], read: impl Fn([u8; W]) -> T) -> Vec<T> {
+    column.chunks_exact(W).map(|w| read(le(w))).collect()
 }
 
 /// The placement of one object over the billing horizon: an initial
@@ -403,16 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn day_period_arithmetic() {
-        assert_eq!(first_day_of_month(0), 0);
-        assert_eq!(first_day_of_month(3), 90);
-        assert_eq!(period_of_day(0), 0);
-        assert_eq!(period_of_day(29), 0);
-        assert_eq!(period_of_day(30), 1);
-        assert_eq!(period_of_day(89), 2);
-    }
-
-    #[test]
     fn monthly_events_land_on_period_start_days() {
         let monthly = vec![
             AccessEvent::read("a", 0, 1.0),
@@ -423,7 +511,7 @@ mod tests {
         assert_eq!(daily[0].day, 0);
         assert_eq!(daily[1].day, 60);
         assert_eq!(daily[1].kind, AccessKind::Write);
-        assert_eq!(period_of_day(daily[1].day), 2);
+        assert_eq!(daily[1].day / DAYS_PER_MONTH, 2);
     }
 
     #[test]
@@ -503,7 +591,6 @@ mod tests {
         assert_eq!(cols.len(), 3);
         assert!(!cols.is_empty());
         assert_eq!(cols.days, vec![0, 31, 65]);
-        assert_eq!(cols.periods, vec![0, 1, 2]);
         assert_eq!(cols.object_ids, vec![0, 1, UNKNOWN_OBJECT]);
         assert_eq!(cols.kinds[1], AccessKind::Write);
         assert_eq!(cols.volumes, vec![1.5, 2.0, 0.5]);
@@ -542,7 +629,6 @@ mod tests {
         let early = cols.filter_day_range(0, 32);
         assert_eq!(early.days, vec![0, 31, 31]);
         assert_eq!(early.object_ids, vec![0, 1, 0]);
-        assert_eq!(early.periods, vec![0, 1, 1]);
         let late = cols.filter_day_range(32, 90);
         assert_eq!(late.days, vec![65]);
         assert!(cols.filter_day_range(90, 300).is_empty());
@@ -550,6 +636,20 @@ mod tests {
         rejoined.extend_from(&early);
         rejoined.extend_from(&late);
         assert_eq!(rejoined, cols);
+
+        // Index ranges cut the same way, and tile the trace.
+        assert_eq!(cols.range(0..3), early);
+        assert_eq!(cols.range(3..4), late);
+        assert!(cols.range(4..4).is_empty());
+        let mut rejoined = cols.range(0..1);
+        rejoined.extend_from(&cols.range(1..4));
+        assert_eq!(rejoined, cols);
+        // A ragged batch is cut column by column, past any column's end.
+        let mut ragged = cols.clone();
+        ragged.volumes.truncate(2);
+        let tail = ragged.range(1..9);
+        assert_eq!((tail.days.len(), tail.volumes.len()), (3, 1));
+        assert_eq!(ragged.range(3..9).volumes, Vec::<f64>::new());
     }
 
     /// The loop `PlacementSchedule::segments` was before it became a
@@ -637,7 +737,6 @@ mod tests {
             ragged.check_lengths()
         };
         let err = |name, value| Err(CloudSimError::InvalidParameter { name, value });
-        assert_eq!(cut(|c| c.periods.truncate(3)), err("columns.periods", 3.0));
         assert_eq!(
             cut(|c| c.object_ids.truncate(3)),
             err("columns.object_ids", 3.0)
@@ -646,7 +745,7 @@ mod tests {
         assert_eq!(cut(|c| c.volumes.truncate(3)), err("columns.volumes", 3.0));
         // A short `days` makes every other column the odd one out; the
         // first is named.
-        assert_eq!(cut(|c| c.days.truncate(3)), err("columns.periods", 4.0));
+        assert_eq!(cut(|c| c.days.truncate(3)), err("columns.object_ids", 4.0));
         assert_eq!(cut(|c| c.volumes.push(0.0)), err("columns.volumes", 5.0));
     }
 

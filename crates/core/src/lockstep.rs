@@ -350,16 +350,7 @@ fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
     let total = columns.len();
     let per = total.div_ceil(n.max(1)).max(1);
     (0..n.max(1))
-        .map(|b| {
-            let (lo, hi) = ((b * per).min(total), ((b + 1) * per).min(total));
-            EventColumns {
-                days: columns.days[lo..hi].to_vec(),
-                periods: columns.periods[lo..hi].to_vec(),
-                object_ids: columns.object_ids[lo..hi].to_vec(),
-                kinds: columns.kinds[lo..hi].to_vec(),
-                volumes: columns.volumes[lo..hi].to_vec(),
-            }
-        })
+        .map(|b| columns.range((b * per).min(total)..((b + 1) * per).min(total)))
         .collect()
 }
 

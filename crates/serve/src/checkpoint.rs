@@ -13,11 +13,11 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 3)
+//! ## Wire layout (version 4)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 3)
+//! version u32 little-endian            (currently 4)
 //! payload                              (engine state, see below)
 //! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
@@ -49,9 +49,8 @@
 //! quarantine    capacity u64, total u64, truncated u64, count u64, then
 //!               per entry ordinal u64, day u32, object_id u32,
 //!               volume bits u64, reason u8
-//! pending       count u64, then per buffered batch: seq u64 and its five
-//!               columns, each a count u64 and its cells (days u32,
-//!               periods u32, object_ids u32, kinds u8, volumes f64)
+//! pending       count u64, then per buffered batch: seq u64 and its
+//!               column block behind a u64 byte length
 //! ```
 //!
 //! The **static section** holds what cannot change once an object is
@@ -70,6 +69,10 @@
 //! re-solve changes either, and it changes both), so they are not written
 //! a second time. `ServeConfig::threads` is not part of a snapshot: it
 //! cannot change a result, and a restored engine decides its own fan-out.
+//! A **parked batch** of the reorder buffer is the column block of
+//! [`scope_cloudsim::EventColumns::encode_into`], the bytes a journal
+//! batch record carries: each column keeps its own length, so a torn
+//! batch parked early is restored exactly as it was delivered.
 //!
 //! The payload leads with the **fingerprint**.
 //! [`crate::ServeEngine::restore`] recomputes it from the catalog/schemes
@@ -80,10 +83,12 @@
 //! The checksum is [`scope_wal::xxh64()`], the workspace's one bulk
 //! digest (the journal's checkpoint frame uses it too): a snapshot is
 //! taken at every epoch boundary, so it has to cost what its bytes cost.
-//! Version 1 (FNV-1a digests) and version 2 (one interleaved record per
+//! Version 1 (FNV-1a digests), version 2 (one interleaved record per
 //! object with `u64` tier and scheme ids, the configured thread count,
 //! and each shard's incumbent choices spelled out beside the applied
-//! ones) are rejected as unsupported versions.
+//! ones) and version 3 (parked batches as five `u64`-counted columns,
+//! a precomputed billing period per event among them) are rejected as
+//! unsupported versions.
 //!
 //! ## The dynamic snapshot (`SCPD`, same version)
 //!
@@ -125,7 +130,7 @@
 //! flipped bits, truncation, trailing garbage — fails the checksum or a
 //! bounds check and surfaces as a typed error, never a panic.
 
-use scope_cloudsim::TierCatalog;
+use scope_cloudsim::{EventColumns, TierCatalog};
 use scope_optassign::CompressionOption;
 use scope_wal::xxh64;
 
@@ -139,7 +144,7 @@ pub const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
 
 /// Current checkpoint format version, of both layouts: the dynamic one is
 /// the full one less a section, so they change together.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {
@@ -189,6 +194,13 @@ impl<'a> Writer<'a> {
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// A batch's column block, length-prefixed like [`Writer::bytes`] and
+    /// encoded in place.
+    pub(crate) fn columns(&mut self, columns: &EventColumns) {
+        self.u64(columns.encoded_len() as u64);
+        columns.encode_into(self.buf);
     }
 
     /// Append `len` zero bytes and hand them out to be filled in place
@@ -323,6 +335,14 @@ impl<'a> Reader<'a> {
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], ServeError> {
         let n = self.len(1)?;
         self.take(n)
+    }
+
+    /// A batch written by [`Writer::columns`].
+    pub(crate) fn columns(&mut self) -> Result<EventColumns, ServeError> {
+        let block = self.bytes()?;
+        EventColumns::decode(block).ok_or_else(|| {
+            ServeError::Checkpoint(format!("malformed {}-byte event column block", block.len()))
+        })
     }
 
     /// Error unless the payload was consumed exactly.
@@ -460,10 +480,11 @@ mod tests {
         magic[0] = b'X';
         assert!(open_error(&magic).contains("bad magic"));
 
-        // Unknown versions — 1, the retired FNV-1a layout, and 2, the
-        // retired row-interleaved one, among them — re-checksummed so the
-        // version check is the only one that can fire.
-        for version in [0u8, 1, 2, 4, 99] {
+        // Unknown versions — 1, the retired FNV-1a layout, 2, the retired
+        // row-interleaved one, and 3, the five-column reorder buffer, among
+        // them — re-checksummed so the version check is the only one that
+        // can fire.
+        for version in [0u8, 1, 2, 3, 5, 99] {
             let mut vers = good.clone();
             vers[4] = version;
             let body_len = vers.len() - 8;

@@ -702,12 +702,7 @@ impl ServeEngine {
     /// analogue of the billing simulator's internal resolution step, so
     /// both see the identical id stream for a given trace.
     pub fn columns_from_events(&self, events: &[BillingEvent]) -> EventColumns {
-        let mut columns = EventColumns::default();
-        for e in events {
-            let id = self.object_id(&e.object).unwrap_or(UNKNOWN_OBJECT);
-            columns.push_resolved(e.day, id, e.kind, e.volume_gb);
-        }
-        columns
+        EventColumns::from_events(events, |name| self.object_id(name))
     }
 
     /// Fold an event batch into the per-object heat counters. No event is
@@ -1152,29 +1147,7 @@ impl ServeEngine {
         w.u64(self.pending.len() as u64);
         for (&seq, cols) in &self.pending {
             w.u64(seq);
-            w.u64(cols.days.len() as u64);
-            for &d in &cols.days {
-                w.u32(d);
-            }
-            w.u64(cols.periods.len() as u64);
-            for &p in &cols.periods {
-                w.u32(p);
-            }
-            w.u64(cols.object_ids.len() as u64);
-            for &o in &cols.object_ids {
-                w.u32(o);
-            }
-            w.u64(cols.kinds.len() as u64);
-            for &k in &cols.kinds {
-                w.u8(match k {
-                    AccessKind::Read => 0,
-                    AccessKind::Write => 1,
-                });
-            }
-            w.u64(cols.volumes.len() as u64);
-            for &v in &cols.volumes {
-                w.f64_bits(v);
-            }
+            w.columns(cols);
         }
         w.finish();
     }
@@ -1369,37 +1342,12 @@ impl ServeEngine {
             });
         }
         engine.quarantine = QuarantineLedger::from_parts(entries, capacity, q_total, q_truncated);
-        let n_pending = r.len(8)?;
+        // A parked batch is at least its seq, its block length and the
+        // block's header.
+        let n_pending = r.len(8 + 8 + 16)?;
         for _ in 0..n_pending {
             let seq = r.u64()?;
-            let mut cols = EventColumns::default();
-            let n = r.len(4)?;
-            for _ in 0..n {
-                cols.days.push(r.u32()?);
-            }
-            let n = r.len(4)?;
-            for _ in 0..n {
-                cols.periods.push(r.u32()?);
-            }
-            let n = r.len(4)?;
-            for _ in 0..n {
-                cols.object_ids.push(r.u32()?);
-            }
-            let n = r.len(1)?;
-            for _ in 0..n {
-                cols.kinds.push(match r.u8()? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    tag => {
-                        return Err(ServeError::Checkpoint(format!("bad access-kind tag {tag}")));
-                    }
-                });
-            }
-            let n = r.len(8)?;
-            for _ in 0..n {
-                cols.volumes.push(r.f64_bits()?);
-            }
-            engine.pending.insert(seq, cols);
+            engine.pending.insert(seq, r.columns()?);
         }
         r.expect_end()?;
         engine.day = head.day;
@@ -2560,13 +2508,33 @@ mod tests {
         }
     }
 
-    /// An `SCPK` version-3 checkpoint, byte for byte: two objects in one
+    /// An `SCPK` version-4 checkpoint, byte for byte: two objects in one
     /// account on [`golden_catalog`] / [`golden_schemes`] with explicit
     /// (non-default) configuration, one folded and one quarantined (NaN)
     /// event, one boundary at day 15 with a re-solve that moved both
-    /// objects, and a batch parked in the reorder buffer under sequence
-    /// number 2. A layout change must bump `CHECKPOINT_VERSION` and
-    /// replace these bytes on purpose.
+    /// objects, and a one-event batch (a write of 0.5 GB to object 1 on
+    /// day 16) parked in the reorder buffer under sequence number 2, as a
+    /// 33-byte column block. A layout change must bump
+    /// `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    const GOLDEN_SCPK_V4: &str = "\
+             5343504b04000000232f3441bcbf95593c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
+             0000000000000000000200000000000000010000000000000001000000000000\
+             0000000000000000000100000000000000040000000000000061636374020000\
+             0000000000420000000000000001000000000000006100000000000000000000\
+             f83f07000000000000000000f07f010000000000000062000000000000000000\
+             0010400000000000000000000002400100010100000000000000000000000000\
+             000000000000000000103f00000000000000000f0000000f0000000000000000\
+             0000000002000000000000000000000001000000010000000000c02340000000\
+             00008021400000000000000000000000000000f23f0000000000000000000000\
+             0000000000000400000000000001000000000000000000000000000000010000\
+             000000000001000000000000000200000001000000000000000000f87f000100\
+             0000000000000200000000000000210000000000000001000000010000000100\
+             000001000000100000000100000001000000000000e03fff25900997aea6b7";
+
+    /// The retired version-3 layout's fixture (the same scenario, the
+    /// parked batch as five `u64`-counted columns, a billing period among
+    /// them): kept to be refused.
     const GOLDEN_SCPK_V3: &str = "\
              5343504b03000000232f3441bcbf95593c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
@@ -2584,27 +2552,6 @@ mod tests {
              0000000000000100000000000000010000000100000000000000010100000000\
              000000000000000000e03f1aa8623f5caa85ad";
 
-    /// The retired version-2 layout's fixture (the same scenario, one
-    /// interleaved record per object): kept to be refused.
-    const GOLDEN_SCPK_V2: &str = "\
-             5343504b02000000232f3441bcbf95593c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f010000000000000001e80300\
-             00000000000f0000000000000000000000020000000000000001000000000000\
-             0001000000000000000000000000000000010000000000000004000000000000\
-             0061636374020000000000000001000000000000006100000000010000000000\
-             00000100000000000000000000000000f83f07000000000000000000f07f0000\
-             000000000000000000000000103f0f0000000100000000000000620000000001\
-             0000000000000001000000000000000000000000001040000000000000000000\
-             000840000000000000000000000000000000000f000000000000000000000000\
-             0200000000000000000000000000000001000000000000000102000000000000\
-             0001000000000000000100000000000000010000000000000001000000000000\
-             000000000000000f4000000000000006400000000000000000000000000000f2\
-             3f00000000000000000000000000000000000400000000000001000000000000\
-             0000000000000000000100000000000000010000000000000002000000010000\
-             00000000000000f87f0001000000000000000200000000000000010000000000\
-             0000100000000100000000000000000000000100000000000000010000000100\
-             000000000000010100000000000000000000000000e03f74baba67929a93b5";
-
     fn unhex(hex: &str) -> Vec<u8> {
         hex.as_bytes()
             .chunks(2)
@@ -2613,9 +2560,9 @@ mod tests {
     }
 
     #[test]
-    fn the_version_3_layout_is_pinned_by_a_golden_checkpoint() {
-        let golden = unhex(GOLDEN_SCPK_V3);
-        assert_eq!(golden.len(), 467);
+    fn the_version_4_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden = unhex(GOLDEN_SCPK_V4);
+        assert_eq!(golden.len(), 447);
         assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
 
@@ -2636,20 +2583,53 @@ mod tests {
         assert_eq!((restored.next_seq(), restored.pending_batches()), (1, 1));
         // The writer reproduces the fixture from the decoded state.
         assert_eq!(restored.checkpoint(), golden);
+        // The pending section closes the payload: one batch, seq 2, and
+        // its 33-byte block — four lengths of 1, day 16, object 1, a
+        // write, 0.5 GB.
+        let pending: [&[u8]; 8] = [
+            &[1, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[33, 0, 0, 0, 0, 0, 0, 0],
+            &[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+            &[16, 0, 0, 0],
+            &[1, 0, 0, 0],
+            &[1],
+            &[0, 0, 0, 0, 0, 0, 0xE0, 0x3F],
+        ];
+        let pending = pending.concat();
+        let end = golden.len() - 8;
+        assert_eq!(golden[end - pending.len()..end], pending[..]);
 
-        // A real version-2 snapshot is refused by name, not misread.
-        let retired = unhex(GOLDEN_SCPK_V2);
-        match ServeEngine::restore(golden_catalog(), golden_schemes(), &retired) {
-            Err(ServeError::Checkpoint(reason)) => {
-                assert!(reason.contains("unsupported version 2"), "{reason}")
-            }
-            other => panic!("a version-2 snapshot was not refused: {other:?}"),
-        }
+        // A real version-3 snapshot is refused by name, not misread.
+        let retired = unhex(GOLDEN_SCPK_V3);
+        let reason = checkpoint_error(ServeEngine::restore(
+            golden_catalog(),
+            golden_schemes(),
+            &retired,
+        ));
+        assert!(reason.contains("unsupported version 3"), "{reason}");
     }
 
-    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V3`] holds: the
+    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V4`] holds: the
     /// same bytes less the static section, whose place its length (0x42)
     /// and XXH64 take, under the `SCPD` magic.
+    const GOLDEN_SCPD_V4: &str = "\
+             5343504404000000232f3441bcbf95593c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
+             0000000000000000000200000000000000010000000000000001000000000000\
+             0000000000000000000100000000000000040000000000000061636374020000\
+             00000000004200000000000000bf78d6998edd4dc10100010100000000000000\
+             000000000000000000000000000000103f00000000000000000f0000000f0000\
+             0000000000000000000002000000000000000000000001000000010000000000\
+             c0234000000000008021400000000000000000000000000000f23f0000000000\
+             0000000000000000000000000400000000000001000000000000000000000000\
+             0000000100000000000000010000000000000002000000010000000000000000\
+             00f87f0001000000000000000200000000000000210000000000000001000000\
+             010000000100000001000000100000000100000001000000000000e03f140b3d\
+             091d780126";
+
+    /// The version-3 dynamic snapshot of the same engine: kept to be
+    /// refused.
     const GOLDEN_SCPD_V3: &str = "\
              5343504403000000232f3441bcbf95593c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
@@ -2667,9 +2647,9 @@ mod tests {
 
     #[test]
     fn the_dynamic_layout_is_pinned_by_a_golden_snapshot() {
-        let full = unhex(GOLDEN_SCPK_V3);
-        let golden = unhex(GOLDEN_SCPD_V3);
-        assert_eq!(golden.len(), 409);
+        let full = unhex(GOLDEN_SCPK_V4);
+        let golden = unhex(GOLDEN_SCPD_V4);
+        assert_eq!(golden.len(), 389);
         let engine = ServeEngine::restore(golden_catalog(), golden_schemes(), &full).unwrap();
         assert_eq!(engine.checkpoint_dynamic(), golden);
         assert_eq!(golden[..4], crate::checkpoint::DYNAMIC_MAGIC);
@@ -2702,6 +2682,16 @@ mod tests {
                 .unwrap();
         assert_eq!(restored.checkpoint(), full);
         assert_eq!(restored.checkpoint_dynamic(), golden);
+
+        // The version-3 dynamic snapshot is refused by name too.
+        let retired = unhex(GOLDEN_SCPD_V3);
+        let reason = checkpoint_error(ServeEngine::restore_dynamic(
+            golden_catalog(),
+            golden_schemes(),
+            &full,
+            &retired,
+        ));
+        assert!(reason.contains("unsupported version 3"), "{reason}");
     }
 
     fn checkpoint_error(result: Result<ServeEngine, ServeError>) -> String {

@@ -8,12 +8,14 @@
 //! write-ahead discipline:
 //!
 //! * **Append before fold.** Every delivered batch — including
-//!   duplicates and out-of-order arrivals — is appended to the journal
-//!   *before* [`ServeEngine::ingest_sequenced`] sees it. The journal is
+//!   duplicates, out-of-order arrivals and torn batches whose columns
+//!   disagree in length — is appended to the journal *before*
+//!   [`ServeEngine::ingest_sequenced`] sees it, in the one column-block
+//!   layout that carries each column at its own length. The journal is
 //!   therefore a verbatim log of the delivery stream, and replaying it
 //!   re-runs the exact call sequence: heat bits, the reorder buffer, the
-//!   quarantine ledger and even the `duplicate_batches` counter evolve
-//!   bit-identically.
+//!   quarantine ledger (a torn tail included) and even the
+//!   `duplicate_batches` counter evolve bit-identically.
 //! * **Sync at epoch boundaries.** [`JournaledEngine::advance`] appends
 //!   an epoch-boundary marker record and syncs the journal before the
 //!   engine advances, so a crash can only lose deliveries of the current
@@ -553,6 +555,40 @@ mod tests {
         assert_eq!(report.resume_deliveries, 5);
         assert_eq!(report.replayed, 2);
         assert_eq!(j2.engine().checkpoint(), plain_after(5).checkpoint());
+    }
+
+    #[test]
+    fn a_torn_delivery_is_journaled_verbatim_and_replayed() {
+        // Delivery 1 arrives torn: its last two kinds and volumes are
+        // lost. The journal logs it as delivered, and recovery replays it
+        // through the validating intake like any other delivery, rather
+        // than quarantining the record and dropping the synced ones after.
+        let delivery = |seq: u64| {
+            let mut cols = batch(seq, 6);
+            if seq == 1 {
+                cols.volumes.truncate(4);
+                cols.kinds.truncate(4);
+            }
+            cols
+        };
+        let mut j = journaled();
+        let mut twin = build_engine();
+        for seq in 0..4 {
+            j.ingest_sequenced(seq, &delivery(seq)).unwrap();
+            twin.ingest_sequenced(seq, &delivery(seq)).unwrap();
+        }
+        assert_eq!(twin.quarantine().truncated(), 2);
+        j.sync().unwrap();
+        let mut storage = j.crash();
+        storage.crash();
+        let (j2, report) = recover_mem(storage);
+        assert!(
+            report.wal.quarantined_records.is_empty(),
+            "{:?}",
+            report.wal.quarantined_records
+        );
+        assert_eq!((report.resume_deliveries, report.replayed), (4, 4));
+        assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
     }
 
     #[test]

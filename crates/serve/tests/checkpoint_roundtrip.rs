@@ -63,8 +63,10 @@ fn object(k: usize, arg: usize) -> ServeObject {
 }
 
 /// A small batch on and after `day`: reads and writes over the `objects`
-/// registered so far and one id past them, and now and then a corrupt
-/// volume for the quarantine ledger.
+/// registered so far and one id past them, now and then a corrupt volume
+/// for the quarantine ledger, and one batch in three torn — its last one
+/// or two `volumes` and `kinds` lost, so a batch parked early is ragged
+/// and the snapshot must carry it byte for byte.
 fn batch(day: u32, objects: usize, arg: usize) -> EventColumns {
     let mut cols = EventColumns::default();
     let mut state = arg as u64 ^ 0x9e37_79b9_7f4a_7c15;
@@ -85,6 +87,11 @@ fn batch(day: u32, objects: usize, arg: usize) -> EventColumns {
             0.1 + (draw % 50) as f64 / 40.0
         };
         cols.push_resolved(day + (i % 3) as u32, id, kind, volume);
+    }
+    if arg % 3 == 0 {
+        let kept = cols.len() - 1 - (arg / 3) % 2;
+        cols.volumes.truncate(kept);
+        cols.kinds.truncate(kept);
     }
     cols
 }

@@ -88,8 +88,8 @@ pub use journal::{
     JournalConfig, QuarantinedRecord, RecoveredJournal, WalRecoveryReport,
 };
 pub use record::{
-    decode_columns, decode_frame, encode_columns, encode_epoch_record, encode_record,
-    CheckpointFrame, FrameKind, FrameOutcome, Record, RecordPayload, StaticDigest,
+    decode_frame, encode_epoch_record, encode_record, CheckpointFrame, FrameKind, FrameOutcome,
+    Record, RecordPayload, StaticDigest,
 };
 pub use storage::{MemStorage, Storage};
 pub use xxh64::xxh64;

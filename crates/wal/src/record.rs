@@ -29,18 +29,16 @@
 //!
 //! # Batch payload (the wire format)
 //!
-//! An [`EventColumns`] batch is encoded column-wise, little-endian:
-//!
-//! ```text
-//! n: u32 LE
-//! days:       n × u32
-//! periods:    n × u32
-//! object_ids: n × u32
-//! kinds:      n × u8    (0 = Read, 1 = Write)
-//! volumes:    n × u64   (f64 bit patterns, so NaN corruption survives
-//!                        the round trip for the validating intake to
-//!                        quarantine)
-//! ```
+//! A batch record's payload is exactly one **column block**, the byte
+//! layout `scope-cloudsim` owns for an [`EventColumns`] batch
+//! ([`EventColumns::encode_into`]): four `u32` column lengths, then the
+//! days (`u32`), object ids (`u32`), kinds (`u8`) and volume bits (`u64`,
+//! so NaN corruption survives for the validating intake to quarantine),
+//! little-endian — 16 bytes per record and 17 per event. Each column
+//! carries its own length, so a **ragged** (torn) delivery is journaled
+//! as it stands and replays as it was delivered: the intake, not the
+//! journal, judges it. A payload that is not exactly one block is
+//! [`CorruptKind::Payload`].
 //!
 //! # Checkpoint frame (`WCKP`, version 3)
 //!
@@ -80,7 +78,7 @@
 use crate::crc::crc32;
 use crate::error::{CorruptKind, WalError};
 use crate::xxh64::xxh64;
-use scope_cloudsim::{AccessKind, EventColumns};
+use scope_cloudsim::EventColumns;
 
 /// Record kind: one delivered `EventColumns` batch.
 pub const RECORD_BATCH: u8 = 1;
@@ -133,10 +131,6 @@ impl Record {
     }
 }
 
-/// Bytes per event in the batch payload: three `u32` columns, the kind
-/// byte and the `u64` volume bits.
-const EVENT_BYTES: usize = 21;
-
 /// Start a frame in `out`, replacing what it held: a zeroed `(len, crc)`
 /// header, then `kind` and `seq`. The payload is appended after this and
 /// [`seal_frame`] fills the header in.
@@ -160,7 +154,7 @@ fn seal_frame(frame: &mut [u8]) {
 /// frames many batches keeps and reuses.
 pub(crate) fn encode_record_into(out: &mut Vec<u8>, seq: u64, columns: &EventColumns) {
     begin_frame(out, RECORD_BATCH, seq);
-    append_columns(out, columns);
+    columns.encode_into(out);
     seal_frame(out);
 }
 
@@ -173,8 +167,7 @@ pub(crate) fn encode_epoch_record_into(out: &mut Vec<u8>, seq: u64, day: u32) {
 
 /// Encode a batch delivery as one framed record.
 pub fn encode_record(seq: u64, columns: &EventColumns) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + 4 + columns.len() * EVENT_BYTES);
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + columns.encoded_len());
     encode_record_into(&mut out, seq, columns);
     out
 }
@@ -241,7 +234,7 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
     let next = offset + FRAME_HEADER_LEN + body_len;
     let payload = &body[FRAME_BODY_MIN..];
     match body[0] {
-        RECORD_BATCH => match decode_columns(payload) {
+        RECORD_BATCH => match EventColumns::decode(payload) {
             Some(columns) => FrameOutcome::Valid {
                 record: Record {
                     seq,
@@ -273,89 +266,6 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
             kind: CorruptKind::Kind,
         },
     }
-}
-
-/// Encode an `EventColumns` batch column-wise (see the module docs).
-pub fn encode_columns(columns: &EventColumns) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + columns.len() * EVENT_BYTES);
-    append_columns(&mut out, columns);
-    out
-}
-
-/// Fill the front of `dst` with `src`, `W` little-endian bytes per
-/// element, and return what is left of `dst`.
-fn fill_le<'a, T: Copy, const W: usize>(
-    dst: &'a mut [u8],
-    src: &[T],
-    le: impl Fn(T) -> [u8; W],
-) -> &'a mut [u8] {
-    let (column, rest) = dst.split_at_mut(src.len() * W);
-    for (slot, &value) in column.chunks_exact_mut(W).zip(src) {
-        slot.copy_from_slice(&le(value));
-    }
-    rest
-}
-
-/// Append the column block of `columns` to `out`: the buffer grows once
-/// to the block's size and each column is written as one run. Every
-/// column goes out at its own length — the fields are public, and a
-/// ragged batch must frame to bytes that fail [`decode_columns`], not to
-/// a silently squared-off one.
-fn append_columns(out: &mut Vec<u8>, columns: &EventColumns) {
-    let block = 4
-        + 4 * (columns.days.len() + columns.periods.len() + columns.object_ids.len())
-        + columns.kinds.len()
-        + 8 * columns.volumes.len();
-    let start = out.len();
-    out.resize(start + block, 0);
-    let dst = &mut out[start..];
-    dst[..4].copy_from_slice(&(columns.len() as u32).to_le_bytes());
-    let dst = fill_le(&mut dst[4..], &columns.days, u32::to_le_bytes);
-    let dst = fill_le(dst, &columns.periods, u32::to_le_bytes);
-    let dst = fill_le(dst, &columns.object_ids, u32::to_le_bytes);
-    let dst = fill_le(dst, &columns.kinds, |k| match k {
-        AccessKind::Read => [0u8],
-        AccessKind::Write => [1u8],
-    });
-    fill_le(dst, &columns.volumes, |v: f64| v.to_bits().to_le_bytes());
-}
-
-/// Decode an `EventColumns` batch; `None` when `bytes` is not exactly
-/// one well-formed column block.
-pub fn decode_columns(bytes: &[u8]) -> Option<EventColumns> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let n = read_u32(bytes, 0) as usize;
-    if n.checked_mul(EVENT_BYTES)?.checked_add(4)? != bytes.len() {
-        return None;
-    }
-    // `n` is validated against the input length, so it bounds every
-    // allocation below.
-    let (days, rest) = bytes[4..].split_at(4 * n);
-    let (periods, rest) = rest.split_at(4 * n);
-    let (object_ids, rest) = rest.split_at(4 * n);
-    let (kinds, volumes) = rest.split_at(n);
-    let u32s =
-        |column: &[u8]| -> Vec<u32> { column.chunks_exact(4).map(|w| read_u32(w, 0)).collect() };
-    let mut kind_column = Vec::with_capacity(n);
-    for &k in kinds {
-        kind_column.push(match k {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            _ => return None,
-        });
-    }
-    Some(EventColumns {
-        days: u32s(days),
-        periods: u32s(periods),
-        object_ids: u32s(object_ids),
-        kinds: kind_column,
-        volumes: volumes
-            .chunks_exact(8)
-            .map(|w| f64::from_bits(read_u64(w, 0)))
-            .collect(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +446,8 @@ fn read_u64(bytes: &[u8], o: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use scope_cloudsim::AccessKind;
 
     fn batch(n: usize) -> EventColumns {
         let mut cols = EventColumns::default();
@@ -559,37 +471,201 @@ mod tests {
         cols.volumes.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The column block of `cols`, alone.
+    fn block(cols: &EventColumns) -> Vec<u8> {
+        let mut out = Vec::new();
+        cols.encode_into(&mut out);
+        out
+    }
+
+    /// Equal column for column, volumes bit for bit (so NaN equals itself).
+    fn assert_same(decoded: &EventColumns, cols: &EventColumns) {
+        assert_eq!(decoded.days, cols.days);
+        assert_eq!(decoded.object_ids, cols.object_ids);
+        assert_eq!(decoded.kinds, cols.kinds);
+        assert_eq!(bits(decoded), bits(cols));
+    }
+
     #[test]
     fn columns_round_trip_bit_for_bit_including_nan() {
         for n in [0usize, 1, 7, 100] {
             let cols = batch(n);
-            let decoded = decode_columns(&encode_columns(&cols)).unwrap();
-            assert_eq!(decoded.days, cols.days);
-            assert_eq!(decoded.periods, cols.periods);
-            assert_eq!(decoded.object_ids, cols.object_ids);
-            assert_eq!(decoded.kinds, cols.kinds);
-            assert_eq!(bits(&decoded), bits(&cols));
+            let enc = block(&cols);
+            assert_eq!(enc.len(), 16 + 17 * n);
+            assert_eq!(enc.len(), cols.encoded_len());
+            assert_same(&EventColumns::decode(&enc).unwrap(), &cols);
         }
     }
 
     #[test]
     fn truncated_or_padded_payloads_are_rejected() {
-        let enc = encode_columns(&batch(5));
-        assert!(decode_columns(&enc[..enc.len() - 1]).is_none());
+        let enc = block(&batch(5));
+        assert!(EventColumns::decode(&enc[..enc.len() - 1]).is_none());
         let mut padded = enc.clone();
         padded.push(0);
-        assert!(decode_columns(&padded).is_none());
-        assert!(decode_columns(&[]).is_none());
+        assert!(EventColumns::decode(&padded).is_none());
+        assert!(EventColumns::decode(&[]).is_none());
+        assert!(EventColumns::decode(&enc[..15]).is_none());
         // A kind byte outside {0, 1} is payload corruption.
         let mut bad_kind = enc;
-        bad_kind[4 + 5 * 12] = 7;
-        assert!(decode_columns(&bad_kind).is_none());
-        // A ragged batch is encoded as it stands, and so fails to decode.
+        bad_kind[16 + 5 * 8] = 7;
+        assert!(EventColumns::decode(&bad_kind).is_none());
+        // A ragged batch is encoded as it stands and read back as it was:
+        // each column carries its own length.
         let mut ragged = batch(5);
         ragged.volumes.pop();
-        let enc = encode_columns(&ragged);
-        assert_eq!(enc.len(), 4 + 5 * 21 - 8);
-        assert!(decode_columns(&enc).is_none());
+        ragged.kinds.truncate(2);
+        let enc = block(&ragged);
+        assert_eq!(enc.len(), 16 + 5 * 17 - 8 - 3);
+        let decoded = EventColumns::decode(&enc).unwrap();
+        assert_same(&decoded, &ragged);
+        assert_eq!(block(&decoded), enc);
+    }
+
+    /// Two events, and the same two torn: `kinds` and `volumes` lost their
+    /// last entry.
+    fn golden_batch(torn: bool) -> EventColumns {
+        let mut cols = EventColumns::default();
+        cols.push_resolved(3, 1, AccessKind::Read, 0.5);
+        cols.push_resolved(4, 2, AccessKind::Write, 1.0);
+        if torn {
+            cols.kinds.pop();
+            cols.volumes.pop();
+        }
+        cols
+    }
+
+    /// A record frame spelled out field by field around `payload`.
+    fn golden_frame(len: u8, crc: [u8; 4], kind: u8, seq: u8, payload: &[&[u8]]) -> Vec<u8> {
+        let mut golden = vec![len, 0, 0, 0];
+        golden.extend_from_slice(&crc);
+        golden.push(kind);
+        golden.extend_from_slice(&[seq, 0, 0, 0, 0, 0, 0, 0]);
+        for field in payload {
+            golden.extend_from_slice(field);
+        }
+        golden
+    }
+
+    /// The record layout, pinned: a clean batch frame, a torn one and an
+    /// epoch frame, byte for byte. The CRCs are zlib's `crc32` of each
+    /// body. A layout change must replace these bytes on purpose.
+    #[test]
+    fn the_record_layout_is_pinned_by_golden_frames() {
+        let days_and_ids: [&[u8]; 2] = [&[3, 0, 0, 0, 4, 0, 0, 0], &[1, 0, 0, 0, 2, 0, 0, 0]];
+        let half = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+        let one = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
+        let clean = golden_frame(
+            59,
+            [0xA8, 0xA5, 0x11, 0x43],
+            RECORD_BATCH,
+            7,
+            &[
+                &[2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0],
+                days_and_ids[0],
+                days_and_ids[1],
+                &[0, 1],
+                &half,
+                &one,
+            ],
+        );
+        let torn = golden_frame(
+            50,
+            [0x8E, 0xF0, 0x10, 0x2D],
+            RECORD_BATCH,
+            7,
+            &[
+                &[2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+                days_and_ids[0],
+                days_and_ids[1],
+                &[0],
+                &half,
+            ],
+        );
+        let epoch = golden_frame(
+            13,
+            [0x83, 0xCB, 0x04, 0x38],
+            RECORD_EPOCH,
+            5,
+            &[&[42, 0, 0, 0]],
+        );
+        assert_eq!((clean.len(), torn.len(), epoch.len()), (67, 58, 21));
+
+        for (golden, columns) in [(&clean, golden_batch(false)), (&torn, golden_batch(true))] {
+            assert_eq!(encode_record(7, &columns), *golden);
+            let FrameOutcome::Valid { record, next } = decode_frame(golden, 0) else {
+                panic!("golden batch frame invalid");
+            };
+            assert_eq!((record.seq, next), (7, golden.len()));
+            assert_eq!(record.batch(), Some(&columns));
+        }
+        assert_eq!(encode_epoch_record(5, 42), epoch);
+        let FrameOutcome::Valid { record, .. } = decode_frame(&epoch, 0) else {
+            panic!("golden epoch frame invalid");
+        };
+        assert_eq!(record.payload, RecordPayload::Epoch { day: 42 });
+    }
+
+    /// What `decode` handed out, in bytes of capacity.
+    fn allocated(cols: &EventColumns) -> usize {
+        4 * cols.days.capacity()
+            + 4 * cols.object_ids.capacity()
+            + std::mem::size_of::<AccessKind>() * cols.kinds.capacity()
+            + 8 * cols.volumes.capacity()
+    }
+
+    /// The decoder's contract on one input: no panic (the caller would
+    /// see it), no allocation past the input's length, and a batch only
+    /// when it re-encodes to exactly these bytes.
+    fn decoder_contract(bytes: &[u8]) -> Result<Option<EventColumns>, String> {
+        let Some(cols) = EventColumns::decode(bytes) else {
+            return Ok(None);
+        };
+        prop_assert!(
+            allocated(&cols) <= bytes.len(),
+            "{} > {}",
+            allocated(&cols),
+            bytes.len()
+        );
+        prop_assert_eq!(block(&cols), bytes.to_vec());
+        Ok(Some(cols))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Uniformly arbitrary bytes: almost always refused by length.
+        #[test]
+        fn arbitrary_bytes_never_decode_to_anything_but_their_own_block(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            decoder_contract(&bytes)?;
+        }
+
+        /// Bytes behind a plausible header — small column lengths, ragged
+        /// or square, and a body a few bytes off or exact, drawn from an
+        /// alphabet that makes kind bytes valid about two times in three:
+        /// a batch exactly when the body fits and every kind byte does.
+        #[test]
+        fn plausible_headers_decode_exactly_when_the_block_is_well_formed(
+            lens in proptest::collection::vec(0u32..6, 4),
+            slack in -2i64..3,
+            pool in proptest::collection::vec(0u8..3, 128),
+        ) {
+            let declared = [4, 4, 1, 8].iter().zip(&lens).map(|(w, &n)| w * n as i64).sum::<i64>();
+            let body = (declared + slack).max(0) as usize;
+            let mut bytes: Vec<u8> = lens.iter().flat_map(|n| n.to_le_bytes()).collect();
+            bytes.extend_from_slice(&pool[..body]);
+            let kinds_at = 16 + 4 * (lens[0] + lens[1]) as usize;
+            let well_formed = body as i64 == declared
+                && bytes[kinds_at..][..lens[2] as usize].iter().all(|&k| k <= 1);
+            let decoded = decoder_contract(&bytes)?;
+            prop_assert_eq!(decoded.is_some(), well_formed);
+            if let Some(cols) = decoded {
+                let got = [cols.days.len(), cols.object_ids.len(), cols.kinds.len(), cols.volumes.len()];
+                prop_assert_eq!(got.map(|n| n as u32).to_vec(), lens);
+            }
+        }
     }
 
     #[test]

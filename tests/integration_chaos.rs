@@ -87,20 +87,10 @@ fn split_at(columns: &EventColumns, cuts: &[usize]) -> Vec<EventColumns> {
     points.push(n);
     points.sort_unstable();
     points.dedup();
-    let mut out = Vec::new();
-    for w in points.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let mut batch = EventColumns::default();
-        batch.days.extend_from_slice(&columns.days[lo..hi]);
-        batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-        batch
-            .object_ids
-            .extend_from_slice(&columns.object_ids[lo..hi]);
-        batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-        batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-        out.push(batch);
-    }
-    out
+    points
+        .windows(2)
+        .map(|w| columns.range(w[0]..w[1]))
+        .collect()
 }
 
 fn heat_bits(engine: &ServeEngine) -> Vec<Option<u64>> {

@@ -99,19 +99,7 @@ fn make_batches(rng: &mut SmallRng, n_events: usize, n: usize) -> Vec<EventColum
     let total = columns.len();
     let per = total.div_ceil(n.max(1)).max(1);
     (0..n.max(1))
-        .map(|b| {
-            let lo = (b * per).min(total);
-            let hi = ((b + 1) * per).min(total);
-            let mut batch = EventColumns::default();
-            batch.days.extend_from_slice(&columns.days[lo..hi]);
-            batch.periods.extend_from_slice(&columns.periods[lo..hi]);
-            batch
-                .object_ids
-                .extend_from_slice(&columns.object_ids[lo..hi]);
-            batch.kinds.extend_from_slice(&columns.kinds[lo..hi]);
-            batch.volumes.extend_from_slice(&columns.volumes[lo..hi]);
-            batch
-        })
+        .map(|b| columns.range((b * per).min(total)..((b + 1) * per).min(total)))
         .collect()
 }
 
