@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=684
+min_tests=687
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -75,14 +75,16 @@ if [[ $quick -eq 0 ]]; then
     benchmark/run.sh --quick --out target/e2e-quick
 
     # Allocation ratchet. The traced quick run counts the allocator calls
-    # of a `threads: 1` repetition's re-solves (one cold, five steady) and
-    # checkpoints (six); the counts depend on nothing but the code and
-    # repeat exactly from run to run, so they may only go down: a count
-    # above its ceiling means a per-row or per-epoch allocation crept back
-    # into the epoch boundary. When you remove allocations, tighten the
-    # ceiling to what the run prints.
+    # of a `threads: 1` repetition's re-solves (one cold, five steady),
+    # checkpoints (six) and intake (every batch of the run); the counts
+    # depend on nothing but the code and repeat exactly from run to run,
+    # so they may only go down: a count above its ceiling means a per-row
+    # or per-epoch allocation crept back into the epoch boundary, or any
+    # allocation into the per-event intake. When you remove allocations,
+    # tighten the ceiling to what the run prints.
     max_resolve_allocs=612
     max_checkpoint_allocs=6
+    max_ingest_allocs=0
     # Resident bytes per object, off the same run: VmRSS after the cold
     # epoch minus VmRSS before the engine existed, over the quick fleet's
     # 2 000 objects. Unlike the counts it is page-granular and moves by a
@@ -104,7 +106,7 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     }
     for ceiling in "resolve_allocs $max_resolve_allocs" "checkpoint_allocs $max_checkpoint_allocs" \
-        "rss_bytes_per_object $max_rss_bytes_per_object"; do
+        "ingest_allocs $max_ingest_allocs" "rss_bytes_per_object $max_rss_bytes_per_object"; do
         name="serve.${ceiling% *}" max="${ceiling#* }"
         got=$(echo "$traced" | awk -v name="$name" '$2 == name {printf "%d", $3}')
         echo "    $name $got (ceiling $max)"

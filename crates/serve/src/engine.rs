@@ -58,7 +58,10 @@ pub struct ServeConfig {
     /// re-solve prices placements over).
     pub horizon_months: f64,
     /// Per-day exponential decay applied to heat counters, in `(0, 1]`
-    /// (1.0 = no decay, pure cumulative access counts).
+    /// (1.0 = no decay, pure cumulative access counts). A counter `k`
+    /// days stale is multiplied by `decay_per_day.powi(k)`, read from a
+    /// table [`ServeEngine::new`] precomputes for every `k` up to the
+    /// horizon (at most 4 096 entries); only a longer gap calls `powi`.
     pub decay_per_day: f64,
     /// Base of the geometric heat buckets (> 1). Heat `h >= 1` is
     /// represented by `base^floor(log_base(h))`; heat below 1 by 0. A
@@ -212,6 +215,59 @@ pub(crate) struct HeatState {
     pub(crate) value: f64,
     /// Day the counter was last decayed to.
     pub(crate) last_day: u32,
+}
+
+/// Most entries a [`DecayTable`] holds (32 KiB): every day gap of a
+/// horizon up to 4 095 days.
+const DECAY_TABLE_MAX: usize = 4096;
+
+/// `decay_per_day^k` for every day gap `k` from 0 to the horizon, capped
+/// at [`DECAY_TABLE_MAX`] entries: the factor a heat counter `k` days
+/// stale is multiplied by, looked up instead of computed per event and
+/// per object. Derived from the config by [`ServeEngine::new`] — which
+/// every restore goes through — and never persisted.
+#[derive(Debug)]
+struct DecayTable {
+    decay: f64,
+    pows: Box<[f64]>,
+}
+
+impl DecayTable {
+    fn new(decay: f64, horizon_days: u32) -> Self {
+        let len = (horizon_days as usize)
+            .saturating_add(1)
+            .min(DECAY_TABLE_MAX);
+        DecayTable {
+            decay,
+            pows: (0..len).map(|k| decay.powi(k as i32)).collect(),
+        }
+    }
+
+    /// `decay^k`. Every entry is the `powi` this falls back to past the
+    /// table, so the bits do not depend on where the table ends.
+    #[inline]
+    fn factor(&self, k: u32) -> f64 {
+        match self.pows.get(k as usize) {
+            Some(&f) => f,
+            None => self.pow(k),
+        }
+    }
+
+    /// `decay^k` computed. A gap past `i32::MAX` would wrap `powi`'s
+    /// exponent negative — a factor above 1 for any decay below 1 — so it
+    /// is squared from half the gap instead.
+    #[cold]
+    fn pow(&self, k: u32) -> f64 {
+        match i32::try_from(k) {
+            Ok(k) => self.decay.powi(k),
+            Err(_) => {
+                // `k / 2 <= u32::MAX / 2 = i32::MAX`.
+                let half = self.decay.powi((k / 2) as i32);
+                let odd = if k % 2 == 1 { self.decay } else { 1.0 };
+                half * half * odd
+            }
+        }
+    }
 }
 
 /// One account's shard: its assignment problem, incrementally patched
@@ -375,6 +431,8 @@ pub struct ResolveOutcome {
 #[derive(Debug)]
 pub struct ServeEngine {
     config: ServeConfig,
+    /// `config.decay_per_day^k` by day gap `k`.
+    decay: DecayTable,
     catalog: TierCatalog,
     /// Shared compression-scheme list; index 0 must be "no compression".
     schemes: Vec<CompressionOption>,
@@ -395,15 +453,15 @@ pub struct ServeEngine {
     bucket_reps: Vec<f64>,
     /// Day the engine state was last advanced to.
     day: u32,
-    dropped_events: u64,
+    pub(crate) dropped_events: u64,
     /// Lifetime count of events examined by the intake (folded, dropped,
     /// unknown and quarantined alike) — the ordinal space quarantine
     /// records index, invariant under batch splits.
-    events_seen: u64,
+    pub(crate) events_seen: u64,
     /// Epochs started ([`Self::reoptimize`] calls), driving backoff.
     epoch: u64,
     /// Malformed-event ledger (see [`QuarantineLedger`]).
-    quarantine: QuarantineLedger,
+    pub(crate) quarantine: QuarantineLedger,
     /// Next batch sequence number the sequenced intake will fold.
     next_seq: u64,
     /// Out-of-order batches buffered until their predecessors arrive,
@@ -483,6 +541,7 @@ impl ServeEngine {
             }
         }
         Ok(ServeEngine {
+            decay: DecayTable::new(config.decay_per_day, config.horizon_days),
             config,
             fingerprint: config_fingerprint(&catalog, &schemes),
             catalog,
@@ -777,7 +836,7 @@ impl ServeEngine {
             }
             let h = &mut self.heat[id];
             if day > h.last_day {
-                h.value *= self.config.decay_per_day.powi((day - h.last_day) as i32);
+                h.value *= self.decay.factor(day - h.last_day);
                 h.last_day = day;
             }
             if columns.kinds[i] == AccessKind::Read {
@@ -841,7 +900,7 @@ impl ServeEngine {
         self.day = self.day.max(day);
         for (id, (h, bucket_rep)) in self.heat.iter_mut().zip(&mut self.bucket_reps).enumerate() {
             if day > h.last_day {
-                h.value *= self.config.decay_per_day.powi((day - h.last_day) as i32);
+                h.value *= self.decay.factor(day - h.last_day);
                 h.last_day = day;
             }
             let rep = *bucket_rep;
@@ -2842,5 +2901,227 @@ mod tests {
             second.total_objective.to_bits(),
             reference::total_objective(&reference::full_resolve(&engine).unwrap()).to_bits()
         );
+    }
+
+    /// Heat decay: the `decay^k` table against the `powi` oracle, and the
+    /// gaps past `i32::MAX` that `powi`'s exponent cannot hold.
+    mod decay {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn decay_engine(objects: usize, decay_per_day: f64, horizon_days: u32) -> ServeEngine {
+            let config = ServeConfig {
+                decay_per_day,
+                horizon_days,
+                ..ServeConfig::default()
+            };
+            demo_engine(1, objects, config)
+        }
+
+        /// Everything the intake and the decay write: heat bits and
+        /// `last_day` per object, the drop and event counters, the ledger.
+        type Folded = (Vec<(u64, u32)>, u64, u64, QuarantineLedger);
+
+        fn folded(engine: &ServeEngine) -> Folded {
+            (
+                engine
+                    .heat
+                    .iter()
+                    .map(|h| (h.value.to_bits(), h.last_day))
+                    .collect(),
+                engine.dropped_events,
+                engine.events_seen,
+                engine.quarantine.clone(),
+            )
+        }
+
+        /// A batch of 1–12 events around `clock` (never past `span - 1`),
+        /// drawn from `word`: some past the horizon, some earlier than the
+        /// clock, unknown ids, NaN, infinite and negative volumes, and one
+        /// batch in five torn.
+        fn batch(word: u64, clock: u32, span: u32, horizon: u32, objects: usize) -> EventColumns {
+            let mut cols = EventColumns::default();
+            let mut state = word;
+            for _ in 0..1 + word % 12 {
+                let draw = lcg(&mut state);
+                let jitter = (draw >> 20) % 40;
+                let day = match draw % 16 {
+                    0 => horizon.saturating_add(jitter),
+                    1 => u32::MAX,
+                    2 => clock.saturating_sub(jitter),
+                    _ => clock.saturating_add(jitter).min(span - 1),
+                };
+                let id = match (draw >> 4) % 8 {
+                    0 => UNKNOWN_OBJECT,
+                    1 => (objects as u32) + (draw >> 8) % 3,
+                    _ => (draw >> 8) % objects as u32,
+                };
+                let kind = if (draw >> 7) % 5 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let volume = match (draw >> 11) % 16 {
+                    0 => f64::NAN,
+                    1 => -1.5,
+                    2 => f64::INFINITY,
+                    _ => 0.25 + f64::from((draw >> 15) % 8),
+                };
+                cols.push_resolved(day, id, kind, volume);
+            }
+            if word % 5 == 0 {
+                let short = cols.len().saturating_sub(1 + (word >> 3) as usize % 2);
+                match (word >> 5) % 4 {
+                    0 => cols.days.truncate(short),
+                    1 => cols.object_ids.truncate(short),
+                    2 => cols.kinds.truncate(short),
+                    _ => cols.volumes.truncate(short),
+                }
+            }
+            cols
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The table — and `powi` past it — folds every heat counter
+            /// to the oracle's bits: any decay in (0, 1], horizons on both
+            /// sides of the table's cap, corrupt and torn batches
+            /// delivered reordered and duplicated, boundaries at any day.
+            /// Days stay below 2^31, where the oracle's exponent cast does
+            /// not wrap.
+            #[test]
+            fn the_decay_table_folds_heat_to_the_powi_oracles_bits(
+                decay_draw in 0.0f64..1.0,
+                shape in any::<u64>(),
+                rounds in proptest::collection::vec(any::<u64>(), 1..40),
+            ) {
+                let decay = match shape % 3 {
+                    0 => 1.0,
+                    1 => 1.0 - decay_draw * 1e-6,
+                    _ => 1.0 - decay_draw,
+                };
+                let horizon = match (shape >> 2) % 4 {
+                    0 => 1 + (shape >> 8) as u32 % 64,
+                    1 => 3_000 + (shape >> 8) as u32 % 3_000,
+                    2 => ((shape >> 8) as u32).max(1),
+                    _ => u32::MAX,
+                };
+                let span = horizon.min(1 << 31);
+                let objects = 1 + (shape >> 4) as usize % 5;
+                let (mut fast, mut oracle) = (
+                    decay_engine(objects, decay, horizon),
+                    decay_engine(objects, decay, horizon),
+                );
+                let (mut seq, mut clock) = (0u64, 0u32);
+                for word in rounds {
+                    let step = match (word >> 14) % 4 {
+                        0 => 0,
+                        1 => 1 + (word >> 20) as u32 % 7,
+                        2 => 1 + (word >> 20) as u32 % 5_000,
+                        _ => 1 + (word >> 20) as u32 % (1 << 30),
+                    };
+                    clock = clock.saturating_add(step).min(span - 1);
+                    let n = 1 + word % 3;
+                    let batches: Vec<EventColumns> = (0..n)
+                        .map(|i| batch(word.rotate_left(9 * i as u32), clock, span, horizon, objects))
+                        .collect();
+                    let mut want = IngestReport::default();
+                    for cols in &batches {
+                        want.merge(reference::ingest_reference(&mut oracle, cols));
+                    }
+                    // In order; last first, so the rest park; or each
+                    // twice and the round's first once more.
+                    let order: Vec<u64> = match (word >> 10) % 3 {
+                        0 => (0..n).collect(),
+                        1 => (0..n).rev().collect(),
+                        _ => (0..n).flat_map(|i| [i, i]).chain([0]).collect(),
+                    };
+                    let mut got = IngestReport::default();
+                    for i in order {
+                        got.merge(fast.ingest_sequenced(seq + i, &batches[i as usize]).unwrap());
+                    }
+                    seq += n;
+                    prop_assert_eq!(fast.pending_batches(), 0);
+                    prop_assert_eq!(got, want);
+                    if (word >> 12) % 3 == 0 {
+                        let day = match (word >> 50) % 3 {
+                            0 => clock,
+                            1 => clock.saturating_add((word >> 52) as u32 % 6_000),
+                            _ => (word >> 33) as u32 % (1 << 31),
+                        }
+                        .min(i32::MAX as u32);
+                        fast.advance(day);
+                        reference::advance_reference(&mut oracle, day);
+                        clock = clock.max(day).min(span - 1);
+                    }
+                    prop_assert_eq!(folded(&fast), folded(&oracle));
+                }
+            }
+
+            /// A decay below 1 never raises heat, however far the clock
+            /// jumps. A gap past `i32::MAX` used to wrap the exponent
+            /// negative: at 0.98, one read at day 0 then `advance(u32::MAX)`
+            /// left heat 1/0.98, and `advance(1 << 31)` left it infinite.
+            #[test]
+            fn advancing_to_a_later_day_never_raises_heat(
+                decay_draw in 0.0f64..1.0,
+                start in 0u32..u32::MAX,
+                gaps in proptest::collection::vec(any::<u32>(), 1..8),
+            ) {
+                let decay = if decay_draw < 0.5 {
+                    0.98
+                } else {
+                    1.0 - decay_draw * 1e-9
+                };
+                for day in [1 << 31, u32::MAX] {
+                    let mut engine = decay_engine(1, decay, u32::MAX);
+                    let mut cols = EventColumns::default();
+                    cols.push_resolved(0, 0, AccessKind::Read, 1.0);
+                    engine.ingest(&cols);
+                    engine.advance(day);
+                    prop_assert!(engine.heat(0).unwrap() <= 1.0, "advance({day}) at {decay}");
+                }
+                // Object 1 is read at day 0 and object 0 at `start`; the
+                // clock then jumps by random gaps up to `u32::MAX`.
+                let mut engine = decay_engine(2, decay, u32::MAX);
+                let mut cols = EventColumns::default();
+                cols.push_resolved(0, 1, AccessKind::Read, 1.0);
+                cols.push_resolved(start, 0, AccessKind::Read, 1.0);
+                engine.ingest(&cols);
+                let mut day = start;
+                for gap in gaps {
+                    let before = [engine.heat(0).unwrap(), engine.heat(1).unwrap()];
+                    day = day.saturating_add(gap);
+                    engine.advance(day);
+                    let after = [engine.heat(0).unwrap(), engine.heat(1).unwrap()];
+                    prop_assert!(after[0] <= before[0] && after[1] <= before[1],
+                        "advance({day}) at {decay}: {before:?} -> {after:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn a_u32_max_horizon_keeps_the_table_bounded_and_folds_through_powi() {
+            // Close enough to 1 that a 2^31-day gap leaves heat to compare.
+            let decay = 1.0 - 1e-10;
+            let mut engine = decay_engine(1, decay, u32::MAX);
+            let mut oracle = decay_engine(1, decay, u32::MAX);
+            assert_eq!(engine.decay.pows.len(), DECAY_TABLE_MAX);
+            // Every gap is past the table and at most `i32::MAX`, where
+            // the oracle's exponent cast does not wrap.
+            for day in [0, 4_096, 4_096 + i32::MAX as u32, u32::MAX - 1, u32::MAX] {
+                let mut cols = EventColumns::default();
+                cols.push_resolved(day, 0, AccessKind::Read, 1.0);
+                assert_eq!(
+                    engine.ingest(&cols),
+                    reference::ingest_reference(&mut oracle, &cols)
+                );
+                assert_eq!(folded(&engine), folded(&oracle), "day {day}");
+            }
+            assert_eq!(engine.heat[0].last_day, u32::MAX - 1);
+            assert_eq!(engine.dropped_events(), 1);
+            assert!(engine.heat(0).unwrap() > 2.0);
+        }
     }
 }

@@ -10,11 +10,20 @@
 //! [`ServeEngine::reoptimize`](crate::ServeEngine::reoptimize) reproduces
 //! this bit-for-bit on every epoch; the incremental path earns its speedup
 //! purely by skipping work, never by approximating.
+//!
+//! [`ingest_reference`] and [`advance_reference`] are the heat folds as
+//! they were before the engine read `decay^k` from a table: one `powi`
+//! per folded event and one per object at a boundary. They are the
+//! oracle the table is pinned against, for every day gap up to
+//! `i32::MAX` — past it their exponent cast wraps negative, which the
+//! engine's fallback does not.
 
+use scope_cloudsim::{AccessKind, EventColumns};
 use scope_optassign::{solve_branch_and_bound, solve_greedy};
 
-use crate::engine::{AccountAssignment, ServeEngine};
+use crate::engine::{AccountAssignment, IngestReport, ServeConfig, ServeEngine};
 use crate::error::ServeError;
+use crate::quarantine::{QuarantineReason, QuarantinedEvent};
 
 /// Cold from-scratch solve of every account shard, in account order,
 /// over the engine's current state. The engine itself is untouched: no
@@ -40,4 +49,86 @@ pub fn full_resolve(engine: &ServeEngine) -> Result<Vec<AccountAssignment>, Serv
 /// are bit-comparable.
 pub fn total_objective(accounts: &[AccountAssignment]) -> f64 {
     accounts.iter().map(|a| a.assignment.objective).sum()
+}
+
+/// [`ServeEngine::ingest`] with the decay factor computed per event.
+pub fn ingest_reference(engine: &mut ServeEngine, columns: &EventColumns) -> IngestReport {
+    let ServeConfig {
+        horizon_days,
+        decay_per_day,
+        ..
+    } = *engine.config();
+    let mut report = IngestReport::default();
+    let usable = columns
+        .days
+        .len()
+        .min(columns.object_ids.len())
+        .min(columns.kinds.len())
+        .min(columns.volumes.len());
+    let intended = columns
+        .days
+        .len()
+        .max(columns.object_ids.len())
+        .max(columns.kinds.len())
+        .max(columns.volumes.len());
+    if intended > usable {
+        let torn = (intended - usable) as u64;
+        report.truncated = torn;
+        engine.quarantine.record_truncated(torn);
+    }
+    for i in 0..usable {
+        let ordinal = engine.events_seen;
+        engine.events_seen += 1;
+        let day = columns.days[i];
+        if day >= horizon_days {
+            report.dropped += 1;
+            continue;
+        }
+        let volume = columns.volumes[i];
+        if !volume.is_finite() || volume < 0.0 {
+            engine.quarantine.record(QuarantinedEvent {
+                ordinal,
+                day,
+                object_id: columns.object_ids[i],
+                volume_bits: volume.to_bits(),
+                reason: if volume.is_finite() {
+                    QuarantineReason::NegativeVolume
+                } else {
+                    QuarantineReason::NonFiniteVolume
+                },
+            });
+            report.quarantined += 1;
+            continue;
+        }
+        let id = columns.object_ids[i] as usize;
+        if id >= engine.heat.len() {
+            report.unknown += 1;
+            continue;
+        }
+        let h = &mut engine.heat[id];
+        if day > h.last_day {
+            h.value *= decay_per_day.powi((day - h.last_day) as i32);
+            h.last_day = day;
+        }
+        if columns.kinds[i] == AccessKind::Read {
+            h.value += 1.0;
+        }
+        report.folded += 1;
+    }
+    engine.dropped_events += report.dropped;
+    report
+}
+
+/// [`ServeEngine::advance`] with the decay factor computed per object:
+/// every counter is decayed to `day` here, so the engine's own pass that
+/// follows only moves the clock and re-buckets.
+pub fn advance_reference(engine: &mut ServeEngine, day: u32) {
+    let decay_per_day = engine.config().decay_per_day;
+    for h in &mut engine.heat {
+        if day > h.last_day {
+            h.value *= decay_per_day.powi((day - h.last_day) as i32);
+            h.last_day = day;
+        }
+    }
+    engine.advance(day);
 }
