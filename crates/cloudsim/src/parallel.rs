@@ -1,62 +1,60 @@
-//! Deterministic parallel fan-out over index ranges.
+//! Deterministic parallel fan-out: one primitive, and maps over it.
 //!
-//! The solvers and sweeps in the upper crates are embarrassingly parallel
-//! over independent items (partitions of a cost table, datasets of a
-//! schedule plan, configurations of a sweep), but their results must be
-//! **bit-for-bit identical** to the sequential path: the optimizer output
-//! feeds golden-pinned tables and differential oracles. This module
-//! provides the fan-out shape that guarantees it:
+//! The solvers, learners and sweeps in the upper crates are embarrassingly
+//! parallel over independent items (account shards, stretches of a cost
+//! table, datasets of a schedule plan, trees of a forest, rows of the
+//! policy table), and the billing replay is parallel over units of events
+//! whose outcomes must be folded in trace order. Every result must be
+//! **bit-for-bit identical** to the sequential loop: the outputs feed
+//! golden-pinned tables and differential oracles.
 //!
-//! * work is chunked by **index** into contiguous slices — cut either by
-//!   **count** (equal-length chunks, the `parallel_map*` forms) or by
-//!   **cumulative weight** ([`parallel_map_weighted_with_threads`]: a chunk
-//!   ends where the running sum of a caller-supplied per-item weight
-//!   crosses the next multiple of `total / threads`),
-//! * each worker computes its slice with the shared closure,
-//! * results are merged back **in index order**.
+//! One primitive spawns, joins and re-raises: [`ordered_stream_with_threads`].
+//! The work is cut into *units*, which the parties (the spawned resolvers
+//! and the caller) claim from a shared counter. An order-free `resolve`
+//! stage fills a small ring of reused buffers, one unit each, on whichever
+//! party claimed it. An ordered `apply` stage consumes the buffers on the
+//! calling thread strictly in unit order. The outcome is the sequential
+//! loop's for every thread count, because `apply` sees the same buffers in
+//! the same order, and memory is bounded by `threads × unit`.
 //!
-//! Because every item's result is a pure function of `(index, item)` and
-//! floating-point arithmetic is performed per item exactly as the
-//! sequential loop would, the output is independent of the thread count
-//! and of where the cuts fall — [`parallel_map_with_threads`] with 1 thread
-//! *is* the sequential loop, and the determinism proptests pin
-//! `threads = n` against it for both kinds of cut. No work stealing, no
-//! reduction-order dependence, no rayon in the shims.
+//! The maps ([`parallel_map`], [`parallel_map_with_threads`] and the
+//! in-place [`parallel_map_mut_with_threads`]) are in-order collects over
+//! the stream. The items are cut into contiguous units of
+//! `ceil(len / (threads × UNITS_PER_THREAD))`; any party resolves a unit
+//! into a reused `Vec<R>`, and the caller appends the units to the output
+//! in unit order. Every item's result is a pure function of
+//! `(index, item)`, computed exactly as the sequential loop computes it,
+//! so which party ran which unit never shows in the output. At one
+//! thread, or when the items fit in one unit, a map *is* the sequential
+//! `collect`: nothing is spawned and the output is the one allocation.
 //!
-//! The weight cut exists because item order is the caller's and item cost
-//! can be wildly uneven along it: COMPREDICT's 91 training samples of the
-//! end-to-end benchmark arrive in table order, and the two equal-count
-//! halves of that list hold 7 564 058 and 205 629 serialised bytes (97.4%
-//! / 2.6%) — an equal-count cut leaves the second worker idle for all but
-//! a sliver of the span. A cut by weight keeps the chunks contiguous (so
-//! the merge and the guarantee are unchanged) and bounds the heaviest chunk
-//! by `total / threads` plus one item's weight.
+//! No cut by weight is needed. Item cost can be wildly uneven along the
+//! caller's order: COMPREDICT's training samples arrive in table order,
+//! and the first half of the end-to-end benchmark's 91 holds 97% of their
+//! serialised bytes. A static cut by count would leave one worker idle for
+//! most of the span, and a cut by weight rests on the caller's estimate.
+//! Here a party that finishes a cheap unit claims the next one, so the
+//! split follows the work actually done.
 //!
-//! Beside the two cuts there is one **ordered-streaming** shape,
-//! [`ordered_stream_with_threads`], for work whose results are too many to
-//! collect and whose merge is itself the expensive, order-sensitive part
-//! (the billing replay: an outcome per event, accumulated in trace order).
-//! The work is cut into fixed-size *units*; an order-free `resolve` stage
-//! fills a small ring of reused buffers, one unit each, on whichever thread
-//! is free, and an ordered `apply` stage consumes them on the calling
-//! thread strictly in unit order. The guarantee is the same — the outcome
-//! is the sequential loop's for every thread count, because `apply` sees
-//! the same buffers in the same order — but memory is bounded by
-//! `threads × unit` instead of growing with the input.
+//! Every fan-out follows one rule: `n` threads means
+//! `min(n − 1, units − 1)` spawned resolvers plus the caller
+//! ([`workers_spawned`] counts them). No work stealing beyond the counter,
+//! no reduction-order dependence, no rayon in the shims.
 //!
 //! This module is the only place in the workspace where `std::thread` may
 //! appear (`scope-analyze`'s `no-raw-threads` rule).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 
 /// Worker threads spawned by this module since the process started.
 static WORKERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
 /// Worker threads every fan-out of this module has spawned since the
 /// process started — a statistic (relaxed, publishes nothing) that lets a
-/// test prove a call ran sequentially or did not nest: a fan-out over `n`
-/// chunks adds exactly `n`, and the `threads == 1` paths add nothing.
+/// test prove a call ran sequentially or did not nest. A fan-out of `n`
+/// threads over `units` units adds exactly `min(n − 1, units − 1)` (the
+/// caller is the last party); one thread or one unit adds nothing.
 pub fn workers_spawned() -> u64 {
     WORKERS_SPAWNED.load(Ordering::Relaxed)
 }
@@ -68,12 +66,34 @@ pub fn workers_spawned() -> u64 {
 const MAX_THREADS: usize = 8;
 
 /// Number of hardware threads to fan out over, capped at `MAX_THREADS`.
+/// The host is read once per process: std documents
+/// `available_parallelism` as possibly expensive, and every auto-threaded
+/// call asks.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_THREADS)
+    })
 }
+
+/// Units a map cuts each thread's share of its items into. More units let
+/// a party that drew cheap items claim more of them, but not without end:
+/// a resolver holds two buffers, so one that runs ahead of a caller busy
+/// with a heavy unit stalls until the caller applies. Measured by
+/// replaying the serialised bytes of the end-to-end benchmark's 91
+/// COMPREDICT samples (97% of them in the first half, in table order)
+/// through the claim-and-ring protocol, as a share of all the bytes on
+/// the critical path, 1 / 2 / 3 / 4 / 6 / 8 units per thread: two parties
+/// 97 / 77 / 56 / 55 / 53–57 / 58–60%, four 76 / 48 / 32 / 31–32 / 28 /
+/// 35%, eight 48 / 27 / 24 / 22 / 18 / 18% (ranges: whether the caller or
+/// a resolver claims first). Four has the lowest worst case on two
+/// parties, the benchmark host, and is within about four points of the
+/// best on four and eight; the static weight cut it replaces bounded two
+/// parties at 60%.
+const UNITS_PER_THREAD: usize = 4;
 
 /// Map `f` over `items` in parallel with the default thread count,
 /// returning results in index order. Bit-for-bit identical to
@@ -87,168 +107,93 @@ where
     parallel_map_with_threads(items, default_threads(), f)
 }
 
-/// [`parallel_map`] with an explicit thread count (1 = plain sequential
-/// loop). The thread count affects only wall-clock time, never the output:
-/// chunks are contiguous index ranges and the merge concatenates them in
-/// chunk order.
+/// [`parallel_map`] with an explicit thread count (`0` and `1` = the
+/// plain sequential loop). The thread count affects only wall-clock time,
+/// never the output: units are contiguous index ranges, appended to the
+/// output in unit order.
 pub fn parallel_map_with_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
+    let unit = unit_len(items.len(), threads);
+    if threads <= 1 || items.len() <= unit {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let (len, chunk_len) = (items.len(), items.len().div_ceil(threads));
-    fan_out(items.chunks(chunk_len), len, chunk_len, |base, slice| {
-        slice
-            .iter()
-            .enumerate()
-            .map(|(j, item)| f(base + j, item))
-            .collect()
+    collect_units(items.len(), unit, threads, |base, out| {
+        let slice = items[base..].iter().take(unit);
+        out.extend(slice.enumerate().map(|(j, item)| f(base + j, item)));
     })
-}
-
-/// Run `work(base_index, chunk)` on one scoped thread per `chunk_len`-item
-/// chunk and concatenate the per-chunk results (`len` in all) in chunk
-/// order. A worker's panic is re-raised on the caller thread with its own
-/// payload instead of being wrapped in a second panic.
-fn fan_out<C, R>(
-    chunks: impl Iterator<Item = C>,
-    len: usize,
-    chunk_len: usize,
-    work: impl Fn(usize, C) -> Vec<R> + Sync,
-) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-{
-    let mut out = Vec::with_capacity(len);
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = chunks
-            .enumerate()
-            .map(|(ci, chunk)| scope.spawn(move || work(ci * chunk_len, chunk)))
-            .collect();
-        WORKERS_SPAWNED.fetch_add(handles.len() as u64, Ordering::Relaxed);
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
-}
-
-/// [`parallel_map_with_threads`] with the chunks cut by **cumulative
-/// weight** instead of by count: `weight(item)` is the caller's estimate of
-/// an item's cost (any unit), and chunk `k` ends at the first item where
-/// the running sum reaches `(k + 1) · total / threads`. Chunks stay
-/// contiguous and are merged in index order, so the output is bit-for-bit
-/// the sequential loop's for any weights and any thread count; the weights
-/// affect only wall-clock time. The heaviest chunk weighs at most
-/// `total / threads` plus its last item; there may be fewer chunks than
-/// `threads` (one item can cross several cut points), never more, and none
-/// is empty. All-zero weights cut by count. `threads` clamps to the item
-/// count, so a single item (or `threads == 1`) runs on the calling thread
-/// and spawns nothing.
-pub fn parallel_map_weighted_with_threads<T, R, W, F>(
-    items: &[T],
-    threads: usize,
-    weight: W,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    W: Fn(&T) -> u64,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let weights: Vec<u64> = items.iter().map(weight).collect();
-    let ends = weight_cuts(&weights, threads);
-    let starts = std::iter::once(0).chain(ends.iter().copied());
-    // Each chunk carries its own base index; `fan_out`'s equal-length base
-    // (`ci * chunk_len`) is not used.
-    let chunks = starts
-        .zip(&ends)
-        .map(|(start, &end)| (start, &items[start..end]));
-    fan_out(chunks, items.len(), 0, |_, (base, slice)| {
-        slice
-            .iter()
-            .enumerate()
-            .map(|(j, item)| f(base + j, item))
-            .collect()
-    })
-}
-
-/// Exclusive end index of each chunk of a cut of `weights` over at most
-/// `threads` contiguous, non-empty chunks (the last end is
-/// `weights.len()`): chunk `k` is closed by the first item at which the
-/// cumulative weight reaches `(k + 1) · total / threads`, and the last
-/// chunk takes whatever remains. An item that crosses several cut points
-/// closes one chunk and skips the others. All-zero weights count as all
-/// ones.
-fn weight_cuts(weights: &[u64], threads: usize) -> Vec<usize> {
-    let sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    let by_count = sum == 0;
-    let total = if by_count { weights.len() as u128 } else { sum };
-    let threads = threads as u128;
-    let mut ends = Vec::with_capacity(threads as usize);
-    // `crossed` cut points lie at or below the running sum `cum`.
-    let (mut cum, mut crossed) = (0u128, 0u128);
-    for (i, &w) in weights.iter().enumerate() {
-        cum += if by_count { 1 } else { u128::from(w) };
-        if crossed + 1 < threads && cum * threads >= (crossed + 1) * total {
-            ends.push(i + 1);
-            crossed = cum * threads / total;
-        }
-    }
-    if ends.last() != Some(&weights.len()) && !weights.is_empty() {
-        ends.push(weights.len());
-    }
-    ends
 }
 
 /// Map `f` over `items` in parallel **with mutable access to each item**,
 /// returning results in index order — the in-place counterpart of
 /// [`parallel_map_with_threads`] for workers that update owned per-item
-/// state (e.g. the serving engine patching each account shard's cost
-/// table) while the merge stays deterministic. Bit-for-bit identical to
-/// `items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()`: with
-/// `threads == 1` it is that loop, and otherwise items are chunked into
-/// contiguous disjoint `chunks_mut` ranges, so each item is visited by
-/// exactly one worker and the thread count affects only wall-clock time,
-/// never the output or the final item states.
+/// state (the serving engine's account shards, the cost table's row
+/// stretches) while the merge stays deterministic. Bit-for-bit identical
+/// to `items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()`, which
+/// is what runs at one thread or one unit. Otherwise each unit's disjoint
+/// `chunks_mut` slice waits in a slot of its own until the party that
+/// claims the unit takes it, so each item is visited by exactly one party
+/// and the thread count affects neither the output nor the final item
+/// states.
 pub fn parallel_map_mut_with_threads<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
+    let (len, unit) = (items.len(), unit_len(items.len(), threads));
+    if threads <= 1 || len <= unit {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let (len, chunk_len) = (items.len(), items.len().div_ceil(threads));
-    fan_out(
-        items.chunks_mut(chunk_len),
-        len,
-        chunk_len,
-        |base, slice| {
-            slice
-                .iter_mut()
-                .enumerate()
-                .map(|(j, item)| f(base + j, item))
-                .collect()
+    let slots: Vec<Mutex<Option<&mut [T]>>> = items
+        .chunks_mut(unit)
+        .map(|s| Mutex::new(Some(s)))
+        .collect();
+    collect_units(len, unit, threads, |base, out| {
+        // A unit is claimed once, so its slot is full when it is taken. The
+        // lock is held for the `take` alone, which cannot panic, so no slot
+        // is ever poisoned: `into_inner` is never reached.
+        let slot = slots[base / unit]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let slice = slot.into_iter().flatten();
+        out.extend(slice.enumerate().map(|(j, item)| f(base + j, item)));
+    })
+}
+
+/// Items per unit of a map of `len` items on `threads` threads.
+fn unit_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.max(1) * UNITS_PER_THREAD).max(1)
+}
+
+/// The in-order collect behind every map: stream `len` items in units of
+/// `unit`, `resolve(first_index, buffer)` appending one unit's results to
+/// a reused buffer, and append each buffer to the output in unit order
+/// (which leaves it empty for its next unit).
+fn collect_units<R, F>(len: usize, unit: usize, threads: usize, resolve: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, &mut Vec<R>) + Sync,
+{
+    let mut out = Vec::with_capacity(len);
+    let streamed = ordered_stream_with_threads(
+        len.div_ceil(unit),
+        threads,
+        || Vec::with_capacity(unit),
+        |u, buffer: &mut Vec<R>| resolve(u * unit, buffer),
+        |_, buffer| {
+            out.append(buffer);
+            Ok::<(), std::convert::Infallible>(())
         },
-    )
+    );
+    match streamed {
+        Ok(()) => out,
+        Err(never) => match never {},
+    }
 }
 
 /// Buffers each party of [`ordered_stream_with_threads`] (every resolver,
@@ -280,7 +225,9 @@ const BUFFERS_PER_PARTY: usize = 2;
 /// channels close, every resolver finishes at most the unit it is in and
 /// exits, and no later unit is applied. A panic inside `resolve` on a
 /// resolver thread stops the stream the same way and is re-raised on the
-/// caller with its own payload once every resolver has been joined.
+/// caller with its own payload once every resolver has been joined; one on
+/// the caller unwinds as it is, the dropped channels releasing every
+/// resolver before the join.
 pub fn ordered_stream_with_threads<B, E, N, R, A>(
     units: usize,
     threads: usize,
@@ -430,6 +377,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn empty_and_singleton_inputs() {
@@ -644,223 +592,71 @@ mod tests {
         let before = workers_spawned();
         parallel_map_with_threads(&items, 3, |_, &x| x);
         parallel_map_mut_with_threads(&mut items, 4, |_, x| *x += 1);
-        parallel_map_weighted_with_threads(&items, 5, |_| 1, |_, &x| x);
-        // Ten items over 3 and over 4 workers are chunks of 4 and of 3; ten
-        // equal weights over 5 are chunks of 2.
-        assert!(workers_spawned() - before >= 3 + 4 + 5);
-    }
-
-    /// `(rows × columns, serialised bytes)` of the 91 COMPREDICT training
-    /// samples of the end-to-end benchmark's `plan_batch` workload at seed
-    /// 12, in the table order `build_examples` receives them.
-    const PLAN_SAMPLES: [(u64, u64); 91] = [
-        (93536, 785910),
-        (49136, 413022),
-        (49136, 413074),
-        (24864, 209033),
-        (14800, 124333),
-        (14800, 124723),
-        (14800, 124531),
-        (29600, 248878),
-        (29600, 248821),
-        (57424, 483517),
-        (58608, 492300),
-        (10064, 85055),
-        (14800, 124596),
-        (13120, 110399),
-        (8288, 69977),
-        (11840, 99694),
-        (11840, 99602),
-        (10064, 84735),
-        (58608, 492524),
-        (57424, 482977),
-        (4144, 35156),
-        (20128, 169676),
-        (48640, 408408),
-        (48048, 403615),
-        (6993, 78705),
-        (6993, 78752),
-        (3663, 41382),
-        (2331, 26475),
-        (4329, 48598),
-        (4329, 49081),
-        (8172, 92469),
-        (8172, 92048),
-        (1665, 19047),
-        (4329, 49178),
-        (4329, 48529),
-        (8172, 92012),
-        (8172, 92271),
-        (6840, 77225),
-        (6840, 77531),
-        (5661, 63826),
-        (1225, 23874),
-        (1595, 31393),
-        (1665, 32868),
-        (2035, 39549),
-        (2590, 50742),
-        (1225, 23947),
-        (304, 5802),
-        (304, 5763),
-        (1200, 22280),
-        (1200, 22280),
-        (1200, 22280),
-        (1200, 22280),
-        (592, 11124),
-        (592, 11085),
-        (592, 11035),
-        (612, 5675),
-        (306, 3117),
-        (306, 3125),
-        (306, 3089),
-        (576, 5231),
-        (576, 5311),
-        (306, 3009),
-        (306, 3089),
-        (306, 3009),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (70, 1352),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (100, 1690),
-        (15, 293),
-        (15, 293),
-        (15, 293),
-    ];
-
-    /// The cut the public function makes of `weights` (same clamp), with
-    /// its invariants asserted: at most `threads` chunks, contiguous,
-    /// non-empty, covering every index, the heaviest at most
-    /// `total / threads` plus the heaviest item.
-    fn checked_cuts(weights: &[u64], threads: usize) -> Vec<usize> {
-        let threads = threads.clamp(1, weights.len().max(1));
-        let ends = weight_cuts(weights, threads);
-        if weights.is_empty() {
-            assert!(ends.is_empty());
-            return ends;
-        }
-        assert!(ends.len() <= threads, "{weights:?} over {threads}");
-        assert_eq!(ends.last(), Some(&weights.len()));
-        assert!(ends[0] > 0 && ends.windows(2).all(|w| w[0] < w[1]));
-        // All-zero weights count as all ones.
-        let by_count = weights.iter().all(|&w| w == 0);
-        let effective = |w: u64| if by_count { 1 } else { u128::from(w) };
-        let total: u128 = weights.iter().map(|&w| effective(w)).sum();
-        let heaviest_item = weights.iter().map(|&w| effective(w)).max().unwrap_or(0);
-        let mut start = 0;
-        for &end in &ends {
-            let chunk: u128 = weights[start..end].iter().map(|&w| effective(w)).sum();
-            assert!(
-                chunk * threads as u128 <= total + heaviest_item * threads as u128,
-                "chunk {start}..{end} of {weights:?} over {threads} weighs {chunk}"
-            );
-            start = end;
-        }
-        ends
-    }
-
-    #[test]
-    fn weight_cuts_are_contiguous_non_empty_and_balanced() {
-        let shapes: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![5],
-            vec![0; 9],
-            vec![7; 24],
-            vec![1, 2, 3],
-            (1..=40).collect(),
-            (1..=40).rev().collect(),
-            // One item holding more than 90% of the weight: first, middle, last.
-            vec![1000, 1, 2, 3, 4, 5, 6, 7, 8, 9],
-            vec![1, 2, 3, 4, 1000, 5, 6, 7, 8, 9],
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 1000],
-            // Zero-weight items around and between the weight.
-            vec![0, 0, 0, 9, 0, 0, 9, 0, 0, 0],
-            vec![u64::MAX, u64::MAX, 1, u64::MAX],
-        ];
-        for weights in &shapes {
-            for threads in 1..=13 {
-                checked_cuts(weights, threads);
-            }
-        }
-        // Equal weights over a divisor of the count cut evenly, a single
-        // heavy item closes its chunk at once, and trailing zero-weight
-        // items join the last chunk instead of forming one more.
-        assert_eq!(checked_cuts(&[7; 24], 4), vec![6, 12, 18, 24]);
-        assert_eq!(checked_cuts(&[1000, 1, 2, 3], 2), vec![1, 4]);
-        assert_eq!(checked_cuts(&[4, 4, 0, 0], 2), vec![1, 4]);
-        assert_eq!(checked_cuts(&[0; 9], 3), vec![3, 6, 9]);
-    }
-
-    #[test]
-    fn the_plan_sample_profile_splits_no_worse_than_60_40_on_two_workers() {
-        let share = |cut: usize, of: fn(&(u64, u64)) -> u64| {
-            let first: u64 = PLAN_SAMPLES[..cut].iter().map(of).sum();
-            let total: u64 = PLAN_SAMPLES.iter().map(of).sum();
-            first as f64 / total as f64
-        };
-        // The equal-count cut this form replaces: 46 + 45 samples, 97.4% of
-        // the serialised bytes on the first worker.
-        assert_eq!(PLAN_SAMPLES.iter().map(|s| s.1).sum::<u64>(), 7_769_687);
-        assert!(share(PLAN_SAMPLES.len().div_ceil(2), |s| s.1) > 0.97);
-        // Cut by rows × columns, both the weight and the bytes it stands
-        // for land within 60/40.
-        let weights: Vec<u64> = PLAN_SAMPLES.iter().map(|s| s.0).collect();
-        let ends = checked_cuts(&weights, 2);
-        assert_eq!(ends.len(), 2);
-        for of in [|s: &(u64, u64)| s.0, |s: &(u64, u64)| s.1] {
-            let first = share(ends[0], of);
-            assert!((0.4..=0.6).contains(&first), "first worker's share {first}");
-        }
-    }
-
-    #[test]
-    fn weighted_fan_out_is_the_sequential_loop_for_any_weights_and_thread_count() {
-        let items: Vec<f64> = (0..97).map(|i| 0.1 * i as f64 + 0.037).collect();
-        let f = |i: usize, &x: &f64| (i, ((x * 1.0001 + i as f64 / 3.0).sin() * x).to_bits());
-        let sequential: Vec<(usize, u64)> =
-            items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        let weightings: [fn(&f64) -> u64; 4] = [
-            |_| 1,
-            |_| 0,
-            |&x| (x * x * 100.0) as u64,
-            |&x| if x < 0.1 { 1_000_000 } else { 1 },
-        ];
-        for weight in weightings {
-            for threads in 1..=13 {
-                let got = parallel_map_weighted_with_threads(&items, threads, weight, f);
-                assert_eq!(got, sequential, "threads = {threads}");
-            }
-        }
-        let empty: Vec<f64> = Vec::new();
-        assert!(parallel_map_weighted_with_threads(&empty, 4, |_| 1, f).is_empty());
-        // A single item runs on the calling thread whatever `threads` says.
+        // Ten items over 3 and over 4 threads are ten units of one item:
+        // `threads − 1` resolvers beside the caller each time.
+        assert!(workers_spawned() - before >= 2 + 3);
+        // One item is one unit, whatever `threads` says.
         let caller = std::thread::current().id();
-        let ran_on = parallel_map_weighted_with_threads(
-            &items[..1],
-            8,
-            |_| 1,
-            |_, _| std::thread::current().id(),
-        );
+        let ran_on = parallel_map_with_threads(&items[..1], 8, |_, _| std::thread::current().id());
         assert_eq!(ran_on, vec![caller]);
+    }
+
+    /// Run `map(f)` where `f` panics with a payload saying whether it ran
+    /// on the caller — on resolver threads if `on_resolver`, else on the
+    /// caller — and return that payload as caught on the caller. With more
+    /// than one thread, every call of `f` first waits until both sides have
+    /// run it, so both do whatever the scheduler does: the caller resolves
+    /// a unit while nothing has arrived, and a resolver claims the next
+    /// unit while the caller is busy.
+    fn panic_through(
+        threads: usize,
+        on_resolver: bool,
+        map: impl FnOnce(&(dyn Fn(usize) + Sync)),
+    ) -> String {
+        let caller = std::thread::current().id();
+        let (caller_ran, resolver_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let f = |i: usize| {
+            let on_caller = std::thread::current().id() == caller;
+            let (mine, theirs) = if on_caller {
+                (&caller_ran, &resolver_ran)
+            } else {
+                (&resolver_ran, &caller_ran)
+            };
+            mine.store(true, Ordering::SeqCst);
+            while threads > 1 && !theirs.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            if on_caller != on_resolver {
+                std::panic::panic_any(format!("item {i} exploded on the caller: {on_caller}"));
+            }
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| map(&f)));
+        let payload = outcome.expect_err("the panic must cross the map");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("the panic's own payload")
+    }
+
+    #[test]
+    fn a_panic_in_a_map_re_raises_on_the_caller_with_its_own_payload() {
+        let items: Vec<u32> = (0..64).collect();
+        for (threads, on_resolver) in [(1, false), (2, true), (3, true), (8, true), (2, false)] {
+            for by_ref in [true, false] {
+                let mut owned = items.clone();
+                let got = panic_through(threads, on_resolver, |f| {
+                    if by_ref {
+                        parallel_map_with_threads(&items, threads, |i, _| f(i));
+                    } else {
+                        parallel_map_mut_with_threads(&mut owned, threads, |i, _| f(i));
+                    }
+                });
+                assert!(
+                    got.ends_with(&format!("exploded on the caller: {}", !on_resolver)),
+                    "threads {threads}, by_ref {by_ref}: {got}"
+                );
+            }
+        }
     }
 
     #[test]

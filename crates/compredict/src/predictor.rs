@@ -16,10 +16,11 @@
 //!
 //! * **The deterministic half is fanned out.** Serialise → compress
 //!   **once** → extract features is a pure function of the sample, so it
-//!   runs over `scope_learn::parallel`'s weight-cut fan-out (weight = rows
-//!   × columns, known before serialising; sample lists arrive in table
-//!   order, so an equal-count cut would hand one worker nearly all the
-//!   bytes). Each worker drops its serialised buffer and keeps only the
+//!   runs over `scope_learn::parallel`'s map. Sample lists arrive in table
+//!   order, so nearly all the bytes sit in the first half; the map's
+//!   threads claim small units of samples as they finish the last, and the
+//!   split follows the bytes actually compressed, not an estimate. Each
+//!   thread drops its serialised buffer and keeps only the
 //!   compressed stream, the serialised length and the features; results
 //!   merge in sample order, so `features`, `ratio` and `serialized_bytes`
 //!   are bit-identical for any thread count.
@@ -134,8 +135,9 @@ pub fn build_examples(
     )
 }
 
-/// [`build_examples`] with the deterministic half on exactly `threads`
-/// workers (1 = the calling thread); the timed half is always sequential.
+/// [`build_examples`] with the deterministic half on `threads` threads
+/// (the caller and at most `threads − 1` spawned; 1 = the calling thread
+/// alone); the timed half is always sequential.
 pub(crate) fn build_examples_with_threads(
     samples: &[Table],
     scheme: CompressionScheme,
@@ -144,18 +146,13 @@ pub(crate) fn build_examples_with_threads(
     threads: usize,
 ) -> Vec<TrainingExample> {
     let codec = scheme.codec();
-    let compressed = parallel::parallel_map_weighted_with_threads(
-        samples,
-        threads,
-        |sample| (sample.n_rows() * sample.n_columns()) as u64,
-        |_, sample| {
-            let (stream, serialized_bytes) = {
-                let bytes = format::serialize(sample, layout);
-                (codec.compress(&bytes), bytes.len())
-            };
-            (stream, serialized_bytes, extractor.extract(sample))
-        },
-    );
+    let compressed = parallel::parallel_map_with_threads(samples, threads, |_, sample| {
+        let (stream, serialized_bytes) = {
+            let bytes = format::serialize(sample, layout);
+            (codec.compress(&bytes), bytes.len())
+        };
+        (stream, serialized_bytes, extractor.extract(sample))
+    });
     compressed
         .into_iter()
         .map(|(stream, serialized_bytes, features)| {

@@ -213,8 +213,8 @@ fn table_specs(inputs: &PipelineInputs, options: &[Vec<CompressionOption>]) -> V
 /// latency the plan actually achieves under the *ground-truth* values.
 ///
 /// Sweep points are independent, so they are computed with the
-/// deterministic parallel fan-out of [`scope_cloudsim::parallel`] (chunked
-/// by α index, merged in index order): the returned curve is bit-for-bit
+/// deterministic parallel fan-out of [`scope_cloudsim::parallel`] (units
+/// of α values, merged in index order): the returned curve is bit-for-bit
 /// the one the sequential loop produced.
 pub fn tradeoff_sweep(
     inputs: &PipelineInputs,

@@ -9,9 +9,10 @@
 //! them: the feature columns are presorted **once** and reused by every
 //! stage's tree build (only the targets change between stages, never the
 //! feature order), and the per-stage ensemble update fans its row
-//! predictions out over [`scope_cloudsim::parallel_map`] — merged in index
-//! order, so the fitted model is bit-for-bit identical for any thread count
-//! and to the sequential [`crate::reference`] oracle.
+//! predictions out over [`scope_cloudsim::parallel_map`] — units of rows
+//! claimed by whichever thread is free, merged in index order, so the
+//! fitted model is bit-for-bit identical for any thread count and to the
+//! sequential [`crate::reference`] oracle.
 
 use crate::data::ColumnMatrix;
 use crate::error::LearnError;

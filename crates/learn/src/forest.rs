@@ -11,9 +11,10 @@
 //! up-front from the single seeded RNG stream (so the sample of tree `i` is
 //! identical to the sequential seed implementation's), and the expensive
 //! tree builds fan out over
-//! [`scope_cloudsim::parallel_map`] — results merge in index order, so the
-//! fitted forest is bit-for-bit identical for any thread count and to the
-//! sequential [`crate::reference`] oracle.
+//! [`scope_cloudsim::parallel_map`] — whichever thread is free claims the
+//! next few trees, and results merge in index order, so the fitted forest
+//! is bit-for-bit identical for any thread count and to the sequential
+//! [`crate::reference`] oracle.
 
 use crate::data::ColumnMatrix;
 use crate::error::LearnError;

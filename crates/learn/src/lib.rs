@@ -38,8 +38,9 @@
 //!   flat column buffers; no per-row `Vec` clones.
 //! * **Deterministic parallel fan-out** — forest trees (and boosting's
 //!   per-stage ensemble updates) run through
-//!   `scope_cloudsim::parallel_map`: chunked by index, merged in index
-//!   order, bit-for-bit identical for any thread count.
+//!   `scope_cloudsim::parallel_map`: contiguous units of items claimed by
+//!   whichever thread is free, merged in index order, bit-for-bit
+//!   identical for any thread count.
 //! * **Bounded k-NN selection** — queries keep a max-heap of the k best
 //!   neighbours instead of fully sorting all training distances.
 //!

@@ -52,10 +52,11 @@
 //! The caller that owns the fan-out does. [`CostTable::build_with_threads`]
 //! and [`CostTable::patch_rows_with_threads`] take the worker count: `1`
 //! prices on the calling thread and spawns nothing — what a caller that
-//! has already fanned out (the serving engine, one worker per group of
-//! account shards) passes — and `n > 1` cuts the table's arrays at row
-//! boundaries into `n` disjoint `split_at_mut` stretches, one scoped
-//! worker of [`scope_cloudsim::parallel`] each, which price in place. The
+//! has already fanned out (the serving engine, whose threads each take
+//! whole account shards) passes — and `n > 1` cuts the table's arrays at
+//! row boundaries into `n` disjoint `split_at_mut` stretches, one unit of
+//! [`scope_cloudsim::parallel`]'s `&mut` map each, priced in place by the
+//! caller and `n − 1` spawned threads. The
 //! unsuffixed [`CostTable::build`] / [`CostTable::patch_rows`] are for
 //! callers that have not fanned out (the batch solvers): they use
 //! [`default_threads`] from `PARALLEL_MIN_ROWS` rows on and one thread
@@ -493,7 +494,8 @@ fn price_in_parallel(whole: Run<'_>, rows: &[usize], threads: usize) {
         work.push((head, chunk));
         rest = tail;
     }
-    // One worker per chunk (rounding can leave fewer chunks than workers).
+    // One unit per stretch (rounding can leave fewer stretches than
+    // workers): the caller prices one, spawned threads the rest.
     let workers = work.len();
     parallel_map_mut_with_threads(&mut work, workers, |_, (run, chunk)| {
         run.price_all(chunk.iter().copied());

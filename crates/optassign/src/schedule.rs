@@ -498,9 +498,9 @@ pub fn ideal_tier_schedules(
 /// single-provider baseline inside the same cost model.
 ///
 /// Each dataset's DP is independent, so the plans are computed with the
-/// deterministic parallel fan-out ([`scope_cloudsim::parallel`]): chunked
-/// by dataset index, merged in index order — the result (including which
-/// error is reported first) is bit-for-bit the sequential loop's.
+/// deterministic parallel fan-out ([`scope_cloudsim::parallel`]): units of
+/// datasets, merged in index order — the result (including which error is
+/// reported first) is bit-for-bit the sequential loop's.
 #[allow(clippy::too_many_arguments)]
 pub fn ideal_tier_schedules_with_model(
     model: &CostModel,

@@ -78,13 +78,13 @@ pub struct ServeConfig {
     /// stored representative, so bit-for-bit equality with the batch
     /// reference holds for any setting.
     pub bucket_hysteresis: f64,
-    /// Worker threads for the account-sharded re-solve. `n >= 1` is
-    /// honoured exactly: every [`ServeEngine::reoptimize`] fans the shards
-    /// out over `n` workers (at most one per shard) and `1` runs on the
-    /// calling thread and never spawns. `0` lets the engine decide, once
-    /// per re-solve, from the work in hand: [`default_threads`] workers
-    /// when the rows to build or patch, summed over the shards, reach the
-    /// measured floor, one below it. Whichever way
+    /// Threads for the account-sharded re-solve. `n >= 1` is honoured
+    /// exactly: every [`ServeEngine::reoptimize`] fans the shards out over
+    /// `n` threads — the calling thread and `min(n, shards) − 1` spawned —
+    /// and `1` runs on the calling thread and never spawns. `0` lets the
+    /// engine decide, once per re-solve, from the work in hand:
+    /// [`default_threads`] when the rows to build or patch, summed over the
+    /// shards, reach the measured floor, one below it. Whichever way
     /// the count is chosen, nothing under the re-solve fans out again.
     /// The thread count never changes the outcome, only the wall-clock,
     /// and is not part of a checkpoint (a restored engine has `0`).

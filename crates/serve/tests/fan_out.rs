@@ -1,10 +1,10 @@
 //! Who spawns threads under a re-solve, counted.
 //!
 //! `ServeConfig::threads` is the whole fan-out budget of an epoch
-//! boundary: `1` never spawns, `n` fans the shards out over `n` workers
-//! once, `0` stays on the calling thread below the engine's work floor —
-//! and nothing underneath (the cost-table build and patch) fans out
-//! again. `scope_cloudsim::parallel::workers_spawned` counts every worker
+//! boundary: `1` never spawns, `n` fans the shards out once over `n`
+//! threads — the caller and `min(n, shards) − 1` spawned — `0` stays on
+//! the calling thread below the engine's work floor, and nothing
+//! underneath (the cost-table build and patch) fans out again. `scope_cloudsim::parallel::workers_spawned` counts every worker
 //! the process spawns, so these tests live in a binary of their own and
 //! take a lock: no other test's fan-out can move the counter under them.
 
@@ -107,12 +107,9 @@ fn an_engine_left_to_decide_fans_out_once_when_every_row_is_stale() {
     let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     // 4 500 rows to build is past the floor: the cold start, and the
     // epoch after it that re-prices every row it moved, take the host's
-    // workers (one per shard at most; none on a single-core host, where
-    // one worker is the calling thread) — and the delta after them none.
-    let workers = match default_threads().min(3) {
-        1 => 0,
-        n => n as u64,
-    };
+    // threads (three shards are three units: the caller and up to two
+    // spawned; none on a single-core host) — and the delta after them none.
+    let workers = default_threads().min(3) as u64 - 1;
     let mut engine = fleet(0, 4_500);
     let mut sequential = fleet(1, 4_500);
     for (e, expected) in [(0, workers), (1, workers), (2, 0)] {
@@ -132,23 +129,24 @@ fn an_engine_left_to_decide_fans_out_once_when_every_row_is_stale() {
 fn explicit_threads_are_honoured_exactly_and_never_nest() {
     let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     // Twelve objects are far below any work floor; `threads: 3` still
-    // means three workers, one per account shard, cold or steady.
+    // means three threads for the three account shards, cold or steady:
+    // the caller and two spawned.
     let mut engine = fleet(3, 12);
     let before = workers_spawned();
     epoch(&mut engine, 0);
-    assert_eq!(workers_spawned() - before, 3);
+    assert_eq!(workers_spawned() - before, 2);
     let before = workers_spawned();
     epoch(&mut engine, 1);
-    assert_eq!(workers_spawned() - before, 3);
+    assert_eq!(workers_spawned() - before, 2);
 
-    // Two workers for three shards of a hundred rows, and not one more
-    // from underneath: the table work runs on the worker that owns the
-    // shard.
+    // Two threads for three shards of a hundred rows — the caller and one
+    // spawned — and not one more from underneath: the table work runs on
+    // the thread that claimed the shard.
     let mut engine = fleet(2, 300);
     let before = workers_spawned();
     epoch(&mut engine, 0);
-    assert_eq!(workers_spawned() - before, 2);
+    assert_eq!(workers_spawned() - before, 1);
     let before = workers_spawned();
     epoch(&mut engine, 1);
-    assert_eq!(workers_spawned() - before, 2);
+    assert_eq!(workers_spawned() - before, 1);
 }

@@ -13,10 +13,10 @@
 //! sequential loops. Every comparison below is `assert_eq!` on structures
 //! containing raw `f64`s — no tolerances.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
-use scope_cloudsim::parallel::{
-    parallel_map_weighted_with_threads, parallel_map_with_threads, workers_spawned,
-};
+use scope_cloudsim::parallel::{parallel_map_mut_with_threads, parallel_map_with_threads};
 use scope_cloudsim::{
     CostBreakdown, CostModel, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH,
 };
@@ -26,6 +26,17 @@ use scope_optassign::{
     solve_greedy, Assignment, CompressionOption, CostTable, OptAssignProblem, PartitionSpec,
     PeriodUsage, PlacementPlan, ScheduleOptions,
 };
+
+/// `weight` rounds of float work on item `i` from `seed`: a cost
+/// proportional to the weight, and a value that is a pure function of its
+/// arguments.
+fn busy(i: usize, weight: u64, seed: f64) -> f64 {
+    let mut x = seed + i as f64;
+    for _ in 0..weight {
+        x = (x * 1.000_001 + 0.5).sqrt();
+    }
+    x
+}
 
 /// Random OPTASSIGN instance over either the Azure ladder or the merged
 /// 3-provider catalog, with mixed current tiers, residencies, latency
@@ -356,84 +367,64 @@ proptest! {
         prop_assert_eq!(sequential, parallel);
     }
 
-    /// The weight-cut fan-out over random weight vectors — as drawn, all
-    /// equal, all zero, one item holding over 90% of the weight, fewer
-    /// items than threads, empty — and 1–13 threads: the output is the
-    /// sequential loop's bit for bit and visits every index once; the
-    /// chunks (read off the worker thread each item ran on) are
-    /// contiguous, non-empty and at most `threads`; no chunk outweighs
-    /// `total / threads` plus the heaviest item; every chunk's worker is
-    /// counted, and one thread runs on the caller's. (Other tests of this
-    /// binary fan out concurrently, so the counter is bounded from below
-    /// here and pinned exactly in `tests/plan_fan_out.rs`.)
+    /// Both maps over items of uneven cost — busy work proportional to a
+    /// drawn weight: as drawn, all equal, one item holding over 90% of the
+    /// cost first, in the middle or last, fewer items than threads, or
+    /// none — at 1–13 threads. Units are claimed from a counter, so which
+    /// thread runs which item varies from run to run; the output and every
+    /// final `&mut` item state are the sequential loop's bits regardless,
+    /// and every index is visited exactly once.
     #[test]
-    fn weighted_fan_out_equals_sequential_and_cuts_within_the_balance_bound(
-        drawn in proptest::collection::vec(0u64..1000, 0..40),
-        shape in 0usize..5,
-        heavy_pick in 0usize..1000,
+    fn maps_over_uneven_work_equal_the_sequential_loop_at_any_thread_count(
+        drawn in proptest::collection::vec(0u64..300, 0..40),
+        shape in 0usize..7,
         threads in 1usize..14,
     ) {
         let mut weights = drawn;
+        let (n, rest) = (weights.len(), weights.iter().sum::<u64>());
         match shape {
             1 => weights.iter_mut().for_each(|w| *w = 17),
-            2 => weights.iter_mut().for_each(|w| *w = 0),
-            3 if !weights.is_empty() => {
-                let rest: u64 = weights.iter().sum();
-                let heavy = heavy_pick % weights.len();
-                weights[heavy] = 10 * rest + 1;
-            }
-            4 => weights.truncate(threads - 1),
+            2..=4 if n > 0 => weights[[0, n / 2, n - 1][shape - 2]] = 10 * rest + 1_000,
+            5 => weights.truncate(threads - 1),
+            6 => weights.clear(),
             _ => {}
         }
         let n = weights.len();
-        let value = |i: usize, w: u64| {
-            ((w as f64 * 1.000001 + i as f64).sqrt() * (w as f64 + 0.5).ln_1p()).to_bits()
-        };
-        let f = |i: usize, &w: &u64| (i, value(i, w), std::thread::current().id());
-        let sequential: Vec<(usize, u64)> =
-            weights.iter().enumerate().map(|(i, &w)| (i, value(i, w))).collect();
-        let before = workers_spawned();
-        let got = parallel_map_weighted_with_threads(&weights, threads, |&w| w, f);
-        let spawned = workers_spawned() - before;
-        prop_assert_eq!(
-            got.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
-            sequential
-        );
-        prop_assert!(got.iter().map(|r| r.0).eq(0..n));
+        let visits = |counts: &[AtomicUsize], i: usize| counts[i].fetch_add(1, Ordering::Relaxed);
+        let once = |counts: &[AtomicUsize]| counts.iter().all(|c| c.load(Ordering::Relaxed) == 1);
 
-        // Chunks: maximal runs of one worker's thread id.
-        let mut chunks: Vec<(std::thread::ThreadId, std::ops::Range<usize>)> = Vec::new();
-        for (i, r) in got.iter().enumerate() {
-            match chunks.last_mut() {
-                Some((id, range)) if *id == r.2 => range.end = i + 1,
-                _ => chunks.push((r.2, i..i + 1)),
-            }
-        }
-        let effective_threads = threads.clamp(1, n.max(1));
-        if effective_threads == 1 {
-            prop_assert!(chunks.iter().all(|(id, _)| *id == std::thread::current().id()));
-            return Ok(());
-        }
-        // A worker runs one contiguous chunk: no thread id comes back in a
-        // second run, and none is the caller's.
-        for (k, (id, _)) in chunks.iter().enumerate() {
-            prop_assert!(*id != std::thread::current().id());
-            prop_assert!(chunks[..k].iter().all(|(earlier, _)| earlier != id));
-        }
-        prop_assert!(!chunks.is_empty() && chunks.len() <= effective_threads);
-        prop_assert!(spawned >= chunks.len() as u64);
-        // All-zero weights count as all ones.
-        let by_count = weights.iter().all(|&w| w == 0);
-        let effective = |w: u64| if by_count { 1 } else { w };
-        let total: u64 = weights.iter().map(|&w| effective(w)).sum();
-        let heaviest_item = weights.iter().map(|&w| effective(w)).max().unwrap_or(0);
-        for (_, range) in &chunks {
-            let chunk: u64 = weights[range.clone()].iter().map(|&w| effective(w)).sum();
-            prop_assert!(
-                chunk * effective_threads as u64 <= total + heaviest_item * effective_threads as u64,
-                "chunk {:?} of {:?} over {} weighs {}", range, weights, effective_threads, chunk
-            );
-        }
+        let f = |i: usize, &w: &u64| busy(i, w, 0.25).to_bits();
+        let sequential: Vec<u64> = weights.iter().enumerate().map(|(i, w)| f(i, w)).collect();
+        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let got = parallel_map_with_threads(&weights, threads, |i, w| {
+            visits(&counts, i);
+            f(i, w)
+        });
+        prop_assert_eq!(got, sequential);
+        prop_assert!(once(&counts));
+
+        // In place: an item's value becomes its busy work, and the result
+        // is the value it had.
+        let g = |i: usize, item: &mut (u64, f64)| {
+            let old = item.1.to_bits();
+            item.1 = busy(i, item.0, item.1);
+            old
+        };
+        let start: Vec<(u64, f64)> =
+            weights.iter().enumerate().map(|(i, &w)| (w, 0.1 * i as f64 + 0.037)).collect();
+        let mut sequential_state = start.clone();
+        let sequential: Vec<u64> =
+            sequential_state.iter_mut().enumerate().map(|(i, t)| g(i, t)).collect();
+        let mut state = start;
+        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let got = parallel_map_mut_with_threads(&mut state, threads, |i, t| {
+            visits(&counts, i);
+            g(i, t)
+        });
+        prop_assert_eq!(got, sequential);
+        prop_assert!(once(&counts));
+        let state_bits = |s: &[(u64, f64)]| s.iter().map(|&(w, x)| (w, x.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(state_bits(&state), state_bits(&sequential_state));
     }
 
     /// The in-place row kernel: `build` on 1–4 workers ≡ the model-driven
