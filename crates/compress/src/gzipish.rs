@@ -98,7 +98,7 @@ impl Codec for GzipishCodec {
         let token_len = read_u64_le(data, 268) as usize;
         let coded = &data[276..];
 
-        let code = HuffmanCode::from_lengths(&lengths);
+        let code = HuffmanCode::from_lengths(&lengths)?;
         let decoder = code.decoder();
         let mut reader = BitReader::new(coded);
         // Cap the *preallocation* (not the output): a corrupted header can
@@ -177,6 +177,28 @@ mod tests {
         // Truncate the body.
         let ok = codec.compress(b"hello hello hello hello hello");
         assert!(codec.decompress(&ok[..ok.len() - 3]).is_err());
+        // A code length past 15 (an index past the per-length counts), or
+        // more codes than the lengths can hold (here a Kraft sum near 2:
+        // the length-15 codes would count past `u16::MAX`), is a bad
+        // header on both decoders.
+        use crate::reference::gzipish_decompress_reference;
+        let mut too_long = ok.clone();
+        too_long[12 + b'h' as usize] = 220;
+        let mut oversubscribed = ok.clone();
+        let lengths = &mut oversubscribed[12..268];
+        lengths.fill(0);
+        lengths[..3].fill(1);
+        for (len, slot) in (2..15).zip(&mut lengths[3..16]) {
+            *slot = len;
+        }
+        lengths[16..18].fill(15);
+        for stream in [too_long, oversubscribed] {
+            assert_eq!(codec.decompress(&stream), Err(CompressError::BadHeader));
+            assert_eq!(
+                gzipish_decompress_reference(&stream),
+                Err(CompressError::BadHeader)
+            );
+        }
     }
 
     #[test]

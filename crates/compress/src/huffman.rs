@@ -36,13 +36,29 @@ impl HuffmanCode {
     }
 
     /// Rebuild a code book from its per-symbol code lengths (the decoder
-    /// side of the canonical construction).
-    pub fn from_lengths(lengths: &[u8; 256]) -> HuffmanCode {
-        let codes = canonical_codes(lengths);
-        HuffmanCode {
-            lengths: *lengths,
-            codes,
+    /// side of the canonical construction). The lengths come from a stream
+    /// header, so they are checked first: a length above `MAX_CODE_LEN`
+    /// (15), or more codes than a prefix code of those lengths can hold
+    /// (a Kraft sum above 1), is [`CompressError::BadHeader`] — no encoder
+    /// writes either, and either would index or overflow the canonical
+    /// construction.
+    pub fn from_lengths(lengths: &[u8; 256]) -> Result<HuffmanCode, CompressError> {
+        let mut kraft = 0u32;
+        for &len in lengths {
+            if len as usize > MAX_CODE_LEN {
+                return Err(CompressError::BadHeader);
+            }
+            if len > 0 {
+                kraft += 1 << (MAX_CODE_LEN - len as usize);
+            }
         }
+        if kraft > 1 << MAX_CODE_LEN {
+            return Err(CompressError::BadHeader);
+        }
+        Ok(HuffmanCode {
+            lengths: *lengths,
+            codes: canonical_codes(lengths),
+        })
     }
 
     /// Per-symbol code lengths (what gets stored in the stream header).
@@ -383,7 +399,7 @@ mod tests {
     fn code_lengths_survive_canonical_reconstruction() {
         let data = b"aaaaaaaaaabbbbbcccdde";
         let code = HuffmanCode::from_frequencies(&frequencies(data));
-        let rebuilt = HuffmanCode::from_lengths(code.lengths());
+        let rebuilt = HuffmanCode::from_lengths(code.lengths()).unwrap();
         let mut w1 = BitWriter::new();
         let mut w2 = BitWriter::new();
         for &b in data.iter() {

@@ -395,7 +395,7 @@ pub fn gzipish_decompress_reference(data: &[u8]) -> Result<Vec<u8>, CompressErro
     let token_len = read_u64_le(data, 268) as usize;
     let coded = &data[276..];
 
-    let code = HuffmanCode::from_lengths(&lengths);
+    let code = HuffmanCode::from_lengths(&lengths)?;
     let mut entries: Vec<(u8, u16, u8)> = (0..256usize)
         .filter(|&s| code.lengths()[s] > 0)
         .map(|s| (code.lengths()[s], code.code_of(s as u8), s as u8))

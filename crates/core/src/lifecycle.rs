@@ -83,21 +83,24 @@ pub struct LifecycleOutcome {
 /// `[from_day, from_day + horizon_days)` into billing events with days
 /// re-based to the window start. Read volume is `reads × fraction × size`;
 /// write volume uses the appends-not-rewrites convention. Shared with the
-/// multi-cloud scenario in [`crate::multicloud`].
+/// multi-cloud scenario in [`crate::multicloud`]. A record naming a dataset
+/// the catalog lacks is a [`ScopeError::Workload`].
 pub(crate) fn billing_events(
     workload: &EnterpriseWorkload,
     from_day: u32,
     horizon_days: u32,
-) -> Vec<BillingEvent> {
+) -> Result<Vec<BillingEvent>, ScopeError> {
     let mut events = Vec::new();
     for r in workload.daily.records() {
         if r.day < from_day || r.day >= from_day + horizon_days {
             continue;
         }
-        let d = workload
-            .catalog
-            .get(r.dataset)
-            .expect("daily log references catalog datasets");
+        let d = workload.catalog.get(r.dataset).ok_or_else(|| {
+            ScopeError::Workload(format!(
+                "daily log references dataset {} outside the catalog",
+                r.dataset
+            ))
+        })?;
         let day = r.day - from_day;
         if r.reads > 0.0 {
             events.push(BillingEvent::read(
@@ -114,7 +117,7 @@ pub(crate) fn billing_events(
             ));
         }
     }
-    events
+    Ok(events)
 }
 
 /// Replay `events` against one placement schedule per dataset.
@@ -157,7 +160,7 @@ fn prepare_lifecycle(options: &LifecycleOptions) -> Result<LifecycleContext, Sco
     let start = workload.projection_start();
     let horizon_months = workload.options.future_months;
     let horizon_days = horizon_months * DAYS_PER_MONTH;
-    let events = billing_events(&workload, start * DAYS_PER_MONTH, horizon_days);
+    let events = billing_events(&workload, start * DAYS_PER_MONTH, horizon_days)?;
 
     // Baseline 1: everything frozen on the platform default.
     let all_hot: Vec<PlacementSchedule> = workload

@@ -490,7 +490,7 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
         &workload,
         workload.projection_start() * DAYS_PER_MONTH,
         horizon_days,
-    );
+    )?;
     let fleet = Fleet {
         catalog: options.catalog.clone(),
         schemes: options.schemes.clone(),

@@ -163,7 +163,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
     let start = workload.projection_start();
     let horizon_months = workload.options.future_months;
     let horizon_days = horizon_months * DAYS_PER_MONTH;
-    let events = billing_events(&workload, start * DAYS_PER_MONTH, horizon_days);
+    let events = billing_events(&workload, start * DAYS_PER_MONTH, horizon_days)?;
 
     // Baseline: everything frozen on the home default tier.
     let all_home: Vec<PlacementSchedule> = workload
@@ -223,7 +223,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
                 .partial_cmp(&single[b].total)
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-        .expect("at least one provider");
+        .ok_or_else(|| ScopeError::InvalidConfig("no providers to compare".into()))?;
 
     // The cross-provider plan over the full merged space.
     let cross_plans = ideal_tier_schedules_with_model(

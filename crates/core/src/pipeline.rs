@@ -18,9 +18,9 @@
 //!    branch-and-bound solver (capacity reservations).
 
 use crate::policy::Policy;
-use crate::scenario::PipelineInputs;
+use crate::scenario::{PipelineInputs, TableProfile};
 use crate::ScopeError;
-use scope_cloudsim::{Tier, TierCatalog};
+use scope_cloudsim::TierCatalog;
 use scope_datapart::{gpart_merge, FileCatalog, MergeConfig, Partition};
 use scope_optassign::{
     solve_branch_and_bound, solve_greedy, Assignment, CompressionOption, OptAssignProblem,
@@ -208,17 +208,20 @@ fn build_specs(
     let mut specs = Vec::with_capacity(partitions.len());
     for (idx, p) in partitions.iter().enumerate() {
         let size_gb = p.span(file_catalog)?;
-        // GB of the partition contributed by each table (drives the blended
-        // compression profile).
+        // Each table's profile and the GB of the partition it contributes
+        // (drives the blended compression profile).
         // BTreeMap: the accumulation loop below must add floats in a stable
         // order for run-to-run reproducible costs.
-        let mut gb_per_table: std::collections::BTreeMap<&str, f64> =
+        let mut gb_per_table: std::collections::BTreeMap<&str, (&TableProfile, f64)> =
             std::collections::BTreeMap::new();
         for f in &p.files {
             let profile = inputs
                 .table(&f.table)
                 .ok_or_else(|| ScopeError::InvalidConfig(format!("unknown table {}", f.table)))?;
-            *gb_per_table.entry(f.table.as_str()).or_insert(0.0) += profile.file_size_gb();
+            gb_per_table
+                .entry(f.table.as_str())
+                .or_insert((profile, 0.0))
+                .1 += profile.file_size_gb();
         }
         let latency_threshold = p
             .files
@@ -249,8 +252,7 @@ fn build_specs(
             for &scheme in &scheme_names {
                 let mut ratio_acc = 0.0;
                 let mut sec_per_gb_acc = 0.0;
-                for (table, gb) in &gb_per_table {
-                    let profile = inputs.table(table).expect("validated above");
+                for (profile, gb) in gb_per_table.values() {
                     if let Some(opt) = profile.options.iter().find(|o| *o.name == *scheme) {
                         ratio_acc += opt.ratio * gb;
                         sec_per_gb_acc += opt.decompress_seconds * gb;
@@ -273,10 +275,9 @@ fn build_specs(
 }
 
 /// Restrict a catalog to its fastest tier (used when tiering is disabled).
-fn premium_only(catalog: &TierCatalog) -> TierCatalog {
-    let fastest = catalog.fastest_tier();
-    let tier: Tier = catalog.tier(fastest).expect("catalog non-empty").clone();
-    TierCatalog::new(vec![tier]).expect("one tier")
+fn premium_only(catalog: &TierCatalog) -> Result<TierCatalog, ScopeError> {
+    let tier = catalog.tier(catalog.fastest_tier())?.clone();
+    Ok(TierCatalog::new(vec![tier])?)
 }
 
 /// The partitioning a policy asks for: its G-PART constraints when it
@@ -309,7 +310,7 @@ fn run_policy_on(
     let mut catalog = if policy.tiering {
         inputs.catalog.clone()
     } else {
-        premium_only(&inputs.catalog)
+        premium_only(&inputs.catalog)?
     };
     let use_capacities = policy.tiering && policy.capacity_fractions.is_some();
     if let (true, Some(fractions)) = (use_capacities, &policy.capacity_fractions) {

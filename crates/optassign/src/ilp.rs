@@ -18,11 +18,10 @@
 //! instances are solved here too: they are a special case, not a separate
 //! solver.
 //!
-//! Two entry points share one search: [`solve_branch_and_bound`] prices the
-//! problem itself, [`solve_branch_and_bound_on`] searches a caller-held
-//! table, optionally seeded with an incumbent. Candidate costs come from a
-//! [`CostTable`] (the bound's suffix minima are the table's precomputed
-//! column-min scans); the pre-table, clone-per-evaluation path survives as
+//! [`solve_branch_and_bound`] is the one entry point: it prices the
+//! problem into a [`CostTable`] (the bound's suffix minima are the table's
+//! precomputed column-min scans) and searches it. The pre-table,
+//! clone-per-evaluation path survives as
 //! [`crate::reference::solve_branch_and_bound_reference`] for differential
 //! tests, sharing this module's search core so only the cost evaluation
 //! differs. `tests/oracle_optassign.rs` checks optimality independently of
@@ -40,8 +39,9 @@ pub struct BranchAndBoundStats {
     pub nodes_expanded: u64,
     /// Number of nodes pruned by the lower bound.
     pub nodes_pruned: u64,
-    /// Whether the search completed (false = node budget exhausted and the
-    /// incumbent is best-effort rather than proven optimal).
+    /// Whether the search completed (false = the node budget cut at least
+    /// one node, and the incumbent is best-effort rather than proven
+    /// optimal).
     pub proved_optimal: bool,
 }
 
@@ -65,6 +65,8 @@ struct SearchState<'a> {
     current: Vec<(TierId, usize)>,
     stats: BranchAndBoundStats,
     node_budget: u64,
+    /// Whether the budget stopped the search at some node.
+    cut: bool,
 }
 
 impl<'a> SearchState<'a> {
@@ -73,6 +75,7 @@ impl<'a> SearchState<'a> {
         // solver always returns at least one feasible (if unproven) solution
         // when the instance is feasible.
         if self.stats.nodes_expanded >= self.node_budget && self.best_choices.is_some() {
+            self.cut = true;
             return;
         }
         self.stats.nodes_expanded += 1;
@@ -109,26 +112,15 @@ impl<'a> SearchState<'a> {
     }
 }
 
-/// An incumbent seed for the search: the choices and per-partition costs of
-/// a known-feasible assignment.
-pub(crate) type WarmStart = (Vec<(TierId, usize)>, Vec<f64>);
-
 /// The search core shared by the table-driven and reference solvers: given
 /// per-partition sorted candidate lists (each guaranteed non-empty by the
 /// caller), run the branch-and-bound and return the best choices. How the
 /// candidate costs were *evaluated* is the only thing the two paths differ
 /// in.
-///
-/// `warm`, when given, seeds the incumbent. The seed only tightens the
-/// pruning bound — ties lose to the incumbent (the leaf comparison is
-/// strict), so seeding with an optimum returns that optimum's exact
-/// choices, and seeding with anything else returns what the cold search
-/// would have found.
 pub(crate) fn branch_and_bound_search(
     problem: &OptAssignProblem,
     candidates: Vec<Candidates>,
     node_budget: u64,
-    warm: Option<WarmStart>,
 ) -> Result<(Vec<(TierId, usize)>, BranchAndBoundStats), OptAssignError> {
     let n = problem.partitions.len();
 
@@ -140,21 +132,6 @@ pub(crate) fn branch_and_bound_search(
             .partial_cmp(&problem.partitions[a].size_gb)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-
-    // Seed the incumbent from the warm start. Its cost is accumulated along
-    // the visit order — the exact running sum a search leaf reaching the
-    // same choices would carry — so the strict `<` tie-break behaves as if
-    // the search had discovered the incumbent first.
-    let (best_cost, best_choices) = match warm {
-        Some((choices, costs)) => {
-            let mut c = 0.0;
-            for &pidx in &order {
-                c += costs[pidx];
-            }
-            (c, Some(choices))
-        }
-        None => (f64::INFINITY, None),
-    };
 
     // Suffix minima of the capacity-free minimum cost along the visit order.
     let mut suffix_min = vec![0.0; n + 1];
@@ -193,20 +170,20 @@ pub(crate) fn branch_and_bound_search(
         capacity,
         candidates,
         suffix_min,
-        best_cost,
-        best_choices,
+        best_cost: f64::INFINITY,
+        best_choices: None,
         current: vec![(TierId(0), 0); n],
         stats: BranchAndBoundStats::default(),
         node_budget,
+        cut: false,
     };
     state.search(0, 0.0);
-    let proved_optimal = state.stats.nodes_expanded < node_budget;
 
     let choices = state
         .best_choices
         .ok_or(OptAssignError::InfeasibleCapacity)?;
     let mut stats = state.stats;
-    stats.proved_optimal = proved_optimal;
+    stats.proved_optimal = !state.cut;
     Ok((choices, stats))
 }
 
@@ -232,81 +209,19 @@ fn candidate_lists(
 
 /// Solve OPTASSIGN exactly with capacity constraints by branch and bound.
 ///
-/// `node_budget` caps the number of explored nodes; when it is hit the best
-/// incumbent found so far is returned with `proved_optimal = false`.
+/// `node_budget` caps the number of explored nodes; when it cuts the search
+/// the best incumbent found so far is returned with `proved_optimal =
+/// false`.
 pub fn solve_branch_and_bound(
     problem: &OptAssignProblem,
     node_budget: u64,
 ) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
     problem.validate()?;
-    solve_branch_and_bound_on(problem, &CostTable::build(problem), None, node_budget)
-}
-
-/// [`solve_branch_and_bound`] over a caller-held [`CostTable`] of `problem`
-/// — for a caller that keeps the table between solves, so the instance is
-/// priced once. This is the serving engine's re-solve entry point: the
-/// table is typically the previous epoch's, delta-patched with
-/// [`CostTable::patch_rows`], and `incumbent` the previous epoch's
-/// assignment (`None` on a cold start).
-///
-/// An incumbent seeds the search's best cost/choices, so the bound prunes
-/// from the first node; because the leaf comparison is strict, an optimal
-/// incumbent is returned unchanged and a stale one is improved to exactly
-/// what the cold search finds. It must be feasible for the *current* table
-/// (per-entry mask + capacity), which is checked up front.
-pub fn solve_branch_and_bound_on(
-    problem: &OptAssignProblem,
-    table: &CostTable,
-    incumbent: Option<&[(TierId, usize)]>,
-    node_budget: u64,
-) -> Result<(Assignment, BranchAndBoundStats), OptAssignError> {
-    problem.validate()?;
-    let warm = incumbent
-        .map(|incumbent| warm_start(problem, table, incumbent))
-        .transpose()?;
-    let candidates = candidate_lists(problem, table)?;
-    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget, warm)?;
+    let table = CostTable::build(problem);
+    let candidates = candidate_lists(problem, &table)?;
+    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget)?;
     let assignment = table.assignment(problem, choices)?;
     Ok((assignment, stats))
-}
-
-/// Check that `incumbent` covers every partition, respects the table's
-/// feasibility mask and fits every reservation, and price it.
-fn warm_start(
-    problem: &OptAssignProblem,
-    table: &CostTable,
-    incumbent: &[(TierId, usize)],
-) -> Result<WarmStart, OptAssignError> {
-    if incumbent.len() != problem.partitions.len() {
-        return Err(OptAssignError::InvalidProblem(format!(
-            "incumbent covers {} partitions, problem has {}",
-            incumbent.len(),
-            problem.partitions.len()
-        )));
-    }
-    let mut used = vec![0.0f64; problem.catalog.len()];
-    let mut costs = Vec::with_capacity(incumbent.len());
-    for (n, (p, &(tier, k))) in problem.partitions.iter().zip(incumbent).enumerate() {
-        if !table.is_feasible(n, tier, k) {
-            return Err(OptAssignError::InvalidProblem(format!(
-                "incumbent choice for partition {} is infeasible",
-                p.name
-            )));
-        }
-        used[tier.index()] += p.stored_gb(k);
-        costs.push(table.cost(n, tier, k));
-    }
-    for (ti, (_, t)) in problem.catalog.iter().enumerate() {
-        if let Some(cap) = t.capacity_gb {
-            if used[ti] > cap + 1e-9 {
-                return Err(OptAssignError::InvalidProblem(format!(
-                    "incumbent overfills tier {ti}: {} GB of {} GB",
-                    used[ti], cap
-                )));
-            }
-        }
-    }
-    Ok((incumbent.to_vec(), costs))
 }
 
 #[cfg(test)]
@@ -321,13 +236,17 @@ mod tests {
             .with_compression_option(CompressionOption::new("gzip", 4.0, 5.0))
     }
 
-    #[test]
-    fn matches_greedy_when_capacity_is_unbounded() {
-        let catalog = TierCatalog::azure_adls_gen2();
+    /// Eight gzip-able partitions of distinct sizes on an unbounded catalog.
+    fn unbounded_problem() -> OptAssignProblem {
         let parts: Vec<_> = (0..8)
             .map(|i| partition(i, 10.0 * (i + 1) as f64, (i * 3) as f64))
             .collect();
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
+        OptAssignProblem::new(TierCatalog::azure_adls_gen2(), parts, 6.0)
+    }
+
+    #[test]
+    fn matches_greedy_when_capacity_is_unbounded() {
+        let problem = unbounded_problem();
         let greedy = solve_greedy(&problem).unwrap();
         let (bnb, stats) = solve_branch_and_bound(&problem, 1_000_000).unwrap();
         assert!((bnb.objective - greedy.objective).abs() < 1e-6);
@@ -425,79 +344,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_with_the_cold_optimum_returns_it_unchanged() {
-        let mut catalog = TierCatalog::azure_adls_gen2();
-        catalog.set_capacity("Premium", 100.0).unwrap();
-        let parts: Vec<_> = (0..8)
-            .map(|i| partition(i, 10.0 * (i + 1) as f64, (i * 700) as f64))
-            .collect();
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        let (cold, cold_stats) = solve_branch_and_bound(&problem, 1_000_000).unwrap();
-        assert!(cold_stats.proved_optimal);
-
-        let table = CostTable::build(&problem);
-        let (warm, warm_stats) =
-            solve_branch_and_bound_on(&problem, &table, Some(&cold.choices), 1_000_000).unwrap();
-        // The strict leaf comparison keeps the seeded optimum on ties, so
-        // the choices — not just the objective — are identical.
-        assert_eq!(warm.choices, cold.choices);
-        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        assert!(warm_stats.proved_optimal);
-        // Seeding a finite bound can only tighten pruning.
-        assert!(warm_stats.nodes_expanded <= cold_stats.nodes_expanded);
-    }
-
-    #[test]
-    fn warm_start_improves_a_suboptimal_feasible_incumbent() {
-        let catalog = TierCatalog::azure_adls_gen2();
-        let parts: Vec<_> = (0..6)
-            .map(|i| partition(i, 10.0 * (i + 1) as f64, (i * 1500) as f64))
-            .collect();
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        let table = CostTable::build(&problem);
-        // Deliberately bad incumbent: everything uncompressed on tier 0.
-        let bad: Vec<_> = (0..6).map(|_| (TierId(0), 0usize)).collect();
-        assert!(bad
-            .iter()
-            .enumerate()
-            .all(|(n, &(t, k))| table.is_feasible(n, t, k)));
-        let (warm, _) = solve_branch_and_bound_on(&problem, &table, Some(&bad), 1_000_000).unwrap();
-        let (cold, _) = solve_branch_and_bound(&problem, 1_000_000).unwrap();
-        assert_eq!(warm.choices, cold.choices);
-        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-    }
-
-    #[test]
-    fn warm_start_rejects_bad_incumbents() {
-        let mut catalog = TierCatalog::azure_adls_gen2();
-        catalog.set_capacity("Premium", 15.0).unwrap();
-        let premium = catalog.tier_id("Premium").unwrap();
-        let parts = vec![
-            PartitionSpec::new(0, "a", 10.0, 0.0).with_latency_threshold(0.5),
-            PartitionSpec::new(1, "b", 10.0, 0.0),
-        ];
-        let problem = OptAssignProblem::new(catalog, parts, 6.0);
-        let table = CostTable::build(&problem);
-
-        let warm = |incumbent: &[(TierId, usize)]| {
-            solve_branch_and_bound_on(&problem, &table, Some(incumbent), 1000)
-        };
-        // Wrong length.
-        assert!(matches!(
-            warm(&[(TierId(0), 0)]),
-            Err(OptAssignError::InvalidProblem(_))
-        ));
-        // Infeasible entry: "a" has a latency threshold archive tiers miss.
-        let archive = problem.catalog.tier_id("Archive").unwrap();
-        assert!(matches!(
-            warm(&[(archive, 0), (TierId(0), 0)]),
-            Err(OptAssignError::InvalidProblem(_))
-        ));
-        // Overfilled capacity: both 10 GB objects on the 15 GB premium tier.
-        assert!(matches!(
-            warm(&[(premium, 0), (premium, 0)]),
-            Err(OptAssignError::InvalidProblem(_))
-        ));
+    fn a_search_that_fits_its_budget_exactly_is_proved_optimal() {
+        // Optimality is whether the budget cut a node, not whether the
+        // search stayed strictly under it.
+        let problem = unbounded_problem();
+        let (a, full) = solve_branch_and_bound(&problem, 1_000_000).unwrap();
+        assert!(full.proved_optimal);
+        let (exact_a, exact) = solve_branch_and_bound(&problem, full.nodes_expanded).unwrap();
+        assert_eq!((exact_a, exact), (a, full));
+        let (_, short) = solve_branch_and_bound(&problem, full.nodes_expanded - 1).unwrap();
+        assert!(!short.proved_optimal);
+        assert_eq!(short.nodes_expanded, full.nodes_expanded - 1);
     }
 
     #[test]
@@ -528,7 +385,7 @@ mod tests {
         // core under it reports the all-NaN row as the typed infeasibility
         // and, without it, never places gzip on partition 1.
         assert!(matches!(
-            solve_branch_and_bound_on(&problem, &table, None, 100_000),
+            solve_branch_and_bound(&problem, 100_000),
             Err(OptAssignError::InvalidProblem(_))
         ));
         assert_eq!(
@@ -541,8 +398,7 @@ mod tests {
         problem.partitions.pop();
         let table = CostTable::build(&problem);
         let candidates = candidate_lists(&problem, &table).unwrap();
-        let (choices, stats) =
-            branch_and_bound_search(&problem, candidates, 100_000, None).unwrap();
+        let (choices, stats) = branch_and_bound_search(&problem, candidates, 100_000).unwrap();
         assert!(stats.proved_optimal);
         assert_eq!(choices[1].1, 0);
         let a = table.assignment(&problem, choices).unwrap();

@@ -58,9 +58,10 @@
 //!
 //! **When to use which path:** without capacity reservations call
 //! [`solve_greedy`]; with them call [`solve_branch_and_bound`] (greedy
-//! ignores reservations). A caller that holds a [`CostTable`] between
-//! solves — the serving engine — calls [`solve_branch_and_bound_on`] over
-//! it, optionally seeded with its previous assignment. `ideal_tier_labels`
+//! ignores reservations); it is the one branch-and-bound entry point, and
+//! builds its own table. The serving engine (`scope-serve`) holds a table
+//! between re-solves and re-decides only its patched rows by the greedy
+//! rule, so it refuses a catalog that reserves capacity. `ideal_tier_labels`
 //! is table-driven too — just call it. The schedule DP
 //! ([`plan_placement_schedule`]) and the `*_with`-suffixed problem methods
 //! take a hoisted model: use them when you price many placements yourself;
@@ -83,7 +84,7 @@ pub mod schedule;
 pub use costtable::CostTable;
 pub use error::OptAssignError;
 pub use greedy::solve_greedy;
-pub use ilp::{solve_branch_and_bound, solve_branch_and_bound_on, BranchAndBoundStats};
+pub use ilp::{solve_branch_and_bound, BranchAndBoundStats};
 pub use predictor::{
     ideal_tier_labels, ideal_tier_labels_multi, PredictorFeatures, TierPredictor, TieringBaseline,
 };

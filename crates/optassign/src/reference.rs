@@ -70,7 +70,7 @@ pub fn solve_branch_and_bound_reference(
         cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         candidates.push(cands);
     }
-    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget, None)?;
+    let (choices, stats) = branch_and_bound_search(problem, candidates, node_budget)?;
     let assignment = Assignment::from_choices(problem, choices)?;
     Ok((assignment, stats))
 }

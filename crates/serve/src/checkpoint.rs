@@ -13,11 +13,11 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 4)
+//! ## Wire layout (version 5)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 4)
+//! version u32 little-endian            (currently 5)
 //! payload                              (engine state, see below)
 //! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
@@ -29,8 +29,7 @@
 //! ```text
 //! fingerprint   u64   XXH64 of the tier catalog and scheme list
 //! config        horizon_days u32, horizon_months f64, decay_per_day f64,
-//!               bucket_base f64, bucket_hysteresis f64,
-//!               node_budget: tag u8 (0 none | 1 some) [+ u64]
+//!               bucket_base f64, bucket_hysteresis f64
 //! counters      day u32, dropped_events u64, events_seen u64, epoch u64,
 //!               next_seq u64, duplicate_batches u64
 //! accounts      count u64, then each name (string), in shard order
@@ -86,9 +85,10 @@
 //! Version 1 (FNV-1a digests), version 2 (one interleaved record per
 //! object with `u64` tier and scheme ids, the configured thread count,
 //! and each shard's incumbent choices spelled out beside the applied
-//! ones) and version 3 (parked batches as five `u64`-counted columns,
-//! a precomputed billing period per event among them) are rejected as
-//! unsupported versions.
+//! ones), version 3 (parked batches as five `u64`-counted columns, a
+//! precomputed billing period per event among them) and version 4 (a
+//! branch-and-bound node budget in the configuration, from when a re-solve
+//! could be one) are rejected as unsupported versions.
 //!
 //! ## The dynamic snapshot (`SCPD`, same version)
 //!
@@ -144,7 +144,7 @@ pub const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
 
 /// Current checkpoint format version, of both layouts: the dynamic one is
 /// the full one less a section, so they change together.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {
@@ -481,10 +481,10 @@ mod tests {
         assert!(open_error(&magic).contains("bad magic"));
 
         // Unknown versions — 1, the retired FNV-1a layout, 2, the retired
-        // row-interleaved one, and 3, the five-column reorder buffer, among
-        // them — re-checksummed so the version check is the only one that
-        // can fire.
-        for version in [0u8, 1, 2, 3, 5, 99] {
+        // row-interleaved one, 3, the five-column reorder buffer, and 4,
+        // the node-budget preamble, among them — re-checksummed so the
+        // version check is the only one that can fire.
+        for version in [0u8, 1, 2, 3, 4, 6, 99] {
             let mut vers = good.clone();
             vers[4] = version;
             let body_len = vers.len() - 8;

@@ -35,8 +35,7 @@ use scope_cloudsim::{
     AccessKind, BillingEvent, CostBreakdown, EventColumns, TierCatalog, TierId, UNKNOWN_OBJECT,
 };
 use scope_optassign::{
-    solve_branch_and_bound_on, Assignment, CompressionOption, CostTable, OptAssignError,
-    OptAssignProblem, PartitionSpec,
+    Assignment, CompressionOption, CostTable, OptAssignError, OptAssignProblem, PartitionSpec,
 };
 
 use scope_wal::{xxh64, StaticDigest};
@@ -48,6 +47,10 @@ use crate::error::ServeError;
 use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
 
 /// Tuning knobs for a [`ServeEngine`].
+///
+/// None of them picks the solver: every re-solve is per-row greedy, exact
+/// when no tier reserves capacity (Theorem 3), and [`ServeEngine::new`]
+/// refuses a catalog whose tiers reserve any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Billing/serving horizon in days; events at or past this day are
@@ -89,12 +92,6 @@ pub struct ServeConfig {
     /// The thread count never changes the outcome, only the wall-clock,
     /// and is not part of a checkpoint (a restored engine has `0`).
     pub threads: usize,
-    /// `Some(budget)` switches re-solves from per-partition greedy to
-    /// warm-started branch-and-bound with this node budget. It is required
-    /// when a tier reserves capacity: the reservation couples partitions,
-    /// greedy would ignore it, and [`ServeEngine::new`] refuses a capacity
-    /// catalog under `None`.
-    pub node_budget: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -106,7 +103,6 @@ impl Default for ServeConfig {
             bucket_base: 2.0,
             bucket_hysteresis: 1.0,
             threads: 0,
-            node_budget: None,
         }
     }
 }
@@ -497,7 +493,9 @@ const FAN_OUT_MIN_ROWS: usize = 4096;
 impl ServeEngine {
     /// Create an engine over `catalog` with a shared compression-scheme
     /// list (`schemes[0]` must have ratio 1.0 — the "no compression"
-    /// slot every partition's option list leads with).
+    /// slot every partition's option list leads with). A tier that
+    /// reserves capacity is refused: the reservation couples partitions,
+    /// and the per-row greedy re-solve would ignore it.
     pub fn new(
         catalog: TierCatalog,
         schemes: Vec<CompressionOption>,
@@ -507,13 +505,11 @@ impl ServeEngine {
         if catalog.is_empty() {
             return Err(ServeError::InvalidConfig("tier catalog is empty".into()));
         }
-        if config.node_budget.is_none() {
-            if let Some((_, tier)) = catalog.iter().find(|(_, t)| t.capacity_gb.is_some()) {
-                return Err(ServeError::InvalidConfig(format!(
-                    "tier {} reserves capacity, which greedy re-solves ignore; set node_budget",
-                    tier.name
-                )));
-            }
+        if let Some((_, tier)) = catalog.iter().find(|(_, t)| t.capacity_gb.is_some()) {
+            return Err(ServeError::InvalidConfig(format!(
+                "tier {} reserves capacity, which greedy re-solves ignore",
+                tier.name
+            )));
         }
         if schemes.is_empty() {
             return Err(ServeError::InvalidConfig(
@@ -934,10 +930,9 @@ impl ServeEngine {
     }
 
     /// Re-solve incrementally and apply the result: each account shard
-    /// patches its dirty rows in place, re-decides (greedy per-row, or
-    /// warm-started branch-and-bound under a node budget), and updates the
-    /// incumbent; shards fan out over the deterministic parallel map —
-    /// on the worker count [`ServeConfig::threads`] resolves to, decided
+    /// patches its dirty rows in place, re-decides exactly those rows by
+    /// the greedy rule, and updates the incumbent; shards fan out over the
+    /// deterministic parallel map — on the worker count [`ServeConfig::threads`] resolves to, decided
     /// once here and never again below — and merge in account order, so
     /// the outcome is bit-for-bit identical for any thread count — and to
     /// [`crate::reference::full_resolve`] on the same state.
@@ -968,11 +963,10 @@ impl ServeEngine {
             0 => 1,
             n => n,
         };
-        let node_budget = self.config.node_budget;
         self.epoch += 1;
         let deltas: Vec<Result<GuardedDelta, OptAssignError>> =
             parallel_map_mut_with_threads(&mut self.shards, threads, |i, shard| {
-                shard.resolve_guarded(node_budget, faults.get(i).copied().flatten())
+                shard.resolve_guarded(faults.get(i).copied().flatten())
             });
         let mut outcome = ResolveOutcome {
             day: self.day,
@@ -1114,13 +1108,6 @@ impl ServeEngine {
         w.f64_bits(self.config.decay_per_day);
         w.f64_bits(self.config.bucket_base);
         w.f64_bits(self.config.bucket_hysteresis);
-        match self.config.node_budget {
-            None => w.u8(0),
-            Some(budget) => {
-                w.u8(1);
-                w.u64(budget);
-            }
-        }
         // Global counters.
         w.u32(self.day);
         w.u64(self.dropped_events);
@@ -1454,11 +1441,6 @@ impl Preamble {
             bucket_hysteresis: r.f64_bits()?,
             // Not part of a snapshot: the restored engine decides.
             threads: 0,
-            node_budget: match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                tag => return Err(ServeError::Checkpoint(format!("bad node_budget tag {tag}"))),
-            },
         };
         let day = r.u32()?;
         let dropped_events = r.u64()?;
@@ -1514,7 +1496,6 @@ impl AccountShard {
     /// `full_resolve` over the same state would decide.
     fn resolve_guarded(
         &mut self,
-        node_budget: Option<u64>,
         fault: Option<ShardFault>,
     ) -> Result<GuardedDelta, OptAssignError> {
         if self.retry_after > 0 {
@@ -1528,7 +1509,7 @@ impl AccountShard {
             self.note_failure();
             return self.incumbent_delta();
         }
-        match self.resolve(node_budget) {
+        match self.resolve() {
             Ok(delta) => {
                 self.failures = 0;
                 self.retry_after = 0;
@@ -1591,11 +1572,11 @@ impl AccountShard {
     }
 
     /// One shard re-solve, on the calling thread: re-price the stale rows
-    /// (every row on a cold start), re-decide, apply. Nothing but the
+    /// (every row on a cold start), re-decide them, apply. Nothing but the
     /// table — where re-patching a row reproduces the same bits — is
     /// touched before every fallible step succeeded, so a failed re-solve
     /// keeps the worklist and the incumbent.
-    fn resolve(&mut self, node_budget: Option<u64>) -> Result<ShardDelta, OptAssignError> {
+    fn resolve(&mut self) -> Result<ShardDelta, OptAssignError> {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         let n = self.problem.partitions.len();
@@ -1627,30 +1608,13 @@ impl AccountShard {
         // Decide. Greedy re-decides exactly the re-priced rows, by
         // `CostTable::min_feasible` — the rule `solve_greedy` applies,
         // first minimum in tier-major order, so incremental and batch
-        // paths tie-break identically; branch-and-bound returns every
-        // row's choice.
-        let searched = match node_budget {
-            None => {
-                if let Some(row) = stale.clone().find(|&r| table.min_feasible(r).is_none()) {
-                    return Err(OptAssignError::InfeasiblePartition {
-                        partition: self.problem.partitions[row].id,
-                        name: self.problem.partitions[row].name.clone(),
-                    });
-                }
-                None
-            }
-            // A warm search is seeded with the incumbent: it stays feasible
-            // across heat changes (feasibility depends only on latency
-            // thresholds and sizes, which never change here).
-            Some(budget) => {
-                let incumbent = (!cold).then_some(&self.choices[..]);
-                Some(
-                    solve_branch_and_bound_on(&self.problem, table, incumbent, budget)?
-                        .0
-                        .choices,
-                )
-            }
-        };
+        // paths tie-break identically.
+        if let Some(row) = stale.clone().find(|&r| table.min_feasible(r).is_none()) {
+            return Err(OptAssignError::InfeasiblePartition {
+                partition: self.problem.partitions[row].id,
+                name: self.problem.partitions[row].name.clone(),
+            });
+        }
 
         // Apply: success from here on. A re-priced or moved row refreshes
         // its mirror entry; an applied move changes the row's transition
@@ -1663,32 +1627,15 @@ impl AccountShard {
             self.chosen_breakdown.resize(n, CostBreakdown::default());
         }
         self.moved.clear();
-        let mut place = |row: usize, new: (TierId, usize), breakdown: CostBreakdown| {
-            self.chosen_cost[row] = table.cost(row, new.0, new.1);
-            self.chosen_breakdown[row] = breakdown;
-            if new != self.choices[row] {
-                self.choices[row] = new;
-                self.moved.push(row);
-            }
-        };
-        match searched {
-            // A row's minimum is the one entry whose breakdown the table
-            // stores: the greedy apply reads it and prices nothing.
-            None => {
-                for row in stale {
-                    if let Some((_, tier, scheme)) = table.min_feasible(row) {
-                        place(row, (tier, scheme), *table.min_breakdown(row));
-                    }
-                }
-            }
-            // Branch-and-bound may choose any entry: the chosen ones are
-            // priced under one hoisted model, before any move below
-            // changes what a row's transition costs are priced from.
-            Some(choices) => {
-                let model = self.problem.cost_model();
-                for (row, &(tier, scheme)) in choices.iter().enumerate() {
-                    let breakdown = table.breakdown(&self.problem, &model, row, tier, scheme);
-                    place(row, (tier, scheme), breakdown);
+        // A row's minimum is the one entry whose breakdown the table
+        // stores: the apply reads it and prices nothing.
+        for row in stale {
+            if let Some((_, tier, scheme)) = table.min_feasible(row) {
+                self.chosen_cost[row] = table.cost(row, tier, scheme);
+                self.chosen_breakdown[row] = *table.min_breakdown(row);
+                if (tier, scheme) != self.choices[row] {
+                    self.choices[row] = (tier, scheme);
+                    self.moved.push(row);
                 }
             }
         }
@@ -1846,15 +1793,6 @@ mod tests {
             ServeConfig::default(),
         )
         .is_err());
-        // A capacity reservation needs branch-and-bound re-solves: greedy
-        // would overfill the reserved tier.
-        let mut reserved = catalog.clone();
-        reserved.set_capacity("Hot", 10.0).unwrap();
-        assert!(matches!(
-            ServeEngine::new(reserved, schemes(), ServeConfig::default()),
-            Err(ServeError::InvalidConfig(_))
-        ));
-
         let mut engine = ServeEngine::new(catalog, schemes(), ServeConfig::default()).unwrap();
         engine
             .register(ServeObject::new("a", "acct", 1.0, TierId(0)))
@@ -2112,42 +2050,21 @@ mod tests {
     }
 
     #[test]
-    fn warm_branch_and_bound_mode_matches_cold_reference_under_capacity() {
-        use scope_cloudsim::Tier;
-        // A capacity-constrained premium tier couples the partitions, so
-        // per-row greedy is wrong and the engine must run warm-started
-        // branch-and-bound seeded from the incumbent.
-        let catalog = scope_cloudsim::TierCatalog::new(vec![
-            Tier::new("premium", 12.0, 0.01, 0.02, 0.005).with_capacity_gb(26.0),
-            Tier::new("standard", 2.0, 0.9, 0.05, 0.2),
-            Tier::new("cold", 0.4, 8.0, 0.05, 15.0),
-        ])
-        .unwrap();
-        let config = ServeConfig {
-            node_budget: Some(200_000),
-            ..ServeConfig::default()
-        };
-        let mut engine = ServeEngine::new(catalog, schemes(), config).unwrap();
-        for (i, size) in [10.0, 9.0, 7.0, 5.0, 4.0, 2.5, 1.5, 13.0]
-            .iter()
-            .enumerate()
-        {
-            let account = if i % 2 == 0 { "acct-a" } else { "acct-b" };
-            let mut spec = ServeObject::new(format!("obj-{i}"), account, *size, TierId(1));
-            if i % 3 == 0 {
-                spec = spec.with_latency_threshold(1.0);
-            }
-            engine.register(spec).unwrap();
-        }
-        let events = demo_trace(&engine, 60, 40);
-        let columns = engine.columns_from_events(&events);
-        for epoch in 0..4u32 {
-            let (lo, hi) = (epoch * 15, epoch * 15 + 15);
-            engine.ingest(&columns.filter_day_range(lo, hi));
-            engine.advance(hi);
-            let cold = reference::full_resolve(&engine).unwrap();
-            let outcome = engine.reoptimize().unwrap();
-            assert_outcome_matches_reference(&outcome, &cold, epoch as usize);
+    fn a_capacity_reservation_is_refused_at_every_thread_count() {
+        // Greedy re-solves would overfill a reserved tier, and the thread
+        // count never changes what a re-solve does.
+        let mut reserved = scope_cloudsim::TierCatalog::azure_hot_cool_archive();
+        reserved.set_capacity("Hot", 10.0).unwrap();
+        for threads in [0, 1, 3] {
+            let config = ServeConfig {
+                threads,
+                ..ServeConfig::default()
+            };
+            let err = ServeEngine::new(reserved.clone(), schemes(), config).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::InvalidConfig(m) if m.contains("reserves capacity")),
+                "threads {threads}: {err:?}"
+            );
         }
     }
 
@@ -2567,14 +2484,33 @@ mod tests {
         }
     }
 
-    /// An `SCPK` version-4 checkpoint, byte for byte: two objects in one
-    /// account on [`golden_catalog`] / [`golden_schemes`] with explicit
-    /// (non-default) configuration, one folded and one quarantined (NaN)
-    /// event, one boundary at day 15 with a re-solve that moved both
-    /// objects, and a one-event batch (a write of 0.5 GB to object 1 on
-    /// day 16) parked in the reorder buffer under sequence number 2, as a
-    /// 33-byte column block. A layout change must bump
-    /// `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    /// An `SCPK` version-5 checkpoint, byte for byte: [`golden_engine`]'s
+    /// two objects in one account on [`golden_catalog`] /
+    /// [`golden_schemes`] with explicit (non-default) configuration, one
+    /// folded and one quarantined (NaN) event, one boundary at day 15 with
+    /// a re-solve that moved both objects, and a one-event batch (a write
+    /// of 0.5 GB to object 1 on day 16) parked in the reorder buffer under
+    /// sequence number 2, as a 33-byte column block. A layout change must
+    /// bump `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    const GOLDEN_SCPK_V5: &str = "\
+             5343504b050000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
+             0200000000000000010000000000000001000000000000000000000000000000\
+             0100000000000000040000000000000061636374020000000000000042000000\
+             0000000001000000000000006100000000000000000000f83f07000000000000\
+             000000f07f010000000000000062000000000000000000001040000000000000\
+             0000000002400100010100000000000000000000000000000000000000000000\
+             103f00000000000000000f0000000f0000000000000000000000000200000000\
+             0000000000000001000000010000000000c02340000000000080214000000000\
+             00000000000000000000f23f0000000000000000000000000000000000040000\
+             0000000001000000000000000000000000000000010000000000000001000000\
+             000000000200000001000000000000000000f87f000100000000000000020000\
+             0000000000210000000000000001000000010000000100000001000000100000\
+             000100000001000000000000e03fa72f7e1cb1e3cf44";
+
+    /// The retired version-4 layout's fixture (the same scenario under a
+    /// capacity catalog, its preamble carrying a node budget of 1 000):
+    /// kept to be refused.
     const GOLDEN_SCPK_V4: &str = "\
              5343504b04000000232f3441bcbf95593c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
@@ -2591,26 +2527,6 @@ mod tests {
              0000000000000200000000000000210000000000000001000000010000000100\
              000001000000100000000100000001000000000000e03fff25900997aea6b7";
 
-    /// The retired version-3 layout's fixture (the same scenario, the
-    /// parked batch as five `u64`-counted columns, a billing period among
-    /// them): kept to be refused.
-    const GOLDEN_SCPK_V3: &str = "\
-             5343504b03000000232f3441bcbf95593c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
-             0000000000000000000200000000000000010000000000000001000000000000\
-             0000000000000000000100000000000000040000000000000061636374020000\
-             0000000000420000000000000001000000000000006100000000000000000000\
-             f83f07000000000000000000f07f010000000000000062000000000000000000\
-             0010400000000000000000000002400100010100000000000000000000000000\
-             000000000000000000103f00000000000000000f0000000f0000000000000000\
-             0000000002000000000000000000000001000000010000000000c02340000000\
-             00008021400000000000000000000000000000f23f0000000000000000000000\
-             0000000000000400000000000001000000000000000000000000000000010000\
-             000000000001000000000000000200000001000000000000000000f87f000100\
-             0000000000000200000000000000010000000000000010000000010000000000\
-             0000000000000100000000000000010000000100000000000000010100000000\
-             000000000000000000e03f1aa8623f5caa85ad";
-
     fn unhex(hex: &str) -> Vec<u8> {
         hex.as_bytes()
             .chunks(2)
@@ -2619,9 +2535,10 @@ mod tests {
     }
 
     #[test]
-    fn the_version_4_layout_is_pinned_by_a_golden_checkpoint() {
-        let golden = unhex(GOLDEN_SCPK_V4);
-        assert_eq!(golden.len(), 447);
+    fn the_version_5_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden = unhex(GOLDEN_SCPK_V5);
+        assert_eq!(golden.len(), 438);
+        assert_eq!(golden_engine().checkpoint(), golden);
         assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
 
@@ -2629,7 +2546,6 @@ mod tests {
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.object_name(1), Some("b"));
         assert_eq!((restored.day(), restored.epoch()), (15, 1));
-        assert_eq!(restored.config().node_budget, Some(1000));
         // The fixture was taken at `threads: 1`; a snapshot does not say.
         assert_eq!(restored.config().threads, 0);
         assert_eq!(restored.placement(0), Some((TierId(1), 1)));
@@ -2659,19 +2575,35 @@ mod tests {
         let end = golden.len() - 8;
         assert_eq!(golden[end - pending.len()..end], pending[..]);
 
-        // A real version-3 snapshot is refused by name, not misread.
-        let retired = unhex(GOLDEN_SCPK_V3);
+        // A real version-4 snapshot is refused by name, not misread.
+        let retired = unhex(GOLDEN_SCPK_V4);
         let reason = checkpoint_error(ServeEngine::restore(
             golden_catalog(),
             golden_schemes(),
             &retired,
         ));
-        assert!(reason.contains("unsupported version 3"), "{reason}");
+        assert!(reason.contains("unsupported version 4"), "{reason}");
     }
 
-    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V4`] holds: the
+    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V5`] holds: the
     /// same bytes less the static section, whose place its length (0x42)
     /// and XXH64 take, under the `SCPD` magic.
+    const GOLDEN_SCPD_V5: &str = "\
+             53435044050000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
+             0200000000000000010000000000000001000000000000000000000000000000\
+             0100000000000000040000000000000061636374020000000000000042000000\
+             00000000bf78d6998edd4dc10100010100000000000000000000000000000000\
+             000000000000103f00000000000000000f0000000f0000000000000000000000\
+             0002000000000000000000000001000000010000000000c02340000000000080\
+             21400000000000000000000000000000f23f0000000000000000000000000000\
+             0000000400000000000001000000000000000000000000000000010000000000\
+             000001000000000000000200000001000000000000000000f87f000100000000\
+             0000000200000000000000210000000000000001000000010000000100000001\
+             000000100000000100000001000000000000e03f5865fd0c855025ce";
+
+    /// The version-4 dynamic snapshot of the same scenario: kept to be
+    /// refused.
     const GOLDEN_SCPD_V4: &str = "\
              5343504404000000232f3441bcbf95593c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
@@ -2687,34 +2619,18 @@ mod tests {
              010000000100000001000000100000000100000001000000000000e03f140b3d\
              091d780126";
 
-    /// The version-3 dynamic snapshot of the same engine: kept to be
-    /// refused.
-    const GOLDEN_SCPD_V3: &str = "\
-             5343504403000000232f3441bcbf95593c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
-             0000000000000000000200000000000000010000000000000001000000000000\
-             0000000000000000000100000000000000040000000000000061636374020000\
-             00000000004200000000000000bf78d6998edd4dc10100010100000000000000\
-             000000000000000000000000000000103f00000000000000000f0000000f0000\
-             0000000000000000000002000000000000000000000001000000010000000000\
-             c0234000000000008021400000000000000000000000000000f23f0000000000\
-             0000000000000000000000000400000000000001000000000000000000000000\
-             0000000100000000000000010000000000000002000000010000000000000000\
-             00f87f0001000000000000000200000000000000010000000000000010000000\
-             0100000000000000000000000100000000000000010000000100000000000000\
-             010100000000000000000000000000e03ff327778526ccd637";
-
     #[test]
     fn the_dynamic_layout_is_pinned_by_a_golden_snapshot() {
-        let full = unhex(GOLDEN_SCPK_V4);
-        let golden = unhex(GOLDEN_SCPD_V4);
-        assert_eq!(golden.len(), 389);
+        let full = unhex(GOLDEN_SCPK_V5);
+        let golden = unhex(GOLDEN_SCPD_V5);
+        assert_eq!(golden.len(), 380);
+        assert_eq!(golden_engine().checkpoint_dynamic(), golden);
         let engine = ServeEngine::restore(golden_catalog(), golden_schemes(), &full).unwrap();
         assert_eq!(engine.checkpoint_dynamic(), golden);
         assert_eq!(golden[..4], crate::checkpoint::DYNAMIC_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
         // Byte for byte the full layout around the static section.
-        let (at, section) = (0x85, 8 + 0x42);
+        let (at, section) = (0x7c, 8 + 0x42);
         assert_eq!(full[at..at + 8], 0x42u64.to_le_bytes());
         assert_eq!(golden[4..at], full[4..at]);
         assert_eq!(golden[at..at + 8], full[at..at + 8]);
@@ -2742,15 +2658,15 @@ mod tests {
         assert_eq!(restored.checkpoint(), full);
         assert_eq!(restored.checkpoint_dynamic(), golden);
 
-        // The version-3 dynamic snapshot is refused by name too.
-        let retired = unhex(GOLDEN_SCPD_V3);
+        // The version-4 dynamic snapshot is refused by name too.
+        let retired = unhex(GOLDEN_SCPD_V4);
         let reason = checkpoint_error(ServeEngine::restore_dynamic(
             golden_catalog(),
             golden_schemes(),
             &full,
             &retired,
         ));
-        assert!(reason.contains("unsupported version 3"), "{reason}");
+        assert!(reason.contains("unsupported version 4"), "{reason}");
     }
 
     fn checkpoint_error(result: Result<ServeEngine, ServeError>) -> String {
@@ -2866,11 +2782,38 @@ mod tests {
         use scope_cloudsim::Tier;
         scope_cloudsim::TierCatalog::new(vec![
             Tier::new("fast", 2.0, 0.5, 0.25, 0.01),
-            Tier::new("cold", 0.5, 4.0, 1.0, 2.0)
-                .with_early_deletion_days(30)
-                .with_capacity_gb(64.0),
+            Tier::new("cold", 0.5, 4.0, 1.0, 2.0).with_early_deletion_days(30),
         ])
         .unwrap()
+    }
+
+    /// The engine the golden snapshots hold, built from scratch.
+    fn golden_engine() -> ServeEngine {
+        let config = ServeConfig {
+            horizon_days: 60,
+            horizon_months: 2.0,
+            decay_per_day: 0.5,
+            bucket_base: 2.0,
+            bucket_hysteresis: 1.25,
+            threads: 1,
+        };
+        let mut engine = ServeEngine::new(golden_catalog(), golden_schemes(), config).unwrap();
+        engine
+            .register(ServeObject::new("a", "acct", 1.5, TierId(0)).with_residency_days(7))
+            .unwrap();
+        engine
+            .register(ServeObject::new("b", "acct", 4.0, TierId(0)).with_latency_threshold(2.25))
+            .unwrap();
+        let mut batch = EventColumns::default();
+        batch.push_resolved(1, 0, AccessKind::Read, 1.0);
+        batch.push_resolved(2, 1, AccessKind::Read, f64::NAN);
+        engine.ingest_sequenced(0, &batch).unwrap();
+        engine.advance(15);
+        engine.reoptimize().unwrap();
+        let mut early = EventColumns::default();
+        early.push_resolved(16, 1, AccessKind::Write, 0.5);
+        engine.ingest_sequenced(2, &early).unwrap();
+        engine
     }
 
     fn golden_schemes() -> Vec<CompressionOption> {

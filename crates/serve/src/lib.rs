@@ -19,16 +19,17 @@
 //! * [`ServeEngine::reoptimize`] re-solves incrementally: dirty rows are
 //!   re-evaluated in place with [`scope_optassign::CostTable::patch_rows`]
 //!   (bit-identical to a from-scratch build), the greedy choice is
-//!   recomputed for exactly those rows (or a warm-started branch-and-bound
-//!   is seeded from the incumbent), and account shards fan out over the
-//!   deterministic [`scope_cloudsim::parallel`] primitives with an
+//!   recomputed for exactly those rows, and account shards fan out over
+//!   the deterministic [`scope_cloudsim::parallel`] primitives with an
 //!   in-order merge — once per re-solve, on the worker count
 //!   [`ServeConfig::threads`] resolves to, with nothing underneath fanning
 //!   out again — so the outcome is bit-for-bit identical for any thread
-//!   count.
+//!   count. Per-row greedy is the one re-solve rule: it is exact when no
+//!   tier reserves capacity (Theorem 3), and [`ServeEngine::new`] refuses
+//!   a catalog whose tiers reserve any.
 //! * [`reference::full_resolve`] is the preserved batch path: a cold
-//!   from-scratch solve over the same state, pinned bit-for-bit equal to
-//!   the incremental path on every epoch by
+//!   from-scratch `solve_greedy` per shard over the same state, pinned
+//!   bit-for-bit equal to the incremental path on every epoch by
 //!   `crates/serve/tests/incremental_equivalence.rs` and, through the
 //!   lockstep driver, by `tests/integration_serving.rs`.
 //!

@@ -2,8 +2,8 @@
 //! is pinned against.
 //!
 //! [`full_resolve`] re-solves every account shard cold — a from-scratch
-//! [`CostTable`](scope_optassign::CostTable) build and a fresh greedy (or
-//! branch-and-bound) solve over the engine's *current* bucketed heat
+//! [`solve_greedy`] (its own [`CostTable`](scope_optassign::CostTable)
+//! build, every row decided) over the engine's *current* bucketed heat
 //! state — exactly what a batch deployment of the optimizer would do each
 //! epoch. `crates/serve/tests/incremental_equivalence.rs` and
 //! `tests/integration_serving.rs` assert that
@@ -19,7 +19,7 @@
 //! engine's fallback does not.
 
 use scope_cloudsim::{AccessKind, EventColumns};
-use scope_optassign::{solve_branch_and_bound, solve_greedy};
+use scope_optassign::solve_greedy;
 
 use crate::engine::{AccountAssignment, IngestReport, ServeConfig, ServeEngine};
 use crate::error::ServeError;
@@ -31,13 +31,9 @@ use crate::quarantine::{QuarantineReason, QuarantinedEvent};
 pub fn full_resolve(engine: &ServeEngine) -> Result<Vec<AccountAssignment>, ServeError> {
     let mut accounts = Vec::new();
     for shard in engine.shards() {
-        let assignment = match engine.config().node_budget {
-            None => solve_greedy(&shard.problem)?,
-            Some(budget) => solve_branch_and_bound(&shard.problem, budget)?.0,
-        };
         accounts.push(AccountAssignment {
             account: shard.account.clone(),
-            assignment,
+            assignment: solve_greedy(&shard.problem)?,
             stale: false,
         });
     }
