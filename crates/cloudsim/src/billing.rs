@@ -27,13 +27,14 @@
 //! replay — as **one kernel in two stages over `UNIT_EVENTS`-event
 //! units**, handed to [`parallel::ordered_stream_with_threads`]:
 //!
-//! * **Resolve** is the order-free stage: `resolve_event` — horizon,
-//!   volume and id checks, the rate-line lookup, the divide and the
-//!   multiply — writes what billing each event of a unit costs into a
-//!   reused buffer of 24-byte `EventOutcome`s (code, amount, decompression
-//!   cost, billing period). No load of one event depends on another
-//!   event's, so the misses of neighbouring events are in flight together,
-//!   and any thread may run it.
+//! * **Resolve** is the order-free stage: `resolve_event` — the event's
+//!   [`classify`] class (horizon, then volume, then id: the rule the
+//!   serving intake and the fault injector share), the rate-line lookup,
+//!   the divide and the multiply — writes what billing each event of a
+//!   unit costs into a reused buffer of 24-byte `EventOutcome`s (code,
+//!   amount, decompression cost, billing period). No load of one event
+//!   depends on another event's, so the misses of neighbouring events are
+//!   in flight together, and any thread may run it.
 //! * **Apply** is the ordered stage: `apply_event` lands outcomes on the
 //!   monthly accumulators, the per-object totals, the dropped-event count
 //!   and the first error, strictly in trace order on the calling thread. It
@@ -86,8 +87,8 @@ use crate::parallel;
 use crate::providers::ProviderCatalog;
 use crate::tiers::{TierCatalog, TierId};
 use crate::timeline::{
-    first_day_of_month, BillingEvent, EventColumns, PlacementSchedule, DAYS_PER_MONTH,
-    UNKNOWN_OBJECT,
+    classify, first_day_of_month, BillingEvent, EventClass, EventColumns, PlacementSchedule,
+    DAYS_PER_MONTH,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -446,12 +447,14 @@ impl BillingSimulator {
     /// Checked in this order: a zero horizon; columns of unequal length
     /// (`InvalidParameter` naming the first column whose length differs
     /// from `days`', carrying that length) — before any event is billed;
-    /// then, per event in trace order after the horizon drop, a
+    /// then, per event in trace order, its [`classify`] class against
+    /// this simulator's interned ids: after the horizon drop, a
     /// non-finite or negative volume (`volume_gb`) and, after the
-    /// [`UNKNOWN_OBJECT`] skip, an id that is not an interned id of this
-    /// simulator (`object_id`, carrying the id) — columns built against
-    /// another simulator are a corrupt trace, not accesses to ignore. Each
-    /// is the same error at every thread count.
+    /// [`UNKNOWN_OBJECT`](crate::timeline::UNKNOWN_OBJECT) skip, an id
+    /// that is not an interned id of this simulator (`object_id`, carrying
+    /// the id) — columns built against another simulator are a corrupt
+    /// trace, not accesses to ignore. Each is the same error at every
+    /// thread count.
     pub fn run_columns_with_threads(
         &self,
         horizon_days: u32,
@@ -759,7 +762,9 @@ fn bill_events(
 
 /// Phase-2 resolve: the billing outcome of one event — a pure function of
 /// its columns row and its object's rate line, so every load is
-/// independent of every other event's and any thread may compute it.
+/// independent of every other event's and any thread may compute it. An
+/// event [`classify`] does not call valid against the interned ids is
+/// `Refused`, for the apply stage to count, skip or raise.
 #[inline]
 fn resolve_event(
     day: u32,
@@ -769,26 +774,16 @@ fn resolve_event(
     horizon_days: u32,
     rates: &RateTable,
 ) -> EventOutcome {
-    // An outcome that bills nothing: a code and, for the errors, a payload.
-    let outcome = |code, amount| EventOutcome {
-        code,
-        amount,
-        ..EventOutcome::default()
-    };
-    if day >= horizon_days {
-        return outcome(OutcomeCode::Dropped, 0.0);
+    let class = classify(day, id, volume_gb, horizon_days, rates.lines.len());
+    if class != EventClass::Valid {
+        // Bills nothing; the volume is a bad volume's error payload.
+        return EventOutcome {
+            code: OutcomeCode::Refused(class),
+            amount: volume_gb,
+            ..EventOutcome::default()
+        };
     }
-    if !volume_gb.is_finite() || volume_gb < 0.0 {
-        // Checked before the unknown-object skip: a corrupt volume is a
-        // corrupt trace regardless of whether its name resolved.
-        return outcome(OutcomeCode::InvalidVolume, volume_gb);
-    }
-    if id == UNKNOWN_OBJECT {
-        return outcome(OutcomeCode::Unknown, 0.0);
-    }
-    let Some(line) = rates.lines.get(id as usize) else {
-        return outcome(OutcomeCode::ForeignId, f64::from(id));
-    };
+    let line = &rates.lines[id as usize];
     // The segment in force on `day`: the last one starting at or before
     // it. Segments tile [0, horizon) and day < horizon, so one always is.
     // The write rate is only pointed at: its cache line is touched by the
@@ -844,20 +839,21 @@ fn apply_event(
             m.breakdown.write += outcome.amount;
             totals[id as usize] += outcome.amount;
         }
-        OutcomeCode::Dropped => *dropped_events += 1, // outside the billed horizon
-        OutcomeCode::Unknown => {}                    // accesses to unknown objects are ignored
-        OutcomeCode::InvalidVolume => {
+        OutcomeCode::Refused(EventClass::Dropped) => *dropped_events += 1, // outside the horizon
+        OutcomeCode::Refused(EventClass::BadVolume(_)) => {
             return Err(CloudSimError::InvalidParameter {
                 name: "volume_gb",
                 value: outcome.amount,
             });
         }
-        OutcomeCode::ForeignId => {
+        // Exactly: every `u32` is an `f64`.
+        OutcomeCode::Refused(EventClass::OutOfRange) => {
             return Err(CloudSimError::InvalidParameter {
                 name: "object_id",
-                value: outcome.amount,
+                value: f64::from(id),
             });
         }
+        OutcomeCode::Refused(_) => {} // accesses to unknown objects are ignored
     }
     Ok(())
 }
@@ -912,18 +908,12 @@ struct RateTable {
 /// What billing one event does to the accumulators.
 #[derive(Debug, Clone, Copy, Default)]
 enum OutcomeCode {
-    /// At or beyond the horizon: counted, not charged.
-    #[default]
-    Dropped,
-    /// Names no placed object: ignored.
-    Unknown,
-    /// Non-finite or negative volume (carried in `amount`): the replay
-    /// fails at the first such event in trace order.
-    InvalidVolume,
-    /// An id that is neither [`UNKNOWN_OBJECT`] nor interned (carried in
-    /// `amount`, exactly — every `u32` is an `f64`): fails likewise.
-    ForeignId,
+    /// Any class but `Valid`, billed as nothing: a drop is counted, an
+    /// unresolved name ignored, and the first bad volume (carried in
+    /// `amount`) or foreign id in trace order fails the replay.
+    Refused(EventClass),
     /// A read: `amount` of transfer plus `decomp` of compute.
+    #[default]
     Read,
     /// A write: `amount` of transfer.
     Write,

@@ -90,6 +90,6 @@ pub use providers::{Provider, ProviderCatalog, ProviderId, ProviderTopology};
 pub use sla::{LatencyEstimate, SlaPolicy};
 pub use tiers::{Tier, TierCatalog, TierId};
 pub use timeline::{
-    events_from_monthly, BillingEvent, EventColumns, PlacementSchedule, ScheduleSegment,
-    DAYS_PER_MONTH, UNKNOWN_OBJECT,
+    classify, events_from_monthly, BillingEvent, EventClass, EventColumns, PlacementSchedule,
+    QuarantineReason, ScheduleSegment, DAYS_PER_MONTH, UNKNOWN_OBJECT,
 };

@@ -2,9 +2,13 @@
 //! oracle for the sharded column engine.
 //!
 //! [`run_days_reference`] is the pre-sharding `BillingSimulator::run_days`
-//! body, verbatim: one thread, `String`-keyed event resolution per event,
+//! body: one thread, `String`-keyed event resolution per event,
 //! accumulating directly onto the shared monthly/per-object accumulators in
-//! a single pass. The sharded engine
+//! a single pass. What an event is — dropped, a bad volume, an unknown
+//! name — it asks [`crate::timeline::classify`], like the sharded engine
+//! and the serving intake: it is the oracle of the accounting, and
+//! `scope_faults::expected_intake` that of the classification. The
+//! sharded engine
 //! ([`crate::billing::BillingSimulator::run_columns_with_threads`]) must
 //! produce **bit-for-bit identical** reports (including error values and
 //! `dropped_events`) for every thread count — that is what the workspace
@@ -12,7 +16,7 @@
 
 use crate::billing::{AccessKind, BillingReport, BillingSimulator, MonthlyCost};
 use crate::error::CloudSimError;
-use crate::timeline::{BillingEvent, DAYS_PER_MONTH};
+use crate::timeline::{classify, BillingEvent, EventClass, DAYS_PER_MONTH, UNKNOWN_OBJECT};
 
 /// Day-granular sequential replay: the original single-threaded engine.
 ///
@@ -141,22 +145,23 @@ pub fn run_days_reference(
     // Access costs, streamed in trace order against the placement in
     // force on each event's day.
     let mut dropped_events: u64 = 0;
+    let known_objects = sim.names.len();
+    let invalid = |name, value| CloudSimError::InvalidParameter { name, value };
     for ev in events {
-        if ev.day >= horizon_days {
-            dropped_events += 1; // outside the billed horizon
-            continue;
+        let id = sim
+            .name_ids
+            .get(ev.object.as_str())
+            .map_or(UNKNOWN_OBJECT, |&id| id);
+        match classify(ev.day, id, ev.volume_gb, horizon_days, known_objects) {
+            EventClass::Valid => {}
+            EventClass::Dropped => {
+                dropped_events += 1; // outside the billed horizon
+                continue;
+            }
+            EventClass::Unresolved => continue, // accesses to unknown objects are ignored
+            EventClass::BadVolume(_) => return Err(invalid("volume_gb", ev.volume_gb)),
+            EventClass::OutOfRange => return Err(invalid("object_id", f64::from(id))),
         }
-        if !ev.volume_gb.is_finite() || ev.volume_gb < 0.0 {
-            // Rejected before name resolution: a corrupt volume is a
-            // corrupt trace even when it names an unknown object.
-            return Err(CloudSimError::InvalidParameter {
-                name: "volume_gb",
-                value: ev.volume_gb,
-            });
-        }
-        let Some(&id) = sim.name_ids.get(ev.object.as_str()) else {
-            continue; // accesses to unknown objects are ignored
-        };
         let placement = sim.schedules[id as usize].placement_at(ev.day);
         let effective_gb = ev.volume_gb / placement.compression_ratio.max(f64::MIN_POSITIVE);
         let m = &mut months[(ev.day / DAYS_PER_MONTH) as usize];

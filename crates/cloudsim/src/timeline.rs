@@ -26,6 +26,12 @@
 //!   in struct-of-arrays form, and the one byte layout of such a batch
 //!   ([`EventColumns::encode_into`] / [`EventColumns::decode`]) that the
 //!   write-ahead journal and the serving checkpoint both carry.
+//! * [`classify`] — what one event is — and
+//!   [`EventColumns::usable_prefix`] — how much of a torn batch can be
+//!   read: the billing replay, its reference, the serving intake and the
+//!   fault injector's clean twin all call these two, each mapping the class
+//!   to its own outcome (billing refuses a bad volume or a foreign id;
+//!   serving quarantines the one and skips the other).
 //!
 //! A billing **period** is the fixed [`DAYS_PER_MONTH`]-day window the
 //! provider invoices on: day `d` falls in period `d / DAYS_PER_MONTH`. The
@@ -109,6 +115,62 @@ pub fn events_from_monthly(events: &[AccessEvent]) -> Vec<BillingEvent> {
 /// engine, matching the historical behaviour).
 pub const UNKNOWN_OBJECT: u32 = u32::MAX;
 
+/// Why an event's volume is unusable: why the serving intake quarantines
+/// the event and the billing replay refuses the trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuarantineReason {
+    /// The volume was NaN or infinite.
+    NonFiniteVolume,
+    /// The volume was negative.
+    NegativeVolume,
+}
+
+/// What one event is, by [`classify`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventClass {
+    /// At or past the horizon, whatever else it holds.
+    Dropped,
+    /// In the horizon with a non-finite or negative volume, whatever its id.
+    BadVolume(QuarantineReason),
+    /// In the horizon with a good volume, naming [`UNKNOWN_OBJECT`].
+    Unresolved,
+    /// In the horizon with a good volume, naming neither that nor a known id.
+    OutOfRange,
+    /// In the horizon, a good volume and a known object.
+    Valid,
+}
+
+/// Classify one event against a horizon and a consumer that knows the
+/// object ids `0..known_objects`: typically the length of the table the
+/// consumer indexes by id, so that the id check here is that table's
+/// bounds check and the compiler drops the second. The checks run in one
+/// order, horizon → volume → id, so an event past the horizon is
+/// [`EventClass::Dropped`] even when its volume is NaN, and a bad volume
+/// is [`EventClass::BadVolume`] even when its id names nothing: a corrupt
+/// volume is a corrupt trace regardless of whether its name resolved.
+#[inline]
+pub fn classify(
+    day: u32,
+    object_id: u32,
+    volume_gb: f64,
+    horizon_days: u32,
+    known_objects: usize,
+) -> EventClass {
+    if day >= horizon_days {
+        EventClass::Dropped
+    } else if !volume_gb.is_finite() {
+        EventClass::BadVolume(QuarantineReason::NonFiniteVolume)
+    } else if volume_gb < 0.0 {
+        EventClass::BadVolume(QuarantineReason::NegativeVolume)
+    } else if (object_id as usize) < known_objects {
+        EventClass::Valid
+    } else if object_id == UNKNOWN_OBJECT {
+        EventClass::Unresolved
+    } else {
+        EventClass::OutOfRange
+    }
+}
+
 /// An access trace in struct-of-arrays layout: one parallel column per
 /// event field, in trace order.
 ///
@@ -190,6 +252,16 @@ impl EventColumns {
     fn column_lens(&self) -> [usize; 4] {
         let (days, ids) = (self.days.len(), self.object_ids.len());
         [days, ids, self.kinds.len(), self.volumes.len()]
+    }
+
+    /// How much of a possibly torn batch can be read: `(usable, torn)`,
+    /// where the first `usable` events have an entry in every column (the
+    /// shortest column's length) and `torn` more are in the longest column
+    /// only. A square batch is `(len, 0)`.
+    pub fn usable_prefix(&self) -> (usize, usize) {
+        let [days, ids, kinds, volumes] = self.column_lens();
+        let usable = days.min(ids).min(kinds).min(volumes);
+        (usable, days.max(ids).max(kinds).max(volumes) - usable)
     }
 
     /// `Ok` if all four columns hold one entry per event, else an
@@ -747,6 +819,53 @@ mod tests {
         // first is named.
         assert_eq!(cut(|c| c.days.truncate(3)), err("columns.object_ids", 4.0));
         assert_eq!(cut(|c| c.volumes.push(0.0)), err("columns.volumes", 5.0));
+
+        // The usable prefix is the shortest column, the torn count the
+        // rest of the longest, whichever columns they are.
+        assert_eq!(cols.usable_prefix(), (4, 0));
+        assert_eq!(EventColumns::default().usable_prefix(), (0, 0));
+        let prefix = |f: fn(&mut EventColumns)| {
+            let mut ragged = cols.clone();
+            f(&mut ragged);
+            ragged.usable_prefix()
+        };
+        assert_eq!(prefix(|c| c.kinds.truncate(1)), (1, 3));
+        assert_eq!(prefix(|c| c.days.clear()), (0, 4));
+        assert_eq!(
+            prefix(|c| {
+                c.object_ids.truncate(2);
+                c.volumes.push(0.0);
+            }),
+            (2, 3)
+        );
+    }
+
+    #[test]
+    fn classify_checks_the_horizon_then_the_volume_then_the_id() {
+        use EventClass::*;
+        use QuarantineReason::*;
+        let class = |day, id, volume| classify(day, id, volume, 60, 3);
+        assert_eq!(class(0, 0, 1.0), Valid);
+        assert_eq!(class(59, 2, 0.0), Valid);
+        // Past the horizon, nothing else is looked at.
+        assert_eq!(class(60, 0, 1.0), Dropped);
+        assert_eq!(class(u32::MAX, UNKNOWN_OBJECT, f64::NAN), Dropped);
+        assert_eq!(class(61, 7, -1.0), Dropped);
+        // A bad volume comes before any id check.
+        assert_eq!(class(1, 0, f64::NAN), BadVolume(NonFiniteVolume));
+        assert_eq!(class(1, 0, f64::NEG_INFINITY), BadVolume(NonFiniteVolume));
+        assert_eq!(
+            class(1, UNKNOWN_OBJECT, f64::INFINITY),
+            BadVolume(NonFiniteVolume)
+        );
+        assert_eq!(class(1, 9, -0.5), BadVolume(NegativeVolume));
+        assert_eq!(class(1, 1, -0.0), Valid);
+        // Past the known ids: the sentinel is unresolved, anything else foreign.
+        assert_eq!(class(1, UNKNOWN_OBJECT, 1.0), Unresolved);
+        assert_eq!(class(1, 3, 1.0), OutOfRange);
+        assert_eq!(class(1, UNKNOWN_OBJECT - 1, 1.0), OutOfRange);
+        assert_eq!(classify(1, 0, 1.0, 60, 0), OutOfRange);
+        assert_eq!(classify(0, 0, 1.0, 0, 3), Dropped);
     }
 
     #[test]

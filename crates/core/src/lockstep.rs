@@ -516,7 +516,8 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
             })
             .collect(),
     };
-    let columns = fleet.engine()?.columns_from_events(&events);
+    let engine = fleet.engine()?;
+    let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
     let schedule = Schedule::new(
         &columns,
         horizon_days,

@@ -22,11 +22,14 @@
 //!   torn tails, bit rot and crash points — applied through the
 //!   [`FaultyStorage`] wrapper over any `scope-wal` backend.
 //!
-//! [`expected_intake`] is an independent reference implementation of the
-//! serving intake's validation rules (horizon drop, quarantine, unknown
-//! skip, torn-batch truncation); the differential suites pit it against
-//! [`scope_serve::ServeEngine::ingest`] so neither implementation can
-//! drift silently.
+//! [`expected_intake`] is the one independent reference implementation of
+//! the intake's validation rules (horizon drop, quarantine, unknown skip,
+//! torn-batch truncation), spelled out apart from
+//! [`scope_cloudsim::classify`] and [`EventColumns::usable_prefix`] —
+//! the code that the serving intake, the billing replay and
+//! [`FaultPlan::corrupt_batch`]'s clean twin all share. The differential
+//! suites pit it against [`scope_serve::ServeEngine::ingest`], so neither
+//! the rule nor its oracle can drift silently.
 
 #![warn(missing_docs)]
 
@@ -36,7 +39,7 @@ pub use storage::{AppendFault, FaultyStorage, StorageFaultPlan, StorageFaultRate
 
 use std::fmt;
 
-use scope_cloudsim::EventColumns;
+use scope_cloudsim::{classify, EventClass, EventColumns};
 use scope_serve::{QuarantineReason, QuarantinedEvent, ShardFault};
 
 /// Domain separators so the same `(epoch, id)` never reuses a draw across
@@ -159,15 +162,13 @@ pub struct CorruptedBatch {
     /// columns (parallel arrays of unequal length).
     pub delivered: EventColumns,
     /// What a fault-free twin should be fed instead: the delivered events
-    /// minus everything the validating intake diverts — in-horizon corrupt
-    /// events (quarantined) and the torn tail (truncated). Out-of-horizon
+    /// minus everything the validating intake diverts — the torn tail
+    /// (past the [`EventColumns::usable_prefix`]) and every event
+    /// [`scope_cloudsim::classify`] calls a bad volume. Out-of-horizon
     /// events stay (corrupt or not, they are *dropped*, and the twin must
-    /// drop them too).
+    /// drop them too). How many events the intake quarantines or loses is
+    /// [`expected_intake`]'s to say.
     pub clean: EventColumns,
-    /// Events this batch will add to the quarantine (in-horizon corrupt).
-    pub expected_quarantined: u64,
-    /// Events this batch loses to torn columns.
-    pub expected_truncated: u64,
 }
 
 /// A seeded, stateless fault schedule (see the [module docs](self)).
@@ -228,7 +229,6 @@ impl FaultPlan {
         horizon_days: u32,
     ) -> CorruptedBatch {
         let mut delivered = columns.clone();
-        let mut expected_quarantined = 0u64;
         for i in 0..delivered.volumes.len() {
             let id = (seq << 32) | (i as u64 & 0xffff_ffff);
             if !self.chance(DOMAIN_CORRUPT, 0, id, self.rates.corrupt_event) {
@@ -245,40 +245,29 @@ impl FaultPlan {
         }
         // Tear the batch: drop a short suffix of two of the four columns
         // the intake reads, so the parallel arrays disagree in length.
-        let mut torn = 0usize;
         if !delivered.volumes.is_empty()
             && self.chance(DOMAIN_TRUNCATE, 0, seq, self.rates.truncate_batch)
         {
             let h = self.mix(DOMAIN_TRUNCATE, 1, seq);
-            torn = (1 + (h % 3) as usize).min(delivered.volumes.len());
+            let torn = (1 + (h % 3) as usize).min(delivered.volumes.len());
             delivered.volumes.truncate(columns.volumes.len() - torn);
             delivered.kinds.truncate(columns.kinds.len() - torn);
         }
-        // The clean twin's stream: delivered events the validating intake
-        // will actually fold or drop (skip quarantined, skip the torn tail).
-        let usable = delivered.volumes.len();
+        // The clean twin's stream: the usable prefix less what the intake
+        // quarantines. The volume is judged before the id, so any object
+        // count serves.
         let mut clean = EventColumns::default();
-        for i in 0..usable {
-            let volume = delivered.volumes[i];
-            let quarantined =
-                delivered.days[i] < horizon_days && (!volume.is_finite() || volume < 0.0);
-            if quarantined {
-                expected_quarantined += 1;
-            } else {
-                clean.push_resolved(
-                    delivered.days[i],
-                    delivered.object_ids[i],
-                    delivered.kinds[i],
-                    volume,
-                );
+        for i in 0..delivered.usable_prefix().0 {
+            let (day, id) = (delivered.days[i], delivered.object_ids[i]);
+            let (kind, volume) = (delivered.kinds[i], delivered.volumes[i]);
+            if !matches!(
+                classify(day, id, volume, horizon_days, 0),
+                EventClass::BadVolume(_)
+            ) {
+                clean.push_resolved(day, id, kind, volume);
             }
         }
-        CorruptedBatch {
-            delivered,
-            clean,
-            expected_quarantined,
-            expected_truncated: torn as u64,
-        }
+        CorruptedBatch { delivered, clean }
     }
 
     /// Delivery schedule for sequenced batches: adjacent pairs may swap
@@ -453,13 +442,14 @@ mod tests {
         )
     }
 
-    fn batch_bits(b: &CorruptedBatch) -> (ColumnBits, ColumnBits, u64, u64) {
-        (
-            bits(&b.delivered),
-            bits(&b.clean),
-            b.expected_quarantined,
-            b.expected_truncated,
-        )
+    fn batch_bits(b: &CorruptedBatch) -> (ColumnBits, ColumnBits) {
+        (bits(&b.delivered), bits(&b.clean))
+    }
+
+    /// What the validating intake makes of one delivered batch, for
+    /// `sample_columns`' seven object ids.
+    fn intake_of(delivered: &EventColumns, horizon_days: u32) -> ExpectedIntake {
+        expected_intake(std::slice::from_ref(delivered), horizon_days, 7, 1024)
     }
 
     fn sample_columns(n: usize) -> EventColumns {
@@ -526,8 +516,8 @@ mod tests {
         let batch = none.corrupt_batch(0, &columns, 60);
         assert_eq!(batch.delivered, columns);
         assert_eq!(batch.clean, columns);
-        assert_eq!(batch.expected_quarantined, 0);
-        assert_eq!(batch.expected_truncated, 0);
+        let intake = intake_of(&batch.delivered, 60);
+        assert_eq!((intake.quarantined, intake.truncated), (0, 0));
         assert_eq!(none.shard_faults(3, 8), vec![None; 8]);
         assert!(!none.crash_after_epoch(3));
 
@@ -537,7 +527,7 @@ mod tests {
         all.crash = 1.0;
         let always = FaultPlan::new(7, all).unwrap();
         let batch = always.corrupt_batch(0, &columns, 60);
-        assert_eq!(batch.expected_quarantined, 50);
+        assert_eq!(intake_of(&batch.delivered, 60).quarantined, 50);
         assert!(batch.clean.is_empty());
         assert!(batch
             .delivered
@@ -562,7 +552,8 @@ mod tests {
         columns.push_resolved(5, 0, AccessKind::Read, 1.0);
         columns.push_resolved(25, 1, AccessKind::Read, 1.0);
         let batch = plan.corrupt_batch(0, &columns, 10);
-        assert_eq!(batch.expected_quarantined, 1);
+        let intake = intake_of(&batch.delivered, 10);
+        assert_eq!((intake.quarantined, intake.dropped), (1, 1));
         assert_eq!(batch.clean.len(), 1);
         assert_eq!(batch.clean.days[0], 25);
     }
@@ -574,11 +565,13 @@ mod tests {
         let plan = FaultPlan::new(11, rates).unwrap();
         let columns = sample_columns(20);
         let batch = plan.corrupt_batch(4, &columns, 60);
-        let torn = batch.expected_truncated as usize;
+        let intake = intake_of(&batch.delivered, 60);
+        let torn = intake.truncated as usize;
         assert!((1..=3).contains(&torn));
         assert_eq!(batch.delivered.volumes.len(), 20 - torn);
         assert_eq!(batch.delivered.days.len(), 20);
         assert_eq!(batch.clean.len(), 20 - torn);
+        assert_eq!(intake.events_seen, 20 - torn as u64);
     }
 
     #[test]

@@ -130,7 +130,7 @@
 //! flipped bits, truncation, trailing garbage — fails the checksum or a
 //! bounds check and surfaces as a typed error, never a panic.
 
-use scope_cloudsim::{EventColumns, TierCatalog};
+use scope_cloudsim::{EventColumns, QuarantineReason, TierCatalog};
 use scope_optassign::CompressionOption;
 use scope_wal::xxh64;
 
@@ -201,6 +201,15 @@ impl<'a> Writer<'a> {
     pub(crate) fn columns(&mut self, columns: &EventColumns) {
         self.u64(columns.encoded_len() as u64);
         columns.encode_into(self.buf);
+    }
+
+    /// A quarantine reason's stable one-byte tag: 0 for a non-finite
+    /// volume, 1 for a negative one.
+    pub(crate) fn reason(&mut self, reason: QuarantineReason) {
+        self.u8(match reason {
+            QuarantineReason::NonFiniteVolume => 0,
+            QuarantineReason::NegativeVolume => 1,
+        });
     }
 
     /// Append `len` zero bytes and hand them out to be filled in place
@@ -345,6 +354,15 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// A quarantine reason written by [`Writer::reason`].
+    pub(crate) fn reason(&mut self) -> Result<QuarantineReason, ServeError> {
+        match self.u8()? {
+            0 => Ok(QuarantineReason::NonFiniteVolume),
+            1 => Ok(QuarantineReason::NegativeVolume),
+            _ => Err(ServeError::Checkpoint("bad quarantine reason tag".into())),
+        }
+    }
+
     /// Error unless the payload was consumed exactly.
     pub(crate) fn expect_end(&self) -> Result<(), ServeError> {
         if self.pos != self.bytes.len() {
@@ -455,6 +473,27 @@ mod tests {
         assert_eq!(r.f64_bits().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.f64_bits().unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(r.str().unwrap(), "héllo");
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn reason_tags_round_trip() {
+        let reasons = [
+            QuarantineReason::NonFiniteVolume,
+            QuarantineReason::NegativeVolume,
+        ];
+        let bytes = checkpoint_of(|w| {
+            for reason in reasons {
+                w.reason(reason);
+            }
+            w.u8(9);
+        });
+        let mut r = Reader::open(&bytes, CHECKPOINT_MAGIC).unwrap();
+        for (tag, reason) in reasons.into_iter().enumerate() {
+            assert_eq!(bytes[8 + tag], tag as u8);
+            assert_eq!(r.reason().unwrap(), reason);
+        }
+        assert!(r.reason().is_err());
         r.expect_end().unwrap();
     }
 

@@ -32,7 +32,8 @@ use std::sync::{Arc, OnceLock};
 
 use scope_cloudsim::parallel::{default_threads, parallel_map_mut_with_threads};
 use scope_cloudsim::{
-    AccessKind, BillingEvent, CostBreakdown, EventColumns, TierCatalog, TierId, UNKNOWN_OBJECT,
+    classify, AccessKind, CostBreakdown, EventClass, EventColumns, TierCatalog, TierId,
+    UNKNOWN_OBJECT,
 };
 use scope_optassign::{
     Assignment, CompressionOption, CostTable, OptAssignError, OptAssignProblem, PartitionSpec,
@@ -44,7 +45,7 @@ use crate::checkpoint::{
     config_fingerprint, get_id, id_width, put_id, Reader, Writer, CHECKPOINT_MAGIC, DYNAMIC_MAGIC,
 };
 use crate::error::ServeError;
-use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
+use crate::quarantine::{QuarantineLedger, QuarantinedEvent};
 
 /// Tuning knobs for a [`ServeEngine`].
 ///
@@ -54,8 +55,8 @@ use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Billing/serving horizon in days; events at or past this day are
-    /// counted as dropped, mirroring the billing engine's
-    /// `dropped_events` rule exactly.
+    /// counted as dropped, by the rule the billing engine's
+    /// `dropped_events` counts with ([`scope_cloudsim::classify`]).
     pub horizon_days: u32,
     /// Optimizer cost horizon in months (the projection length every
     /// re-solve prices placements over).
@@ -223,7 +224,7 @@ const DECAY_TABLE_MAX: usize = 4096;
 /// per object. Derived from the config by [`ServeEngine::new`] — which
 /// every restore goes through — and never persisted.
 #[derive(Debug)]
-struct DecayTable {
+pub(crate) struct DecayTable {
     decay: f64,
     pows: Box<[f64]>,
 }
@@ -242,7 +243,7 @@ impl DecayTable {
     /// `decay^k`. Every entry is the `powi` this falls back to past the
     /// table, so the bits do not depend on where the table ends.
     #[inline]
-    fn factor(&self, k: u32) -> f64 {
+    pub(crate) fn factor(&self, k: u32) -> f64 {
         match self.pows.get(k as usize) {
             Some(&f) => f,
             None => self.pow(k),
@@ -368,7 +369,7 @@ pub struct IngestReport {
     pub unknown: u64,
     /// In-horizon events with NaN/negative volumes, diverted to the
     /// [`QuarantineLedger`] (checked after the horizon drop and before the
-    /// unknown-object skip, mirroring the billing engine's order).
+    /// unknown-object skip: the order of [`scope_cloudsim::classify`]).
     pub quarantined: u64,
     /// Events lost to a torn batch whose parallel columns disagree in
     /// length (only the common prefix is ingested).
@@ -483,11 +484,13 @@ pub struct ServeEngine {
 /// shards, from which a `threads: 0` engine fans the shards out. Read off
 /// `benchmark/run.sh --sweep` and per-epoch timings on the 2-vCPU
 /// reference host (the curve is in CHANGES.md, PR 18): a re-solve of
-/// about 3 900 rows is the smallest that two workers finish sooner than
-/// one, at 2 000 rows and below the scoped-thread fan-out (about 130 µs,
-/// `cloudsim.parallel_map_overhead_us`) and the shared memory bus cost
-/// more than the second worker saves, and a cold start or the epoch
-/// after one (every row) gains the most.
+/// about 3 900 rows was the smallest that two workers finished sooner
+/// than one, at 2 000 rows and below the scoped-thread fan-out (then
+/// about 130 µs of `cloudsim.parallel_map_overhead_us`) and the shared
+/// memory bus cost more than the second worker saved, and a cold start
+/// or the epoch after one (every row) gained the most. The fan-out has
+/// cost about 23 µs since it became one spawn; the crossover predates
+/// that and has not been re-measured, so it may now sit lower.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
 impl ServeEngine {
@@ -752,26 +755,19 @@ impl ServeEngine {
         Some(self.shards[shard as usize].choices[row as usize])
     }
 
-    /// Resolve a name-keyed event trace against this engine's interned
-    /// ids ([`UNKNOWN_OBJECT`] for unregistered names) — the serving
-    /// analogue of the billing simulator's internal resolution step, so
-    /// both see the identical id stream for a given trace.
-    pub fn columns_from_events(&self, events: &[BillingEvent]) -> EventColumns {
-        EventColumns::from_events(events, |name| self.object_id(name))
-    }
-
     /// Fold an event batch into the per-object heat counters. No event is
     /// retained: memory stays `O(objects)` for arbitrarily long streams.
     ///
-    /// The intake **validates** each event, mirroring the billing engine's
-    /// check order exactly: the out-of-horizon drop check comes **first**
-    /// (so a day-300 event for an unknown object still counts as dropped),
-    /// then NaN/negative volumes are quarantined into the bounded
-    /// [`QuarantineLedger`] (before object resolution — a corrupt volume
-    /// is a corrupt trace even when it names an unknown object, the same
-    /// order the billing engine rejects them in), then unknown ids are
-    /// skipped. A torn batch whose parallel columns disagree in length is
-    /// ingested up to the common prefix; the lost tail is counted in
+    /// The intake **validates** each event with
+    /// [`scope_cloudsim::classify`], the call the billing replay makes:
+    /// an out-of-horizon event is dropped (so a day-300 event for an
+    /// unknown object still counts as dropped), a NaN or negative volume
+    /// is quarantined into the bounded [`QuarantineLedger`] (whatever its
+    /// id — a corrupt volume is a corrupt trace even when it names an
+    /// unknown object), and an id that names no registered object —
+    /// [`scope_cloudsim::UNKNOWN_OBJECT`] or any other — is skipped. A
+    /// torn batch whose parallel columns disagree in length is ingested up
+    /// to its [`EventColumns::usable_prefix`]; the lost tail is counted in
     /// [`IngestReport::truncated`] and the ledger.
     ///
     /// Reads add 1 to the (decayed) heat; writes are folded but carry no
@@ -781,64 +777,54 @@ impl ServeEngine {
     /// `last_day` and quarantine ordinals index the engine's lifetime
     /// event sequence.
     pub fn ingest(&mut self, columns: &EventColumns) -> IngestReport {
+        self.fold(columns, DecayTable::factor)
+    }
+
+    /// The one intake loop behind [`Self::ingest`] and
+    /// [`crate::reference::ingest_reference`], which differ only in
+    /// `factor`: the decay of a day gap, given the engine's table (which
+    /// the oracle ignores, computing `powi` instead).
+    #[inline]
+    pub(crate) fn fold(
+        &mut self,
+        columns: &EventColumns,
+        factor: impl Fn(&DecayTable, u32) -> f64,
+    ) -> IngestReport {
         let mut report = IngestReport::default();
-        // Torn-batch defense: only the common prefix of the four columns
-        // the intake reads is well-formed.
-        let usable = columns
-            .days
-            .len()
-            .min(columns.object_ids.len())
-            .min(columns.kinds.len())
-            .min(columns.volumes.len());
-        let intended = columns
-            .days
-            .len()
-            .max(columns.object_ids.len())
-            .max(columns.kinds.len())
-            .max(columns.volumes.len());
-        if intended > usable {
-            let torn = (intended - usable) as u64;
-            report.truncated = torn;
-            self.quarantine.record_truncated(torn);
+        let (usable, torn) = columns.usable_prefix();
+        if torn > 0 {
+            report.truncated = torn as u64;
+            self.quarantine.record_truncated(torn as u64);
         }
         for i in 0..usable {
             let ordinal = self.events_seen;
             self.events_seen += 1;
-            let day = columns.days[i];
-            if day >= self.config.horizon_days {
-                report.dropped += 1;
-                continue;
+            let (day, id, volume) = (columns.days[i], columns.object_ids[i], columns.volumes[i]);
+            match classify(day, id, volume, self.config.horizon_days, self.heat.len()) {
+                EventClass::Dropped => report.dropped += 1,
+                EventClass::BadVolume(reason) => {
+                    self.quarantine.record(QuarantinedEvent {
+                        ordinal,
+                        day,
+                        object_id: id,
+                        volume_bits: volume.to_bits(),
+                        reason,
+                    });
+                    report.quarantined += 1;
+                }
+                EventClass::Unresolved | EventClass::OutOfRange => report.unknown += 1,
+                EventClass::Valid => {
+                    let h = &mut self.heat[id as usize];
+                    if day > h.last_day {
+                        h.value *= factor(&self.decay, day - h.last_day);
+                        h.last_day = day;
+                    }
+                    if columns.kinds[i] == AccessKind::Read {
+                        h.value += 1.0;
+                    }
+                    report.folded += 1;
+                }
             }
-            let volume = columns.volumes[i];
-            if !volume.is_finite() || volume < 0.0 {
-                self.quarantine.record(QuarantinedEvent {
-                    ordinal,
-                    day,
-                    object_id: columns.object_ids[i],
-                    volume_bits: volume.to_bits(),
-                    reason: if volume.is_finite() {
-                        QuarantineReason::NegativeVolume
-                    } else {
-                        QuarantineReason::NonFiniteVolume
-                    },
-                });
-                report.quarantined += 1;
-                continue;
-            }
-            let id = columns.object_ids[i] as usize;
-            if id >= self.heat.len() {
-                report.unknown += 1;
-                continue;
-            }
-            let h = &mut self.heat[id];
-            if day > h.last_day {
-                h.value *= self.decay.factor(day - h.last_day);
-                h.last_day = day;
-            }
-            if columns.kinds[i] == AccessKind::Read {
-                h.value += 1.0;
-            }
-            report.folded += 1;
         }
         self.dropped_events += report.dropped;
         report
@@ -865,17 +851,12 @@ impl ServeEngine {
         seq: u64,
         columns: &EventColumns,
     ) -> Result<IngestReport, ServeError> {
+        self.admit(seq)?;
         if seq < self.next_seq || self.pending.contains_key(&seq) {
             self.duplicate_batches += 1;
             return Ok(IngestReport::default());
         }
         if seq > self.next_seq {
-            if self.pending.len() >= Self::MAX_PENDING_BATCHES {
-                return Err(ServeError::IntakeOverflow {
-                    expected_seq: self.next_seq,
-                    got_seq: seq,
-                });
-            }
             self.pending.insert(seq, columns.clone());
             return Ok(IngestReport::default());
         }
@@ -886,6 +867,21 @@ impl ServeEngine {
             self.next_seq += 1;
         }
         Ok(report)
+    }
+
+    /// `Err` if [`Self::ingest_sequenced`] would refuse batch `seq`: an
+    /// early batch that finds the reorder buffer full.
+    pub(crate) fn admit(&self, seq: u64) -> Result<(), ServeError> {
+        if seq > self.next_seq
+            && self.pending.len() >= Self::MAX_PENDING_BATCHES
+            && !self.pending.contains_key(&seq)
+        {
+            return Err(ServeError::IntakeOverflow {
+                expected_seq: self.next_seq,
+                got_seq: seq,
+            });
+        }
+        Ok(())
     }
 
     /// Advance the engine clock to `day`: decay every heat counter to the
@@ -1187,7 +1183,7 @@ impl ServeEngine {
             w.u32(e.day);
             w.u32(e.object_id);
             w.u64(e.volume_bits);
-            w.u8(e.reason.tag());
+            w.reason(e.reason);
         }
         // Sequenced-intake reorder buffer (BTreeMap: deterministic order).
         w.u64(self.pending.len() as u64);
@@ -1383,8 +1379,7 @@ impl ServeEngine {
                 day: r.u32()?,
                 object_id: r.u32()?,
                 volume_bits: r.u64()?,
-                reason: QuarantineReason::from_tag(r.u8()?)
-                    .ok_or_else(|| ServeError::Checkpoint("bad quarantine reason tag".into()))?,
+                reason: r.reason()?,
             });
         }
         engine.quarantine = QuarantineLedger::from_parts(entries, capacity, q_total, q_truncated);
@@ -1670,7 +1665,7 @@ impl AccountShard {
 mod tests {
     use super::*;
     use crate::reference;
-    use scope_cloudsim::{BillingSimulator, ObjectSpec, Placement};
+    use scope_cloudsim::{BillingEvent, BillingSimulator, ObjectSpec, Placement, QuarantineReason};
 
     fn schemes() -> Vec<CompressionOption> {
         vec![
@@ -1858,56 +1853,159 @@ mod tests {
         assert_named_once(&restored);
     }
 
-    #[test]
-    fn ingest_mirrors_billing_dropped_events_exactly() {
+    /// An engine and a billing simulator over one object per size, named
+    /// `obj-0`, `obj-1`, … and registered and placed in the same order, so
+    /// an id means the same object to both.
+    fn intake_and_billing(sizes: &[f64], horizon_days: u32) -> (ServeEngine, BillingSimulator) {
         let catalog = scope_cloudsim::TierCatalog::azure_hot_cool_archive();
         let config = ServeConfig {
-            horizon_days: 60,
+            horizon_days,
             ..ServeConfig::default()
         };
         let mut engine = ServeEngine::new(catalog.clone(), schemes(), config).unwrap();
-        engine
-            .register(ServeObject::new("a", "acct", 10.0, TierId(0)))
-            .unwrap();
-        engine
-            .register(ServeObject::new("b", "acct", 4.0, TierId(1)))
-            .unwrap();
-
         let mut sim = BillingSimulator::new(catalog);
-        sim.place(
-            ObjectSpec::new("a", 10.0).on_tier(TierId(0)),
-            Placement::uncompressed(TierId(0)),
-        )
-        .unwrap();
-        sim.place(
-            ObjectSpec::new("b", 4.0).on_tier(TierId(1)),
-            Placement::uncompressed(TierId(1)),
-        )
-        .unwrap();
+        for (i, &size) in sizes.iter().enumerate() {
+            let (name, tier) = (format!("obj-{i}"), TierId(i % 2));
+            engine
+                .register(ServeObject::new(name.clone(), "acct", size, tier))
+                .unwrap();
+            sim.place(
+                ObjectSpec::new(name, size).on_tier(tier),
+                Placement::uncompressed(tier),
+            )
+            .unwrap();
+        }
+        (engine, sim)
+    }
 
+    /// Ingest a square batch into a fresh `engine` and replay it through
+    /// `sim`, and check that both judged it alike. Let *f* be the first
+    /// in-horizon event with a bad volume or a foreign id. Without one,
+    /// the replay succeeds and drops what the intake drops. With one, the
+    /// replay refuses the trace at *f*: for a bad volume, with the bits of
+    /// the engine's first quarantine record, whose ordinal is *f*; for a
+    /// foreign id, naming it, with nothing quarantined before *f*.
+    fn assert_intake_agrees_with_billing(
+        engine: &mut ServeEngine,
+        sim: &BillingSimulator,
+        columns: &EventColumns,
+    ) -> IngestReport {
+        let horizon = engine.config().horizon_days;
+        let known = engine.len();
+        let bill = sim.run_columns(horizon, columns);
+        let ingest = engine.ingest(columns);
+        let first_refused = (0..columns.len())
+            .map(|i| {
+                let (day, id) = (columns.days[i], columns.object_ids[i]);
+                (i, classify(day, id, columns.volumes[i], horizon, known))
+            })
+            .find(|(_, class)| matches!(class, EventClass::BadVolume(_) | EventClass::OutOfRange));
+        let records = engine.quarantine().entries();
+        let Some((f, class)) = first_refused else {
+            assert_eq!(bill.unwrap().dropped_events, engine.dropped_events());
+            return ingest;
+        };
+        let Err(scope_cloudsim::CloudSimError::InvalidParameter { name, value }) = bill else {
+            panic!("billing accepted a trace refused at event {f}: {bill:?}");
+        };
+        if class == EventClass::OutOfRange {
+            assert_eq!(
+                (name, value),
+                ("object_id", f64::from(columns.object_ids[f]))
+            );
+            assert!(records.iter().all(|r| r.ordinal > f as u64));
+        } else {
+            assert_eq!(name, "volume_gb");
+            assert_eq!(records[0].ordinal, f as u64);
+            assert_eq!(value.to_bits(), records[0].volume_bits);
+        }
+        ingest
+    }
+
+    #[test]
+    fn ingest_mirrors_billing_dropped_events_exactly() {
+        let (mut engine, sim) = intake_and_billing(&[10.0, 4.0], 60);
         // In-horizon reads/writes, out-of-horizon events (including one for
         // an unknown object — the drop check precedes object resolution in
         // both engines), and an in-horizon unknown (skipped, not dropped).
         let events = vec![
-            BillingEvent::read("a", 3, 1.0),
-            BillingEvent::write("b", 10, 0.5),
-            BillingEvent::read("a", 59, 2.0),
-            BillingEvent::read("a", 60, 1.0),
+            BillingEvent::read("obj-0", 3, 1.0),
+            BillingEvent::write("obj-1", 10, 0.5),
+            BillingEvent::read("obj-0", 59, 2.0),
+            BillingEvent::read("obj-0", 60, 1.0),
             BillingEvent::read("ghost", 61, 1.0),
-            BillingEvent::write("b", 300, 0.1),
+            BillingEvent::write("obj-1", 300, 0.1),
             BillingEvent::read("ghost", 12, 1.0),
         ];
-        let report = sim.run_days(60, &events).unwrap();
-        let columns = engine.columns_from_events(&events);
-        let ingest = engine.ingest(&columns);
+        let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
+        let ingest = assert_intake_agrees_with_billing(&mut engine, &sim, &columns);
 
         assert_eq!(ingest.dropped, 3);
         assert_eq!(ingest.unknown, 1);
         assert_eq!(ingest.folded, 3);
-        assert_eq!(report.dropped_events, engine.dropped_events());
+        assert_eq!(sim.run_days(60, &events).unwrap().dropped_events, 3);
         // Cumulative across batches: a replay of the same columns doubles it.
         engine.ingest(&columns);
-        assert_eq!(engine.dropped_events(), 2 * report.dropped_events);
+        assert_eq!(engine.dropped_events(), 6);
+    }
+
+    mod intake_agrees_with_billing {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any square batch over 1–5 objects: ids in `0..N+3` and the
+            /// unknown sentinel, days past the horizon, NaN payloads, ±∞
+            /// and negative volumes at a per-case rate (none at 0).
+            #[test]
+            fn the_intake_and_the_billing_replay_classify_every_event_alike(
+                objects in 1usize..6,
+                horizon in 1u32..120,
+                noise in 0u64..6,
+                words in proptest::collection::vec(any::<u64>(), 0..32),
+            ) {
+                let sizes: Vec<f64> = (0..objects).map(|i| 1.0 + i as f64).collect();
+                let (mut engine, sim) = intake_and_billing(&sizes, horizon);
+                let n = objects as u32;
+                let mut columns = EventColumns::default();
+                for w in words {
+                    let x = (w >> 32) as u32;
+                    let day = match w % 8 {
+                        0 => horizon + x % 30,
+                        1 => u32::MAX,
+                        _ => x % horizon,
+                    };
+                    let id = match (w >> 3) % 16 {
+                        0 => UNKNOWN_OBJECT,
+                        _ if (w >> 8) % 64 < noise => n + x % 3,
+                        _ => x % n,
+                    };
+                    let kind = if (w >> 7) % 4 == 0 { AccessKind::Write } else { AccessKind::Read };
+                    let volume = if (w >> 14) % 64 < 2 * noise {
+                        match (w >> 20) % 5 {
+                            0 => f64::from_bits(0x7ff8_0000_0000_0000 | u64::from(x & 0xffff)),
+                            1 => f64::from_bits(0xfff0_0000_0000_0001 | u64::from(x & 0xff) << 8),
+                            2 => f64::INFINITY,
+                            3 => f64::NEG_INFINITY,
+                            _ => -0.25 - f64::from(x % 8),
+                        }
+                    } else if (w >> 20) % 16 == 0 {
+                        -0.0
+                    } else {
+                        0.125 * f64::from(x % 32)
+                    };
+                    columns.push_resolved(day, id, kind, volume);
+                }
+                let ingest = assert_intake_agrees_with_billing(&mut engine, &sim, &columns);
+                prop_assert_eq!(ingest.truncated, 0);
+                prop_assert_eq!(
+                    ingest.dropped + ingest.quarantined + ingest.unknown + ingest.folded,
+                    columns.len() as u64
+                );
+            }
+        }
     }
 
     #[test]
@@ -1916,7 +2014,7 @@ mod tests {
         let mut whole = demo_engine(2, 12, config.clone());
         let mut split = demo_engine(2, 12, config);
         let events = demo_trace(&whole, 90, 40);
-        let columns = whole.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| whole.object_id(n));
 
         whole.ingest(&columns);
         for (lo, hi) in [(0, 13), (13, 40), (40, 90)] {
@@ -1936,7 +2034,7 @@ mod tests {
     fn incremental_resolve_matches_cold_reference_on_every_epoch() {
         let mut engine = demo_engine(3, 10, ServeConfig::default());
         let events = demo_trace(&engine, 90, 60);
-        let columns = engine.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
         let full_rows = engine.len();
 
         let mut later_rows_patched = 0;
@@ -1984,7 +2082,7 @@ mod tests {
     fn registration_mid_stream_forces_a_cold_rebuild_and_stays_consistent() {
         let mut engine = demo_engine(2, 6, ServeConfig::default());
         let events = demo_trace(&engine, 60, 30);
-        let columns = engine.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
         for epoch in 0..4 {
             let (lo, hi) = (epoch * 15, epoch * 15 + 15);
             engine.ingest(&columns.filter_day_range(lo, hi));
@@ -2021,7 +2119,7 @@ mod tests {
             };
             let mut engine = demo_engine(4, 7, config);
             let events = demo_trace(&engine, 60, 50);
-            let columns = engine.columns_from_events(&events);
+            let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
             let mut per_epoch = Vec::new();
             for epoch in 0..4u32 {
                 let (lo, hi) = (epoch * 15, epoch * 15 + 15);
@@ -2151,7 +2249,7 @@ mod tests {
         let mut ordered = demo_engine(2, 8, config.clone());
         let mut chaotic = demo_engine(2, 8, config);
         let events = demo_trace(&ordered, 60, 30);
-        let columns = ordered.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| ordered.object_id(n));
         let batches: Vec<EventColumns> = (0..4)
             .map(|i| columns.filter_day_range(i * 15, i * 15 + 15))
             .collect();
@@ -2213,7 +2311,7 @@ mod tests {
     fn faulted_shards_serve_the_incumbent_and_reconverge_after_backoff() {
         let mut engine = demo_engine(3, 8, ServeConfig::default());
         let events = demo_trace(&engine, 90, 60);
-        let columns = engine.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
 
         // Epoch 1: healthy cold start.
         engine.ingest(&columns.filter_day_range(0, 15));
@@ -2294,7 +2392,7 @@ mod tests {
         let config = ServeConfig::default();
         let mut live = demo_engine(3, 9, config);
         let events = demo_trace(&live, 90, 50);
-        let columns = live.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| live.object_id(n));
         let batches: Vec<EventColumns> = (0..6)
             .map(|i| columns.filter_day_range(i * 15, i * 15 + 15))
             .collect();

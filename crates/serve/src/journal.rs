@@ -7,12 +7,14 @@
 //! [`scope_wal::Journal`] over any [`Storage`] backend, and enforces the
 //! write-ahead discipline:
 //!
-//! * **Append before fold.** Every delivered batch — including
+//! * **Append before fold.** Every admitted delivery — including
 //!   duplicates, out-of-order arrivals and torn batches whose columns
-//!   disagree in length — is appended to the journal *before*
-//!   [`ServeEngine::ingest_sequenced`] sees it, in the one column-block
-//!   layout that carries each column at its own length. The journal is
-//!   therefore a verbatim log of the delivery stream, and replaying it
+//!   disagree in length, but not an early batch the full reorder buffer
+//!   refuses, which is never journaled — is appended to the journal
+//!   *before* [`ServeEngine::ingest_sequenced`] sees it, in the one
+//!   column-block layout that carries each column at its own length. The
+//!   journal is therefore a verbatim log of the admitted deliveries, and
+//!   replaying it
 //!   re-runs the exact call sequence: heat bits, the reorder buffer, the
 //!   quarantine ledger (a torn tail included) and even the
 //!   `duplicate_batches` counter evolve bit-identically.
@@ -124,15 +126,20 @@ impl<S: Storage> JournaledEngine<S> {
         &self.journal
     }
 
-    /// Write-ahead sequenced intake: append the delivery to the journal,
-    /// then fold it. An append or ingest error leaves the engine
-    /// poisoned from the caller's point of view — treat it as a crash
-    /// and run [`JournaledEngine::recover`].
+    /// Write-ahead sequenced intake: admit the delivery, append it to the
+    /// journal, then fold it. A delivery the engine refuses (an early
+    /// batch that finds the reorder buffer full,
+    /// [`ServeError::IntakeOverflow`]) is refused before the append: it
+    /// is not journaled, not counted in [`Self::deliveries`], and leaves
+    /// both the engine and the journal as they were. An append error
+    /// leaves the engine poisoned from the caller's point of view — treat
+    /// it as a crash and run [`JournaledEngine::recover`].
     pub fn ingest_sequenced(
         &mut self,
         seq: u64,
         columns: &EventColumns,
     ) -> Result<IngestReport, ServeError> {
+        self.engine.admit(seq)?;
         self.journal.append(seq, columns)?;
         self.engine.ingest_sequenced(seq, columns)
     }
@@ -588,6 +595,39 @@ mod tests {
             report.wal.quarantined_records
         );
         assert_eq!((report.resume_deliveries, report.replayed), (4, 4));
+        assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
+    }
+
+    #[test]
+    fn a_refused_delivery_is_not_journaled_and_recovery_still_succeeds() {
+        // Seq 1 never arrives: 2..=65 fill the reorder buffer, and 66 is
+        // refused live. Journaling it anyway made every later recovery
+        // replay the refusal as an error.
+        let mut j = journaled();
+        let mut twin = build_engine();
+        for seq in std::iter::once(0).chain(2..=65) {
+            j.ingest_sequenced(seq, &batch(seq, 3)).unwrap();
+            twin.ingest_sequenced(seq, &batch(seq, 3)).unwrap();
+        }
+        assert_eq!(
+            j.engine().pending_batches(),
+            ServeEngine::MAX_PENDING_BATCHES
+        );
+        let overflow = ServeError::IntakeOverflow {
+            expected_seq: 1,
+            got_seq: 66,
+        };
+        assert_eq!(j.ingest_sequenced(66, &batch(66, 3)), Err(overflow));
+        assert_eq!(j.deliveries(), 65, "a refused delivery is not counted");
+        assert_eq!(j.engine().checkpoint(), twin.checkpoint());
+        j.sync().unwrap();
+        let (mut j2, report) = recover_mem(j.crash());
+        assert_eq!((report.resume_deliveries, report.replayed), (65, 65));
+        assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
+        // The missing batch still drains the buffer after recovery.
+        j2.ingest_sequenced(1, &batch(1, 3)).unwrap();
+        twin.ingest_sequenced(1, &batch(1, 3)).unwrap();
+        assert_eq!(j2.engine().pending_batches(), 0);
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
     }
 

@@ -39,19 +39,21 @@
 //! classes of fault, each with an *exact* recovery contract (exercised by
 //! the `scope-faults` plans and the `tests/integration_chaos.rs` suite):
 //!
-//! * **Malformed intake.** [`ServeEngine::ingest`] validates every event:
-//!   out-of-horizon events are dropped (counted in `dropped_events`,
-//!   mirroring the billing engine), NaN and negative volumes are diverted
-//!   into the typed, bounded [`QuarantineLedger`] instead of poisoning
-//!   heat, and torn batches (parallel columns of unequal length) ingest
-//!   their common prefix with the lost tail counted. Decisions are made
-//!   strictly in event order — drop first, then quarantine, then
-//!   unknown-object skip — so a batch stream produces the identical
-//!   ledger however it is split. [`ServeEngine::ingest_sequenced`] adds
-//!   producer-assigned sequence numbers with a bounded reorder buffer:
-//!   duplicated and locally reordered deliveries fold exactly once, and
-//!   overflow is a typed [`ServeError::IntakeOverflow`], never silent
-//!   loss.
+//! * **Malformed intake.** [`ServeEngine::ingest`] validates every event
+//!   with [`scope_cloudsim::classify`], the billing replay's own rule:
+//!   out-of-horizon events are dropped (counted in `dropped_events`), NaN
+//!   and negative volumes are diverted into the typed, bounded
+//!   [`QuarantineLedger`] instead of poisoning heat, and torn batches
+//!   (parallel columns of unequal length) ingest their
+//!   [`usable_prefix`](scope_cloudsim::EventColumns::usable_prefix) with
+//!   the lost tail counted. Decisions are made strictly in event order —
+//!   drop first, then quarantine, then unknown-object skip — so a batch
+//!   stream produces the identical ledger however it is split.
+//!   [`ServeEngine::ingest_sequenced`] adds producer-assigned sequence
+//!   numbers with a bounded reorder buffer: duplicated and locally
+//!   reordered deliveries fold exactly once, and overflow is a typed
+//!   [`ServeError::IntakeOverflow`], never silent loss — a refused
+//!   delivery changes nothing, and the journaled engine does not log it.
 //! * **Compute faults.** [`ServeEngine::reoptimize_with_faults`] accepts
 //!   per-shard fault injections ([`ShardFault`]: solver failure or
 //!   deadline overrun). A faulted shard serves its stored incumbent

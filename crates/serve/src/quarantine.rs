@@ -2,7 +2,10 @@
 //!
 //! The validating intake ([`crate::ServeEngine::ingest`]) never folds a
 //! malformed event into heat: in-horizon events with NaN or negative
-//! volumes are diverted here instead, with enough context (global event
+//! volumes — what [`scope_cloudsim::classify`] calls
+//! [`EventClass::BadVolume`](scope_cloudsim::EventClass::BadVolume), the
+//! same call and the same [`QuarantineReason`] the billing replay refuses
+//! a trace by — are diverted here instead, with enough context (global event
 //! ordinal, day, object id, offending volume bits, reason) to audit or
 //! replay them later. The ledger is **bounded**: it keeps the first
 //! `capacity` records verbatim and afterwards only counts, so a
@@ -18,33 +21,7 @@
 //! fault schedules exactly (volumes are compared as stored `f64` bits, so
 //! NaN payloads round-trip).
 
-/// Why an event was quarantined instead of folded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantineReason {
-    /// The volume was NaN or infinite.
-    NonFiniteVolume,
-    /// The volume was negative.
-    NegativeVolume,
-}
-
-impl QuarantineReason {
-    /// Stable one-byte tag for checkpoint encoding.
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            QuarantineReason::NonFiniteVolume => 0,
-            QuarantineReason::NegativeVolume => 1,
-        }
-    }
-
-    /// Inverse of [`Self::tag`].
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(QuarantineReason::NonFiniteVolume),
-            1 => Some(QuarantineReason::NegativeVolume),
-            _ => None,
-        }
-    }
-}
+pub use scope_cloudsim::QuarantineReason;
 
 /// One quarantined event record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +33,8 @@ pub struct QuarantinedEvent {
     /// Day stamp of the offending event.
     pub day: u32,
     /// Interned object id the event named (possibly
-    /// [`scope_cloudsim::UNKNOWN_OBJECT`] — validation precedes
-    /// resolution, mirroring the billing engine's check order).
+    /// [`scope_cloudsim::UNKNOWN_OBJECT`]: `classify` judges the volume
+    /// before the id, for the billing replay too).
     pub object_id: u32,
     /// Raw bits of the offending volume (bits, not the value, so NaN
     /// payloads survive checkpoint round-trips and compare exactly).
@@ -184,16 +161,5 @@ mod tests {
         assert!(!ledger.is_clean());
         assert_eq!(ledger.entries()[1].ordinal, 1);
         assert!(ledger.entries()[0].volume_gb().is_nan());
-    }
-
-    #[test]
-    fn reason_tags_round_trip() {
-        for reason in [
-            QuarantineReason::NonFiniteVolume,
-            QuarantineReason::NegativeVolume,
-        ] {
-            assert_eq!(QuarantineReason::from_tag(reason.tag()), Some(reason));
-        }
-        assert_eq!(QuarantineReason::from_tag(9), None);
     }
 }

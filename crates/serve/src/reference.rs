@@ -16,14 +16,16 @@
 //! per folded event and one per object at a boundary. They are the
 //! oracle the table is pinned against, for every day gap up to
 //! `i32::MAX` — past it their exponent cast wraps negative, which the
-//! engine's fallback does not.
+//! engine's fallback does not. That is all they check: `ingest_reference`
+//! runs the engine's own intake loop with `powi` for the table, so the
+//! intake's validation — drop, quarantine, skip, torn prefix — has one
+//! independent oracle, `scope_faults::expected_intake`.
 
-use scope_cloudsim::{AccessKind, EventColumns};
+use scope_cloudsim::EventColumns;
 use scope_optassign::solve_greedy;
 
-use crate::engine::{AccountAssignment, IngestReport, ServeConfig, ServeEngine};
+use crate::engine::{AccountAssignment, IngestReport, ServeEngine};
 use crate::error::ServeError;
-use crate::quarantine::{QuarantineReason, QuarantinedEvent};
 
 /// Cold from-scratch solve of every account shard, in account order,
 /// over the engine's current state. The engine itself is untouched: no
@@ -47,72 +49,11 @@ pub fn total_objective(accounts: &[AccountAssignment]) -> f64 {
     accounts.iter().map(|a| a.assignment.objective).sum()
 }
 
-/// [`ServeEngine::ingest`] with the decay factor computed per event.
+/// [`ServeEngine::ingest`] with the decay factor computed per event: the
+/// engine's own intake loop, handed `powi` in place of its table.
 pub fn ingest_reference(engine: &mut ServeEngine, columns: &EventColumns) -> IngestReport {
-    let ServeConfig {
-        horizon_days,
-        decay_per_day,
-        ..
-    } = *engine.config();
-    let mut report = IngestReport::default();
-    let usable = columns
-        .days
-        .len()
-        .min(columns.object_ids.len())
-        .min(columns.kinds.len())
-        .min(columns.volumes.len());
-    let intended = columns
-        .days
-        .len()
-        .max(columns.object_ids.len())
-        .max(columns.kinds.len())
-        .max(columns.volumes.len());
-    if intended > usable {
-        let torn = (intended - usable) as u64;
-        report.truncated = torn;
-        engine.quarantine.record_truncated(torn);
-    }
-    for i in 0..usable {
-        let ordinal = engine.events_seen;
-        engine.events_seen += 1;
-        let day = columns.days[i];
-        if day >= horizon_days {
-            report.dropped += 1;
-            continue;
-        }
-        let volume = columns.volumes[i];
-        if !volume.is_finite() || volume < 0.0 {
-            engine.quarantine.record(QuarantinedEvent {
-                ordinal,
-                day,
-                object_id: columns.object_ids[i],
-                volume_bits: volume.to_bits(),
-                reason: if volume.is_finite() {
-                    QuarantineReason::NegativeVolume
-                } else {
-                    QuarantineReason::NonFiniteVolume
-                },
-            });
-            report.quarantined += 1;
-            continue;
-        }
-        let id = columns.object_ids[i] as usize;
-        if id >= engine.heat.len() {
-            report.unknown += 1;
-            continue;
-        }
-        let h = &mut engine.heat[id];
-        if day > h.last_day {
-            h.value *= decay_per_day.powi((day - h.last_day) as i32);
-            h.last_day = day;
-        }
-        if columns.kinds[i] == AccessKind::Read {
-            h.value += 1.0;
-        }
-        report.folded += 1;
-    }
-    engine.dropped_events += report.dropped;
-    report
+    let decay_per_day = engine.config().decay_per_day;
+    engine.fold(columns, |_, gap| decay_per_day.powi(gap as i32))
 }
 
 /// [`ServeEngine::advance`] with the decay factor computed per object:

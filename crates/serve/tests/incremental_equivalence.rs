@@ -5,7 +5,7 @@
 //! independent — down to the bytes of every epoch's checkpoint.
 
 use proptest::prelude::*;
-use scope_cloudsim::{BillingEvent, TierCatalog, TierId};
+use scope_cloudsim::{BillingEvent, EventColumns, TierCatalog, TierId};
 use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
 
 fn schemes() -> Vec<CompressionOption> {
@@ -90,7 +90,7 @@ proptest! {
         let mut engine = build_engine(accounts, per_account, ServeConfig::default());
         let days: u32 = epoch_lengths.iter().sum();
         let events = seeded_trace(&engine, days, events_per_day, seed);
-        let columns = engine.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
 
         let mut day = 0u32;
         for (epoch, &len) in epoch_lengths.iter().enumerate() {
@@ -157,7 +157,7 @@ proptest! {
         let mut others = [engine(threads), engine(2), engine(0)];
 
         let events = seeded_trace(&sequential, 45, events_per_day, seed);
-        let columns = sequential.columns_from_events(&events);
+        let columns = EventColumns::from_events(&events, |n| sequential.object_id(n));
         for epoch in 0..3u32 {
             let batch = columns.filter_day_range(epoch * 15, epoch * 15 + 15);
             sequential.ingest(&batch);

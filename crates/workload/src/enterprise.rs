@@ -182,9 +182,7 @@ impl EnterpriseWorkload {
                 AccessPattern::Periodic {
                     base: (volume / total_months as f64 * 0.3).max(0.1),
                     peak: volume * 0.3,
-                    period: *[6u32, 12]
-                        .get(rng.gen_range(0..2usize))
-                        .expect("two options"),
+                    period: if rng.gen_range(0..2usize) == 0 { 6 } else { 12 },
                 }
             } else {
                 AccessPattern::Spike {
