@@ -145,16 +145,23 @@ fn assign_lengths(freq: &[u64; 256], lengths: &mut [u8; 256]) {
             });
         }
     }
-    while heap.len() > 1 {
-        let a = heap.pop().expect("heap has >= 2 items");
-        let b = heap.pop().expect("heap has >= 2 items");
+    // Merge the two lightest nodes until one is left: the root. With no
+    // symbol present there is no tree and no length to assign.
+    let mut root = None;
+    while let Some(a) = heap.pop() {
+        let Some(b) = heap.pop() else {
+            root = Some(a.index);
+            break;
+        };
         arena.push((Some(a.index), Some(b.index), None));
         heap.push(Node {
             weight: a.weight + b.weight,
             index: arena.len() - 1,
         });
     }
-    let root = heap.pop().expect("non-empty symbol set").index;
+    let Some(root) = root else {
+        return;
+    };
     // Depth-first traversal assigning depths as code lengths.
     let mut stack = vec![(root, 0u8)];
     while let Some((node, depth)) = stack.pop() {

@@ -76,7 +76,7 @@
 //! # Durability and recovery
 //!
 //! [`JournaledEngine`] (see [`journal`]) closes the crash story end to
-//! end: every accepted batch is appended to a segmented, CRC-framed
+//! end: every accepted batch is appended to a segmented, checksum-framed
 //! write-ahead journal (`scope-wal`) *before* it mutates engine state,
 //! synced at epoch boundaries, and checkpoints are published atomically
 //! through the same storage with covered segments retired — a full

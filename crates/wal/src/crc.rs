@@ -1,7 +1,9 @@
 //! CRC-32 (IEEE 802.3 polynomial), implemented from scratch.
 //!
-//! The journal frames every record and checkpoint with this checksum so
-//! torn writes and bit flips are detected at read time. Table-driven
+//! No frame uses it: record frames, checkpoint frames and snapshots are
+//! all sealed with [`crate::xxh64`](fn@crate::xxh64). Its only caller is
+//! the end-to-end benchmark's `wal.crc_mb_s` throughput probe, and it goes
+//! once that probe times the record checksum instead. Table-driven
 //! (slicing-by-8), reflected form with the standard `0xEDB88320`
 //! polynomial — the same parameters as zlib's `crc32`, so the well-known
 //! check value `crc32(b"123456789") == 0xCBF4_3926` pins the

@@ -279,7 +279,7 @@ pub struct RecoveredJournal<S: Storage> {
     pub report: WalRecoveryReport,
 }
 
-/// A segmented, CRC-framed, append-only intake journal over `S`.
+/// A segmented, checksum-framed, append-only intake journal over `S`.
 #[derive(Debug)]
 pub struct Journal<S: Storage> {
     storage: S,
@@ -776,8 +776,9 @@ fn quarantine<S: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::encode_record;
+    use crate::record::{encode_epoch_record, encode_record};
     use crate::storage::MemStorage;
+    use proptest::prelude::*;
     use scope_cloudsim::AccessKind;
 
     fn batch(seq: u64, n: usize) -> EventColumns {
@@ -1497,5 +1498,77 @@ mod tests {
         assert!(rec.tail.is_empty());
         assert_eq!(rec.journal.appended(), 0);
         assert_eq!(rec.journal.active_segment(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One segment of arbitrary bytes: a run of batch frames, epoch
+        /// markers and arbitrary chunks, or arbitrary bytes alone, with
+        /// bytes overwritten and the tail cut at random. Recovery returns
+        /// `Ok` or a typed error, never panics; what it replays re-encodes
+        /// to a prefix of the segment, that prefix is what the segment
+        /// holds afterwards, and the report accounts for every other byte.
+        /// An undamaged run replays every batch before its first marker.
+        #[test]
+        fn recovery_of_an_arbitrary_segment_replays_a_prefix_of_its_bytes(
+            pieces in proptest::collection::vec(0u8..6, 0..6),
+            garbage in proptest::collection::vec(any::<u8>(), 0..40),
+            arbitrary_only in any::<bool>(),
+            pokes in proptest::collection::vec(any::<u64>(), 0..3),
+            keep in any::<u64>(),
+            cut in any::<bool>(),
+        ) {
+            let mut bytes = Vec::new();
+            let mut pristine = !cut && pokes.is_empty();
+            let mut replayable: Option<usize> = None;
+            if arbitrary_only {
+                bytes = garbage.clone();
+                pristine = false;
+            } else {
+                for (seq, &piece) in pieces.iter().enumerate() {
+                    let seq = seq as u64;
+                    match piece {
+                        0..=3 => bytes.extend(encode_record(seq, &batch(seq, piece.into()))),
+                        4 => {
+                            replayable.get_or_insert(bytes.len());
+                            bytes.extend(encode_epoch_record(seq, seq as u32));
+                        }
+                        _ => {
+                            pristine = false;
+                            bytes.extend_from_slice(&garbage);
+                        }
+                    }
+                }
+            }
+            for &poke in &pokes {
+                if !bytes.is_empty() {
+                    let at = (poke % bytes.len() as u64) as usize;
+                    bytes[at] ^= (poke >> 56) as u8 | 1;
+                }
+            }
+            if cut {
+                bytes.truncate((keep % (bytes.len() as u64 + 1)) as usize);
+            }
+            let mut storage = MemStorage::new();
+            storage.append(&segment_name(0), &bytes).unwrap();
+            storage.sync(&segment_name(0)).unwrap();
+            let Ok(rec) = Journal::recover(storage, JournalConfig::default(), |_| true) else {
+                return Ok(());
+            };
+            prop_assert!(rec.tail.iter().all(|r| r.batch().is_some()), "a marker was replayed");
+            let replayed: Vec<u8> = rec.tail.iter().flat_map(Record::encode).collect();
+            prop_assert!(bytes.starts_with(&replayed), "replayed frames are not a prefix");
+            let kept = rec.journal.storage().read(&segment_name(0)).unwrap();
+            prop_assert_eq!(&kept, &replayed);
+            let report = &rec.report;
+            let cut_away = report.torn_bytes + report.discarded_bytes + report.epoch_cut_bytes;
+            prop_assert_eq!(replayed.len() as u64 + cut_away, bytes.len() as u64);
+            prop_assert_eq!(report.replayed_records, rec.tail.len() as u64);
+            prop_assert_eq!(rec.journal.appended(), rec.tail.len() as u64);
+            if pristine {
+                prop_assert_eq!(replayed.len(), replayable.unwrap_or(bytes.len()));
+            }
+        }
     }
 }

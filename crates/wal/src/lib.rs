@@ -2,26 +2,33 @@
 //!
 //! PR 8–9 made the serving loop incremental and fault-tolerant in
 //! memory; this crate makes intake *durable*. Every `EventColumns` batch
-//! delivered to a journaled engine is appended here — CRC-framed, in
+//! delivered to a journaled engine is appended here — checksum-framed, in
 //! segments, through a minimal [`Storage`] abstraction — before it is
 //! allowed to mutate engine state, so a crash can lose at most the
 //! unacknowledged tail since the last sync, and recovery is replay.
 //!
 //! # Durability and recovery
 //!
-//! **Two checksums, one per job.** Record frames carry [`crc32`]
-//! (IEEE, slicing-by-8): they are small, written often, and a torn or
-//! bit-flipped sector is exactly the burst error a CRC is built to
-//! catch. Checkpoint frames — and the engine snapshot inside them, and
-//! its configuration fingerprint — carry [`xxh64()`], a four-lane bulk
-//! hash: a snapshot is megabytes long and is checksummed at every epoch
-//! boundary by both layers (the engine seals its own format, the journal
-//! seals the object it publishes), which stays affordable only because
-//! the digest runs at memory speed. Both are from scratch, safe Rust,
-//! and pinned to their published test vectors.
+//! **One checksum.** Record frames, checkpoint frames, the engine
+//! snapshot inside them and its configuration fingerprint all carry
+//! [`xxh64()`], a four-lane bulk hash from scratch in safe Rust, pinned
+//! to its published test vectors. A batch record is hundreds of
+//! kilobytes and a snapshot megabytes, and both are hashed on the
+//! serving path, so the digest has to run at memory speed. A record
+//! frame keeps the low 32 bits in its `u32` header field; a checkpoint
+//! frame keeps all 64. The failure model: a torn tail is caught by the
+//! frame's length and overrun checks before the checksum is read, and a
+//! random corruption passes with probability 2⁻³² — what CRC-32 gives for
+//! any burst longer than 32 bits. Given up: CRC-32's certain detection of
+//! bursts of 32 bits or fewer, which the low 32 bits of XXH64 catch with
+//! probability 1 − 2⁻³². Record frames carry no version, so a journal
+//! whose records an older build sealed with CRC-32 restores its
+//! checkpoint, quarantines its first tail frame as
+//! [`CorruptKind::Checksum`] and re-delivers from the reported resume
+//! point (see [`record`]).
 //!
 //! **Record framing.** Each delivery is one self-checking frame —
-//! `len | crc32 | kind | seq | payload` — with the batch encoded
+//! `len | checksum | kind | seq | payload` — with the batch encoded
 //! column-wise, little-endian (see [`record`]). The same encoding is the
 //! wire format for fleet-scale intake: a batch serialized for the
 //! journal is byte-identical to one serialized for the network. A second

@@ -6,8 +6,9 @@
 //! Every journal record is one self-checking frame:
 //!
 //! ```text
-//! len: u32 LE      bytes after the 8-byte (len, crc) header
-//! crc: u32 LE      CRC-32 of everything after the header
+//! len: u32 LE      bytes after the 8-byte (len, checksum) header
+//! checksum: u32 LE low 32 bits of the XXH64 (seed 0) of everything
+//!                  after the header
 //! kind: u8         RECORD_BATCH = 1 | RECORD_EPOCH = 2
 //! seq: u64 LE      intake sequence number of the delivery
 //! payload          kind-specific body
@@ -26,6 +27,33 @@
 //! the failure: not enough bytes for a header, an implausible length, a
 //! checksum mismatch, an unknown kind, or an undecodable payload — each
 //! a distinct [`CorruptKind`].
+//!
+//! # Failure model of the frame checksum
+//!
+//! Record frames, checkpoint frames, snapshots and the static digest all
+//! use the one checksum, [`crate::xxh64`](fn@crate::xxh64). A record
+//! frame keeps only its low 32 bits, so the header stays 8 bytes and a
+//! frame costs what it did when it carried a CRC-32.
+//!
+//! - **Torn tails never reach the checksum.** A write cut short leaves a
+//!   frame whose declared length runs past the end of the segment; the
+//!   length and overrun checks report it as [`FrameOutcome::Overrun`]
+//!   before the checksum is read.
+//! - **A random corruption passes with probability 2⁻³².** That is what
+//!   CRC-32 gives for any burst longer than 32 bits, which covers torn
+//!   sectors and garbage.
+//! - **What is given up:** CRC-32 detects every burst of 32 bits or fewer
+//!   for certain; the low 32 bits of XXH64 detect such a burst with
+//!   probability 1 − 2⁻³². Every single-bit flip of the frames this
+//!   module's tests sweep is still refused.
+//!
+//! Record frames carry no version field. A journal written by a build
+//! that sealed records with CRC-32 recovers like any journal with a bad
+//! tail: its `WCKP` checkpoints are unchanged and restore, the first
+//! CRC-sealed frame past the checkpoint is quarantined as
+//! [`CorruptKind::Checksum`], and the producer re-delivers from the
+//! resume point the recovery report gives. No decoder accepts both
+//! checksums.
 //!
 //! # Batch payload (the wire format)
 //!
@@ -68,14 +96,12 @@
 //! without understanding either state: there is no chain of deltas, only
 //! a star around whichever full frames survive.
 //!
-//! Snapshots are megabytes long, so the trailer is the bulk checksum
-//! ([`crate::xxh64`](fn@crate::xxh64)) rather than the record frames' CRC-32. Version 1
-//! (a `u32` CRC-32 trailer) and version 2 (no kind, no digest: every
-//! frame was a full one) are rejected as unsupported versions; any layout
-//! change bumps the version again, and golden fixtures in this module's
-//! tests make that a deliberate act.
+//! The trailer is the full 64-bit XXH64, the checksum the record frames
+//! keep 32 bits of. Version 1 (a `u32` CRC-32 trailer) and version 2 (no
+//! kind, no digest: every frame was a full one) are rejected as
+//! unsupported versions; any layout change bumps the version again, and
+//! golden fixtures in this module's tests make that a deliberate act.
 
-use crate::crc::crc32;
 use crate::error::{CorruptKind, WalError};
 use crate::xxh64::xxh64;
 use scope_cloudsim::EventColumns;
@@ -86,7 +112,7 @@ pub const RECORD_BATCH: u8 = 1;
 /// Record kind: an epoch-boundary marker (see the module docs).
 pub const RECORD_EPOCH: u8 = 2;
 
-/// Frame header size: `len` + `crc`.
+/// Frame header size: `len` + `checksum`.
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Body bytes before the payload: `kind` + `seq`.
@@ -131,7 +157,18 @@ impl Record {
     }
 }
 
-/// Start a frame in `out`, replacing what it held: a zeroed `(len, crc)`
+#[cfg(test)]
+impl Record {
+    /// The frame this record decodes from.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        match &self.payload {
+            RecordPayload::Batch(columns) => encode_record(self.seq, columns),
+            RecordPayload::Epoch { day } => encode_epoch_record(self.seq, *day),
+        }
+    }
+}
+
+/// Start a frame in `out`, replacing what it held: a zeroed `(len, checksum)`
 /// header, then `kind` and `seq`. The payload is appended after this and
 /// [`seal_frame`] fills the header in.
 fn begin_frame(out: &mut Vec<u8>, kind: u8, seq: u64) {
@@ -141,16 +178,23 @@ fn begin_frame(out: &mut Vec<u8>, kind: u8, seq: u64) {
     out.extend_from_slice(&seq.to_le_bytes());
 }
 
-/// Write the length and the CRC of the body into a begun frame's header.
+/// A record frame's checksum: the low 32 bits of the body's XXH64 (see
+/// the module docs for what the truncation gives up).
+fn frame_checksum(body: &[u8]) -> u32 {
+    xxh64(body) as u32
+}
+
+/// Write the length and the checksum of the body into a begun frame's
+/// header.
 fn seal_frame(frame: &mut [u8]) {
     let body_len = (frame.len() - FRAME_HEADER_LEN) as u32;
     frame[0..4].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    let checksum = frame_checksum(&frame[FRAME_HEADER_LEN..]);
+    frame[4..8].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Frame a batch delivery into `out`, replacing what it held: header,
-/// columns and CRC all land in that one buffer, which a caller that
+/// columns and checksum all land in that one buffer, which a caller that
 /// frames many batches keeps and reuses.
 pub(crate) fn encode_record_into(out: &mut Vec<u8>, seq: u64, columns: &EventColumns) {
     begin_frame(out, RECORD_BATCH, seq);
@@ -223,9 +267,9 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
             kind: CorruptKind::Length,
         };
     }
-    let crc = read_u32(bytes, offset + 4);
+    let checksum = read_u32(bytes, offset + 4);
     let body = &bytes[offset + FRAME_HEADER_LEN..offset + FRAME_HEADER_LEN + body_len];
-    if crc32(body) != crc {
+    if frame_checksum(body) != checksum {
         return FrameOutcome::Invalid {
             kind: CorruptKind::Checksum,
         };
@@ -446,6 +490,8 @@ fn read_u64(bytes: &[u8], o: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{segment_name, Journal, JournalConfig};
+    use crate::storage::{MemStorage, Storage};
     use proptest::prelude::*;
     use scope_cloudsim::AccessKind;
 
@@ -536,9 +582,9 @@ mod tests {
     }
 
     /// A record frame spelled out field by field around `payload`.
-    fn golden_frame(len: u8, crc: [u8; 4], kind: u8, seq: u8, payload: &[&[u8]]) -> Vec<u8> {
+    fn golden_frame(len: u8, checksum: [u8; 4], kind: u8, seq: u8, payload: &[&[u8]]) -> Vec<u8> {
         let mut golden = vec![len, 0, 0, 0];
-        golden.extend_from_slice(&crc);
+        golden.extend_from_slice(&checksum);
         golden.push(kind);
         golden.extend_from_slice(&[seq, 0, 0, 0, 0, 0, 0, 0]);
         for field in payload {
@@ -547,17 +593,15 @@ mod tests {
         golden
     }
 
-    /// The record layout, pinned: a clean batch frame, a torn one and an
-    /// epoch frame, byte for byte. The CRCs are zlib's `crc32` of each
-    /// body. A layout change must replace these bytes on purpose.
-    #[test]
-    fn the_record_layout_is_pinned_by_golden_frames() {
+    /// The three golden frames — a clean batch, the torn batch and an
+    /// epoch marker — with `checksums` in their headers.
+    fn golden_frames(checksums: [[u8; 4]; 3]) -> [Vec<u8>; 3] {
         let days_and_ids: [&[u8]; 2] = [&[3, 0, 0, 0, 4, 0, 0, 0], &[1, 0, 0, 0, 2, 0, 0, 0]];
         let half = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
         let one = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
         let clean = golden_frame(
             59,
-            [0xA8, 0xA5, 0x11, 0x43],
+            checksums[0],
             RECORD_BATCH,
             7,
             &[
@@ -571,7 +615,7 @@ mod tests {
         );
         let torn = golden_frame(
             50,
-            [0x8E, 0xF0, 0x10, 0x2D],
+            checksums[1],
             RECORD_BATCH,
             7,
             &[
@@ -582,13 +626,32 @@ mod tests {
                 &half,
             ],
         );
-        let epoch = golden_frame(
-            13,
-            [0x83, 0xCB, 0x04, 0x38],
-            RECORD_EPOCH,
-            5,
-            &[&[42, 0, 0, 0]],
-        );
+        let epoch = golden_frame(13, checksums[2], RECORD_EPOCH, 5, &[&[42, 0, 0, 0]]);
+        [clean, torn, epoch]
+    }
+
+    /// The low 32 bits of each golden body's XXH64, little-endian — what
+    /// this build seals.
+    const XXH64_SEALED: [[u8; 4]; 3] = [
+        [0xC4, 0x0B, 0xF8, 0x56],
+        [0xE1, 0x26, 0x5F, 0x08],
+        [0x82, 0xE2, 0xA9, 0xA6],
+    ];
+
+    /// zlib's `crc32` of each golden body, little-endian — what builds
+    /// before the one-checksum change sealed.
+    const CRC_SEALED: [[u8; 4]; 3] = [
+        [0xA8, 0xA5, 0x11, 0x43],
+        [0x8E, 0xF0, 0x10, 0x2D],
+        [0x83, 0xCB, 0x04, 0x38],
+    ];
+
+    /// The record layout, pinned: a clean batch frame, a torn one and an
+    /// epoch frame, byte for byte. A layout or checksum change must
+    /// replace these bytes on purpose.
+    #[test]
+    fn the_record_layout_is_pinned_by_golden_frames() {
+        let [clean, torn, epoch] = golden_frames(XXH64_SEALED);
         assert_eq!((clean.len(), torn.len(), epoch.len()), (67, 58, 21));
 
         for (golden, columns) in [(&clean, golden_batch(false)), (&torn, golden_batch(true))] {
@@ -604,6 +667,88 @@ mod tests {
             panic!("golden epoch frame invalid");
         };
         assert_eq!(record.payload, RecordPayload::Epoch { day: 42 });
+
+        // The same frames as a CRC-32 build sealed them: refused by the
+        // checksum, not misread.
+        for crc_sealed in golden_frames(CRC_SEALED) {
+            assert_eq!(
+                decode_frame(&crc_sealed, 0),
+                FrameOutcome::Invalid {
+                    kind: CorruptKind::Checksum
+                }
+            );
+        }
+    }
+
+    /// A whole segment, pinned: the journal writes the golden frames back
+    /// to back, and recovery replays the two batches and cuts the marker.
+    #[test]
+    fn a_golden_segment_is_the_golden_frames_back_to_back() {
+        let mut journal = Journal::create(MemStorage::new(), JournalConfig::default()).unwrap();
+        journal.append(7, &golden_batch(false)).unwrap();
+        journal.append(7, &golden_batch(true)).unwrap();
+        journal.append_epoch(5, 42).unwrap();
+        journal.sync().unwrap();
+        let storage = journal.into_storage();
+        let segment = segment_name(0);
+        assert_eq!(storage.list().unwrap(), vec![segment.clone()]);
+        let [clean, torn, epoch] = golden_frames(XXH64_SEALED);
+        let marker_bytes = epoch.len() as u64;
+        assert_eq!(
+            storage.read(&segment).unwrap(),
+            [clean, torn, epoch].concat()
+        );
+
+        let rec = Journal::recover(storage, JournalConfig::default(), |_| true).unwrap();
+        let replayed: Vec<(u64, Option<&EventColumns>)> =
+            rec.tail.iter().map(|r| (r.seq, r.batch())).collect();
+        assert_eq!(
+            replayed,
+            vec![
+                (7, Some(&golden_batch(false))),
+                (7, Some(&golden_batch(true)))
+            ]
+        );
+        assert_eq!(rec.report.epoch_cut_bytes, marker_bytes);
+        assert_eq!((rec.report.torn_bytes, rec.report.discarded_bytes), (0, 0));
+        assert!(rec.report.quarantined_records.is_empty());
+    }
+
+    /// A journal a CRC-32 build wrote: a checkpoint, then CRC-sealed
+    /// frames past it. The checkpoint restores, the first tail frame is
+    /// quarantined as a checksum failure, and the resume point is the
+    /// checkpoint's delivery count.
+    #[test]
+    fn a_crc_sealed_tail_is_quarantined_behind_a_restored_checkpoint() {
+        let mut journal = Journal::create(MemStorage::new(), JournalConfig::default()).unwrap();
+        journal.append(7, &golden_batch(false)).unwrap();
+        journal.publish_checkpoint(b"engine snapshot", 9).unwrap();
+        let segment = segment_name(journal.active_segment());
+        let mut storage = journal.into_storage();
+        let crc_sealed = golden_frames(CRC_SEALED).concat();
+        storage.append(&segment, &crc_sealed).unwrap();
+        storage.sync(&segment).unwrap();
+
+        let rec = Journal::recover(storage, JournalConfig::default(), |_| true).unwrap();
+        assert_eq!(rec.state.as_deref(), Some(&b"engine snapshot"[..]));
+        assert_eq!(rec.marker, 9);
+        assert!(rec.tail.is_empty());
+        assert_eq!(rec.journal.appended(), 1);
+        let quarantined: Vec<&WalError> = rec
+            .report
+            .quarantined_records
+            .iter()
+            .map(|q| &q.error)
+            .collect();
+        assert_eq!(
+            quarantined,
+            vec![&WalError::Corrupt {
+                object: segment,
+                offset: 0,
+                kind: CorruptKind::Checksum,
+            }]
+        );
+        assert_eq!(rec.report.discarded_bytes, crc_sealed.len() as u64);
     }
 
     /// What `decode` handed out, in bytes of capacity.
@@ -631,8 +776,81 @@ mod tests {
         Ok(Some(cols))
     }
 
+    /// `decode_frame`'s contract at one offset: it returns (a panic fails
+    /// the case), a valid frame re-encodes to exactly the bytes it spans,
+    /// and every strict prefix of a valid frame is an overrun — a torn
+    /// write, never interior corruption.
+    fn frame_contract(bytes: &[u8], offset: usize) -> Result<Option<Record>, String> {
+        let FrameOutcome::Valid { record, next } = decode_frame(bytes, offset) else {
+            return Ok(None);
+        };
+        prop_assert_eq!(record.encode(), bytes[offset..next].to_vec());
+        for cut in offset..next {
+            let outcome = decode_frame(&bytes[..cut], offset);
+            prop_assert!(
+                matches!(outcome, FrameOutcome::Overrun { .. }),
+                "prefix {offset}..{cut} of a valid frame decoded as {outcome:?}"
+            );
+        }
+        Ok(Some(record))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes around, about two times in three, a real frame
+        /// (a ragged batch of arbitrary columns or an epoch marker), with
+        /// one arbitrary byte overwritten half the time: the contract
+        /// holds at every offset, and the undamaged frame decodes to what
+        /// was framed.
+        #[test]
+        fn decode_frame_keeps_its_contract_at_every_offset_of_arbitrary_bytes(
+            prefix in proptest::collection::vec(any::<u8>(), 0..24),
+            suffix in proptest::collection::vec(any::<u8>(), 0..24),
+            frame_kind in 0u8..3,
+            seq in any::<u64>(),
+            day in any::<u32>(),
+            days in proptest::collection::vec(any::<u32>(), 0..4),
+            object_ids in proptest::collection::vec(any::<u32>(), 0..4),
+            reads in proptest::collection::vec(any::<bool>(), 0..4),
+            volume_bits in proptest::collection::vec(any::<u64>(), 0..4),
+            damaged in any::<bool>(),
+            poke_at in any::<u64>(),
+            poke in any::<u8>(),
+        ) {
+            let record = match frame_kind {
+                0 => None,
+                1 => Some(Record {
+                    seq,
+                    payload: RecordPayload::Batch(EventColumns {
+                        days,
+                        object_ids,
+                        kinds: reads
+                            .iter()
+                            .map(|&read| if read { AccessKind::Read } else { AccessKind::Write })
+                            .collect(),
+                        volumes: volume_bits.into_iter().map(f64::from_bits).collect(),
+                    }),
+                }),
+                _ => Some(Record { seq, payload: RecordPayload::Epoch { day } }),
+            };
+            let mut bytes = prefix.clone();
+            let framed = record.as_ref().map_or_else(Vec::new, Record::encode);
+            bytes.extend_from_slice(&framed);
+            bytes.extend_from_slice(&suffix);
+            if damaged && !bytes.is_empty() {
+                let at = (poke_at % bytes.len() as u64) as usize;
+                bytes[at] = poke;
+            }
+            for offset in 0..=bytes.len() {
+                frame_contract(&bytes, offset)?;
+            }
+            if record.is_some() && !damaged {
+                let decoded = frame_contract(&bytes, prefix.len())?;
+                prop_assert!(decoded.is_some(), "an undamaged frame did not decode");
+                prop_assert_eq!(decoded.map(|r| r.encode()), Some(framed));
+            }
+        }
 
         /// Uniformly arbitrary bytes: almost always refused by length.
         #[test]
@@ -726,10 +944,12 @@ mod tests {
                 bad[byte] ^= 1 << bit;
                 match decode_frame(&bad, 0) {
                     FrameOutcome::Valid { record, .. } => {
-                        // A flip in the volume columns may still checksum
-                        // only if... it cannot: CRC covers the body and the
-                        // length field is validated by span. Nothing may
-                        // decode as valid.
+                        // A flip in the length field is caught by span, a
+                        // flip in the checksum field or the body by the
+                        // checksum: XXH64 avalanches, so a single flip
+                        // passes its low 32 bits with probability 2⁻³²,
+                        // and none of these does. Nothing may decode as
+                        // valid.
                         panic!("flip at byte {byte} bit {bit} decoded as {record:?}");
                     }
                     FrameOutcome::Overrun { .. } | FrameOutcome::Invalid { .. } => {}

@@ -1,14 +1,16 @@
 //! XXH64 (seed 0), implemented from scratch in safe Rust.
 //!
-//! The bulk checksum of the workspace: engine snapshots (`SCPK`), the
-//! configuration fingerprint inside them and the journal's checkpoint
-//! frames (`WCKP`) all carry this digest. It exists because a snapshot is
-//! megabytes long and is checksummed at every epoch boundary: XXH64 folds
-//! a 32-byte stripe into four independent multiply–rotate lanes, so the
-//! CPU overlaps four dependency chains and the digest runs at memory
-//! speed, where a byte-serial hash pays one multiply latency per byte.
-//! Journal *record* frames keep [`crate::crc32`] — they are small, and a
-//! CRC's burst-error guarantees are the classic fit for a torn write.
+//! The one checksum of the workspace: engine snapshots (`SCPK`), the
+//! configuration fingerprint inside them, the journal's checkpoint
+//! frames (`WCKP`) and its record frames (the low 32 bits) all carry this
+//! digest. Every one of them is hashed on the serving path — a snapshot
+//! is megabytes long and is checksummed at every epoch boundary, a batch
+//! record is hundreds of kilobytes and is sealed at every delivery — so
+//! the digest must run at memory speed: XXH64 folds a 32-byte stripe into
+//! four independent multiply–rotate lanes, so the CPU overlaps four
+//! dependency chains, where a byte-serial hash or a table-driven CRC pays
+//! a dependent step per byte or per word. What truncating it to 32 bits
+//! gives up against a CRC is written down in [`crate::record`].
 //!
 //! The algorithm and its constants are Yann Collet's published XXH64;
 //! the tests pin the published vectors, so these bytes are readable by

@@ -248,7 +248,7 @@ proptest! {
     }
 
     /// A single bit flip anywhere in any durable object — segment
-    /// interiors included — is detected by the frame CRC (or the
+    /// interiors included — is detected by the frame checksum (or the
     /// checkpoint's self-check), quarantined with a typed error, and
     /// recover + re-delivery still matches the clean twin byte-for-byte.
     #[test]
@@ -275,7 +275,7 @@ proptest! {
     }
 
     /// Duplicating an arbitrary-length tail of any durable object never
-    /// panics. Almost always the duplicate bytes fail the frame CRC and
+    /// panics. Almost always the duplicate bytes fail the frame checksum and
     /// are truncated or quarantined; if the duplicated span happens to be
     /// exactly one whole frame it replays as a *valid duplicate
     /// delivery*, which the sequenced intake drops — so heat, quarantine
