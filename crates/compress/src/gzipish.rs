@@ -105,9 +105,7 @@ impl Codec for GzipishCodec {
         // declare an absurd token count, but a real stream only carries
         // ~1 bit per token at minimum, so growth past the cap is organic.
         let mut token_bytes = Vec::with_capacity(token_len.min(1 << 20));
-        for _ in 0..token_len {
-            token_bytes.push(decoder.decode(&mut reader)?);
-        }
+        decoder.decode_into(&mut reader, token_len, &mut token_bytes)?;
         let out = self.inner.decompress(&token_bytes)?;
         if out.len() != original_len {
             return Err(CompressError::LengthMismatch {

@@ -1,12 +1,34 @@
 //! Canonical Huffman coding over byte symbols, with a bit-level writer and
 //! reader. Used by [`crate::gzipish`] as the entropy-coding stage on top of
 //! the LZ77 token stream.
+//!
+//! # Decoding
+//!
+//! [`HuffmanDecoder::decode_into`], the gzipish token loop, resolves most
+//! symbols with one lookup: a primary table indexed by the next
+//! `TABLE_BITS` (10) bits of the stream holds, for every code of at most
+//! that many bits, the symbol and its length in each slot the code
+//! prefixes. While 8 bytes remain it loads 64 bits at a time and takes up
+//! to five hits from each load. A miss (a code longer than the table, or
+//! bits no code starts with) and the stream's last bytes go one symbol at
+//! a time through [`HuffmanDecoder::decode`], the canonical per-length
+//! loop, which reads one bit per step and is the only code that reports
+//! an error. A prefix code has at most one code that prefixes any bit
+//! string, so a hit consumes exactly the bits the loop would have matched,
+//! and every `Ok` and every error (`Truncated` at the first missing bit,
+//! `InvalidSymbol` after 15 unmatched bits) is the loop's own. No stream
+//! byte depends on the table; the binary-search decoder in
+//! [`crate::reference`] stays the oracle.
 
 use crate::error::CompressError;
 
 /// Maximum code length permitted (enough for 256 symbols with any
 /// distribution after length limiting).
 const MAX_CODE_LEN: usize = 15;
+
+/// Bits indexing the decoder's primary table: codes up to this length
+/// decode with one lookup, longer ones through the canonical loop.
+const TABLE_BITS: u32 = 10;
 
 /// A canonical Huffman code book for byte symbols 0..=255.
 #[derive(Debug, Clone)]
@@ -94,7 +116,16 @@ impl HuffmanCode {
         let mut first_code = [0u32; MAX_CODE_LEN + 1];
         let mut first_index = [0u32; MAX_CODE_LEN + 1];
         let mut symbols = Vec::with_capacity(entries.len());
+        // Every code of at most `TABLE_BITS` bits fills the slots it
+        // prefixes: its bits left-aligned, any suffix after them.
+        let mut table = [0u16; 1 << TABLE_BITS];
         for (i, &(len, code, sym)) in entries.iter().enumerate() {
+            if u32::from(len) <= TABLE_BITS {
+                let shift = TABLE_BITS - u32::from(len);
+                let first = (code as usize) << shift;
+                let entry = (u16::from(sym) << 8) | u16::from(len);
+                table[first..first + (1 << shift)].fill(entry);
+            }
             let len = len as usize;
             if count[len] == 0 {
                 first_code[len] = code as u32;
@@ -104,6 +135,7 @@ impl HuffmanCode {
             symbols.push(sym);
         }
         HuffmanDecoder {
+            table,
             count,
             first_code,
             first_index,
@@ -224,9 +256,16 @@ fn canonical_codes(lengths: &[u8; 256]) -> [u16; 256] {
     codes
 }
 
-/// Decoder built from a canonical code book.
+/// Decoder built from a canonical code book: a primary lookup table for
+/// codes of up to `TABLE_BITS` (10) bits, over the canonical per-length
+/// ranges (the classic count/first-code/first-index layout) that decode
+/// everything else and report every error (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
+    /// Indexed by the next `TABLE_BITS` bits: `symbol << 8 | length` of the
+    /// code those bits start with, or 0 when no code of at most
+    /// `TABLE_BITS` bits does.
+    table: [u16; 1 << TABLE_BITS],
     /// Number of codes of each length.
     count: [u32; MAX_CODE_LEN + 1],
     /// Smallest code value of each length.
@@ -238,11 +277,12 @@ pub struct HuffmanDecoder {
 }
 
 impl HuffmanDecoder {
-    /// Decode one symbol from the bit reader. Consumes exactly the bits of
-    /// one code; errors with `Truncated` at the first missing bit and with
-    /// `InvalidSymbol` after `MAX_CODE_LEN` unmatched bits (identical
-    /// positions to the preserved binary-search decoder in
-    /// [`crate::reference`]).
+    /// Decode one symbol from the bit reader with the canonical per-length
+    /// loop: one bit per step, each length's codes one contiguous range.
+    /// Consumes exactly the bits of one code; errors with `Truncated` at
+    /// the first missing bit and with `InvalidSymbol` after `MAX_CODE_LEN`
+    /// unmatched bits (identical positions to the preserved binary-search
+    /// decoder in [`crate::reference`]).
     pub fn decode(&self, reader: &mut BitReader) -> Result<u8, CompressError> {
         let mut code = 0u32;
         for len in 1..=MAX_CODE_LEN {
@@ -255,6 +295,44 @@ impl HuffmanDecoder {
             }
         }
         Err(CompressError::InvalidSymbol)
+    }
+
+    /// Decode `count` symbols onto `out`: the same symbols, and the same
+    /// first error, as `count` calls to [`HuffmanDecoder::decode`]. While
+    /// 8 bytes remain, one 64-bit load serves up to five table hits (at
+    /// most 50 of its 57 or more bits); a miss, and the stream's last
+    /// bytes, take one symbol through `decode`.
+    pub fn decode_into(
+        &self,
+        reader: &mut BitReader,
+        count: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
+        let mut left = count;
+        while left > 0 {
+            let mut hits = 0;
+            if let Some(mut word) = reader.peek64() {
+                let mut used = 0;
+                while hits < left.min(5) {
+                    let entry = self.table[(word >> (64 - TABLE_BITS)) as usize];
+                    if entry == 0 {
+                        break;
+                    }
+                    let len = u32::from(entry & 0xFF);
+                    out.push((entry >> 8) as u8);
+                    word <<= len;
+                    used += len;
+                    hits += 1;
+                }
+                reader.consume(used);
+                left -= hits;
+            }
+            if hits == 0 {
+                out.push(self.decode(reader)?);
+                left -= 1;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -322,6 +400,23 @@ impl<'a> BitReader<'a> {
             byte_pos: 0,
             bit_pos: 0,
         }
+    }
+
+    /// The next bits, MSB first, left-aligned in a `u64` whose low
+    /// `bit_pos` bits are zero: at least 57 of them are the stream's.
+    /// `None` when fewer than 8 bytes remain at the cursor.
+    #[inline]
+    pub(crate) fn peek64(&self) -> Option<u64> {
+        let word = self.bytes.get(self.byte_pos..self.byte_pos + 8)?;
+        Some(u64::from_be_bytes(word.try_into().ok()?) << self.bit_pos)
+    }
+
+    /// Skip `count` bits that `peek64` showed to be present.
+    #[inline]
+    pub(crate) fn consume(&mut self, count: u32) {
+        let pos = u32::from(self.bit_pos) + count;
+        self.byte_pos += (pos >> 3) as usize;
+        self.bit_pos = (pos & 7) as u8;
     }
 
     /// Read `count` bits (MSB first) as the low bits of the returned value.
@@ -442,6 +537,108 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for _ in 0..17 {
             assert_eq!(decoder.decode(&mut r).unwrap(), 42);
+        }
+    }
+
+    /// A Kraft-complete code of lengths 1..=15 plus a second 15, an
+    /// incomplete one (lengths 2, 3, 10 and 12: most bit strings start no
+    /// code), and 256 codes of 9 and 10 bits (six of them fill a 64-bit
+    /// load at every bit offset): codes on both sides of the decoder's
+    /// table width.
+    fn edge_code_books() -> [HuffmanCode; 3] {
+        let mut complete = [0u8; 256];
+        for (len, slot) in (1..=15).zip(&mut complete[..15]) {
+            *slot = len;
+        }
+        complete[15] = 15;
+        let mut sparse = [0u8; 256];
+        sparse[7] = 2;
+        sparse[9] = 3;
+        sparse[100] = 10;
+        sparse[200] = 12;
+        let wide: [u8; 256] = std::array::from_fn(|s| 9 + (s % 2) as u8);
+        [complete, sparse, wide].map(|lengths| HuffmanCode::from_lengths(&lengths).unwrap())
+    }
+
+    #[test]
+    fn table_hits_consume_what_the_canonical_loop_would() {
+        // Every 16-bit window, entered at every bit offset with a full
+        // 64-bit load behind it (so the table path runs), decodes to the
+        // same result and cursor through one symbol of `decode_into` and
+        // through `decode`.
+        for decoder in edge_code_books().map(|code| code.decoder()) {
+            for window in 0..=u16::MAX {
+                let [hi, lo] = window.to_be_bytes();
+                let bytes = [hi, lo, 0xA5, 0x5A, 0x3C, 0xC3, 0x96, 0x69, 0xF0];
+                for skip in 0..8 {
+                    let mut fast = BitReader::new(&bytes);
+                    let mut slow = BitReader::new(&bytes);
+                    fast.read_bits(skip).unwrap();
+                    slow.read_bits(skip).unwrap();
+                    let mut out = Vec::new();
+                    assert_eq!(
+                        decoder.decode_into(&mut fast, 1, &mut out).map(|()| out[0]),
+                        decoder.decode(&mut slow),
+                        "window {window:#06x}, {skip} bits in"
+                    );
+                    assert_eq!((fast.byte_pos, fast.bit_pos), (slow.byte_pos, slow.bit_pos));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_is_count_calls_to_decode() {
+        // Under each edge code book: noise streams of 0..48 bytes decoded
+        // for every symbol count up to past their end, and the codes of
+        // 6 000 random symbols (runs of table hits that fill whole 8-byte
+        // loads at every bit offset), cut short or not, decoded for that
+        // many symbols and one more. Both give the same symbols, the same
+        // first error and the same cursor as `decode` called `count` times.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let check = |decoder: &HuffmanDecoder, bytes: &[u8], count: usize| {
+            let mut fast = BitReader::new(bytes);
+            let mut fast_out = Vec::new();
+            let fast_result = decoder.decode_into(&mut fast, count, &mut fast_out);
+            let mut slow = BitReader::new(bytes);
+            let mut slow_out = Vec::new();
+            let slow_result =
+                (0..count).try_for_each(|_| decoder.decode(&mut slow).map(|s| slow_out.push(s)));
+            assert_eq!(
+                fast_result,
+                slow_result,
+                "{} bytes, {count} symbols",
+                bytes.len()
+            );
+            assert_eq!(fast_out, slow_out);
+            assert_eq!((fast.byte_pos, fast.bit_pos), (slow.byte_pos, slow.bit_pos));
+        };
+        for code in edge_code_books() {
+            let decoder = code.decoder();
+            for len in 0..48 {
+                let noise: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                for count in 0..=len * 8 + 2 {
+                    check(&decoder, &noise, count);
+                }
+            }
+            let present: Vec<u8> = (0..=255u8)
+                .filter(|&s| code.lengths()[s as usize] > 0)
+                .collect();
+            let mut writer = BitWriter::new();
+            for _ in 0..6000 {
+                code.encode(&mut writer, present[next() as usize % present.len()]);
+            }
+            let coded = writer.finish();
+            for cut in [coded.len(), coded.len() - 1, coded.len() / 2] {
+                check(&decoder, &coded[..cut], 6000);
+                check(&decoder, &coded[..cut], 6001);
+            }
         }
     }
 

@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn binary_search_decoder_matches_canonical_table_decoder() {
         // Pin `decode_symbol_reference` directly against the fast
-        // canonical-table `HuffmanDecoder` on the same bit stream: every
+        // table-driven `HuffmanDecoder` on the same bit stream: every
         // decoded symbol and the error on a truncated stream must agree.
         let mut freq = [0u64; 256];
         for (i, f) in [900u64, 400, 220, 90, 31, 7, 3, 1].iter().enumerate() {

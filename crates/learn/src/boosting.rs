@@ -16,7 +16,7 @@
 
 use crate::data::ColumnMatrix;
 use crate::error::LearnError;
-use crate::tree::{presort_columns, DecisionTreeRegressor, TreeParams};
+use crate::tree::{presort, DecisionTreeRegressor, TreeParams};
 use crate::Regressor;
 use scope_cloudsim::parallel::{default_threads, parallel_map_with_threads};
 
@@ -121,7 +121,7 @@ impl GradientBoostingRegressor {
         let mut stages = Vec::with_capacity(params.n_estimators);
         // One presort shared by every stage: the feature order never
         // changes between stages, only the residual targets do.
-        let presorted = presort_columns(cols);
+        let presorted = presort(cols);
         let rows: Vec<u32> = (0..cols.n_rows() as u32).collect();
         for stage_idx in 0..params.n_estimators {
             let residuals: Vec<f64> = targets.iter().zip(&current).map(|(t, c)| t - c).collect();

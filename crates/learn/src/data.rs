@@ -122,7 +122,10 @@ pub struct ColumnMatrix {
 
 impl ColumnMatrix {
     /// Build from row-major feature vectors, validating that all rows have
-    /// the same width.
+    /// the same width and that no value is NaN
+    /// ([`LearnError::NanFeature`] names the first, in row-major order).
+    /// Without a NaN, `partial_cmp` totally preorders every column, which
+    /// the tree builders' sorts and rank tables rely on.
     pub fn from_rows<S: AsRef<[f64]>>(rows: &[S]) -> Result<Self, LearnError> {
         if rows.is_empty() {
             return Err(LearnError::EmptyTrainingSet);
@@ -137,6 +140,7 @@ impl ColumnMatrix {
                 });
             }
         }
+        check_no_nan(rows)?;
         let mut values = vec![0.0; n_rows * n_cols];
         for (r, row) in rows.iter().enumerate() {
             for (c, &v) in row.as_ref().iter().enumerate() {
@@ -187,6 +191,17 @@ impl ColumnMatrix {
             buf.push(self.values[c * self.n_rows + r]);
         }
     }
+}
+
+/// [`LearnError::NanFeature`] for the first NaN of `rows` in row-major
+/// order.
+pub(crate) fn check_no_nan<S: AsRef<[f64]>>(rows: &[S]) -> Result<(), LearnError> {
+    for (row, values) in rows.iter().enumerate() {
+        if let Some(column) = values.as_ref().iter().position(|v| v.is_nan()) {
+            return Err(LearnError::NanFeature { row, column });
+        }
+    }
+    Ok(())
 }
 
 fn validate_features(features: &[Vec<f64>]) -> Result<(), LearnError> {

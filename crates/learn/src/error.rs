@@ -21,6 +21,13 @@ pub enum LearnError {
         /// Width actually found.
         found: usize,
     },
+    /// A feature value is NaN, which has no place in a split order.
+    NanFeature {
+        /// Row of the first NaN (row-major order).
+        row: usize,
+        /// Column of that NaN.
+        column: usize,
+    },
     /// A hyper-parameter was invalid (e.g. zero trees, zero neighbours).
     InvalidHyperParameter(&'static str),
     /// Numerical failure (singular matrix, NaN loss, ...).
@@ -39,6 +46,9 @@ impl fmt::Display for LearnError {
                 f,
                 "ragged feature matrix: expected width {expected}, found {found}"
             ),
+            LearnError::NanFeature { row, column } => {
+                write!(f, "feature value at row {row}, column {column} is NaN")
+            }
             LearnError::InvalidHyperParameter(msg) => write!(f, "invalid hyper-parameter: {msg}"),
             LearnError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }

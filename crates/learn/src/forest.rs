@@ -15,10 +15,18 @@
 //! next few trees, and results merge in index order, so the fitted forest
 //! is bit-for-bit identical for any thread count and to the sequential
 //! [`crate::reference`] oracle.
+//!
+//! Before the fan-out the forest ranks every column of the matrix once
+//! (one sort per column; equal values, `-0.0 == 0.0` included, share a
+//! dense rank). A tree then orders each feature's bootstrap positions by a
+//! stable counting sort on the ranks of the rows they draw, instead of
+//! sorting values. The matrix refuses NaN, so values form a total preorder
+//! and (rank, position) is exactly the (value, position) order the
+//! per-tree sort produced: trees, leaves and votes are unchanged.
 
 use crate::data::ColumnMatrix;
 use crate::error::LearnError;
-use crate::tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeParams};
+use crate::tree::{DecisionTreeClassifier, DecisionTreeRegressor, RankTable, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -134,9 +142,11 @@ impl RandomForestRegressor {
             tree_params.max_features = Some(default_max_features(cols.n_cols(), false));
         }
         let plans = bootstrap_plans(params.n_trees, cols.n_rows(), params.seed);
+        let ranks = RankTable::new(cols);
         let trees = parallel_map_with_threads(&plans, threads, |_, (rows, tree_seed)| {
             DecisionTreeRegressor::fit_bootstrap_indices(
                 cols,
+                &ranks,
                 targets,
                 rows,
                 tree_params,
@@ -267,9 +277,11 @@ impl RandomForestClassifier {
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
         let targets: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
         let plans = bootstrap_plans(params.n_trees, cols.n_rows(), params.seed);
+        let ranks = RankTable::new(cols);
         let trees = parallel_map_with_threads(&plans, threads, |_, (rows, tree_seed)| {
             DecisionTreeClassifier::fit_bootstrap_indices(
                 cols,
+                &ranks,
                 &targets,
                 rows,
                 tree_params,
@@ -479,6 +491,62 @@ mod tests {
         let p = clf.predict_proba_one(&[0.9, 0.1, 0.1, 0.1]);
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_nan_feature_is_refused_with_its_cell() {
+        // 3 columns, about 15% NaN cells. A NaN has no place in a sort by
+        // value (the std sort panics on the comparator it makes), so every
+        // fit refuses the first one, and the oracles name the same cell.
+        let (mut f, t) = friedman_like(200, 17);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for row in &mut f {
+            row.truncate(3);
+            for v in row.iter_mut() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if (state >> 33) % 100 < 15 {
+                    *v = f64::NAN;
+                }
+            }
+        }
+        let (row, column) = f
+            .iter()
+            .enumerate()
+            .find_map(|(r, x)| x.iter().position(|v| v.is_nan()).map(|c| (r, c)))
+            .unwrap();
+        let expected = Some(LearnError::NanFeature { row, column });
+        let params = ForestParams {
+            n_trees: 8,
+            ..Default::default()
+        };
+        let labels: Vec<usize> = t.iter().map(|&y| usize::from(y > 14.0)).collect();
+        assert_eq!(RandomForestRegressor::fit(&f, &t, params).err(), expected);
+        assert_eq!(
+            crate::reference::fit_forest_regressor_reference(&f, &t, params).err(),
+            expected
+        );
+        assert_eq!(
+            RandomForestClassifier::fit(&f, &labels, params).err(),
+            expected
+        );
+        assert_eq!(
+            crate::reference::fit_forest_classifier_reference(&f, &labels, params).err(),
+            expected
+        );
+        assert_eq!(
+            DecisionTreeRegressor::fit(&f, &t, TreeParams::default()).err(),
+            expected
+        );
+        assert_eq!(
+            crate::reference::fit_tree_regressor_reference(&f, &t, TreeParams::default(), 0x5EED)
+                .err(),
+            expected
+        );
+        assert_eq!(
+            crate::GradientBoostingRegressor::fit_default(&f, &t).err(),
+            expected
+        );
+        assert_eq!(ColumnMatrix::from_rows(&f).err(), expected);
     }
 
     #[test]

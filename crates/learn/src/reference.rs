@@ -30,6 +30,7 @@
 //! pins the fast path against them.
 
 use crate::boosting::BoostingParams;
+use crate::data::check_no_nan;
 use crate::error::LearnError;
 use crate::forest::{default_max_features, ForestParams};
 use crate::knn::KnnWeighting;
@@ -192,6 +193,9 @@ pub fn fit_forest_regressor_reference(
     if features.is_empty() {
         return Err(LearnError::EmptyTrainingSet);
     }
+    // A bootstrap may miss a NaN row, so the whole set is checked first,
+    // naming the same cell as the fast path's `ColumnMatrix::from_rows`.
+    check_no_nan(features)?;
     let width = features[0].len();
     let mut tree_params = params.tree;
     if tree_params.max_features.is_none() {
@@ -234,6 +238,7 @@ pub fn fit_forest_classifier_reference(
             targets: labels.len(),
         });
     }
+    check_no_nan(features)?;
     let width = features[0].len();
     let mut tree_params = params.tree;
     if tree_params.max_features.is_none() {
@@ -492,6 +497,9 @@ pub fn fit_forest_regressor_seed(
     if features.is_empty() {
         return Err(LearnError::EmptyTrainingSet);
     }
+    // A bootstrap may miss a NaN row, so the whole set is checked first,
+    // naming the same cell as the fast path's `ColumnMatrix::from_rows`.
+    check_no_nan(features)?;
     let width = features[0].len();
     let mut tree_params = params.tree;
     if tree_params.max_features.is_none() {
@@ -534,6 +542,7 @@ pub fn fit_forest_classifier_seed(
             targets: labels.len(),
         });
     }
+    check_no_nan(features)?;
     let width = features[0].len();
     let mut tree_params = params.tree;
     if tree_params.max_features.is_none() {

@@ -10,12 +10,23 @@
 //! # Fast path vs reference
 //!
 //! The production builder here is the **presort** fast path: every feature
-//! column is sorted once per tree, and the per-feature sorted position
+//! column is ordered once per tree, and the per-feature sorted position
 //! arrays are stably partitioned down the recursion, so a node costs
 //! `O(features · samples)` instead of the per-node re-sorts the seed
 //! implementation paid. Split scores are evaluated by a single left-to-right
 //! scan with running prefix statistics (`SplitScan`): `O(1)` per candidate
 //! threshold for regression, `O(classes)` for Gini.
+//!
+//! A single tree, and boosting's shared master order, sort each column by
+//! (value, position). A forest's bootstrap trees sort nothing: the forest
+//! ranks each column of its matrix once (`RankTable`, one sort per column,
+//! equal values — `-0.0` and `0.0` included — sharing a dense rank), and a
+//! tree orders its bootstrap positions `0..n` per feature by a stable
+//! counting sort on the rank of the row each position draws. A
+//! [`ColumnMatrix`] holds no NaN, so `partial_cmp` is a total preorder on
+//! its values, and (rank, position) is exactly the (value, position) order
+//! a sort would produce: the trees are the same bit for bit, for
+//! `O(samples + distinct values)` per feature instead of a comparison sort.
 //!
 //! The seed-shaped builder (per-node `sort_by`, clone-based bootstrap,
 //! sequential everything) is preserved in [`crate::reference`] as a
@@ -347,6 +358,9 @@ impl SubsampleRng {
     }
 }
 
+/// Check a row-major training set the way [`ColumnMatrix::from_rows`] and
+/// the length checks of the fast path do: non-empty, one target per row,
+/// one width, no NaN (the first one in row-major order is named).
 pub(crate) fn validate(features: &[Vec<f64>], targets: &[f64]) -> Result<(), LearnError> {
     if features.is_empty() {
         return Err(LearnError::EmptyTrainingSet);
@@ -366,7 +380,7 @@ pub(crate) fn validate(features: &[Vec<f64>], targets: &[f64]) -> Result<(), Lea
             });
         }
     }
-    Ok(())
+    crate::data::check_no_nan(features)
 }
 
 /// Per-position feature columns for one tree fit: either the shared
@@ -399,14 +413,15 @@ impl FeatCols<'_> {
     }
 }
 
-/// Sort positions `0..n` by each feature column: the per-tree presort the
-/// fast builder partitions down the recursion. Ties order by position,
-/// which is exactly what a stable per-node sort by value produces.
-fn presort(cols: &FeatCols<'_>, n: usize) -> Vec<Vec<u32>> {
-    (0..cols.width())
+/// Sort positions `0..n_rows` by each feature column: the presort the fast
+/// builder partitions down the recursion, for a single tree or shared by
+/// every gradient-boosting stage. Ties order by position, which is exactly
+/// what a stable per-node sort by value produces.
+pub(crate) fn presort(cols: &ColumnMatrix) -> Vec<Vec<u32>> {
+    (0..cols.n_cols())
         .map(|f| {
             let col = cols.col(f);
-            let mut order: Vec<u32> = (0..n as u32).collect();
+            let mut order: Vec<u32> = (0..cols.n_rows() as u32).collect();
             order.sort_unstable_by(|&a, &b| {
                 col[a as usize]
                     .partial_cmp(&col[b as usize])
@@ -418,10 +433,78 @@ fn presort(cols: &FeatCols<'_>, n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Presorted position arrays for a shared column matrix, reusable across
-/// many tree fits on the same features (gradient-boosting stages).
-pub(crate) fn presort_columns(cols: &ColumnMatrix) -> Vec<Vec<u32>> {
-    presort(&FeatCols::Shared(cols), cols.n_rows())
+/// Dense per-column ranks of a [`ColumnMatrix`]: row `r`'s rank in column
+/// `f` counts the distinct values below `value(r, f)`, so equal values
+/// (`-0.0 == 0.0`) share a rank. Built once per forest; every bootstrap
+/// tree orders its positions from it without comparing a value.
+pub(crate) struct RankTable {
+    n_rows: usize,
+    /// Column-major: the rank of row `r` in column `f` is at `f * n_rows + r`.
+    ranks: Vec<u32>,
+    /// Distinct values per column: its ranks run `0..distinct[f]`.
+    distinct: Vec<u32>,
+}
+
+impl RankTable {
+    /// One sort per column. The matrix holds no NaN, so `total_cmp` puts
+    /// equal values next to each other (`-0.0` just before `0.0`), and `==`
+    /// on neighbours finds the rank boundaries.
+    pub(crate) fn new(cols: &ColumnMatrix) -> Self {
+        let n = cols.n_rows();
+        let mut ranks = vec![0u32; n * cols.n_cols()];
+        let mut distinct = Vec::with_capacity(cols.n_cols());
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for f in 0..cols.n_cols() {
+            let col = cols.col(f);
+            order.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let rank = &mut ranks[f * n..(f + 1) * n];
+            let mut next = 0u32;
+            let mut prev = None;
+            for &r in &order {
+                let v = col[r as usize];
+                if prev.is_some_and(|p| p != v) {
+                    next += 1;
+                }
+                prev = Some(v);
+                rank[r as usize] = next;
+            }
+            distinct.push(next + 1);
+        }
+        RankTable {
+            n_rows: n,
+            ranks,
+            distinct,
+        }
+    }
+
+    /// The per-feature presort of the bootstrap sample `rows` (position `p`
+    /// draws row `rows[p]`): positions `0..rows.len()` ordered by the rank
+    /// of their row, ties in ascending position — a stable counting sort.
+    fn bootstrap_presort(&self, rows: &[u32]) -> Vec<Vec<u32>> {
+        let mut starts: Vec<u32> = Vec::new();
+        self.distinct
+            .iter()
+            .enumerate()
+            .map(|(f, &distinct)| {
+                let rank = &self.ranks[f * self.n_rows..(f + 1) * self.n_rows];
+                starts.clear();
+                starts.resize(distinct as usize + 1, 0);
+                for &r in rows {
+                    starts[rank[r as usize] as usize + 1] += 1;
+                }
+                for i in 1..starts.len() {
+                    starts[i] += starts[i - 1];
+                }
+                let mut order = vec![0u32; rows.len()];
+                for (p, &r) in rows.iter().enumerate() {
+                    let slot = &mut starts[rank[r as usize] as usize];
+                    order[*slot as usize] = p as u32;
+                    *slot += 1;
+                }
+                order
+            })
+            .collect()
+    }
 }
 
 /// The fast presort CART builder.
@@ -558,8 +641,9 @@ fn partition_segment(
 }
 
 /// Fit one tree with the fast presort builder. `targets` are per-position
-/// values (labels cast to f64 for Gini); `presorted` lets callers reuse a
-/// master presort across fits on the same columns.
+/// values (labels cast to f64 for Gini); `sorted` orders positions
+/// `0..targets.len()` per feature: [`presort`]'s order, or a bootstrap's
+/// from the forest's [`RankTable`].
 fn fit_fast(
     cols: &FeatCols<'_>,
     targets: &[f64],
@@ -567,13 +651,9 @@ fn fit_fast(
     criterion: Criterion,
     n_classes: usize,
     seed: u64,
-    presorted: Option<&[Vec<u32>]>,
+    sorted: Vec<Vec<u32>>,
 ) -> Node {
     let n = targets.len();
-    let sorted = match presorted {
-        Some(master) => master.to_vec(),
-        None => presort(cols, n),
-    };
     let mut builder = FastBuilder {
         cols,
         targets,
@@ -672,7 +752,7 @@ impl DecisionTreeRegressor {
             Criterion::Variance,
             0,
             seed,
-            None,
+            presort(cols),
         );
         Ok(DecisionTreeRegressor { root, params })
     }
@@ -693,16 +773,17 @@ impl DecisionTreeRegressor {
             Criterion::Variance,
             0,
             seed,
-            Some(presorted),
+            presorted.to_vec(),
         );
         DecisionTreeRegressor { root, params }
     }
 
     /// Fit on the bootstrap sample `rows` of a shared column matrix
-    /// (bagging by index — no row clones). Inputs are pre-validated by the
-    /// forest.
+    /// (bagging by index — no row clones), ordered through the forest's
+    /// `ranks` of `cols`. Inputs are pre-validated by the forest.
     pub(crate) fn fit_bootstrap_indices(
         cols: &ColumnMatrix,
+        ranks: &RankTable,
         targets: &[f64],
         rows: &[u32],
         params: TreeParams,
@@ -716,7 +797,7 @@ impl DecisionTreeRegressor {
             Criterion::Variance,
             0,
             seed,
-            None,
+            ranks.bootstrap_presort(rows),
         );
         DecisionTreeRegressor { root, params }
     }
@@ -827,15 +908,17 @@ impl DecisionTreeClassifier {
             Criterion::Gini,
             n_classes,
             seed,
-            None,
+            presort(cols),
         );
         Ok(DecisionTreeClassifier { root, n_classes })
     }
 
     /// Fit on the bootstrap sample `rows` of a shared column matrix
-    /// (bagging by index). `targets` are the full labels cast to f64.
+    /// (bagging by index), ordered through the forest's `ranks` of `cols`.
+    /// `targets` are the full labels cast to f64.
     pub(crate) fn fit_bootstrap_indices(
         cols: &ColumnMatrix,
+        ranks: &RankTable,
         targets: &[f64],
         rows: &[u32],
         params: TreeParams,
@@ -852,7 +935,7 @@ impl DecisionTreeClassifier {
             Criterion::Gini,
             n_classes,
             seed,
-            None,
+            ranks.bootstrap_presort(rows),
         );
         DecisionTreeClassifier { root, n_classes }
     }

@@ -1,22 +1,31 @@
 //! Differential pins for the PR-7 word-level codec kernels: the production
 //! block-streaming paths (word match extension, wild-copy decode, word-run
-//! RLE, accumulator bit I/O, canonical-table Huffman decode) must produce
+//! RLE, accumulator bit I/O, table-driven Huffman decode) must produce
 //! **byte-for-byte identical compressed streams and error values** — not
 //! just round-trip success — against the preserved byte-at-a-time oracles
 //! in `scope_compress::reference`, on adversarial inputs: long runs,
 //! short-period repetition, incompressible noise, inputs shorter than one
 //! machine word, and matches straddling block boundaries.
+//!
+//! The gzipish decoder resolves short codes through a lookup table and the
+//! rest through the canonical per-length loop, so the last proptests draw
+//! code books on both sides of the table width (and incomplete ones, where
+//! bits can match no code) under arbitrary bodies, and feed arbitrary bytes
+//! to every scheme's decoder.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use scope_compress::huffman::{BitWriter, HuffmanCode};
 use scope_compress::lz77::{detokenize, tokenize, MatcherParams};
 use scope_compress::reference::{
     detokenize_reference, gzipish_compress_reference, gzipish_decompress_reference,
     lz4ish_compress_reference, lz4ish_decompress_reference, rle_compress_reference,
     rle_decompress_reference, tokenize_reference,
 };
-use scope_compress::{Codec, GzipishCodec, Lz4ishCodec, RleCodec, SnappyishCodec};
+use scope_compress::{
+    Codec, CompressError, CompressionScheme, GzipishCodec, Lz4ishCodec, RleCodec, SnappyishCodec,
+};
 
 /// Inputs chosen to stress each kernel's edge: sub-word tails, run
 /// boundaries at 255/256, periodicity equal to `MIN_MATCH`, block-boundary
@@ -270,5 +279,144 @@ proptest! {
         prop_assert_eq!(RleCodec.decompress(&rle), rle_decompress_reference(&rle));
         let gz = damage(&GzipishCodec::with_params(params).compress(&data), edits, truncate, edit_seed);
         prop_assert_eq!(GzipishCodec::default().decompress(&gz), gzipish_decompress_reference(&gz));
+    }
+}
+
+/// Code lengths that pass `HuffmanCode::from_lengths`: up to `symbols`
+/// symbols, each a random length of 1–15 bits (lengthened until it fits
+/// the Kraft budget, dropped if none does), so long codes that miss the
+/// decoder's table and incomplete codes (a Kraft sum below 1) both occur.
+fn valid_lengths(symbols: usize, long_bias: bool, rng: &mut SmallRng) -> [u8; 256] {
+    let mut lengths = [0u8; 256];
+    let mut budget = 1u32 << 15;
+    for _ in 0..symbols {
+        let symbol = rng.gen_range(0..256usize);
+        if lengths[symbol] != 0 {
+            continue;
+        }
+        let lo = if long_bias { 9 } else { 1 };
+        let mut len = rng.gen_range(lo..=15u32);
+        while len <= 15 && (1u32 << (15 - len)) > budget {
+            len += 1;
+        }
+        if len <= 15 {
+            budget -= 1 << (15 - len);
+            lengths[symbol] = len as u8;
+        }
+    }
+    lengths
+}
+
+/// A `GZF2` stream: magic, `original_len`, `lengths`, `token_len`, `body`.
+fn gzipish_stream(original_len: u64, lengths: &[u8; 256], token_len: u64, body: &[u8]) -> Vec<u8> {
+    let mut stream = b"GZF2".to_vec();
+    stream.extend_from_slice(&original_len.to_le_bytes());
+    stream.extend_from_slice(lengths);
+    stream.extend_from_slice(&token_len.to_le_bytes());
+    stream.extend_from_slice(body);
+    stream
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any code book the header may carry, over an arbitrary body (or one
+    /// that really is Huffman-coded symbols, then noise), cut anywhere:
+    /// the table decoder and the reference binary-search decoder return
+    /// the identical `Result` — `Truncated`, `InvalidSymbol` and the lz4ish
+    /// stage's errors at the same symbol.
+    #[test]
+    fn gzipish_code_books_decode_identically_on_fast_and_reference_paths(
+        symbols in 1usize..=256,
+        long_bias in proptest::arbitrary::any::<bool>(),
+        coded in proptest::arbitrary::any::<bool>(),
+        body_len in 0usize..600,
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let lengths = valid_lengths(symbols, long_bias, &mut rng);
+        let code = HuffmanCode::from_lengths(&lengths);
+        prop_assert!(code.is_ok());
+        let present: Vec<u8> = (0..=255u8).filter(|&s| lengths[s as usize] > 0).collect();
+        let mut body = Vec::new();
+        let mut token_len = rng.gen_range(0..=body_len as u64 * 2);
+        if let (true, Ok(code), false) = (coded, &code, present.is_empty()) {
+            let mut writer = BitWriter::new();
+            let n = rng.gen_range(0..=body_len);
+            for _ in 0..n {
+                code.encode(&mut writer, present[rng.gen_range(0..present.len())]);
+            }
+            body = writer.finish();
+            token_len = n as u64 + rng.gen_range(0..3u64);
+        }
+        while body.len() < body_len {
+            body.push(rng.gen_range(0u32..256) as u8);
+        }
+        let original_len = rng.gen_range(0..4 * body_len as u64 + 1);
+        let mut stream = gzipish_stream(original_len, &lengths, token_len, &body);
+        if rng.gen_range(0..2) == 0 {
+            stream.truncate(rng.gen_range(276..=stream.len()));
+        } else if rng.gen_range(0..8) == 0 {
+            stream.truncate(rng.gen_range(0..=stream.len()));
+        }
+        prop_assert_eq!(
+            GzipishCodec::default().decompress(&stream),
+            gzipish_decompress_reference(&stream)
+        );
+    }
+}
+
+/// The preserved decoder for `scheme`'s stream (the identity for `None`,
+/// which has no stream format).
+fn reference_decompress(scheme: CompressionScheme, data: &[u8]) -> Result<Vec<u8>, CompressError> {
+    match scheme {
+        CompressionScheme::None => Ok(data.to_vec()),
+        CompressionScheme::Gzip => gzipish_decompress_reference(data),
+        CompressionScheme::Snappy | CompressionScheme::Lz4 => lz4ish_decompress_reference(data),
+        CompressionScheme::Rle => rle_decompress_reference(data),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Fully arbitrary bytes, not edits of a valid stream, into every
+    /// scheme's codec: half the time they carry the scheme's magic and a
+    /// small declared length (and, for gzipish, a small token count), so
+    /// decoding gets past the header. Fast and reference decoders return
+    /// the identical `Result` and neither panics.
+    #[test]
+    fn arbitrary_bytes_decode_identically_on_every_codec(
+        bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..700),
+        framed in proptest::arbitrary::any::<bool>(),
+        declared in 0u64..512,
+        token_len in 0u64..1024,
+    ) {
+        for scheme in CompressionScheme::all() {
+            let mut data = bytes.clone();
+            let magic: &[u8; 4] = match scheme {
+                CompressionScheme::None => b"NONE",
+                CompressionScheme::Gzip => b"GZF2",
+                CompressionScheme::Snappy | CompressionScheme::Lz4 => b"LZ4F",
+                CompressionScheme::Rle => b"RLE1",
+            };
+            if framed {
+                let header = if scheme == CompressionScheme::Gzip { 276 } else { 12 };
+                if data.len() < header {
+                    data.resize(header, 0);
+                }
+                data[..4].copy_from_slice(magic);
+                data[4..12].copy_from_slice(&declared.to_le_bytes());
+                if scheme == CompressionScheme::Gzip {
+                    data[268..276].copy_from_slice(&token_len.to_le_bytes());
+                }
+            }
+            prop_assert_eq!(
+                scheme.codec().decompress(&data),
+                reference_decompress(scheme, &data),
+                "{}",
+                scheme
+            );
+        }
     }
 }

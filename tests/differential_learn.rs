@@ -9,7 +9,13 @@
 //!
 //! Also pins parallel-vs-sequential determinism: any worker-thread count
 //! must fit the identical model.
+//!
+//! The forests order each tree's bootstrap through one rank table per
+//! forest (a stable counting sort on shared ranks), so the proptest at the
+//! end feeds them the ties that ordering must get right: few distinct
+//! values, constant columns, `-0.0` next to `0.0`, and `±∞`.
 
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope_cloudsim::TierCatalog;
@@ -361,5 +367,115 @@ fn batched_column_prediction_equals_row_prediction() {
     let gbt = GradientBoostingRegressor::fit_default(&f, &t).unwrap();
     for (a, b) in gbt.predict_columns(&cols).iter().zip(gbt.predict(&f)) {
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+/// Values a quantised column draws from: `-0.0` and `0.0` (equal, with
+/// different bits), both infinities and a few finite values.
+const TIE_POOL: [f64; 8] = [
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    -2.5,
+    3.0,
+    1e-300,
+];
+
+/// `n` rows of `width` adversarial columns: each column is quantised to
+/// `levels` values of [`TIE_POOL`], constant, or continuous with signed
+/// zeros mixed in. Targets span sixteen orders of magnitude, so a split
+/// score depends on the order the scan adds them in: a tree builder that
+/// orders tied values differently from the oracle fits different trees.
+/// Labels are drawn apart, four classes.
+fn tied_instance(
+    n: usize,
+    width: usize,
+    levels: usize,
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<f64>, Vec<usize>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(width);
+    for _ in 0..width {
+        let column = match rng.gen_range(0..4) {
+            0 => {
+                let values: Vec<f64> = (0..levels)
+                    .map(|_| TIE_POOL[rng.gen_range(0..TIE_POOL.len())])
+                    .collect();
+                (0..n)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect()
+            }
+            1 => vec![TIE_POOL[rng.gen_range(0..TIE_POOL.len())]; n],
+            // A coarsened copy of an earlier column: its splits cut the
+            // same row sets as the finer column's, so the two score within
+            // rounding of each other, and the order the scan adds a tied
+            // group in decides which one wins.
+            3 if !columns.is_empty() => {
+                let finer = &columns[rng.gen_range(0..columns.len())];
+                finer.iter().map(|v| (v * levels as f64).floor()).collect()
+            }
+            _ => (0..n)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect(),
+        };
+        columns.push(column);
+    }
+    let rows = (0..n)
+        .map(|r| columns.iter().map(|c| c[r]).collect())
+        .collect();
+    let targets = (0..n)
+        .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(0..17)))
+        .collect();
+    let labels = (0..n).map(|_| rng.gen_range(0..4)).collect();
+    (rows, targets, labels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Both forests, at one and at three threads, equal their seed-shaped
+    /// oracle bit for bit under adversarial ties: the trees (thresholds'
+    /// signs included, through `Debug`) and every `predict_one`.
+    #[test]
+    fn forests_match_reference_bit_for_bit_under_adversarial_ties(
+        n in 1usize..=300,
+        width in 1usize..=9,
+        n_trees in 1usize..=8,
+        levels in 1usize..=6,
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        let (f, t, labels) = tied_instance(n, width, levels, seed);
+        let (queries, _, _) = tied_instance(20, width, levels, seed ^ 1);
+        let params = ForestParams {
+            n_trees,
+            seed,
+            ..Default::default()
+        };
+        let reg_ref = fit_forest_regressor_reference(&f, &t, params).unwrap();
+        let clf_ref = fit_forest_classifier_reference(&f, &labels, params).unwrap();
+        for threads in [1, 3] {
+            let reg = RandomForestRegressor::fit_with_threads(&f, &t, params, threads).unwrap();
+            prop_assert_eq!(&reg, &reg_ref, "regressor, {} threads", threads);
+            prop_assert_eq!(format!("{reg:?}"), format!("{reg_ref:?}"));
+            let clf = RandomForestClassifier::fit_with_threads(&f, &labels, params, threads).unwrap();
+            prop_assert_eq!(&clf, &clf_ref, "classifier, {} threads", threads);
+            prop_assert_eq!(format!("{clf:?}"), format!("{clf_ref:?}"));
+            for q in f.iter().chain(&queries) {
+                prop_assert_eq!(reg.predict_one(q).to_bits(), reg_ref.predict_one(q).to_bits());
+                prop_assert_eq!(
+                    Classifier::predict_one(&clf, q),
+                    Classifier::predict_one(&clf_ref, q)
+                );
+                let (p, p_ref) = (clf.predict_proba_one(q), clf_ref.predict_proba_one(q));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&p), bits(&p_ref));
+            }
+        }
     }
 }
