@@ -40,7 +40,7 @@ cargo run -q -p scope-analyze -- --deny --json
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=696
+min_tests=688
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {

@@ -179,6 +179,13 @@ fn int_len(x: i64) -> usize {
 /// by their rendered string and the entropy sum runs in the same
 /// lexicographic order over the same `(string, count)` pairs, so the
 /// result is bit-for-bit identical.
+///
+/// It is kept although it does not win everywhere. On the seed-12 batch
+/// plan (two vCPUs) the 91 query samples `build_examples` featurises
+/// (60 977 rows) take 0.078–0.090 s here against 0.134–0.158 s in the
+/// reference (1.48–1.91×), ≈ 0.06 CPU-s per plan. On the 239 file-sized
+/// tables the plan then featurises for prediction it runs at 0.68–0.96×
+/// the reference, a few ms in all. The large samples dominate the sum.
 pub fn weighted_entropy_by_type(
     table: &Table,
     start: usize,

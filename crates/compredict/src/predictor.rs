@@ -263,7 +263,11 @@ impl CompressionPredictor {
             }
             ModelKind::NeuralNetwork => {
                 let features: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
-                TrainedModel::Mlp(MlpRegressor::fit_default(&features, &targets)?)
+                TrainedModel::Mlp(MlpRegressor::fit(
+                    &features,
+                    &targets,
+                    scope_learn::mlp::MlpParams::default(),
+                )?)
             }
             ModelKind::Knn => {
                 let features: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();

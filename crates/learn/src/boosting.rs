@@ -6,17 +6,17 @@
 //!
 //! The stages themselves are inherently sequential (each fits the previous
 //! ensemble's residuals), but the fast path amortizes everything around
-//! them: the feature columns are presorted **once** and reused by every
-//! stage's tree build (only the targets change between stages, never the
-//! feature order), and the per-stage ensemble update fans its row
-//! predictions out over [`scope_cloudsim::parallel_map`] — units of rows
-//! claimed by whichever thread is free, merged in index order, so the
-//! fitted model is bit-for-bit identical for any thread count and to the
-//! sequential [`crate::reference`] oracle.
+//! them: the feature columns are ranked and ordered **once** and the order
+//! is reused by every stage's tree build (only the targets change between
+//! stages, never the feature order), and the per-stage ensemble update
+//! fans its row predictions out over [`scope_cloudsim::parallel_map`] —
+//! units of rows claimed by whichever thread is free, merged in index
+//! order, so the fitted model is bit-for-bit identical for any thread
+//! count and to the sequential [`crate::reference`] oracle.
 
 use crate::data::ColumnMatrix;
 use crate::error::LearnError;
-use crate::tree::{presort, DecisionTreeRegressor, TreeParams};
+use crate::tree::{DecisionTreeRegressor, RankTable, TreeParams};
 use crate::Regressor;
 use scope_cloudsim::parallel::{default_threads, parallel_map_with_threads};
 
@@ -55,31 +55,6 @@ pub struct GradientBoostingRegressor {
 }
 
 impl GradientBoostingRegressor {
-    /// Fit the ensemble.
-    pub fn fit(
-        features: &[Vec<f64>],
-        targets: &[f64],
-        params: BoostingParams,
-    ) -> Result<Self, LearnError> {
-        Self::fit_with_threads(features, targets, params, default_threads())
-    }
-
-    /// [`GradientBoostingRegressor::fit`] with an explicit worker-thread
-    /// count for the per-stage prediction fan-out (1 = sequential); the
-    /// fitted model is thread-count independent.
-    pub fn fit_with_threads(
-        features: &[Vec<f64>],
-        targets: &[f64],
-        params: BoostingParams,
-        threads: usize,
-    ) -> Result<Self, LearnError> {
-        if features.is_empty() {
-            return Err(LearnError::EmptyTrainingSet);
-        }
-        let cols = ColumnMatrix::from_rows(features)?;
-        Self::fit_columns_with_threads(&cols, targets, params, threads)
-    }
-
     /// Fit on a shared column-major matrix.
     pub fn fit_columns(
         cols: &ColumnMatrix,
@@ -89,8 +64,9 @@ impl GradientBoostingRegressor {
         Self::fit_columns_with_threads(cols, targets, params, default_threads())
     }
 
-    /// [`GradientBoostingRegressor::fit_columns`] with an explicit thread
-    /// count.
+    /// [`GradientBoostingRegressor::fit_columns`] with an explicit
+    /// worker-thread count for the per-stage prediction fan-out (1 =
+    /// sequential); the fitted model is thread-count independent.
     pub fn fit_columns_with_threads(
         cols: &ColumnMatrix,
         targets: &[f64],
@@ -107,34 +83,26 @@ impl GradientBoostingRegressor {
                 "learning_rate must be in (0, 1]",
             ));
         }
-        if cols.is_empty() {
-            return Err(LearnError::EmptyTrainingSet);
-        }
-        if cols.n_rows() != targets.len() {
-            return Err(LearnError::LengthMismatch {
-                features: cols.n_rows(),
-                targets: targets.len(),
-            });
-        }
+        cols.check_targets(targets.len())?;
         let base_prediction = targets.iter().sum::<f64>() / targets.len() as f64;
         let mut current: Vec<f64> = vec![base_prediction; targets.len()];
         let mut stages = Vec::with_capacity(params.n_estimators);
-        // One presort shared by every stage: the feature order never
+        // One order shared by every stage: the feature order never
         // changes between stages, only the residual targets do.
-        let presorted = presort(cols);
         let rows: Vec<u32> = (0..cols.n_rows() as u32).collect();
+        let sorted = RankTable::new(cols).order(&rows);
         for stage_idx in 0..params.n_estimators {
             let residuals: Vec<f64> = targets.iter().zip(&current).map(|(t, c)| t - c).collect();
             // Stop early if the fit is already (numerically) perfect.
             if residuals.iter().all(|r| r.abs() < 1e-12) {
                 break;
             }
-            let tree = DecisionTreeRegressor::fit_columns_presorted(
+            let tree = DecisionTreeRegressor::fit_ordered(
                 cols,
                 &residuals,
                 params.tree,
                 stage_idx as u64 + 1,
-                &presorted,
+                &sorted,
             );
             // Batched ensemble update: each row's contribution is computed
             // exactly as the sequential loop would, merged in row order.
@@ -151,11 +119,6 @@ impl GradientBoostingRegressor {
             learning_rate: params.learning_rate,
             stages,
         })
-    }
-
-    /// Fit with default parameters.
-    pub fn fit_default(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, LearnError> {
-        Self::fit(features, targets, BoostingParams::default())
     }
 
     /// Assemble an ensemble from pre-built stages (reference builders).
@@ -193,6 +156,15 @@ mod tests {
     use super::*;
     use crate::metrics::{mae, r2_score};
 
+    /// Fit from rows through [`ColumnMatrix::from_rows`], as callers do.
+    fn fit(
+        f: &[Vec<f64>],
+        t: &[f64],
+        params: BoostingParams,
+    ) -> Result<GradientBoostingRegressor, LearnError> {
+        GradientBoostingRegressor::fit_columns(&ColumnMatrix::from_rows(f)?, t, params)
+    }
+
     fn nonlinear(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut state = seed | 1;
         let mut next = || {
@@ -216,7 +188,7 @@ mod tests {
     fn boosting_fits_nonlinear_function() {
         let (f, t) = nonlinear(400, 21);
         let (ft, tt) = nonlinear(150, 99);
-        let gbt = GradientBoostingRegressor::fit_default(&f, &t).unwrap();
+        let gbt = fit(&f, &t, BoostingParams::default()).unwrap();
         let preds: Vec<f64> = ft.iter().map(|x| gbt.predict_one(x)).collect();
         assert!(
             r2_score(&tt, &preds) > 0.7,
@@ -228,7 +200,7 @@ mod tests {
     #[test]
     fn more_stages_reduce_training_error() {
         let (f, t) = nonlinear(200, 5);
-        let short = GradientBoostingRegressor::fit(
+        let short = fit(
             &f,
             &t,
             BoostingParams {
@@ -237,7 +209,7 @@ mod tests {
             },
         )
         .unwrap();
-        let long = GradientBoostingRegressor::fit(
+        let long = fit(
             &f,
             &t,
             BoostingParams {
@@ -258,10 +230,13 @@ mod tests {
             n_estimators: 25,
             ..Default::default()
         };
-        let sequential = GradientBoostingRegressor::fit_with_threads(&f, &t, params, 1).unwrap();
+        let cols = ColumnMatrix::from_rows(&f).unwrap();
+        let sequential =
+            GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, params, 1).unwrap();
         for threads in [2, 5, 8] {
             let parallel =
-                GradientBoostingRegressor::fit_with_threads(&f, &t, params, threads).unwrap();
+                GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, params, threads)
+                    .unwrap();
             assert_eq!(sequential, parallel, "threads = {threads}");
         }
     }
@@ -270,7 +245,7 @@ mod tests {
     fn constant_target_stops_early() {
         let f: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
         let t = vec![3.5; 30];
-        let gbt = GradientBoostingRegressor::fit_default(&f, &t).unwrap();
+        let gbt = fit(&f, &t, BoostingParams::default()).unwrap();
         assert_eq!(gbt.n_stages(), 0);
         assert_eq!(gbt.predict_one(&[100.0]), 3.5);
     }
@@ -279,7 +254,7 @@ mod tests {
     fn invalid_hyperparameters_rejected() {
         let f = vec![vec![1.0]];
         let t = vec![1.0];
-        assert!(GradientBoostingRegressor::fit(
+        assert!(fit(
             &f,
             &t,
             BoostingParams {
@@ -288,7 +263,7 @@ mod tests {
             }
         )
         .is_err());
-        assert!(GradientBoostingRegressor::fit(
+        assert!(fit(
             &f,
             &t,
             BoostingParams {
@@ -297,7 +272,7 @@ mod tests {
             }
         )
         .is_err());
-        assert!(GradientBoostingRegressor::fit(
+        assert!(fit(
             &f,
             &t,
             BoostingParams {
@@ -310,7 +285,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        assert!(GradientBoostingRegressor::fit_default(&[vec![1.0]], &[1.0, 2.0]).is_err());
-        assert!(GradientBoostingRegressor::fit_default(&[], &[]).is_err());
+        assert!(fit(&[vec![1.0]], &[1.0, 2.0], BoostingParams::default()).is_err());
+        assert!(fit(&[], &[], BoostingParams::default()).is_err());
     }
 }

@@ -30,8 +30,6 @@ pub enum LearnError {
     },
     /// A hyper-parameter was invalid (e.g. zero trees, zero neighbours).
     InvalidHyperParameter(&'static str),
-    /// Numerical failure (singular matrix, NaN loss, ...).
-    Numerical(&'static str),
 }
 
 impl fmt::Display for LearnError {
@@ -50,7 +48,6 @@ impl fmt::Display for LearnError {
                 write!(f, "feature value at row {row}, column {column} is NaN")
             }
             LearnError::InvalidHyperParameter(msg) => write!(f, "invalid hyper-parameter: {msg}"),
-            LearnError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
     }
 }

@@ -15,6 +15,7 @@
 //! the boundary resolved by ascending training index — and the accumulation
 //! order over it are identical to the sorted path's.
 
+use crate::data::check_rows;
 use crate::error::LearnError;
 use crate::Regressor;
 use std::cmp::Ordering;
@@ -39,7 +40,8 @@ pub struct KnnRegressor {
 }
 
 impl KnnRegressor {
-    /// "Fit" (memorise) the training data.
+    /// "Fit" (memorise) the training data, which must be of one width and
+    /// free of NaN.
     pub fn fit(
         features: &[Vec<f64>],
         targets: &[f64],
@@ -58,15 +60,7 @@ impl KnnRegressor {
         if k == 0 {
             return Err(LearnError::InvalidHyperParameter("k must be > 0"));
         }
-        let width = features[0].len();
-        for row in features {
-            if row.len() != width {
-                return Err(LearnError::RaggedFeatures {
-                    expected: width,
-                    found: row.len(),
-                });
-            }
-        }
+        check_rows(features)?;
         Ok(KnnRegressor {
             features: features.to_vec(),
             targets: targets.to_vec(),

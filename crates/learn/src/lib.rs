@@ -13,7 +13,6 @@
 //! * [`tree`] — CART decision trees (regression and classification),
 //! * [`forest`] — random forests built on bagged CART trees,
 //! * [`boosting`] — gradient-boosted regression trees (the "XGBoost" row),
-//! * [`linear`] — ridge regression (linear baseline / SVR stand-in),
 //! * [`knn`] — k-nearest-neighbour regression (kernel-method stand-in),
 //! * [`mlp`] — a single-hidden-layer perceptron trained with SGD,
 //! * [`metrics`] — MAE / MAPE / R², accuracy, precision, recall, F1 and
@@ -29,11 +28,13 @@
 //! `f64` column per feature), built once and shared by every model trained
 //! on the same rows. On top of it:
 //!
-//! * **Presort CART** — [`tree`] sorts each feature once per tree and
-//!   stably partitions the per-feature position arrays down the recursion;
-//!   split scores come from running prefix statistics (`O(1)` per
-//!   candidate for variance, `O(classes)` for Gini) instead of per-node
-//!   re-sorts and per-split re-scans.
+//! * **Rank-ordered CART** — every fit ranks each feature column once
+//!   (one sort per column for a whole forest, boosted ensemble or single
+//!   tree), each tree orders its positions by a stable counting sort on
+//!   those ranks, and [`tree`] stably partitions the per-feature position
+//!   arrays down the recursion; split scores come from running prefix
+//!   statistics (`O(1)` per candidate for variance, `O(classes)` for Gini)
+//!   instead of per-node re-sorts and per-split re-scans.
 //! * **Bagging by index** — forests draw bootstrap *row indices* and gather
 //!   flat column buffers; no per-row `Vec` clones.
 //! * **Deterministic parallel fan-out** — forest trees (and boosting's
@@ -69,18 +70,16 @@ pub mod data;
 pub mod error;
 pub mod forest;
 pub mod knn;
-pub mod linear;
 pub mod metrics;
 pub mod mlp;
 pub mod reference;
 pub mod tree;
 
 pub use boosting::GradientBoostingRegressor;
-pub use data::{train_test_split, ColumnMatrix, Dataset, Standardizer};
+pub use data::{ColumnMatrix, Standardizer};
 pub use error::LearnError;
 pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use knn::KnnRegressor;
-pub use linear::RidgeRegression;
 pub use metrics::{
     confusion_matrix, f1_score, mae, mape, precision, r2_score, recall, ConfusionMatrix,
 };
@@ -99,8 +98,8 @@ pub trait Regressor {
     }
 
     /// Predict targets for a batch stored column-major. Always equal to
-    /// mapping [`Regressor::predict_one`] over the rows; models override it
-    /// with allocation-free (and, for forests, parallel) walks.
+    /// mapping [`Regressor::predict_one`] over the rows, through one reused
+    /// row buffer; no model overrides it.
     fn predict_columns(&self, features: &ColumnMatrix) -> Vec<f64> {
         let mut buf = Vec::with_capacity(features.n_cols());
         (0..features.n_rows())
@@ -123,8 +122,8 @@ pub trait Classifier {
     }
 
     /// Predict labels for a batch stored column-major. Always equal to
-    /// mapping [`Classifier::predict_one`] over the rows; models override
-    /// it with allocation-free (and, for forests, parallel) walks.
+    /// mapping [`Classifier::predict_one`] over the rows, through one reused
+    /// row buffer; no model overrides it.
     fn predict_columns(&self, features: &ColumnMatrix) -> Vec<usize> {
         let mut buf = Vec::with_capacity(features.n_cols());
         (0..features.n_rows())

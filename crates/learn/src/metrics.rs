@@ -55,21 +55,6 @@ pub fn r2_score(truth: &[f64], pred: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "rmse: length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let mse: f64 = truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum::<f64>()
-        / truth.len() as f64;
-    mse.sqrt()
-}
-
 /// A confusion matrix over `n_classes` labels.
 ///
 /// `counts[t][p]` is the number of rows whose true class is `t` and whose
@@ -171,15 +156,6 @@ pub fn f1_score(cm: &ConfusionMatrix, class: usize) -> f64 {
     }
 }
 
-/// Macro-averaged F1 over all classes.
-pub fn macro_f1(cm: &ConfusionMatrix) -> f64 {
-    let n = cm.n_classes();
-    if n == 0 {
-        return 0.0;
-    }
-    (0..n).map(|c| f1_score(cm, c)).sum::<f64>() / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +165,6 @@ mod tests {
         let t = vec![1.0, 2.0, 3.0];
         let p = vec![1.0, 3.0, 5.0];
         assert!((mae(&t, &p) - 1.0).abs() < 1e-12);
-        assert!((rmse(&t, &p) - ((0.0 + 1.0 + 4.0) / 3.0f64).sqrt()).abs() < 1e-12);
         assert_eq!(mae(&[], &[]), 0.0);
     }
 
@@ -253,7 +228,6 @@ mod tests {
         assert_eq!(precision(&cm, 1), 1.0);
         assert_eq!(recall(&cm, 1), 1.0);
         assert_eq!(f1_score(&cm, 1), 1.0);
-        assert_eq!(macro_f1(&cm), 1.0);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! paper's feature space has only a handful of dimensions and the point of
 //! the comparison is the model family, not depth.
 
+use crate::data::Standardizer;
 use crate::error::LearnError;
 use crate::Regressor;
 use rand::rngs::SmallRng;
@@ -44,9 +45,7 @@ impl Default for MlpParams {
 /// internally standardized so callers can pass raw features.
 #[derive(Debug, Clone)]
 pub struct MlpRegressor {
-    // Input standardization.
-    feat_means: Vec<f64>,
-    feat_stds: Vec<f64>,
+    inputs: Standardizer,
     target_mean: f64,
     target_std: f64,
     // weights_in[h][d], bias_in[h], weights_out[h], bias_out
@@ -57,7 +56,8 @@ pub struct MlpRegressor {
 }
 
 impl MlpRegressor {
-    /// Fit the network.
+    /// Fit the network. The feature rows must be of one width and free of
+    /// NaN.
     pub fn fit(
         features: &[Vec<f64>],
         targets: &[f64],
@@ -77,19 +77,10 @@ impl MlpRegressor {
                 "hidden_units, epochs and batch_size must be > 0",
             ));
         }
-        let width = features[0].len();
-        for row in features {
-            if row.len() != width {
-                return Err(LearnError::RaggedFeatures {
-                    expected: width,
-                    found: row.len(),
-                });
-            }
-        }
-        let n = features.len();
-
         // Standardize inputs and target.
-        let (feat_means, feat_stds) = column_stats(features);
+        let inputs = Standardizer::fit(features)?;
+        let width = features[0].len();
+        let n = features.len();
         let target_mean = targets.iter().sum::<f64>() / n as f64;
         let target_var = targets
             .iter()
@@ -101,10 +92,7 @@ impl MlpRegressor {
         } else {
             target_var.sqrt()
         };
-        let x: Vec<Vec<f64>> = features
-            .iter()
-            .map(|row| standardize(row, &feat_means, &feat_stds))
-            .collect();
+        let x = inputs.transform(features);
         let y: Vec<f64> = targets
             .iter()
             .map(|t| (t - target_mean) / target_std)
@@ -184,8 +172,7 @@ impl MlpRegressor {
         }
 
         Ok(MlpRegressor {
-            feat_means,
-            feat_stds,
+            inputs,
             target_mean,
             target_std,
             weights_in,
@@ -195,54 +182,15 @@ impl MlpRegressor {
         })
     }
 
-    /// Fit with default parameters.
-    pub fn fit_default(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, LearnError> {
-        Self::fit(features, targets, MlpParams::default())
-    }
-
     /// Number of hidden units.
     pub fn hidden_units(&self) -> usize {
         self.weights_out.len()
     }
 }
 
-fn column_stats(features: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
-    let width = features[0].len();
-    let n = features.len() as f64;
-    let mut means = vec![0.0; width];
-    for row in features {
-        for (m, v) in means.iter_mut().zip(row) {
-            *m += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n;
-    }
-    let mut stds = vec![0.0; width];
-    for row in features {
-        for ((s, v), m) in stds.iter_mut().zip(row).zip(&means) {
-            *s += (v - m) * (v - m);
-        }
-    }
-    for s in &mut stds {
-        *s = (*s / n).sqrt();
-        if *s < 1e-12 {
-            *s = 1.0;
-        }
-    }
-    (means, stds)
-}
-
-fn standardize(row: &[f64], means: &[f64], stds: &[f64]) -> Vec<f64> {
-    row.iter()
-        .zip(means.iter().zip(stds))
-        .map(|(v, (m, s))| (v - m) / s)
-        .collect()
-}
-
 impl Regressor for MlpRegressor {
     fn predict_one(&self, features: &[f64]) -> f64 {
-        let x = standardize(features, &self.feat_means, &self.feat_stds);
+        let x = self.inputs.transform_one(features);
         let mut out = self.bias_out;
         for (j, w_out) in self.weights_out.iter().enumerate() {
             let z: f64 = self.weights_in[j]
@@ -266,7 +214,7 @@ mod tests {
     fn learns_linear_function() {
         let features: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
         let targets: Vec<f64> = features.iter().map(|f| 2.0 * f[0] + 1.0).collect();
-        let mlp = MlpRegressor::fit_default(&features, &targets).unwrap();
+        let mlp = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
         let preds: Vec<f64> = features.iter().map(|f| mlp.predict_one(f)).collect();
         assert!(
             r2_score(&targets, &preds) > 0.95,
@@ -303,15 +251,15 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let features: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = features.iter().map(|f| f[0] * 0.3).collect();
-        let a = MlpRegressor::fit_default(&features, &targets).unwrap();
-        let b = MlpRegressor::fit_default(&features, &targets).unwrap();
+        let a = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
+        let b = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
         assert_eq!(a.predict_one(&[25.0]), b.predict_one(&[25.0]));
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(MlpRegressor::fit_default(&[], &[]).is_err());
-        assert!(MlpRegressor::fit_default(&[vec![1.0]], &[1.0, 2.0]).is_err());
+        assert!(MlpRegressor::fit(&[], &[], MlpParams::default()).is_err());
+        assert!(MlpRegressor::fit(&[vec![1.0]], &[1.0, 2.0], MlpParams::default()).is_err());
         let bad = MlpParams {
             hidden_units: 0,
             ..Default::default()

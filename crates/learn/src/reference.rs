@@ -2,8 +2,8 @@
 //! oracles and benchmark baselines.
 //!
 //! These are *not* the production entry points — [`crate::tree`],
-//! [`crate::forest`] and [`crate::boosting`] train through the presort fast
-//! path (per-tree feature presort, index-based bagging, deterministic
+//! [`crate::forest`] and [`crate::boosting`] train through the rank-ordered
+//! fast path (one rank table per fit, index-based bagging, deterministic
 //! parallel fan-out). The reference paths keep the seed implementation's
 //! *structure*:
 //!
@@ -84,8 +84,8 @@ impl RefBuilder<'_> {
         for ci in 0..self.cand.len() {
             let feat = self.cand[ci];
             let features = self.features;
-            // The per-node stable sort the fast path replaces with a single
-            // per-tree presort. Each feature sorts from the node's idx
+            // The per-node stable sort the fast path replaces with one
+            // rank-ordered pass per tree. Each feature sorts from the node's idx
             // order, so equal values tie in ascending sample order — the
             // seed reused the previous feature's buffer, leaking that
             // feature's order into the ties (i.e. tie order depended on the
@@ -180,7 +180,7 @@ pub fn fit_tree_classifier_reference(
     Ok(DecisionTreeClassifier::from_parts(root, n_classes))
 }
 
-/// [`RandomForestRegressor::fit`] the seed way: sequential trees, each on a
+/// [`RandomForestRegressor::fit_columns`] the seed way: sequential trees, each on a
 /// bootstrap that clones whole feature rows.
 pub fn fit_forest_regressor_reference(
     features: &[Vec<f64>],
@@ -219,7 +219,7 @@ pub fn fit_forest_regressor_reference(
     Ok(RandomForestRegressor::from_trees(trees))
 }
 
-/// [`RandomForestClassifier::fit`] the seed way (sequential, clone-based
+/// [`RandomForestClassifier::fit_columns`] the seed way (sequential, clone-based
 /// bootstraps).
 pub fn fit_forest_classifier_reference(
     features: &[Vec<f64>],
@@ -262,7 +262,7 @@ pub fn fit_forest_classifier_reference(
     Ok(RandomForestClassifier::from_parts(trees, n_classes))
 }
 
-/// [`GradientBoostingRegressor::fit`] the seed way: every stage re-sorts
+/// [`GradientBoostingRegressor::fit_columns`] the seed way: every stage re-sorts
 /// from scratch inside the tree builder and the ensemble update walks rows
 /// sequentially.
 pub fn fit_boosting_reference(
@@ -654,17 +654,18 @@ mod tests {
     #[test]
     fn fast_forest_and_boosting_are_bit_identical_to_reference() {
         let (f, t) = mixed_data(150, 4, 9);
+        let cols = crate::ColumnMatrix::from_rows(&f).unwrap();
         let fp = ForestParams {
             n_trees: 12,
             ..Default::default()
         };
         assert_eq!(
-            RandomForestRegressor::fit(&f, &t, fp).unwrap(),
+            RandomForestRegressor::fit_columns(&cols, &t, fp).unwrap(),
             fit_forest_regressor_reference(&f, &t, fp).unwrap()
         );
         let labels: Vec<usize> = t.iter().map(|&y| usize::from(y > 12.0)).collect();
         assert_eq!(
-            RandomForestClassifier::fit(&f, &labels, fp).unwrap(),
+            RandomForestClassifier::fit_columns(&cols, &labels, fp).unwrap(),
             fit_forest_classifier_reference(&f, &labels, fp).unwrap()
         );
         let bp = BoostingParams {
@@ -672,7 +673,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            GradientBoostingRegressor::fit(&f, &t, bp).unwrap(),
+            GradientBoostingRegressor::fit_columns(&cols, &t, bp).unwrap(),
             fit_boosting_reference(&f, &t, bp).unwrap()
         );
     }

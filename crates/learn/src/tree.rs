@@ -9,24 +9,26 @@
 //!
 //! # Fast path vs reference
 //!
-//! The production builder here is the **presort** fast path: every feature
-//! column is ordered once per tree, and the per-feature sorted position
-//! arrays are stably partitioned down the recursion, so a node costs
-//! `O(features · samples)` instead of the per-node re-sorts the seed
-//! implementation paid. Split scores are evaluated by a single left-to-right
+//! The production builder here is the **rank-ordered** fast path: every
+//! feature's positions are ordered once per tree, and the per-feature
+//! sorted position arrays are stably partitioned down the recursion, so a
+//! node costs `O(features · samples)` instead of the per-node re-sorts the
+//! seed implementation paid. Split scores are evaluated by a single left-to-right
 //! scan with running prefix statistics (`SplitScan`): `O(1)` per candidate
 //! threshold for regression, `O(classes)` for Gini.
 //!
-//! A single tree, and boosting's shared master order, sort each column by
-//! (value, position). A forest's bootstrap trees sort nothing: the forest
-//! ranks each column of its matrix once (`RankTable`, one sort per column,
-//! equal values — `-0.0` and `0.0` included — sharing a dense rank), and a
-//! tree orders its bootstrap positions `0..n` per feature by a stable
-//! counting sort on the rank of the row each position draws. A
-//! [`ColumnMatrix`] holds no NaN, so `partial_cmp` is a total preorder on
-//! its values, and (rank, position) is exactly the (value, position) order
-//! a sort would produce: the trees are the same bit for bit, for
-//! `O(samples + distinct values)` per feature instead of a comparison sort.
+//! No tree sorts a value. Each fit ranks every column of its matrix once
+//! (`RankTable`, one sort per column, equal values — `-0.0` and `0.0`
+//! included — sharing a dense rank): a forest once for all its bootstrap
+//! trees, a boosted ensemble once for all its stages, a single tree for
+//! itself. A tree then orders its positions per feature by a stable
+//! counting sort on the rank of the row each position draws (a bootstrap
+//! draws rows at random, a single tree and a boosting stage draw every row
+//! once, in order). A [`ColumnMatrix`] holds no NaN, so `partial_cmp` is a
+//! total preorder on its values, and (rank, position) is exactly the
+//! (value, position) order a stable sort by value produces: the trees are
+//! the same bit for bit, for `O(samples + distinct values)` per feature
+//! instead of a comparison sort.
 //!
 //! The seed-shaped builder (per-node `sort_by`, clone-based bootstrap,
 //! sequential everything) is preserved in [`crate::reference`] as a
@@ -36,7 +38,7 @@
 //! are bit-for-bit identical by construction (and pinned by
 //! `tests/differential_learn.rs`).
 
-use crate::data::ColumnMatrix;
+use crate::data::{check_rows, ColumnMatrix};
 use crate::error::LearnError;
 use crate::{Classifier, Regressor};
 
@@ -134,7 +136,7 @@ pub(crate) enum Criterion {
 /// statistics.
 ///
 /// Every floating-point operation that decides a split lives here (and in
-/// [`best_split_scan`]), used by both the fast presort builder and the
+/// [`best_split_scan`]), used by both the fast builder and the
 /// [`crate::reference`] oracle, which is what makes the two bit-for-bit
 /// identical. Node totals are accumulated in ascending sample order (the
 /// node's `idx` order); left statistics are accumulated in feature-sorted
@@ -362,81 +364,20 @@ impl SubsampleRng {
 /// the length checks of the fast path do: non-empty, one target per row,
 /// one width, no NaN (the first one in row-major order is named).
 pub(crate) fn validate(features: &[Vec<f64>], targets: &[f64]) -> Result<(), LearnError> {
-    if features.is_empty() {
-        return Err(LearnError::EmptyTrainingSet);
-    }
-    if features.len() != targets.len() {
+    if !features.is_empty() && features.len() != targets.len() {
         return Err(LearnError::LengthMismatch {
             features: features.len(),
             targets: targets.len(),
         });
     }
-    let width = features[0].len();
-    for row in features {
-        if row.len() != width {
-            return Err(LearnError::RaggedFeatures {
-                expected: width,
-                found: row.len(),
-            });
-        }
-    }
-    crate::data::check_no_nan(features)
-}
-
-/// Per-position feature columns for one tree fit: either the shared
-/// [`ColumnMatrix`] (positions are dataset rows) or a bootstrap gather
-/// (one flat column-major buffer — no per-row clones).
-enum FeatCols<'a> {
-    Shared(&'a ColumnMatrix),
-    Gathered { n: usize, flat: Vec<f64> },
-}
-
-impl FeatCols<'_> {
-    fn width(&self) -> usize {
-        match self {
-            FeatCols::Shared(c) => c.n_cols(),
-            FeatCols::Gathered { n, flat } => {
-                if *n == 0 {
-                    0
-                } else {
-                    flat.len() / n
-                }
-            }
-        }
-    }
-
-    fn col(&self, c: usize) -> &[f64] {
-        match self {
-            FeatCols::Shared(m) => m.col(c),
-            FeatCols::Gathered { n, flat } => &flat[c * n..(c + 1) * n],
-        }
-    }
-}
-
-/// Sort positions `0..n_rows` by each feature column: the presort the fast
-/// builder partitions down the recursion, for a single tree or shared by
-/// every gradient-boosting stage. Ties order by position, which is exactly
-/// what a stable per-node sort by value produces.
-pub(crate) fn presort(cols: &ColumnMatrix) -> Vec<Vec<u32>> {
-    (0..cols.n_cols())
-        .map(|f| {
-            let col = cols.col(f);
-            let mut order: Vec<u32> = (0..cols.n_rows() as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                col[a as usize]
-                    .partial_cmp(&col[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            order
-        })
-        .collect()
+    check_rows(features)
 }
 
 /// Dense per-column ranks of a [`ColumnMatrix`]: row `r`'s rank in column
 /// `f` counts the distinct values below `value(r, f)`, so equal values
-/// (`-0.0 == 0.0`) share a rank. Built once per forest; every bootstrap
-/// tree orders its positions from it without comparing a value.
+/// (`-0.0 == 0.0`) share a rank. Built once per fit (a whole forest, a
+/// whole boosted ensemble, or one tree); every tree orders its positions
+/// from it without comparing a value.
 pub(crate) struct RankTable {
     n_rows: usize,
     /// Column-major: the rank of row `r` in column `f` is at `f * n_rows + r`.
@@ -477,10 +418,11 @@ impl RankTable {
         }
     }
 
-    /// The per-feature presort of the bootstrap sample `rows` (position `p`
-    /// draws row `rows[p]`): positions `0..rows.len()` ordered by the rank
-    /// of their row, ties in ascending position — a stable counting sort.
-    fn bootstrap_presort(&self, rows: &[u32]) -> Vec<Vec<u32>> {
+    /// The per-feature order of the sample `rows` (position `p` draws row
+    /// `rows[p]`; a bootstrap, or every row once): positions
+    /// `0..rows.len()` ordered by the rank of their row, ties in ascending
+    /// position — a stable counting sort.
+    pub(crate) fn order(&self, rows: &[u32]) -> Vec<Vec<u32>> {
         let mut starts: Vec<u32> = Vec::new();
         self.distinct
             .iter()
@@ -507,9 +449,9 @@ impl RankTable {
     }
 }
 
-/// The fast presort CART builder.
+/// The fast CART builder.
 struct FastBuilder<'a> {
-    cols: &'a FeatCols<'a>,
+    cols: &'a ColumnMatrix,
     targets: &'a [f64],
     params: TreeParams,
     scan: SplitScan,
@@ -547,7 +489,7 @@ impl FastBuilder<'_> {
                 value: self.scan.leaf_value(),
             };
         }
-        let width = self.cols.width();
+        let width = self.cols.n_cols();
         self.rng
             .candidate_features(width, self.params.max_features, &mut self.cand);
 
@@ -640,12 +582,11 @@ fn partition_segment(
     arr[w..hi].copy_from_slice(scratch);
 }
 
-/// Fit one tree with the fast presort builder. `targets` are per-position
-/// values (labels cast to f64 for Gini); `sorted` orders positions
-/// `0..targets.len()` per feature: [`presort`]'s order, or a bootstrap's
-/// from the forest's [`RankTable`].
+/// Fit one tree with the fast builder. Row `p` of `cols` and `targets[p]`
+/// are position `p` (labels cast to f64 for Gini); `sorted` orders the
+/// positions per feature, from [`RankTable::order`].
 fn fit_fast(
-    cols: &FeatCols<'_>,
+    cols: &ColumnMatrix,
     targets: &[f64],
     params: TreeParams,
     criterion: Criterion,
@@ -669,26 +610,28 @@ fn fit_fast(
     builder.build(0, n, 0)
 }
 
-/// Gather the bootstrap view of `cols`/`targets` selected by `rows`:
-/// per-position targets plus one flat column-major value buffer (no
-/// per-row `Vec` clones).
-fn gather_bootstrap(
-    cols: &ColumnMatrix,
+/// Fit one tree on every row of `features`, in order, through a rank
+/// table of its own: the single-tree entry points.
+fn fit_rows(
+    features: &[Vec<f64>],
     targets: &[f64],
-    rows: &[u32],
-) -> (FeatCols<'static>, Vec<f64>) {
-    let n = rows.len();
-    let width = cols.n_cols();
-    let mut flat = vec![0.0; width * n];
-    for f in 0..width {
-        let src = cols.col(f);
-        let dst = &mut flat[f * n..(f + 1) * n];
-        for (d, &r) in dst.iter_mut().zip(rows) {
-            *d = src[r as usize];
-        }
-    }
-    let boot_targets: Vec<f64> = rows.iter().map(|&r| targets[r as usize]).collect();
-    (FeatCols::Gathered { n, flat }, boot_targets)
+    params: TreeParams,
+    criterion: Criterion,
+    n_classes: usize,
+    seed: u64,
+) -> Result<Node, LearnError> {
+    validate(features, targets)?;
+    let cols = ColumnMatrix::from_rows(features)?;
+    let rows: Vec<u32> = (0..cols.n_rows() as u32).collect();
+    let sorted = RankTable::new(&cols).order(&rows);
+    Ok(fit_fast(
+        &cols, targets, params, criterion, n_classes, seed, sorted,
+    ))
+}
+
+/// The targets of the bootstrap sample `rows`, one per position.
+fn gather_targets(targets: &[f64], rows: &[u32]) -> Vec<f64> {
+    rows.iter().map(|&r| targets[r as usize]).collect()
 }
 
 /// A CART regression tree.
@@ -699,81 +642,35 @@ pub struct DecisionTreeRegressor {
 }
 
 impl DecisionTreeRegressor {
-    /// Fit a regression tree with the given parameters.
-    pub fn fit(
-        features: &[Vec<f64>],
-        targets: &[f64],
-        params: TreeParams,
-    ) -> Result<Self, LearnError> {
-        Self::fit_seeded(features, targets, params, 0x5EED)
-    }
-
-    /// Fit with an explicit seed for deterministic feature subsampling.
+    /// Fit a regression tree; `seed` drives the feature subsampling.
     pub fn fit_seeded(
         features: &[Vec<f64>],
         targets: &[f64],
         params: TreeParams,
         seed: u64,
     ) -> Result<Self, LearnError> {
-        validate(features, targets)?;
-        let cols = ColumnMatrix::from_rows(features)?;
-        Self::fit_columns_seeded(&cols, targets, params, seed)
-    }
-
-    /// Fit on a shared column-major matrix.
-    pub fn fit_columns(
-        cols: &ColumnMatrix,
-        targets: &[f64],
-        params: TreeParams,
-    ) -> Result<Self, LearnError> {
-        Self::fit_columns_seeded(cols, targets, params, 0x5EED)
-    }
-
-    /// [`DecisionTreeRegressor::fit_columns`] with an explicit seed.
-    pub fn fit_columns_seeded(
-        cols: &ColumnMatrix,
-        targets: &[f64],
-        params: TreeParams,
-        seed: u64,
-    ) -> Result<Self, LearnError> {
-        if cols.is_empty() {
-            return Err(LearnError::EmptyTrainingSet);
-        }
-        if cols.n_rows() != targets.len() {
-            return Err(LearnError::LengthMismatch {
-                features: cols.n_rows(),
-                targets: targets.len(),
-            });
-        }
-        let root = fit_fast(
-            &FeatCols::Shared(cols),
-            targets,
-            params,
-            Criterion::Variance,
-            0,
-            seed,
-            presort(cols),
-        );
+        let root = fit_rows(features, targets, params, Criterion::Variance, 0, seed)?;
         Ok(DecisionTreeRegressor { root, params })
     }
 
-    /// Fit reusing a master presort of `cols` (gradient-boosting stages fit
-    /// many trees on the same feature columns).
-    pub(crate) fn fit_columns_presorted(
+    /// Fit on every row of a shared column matrix, reusing its `sorted`
+    /// order (gradient-boosting stages fit many trees on the same feature
+    /// columns). Inputs are pre-validated by the ensemble.
+    pub(crate) fn fit_ordered(
         cols: &ColumnMatrix,
         targets: &[f64],
         params: TreeParams,
         seed: u64,
-        presorted: &[Vec<u32>],
+        sorted: &[Vec<u32>],
     ) -> Self {
         let root = fit_fast(
-            &FeatCols::Shared(cols),
+            cols,
             targets,
             params,
             Criterion::Variance,
             0,
             seed,
-            presorted.to_vec(),
+            sorted.to_vec(),
         );
         DecisionTreeRegressor { root, params }
     }
@@ -789,15 +686,14 @@ impl DecisionTreeRegressor {
         params: TreeParams,
         seed: u64,
     ) -> Self {
-        let (boot_cols, boot_targets) = gather_bootstrap(cols, targets, rows);
         let root = fit_fast(
-            &boot_cols,
-            &boot_targets,
+            &cols.gather(rows),
+            &gather_targets(targets, rows),
             params,
             Criterion::Variance,
             0,
             seed,
-            ranks.bootstrap_presort(rows),
+            ranks.order(rows),
         );
         DecisionTreeRegressor { root, params }
     }
@@ -842,16 +738,8 @@ pub struct DecisionTreeClassifier {
 }
 
 impl DecisionTreeClassifier {
-    /// Fit a classification tree on integer labels.
-    pub fn fit(
-        features: &[Vec<f64>],
-        labels: &[usize],
-        params: TreeParams,
-    ) -> Result<Self, LearnError> {
-        Self::fit_seeded(features, labels, params, 0x5EED)
-    }
-
-    /// Fit with an explicit seed for deterministic feature subsampling.
+    /// Fit a classification tree on integer labels; `seed` drives the
+    /// feature subsampling.
     pub fn fit_seeded(
         features: &[Vec<f64>],
         labels: &[usize],
@@ -859,57 +747,8 @@ impl DecisionTreeClassifier {
         seed: u64,
     ) -> Result<Self, LearnError> {
         let targets: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-        validate(features, &targets)?;
-        let cols = ColumnMatrix::from_rows(features)?;
-        Self::fit_classifier_columns(&cols, &targets, labels, params, seed)
-    }
-
-    /// Fit on a shared column-major matrix.
-    pub fn fit_columns(
-        cols: &ColumnMatrix,
-        labels: &[usize],
-        params: TreeParams,
-    ) -> Result<Self, LearnError> {
-        Self::fit_columns_seeded(cols, labels, params, 0x5EED)
-    }
-
-    /// [`DecisionTreeClassifier::fit_columns`] with an explicit seed.
-    pub fn fit_columns_seeded(
-        cols: &ColumnMatrix,
-        labels: &[usize],
-        params: TreeParams,
-        seed: u64,
-    ) -> Result<Self, LearnError> {
-        if cols.is_empty() {
-            return Err(LearnError::EmptyTrainingSet);
-        }
-        if cols.n_rows() != labels.len() {
-            return Err(LearnError::LengthMismatch {
-                features: cols.n_rows(),
-                targets: labels.len(),
-            });
-        }
-        let targets: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-        Self::fit_classifier_columns(cols, &targets, labels, params, seed)
-    }
-
-    fn fit_classifier_columns(
-        cols: &ColumnMatrix,
-        targets: &[f64],
-        labels: &[usize],
-        params: TreeParams,
-        seed: u64,
-    ) -> Result<Self, LearnError> {
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-        let root = fit_fast(
-            &FeatCols::Shared(cols),
-            targets,
-            params,
-            Criterion::Gini,
-            n_classes,
-            seed,
-            presort(cols),
-        );
+        let root = fit_rows(features, &targets, params, Criterion::Gini, n_classes, seed)?;
         Ok(DecisionTreeClassifier { root, n_classes })
     }
 
@@ -924,18 +763,18 @@ impl DecisionTreeClassifier {
         params: TreeParams,
         seed: u64,
     ) -> Self {
-        let (boot_cols, boot_targets) = gather_bootstrap(cols, targets, rows);
+        let boot_targets = gather_targets(targets, rows);
         // The per-tree class count mirrors the reference, which derives it
         // from the bootstrap sample's own labels.
         let n_classes = boot_targets.iter().map(|&t| t as usize).max().unwrap_or(0) + 1;
         let root = fit_fast(
-            &boot_cols,
+            &cols.gather(rows),
             &boot_targets,
             params,
             Criterion::Gini,
             n_classes,
             seed,
-            ranks.bootstrap_presort(rows),
+            ranks.order(rows),
         );
         DecisionTreeClassifier { root, n_classes }
     }
@@ -943,11 +782,6 @@ impl DecisionTreeClassifier {
     /// Assemble a tree from pre-built parts (reference builders).
     pub(crate) fn from_parts(root: Node, n_classes: usize) -> Self {
         DecisionTreeClassifier { root, n_classes }
-    }
-
-    /// The fitted tree's root (prediction walks for the ensembles).
-    pub(crate) fn root(&self) -> &Node {
-        &self.root
     }
 
     /// Number of classes seen during training.
@@ -981,7 +815,8 @@ mod tests {
     #[test]
     fn regression_tree_learns_step_function() {
         let (f, t) = step_data();
-        let tree = DecisionTreeRegressor::fit(&f, &t, TreeParams::default()).unwrap();
+        let tree =
+            DecisionTreeRegressor::fit_seeded(&f, &t, TreeParams::default(), 0x5EED).unwrap();
         assert_eq!(tree.predict_one(&[1.0, 0.0]), 10.0);
         assert_eq!(tree.predict_one(&[9.0, 0.0]), 20.0);
         assert!(tree.depth() >= 1);
@@ -995,7 +830,7 @@ mod tests {
             max_depth: 0,
             ..Default::default()
         };
-        let tree = DecisionTreeRegressor::fit(&f, &t, params).unwrap();
+        let tree = DecisionTreeRegressor::fit_seeded(&f, &t, params, 0x5EED).unwrap();
         assert_eq!(tree.depth(), 0);
         let mean = t.iter().sum::<f64>() / t.len() as f64;
         assert!((tree.predict_one(&[0.0, 0.0]) - mean).abs() < 1e-9);
@@ -1005,7 +840,9 @@ mod tests {
     fn regression_tree_fits_piecewise_linear_reasonably() {
         let features: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 10.0]).collect();
         let targets: Vec<f64> = features.iter().map(|f| f[0] * 2.0 + 1.0).collect();
-        let tree = DecisionTreeRegressor::fit(&features, &targets, TreeParams::default()).unwrap();
+        let tree =
+            DecisionTreeRegressor::fit_seeded(&features, &targets, TreeParams::default(), 0x5EED)
+                .unwrap();
         let preds: Vec<f64> = features.iter().map(|f| tree.predict_one(f)).collect();
         let err = crate::metrics::mae(&targets, &preds);
         assert!(err < 0.5, "mae = {err}");
@@ -1021,7 +858,9 @@ mod tests {
             features.push(vec![10.0 + i as f64 * 0.1, 0.0]);
             labels.push(1);
         }
-        let tree = DecisionTreeClassifier::fit(&features, &labels, TreeParams::default()).unwrap();
+        let tree =
+            DecisionTreeClassifier::fit_seeded(&features, &labels, TreeParams::default(), 0x5EED)
+                .unwrap();
         assert_eq!(tree.predict_one(&[1.0, 0.0]), 0);
         assert_eq!(tree.predict_one(&[12.0, 0.0]), 1);
         assert_eq!(tree.n_classes(), 2);
@@ -1029,14 +868,21 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        assert!(DecisionTreeRegressor::fit(&[], &[], TreeParams::default()).is_err());
         assert!(
-            DecisionTreeRegressor::fit(&[vec![1.0]], &[1.0, 2.0], TreeParams::default()).is_err()
+            DecisionTreeRegressor::fit_seeded(&[], &[], TreeParams::default(), 0x5EED).is_err()
         );
-        assert!(DecisionTreeRegressor::fit(
+        assert!(DecisionTreeRegressor::fit_seeded(
+            &[vec![1.0]],
+            &[1.0, 2.0],
+            TreeParams::default(),
+            0x5EED
+        )
+        .is_err());
+        assert!(DecisionTreeRegressor::fit_seeded(
             &[vec![1.0], vec![1.0, 2.0]],
             &[1.0, 2.0],
-            TreeParams::default()
+            TreeParams::default(),
+            0x5EED
         )
         .is_err());
     }
@@ -1045,7 +891,9 @@ mod tests {
     fn constant_targets_yield_single_leaf() {
         let features: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let targets = vec![7.0; 20];
-        let tree = DecisionTreeRegressor::fit(&features, &targets, TreeParams::default()).unwrap();
+        let tree =
+            DecisionTreeRegressor::fit_seeded(&features, &targets, TreeParams::default(), 0x5EED)
+                .unwrap();
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict_one(&[3.0]), 7.0);
     }
@@ -1057,7 +905,7 @@ mod tests {
             min_samples_leaf: 10,
             ..Default::default()
         };
-        let tree = DecisionTreeRegressor::fit(&f, &t, params).unwrap();
+        let tree = DecisionTreeRegressor::fit_seeded(&f, &t, params, 0x5EED).unwrap();
         // With 50 rows and min 10 per leaf, there can be at most 5 leaves.
         assert!(tree.leaf_count() <= 5);
     }
@@ -1078,29 +926,14 @@ mod tests {
     }
 
     #[test]
-    fn column_fit_equals_row_fit() {
-        let (f, t) = step_data();
-        let cols = ColumnMatrix::from_rows(&f).unwrap();
-        let by_rows = DecisionTreeRegressor::fit_seeded(&f, &t, TreeParams::default(), 7).unwrap();
-        let by_cols =
-            DecisionTreeRegressor::fit_columns_seeded(&cols, &t, TreeParams::default(), 7).unwrap();
-        assert_eq!(by_rows, by_cols);
-        let labels: Vec<usize> = t.iter().map(|&y| usize::from(y > 15.0)).collect();
-        let c_rows =
-            DecisionTreeClassifier::fit_seeded(&f, &labels, TreeParams::default(), 7).unwrap();
-        let c_cols =
-            DecisionTreeClassifier::fit_columns_seeded(&cols, &labels, TreeParams::default(), 7)
-                .unwrap();
-        assert_eq!(c_rows, c_cols);
-    }
-
-    #[test]
     fn duplicate_feature_values_split_cleanly() {
         // Heavily tied feature values stress the stable partitioning of the
-        // presorted arrays: ties must stay in ascending sample order.
+        // per-feature ordered arrays: ties must stay in ascending sample order.
         let features: Vec<Vec<f64>> = (0..60).map(|i| vec![(i % 4) as f64]).collect();
         let targets: Vec<f64> = (0..60).map(|i| if i % 4 < 2 { 1.0 } else { 5.0 }).collect();
-        let tree = DecisionTreeRegressor::fit(&features, &targets, TreeParams::default()).unwrap();
+        let tree =
+            DecisionTreeRegressor::fit_seeded(&features, &targets, TreeParams::default(), 0x5EED)
+                .unwrap();
         assert_eq!(tree.predict_one(&[0.0]), 1.0);
         assert_eq!(tree.predict_one(&[3.0]), 5.0);
     }

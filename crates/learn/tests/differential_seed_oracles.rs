@@ -17,7 +17,8 @@ use scope_learn::reference::{
 };
 use scope_learn::tree::TreeParams;
 use scope_learn::{
-    Classifier, DecisionTreeRegressor, RandomForestClassifier, RandomForestRegressor, Regressor,
+    Classifier, ColumnMatrix, DecisionTreeRegressor, RandomForestClassifier, RandomForestRegressor,
+    Regressor,
 };
 
 /// Deterministic pseudo-random stream (splitmix64) so the datasets are
@@ -108,7 +109,8 @@ fn forest_regressor_fast_path_matches_seed_oracle() {
         ..ForestParams::default()
     };
     let oracle = fit_forest_regressor_seed(&features, &targets, params).unwrap();
-    let fast = RandomForestRegressor::fit(&features, &targets, params).unwrap();
+    let cols = ColumnMatrix::from_rows(&features).unwrap();
+    let fast = RandomForestRegressor::fit_columns(&cols, &targets, params).unwrap();
     for (o, f) in oracle
         .predict(&features)
         .iter()
@@ -127,7 +129,8 @@ fn forest_classifier_fast_path_matches_seed_oracle() {
         ..ForestParams::default()
     };
     let oracle = fit_forest_classifier_seed(&features, &labels, params).unwrap();
-    let fast = RandomForestClassifier::fit(&features, &labels, params).unwrap();
+    let cols = ColumnMatrix::from_rows(&features).unwrap();
+    let fast = RandomForestClassifier::fit_columns(&cols, &labels, params).unwrap();
     assert_eq!(oracle.predict(&features), fast.predict(&features));
     // Clean separation: the ensemble must actually have learned the bands.
     let errors = oracle

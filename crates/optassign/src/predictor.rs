@@ -295,9 +295,8 @@ impl TierPredictor {
     /// Predict tiers for every dataset in a catalog.
     ///
     /// Batched: extracts one column-major feature matrix and walks the
-    /// forest through [`Classifier::predict_columns`] (parallel over rows,
-    /// merged in order) — identical labels to calling
-    /// [`TierPredictor::predict`] per dataset.
+    /// forest through [`Classifier::predict_columns`], one row at a time —
+    /// identical labels to calling [`TierPredictor::predict`] per dataset.
     pub fn predict_all(
         &self,
         datasets: &DatasetCatalog,

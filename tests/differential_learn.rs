@@ -1,5 +1,5 @@
-//! Differential pins for the PR-5 learning fast path: the production
-//! presort/parallel/index-bagged training paths must be **bit-for-bit**
+//! Differential pins for the learning fast path: the production
+//! rank-ordered/parallel/index-bagged training paths must be **bit-for-bit**
 //! equal to the preserved seed-shaped oracles in `scope_learn::reference`,
 //! `scope_compredict::features::weighted_entropy_by_type_reference` and
 //! `scope_datapart::solve_ordered_exact_reference` — tree structures,
@@ -10,10 +10,11 @@
 //! Also pins parallel-vs-sequential determinism: any worker-thread count
 //! must fit the identical model.
 //!
-//! The forests order each tree's bootstrap through one rank table per
-//! forest (a stable counting sort on shared ranks), so the proptest at the
-//! end feeds them the ties that ordering must get right: few distinct
-//! values, constant columns, `-0.0` next to `0.0`, and `±∞`.
+//! Every tree fit orders its positions through one rank table per fit (a
+//! stable counting sort on shared ranks: per forest, per boosted ensemble,
+//! per single tree), so the proptest at the end feeds all of them the ties
+//! that ordering must get right: few distinct values, constant columns,
+//! `-0.0` next to `0.0`, and `±∞`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -108,7 +109,8 @@ fn forests_match_reference_votes_and_structure() {
         seed: 3,
         ..Default::default()
     };
-    let fast = RandomForestRegressor::fit(&f, &t, params).unwrap();
+    let cols = ColumnMatrix::from_rows(&f).unwrap();
+    let fast = RandomForestRegressor::fit_columns(&cols, &t, params).unwrap();
     let slow = fit_forest_regressor_reference(&f, &t, params).unwrap();
     assert_eq!(fast, slow, "forest regressor trees diverged");
     for q in &queries {
@@ -116,7 +118,7 @@ fn forests_match_reference_votes_and_structure() {
     }
 
     let labels: Vec<usize> = t.iter().map(|&y| (y.abs() as usize) % 3).collect();
-    let fast = RandomForestClassifier::fit(&f, &labels, params).unwrap();
+    let fast = RandomForestClassifier::fit_columns(&cols, &labels, params).unwrap();
     let slow = fit_forest_classifier_reference(&f, &labels, params).unwrap();
     assert_eq!(fast, slow, "forest classifier trees diverged");
     for q in &queries {
@@ -135,7 +137,8 @@ fn boosting_matches_reference_predictions() {
         n_estimators: 30,
         ..Default::default()
     };
-    let fast = GradientBoostingRegressor::fit(&f, &t, params).unwrap();
+    let cols = ColumnMatrix::from_rows(&f).unwrap();
+    let fast = GradientBoostingRegressor::fit_columns(&cols, &t, params).unwrap();
     let slow = fit_boosting_reference(&f, &t, params).unwrap();
     assert_eq!(fast, slow, "boosting stages diverged");
     let (queries, _) = random_instance(40, 3, 77);
@@ -150,29 +153,33 @@ fn training_is_thread_count_independent() {
     // training — a fixed seed fits the identical model for any worker
     // count (1 = the plain sequential loop).
     let (f, t) = random_instance(220, 4, 31);
+    let cols = ColumnMatrix::from_rows(&f).unwrap();
     let fp = ForestParams {
         n_trees: 17,
         seed: 5,
         ..Default::default()
     };
-    let forest_seq = RandomForestRegressor::fit_with_threads(&f, &t, fp, 1).unwrap();
+    let forest_seq = RandomForestRegressor::fit_columns_with_threads(&cols, &t, fp, 1).unwrap();
     for threads in [2, 3, 5, 8, 13] {
-        let forest_par = RandomForestRegressor::fit_with_threads(&f, &t, fp, threads).unwrap();
+        let forest_par =
+            RandomForestRegressor::fit_columns_with_threads(&cols, &t, fp, threads).unwrap();
         assert_eq!(forest_seq, forest_par, "forest threads={threads}");
     }
     let labels: Vec<usize> = t.iter().map(|&y| (y.abs() as usize) % 3).collect();
-    let clf_seq = RandomForestClassifier::fit_with_threads(&f, &labels, fp, 1).unwrap();
+    let clf_seq = RandomForestClassifier::fit_columns_with_threads(&cols, &labels, fp, 1).unwrap();
     for threads in [2, 7] {
-        let clf_par = RandomForestClassifier::fit_with_threads(&f, &labels, fp, threads).unwrap();
+        let clf_par =
+            RandomForestClassifier::fit_columns_with_threads(&cols, &labels, fp, threads).unwrap();
         assert_eq!(clf_seq, clf_par, "classifier threads={threads}");
     }
     let bp = BoostingParams {
         n_estimators: 20,
         ..Default::default()
     };
-    let gbt_seq = GradientBoostingRegressor::fit_with_threads(&f, &t, bp, 1).unwrap();
+    let gbt_seq = GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, bp, 1).unwrap();
     for threads in [2, 6] {
-        let gbt_par = GradientBoostingRegressor::fit_with_threads(&f, &t, bp, threads).unwrap();
+        let gbt_par =
+            GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, bp, threads).unwrap();
         assert_eq!(gbt_seq, gbt_par, "boosting threads={threads}");
     }
 }
@@ -357,14 +364,22 @@ fn ordered_dp_plans_match_reference_bit_for_bit() {
 fn batched_column_prediction_equals_row_prediction() {
     let (f, t) = random_instance(150, 4, 51);
     let cols = ColumnMatrix::from_rows(&f).unwrap();
-    let forest = RandomForestRegressor::fit_default(&f, &t, 2).unwrap();
+    let forest = RandomForestRegressor::fit_columns(
+        &cols,
+        &t,
+        ForestParams {
+            seed: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let batched = forest.predict_columns(&cols);
     let scalar = forest.predict(&f);
     assert_eq!(batched.len(), scalar.len());
     for (a, b) in batched.iter().zip(&scalar) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-    let gbt = GradientBoostingRegressor::fit_default(&f, &t).unwrap();
+    let gbt = GradientBoostingRegressor::fit_columns(&cols, &t, BoostingParams::default()).unwrap();
     for (a, b) in gbt.predict_columns(&cols).iter().zip(gbt.predict(&f)) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -439,8 +454,9 @@ fn tied_instance(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both forests, at one and at three threads, equal their seed-shaped
-    /// oracle bit for bit under adversarial ties: the trees (thresholds'
+    /// Every tree fit equals its seed-shaped oracle bit for bit under
+    /// adversarial ties: both forests and the boosted ensemble at one and
+    /// at three threads, and both single trees — the trees (thresholds'
     /// signs included, through `Debug`) and every `predict_one`.
     #[test]
     fn forests_match_reference_bit_for_bit_under_adversarial_ties(
@@ -448,22 +464,66 @@ proptest! {
         width in 1usize..=9,
         n_trees in 1usize..=8,
         levels in 1usize..=6,
+        max_features in 1usize..=9,
+        n_stages in 1usize..=8,
         seed in proptest::arbitrary::any::<u64>(),
     ) {
         let (f, t, labels) = tied_instance(n, width, levels, seed);
         let (queries, _, _) = tied_instance(20, width, levels, seed ^ 1);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tree_params = TreeParams {
+            max_features: Some(max_features),
+            ..Default::default()
+        };
+        let tree = DecisionTreeRegressor::fit_seeded(&f, &t, tree_params, seed).unwrap();
+        let tree_ref = fit_tree_regressor_reference(&f, &t, tree_params, seed).unwrap();
+        prop_assert_eq!(&tree, &tree_ref, "regression tree");
+        prop_assert_eq!(format!("{tree:?}"), format!("{tree_ref:?}"));
+        let clf_tree = DecisionTreeClassifier::fit_seeded(&f, &labels, tree_params, seed).unwrap();
+        let clf_tree_ref = fit_tree_classifier_reference(&f, &labels, tree_params, seed).unwrap();
+        prop_assert_eq!(&clf_tree, &clf_tree_ref, "classification tree");
+        prop_assert_eq!(format!("{clf_tree:?}"), format!("{clf_tree_ref:?}"));
+        for q in f.iter().chain(&queries) {
+            prop_assert_eq!(tree.predict_one(q).to_bits(), tree_ref.predict_one(q).to_bits());
+            prop_assert_eq!(
+                Classifier::predict_one(&clf_tree, q),
+                Classifier::predict_one(&clf_tree_ref, q)
+            );
+        }
+
+        let cols = ColumnMatrix::from_rows(&f).unwrap();
         let params = ForestParams {
             n_trees,
             seed,
             ..Default::default()
         };
+        let boost_params = BoostingParams {
+            n_estimators: n_stages,
+            ..Default::default()
+        };
         let reg_ref = fit_forest_regressor_reference(&f, &t, params).unwrap();
         let clf_ref = fit_forest_classifier_reference(&f, &labels, params).unwrap();
+        let gbt_ref = fit_boosting_reference(&f, &t, boost_params).unwrap();
         for threads in [1, 3] {
-            let reg = RandomForestRegressor::fit_with_threads(&f, &t, params, threads).unwrap();
+            let gbt = GradientBoostingRegressor::fit_columns_with_threads(
+                &cols,
+                &t,
+                boost_params,
+                threads,
+            )
+            .unwrap();
+            prop_assert_eq!(&gbt, &gbt_ref, "boosting, {} threads", threads);
+            prop_assert_eq!(format!("{gbt:?}"), format!("{gbt_ref:?}"));
+            prop_assert_eq!(bits(&gbt.predict(&f)), bits(&gbt_ref.predict(&f)));
+            prop_assert_eq!(bits(&gbt.predict(&queries)), bits(&gbt_ref.predict(&queries)));
+
+            let reg = RandomForestRegressor::fit_columns_with_threads(&cols, &t, params, threads)
+                .unwrap();
             prop_assert_eq!(&reg, &reg_ref, "regressor, {} threads", threads);
             prop_assert_eq!(format!("{reg:?}"), format!("{reg_ref:?}"));
-            let clf = RandomForestClassifier::fit_with_threads(&f, &labels, params, threads).unwrap();
+            let clf =
+                RandomForestClassifier::fit_columns_with_threads(&cols, &labels, params, threads)
+                    .unwrap();
             prop_assert_eq!(&clf, &clf_ref, "classifier, {} threads", threads);
             prop_assert_eq!(format!("{clf:?}"), format!("{clf_ref:?}"));
             for q in f.iter().chain(&queries) {
@@ -473,7 +533,6 @@ proptest! {
                     Classifier::predict_one(&clf_ref, q)
                 );
                 let (p, p_ref) = (clf.predict_proba_one(q), clf_ref.predict_proba_one(q));
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&p), bits(&p_ref));
             }
         }
