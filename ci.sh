@@ -34,13 +34,19 @@ cargo test -q
 echo "==> scope-analyze --deny --json (workspace invariant lint)"
 cargo run -q -p scope-analyze -- --deny --json
 
+# The end-to-end benchmark is its own package outside the workspace;
+# checking it here, in the quick cycle too, turns API drift against it
+# into a red build.
+echo "==> cargo check benchmark/ (out-of-workspace package)"
+cargo check --locked --offline --features alloc-count --manifest-path benchmark/Cargo.toml
+
 # Release-mode test pass: the optimizer DP oracles and proptests are an
 # order of magnitude slower in debug, and release occasionally surfaces
 # optimization-dependent float bugs debug hides. The floor must equal the
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=688
+min_tests=690
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -60,12 +66,7 @@ if [[ $quick -eq 0 ]]; then
     # `cargo test` above. `benchmark/run.sh --quick` below checks them again
     # in-process, on a 2 000-object fleet, before it reports a number.
 
-    # The end-to-end benchmark is its own package outside the workspace;
-    # checking it here turns API drift against it into a red build.
-    echo "==> cargo check benchmark/ (out-of-workspace package)"
-    cargo check --locked --offline --features alloc-count --manifest-path benchmark/Cargo.toml
-
-    # ... and running its quick suite (about 6 s once built) puts the
+    # Running the benchmark's quick suite (about 6 s once built) puts the
     # in-process end-to-end checks on every build: each workload verifies
     # its outputs, and serve_durable crashes a FileStorage journal
     # mid-epoch and requires the recovered engine's checkpoint to equal a

@@ -11,11 +11,15 @@
 //!   sequenced batches (cut by the only batch splitter, `split_batches`)
 //!   interleaved with epoch boundaries (advance, incremental re-solve,
 //!   checkpoint);
-//! * the private `drive` function is the only place that delivers,
-//!   advances and re-solves. It runs a plain engine or a
-//!   [`JournaledEngine`] over fault-injected storage, optionally under a
-//!   [`FaultPlan`]'s compute faults, crashes and recovers the engine where
-//!   its crash policy says so, and writes one [`EpochRecord`] per boundary.
+//! * the private `drive` function is the only step loop. It takes every
+//!   step through [`Serving`] — [`Serving::deliver`],
+//!   [`Serving::advance_to`], [`Serving::resolve`] with a [`FaultPlan`]'s
+//!   compute faults, [`Serving::checkpoint_epoch`] — so it runs a plain
+//!   engine or a [`JournaledEngine`] over fault-injected storage alike,
+//!   and writes one [`EpochRecord`] per boundary. What differs per engine
+//!   kind is only its private crash policy: when the engine crashes and
+//!   how it comes back (a plain engine is restored from its snapshot, a
+//!   journaled one recovers from its storage).
 //!
 //! [`run_serving`], [`run_chaos`] and [`run_recovery`] are configurations
 //! of that loop over a generated enterprise account, and with their
@@ -71,8 +75,8 @@ use scope_faults::{
     expected_intake, FaultPlan, FaultRates, FaultyStorage, StorageFaultPlan, StorageFaultRates,
 };
 use scope_serve::{
-    reference, AccountAssignment, CompressionOption, IngestReport, JournaledEngine, ResolveOutcome,
-    ServeConfig, ServeEngine, ServeError, ServeObject, ShardFault,
+    reference, AccountAssignment, CompressionOption, JournaledEngine, ResolveOutcome, ServeConfig,
+    ServeEngine, ServeError, ServeObject, Serving,
 };
 use scope_wal::{JournalConfig, MemStorage, WalError};
 use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
@@ -540,163 +544,156 @@ struct StorageCrashes {
     pending_fuzz: Vec<u64>,
 }
 
-/// The engine a replay drives, with what can crash it. One value exists
-/// per replay, so the variants' size difference costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Driven<'a> {
-    /// A plain engine. With a plan it is checkpointed, dropped and
-    /// restored after the epochs the plan picks.
-    Plain(ServeEngine, Option<&'a FaultPlan>),
-    /// A journaled engine over fault-injected in-memory storage.
-    Journaled(JournaledEngine<FaultyMem>, StorageCrashes),
-}
+/// What can crash a replay's engine, and how it comes back: all that
+/// differs between the engine kinds [`drive`] runs, which takes every
+/// step through [`Serving`].
+trait CrashPolicy {
+    /// The engine this policy crashes.
+    type Engine: Serving;
 
-impl Driven<'_> {
-    fn engine(&self) -> &ServeEngine {
-        match self {
-            Driven::Plain(engine, _) => engine,
-            Driven::Journaled(journaled, _) => journaled.engine(),
-        }
-    }
+    /// Whether `engine` crashes after completing `step` at `step_pos`.
+    fn crashes_after(
+        &mut self,
+        engine: &Self::Engine,
+        step_pos: u64,
+        step: &Step,
+        tally: &mut RecoveryOutcome,
+    ) -> bool;
 
-    fn deliver(&mut self, seq: u64, batch: &EventColumns) -> Result<IngestReport, ServeError> {
-        match self {
-            Driven::Plain(engine, _) => engine.ingest_sequenced(seq, batch),
-            Driven::Journaled(journaled, _) => journaled.ingest_sequenced(seq, batch),
-        }
-    }
-
-    fn advance(&mut self, day: u32) -> Result<(), ServeError> {
-        match self {
-            Driven::Plain(engine, _) => {
-                engine.advance(day);
-                Ok(())
-            }
-            Driven::Journaled(journaled, _) => journaled.advance(day),
-        }
-    }
-
-    fn reoptimize(&mut self, faults: &[Option<ShardFault>]) -> Result<ResolveOutcome, ServeError> {
-        match self {
-            Driven::Plain(engine, _) => engine.reoptimize_with_faults(faults),
-            Driven::Journaled(journaled, _) => journaled.reoptimize_with_faults(faults),
-        }
-    }
-
-    /// Make the boundary durable (`marker` is the step position after it).
-    fn checkpoint(&mut self, marker: u64) -> Result<(), ServeError> {
-        match self {
-            Driven::Plain(..) => Ok(()),
-            Driven::Journaled(journaled, _) => journaled.checkpoint_durable(marker),
-        }
-    }
-
-    /// Whether the engine crashes after completing `step` at `step_pos`.
-    fn crashes_after(&mut self, step_pos: u64, step: &Step, tally: &mut RecoveryOutcome) -> bool {
-        match self {
-            Driven::Plain(_, plan) => match (plan, step) {
-                (Some(plan), Step::Epoch { epoch, .. }) => plan.crash_after_epoch(*epoch as u64),
-                _ => false,
-            },
-            Driven::Journaled(journaled, storage) => {
-                if storage.pending_fuzz.first() == Some(&step_pos) {
-                    storage.pending_fuzz.remove(0);
-                    tally.forced_crashes += 1;
-                    true
-                } else {
-                    tally.crashes < storage.crash_cap
-                        && storage
-                            .plan
-                            .crash_at(journaled.journal().storage().generation(), step_pos)
-                }
-            }
-        }
-    }
-
-    /// Crash at `step_pos`: drop all in-memory state, recover, and return
-    /// the engine with the step position to resume from (`next` when
-    /// nothing was lost).
+    /// Crash `engine` at `step_pos` (the crash is already counted): drop
+    /// all in-memory state, recover, and return the engine with the step
+    /// position to resume from (`next` when nothing was lost).
     fn recover(
-        self,
+        &mut self,
+        engine: Self::Engine,
         fleet: &Fleet,
         schedule: &Schedule,
         step_pos: u64,
         next: usize,
         tally: &mut RecoveryOutcome,
-    ) -> Result<(Self, usize), ServeError> {
-        tally.crashes += 1;
-        match self {
-            Driven::Plain(engine, plan) => {
-                let snapshot = engine.checkpoint();
-                let restored =
-                    ServeEngine::restore(fleet.catalog.clone(), fleet.schemes.clone(), &snapshot)?;
-                tally.checkpoints_bit_identical &= restored.checkpoint() == snapshot;
-                Ok((Driven::Plain(restored, plan), next))
+    ) -> Result<(Self::Engine, usize), ServeError>;
+}
+
+/// A plain engine. With a plan it is checkpointed, dropped and restored
+/// after the epochs the plan picks; without one it never crashes.
+impl CrashPolicy for Option<&FaultPlan> {
+    type Engine = ServeEngine;
+
+    fn crashes_after(
+        &mut self,
+        _: &ServeEngine,
+        _: u64,
+        step: &Step,
+        _: &mut RecoveryOutcome,
+    ) -> bool {
+        match (self, step) {
+            (Some(plan), Step::Epoch { epoch, .. }) => plan.crash_after_epoch(*epoch as u64),
+            _ => false,
+        }
+    }
+
+    fn recover(
+        &mut self,
+        engine: ServeEngine,
+        fleet: &Fleet,
+        _: &Schedule,
+        _: u64,
+        next: usize,
+        tally: &mut RecoveryOutcome,
+    ) -> Result<(ServeEngine, usize), ServeError> {
+        let snapshot = engine.checkpoint();
+        let restored =
+            ServeEngine::restore(fleet.catalog.clone(), fleet.schemes.clone(), &snapshot)?;
+        tally.checkpoints_bit_identical &= restored.checkpoint() == snapshot;
+        Ok((restored, next))
+    }
+}
+
+/// A journaled engine over fault-injected in-memory storage.
+impl CrashPolicy for StorageCrashes {
+    type Engine = JournaledEngine<FaultyMem>;
+
+    fn crashes_after(
+        &mut self,
+        journaled: &Self::Engine,
+        step_pos: u64,
+        _: &Step,
+        tally: &mut RecoveryOutcome,
+    ) -> bool {
+        if self.pending_fuzz.first() == Some(&step_pos) {
+            self.pending_fuzz.remove(0);
+            tally.forced_crashes += 1;
+            true
+        } else {
+            tally.crashes < self.crash_cap
+                && self
+                    .plan
+                    .crash_at(journaled.journal().storage().generation(), step_pos)
+        }
+    }
+
+    fn recover(
+        &mut self,
+        journaled: Self::Engine,
+        fleet: &Fleet,
+        schedule: &Schedule,
+        step_pos: u64,
+        _: usize,
+        tally: &mut RecoveryOutcome,
+    ) -> Result<(Self::Engine, usize), ServeError> {
+        // Apply the crash-time corruption, bump the generation so the
+        // replay draws a fresh fault schedule, and past the cap rebuild the
+        // wrapper around the surviving bytes with the rates-none plan so
+        // the run drains.
+        let mut faulty = journaled.crash();
+        let (tore, flipped) = corrupt_at_crash(
+            &self.plan,
+            faulty.generation(),
+            step_pos,
+            faulty.inner_mut(),
+        );
+        tally.torn_crashes += usize::from(tore);
+        tally.bit_flip_crashes += usize::from(flipped);
+        faulty.bump_generation();
+        let generations = faulty.generation();
+        tally.fault_injection_capped |= tally.crashes == self.crash_cap;
+        let capped = tally.crashes >= self.crash_cap;
+        if capped {
+            faulty = FaultyStorage::new(faulty.into_inner(), self.nofault.clone());
+        }
+        match JournaledEngine::recover(
+            faulty,
+            self.journal_cfg.clone(),
+            fleet.catalog.clone(),
+            fleet.schemes.clone(),
+            || fleet.engine(),
+        ) {
+            Ok((recovered, report)) => {
+                tally.recoveries_started_fresh += usize::from(report.started_fresh);
+                tally.quarantined_checkpoints += report.wal.quarantined_checkpoints.len();
+                tally.quarantined_records += report.wal.quarantined_records.len();
+                tally.torn_bytes += report.wal.torn_bytes;
+                tally.replayed_records += report.replayed;
+                let resume = schedule
+                    .after_delivery(report.resume_deliveries)
+                    .max(report.marker as usize);
+                Ok((recovered, resume))
             }
-            Driven::Journaled(journaled, storage) => {
-                // Apply the crash-time corruption, bump the generation so
-                // the replay draws a fresh fault schedule, and past the
-                // cap rebuild the wrapper around the surviving bytes with
-                // the rates-none plan so the run drains.
-                let mut faulty = journaled.crash();
-                let (tore, flipped) = corrupt_at_crash(
-                    &storage.plan,
-                    faulty.generation(),
-                    step_pos,
-                    faulty.inner_mut(),
-                );
-                tally.torn_crashes += usize::from(tore);
-                tally.bit_flip_crashes += usize::from(flipped);
-                faulty.bump_generation();
-                let generations = faulty.generation();
-                tally.fault_injection_capped |= tally.crashes == storage.crash_cap;
-                let capped = tally.crashes >= storage.crash_cap;
-                if capped {
-                    faulty = FaultyStorage::new(faulty.into_inner(), storage.nofault.clone());
+            Err(ServeError::Wal(WalError::Unrecoverable(_))) => {
+                // Storage corruption destroyed the journal origin: wipe and
+                // restart the whole schedule — recovery by total
+                // re-delivery. The generation keeps counting.
+                tally.unrecoverable_resets += 1;
+                let plan = if capped { &self.nofault } else { &self.plan };
+                let mut fresh = FaultyStorage::new(MemStorage::new(), plan.clone());
+                for _ in 0..generations {
+                    fresh.bump_generation();
                 }
-                match JournaledEngine::recover(
-                    faulty,
-                    storage.journal_cfg.clone(),
-                    fleet.catalog.clone(),
-                    fleet.schemes.clone(),
-                    || fleet.engine(),
-                ) {
-                    Ok((recovered, report)) => {
-                        tally.recoveries_started_fresh += usize::from(report.started_fresh);
-                        tally.quarantined_checkpoints += report.wal.quarantined_checkpoints.len();
-                        tally.quarantined_records += report.wal.quarantined_records.len();
-                        tally.torn_bytes += report.wal.torn_bytes;
-                        tally.replayed_records += report.replayed;
-                        let resume = schedule
-                            .after_delivery(report.resume_deliveries)
-                            .max(report.marker as usize);
-                        Ok((Driven::Journaled(recovered, storage), resume))
-                    }
-                    Err(ServeError::Wal(WalError::Unrecoverable(_))) => {
-                        // Storage corruption destroyed the journal origin:
-                        // wipe and restart the whole schedule — recovery
-                        // by total re-delivery. The generation keeps
-                        // counting.
-                        tally.unrecoverable_resets += 1;
-                        let plan = if capped {
-                            &storage.nofault
-                        } else {
-                            &storage.plan
-                        };
-                        let mut fresh = FaultyStorage::new(MemStorage::new(), plan.clone());
-                        for _ in 0..generations {
-                            fresh.bump_generation();
-                        }
-                        let journaled = JournaledEngine::create(
-                            fleet.engine()?,
-                            fresh,
-                            storage.journal_cfg.clone(),
-                        )?;
-                        Ok((Driven::Journaled(journaled, storage), 0))
-                    }
-                    Err(err) => Err(err),
-                }
+                let journaled =
+                    JournaledEngine::create(fleet.engine()?, fresh, self.journal_cfg.clone())?;
+                Ok((journaled, 0))
             }
+            Err(err) => Err(err),
         }
     }
 }
@@ -752,8 +749,8 @@ struct Trace {
 }
 
 /// A finished replay.
-struct Replayed<'a> {
-    driven: Driven<'a>,
+struct Replayed<E> {
+    engine: E,
     epochs: Vec<Trace>,
     /// Crash counters (the storage-only ones stay zero for a plain engine);
     /// `checkpoints_bit_identical` also covers plain restores round-tripping
@@ -761,7 +758,7 @@ struct Replayed<'a> {
     tally: RecoveryOutcome,
 }
 
-impl Replayed<'_> {
+impl<E> Replayed<E> {
     fn records(&self) -> Vec<EpochRecord> {
         self.epochs.iter().map(|t| t.record.clone()).collect()
     }
@@ -781,20 +778,21 @@ fn matches_reference(cold: &[AccountAssignment], resolved: &ResolveOutcome) -> b
             || reference::total_objective(cold).to_bits() == resolved.total_objective.to_bits())
 }
 
-/// The step loop. Replays `schedule` on `driven` — deliveries through the
-/// sequenced intake; at each boundary advance, take the cold reference,
-/// re-solve under `compute`'s shard faults, checkpoint and record — and
-/// crashes and recovers the engine where it says so, resuming from the
-/// position recovery proves. `twins` are the per-epoch traces of the
-/// fault-free twin (heat) and of the never-crashed twin (checkpoint and
-/// objective) to compare against.
-fn drive<'a>(
+/// The step loop. Replays `schedule` on `engine` through its [`Serving`]
+/// steps — deliveries through the sequenced intake; at each boundary
+/// advance, take the cold reference, re-solve under `compute`'s shard
+/// faults, checkpoint and record — and crashes and recovers the engine
+/// where `crashes` says so, resuming from the position recovery proves.
+/// `twins` are the per-epoch traces of the fault-free twin (heat) and of
+/// the never-crashed twin (checkpoint and objective) to compare against.
+fn drive<C: CrashPolicy>(
     fleet: &Fleet,
     schedule: &Schedule,
     compute: Option<&FaultPlan>,
-    mut driven: Driven<'a>,
+    mut engine: C::Engine,
+    mut crashes: C,
     twins: Option<(&[Trace], &[Trace])>,
-) -> Result<Replayed<'a>, ScopeError> {
+) -> Result<Replayed<C::Engine>, ScopeError> {
     let steps = &schedule.steps;
     let shards = fleet.accounts();
     let mut tally = RecoveryOutcome {
@@ -810,28 +808,28 @@ fn drive<'a>(
         let result: Result<(), ServeError> = match &steps[step_pos] {
             Step::Deliver(seq, batch) => {
                 tally.redelivered_batches += u64::from(step_pos < max_pos);
-                driven.deliver(*seq, batch).map(|report| {
+                engine.deliver(*seq, batch).map(|report| {
                     intake.0 += report.folded;
                     intake.1 += report.quarantined;
                     intake.2 += report.truncated;
                 })
             }
             Step::Epoch { day, epoch } => (|| {
-                driven.advance(*day)?;
+                engine.advance_to(*day)?;
                 // The cold reference must be taken before the incremental
                 // re-solve: both solve from the same pre-solve placements
                 // (the re-solve then updates them, changing transition
                 // costs).
-                let cold = reference::full_resolve(driven.engine())?;
+                let cold = reference::full_resolve(engine.engine())?;
                 let faults =
                     compute.map_or_else(Vec::new, |p| p.shard_faults(*epoch as u64, shards));
-                let resolved = driven.reoptimize(&faults)?;
-                driven.checkpoint(step_pos as u64 + 1)?;
-                let engine = driven.engine();
-                let heat: Vec<Option<u64>> = (0..engine.len() as u32)
-                    .map(|id| engine.heat(id).map(f64::to_bits))
+                let resolved = engine.resolve(&faults)?;
+                engine.checkpoint_epoch(step_pos as u64 + 1)?;
+                let served = engine.engine();
+                let heat: Vec<Option<u64>> = (0..served.len() as u32)
+                    .map(|id| served.heat(id).map(f64::to_bits))
                     .collect();
-                let checkpoint = engine.checkpoint();
+                let checkpoint = served.checkpoint();
                 let (heat_ok, checkpoint_ok, objective_ok) =
                     twins.map_or((true, true, true), |(clean, steady)| {
                         (
@@ -851,7 +849,7 @@ fn drive<'a>(
                     rows_patched: resolved.rows_patched,
                     retier_decisions: resolved.retier_decisions,
                     degraded_accounts: resolved.degraded_accounts,
-                    stale_accounts: engine.stale_accounts().len(),
+                    stale_accounts: served.stale_accounts().len(),
                     total_objective: resolved.total_objective,
                     matches_reference: matches_reference(&cold, &resolved),
                     heat_matches_twin: heat_ok,
@@ -872,7 +870,8 @@ fn drive<'a>(
             Ok(()) => {
                 pos += 1;
                 max_pos = max_pos.max(pos);
-                let crash = driven.crashes_after(step_pos as u64, &steps[step_pos], &mut tally);
+                let crash =
+                    crashes.crashes_after(&engine, step_pos as u64, &steps[step_pos], &mut tally);
                 if let (true, Step::Epoch { epoch, .. }) = (crash, &steps[step_pos]) {
                     if let Some(trace) = &mut epochs[*epoch] {
                         trace.record.crashed = true;
@@ -887,12 +886,14 @@ fn drive<'a>(
             Err(err) => return Err(err.into()),
         };
         if crash {
-            (driven, pos) = driven.recover(fleet, schedule, step_pos as u64, pos, &mut tally)?;
+            tally.crashes += 1;
+            (engine, pos) =
+                crashes.recover(engine, fleet, schedule, step_pos as u64, pos, &mut tally)?;
             intake = (0, 0, 0);
         }
     }
     Ok(Replayed {
-        driven,
+        engine,
         epochs: epochs.into_iter().flatten().collect(),
         tally,
     })
@@ -903,9 +904,15 @@ fn drive_plain(
     fleet: &Fleet,
     schedule: &Schedule,
     compute: Option<&FaultPlan>,
-) -> Result<Replayed<'static>, ScopeError> {
-    let driven = Driven::Plain(fleet.engine()?, None);
-    drive(fleet, schedule, compute, driven, None)
+) -> Result<Replayed<ServeEngine>, ScopeError> {
+    drive(
+        fleet,
+        schedule,
+        compute,
+        fleet.engine()?,
+        None::<&FaultPlan>,
+        None,
+    )
 }
 
 /// Replay the projection window of a generated enterprise account through
@@ -914,7 +921,7 @@ fn drive_plain(
 pub fn run_serving(options: &ServingOptions) -> Result<ServingOutcome, ScopeError> {
     let (fleet, schedule) = enterprise_replay(options)?;
     let run = drive_plain(&fleet, &schedule, None)?;
-    let engine = run.driven.engine();
+    let engine = &run.engine;
     let epochs = run.records();
     Ok(ServingOutcome {
         objects: engine.len(),
@@ -944,11 +951,12 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
         &fleet,
         &delivered,
         Some(&plan),
-        Driven::Plain(fleet.engine()?, Some(&plan)),
+        fleet.engine()?,
+        Some(&plan),
         Some((&twin.epochs, &steady.epochs)),
     )?;
 
-    let engine = run.driven.engine();
+    let engine = &run.engine;
     let epochs = run.records();
     let quarantined_events = epochs.iter().map(|e| e.quarantined_events).sum();
     let expected = expected_intake(
@@ -963,7 +971,7 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
         accounts: fleet.accounts(),
         crashes: run.tally.crashes,
         recoveries_bit_identical: run.tally.checkpoints_bit_identical,
-        recovered_matches_never_crashed: final_checkpoint == steady.driven.engine().checkpoint(),
+        recovered_matches_never_crashed: final_checkpoint == steady.engine.checkpoint(),
         quarantined_events,
         intake_matches_expected: engine.quarantine().entries() == expected.records
             && engine.quarantine().total() == expected.quarantined
@@ -1018,15 +1026,16 @@ pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeE
         &fleet,
         &schedule,
         None,
-        Driven::Journaled(journaled, storage),
+        journaled,
+        storage,
         Some((&twin.epochs, &twin.epochs)),
     )?;
-    let final_checkpoint = run.driven.engine().checkpoint();
+    let final_checkpoint = run.engine.engine().checkpoint();
     Ok(RecoveryOutcome {
         epochs: run.records(),
         objects: fleet.objects.len(),
         steps: steps.len(),
-        final_bit_identical: final_checkpoint == twin.driven.engine().checkpoint(),
+        final_bit_identical: final_checkpoint == twin.engine.checkpoint(),
         final_checkpoint,
         ..run.tally
     })

@@ -28,7 +28,7 @@
 //! [`scope_cloudsim::classify`] and [`EventColumns::usable_prefix`] —
 //! the code that the serving intake, the billing replay and
 //! [`FaultPlan::corrupt_batch`]'s clean twin all share. The differential
-//! suites pit it against [`scope_serve::ServeEngine::ingest`], so neither
+//! suites pit it against [`scope_serve::Serving::deliver`], so neither
 //! the rule nor its oracle can drift silently.
 
 #![warn(missing_docs)]
@@ -323,7 +323,7 @@ impl FaultPlan {
     }
 
     /// Per-shard fault vector for `epoch`, ready for
-    /// [`scope_serve::ServeEngine::reoptimize_with_faults`].
+    /// [`scope_serve::Serving::resolve`].
     pub fn shard_faults(&self, epoch: u64, shards: usize) -> Vec<Option<ShardFault>> {
         (0..shards).map(|s| self.shard_fault(epoch, s)).collect()
     }

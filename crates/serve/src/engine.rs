@@ -2,7 +2,7 @@
 //!
 //! The engine is organised around three invariants:
 //!
-//! 1. **Bounded memory.** [`ServeEngine::ingest`] folds event batches into
+//! 1. **Bounded memory.** [`Serving::deliver`] folds event batches into
 //!    per-object `(heat, last_day)` pairs and never retains an event, so
 //!    resident state is `O(objects)` regardless of trace length.
 //! 2. **Delta-only table work.** Heat feeds the optimizer through a
@@ -46,6 +46,7 @@ use crate::checkpoint::{
 };
 use crate::error::ServeError;
 use crate::quarantine::{QuarantineLedger, QuarantinedEvent};
+use crate::serving::Serving;
 
 /// Tuning knobs for a [`ServeEngine`].
 ///
@@ -83,7 +84,7 @@ pub struct ServeConfig {
     /// reference holds for any setting.
     pub bucket_hysteresis: f64,
     /// Threads for the account-sharded re-solve. `n >= 1` is honoured
-    /// exactly: every [`ServeEngine::reoptimize`] fans the shards out over
+    /// exactly: every [`Serving::resolve`] fans the shards out over
     /// `n` threads — the calling thread and `min(n, shards) − 1` spawned —
     /// and `1` runs on the calling thread and never spawns. `0` lets the
     /// engine decide, once per re-solve, from the work in hand:
@@ -357,7 +358,7 @@ pub enum ShardFault {
     DeadlineOverrun,
 }
 
-/// Counters from one [`ServeEngine::ingest`] call.
+/// Counters from one [`Serving::deliver`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Events folded into heat counters.
@@ -400,7 +401,7 @@ pub struct AccountAssignment {
     pub stale: bool,
 }
 
-/// Outcome of one [`ServeEngine::reoptimize`] epoch.
+/// Outcome of one [`Serving::resolve`] epoch.
 #[derive(Debug, Clone)]
 pub struct ResolveOutcome {
     /// Day the engine was last advanced to.
@@ -699,7 +700,7 @@ impl ServeEngine {
         self.day
     }
 
-    /// Cumulative out-of-horizon events dropped by [`Self::ingest`].
+    /// Cumulative out-of-horizon events dropped by [`Serving::deliver`].
     pub fn dropped_events(&self) -> u64 {
         self.dropped_events
     }
@@ -755,28 +756,10 @@ impl ServeEngine {
         Some(self.shards[shard as usize].choices[row as usize])
     }
 
-    /// Fold an event batch into the per-object heat counters. No event is
+    /// Fold an event batch into the per-object heat counters (the
+    /// validation rules are [`Serving::deliver`]'s). No event is
     /// retained: memory stays `O(objects)` for arbitrarily long streams.
-    ///
-    /// The intake **validates** each event with
-    /// [`scope_cloudsim::classify`], the call the billing replay makes:
-    /// an out-of-horizon event is dropped (so a day-300 event for an
-    /// unknown object still counts as dropped), a NaN or negative volume
-    /// is quarantined into the bounded [`QuarantineLedger`] (whatever its
-    /// id — a corrupt volume is a corrupt trace even when it names an
-    /// unknown object), and an id that names no registered object —
-    /// [`scope_cloudsim::UNKNOWN_OBJECT`] or any other — is skipped. A
-    /// torn batch whose parallel columns disagree in length is ingested up
-    /// to its [`EventColumns::usable_prefix`]; the lost tail is counted in
-    /// [`IngestReport::truncated`] and the ledger.
-    ///
-    /// Reads add 1 to the (decayed) heat; writes are folded but carry no
-    /// read heat. Splitting a day-ordered stream into batches at any
-    /// boundary yields identical state (heat, counters, and quarantine
-    /// ledger), because decay is applied lazily per object from its own
-    /// `last_day` and quarantine ordinals index the engine's lifetime
-    /// event sequence.
-    pub fn ingest(&mut self, columns: &EventColumns) -> IngestReport {
+    fn ingest(&mut self, columns: &EventColumns) -> IngestReport {
         self.fold(columns, DecayTable::factor)
     }
 
@@ -830,47 +813,29 @@ impl ServeEngine {
         report
     }
 
-    /// Exactly-once intake over an at-least-once delivery: fold batch
-    /// `seq` if it is the next expected one (then drain any consecutive
-    /// buffered successors), buffer it if it arrived early, and reject it
-    /// as a duplicate if it was already folded or buffered.
-    ///
-    /// Sequence numbers are assigned by the producer, starting at 0. The
-    /// reorder buffer holds at most [`Self::MAX_PENDING_BATCHES`] batches;
-    /// past that, an early batch is a typed
-    /// [`ServeError::IntakeOverflow`]. The engine state after any
-    /// duplicated and/or locally reordered delivery of a batch stream is
-    /// bit-for-bit identical to an in-order, exactly-once delivery —
-    /// including heat, `dropped_events`, and the quarantine ledger.
-    ///
-    /// The returned report sums over every batch folded by this call
-    /// (the argument plus drained buffered ones); duplicates and buffered
-    /// early arrivals contribute nothing yet.
+    /// [`Serving::deliver`], by the name `benchmark/` calls it.
     pub fn ingest_sequenced(
         &mut self,
         seq: u64,
         columns: &EventColumns,
     ) -> Result<IngestReport, ServeError> {
-        self.admit(seq)?;
-        if seq < self.next_seq || self.pending.contains_key(&seq) {
-            self.duplicate_batches += 1;
-            return Ok(IngestReport::default());
-        }
-        if seq > self.next_seq {
-            self.pending.insert(seq, columns.clone());
-            return Ok(IngestReport::default());
-        }
-        let mut report = self.ingest(columns);
-        self.next_seq += 1;
-        while let Some(buffered) = self.pending.remove(&self.next_seq) {
-            report.merge(self.ingest(&buffered));
-            self.next_seq += 1;
-        }
-        Ok(report)
+        self.deliver(seq, columns)
     }
 
-    /// `Err` if [`Self::ingest_sequenced`] would refuse batch `seq`: an
-    /// early batch that finds the reorder buffer full.
+    /// [`Serving::advance_to`], by the name `benchmark/` calls it (a
+    /// plain engine's advance cannot fail).
+    pub fn advance(&mut self, day: u32) {
+        let _ = self.advance_to(day);
+    }
+
+    /// [`Serving::resolve`] of a healthy epoch, by the name `benchmark/`
+    /// calls it.
+    pub fn reoptimize(&mut self) -> Result<ResolveOutcome, ServeError> {
+        self.resolve(&[])
+    }
+
+    /// `Err` if [`Serving::deliver`] would refuse batch `seq`: an early
+    /// batch that finds the reorder buffer full.
     pub(crate) fn admit(&self, seq: u64) -> Result<(), ServeError> {
         if seq > self.next_seq
             && self.pending.len() >= Self::MAX_PENDING_BATCHES
@@ -884,11 +849,80 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Advance the engine clock to `day`: decay every heat counter to the
-    /// boundary, re-bucket, and mark exactly the rows whose bucket
-    /// representative changed as dirty. Days already passed are ignored
-    /// per object (the clock never runs backwards).
-    pub fn advance(&mut self, day: u32) {
+    /// The sequenced intake past [`Self::admit`]: count a duplicate, park
+    /// an early batch, or fold the next one and drain its buffered
+    /// successors.
+    pub(crate) fn accept(&mut self, seq: u64, columns: &EventColumns) -> IngestReport {
+        if seq < self.next_seq || self.pending.contains_key(&seq) {
+            self.duplicate_batches += 1;
+            return IngestReport::default();
+        }
+        if seq > self.next_seq {
+            self.pending.insert(seq, columns.clone());
+            return IngestReport::default();
+        }
+        let mut report = self.ingest(columns);
+        self.next_seq += 1;
+        while let Some(buffered) = self.pending.remove(&self.next_seq) {
+            report.merge(self.ingest(&buffered));
+            self.next_seq += 1;
+        }
+        report
+    }
+
+    /// Cost-table rows the next re-solve has to build or patch, summed
+    /// over the shards (before the worklists are deduplicated, and
+    /// whether or not a shard is backing off: a size of the work, not a
+    /// count of it).
+    fn stale_rows(&self) -> usize {
+        let rows = |shard: &AccountShard| match shard.table {
+            Some(_) => shard.dirty.len(),
+            None => shard.problem.partitions.len(),
+        };
+        self.shards.iter().map(rows).sum()
+    }
+
+    /// The account shards, in registration order (crate-internal: the
+    /// reference resolver walks the same problems cold).
+    pub(crate) fn shards(&self) -> &[AccountShard] {
+        &self.shards
+    }
+}
+
+/// The plain engine's steps: each holds the step's only body, and the
+/// journaled engine wraps these.
+impl Serving for ServeEngine {
+    fn engine(&self) -> &ServeEngine {
+        self
+    }
+
+    /// The intake **validates** each event with
+    /// [`scope_cloudsim::classify`], the call the billing replay makes:
+    /// an out-of-horizon event is dropped (so a day-300 event for an
+    /// unknown object still counts as dropped), a NaN or negative volume
+    /// is quarantined into the bounded [`QuarantineLedger`] (whatever its
+    /// id — a corrupt volume is a corrupt trace even when it names an
+    /// unknown object), and an id that names no registered object —
+    /// [`scope_cloudsim::UNKNOWN_OBJECT`] or any other — is skipped. A
+    /// torn batch whose parallel columns disagree in length is ingested up
+    /// to its [`EventColumns::usable_prefix`]; the lost tail is counted in
+    /// [`IngestReport::truncated`] and the ledger.
+    ///
+    /// Reads add 1 to the (decayed) heat; writes are folded but carry no
+    /// read heat. Splitting a day-ordered stream into batches at any
+    /// boundary yields identical state (heat, counters, and quarantine
+    /// ledger), because decay is applied lazily per object from its own
+    /// `last_day` and quarantine ordinals index the engine's lifetime
+    /// event sequence. Sequence numbers start at 0; the reorder buffer
+    /// holds at most [`ServeEngine::MAX_PENDING_BATCHES`] batches.
+    fn deliver(&mut self, seq: u64, columns: &EventColumns) -> Result<IngestReport, ServeError> {
+        self.admit(seq)?;
+        Ok(self.accept(seq, columns))
+    }
+
+    /// Days already passed are ignored per object (the clock never runs
+    /// backwards).
+    fn advance_to(&mut self, day: u32) -> Result<(), ServeError> {
         self.day = self.day.max(day);
         for (id, (h, bucket_rep)) in self.heat.iter_mut().zip(&mut self.bucket_reps).enumerate() {
             if day > h.last_day {
@@ -923,22 +957,18 @@ impl ServeEngine {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Re-solve incrementally and apply the result: each account shard
-    /// patches its dirty rows in place, re-decides exactly those rows by
-    /// the greedy rule, and updates the incumbent; shards fan out over the
-    /// deterministic parallel map — on the worker count [`ServeConfig::threads`] resolves to, decided
-    /// once here and never again below — and merge in account order, so
-    /// the outcome is bit-for-bit identical for any thread count — and to
+    /// Each account shard patches its dirty rows in place, re-decides
+    /// exactly those rows by the greedy rule, and updates the incumbent;
+    /// shards fan out over the deterministic parallel map — on the worker
+    /// count [`ServeConfig::threads`] resolves to, decided once here and
+    /// never again below — and merge in account order, so the outcome is
+    /// bit-for-bit identical for any thread count — and to
     /// [`crate::reference::full_resolve`] on the same state.
-    pub fn reoptimize(&mut self) -> Result<ResolveOutcome, ServeError> {
-        self.reoptimize_with_faults(&[])
-    }
-
-    /// [`Self::reoptimize`] under injected compute faults: `faults[i]`
-    /// (when present and `Some`) makes shard `i`'s re-solve fail this
-    /// epoch. A faulted — or genuinely failing — shard serves its stale
+    ///
+    /// A faulted — or genuinely failing — shard serves its stale
     /// incumbent instead (marked via [`AccountAssignment::stale`]), keeps
     /// its dirty worklist, and backs off a bounded, deterministic number
     /// of epochs (`0, 1, 3, 7, 7, ...` after successive failures) before
@@ -948,10 +978,7 @@ impl ServeEngine {
     /// `Result`s propagate deterministically through the fan-out: only an
     /// unservable shard (no incumbent and no way to price one) fails the
     /// epoch, with the lowest-indexed shard's error winning.
-    pub fn reoptimize_with_faults(
-        &mut self,
-        faults: &[Option<ShardFault>],
-    ) -> Result<ResolveOutcome, ServeError> {
+    fn resolve(&mut self, faults: &[Option<ShardFault>]) -> Result<ResolveOutcome, ServeError> {
         // The one fan-out decision of the re-solve: the shards below
         // price, decide and apply on the worker that runs them.
         let threads = match self.config.threads {
@@ -991,22 +1018,8 @@ impl ServeEngine {
         Ok(outcome)
     }
 
-    /// Cost-table rows the next re-solve has to build or patch, summed
-    /// over the shards (before the worklists are deduplicated, and
-    /// whether or not a shard is backing off: a size of the work, not a
-    /// count of it).
-    fn stale_rows(&self) -> usize {
-        let rows = |shard: &AccountShard| match shard.table {
-            Some(_) => shard.dirty.len(),
-            None => shard.problem.partitions.len(),
-        };
-        self.shards.iter().map(rows).sum()
-    }
-
-    /// The account shards, in registration order (crate-internal: the
-    /// reference resolver walks the same problems cold).
-    pub(crate) fn shards(&self) -> &[AccountShard] {
-        &self.shards
+    fn checkpoint_epoch(&mut self, _marker: u64) -> Result<(), ServeError> {
+        Ok(())
     }
 }
 
@@ -1057,7 +1070,7 @@ impl ServeEngine {
     /// frame of its own (the journal) or takes one per epoch serializes
     /// into one long-lived buffer instead of a fresh allocation and a
     /// copy. The checksum covers the appended bytes only.
-    pub fn checkpoint_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn checkpoint_into(&self, out: &mut Vec<u8>) {
         self.snapshot_into(out, false);
     }
 
@@ -1366,12 +1379,19 @@ impl ServeEngine {
             shard.dirty = dirty;
             shard.incumbent = incumbent;
         }
-        // The capacity is a configured bound, not an element count — no
-        // allocation is sized from it, so it is read unguarded.
-        let capacity = r.u64()? as usize;
-        let q_total = r.u64()?;
-        let q_truncated = r.u64()?;
+        // A ledger keeps the first `capacity` records of `q_total`, and its
+        // capacity is the one `new` installed: a lifted bound would let a
+        // hostile stream grow the ledger, and fewer records than that
+        // minimum or more would make `is_clean` or `record` lie.
+        let capacity = engine.quarantine.capacity();
+        let (q_capacity, q_total, q_truncated) = (r.u64()?, r.u64()?, r.u64()?);
         let n_entries = r.len(25)?;
+        if q_capacity != capacity as u64 || n_entries as u64 != q_total.min(q_capacity) {
+            return Err(ServeError::Checkpoint(format!(
+                "quarantine ledger of capacity {q_capacity} retains {n_entries} of \
+                 {q_total} records; this engine keeps the first {capacity}"
+            )));
+        }
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             entries.push(QuarantinedEvent {
@@ -1893,7 +1913,7 @@ mod tests {
         let horizon = engine.config().horizon_days;
         let known = engine.len();
         let bill = sim.run_columns(horizon, columns);
-        let ingest = engine.ingest(columns);
+        let ingest = engine.deliver(0, columns).unwrap();
         let first_refused = (0..columns.len())
             .map(|i| {
                 let (day, id) = (columns.days[i], columns.object_ids[i]);
@@ -1945,7 +1965,7 @@ mod tests {
         assert_eq!(ingest.folded, 3);
         assert_eq!(sim.run_days(60, &events).unwrap().dropped_events, 3);
         // Cumulative across batches: a replay of the same columns doubles it.
-        engine.ingest(&columns);
+        engine.deliver(1, &columns).unwrap();
         assert_eq!(engine.dropped_events(), 6);
     }
 
@@ -2016,9 +2036,11 @@ mod tests {
         let events = demo_trace(&whole, 90, 40);
         let columns = EventColumns::from_events(&events, |n| whole.object_id(n));
 
-        whole.ingest(&columns);
-        for (lo, hi) in [(0, 13), (13, 40), (40, 90)] {
-            split.ingest(&columns.filter_day_range(lo, hi));
+        whole.deliver(0, &columns).unwrap();
+        for (seq, (lo, hi)) in [(0, 13), (13, 40), (40, 90)].into_iter().enumerate() {
+            split
+                .deliver(seq as u64, &columns.filter_day_range(lo, hi))
+                .unwrap();
         }
         for id in 0..whole.len() as u32 {
             assert_eq!(
@@ -2040,7 +2062,9 @@ mod tests {
         let mut later_rows_patched = 0;
         for epoch in 0..6 {
             let (lo, hi) = (epoch as u32 * 15, epoch as u32 * 15 + 15);
-            engine.ingest(&columns.filter_day_range(lo, hi));
+            engine
+                .deliver(epoch as u64, &columns.filter_day_range(lo, hi))
+                .unwrap();
             engine.advance(hi);
             let cold = reference::full_resolve(&engine).unwrap();
             // Applying the re-solve moves `current_tier`s, which the
@@ -2085,7 +2109,9 @@ mod tests {
         let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
         for epoch in 0..4 {
             let (lo, hi) = (epoch * 15, epoch * 15 + 15);
-            engine.ingest(&columns.filter_day_range(lo, hi));
+            engine
+                .deliver(u64::from(epoch), &columns.filter_day_range(lo, hi))
+                .unwrap();
             engine.advance(hi);
             if epoch == 2 {
                 // Shape change: the owning shard must rebuild, the other
@@ -2123,7 +2149,8 @@ mod tests {
             let mut per_epoch = Vec::new();
             for epoch in 0..4u32 {
                 let (lo, hi) = (epoch * 15, epoch * 15 + 15);
-                engine.ingest(&columns.filter_day_range(lo, hi));
+                let batch = columns.filter_day_range(lo, hi);
+                engine.deliver(u64::from(epoch), &batch).unwrap();
                 engine.advance(hi);
                 let outcome = engine.reoptimize().unwrap();
                 per_epoch.push((
@@ -2188,7 +2215,7 @@ mod tests {
         columns.push_resolved(500, 0, AccessKind::Read, f64::NAN);
         columns.push_resolved(6, 4, AccessKind::Read, 2.0);
 
-        let report = whole.ingest(&columns);
+        let report = whole.deliver(0, &columns).unwrap();
         assert_eq!(report.folded, 3);
         assert_eq!(report.quarantined, 3);
         assert_eq!(report.dropped, 1);
@@ -2207,7 +2234,7 @@ mod tests {
         assert_eq!(whole.heat(3).unwrap().to_bits(), 0.0f64.to_bits());
 
         // Any batch split yields a bit-identical ledger and counters.
-        for (lo, hi) in [(0usize, 2), (2, 3), (3, 7)] {
+        for (seq, (lo, hi)) in [(0usize, 2), (2, 3), (3, 7)].into_iter().enumerate() {
             let mut part = EventColumns::default();
             for i in lo..hi {
                 part.push_resolved(
@@ -2217,7 +2244,7 @@ mod tests {
                     columns.volumes[i],
                 );
             }
-            split.ingest(&part);
+            split.deliver(seq as u64, &part).unwrap();
         }
         assert_eq!(whole.quarantine(), split.quarantine());
         assert_eq!(whole.events_seen(), split.events_seen());
@@ -2234,7 +2261,7 @@ mod tests {
         // Tear the last two events' volumes (and one kind) off.
         columns.volumes.truncate(1);
         columns.kinds.truncate(2);
-        let report = engine.ingest(&columns);
+        let report = engine.deliver(0, &columns).unwrap();
         assert_eq!(report.folded, 1);
         assert_eq!(report.truncated, 2);
         assert_eq!(engine.quarantine().truncated(), 2);
@@ -2314,7 +2341,7 @@ mod tests {
         let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
 
         // Epoch 1: healthy cold start.
-        engine.ingest(&columns.filter_day_range(0, 15));
+        engine.deliver(0, &columns.filter_day_range(0, 15)).unwrap();
         engine.advance(15);
         let healthy = engine.reoptimize().unwrap();
         assert_eq!(healthy.degraded_accounts, 0);
@@ -2326,10 +2353,13 @@ mod tests {
         let mut last_good = healthy.accounts[1].assignment.clone();
         for epoch in 2..4u32 {
             let (lo, hi) = (epoch * 15 - 15, epoch * 15);
-            engine.ingest(&columns.filter_day_range(lo, hi));
+            let seq = u64::from(epoch) - 1;
+            engine
+                .deliver(seq, &columns.filter_day_range(lo, hi))
+                .unwrap();
             engine.advance(hi);
             let cold = reference::full_resolve(&engine).unwrap();
-            let outcome = engine.reoptimize_with_faults(&faults).unwrap();
+            let outcome = engine.resolve(&faults).unwrap();
             assert_eq!(outcome.degraded_accounts, 1);
             assert!(outcome.accounts[1].stale);
             assert_eq!(outcome.accounts[1].assignment.choices, last_good.choices);
@@ -2356,7 +2386,9 @@ mod tests {
 
         // After 2 consecutive failures the backoff is 1 epoch: the next
         // epoch is skipped even though no fault is injected.
-        engine.ingest(&columns.filter_day_range(45, 60));
+        engine
+            .deliver(3, &columns.filter_day_range(45, 60))
+            .unwrap();
         engine.advance(60);
         let outcome = engine.reoptimize().unwrap();
         assert_eq!(outcome.degraded_accounts, 1);
@@ -2364,7 +2396,9 @@ mod tests {
 
         // Backoff expired: the next healthy epoch re-converges shard 1 to
         // exactly what the cold reference decides over the full state.
-        engine.ingest(&columns.filter_day_range(60, 75));
+        engine
+            .deliver(4, &columns.filter_day_range(60, 75))
+            .unwrap();
         engine.advance(75);
         let cold = reference::full_resolve(&engine).unwrap();
         let outcome = engine.reoptimize().unwrap();
@@ -2378,7 +2412,7 @@ mod tests {
         let mut engine = demo_engine(2, 5, ServeConfig::default());
         let first = engine.reoptimize().unwrap();
         let faults = [Some(ShardFault::DeadlineOverrun), None];
-        let outcome = engine.reoptimize_with_faults(&faults).unwrap();
+        let outcome = engine.resolve(&faults).unwrap();
         assert_eq!(outcome.degraded_accounts, 1);
         assert!(outcome.accounts[0].stale);
         assert_eq!(
@@ -2404,7 +2438,7 @@ mod tests {
             live.ingest_sequenced(epoch as u64, batch).unwrap();
             live.advance((epoch as u32 + 1) * 15);
             if epoch == 1 {
-                live.reoptimize_with_faults(&faults).unwrap();
+                live.resolve(&faults).unwrap();
             } else {
                 live.reoptimize().unwrap();
             }
@@ -2518,7 +2552,7 @@ mod tests {
         engine.advance(15);
         engine.reoptimize().unwrap();
         engine
-            .reoptimize_with_faults(&[None, Some(ShardFault::SolveFailure)])
+            .resolve(&[None, Some(ShardFault::SolveFailure)])
             .unwrap();
         let mut early = EventColumns::default();
         early.push_resolved(16, 2, AccessKind::Read, 1.0);
@@ -2771,6 +2805,43 @@ mod tests {
         match result {
             Err(ServeError::Checkpoint(reason)) => reason,
             other => panic!("not a checkpoint error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_trusts_only_a_ledger_this_engine_could_have_written() {
+        let mut engine = demo_engine(1, 3, ServeConfig::default());
+        let mut batch = EventColumns::default();
+        batch.push_resolved(1, 0, AccessKind::Read, f64::NAN);
+        batch.push_resolved(2, 1, AccessKind::Read, -1.0);
+        engine.deliver(0, &batch).unwrap();
+        let snapshot = engine.checkpoint();
+        // The ledger's capacity, total, truncated and record count come
+        // before its two 25-byte records, the empty reorder buffer's count
+        // and the checksum (see the `checkpoint` module docs).
+        let ledger = snapshot.len() - 8 - 8 - 2 * 25 - 4 * 8;
+        let resealed = |field: usize, value: u64| {
+            let mut bytes = snapshot.clone();
+            bytes[ledger + 8 * field..][..8].copy_from_slice(&value.to_le_bytes());
+            let body = bytes.len() - 8;
+            let seal = scope_wal::xxh64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&seal.to_le_bytes());
+            restore_demo(&bytes)
+        };
+        assert_eq!(restore_demo(&snapshot).unwrap().checkpoint(), snapshot);
+        let capacity = crate::quarantine::DEFAULT_QUARANTINE_CAPACITY as u64;
+        let unchanged = resealed(0, capacity).unwrap();
+        assert_eq!(unchanged.quarantine(), engine.quarantine());
+        assert_eq!(unchanged.checkpoint(), snapshot);
+        // A lifted or shrunk bound; a total that hides records (so
+        // `is_clean` would call a dirty ledger clean) or claims more than
+        // are kept; a record count that disagrees with both.
+        for (field, value) in [(0, u64::MAX), (0, 1), (1, 0), (1, 1), (1, 5), (3, 1)] {
+            let reason = checkpoint_error(resealed(field, value));
+            assert!(
+                reason.contains("quarantine"),
+                "field {field} = {value}: {reason}"
+            );
         }
     }
 
@@ -3119,7 +3190,7 @@ mod tests {
                     let mut engine = decay_engine(1, decay, u32::MAX);
                     let mut cols = EventColumns::default();
                     cols.push_resolved(0, 0, AccessKind::Read, 1.0);
-                    engine.ingest(&cols);
+                    engine.deliver(0, &cols).unwrap();
                     engine.advance(day);
                     prop_assert!(engine.heat(0).unwrap() <= 1.0, "advance({day}) at {decay}");
                 }
@@ -3129,7 +3200,7 @@ mod tests {
                 let mut cols = EventColumns::default();
                 cols.push_resolved(0, 1, AccessKind::Read, 1.0);
                 cols.push_resolved(start, 0, AccessKind::Read, 1.0);
-                engine.ingest(&cols);
+                engine.deliver(0, &cols).unwrap();
                 let mut day = start;
                 for gap in gaps {
                     let before = [engine.heat(0).unwrap(), engine.heat(1).unwrap()];
@@ -3151,11 +3222,12 @@ mod tests {
             assert_eq!(engine.decay.pows.len(), DECAY_TABLE_MAX);
             // Every gap is past the table and at most `i32::MAX`, where
             // the oracle's exponent cast does not wrap.
-            for day in [0, 4_096, 4_096 + i32::MAX as u32, u32::MAX - 1, u32::MAX] {
+            let days = [0, 4_096, 4_096 + i32::MAX as u32, u32::MAX - 1, u32::MAX];
+            for (seq, day) in days.into_iter().enumerate() {
                 let mut cols = EventColumns::default();
                 cols.push_resolved(day, 0, AccessKind::Read, 1.0);
                 assert_eq!(
-                    engine.ingest(&cols),
+                    engine.deliver(seq as u64, &cols).unwrap(),
                     reference::ingest_reference(&mut oracle, &cols)
                 );
                 assert_eq!(folded(&engine), folded(&oracle), "day {day}");

@@ -4,23 +4,23 @@
 //! # Durability and recovery
 //!
 //! [`JournaledEngine`] wraps a [`ServeEngine`] and a
-//! [`scope_wal::Journal`] over any [`Storage`] backend, and enforces the
-//! write-ahead discipline:
+//! [`scope_wal::Journal`] over any [`Storage`] backend. Its [`Serving`]
+//! steps are the plain engine's with the journal around them, which
+//! enforces the write-ahead discipline:
 //!
 //! * **Append before fold.** Every admitted delivery — including
 //!   duplicates, out-of-order arrivals and torn batches whose columns
 //!   disagree in length, but not an early batch the full reorder buffer
 //!   refuses, which is never journaled — is appended to the journal
-//!   *before* [`ServeEngine::ingest_sequenced`] sees it, in the one
-//!   column-block layout that carries each column at its own length. The
+//!   *before* the engine folds it, in the one column-block layout that
+//!   carries each column at its own length. The
 //!   journal is therefore a verbatim log of the admitted deliveries, and
-//!   replaying it
-//!   re-runs the exact call sequence: heat bits, the reorder buffer, the
-//!   quarantine ledger (a torn tail included) and even the
+//!   replaying it re-runs the exact call sequence: heat bits, the reorder
+//!   buffer, the quarantine ledger (a torn tail included) and even the
 //!   `duplicate_batches` counter evolve bit-identically.
-//! * **Sync at epoch boundaries.** [`JournaledEngine::advance`] appends
-//!   an epoch-boundary marker record and syncs the journal before the
-//!   engine advances, so a crash can only lose deliveries of the current
+//! * **Sync at epoch boundaries.** The journaled [`Serving::advance_to`]
+//!   appends an epoch-boundary marker record and syncs the journal before
+//!   the engine advances, so a crash can only lose deliveries of the current
 //!   (unfinished) epoch — which the producer re-delivers from the
 //!   recovered position. The marker matters when *both* retained
 //!   checkpoints are lost: the boundary's decay and re-solve are engine
@@ -28,13 +28,13 @@
 //!   at the first marker instead of replaying deliveries across the
 //!   boundary, and the producer re-runs the boundary itself.
 //! * **Atomic checkpoints that publish what changed, retired segments.**
-//!   [`JournaledEngine::checkpoint_durable`] publishes the engine's
+//!   The journaled [`Serving::checkpoint_epoch`] publishes the engine's
 //!   versioned, checksummed snapshot through the journal's atomic
 //!   write-temp + rename path, then retires what the snapshot covers
 //!   (keeping enough history to walk back past one corrupt checkpoint).
 //!   A journaled engine cannot `register`, so after `create` its static
 //!   section — two thirds of a snapshot — never changes: the journal
-//!   asks for a **full** snapshot ([`ServeEngine::checkpoint_into`]) only
+//!   asks for a **full** snapshot ([`ServeEngine::checkpoint`]) only
 //!   while fewer than two retained full frames carry the engine's static
 //!   digest (the first two publishes; again after a recovery quarantined
 //!   one) and for the **dynamic** snapshot otherwise
@@ -70,6 +70,7 @@
 
 use crate::engine::{static_section, IngestReport, ResolveOutcome, ServeEngine, ShardFault};
 use crate::error::ServeError;
+use crate::serving::Serving;
 use scope_cloudsim::{EventColumns, TierCatalog};
 use scope_optassign::CompressionOption;
 use scope_wal::{Candidate, FrameKind, Journal, JournalConfig, Storage, WalRecoveryReport};
@@ -126,34 +127,18 @@ impl<S: Storage> JournaledEngine<S> {
         &self.journal
     }
 
-    /// Write-ahead sequenced intake: admit the delivery, append it to the
-    /// journal, then fold it. A delivery the engine refuses (an early
-    /// batch that finds the reorder buffer full,
-    /// [`ServeError::IntakeOverflow`]) is refused before the append: it
-    /// is not journaled, not counted in [`Self::deliveries`], and leaves
-    /// both the engine and the journal as they were. An append error
-    /// leaves the engine poisoned from the caller's point of view — treat
-    /// it as a crash and run [`JournaledEngine::recover`].
+    /// [`Serving::deliver`], by the name `benchmark/` calls it.
     pub fn ingest_sequenced(
         &mut self,
         seq: u64,
         columns: &EventColumns,
     ) -> Result<IngestReport, ServeError> {
-        self.engine.admit(seq)?;
-        self.journal.append(seq, columns)?;
-        self.engine.ingest_sequenced(seq, columns)
+        self.deliver(seq, columns)
     }
 
-    /// Epoch boundary: journal a boundary marker, make every accepted
-    /// delivery durable, then decay heat to `day`. The marker pins the
-    /// boundary in the journal so recovery never replays deliveries
-    /// across it — the decay/re-solve effects that happen here are not
-    /// themselves journaled (see [`scope_wal::record::RECORD_EPOCH`]).
+    /// [`Serving::advance_to`], by the name `benchmark/` calls it.
     pub fn advance(&mut self, day: u32) -> Result<(), ServeError> {
-        self.journal.append_epoch(self.engine.epoch(), day)?;
-        self.journal.sync()?;
-        self.engine.advance(day);
-        Ok(())
+        self.advance_to(day)
     }
 
     /// Durability barrier without advancing.
@@ -162,37 +147,15 @@ impl<S: Storage> JournaledEngine<S> {
         Ok(())
     }
 
-    /// Incremental re-solve (see [`ServeEngine::reoptimize`]).
+    /// [`Serving::resolve`] of a healthy epoch, by the name `benchmark/`
+    /// calls it.
     pub fn reoptimize(&mut self) -> Result<ResolveOutcome, ServeError> {
-        self.engine.reoptimize()
+        self.resolve(&[])
     }
 
-    /// Incremental re-solve under injected shard faults.
-    pub fn reoptimize_with_faults(
-        &mut self,
-        faults: &[Option<ShardFault>],
-    ) -> Result<ResolveOutcome, ServeError> {
-        self.engine.reoptimize_with_faults(faults)
-    }
-
-    /// Publish a durable checkpoint of the engine through the journal's
-    /// atomic path and retire covered segments. `marker` is the caller's
-    /// progress position, stored in the frame and returned by recovery.
-    ///
-    /// The journal picks the frame kind (see the module docs): a full
-    /// snapshot while fewer than two retained full frames carry the
-    /// engine's static digest, the dynamic snapshot otherwise. Either way
-    /// the engine serializes straight into the journal's frame buffer,
-    /// behind the frame header: one buffer, kept across epochs, holds
-    /// the snapshot from the moment it is written until storage has it.
+    /// [`Serving::checkpoint_epoch`], by the name `benchmark/` calls it.
     pub fn checkpoint_durable(&mut self, marker: u64) -> Result<(), ServeError> {
-        let engine = &self.engine;
-        self.journal
-            .publish_checkpoint_with(marker, engine.static_digest(), |kind, frame| match kind {
-                FrameKind::Full => engine.checkpoint_into(frame),
-                FrameKind::Dynamic => engine.checkpoint_dynamic_into(frame),
-            })?;
-        Ok(())
+        self.checkpoint_epoch(marker)
     }
 
     /// Simulate (or honor) a crash: drop all in-memory state, keeping
@@ -242,7 +205,7 @@ impl<S: Storage> JournaledEngine<S> {
         for record in &recovered.tail {
             match &record.payload {
                 scope_wal::RecordPayload::Batch(columns) => {
-                    engine.ingest_sequenced(record.seq, columns)?;
+                    engine.deliver(record.seq, columns)?;
                 }
                 // Epoch markers never reach the tail — recovery cuts at
                 // the first one — but a skip keeps replay total.
@@ -266,12 +229,57 @@ impl<S: Storage> JournaledEngine<S> {
     }
 }
 
+/// The plain engine's steps with the journal around them.
+impl<S: Storage> Serving for JournaledEngine<S> {
+    fn engine(&self) -> &ServeEngine {
+        &self.engine
+    }
+
+    /// Admit, append, fold: a refused delivery is neither journaled nor
+    /// counted in [`JournaledEngine::deliveries`]. An append error leaves
+    /// the engine poisoned from the caller's point of view — treat it as a
+    /// crash and run [`JournaledEngine::recover`].
+    fn deliver(&mut self, seq: u64, columns: &EventColumns) -> Result<IngestReport, ServeError> {
+        self.engine.admit(seq)?;
+        self.journal.append(seq, columns)?;
+        Ok(self.engine.accept(seq, columns))
+    }
+
+    /// Journal a boundary marker (see
+    /// [`scope_wal::record::RECORD_EPOCH`]), make every accepted delivery
+    /// durable, then advance the engine.
+    fn advance_to(&mut self, day: u32) -> Result<(), ServeError> {
+        self.journal.append_epoch(self.engine.epoch(), day)?;
+        self.journal.sync()?;
+        self.engine.advance_to(day)
+    }
+
+    /// The plain engine's re-solve: nothing of it is journaled.
+    fn resolve(&mut self, faults: &[Option<ShardFault>]) -> Result<ResolveOutcome, ServeError> {
+        self.engine.resolve(faults)
+    }
+
+    /// Publish a full or dynamic snapshot, as the journal picks (see the
+    /// module docs), and retire covered segments. The engine serializes
+    /// straight into the journal's frame buffer, kept across epochs.
+    fn checkpoint_epoch(&mut self, marker: u64) -> Result<(), ServeError> {
+        let engine = &self.engine;
+        self.journal
+            .publish_checkpoint_with(marker, engine.static_digest(), |kind, frame| match kind {
+                FrameKind::Full => engine.checkpoint_into(frame),
+                FrameKind::Dynamic => engine.checkpoint_dynamic_into(frame),
+            })?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{ServeConfig, ServeObject};
     use scope_cloudsim::{AccessKind, TierId};
     use scope_wal::MemStorage;
+    use std::ops::Range;
 
     const HORIZON_DAYS: u32 = 60;
 
@@ -337,25 +345,36 @@ mod tests {
         .unwrap()
     }
 
+    /// Sync `j`, crash it losing nothing synced, and recover.
+    fn synced_crash(
+        mut j: JournaledEngine<MemStorage>,
+    ) -> (JournaledEngine<MemStorage>, RecoveryReport) {
+        j.sync().unwrap();
+        let mut storage = j.crash();
+        storage.crash();
+        recover_mem(storage)
+    }
+
+    /// Deliveries `seqs` of the test stream, in order.
+    fn deliver<E: Serving>(engine: &mut E, seqs: Range<u64>) -> Result<(), ServeError> {
+        for seq in seqs {
+            engine.deliver(seq, &batch(seq, 6))?;
+        }
+        Ok(())
+    }
+
     /// Never-crashed reference: plain engine fed deliveries `0..n`.
     fn plain_after(n: u64) -> ServeEngine {
         let mut engine = build_engine();
-        for seq in 0..n {
-            engine.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut engine, 0..n).unwrap();
         engine
     }
 
     #[test]
     fn a_clean_run_recovers_bit_for_bit_after_a_synced_crash() {
         let mut j = journaled();
-        for seq in 0..5 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
-        j.sync().unwrap();
-        let mut storage = j.crash();
-        storage.crash();
-        let (j2, report) = recover_mem(storage);
+        deliver(&mut j, 0..5).unwrap();
+        let (j2, report) = synced_crash(j);
         assert_eq!(report.resume_deliveries, 5);
         assert!(report.started_fresh, "no checkpoint was ever published");
         assert_eq!(report.replayed, 5);
@@ -365,42 +384,32 @@ mod tests {
     #[test]
     fn unsynced_deliveries_roll_back_and_are_redelivered() {
         let mut j = journaled();
-        for seq in 0..3 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 0..3).unwrap();
         j.sync().unwrap();
-        for seq in 3..6 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 3..6).unwrap();
         // Crash without syncing: deliveries 3..6 are lost.
         let mut storage = j.crash();
         storage.crash();
         let (mut j2, report) = recover_mem(storage);
         assert_eq!(report.resume_deliveries, 3);
         // The producer re-delivers from the reported position.
-        for seq in report.resume_deliveries..6 {
-            j2.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j2, report.resume_deliveries..6).unwrap();
         assert_eq!(j2.engine().checkpoint(), plain_after(6).checkpoint());
         assert_eq!(j2.deliveries(), 6);
     }
 
     #[test]
     fn checkpoints_carry_the_marker_and_cover_replay() {
+        fn schedule<E: Serving>(engine: &mut E) {
+            deliver(engine, 0..4).unwrap();
+            engine.advance_to(15).unwrap();
+            engine.resolve(&[]).unwrap();
+            engine.checkpoint_epoch(777).unwrap();
+            deliver(engine, 4..6).unwrap();
+        }
         let mut j = journaled();
-        for seq in 0..4 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
-        j.advance(15).unwrap();
-        j.reoptimize().unwrap();
-        j.checkpoint_durable(777).unwrap();
-        for seq in 4..6 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
-        j.sync().unwrap();
-        let mut storage = j.crash();
-        storage.crash();
-        let (j2, report) = recover_mem(storage);
+        schedule(&mut j);
+        let (j2, report) = synced_crash(j);
         assert_eq!(report.marker, 777);
         assert_eq!(report.resume_deliveries, 6);
         assert_eq!(report.replayed, 2, "only post-checkpoint tail replays");
@@ -408,14 +417,7 @@ mod tests {
 
         // Never-crashed twin with the same schedule.
         let mut twin = build_engine();
-        for seq in 0..4 {
-            twin.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
-        twin.advance(15);
-        twin.reoptimize().unwrap();
-        for seq in 4..6 {
-            twin.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        schedule(&mut twin);
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
     }
 
@@ -424,7 +426,7 @@ mod tests {
         use FrameKind::{Dynamic, Full};
         let mut j = journaled();
         let digest = j.engine().static_digest();
-        j.ingest_sequenced(0, &batch(0, 6)).unwrap();
+        j.deliver(0, &batch(0, 6)).unwrap();
         // Publishes 1 and 3 snapshot a batch parked in the reorder buffer;
         // 2 and 4, with the gap filled, are shorter — the buffer must
         // carry nothing over from the longer frame before (nor from the
@@ -434,12 +436,12 @@ mod tests {
             let parked = epoch % 2 == 1;
             let next = 2 * epoch - 1;
             if parked {
-                j.ingest_sequenced(next + 1, &batch(next + 1, 40)).unwrap();
+                j.deliver(next + 1, &batch(next + 1, 40)).unwrap();
             }
             let marker = epoch * 10;
-            j.advance(10 * epoch as u32).unwrap();
-            j.reoptimize().unwrap();
-            j.checkpoint_durable(marker).unwrap();
+            j.advance_to(10 * epoch as u32).unwrap();
+            j.resolve(&[]).unwrap();
+            j.checkpoint_epoch(marker).unwrap();
             let ordinal = j.journal().active_segment();
             let published = j
                 .journal()
@@ -464,9 +466,9 @@ mod tests {
             );
             assert_eq!(j.engine().pending_batches(), usize::from(parked));
             lens.push(published.len());
-            j.ingest_sequenced(next, &batch(next, 6)).unwrap();
+            j.deliver(next, &batch(next, 6)).unwrap();
             if !parked {
-                j.ingest_sequenced(next + 1, &batch(next + 1, 6)).unwrap();
+                j.deliver(next + 1, &batch(next + 1, 6)).unwrap();
             }
         }
         assert!(lens[1] < lens[0] && lens[3] < lens[2], "{lens:?}");
@@ -480,12 +482,10 @@ mod tests {
         // engine refuses (taken under other schemes): recovery must not
         // keep anything from the failed validation.
         let mut j = journaled();
-        for seq in 0..3 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 0..3).unwrap();
         j.sync().unwrap();
-        j.checkpoint_durable(1).unwrap();
-        j.ingest_sequenced(3, &batch(3, 6)).unwrap();
+        j.checkpoint_epoch(1).unwrap();
+        j.deliver(3, &batch(3, 6)).unwrap();
         j.sync().unwrap();
         let mut storage = j.crash();
         let foreign = ServeEngine::new(
@@ -520,38 +520,26 @@ mod tests {
     fn duplicate_and_reordered_deliveries_replay_identically() {
         // Delivery stream with a duplicate and a local swap; the journal
         // must log it verbatim so even `duplicate_batches` recovers.
-        let stream: Vec<u64> = vec![0, 1, 1, 3, 2, 4];
-        let mut j = journaled();
-        for &seq in &stream {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
+        let (mut j, mut twin) = (journaled(), build_engine());
+        for seq in [0, 1, 1, 3, 2, 4] {
+            j.deliver(seq, &batch(seq, 6)).unwrap();
+            twin.deliver(seq, &batch(seq, 6)).unwrap();
         }
-        j.sync().unwrap();
-        let mut storage = j.crash();
-        storage.crash();
-        let (j2, report) = recover_mem(storage);
+        let (j2, report) = synced_crash(j);
         assert_eq!(report.resume_deliveries, 6);
         assert_eq!(j2.engine().duplicate_batches(), 1);
-
-        let mut twin = build_engine();
-        for &seq in &stream {
-            twin.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
     }
 
     #[test]
     fn a_corrupt_newest_checkpoint_walks_back_and_still_recovers_equal() {
         let mut j = journaled();
-        for seq in 0..3 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 0..3).unwrap();
         j.sync().unwrap();
-        j.checkpoint_durable(1).unwrap();
-        for seq in 3..5 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        j.checkpoint_epoch(1).unwrap();
+        deliver(&mut j, 3..5).unwrap();
         j.sync().unwrap();
-        j.checkpoint_durable(2).unwrap();
+        j.checkpoint_epoch(2).unwrap();
         let mut storage = j.crash();
         storage.crash();
         // Corrupt the newest checkpoint (ordinal 2).
@@ -581,14 +569,11 @@ mod tests {
         let mut j = journaled();
         let mut twin = build_engine();
         for seq in 0..4 {
-            j.ingest_sequenced(seq, &delivery(seq)).unwrap();
-            twin.ingest_sequenced(seq, &delivery(seq)).unwrap();
+            j.deliver(seq, &delivery(seq)).unwrap();
+            twin.deliver(seq, &delivery(seq)).unwrap();
         }
         assert_eq!(twin.quarantine().truncated(), 2);
-        j.sync().unwrap();
-        let mut storage = j.crash();
-        storage.crash();
-        let (j2, report) = recover_mem(storage);
+        let (j2, report) = synced_crash(j);
         assert!(
             report.wal.quarantined_records.is_empty(),
             "{:?}",
@@ -606,8 +591,8 @@ mod tests {
         let mut j = journaled();
         let mut twin = build_engine();
         for seq in std::iter::once(0).chain(2..=65) {
-            j.ingest_sequenced(seq, &batch(seq, 3)).unwrap();
-            twin.ingest_sequenced(seq, &batch(seq, 3)).unwrap();
+            j.deliver(seq, &batch(seq, 3)).unwrap();
+            twin.deliver(seq, &batch(seq, 3)).unwrap();
         }
         assert_eq!(
             j.engine().pending_batches(),
@@ -617,37 +602,93 @@ mod tests {
             expected_seq: 1,
             got_seq: 66,
         };
-        assert_eq!(j.ingest_sequenced(66, &batch(66, 3)), Err(overflow));
+        assert_eq!(j.deliver(66, &batch(66, 3)), Err(overflow));
         assert_eq!(j.deliveries(), 65, "a refused delivery is not counted");
         assert_eq!(j.engine().checkpoint(), twin.checkpoint());
-        j.sync().unwrap();
-        let (mut j2, report) = recover_mem(j.crash());
+        let (mut j2, report) = synced_crash(j);
         assert_eq!((report.resume_deliveries, report.replayed), (65, 65));
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
         // The missing batch still drains the buffer after recovery.
-        j2.ingest_sequenced(1, &batch(1, 3)).unwrap();
-        twin.ingest_sequenced(1, &batch(1, 3)).unwrap();
+        j2.deliver(1, &batch(1, 3)).unwrap();
+        twin.deliver(1, &batch(1, 3)).unwrap();
         assert_eq!(j2.engine().pending_batches(), 0);
         assert_eq!(j2.engine().checkpoint(), twin.checkpoint());
+    }
+
+    /// What a delivery stream did to `engine`: every delivery's result and
+    /// the checkpoint after every epoch boundary. Each word is a round:
+    /// the next batch; a local swap; the next batch twice and an old one
+    /// again; a gap of up to 80 early batches — past the reorder buffer's
+    /// 64 the rest are refused — filled or left open; or a boundary.
+    fn delivery_stream<E: Serving>(
+        engine: &mut E,
+        words: &[u64],
+    ) -> (Vec<Result<IngestReport, ServeError>>, Vec<Vec<u8>>) {
+        let (mut results, mut boundaries, mut day) = (Vec::new(), Vec::new(), 0);
+        for (round, &word) in words.iter().enumerate() {
+            let (next, draw) = (engine.engine().next_seq(), word >> 8);
+            let seqs: Vec<u64> = match word % 5 {
+                0 => vec![next],
+                1 => vec![next + 1, next],
+                2 => vec![next, next, draw % (next + 1)],
+                3 => (next + 1..next + 2 + draw % 80)
+                    .chain((draw & 1 == 0).then_some(next))
+                    .collect(),
+                _ => {
+                    day += 1 + (draw % 9) as u32;
+                    engine.advance_to(day).unwrap();
+                    engine.resolve(&[]).unwrap();
+                    engine.checkpoint_epoch(round as u64).unwrap();
+                    boundaries.push(engine.engine().checkpoint());
+                    continue;
+                }
+            };
+            results.extend(
+                seqs.into_iter()
+                    .map(|seq| engine.deliver(seq, &batch(seq, 4))),
+            );
+        }
+        (results, boundaries)
+    }
+
+    mod delivery_orders {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Duplicates, local swaps and gaps up to a refusal leave the
+            /// plain and the journaled engine call for call and boundary
+            /// for boundary alike, and the journal recovers the plain
+            /// engine's bytes.
+            #[test]
+            fn plain_and_journaled_engines_agree_under_any_delivery_order(
+                words in proptest::collection::vec(any::<u64>(), 1..24),
+            ) {
+                let mut plain = build_engine();
+                let mut j = journaled();
+                let ran = delivery_stream(&mut plain, &words);
+                prop_assert_eq!(&delivery_stream(&mut j, &words), &ran);
+                let (recovered, _) = synced_crash(j);
+                prop_assert_eq!(recovered.engine().checkpoint(), plain.checkpoint());
+            }
+        }
     }
 
     #[test]
     fn torn_tails_and_interior_corruption_yield_typed_reports() {
         let mut j = journaled();
-        for seq in 0..2 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 0..2).unwrap();
         j.sync().unwrap();
-        j.ingest_sequenced(2, &batch(2, 6)).unwrap();
+        j.deliver(2, &batch(2, 6)).unwrap();
         let mut storage = j.crash();
         storage.crash_torn(&scope_wal::segment_name(0), 11);
         storage.crash();
         let (mut j2, report) = recover_mem(storage);
         assert_eq!(report.wal.torn_bytes, 11);
         assert_eq!(report.resume_deliveries, 2);
-        for seq in 2..4 {
-            j2.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j2, 2..4).unwrap();
         assert_eq!(j2.engine().checkpoint(), plain_after(4).checkpoint());
     }
 
@@ -668,24 +709,26 @@ mod tests {
         }
     }
 
-    /// Drive `j` from where it stands — `boundaries` durable epoch
-    /// boundaries and `delivered` deliveries behind it — to the end of
-    /// epoch `until`, stopping at the first error (the crash). `done`
-    /// counts the boundaries whose checkpoint was acknowledged.
-    fn drive<S: Storage>(
-        j: &mut JournaledEngine<S>,
+    /// The differential's one schedule: drive `engine` from where it
+    /// stands — `boundaries` durable epoch boundaries and `delivered`
+    /// deliveries behind it — to the end of epoch `until`, stopping at the
+    /// first error (the crash). `done` counts the boundaries whose
+    /// checkpoint was acknowledged.
+    fn drive<E: Serving>(
+        engine: &mut E,
         boundaries: u64,
         delivered: u64,
         until: u64,
         done: &mut u64,
     ) -> Result<(), ServeError> {
         for epoch in boundaries..until {
-            for seq in delivered.max(epoch * PER_EPOCH)..(epoch + 1) * PER_EPOCH {
-                j.ingest_sequenced(seq, &batch(seq, 6))?;
-            }
-            j.advance(9 * (epoch as u32 + 1))?;
-            j.reoptimize()?;
-            j.checkpoint_durable(epoch + 1)?;
+            deliver(
+                engine,
+                delivered.max(epoch * PER_EPOCH)..(epoch + 1) * PER_EPOCH,
+            )?;
+            engine.advance_to(9 * (epoch as u32 + 1))?;
+            engine.resolve(&[])?;
+            engine.checkpoint_epoch(epoch + 1)?;
             *done = epoch + 1;
         }
         Ok(())
@@ -695,13 +738,7 @@ mod tests {
     /// epochs of the same schedule.
     fn twin_after(until: u64) -> Vec<u8> {
         let mut engine = build_engine();
-        for epoch in 0..until {
-            for seq in epoch * PER_EPOCH..(epoch + 1) * PER_EPOCH {
-                engine.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-            }
-            engine.advance(9 * (epoch as u32 + 1));
-            engine.reoptimize().unwrap();
-        }
+        drive(&mut engine, 0, 0, until, &mut 0).unwrap();
         engine.checkpoint()
     }
 
@@ -834,9 +871,7 @@ mod tests {
             JournaledEngine::create(build_engine(), MemStorage::new(), small_segments()).unwrap();
         let mut done = 0;
         drive(&mut j, 0, 0, 5, &mut done).unwrap();
-        for seq in 5 * PER_EPOCH..5 * PER_EPOCH + 2 {
-            j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        deliver(&mut j, 5 * PER_EPOCH..5 * PER_EPOCH + 2).unwrap();
         j.sync().unwrap();
         let mut storage = j.crash();
         storage.crash();
@@ -934,9 +969,7 @@ mod tests {
                     .unwrap();
             let mut done = 0;
             drive(&mut j, 0, 0, 1, &mut done).unwrap();
-            for seq in PER_EPOCH..PER_EPOCH + 7 {
-                j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-            }
+            deliver(&mut j, PER_EPOCH..PER_EPOCH + 7).unwrap();
             j.sync().unwrap();
             let first = j.journal().active_segment() - 3;
             let mut storage = j.crash();
@@ -944,13 +977,8 @@ mod tests {
             (storage, first)
         };
         let mut twin = build_engine();
-        for seq in 0..PER_EPOCH + 7 {
-            if seq == PER_EPOCH {
-                twin.advance(9);
-                twin.reoptimize().unwrap();
-            }
-            twin.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-        }
+        drive(&mut twin, 0, 0, 1, &mut 0).unwrap();
+        deliver(&mut twin, PER_EPOCH..PER_EPOCH + 7).unwrap();
         // (which scanned segment is lost, deliveries recovery still has)
         for (lost, resume) in [(0, 3), (1, 5), (2, 7), (3, 9)] {
             let (mut storage, first) = build();
@@ -964,9 +992,7 @@ mod tests {
             // Nothing past the hole was replayed out of order: the
             // producer re-delivers it.
             assert_eq!(j.engine().next_seq(), resume);
-            for seq in resume..PER_EPOCH + 7 {
-                j.ingest_sequenced(seq, &batch(seq, 6)).unwrap();
-            }
+            deliver(&mut j, resume..PER_EPOCH + 7).unwrap();
             assert_eq!(j.engine().checkpoint(), twin.checkpoint());
         }
     }

@@ -9,14 +9,17 @@
 //! * [`ServeEngine`] holds per-object state — interned id, current
 //!   `tier + compression` placement, and a heat counter with day-bucketed
 //!   exponential decay — grouped into per-account shards.
-//! * [`ServeEngine::ingest`] folds [`scope_cloudsim::EventColumns`]
+//! * [`Serving`] is the serving loop's one step API — deliver, advance,
+//!   re-solve, make the boundary durable — implemented by the plain
+//!   engine and by the journaled one (below), one body per step each.
+//! * [`Serving::deliver`] folds [`scope_cloudsim::EventColumns`]
 //!   batches into per-object heat deltas in bounded memory (no event is
 //!   retained), counting out-of-horizon events exactly as the billing
 //!   engine's `dropped_events` does.
-//! * [`ServeEngine::advance`] decays heat to the epoch boundary and
+//! * [`Serving::advance_to`] decays heat to the epoch boundary and
 //!   re-buckets it geometrically; only objects whose heat crossed a bucket
 //!   boundary are marked dirty.
-//! * [`ServeEngine::reoptimize`] re-solves incrementally: dirty rows are
+//! * [`Serving::resolve`] re-solves incrementally: dirty rows are
 //!   re-evaluated in place with [`scope_optassign::CostTable::patch_rows`]
 //!   (bit-identical to a from-scratch build), the greedy choice is
 //!   recomputed for exactly those rows, and account shards fan out over
@@ -39,7 +42,7 @@
 //! classes of fault, each with an *exact* recovery contract (exercised by
 //! the `scope-faults` plans and the `tests/integration_chaos.rs` suite):
 //!
-//! * **Malformed intake.** [`ServeEngine::ingest`] validates every event
+//! * **Malformed intake.** [`Serving::deliver`] validates every event
 //!   with [`scope_cloudsim::classify`], the billing replay's own rule:
 //!   out-of-horizon events are dropped (counted in `dropped_events`), NaN
 //!   and negative volumes are diverted into the typed, bounded
@@ -49,17 +52,16 @@
 //!   the lost tail counted. Decisions are made strictly in event order —
 //!   drop first, then quarantine, then unknown-object skip — so a batch
 //!   stream produces the identical ledger however it is split.
-//!   [`ServeEngine::ingest_sequenced`] adds producer-assigned sequence
-//!   numbers with a bounded reorder buffer: duplicated and locally
-//!   reordered deliveries fold exactly once, and overflow is a typed
+//!   Deliveries carry producer-assigned sequence numbers into a bounded
+//!   reorder buffer: duplicated and locally reordered deliveries fold
+//!   exactly once, and overflow is a typed
 //!   [`ServeError::IntakeOverflow`], never silent loss — a refused
 //!   delivery changes nothing, and the journaled engine does not log it.
-//! * **Compute faults.** [`ServeEngine::reoptimize_with_faults`] accepts
-//!   per-shard fault injections ([`ShardFault`]: solver failure or
-//!   deadline overrun). A faulted shard serves its stored incumbent
-//!   placement verbatim — marked stale, objective bits unchanged — and
-//!   retries after a bounded, deterministic exponential backoff counted
-//!   in epochs (0, 1, 3, then 7 skipped epochs). Its dirty-row worklist
+//! * **Compute faults.** [`Serving::resolve`] accepts per-shard fault
+//!   injections ([`ShardFault`]: solver failure or deadline overrun). A
+//!   faulted shard serves its stored incumbent placement verbatim —
+//!   marked stale, objective bits unchanged — and retries after a
+//!   bounded, deterministic exponential backoff counted in epochs (0, 1, 3, then 7 skipped epochs). Its dirty-row worklist
 //!   is preserved across failures, so the first healthy re-solve
 //!   re-converges to exactly the placement the cold reference computes
 //!   from the same state. Healthy shards are never affected: the fan-out
@@ -76,7 +78,8 @@
 //! # Durability and recovery
 //!
 //! [`JournaledEngine`] (see [`journal`]) closes the crash story end to
-//! end: every accepted batch is appended to a segmented, checksum-framed
+//! end, as the same [`Serving`] steps around the plain engine's: every
+//! accepted batch is appended to a segmented, checksum-framed
 //! write-ahead journal (`scope-wal`) *before* it mutates engine state,
 //! synced at epoch boundaries, and checkpoints are published atomically
 //! through the same storage with covered segments retired — a full
@@ -99,6 +102,7 @@ pub mod quarantine;
 pub mod reference;
 
 mod error;
+mod serving;
 
 pub use engine::{
     AccountAssignment, IngestReport, ResolveOutcome, ServeConfig, ServeEngine, ServeObject,
@@ -107,6 +111,7 @@ pub use engine::{
 pub use error::ServeError;
 pub use journal::{JournaledEngine, RecoveryReport};
 pub use quarantine::{QuarantineLedger, QuarantineReason, QuarantinedEvent};
+pub use serving::Serving;
 
 // The vocabulary types callers need to drive the engine, re-exported so
 // downstream crates don't have to depend on the optimizer directly.

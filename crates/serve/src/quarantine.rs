@@ -1,6 +1,6 @@
 //! Typed, bounded quarantine for malformed intake events.
 //!
-//! The validating intake ([`crate::ServeEngine::ingest`]) never folds a
+//! The validating intake ([`crate::Serving::deliver`]) never folds a
 //! malformed event into heat: in-horizon events with NaN or negative
 //! volumes — what [`scope_cloudsim::classify`] calls
 //! [`EventClass::BadVolume`](scope_cloudsim::EventClass::BadVolume), the

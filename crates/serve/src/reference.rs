@@ -7,7 +7,7 @@
 //! state — exactly what a batch deployment of the optimizer would do each
 //! epoch. `crates/serve/tests/incremental_equivalence.rs` and
 //! `tests/integration_serving.rs` assert that
-//! [`ServeEngine::reoptimize`](crate::ServeEngine::reoptimize) reproduces
+//! [`Serving::resolve`](crate::Serving::resolve) reproduces
 //! this bit-for-bit on every epoch; the incremental path earns its speedup
 //! purely by skipping work, never by approximating.
 //!
@@ -49,16 +49,18 @@ pub fn total_objective(accounts: &[AccountAssignment]) -> f64 {
     accounts.iter().map(|a| a.assignment.objective).sum()
 }
 
-/// [`ServeEngine::ingest`] with the decay factor computed per event: the
-/// engine's own intake loop, handed `powi` in place of its table.
+/// The fold behind [`Serving::deliver`](crate::Serving::deliver) with the
+/// decay factor computed per event: the engine's own intake loop, handed
+/// `powi` in place of its table (and no sequence number: the batch is
+/// folded as it comes).
 pub fn ingest_reference(engine: &mut ServeEngine, columns: &EventColumns) -> IngestReport {
     let decay_per_day = engine.config().decay_per_day;
     engine.fold(columns, |_, gap| decay_per_day.powi(gap as i32))
 }
 
-/// [`ServeEngine::advance`] with the decay factor computed per object:
-/// every counter is decayed to `day` here, so the engine's own pass that
-/// follows only moves the clock and re-buckets.
+/// [`Serving::advance_to`](crate::Serving::advance_to) with the decay
+/// factor computed per object: every counter is decayed to `day` here, so
+/// the engine's own pass that follows only moves the clock and re-buckets.
 pub fn advance_reference(engine: &mut ServeEngine, day: u32) {
     let decay_per_day = engine.config().decay_per_day;
     for h in &mut engine.heat {

@@ -2,8 +2,8 @@
 //! pre-encoded for it.
 //!
 //! Any interleaving of `register`, `ingest_sequenced`, `advance`,
-//! `reoptimize_with_faults`, `checkpoint` and `restore` must keep two
-//! promises: a snapshot restores to an engine that writes the same bytes
+//! `resolve` under compute faults, `checkpoint` and `restore` must keep
+//! two promises: a snapshot restores to an engine that writes the same bytes
 //! again, and an engine that was restored along the way — losing its
 //! cost tables, its chosen-entry mirror and re-deriving its static
 //! section — stays byte for byte the engine that never was. Registering
@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
 use scope_serve::{
-    CompressionOption, ServeConfig, ServeEngine, ServeError, ServeObject, ShardFault,
+    CompressionOption, ServeConfig, ServeEngine, ServeError, ServeObject, Serving, ShardFault,
 };
 
 const HORIZON_DAYS: u32 = 400;
@@ -157,8 +157,8 @@ proptest! {
                             _ => None,
                         })
                         .collect();
-                    let a = live.reoptimize_with_faults(&faults).expect("servable");
-                    let b = twin.reoptimize_with_faults(&faults).expect("servable");
+                    let a = live.resolve(&faults).expect("servable");
+                    let b = twin.resolve(&faults).expect("servable");
                     prop_assert_eq!(a.total_objective.to_bits(), b.total_objective.to_bits());
                     prop_assert_eq!(a.retier_decisions, b.retier_decisions);
                     prop_assert_eq!(a.degraded_accounts, b.degraded_accounts);

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use scope_cloudsim::{BillingEvent, EventColumns, TierCatalog, TierId};
-use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject};
+use scope_serve::{reference, CompressionOption, ServeConfig, ServeEngine, ServeObject, Serving};
 
 fn schemes() -> Vec<CompressionOption> {
     vec![
@@ -95,7 +95,7 @@ proptest! {
         let mut day = 0u32;
         for (epoch, &len) in epoch_lengths.iter().enumerate() {
             let batch = columns.filter_day_range(day, day + len);
-            engine.ingest(&batch);
+            engine.deliver(epoch as u64, &batch).expect("in order");
             day += len;
             engine.advance(day);
 
@@ -160,12 +160,12 @@ proptest! {
         let columns = EventColumns::from_events(&events, |n| sequential.object_id(n));
         for epoch in 0..3u32 {
             let batch = columns.filter_day_range(epoch * 15, epoch * 15 + 15);
-            sequential.ingest(&batch);
+            sequential.deliver(u64::from(epoch), &batch).expect("in order");
             sequential.advance(epoch * 15 + 15);
             let a = sequential.reoptimize().expect("sequential solve");
             let snapshot = sequential.checkpoint();
             for parallel in &mut others {
-                parallel.ingest(&batch);
+                parallel.deliver(u64::from(epoch), &batch).expect("in order");
                 parallel.advance(epoch * 15 + 15);
                 let b = parallel.reoptimize().expect("parallel solve");
                 prop_assert_eq!(a.total_objective.to_bits(), b.total_objective.to_bits());

@@ -14,69 +14,18 @@
 //!   contract on generated enterprise traces under light and heavy fault
 //!   mixes.
 
+mod common;
+
+use common::{build_engine, heat_bits, random_columns, restore, HORIZON_DAYS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scope::core::chaos::{run_chaos, ChaosOptions};
 use scope::core::ServingOptions;
-use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
+use scope_cloudsim::EventColumns;
 use scope_faults::{expected_intake, FaultPlan, FaultRates};
-use scope_serve::{CompressionOption, ServeConfig, ServeEngine, ServeObject};
+use scope_serve::{ServeEngine, Serving};
 use scope_workload::EnterpriseOptions;
-
-const HORIZON_DAYS: u32 = 60;
-
-fn schemes() -> Vec<CompressionOption> {
-    vec![
-        CompressionOption::none(),
-        CompressionOption::new("zstd", 2.4, 0.35),
-    ]
-}
-
-fn build_engine(objects: usize, accounts: usize) -> ServeEngine {
-    let config = ServeConfig {
-        horizon_days: HORIZON_DAYS,
-        horizon_months: f64::from(HORIZON_DAYS) / 30.0,
-        threads: 1,
-        ..ServeConfig::default()
-    };
-    let mut engine =
-        ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config).unwrap();
-    for i in 0..objects {
-        engine
-            .register(ServeObject::new(
-                format!("obj-{i}"),
-                format!("acct-{}", i % accounts.max(1)),
-                1.0 + i as f64 * 0.37,
-                TierId(0),
-            ))
-            .unwrap();
-    }
-    engine
-}
-
-/// A random event stream with everything the validating intake must
-/// handle: out-of-horizon days, unknown object ids, NaN and negative
-/// volumes, mixed reads and writes.
-fn random_columns(rng: &mut SmallRng, n_events: usize, objects: usize) -> EventColumns {
-    let mut cols = EventColumns::default();
-    for _ in 0..n_events {
-        let day = rng.gen_range(0..HORIZON_DAYS + 20);
-        let id = rng.gen_range(0..objects as u32 + 3);
-        let kind = if rng.gen_bool(0.2) {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let volume = match rng.gen_range(0u32..10) {
-            0 => f64::NAN,
-            1 => -rng.gen_range(0.1f64..5.0),
-            _ => rng.gen_range(0.01f64..3.0),
-        };
-        cols.push_resolved(day, id, kind, volume);
-    }
-    cols
-}
 
 /// Split `columns` at the (deduplicated, sorted) positions derived from
 /// `cuts`, preserving order.
@@ -93,10 +42,11 @@ fn split_at(columns: &EventColumns, cuts: &[usize]) -> Vec<EventColumns> {
         .collect()
 }
 
-fn heat_bits(engine: &ServeEngine) -> Vec<Option<u64>> {
-    (0..engine.len() as u32)
-        .map(|id| engine.heat(id).map(f64::to_bits))
-        .collect()
+/// Deliver `batches` in order as sequence numbers `first..`.
+fn deliver_in_order(engine: &mut ServeEngine, first: usize, batches: &[EventColumns]) {
+    for (seq, batch) in (first as u64..).zip(batches) {
+        engine.deliver(seq, batch).unwrap();
+    }
 }
 
 /// Assert `engine`'s intake state equals the reference over `batches`.
@@ -131,13 +81,11 @@ proptest! {
         let columns = random_columns(&mut rng, n_events, 12);
 
         let mut whole = build_engine(12, 3);
-        whole.ingest(&columns);
+        whole.deliver(0, &columns).unwrap();
 
         let mut split = build_engine(12, 3);
         let batches = split_at(&columns, &cuts);
-        for batch in &batches {
-            split.ingest(batch);
-        }
+        deliver_in_order(&mut split, 0, &batches);
 
         prop_assert_eq!(split.quarantine().entries(), whole.quarantine().entries());
         prop_assert_eq!(split.quarantine().total(), whole.quarantine().total());
@@ -184,13 +132,11 @@ proptest! {
         }
 
         let mut inorder = build_engine(10, 2);
-        for batch in &batches {
-            inorder.ingest(batch);
-        }
+        deliver_in_order(&mut inorder, 0, &batches);
         let mut chaotic = build_engine(10, 2);
         let mut duplicates = 0u64;
         for &seq in &delivery {
-            chaotic.ingest_sequenced(seq, &batches[seq as usize]).unwrap();
+            chaotic.deliver(seq, &batches[seq as usize]).unwrap();
         }
         for (k, _) in order.iter().enumerate() {
             duplicates += u64::from(dup_mask >> (k % 32) & 1);
@@ -233,12 +179,12 @@ proptest! {
         let mut sequenced = Vec::new();
         for (seq, batch) in batches.iter().enumerate() {
             let corrupted = plan.corrupt_batch(seq as u64, batch, HORIZON_DAYS);
-            twin.ingest(&corrupted.clean);
+            twin.deliver(seq as u64, &corrupted.clean).unwrap();
             delivered.push(corrupted.delivered.clone());
             sequenced.push((seq as u64, corrupted.delivered));
         }
         for (seq, batch) in plan.deliver(0, &sequenced) {
-            engine.ingest_sequenced(seq, &batch).unwrap();
+            engine.deliver(seq, &batch).unwrap();
         }
 
         prop_assert_eq!(heat_bits(&engine), heat_bits(&twin));
@@ -261,27 +207,17 @@ proptest! {
         let crash_after = crash_after.min(batches.len());
 
         let mut durable = build_engine(10, 2);
-        for batch in &batches[..crash_after] {
-            durable.ingest(batch);
-        }
+        deliver_in_order(&mut durable, 0, &batches[..crash_after]);
         durable.advance(HORIZON_DAYS / 2);
         durable.reoptimize().unwrap();
         let snapshot = durable.checkpoint();
-        for batch in &batches[crash_after..] {
-            durable.ingest(batch);
-        }
+        deliver_in_order(&mut durable, crash_after, &batches[crash_after..]);
         durable.advance(HORIZON_DAYS);
         durable.reoptimize().unwrap();
 
-        let mut restored = ServeEngine::restore(
-            TierCatalog::azure_hot_cool_archive(),
-            schemes(),
-            &snapshot,
-        ).unwrap();
+        let mut restored = restore(&snapshot).unwrap();
         prop_assert_eq!(restored.checkpoint(), snapshot);
-        for batch in &batches[crash_after..] {
-            restored.ingest(batch);
-        }
+        deliver_in_order(&mut restored, crash_after, &batches[crash_after..]);
         restored.advance(HORIZON_DAYS);
         restored.reoptimize().unwrap();
 

@@ -18,47 +18,26 @@
 //!   contract on generated enterprise traces under light and heavy
 //!   storage-fault plans.
 
+mod common;
+
+use common::{heat_bits, random_columns, restore, schemes, HORIZON_DAYS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scope::core::recovery::{run_recovery, RecoveryOptions};
 use scope::core::ServingOptions;
-use scope_cloudsim::{AccessKind, EventColumns, TierCatalog, TierId};
+use scope_cloudsim::{EventColumns, TierCatalog};
 use scope_faults::StorageFaultRates;
-use scope_serve::{
-    CompressionOption, JournaledEngine, ServeConfig, ServeEngine, ServeError, ServeObject,
-};
+use scope_serve::{JournaledEngine, ServeEngine, ServeError, Serving};
 use scope_wal::{parse_segment_name, JournalConfig, MemStorage, WalError};
 use scope_workload::EnterpriseOptions;
+use std::ops::Range;
 
-const HORIZON_DAYS: u32 = 60;
 const OBJECTS: usize = 10;
 const ACCOUNTS: usize = 2;
 
-fn schemes() -> Vec<CompressionOption> {
-    vec![
-        CompressionOption::none(),
-        CompressionOption::new("zstd", 2.4, 0.35),
-    ]
-}
-
 fn build_engine() -> Result<ServeEngine, ServeError> {
-    let config = ServeConfig {
-        horizon_days: HORIZON_DAYS,
-        horizon_months: f64::from(HORIZON_DAYS) / 30.0,
-        threads: 1,
-        ..ServeConfig::default()
-    };
-    let mut engine = ServeEngine::new(TierCatalog::azure_hot_cool_archive(), schemes(), config)?;
-    for i in 0..OBJECTS {
-        engine.register(ServeObject::new(
-            format!("obj-{i}"),
-            format!("acct-{}", i % ACCOUNTS),
-            1.0 + i as f64 * 0.37,
-            TierId(0),
-        ))?;
-    }
-    Ok(engine)
+    Ok(common::build_engine(OBJECTS, ACCOUNTS))
 }
 
 fn journal_cfg() -> JournalConfig {
@@ -70,32 +49,9 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-/// A random event stream with everything the validating intake must
-/// handle: out-of-horizon days, unknown object ids, NaN and negative
-/// volumes, mixed reads and writes.
-fn random_columns(rng: &mut SmallRng, n_events: usize) -> EventColumns {
-    let mut cols = EventColumns::default();
-    for _ in 0..n_events {
-        let day = rng.gen_range(0..HORIZON_DAYS + 20);
-        let id = rng.gen_range(0..OBJECTS as u32 + 3);
-        let kind = if rng.gen_bool(0.2) {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let volume = match rng.gen_range(0u32..10) {
-            0 => f64::NAN,
-            1 => -rng.gen_range(0.1f64..5.0),
-            _ => rng.gen_range(0.01f64..3.0),
-        };
-        cols.push_resolved(day, id, kind, volume);
-    }
-    cols
-}
-
 /// Split the stream into `n` sequenced batches, preserving order.
 fn make_batches(rng: &mut SmallRng, n_events: usize, n: usize) -> Vec<EventColumns> {
-    let columns = random_columns(rng, n_events);
+    let columns = random_columns(rng, n_events, OBJECTS);
     let total = columns.len();
     let per = total.div_ceil(n.max(1)).max(1);
     (0..n.max(1))
@@ -103,58 +59,59 @@ fn make_batches(rng: &mut SmallRng, n_events: usize, n: usize) -> Vec<EventColum
         .collect()
 }
 
-/// The fixed schedule: deliver the first half, run an epoch boundary
-/// (advance + re-solve + durable checkpoint when `publish`, marker =
-/// position after the boundary), deliver the rest, sync — then crash.
-/// The final epoch (advance to the horizon + re-solve) runs only on the
-/// recovered engine and the twin.
-fn journaled_run(batches: &[EventColumns], publish: bool) -> MemStorage {
+/// Step positions `steps` of the fixed schedule on `engine`: delivery
+/// `d` sits at position `d` before the boundary and `d + 1` after it; the
+/// boundary (advance + re-solve + durable checkpoint when `publish`,
+/// marker = the position after it) is position `mid`; the final epoch
+/// (advance to the horizon + re-solve) is position `batches.len() + 1`.
+fn run_steps<E: Serving>(
+    engine: &mut E,
+    batches: &[EventColumns],
+    steps: Range<usize>,
+    publish: bool,
+) {
     let mid = batches.len() / 2;
+    for pos in steps {
+        if pos == mid {
+            engine.advance_to(HORIZON_DAYS / 2).unwrap();
+            engine.resolve(&[]).unwrap();
+            if publish {
+                engine.checkpoint_epoch(mid as u64 + 1).unwrap();
+            }
+        } else if pos > batches.len() {
+            engine.advance_to(HORIZON_DAYS).unwrap();
+            engine.resolve(&[]).unwrap();
+        } else {
+            let seq = if pos > mid { pos - 1 } else { pos };
+            engine.deliver(seq as u64, &batches[seq]).unwrap();
+        }
+    }
+}
+
+/// Every step of the schedule but the final epoch, journaled, then sync
+/// and crash.
+fn journaled_run(batches: &[EventColumns], publish: bool) -> MemStorage {
     let mut j =
         JournaledEngine::create(build_engine().unwrap(), MemStorage::new(), journal_cfg()).unwrap();
-    for (seq, batch) in batches[..mid].iter().enumerate() {
-        j.ingest_sequenced(seq as u64, batch).unwrap();
-    }
-    j.advance(HORIZON_DAYS / 2).unwrap();
-    j.reoptimize().unwrap();
-    if publish {
-        j.checkpoint_durable(mid as u64 + 1).unwrap();
-    }
-    for (off, batch) in batches[mid..].iter().enumerate() {
-        j.ingest_sequenced((mid + off) as u64, batch).unwrap();
-    }
+    run_steps(&mut j, batches, 0..batches.len() + 1, publish);
     j.sync().unwrap();
     let mut storage = j.crash();
     storage.crash();
     storage
 }
 
-/// The never-crashed twin over the same schedule, final epoch included.
+/// The never-crashed twin over the whole schedule.
 fn twin_checkpoint(batches: &[EventColumns]) -> Vec<u8> {
-    let mid = batches.len() / 2;
     let mut twin = build_engine().unwrap();
-    for (seq, batch) in batches.iter().enumerate() {
-        if seq == mid {
-            twin.advance(HORIZON_DAYS / 2);
-            twin.reoptimize().unwrap();
-        }
-        twin.ingest_sequenced(seq as u64, batch).unwrap();
-    }
-    twin.advance(HORIZON_DAYS);
-    twin.reoptimize().unwrap();
+    run_steps(&mut twin, batches, 0..batches.len() + 2, true);
     twin.checkpoint()
 }
 
-fn heat_bits(engine: &ServeEngine) -> Vec<Option<u64>> {
-    (0..engine.len() as u32)
-        .map(|id| engine.heat(id).map(f64::to_bits))
-        .collect()
-}
-
 /// Recover from `storage` (rebuilding from scratch on a typed
-/// `Unrecoverable`), re-deliver every batch recovery does not prove
-/// durable, re-run un-covered epoch boundaries, run the final epoch, and
-/// return the engine's checkpoint. Panics only on contract violations —
+/// `Unrecoverable`), run the schedule on from the position recovery
+/// proves durable — re-delivering what was lost, re-running an
+/// un-covered boundary — through the final epoch, and return the
+/// engine's checkpoint. Panics only on contract violations —
 /// every corruption outcome must surface as a typed error or a clean
 /// resume.
 fn recover_and_finish(storage: MemStorage, batches: &[EventColumns]) -> Vec<u8> {
@@ -167,9 +124,7 @@ fn recover_and_finish(storage: MemStorage, batches: &[EventColumns]) -> Vec<u8> 
         build_engine,
     ) {
         Ok((j, report)) => {
-            // Position semantics match the schedule in `journaled_run`:
-            // delivery d sits at position d before the boundary and d+1
-            // after it; the boundary itself is position `mid`.
+            // Positions as in `run_steps`.
             let d = usize::try_from(report.resume_deliveries).unwrap();
             let after_delivery = if d > mid { d + 1 } else { d };
             (
@@ -184,24 +139,12 @@ fn recover_and_finish(storage: MemStorage, batches: &[EventColumns]) -> Vec<u8> 
         ),
         Err(err) => panic!("recovery failed with a non-storage error: {err}"),
     };
-    for pos in resume_pos..batches.len() + 1 {
-        if pos == mid {
-            j.advance(HORIZON_DAYS / 2).unwrap();
-            j.reoptimize().unwrap();
-            j.checkpoint_durable(mid as u64 + 1).unwrap();
-        } else {
-            let seq = if pos > mid { pos - 1 } else { pos };
-            j.ingest_sequenced(seq as u64, &batches[seq]).unwrap();
-        }
-    }
-    j.advance(HORIZON_DAYS).unwrap();
-    j.reoptimize().unwrap();
+    run_steps(&mut j, batches, resume_pos..batches.len() + 2, true);
     j.engine().checkpoint()
 }
 
-/// Objects eligible for tail corruption: the active (highest-ordinal)
-/// segment and every checkpoint.
-fn tail_targets(storage: &MemStorage) -> Vec<String> {
+/// Every non-empty durable object, by name.
+fn durable_names(storage: &MemStorage) -> Vec<String> {
     let mut names: Vec<String> = storage
         .durable_objects()
         .into_iter()
@@ -209,6 +152,13 @@ fn tail_targets(storage: &MemStorage) -> Vec<String> {
         .map(|(name, _)| name)
         .collect();
     names.sort();
+    names
+}
+
+/// Objects eligible for tail corruption: the active (highest-ordinal)
+/// segment and every checkpoint.
+fn tail_targets(storage: &MemStorage) -> Vec<String> {
+    let names = durable_names(storage);
     let last_segment = names
         .iter()
         .rfind(|n| parse_segment_name(n).is_some())
@@ -262,13 +212,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let batches = make_batches(&mut rng, n_events, n_batches);
         let mut storage = journaled_run(&batches, true);
-        let mut names: Vec<String> = storage
-            .durable_objects()
-            .into_iter()
-            .filter(|(_, len)| *len > 0)
-            .map(|(name, _)| name)
-            .collect();
-        names.sort();
+        let names = durable_names(&storage);
         let name = &names[target as usize % names.len()];
         storage.flip_durable_bit(name, bit);
         prop_assert_eq!(recover_and_finish(storage, &batches), twin_checkpoint(&batches));
@@ -292,13 +236,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let batches = make_batches(&mut rng, n_events, n_batches);
         let mut storage = journaled_run(&batches, true);
-        let mut names: Vec<String> = storage
-            .durable_objects()
-            .into_iter()
-            .filter(|(_, len)| *len > 0)
-            .map(|(name, _)| name)
-            .collect();
-        names.sort();
+        let names = durable_names(&storage);
         let name = &names[target as usize % names.len()];
         storage.corrupt_durable(name, |bytes| {
             let tail = bytes[bytes.len() - (dup as usize % bytes.len() + 1)..].to_vec();
@@ -312,10 +250,7 @@ proptest! {
             // sequenced intake as a duplicate — heat, quarantine and
             // drop counters must still match; only the duplicate counter
             // (and therefore the checkpoint checksum) may differ.
-            let rec = ServeEngine::restore(
-                TierCatalog::azure_hot_cool_archive(), schemes(), &recovered).unwrap();
-            let tw = ServeEngine::restore(
-                TierCatalog::azure_hot_cool_archive(), schemes(), &twin).unwrap();
+            let (rec, tw) = (restore(&recovered).unwrap(), restore(&twin).unwrap());
             prop_assert_eq!(heat_bits(&rec), heat_bits(&tw));
             prop_assert_eq!(rec.events_seen(), tw.events_seen());
             prop_assert_eq!(rec.dropped_events(), tw.dropped_events());
@@ -361,14 +296,7 @@ fn epoch_boundary_cut_lands_on_the_twin_without_a_checkpoint() {
     // Resume: re-run the boundary, re-deliver the second half, final
     // epoch — byte-identical to the never-crashed twin.
     let mut j = j;
-    j.advance(HORIZON_DAYS / 2).unwrap();
-    j.reoptimize().unwrap();
-    j.checkpoint_durable(mid as u64 + 1).unwrap();
-    for (off, batch) in batches[mid..].iter().enumerate() {
-        j.ingest_sequenced((mid + off) as u64, batch).unwrap();
-    }
-    j.advance(HORIZON_DAYS).unwrap();
-    j.reoptimize().unwrap();
+    run_steps(&mut j, &batches, mid..batches.len() + 2, true);
     assert_eq!(j.engine().checkpoint(), twin_checkpoint(&batches));
 }
 
