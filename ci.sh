@@ -46,7 +46,7 @@ cargo check --locked --offline --features alloc-count --manifest-path benchmark/
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=690
+min_tests=697
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -119,13 +119,13 @@ if [[ $quick -eq 0 ]]; then
 
     # The billing replay under the same ratchet: the allocator calls of one
     # `threads: 1` replay of the traced quick `bill_replay` run (2 000
-    # objects, 100 000 events). 6 of them are the replay's own — months,
-    # totals, the rate table's three columns, one event scratch — at every
-    # fleet size; the other 186 are the report's `BTreeMap` (one per node,
-    # ≈ 0.091 per object: 9 095 of the full-size run's 9 101), so the
-    # ceiling holds for this fleet size only. A count above it means a
-    # per-object or per-event allocation crept back into the replay.
-    max_run_columns_allocs=192
+    # objects, 100 000 events): months, totals, the rate table's three
+    # columns, one event scratch and the report's totals gathered into name
+    # order. The report shares the simulator's sorted names, so the count
+    # is the same at every fleet size (7 at the full run's 100 000 objects
+    # too). A count above it means a per-object or per-event allocation
+    # crept back into the replay.
+    max_run_columns_allocs=7
     echo "==> benchmark/run.sh bill_replay --trace 1 --quick (replay allocation ratchet)"
     traced=$(traced_quick bill_replay) || {
         echo "$traced"

@@ -72,13 +72,17 @@
 //!
 //! ## Who fans out
 //!
-//! Only phase 2 fans out: phase 1 is a fraction of a replay and most of
-//! what surrounds it (the report's map) is sequential anyway.
-//! [`BillingSimulator::run_columns_with_threads`] gives phase 2 exactly the
-//! threads it is given. [`BillingSimulator::run_columns`] — and so
-//! [`BillingSimulator::run_days`] and [`BillingSimulator::run`] — decides
-//! once from what it can see: [`parallel::default_threads`] at or above
-//! `FAN_OUT_MIN_EVENTS` events, one thread below. The measurements are
+//! Two stages fan out, each deciding from its own length. Building columns
+//! from named events ([`BillingSimulator::build_columns`], and so
+//! [`BillingSimulator::run_days`] and [`BillingSimulator::run`]) resolves
+//! names on [`parallel::default_threads`] threads from
+//! `RESOLVE_FAN_OUT_MIN_ROWS` events, one thread below. A replay's phase 2
+//! does the same from `FAN_OUT_MIN_EVENTS` events in
+//! [`BillingSimulator::run_columns`];
+//! [`BillingSimulator::run_columns_with_threads`] gives it exactly the
+//! threads it is given. Phase 1 is a fraction of a replay and stays on the
+//! calling thread, and the report around it is a gather of the totals into
+//! a name order the simulator keeps between replays. The measurements are
 //! beside the constants.
 
 use crate::cost::{CostBreakdown, CostModel, ObjectSpec};
@@ -91,8 +95,8 @@ use crate::timeline::{
     DAYS_PER_MONTH,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// The kind of an access event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,12 +168,10 @@ pub struct BillingReport {
     /// [`DAYS_PER_MONTH`]-day "month"; the last period of a day-granular
     /// run may be partial).
     pub months: Vec<MonthlyCost>,
-    /// Per-object totals in cents. A `BTreeMap` so consumers that iterate
-    /// or fold the totals see a hash-seed-independent order. Keys are the
-    /// simulator's interned `Arc<str>` names: building a report bumps one
-    /// refcount per distinct object instead of allocating a `String` per
-    /// row (`&str` lookups still work via `Borrow<str>`).
-    pub per_object: std::collections::BTreeMap<Arc<str>, f64>,
+    /// Per-object totals in cents, in name order, so consumers that iterate
+    /// or fold the totals see a hash-seed-independent order (the order a
+    /// `BTreeMap` keyed by name would give). See [`PerObject`].
+    pub per_object: PerObject,
     /// Number of access events that fell at or beyond the billed horizon
     /// and were therefore not charged. A non-zero value signals a
     /// trace/horizon mismatch.
@@ -203,6 +205,88 @@ impl BillingReport {
     }
 }
 
+/// The per-object totals of a [`BillingReport`]: one total in cents per
+/// distinct placed name, iterated in name order (byte-wise `str` order, a
+/// `BTreeMap<Arc<str>, f64>`'s), so a fold over them gives the same bits
+/// as a fold over such a map.
+///
+/// The names are one shared slice: a simulator sorts its names once per
+/// set of placed names, and every report it builds until the next new name
+/// holds the same slice, so building one costs a refcount bump and a
+/// gather of the totals, not a map node per object.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PerObject {
+    /// Distinct names, sorted.
+    names: Arc<[Arc<str>]>,
+    /// `totals[i]` is `names[i]`'s total.
+    totals: Vec<f64>,
+}
+
+impl PerObject {
+    /// The total of the object named `name`, if one was placed.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        self.position(name).ok().map(|i| self.totals[i])
+    }
+
+    /// Every total, in name order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.totals.iter().copied()
+    }
+
+    /// Every `(name, total)`, in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, f64)> + '_ {
+        self.names.iter().map(|n| &**n).zip(self.values())
+    }
+
+    /// Number of distinct placed names.
+    pub fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// True if no object was placed.
+    pub fn is_empty(&self) -> bool {
+        self.totals.is_empty()
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.names.binary_search_by(|n| (**n).cmp(name))
+    }
+}
+
+impl std::ops::Index<&str> for PerObject {
+    type Output = f64;
+
+    /// The total of the object named `name`.
+    ///
+    /// # Panics
+    ///
+    /// If no object of that name was placed, as a map's index does.
+    fn index(&self, name: &str) -> &f64 {
+        // A missing name indexes one past the last total.
+        &self.totals[self.position(name).unwrap_or(self.totals.len())]
+    }
+}
+
+/// Name order from a map: how an oracle that keeps its totals in a
+/// `BTreeMap` builds the [`PerObject`] a simulator's report is compared
+/// with.
+impl From<BTreeMap<Arc<str>, f64>> for PerObject {
+    fn from(map: BTreeMap<Arc<str>, f64>) -> Self {
+        PerObject {
+            names: map.keys().cloned().collect(),
+            totals: map.into_values().collect(),
+        }
+    }
+}
+
+/// A simulator's distinct names in name order, with each one's interned
+/// id: what turns the id-indexed totals of a replay into a [`PerObject`].
+#[derive(Debug, Clone)]
+struct NameOrder {
+    names: Arc<[Arc<str>]>,
+    ids: Box<[u32]>,
+}
+
 /// A placement decision for one object over the billed horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Placement {
@@ -231,9 +315,10 @@ impl Placement {
 /// Object names are **interned at placement time** into dense `u32` ids:
 /// the streaming loop of [`BillingSimulator::run_days`] accounts storage,
 /// transitions and per-event access costs into flat `Vec`s indexed by those
-/// ids — no `String` clone and no allocation per event — and the final
-/// [`BillingReport`] rematerializes the `String`-keyed per-object map once
-/// at the end.
+/// ids — no `String` clone and no allocation per event. The names are
+/// sorted once, by the first report after a name is added, and every
+/// report shares that order: a report's [`PerObject`] is the totals
+/// gathered into it, with no allocation per object.
 #[derive(Debug, Clone)]
 pub struct BillingSimulator {
     pub(crate) model: CostModel,
@@ -249,6 +334,10 @@ pub struct BillingSimulator {
     /// Schedule per interned name id (re-placing a name replaces its
     /// schedule, matching the historical `HashMap::insert` semantics).
     pub(crate) schedules: Vec<PlacementSchedule>,
+    /// `names` in name order, built by the first report that needs it and
+    /// emptied when `place_scheduled` adds a name. A clone copies it, so a
+    /// name placed on the clone leaves the original's order alone.
+    name_order: OnceLock<NameOrder>,
 }
 
 impl BillingSimulator {
@@ -277,6 +366,7 @@ impl BillingSimulator {
             names: Vec::new(),
             name_ids: HashMap::new(),
             schedules: Vec::new(),
+            name_order: OnceLock::new(),
         }
     }
 
@@ -313,6 +403,7 @@ impl BillingSimulator {
                 self.name_ids.insert(name.clone(), id);
                 self.names.push(name);
                 self.schedules.push(schedule);
+                self.name_order.take();
                 id
             }
         };
@@ -332,24 +423,37 @@ impl BillingSimulator {
     /// period) straight into [`EventColumns`] — names are borrowed, never
     /// cloned — and the day-granular engine does the rest; for constant
     /// schedules the resulting totals are identical to the historical
-    /// whole-month replay.
+    /// whole-month replay. An event whose month starts past `u32::MAX`
+    /// days is dropped, like any other event beyond the horizon.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidParameter` (`horizon_months`) for a zero horizon, or one
+    /// whose day count does not fit a `u32`; then as
+    /// [`BillingSimulator::run_columns_with_threads`].
     pub fn run(
         &self,
         horizon_months: u32,
         accesses: &[AccessEvent],
     ) -> Result<BillingReport, CloudSimError> {
-        if horizon_months == 0 {
-            return Err(CloudSimError::InvalidParameter {
-                name: "horizon_months",
-                value: 0.0,
-            });
-        }
-        let rows = accesses.iter().map(|ev| {
-            let day = first_day_of_month(ev.month);
-            (ev.object.as_str(), day, ev.kind, ev.volume_gb)
-        });
-        let columns = EventColumns::from_rows(rows, |name| self.name_ids.get(name).copied());
-        self.run_columns(horizon_months * DAYS_PER_MONTH, &columns)
+        let horizon_days = match horizon_months.checked_mul(DAYS_PER_MONTH) {
+            Some(days) if days > 0 => days,
+            _ => {
+                return Err(CloudSimError::InvalidParameter {
+                    name: "horizon_months",
+                    value: f64::from(horizon_months),
+                })
+            }
+        };
+        let columns = EventColumns::from_rows(
+            accesses,
+            |ev| {
+                let day = first_day_of_month(ev.month);
+                (ev.object.as_str(), day, ev.kind, ev.volume_gb)
+            },
+            |name| self.name_ids.get(name).copied(),
+        );
+        self.run_columns(horizon_days, &columns)
     }
 
     /// Run the day-granular engine over `horizon_days` days with a
@@ -394,8 +498,10 @@ impl BillingSimulator {
 
     /// Resolve a day-stamped trace into struct-of-arrays [`EventColumns`]
     /// against this simulator's intern table: one name-hash per event, paid
-    /// **once**. The columns can be replayed any number of times with
-    /// [`BillingSimulator::run_columns`] without touching a `String` again.
+    /// **once**, and spread over [`parallel::default_threads`] threads for
+    /// a long trace (see [`EventColumns::from_events`]). The columns can be
+    /// replayed any number of times with [`BillingSimulator::run_columns`]
+    /// without touching a `String` again.
     pub fn build_columns(&self, events: &[BillingEvent]) -> EventColumns {
         EventColumns::from_events(events, |name| self.name_ids.get(name).copied())
     }
@@ -476,8 +582,8 @@ impl BillingSimulator {
             })
             .collect();
         // Per-object totals are accumulated in a flat vector indexed by the
-        // interned name ids — the Arc<str>-keyed map is only rematerialized
-        // once, in the final report.
+        // interned name ids, and gathered into name order once, for the
+        // report.
         let mut totals: Vec<f64> = vec![0.0; self.names.len()];
 
         let rates = self.bill_timelines(horizon_days, &mut months, &mut totals)?;
@@ -490,10 +596,31 @@ impl BillingSimulator {
             &mut totals,
         )?;
 
+        let order = self.name_order();
         Ok(BillingReport {
             months,
-            per_object: self.names.iter().cloned().zip(totals).collect(),
+            per_object: PerObject {
+                names: Arc::clone(&order.names),
+                totals: order.ids.iter().map(|&id| totals[id as usize]).collect(),
+            },
             dropped_events,
+        })
+    }
+
+    /// This simulator's names in name order, sorted on first use after a
+    /// name was added. Names are distinct, so the unstable sort has one
+    /// outcome.
+    fn name_order(&self) -> &NameOrder {
+        self.name_order.get_or_init(|| {
+            let mut ids: Vec<u32> = (0..self.names.len() as u32).collect();
+            ids.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
+            NameOrder {
+                names: ids
+                    .iter()
+                    .map(|&id| Arc::clone(&self.names[id as usize]))
+                    .collect(),
+                ids: ids.into(),
+            }
         })
     }
 
@@ -1631,6 +1758,7 @@ mod tests {
         // by the floor. Move them together.
         assert_eq!(UNIT_EVENTS, 32_768);
         assert_eq!(FAN_OUT_MIN_EVENTS, 262_144);
+        assert_eq!(crate::timeline::RESOLVE_FAN_OUT_MIN_ROWS, 4_096);
         assert_eq!(std::mem::size_of::<RateLine>(), 64);
         assert_eq!(std::mem::align_of::<RateLine>(), 64);
         assert_eq!(std::mem::size_of::<EventOutcome>(), 24);
@@ -1652,5 +1780,181 @@ mod tests {
             assert_eq!(got, expected, "threads={threads}");
         }
         assert!(expected.dropped_events > 0);
+    }
+
+    #[test]
+    fn a_month_past_the_last_u32_day_is_dropped_not_billed_on_a_wrapped_day() {
+        // Regression: `first_day_of_month` multiplied without a check, so
+        // month 143 165 577 (its first day is 2^32 + 14) wrapped to day 14
+        // in release and billed a far-future read inside a 6-month horizon
+        // (debug builds panicked instead).
+        let mut s = sim();
+        let cool = s.model.catalog().tier_id("Cool").unwrap();
+        s.place(ObjectSpec::new("a", 10.0), Placement::uncompressed(cool))
+            .unwrap();
+        let far = 143_165_577;
+        assert_eq!(first_day_of_month(far), u32::MAX);
+        assert_eq!(first_day_of_month(far - 1), 4_294_967_280);
+        let quiet = s.run(6, &[]).unwrap();
+        let report = s.run(6, &[AccessEvent::read("a", far, 10.0)]).unwrap();
+        assert_eq!(report.dropped_events, 1);
+        assert_eq!(report.months, quiet.months);
+        assert_eq!(report.total().to_bits(), quiet.total().to_bits());
+        // The day-axis lift saturates the same way.
+        let lifted = events_from_monthly(&[AccessEvent::read("a", far, 10.0)]);
+        assert_eq!(lifted[0].day, u32::MAX);
+        assert_eq!(s.run_days(180, &lifted).unwrap(), report);
+        // A horizon whose day count overflows is refused, not wrapped.
+        for months in [far, u32::MAX] {
+            assert!(matches!(
+                s.run(months, &[]),
+                Err(CloudSimError::InvalidParameter { name: "horizon_months", value })
+                    if value == f64::from(months)
+            ));
+        }
+    }
+
+    /// The differential fixture with `obj-5` placed a second time (one id,
+    /// the later schedule), and a trace cycled out of its events to `len`.
+    fn replaced_name_fixture(len: usize) -> (BillingSimulator, Vec<BillingEvent>, u32) {
+        let (mut s, events, horizon) = differential_fixture();
+        let hot = s.model.catalog().tier_id("Hot").unwrap();
+        s.place(ObjectSpec::new("obj-5", 2.0), Placement::uncompressed(hot))
+            .unwrap();
+        let trace = events.iter().cycle().take(len).cloned().collect();
+        (s, trace, horizon)
+    }
+
+    #[test]
+    fn fanned_out_column_build_equals_the_sequential_build_and_the_reference() {
+        let floor = crate::timeline::RESOLVE_FAN_OUT_MIN_ROWS;
+        for len in [0, 400, floor - 1, floor, floor + 1] {
+            let (s, events, horizon) = replaced_name_fixture(len);
+            // The sequential build, one event at a time.
+            let mut sequential = EventColumns::default();
+            for ev in &events {
+                let id = s.name_ids.get(ev.object.as_str()).copied();
+                sequential.push_resolved(
+                    ev.day,
+                    id.unwrap_or(crate::timeline::UNKNOWN_OBJECT),
+                    ev.kind,
+                    ev.volume_gb,
+                );
+            }
+            assert_eq!(s.build_columns(&events), sequential, "len={len}");
+            let expected = crate::reference::run_days_reference(&s, horizon, &events).unwrap();
+            for threads in [1, 2, 3, 8] {
+                let columns = EventColumns::from_rows_with_threads(
+                    &events,
+                    threads,
+                    |ev| (ev.object.as_str(), ev.day, ev.kind, ev.volume_gb),
+                    |name| s.name_ids.get(name).copied(),
+                );
+                assert_eq!(columns, sequential, "len={len} threads={threads}");
+                let got = s.run_columns_with_threads(horizon, &columns, 1).unwrap();
+                assert_eq!(got, expected, "len={len} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_name_placed_after_a_replay_takes_its_place_in_the_next_report() {
+        let (mut s, events, horizon) = differential_fixture();
+        let before = s.run_days(horizon, &events).unwrap();
+        assert_eq!(before.per_object.len(), 23);
+        let hot = s.model.catalog().tier_id("Hot").unwrap();
+        // Sorts before every `obj-<i>`, so a stale order would misplace
+        // every total.
+        s.place(
+            ObjectSpec::new("a-first", 9.0),
+            Placement::uncompressed(hot),
+        )
+        .unwrap();
+        let after = s.run_days(horizon, &events).unwrap();
+        assert_eq!(
+            after,
+            crate::reference::run_days_reference(&s, horizon, &events).unwrap()
+        );
+        assert_eq!(after.per_object.len(), 24);
+        assert_eq!(after.per_object.iter().next().unwrap().0, "a-first");
+        // Re-placing a known name keeps the order.
+        s.place(ObjectSpec::new("obj-3", 1.0), Placement::uncompressed(hot))
+            .unwrap();
+        assert_eq!(
+            s.run_days(horizon, &events).unwrap(),
+            crate::reference::run_days_reference(&s, horizon, &events).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_name_placed_on_a_clone_leaves_the_original_report_alone() {
+        let (s, events, horizon) = differential_fixture();
+        let original = s.run_days(horizon, &events).unwrap(); // warms the order
+        let mut clone = s.clone();
+        let hot = s.model.catalog().tier_id("Hot").unwrap();
+        clone
+            .place(
+                ObjectSpec::new("a-first", 9.0),
+                Placement::uncompressed(hot),
+            )
+            .unwrap();
+        assert_eq!(s.run_days(horizon, &events).unwrap(), original);
+        assert_eq!(
+            clone.run_days(horizon, &events).unwrap(),
+            crate::reference::run_days_reference(&clone, horizon, &events).unwrap()
+        );
+        assert_eq!(s.run_days(horizon, &events).unwrap().per_object.len(), 23);
+    }
+
+    #[test]
+    fn per_object_iterates_and_looks_up_like_a_name_keyed_map() {
+        // Byte-wise order: upper case before lower case, a prefix before
+        // its extensions, multi-byte UTF-8 last, "obj-10" before "obj-9".
+        let names = ["obj-9", "b", "ä", "a0", "B", "", "obj-10", "a", "Z"];
+        let mut s = sim();
+        let hot = s.model.catalog().tier_id("Hot").unwrap();
+        for (i, name) in names.iter().enumerate() {
+            s.place(
+                ObjectSpec::new(*name, 1.0 + i as f64),
+                Placement::uncompressed(hot),
+            )
+            .unwrap();
+        }
+        let report = s.run(2, &[AccessEvent::read("a0", 1, 3.0)]).unwrap();
+        let per_object = &report.per_object;
+        let map: BTreeMap<&str, f64> = names
+            .iter()
+            .map(|&name| (name, per_object.get(name).unwrap()))
+            .collect();
+        assert_eq!(per_object.len(), map.len());
+        assert!(!per_object.is_empty());
+        assert!(per_object.iter().eq(map.iter().map(|(&k, &v)| (k, v))));
+        assert!(per_object.values().eq(map.values().copied()));
+        for (name, total) in &map {
+            assert_eq!(per_object.get(name), Some(*total));
+            assert_eq!(per_object[*name].to_bits(), total.to_bits());
+        }
+        // Distinct totals: a lookup that hit the wrong slot would show.
+        let mut totals: Vec<u64> = per_object.values().map(f64::to_bits).collect();
+        totals.sort_unstable();
+        totals.dedup();
+        assert_eq!(totals.len(), names.len());
+        for missing in ["c", "obj-", "a00", " "] {
+            assert_eq!(per_object.get(missing), None);
+        }
+        let from_map: BTreeMap<Arc<str>, f64> =
+            map.iter().map(|(&k, &v)| (Arc::from(k), v)).collect();
+        assert_eq!(PerObject::from(from_map), *per_object);
+        assert!(sim().run(1, &[]).unwrap().per_object.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn indexing_per_object_by_an_unplaced_name_panics() {
+        let mut s = sim();
+        let hot = s.model.catalog().tier_id("Hot").unwrap();
+        s.place(ObjectSpec::new("a", 1.0), Placement::uncompressed(hot))
+            .unwrap();
+        let _ = s.run(1, &[]).unwrap().per_object["b"];
     }
 }

@@ -81,7 +81,7 @@ pub mod tiers;
 pub mod timeline;
 
 pub use billing::{
-    AccessEvent, AccessKind, BillingReport, BillingSimulator, MonthlyCost, Placement,
+    AccessEvent, AccessKind, BillingReport, BillingSimulator, MonthlyCost, PerObject, Placement,
 };
 pub use cost::{CostBreakdown, CostModel, CostWeights, ObjectSpec};
 pub use error::CloudSimError;

@@ -17,6 +17,8 @@
 use crate::billing::{AccessKind, BillingReport, BillingSimulator, MonthlyCost};
 use crate::error::CloudSimError;
 use crate::timeline::{classify, BillingEvent, EventClass, DAYS_PER_MONTH, UNKNOWN_OBJECT};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Day-granular sequential replay: the original single-threaded engine.
 ///
@@ -42,8 +44,8 @@ pub fn run_days_reference(
         })
         .collect();
     // Per-object totals are accumulated in a flat vector indexed by the
-    // interned name ids — the map is only rematerialized once, in the
-    // final report.
+    // interned name ids — the map is only built once, for the final
+    // report.
     let mut totals: Vec<f64> = vec![0.0; sim.names.len()];
 
     // Storage + transition + residency-penalty costs, per object, by
@@ -184,9 +186,12 @@ pub fn run_days_reference(
         totals[id as usize] += cost;
     }
 
+    // Name order by a map's own sort, independent of the simulator's
+    // cached order.
+    let per_object: BTreeMap<Arc<str>, f64> = sim.names.iter().cloned().zip(totals).collect();
     Ok(BillingReport {
         months,
-        per_object: sim.names.iter().cloned().zip(totals).collect(),
+        per_object: per_object.into(),
         dropped_events,
     })
 }

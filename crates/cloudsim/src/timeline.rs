@@ -42,6 +42,7 @@
 
 use crate::billing::{AccessEvent, AccessKind, Placement};
 use crate::error::CloudSimError;
+use crate::parallel;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -50,9 +51,12 @@ use std::ops::Range;
 /// pro-rated against this length.
 pub const DAYS_PER_MONTH: u32 = 30;
 
-/// First day of billing period `month` (0-based).
+/// First day of billing period `month` (0-based). A month whose first day
+/// is past `u32::MAX` saturates to `u32::MAX`, which is at or beyond every
+/// horizon, so an event lifted from it is dropped rather than billed on a
+/// wrapped day.
 pub fn first_day_of_month(month: u32) -> u32 {
-    month * DAYS_PER_MONTH
+    month.saturating_mul(DAYS_PER_MONTH)
 }
 
 /// One access to an object, stamped with the day it happens on.
@@ -200,42 +204,75 @@ pub struct EventColumns {
     pub volumes: Vec<f64>,
 }
 
+/// [`EventColumns::from_events`] resolves names on more than one thread
+/// from this many rows. `BillingSimulator::build_columns` on a 2-vCPU
+/// host, `obj-<i>` names drawn uniformly, median of up to 201 builds, two
+/// rounds, `threads: 1` → `threads: 2`: over 1 000 interned names, 1 000
+/// rows 0.038–0.040 → 0.063 ms, 2 000 rows 0.075–0.080 → 0.083–0.084,
+/// 4 000 rows 0.151–0.163 → 0.122–0.125, 16 000 rows 0.62–0.66 →
+/// 0.31–0.41, 400 000 rows 14.3–19.5 → 10.2–10.7; over 100 000 names,
+/// 1 000 rows 0.033–0.057 → 0.061–0.075, 2 000 rows 0.071–0.115 →
+/// 0.096–0.102, 4 000 rows 0.26–0.27 → 0.18–0.24, 400 000 rows 72–92 →
+/// 40–46 ms. Break-even is ≈ 2 000 rows (one spawn against a hash and a
+/// probe per row); the floor is the first size that won in every round.
+pub(crate) const RESOLVE_FAN_OUT_MIN_ROWS: usize = 4_096;
+
 impl EventColumns {
     /// Build columns from a day-stamped trace, resolving each object name
     /// with `resolve` (typically the simulator's intern table). Unresolved
-    /// names get [`UNKNOWN_OBJECT`].
-    pub fn from_events(events: &[BillingEvent], resolve: impl FnMut(&str) -> Option<u32>) -> Self {
-        let rows = events
-            .iter()
-            .map(|ev| (ev.object.as_str(), ev.day, ev.kind, ev.volume_gb));
-        Self::from_rows(rows, resolve)
+    /// names get [`UNKNOWN_OBJECT`]. Traces of `RESOLVE_FAN_OUT_MIN_ROWS`
+    /// events or more resolve their names on [`parallel::default_threads`]
+    /// threads, so `resolve` is shared between them; the columns are the
+    /// same at every thread count.
+    pub fn from_events(
+        events: &[BillingEvent],
+        resolve: impl Fn(&str) -> Option<u32> + Sync,
+    ) -> Self {
+        Self::from_rows(
+            events,
+            |ev| (ev.object.as_str(), ev.day, ev.kind, ev.volume_gb),
+            resolve,
+        )
     }
 
-    /// The one column builder: `(name, day, kind, volume_gb)` rows in trace
-    /// order, names resolved with `resolve`. [`EventColumns::from_events`]
-    /// and the month-aligned `BillingSimulator::run` (which lifts month `m`
-    /// to day `m * DAYS_PER_MONTH` on the fly) both feed it borrowed names,
-    /// so no adapter clones a `String` to get here.
-    pub(crate) fn from_rows<'a>(
-        rows: impl ExactSizeIterator<Item = (&'a str, u32, AccessKind, f64)>,
-        mut resolve: impl FnMut(&str) -> Option<u32>,
+    /// The one column builder: `row` reads each item as a `(name, day,
+    /// kind, volume_gb)` row, in trace order, and names are resolved with
+    /// `resolve`. [`EventColumns::from_events`] and the month-aligned
+    /// `BillingSimulator::run` (which lifts month `m` to day
+    /// `m * DAYS_PER_MONTH` on the fly) both feed it borrowed names, so no
+    /// adapter clones a `String` to get here. Name resolution — a hash and
+    /// a probe per row, the whole cost of a build — fans out from
+    /// `RESOLVE_FAN_OUT_MIN_ROWS` rows; the other three columns are copies.
+    pub(crate) fn from_rows<T: Sync>(
+        items: &[T],
+        row: impl Fn(&T) -> (&str, u32, AccessKind, f64) + Sync,
+        resolve: impl Fn(&str) -> Option<u32> + Sync,
     ) -> Self {
-        let n = rows.len();
-        let mut cols = EventColumns {
-            days: Vec::with_capacity(n),
-            object_ids: Vec::with_capacity(n),
-            kinds: Vec::with_capacity(n),
-            volumes: Vec::with_capacity(n),
+        let threads = if items.len() < RESOLVE_FAN_OUT_MIN_ROWS {
+            1
+        } else {
+            parallel::default_threads()
         };
-        for (name, day, kind, volume_gb) in rows {
-            cols.push_resolved(
-                day,
-                resolve(name).unwrap_or(UNKNOWN_OBJECT),
-                kind,
-                volume_gb,
-            );
+        Self::from_rows_with_threads(items, threads, row, resolve)
+    }
+
+    /// [`EventColumns::from_rows`] on exactly `threads` threads
+    /// (`parallel::parallel_map_with_threads`' rule: one is the calling
+    /// thread alone).
+    pub(crate) fn from_rows_with_threads<T: Sync>(
+        items: &[T],
+        threads: usize,
+        row: impl Fn(&T) -> (&str, u32, AccessKind, f64) + Sync,
+        resolve: impl Fn(&str) -> Option<u32> + Sync,
+    ) -> Self {
+        EventColumns {
+            object_ids: parallel::parallel_map_with_threads(items, threads, |_, item| {
+                resolve(row(item).0).unwrap_or(UNKNOWN_OBJECT)
+            }),
+            days: items.iter().map(|item| row(item).1).collect(),
+            kinds: items.iter().map(|item| row(item).2).collect(),
+            volumes: items.iter().map(|item| row(item).3).collect(),
         }
-        cols
     }
 
     /// Number of events.

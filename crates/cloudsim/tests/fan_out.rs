@@ -7,14 +7,15 @@
 //! resolvers (the caller is the last party) and nothing when one thread or
 //! one unit makes a fan-out pointless, and that a replay fans out once —
 //! phase 2 only, phase 1 staying on the caller at any fleet size — with
-//! the default entry point declining below its floor.
+//! the default entry point declining below its floor, and that building
+//! columns from named events fans out from its own floor and not below.
 
 use std::sync::Mutex;
 
 use scope_cloudsim::parallel::{default_threads, ordered_stream_with_threads, workers_spawned};
 use scope_cloudsim::{
-    AccessKind, BillingSimulator, EventColumns, ObjectSpec, Placement, PlacementSchedule,
-    TierCatalog, TierId,
+    AccessKind, BillingEvent, BillingSimulator, EventColumns, ObjectSpec, Placement,
+    PlacementSchedule, TierCatalog, TierId,
 };
 
 static COUNTER: Mutex<()> = Mutex::new(());
@@ -139,4 +140,36 @@ fn small_inputs_and_the_default_below_its_floor_spawn_nothing() {
     let (spawned, report) = spawned_by(|| sim.run_columns(90, &at));
     assert_eq!(spawned, default_threads() as u64 - 1);
     assert_eq!(report, sim.run_columns_with_threads(90, &at, 1));
+}
+
+// `timeline.rs` resolves names on more than one thread from 4 096 rows; the
+// unit test beside the kernel sizes pins it too.
+
+#[test]
+fn a_column_build_fans_out_from_its_floor_and_not_below() {
+    let _alone = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let sim = fleet(100);
+    let named = |events: usize| -> Vec<BillingEvent> {
+        (0..events)
+            .map(|k| BillingEvent::read(format!("obj-{}", k % 101), (k % 90) as u32, 1.0))
+            .collect()
+    };
+    let below = named(4_096 - 1);
+    let (spawned, columns) = spawned_by(|| sim.build_columns(&below));
+    assert_eq!(spawned, 0);
+    assert_eq!(columns.len(), below.len());
+    let at = named(4_096);
+    let (spawned, columns) = spawned_by(|| sim.build_columns(&at));
+    assert_eq!(spawned, default_threads() as u64 - 1);
+    // `obj-100` was never placed.
+    let mut resolved = EventColumns::default();
+    for (k, ev) in at.iter().enumerate() {
+        let id = if k % 101 == 100 {
+            u32::MAX
+        } else {
+            (k % 101) as u32
+        };
+        resolved.push_resolved(ev.day, id, ev.kind, ev.volume_gb);
+    }
+    assert_eq!(columns, resolved);
 }

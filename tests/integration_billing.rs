@@ -147,7 +147,7 @@ fn reference_monthly_replay(
     }
     BillingReport {
         months,
-        per_object,
+        per_object: per_object.into(),
         dropped_events,
     }
 }
