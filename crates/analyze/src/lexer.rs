@@ -49,17 +49,17 @@ pub struct Token {
 
 impl Token {
     /// True when the token is an identifier with exactly this text.
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == text
     }
 
     /// True when the token is a punctuation character equal to `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.starts_with(c)
     }
 
     /// True for either comment kind.
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 }
@@ -70,7 +70,7 @@ impl Token {
 /// control character) degrades to best-effort tokens rather than an error,
 /// because lint tools must keep going on code that `rustc` itself would
 /// reject.
-pub fn lex(source: &str) -> Vec<Token> {
+pub(crate) fn lex(source: &str) -> Vec<Token> {
     Lexer {
         chars: source.char_indices().collect(),
         source,

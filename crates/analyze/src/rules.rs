@@ -24,6 +24,7 @@ pub const RULE_NAMES: &[&str] = &[
     "fs-confinement",
     "panic-surface",
     "oracle-discipline",
+    "dead-pub",
     "shim-surface",
     "ci-floor-consistency",
     "waiver-budget",
@@ -94,6 +95,9 @@ pub fn analyze_rules(root: &Path, active: &BTreeSet<&str>) -> std::io::Result<Re
     }
     if active.contains("oracle-discipline") {
         oracle_discipline(&ws, &mut findings);
+    }
+    if active.contains("dead-pub") {
+        dead_pub(&ws, &mut findings);
     }
     if active.contains("shim-surface") {
         shim_surface(&ws, &mut findings);
@@ -899,6 +903,87 @@ fn oracle_discipline(ws: &Workspace, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: dead-pub
+// ---------------------------------------------------------------------------
+
+/// True for the library source of a member crate: `crates/<name>/src`
+/// without its binaries (`src/main.rs`, `src/bin/`), which use the library
+/// from outside like any other crate.
+fn is_member_library(file: &SourceFile) -> bool {
+    file.class == FileClass::Lib
+        && file.path.starts_with("crates/")
+        && !file.path.ends_with("/src/main.rs")
+        && !file.path.contains("/src/bin/")
+}
+
+/// A non-test `pub fn` of a member crate's library that no code outside
+/// that library names is surface nobody uses: make it `pub(crate)` or
+/// private, or delete it with the tests that pin only it. "Outside" is any
+/// other crate, any `tests/`, the bins, the root package and its examples,
+/// and the read-only [`crate::source::NAME_ROOTS`]. Matching is by
+/// identifier token, so a doc link or a comment is not a caller.
+/// `reference.rs` oracles are `oracle-discipline`'s business.
+fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
+    // Per identifier: the member libraries that name it; `None` stands for
+    // any code outside every member library.
+    let mut named_in: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for file in ws.files.values() {
+        if file.class == FileClass::Shim {
+            continue;
+        }
+        let owner = is_member_library(file).then_some(file.crate_name.as_str());
+        for t in &file.tokens {
+            if t.kind == TokenKind::Ident {
+                named_in.entry(t.text.as_str()).or_default().insert(owner);
+            }
+        }
+    }
+    for file in ws.files.values() {
+        if !is_member_library(file) || file.path.ends_with("/reference.rs") {
+            continue;
+        }
+        let code = code_view(file);
+        for p in 0..code.len() {
+            let ti = code[p];
+            if !file.tokens[ti].is_ident("pub") || file.is_test_code(ti) || file.in_macro_def(ti) {
+                continue;
+            }
+            // `pub [const] [async] [unsafe] fn <name>`
+            let mut q = p + 1;
+            while tok(file, &code, q)
+                .is_some_and(|t| t.is_ident("const") || t.is_ident("async") || t.is_ident("unsafe"))
+            {
+                q += 1;
+            }
+            if !tok(file, &code, q).is_some_and(|t| t.is_ident("fn")) {
+                continue;
+            }
+            let Some(name) = tok(file, &code, q + 1) else {
+                continue;
+            };
+            let named_outside = ws.read_only_idents.contains(&name.text)
+                || named_in.get(name.text.as_str()).is_some_and(|owners| {
+                    owners
+                        .iter()
+                        .any(|&owner| owner != Some(file.crate_name.as_str()))
+                });
+            if !named_outside {
+                findings.push(Finding {
+                    rule: "dead-pub",
+                    file: file.path.clone(),
+                    line: name.line,
+                    message: format!(
+                        "`pub fn {}` is named nowhere outside {}'s src/ — make it \
+                         pub(crate) or private, or delete it with the tests that pin only it",
+                        name.text, file.crate_name
+                    ),
+                });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: shim-surface
 // ---------------------------------------------------------------------------
 
@@ -1079,7 +1164,7 @@ fn ci_floor_consistency(ws: &Workspace, findings: &mut Vec<Finding>) {
 /// shim's `proptest!` keeps each case's `#[test]` meta verbatim in the
 /// invocation, so proptest cases are counted by the same scan — counting
 /// the `fn`s inside the block as well would double-count them.
-pub fn count_tests(ws: &Workspace) -> usize {
+pub(crate) fn count_tests(ws: &Workspace) -> usize {
     let mut count = 0usize;
     for file in ws.files.values() {
         match file.class {

@@ -6,11 +6,17 @@
 //! and `examples/` for the root package, `crates/<name>/{src,tests}` for
 //! member crates, `shims/<name>/src` for the vendored dependency shims.
 //! Only files cargo actually compiles are walked — in particular
-//! subdirectories of `tests/` (fixture corpora) are skipped.
+//! subdirectories of `tests/` (fixture corpora) are skipped. The
+//! [`NAME_ROOTS`] are read for identifiers only and never linted.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+
+/// Directories read for the identifiers they name, never linted: the
+/// out-of-workspace `benchmark/` package, which builds against the crates'
+/// public API, and the helper module the root integration tests include.
+pub const NAME_ROOTS: &[&str] = &["benchmark/src", "tests/common"];
 
 /// The role a file plays in the workspace, which decides which rules and
 /// exemptions apply to it.
@@ -83,18 +89,18 @@ impl SourceFile {
     }
 
     /// True when token `i` is inside a `#[cfg(test)]` / `#[test]` item.
-    pub fn in_test_region(&self, i: usize) -> bool {
+    pub(crate) fn in_test_region(&self, i: usize) -> bool {
         self.test_regions.iter().any(|&(s, e)| s <= i && i < e)
     }
 
     /// True when token `i` is inside a `macro_rules!` body.
-    pub fn in_macro_def(&self, i: usize) -> bool {
+    pub(crate) fn in_macro_def(&self, i: usize) -> bool {
         self.macro_def_regions.iter().any(|&(s, e)| s <= i && i < e)
     }
 
     /// True when the whole file is test code (integration tests) or the
     /// specific token is in a test region.
-    pub fn is_test_code(&self, i: usize) -> bool {
+    pub(crate) fn is_test_code(&self, i: usize) -> bool {
         self.class == FileClass::Test || self.in_test_region(i)
     }
 }
@@ -106,6 +112,8 @@ pub struct Workspace {
     pub root: PathBuf,
     /// All lexed files keyed by repo-relative path (sorted).
     pub files: BTreeMap<String, SourceFile>,
+    /// Identifiers named under the [`NAME_ROOTS`].
+    pub read_only_idents: BTreeSet<String>,
 }
 
 impl Workspace {
@@ -114,7 +122,7 @@ impl Workspace {
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut ws = Workspace {
             root: root.to_path_buf(),
-            files: BTreeMap::new(),
+            ..Workspace::default()
         };
         // Root package.
         ws.add_tree(root.join("src"), "scope", FileClass::Lib)?;
@@ -130,7 +138,24 @@ impl Workspace {
         for (dir, name) in sorted_subdirs(&root.join("shims"))? {
             ws.add_tree(dir.join("src"), &name, FileClass::Shim)?;
         }
+        for dir in NAME_ROOTS {
+            ws.add_names(root.join(dir))?;
+        }
         Ok(ws)
+    }
+
+    /// Record the identifiers of every `.rs` file under `dir`.
+    fn add_names(&mut self, dir: PathBuf) -> std::io::Result<()> {
+        for entry in rs_files_under(dir)? {
+            let tokens = lex(&std::fs::read_to_string(entry)?);
+            self.read_only_idents.extend(
+                tokens
+                    .into_iter()
+                    .filter(|t| t.kind == TokenKind::Ident)
+                    .map(|t| t.text),
+            );
+        }
+        Ok(())
     }
 
     /// Repo-relative display path for `path`.
@@ -156,17 +181,8 @@ impl Workspace {
         crate_name: &str,
         class: FileClass,
     ) -> std::io::Result<()> {
-        if !dir.is_dir() {
-            return Ok(());
-        }
-        let mut stack = vec![dir];
-        while let Some(d) = stack.pop() {
-            for (sub, _) in sorted_subdirs(&d)? {
-                stack.push(sub);
-            }
-            for entry in sorted_rs_files(&d)? {
-                self.add_file(&entry, crate_name, class)?;
-            }
+        for entry in rs_files_under(dir)? {
+            self.add_file(&entry, crate_name, class)?;
         }
         Ok(())
     }
@@ -188,6 +204,22 @@ impl Workspace {
         }
         Ok(())
     }
+}
+
+/// Every `.rs` file of the tree under `dir` (none when it does not exist).
+fn rs_files_under(dir: PathBuf) -> std::io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    if !dir.is_dir() {
+        return Ok(out);
+    }
+    let mut stack = vec![dir];
+    while let Some(d) = stack.pop() {
+        for (sub, _) in sorted_subdirs(&d)? {
+            stack.push(sub);
+        }
+        out.extend(sorted_rs_files(&d)?);
+    }
+    Ok(out)
 }
 
 fn sorted_subdirs(dir: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {

@@ -1,0 +1,3 @@
+fn main() {
+    scope_lib::used_by_benchmark();
+}

@@ -143,6 +143,41 @@ fn oracle_discipline_pos_neg_waived() {
 }
 
 #[test]
+fn dead_pub_pos_neg_waived_and_exempt() {
+    let report = run("dead-pub", &["dead-pub"]);
+    let msgs = messages(&report);
+    assert_eq!(report.findings.len(), 2, "{msgs:?}");
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/lib/src/lib.rs"));
+    // Named by nothing, or only by a comment in another crate.
+    assert!(
+        msgs.iter().any(|m| m.contains("`pub fn unnamed_anywhere`")),
+        "{msgs:?}"
+    );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`pub fn only_in_a_comment`")),
+        "{msgs:?}"
+    );
+    // Another crate, the crate's tests/, src/bin, src/main.rs, a root
+    // example and benchmark/src each count as a caller; reference.rs,
+    // #[cfg(test)] code, macro templates and pub(crate) are out of scope.
+    for quiet in [
+        "used_by_",
+        "app_entry",
+        "oracle_nobody_calls",
+        "test_helper",
+        "from_a_macro",
+        "internal",
+    ] {
+        assert!(!msgs.iter().any(|m| m.contains(quiet)), "{quiet}: {msgs:?}");
+    }
+    assert_eq!(report.waivers_used, 1);
+}
+
+#[test]
 fn shim_surface_pos_neg_waived() {
     let report = run("shim", &["shim-surface"]);
     let msgs = messages(&report);

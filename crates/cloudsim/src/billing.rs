@@ -98,6 +98,34 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
+/// The longest horizon a replay accepts: 36 500 days (100 years), so
+/// 1 217 billing periods of [`DAYS_PER_MONTH`] days. A replay allocates one
+/// [`MonthlyCost`] per period before it bills anything; without a cap a
+/// horizon near `u32::MAX` would ask for ≈ 8 GB of them. Every horizon in
+/// the workspace and its benchmark is a few hundred days.
+pub const MAX_HORIZON_DAYS: u32 = 36_500;
+
+/// The billing periods of a `horizon_days`-day replay, each zeroed.
+///
+/// # Errors
+///
+/// `InvalidParameter` (`horizon_days`) for a zero horizon or one past
+/// [`MAX_HORIZON_DAYS`].
+pub(crate) fn empty_periods(horizon_days: u32) -> Result<Vec<MonthlyCost>, CloudSimError> {
+    if horizon_days == 0 || horizon_days > MAX_HORIZON_DAYS {
+        return Err(CloudSimError::InvalidParameter {
+            name: "horizon_days",
+            value: f64::from(horizon_days),
+        });
+    }
+    Ok((0..horizon_days.div_ceil(DAYS_PER_MONTH))
+        .map(|m| MonthlyCost {
+            month: m,
+            ..Default::default()
+        })
+        .collect())
+}
+
 /// The kind of an access event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AccessKind {
@@ -412,11 +440,6 @@ impl BillingSimulator {
         Ok(())
     }
 
-    /// Number of placed objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Month-aligned compatibility path: run the simulation over
     /// `horizon_months` whole billing periods with a monthly aggregated
     /// trace. Events of month `m` are lifted to day `m * 30` (same billing
@@ -550,7 +573,8 @@ impl BillingSimulator {
     ///
     /// # Errors
     ///
-    /// Checked in this order: a zero horizon; columns of unequal length
+    /// Checked in this order: a zero horizon or one past
+    /// [`MAX_HORIZON_DAYS`] (`horizon_days`); columns of unequal length
     /// (`InvalidParameter` naming the first column whose length differs
     /// from `days`', carrying that length) — before any event is billed;
     /// then, per event in trace order, its [`classify`] class against
@@ -567,20 +591,8 @@ impl BillingSimulator {
         columns: &EventColumns,
         threads: usize,
     ) -> Result<BillingReport, CloudSimError> {
-        if horizon_days == 0 {
-            return Err(CloudSimError::InvalidParameter {
-                name: "horizon_days",
-                value: 0.0,
-            });
-        }
+        let mut months = empty_periods(horizon_days)?;
         columns.check_lengths()?;
-        let n_periods = horizon_days.div_ceil(DAYS_PER_MONTH);
-        let mut months: Vec<MonthlyCost> = (0..n_periods)
-            .map(|m| MonthlyCost {
-                month: m,
-                ..Default::default()
-            })
-            .collect();
         // Per-object totals are accumulated in a flat vector indexed by the
         // interned name ids, and gathered into name order once, for the
         // report.
@@ -1573,7 +1585,7 @@ mod tests {
         .unwrap();
         let report = s.run(1, &[]).unwrap();
         assert_eq!(report.per_object.len(), 1);
-        assert_eq!(s.object_count(), 2);
+        assert_eq!(s.objects.len(), 2);
     }
 
     #[test]
@@ -1812,6 +1824,42 @@ mod tests {
                     if value == f64::from(months)
             ));
         }
+    }
+
+    #[test]
+    fn a_horizon_past_the_cap_is_refused_before_anything_is_allocated() {
+        // Regression: only a zero horizon was refused, and the replay then
+        // allocated `horizon_days.div_ceil(30)` periods up front — ≈ 8 GB
+        // for a horizon near `u32::MAX`. Both engines refuse the cap + 1.
+        let (s, events, _) = differential_fixture();
+        let columns = s.build_columns(&events);
+        let refused = |result: Result<BillingReport, CloudSimError>, days: u32| {
+            assert!(
+                matches!(
+                    result,
+                    Err(CloudSimError::InvalidParameter { name: "horizon_days", value })
+                        if value == f64::from(days)
+                ),
+                "{days} days"
+            );
+        };
+        for days in [MAX_HORIZON_DAYS + 1, u32::MAX] {
+            for threads in [1, 2] {
+                refused(s.run_columns_with_threads(days, &columns, threads), days);
+            }
+            refused(s.run_days(days, &events), days);
+            refused(
+                crate::reference::run_days_reference(&s, days, &events),
+                days,
+            );
+        }
+        // The cap itself is a horizon like any other.
+        let at_cap = s.run_days(MAX_HORIZON_DAYS, &events).unwrap();
+        assert_eq!(at_cap.months.len(), 1_217);
+        assert_eq!(
+            at_cap,
+            crate::reference::run_days_reference(&s, MAX_HORIZON_DAYS, &events).unwrap()
+        );
     }
 
     /// The differential fixture with `obj-5` placed a second time (one id,

@@ -166,17 +166,6 @@ impl CostBreakdown {
         self.storage + self.read + self.write + self.decompression + self.egress
     }
 
-    /// Element-wise sum of two breakdowns.
-    pub fn add(&self, other: &CostBreakdown) -> CostBreakdown {
-        CostBreakdown {
-            storage: self.storage + other.storage,
-            read: self.read + other.read,
-            write: self.write + other.write,
-            decompression: self.decompression + other.decompression,
-            egress: self.egress + other.egress,
-        }
-    }
-
     /// Accumulate `other` into `self`.
     pub fn accumulate(&mut self, other: &CostBreakdown) {
         self.storage += other.storage;
@@ -381,14 +370,6 @@ impl CostModel {
             + weights.gamma * (b.write + b.egress)
             + weights.beta * (b.read + b.decompression)
     }
-
-    /// Expected access latency (seconds) of one read of `obj` from `tier`
-    /// when `decompression_seconds` of CPU are needed before the data is
-    /// usable: TTFB plus decompression. This is the quantity bounded by the
-    /// per-partition latency threshold `T(P_n)` in the ILP.
-    pub fn access_latency_seconds(&self, tier: TierId, decompression_seconds: f64) -> f64 {
-        self.tier_spec(tier).ttfb_seconds + decompression_seconds
-    }
 }
 
 #[cfg(test)]
@@ -489,14 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_ttfb_plus_decompression() {
-        let m = model();
-        let archive = m.catalog().tier_id("Archive").unwrap();
-        let lat = m.access_latency_seconds(archive, 12.0);
-        assert!((lat - 3612.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn breakdown_total_and_accumulate() {
         let a = CostBreakdown {
             storage: 1.0,
@@ -516,7 +489,6 @@ mod tests {
         let mut acc = a;
         acc.accumulate(&b);
         assert_eq!(acc.total(), 17.5);
-        assert_eq!(a.add(&b).total(), 17.5);
     }
 
     #[test]

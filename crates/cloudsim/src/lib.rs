@@ -76,7 +76,6 @@ pub mod error;
 pub mod parallel;
 pub mod providers;
 pub mod reference;
-pub mod sla;
 pub mod tiers;
 pub mod timeline;
 
@@ -87,7 +86,6 @@ pub use cost::{CostBreakdown, CostModel, CostWeights, ObjectSpec};
 pub use error::CloudSimError;
 pub use parallel::{parallel_map, parallel_map_mut_with_threads, parallel_map_with_threads};
 pub use providers::{Provider, ProviderCatalog, ProviderId, ProviderTopology};
-pub use sla::{LatencyEstimate, SlaPolicy};
 pub use tiers::{Tier, TierCatalog, TierId};
 pub use timeline::{
     classify, events_from_monthly, BillingEvent, EventClass, EventColumns, PlacementSchedule,

@@ -23,7 +23,7 @@
 //!
 //! The shipped [`ProviderCatalog::azure_s3_gcs`] combines the Azure ladder
 //! of Table I with the S3- and GCS-style ladders of
-//! [`TierCatalog::aws_s3`] / [`TierCatalog::gcp_gcs`]. Its default egress
+//! `TierCatalog::aws_s3` / `TierCatalog::gcp_gcs`. Its default egress
 //! matrix models *discounted interconnect* rates (~2–2.5 cents/GB, the
 //! committed-use / direct-peering pricing cross-cloud systems negotiate);
 //! scale it with [`ProviderCatalog::with_egress_scale`] to study the
@@ -69,24 +69,8 @@ pub struct Provider {
 pub struct ProviderTopology {
     /// Provider of each merged tier, indexed by `TierId::index()`.
     provider_of: Vec<ProviderId>,
-    /// Provider names, indexed by `ProviderId::index()`.
-    names: Vec<String>,
     /// Egress rates in cents/GB: `egress[from][to]`.
     egress_cents_per_gb: Vec<Vec<f64>>,
-}
-
-/// Shared egress lookup: zero within a provider, the matrix rate across,
-/// and silently zero for out-of-range ids (callers validate ids at catalog
-/// construction time).
-fn egress_lookup(matrix: &[Vec<f64>], from: ProviderId, to: ProviderId) -> f64 {
-    if from == to {
-        return 0.0;
-    }
-    matrix
-        .get(from.index())
-        .and_then(|row| row.get(to.index()))
-        .copied()
-        .unwrap_or(0.0)
 }
 
 impl ProviderTopology {
@@ -101,25 +85,23 @@ impl ProviderTopology {
         self.provider_of.get(tier.index()).copied()
     }
 
-    /// Name of a provider.
-    pub fn provider_name(&self, id: ProviderId) -> Option<&str> {
-        self.names.get(id.index()).map(|s| s.as_str())
-    }
-
-    /// Number of providers.
-    pub fn provider_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Egress rate (cents/GB) for moving data from `from` to `to`; zero
-    /// within a provider or for unknown providers.
-    pub fn egress_rate(&self, from: ProviderId, to: ProviderId) -> f64 {
-        egress_lookup(&self.egress_cents_per_gb, from, to)
+    /// Egress rate (cents/GB) for moving data from `from` to `to`: zero
+    /// within a provider, the matrix rate across, and silently zero for
+    /// out-of-range ids (callers validate ids at catalog construction).
+    pub(crate) fn egress_rate(&self, from: ProviderId, to: ProviderId) -> f64 {
+        if from == to {
+            return 0.0;
+        }
+        self.egress_cents_per_gb
+            .get(from.index())
+            .and_then(|row| row.get(to.index()))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Egress rate (cents/GB) between the providers of two *merged tiers*;
     /// zero when both tiers belong to the same provider.
-    pub fn tier_egress_rate(&self, from: TierId, to: TierId) -> f64 {
+    pub(crate) fn tier_egress_rate(&self, from: TierId, to: TierId) -> f64 {
         match (self.provider_of(from), self.provider_of(to)) {
             (Some(f), Some(t)) => self.egress_rate(f, t),
             _ => 0.0,
@@ -289,11 +271,6 @@ impl ProviderCatalog {
             .ok_or_else(|| CloudSimError::UnknownProvider(name.to_string()))
     }
 
-    /// Egress rate (cents/GB) from one provider to another.
-    pub fn egress_rate(&self, from: ProviderId, to: ProviderId) -> f64 {
-        egress_lookup(&self.egress_cents_per_gb, from, to)
-    }
-
     /// The merged tier space: every provider's ladder concatenated into one
     /// [`TierCatalog`], tiers renamed to `provider:tier` ("azure:Hot",
     /// "s3:Deep-Archive", ...). Merged [`TierId`]s are dense: provider 0's
@@ -326,7 +303,6 @@ impl ProviderCatalog {
         }
         ProviderTopology {
             provider_of,
-            names: self.providers.iter().map(|p| p.name.clone()).collect(),
             egress_cents_per_gb: self.egress_cents_per_gb.clone(),
         }
     }
@@ -397,13 +373,11 @@ mod tests {
     fn topology_maps_merged_tiers_to_providers() {
         let cat = ProviderCatalog::azure_s3_gcs();
         let topo = cat.topology();
-        assert_eq!(topo.provider_count(), 3);
         assert_eq!(topo.provider_of(TierId(0)), Some(ProviderId(0)));
         assert_eq!(topo.provider_of(TierId(3)), Some(ProviderId(0)));
         assert_eq!(topo.provider_of(TierId(4)), Some(ProviderId(1)));
         assert_eq!(topo.provider_of(TierId(11)), Some(ProviderId(2)));
         assert_eq!(topo.provider_of(TierId(12)), None);
-        assert_eq!(topo.provider_name(ProviderId(1)), Some("s3"));
         // Egress: zero within a provider, the matrix rate across.
         assert_eq!(topo.tier_egress_rate(TierId(0), TierId(3)), 0.0);
         assert_eq!(topo.tier_egress_rate(TierId(1), TierId(4)), 2.0);
@@ -440,13 +414,13 @@ mod tests {
     #[test]
     fn egress_scaling() {
         let cat = ProviderCatalog::azure_s3_gcs();
-        let scaled = cat.clone().with_egress_scale(5.0).unwrap();
+        let scaled = cat.clone().with_egress_scale(5.0).unwrap().topology();
         assert_eq!(
             scaled.egress_rate(ProviderId(0), ProviderId(1)),
-            5.0 * cat.egress_rate(ProviderId(0), ProviderId(1))
+            5.0 * cat.topology().egress_rate(ProviderId(0), ProviderId(1))
         );
         assert_eq!(scaled.egress_rate(ProviderId(1), ProviderId(1)), 0.0);
-        let free = cat.clone().with_egress_scale(0.0).unwrap();
+        let free = cat.clone().with_egress_scale(0.0).unwrap().topology();
         assert_eq!(free.egress_rate(ProviderId(2), ProviderId(0)), 0.0);
         assert!(cat.with_egress_scale(f64::NAN).is_err());
     }
@@ -491,7 +465,10 @@ mod tests {
         ));
         // A valid single-provider catalog works and has zero egress.
         let solo = ProviderCatalog::new(one, vec![vec![0.0]]).unwrap();
-        assert_eq!(solo.egress_rate(ProviderId(0), ProviderId(0)), 0.0);
+        assert_eq!(
+            solo.topology().egress_rate(ProviderId(0), ProviderId(0)),
+            0.0
+        );
         assert_eq!(solo.merged_catalog().len(), 4);
     }
 

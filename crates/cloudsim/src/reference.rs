@@ -14,7 +14,7 @@
 //! `dropped_events`) for every thread count — that is what the workspace
 //! `differential_billing` suite pins against this module.
 
-use crate::billing::{AccessKind, BillingReport, BillingSimulator, MonthlyCost};
+use crate::billing::{empty_periods, AccessKind, BillingReport, BillingSimulator};
 use crate::error::CloudSimError;
 use crate::timeline::{classify, BillingEvent, EventClass, DAYS_PER_MONTH, UNKNOWN_OBJECT};
 use std::collections::BTreeMap;
@@ -30,19 +30,7 @@ pub fn run_days_reference(
     horizon_days: u32,
     events: &[BillingEvent],
 ) -> Result<BillingReport, CloudSimError> {
-    if horizon_days == 0 {
-        return Err(CloudSimError::InvalidParameter {
-            name: "horizon_days",
-            value: 0.0,
-        });
-    }
-    let n_periods = horizon_days.div_ceil(DAYS_PER_MONTH);
-    let mut months: Vec<MonthlyCost> = (0..n_periods)
-        .map(|m| MonthlyCost {
-            month: m,
-            ..Default::default()
-        })
-        .collect();
+    let mut months = empty_periods(horizon_days)?;
     // Per-object totals are accumulated in a flat vector indexed by the
     // interned name ids — the map is only built once, for the final
     // report.

@@ -79,12 +79,6 @@ impl Tier {
         self.early_deletion_days = days;
         self
     }
-
-    /// Builder-style setter for a capacity reservation in GB.
-    pub fn with_capacity_gb(mut self, capacity: f64) -> Self {
-        self.capacity_gb = Some(capacity);
-        self
-    }
 }
 
 /// Ordered collection of storage tiers.
@@ -96,9 +90,8 @@ pub struct TierCatalog {
     tiers: Vec<Tier>,
     /// Interned name → index lookup, built once at construction so
     /// [`TierCatalog::tier_id`] is O(1) instead of a linear scan. Tier
-    /// names never change after construction (`set_capacity` and
-    /// `clear_capacities` touch only capacities), so the index cannot go
-    /// stale; catalogs built through [`TierCatalog::new`] — including
+    /// names never change after construction (`set_capacity` touches only
+    /// capacities), so the index cannot go stale; catalogs built through [`TierCatalog::new`] — including
     /// merged multi-provider catalogs — always carry it.
     name_index: HashMap<String, usize>,
     /// Compute cost in cents per second (`C^c`), used to price
@@ -172,7 +165,7 @@ impl TierCatalog {
     /// | Standard-IA  | 1.25            | 1.0       | 0.1      | 30 days       |
     /// | Glacier-IR   | 0.4             | 3.0       | 0.1      | 90 days       |
     /// | Deep Archive | 0.099           | 5.0       | 43200    | 180 days      |
-    pub fn aws_s3() -> Self {
+    pub(crate) fn aws_s3() -> Self {
         let tiers = vec![
             Tier::new("Standard", 2.3, 0.0135, 0.005, 0.1),
             Tier::new("Standard-IA", 1.25, 1.0, 0.01, 0.1).with_early_deletion_days(30),
@@ -196,7 +189,7 @@ impl TierCatalog {
     /// | Nearline | 1.0             | 1.0       | 0.08     | 30 days       |
     /// | Coldline | 0.4             | 2.0       | 0.08     | 90 days       |
     /// | Archive  | 0.12            | 5.0       | 0.08     | 365 days      |
-    pub fn gcp_gcs() -> Self {
+    pub(crate) fn gcp_gcs() -> Self {
         let tiers = vec![
             Tier::new("Standard", 2.0, 0.014, 0.005, 0.08),
             Tier::new("Nearline", 1.0, 1.0, 0.01, 0.08).with_early_deletion_days(30),
@@ -301,20 +294,6 @@ impl TierCatalog {
         Ok(())
     }
 
-    /// Remove all capacity reservations (the unbounded-capacity special case
-    /// of §IV-B.2 where the greedy algorithm is optimal).
-    pub fn clear_capacities(&mut self) {
-        for t in &mut self.tiers {
-            t.capacity_gb = None;
-        }
-    }
-
-    /// The archival tier id (highest index), if the catalog has more than
-    /// one tier.
-    pub fn archive_tier(&self) -> TierId {
-        TierId(self.tiers.len() - 1)
-    }
-
     /// The lowest-latency tier id (index 0).
     pub fn fastest_tier(&self) -> TierId {
         TierId(0)
@@ -402,16 +381,13 @@ mod tests {
         assert_eq!(p.capacity_gb, Some(0.163));
         assert!(c.set_capacity("Premium", f64::NAN).is_err());
         assert!(c.set_capacity("Premium", -1.0).is_err());
-        c.clear_capacities();
-        assert!(c.iter().all(|(_, t)| t.capacity_gb.is_none()));
     }
 
     #[test]
     fn archive_and_fastest_helpers() {
         let c = TierCatalog::azure_adls_gen2();
         assert_eq!(c.fastest_tier(), TierId(0));
-        assert_eq!(c.archive_tier(), TierId(3));
-        assert_eq!(c.tier(c.archive_tier()).unwrap().name, "Archive");
+        assert_eq!(c.tier(c.fastest_tier()).unwrap().name, "Premium");
     }
 
     #[test]
@@ -469,7 +445,6 @@ mod tests {
         // The index survives capacity mutation (names are untouched).
         let mut c = TierCatalog::azure_adls_gen2();
         c.set_capacity("Cool", 10.0).unwrap();
-        c.clear_capacities();
         assert_eq!(c.tier_id("Cool").unwrap(), TierId(2));
     }
 

@@ -55,7 +55,7 @@ pub const DAYS_PER_MONTH: u32 = 30;
 /// is past `u32::MAX` saturates to `u32::MAX`, which is at or beyond every
 /// horizon, so an event lifted from it is dropped rather than billed on a
 /// wrapped day.
-pub fn first_day_of_month(month: u32) -> u32 {
+pub(crate) fn first_day_of_month(month: u32) -> u32 {
     month.saturating_mul(DAYS_PER_MONTH)
 }
 
@@ -97,7 +97,7 @@ impl BillingEvent {
 
     /// Lift a monthly event onto the day axis: month `m` becomes day
     /// `m * DAYS_PER_MONTH`, i.e. the first day of the same billing period.
-    pub fn from_monthly(ev: &AccessEvent) -> Self {
+    pub(crate) fn from_monthly(ev: &AccessEvent) -> Self {
         BillingEvent {
             object: ev.object.clone(),
             day: first_day_of_month(ev.month),
@@ -529,11 +529,6 @@ impl PlacementSchedule {
         &self.transitions
     }
 
-    /// True if the schedule never changes placement.
-    pub fn is_constant(&self) -> bool {
-        self.transitions.is_empty()
-    }
-
     /// Every placement the schedule ever uses (initial + transitions), in
     /// chronological order. Used to validate tiers against a catalog.
     pub fn placements(&self) -> impl Iterator<Item = &Placement> {
@@ -541,7 +536,7 @@ impl PlacementSchedule {
     }
 
     /// The placement in force on `day`.
-    pub fn placement_at(&self, day: u32) -> &Placement {
+    pub(crate) fn placement_at(&self, day: u32) -> &Placement {
         // Number of transitions with transition day <= day.
         let n = self.transitions.partition_point(|&(d, _)| d <= day);
         if n == 0 {
@@ -561,7 +556,10 @@ impl PlacementSchedule {
     /// [`PlacementSchedule::segments`] as an iterator: the same segments in
     /// the same order, yielded one at a time with nothing allocated — the
     /// form the billing engine walks once per object per replay.
-    pub fn iter_segments(&self, horizon_days: u32) -> impl Iterator<Item = ScheduleSegment> + '_ {
+    pub(crate) fn iter_segments(
+        &self,
+        horizon_days: u32,
+    ) -> impl Iterator<Item = ScheduleSegment> + '_ {
         Segments {
             next: (horizon_days > 0).then_some((0, self.initial)),
             transitions: self.transitions.iter(),
@@ -626,7 +624,7 @@ mod tests {
     #[test]
     fn constant_schedule_is_one_segment() {
         let s = PlacementSchedule::constant(placement(1));
-        assert!(s.is_constant());
+        assert!(s.transitions().is_empty());
         let segs = s.segments(90);
         assert_eq!(segs.len(), 1);
         assert_eq!((segs[0].start_day, segs[0].end_day), (0, 90));

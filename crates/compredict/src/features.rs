@@ -139,7 +139,7 @@ impl FeatureExtractor {
 
 /// Approximate serialized size of the table in bytes (sum of CSV cell
 /// lengths), cheap to compute and monotone in the actual size.
-pub fn approximate_bytes(table: &Table) -> f64 {
+pub(crate) fn approximate_bytes(table: &Table) -> f64 {
     let mut total = 0usize;
     for c in 0..table.n_columns() {
         total += match table.column(c) {

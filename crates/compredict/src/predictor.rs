@@ -314,11 +314,6 @@ impl CompressionPredictor {
         }
     }
 
-    /// Extract features from a partition and predict.
-    pub fn predict_table(&self, table: &Table) -> f64 {
-        self.predict_features(&self.extractor.extract(table))
-    }
-
     /// Evaluate on held-out examples, producing the MAE / MAPE / R² triple
     /// of the paper's tables.
     pub fn evaluate(&self, examples: &[TrainingExample]) -> EvaluationReport {
@@ -564,33 +559,6 @@ mod tests {
             ),
             Err(CompredictError::NotEnoughSamples(2))
         ));
-    }
-
-    #[test]
-    fn predict_table_uses_extractor() {
-        let ex = examples();
-        let extractor = FeatureExtractor::new(FeatureSet::WeightedEntropy);
-        let p = CompressionPredictor::train(
-            &ex,
-            PredictionTask::CompressionRatio,
-            ModelKind::RandomForest,
-            extractor,
-            4,
-        )
-        .unwrap();
-        let gen = TpchGenerator::new(TpchOptions {
-            scale_factor: 0.05,
-            ..Default::default()
-        })
-        .unwrap();
-        let t = gen.generate(TpchTable::Customer);
-        let pred = p.predict_table(&t);
-        assert!(
-            pred > 0.5 && pred < 50.0,
-            "unreasonable ratio prediction {pred}"
-        );
-        let dbg = format!("{p:?}");
-        assert!(dbg.contains("Random Forest"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! # Decoding
 //!
-//! [`HuffmanDecoder::decode_into`], the gzipish token loop, resolves most
+//! `HuffmanDecoder::decode_into`, the gzipish token loop, resolves most
 //! symbols with one lookup: a primary table indexed by the next
 //! `TABLE_BITS` (10) bits of the stream holds, for every code of at most
 //! that many bits, the symbol and its length in each slot the code
@@ -42,7 +42,7 @@ pub struct HuffmanCode {
 impl HuffmanCode {
     /// Build a length-limited canonical Huffman code from symbol
     /// frequencies. Symbols with zero frequency get no code.
-    pub fn from_frequencies(freq: &[u64; 256]) -> HuffmanCode {
+    pub(crate) fn from_frequencies(freq: &[u64; 256]) -> HuffmanCode {
         let mut lengths = [0u8; 256];
         let present: Vec<usize> = (0..256).filter(|&s| freq[s] > 0).collect();
         match present.len() {
@@ -90,7 +90,7 @@ impl HuffmanCode {
 
     /// Canonical code value assigned to `symbol` (0 if the symbol has no
     /// code — check [`HuffmanCode::lengths`] to distinguish).
-    pub fn code_of(&self, symbol: u8) -> u16 {
+    pub(crate) fn code_of(&self, symbol: u8) -> u16 {
         self.codes[symbol as usize]
     }
 
@@ -103,7 +103,7 @@ impl HuffmanCode {
 
     /// Build a decoding table: per-length canonical ranges over a flat
     /// symbol array (the classic count/first-code/first-index layout).
-    pub fn decoder(&self) -> HuffmanDecoder {
+    pub(crate) fn decoder(&self) -> HuffmanDecoder {
         let mut entries: Vec<(u8, u16, u8)> = (0..256)
             .filter(|&s| self.lengths[s] > 0)
             .map(|s| (self.lengths[s], self.codes[s], s as u8))
@@ -302,7 +302,7 @@ impl HuffmanDecoder {
     /// 8 bytes remain, one 64-bit load serves up to five table hits (at
     /// most 50 of its 57 or more bits); a miss, and the stream's last
     /// bytes, take one symbol through `decode`.
-    pub fn decode_into(
+    pub(crate) fn decode_into(
         &self,
         reader: &mut BitReader,
         count: usize,
@@ -355,7 +355,7 @@ impl BitWriter {
     }
 
     /// Write the low `count` bits of `value`, most significant bit first.
-    pub fn write_bits(&mut self, value: u32, count: u32) {
+    pub(crate) fn write_bits(&mut self, value: u32, count: u32) {
         debug_assert!(count <= 32);
         // `nbits` stays < 8 between calls, so the shift below tops out at
         // 7 + 32 = 39 meaningful bits — no overflow. Stale bits above
@@ -423,7 +423,7 @@ impl<'a> BitReader<'a> {
     /// Consumes whatever remains of the current byte in one step rather than
     /// bit by bit; reader state after a `Truncated` error is the same as the
     /// per-bit loop's (all available bits consumed).
-    pub fn read_bits(&mut self, count: u32) -> Result<u32, CompressError> {
+    pub(crate) fn read_bits(&mut self, count: u32) -> Result<u32, CompressError> {
         let mut value = 0u32;
         let mut remaining = count;
         while remaining > 0 {

@@ -165,17 +165,6 @@ impl CompressionScheme {
         ]
     }
 
-    /// The schemes the paper's tables sweep (no compression, gzip, snappy,
-    /// lz4).
-    pub fn paper_schemes() -> [CompressionScheme; 4] {
-        [
-            CompressionScheme::None,
-            CompressionScheme::Gzip,
-            CompressionScheme::Snappy,
-            CompressionScheme::Lz4,
-        ]
-    }
-
     /// Short name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -236,7 +225,6 @@ mod tests {
     fn scheme_names_and_codecs() {
         assert_eq!(CompressionScheme::Gzip.name(), "gzip");
         assert_eq!(CompressionScheme::all().len(), 5);
-        assert_eq!(CompressionScheme::paper_schemes().len(), 4);
         for scheme in CompressionScheme::all() {
             let codec = scheme.codec();
             assert_eq!(codec.name(), scheme.name());

@@ -175,7 +175,7 @@ impl Tokenizer {
     /// identical to [`crate::reference::tokenize_reference`]: same hash,
     /// same chain walk order, same first-strictly-longer selection rule,
     /// same skipped-position insertion.
-    pub fn tokenize_into<S: TokenSink>(
+    pub(crate) fn tokenize_into<S: TokenSink>(
         &mut self,
         data: &[u8],
         params: &MatcherParams,

@@ -8,10 +8,11 @@
 //! projection window to compute the realised "% cost benefit" relative to
 //! the all-hot platform baseline.
 
+use crate::lifecycle::{bill_schedules, WRITE_VOLUME_FRACTION};
 use crate::ScopeError;
 use scope_cloudsim::{
-    billing::Placement, AccessEvent, BillingReport, BillingSimulator, ObjectSpec, TierCatalog,
-    TierId,
+    billing::Placement, BillingEvent, BillingSimulator, PlacementSchedule, TierCatalog, TierId,
+    DAYS_PER_MONTH,
 };
 use scope_learn::ConfusionMatrix;
 use scope_optassign::{ideal_tier_labels, PredictorFeatures, TierPredictor, TieringBaseline};
@@ -46,29 +47,32 @@ pub struct BaselineRow {
     pub benefit_percent: f64,
 }
 
-/// Convert a month of the access series into billing events for one dataset.
+/// The window's monthly accesses as billing events: month `m`'s reads and
+/// writes land on the first day of its billing period,
+/// `(m - from_month) * DAYS_PER_MONTH`.
 fn access_events(
     datasets: &DatasetCatalog,
     series: &AccessSeries,
     from_month: u32,
     horizon: u32,
-) -> Vec<AccessEvent> {
+) -> Vec<BillingEvent> {
     let mut events = Vec::new();
     for d in datasets.iter() {
         for m in from_month..from_month + horizon {
             let acc = series.get(d.id, m);
+            let day = (m - from_month) * DAYS_PER_MONTH;
             if acc.reads > 0.0 {
-                events.push(AccessEvent::read(
+                events.push(BillingEvent::read(
                     d.name.clone(),
-                    m - from_month,
+                    day,
                     acc.reads * acc.read_fraction * d.size_gb,
                 ));
             }
             if acc.writes > 0.0 {
-                events.push(AccessEvent::write(
+                events.push(BillingEvent::write(
                     d.name.clone(),
-                    m - from_month,
-                    acc.writes * crate::lifecycle::WRITE_VOLUME_FRACTION * d.size_gb,
+                    day,
+                    acc.writes * WRITE_VOLUME_FRACTION * d.size_gb,
                 ));
             }
         }
@@ -76,31 +80,10 @@ fn access_events(
     events
 }
 
-/// Replay the projection window against a per-dataset tier assignment and
-/// return the billing report.
-fn simulate(
-    catalog: &TierCatalog,
-    datasets: &DatasetCatalog,
-    series: &AccessSeries,
-    tiers: &[TierId],
-    current_tier: TierId,
-    from_month: u32,
-    horizon: u32,
-) -> Result<BillingReport, ScopeError> {
-    let mut sim = BillingSimulator::new(catalog.clone());
-    for d in datasets.iter() {
-        sim.place(
-            ObjectSpec::new(d.name.clone(), d.size_gb).on_tier(current_tier),
-            Placement::uncompressed(tiers[d.id]),
-        )?;
-    }
-    let events = access_events(datasets, series, from_month, horizon);
-    Ok(sim.run(horizon, &events)?)
-}
-
 /// Percentage benefit of assigning `tiers` relative to keeping everything on
-/// `current_tier`, over the window `[from_month, from_month + horizon)`.
-pub fn percent_benefit(
+/// `current_tier`, over the window `[from_month, from_month + horizon)`:
+/// both placements billed against the window's actual accesses.
+pub(crate) fn percent_benefit(
     catalog: &TierCatalog,
     datasets: &DatasetCatalog,
     series: &AccessSeries,
@@ -109,25 +92,23 @@ pub fn percent_benefit(
     from_month: u32,
     horizon: u32,
 ) -> Result<f64, ScopeError> {
-    let baseline_tiers = vec![current_tier; datasets.len()];
-    let baseline = simulate(
-        catalog,
-        datasets,
-        series,
-        &baseline_tiers,
-        current_tier,
-        from_month,
-        horizon,
-    )?;
-    let optimized = simulate(
-        catalog,
-        datasets,
-        series,
-        tiers,
-        current_tier,
-        from_month,
-        horizon,
-    )?;
+    let events = access_events(datasets, series, from_month, horizon);
+    let bill = |tiers: &[TierId]| {
+        let schedules: Vec<PlacementSchedule> = tiers
+            .iter()
+            .map(|&t| PlacementSchedule::constant(Placement::uncompressed(t)))
+            .collect();
+        bill_schedules(
+            BillingSimulator::new(catalog.clone()),
+            datasets,
+            &schedules,
+            current_tier,
+            horizon * DAYS_PER_MONTH,
+            &events,
+        )
+    };
+    let baseline = bill(&vec![current_tier; datasets.len()])?;
+    let optimized = bill(tiers)?;
     Ok(optimized.percent_benefit_vs(&baseline))
 }
 

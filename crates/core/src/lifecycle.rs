@@ -120,16 +120,18 @@ pub(crate) fn billing_events(
     Ok(events)
 }
 
-/// Replay `events` against one placement schedule per dataset.
-fn simulate_schedules(
-    catalog: &TierCatalog,
+/// Place every dataset on `sim`, first on `current_tier` and then on
+/// `schedules[d.id]`, and replay `events` over `horizon_days` days. Tables
+/// II–IV, the lifecycle sweep and the multi-cloud comparison all bill
+/// through here; they differ only in the simulator they hand in.
+pub(crate) fn bill_schedules(
+    mut sim: BillingSimulator,
     datasets: &DatasetCatalog,
     schedules: &[PlacementSchedule],
     current_tier: TierId,
     horizon_days: u32,
     events: &[BillingEvent],
 ) -> Result<BillingReport, ScopeError> {
-    let mut sim = BillingSimulator::new(catalog.clone());
     for d in datasets.iter() {
         sim.place_scheduled(
             ObjectSpec::new(d.name.clone(), d.size_gb).on_tier(current_tier),
@@ -168,8 +170,8 @@ fn prepare_lifecycle(options: &LifecycleOptions) -> Result<LifecycleContext, Sco
         .iter()
         .map(|_| PlacementSchedule::constant(Placement::uncompressed(hot)))
         .collect();
-    let all_hot_report = simulate_schedules(
-        &options.catalog,
+    let all_hot_report = bill_schedules(
+        BillingSimulator::new(options.catalog.clone()),
         &workload.catalog,
         &all_hot,
         hot,
@@ -190,8 +192,8 @@ fn prepare_lifecycle(options: &LifecycleOptions) -> Result<LifecycleContext, Sco
         .iter()
         .map(|&t| PlacementSchedule::constant(Placement::uncompressed(t)))
         .collect();
-    let static_report = simulate_schedules(
-        &options.catalog,
+    let static_report = bill_schedules(
+        BillingSimulator::new(options.catalog.clone()),
         &workload.catalog,
         &static_schedules,
         hot,
@@ -234,8 +236,8 @@ fn run_prepared(
         .iter()
         .map(|p| p.to_placement_schedule(&none))
         .collect();
-    let scheduled_report = simulate_schedules(
-        &options.catalog,
+    let scheduled_report = bill_schedules(
+        BillingSimulator::new(options.catalog.clone()),
         &ctx.workload.catalog,
         &scheduled,
         ctx.hot,

@@ -29,14 +29,14 @@
 //! collapses back to staying single-provider — both regimes are asserted
 //! in `tests/integration_multicloud.rs`.
 
-use crate::lifecycle::{billing_events, WRITE_VOLUME_FRACTION};
+use crate::lifecycle::{bill_schedules, billing_events, WRITE_VOLUME_FRACTION};
 use crate::ScopeError;
 use scope_cloudsim::{
-    billing::Placement, BillingEvent, BillingReport, BillingSimulator, CostModel, ObjectSpec,
-    PlacementSchedule, ProviderCatalog, ProviderTopology, TierId, DAYS_PER_MONTH,
+    billing::Placement, BillingSimulator, CostModel, PlacementSchedule, ProviderCatalog,
+    ProviderTopology, TierId, DAYS_PER_MONTH,
 };
 use scope_optassign::{ideal_tier_schedules_with_model, CompressionOption, PlacementPlan};
-use scope_workload::{DatasetCatalog, EnterpriseOptions, EnterpriseWorkload};
+use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
 use serde::{Deserialize, Serialize};
 
 /// Options for the multi-cloud experiment.
@@ -115,26 +115,6 @@ pub struct MultiCloudOutcome {
     pub dropped_events: u64,
 }
 
-/// Replay `events` against one placement schedule per dataset through the
-/// multi-provider billing engine.
-fn simulate(
-    providers: &ProviderCatalog,
-    datasets: &DatasetCatalog,
-    schedules: &[PlacementSchedule],
-    home: TierId,
-    horizon_days: u32,
-    events: &[BillingEvent],
-) -> Result<BillingReport, ScopeError> {
-    let mut sim = BillingSimulator::multi_provider(providers);
-    for d in datasets.iter() {
-        sim.place_scheduled(
-            ObjectSpec::new(d.name.clone(), d.size_gb).on_tier(home),
-            schedules[d.id].clone(),
-        )?;
-    }
-    Ok(sim.run_days(horizon_days, events)?)
-}
-
 /// Count the moves of a plan that cross a provider boundary, including the
 /// initial move off the home tier.
 fn count_cross_moves(plans: &[PlacementPlan], topo: &ProviderTopology, home: TierId) -> usize {
@@ -171,8 +151,8 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
         .iter()
         .map(|_| PlacementSchedule::constant(Placement::uncompressed(home)))
         .collect();
-    let all_home_report = simulate(
-        providers,
+    let all_home_report = bill_schedules(
+        BillingSimulator::multi_provider(providers),
         &workload.catalog,
         &all_home,
         home,
@@ -200,8 +180,8 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
             .iter()
             .map(|p| p.to_placement_schedule(&none))
             .collect();
-        let report = simulate(
-            providers,
+        let report = bill_schedules(
+            BillingSimulator::multi_provider(providers),
             &workload.catalog,
             &schedules,
             home,
@@ -241,8 +221,8 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
         .iter()
         .map(|p| p.to_placement_schedule(&none))
         .collect();
-    let cross_report = simulate(
-        providers,
+    let cross_report = bill_schedules(
+        BillingSimulator::multi_provider(providers),
         &workload.catalog,
         &cross_schedules,
         home,

@@ -117,7 +117,7 @@ impl Policy {
     }
 
     /// "SCOPe (Latency time focused)" — HCompress + G-PART.
-    pub fn scope_latency_focused() -> Policy {
+    pub(crate) fn scope_latency_focused() -> Policy {
         Policy::base("SCOPe (Latency time focused)", true, true, true)
             .adapted("HCompress + G-PART")
             .with_weights(CostWeights::latency_focused())
@@ -129,7 +129,7 @@ impl Policy {
     }
 
     /// "SCOPe (Read+Decomp. cost focused)".
-    pub fn scope_read_decomp_focused() -> Policy {
+    pub(crate) fn scope_read_decomp_focused() -> Policy {
         Policy::base("SCOPe (Read+Decomp. cost focused)", true, true, true)
             .with_weights(CostWeights::read_decomp_focused())
     }
@@ -137,7 +137,7 @@ impl Policy {
     /// "SCOPe (Total cost focused)" — with the Table XII style capacity
     /// reservations (premium 16.3%, hot 32.6%, cool 48.91% of the data
     /// volume).
-    pub fn scope_total_cost_focused() -> Policy {
+    pub(crate) fn scope_total_cost_focused() -> Policy {
         Policy::base("SCOPe (Total cost focused)", true, true, true)
             .with_capacities(vec![0.163, 0.326, 0.4891])
     }

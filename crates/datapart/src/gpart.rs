@@ -65,7 +65,7 @@ impl MergeConfig {
     }
 
     /// Are two partitions' frequencies compatible for merging?
-    pub fn frequencies_compatible(&self, a: f64, b: f64) -> bool {
+    pub(crate) fn frequencies_compatible(&self, a: f64, b: f64) -> bool {
         let abs_ok = (a - b).abs() <= self.frequency_abs_diff;
         let ratio_ok = if a <= 0.0 || b <= 0.0 {
             false

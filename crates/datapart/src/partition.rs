@@ -52,7 +52,7 @@ impl FileCatalog {
     }
 
     /// Total size of a set of (distinct) files. Unknown files are an error.
-    pub fn span_of<'a>(
+    pub(crate) fn span_of<'a>(
         &self,
         files: impl IntoIterator<Item = &'a FileRef>,
     ) -> Result<f64, DataPartError> {
@@ -89,7 +89,7 @@ impl Partition {
     }
 
     /// Build the initial partition corresponding to a query family.
-    pub fn from_query_family(family: &QueryFamily) -> Self {
+    pub(crate) fn from_query_family(family: &QueryFamily) -> Self {
         Partition {
             id: family.id,
             files: family.files.iter().cloned().collect(),
@@ -125,7 +125,7 @@ impl Partition {
     /// `span_of(intersection)` / `span_of(union)` iterate — so the result
     /// is bit-identical to computing the two spans separately. This is the
     /// hoisted scoring G-PART calls once per candidate edge.
-    pub fn overlap_stats(
+    pub(crate) fn overlap_stats(
         &self,
         other: &Partition,
         catalog: &FileCatalog,
@@ -174,7 +174,7 @@ impl Partition {
 
     /// Fractional overlap with another partition:
     /// `Ov(P_i, P_j) / Sp(P_i ∪ P_j)` (0 = disjoint, → 1 = nearly identical).
-    pub fn fractional_overlap(
+    pub(crate) fn fractional_overlap(
         &self,
         other: &Partition,
         catalog: &FileCatalog,

@@ -302,7 +302,7 @@ impl FaultPlan {
     }
 
     /// The compute fault (if any) shard `shard` suffers in `epoch`.
-    pub fn shard_fault(&self, epoch: u64, shard: usize) -> Option<ShardFault> {
+    pub(crate) fn shard_fault(&self, epoch: u64, shard: usize) -> Option<ShardFault> {
         if self.chance(
             DOMAIN_SHARD_FAIL,
             epoch,

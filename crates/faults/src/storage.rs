@@ -151,7 +151,7 @@ impl StorageFaultPlan {
 
     /// The fault (if any) injected into append number `op` of crash
     /// generation `generation`; `len` is the append's byte length.
-    pub fn append_fault(&self, generation: u64, op: u64, len: usize) -> Option<AppendFault> {
+    pub(crate) fn append_fault(&self, generation: u64, op: u64, len: usize) -> Option<AppendFault> {
         if self
             .draws
             .chance(DOMAIN_STORE_APPEND, generation, op, self.rates.fail_append)
@@ -174,7 +174,7 @@ impl StorageFaultPlan {
     }
 
     /// Whether sync number `op` of `generation` fails.
-    pub fn sync_fails(&self, generation: u64, op: u64) -> bool {
+    pub(crate) fn sync_fails(&self, generation: u64, op: u64) -> bool {
         self.draws
             .chance(DOMAIN_STORE_SYNC, generation, op, self.rates.fail_sync)
     }

@@ -10,7 +10,7 @@ use crate::error::LearnError;
 /// feature-major keeps those passes sequential in memory, and a single
 /// `ColumnMatrix` can be shared by every model trained on the same rows
 /// (forest, boosting, the predictors upstream) without re-cloning row
-/// vectors. Rows are recovered on demand with [`ColumnMatrix::row_to`].
+/// vectors. Inside the crate, rows are recovered on demand with `row_to`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnMatrix {
     n_rows: usize,
@@ -48,7 +48,7 @@ impl ColumnMatrix {
     }
 
     /// Number of columns (features).
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.n_cols
     }
 
@@ -73,7 +73,7 @@ impl ColumnMatrix {
     }
 
     /// Materialize row `r` into `buf` (cleared first).
-    pub fn row_to(&self, r: usize, buf: &mut Vec<f64>) {
+    pub(crate) fn row_to(&self, r: usize, buf: &mut Vec<f64>) {
         buf.clear();
         for c in 0..self.n_cols {
             buf.push(self.values[c * self.n_rows + r]);

@@ -217,11 +217,6 @@ impl RandomForestClassifier {
         RandomForestClassifier { trees, n_classes }
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
     /// Per-class vote fractions for one feature vector (a calibrated-ish
     /// probability estimate used when a score is needed instead of a label).
     pub fn predict_proba_one(&self, features: &[f64]) -> Vec<f64> {

@@ -67,7 +67,7 @@ pub struct ConfusionMatrix {
 
 impl ConfusionMatrix {
     /// Number of classes.
-    pub fn n_classes(&self) -> usize {
+    pub(crate) fn n_classes(&self) -> usize {
         self.counts.len()
     }
 
@@ -88,12 +88,12 @@ impl ConfusionMatrix {
     }
 
     /// True positives for a class.
-    pub fn true_positives(&self, class: usize) -> usize {
+    pub(crate) fn true_positives(&self, class: usize) -> usize {
         self.counts[class][class]
     }
 
     /// False positives for a class (predicted `class` but true label differs).
-    pub fn false_positives(&self, class: usize) -> usize {
+    pub(crate) fn false_positives(&self, class: usize) -> usize {
         (0..self.n_classes())
             .filter(|&t| t != class)
             .map(|t| self.counts[t][class])
@@ -101,7 +101,7 @@ impl ConfusionMatrix {
     }
 
     /// False negatives for a class (true `class` but predicted differently).
-    pub fn false_negatives(&self, class: usize) -> usize {
+    pub(crate) fn false_negatives(&self, class: usize) -> usize {
         (0..self.n_classes())
             .filter(|&p| p != class)
             .map(|p| self.counts[class][p])

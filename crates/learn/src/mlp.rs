@@ -181,11 +181,6 @@ impl MlpRegressor {
             bias_out,
         })
     }
-
-    /// Number of hidden units.
-    pub fn hidden_units(&self) -> usize {
-        self.weights_out.len()
-    }
 }
 
 impl Regressor for MlpRegressor {

@@ -115,6 +115,7 @@ impl Node {
         }
     }
 
+    #[cfg(test)]
     fn leaves(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
@@ -713,11 +714,6 @@ impl DecisionTreeRegressor {
         self.root.depth()
     }
 
-    /// Number of leaves in the fitted tree.
-    pub fn leaf_count(&self) -> usize {
-        self.root.leaves()
-    }
-
     /// The parameters the tree was fit with.
     pub fn params(&self) -> &TreeParams {
         &self.params
@@ -783,11 +779,6 @@ impl DecisionTreeClassifier {
     pub(crate) fn from_parts(root: Node, n_classes: usize) -> Self {
         DecisionTreeClassifier { root, n_classes }
     }
-
-    /// Number of classes seen during training.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
 }
 
 impl Classifier for DecisionTreeClassifier {
@@ -820,7 +811,7 @@ mod tests {
         assert_eq!(tree.predict_one(&[1.0, 0.0]), 10.0);
         assert_eq!(tree.predict_one(&[9.0, 0.0]), 20.0);
         assert!(tree.depth() >= 1);
-        assert!(tree.leaf_count() >= 2);
+        assert!(tree.root.leaves() >= 2);
     }
 
     #[test]
@@ -863,7 +854,7 @@ mod tests {
                 .unwrap();
         assert_eq!(tree.predict_one(&[1.0, 0.0]), 0);
         assert_eq!(tree.predict_one(&[12.0, 0.0]), 1);
-        assert_eq!(tree.n_classes(), 2);
+        assert_eq!(tree.n_classes, 2);
     }
 
     #[test]
@@ -907,7 +898,7 @@ mod tests {
         };
         let tree = DecisionTreeRegressor::fit_seeded(&f, &t, params, 0x5EED).unwrap();
         // With 50 rows and min 10 per leaf, there can be at most 5 leaves.
-        assert!(tree.leaf_count() <= 5);
+        assert!(tree.root.leaves() <= 5);
     }
 
     #[test]

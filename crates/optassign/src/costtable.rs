@@ -26,7 +26,7 @@
 //! serving engine's applied-choice mirror read. The breakdown of any other
 //! entry is not stored: [`CostTable::breakdown`] prices it when asked
 //! (branch-and-bound's chosen entries, an explicit choice list), through
-//! [`OptAssignProblem::cost_breakdown_with`].
+//! `OptAssignProblem::cost_breakdown_with`.
 //!
 //! One function prices a partition: `Run::price` writes the row's
 //! tier-major block straight into the table's `cost` / `feasible` arrays
@@ -37,7 +37,7 @@
 //! Per `(row, tier)` the kernel hoists what no compression option changes
 //! (the egress charge, the early-deletion penalty, the tier's time to
 //! first byte) out of the scheme loop; the expressions and their order
-//! are those of [`OptAssignProblem::cost_breakdown_with`], which is
+//! are those of `OptAssignProblem::cost_breakdown_with`, which is
 //! written over the same two helpers — there is one definition of a
 //! price, whether it is weighed into the table, kept as a row's minimum
 //! or priced on demand — so the table, and therefore every solver result,

@@ -85,9 +85,7 @@ pub use costtable::CostTable;
 pub use error::OptAssignError;
 pub use greedy::solve_greedy;
 pub use ilp::{solve_branch_and_bound, BranchAndBoundStats};
-pub use predictor::{
-    ideal_tier_labels, ideal_tier_labels_multi, PredictorFeatures, TierPredictor, TieringBaseline,
-};
+pub use predictor::{ideal_tier_labels, PredictorFeatures, TierPredictor, TieringBaseline};
 pub use problem::{Assignment, CompressionOption, OptAssignProblem, PartitionSpec, NO_COMPRESSION};
 pub use schedule::{
     ideal_tier_schedules, ideal_tier_schedules_with_model, placement_schedule_cost,

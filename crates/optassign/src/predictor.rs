@@ -12,7 +12,7 @@
 use crate::greedy::solve_greedy;
 use crate::problem::{OptAssignProblem, PartitionSpec};
 use crate::OptAssignError;
-use scope_cloudsim::{ProviderCatalog, ProviderTopology, TierCatalog, TierId};
+use scope_cloudsim::{TierCatalog, TierId};
 use scope_learn::forest::ForestParams;
 use scope_learn::{
     confusion_matrix, Classifier, ColumnMatrix, ConfusionMatrix, RandomForestClassifier,
@@ -74,50 +74,6 @@ pub fn ideal_tier_labels(
     horizon_months: u32,
     current_tier: TierId,
 ) -> Result<Vec<TierId>, OptAssignError> {
-    ideal_tier_labels_with(
-        catalog,
-        None,
-        datasets,
-        series,
-        from_month,
-        horizon_months,
-        current_tier,
-    )
-}
-
-/// [`ideal_tier_labels`] over the merged tier space of a multi-provider
-/// catalog: labels are merged [`TierId`]s, `current_tier` is a merged id
-/// (e.g. from [`ProviderCatalog::merged_tier_id`]), and the objective the
-/// labels minimize charges the egress matrix for cross-provider moves.
-pub fn ideal_tier_labels_multi(
-    providers: &ProviderCatalog,
-    datasets: &DatasetCatalog,
-    series: &AccessSeries,
-    from_month: u32,
-    horizon_months: u32,
-    current_tier: TierId,
-) -> Result<Vec<TierId>, OptAssignError> {
-    ideal_tier_labels_with(
-        &providers.merged_catalog(),
-        Some(providers.topology()),
-        datasets,
-        series,
-        from_month,
-        horizon_months,
-        current_tier,
-    )
-}
-
-/// Shared implementation of the label computation, optionally egress-aware.
-fn ideal_tier_labels_with(
-    catalog: &TierCatalog,
-    topology: Option<ProviderTopology>,
-    datasets: &DatasetCatalog,
-    series: &AccessSeries,
-    from_month: u32,
-    horizon_months: u32,
-    current_tier: TierId,
-) -> Result<Vec<TierId>, OptAssignError> {
     let partitions: Vec<PartitionSpec> = datasets
         .iter()
         .map(|d| {
@@ -139,10 +95,7 @@ fn ideal_tier_labels_with(
                 .with_read_fraction(read_fraction)
         })
         .collect();
-    let mut problem = OptAssignProblem::new(catalog.clone(), partitions, horizon_months as f64);
-    if let Some(t) = topology {
-        problem = problem.with_topology(t);
-    }
+    let problem = OptAssignProblem::new(catalog.clone(), partitions, horizon_months as f64);
     let assignment = solve_greedy(&problem)?;
     Ok(assignment.choices.iter().map(|&(tier, _)| tier).collect())
 }
@@ -153,7 +106,6 @@ pub struct TierPredictor {
     model: RandomForestClassifier,
     features: PredictorFeatures,
     n_tiers: usize,
-    topology: Option<ProviderTopology>,
 }
 
 impl TierPredictor {
@@ -176,59 +128,6 @@ impl TierPredictor {
         features: PredictorFeatures,
         seed: u64,
     ) -> Result<Self, OptAssignError> {
-        Self::train_with(
-            catalog,
-            None,
-            datasets,
-            series,
-            train_until_month,
-            horizon_months,
-            current_tier,
-            features,
-            seed,
-        )
-    }
-
-    /// Train over the merged tier space of a multi-provider catalog: the
-    /// label classes are merged [`TierId`]s across every provider's ladder
-    /// and the label-encoding objective is egress-aware, so the model
-    /// learns *which cloud and tier* each dataset should live on.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_multi(
-        providers: &ProviderCatalog,
-        datasets: &DatasetCatalog,
-        series: &AccessSeries,
-        train_until_month: u32,
-        horizon_months: u32,
-        current_tier: TierId,
-        features: PredictorFeatures,
-        seed: u64,
-    ) -> Result<Self, OptAssignError> {
-        Self::train_with(
-            &providers.merged_catalog(),
-            Some(providers.topology()),
-            datasets,
-            series,
-            train_until_month,
-            horizon_months,
-            current_tier,
-            features,
-            seed,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn train_with(
-        catalog: &TierCatalog,
-        topology: Option<ProviderTopology>,
-        datasets: &DatasetCatalog,
-        series: &AccessSeries,
-        train_until_month: u32,
-        horizon_months: u32,
-        current_tier: TierId,
-        features: PredictorFeatures,
-        seed: u64,
-    ) -> Result<Self, OptAssignError> {
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<usize> = Vec::new();
         let first_month = features.lookback_months;
@@ -241,9 +140,8 @@ impl TierPredictor {
             if month + horizon_months > series.months() {
                 break;
             }
-            let labels = ideal_tier_labels_with(
+            let labels = ideal_tier_labels(
                 catalog,
-                topology.clone(),
                 datasets,
                 series,
                 month,
@@ -282,7 +180,6 @@ impl TierPredictor {
             model,
             features,
             n_tiers: catalog.len(),
-            topology,
         })
     }
 
@@ -318,10 +215,7 @@ impl TierPredictor {
     }
 
     /// Evaluate predicted vs ideal tiers at `at_month` over the following
-    /// `horizon_months`, producing the confusion matrix of Table III. For a
-    /// predictor trained with [`TierPredictor::train_multi`], pass the
-    /// merged catalog — the ideal labels are computed with the same egress
-    /// awareness the training labels had.
+    /// `horizon_months`, producing the confusion matrix of Table III.
     pub fn evaluate(
         &self,
         catalog: &TierCatalog,
@@ -331,9 +225,8 @@ impl TierPredictor {
         horizon_months: u32,
         current_tier: TierId,
     ) -> Result<ConfusionMatrix, OptAssignError> {
-        let ideal = ideal_tier_labels_with(
+        let ideal = ideal_tier_labels(
             catalog,
-            self.topology.clone(),
             datasets,
             series,
             at_month,
@@ -522,71 +415,6 @@ mod tests {
             cm.counts
         );
         assert!(f1_score(&cm, 1) > 0.8, "cool F1 = {}", f1_score(&cm, 1));
-    }
-
-    #[test]
-    fn multi_provider_labels_cross_clouds_for_latency_bounded_cold_data() {
-        use scope_workload::{AccessPattern, DatasetMeta, MonthlyAccess};
-        let providers = ProviderCatalog::azure_s3_gcs();
-        let azure_hot = providers.merged_tier_id("azure", "Hot").unwrap();
-        let azure = providers.provider_id("azure").unwrap();
-        let topo = providers.topology();
-        // A cold dataset that must stay sub-second: azure's only compliant
-        // cold tier is Cool (1.52), while gcs Coldline (0.4, ms-latency)
-        // repays the 2 c/GB egress over 6 months.
-        let datasets = scope_workload::DatasetCatalog::new(vec![DatasetMeta {
-            id: 0,
-            name: "cold-sla".into(),
-            size_gb: 100.0,
-            created_month: 0,
-            latency_threshold_seconds: 1.0,
-            pattern: AccessPattern::Dormant,
-        }]);
-        let mut series = AccessSeries::new(6);
-        series.set(
-            0,
-            0,
-            MonthlyAccess {
-                reads: 0.0,
-                writes: 0.0,
-                read_fraction: 1.0,
-            },
-        );
-        let labels =
-            ideal_tier_labels_multi(&providers, &datasets, &series, 0, 6, azure_hot).unwrap();
-        assert_ne!(topo.provider_of(labels[0]), Some(azure), "{:?}", labels);
-        // With internet-priced egress the same dataset stays home.
-        let expensive = providers.clone().with_egress_scale(10.0).unwrap();
-        let labels =
-            ideal_tier_labels_multi(&expensive, &datasets, &series, 0, 6, azure_hot).unwrap();
-        assert_eq!(topo.provider_of(labels[0]), Some(azure), "{:?}", labels);
-    }
-
-    #[test]
-    fn multi_provider_predictor_learns_merged_tier_labels() {
-        let w = workload();
-        let providers = ProviderCatalog::azure_s3_gcs();
-        let azure_hot = providers.merged_tier_id("azure", "Hot").unwrap();
-        let features = PredictorFeatures::default();
-        let predictor = TierPredictor::train_multi(
-            &providers, &w.catalog, &w.series, 7, 2, azure_hot, features, 42,
-        )
-        .unwrap();
-        let merged = providers.merged_catalog();
-        let cm = predictor
-            .evaluate(&merged, &w.catalog, &w.series, 10, 2, azure_hot)
-            .unwrap();
-        assert_eq!(cm.total(), w.catalog.len());
-        assert_eq!(cm.counts.len(), merged.len());
-        assert!(
-            cm.accuracy() > 0.6,
-            "merged-space accuracy = {} (confusion: {:?})",
-            cm.accuracy(),
-            cm.counts
-        );
-        // Predictions live in the merged id space.
-        let preds = predictor.predict_all(&w.catalog, &w.series, 10);
-        assert!(preds.iter().all(|t| t.index() < merged.len()));
     }
 
     #[test]

@@ -268,12 +268,6 @@ impl OptAssignProblem {
         }
     }
 
-    /// Builder-style setter for the pushdown fraction.
-    pub fn with_pushdown_fraction(mut self, f: f64) -> Self {
-        self.pushdown_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
     /// Validate the whole problem.
     pub fn validate(&self) -> Result<(), OptAssignError> {
         if self.partitions.is_empty() {
@@ -373,10 +367,8 @@ impl OptAssignProblem {
     ///
     /// Convenience form that builds a fresh [`CostModel`] (a catalog +
     /// topology clone) per call. Anything evaluating more than a handful of
-    /// placements should hoist one model with [`Self::cost_model`] and call
-    /// [`Self::cost_breakdown_with`] — or better, build a
-    /// [`CostTable`](crate::costtable::CostTable) once per solve, as every
-    /// shipped solver does.
+    /// placements should build a [`CostTable`](crate::costtable::CostTable)
+    /// once per solve, as every shipped solver does.
     pub fn cost_breakdown(&self, p: &PartitionSpec, tier: TierId, k: usize) -> CostBreakdown {
         self.cost_breakdown_with(&self.cost_model(), p, tier, k)
     }
@@ -386,7 +378,7 @@ impl OptAssignProblem {
     /// every evaluation. The model must come from [`Self::cost_model`] (or
     /// be built over the same catalog/topology); the arithmetic is
     /// identical to the per-call form.
-    pub fn cost_breakdown_with(
+    pub(crate) fn cost_breakdown_with(
         &self,
         model: &CostModel,
         p: &PartitionSpec,
@@ -464,7 +456,7 @@ impl OptAssignProblem {
     }
 
     /// [`Self::placement_cost`] over a caller-hoisted [`CostModel`].
-    pub fn placement_cost_with(
+    pub(crate) fn placement_cost_with(
         &self,
         model: &CostModel,
         p: &PartitionSpec,
@@ -478,7 +470,7 @@ impl OptAssignProblem {
     /// single definition of the Eq. 1 weighting, shared by the per-call
     /// pricing methods and the [`CostTable`](crate::costtable::CostTable)
     /// builder so the two can never drift.
-    pub fn weighted_objective(&self, b: &CostBreakdown) -> f64 {
+    pub(crate) fn weighted_objective(&self, b: &CostBreakdown) -> f64 {
         self.weights.alpha * b.storage
             + self.weights.gamma * (b.write + b.egress)
             + self.weights.beta * (b.read + b.decompression)
@@ -585,16 +577,6 @@ impl Assignment {
             }
         }
         hist
-    }
-
-    /// Maximum access latency (TTFB + decompression) over all partitions.
-    pub fn max_latency_seconds(&self, problem: &OptAssignProblem) -> f64 {
-        problem
-            .partitions
-            .iter()
-            .zip(&self.choices)
-            .map(|(p, &(tier, k))| problem.latency_seconds(p, tier, k))
-            .fold(0.0, f64::max)
     }
 
     /// Expected decompression latency per access, averaged over accesses
@@ -726,7 +708,8 @@ mod tests {
         let hot = c.tier_id("Hot").unwrap();
         let p = simple_partition(0, 100.0, 20.0);
         let base = OptAssignProblem::new(c.clone(), vec![p.clone()], 6.0);
-        let pushdown = OptAssignProblem::new(c, vec![p], 6.0).with_pushdown_fraction(0.5);
+        let mut pushdown = OptAssignProblem::new(c, vec![p], 6.0);
+        pushdown.pushdown_fraction = 0.5;
         let b0 = base.cost_breakdown(&base.partitions[0], hot, 1);
         let b1 = pushdown.cost_breakdown(&pushdown.partitions[0], hot, 1);
         assert!((b1.read - b0.read * 0.5).abs() < 1e-9);
@@ -841,7 +824,6 @@ mod tests {
         assert_eq!(a.tier_histogram(4), vec![0, 1, 1, 0]);
         assert!(a.objective > 0.0);
         assert!(a.breakdown.total() > 0.0);
-        assert!(a.max_latency_seconds(&problem) >= 10.0); // gzip on p0
         assert!(a.expected_decompression_latency(&problem) > 0.0);
         assert!(a.expected_ttfb(&problem) > 0.0);
         // Wrong number of choices is rejected.

@@ -172,7 +172,7 @@ impl Table {
     }
 
     /// Column data by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&ColumnData, TableError> {
+    pub(crate) fn column_by_name(&self, name: &str) -> Result<&ColumnData, TableError> {
         let idx = self
             .schema
             .index_of(name)
@@ -181,7 +181,8 @@ impl Table {
     }
 
     /// Render one row as CSV cell strings.
-    pub fn row_strings(&self, row: usize) -> Result<Vec<String>, TableError> {
+    #[cfg(test)]
+    fn row_strings(&self, row: usize) -> Result<Vec<String>, TableError> {
         if row >= self.n_rows {
             return Err(TableError::RowOutOfBounds {
                 row,
@@ -221,26 +222,6 @@ impl Table {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.slice(start, end)).collect(),
             n_rows: end - start,
-        })
-    }
-
-    /// A new table with only the named columns (projection).
-    pub fn project(&self, names: &[&str]) -> Result<Table, TableError> {
-        let mut defs = Vec::with_capacity(names.len());
-        let mut cols = Vec::with_capacity(names.len());
-        for &n in names {
-            let idx = self
-                .schema
-                .index_of(n)
-                .ok_or_else(|| TableError::UnknownColumn(n.to_string()))?;
-            defs.push(self.schema.columns()[idx].clone());
-            cols.push(self.columns[idx].clone());
-        }
-        Ok(Table {
-            name: self.name.clone(),
-            schema: Schema::new(defs),
-            columns: cols,
-            n_rows: self.n_rows,
         })
     }
 
@@ -345,11 +326,6 @@ mod tests {
         let sliced = t.slice_rows(1, 3).unwrap();
         assert_eq!(sliced.n_rows(), 2);
         assert_eq!(sliced.row_strings(0).unwrap()[0], "1");
-
-        let proj = t.project(&["name", "id"]).unwrap();
-        assert_eq!(proj.n_columns(), 2);
-        assert_eq!(proj.schema().names(), vec!["name", "id"]);
-        assert!(t.project(&["nope"]).is_err());
 
         let sorted = t.sort_by("id").unwrap();
         let ids: Vec<String> = (0..3)

@@ -52,7 +52,7 @@ impl Default for ColumnarWriteOptions {
 }
 
 /// Serialize a table as CSV (with a header line).
-pub fn to_csv(table: &Table) -> Bytes {
+pub(crate) fn to_csv(table: &Table) -> Bytes {
     let mut out = BytesMut::with_capacity(table.n_rows() * table.n_columns() * 8 + 64);
     // Header.
     let names = table.schema().names();
@@ -92,7 +92,7 @@ fn cell_string(col: &ColumnData, row: usize) -> String {
 /// * `1` dictionary: u32 dictionary size, length-prefixed dictionary
 ///   entries, then u32 codes per row,
 /// * `2` run-length: pairs of (u32 run length, value).
-pub fn to_columnar(table: &Table, options: &ColumnarWriteOptions) -> Bytes {
+pub(crate) fn to_columnar(table: &Table, options: &ColumnarWriteOptions) -> Bytes {
     let mut out = BytesMut::with_capacity(table.n_rows() * table.n_columns() * 8 + 64);
     out.put_slice(b"SCOLv1\0");
     out.put_u32_le(table.n_columns() as u32);

@@ -103,7 +103,7 @@ impl Schema {
     }
 
     /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 

@@ -70,7 +70,7 @@ impl TpchTable {
 
     /// Base row count at scale factor 1.0 (scaled-down TPC-H proportions:
     /// lineitem is ~4x orders, orders is 10x customers, etc.).
-    pub fn base_rows(&self) -> usize {
+    pub(crate) fn base_rows(&self) -> usize {
         match self {
             TpchTable::Lineitem => 6000,
             TpchTable::Orders => 1500,

@@ -70,11 +70,6 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// Sample `count` items.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<usize> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +104,7 @@ mod tests {
         let z = Zipf::new(1000, 3.0);
         assert!(z.pmf(0) > 0.8);
         let mut rng = SmallRng::seed_from_u64(1);
-        let samples = z.sample_many(&mut rng, 5000);
+        let samples: Vec<usize> = (0..5000).map(|_| z.sample(&mut rng)).collect();
         let zeros = samples.iter().filter(|&&s| s == 0).count();
         assert!(zeros as f64 / 5000.0 > 0.7);
     }
@@ -118,7 +113,7 @@ mod tests {
     fn sampling_matches_pmf_roughly() {
         let z = Zipf::new(20, 1.0);
         let mut rng = SmallRng::seed_from_u64(2);
-        let samples = z.sample_many(&mut rng, 20000);
+        let samples: Vec<usize> = (0..20000).map(|_| z.sample(&mut rng)).collect();
         let head = samples.iter().filter(|&&s| s == 0).count() as f64 / 20000.0;
         assert!((head - z.pmf(0)).abs() < 0.02);
         assert!(samples.iter().all(|&s| s < 20));

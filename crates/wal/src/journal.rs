@@ -390,7 +390,8 @@ impl<S: Storage> Journal<S> {
     /// caller progress value stored in the frame and handed back by
     /// recovery. For a caller whose snapshots have no static/dynamic
     /// split: every frame is a full one under the empty digest.
-    pub fn publish_checkpoint(&mut self, state: &[u8], marker: u64) -> Result<(), WalError> {
+    #[cfg(test)]
+    pub(crate) fn publish_checkpoint(&mut self, state: &[u8], marker: u64) -> Result<(), WalError> {
         self.publish(FrameKind::Full, marker, StaticDigest::default(), |frame| {
             frame.extend_from_slice(state)
         })

@@ -43,7 +43,7 @@
 //! hole can never open mid-journal (and recovery treats one it finds as
 //! the fault it is). Checkpoints are published atomically (write-temp +
 //! rename + directory sync in the file backend) and are durable the
-//! moment [`Journal::publish_checkpoint`] returns.
+//! moment [`Journal::publish_checkpoint_with`] returns.
 //!
 //! **Publish what changed.** A checkpoint frame is *full* (a whole
 //! snapshot) or *dynamic* (what an epoch can change, laid over the static
@@ -95,8 +95,8 @@ pub use journal::{
     JournalConfig, QuarantinedRecord, RecoveredJournal, WalRecoveryReport,
 };
 pub use record::{
-    decode_frame, encode_epoch_record, encode_record, CheckpointFrame, FrameKind, FrameOutcome,
-    Record, RecordPayload, StaticDigest,
+    decode_frame, encode_record, CheckpointFrame, FrameKind, FrameOutcome, Record, RecordPayload,
+    StaticDigest,
 };
 pub use storage::{MemStorage, Storage};
 pub use xxh64::xxh64;

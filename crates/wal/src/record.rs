@@ -217,7 +217,8 @@ pub fn encode_record(seq: u64, columns: &EventColumns) -> Vec<u8> {
 }
 
 /// Encode an epoch-boundary marker as one framed record.
-pub fn encode_epoch_record(seq: u64, day: u32) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_epoch_record(seq: u64, day: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + 4);
     encode_epoch_record_into(&mut out, seq, day);
     out

@@ -132,7 +132,8 @@ impl MemStorage {
     }
 
     /// Durable length of `name` (0 when absent).
-    pub fn durable_len(&self, name: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn durable_len(&self, name: &str) -> usize {
         self.durable.get(name).map_or(0, Vec::len)
     }
 

@@ -43,11 +43,6 @@ impl AccessSeries {
         self.months
     }
 
-    /// Number of datasets with at least one recorded month.
-    pub fn dataset_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Record (overwrite) the access counts of a dataset in a month.
     pub fn set(&mut self, dataset: usize, month: u32, access: MonthlyAccess) {
         let entry = self
@@ -75,25 +70,8 @@ impl AccessSeries {
             .sum()
     }
 
-    /// Total writes of a dataset over a month range `[from, to)`.
-    pub fn total_writes(&self, dataset: usize, from: u32, to: u32) -> f64 {
-        (from..to.min(self.months))
-            .map(|m| self.get(dataset, m).writes)
-            .sum()
-    }
-
-    /// Total reads across all datasets in one month.
-    pub fn reads_in_month(&self, month: u32) -> f64 {
-        self.counts.keys().map(|&d| self.get(d, month).reads).sum()
-    }
-
-    /// Total writes across all datasets in one month.
-    pub fn writes_in_month(&self, month: u32) -> f64 {
-        self.counts.keys().map(|&d| self.get(d, month).writes).sum()
-    }
-
     /// Total reads per dataset over the whole horizon, as a map.
-    pub fn reads_per_dataset(&self) -> BTreeMap<usize, f64> {
+    pub(crate) fn reads_per_dataset(&self) -> BTreeMap<usize, f64> {
         self.counts
             .keys()
             .map(|&d| (d, self.total_reads(d, 0, self.months)))
@@ -153,10 +131,7 @@ mod tests {
         assert_eq!(s.get(99, 0).reads, 0.0);
         assert_eq!(s.total_reads(0, 0, 6), 15.0);
         assert_eq!(s.total_reads(0, 2, 6), 5.0);
-        assert_eq!(s.total_writes(0, 0, 6), 2.0);
-        assert_eq!(s.reads_in_month(1), 11.0);
-        assert_eq!(s.writes_in_month(1), 3.0);
-        assert_eq!(s.dataset_count(), 2);
+        assert_eq!(s.total_reads(1, 0, 6), 1.0);
         assert_eq!(s.months(), 6);
     }
 
@@ -200,6 +175,5 @@ mod tests {
     fn empty_series_has_zero_shares() {
         let s = AccessSeries::new(3);
         assert!(s.access_share_sorted().is_empty());
-        assert_eq!(s.reads_in_month(0), 0.0);
     }
 }

@@ -5,10 +5,11 @@
 //! "monthly read and write accesses for the last few months"), but billing
 //! is day-granular: storage is pro-rated by days and early deletion is
 //! billed per day of unmet residency. [`DailyAccessLog`] records accesses
-//! at day resolution; [`DailyAccessLog::monthly_view`] aggregates it into
-//! the legacy [`AccessSeries`], making the monthly series a derived view
-//! rather than the generator's native output.
+//! at day resolution; the tests aggregate it back into the monthly
+//! [`AccessSeries`](crate::AccessSeries) the generator also emits, and
+//! require the two to agree.
 
+#[cfg(test)]
 use crate::access_log::{AccessSeries, MonthlyAccess};
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +59,7 @@ impl DailyAccessLog {
     }
 
     /// Append a record. Records at or beyond the horizon are ignored, like
-    /// out-of-range months in [`AccessSeries::set`].
+    /// out-of-range months in [`AccessSeries::set`](crate::AccessSeries::set).
     pub fn push(&mut self, record: DailyAccess) {
         if record.day < self.horizon_days {
             self.records.push(record);
@@ -94,8 +95,10 @@ impl DailyAccessLog {
     /// monthly read fraction is the read-weighted average of the daily
     /// fractions (1.0 when a month has no reads, matching
     /// [`MonthlyAccess::default`]-adjacent semantics of "fraction is
-    /// irrelevant without reads").
-    pub fn monthly_view(&self) -> AccessSeries {
+    /// irrelevant without reads"). Tests check the generator's monthly
+    /// series against it.
+    #[cfg(test)]
+    pub(crate) fn monthly_view(&self) -> AccessSeries {
         let months = self.horizon_days.div_ceil(DAYS_PER_MONTH);
         let mut series = AccessSeries::new(months);
         // (reads, writes, volume-weighted fraction) per (dataset, month).
@@ -184,8 +187,7 @@ mod tests {
     fn empty_log_views_as_empty_series() {
         let log = DailyAccessLog::new(45);
         let series = log.monthly_view();
-        assert_eq!(series.months(), 2);
-        assert_eq!(series.dataset_count(), 0);
+        assert_eq!(series, AccessSeries::new(2));
     }
 
     mod properties {

@@ -400,26 +400,28 @@ impl QueryWorkload {
         }
         Ok(QueryWorkload { families })
     }
-
-    /// Total query executions across all families.
-    pub fn total_queries(&self) -> f64 {
-        self.families.iter().map(|f| f.frequency).sum()
-    }
-
-    /// All distinct files referenced by any family.
-    pub fn all_files(&self) -> Vec<FileRef> {
-        let set: BTreeSet<FileRef> = self
-            .families
-            .iter()
-            .flat_map(|f| f.files.iter().cloned())
-            .collect();
-        set.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QueryWorkload {
+        /// Total query executions across all families.
+        fn total_queries(&self) -> f64 {
+            self.families.iter().map(|f| f.frequency).sum()
+        }
+
+        /// All distinct files referenced by any family.
+        fn all_files(&self) -> Vec<FileRef> {
+            let set: BTreeSet<FileRef> = self
+                .families
+                .iter()
+                .flat_map(|f| f.files.iter().cloned())
+                .collect();
+            set.into_iter().collect()
+        }
+    }
 
     fn tpch_layout() -> Vec<(String, usize)> {
         vec![
