@@ -46,7 +46,7 @@ cargo check --locked --offline --features alloc-count --manifest-path benchmark/
 # static recount of #[test] cases (scope-analyze rule ci-floor-consistency
 # keeps it honest) — if the suite ever shrinks below it, tests were lost,
 # not just reorganised.
-min_tests=691
+min_tests=692
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test -q --release (count floor: $min_tests)"
     release_out=$(cargo test -q --release 2>&1) || {
@@ -100,6 +100,18 @@ if [[ $quick -eq 0 ]]; then
         benchmark/run.sh --workload "$1" --seed 12 --seconds 1 --trace 1 --quick \
             --out target/e2e-quick 2>&1 >/dev/null
     }
+    # Compare `name=value` facts ($2) with the traced run's lines ($1), as printed.
+    exact_facts() {
+        for fact in $2; do
+            name="${fact%%=*}" want="${fact#*=}"
+            got=$(echo "$1" | awk -v name="$name" '$2 == name {print $3}')
+            echo "    $name $got (recorded $want)"
+            if [[ "$got" != "$want" ]]; then
+                echo "FAIL: $name is '$got', recorded as $want"
+                exit 1
+            fi
+        done
+    }
     echo "==> benchmark/run.sh serve_steady --trace 1 --quick (allocation and resident-bytes ratchets)"
     traced=$(traced_quick serve_steady) || {
         echo "$traced"
@@ -116,6 +128,18 @@ if [[ $quick -eq 0 ]]; then
             exit 1
         fi
     done
+    # Serving facts, off the same run: the rows the first repetition's
+    # steady re-solves priced and the placements they changed, the size of
+    # the reference engine's checkpoint, and the events the intake
+    # quarantined. Like the plan facts below they are functions of
+    # the seed alone and are compared as printed: a kernel or intake fold
+    # that changes one decision or one heat bit, or a re-solve that prices
+    # every row again, is a red build. A change that moves one on purpose
+    # records the new value here and says why.
+    serve_facts="serve.rows_patched=2510.000000 serve.retier_decisions=252.000000
+        serve.checkpoint_bytes=128988.000000 serve.quarantined_events=0.000000"
+    echo "==> serve facts"
+    exact_facts "$traced" "$serve_facts"
 
     # The billing replay under the same ratchet: the allocator calls of one
     # `threads: 1` replay of the traced quick `bill_replay` run (2 000
@@ -188,15 +212,7 @@ if [[ $quick -eq 0 ]]; then
         echo "FAIL: traced plan_batch run failed"
         exit 1
     }
-    for fact in $plan_facts; do
-        name="${fact%%=*}" want="${fact#*=}"
-        got=$(echo "$traced" | awk -v name="$name" '$2 == name {print $3}')
-        echo "    $name $got (recorded $want)"
-        if [[ "$got" != "$want" ]]; then
-            echo "FAIL: $name is '$got', recorded as $want"
-            exit 1
-        fi
-    done
+    exact_facts "$traced" "$plan_facts"
 fi
 
 # Intra-doc links: a deleted or renamed public item must not leave a

@@ -176,6 +176,54 @@ impl CostBreakdown {
     }
 }
 
+/// Where a placement's bytes come from, the source tier's spec already
+/// resolved: what decides the intra-cloud price of moving them (see
+/// [`CostModel::read_write_cost`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Origin<'a> {
+    /// Newly ingested data: only the write is paid.
+    New,
+    /// Already on the destination tier: nothing moves, nothing is paid.
+    Resident,
+    /// Another tier, read once on the way out.
+    Tier(&'a Tier),
+}
+
+/// The rate expressions of one tier: what [`CostModel`]'s per-id methods
+/// evaluate once they have looked the id up, and what a caller that
+/// resolved the spec once ([`CostModel::tier_spec`]) calls directly.
+impl Tier {
+    /// Storage cost (cents) of keeping `size_gb` gigabytes here for
+    /// `months` months.
+    #[inline]
+    pub fn storage_cost(&self, size_gb: f64, months: f64) -> f64 {
+        self.storage_cost_cents_per_gb_month * size_gb * months
+    }
+
+    /// Read cost (cents) of reading `size_gb` gigabytes `accesses` times.
+    #[inline]
+    pub fn read_cost(&self, size_gb: f64, accesses: f64) -> f64 {
+        self.read_cost_cents_per_gb * size_gb * accesses
+    }
+
+    /// Write cost (cents) of landing `size_gb` gigabytes here.
+    #[inline]
+    pub(crate) fn write_cost(&self, size_gb: f64) -> f64 {
+        self.write_cost_cents_per_gb * size_gb
+    }
+
+    /// The intra-cloud half of moving `size_gb` gigabytes here from
+    /// `origin`: the rule of [`CostModel::read_write_cost`], over specs.
+    #[inline]
+    pub fn read_write_cost(&self, origin: Origin<'_>, size_gb: f64) -> f64 {
+        match origin {
+            Origin::Resident => 0.0,
+            Origin::Tier(from) => from.read_cost(size_gb, 1.0) + self.write_cost(size_gb),
+            Origin::New => self.write_cost(size_gb),
+        }
+    }
+}
+
 /// Cost model over a [`TierCatalog`], optionally provider-aware.
 ///
 /// With a [`ProviderTopology`] attached (via [`CostModel::with_topology`],
@@ -234,31 +282,34 @@ impl CostModel {
     }
 
     /// The spec of `tier`, whose id the infallible pricing entry points
-    /// below expect to come from this model's own catalog (the only
-    /// `TierId`s in circulation are minted by a catalog). A foreign id
-    /// prices as NaN — which every downstream comparison rejects — rather
-    /// than panicking the serving loop on one malformed plan.
-    fn tier_spec(&self, tier: TierId) -> &Tier {
+    /// expect to come from this model's own catalog (the only `TierId`s in
+    /// circulation are minted by a catalog). A foreign id resolves to a
+    /// spec whose every rate is NaN, so it prices as NaN — which every
+    /// downstream comparison rejects — rather than panicking the serving
+    /// loop on one malformed plan. A caller pricing many placements on one
+    /// tier resolves it here once and prices through [`Tier`]'s rate
+    /// methods, the expressions the per-id methods below evaluate.
+    pub fn tier_spec(&self, tier: TierId) -> &Tier {
         self.catalog.tier(tier).unwrap_or(&INVALID_TIER)
     }
 
     /// Storage cost (cents) of keeping `size_gb` gigabytes on `tier` for
     /// `months` months.
     pub fn storage_cost(&self, tier: TierId, size_gb: f64, months: f64) -> f64 {
-        self.tier_spec(tier).storage_cost_cents_per_gb_month * size_gb * months
+        self.tier_spec(tier).storage_cost(size_gb, months)
     }
 
     /// Read cost (cents) of reading `size_gb` gigabytes `accesses` times
     /// from `tier`.
     pub fn read_cost(&self, tier: TierId, size_gb: f64, accesses: f64) -> f64 {
-        self.tier_spec(tier).read_cost_cents_per_gb * size_gb * accesses
+        self.tier_spec(tier).read_cost(size_gb, accesses)
     }
 
     /// Write cost (cents) of landing `size_gb` gigabytes on `tier`
     /// (`Delta_{-1,l}` — used both for new ingests and as the write half of
     /// a tier change).
     pub fn write_cost(&self, tier: TierId, size_gb: f64) -> f64 {
-        self.tier_spec(tier).write_cost_cents_per_gb * size_gb
+        self.tier_spec(tier).write_cost(size_gb)
     }
 
     /// Inter-provider egress cost (cents) of moving `size_gb` GB from
@@ -281,11 +332,12 @@ impl CostModel {
     /// move also changes compression. The billing engine, the OPTASSIGN
     /// objective and the schedule DP all compose the two that way.
     pub fn read_write_cost(&self, from: Option<TierId>, to: TierId, size_gb: f64) -> f64 {
-        match from {
-            Some(f) if f == to => 0.0,
-            Some(f) => self.read_cost(f, size_gb, 1.0) + self.write_cost(to, size_gb),
-            None => self.write_cost(to, size_gb),
-        }
+        let origin = match from {
+            Some(f) if f == to => Origin::Resident,
+            Some(f) => Origin::Tier(self.tier_spec(f)),
+            None => Origin::New,
+        };
+        self.tier_spec(to).read_write_cost(origin, size_gb)
     }
 
     /// Decompression compute cost (cents) for `accesses` accesses each

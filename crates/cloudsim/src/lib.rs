@@ -82,7 +82,7 @@ pub mod timeline;
 pub use billing::{
     AccessEvent, AccessKind, BillingReport, BillingSimulator, MonthlyCost, PerObject, Placement,
 };
-pub use cost::{CostBreakdown, CostModel, CostWeights, ObjectSpec};
+pub use cost::{CostBreakdown, CostModel, CostWeights, ObjectSpec, Origin};
 pub use error::CloudSimError;
 pub use parallel::{parallel_map, parallel_map_mut_with_threads, parallel_map_with_threads};
 pub use providers::{Provider, ProviderCatalog, ProviderId, ProviderTopology};

@@ -13,7 +13,7 @@
 //! little-endian match offset. The final block carries only literals.
 //!
 //! Compression streams blocks straight out of the word-level
-//! [`Tokenizer`] — no intermediate `Vec<Token>`;
+//! `Tokenizer` — no intermediate `Vec<Token>`;
 //! literals are copied from the input slice in one `extend_from_slice` per
 //! block. Decompression resolves back-references eight bytes per step into
 //! a pre-grown output buffer (see [`crate::reference`] for the preserved

@@ -8,7 +8,7 @@
 //! byte-at-a-time oracle in [`crate::reference`]:
 //!
 //! * the head/prev hash-chain table is a flattened pair of `u32` vectors
-//!   owned by a reusable [`Tokenizer`], allocated once per compress call and
+//!   owned by a reusable `Tokenizer`, allocated once per compress call and
 //!   reused across every block the serialiser emits;
 //! * match extension compares eight bytes per step — a `u64` load from each
 //!   side, XOR, and `trailing_zeros() / 8` to locate the first mismatching
@@ -134,7 +134,7 @@ const NIL: u32 = u32::MAX;
 /// Receiver of the tokenizer's streaming output: one literal run (possibly
 /// empty) followed by an optional match per callback — exactly the block
 /// shape the byte-oriented codecs serialise.
-pub trait TokenSink {
+pub(crate) trait TokenSink {
     /// One block: the literals `data[lit_start..lit_end]` followed by
     /// `m = Some((offset, len))`, or the trailing literal-only block
     /// (`m = None`, emitted exactly once at end of stream).
@@ -144,7 +144,7 @@ pub trait TokenSink {
 /// Streaming LZ77 tokenizer owning the flattened head/prev hash-chain
 /// table, so one allocation serves every block of a compress call.
 #[derive(Debug, Default)]
-pub struct Tokenizer {
+pub(crate) struct Tokenizer {
     /// head[h] = most recent position with hash h (NIL = empty).
     head: Vec<u32>,
     /// prev[i] = previous position with the same hash as position i. Only

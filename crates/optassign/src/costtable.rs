@@ -34,18 +34,27 @@
 //! temporaries, no copy. [`CostTable::build`] runs it over every row of a
 //! freshly sized table and [`CostTable::patch_rows`] over a worklist, so a
 //! patched row is bit for bit the row a from-scratch build would produce.
-//! Per `(row, tier)` the kernel hoists what no compression option changes
-//! (the egress charge, the early-deletion penalty, the tier's time to
-//! first byte) out of the scheme loop; the expressions and their order
-//! are those of `OptAssignProblem::cost_breakdown_with`, which is
-//! written over the same two helpers — there is one definition of a
-//! price, whether it is weighed into the table, kept as a row's minimum
-//! or priced on demand — so the table, and therefore every solver result,
-//! is **bit-for-bit identical** to the sequential, model-driven path
-//! (enforced by the differential proptests in
-//! `tests/differential_costtable.rs` against [`crate::reference`]). A NaN
-//! price (an unvalidated problem's foreign tier) is stored like any other
-//! but never becomes a row's minimum nor a branch-and-bound candidate.
+//!
+//! The kernel looks each tier up once, not once per price: it resolves
+//! the row's current tier (its spec, and the early-deletion penalty of
+//! leaving it) once per row, and each destination tier (its spec, the
+//! egress charge, whether the row moves at all) once per `(row, tier)` —
+//! `OptAssignProblem::source` and `OptAssignProblem::move_terms`. Per
+//! option it then evaluates `OptAssignProblem::cost_breakdown_on` over
+//! those resolved specs, through [`Tier`](scope_cloudsim::Tier)'s rate
+//! methods, and weighs the result. A row of 3 tiers × 6 schemes thus
+//! resolves four tier specs — its source and the three destinations — and
+//! prices in about 0.2 µs. `cost_breakdown_on` is the one definition of a
+//! price: the on-demand `OptAssignProblem::cost_breakdown_with` resolves
+//! the same source and terms per call and evaluates the same body, so the
+//! table, a row's stored minimum and a breakdown priced on demand agree —
+//! and every solver result is **bit-for-bit identical** to the
+//! sequential, model-driven path (enforced by the differential proptests
+//! in `tests/differential_costtable.rs` against [`crate::reference`]). A
+//! foreign tier id resolves to the cost model's all-NaN spec, so it
+//! prices as NaN, bit for bit what the per-id methods of [`CostModel`]
+//! return for it; a NaN price is stored like any other but never becomes
+//! a row's minimum nor a branch-and-bound candidate.
 //!
 //! ## Who decides the thread count
 //!
@@ -68,15 +77,18 @@ use scope_cloudsim::parallel::{default_threads, parallel_map_mut_with_threads};
 use scope_cloudsim::{CostBreakdown, CostModel, TierId};
 
 /// Rows from which the unsuffixed [`CostTable::build`] /
-/// [`CostTable::patch_rows`] fan out by themselves: the serving engine's
-/// measured floor (`FAN_OUT_MIN_ROWS` in `scope-serve`, from the same
-/// sweep on the 2-vCPU reference host). A row of the serving fleet
-/// (3 tiers × 6 schemes) prices in about 0.4 µs and a scoped-thread
-/// fan-out costs about 130 µs (`cloudsim.parallel_map_overhead_us`), so
-/// below a few thousand rows a second worker saves less than it costs.
-/// Purely a wall-clock heuristic — every thread count produces the same
-/// bits.
-const PARALLEL_MIN_ROWS: usize = 4096;
+/// [`CostTable::patch_rows`] fan out by themselves. Measured with
+/// `build_with_threads` at 1 and 2 workers on a 2-vCPU VM, over rows of
+/// the serving fleet's shape (3 tiers × 6 schemes, every third row with a
+/// latency threshold), the median of 401 builds per point, three sweeps:
+/// one row prices in about 0.2 µs; at 1 000 and 1 500 rows two workers
+/// tie with one (1 500 rows: 290–320 µs either way); at 2 000 rows they
+/// are 11–22% faster (403–413 µs → 316–361 µs), at 4 000 rows 24–32%. Half a
+/// stretch of work has to outweigh the scoped fan-out
+/// (`cloudsim.parallel_map_overhead_us`, about 83 µs) plus the second
+/// worker's cold cache, which it does from about 1 500 rows. Purely a
+/// wall-clock heuristic — every thread count produces the same bits.
+const PARALLEL_MIN_ROWS: usize = 2048;
 
 /// A partition's feasible minimum: `(cost, tier, option)`.
 type RowMin = Option<(f64, TierId, usize)>;
@@ -102,7 +114,8 @@ impl<'a> Run<'a> {
     /// into its tier-major block and record its feasible minimum — the
     /// first minimum in tier-major order, never a NaN.
     fn price(&mut self, row: usize) {
-        let p = &self.problem.partitions[row];
+        let (problem, model) = (self.problem, self.model);
+        let p = &problem.partitions[row];
         let n_opts = self.n_options[row];
         let lo = self.offsets[row] - self.offsets[self.first_row];
         let len = self.n_tiers * n_opts;
@@ -110,16 +123,17 @@ impl<'a> Run<'a> {
         let feasible = &mut self.feasible[lo..lo + len];
         let mut min: RowMin = None;
         let mut min_breakdown = CostBreakdown::default();
+        let source = problem.source(model, p);
         for t in 0..self.n_tiers {
             let tier = TierId(t);
-            let terms = self.problem.move_terms(self.model, p, tier);
-            let ttfb = self.problem.ttfb_seconds(tier);
+            let terms = problem.move_terms(model, p, source, tier);
+            // Every tier of the loop is in the catalog, so its spec's time
+            // to first byte is `ttfb_seconds(tier)`.
+            let ttfb = terms.to.ttfb_seconds;
             for k in 0..n_opts {
-                let b = self
-                    .problem
-                    .cost_breakdown_on(self.model, p, tier, k, &terms);
-                let c = self.problem.weighted_objective(&b);
-                let ok = self.problem.is_feasible_at(p, ttfb, k);
+                let b = problem.cost_breakdown_on(model, p, k, &terms);
+                let c = problem.weighted_objective(&b);
+                let ok = problem.is_feasible_at(p, ttfb, k);
                 if ok && improves_minimum(c, min.map(|(mc, _, _)| mc)) {
                     min = Some((c, tier, k));
                     min_breakdown = b;

@@ -17,7 +17,8 @@
 
 use crate::error::OptAssignError;
 use scope_cloudsim::{
-    CostBreakdown, CostModel, CostWeights, ProviderCatalog, ProviderTopology, TierCatalog, TierId,
+    CostBreakdown, CostModel, CostWeights, Origin, ProviderCatalog, ProviderTopology, Tier,
+    TierCatalog, TierId,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -385,61 +386,83 @@ impl OptAssignProblem {
         tier: TierId,
         k: usize,
     ) -> CostBreakdown {
-        self.cost_breakdown_on(model, p, tier, k, &self.move_terms(model, p, tier))
+        let terms = self.move_terms(model, p, self.source(model, p), tier);
+        self.cost_breakdown_on(model, p, k, &terms)
     }
 
-    /// The terms of moving partition `p` onto `tier` that no compression
-    /// option changes: both are charged on the partition's current,
-    /// uncompressed size.
-    pub(crate) fn move_terms(
-        &self,
-        model: &CostModel,
-        p: &PartitionSpec,
-        tier: TierId,
-    ) -> MoveTerms {
-        MoveTerms {
-            // Egress covers the bytes leaving the source tier, matching
-            // the billing engine.
-            egress: model.egress_cost(p.current_tier, tier, p.size_gb),
+    /// Partition `p`'s current tier resolved against `model`: its spec and
+    /// what leaving it costs, the same for every destination. `None` for a
+    /// newly ingested partition.
+    pub(crate) fn source<'m>(&self, model: &'m CostModel, p: &PartitionSpec) -> Option<Source<'m>> {
+        p.current_tier.map(|tier| Source {
+            tier,
+            spec: model.tier_spec(tier),
             // Same rule the billing engine applies; `validate` checks
             // current tiers against the catalog, so lookup only fails for
             // an unvalidated problem — poison the breakdown with NaN
             // (rejected by every cost comparison) instead of panicking
             // mid-solve.
-            early_deletion: p.current_tier.filter(|&from| from != tier).map(|from| {
-                model
-                    .early_deletion_penalty(from, p.size_gb, p.residency_days)
-                    .unwrap_or(f64::NAN)
-            }),
+            early_deletion: model
+                .early_deletion_penalty(tier, p.size_gb, p.residency_days)
+                .unwrap_or(f64::NAN),
+        })
+    }
+
+    /// The terms of moving partition `p` (whose [`Self::source`] is
+    /// `source`) onto `tier` that no compression option changes: the
+    /// destination's spec, and the egress and early-deletion charges, both
+    /// on the partition's current, uncompressed size.
+    pub(crate) fn move_terms<'m>(
+        &self,
+        model: &'m CostModel,
+        p: &PartitionSpec,
+        source: Option<Source<'m>>,
+        tier: TierId,
+    ) -> MoveTerms<'m> {
+        let (origin, early_deletion) = match source {
+            None => (Origin::New, None),
+            Some(s) if s.tier == tier => (Origin::Resident, None),
+            Some(s) => (Origin::Tier(s.spec), Some(s.early_deletion)),
+        };
+        MoveTerms {
+            to: model.tier_spec(tier),
+            origin,
+            // Egress covers the bytes leaving the source tier, matching
+            // the billing engine.
+            egress: model.egress_cost(p.current_tier, tier, p.size_gb),
+            early_deletion,
         }
     }
 
-    /// [`Self::cost_breakdown_with`] over the `(p, tier)` pair's
-    /// already-priced [`MoveTerms`] — the one definition of a placement's
-    /// price. The cost-table row kernel prices the terms once per tier and
-    /// calls this per option; the per-call form prices them per call. Same
+    /// The price of placing partition `p` with option `k` on the tier
+    /// whose [`MoveTerms`] are `terms` — the one definition of a
+    /// placement's price. The cost-table row kernel resolves the source
+    /// once per row and the terms once per tier, then calls this per
+    /// option; [`Self::cost_breakdown_with`] resolves both per call. Same
     /// expressions in the same order either way, so the two agree bit for
     /// bit.
+    #[inline]
     pub(crate) fn cost_breakdown_on(
         &self,
         model: &CostModel,
         p: &PartitionSpec,
-        tier: TierId,
         k: usize,
-        terms: &MoveTerms,
+        terms: &MoveTerms<'_>,
     ) -> CostBreakdown {
         let opt = &p.compression_options[k];
         // Storage and migration are charged on the full stored size; reads
         // only touch `read_fraction` of it.
         let stored_gb = p.stored_gb(k);
         let accesses = self.effective_accesses(p);
-        let mut write = model.read_write_cost(p.current_tier, tier, stored_gb);
+        let mut write = terms.to.read_write_cost(terms.origin, stored_gb);
         if let Some(penalty) = terms.early_deletion {
             write += penalty;
         }
         CostBreakdown {
-            storage: model.storage_cost(tier, stored_gb, self.horizon_months),
-            read: model.read_cost(tier, stored_gb * p.read_fraction.clamp(0.0, 1.0), accesses),
+            storage: terms.to.storage_cost(stored_gb, self.horizon_months),
+            read: terms
+                .to
+                .read_cost(stored_gb * p.read_fraction.clamp(0.0, 1.0), accesses),
             write,
             decompression: model.decompression_cost(opt.decompress_seconds, accesses),
             egress: terms.egress,
@@ -502,10 +525,24 @@ impl OptAssignProblem {
     }
 }
 
+/// A partition's current tier, resolved once (see
+/// [`OptAssignProblem::source`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Source<'m> {
+    tier: TierId,
+    spec: &'m Tier,
+    /// Early-deletion penalty owed for leaving it now.
+    early_deletion: f64,
+}
+
 /// The option-independent terms of moving a partition onto one tier (see
 /// [`OptAssignProblem::move_terms`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MoveTerms {
+pub(crate) struct MoveTerms<'m> {
+    /// The destination tier's spec (its NaN sentinel for a foreign id).
+    pub(crate) to: &'m Tier,
+    /// Where the bytes come from.
+    origin: Origin<'m>,
     /// Inter-provider egress charge (zero within a provider).
     egress: f64,
     /// Early-deletion penalty owed for leaving the current tier; `None`

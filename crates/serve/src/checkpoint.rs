@@ -140,11 +140,11 @@ use crate::error::ServeError;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SCPK";
 
 /// Magic bytes every dynamic snapshot leads with.
-pub const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
+pub(crate) const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
 
 /// Current checkpoint format version, of both layouts: the dynamic one is
 /// the full one less a section, so they change together.
-pub const CHECKPOINT_VERSION: u32 = 5;
+pub(crate) const CHECKPOINT_VERSION: u32 = 5;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {

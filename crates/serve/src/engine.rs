@@ -482,16 +482,27 @@ pub struct ServeEngine {
 }
 
 /// Re-solve work, in cost-table rows to build or patch summed over the
-/// shards, from which a `threads: 0` engine fans the shards out. Read off
-/// `benchmark/run.sh --sweep` and per-epoch timings on the 2-vCPU
-/// reference host (the curve is in CHANGES.md, PR 18): a re-solve of
-/// about 3 900 rows was the smallest that two workers finished sooner
-/// than one, at 2 000 rows and below the scoped-thread fan-out (then
-/// about 130 µs of `cloudsim.parallel_map_overhead_us`) and the shared
-/// memory bus cost more than the second worker saved, and a cold start
-/// or the epoch after one (every row) gained the most. The fan-out has
-/// cost about 23 µs since it became one spawn; the crossover predates
-/// that and has not been re-measured, so it may now sit lower.
+/// shards, from which a `threads: 0` engine fans the shards out. First
+/// read off `benchmark/run.sh --sweep` and per-epoch timings (the curve
+/// is in CHANGES.md, PR 18). Re-measured on a 2-vCPU VM once a row priced
+/// in about 0.2 µs, with explicit `threads: 1` and `threads: 2` engines
+/// of 16 accounts (the median of 15–61 re-solves per point):
+///
+/// | re-solve | 1 worker | 2 workers |
+/// |---|---|---|
+/// | cold, 2 000 objects | 578–676 µs | 700–757 µs |
+/// | cold, 8 000 objects | 3 266–3 521 µs | 3 359–3 596 µs |
+/// | 2 000 dirty rows of 8 000 objects | 500 µs | 486 µs |
+/// | 4 000 dirty rows of 8 000 objects | 1 074 µs | 815 µs |
+/// | 500 dirty rows of 40 000 objects | 610–665 µs | 471–542 µs |
+/// | 2 000 dirty rows of 40 000 objects | 1 288–1 334 µs | 918–1 102 µs |
+///
+/// So no single row count is the break-even: a cold start gains nothing
+/// from a second worker up to 8 000 rows, while a steady re-solve also
+/// does work in proportion to the whole shard (the incumbent's choice
+/// list, the objective sum), which fans out too, and on a 40 000-object
+/// fleet two workers win from 500 dirty rows. 4 096 stays: it is where
+/// both small-fleet cases break even or better.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
 impl ServeEngine {
@@ -767,6 +778,18 @@ impl ServeEngine {
     /// [`crate::reference::ingest_reference`], which differ only in
     /// `factor`: the decay of a day gap, given the engine's table (which
     /// the oracle ignores, computing `powi` instead).
+    ///
+    /// One pass over the four columns of the usable prefix, zipped, with
+    /// the horizon, the heat slice, the decay table and the ledger held in
+    /// locals. The lifetime event count advances once per batch, so the
+    /// `i`-th event's ordinal is the count before it plus `i`. A valid
+    /// event folds without a branch: `value * factor(gap) + read` with
+    /// the gap saturating at 0 for an event no later than the counter's
+    /// day, and `last_day` the later of the two days. That is the
+    /// branching fold's arithmetic bit for bit, because `factor(0)` is
+    /// exactly 1.0 (`powi(0)`) and a counter is never NaN, infinite,
+    /// negative or −0.0 — none of which an engine writes or a restore
+    /// accepts — so adding the 0.0 of a write changes no bit.
     #[inline]
     pub(crate) fn fold(
         &mut self,
@@ -779,15 +802,21 @@ impl ServeEngine {
             report.truncated = torn as u64;
             self.quarantine.record_truncated(torn as u64);
         }
-        for i in 0..usable {
-            let ordinal = self.events_seen;
-            self.events_seen += 1;
-            let (day, id, volume) = (columns.days[i], columns.object_ids[i], columns.volumes[i]);
-            match classify(day, id, volume, self.config.horizon_days, self.heat.len()) {
+        let first = self.events_seen;
+        self.events_seen += usable as u64;
+        let horizon = self.config.horizon_days;
+        let (decay, heat, quarantine) = (&self.decay, &mut self.heat[..], &mut self.quarantine);
+        let events = columns.days[..usable]
+            .iter()
+            .zip(&columns.object_ids[..usable])
+            .zip(&columns.kinds[..usable])
+            .zip(&columns.volumes[..usable]);
+        for (i, (((&day, &id), &kind), &volume)) in events.enumerate() {
+            match classify(day, id, volume, horizon, heat.len()) {
                 EventClass::Dropped => report.dropped += 1,
                 EventClass::BadVolume(reason) => {
-                    self.quarantine.record(QuarantinedEvent {
-                        ordinal,
+                    quarantine.record(QuarantinedEvent {
+                        ordinal: first + i as u64,
                         day,
                         object_id: id,
                         volume_bits: volume.to_bits(),
@@ -797,14 +826,10 @@ impl ServeEngine {
                 }
                 EventClass::Unresolved | EventClass::OutOfRange => report.unknown += 1,
                 EventClass::Valid => {
-                    let h = &mut self.heat[id as usize];
-                    if day > h.last_day {
-                        h.value *= factor(&self.decay, day - h.last_day);
-                        h.last_day = day;
-                    }
-                    if columns.kinds[i] == AccessKind::Read {
-                        h.value += 1.0;
-                    }
+                    let h = &mut heat[id as usize];
+                    let read = if kind == AccessKind::Read { 1.0 } else { 0.0 };
+                    h.value = h.value * factor(decay, day.saturating_sub(h.last_day)) + read;
+                    h.last_day = h.last_day.max(day);
                     report.folded += 1;
                 }
             }
@@ -1310,12 +1335,12 @@ impl ServeEngine {
                 )));
             }
             let (s, row) = engine.locs[gid];
-            let bucket_rep = reps.f64_bits()?;
+            let bucket_rep = written_heat(gid, "bucket representative", reps.f64_bits()?)?;
             engine.bucket_reps[gid] = bucket_rep;
             engine.shards[s as usize].problem.partitions[row as usize].predicted_accesses =
                 bucket_rep;
             engine.heat[gid] = HeatState {
-                value: heats.f64_bits()?,
+                value: written_heat(gid, "heat", heats.f64_bits()?)?,
                 last_day: last_days.u32()?,
             };
         }
@@ -1418,6 +1443,24 @@ impl ServeEngine {
         engine.next_seq = head.next_seq;
         engine.duplicate_batches = head.duplicate_batches;
         Ok(engine)
+    }
+}
+
+/// `value`, object `gid`'s decoded `what`, if an engine could have written
+/// it: a finite number no smaller than +0.0. Heat starts at +0.0 and only
+/// decays by factors in (0, 1] and grows by whole reads, and a bucket
+/// representative is 0.0 or a power of the bucket base; anything else
+/// (NaN, an infinity, a negative number, −0.0) is not a snapshot this
+/// engine took, and −0.0 would even change under the intake's
+/// branch-free fold.
+fn written_heat(gid: usize, what: &str, value: f64) -> Result<f64, ServeError> {
+    if value.is_finite() && value.is_sign_positive() {
+        Ok(value)
+    } else {
+        Err(ServeError::Checkpoint(format!(
+            "object {gid} has {what} {value:?} (bits {:#018x}), which no engine writes",
+            value.to_bits()
+        )))
     }
 }
 
@@ -2842,6 +2885,46 @@ mod tests {
                 reason.contains("quarantine"),
                 "field {field} = {value}: {reason}"
             );
+        }
+    }
+
+    #[test]
+    fn restore_refuses_heat_no_engine_could_have_written() {
+        let engine = golden_engine();
+        let snapshot = engine.checkpoint();
+        // The heat column, then the bucket representatives right before
+        // it (see the `checkpoint` module docs).
+        let heats: Vec<u8> = engine
+            .heat
+            .iter()
+            .flat_map(|h| h.value.to_bits().to_le_bytes())
+            .collect();
+        let at = snapshot
+            .windows(heats.len())
+            .position(|w| w == heats)
+            .expect("the heat column is in the snapshot");
+        let reps_at = at - heats.len();
+        let restore_with = |cell: usize, value: f64| {
+            let mut bytes = snapshot.clone();
+            bytes[cell..][..8].copy_from_slice(&value.to_bits().to_le_bytes());
+            let body = bytes.len() - 8;
+            let seal = scope_wal::xxh64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&seal.to_le_bytes());
+            ServeEngine::restore(golden_catalog(), golden_schemes(), &bytes)
+        };
+        // The cells found are the ones a restore reads: a value an engine
+        // could hold (a decayed read, +0.0) round-trips through them.
+        for value in [0.75, 0.0] {
+            let restored = restore_with(at + 8, value).unwrap();
+            assert_eq!(restored.heat(1).map(f64::to_bits), Some(value.to_bits()));
+            let restored = restore_with(reps_at, value).unwrap();
+            assert_eq!(restored.bucket_reps[0].to_bits(), value.to_bits());
+        }
+        for value in [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            for (cell, what) in [(at, "heat"), (at + 8, "heat"), (reps_at + 8, "bucket")] {
+                let reason = checkpoint_error(restore_with(cell, value));
+                assert!(reason.contains(what), "{what} {value:?}: {reason}");
+            }
         }
     }
 

@@ -107,7 +107,7 @@ use crate::xxh64::xxh64;
 use scope_cloudsim::EventColumns;
 
 /// Record kind: one delivered `EventColumns` batch.
-pub const RECORD_BATCH: u8 = 1;
+pub(crate) const RECORD_BATCH: u8 = 1;
 
 /// Record kind: an epoch-boundary marker (see the module docs).
 pub const RECORD_EPOCH: u8 = 2;
@@ -116,13 +116,13 @@ pub const RECORD_EPOCH: u8 = 2;
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Body bytes before the payload: `kind` + `seq`.
-pub const FRAME_BODY_MIN: usize = 9;
+pub(crate) const FRAME_BODY_MIN: usize = 9;
 
 /// Sanity cap on a single frame's body, far above any real batch — a
 /// corrupted length field almost always lands outside `[FRAME_BODY_MIN,
 /// MAX_FRAME_BODY]` or past the segment end, so garbage lengths are
 /// caught before the checksum is even consulted.
-pub const MAX_FRAME_BODY: u32 = 64 << 20;
+pub(crate) const MAX_FRAME_BODY: u32 = 64 << 20;
 
 /// One decoded journal record.
 #[derive(Debug, Clone, PartialEq)]

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use scope_cloudsim::parallel::{parallel_map_mut_with_threads, parallel_map_with_threads};
 use scope_cloudsim::{
-    CostBreakdown, CostModel, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH,
+    CostBreakdown, CostModel, CostWeights, ProviderCatalog, TierCatalog, TierId, DAYS_PER_MONTH,
 };
 use scope_optassign::reference::{solve_branch_and_bound_reference, solve_greedy_reference};
 use scope_optassign::{
@@ -38,9 +38,33 @@ fn busy(i: usize, weight: u64, seed: f64) -> f64 {
     x
 }
 
+/// What the row kernel reads beyond a row's size, heat, tier, residency
+/// and first scheme, drawn per case: extra schemes (so rows differ in
+/// option count), a fixed scheme `K(P_n)` (a pick below the row's option
+/// count fixes that option), a read fraction (drawn past both ends of
+/// [0, 1], which the kernel clamps), and the problem's pushdown fraction
+/// and α/β/γ weights. Each per-row list is read cyclically.
+struct Knobs<'a> {
+    extra_options: &'a [usize],
+    fixed_picks: &'a [usize],
+    read_fractions: &'a [f64],
+    pushdown_fraction: f64,
+    weights: &'a [f64],
+}
+
+/// None of them: two options per row, none fixed, whole reads, no
+/// pushdown, equal weights.
+const PLAIN: Knobs<'static> = Knobs {
+    extra_options: &[0],
+    fixed_picks: &[usize::MAX],
+    read_fractions: &[1.0],
+    pushdown_fraction: 0.0,
+    weights: &[1.0, 1.0, 1.0],
+};
+
 /// Random OPTASSIGN instance over either the Azure ladder or the merged
 /// 3-provider catalog, with mixed current tiers, residencies, latency
-/// thresholds and compression options.
+/// thresholds and compression options, and `knobs` applied.
 #[allow(clippy::too_many_arguments)]
 fn build_problem(
     multi: bool,
@@ -51,6 +75,7 @@ fn build_problem(
     thresholds: &[f64],
     current_picks: &[usize],
     residencies: &[u32],
+    knobs: &Knobs<'_>,
 ) -> OptAssignProblem {
     let providers = ProviderCatalog::azure_s3_gcs();
     let n_tiers = if multi { 12 } else { 4 };
@@ -77,14 +102,29 @@ fn build_problem(
             if pick % (n_tiers + 1) < n_tiers {
                 p = p.with_current_tier(TierId(pick % (n_tiers + 1)));
             }
-            p
+            // Variable row width: 2 to 5 options, partition by partition.
+            for extra in 0..knobs.extra_options[i % knobs.extra_options.len()] {
+                p.compression_options.push(CompressionOption::new(
+                    format!("x{extra}"),
+                    1.2 + extra as f64 + ratios[i % ratios.len()] / 8.0,
+                    0.05 * (extra + 1) as f64,
+                ));
+            }
+            let fixed = knobs.fixed_picks[i % knobs.fixed_picks.len()];
+            p.fixed_compression = (fixed < p.compression_options.len()).then_some(fixed);
+            p.with_read_fraction(knobs.read_fractions[i % knobs.read_fractions.len()])
         })
         .collect();
-    if multi {
+    let mut problem = if multi {
         OptAssignProblem::multi_provider(&providers, parts, 6.0)
     } else {
         OptAssignProblem::new(TierCatalog::azure_adls_gen2(), parts, 6.0)
-    }
+    };
+    problem.pushdown_fraction = knobs.pushdown_fraction;
+    let &[alpha, beta, gamma] = knobs.weights else {
+        panic!("three weights, got {:?}", knobs.weights);
+    };
+    problem.with_weights(CostWeights::new(alpha, beta, gamma))
 }
 
 /// A breakdown's five terms as bit patterns, so that NaN-priced entries
@@ -258,9 +298,22 @@ proptest! {
         current_picks in proptest::collection::vec(0usize..16, 4),
         residencies in proptest::collection::vec(0u32..200, 4),
         multi in proptest::arbitrary::any::<bool>(),
+        extra_options in proptest::collection::vec(0usize..4, 3),
+        fixed_picks in proptest::collection::vec(0usize..12, 3),
+        read_fractions in proptest::collection::vec(-0.5f64..1.5, 3),
+        pushdown_fraction in 0.0f64..1.0,
+        weights in proptest::collection::vec(0.0f64..2.0, 3),
     ) {
+        let knobs = Knobs {
+            extra_options: &extra_options,
+            fixed_picks: &fixed_picks,
+            read_fractions: &read_fractions,
+            pushdown_fraction,
+            weights: &weights,
+        };
         let problem = build_problem(
             multi, n_parts, &sizes, &accesses, &ratios, &thresholds, &current_picks, &residencies,
+            &knobs,
         );
         match (solve_greedy(&problem), solve_greedy_reference(&problem)) {
             (Ok(table), Ok(reference)) => prop_assert_eq!(table, reference),
@@ -282,9 +335,22 @@ proptest! {
         residencies in proptest::collection::vec(0u32..200, 4),
         cap_units in proptest::collection::vec(0usize..5, 2),
         multi in proptest::arbitrary::any::<bool>(),
+        extra_options in proptest::collection::vec(0usize..4, 3),
+        fixed_picks in proptest::collection::vec(0usize..12, 3),
+        read_fractions in proptest::collection::vec(-0.5f64..1.5, 3),
+        pushdown_fraction in 0.0f64..1.0,
+        weights in proptest::collection::vec(0.0f64..2.0, 3),
     ) {
+        let knobs = Knobs {
+            extra_options: &extra_options,
+            fixed_picks: &fixed_picks,
+            read_fractions: &read_fractions,
+            pushdown_fraction,
+            weights: &weights,
+        };
         let mut problem = build_problem(
             multi, n_parts, &sizes, &accesses, &ratios, &thresholds, &current_picks, &residencies,
+            &knobs,
         );
         // Bound a couple of tiers (by name, ladder-dependent) so the search
         // actually branches; leave the archives unbounded for feasibility.
@@ -447,20 +513,22 @@ proptest! {
         worklist_kind in 0usize..4,
         picks in proptest::collection::vec(0usize..1000, 14),
         multi in proptest::arbitrary::any::<bool>(),
+        fixed_picks in proptest::collection::vec(0usize..12, 3),
+        read_fractions in proptest::collection::vec(-0.5f64..1.5, 3),
+        pushdown_fraction in 0.0f64..1.0,
+        weights in proptest::collection::vec(0.0f64..2.0, 3),
     ) {
+        let knobs = Knobs {
+            extra_options: &extra_options,
+            fixed_picks: &fixed_picks,
+            read_fractions: &read_fractions,
+            pushdown_fraction,
+            weights: &weights,
+        };
         let mut problem = build_problem(
             multi, n_parts, &sizes, &accesses, &ratios, &thresholds, &current_picks, &residencies,
+            &knobs,
         );
-        // Variable row width: 2 to 5 options, partition by partition.
-        for (i, p) in problem.partitions.iter_mut().enumerate() {
-            for extra in 0..extra_options[i % extra_options.len()] {
-                p.compression_options.push(CompressionOption::new(
-                    format!("x{extra}"),
-                    1.2 + extra as f64 + ratios[i % ratios.len()] / 8.0,
-                    0.05 * (extra + 1) as f64,
-                ));
-            }
-        }
         prop_assert!(problem.validate().is_ok());
         let stale = CostTable::build_with_threads(&problem, 1);
         assert_table_matches_model(&stale, &problem, "sequential build");
@@ -566,7 +634,9 @@ fn on_demand_breakdowns_equal_the_model_on_every_entry_of_an_unvalidated_table()
                 .flat_map(move |&t| (0..3).map(move |k| (n, t, k)))
         };
         assert!(entries(0).any(|(n, t, k)| !fresh.is_feasible(n, t, k)));
-        assert!(entries(4).all(|(n, t, k)| fresh.cost(n, t, k).is_nan()));
+        // The foreign tier's NaN rates propagate unchanged: every entry
+        // of its row is that one NaN, sign and payload included.
+        assert!(entries(4).all(|(n, t, k)| fresh.cost(n, t, k).to_bits() == f64::NAN.to_bits()));
         assert_eq!(fresh.min_feasible(4), None);
         assert!(entries(7).all(|(n, t, k)| fresh.is_feasible(n, t, k)));
         assert!(entries(7).all(|(n, t, k)| fresh.cost(n, t, k).is_nan() == (k == 1)));
@@ -616,6 +686,7 @@ fn table_assignment_over_non_minimum_choices_equals_from_choices() {
             &[0.3, 7.0, 2.0, 9.0],
             &[0, 5, 2, 15],
             &[0, 30, 120, 9],
+            &PLAIN,
         );
         problem.validate().unwrap();
         let table = CostTable::build(&problem);
