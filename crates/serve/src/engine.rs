@@ -501,8 +501,9 @@ pub struct ServeEngine {
 /// from a second worker up to 8 000 rows, while a steady re-solve also
 /// does work in proportion to the whole shard (the incumbent's choice
 /// list, the objective sum), which fans out too, and on a 40 000-object
-/// fleet two workers win from 500 dirty rows. 4 096 stays: it is where
-/// both small-fleet cases break even or better.
+/// fleet two workers win from 500 dirty rows. 4 096 stays: a steady
+/// re-solve of that many rows gained on every fleet measured, and a lower
+/// floor would slow the cold start of a small fleet.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
 impl ServeEngine {
