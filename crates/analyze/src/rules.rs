@@ -34,7 +34,7 @@ pub const RULE_NAMES: &[&str] = &[
 pub const MAX_WAIVERS: usize = 10;
 
 /// Repo-relative path of the committed panic-surface ratchet.
-pub const RATCHET_FILE: &str = "panic-ratchet.txt";
+const RATCHET_FILE: &str = "panic-ratchet.txt";
 
 /// One diagnostic.
 #[derive(Debug, Clone)]
@@ -916,12 +916,23 @@ fn is_member_library(file: &SourceFile) -> bool {
         && !file.path.contains("/src/bin/")
 }
 
-/// A non-test `pub fn` of a member crate's library that no code outside
-/// that library names is surface nobody uses: make it `pub(crate)` or
-/// private, or delete it with the tests that pin only it. "Outside" is any
-/// other crate, any `tests/`, the bins, the root package and its examples,
-/// and the read-only [`crate::source::NAME_ROOTS`]. Matching is by
-/// identifier token, so a doc link or a comment is not a caller.
+/// Public surface of a member crate's library that nothing outside that
+/// library uses. "Outside" is any other crate, any `tests/`, the bins, the
+/// root package and its examples, and the read-only
+/// [`crate::source::NAME_ROOTS`]; matching is by identifier token, so a doc
+/// link or a comment is not a caller. Three kinds of finding, all non-test:
+///
+/// - a `pub fn` named nowhere outside: make it `pub(crate)` or private, or
+///   delete it with the tests that pin only it;
+/// - a `pub struct|enum|trait|type|const|static` (associated `pub const`s
+///   too) named nowhere outside that no public signature of its own
+///   library exposes — a `pub fn`'s parameters or return type, a `pub`
+///   field's type, a public enum's variant payload, a `pub type`'s
+///   right-hand side: demote or delete it;
+/// - a knob: a `pub` field of a `pub struct` with a hand-written
+///   `impl Default` that nothing outside names, so every caller takes the
+///   default: make it a private constant equal to that default.
+///
 /// `reference.rs` oracles are `oracle-discipline`'s business.
 fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
     // Per identifier: the member libraries that name it; `None` stands for
@@ -938,49 +949,238 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
         }
     }
+    let named_outside = |name: &str, krate: &str| {
+        ws.read_only_idents.contains(name)
+            || named_in
+                .get(name)
+                .is_some_and(|owners| owners.iter().any(|&owner| owner != Some(krate)))
+    };
+
+    // Per member library: the identifiers its public signatures name, and
+    // the structs it gives a hand-written `impl Default`.
+    let mut exposed: BTreeSet<(&str, &str)> = BTreeSet::new();
+    let mut defaulted: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for file in ws.files.values().filter(|f| is_member_library(f)) {
+        let code = code_view(file);
+        let krate = file.crate_name.as_str();
+        for p in 0..code.len() {
+            let ti = code[p];
+            if file.is_test_code(ti) || file.in_macro_def(ti) {
+                continue;
+            }
+            if let Some(name) = default_impl_target(file, &code, p) {
+                defaulted.insert((krate, name));
+            }
+            if let Some((start, end)) = public_signature(file, &code, p) {
+                for &ti in &code[start..end] {
+                    let t = &file.tokens[ti];
+                    if t.kind == TokenKind::Ident {
+                        exposed.insert((krate, t.text.as_str()));
+                    }
+                }
+            }
+        }
+    }
+
     for file in ws.files.values() {
         if !is_member_library(file) || file.path.ends_with("/reference.rs") {
             continue;
         }
+        let krate = file.crate_name.as_str();
         let code = code_view(file);
         for p in 0..code.len() {
             let ti = code[p];
-            if !file.tokens[ti].is_ident("pub") || file.is_test_code(ti) || file.in_macro_def(ti) {
+            if file.is_test_code(ti) || file.in_macro_def(ti) {
                 continue;
             }
-            // `pub [const] [async] [unsafe] fn <name>`
-            let mut q = p + 1;
-            while tok(file, &code, q)
-                .is_some_and(|t| t.is_ident("const") || t.is_ident("async") || t.is_ident("unsafe"))
-            {
-                q += 1;
-            }
-            if !tok(file, &code, q).is_some_and(|t| t.is_ident("fn")) {
-                continue;
-            }
-            let Some(name) = tok(file, &code, q + 1) else {
+            let Some((kind, n)) = pub_item(file, &code, p) else {
                 continue;
             };
-            let named_outside = ws.read_only_idents.contains(&name.text)
-                || named_in.get(name.text.as_str()).is_some_and(|owners| {
-                    owners
-                        .iter()
-                        .any(|&owner| owner != Some(file.crate_name.as_str()))
-                });
-            if !named_outside {
-                findings.push(Finding {
-                    rule: "dead-pub",
-                    file: file.path.clone(),
-                    line: name.line,
-                    message: format!(
-                        "`pub fn {}` is named nowhere outside {}'s src/ — make it \
-                         pub(crate) or private, or delete it with the tests that pin only it",
-                        name.text, file.crate_name
-                    ),
-                });
+            let name = &file.tokens[code[n]];
+            if kind == "struct" && defaulted.contains(&(krate, name.text.as_str())) {
+                for field in named_fields(file, &code, n) {
+                    let field = &file.tokens[code[field]];
+                    if !named_outside(&field.text, krate) {
+                        findings.push(Finding {
+                            rule: "dead-pub",
+                            file: file.path.clone(),
+                            line: field.line,
+                            message: format!(
+                                "knob `{}::{}` is set nowhere outside {krate}'s src/, so \
+                                 every caller takes its default — make it a private \
+                                 constant equal to that default",
+                                name.text, field.text
+                            ),
+                        });
+                    }
+                }
             }
+            if named_outside(&name.text, krate)
+                || (kind != "fn" && exposed.contains(&(krate, name.text.as_str())))
+            {
+                continue;
+            }
+            let remedy = if kind == "fn" {
+                "make it pub(crate) or private, or delete it with the tests that pin only it"
+            } else {
+                "and no public signature of it exposes it — make it pub(crate) or \
+                 private, or delete it"
+            };
+            findings.push(Finding {
+                rule: "dead-pub",
+                file: file.path.clone(),
+                line: name.line,
+                message: format!(
+                    "`pub {kind} {}` is named nowhere outside {krate}'s src/ {remedy}",
+                    name.text
+                ),
+            });
         }
     }
+}
+
+/// Item keywords the `dead-pub` rule judges.
+const PUB_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// When code position `p` is the `pub` of a [`PUB_ITEMS`] item (not
+/// `pub(…)`), its keyword and the code position of its name.
+fn pub_item(file: &SourceFile, code: &[usize], p: usize) -> Option<(&'static str, usize)> {
+    if !tok(file, code, p)?.is_ident("pub") {
+        return None;
+    }
+    let ident = |q: usize, names: &[&str]| {
+        tok(file, code, q)
+            .is_some_and(|t| t.kind == TokenKind::Ident && names.contains(&t.text.as_str()))
+    };
+    // Qualifiers: `async`, `unsafe`, `extern "abi"`, and `const` before `fn`.
+    let mut q = p + 1;
+    while ident(q, &["async", "unsafe", "extern"])
+        || tok(file, code, q).is_some_and(|t| t.kind == TokenKind::Str)
+        || (ident(q, &["const"]) && ident(q + 1, &["fn", "async", "unsafe", "extern"]))
+    {
+        q += 1;
+    }
+    let keyword = tok(file, code, q)?;
+    let kind = *PUB_ITEMS.iter().find(|&&k| keyword.is_ident(k))?;
+    let mut n = q + 1;
+    if kind == "static" && ident(n, &["mut"]) {
+        n += 1;
+    }
+    (tok(file, code, n)?.kind == TokenKind::Ident).then_some((kind, n))
+}
+
+/// The `Name` of `impl Default for Name` (or `impl path::Default for Name`)
+/// when code position `p` is that `impl`.
+fn default_impl_target<'a>(file: &'a SourceFile, code: &[usize], p: usize) -> Option<&'a str> {
+    if !tok(file, code, p)?.is_ident("impl") {
+        return None;
+    }
+    let mut q = p + 1;
+    while tok(file, code, q)?.is_punct(':') || tok(file, code, q + 1)?.is_punct(':') {
+        q += 1;
+    }
+    let target = tok(file, code, q + 2)?;
+    (tok(file, code, q)?.is_ident("Default")
+        && tok(file, code, q + 1)?.is_ident("for")
+        && target.kind == TokenKind::Ident)
+        .then_some(target.text.as_str())
+}
+
+/// True when code position `q` is a `pub name:` field (a single colon).
+fn is_pub_field(file: &SourceFile, code: &[usize], q: usize) -> bool {
+    tok(file, code, q).is_some_and(|t| t.is_ident("pub"))
+        && tok(file, code, q + 1).is_some_and(|t| t.kind == TokenKind::Ident)
+        && tok(file, code, q + 2).is_some_and(|t| t.is_punct(':'))
+        && !tok(file, code, q + 3).is_some_and(|t| t.is_punct(':'))
+}
+
+/// The code position of the first of `delimiters` at or after `from`.
+fn find_punct(
+    file: &SourceFile,
+    code: &[usize],
+    from: usize,
+    delimiters: &[char],
+) -> Option<usize> {
+    (from..code.len()).find(|&q| delimiters.iter().any(|&c| file.tokens[code[q]].is_punct(c)))
+}
+
+/// Code positions of the names of the `pub` fields of the braced struct
+/// whose name is at code position `n` (none for a tuple or unit struct).
+fn named_fields(file: &SourceFile, code: &[usize], n: usize) -> Vec<usize> {
+    match find_punct(file, code, n, &['{', '(', ';']) {
+        Some(open) if file.tokens[code[open]].is_punct('{') => (open..group_end(file, code, open))
+            .filter(|&q| is_pub_field(file, code, q))
+            .map(|q| q + 1)
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The code range `[start, end)` of the public signature that code
+/// position `p` starts, when it starts one: a `pub fn`'s generics,
+/// parameters, return type and bounds; a `pub` field's type; a `pub enum`'s
+/// variants; a `pub` tuple struct's fields; a `pub type`'s right-hand side.
+fn public_signature(file: &SourceFile, code: &[usize], p: usize) -> Option<(usize, usize)> {
+    let (stops, start): (&[char], usize) = if is_pub_field(file, code, p) {
+        (&[','], p + 3)
+    } else {
+        match pub_item(file, code, p)? {
+            ("fn", n) => (&['{', ';'], n + 1),
+            ("type", n) => (&[';'], n + 1),
+            ("enum", n) => {
+                let open = find_punct(file, code, n, &['{'])?;
+                return Some((open, group_end(file, code, open)));
+            }
+            ("struct", n) => {
+                let open = find_punct(file, code, n, &['{', '(', ';'])?;
+                return file.tokens[code[open]]
+                    .is_punct('(')
+                    .then(|| (open, group_end(file, code, open)));
+            }
+            _ => return None,
+        }
+    };
+    // To the first stop outside any bracket, or to the bracket that closes
+    // the enclosing item.
+    let mut depth = 0;
+    let end = (start..code.len()).find(|&q| {
+        if depth == 0 && stops.iter().any(|&c| file.tokens[code[q]].is_punct(c)) {
+            return true;
+        }
+        depth += nesting(file, code, q, true);
+        depth < 0
+    });
+    Some((start, end.unwrap_or(code.len())))
+}
+
+/// +1 at an opening bracket, −1 at a closing one, 0 elsewhere; with
+/// `angles`, `<` and `>` (but not the `>` of `->`) count too.
+fn nesting(file: &SourceFile, code: &[usize], q: usize, angles: bool) -> i32 {
+    let t = &file.tokens[code[q]];
+    let arrow = q > 0 && file.tokens[code[q - 1]].is_punct('-');
+    if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || (angles && t.is_punct('<')) {
+        1
+    } else if t.is_punct(')')
+        || t.is_punct(']')
+        || t.is_punct('}')
+        || (angles && t.is_punct('>') && !arrow)
+    {
+        -1
+    } else {
+        0
+    }
+}
+
+/// Given code position `open` at an opening bracket, the position just
+/// past its matching close.
+fn group_end(file: &SourceFile, code: &[usize], open: usize) -> usize {
+    let mut depth = 0;
+    (open..code.len())
+        .find(|&q| {
+            depth += nesting(file, code, q, false);
+            depth == 0
+        })
+        .map_or(code.len(), |q| q + 1)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //! member crates, `shims/<name>/src` for the vendored dependency shims.
 //! Only files cargo actually compiles are walked — in particular
 //! subdirectories of `tests/` (fixture corpora) are skipped. The
-//! [`NAME_ROOTS`] are read for identifiers only and never linted.
+//! `NAME_ROOTS` are read for identifiers only and never linted.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 /// Directories read for the identifiers they name, never linted: the
 /// out-of-workspace `benchmark/` package, which builds against the crates'
 /// public API, and the helper module the root integration tests include.
-pub const NAME_ROOTS: &[&str] = &["benchmark/src", "tests/common"];
+pub(crate) const NAME_ROOTS: &[&str] = &["benchmark/src", "tests/common"];
 
 /// The role a file plays in the workspace, which decides which rules and
 /// exemptions apply to it.
@@ -112,7 +112,7 @@ pub struct Workspace {
     pub root: PathBuf,
     /// All lexed files keyed by repo-relative path (sorted).
     pub files: BTreeMap<String, SourceFile>,
-    /// Identifiers named under the [`NAME_ROOTS`].
+    /// Identifiers named under the `NAME_ROOTS`.
     pub read_only_idents: BTreeSet<String>,
 }
 

@@ -178,6 +178,45 @@ fn dead_pub_pos_neg_waived_and_exempt() {
 }
 
 #[test]
+fn dead_pub_types_constants_and_knobs() {
+    let report = run("dead-pub-types", &["dead-pub"]);
+    let msgs = messages(&report);
+    assert_eq!(report.findings.len(), 4, "{msgs:?}");
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/lib/src/lib.rs"));
+    // Named only inside the crate, associated constants included.
+    for dead in [
+        "`pub struct InternalOnly`",
+        "`pub const LIMIT`",
+        "`pub const CAP`",
+        "knob `Options::unit_test_only`",
+    ] {
+        assert!(msgs.iter().any(|m| m.contains(dead)), "{dead}: {msgs:?}");
+    }
+    // Exposed by a public signature (return type, field type, variant
+    // payload, type alias), named by another crate or its tests, a
+    // derived-`Default` field, test code, pub(crate) and a waived item.
+    for quiet in [
+        "ExposedBy",
+        "Alias",
+        "Holder`",
+        "Outcome",
+        "set_by_app_tests",
+        "never_set",
+        "Derived",
+        "TestOnly",
+        "CrateOnly",
+        "Waived",
+        "`pub struct Options`",
+    ] {
+        assert!(!msgs.iter().any(|m| m.contains(quiet)), "{quiet}: {msgs:?}");
+    }
+    assert_eq!(report.waivers_used, 1);
+}
+
+#[test]
 fn shim_surface_pos_neg_waived() {
     let report = run("shim", &["shim-surface"]);
     let msgs = messages(&report);

@@ -72,7 +72,7 @@ impl FeatureSet {
 
 /// Number of row buckets used by [`FeatureSet::BucketedEntropy`] (successive
 /// 20% chunks, as in the paper).
-pub const ENTROPY_BUCKETS: usize = 5;
+pub(crate) const ENTROPY_BUCKETS: usize = 5;
 
 /// Extracts feature vectors from tables / partitions.
 #[derive(Debug, Clone, Copy)]

@@ -26,7 +26,7 @@ pub use features::{FeatureExtractor, FeatureSet};
 pub use predictor::{
     CompressionPredictor, EvaluationReport, ModelKind, PredictionTask, TrainingExample,
 };
-pub use sampling::{query_samples, random_samples, SamplingStrategy};
+pub use sampling::{query_samples, random_samples};
 
 /// Errors produced by the compression predictor.
 #[derive(Debug, Clone, PartialEq)]

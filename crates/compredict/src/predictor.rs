@@ -263,11 +263,7 @@ impl CompressionPredictor {
             }
             ModelKind::NeuralNetwork => {
                 let features: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
-                TrainedModel::Mlp(MlpRegressor::fit(
-                    &features,
-                    &targets,
-                    scope_learn::mlp::MlpParams::default(),
-                )?)
+                TrainedModel::Mlp(MlpRegressor::fit(&features, &targets)?)
             }
             ModelKind::Knn => {
                 let features: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();

@@ -17,25 +17,6 @@ use rand::{Rng, SeedableRng};
 use scope_table::Table;
 use scope_workload::QueryFamily;
 
-/// How training samples are derived from tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplingStrategy {
-    /// Uniformly random row subsets.
-    Random,
-    /// Row sets derived from query footprints.
-    QueryBased,
-}
-
-impl SamplingStrategy {
-    /// Name used in reports ("random" / "queries").
-    pub fn name(&self) -> &'static str {
-        match self {
-            SamplingStrategy::Random => "random",
-            SamplingStrategy::QueryBased => "queries",
-        }
-    }
-}
-
 /// Draw `count` random row-subset samples from `table`, each containing
 /// `rows_per_sample` rows chosen uniformly without ordering constraints.
 pub fn random_samples(
@@ -184,11 +165,5 @@ mod tests {
             Err(CompredictError::NotEnoughSamples(_))
         ));
         assert!(query_samples(&t, &[], &families).is_err());
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(SamplingStrategy::Random.name(), "random");
-        assert_eq!(SamplingStrategy::QueryBased.name(), "queries");
     }
 }

@@ -11,7 +11,7 @@
 //! prefixes. While 8 bytes remain it loads 64 bits at a time and takes up
 //! to five hits from each load. A miss (a code longer than the table, or
 //! bits no code starts with) and the stream's last bytes go one symbol at
-//! a time through [`HuffmanDecoder::decode`], the canonical per-length
+//! a time through `HuffmanDecoder::decode`, the canonical per-length
 //! loop, which reads one bit per step and is the only code that reports
 //! an error. A prefix code has at most one code that prefixes any bit
 //! string, so a hit consumes exactly the bits the loop would have matched,
@@ -261,7 +261,7 @@ fn canonical_codes(lengths: &[u8; 256]) -> [u16; 256] {
 /// ranges (the classic count/first-code/first-index layout) that decode
 /// everything else and report every error (see the module docs).
 #[derive(Debug, Clone)]
-pub struct HuffmanDecoder {
+pub(crate) struct HuffmanDecoder {
     /// Indexed by the next `TABLE_BITS` bits: `symbol << 8 | length` of the
     /// code those bits start with, or 0 when no code of at most
     /// `TABLE_BITS` bits does.
@@ -386,7 +386,7 @@ impl BitWriter {
 
 /// MSB-first bit reader.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     byte_pos: usize,
     bit_pos: u8,

@@ -17,8 +17,9 @@
 //!   skipping. Fastest, lightest compression (an analogue of Snappy).
 //! * [`RleCodec`] — run-length encoding, used as a trivial baseline and for
 //!   the columnar layout's internal encodings.
-//! * [`NoopCodec`] — "no compression", the `R = 1, D = 0` option the
-//!   OPTASSIGN formulation always includes.
+//! * `NoopCodec` — "no compression", the `R = 1, D = 0` option the
+//!   OPTASSIGN formulation always includes (reached through
+//!   [`CompressionScheme::None`]).
 //!
 //! What matters for the reproduction is that ratios and timings are *real
 //! measurements on real bytes* that vary with the data's repetitiveness and
@@ -121,7 +122,7 @@ pub trait Codec: Send + Sync {
 /// The identity codec ("no compression"): ratio exactly 1.0 and zero
 /// decompression cost, always available as an OPTASSIGN option.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopCodec;
+pub(crate) struct NoopCodec;
 
 impl Codec for NoopCodec {
     fn name(&self) -> &'static str {

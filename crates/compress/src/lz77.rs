@@ -39,7 +39,7 @@ pub enum Token {
 }
 
 /// Minimum match length worth emitting.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 
 /// Parameters of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -86,6 +86,15 @@ pub use scenario::{
 };
 pub use tradeoff::{tradeoff_sweep, PredictorVariant, TradeoffPoint};
 
+// Every scenario bills workload months as cloudsim days: the two crates
+// must agree on the month length, and the longest workload must replay.
+const _: () = {
+    use scope_cloudsim::{billing::MAX_HORIZON_DAYS, DAYS_PER_MONTH};
+    use scope_workload::{daylog, enterprise::MAX_TOTAL_MONTHS};
+    assert!(daylog::DAYS_PER_MONTH == DAYS_PER_MONTH);
+    assert!(MAX_TOTAL_MONTHS * DAYS_PER_MONTH <= MAX_HORIZON_DAYS);
+};
+
 /// Errors produced by the pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScopeError {

@@ -50,11 +50,11 @@
 //! * **Durable recovery** (recovery). The journaled engine runs over
 //!   [`FaultyStorage`]: the seeded [`StorageFaultPlan`] fails and tears
 //!   appends, fails syncs and picks crash points, and
-//!   [`StorageFaultPlan::fuzz_points`] forces
-//!   [`RecoveryOptions::fuzz_crashes`] more at fuzzed step positions. At
-//!   a crash the plan may tear the unsynced tail and flip a durable bit;
-//!   the single recovery protocol ([`JournaledEngine::recover`]) then
-//!   rebuilds the engine and the loop resumes from the position the
+//!   [`StorageFaultPlan::fuzz_points`] forces `FUZZ_CRASHES` (3) more at
+//!   fuzzed step positions. At a crash the plan may tear the unsynced
+//!   tail and flip a durable bit; the single recovery protocol
+//!   ([`JournaledEngine::recover`]) then rebuilds the engine and the loop
+//!   resumes from the position the
 //!   [`scope_serve::RecoveryReport`] proves durable — lost deliveries are
 //!   simply re-delivered, and the journal's epoch markers keep the resume
 //!   point from landing past an un-replayed boundary. If corruption
@@ -65,8 +65,8 @@
 //!
 //! Livelock is impossible by construction: [`FaultyStorage`] mixes its
 //! crash generation into every draw, forced crashes fire once, and after
-//! [`RecoveryOptions::crash_cap`] crashes a rates-none plan takes over so
-//! the run drains.
+//! `CRASH_CAP` (48) crashes a rates-none plan takes over so the run
+//! drains.
 
 use crate::lifecycle::billing_events;
 use crate::ScopeError;
@@ -162,13 +162,17 @@ pub struct RecoveryOptions {
     pub rates: StorageFaultRates,
     /// Records per journal segment (small values exercise rolling).
     pub segment_records: usize,
-    /// Crashes forced at fuzzed step positions regardless of the crash
-    /// rate (each fires exactly once). The issue floor is 3.
-    pub fuzz_crashes: usize,
-    /// After this many crashes the plan is swapped for rates-none so the
-    /// run always drains (forced fuzz crashes still fire).
-    pub crash_cap: usize,
 }
+
+/// Crashes forced at fuzzed step positions regardless of the crash rate
+/// (each fires exactly once): at least three crash points per run, whatever
+/// the plan's rates draw.
+const FUZZ_CRASHES: usize = 3;
+
+/// After this many crashes the plan is swapped for rates-none so the run
+/// always drains (forced fuzz crashes still fire): it bounds a run's
+/// recoveries whatever crash rate the plan draws.
+const CRASH_CAP: usize = 48;
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
@@ -177,8 +181,6 @@ impl Default for RecoveryOptions {
             seed: 0xD0_5EED,
             rates: StorageFaultRates::light(),
             segment_records: 8,
-            fuzz_crashes: 3,
-            crash_cap: 48,
         }
     }
 }
@@ -536,10 +538,9 @@ type FaultyMem = FaultyStorage<MemStorage>;
 /// The storage-fault schedule under a journaled engine.
 struct StorageCrashes {
     plan: StorageFaultPlan,
-    /// Takes over once `crash_cap` crashes have happened.
+    /// Takes over once `CRASH_CAP` crashes have happened.
     nofault: StorageFaultPlan,
     journal_cfg: JournalConfig,
-    crash_cap: usize,
     /// Forced crash positions still to fire, ascending.
     pending_fuzz: Vec<u64>,
 }
@@ -625,7 +626,7 @@ impl CrashPolicy for StorageCrashes {
             tally.forced_crashes += 1;
             true
         } else {
-            tally.crashes < self.crash_cap
+            tally.crashes < CRASH_CAP
                 && self
                     .plan
                     .crash_at(journaled.journal().storage().generation(), step_pos)
@@ -656,8 +657,8 @@ impl CrashPolicy for StorageCrashes {
         tally.bit_flip_crashes += usize::from(flipped);
         faulty.bump_generation();
         let generations = faulty.generation();
-        tally.fault_injection_capped |= tally.crashes == self.crash_cap;
-        let capped = tally.crashes >= self.crash_cap;
+        tally.fault_injection_capped |= tally.crashes == CRASH_CAP;
+        let capped = tally.crashes >= CRASH_CAP;
         if capped {
             faulty = FaultyStorage::new(faulty.into_inner(), self.nofault.clone());
         }
@@ -1016,11 +1017,10 @@ pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeE
         journal_cfg.clone(),
     )?;
     let storage = StorageCrashes {
-        pending_fuzz: plan.fuzz_points(steps.len() as u64, options.fuzz_crashes),
+        pending_fuzz: plan.fuzz_points(steps.len() as u64, FUZZ_CRASHES),
         plan,
         nofault,
         journal_cfg,
-        crash_cap: options.crash_cap,
     };
     let run = drive(
         &fleet,

@@ -39,18 +39,22 @@ use scope_optassign::{ideal_tier_schedules_with_model, CompressionOption, Placem
 use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
 use serde::{Deserialize, Serialize};
 
+/// The provider the data currently lives on: the paper's enterprise
+/// account is an Azure storage account.
+const HOME_PROVIDER: &str = "azure";
+
+/// The tier (inside the home provider) the data currently occupies: the
+/// platform default, Azure's Hot tier.
+const HOME_TIER: &str = "Hot";
+
 /// Options for the multi-cloud experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiCloudOptions {
     /// The enterprise account to generate (catalog + day-resolution log).
     pub workload: EnterpriseOptions,
-    /// The providers to place across (tier ladders + egress matrix).
+    /// The providers to place across (tier ladders + egress matrix); it
+    /// must hold the home tier, `HOME_PROVIDER`'s `HOME_TIER`.
     pub providers: ProviderCatalog,
-    /// Name of the provider the data currently lives on.
-    pub home_provider: String,
-    /// Name of the tier (inside the home provider) the data currently
-    /// occupies — the platform default.
-    pub home_tier: String,
     /// Re-tiering granularity in billing periods (1 = every period).
     pub retier_every: u32,
 }
@@ -60,8 +64,6 @@ impl Default for MultiCloudOptions {
         MultiCloudOptions {
             workload: EnterpriseOptions::default(),
             providers: ProviderCatalog::azure_s3_gcs(),
-            home_provider: "azure".to_string(),
-            home_tier: "Hot".to_string(),
             retier_every: 1,
         }
     }
@@ -136,7 +138,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
     let providers = &options.providers;
     let topo = providers.topology();
     let model = CostModel::with_topology(providers.merged_catalog(), topo.clone());
-    let home = providers.merged_tier_id(&options.home_provider, &options.home_tier)?;
+    let home = providers.merged_tier_id(HOME_PROVIDER, HOME_TIER)?;
     let none = [CompressionOption::none()];
 
     let workload = EnterpriseWorkload::generate(options.workload.clone())?;

@@ -74,7 +74,6 @@ impl Policy {
     pub fn merge_config(&self, total_gb: f64) -> MergeConfig {
         MergeConfig {
             span_threshold: (self.span_threshold_fraction * total_gb).max(f64::MIN_POSITIVE),
-            ..Default::default()
         }
     }
 

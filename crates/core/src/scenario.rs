@@ -139,11 +139,6 @@ pub struct ScenarioOptions {
     pub total_files: usize,
     /// Projection horizon in months (the paper uses 5.5).
     pub horizon_months: f64,
-    /// How many times each generated query executes per month of the
-    /// horizon. The generated templates describe the *shape* of the
-    /// workload; production workloads re-run them continuously, which is
-    /// what makes read costs a first-order term in the paper's tables.
-    pub query_repeats_per_month: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -157,11 +152,16 @@ impl Default for ScenarioOptions {
             queries_per_template: 20,
             total_files: 80,
             horizon_months: 5.5,
-            query_repeats_per_month: 8.0,
             seed: 7,
         }
     }
 }
+
+/// How many times each generated query executes per month of the horizon.
+/// The generated templates describe the *shape* of the workload;
+/// production workloads re-run them continuously, which is what makes read
+/// costs a first-order term in the paper's tables.
+const QUERY_REPEATS_PER_MONTH: f64 = 8.0;
 
 /// Minimum byte volume used when measuring a compression profile. Tiny
 /// generated tables (nation, region, supplier at small scale factors) are
@@ -242,7 +242,7 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
 
     // Query workload over the physical layout. The generated queries
     // describe one "round" of the workload; production re-runs it
-    // `query_repeats_per_month` times per month over the horizon.
+    // `QUERY_REPEATS_PER_MONTH` times per month over the horizon.
     let layout: Vec<(String, usize)> = profiles
         .iter()
         .map(|p| (p.name.clone(), p.n_files))
@@ -255,7 +255,7 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
             seed: options.seed,
         },
     )?;
-    let repeat = options.query_repeats_per_month.max(0.0) * options.horizon_months;
+    let repeat = QUERY_REPEATS_PER_MONTH * options.horizon_months;
     let mut families = workload.families;
     for f in &mut families {
         f.frequency *= repeat.max(1.0);

@@ -14,28 +14,32 @@ use crate::partition::{FileCatalog, Partition};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Maximum frequency ratio `ρ_c` between two partitions G-PART merges: a
+/// merged pair reads within a factor of 3 of each other, so one tier
+/// choice suits both.
+const FREQUENCY_RATIO: f64 = 3.0;
+
+/// Maximum absolute frequency difference `ρ'_c`; a pair is feasible if it
+/// satisfies *either* this or the ratio bound, so rarely read partitions
+/// (where a ratio of tiny counts means nothing) still merge.
+const FREQUENCY_ABS_DIFF: f64 = 5.0;
+
+/// Fractional overlap an edge needs to exist at all: anything above float
+/// noise, so only partitions that share data are ever merged.
+const MIN_OVERLAP: f64 = 1e-9;
+
 /// Configuration of the G-PART merging constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeConfig {
-    /// Maximum allowed frequency ratio between merged partitions (`ρ_c`).
-    pub frequency_ratio: f64,
-    /// Maximum allowed absolute frequency difference (`ρ'_c`); a pair is
-    /// feasible if it satisfies *either* the ratio or the difference bound.
-    pub frequency_abs_diff: f64,
     /// Soft span threshold `S_thresh`: once a merged partition reaches this
     /// span it is not merged further (prevents unbounded read-cost growth).
     pub span_threshold: f64,
-    /// Minimum fractional overlap for an edge to exist at all.
-    pub min_overlap: f64,
 }
 
 impl Default for MergeConfig {
     fn default() -> Self {
         MergeConfig {
-            frequency_ratio: 3.0,
-            frequency_abs_diff: 5.0,
             span_threshold: f64::INFINITY,
-            min_overlap: 1e-9,
         }
     }
 }
@@ -43,18 +47,6 @@ impl Default for MergeConfig {
 impl MergeConfig {
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), DataPartError> {
-        if !(self.frequency_ratio >= 1.0) {
-            return Err(DataPartError::InvalidOption(format!(
-                "frequency_ratio must be >= 1, got {}",
-                self.frequency_ratio
-            )));
-        }
-        if !(self.frequency_abs_diff >= 0.0) {
-            return Err(DataPartError::InvalidOption(format!(
-                "frequency_abs_diff must be >= 0, got {}",
-                self.frequency_abs_diff
-            )));
-        }
         if !(self.span_threshold > 0.0) {
             return Err(DataPartError::InvalidOption(format!(
                 "span_threshold must be positive, got {}",
@@ -63,18 +55,18 @@ impl MergeConfig {
         }
         Ok(())
     }
+}
 
-    /// Are two partitions' frequencies compatible for merging?
-    pub(crate) fn frequencies_compatible(&self, a: f64, b: f64) -> bool {
-        let abs_ok = (a - b).abs() <= self.frequency_abs_diff;
-        let ratio_ok = if a <= 0.0 || b <= 0.0 {
-            false
-        } else {
-            let r = a / b;
-            r >= 1.0 / self.frequency_ratio && r <= self.frequency_ratio
-        };
-        abs_ok || ratio_ok
-    }
+/// Are two partitions' frequencies compatible for merging?
+fn frequencies_compatible(a: f64, b: f64) -> bool {
+    let abs_ok = (a - b).abs() <= FREQUENCY_ABS_DIFF;
+    let ratio_ok = if a <= 0.0 || b <= 0.0 {
+        false
+    } else {
+        let r = a / b;
+        (1.0 / FREQUENCY_RATIO..=FREQUENCY_RATIO).contains(&r)
+    };
+    abs_ok || ratio_ok
 }
 
 /// A heap entry: fractional overlap plus the two node ids it connects.
@@ -137,11 +129,11 @@ pub fn gpart_merge(
             if j == idx || !alive[j] || frozen[j] {
                 continue;
             }
-            if !config.frequencies_compatible(nodes[idx].frequency, nodes[j].frequency) {
+            if !frequencies_compatible(nodes[idx].frequency, nodes[j].frequency) {
                 continue;
             }
             let overlap = nodes[idx].fractional_overlap(&nodes[j], catalog)?;
-            if overlap > config.min_overlap {
+            if overlap > MIN_OVERLAP {
                 heap.push(Edge {
                     overlap,
                     a: idx.min(j),
@@ -155,11 +147,11 @@ pub fn gpart_merge(
     // Initial edges.
     for i in 0..nodes.len() {
         for j in (i + 1)..nodes.len() {
-            if !config.frequencies_compatible(nodes[i].frequency, nodes[j].frequency) {
+            if !frequencies_compatible(nodes[i].frequency, nodes[j].frequency) {
                 continue;
             }
             let overlap = nodes[i].fractional_overlap(&nodes[j], catalog)?;
-            if overlap > config.min_overlap {
+            if overlap > MIN_OVERLAP {
                 heap.push(Edge {
                     overlap,
                     a: i,
@@ -175,7 +167,7 @@ pub fn gpart_merge(
             continue; // stale edge
         }
         // Re-check feasibility: frequencies may have changed via merging.
-        if !config.frequencies_compatible(nodes[a].frequency, nodes[b].frequency) {
+        if !frequencies_compatible(nodes[a].frequency, nodes[b].frequency) {
             continue;
         }
         // Merge a and b into a new node.
@@ -254,23 +246,23 @@ mod tests {
             partition(0, &[0, 1, 2], 1.0),
             partition(1, &[0, 1, 2], 100.0), // identical files, wildly different frequency
         ];
-        let config = MergeConfig {
-            frequency_ratio: 2.0,
-            frequency_abs_diff: 5.0,
-            ..Default::default()
-        };
-        let merged = gpart_merge(&initial, &c, &config).unwrap();
+        let merged = gpart_merge(&initial, &c, &MergeConfig::default()).unwrap();
         assert_eq!(
             merged.len(),
             2,
             "incompatible partitions must stay separate"
         );
-        // Relaxing the constraint merges them.
-        let relaxed = MergeConfig {
-            frequency_ratio: 1000.0,
-            ..config
-        };
-        assert_eq!(gpart_merge(&initial, &c, &relaxed).unwrap().len(), 1);
+        // The same files at compatible frequencies merge.
+        let compatible = vec![
+            partition(0, &[0, 1, 2], 10.0),
+            partition(1, &[0, 1, 2], 25.0), // ratio 2.5, difference 15
+        ];
+        assert_eq!(
+            gpart_merge(&compatible, &c, &MergeConfig::default())
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -288,7 +280,6 @@ mod tests {
             &c,
             &MergeConfig {
                 span_threshold: 6.0,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -340,17 +331,7 @@ mod tests {
             &[partition(0, &[0], 1.0)],
             &c,
             &MergeConfig {
-                frequency_ratio: 0.5,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(gpart_merge(
-            &[partition(0, &[0], 1.0)],
-            &c,
-            &MergeConfig {
                 span_threshold: 0.0,
-                ..Default::default()
             }
         )
         .is_err());
@@ -368,15 +349,10 @@ mod tests {
 
     #[test]
     fn frequency_compatibility_rules() {
-        let cfg = MergeConfig {
-            frequency_ratio: 3.0,
-            frequency_abs_diff: 5.0,
-            ..Default::default()
-        };
-        assert!(cfg.frequencies_compatible(10.0, 20.0)); // ratio 2 <= 3
-        assert!(cfg.frequencies_compatible(100.0, 104.0)); // diff 4 <= 5
-        assert!(!cfg.frequencies_compatible(1.0, 100.0));
-        assert!(cfg.frequencies_compatible(0.0, 3.0)); // diff rule saves zero-frequency
-        assert!(!cfg.frequencies_compatible(0.0, 50.0));
+        assert!(frequencies_compatible(10.0, 20.0)); // ratio 2 <= 3
+        assert!(frequencies_compatible(100.0, 104.0)); // diff 4 <= 5
+        assert!(!frequencies_compatible(1.0, 100.0));
+        assert!(frequencies_compatible(0.0, 3.0)); // diff rule saves zero-frequency
+        assert!(!frequencies_compatible(0.0, 50.0));
     }
 }

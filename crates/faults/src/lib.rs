@@ -35,7 +35,7 @@
 
 pub mod storage;
 
-pub use storage::{AppendFault, FaultyStorage, StorageFaultPlan, StorageFaultRates};
+pub use storage::{FaultyStorage, StorageFaultPlan, StorageFaultRates};
 
 use std::fmt;
 

@@ -112,7 +112,7 @@ impl StorageFaultRates {
 
 /// What a plan injects into one append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendFault {
+pub(crate) enum AppendFault {
     /// The append fails; no bytes reach the backend.
     Fail,
     /// A strict prefix of this many bytes lands, then the append fails.

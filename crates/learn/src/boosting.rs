@@ -20,13 +20,16 @@ use crate::tree::{DecisionTreeRegressor, RankTable, TreeParams};
 use crate::Regressor;
 use scope_cloudsim::parallel::{default_threads, parallel_map_with_threads};
 
+/// Shrinkage applied to each stage's contribution: 0.1, scikit-learn's
+/// gradient-boosting default, which it pairs with the 100 stages
+/// [`BoostingParams::default`] fits.
+pub(crate) const LEARNING_RATE: f64 = 0.1;
+
 /// Hyper-parameters for gradient boosting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostingParams {
     /// Number of boosting stages.
     pub n_estimators: usize,
-    /// Shrinkage applied to each stage's contribution.
-    pub learning_rate: f64,
     /// Per-stage tree parameters (typically shallow, depth 3–4).
     pub tree: TreeParams,
 }
@@ -35,7 +38,6 @@ impl Default for BoostingParams {
     fn default() -> Self {
         BoostingParams {
             n_estimators: 100,
-            learning_rate: 0.1,
             tree: TreeParams {
                 max_depth: 3,
                 min_samples_split: 2,
@@ -50,7 +52,6 @@ impl Default for BoostingParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoostingRegressor {
     base_prediction: f64,
-    learning_rate: f64,
     stages: Vec<DecisionTreeRegressor>,
 }
 
@@ -78,11 +79,6 @@ impl GradientBoostingRegressor {
                 "n_estimators must be > 0",
             ));
         }
-        if !(params.learning_rate > 0.0 && params.learning_rate <= 1.0) {
-            return Err(LearnError::InvalidHyperParameter(
-                "learning_rate must be in (0, 1]",
-            ));
-        }
         cols.check_targets(targets.len())?;
         let base_prediction = targets.iter().sum::<f64>() / targets.len() as f64;
         let mut current: Vec<f64> = vec![base_prediction; targets.len()];
@@ -107,7 +103,7 @@ impl GradientBoostingRegressor {
             // Batched ensemble update: each row's contribution is computed
             // exactly as the sequential loop would, merged in row order.
             let deltas = parallel_map_with_threads(&rows, threads, |_, &r| {
-                params.learning_rate * tree.root().predict_by(&|f| cols.value(r as usize, f))
+                LEARNING_RATE * tree.root().predict_by(&|f| cols.value(r as usize, f))
             });
             for (c, d) in current.iter_mut().zip(deltas) {
                 *c += d;
@@ -116,20 +112,14 @@ impl GradientBoostingRegressor {
         }
         Ok(GradientBoostingRegressor {
             base_prediction,
-            learning_rate: params.learning_rate,
             stages,
         })
     }
 
     /// Assemble an ensemble from pre-built stages (reference builders).
-    pub(crate) fn from_parts(
-        base_prediction: f64,
-        learning_rate: f64,
-        stages: Vec<DecisionTreeRegressor>,
-    ) -> Self {
+    pub(crate) fn from_parts(base_prediction: f64, stages: Vec<DecisionTreeRegressor>) -> Self {
         GradientBoostingRegressor {
             base_prediction,
-            learning_rate,
             stages,
         }
     }
@@ -145,7 +135,7 @@ impl Regressor for GradientBoostingRegressor {
     fn predict_one(&self, features: &[f64]) -> f64 {
         let mut pred = self.base_prediction;
         for tree in &self.stages {
-            pred += self.learning_rate * tree.predict_one(features);
+            pred += LEARNING_RATE * tree.predict_one(features);
         }
         pred
     }
@@ -259,24 +249,6 @@ mod tests {
             &t,
             BoostingParams {
                 n_estimators: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(fit(
-            &f,
-            &t,
-            BoostingParams {
-                learning_rate: 0.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(fit(
-            &f,
-            &t,
-            BoostingParams {
-                learning_rate: 1.5,
                 ..Default::default()
             }
         )

@@ -200,7 +200,7 @@ impl Standardizer {
 mod tests {
     use super::*;
     use crate::knn::{KnnRegressor, KnnWeighting};
-    use crate::mlp::{MlpParams, MlpRegressor};
+    use crate::mlp::MlpRegressor;
 
     fn toy() -> Vec<Vec<f64>> {
         (0..100).map(|i| vec![i as f64, (i * 2) as f64]).collect()
@@ -238,10 +238,7 @@ mod tests {
             KnnRegressor::fit(&rows, &targets, 3, KnnWeighting::Uniform).err(),
             expected
         );
-        assert_eq!(
-            MlpRegressor::fit(&rows, &targets, MlpParams::default()).err(),
-            expected
-        );
+        assert_eq!(MlpRegressor::fit(&rows, &targets).err(), expected);
     }
 
     #[test]

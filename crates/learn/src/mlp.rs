@@ -11,35 +11,23 @@ use crate::Regressor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Hyper-parameters for the MLP regressor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MlpParams {
-    /// Number of hidden units.
-    pub hidden_units: usize,
-    /// Number of full passes over the training data.
-    pub epochs: usize,
-    /// SGD learning rate.
-    pub learning_rate: f64,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// L2 weight decay.
-    pub weight_decay: f64,
-    /// RNG seed for weight init and shuffling.
-    pub seed: u64,
-}
+// The network's hyper-parameters. COMPREDICT fits the MLP on a handful of
+// features and a few hundred samples, where these values reach the
+// comparison's accuracy (the tests below hold it to R² > 0.95 on a linear
+// and > 0.85 on a non-linear target) in a fraction of a second.
 
-impl Default for MlpParams {
-    fn default() -> Self {
-        MlpParams {
-            hidden_units: 32,
-            epochs: 300,
-            learning_rate: 0.01,
-            batch_size: 16,
-            weight_decay: 1e-5,
-            seed: 7,
-        }
-    }
-}
+/// Number of hidden units.
+const HIDDEN_UNITS: usize = 32;
+/// Number of full passes over the training data.
+const EPOCHS: usize = 300;
+/// SGD learning rate.
+const LEARNING_RATE: f64 = 0.01;
+/// Mini-batch size.
+const BATCH_SIZE: usize = 16;
+/// L2 weight decay.
+const WEIGHT_DECAY: f64 = 1e-5;
+/// RNG seed for weight init and shuffling, so a fit is reproducible.
+const SEED: u64 = 7;
 
 /// Single-hidden-layer MLP regressor. Inputs and the target are
 /// internally standardized so callers can pass raw features.
@@ -58,11 +46,7 @@ pub struct MlpRegressor {
 impl MlpRegressor {
     /// Fit the network. The feature rows must be of one width and free of
     /// NaN.
-    pub fn fit(
-        features: &[Vec<f64>],
-        targets: &[f64],
-        params: MlpParams,
-    ) -> Result<Self, LearnError> {
+    pub fn fit(features: &[Vec<f64>], targets: &[f64]) -> Result<Self, LearnError> {
         if features.is_empty() {
             return Err(LearnError::EmptyTrainingSet);
         }
@@ -71,11 +55,6 @@ impl MlpRegressor {
                 features: features.len(),
                 targets: targets.len(),
             });
-        }
-        if params.hidden_units == 0 || params.epochs == 0 || params.batch_size == 0 {
-            return Err(LearnError::InvalidHyperParameter(
-                "hidden_units, epochs and batch_size must be > 0",
-            ));
         }
         // Standardize inputs and target.
         let inputs = Standardizer::fit(features)?;
@@ -98,8 +77,8 @@ impl MlpRegressor {
             .map(|t| (t - target_mean) / target_std)
             .collect();
 
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        let h = params.hidden_units;
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let h = HIDDEN_UNITS;
         let scale_in = (2.0 / (width as f64 + h as f64)).sqrt();
         let scale_out = (2.0 / (h as f64 + 1.0)).sqrt();
         let mut weights_in: Vec<Vec<f64>> = (0..h)
@@ -116,13 +95,13 @@ impl MlpRegressor {
         let mut bias_out = 0.0;
 
         let mut order: Vec<usize> = (0..n).collect();
-        for _epoch in 0..params.epochs {
+        for _epoch in 0..EPOCHS {
             // Shuffle example order each epoch.
             for i in (1..n).rev() {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            for batch in order.chunks(params.batch_size) {
+            for batch in order.chunks(BATCH_SIZE) {
                 // Accumulate gradients over the batch.
                 let mut grad_w_in = vec![vec![0.0; width]; h];
                 let mut grad_b_in = vec![0.0; h];
@@ -159,13 +138,13 @@ impl MlpRegressor {
                         }
                     }
                 }
-                let lr = params.learning_rate / batch.len() as f64;
+                let lr = LEARNING_RATE / batch.len() as f64;
                 for j in 0..h {
                     for (w, g) in weights_in[j].iter_mut().zip(&grad_w_in[j]) {
-                        *w -= lr * (g + params.weight_decay * *w);
+                        *w -= lr * (g + WEIGHT_DECAY * *w);
                     }
                     bias_in[j] -= lr * grad_b_in[j];
-                    weights_out[j] -= lr * (grad_w_out[j] + params.weight_decay * weights_out[j]);
+                    weights_out[j] -= lr * (grad_w_out[j] + WEIGHT_DECAY * weights_out[j]);
                 }
                 bias_out -= lr * grad_b_out;
             }
@@ -209,7 +188,7 @@ mod tests {
     fn learns_linear_function() {
         let features: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
         let targets: Vec<f64> = features.iter().map(|f| 2.0 * f[0] + 1.0).collect();
-        let mlp = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
+        let mlp = MlpRegressor::fit(&features, &targets).unwrap();
         let preds: Vec<f64> = features.iter().map(|f| mlp.predict_one(f)).collect();
         assert!(
             r2_score(&targets, &preds) > 0.95,
@@ -220,20 +199,14 @@ mod tests {
 
     #[test]
     fn learns_mildly_nonlinear_function() {
-        let features: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 20.0]).collect();
+        // 400 samples: the 300 epochs take as many SGD steps as 600 passes
+        // over 200 samples of the same curve.
+        let features: Vec<Vec<f64>> = (0..400).map(|i| vec![i as f64 / 40.0]).collect();
         let targets: Vec<f64> = features
             .iter()
             .map(|f| (f[0]).sin() * 2.0 + 0.5 * f[0])
             .collect();
-        let mlp = MlpRegressor::fit(
-            &features,
-            &targets,
-            MlpParams {
-                epochs: 600,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mlp = MlpRegressor::fit(&features, &targets).unwrap();
         let preds: Vec<f64> = features.iter().map(|f| mlp.predict_one(f)).collect();
         assert!(
             r2_score(&targets, &preds) > 0.85,
@@ -246,35 +219,22 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let features: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = features.iter().map(|f| f[0] * 0.3).collect();
-        let a = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
-        let b = MlpRegressor::fit(&features, &targets, MlpParams::default()).unwrap();
+        let a = MlpRegressor::fit(&features, &targets).unwrap();
+        let b = MlpRegressor::fit(&features, &targets).unwrap();
         assert_eq!(a.predict_one(&[25.0]), b.predict_one(&[25.0]));
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(MlpRegressor::fit(&[], &[], MlpParams::default()).is_err());
-        assert!(MlpRegressor::fit(&[vec![1.0]], &[1.0, 2.0], MlpParams::default()).is_err());
-        let bad = MlpParams {
-            hidden_units: 0,
-            ..Default::default()
-        };
-        assert!(MlpRegressor::fit(&[vec![1.0]], &[1.0], bad).is_err());
+        assert!(MlpRegressor::fit(&[], &[]).is_err());
+        assert!(MlpRegressor::fit(&[vec![1.0]], &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn constant_target_predicts_constant() {
         let features: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
         let targets = vec![42.0; 30];
-        let mlp = MlpRegressor::fit(
-            &features,
-            &targets,
-            MlpParams {
-                epochs: 50,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mlp = MlpRegressor::fit(&features, &targets).unwrap();
         assert!((mlp.predict_one(&[15.0]) - 42.0).abs() < 1.0);
     }
 }

@@ -29,7 +29,7 @@
 //! shared scorer itself. `crates/learn/tests/differential_seed_oracles.rs`
 //! pins the fast path against them.
 
-use crate::boosting::BoostingParams;
+use crate::boosting::{BoostingParams, LEARNING_RATE};
 use crate::data::check_no_nan;
 use crate::error::LearnError;
 use crate::forest::{default_max_features, ForestParams};
@@ -275,11 +275,6 @@ pub fn fit_boosting_reference(
             "n_estimators must be > 0",
         ));
     }
-    if !(params.learning_rate > 0.0 && params.learning_rate <= 1.0) {
-        return Err(LearnError::InvalidHyperParameter(
-            "learning_rate must be in (0, 1]",
-        ));
-    }
     if features.is_empty() {
         return Err(LearnError::EmptyTrainingSet);
     }
@@ -300,13 +295,12 @@ pub fn fit_boosting_reference(
         let tree =
             fit_tree_regressor_reference(features, &residuals, params.tree, stage_idx as u64 + 1)?;
         for (c, row) in current.iter_mut().zip(features) {
-            *c += params.learning_rate * tree.predict_one(row);
+            *c += LEARNING_RATE * tree.predict_one(row);
         }
         stages.push(tree);
     }
     Ok(GradientBoostingRegressor::from_parts(
         base_prediction,
-        params.learning_rate,
         stages,
     ))
 }

@@ -86,7 +86,7 @@ pub use error::OptAssignError;
 pub use greedy::solve_greedy;
 pub use ilp::{solve_branch_and_bound, BranchAndBoundStats};
 pub use predictor::{ideal_tier_labels, PredictorFeatures, TierPredictor, TieringBaseline};
-pub use problem::{Assignment, CompressionOption, OptAssignProblem, PartitionSpec, NO_COMPRESSION};
+pub use problem::{Assignment, CompressionOption, OptAssignProblem, PartitionSpec};
 pub use schedule::{
     ideal_tier_schedules, ideal_tier_schedules_with_model, placement_schedule_cost,
     plan_placement_schedule, PeriodUsage, PlacementPlan, ScheduleOptions,

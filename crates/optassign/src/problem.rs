@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 /// Index of the mandatory "no compression" option in every partition's
 /// option list.
-pub const NO_COMPRESSION: usize = 0;
+pub(crate) const NO_COMPRESSION: usize = 0;
 
 /// One candidate compression scheme for a partition, with its (predicted or
 /// measured) performance on that partition.
@@ -88,8 +88,8 @@ pub struct PartitionSpec {
     /// For existing partitions whose compression must not change: the index
     /// of the only allowed compression option (`K(P_n)`).
     pub fixed_compression: Option<usize>,
-    /// Candidate compression options; index [`NO_COMPRESSION`] must be the
-    /// "no compression" option.
+    /// Candidate compression options; index 0 must be the "no compression"
+    /// option.
     pub compression_options: Vec<CompressionOption>,
 }
 

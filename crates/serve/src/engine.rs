@@ -581,7 +581,7 @@ impl ServeEngine {
     /// Upper bound on out-of-order batches the sequenced intake buffers
     /// while waiting for a gap to fill; the 65th is a typed
     /// [`ServeError::IntakeOverflow`].
-    pub const MAX_PENDING_BATCHES: usize = 64;
+    pub(crate) const MAX_PENDING_BATCHES: usize = 64;
 
     /// Register an object and return its interned id (the id to use in
     /// [`EventColumns::object_ids`]). Registration invalidates the owning
@@ -940,7 +940,7 @@ impl Serving for ServeEngine {
     /// ledger), because decay is applied lazily per object from its own
     /// `last_day` and quarantine ordinals index the engine's lifetime
     /// event sequence. Sequence numbers start at 0; the reorder buffer
-    /// holds at most [`ServeEngine::MAX_PENDING_BATCHES`] batches.
+    /// holds at most `ServeEngine::MAX_PENDING_BATCHES` (64) batches.
     fn deliver(&mut self, seq: u64, columns: &EventColumns) -> Result<IngestReport, ServeError> {
         self.admit(seq)?;
         Ok(self.accept(seq, columns))

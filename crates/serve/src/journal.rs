@@ -245,9 +245,8 @@ impl<S: Storage> Serving for JournaledEngine<S> {
         Ok(self.engine.accept(seq, columns))
     }
 
-    /// Journal a boundary marker (see
-    /// [`scope_wal::record::RECORD_EPOCH`]), make every accepted delivery
-    /// durable, then advance the engine.
+    /// Journal a boundary marker (the wal's `RECORD_EPOCH` frame), make
+    /// every accepted delivery durable, then advance the engine.
     fn advance_to(&mut self, day: u32) -> Result<(), ServeError> {
         self.journal.append_epoch(self.engine.epoch(), day)?;
         self.journal.sync()?;

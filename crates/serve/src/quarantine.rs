@@ -62,7 +62,7 @@ pub struct QuarantineLedger {
 
 /// Default record capacity: enough to audit a corruption burst without
 /// letting a hostile stream grow engine memory.
-pub const DEFAULT_QUARANTINE_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_QUARANTINE_CAPACITY: usize = 1024;
 
 impl Default for QuarantineLedger {
     fn default() -> Self {

@@ -32,25 +32,6 @@ impl DataLayout {
     }
 }
 
-/// Options for the columnar writer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnarWriteOptions {
-    /// Use dictionary encoding for text columns whose distinct-value count
-    /// is below 50% of the row count (Parquet's default behaviour).
-    pub dictionary_encode_text: bool,
-    /// Use run-length encoding for int/date columns with long runs.
-    pub rle_encode_ints: bool,
-}
-
-impl Default for ColumnarWriteOptions {
-    fn default() -> Self {
-        ColumnarWriteOptions {
-            dictionary_encode_text: true,
-            rle_encode_ints: true,
-        }
-    }
-}
-
 /// Serialize a table as CSV (with a header line).
 pub(crate) fn to_csv(table: &Table) -> Bytes {
     let mut out = BytesMut::with_capacity(table.n_rows() * table.n_columns() * 8 + 64);
@@ -92,18 +73,22 @@ fn cell_string(col: &ColumnData, row: usize) -> String {
 /// * `1` dictionary: u32 dictionary size, length-prefixed dictionary
 ///   entries, then u32 codes per row,
 /// * `2` run-length: pairs of (u32 run length, value).
-pub(crate) fn to_columnar(table: &Table, options: &ColumnarWriteOptions) -> Bytes {
+///
+/// Like Parquet's writer, it dictionary-encodes a text column whose
+/// distinct values number under half its rows, and run-length encodes an
+/// int/date column whose runs average at least two values.
+pub(crate) fn to_columnar(table: &Table) -> Bytes {
     let mut out = BytesMut::with_capacity(table.n_rows() * table.n_columns() * 8 + 64);
     out.put_slice(b"SCOLv1\0");
     out.put_u32_le(table.n_columns() as u32);
     out.put_u64_le(table.n_rows() as u64);
     for c in 0..table.n_columns() {
-        write_column(&mut out, table.column(c), options);
+        write_column(&mut out, table.column(c));
     }
     out.freeze()
 }
 
-fn write_column(out: &mut BytesMut, col: &ColumnData, options: &ColumnarWriteOptions) {
+fn write_column(out: &mut BytesMut, col: &ColumnData) {
     match col {
         ColumnData::Float(v) => {
             out.put_u8(0);
@@ -113,7 +98,7 @@ fn write_column(out: &mut BytesMut, col: &ColumnData, options: &ColumnarWriteOpt
             }
         }
         ColumnData::Int(v) | ColumnData::Date(v) => {
-            if options.rle_encode_ints && worth_rle(v) {
+            if worth_rle(v) {
                 out.put_u8(2);
                 out.put_u64_le(v.len() as u64);
                 write_rle(out, v);
@@ -128,7 +113,7 @@ fn write_column(out: &mut BytesMut, col: &ColumnData, options: &ColumnarWriteOpt
         ColumnData::Text(v) => {
             // BTreeSet: dictionary order must not depend on hash seeds.
             let distinct: std::collections::BTreeSet<&String> = v.iter().collect();
-            if options.dictionary_encode_text && !v.is_empty() && distinct.len() * 2 < v.len() {
+            if !v.is_empty() && distinct.len() * 2 < v.len() {
                 out.put_u8(1);
                 out.put_u64_le(v.len() as u64);
                 // The set iterates in sorted order, so the dictionary is
@@ -189,11 +174,11 @@ fn write_rle(out: &mut BytesMut, values: &[i64]) {
     }
 }
 
-/// Serialize a table in the requested layout with default options.
+/// Serialize a table in the requested layout.
 pub fn serialize(table: &Table, layout: DataLayout) -> Bytes {
     match layout {
         DataLayout::Csv => to_csv(table),
-        DataLayout::Columnar => to_columnar(table, &ColumnarWriteOptions::default()),
+        DataLayout::Columnar => to_columnar(table),
     }
 }
 
@@ -241,18 +226,36 @@ mod tests {
     #[test]
     fn columnar_layout_has_magic_and_is_smaller_with_encodings() {
         let t = table_with_repetition();
-        let encoded = to_columnar(&t, &ColumnarWriteOptions::default());
+        let encoded = to_columnar(&t);
         assert!(encoded.starts_with(b"SCOLv1\0"));
-        let plain = to_columnar(
-            &t,
-            &ColumnarWriteOptions {
-                dictionary_encode_text: false,
-                rle_encode_ints: false,
-            },
-        );
+        // The plain encoding: a 19-byte header, then per column its tag and
+        // count and 8 bytes per number or a length-prefixed string per text
+        // value.
+        let plain_len = 19
+            + (0..t.n_columns())
+                .map(|c| match t.column(c) {
+                    ColumnData::Text(v) => 9 + v.iter().map(|s| 4 + s.len()).sum::<usize>(),
+                    _ => 9 + 8 * t.n_rows(),
+                })
+                .sum::<usize>();
         // The low-cardinality text column and the constant int column make
-        // dictionary + RLE encoding strictly smaller.
-        assert!(encoded.len() < plain.len());
+        // dictionary + RLE encoding strictly smaller than the raw bytes.
+        assert!(encoded.len() < plain_len);
+        // A column that repeats nothing is written plain, byte for byte.
+        let distinct = Table::new(
+            "d",
+            Schema::from_pairs(&[("id", ColumnType::Int), ("name", ColumnType::Text)]),
+            vec![
+                ColumnData::Int((0..20).collect()),
+                ColumnData::Text((0..20).map(|i| format!("n{i}")).collect()),
+            ],
+        )
+        .unwrap();
+        let text_bytes: usize = (0..20).map(|i| 4 + format!("n{i}").len()).sum();
+        assert_eq!(
+            to_columnar(&distinct).len(),
+            19 + 9 + 8 * 20 + 9 + text_bytes
+        );
     }
 
     #[test]
@@ -273,10 +276,7 @@ mod tests {
     fn serialize_dispatches_on_layout() {
         let t = table_with_repetition();
         assert_eq!(serialize(&t, DataLayout::Csv), to_csv(&t));
-        assert_eq!(
-            serialize(&t, DataLayout::Columnar),
-            to_columnar(&t, &ColumnarWriteOptions::default())
-        );
+        assert_eq!(serialize(&t, DataLayout::Columnar), to_columnar(&t));
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
         let t = Table::new("empty", schema, vec![ColumnData::Int(vec![])]).unwrap();
         let csv = to_csv(&t);
         assert_eq!(std::str::from_utf8(&csv).unwrap(), "a\n");
-        let col = to_columnar(&t, &ColumnarWriteOptions::default());
+        let col = to_columnar(&t);
         assert!(col.starts_with(b"SCOLv1\0"));
     }
 }

@@ -30,7 +30,7 @@ pub mod zipf;
 
 pub use column::{ColumnData, Table};
 pub use error::TableError;
-pub use format::{ColumnarWriteOptions, DataLayout};
+pub use format::DataLayout;
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use tpch::{TpchGenerator, TpchOptions, TpchTable};
 pub use zipf::Zipf;

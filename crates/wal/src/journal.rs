@@ -96,7 +96,7 @@
 //!    is also what a publish with no record since the previous one looks
 //!    like from the older checkpoint: safe, re-delivered). The scan also
 //!    **cuts at the first epoch-boundary marker**
-//!    ([`crate::record::RECORD_EPOCH`]): replay must not carry deliveries
+//!    (`RECORD_EPOCH`): replay must not carry deliveries
 //!    across a boundary whose engine effects (decay, re-solve) cannot be
 //!    replayed from the journal alone, so the marker and everything after
 //!    it are truncated away and re-delivered. A marker already covered by

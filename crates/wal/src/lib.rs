@@ -32,7 +32,7 @@
 //! column-wise, little-endian (see [`record`]). The same encoding is the
 //! wire format for fleet-scale intake: a batch serialized for the
 //! journal is byte-identical to one serialized for the network. A second
-//! record kind marks epoch boundaries ([`record::RECORD_EPOCH`]): the
+//! record kind marks epoch boundaries (`RECORD_EPOCH`): the
 //! engine's decay/re-solve step is not itself journaled, so recovery
 //! cuts its replay tail at the first marker rather than replay
 //! deliveries across a boundary it cannot reproduce.

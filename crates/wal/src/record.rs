@@ -110,10 +110,10 @@ use scope_cloudsim::EventColumns;
 pub(crate) const RECORD_BATCH: u8 = 1;
 
 /// Record kind: an epoch-boundary marker (see the module docs).
-pub const RECORD_EPOCH: u8 = 2;
+pub(crate) const RECORD_EPOCH: u8 = 2;
 
 /// Frame header size: `len` + `checksum`.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// Body bytes before the payload: `kind` + `seq`.
 pub(crate) const FRAME_BODY_MIN: usize = 9;
@@ -321,7 +321,7 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"WCKP";
 
 /// Checkpoint frame version.
-pub const CHECKPOINT_FRAME_VERSION: u32 = 3;
+pub(crate) const CHECKPOINT_FRAME_VERSION: u32 = 3;
 
 /// Bytes before the state: magic, version, kind and seven metadata words.
 const CHECKPOINT_FIXED: usize = 4 + 4 + 1 + 8 * 7;

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Days per billing month used when aggregating day-stamped records into
 /// monthly buckets (mirrors `scope_cloudsim::timeline::DAYS_PER_MONTH`; the
 /// constant is duplicated because this crate does not depend on the cloud
-/// substrate).
+/// substrate, and `scope-core` asserts the two equal at compile time).
 pub const DAYS_PER_MONTH: u32 = 30;
 
 /// Read/write counts of one dataset on one day.

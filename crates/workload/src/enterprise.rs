@@ -26,6 +26,26 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope_table::Zipf;
 
+/// Zipf exponent of the per-dataset access-volume skew (Fig 1a): at 1.2 the
+/// top tenth of the datasets takes most of the reads and the tail next to
+/// none, the shape Fig 1a shows.
+const ACCESS_SKEW: f64 = 1.2;
+
+/// Smallest dataset size in GB; sizes are log-uniform from here up to
+/// [`EnterpriseOptions::max_size_gb`], ~4 orders of magnitude at the
+/// default 100 TB cap.
+const MIN_SIZE_GB: f64 = 1.0;
+
+/// Fraction of reads that scan the full dataset (the rest scan a
+/// uniformly random fraction).
+const FULL_SCAN_FRACTION: f64 = 0.3;
+
+/// The most months one workload may span: the largest count whose days
+/// stay within the billing simulator's 36 500-day replay cap (`scope-core`
+/// asserts the two agree at compile time), so every day index derived from
+/// a month fits a `u32` and every horizon replays.
+pub const MAX_TOTAL_MONTHS: u32 = 36_500 / DAYS_PER_MONTH;
+
 /// Options for the enterprise workload generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnterpriseOptions {
@@ -38,15 +58,8 @@ pub struct EnterpriseOptions {
     /// Number of future months to generate (the projection horizon the
     /// optimizer plans for and the billing simulator replays).
     pub future_months: u32,
-    /// Zipf exponent of the per-dataset access-volume skew (Fig 1a).
-    pub access_skew: f64,
-    /// Smallest dataset size in GB.
-    pub min_size_gb: f64,
-    /// Largest dataset size in GB.
+    /// Largest dataset size in GB (at least the 1 GB smallest size).
     pub max_size_gb: f64,
-    /// Fraction of reads that scan the full dataset (the rest scan a
-    /// uniformly random fraction).
-    pub full_scan_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -57,10 +70,7 @@ impl Default for EnterpriseOptions {
             n_datasets: 760,
             history_months: 12,
             future_months: 6,
-            access_skew: 1.2,
-            min_size_gb: 1.0,
             max_size_gb: 100_000.0, // 100 TB
-            full_scan_fraction: 0.3,
             seed: 17,
         }
     }
@@ -74,28 +84,31 @@ impl EnterpriseOptions {
                 "n_datasets must be > 0".to_string(),
             ));
         }
-        if self.history_months + self.future_months == 0 {
+        if self.total_months() == 0 {
             return Err(WorkloadError::InvalidOption(
                 "at least one month must be generated".to_string(),
             ));
         }
-        if !(self.min_size_gb > 0.0 && self.max_size_gb >= self.min_size_gb) {
+        if self.total_months() > MAX_TOTAL_MONTHS {
             return Err(WorkloadError::InvalidOption(format!(
-                "invalid size range [{}, {}]",
-                self.min_size_gb, self.max_size_gb
+                "history_months + future_months must be at most {MAX_TOTAL_MONTHS}, got {} + {}",
+                self.history_months, self.future_months
             )));
         }
-        if !(0.0..=1.0).contains(&self.full_scan_fraction) {
-            return Err(WorkloadError::InvalidOption(
-                "full_scan_fraction must be in [0, 1]".to_string(),
-            ));
+        if !(self.max_size_gb >= MIN_SIZE_GB) {
+            return Err(WorkloadError::InvalidOption(format!(
+                "max_size_gb must be at least {MIN_SIZE_GB}, got {}",
+                self.max_size_gb
+            )));
         }
         Ok(())
     }
 
-    /// Total number of generated months (history + future).
+    /// Total number of generated months (history + future). It saturates
+    /// at `u32::MAX` rather than wrap, so [`EnterpriseOptions::validate`]
+    /// refuses an overflowing pair.
     pub fn total_months(&self) -> u32 {
-        self.history_months + self.future_months
+        self.history_months.saturating_add(self.future_months)
     }
 }
 
@@ -122,7 +135,7 @@ impl EnterpriseWorkload {
     pub fn generate(options: EnterpriseOptions) -> Result<Self, WorkloadError> {
         options.validate()?;
         let mut rng = SmallRng::seed_from_u64(options.seed);
-        let zipf = Zipf::new(options.n_datasets, options.access_skew);
+        let zipf = Zipf::new(options.n_datasets, ACCESS_SKEW);
         let total_months = options.total_months();
 
         // Per-dataset access scale: datasets are ranked by a random
@@ -157,8 +170,8 @@ impl EnterpriseWorkload {
             // rarely-read raw data (up to max_size_gb). This size/heat
             // anticorrelation is what makes storage dominate account cost
             // and produces the large Table II benefits and the Fig 3 shape.
-            let size_cap_gb = (options.max_size_gb / (1.0 + volume / 5.0)).max(options.min_size_gb);
-            let log_min = options.min_size_gb.ln();
+            let size_cap_gb = (options.max_size_gb / (1.0 + volume / 5.0)).max(MIN_SIZE_GB);
+            let log_min = MIN_SIZE_GB.ln();
             let log_max = size_cap_gb.ln();
             let size_gb = (log_min + rng.gen::<f64>() * (log_max - log_min)).exp();
             // Creation month spread over the history window (recency).
@@ -217,7 +230,7 @@ impl EnterpriseWorkload {
                 let expected_writes = d.pattern.expected_writes(age);
                 let reads = sample_count(&mut rng, expected_reads);
                 let writes = sample_count(&mut rng, expected_writes);
-                let read_fraction = if rng.gen::<f64>() < options.full_scan_fraction {
+                let read_fraction = if rng.gen::<f64>() < FULL_SCAN_FRACTION {
                     1.0
                 } else {
                     rng.gen_range(0.05..0.6)
@@ -365,7 +378,6 @@ mod tests {
     fn access_distribution_is_skewed_like_fig1a() {
         let w = EnterpriseWorkload::generate(EnterpriseOptions {
             n_datasets: 400,
-            access_skew: 1.5,
             ..small_options()
         })
         .unwrap();
@@ -547,15 +559,31 @@ mod tests {
         })
         .is_err());
         assert!(EnterpriseWorkload::generate(EnterpriseOptions {
-            min_size_gb: 10.0,
-            max_size_gb: 1.0,
+            max_size_gb: 0.5,
             ..Default::default()
         })
         .is_err());
-        assert!(EnterpriseWorkload::generate(EnterpriseOptions {
-            full_scan_fraction: 1.5,
+    }
+
+    #[test]
+    fn month_counts_past_the_billing_cap_are_refused_not_wrapped() {
+        let months = |history_months, future_months| EnterpriseOptions {
+            history_months,
+            future_months,
             ..Default::default()
-        })
-        .is_err());
+        };
+        // u32::MAX + 2 wraps to 1 without checked arithmetic.
+        for (history, future) in [(u32::MAX, 2), (2, u32::MAX), (1_200, 17)] {
+            assert!(
+                matches!(
+                    months(history, future).validate(),
+                    Err(WorkloadError::InvalidOption(_))
+                ),
+                "{history} + {future}"
+            );
+        }
+        assert_eq!(months(u32::MAX, 2).total_months(), u32::MAX);
+        assert_eq!(MAX_TOTAL_MONTHS, 1_216);
+        assert!(months(1_200, 16).validate().is_ok());
     }
 }
