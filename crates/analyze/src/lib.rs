@@ -5,7 +5,7 @@
 //! must keep a test-pinned reference oracle, the offline shims bound the
 //! dependency surface, and CI's test-count floor must track reality. This
 //! crate machine-checks those promises with a from-scratch lexer
-//! ([`lexer`]), a workspace model ([`source`]) and a token-stream rule
+//! ([`lexer`]), a workspace model (`source`) and a token-stream rule
 //! engine ([`rules`]) — deliberately dependency-free so it builds before
 //! anything else does.
 //!
@@ -15,6 +15,6 @@
 pub mod json;
 pub mod lexer;
 pub mod rules;
-pub mod source;
+mod source;
 
 pub use rules::{analyze, analyze_rules, Finding, Report, MAX_WAIVERS, RULE_NAMES};

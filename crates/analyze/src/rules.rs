@@ -919,66 +919,125 @@ fn is_member_library(file: &SourceFile) -> bool {
 /// Public surface of a member crate's library that nothing outside that
 /// library uses. "Outside" is any other crate, any `tests/`, the bins, the
 /// root package and its examples, and the read-only
-/// [`crate::source::NAME_ROOTS`]; matching is by identifier token, so a doc
-/// link or a comment is not a caller. Three kinds of finding, all non-test:
+/// [`crate::source::NAME_ROOTS`]; matching is by token, so a doc link or a
+/// comment is not a caller. Three kinds of finding, all non-test:
 ///
 /// - a `pub fn` named nowhere outside: make it `pub(crate)` or private, or
 ///   delete it with the tests that pin only it;
 /// - a `pub struct|enum|trait|type|const|static` (associated `pub const`s
-///   too) named nowhere outside that no public signature of its own
-///   library exposes — a `pub fn`'s parameters or return type, a `pub`
-///   field's type, a public enum's variant payload, a `pub type`'s
-///   right-hand side: demote or delete it;
+///   too) that is not *live*: named nowhere outside, and exposed by no live
+///   public signature of its own library — a `pub fn`'s parameters or
+///   return type, a `pub` field's type, a public enum's variant payload, a
+///   `pub type`'s right-hand side. A signature is live while the item it
+///   belongs to is: a method's while its `impl`'s type is, a field's while
+///   its struct is, a free fn's while something outside names the fn. A
+///   type that only its own methods return is therefore a finding: demote
+///   or delete it;
 /// - a knob: a `pub` field of a `pub struct` with a hand-written
-///   `impl Default` that nothing outside names, so every caller takes the
-///   default: make it a private constant equal to that default.
+///   `impl Default` that nothing outside sets, so every caller takes the
+///   default. A field is set by a literal of its own struct outside the
+///   library (`Name { field: … }`, the `field` shorthand, the fields before
+///   an `..base` update; a destructuring pattern sets nothing), by a
+///   `.field =` assignment outside (matched by name: the lexer sees no
+///   types), or by a public constructor of its struct that takes a
+///   parameter of the field's name (`CostWeights::new(alpha, beta,
+///   gamma)`): make it a private constant equal to that default.
 ///
 /// `reference.rs` oracles are `oracle-discipline`'s business.
 fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // Per identifier: the member libraries that name it; `None` stands for
-    // any code outside every member library.
-    let mut named_in: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
-    for file in ws.files.values() {
-        if file.class == FileClass::Shim {
-            continue;
-        }
+    // Per identifier, per `(struct, field)` a literal sets and per field a
+    // `.field =` assigns: the member libraries that do it; `None` stands
+    // for any code outside every member library.
+    type Owners<'a> = BTreeSet<Option<&'a str>>;
+    let mut named_in: BTreeMap<&str, Owners> = BTreeMap::new();
+    let mut set_in: BTreeMap<(&str, &str), Owners> = BTreeMap::new();
+    let mut assigned_in: BTreeMap<&str, Owners> = BTreeMap::new();
+    let sources = ws.files.values().filter(|f| f.class != FileClass::Shim);
+    for file in sources.chain(&ws.name_roots) {
         let owner = is_member_library(file).then_some(file.crate_name.as_str());
         for t in &file.tokens {
             if t.kind == TokenKind::Ident {
                 named_in.entry(t.text.as_str()).or_default().insert(owner);
             }
         }
+        let code = code_view(file);
+        for p in 0..code.len() {
+            if let Some((name, fields)) = struct_literal(file, &code, p) {
+                for field in fields {
+                    set_in.entry((name, field)).or_default().insert(owner);
+                }
+            }
+            if let Some(field) = assigned_field(file, &code, p) {
+                assigned_in.entry(field).or_default().insert(owner);
+            }
+        }
     }
-    let named_outside = |name: &str, krate: &str| {
-        ws.read_only_idents.contains(name)
-            || named_in
-                .get(name)
-                .is_some_and(|owners| owners.iter().any(|&owner| owner != Some(krate)))
+    let outside = |owners: Option<&Owners>, krate: &str| {
+        owners.is_some_and(|owners| owners.iter().any(|&owner| owner != Some(krate)))
     };
+    let named_outside = |name: &str, krate: &str| outside(named_in.get(name), krate);
 
-    // Per member library: the identifiers its public signatures name, and
-    // the structs it gives a hand-written `impl Default`.
-    let mut exposed: BTreeSet<(&str, &str)> = BTreeSet::new();
+    // Per member library: its public signatures, each with the identifiers
+    // it names and the item it belongs to; the structs it gives a
+    // hand-written `impl Default`; the fields its public constructors take.
+    let mut signatures: Vec<(&str, &str, Vec<&str>)> = Vec::new();
     let mut defaulted: BTreeSet<(&str, &str)> = BTreeSet::new();
+    let mut constructed: BTreeSet<(&str, &str, &str)> = BTreeSet::new();
     for file in ws.files.values().filter(|f| is_member_library(f)) {
         let code = code_view(file);
         let krate = file.crate_name.as_str();
+        let bodies = item_bodies(file, &code);
+        for body in &bodies {
+            if body.trait_name == Some("Default") {
+                defaulted.insert((krate, body.owner));
+            }
+        }
         for p in 0..code.len() {
             let ti = code[p];
             if file.is_test_code(ti) || file.in_macro_def(ti) {
                 continue;
             }
-            if let Some(name) = default_impl_target(file, &code, p) {
-                defaulted.insert((krate, name));
-            }
-            if let Some((start, end)) = public_signature(file, &code, p) {
-                for &ti in &code[start..end] {
-                    let t = &file.tokens[ti];
-                    if t.kind == TokenKind::Ident {
-                        exposed.insert((krate, t.text.as_str()));
+            let Some((start, end)) = public_signature(file, &code, p) else {
+                continue;
+            };
+            let enclosing = bodies
+                .iter()
+                .filter(|b| b.open < p && p < b.end)
+                .max_by_key(|b| b.open);
+            let owner = match (pub_item(file, &code, p), enclosing) {
+                (Some(("fn", n)), Some(body)) if body.is_impl => {
+                    if body.trait_name.is_none() {
+                        let params = constructor_params(file, &code, n, body.owner);
+                        constructed.extend(params.into_iter().map(|f| (krate, body.owner, f)));
                     }
+                    body.owner
                 }
+                (Some((_, n)), _) => file.tokens[code[n]].text.as_str(),
+                (None, Some(body)) => body.owner,
+                (None, None) => continue,
+            };
+            let idents = code[start..end]
+                .iter()
+                .map(|&ti| &file.tokens[ti])
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text.as_str())
+                .collect();
+            signatures.push((krate, owner, idents));
+        }
+    }
+    // Live signatures expose what they name, which may make more of them
+    // live: iterate to the least fixpoint, so a type its own constructor
+    // returns stays dead.
+    let mut exposed: BTreeSet<(&str, &str)> = BTreeSet::new();
+    loop {
+        let before = exposed.len();
+        for (krate, owner, idents) in &signatures {
+            if named_outside(owner, krate) || exposed.contains(&(*krate, *owner)) {
+                exposed.extend(idents.iter().map(|&ident| (*krate, ident)));
             }
+        }
+        if exposed.len() == before {
+            break;
         }
     }
 
@@ -997,33 +1056,36 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                 continue;
             };
             let name = &file.tokens[code[n]];
-            if kind == "struct" && defaulted.contains(&(krate, name.text.as_str())) {
+            let item = name.text.as_str();
+            if kind == "struct" && defaulted.contains(&(krate, item)) {
                 for field in named_fields(file, &code, n) {
                     let field = &file.tokens[code[field]];
-                    if !named_outside(&field.text, krate) {
+                    let set = outside(set_in.get(&(item, field.text.as_str())), krate)
+                        || outside(assigned_in.get(field.text.as_str()), krate)
+                        || constructed.contains(&(krate, item, field.text.as_str()));
+                    if !set {
                         findings.push(Finding {
                             rule: "dead-pub",
                             file: file.path.clone(),
                             line: field.line,
                             message: format!(
-                                "knob `{}::{}` is set nowhere outside {krate}'s src/, so \
-                                 every caller takes its default — make it a private \
-                                 constant equal to that default",
-                                name.text, field.text
+                                "knob `{item}::{}` is set nowhere outside {krate}'s src/ (no \
+                                 `{item} {{ {0}: … }}` literal, no `.{0} =`, no public \
+                                 constructor parameter), so every caller takes its default \
+                                 — make it a private constant equal to that default",
+                                field.text
                             ),
                         });
                     }
                 }
             }
-            if named_outside(&name.text, krate)
-                || (kind != "fn" && exposed.contains(&(krate, name.text.as_str())))
-            {
+            if named_outside(item, krate) || (kind != "fn" && exposed.contains(&(krate, item))) {
                 continue;
             }
             let remedy = if kind == "fn" {
                 "make it pub(crate) or private, or delete it with the tests that pin only it"
             } else {
-                "and no public signature of it exposes it — make it pub(crate) or \
+                "and no live public signature of it exposes it — make it pub(crate) or \
                  private, or delete it"
             };
             findings.push(Finding {
@@ -1031,8 +1093,7 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                 file: file.path.clone(),
                 line: name.line,
                 message: format!(
-                    "`pub {kind} {}` is named nowhere outside {krate}'s src/ {remedy}",
-                    name.text
+                    "`pub {kind} {item}` is named nowhere outside {krate}'s src/ {remedy}"
                 ),
             });
         }
@@ -1069,21 +1130,240 @@ fn pub_item(file: &SourceFile, code: &[usize], p: usize) -> Option<(&'static str
     (tok(file, code, n)?.kind == TokenKind::Ident).then_some((kind, n))
 }
 
-/// The `Name` of `impl Default for Name` (or `impl path::Default for Name`)
-/// when code position `p` is that `impl`.
-fn default_impl_target<'a>(file: &'a SourceFile, code: &[usize], p: usize) -> Option<&'a str> {
+/// The body of an `impl` block, a struct or an enum, and the type it
+/// belongs to.
+struct ItemBody<'a> {
+    /// Code position of the opening bracket.
+    open: usize,
+    /// Code position just past the closing bracket.
+    end: usize,
+    /// The `impl`'s self type, or the struct's or enum's name.
+    owner: &'a str,
+    /// Whether this is an `impl` block.
+    is_impl: bool,
+    /// The last identifier of a trait impl's trait path (`Default` for
+    /// `impl Default for Name`).
+    trait_name: Option<&'a str>,
+}
+
+/// The non-test `impl`, struct and enum bodies of a file, in order.
+fn item_bodies<'a>(file: &'a SourceFile, code: &[usize]) -> Vec<ItemBody<'a>> {
+    let mut bodies = Vec::new();
+    for p in 0..code.len() {
+        if file.is_test_code(code[p]) || file.in_macro_def(code[p]) {
+            continue;
+        }
+        if let Some(body) = impl_body(file, code, p) {
+            bodies.push(body);
+            continue;
+        }
+        let t = &file.tokens[code[p]];
+        if !(t.is_ident("struct") || t.is_ident("enum")) {
+            continue;
+        }
+        let Some(name) = tok(file, code, p + 1).filter(|n| n.kind == TokenKind::Ident) else {
+            continue;
+        };
+        if let Some(open) = find_punct(file, code, p + 1, &['{', '(', ';'])
+            .filter(|&open| !file.tokens[code[open]].is_punct(';'))
+        {
+            bodies.push(ItemBody {
+                open,
+                end: group_end(file, code, open),
+                owner: name.text.as_str(),
+                is_impl: false,
+                trait_name: None,
+            });
+        }
+    }
+    bodies
+}
+
+/// When code position `p` is the `impl` of an item (not `impl Trait` in a
+/// type), its body. The self type is the last identifier outside brackets
+/// after `for` (or after `impl` in an inherent impl), up to the body or a
+/// `where` clause.
+fn impl_body<'a>(file: &'a SourceFile, code: &[usize], p: usize) -> Option<ItemBody<'a>> {
     if !tok(file, code, p)?.is_ident("impl") {
         return None;
     }
-    let mut q = p + 1;
-    while tok(file, code, q)?.is_punct(':') || tok(file, code, q + 1)?.is_punct(':') {
+    let item_start = |t: &Token| {
+        t.is_punct('}')
+            || t.is_punct(';')
+            || t.is_punct('{')
+            || t.is_punct(']')
+            || t.is_ident("unsafe")
+    };
+    if p > 0 && !item_start(tok(file, code, p - 1)?) {
+        return None;
+    }
+    let (mut depth, mut q) = (0, p + 1);
+    let (mut before_for, mut after_for, mut is_trait_impl) = (None, None, false);
+    loop {
+        let t = tok(file, code, q)?;
+        if depth == 0 {
+            if t.is_punct('{') || t.is_ident("where") {
+                break;
+            }
+            if t.is_ident("for") {
+                is_trait_impl = true;
+            } else if t.kind == TokenKind::Ident && !t.is_ident("dyn") && !t.is_ident("mut") {
+                let side = if is_trait_impl {
+                    &mut after_for
+                } else {
+                    &mut before_for
+                };
+                *side = Some(t.text.as_str());
+            }
+        }
+        depth += nesting(file, code, q, true);
         q += 1;
     }
-    let target = tok(file, code, q + 2)?;
-    (tok(file, code, q)?.is_ident("Default")
-        && tok(file, code, q + 1)?.is_ident("for")
-        && target.kind == TokenKind::Ident)
-        .then_some(target.text.as_str())
+    let open = find_punct(file, code, q, &['{'])?;
+    let (owner, trait_name) = if is_trait_impl {
+        (after_for?, before_for)
+    } else {
+        (before_for?, None)
+    };
+    Some(ItemBody {
+        open,
+        end: group_end(file, code, open),
+        owner,
+        is_impl: true,
+        trait_name,
+    })
+}
+
+/// The parameter names of the `pub fn` whose name is at code position `n`
+/// when its return type names `Self` or `owner` (a constructor of
+/// `owner`); otherwise none.
+fn constructor_params<'a>(
+    file: &'a SourceFile,
+    code: &[usize],
+    n: usize,
+    owner: &str,
+) -> Vec<&'a str> {
+    let Some(open) = find_punct(file, code, n, &['(']) else {
+        return Vec::new();
+    };
+    let close = group_end(file, code, open);
+    let ret_end = find_punct(file, code, close, &['{', ';']).unwrap_or(code.len());
+    let constructs = (close..ret_end).any(|q| {
+        let t = &file.tokens[code[q]];
+        t.is_ident("Self") || t.is_ident(owner)
+    });
+    let mut depth = 0;
+    let mut params = Vec::new();
+    for q in open..close {
+        depth += nesting(file, code, q, true);
+        let t = &file.tokens[code[q]];
+        if constructs
+            && depth == 1
+            && t.kind == TokenKind::Ident
+            && is_single_colon(file, code, q + 1)
+        {
+            params.push(t.text.as_str());
+        }
+    }
+    params
+}
+
+/// True when code position `q` is a `:` that is not half of a `::`.
+fn is_single_colon(file: &SourceFile, code: &[usize], q: usize) -> bool {
+    tok(file, code, q).is_some_and(|t| t.is_punct(':'))
+        && !tok(file, code, q + 1).is_some_and(|t| t.is_punct(':'))
+        && !(q > 0 && file.tokens[code[q - 1]].is_punct(':'))
+}
+
+/// When code position `p` is the name of a struct literal `Name { … }` —
+/// an expression, not a definition, an `impl` header, a return type or a
+/// destructuring pattern — that name and the fields the literal sets:
+/// `field: …` entries and `field` shorthands, up to an `..base` update.
+fn struct_literal<'a>(
+    file: &'a SourceFile,
+    code: &[usize],
+    p: usize,
+) -> Option<(&'a str, Vec<&'a str>)> {
+    let name = tok(file, code, p)?;
+    if name.kind != TokenKind::Ident
+        || !name.text.starts_with(|c: char| c.is_ascii_uppercase())
+        || name.text == "Self"
+        || !tok(file, code, p + 1)?.is_punct('{')
+    {
+        return None;
+    }
+    // Back over a `path::` prefix to what precedes the path.
+    let mut s = p;
+    while s >= 3
+        && file.tokens[code[s - 1]].is_punct(':')
+        && file.tokens[code[s - 2]].is_punct(':')
+        && file.tokens[code[s - 3]].kind == TokenKind::Ident
+    {
+        s -= 3;
+    }
+    let declares = |t: &Token| {
+        [
+            "struct", "enum", "union", "impl", "for", "trait", "mod", "dyn", "let",
+        ]
+        .iter()
+        .any(|&k| t.is_ident(k))
+            || t.is_punct('>')
+    };
+    if s > 0 && declares(&file.tokens[code[s - 1]]) {
+        return None;
+    }
+    let open = p + 1;
+    let end = group_end(file, code, open);
+    let pattern = tok(file, code, end).is_some_and(|t| t.is_punct('='))
+        && !tok(file, code, end + 1).is_some_and(|t| t.is_punct('='));
+    if pattern {
+        return None;
+    }
+    let close = end - 1;
+    let mut fields = Vec::new();
+    let mut q = open + 1;
+    while q < close {
+        let t = &file.tokens[code[q]];
+        if t.is_punct('.') && tok(file, code, q + 1).is_some_and(|t| t.is_punct('.')) {
+            break;
+        }
+        let next = tok(file, code, q + 1);
+        if t.kind == TokenKind::Ident
+            && (q + 1 == close
+                || next.is_some_and(|n| n.is_punct(','))
+                || is_single_colon(file, code, q + 1))
+        {
+            fields.push(t.text.as_str());
+        }
+        // On to the entry after the next top-level comma.
+        let mut depth = 0;
+        while q < close {
+            depth += nesting(file, code, q, false);
+            if depth == 0 && file.tokens[code[q]].is_punct(',') {
+                break;
+            }
+            q += 1;
+        }
+        q += 1;
+    }
+    Some((name.text.as_str(), fields))
+}
+
+/// When code position `p` is the `.` of a `.field =` assignment (or a
+/// compound `.field += …`), the field's name.
+fn assigned_field<'a>(file: &'a SourceFile, code: &[usize], p: usize) -> Option<&'a str> {
+    if !tok(file, code, p)?.is_punct('.') || (p > 0 && file.tokens[code[p - 1]].is_punct('.')) {
+        return None;
+    }
+    let field = tok(file, code, p + 1).filter(|t| t.kind == TokenKind::Ident)?;
+    let mut q = p + 2;
+    let compound = |t: &Token| t.kind == TokenKind::Punct && "+-*/%&|^".contains(t.text.as_str());
+    if tok(file, code, q).is_some_and(compound) {
+        q += 1;
+    }
+    let assigns = tok(file, code, q)?.is_punct('=')
+        && !tok(file, code, q + 1).is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
+    assigns.then_some(field.text.as_str())
 }
 
 /// True when code position `q` is a `pub name:` field (a single colon).
@@ -1403,6 +1683,53 @@ mod tests {
             FileClass::Lib,
             src,
         )
+    }
+
+    #[test]
+    fn struct_literals_are_told_from_definitions_headers_and_patterns() {
+        let f = lib_file(
+            "struct Options { a: u32 }\n\
+             impl Default for crate::Options { fn default() -> Options { Options::new() } }\n\
+             fn f(c: u32) -> Options {\n\
+             let Options { a, .. } = g();\n\
+             match h() { Options { b, .. } => {} }\n\
+             if c > LIMIT { return c; }\n\
+             x.c = 1; x.d += 2; x.e == 3; x.g => 4;\n\
+             opts::Options { a: vec![1, 2], b: Inner { z: 0 }.z, c, ..Options::default() }\n\
+             }",
+        );
+        let code = code_view(&f);
+        let literals: Vec<_> = (0..code.len())
+            .filter_map(|p| struct_literal(&f, &code, p))
+            .filter(|(name, _)| *name != "LIMIT")
+            .collect();
+        assert_eq!(
+            literals,
+            vec![("Options", vec!["a", "b", "c"]), ("Inner", vec!["z"])]
+        );
+        let assigned: Vec<_> = (0..code.len())
+            .filter_map(|p| assigned_field(&f, &code, p))
+            .collect();
+        assert_eq!(assigned, vec!["c", "d"]);
+    }
+
+    #[test]
+    fn impl_bodies_name_their_self_type_not_impl_trait_arguments() {
+        let f = lib_file(
+            "impl<T: Fn() -> u8> fmt::Display for Wrapper<T> where T: Copy { }\n\
+             fn f(x: impl Iterator<Item = u32>) -> impl Sized { }\n\
+             impl Engine { pub fn new(a: u32, b: Vec<u8>) -> Result<Self, E> { } }",
+        );
+        let code = code_view(&f);
+        let bodies: Vec<_> = (0..code.len())
+            .filter_map(|p| impl_body(&f, &code, p))
+            .map(|b| (b.owner, b.trait_name))
+            .collect();
+        assert_eq!(bodies, vec![("Wrapper", Some("Display")), ("Engine", None)]);
+        let new = (0..code.len())
+            .find(|&p| f.tokens[code[p]].is_ident("new"))
+            .unwrap();
+        assert_eq!(constructor_params(&f, &code, new, "Engine"), vec!["a", "b"]);
     }
 
     #[test]

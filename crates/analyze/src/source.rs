@@ -7,21 +7,23 @@
 //! member crates, `shims/<name>/src` for the vendored dependency shims.
 //! Only files cargo actually compiles are walked — in particular
 //! subdirectories of `tests/` (fixture corpora) are skipped. The
-//! `NAME_ROOTS` are read for identifiers only and never linted.
+//! `NAME_ROOTS` are read for the names and struct literals they hold and
+//! never linted.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Directories read for the identifiers they name, never linted: the
-/// out-of-workspace `benchmark/` package, which builds against the crates'
-/// public API, and the helper module the root integration tests include.
+/// Directories read for the identifiers they name and the struct literals
+/// they write, never linted: the out-of-workspace `benchmark/` package,
+/// which builds against the crates' public API, and the helper module the
+/// root integration tests include.
 pub(crate) const NAME_ROOTS: &[&str] = &["benchmark/src", "tests/common"];
 
 /// The role a file plays in the workspace, which decides which rules and
 /// exemptions apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
+pub(crate) enum FileClass {
     /// Library or binary source of a member crate (or the root package).
     Lib,
     /// An integration-test file (`tests/*.rs`).
@@ -35,7 +37,7 @@ pub enum FileClass {
 /// An inline waiver comment:
 /// `// scope-analyze: allow(<rule>) — <reason>`.
 #[derive(Debug, Clone)]
-pub struct Waiver {
+pub(crate) struct Waiver {
     /// Rule name inside `allow(…)`.
     pub rule: String,
     /// Free-text justification after the dash. Empty reasons are rejected
@@ -51,7 +53,7 @@ pub struct Waiver {
 /// One lexed workspace file plus everything the rules need to know about
 /// it.
 #[derive(Debug)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Repo-relative path with `/` separators.
     pub path: String,
     /// Package name owning the file (`scope`, `scope-cloudsim`, `rand`, …).
@@ -72,7 +74,12 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Parse one file. `path` must be repo-relative.
-    pub fn parse(path: String, crate_name: String, class: FileClass, source: &str) -> SourceFile {
+    pub(crate) fn parse(
+        path: String,
+        crate_name: String,
+        class: FileClass,
+        source: &str,
+    ) -> SourceFile {
         let tokens = lex(source);
         let test_regions = attribute_item_regions(&tokens);
         let macro_def_regions = macro_rules_regions(&tokens);
@@ -107,19 +114,19 @@ impl SourceFile {
 
 /// The loaded workspace: all files, in deterministic path order.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Repo root the workspace was loaded from.
     pub root: PathBuf,
     /// All lexed files keyed by repo-relative path (sorted).
     pub files: BTreeMap<String, SourceFile>,
-    /// Identifiers named under the `NAME_ROOTS`.
-    pub read_only_idents: BTreeSet<String>,
+    /// The files under the `NAME_ROOTS`, lexed but never linted.
+    pub name_roots: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Load every compiled `.rs` file under `root` following the layout
     /// conventions described in the module docs.
-    pub fn load(root: &Path) -> std::io::Result<Workspace> {
+    pub(crate) fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut ws = Workspace {
             root: root.to_path_buf(),
             ..Workspace::default()
@@ -144,16 +151,13 @@ impl Workspace {
         Ok(ws)
     }
 
-    /// Record the identifiers of every `.rs` file under `dir`.
+    /// Lex every `.rs` file under `dir` into the name roots.
     fn add_names(&mut self, dir: PathBuf) -> std::io::Result<()> {
         for entry in rs_files_under(dir)? {
-            let tokens = lex(&std::fs::read_to_string(entry)?);
-            self.read_only_idents.extend(
-                tokens
-                    .into_iter()
-                    .filter(|t| t.kind == TokenKind::Ident)
-                    .map(|t| t.text),
-            );
+            let source = std::fs::read_to_string(&entry)?;
+            let rel = self.rel(&entry);
+            let file = SourceFile::parse(rel, String::new(), FileClass::Lib, &source);
+            self.name_roots.push(file);
         }
         Ok(())
     }

@@ -217,6 +217,43 @@ fn dead_pub_types_constants_and_knobs() {
 }
 
 #[test]
+fn dead_pub_knobs_by_setter_and_types_by_live_exposure() {
+    let report = run("dead-pub-setters", &["dead-pub"]);
+    let msgs = messages(&report);
+    assert_eq!(report.findings.len(), 5, "{msgs:?}");
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/lib/src/lib.rs"));
+    // Named outside only in another struct's literal, only read, only
+    // destructured, or taken by no constructor; a type only its own
+    // method returns.
+    for dead in [
+        "knob `Options::named_elsewhere`",
+        "knob `Options::read_only`",
+        "knob `Options::destructured`",
+        "knob `Weights::gamma`",
+        "`pub struct SelfMade`",
+    ] {
+        assert!(msgs.iter().any(|m| m.contains(dead)), "{dead}: {msgs:?}");
+    }
+    // Set in its own struct's literal, by shorthand, before `..base`, by
+    // assignment or by a public constructor's parameter; a type named
+    // outside, and one a method of such a type exposes.
+    for quiet in [
+        "set_in_literal",
+        "set_by_shorthand",
+        "set_before_base",
+        "set_by_assignment",
+        "alpha",
+        "NamedOutside",
+        "Part",
+    ] {
+        assert!(!msgs.iter().any(|m| m.contains(quiet)), "{quiet}: {msgs:?}");
+    }
+}
+
+#[test]
 fn shim_surface_pos_neg_waived() {
     let report = run("shim", &["shim-surface"]);
     let msgs = messages(&report);

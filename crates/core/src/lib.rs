@@ -49,21 +49,17 @@
 //!   byte-identical to one that never crashed) and [`run_recovery`] (the
 //!   journaled engine over fault-injected storage, crashed at fuzzed
 //!   positions and recovered by replay, leaves checkpoints byte-identical
-//!   to a never-crashed twin's after every epoch). [`serving`], [`chaos`]
-//!   and [`recovery`] are those scenarios' paths and hold their tests.
+//!   to a never-crashed twin's after every epoch).
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod enterprise;
 pub mod lifecycle;
 pub mod lockstep;
 pub mod multicloud;
 pub mod pipeline;
 pub mod policy;
-pub mod recovery;
 pub mod scenario;
-pub mod serving;
 pub mod tradeoff;
 
 pub use enterprise::{

@@ -84,51 +84,56 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The fleet and schedule options every scenario shares; on their own,
-/// the options of the plain serving replay.
+/// the options of the plain serving replay. The engine's decay and bucket
+/// base are [`ServeConfig::default`]'s; the catalog, the schemes, the
+/// account shards and the batches per epoch are the scenario's own
+/// constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingOptions {
     /// The enterprise account to generate (catalog + day-resolution log).
     pub workload: EnterpriseOptions,
-    /// Tier catalog the engine re-optimizes over.
-    pub catalog: TierCatalog,
-    /// Compression schemes shared by all objects (index 0 must be the
-    /// identity scheme).
-    pub schemes: Vec<CompressionOption>,
     /// Re-optimization cadence in days (an epoch = deliveries + advance +
     /// re-solve).
     pub epoch_days: u32,
-    /// Number of synthetic billing accounts the datasets are sharded
-    /// into round-robin (each account re-solves independently).
-    pub accounts: usize,
-    /// Batches each epoch's events are split into before delivery (the
-    /// unit of journaling, tearing, duplication and reordering).
-    pub batches_per_epoch: usize,
     /// Worker threads for the sharded re-solve (0 = default).
     pub threads: usize,
-    /// Per-day heat decay for the engine.
-    pub decay_per_day: f64,
-    /// Geometric heat-bucket base for the engine.
-    pub bucket_base: f64,
 }
 
 impl Default for ServingOptions {
     fn default() -> Self {
         ServingOptions {
             workload: EnterpriseOptions::default(),
-            catalog: TierCatalog::azure_hot_cool_archive(),
-            schemes: vec![
-                CompressionOption::none(),
-                CompressionOption::new("zstd", 2.4, 0.35),
-            ],
             epoch_days: 15,
-            accounts: 4,
-            batches_per_epoch: 4,
             threads: 0,
-            decay_per_day: 0.98,
-            bucket_base: 2.0,
         }
     }
 }
+
+/// The tier catalog the engines re-optimize over: the paper's enterprise
+/// account is an Azure storage account, so Azure's Hot, Cool and Archive.
+fn catalog() -> TierCatalog {
+    TierCatalog::azure_hot_cool_archive()
+}
+
+/// The compression schemes every object offers: the mandatory identity
+/// scheme (index 0) and one zstd-like codec, so a re-solve trades storage
+/// against decompression as well as tiers.
+fn schemes() -> Vec<CompressionOption> {
+    vec![
+        CompressionOption::none(),
+        CompressionOption::new("zstd", 2.4, 0.35),
+    ]
+}
+
+/// Billing accounts the datasets are sharded into round-robin: four
+/// shards re-solve independently, so one shard can fail or go stale while
+/// the others stay pinned to the reference.
+const ACCOUNTS: usize = 4;
+
+/// Batches each epoch's events are split into before delivery, the unit of
+/// journaling, tearing, duplication and reordering: four give every epoch
+/// a batch to lose, repeat and reorder without making the journal long.
+const BATCHES_PER_EPOCH: usize = 4;
 
 /// Options for the chaos replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,9 +165,11 @@ pub struct RecoveryOptions {
     pub seed: u64,
     /// Storage-fault-plan rates.
     pub rates: StorageFaultRates,
-    /// Records per journal segment (small values exercise rolling).
-    pub segment_records: usize,
 }
+
+/// Records per journal segment: eight, far below the journal's default, so
+/// every replay rolls segments and recovery crosses segment boundaries.
+const SEGMENT_RECORDS: usize = 8;
 
 /// Crashes forced at fuzzed step positions regardless of the crash rate
 /// (each fires exactly once): at least three crash points per run, whatever
@@ -180,7 +187,6 @@ impl Default for RecoveryOptions {
             serving: ServingOptions::default(),
             seed: 0xD0_5EED,
             rates: StorageFaultRates::light(),
-            segment_records: 8,
         }
     }
 }
@@ -362,29 +368,23 @@ fn split_batches(columns: &EventColumns, n: usize) -> Vec<EventColumns> {
 
 impl Schedule {
     /// Lay `columns` out as epochs of `epoch_days` up to `horizon_days`,
-    /// each delivered as `batches_per_epoch` sequenced batches followed by
+    /// each delivered as `BATCHES_PER_EPOCH` sequenced batches followed by
     /// its boundary.
     fn new(
         columns: &EventColumns,
         horizon_days: u32,
         epoch_days: u32,
-        batches_per_epoch: usize,
     ) -> Result<Schedule, ScopeError> {
         if epoch_days == 0 {
             return Err(ScopeError::InvalidConfig(
                 "epoch_days must be positive".into(),
             ));
         }
-        if batches_per_epoch == 0 {
-            return Err(ScopeError::InvalidConfig(
-                "at least one batch per epoch is required".into(),
-            ));
-        }
         let mut steps = Vec::new();
         let (mut seq, mut epochs, mut day) = (0u64, 0usize, 0u32);
         while day < horizon_days {
             let hi = (day + epoch_days).min(horizon_days);
-            for batch in split_batches(&columns.filter_day_range(day, hi), batches_per_epoch) {
+            for batch in split_batches(&columns.filter_day_range(day, hi), BATCHES_PER_EPOCH) {
                 steps.push(Step::Deliver(seq, batch));
                 seq += 1;
             }
@@ -446,13 +446,9 @@ impl Schedule {
 }
 
 /// Everything needed to build, and after a crash rebuild, identical
-/// registered engines.
+/// registered engines over `catalog()` and `schemes()`.
 #[derive(Debug, Clone, PartialEq)]
 struct Fleet {
-    /// Tier catalog the engines re-optimize over.
-    catalog: TierCatalog,
-    /// Compression schemes shared by all objects.
-    schemes: Vec<CompressionOption>,
     /// Engine configuration.
     config: ServeConfig,
     /// The objects, in registration (= interned id) order.
@@ -462,11 +458,7 @@ struct Fleet {
 impl Fleet {
     /// A fresh engine with every object registered.
     fn engine(&self) -> Result<ServeEngine, ServeError> {
-        let mut engine = ServeEngine::new(
-            self.catalog.clone(),
-            self.schemes.clone(),
-            self.config.clone(),
-        )?;
+        let mut engine = ServeEngine::new(catalog(), schemes(), self.config.clone())?;
         for object in &self.objects {
             engine.register(object.clone())?;
         }
@@ -484,11 +476,6 @@ impl Fleet {
 /// into billing accounts on the platform default tier, and the projection
 /// window of its day log as the schedule.
 fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), ScopeError> {
-    if options.accounts == 0 {
-        return Err(ScopeError::InvalidConfig(
-            "at least one account shard is required".into(),
-        ));
-    }
     let workload = EnterpriseWorkload::generate(options.workload.clone())?;
     let horizon_months = workload.options.future_months;
     let horizon_days = horizon_months * DAYS_PER_MONTH;
@@ -498,13 +485,9 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
         horizon_days,
     )?;
     let fleet = Fleet {
-        catalog: options.catalog.clone(),
-        schemes: options.schemes.clone(),
         config: ServeConfig {
             horizon_days,
             horizon_months: f64::from(horizon_months),
-            decay_per_day: options.decay_per_day,
-            bucket_base: options.bucket_base,
             threads: options.threads,
             ..ServeConfig::default()
         },
@@ -514,7 +497,7 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
             .map(|d| {
                 ServeObject::new(
                     d.name.clone(),
-                    format!("account-{}", d.id % options.accounts),
+                    format!("account-{}", d.id % ACCOUNTS),
                     d.size_gb,
                     TierId(0),
                 )
@@ -524,12 +507,7 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
     };
     let engine = fleet.engine()?;
     let columns = EventColumns::from_events(&events, |n| engine.object_id(n));
-    let schedule = Schedule::new(
-        &columns,
-        horizon_days,
-        options.epoch_days,
-        options.batches_per_epoch,
-    )?;
+    let schedule = Schedule::new(&columns, horizon_days, options.epoch_days)?;
     Ok((fleet, schedule))
 }
 
@@ -596,15 +574,14 @@ impl CrashPolicy for Option<&FaultPlan> {
     fn recover(
         &mut self,
         engine: ServeEngine,
-        fleet: &Fleet,
+        _: &Fleet,
         _: &Schedule,
         _: u64,
         next: usize,
         tally: &mut RecoveryOutcome,
     ) -> Result<(ServeEngine, usize), ServeError> {
         let snapshot = engine.checkpoint();
-        let restored =
-            ServeEngine::restore(fleet.catalog.clone(), fleet.schemes.clone(), &snapshot)?;
+        let restored = ServeEngine::restore(catalog(), schemes(), &snapshot)?;
         tally.checkpoints_bit_identical &= restored.checkpoint() == snapshot;
         Ok((restored, next))
     }
@@ -665,8 +642,8 @@ impl CrashPolicy for StorageCrashes {
         match JournaledEngine::recover(
             faulty,
             self.journal_cfg.clone(),
-            fleet.catalog.clone(),
-            fleet.schemes.clone(),
+            catalog(),
+            schemes(),
             || fleet.engine(),
         ) {
             Ok((recovered, report)) => {
@@ -1008,7 +985,7 @@ pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeE
     let twin = drive_plain(&fleet, &schedule, None)?;
 
     let journal_cfg = JournalConfig {
-        segment_records: options.segment_records,
+        segment_records: SEGMENT_RECORDS,
         ..JournalConfig::default()
     };
     let journaled = JournaledEngine::create(
@@ -1044,6 +1021,34 @@ pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeE
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scenarios' test fleet: 60 datasets, a six-month window.
+    fn serving() -> ServingOptions {
+        ServingOptions {
+            workload: EnterpriseOptions {
+                n_datasets: 60,
+                history_months: 6,
+                future_months: 6,
+                seed: 11,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    fn chaos() -> ChaosOptions {
+        ChaosOptions {
+            serving: serving(),
+            ..Default::default()
+        }
+    }
+
+    fn recovery() -> RecoveryOptions {
+        RecoveryOptions {
+            serving: serving(),
+            ..Default::default()
+        }
+    }
 
     fn columns(n: usize) -> EventColumns {
         let mut columns = EventColumns::default();
@@ -1111,5 +1116,212 @@ mod tests {
         assert!(!plain.final_checkpoint.is_empty());
         assert_eq!(plain.final_checkpoint, chaos.final_checkpoint);
         assert_eq!(plain.final_checkpoint, recovery.final_checkpoint);
+    }
+
+    #[test]
+    fn serving_replay_matches_the_batch_reference_on_every_epoch() {
+        let outcome = run_serving(&serving()).unwrap();
+        assert_eq!(outcome.objects, 60);
+        assert_eq!(outcome.epochs.len(), 12); // 180 days / 15-day epochs
+        for (i, e) in outcome.epochs.iter().enumerate() {
+            assert!(e.matches_reference, "epoch {i} diverged from reference");
+        }
+        // The first epoch is a cold build; the steady state is a delta
+        // path that re-evaluates only re-bucketed rows.
+        assert_eq!(outcome.epochs[0].rows_patched, outcome.objects);
+        let warm_rows: usize = outcome.epochs[1..].iter().map(|e| e.rows_patched).sum();
+        assert!(
+            warm_rows < (outcome.epochs.len() - 1) * outcome.objects,
+            "warm epochs patched {warm_rows} rows; not incremental"
+        );
+        // Cooling datasets make the engine move placements mid-stream.
+        assert!(outcome.total_retier_decisions > 0, "{outcome:?}");
+        // The replayed trace lies inside the configured horizon.
+        assert_eq!(outcome.dropped_events, 0);
+        assert!(outcome.final_total_objective.is_finite());
+    }
+
+    #[test]
+    fn serving_options_are_validated() {
+        let bad = ServingOptions {
+            epoch_days: 0,
+            ..serving()
+        };
+        assert!(matches!(
+            run_serving(&bad),
+            Err(ScopeError::InvalidConfig(_))
+        ));
+    }
+
+    fn assert_chaos_contracts(outcome: &ChaosOutcome) {
+        assert!(outcome.recoveries_bit_identical);
+        assert!(outcome.intake_matches_expected);
+        for (i, e) in outcome.epochs.iter().enumerate() {
+            assert!(e.heat_matches_twin, "epoch {i} heat diverged from twin");
+            assert!(
+                e.matches_reference,
+                "epoch {i} healthy shards diverged from reference"
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_replay_upholds_every_contract_under_light_faults() {
+        let outcome = run_chaos(&chaos()).unwrap();
+        assert_eq!(outcome.objects, 60);
+        assert_eq!(outcome.epochs.len(), 12);
+        assert_chaos_contracts(&outcome);
+        // The light mix actually exercised something.
+        assert!(outcome.quarantined_events > 0, "{outcome:?}");
+        assert!(outcome.duplicate_batches > 0, "{outcome:?}");
+        assert!(outcome.crashes > 0, "{outcome:?}");
+        assert!(
+            outcome.epochs.iter().any(|e| e.degraded_accounts > 0),
+            "{outcome:?}"
+        );
+        assert!(outcome.final_total_objective.is_finite());
+    }
+
+    #[test]
+    fn chaos_replay_under_heavy_faults_still_recovers() {
+        let outcome = run_chaos(&ChaosOptions {
+            rates: FaultRates::heavy(),
+            seed: 7,
+            ..chaos()
+        })
+        .unwrap();
+        assert_chaos_contracts(&outcome);
+        assert!(outcome.crashes > 0);
+    }
+
+    #[test]
+    fn a_faultless_plan_reduces_to_the_serving_replay() {
+        let outcome = run_chaos(&ChaosOptions {
+            rates: FaultRates::none(),
+            ..chaos()
+        })
+        .unwrap();
+        assert_chaos_contracts(&outcome);
+        assert_eq!(outcome.quarantined_events, 0);
+        assert_eq!(outcome.duplicate_batches, 0);
+        assert_eq!(outcome.crashes, 0);
+        assert!(outcome.epochs.iter().all(|e| e.degraded_accounts == 0));
+        // With no faults the chaos loop must reproduce the serving
+        // scenario's replay exactly (same trace, same engine settings).
+        let serving = run_serving(&serving()).unwrap();
+        assert_eq!(
+            outcome.final_total_objective.to_bits(),
+            serving.final_total_objective.to_bits()
+        );
+        assert_eq!(
+            outcome.total_retier_decisions,
+            serving.total_retier_decisions
+        );
+    }
+
+    #[test]
+    fn chaos_options_are_validated() {
+        for bad in [
+            ChaosOptions {
+                serving: ServingOptions {
+                    epoch_days: 0,
+                    ..serving()
+                },
+                ..chaos()
+            },
+            ChaosOptions {
+                rates: FaultRates {
+                    crash: 1.5,
+                    ..FaultRates::none()
+                },
+                ..chaos()
+            },
+        ] {
+            assert!(matches!(run_chaos(&bad), Err(ScopeError::InvalidConfig(_))));
+        }
+    }
+
+    fn assert_recovery_contracts(outcome: &RecoveryOutcome) {
+        assert!(outcome.checkpoints_bit_identical, "{outcome:?}");
+        assert!(outcome.final_bit_identical, "{outcome:?}");
+        for (i, e) in outcome.epochs.iter().enumerate() {
+            assert!(
+                e.checkpoint_matches_twin,
+                "epoch {i} checkpoint diverged from twin"
+            );
+            assert!(
+                e.objective_bits_match,
+                "epoch {i} objective diverged from twin"
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_replay_is_bit_identical_under_light_storage_faults() {
+        let outcome = run_recovery(&recovery()).unwrap();
+        assert_eq!(outcome.objects, 60);
+        assert_eq!(outcome.epochs.len(), 12);
+        assert_recovery_contracts(&outcome);
+        assert!(outcome.crashes >= 3, "{outcome:?}");
+        assert_eq!(outcome.forced_crashes, 3);
+        assert!(!outcome.fault_injection_capped, "{outcome:?}");
+    }
+
+    #[test]
+    fn recovery_replay_survives_heavy_storage_faults() {
+        let outcome = run_recovery(&RecoveryOptions {
+            rates: StorageFaultRates::heavy(),
+            seed: 7,
+            ..recovery()
+        })
+        .unwrap();
+        assert_recovery_contracts(&outcome);
+        assert!(outcome.crashes > 3, "{outcome:?}");
+        // The heavy mix actually corrupted storage somewhere.
+        assert!(
+            outcome.torn_crashes + outcome.bit_flip_crashes + outcome.injected_op_faults > 0,
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn a_faultless_plan_still_exercises_forced_fuzz_crashes() {
+        let outcome = run_recovery(&RecoveryOptions {
+            rates: StorageFaultRates::none(),
+            ..recovery()
+        })
+        .unwrap();
+        assert_recovery_contracts(&outcome);
+        assert_eq!(outcome.crashes, 3, "only the forced fuzz crashes");
+        assert_eq!(outcome.forced_crashes, 3);
+        assert_eq!(outcome.injected_op_faults, 0);
+        assert_eq!(outcome.torn_crashes, 0);
+        assert_eq!(outcome.bit_flip_crashes, 0);
+        assert_eq!(outcome.unrecoverable_resets, 0);
+    }
+
+    #[test]
+    fn recovery_options_are_validated() {
+        for bad in [
+            RecoveryOptions {
+                serving: ServingOptions {
+                    epoch_days: 0,
+                    ..serving()
+                },
+                ..recovery()
+            },
+            RecoveryOptions {
+                rates: StorageFaultRates {
+                    crash: -1.0,
+                    ..StorageFaultRates::none()
+                },
+                ..recovery()
+            },
+        ] {
+            assert!(matches!(
+                run_recovery(&bad),
+                Err(ScopeError::InvalidConfig(_))
+            ));
+        }
     }
 }

@@ -55,8 +55,6 @@ pub struct MultiCloudOptions {
     /// The providers to place across (tier ladders + egress matrix); it
     /// must hold the home tier, `HOME_PROVIDER`'s `HOME_TIER`.
     pub providers: ProviderCatalog,
-    /// Re-tiering granularity in billing periods (1 = every period).
-    pub retier_every: u32,
 }
 
 impl Default for MultiCloudOptions {
@@ -64,10 +62,14 @@ impl Default for MultiCloudOptions {
         MultiCloudOptions {
             workload: EnterpriseOptions::default(),
             providers: ProviderCatalog::azure_s3_gcs(),
-            retier_every: 1,
         }
     }
 }
+
+/// Re-tiering granularity in billing periods: every period, so both the
+/// single-provider and the cross-provider plans may move data as soon as
+/// it cools, and the comparison isolates what crossing clouds adds.
+const RETIER_EVERY: u32 = 1;
 
 /// Realised cost of placing the account entirely inside one provider.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,7 +178,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
             horizon_months,
             home,
             WRITE_VOLUME_FRACTION,
-            options.retier_every,
+            RETIER_EVERY,
         )?;
         let schedules: Vec<PlacementSchedule> = plans
             .iter()
@@ -217,7 +219,7 @@ pub fn run_multicloud(options: &MultiCloudOptions) -> Result<MultiCloudOutcome, 
         horizon_months,
         home,
         WRITE_VOLUME_FRACTION,
-        options.retier_every,
+        RETIER_EVERY,
     )?;
     let cross_schedules: Vec<PlacementSchedule> = cross_plans
         .iter()

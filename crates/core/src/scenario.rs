@@ -130,15 +130,11 @@ pub struct ScenarioOptions {
     /// Scale factor of the *generated* tables used to measure compression
     /// (kept small; ratios are size-stable for these generators).
     pub generator_scale: f64,
-    /// Optional Zipf skew of the generated data (the "TPC-H Skew" variant).
-    pub skew: Option<f64>,
     /// Queries generated per TPC-H template (the paper uses 20).
     pub queries_per_template: usize,
     /// Total number of physical files across all tables (controls partition
     /// granularity; the paper's 100 GB run ends up with ~137 partitions).
     pub total_files: usize,
-    /// Projection horizon in months (the paper uses 5.5).
-    pub horizon_months: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -148,14 +144,16 @@ impl Default for ScenarioOptions {
         ScenarioOptions {
             nominal_total_gb: 100.0,
             generator_scale: 0.3,
-            skew: None,
             queries_per_template: 20,
             total_files: 80,
-            horizon_months: 5.5,
             seed: 7,
         }
     }
 }
+
+/// Projection horizon in months: the paper's 5.5, for the TPC-H and the
+/// Enterprise Data II scenarios alike.
+const HORIZON_MONTHS: f64 = 5.5;
 
 /// How many times each generated query executes per month of the horizon.
 /// The generated templates describe the *shape* of the workload;
@@ -211,7 +209,7 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
     }
     let gen = TpchGenerator::new(TpchOptions {
         scale_factor: options.generator_scale,
-        skew: options.skew,
+        skew: None,
         seed: options.seed,
     })?;
     let tables = gen.generate_all();
@@ -255,17 +253,16 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
             seed: options.seed,
         },
     )?;
-    let repeat = QUERY_REPEATS_PER_MONTH * options.horizon_months;
     let mut families = workload.families;
     for f in &mut families {
-        f.frequency *= repeat.max(1.0);
+        f.frequency *= QUERY_REPEATS_PER_MONTH * HORIZON_MONTHS;
     }
 
     let inputs = PipelineInputs {
         catalog: TierCatalog::azure_premium_hot_cool(),
         tables: profiles,
         families,
-        horizon_months: options.horizon_months,
+        horizon_months: HORIZON_MONTHS,
     };
     inputs.validate()?;
     Ok(inputs)
@@ -304,16 +301,16 @@ pub fn enterprise2_scenario(
     }
     let workload =
         QueryWorkload::generate_enterprise(sources.len(), files_per_table, n_queries, 1.5, seed)?;
-    // Enterprise Data II queries repeat monthly over the 5.5-month horizon.
+    // Enterprise Data II queries repeat monthly over the horizon.
     let mut families = workload.families;
     for f in &mut families {
-        f.frequency *= 5.5 * 8.0;
+        f.frequency *= QUERY_REPEATS_PER_MONTH * HORIZON_MONTHS;
     }
     let inputs = PipelineInputs {
         catalog: TierCatalog::azure_premium_hot_cool(),
         tables: profiles,
         families,
-        horizon_months: 5.5,
+        horizon_months: HORIZON_MONTHS,
     };
     inputs.validate()?;
     Ok(inputs)
@@ -376,7 +373,7 @@ mod tests {
         let inputs = tpch_scenario(&options).unwrap();
         let tables = TpchGenerator::new(TpchOptions {
             scale_factor: options.generator_scale,
-            skew: options.skew,
+            skew: None,
             seed: options.seed,
         })
         .unwrap()

@@ -25,26 +25,27 @@ use scope_cloudsim::parallel::{default_threads, parallel_map_with_threads};
 /// [`BoostingParams::default`] fits.
 pub(crate) const LEARNING_RATE: f64 = 0.1;
 
-/// Hyper-parameters for gradient boosting.
+/// The tree every boosting stage fits: depth 3, scikit-learn's
+/// gradient-boosting default (shallow stages, each a weak learner), with
+/// the usual split and leaf minimums and every feature considered.
+pub(crate) const STAGE_TREE: TreeParams = TreeParams {
+    max_depth: 3,
+    min_samples_split: 2,
+    min_samples_leaf: 1,
+    max_features: None,
+};
+
+/// Hyper-parameters for gradient boosting; every stage fits a
+/// `STAGE_TREE`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostingParams {
     /// Number of boosting stages.
     pub n_estimators: usize,
-    /// Per-stage tree parameters (typically shallow, depth 3–4).
-    pub tree: TreeParams,
 }
 
 impl Default for BoostingParams {
     fn default() -> Self {
-        BoostingParams {
-            n_estimators: 100,
-            tree: TreeParams {
-                max_depth: 3,
-                min_samples_split: 2,
-                min_samples_leaf: 1,
-                max_features: None,
-            },
-        }
+        BoostingParams { n_estimators: 100 }
     }
 }
 
@@ -96,7 +97,7 @@ impl GradientBoostingRegressor {
             let tree = DecisionTreeRegressor::fit_ordered(
                 cols,
                 &residuals,
-                params.tree,
+                STAGE_TREE,
                 stage_idx as u64 + 1,
                 &sorted,
             );
@@ -190,24 +191,8 @@ mod tests {
     #[test]
     fn more_stages_reduce_training_error() {
         let (f, t) = nonlinear(200, 5);
-        let short = fit(
-            &f,
-            &t,
-            BoostingParams {
-                n_estimators: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let long = fit(
-            &f,
-            &t,
-            BoostingParams {
-                n_estimators: 150,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let short = fit(&f, &t, BoostingParams { n_estimators: 5 }).unwrap();
+        let long = fit(&f, &t, BoostingParams { n_estimators: 150 }).unwrap();
         let p_short: Vec<f64> = f.iter().map(|x| short.predict_one(x)).collect();
         let p_long: Vec<f64> = f.iter().map(|x| long.predict_one(x)).collect();
         assert!(mae(&t, &p_long) < mae(&t, &p_short));
@@ -216,10 +201,7 @@ mod tests {
     #[test]
     fn boosting_is_thread_count_independent() {
         let (f, t) = nonlinear(150, 9);
-        let params = BoostingParams {
-            n_estimators: 25,
-            ..Default::default()
-        };
+        let params = BoostingParams { n_estimators: 25 };
         let cols = ColumnMatrix::from_rows(&f).unwrap();
         let sequential =
             GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, params, 1).unwrap();
@@ -244,15 +226,7 @@ mod tests {
     fn invalid_hyperparameters_rejected() {
         let f = vec![vec![1.0]];
         let t = vec![1.0];
-        assert!(fit(
-            &f,
-            &t,
-            BoostingParams {
-                n_estimators: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
+        assert!(fit(&f, &t, BoostingParams { n_estimators: 0 }).is_err());
     }
 
     #[test]

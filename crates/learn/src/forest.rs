@@ -41,15 +41,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scope_cloudsim::parallel::{default_threads, parallel_map_with_threads};
 
-/// Hyper-parameters for random forests.
+/// Hyper-parameters for random forests. Every tree is grown with
+/// [`TreeParams::default`]'s depth and split limits and considers
+/// `forest_tree`'s `max_features` at each split.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestParams {
     /// Number of trees in the ensemble.
     pub n_trees: usize,
-    /// Per-tree parameters. If `max_features` is `None` it is defaulted to
-    /// `sqrt(width)` for classification and `width / 3` for regression, the
-    /// conventional random-forest defaults.
-    pub tree: TreeParams,
     /// Seed controlling bootstrap sampling and feature subsampling.
     pub seed: u64,
 }
@@ -58,17 +56,25 @@ impl Default for ForestParams {
     fn default() -> Self {
         ForestParams {
             n_trees: 50,
-            tree: TreeParams::default(),
             seed: 42,
         }
     }
 }
 
-pub(crate) fn default_max_features(width: usize, classification: bool) -> usize {
-    if classification {
+/// The parameters of every tree of a forest over `width` features:
+/// [`TreeParams::default`] (depth 12, the conventional split and leaf
+/// minimums), considering `sqrt(width)` features per split for
+/// classification and `width / 3` for regression, the conventional
+/// random-forest defaults.
+pub(crate) fn forest_tree(width: usize, classification: bool) -> TreeParams {
+    let max_features = if classification {
         ((width as f64).sqrt().round() as usize).max(1)
     } else {
         (width / 3).max(1)
+    };
+    TreeParams {
+        max_features: Some(max_features),
+        ..TreeParams::default()
     }
 }
 
@@ -106,10 +112,7 @@ fn fit_trees<T: Send>(
         return Err(LearnError::InvalidHyperParameter("n_trees must be > 0"));
     }
     cols.check_targets(targets.len())?;
-    let mut tree_params = params.tree;
-    if tree_params.max_features.is_none() {
-        tree_params.max_features = Some(default_max_features(cols.n_cols(), classification));
-    }
+    let tree_params = forest_tree(cols.n_cols(), classification);
     let plans = bootstrap_plans(params.n_trees, cols.n_rows(), params.seed);
     let ranks = RankTable::new(cols);
     Ok(parallel_map_with_threads(

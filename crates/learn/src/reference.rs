@@ -29,10 +29,10 @@
 //! shared scorer itself. `crates/learn/tests/differential_seed_oracles.rs`
 //! pins the fast path against them.
 
-use crate::boosting::{BoostingParams, LEARNING_RATE};
+use crate::boosting::{BoostingParams, LEARNING_RATE, STAGE_TREE};
 use crate::data::check_no_nan;
 use crate::error::LearnError;
-use crate::forest::{default_max_features, ForestParams};
+use crate::forest::{forest_tree, ForestParams};
 use crate::knn::KnnWeighting;
 use crate::tree::{
     best_split_scan, validate, Criterion, Node, SplitScan, SubsampleRng, TreeParams,
@@ -197,10 +197,7 @@ pub fn fit_forest_regressor_reference(
     // naming the same cell as the fast path's `ColumnMatrix::from_rows`.
     check_no_nan(features)?;
     let width = features[0].len();
-    let mut tree_params = params.tree;
-    if tree_params.max_features.is_none() {
-        tree_params.max_features = Some(default_max_features(width, false));
-    }
+    let tree_params = forest_tree(width, false);
     let n = features.len();
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut trees = Vec::with_capacity(params.n_trees);
@@ -240,10 +237,7 @@ pub fn fit_forest_classifier_reference(
     }
     check_no_nan(features)?;
     let width = features[0].len();
-    let mut tree_params = params.tree;
-    if tree_params.max_features.is_none() {
-        tree_params.max_features = Some(default_max_features(width, true));
-    }
+    let tree_params = forest_tree(width, true);
     let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
     let n = features.len();
     let mut rng = SmallRng::seed_from_u64(params.seed);
@@ -293,7 +287,7 @@ pub fn fit_boosting_reference(
             break;
         }
         let tree =
-            fit_tree_regressor_reference(features, &residuals, params.tree, stage_idx as u64 + 1)?;
+            fit_tree_regressor_reference(features, &residuals, STAGE_TREE, stage_idx as u64 + 1)?;
         for (c, row) in current.iter_mut().zip(features) {
             *c += LEARNING_RATE * tree.predict_one(row);
         }
@@ -495,10 +489,7 @@ pub fn fit_forest_regressor_seed(
     // naming the same cell as the fast path's `ColumnMatrix::from_rows`.
     check_no_nan(features)?;
     let width = features[0].len();
-    let mut tree_params = params.tree;
-    if tree_params.max_features.is_none() {
-        tree_params.max_features = Some(default_max_features(width, false));
-    }
+    let tree_params = forest_tree(width, false);
     let n = features.len();
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut trees = Vec::with_capacity(params.n_trees);
@@ -538,10 +529,7 @@ pub fn fit_forest_classifier_seed(
     }
     check_no_nan(features)?;
     let width = features[0].len();
-    let mut tree_params = params.tree;
-    if tree_params.max_features.is_none() {
-        tree_params.max_features = Some(default_max_features(width, true));
-    }
+    let tree_params = forest_tree(width, true);
     let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
     let n = features.len();
     let mut rng = SmallRng::seed_from_u64(params.seed);
@@ -662,10 +650,7 @@ mod tests {
             RandomForestClassifier::fit_columns(&cols, &labels, fp).unwrap(),
             fit_forest_classifier_reference(&f, &labels, fp).unwrap()
         );
-        let bp = BoostingParams {
-            n_estimators: 20,
-            ..Default::default()
-        };
+        let bp = BoostingParams { n_estimators: 20 };
         assert_eq!(
             GradientBoostingRegressor::fit_columns(&cols, &t, bp).unwrap(),
             fit_boosting_reference(&f, &t, bp).unwrap()

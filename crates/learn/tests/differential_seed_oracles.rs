@@ -106,7 +106,6 @@ fn forest_regressor_fast_path_matches_seed_oracle() {
     let params = ForestParams {
         n_trees: 8,
         seed: 31,
-        ..ForestParams::default()
     };
     let oracle = fit_forest_regressor_seed(&features, &targets, params).unwrap();
     let cols = ColumnMatrix::from_rows(&features).unwrap();
@@ -126,7 +125,6 @@ fn forest_classifier_fast_path_matches_seed_oracle() {
     let params = ForestParams {
         n_trees: 9,
         seed: 13,
-        ..ForestParams::default()
     };
     let oracle = fit_forest_classifier_seed(&features, &labels, params).unwrap();
     let cols = ColumnMatrix::from_rows(&features).unwrap();
@@ -151,7 +149,6 @@ fn forest_seed_oracles_are_deterministic() {
     let params = ForestParams {
         n_trees: 5,
         seed: 77,
-        ..ForestParams::default()
     };
     let a = fit_forest_regressor_seed(&features, &targets, params).unwrap();
     let b = fit_forest_regressor_seed(&features, &targets, params).unwrap();

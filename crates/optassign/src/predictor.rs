@@ -23,6 +23,7 @@ use scope_workload::{AccessSeries, DatasetCatalog, DatasetMeta};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictorFeatures {
     /// Number of trailing months of read/write history fed to the model.
+    // scope-analyze: allow(dead-pub) — no caller sets it, but benchmark/src/plan.rs reads it; ROADMAP item 8 (a) drops that read and makes it a constant
     pub lookback_months: u32,
 }
 
@@ -166,16 +167,9 @@ impl TierPredictor {
         // fan-out underneath (bit-identical to the sequential path).
         let cols = ColumnMatrix::from_rows(&xs)
             .map_err(|e| OptAssignError::InvalidProblem(format!("training failed: {e}")))?;
-        let model = RandomForestClassifier::fit_columns(
-            &cols,
-            &ys,
-            ForestParams {
-                n_trees: 60,
-                seed,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| OptAssignError::InvalidProblem(format!("training failed: {e}")))?;
+        let model =
+            RandomForestClassifier::fit_columns(&cols, &ys, ForestParams { n_trees: 60, seed })
+                .map_err(|e| OptAssignError::InvalidProblem(format!("training failed: {e}")))?;
         Ok(TierPredictor {
             model,
             features,

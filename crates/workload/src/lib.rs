@@ -35,4 +35,4 @@ pub use daylog::{DailyAccess, DailyAccessLog};
 pub use enterprise::{EnterpriseOptions, EnterpriseWorkload};
 pub use error::WorkloadError;
 pub use patterns::AccessPattern;
-pub use queries::{FileRef, QueryFamily, QueryWorkload, QueryWorkloadOptions, TpchQueryTemplate};
+pub use queries::{FileRef, QueryFamily, QueryWorkload, QueryWorkloadOptions};

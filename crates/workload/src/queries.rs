@@ -6,7 +6,7 @@
 //! query-based sampling likewise derives its training samples from the rows
 //! touched by queries. This module models both:
 //!
-//! * [`TpchQueryTemplate`] — the 22 TPC-H query templates reduced to their
+//! * `TpchQueryTemplate` — the 22 TPC-H query templates reduced to their
 //!   *data-access footprint*: which tables they touch and how selectively
 //!   (a date-range over the fact table, a full dimension scan, a point
 //!   lookup, ...). The join/aggregation logic of the SQL is irrelevant to
@@ -65,7 +65,7 @@ impl QueryFamily {
 
 /// One of the 22 TPC-H query templates, reduced to its access footprint.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TpchQueryTemplate {
+pub(crate) struct TpchQueryTemplate {
     /// Template number (1..=22).
     pub number: usize,
     /// Per-table footprint: `(table name, fraction of files touched,
@@ -79,7 +79,7 @@ impl TpchQueryTemplate {
     /// The 22 TPC-H templates. Fractions follow the templates' dominant
     /// predicates: Q1/Q6 scan a large shipdate range of lineitem, Q2/Q11
     /// touch part/partsupp/supplier, Q13 is customer×orders, etc.
-    pub fn all() -> Vec<TpchQueryTemplate> {
+    pub(crate) fn all() -> Vec<TpchQueryTemplate> {
         let t = |number, footprint: &[(&'static str, f64, bool)]| TpchQueryTemplate {
             number,
             footprint: footprint.to_vec(),

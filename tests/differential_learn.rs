@@ -107,7 +107,6 @@ fn forests_match_reference_votes_and_structure() {
     let params = ForestParams {
         n_trees: 15,
         seed: 3,
-        ..Default::default()
     };
     let cols = ColumnMatrix::from_rows(&f).unwrap();
     let fast = RandomForestRegressor::fit_columns(&cols, &t, params).unwrap();
@@ -133,10 +132,7 @@ fn forests_match_reference_votes_and_structure() {
 #[test]
 fn boosting_matches_reference_predictions() {
     let (f, t) = random_instance(180, 3, 21);
-    let params = BoostingParams {
-        n_estimators: 30,
-        ..Default::default()
-    };
+    let params = BoostingParams { n_estimators: 30 };
     let cols = ColumnMatrix::from_rows(&f).unwrap();
     let fast = GradientBoostingRegressor::fit_columns(&cols, &t, params).unwrap();
     let slow = fit_boosting_reference(&f, &t, params).unwrap();
@@ -157,7 +153,6 @@ fn training_is_thread_count_independent() {
     let fp = ForestParams {
         n_trees: 17,
         seed: 5,
-        ..Default::default()
     };
     let forest_seq = RandomForestRegressor::fit_columns_with_threads(&cols, &t, fp, 1).unwrap();
     for threads in [2, 3, 5, 8, 13] {
@@ -172,10 +167,7 @@ fn training_is_thread_count_independent() {
             RandomForestClassifier::fit_columns_with_threads(&cols, &labels, fp, threads).unwrap();
         assert_eq!(clf_seq, clf_par, "classifier threads={threads}");
     }
-    let bp = BoostingParams {
-        n_estimators: 20,
-        ..Default::default()
-    };
+    let bp = BoostingParams { n_estimators: 20 };
     let gbt_seq = GradientBoostingRegressor::fit_columns_with_threads(&cols, &t, bp, 1).unwrap();
     for threads in [2, 6] {
         let gbt_par =
@@ -295,16 +287,8 @@ fn tier_predictor_labels_match_reference_forest() {
             ys.push(labels[d.id].index());
         }
     }
-    let reference = fit_forest_classifier_reference(
-        &xs,
-        &ys,
-        ForestParams {
-            n_trees: 60,
-            seed,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let reference =
+        fit_forest_classifier_reference(&xs, &ys, ForestParams { n_trees: 60, seed }).unwrap();
 
     let at_month = 10;
     let predicted = predictor.predict_all(&w.catalog, &w.series, at_month);
@@ -495,11 +479,9 @@ proptest! {
         let params = ForestParams {
             n_trees,
             seed,
-            ..Default::default()
         };
         let boost_params = BoostingParams {
             n_estimators: n_stages,
-            ..Default::default()
         };
         let reg_ref = fit_forest_regressor_reference(&f, &t, params).unwrap();
         let clf_ref = fit_forest_classifier_reference(&f, &labels, params).unwrap();

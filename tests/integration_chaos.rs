@@ -10,7 +10,7 @@
 //! * **Crash replay** — restoring a mid-stream checkpoint and replaying
 //!   the surviving batches must land bit-for-bit on the never-crashed
 //!   engine's state (checkpoints compared as raw bytes).
-//! * **End-to-end** — the `scope_core::chaos` scenario upholds every
+//! * **End-to-end** — the `scope_core::run_chaos` scenario upholds every
 //!   contract on generated enterprise traces under light and heavy fault
 //!   mixes.
 
@@ -20,8 +20,7 @@ use common::{build_engine, heat_bits, random_columns, restore, HORIZON_DAYS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scope::core::chaos::{run_chaos, ChaosOptions};
-use scope::core::ServingOptions;
+use scope::core::{run_chaos, ChaosOptions, ServingOptions};
 use scope_cloudsim::EventColumns;
 use scope_faults::{expected_intake, FaultPlan, FaultRates};
 use scope_serve::{ServeEngine, Serving};

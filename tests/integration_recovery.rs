@@ -14,7 +14,7 @@
 //!   checkpoint, the replay tail is cut at the first epoch marker and
 //!   the harness re-runs the boundary, so the decayed heat still matches
 //!   the twin exactly.
-//! * **End-to-end** — the `scope_core::recovery` scenario upholds every
+//! * **End-to-end** — the `scope_core::run_recovery` scenario upholds every
 //!   contract on generated enterprise traces under light and heavy
 //!   storage-fault plans.
 
@@ -24,8 +24,7 @@ use common::{heat_bits, random_columns, restore, schemes, HORIZON_DAYS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scope::core::recovery::{run_recovery, RecoveryOptions};
-use scope::core::ServingOptions;
+use scope::core::{run_recovery, RecoveryOptions, ServingOptions};
 use scope_cloudsim::{EventColumns, TierCatalog};
 use scope_faults::StorageFaultRates;
 use scope_serve::{JournaledEngine, ServeEngine, ServeError, Serving};
@@ -321,7 +320,6 @@ fn recovery_scenario_upholds_every_contract_end_to_end() {
             },
             seed,
             rates,
-            ..Default::default()
         })
         .unwrap();
         assert!(outcome.crashes >= 3, "seed {seed}: {outcome:?}");
