@@ -937,21 +937,22 @@ fn is_member_library(file: &SourceFile) -> bool {
 ///   `impl Default` that nothing outside sets, so every caller takes the
 ///   default. A field is set by a literal of its own struct outside the
 ///   library (`Name { field: … }`, the `field` shorthand, the fields before
-///   an `..base` update; a destructuring pattern sets nothing), by a
-///   `.field =` assignment outside (matched by name: the lexer sees no
-///   types), or by a public constructor of its struct that takes a
+///   an `..base` update; a destructuring pattern sets nothing), by an
+///   `x.field =` assignment outside where the same file binds `x` to the
+///   struct (`let x = Name { … }`, `let x = Name::default()`, `x: Name`;
+///   the lexer sees no types, so nothing else tells what `x` is), or by a
+///   public constructor of its struct that takes a
 ///   parameter of the field's name (`CostWeights::new(alpha, beta,
 ///   gamma)`): make it a private constant equal to that default.
 ///
 /// `reference.rs` oracles are `oracle-discipline`'s business.
 fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // Per identifier, per `(struct, field)` a literal sets and per field a
-    // `.field =` assigns: the member libraries that do it; `None` stands
-    // for any code outside every member library.
+    // Per identifier, and per `(struct, field)` a literal or an assignment
+    // to a binding of the struct sets: the member libraries that do it;
+    // `None` stands for any code outside every member library.
     type Owners<'a> = BTreeSet<Option<&'a str>>;
     let mut named_in: BTreeMap<&str, Owners> = BTreeMap::new();
     let mut set_in: BTreeMap<(&str, &str), Owners> = BTreeMap::new();
-    let mut assigned_in: BTreeMap<&str, Owners> = BTreeMap::new();
     let sources = ws.files.values().filter(|f| f.class != FileClass::Shim);
     for file in sources.chain(&ws.name_roots) {
         let owner = is_member_library(file).then_some(file.crate_name.as_str());
@@ -961,14 +962,25 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
             }
         }
         let code = code_view(file);
+        let mut bound: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for p in 0..code.len() {
+            if let Some((var, name)) = binding(file, &code, p) {
+                bound.entry(var).or_default().insert(name);
+            }
+        }
         for p in 0..code.len() {
             if let Some((name, fields)) = struct_literal(file, &code, p) {
                 for field in fields {
                     set_in.entry((name, field)).or_default().insert(owner);
                 }
             }
-            if let Some(field) = assigned_field(file, &code, p) {
-                assigned_in.entry(field).or_default().insert(owner);
+            let Some(field) = assigned_field(file, &code, p) else {
+                continue;
+            };
+            let receiver = p.checked_sub(1).and_then(|r| tok(file, &code, r));
+            let names = receiver.and_then(|t| bound.get(t.text.as_str()));
+            for &name in names.into_iter().flatten() {
+                set_in.entry((name, field)).or_default().insert(owner);
             }
         }
     }
@@ -1061,7 +1073,6 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                 for field in named_fields(file, &code, n) {
                     let field = &file.tokens[code[field]];
                     let set = outside(set_in.get(&(item, field.text.as_str())), krate)
-                        || outside(assigned_in.get(field.text.as_str()), krate)
                         || constructed.contains(&(krate, item, field.text.as_str()));
                     if !set {
                         findings.push(Finding {
@@ -1070,9 +1081,10 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                             line: field.line,
                             message: format!(
                                 "knob `{item}::{}` is set nowhere outside {krate}'s src/ (no \
-                                 `{item} {{ {0}: … }}` literal, no `.{0} =`, no public \
-                                 constructor parameter), so every caller takes its default \
-                                 — make it a private constant equal to that default",
+                                 `{item} {{ {0}: … }}` literal, no `.{0} =` on a binding of \
+                                 `{item}`, no public constructor parameter), so every caller \
+                                 takes its default — make it a private constant equal to \
+                                 that default",
                                 field.text
                             ),
                         });
@@ -1347,6 +1359,52 @@ fn struct_literal<'a>(
         q += 1;
     }
     Some((name.text.as_str(), fields))
+}
+
+/// When code position `p` names a variable the file binds to a struct —
+/// `x: Name` (after any `&`, `mut` or `path::`), `let [mut] x = Name { …`
+/// or `let [mut] x = Name::default()` — the variable and the struct.
+fn binding<'a>(file: &'a SourceFile, code: &[usize], p: usize) -> Option<(&'a str, &'a str)> {
+    let var = tok(file, code, p).filter(|t| t.kind == TokenKind::Ident)?;
+    // The path starting at `q`: its segments, and the position after it.
+    let path = |mut q: usize| {
+        let mut segments = Vec::new();
+        while let Some(t) = tok(file, code, q).filter(|t| t.kind == TokenKind::Ident) {
+            segments.push(t.text.as_str());
+            let colons = (1..=2).all(|i| tok(file, code, q + i).is_some_and(|t| t.is_punct(':')));
+            if !colons {
+                return (segments, q + 1);
+            }
+            q += 3;
+        }
+        (segments, q)
+    };
+    let is_struct =
+        |name: &&str| name.starts_with(|c: char| c.is_ascii_uppercase()) && *name != "Self";
+    let name = if is_single_colon(file, code, p + 1) {
+        let mut q = p + 2;
+        while tok(file, code, q).is_some_and(|t| t.is_punct('&') || t.is_ident("mut")) {
+            q += 1;
+        }
+        path(q).0.last().copied()
+    } else {
+        let mut l = p.checked_sub(1)?;
+        if file.tokens[code[l]].is_ident("mut") {
+            l = l.checked_sub(1)?;
+        }
+        if !file.tokens[code[l]].is_ident("let") || !tok(file, code, p + 1)?.is_punct('=') {
+            return None;
+        }
+        let (segments, after) = path(p + 2);
+        match segments.as_slice() {
+            [.., name] if tok(file, code, after).is_some_and(|t| t.is_punct('{')) => Some(*name),
+            [.., name, "default"] if tok(file, code, after).is_some_and(|t| t.is_punct('(')) => {
+                Some(*name)
+            }
+            _ => None,
+        }
+    };
+    Some((var.text.as_str(), name.filter(is_struct)?))
 }
 
 /// When code position `p` is the `.` of a `.field =` assignment (or a
@@ -1711,6 +1769,32 @@ mod tests {
             .filter_map(|p| assigned_field(&f, &code, p))
             .collect();
         assert_eq!(assigned, vec!["c", "d"]);
+    }
+
+    #[test]
+    fn bindings_name_the_struct_a_variable_holds() {
+        let f = lib_file(
+            "fn f(a: &mut opts::Options, n: u32, s: Self) {\n\
+             let mut b = opts::Options { x: 1 };\n\
+             let c = Options::default();\n\
+             let d: Weights = make();\n\
+             let e = Options::new(); let g = h; let k = Vec::default();\n\
+             }",
+        );
+        let code = code_view(&f);
+        let bindings: Vec<_> = (0..code.len())
+            .filter_map(|p| binding(&f, &code, p))
+            .collect();
+        assert_eq!(
+            bindings,
+            vec![
+                ("a", "Options"),
+                ("b", "Options"),
+                ("c", "Options"),
+                ("d", "Weights"),
+                ("k", "Vec")
+            ]
+        );
     }
 
     #[test]

@@ -2,6 +2,11 @@
 
 struct Other {
     named_elsewhere: u32,
+    assigned_on_another: u32,
+}
+
+fn tune(options: &mut scope_lib::Options) {
+    options.set_through_a_parameter = 13;
 }
 
 fn app_entry() -> u32 {
@@ -14,8 +19,15 @@ fn app_entry() -> u32 {
         ..Default::default()
     };
     options.set_by_assignment = 11;
+    tune(&mut options);
+    let mut defaults = scope_lib::Options::default();
+    defaults.set_on_a_default = 14;
     let scope_lib::Options { destructured, .. } = options;
-    let other = Other { named_elsewhere: 12 };
+    let mut other = Other {
+        named_elsewhere: 12,
+        assigned_on_another: 0,
+    };
+    other.assigned_on_another = 15;
     let _ = scope_lib::NamedOutside::build().part();
     options.read_only + destructured + other.named_elsewhere
 }

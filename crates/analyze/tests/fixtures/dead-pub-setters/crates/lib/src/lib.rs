@@ -15,8 +15,16 @@ pub struct Options {
     pub set_by_shorthand: u32,
     /// Negative: another crate sets it before an `..base` update.
     pub set_before_base: u32,
-    /// Negative: another crate assigns it (`.field = …`).
+    /// Negative: another crate assigns it (`.field = …`) on a binding of
+    /// an `Options` literal.
     pub set_by_assignment: u32,
+    /// Negative: another crate assigns it on `Options::default()`.
+    pub set_on_a_default: u32,
+    /// Negative: another crate assigns it through an `&mut Options`.
+    pub set_through_a_parameter: u32,
+    /// Positive: another crate assigns a field of this name only on
+    /// another struct.
+    pub assigned_on_another: u32,
 }
 
 impl Default for Options {
@@ -29,6 +37,9 @@ impl Default for Options {
             set_by_shorthand: 5,
             set_before_base: 6,
             set_by_assignment: 7,
+            set_on_a_default: 8,
+            set_through_a_parameter: 9,
+            assigned_on_another: 10,
         }
     }
 }

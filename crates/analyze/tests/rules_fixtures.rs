@@ -220,16 +220,17 @@ fn dead_pub_types_constants_and_knobs() {
 fn dead_pub_knobs_by_setter_and_types_by_live_exposure() {
     let report = run("dead-pub-setters", &["dead-pub"]);
     let msgs = messages(&report);
-    assert_eq!(report.findings.len(), 5, "{msgs:?}");
+    assert_eq!(report.findings.len(), 6, "{msgs:?}");
     assert!(report
         .findings
         .iter()
         .all(|f| f.file == "crates/lib/src/lib.rs"));
-    // Named outside only in another struct's literal, only read, only
-    // destructured, or taken by no constructor; a type only its own
-    // method returns.
+    // Named outside only in another struct's literal or assignment, only
+    // read, only destructured, or taken by no constructor; a type only its
+    // own method returns.
     for dead in [
         "knob `Options::named_elsewhere`",
+        "knob `Options::assigned_on_another`",
         "knob `Options::read_only`",
         "knob `Options::destructured`",
         "knob `Weights::gamma`",
@@ -238,13 +239,16 @@ fn dead_pub_knobs_by_setter_and_types_by_live_exposure() {
         assert!(msgs.iter().any(|m| m.contains(dead)), "{dead}: {msgs:?}");
     }
     // Set in its own struct's literal, by shorthand, before `..base`, by
-    // assignment or by a public constructor's parameter; a type named
+    // assignment to a literal's binding, a `default()` or an `&mut`
+    // parameter, or by a public constructor's parameter; a type named
     // outside, and one a method of such a type exposes.
     for quiet in [
         "set_in_literal",
         "set_by_shorthand",
         "set_before_base",
         "set_by_assignment",
+        "set_on_a_default",
+        "set_through_a_parameter",
         "alpha",
         "NamedOutside",
         "Part",

@@ -13,7 +13,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         generator_scale: 0.15,
         queries_per_template: 8,
         total_files: 32,
-        ..Default::default()
     })?;
 
     let alphas = [0.0, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0];

@@ -62,7 +62,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             generator_scale: 0.15,
             queries_per_template: 12,
             total_files: 80,
-            ..Default::default()
         },
     )?;
     tradeoff(
@@ -72,7 +71,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             generator_scale: 0.15,
             queries_per_template: 12,
             total_files: 120,
-            ..Default::default()
         },
     )?;
 

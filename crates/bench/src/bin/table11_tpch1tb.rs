@@ -12,7 +12,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         generator_scale: 0.2,
         queries_per_template: 20,
         total_files: 150,
-        ..Default::default()
     })?;
     println!(
         "scenario: {} tables, {:.0} GB, {} query families, horizon {:.1} months\n",

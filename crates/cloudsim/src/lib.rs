@@ -88,6 +88,7 @@ pub use parallel::{parallel_map, parallel_map_mut_with_threads, parallel_map_wit
 pub use providers::{Provider, ProviderCatalog, ProviderId, ProviderTopology};
 pub use tiers::{Tier, TierCatalog, TierId};
 pub use timeline::{
-    classify, events_from_monthly, BillingEvent, EventClass, EventColumns, PlacementSchedule,
-    QuarantineReason, ScheduleSegment, DAYS_PER_MONTH, UNKNOWN_OBJECT,
+    classify, decode_day_column, encode_day_column, events_from_monthly, BillingEvent, EventClass,
+    EventColumns, PlacementSchedule, QuarantineReason, ScheduleSegment, DAYS_PER_MONTH,
+    UNKNOWN_OBJECT,
 };

@@ -370,82 +370,250 @@ impl EventColumns {
         out
     }
 
-    /// Bytes [`EventColumns::encode_into`] appends for this batch: a
-    /// 16-byte header, then 17 bytes per event of a square batch.
-    pub fn encoded_len(&self) -> usize {
-        let [days, ids, kinds, volumes] = self.column_lens();
-        16 + 4 * (days + ids) + kinds + 8 * volumes
-    }
-
     /// Append this batch's **column block** to `out`: the one byte layout
     /// of an event batch, carried by the journal's batch records and by
     /// the serving checkpoint's reorder buffer. Little-endian:
     ///
     /// ```text
-    /// lengths:    4 × u32   days, object_ids, kinds, volumes
-    /// days:       u32 each
-    /// object_ids: u32 each
-    /// kinds:      u8 each   (0 = Read, 1 = Write)
-    /// volumes:    u64 each  (f64 bit patterns, so NaN payloads survive)
+    /// days word   u32   bit 31: the days are runs; bits 0–30: day count
+    /// ids word    u32   bits 30–31: log2 of the id cell width (0, 1 or 2);
+    ///                   bits 0–29: id count
+    /// kinds       u32   kind count
+    /// volumes     u32   volume count
+    /// days        u32 each, or runs (see encode_day_column)
+    /// object_ids  1, 2 or 4 bytes each
+    /// kinds       bitmap: event i is bit i % 8 of byte i / 8 (1 = Write),
+    ///             padding bits zero
+    /// volumes     u64 each  (f64 bit patterns, so NaN payloads survive)
     /// ```
+    ///
+    /// Each column takes the smallest coding that holds every value it
+    /// carries: the days are runs when that is strictly fewer bytes than
+    /// `u32` cells and there are no more days than ids (so that decoding
+    /// never allocates more than eight bytes per block byte, see
+    /// [`EventColumns::decode`]); an id cell is the narrowest that holds
+    /// the column's largest id ([`UNKNOWN_OBJECT`] takes four). So a
+    /// block is never longer than the fixed-width layout's
+    /// `16 + 4 × (days + ids) + kinds + 8 × volumes` bytes (17 per event),
+    /// and a batch whose days are a few runs over a fleet of fewer than
+    /// 65 536 objects costs ≈ 10.1 B per event.
     ///
     /// Every column goes out at its own length, so a ragged batch is
     /// written as it stands and [`EventColumns::decode`] reads it back
-    /// exactly: neither refused nor squared off. `out` grows once, to the
-    /// block's size. A column of more than `u32::MAX` events has no block.
+    /// exactly: neither refused nor squared off. `out` grows once, and
+    /// each column is read once but the ids, twice (their widest, then the
+    /// cells). A column of 2³⁰ events or more has no block.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + self.encoded_len(), 0);
-        let lens = self.column_lens().map(|n| n as u32);
-        let dst = fill_le(&mut out[start..], &lens, u32::to_le_bytes);
-        let dst = fill_le(dst, &self.days, u32::to_le_bytes);
-        let dst = fill_le(dst, &self.object_ids, u32::to_le_bytes);
-        let dst = fill_le(dst, &self.kinds, |k| [u8::from(k == AccessKind::Write)]);
-        fill_le(dst, &self.volumes, |v: f64| v.to_bits().to_le_bytes());
+        let [days, ids, kinds, volumes] = self.column_lens();
+        let width = id_width(self.object_ids.iter().fold(0, |max, &id| max.max(id)));
+        out.reserve(16 + 4 * days + (ids << width) + kinds.div_ceil(8) + 8 * volumes);
+        // The lengths go in once the days' coding is known.
+        let header = out.len();
+        out.extend_from_slice(&[0; 16]);
+        let runs = encode_day_column(days, |i| self.days[i], days <= ids, out);
+        let words = [
+            days as u32 | if runs { DAYS_RUNS } else { 0 },
+            ids as u32 | width << ID_WIDTH_SHIFT,
+            kinds as u32,
+            volumes as u32,
+        ];
+        for (slot, word) in out[header..header + 16].chunks_exact_mut(4).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        let ids = self.object_ids.iter();
+        match width {
+            0 => out.extend(ids.map(|&id| id as u8)),
+            1 => out.extend(ids.flat_map(|&id| (id as u16).to_le_bytes())),
+            _ => out.extend(ids.flat_map(|&id| id.to_le_bytes())),
+        }
+        let eights = self.kinds.chunks_exact(8);
+        let rest = eights.remainder();
+        // Eight 0/1 bytes, little-endian, times this constant leave byte
+        // i's bit at bit 56 + i: the top byte is the eight packed.
+        out.extend(eights.map(|eight| {
+            let bits: [u8; 8] = std::array::from_fn(|i| u8::from(eight[i] == AccessKind::Write));
+            (u64::from_le_bytes(bits).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+        }));
+        if !rest.is_empty() {
+            out.push((rest.iter().enumerate()).fold(0, |byte, (bit, &kind)| {
+                byte | u8::from(kind == AccessKind::Write) << bit
+            }));
+        }
+        out.extend(self.volumes.iter().flat_map(|v| v.to_bits().to_le_bytes()));
     }
 
     /// Decode exactly one column block (see [`EventColumns::encode_into`]),
-    /// or `None` if `bytes` is anything else: a length other than its
-    /// header declares, or a kind byte other than 0 or 1. The lengths are
-    /// checked against `bytes` before anything is allocated, so a corrupt
-    /// header cannot ask for more memory than the input is long, and a
-    /// decoded batch re-encodes to exactly `bytes`.
+    /// or `None` if `bytes` is anything else: a length other than the
+    /// header declares, an id width code of 3, or any coding
+    /// [`EventColumns::encode_into`] would not have chosen for the values
+    /// it carries — ids in cells wider than the largest needs, a set
+    /// padding bit, runs that are not the shorter coding or not maximal,
+    /// or runs of more days than there are ids. So a decoded batch
+    /// re-encodes to exactly `bytes`. The lengths are checked against
+    /// `bytes` before anything is allocated, and a column is allocated
+    /// only at a length the block pays for: at most eight bytes per block
+    /// byte, however hostile the header.
     pub fn decode(bytes: &[u8]) -> Option<EventColumns> {
         let header = bytes.get(..16)?;
-        let [days, ids, kinds, volumes] =
-            std::array::from_fn(|i| u32::from_le_bytes(le(&header[4 * i..][..4])) as u64);
-        if 16 + 4 * (days + ids) + kinds + 8 * volumes != bytes.len() as u64 {
+        let [days_word, ids_word, kinds, volumes] =
+            std::array::from_fn(|i| u32::from_le_bytes(le(&header[4 * i..][..4])));
+        let (days, runs) = (
+            (days_word & !DAYS_RUNS) as usize,
+            days_word & DAYS_RUNS != 0,
+        );
+        let (ids, width) = (
+            (ids_word & ((1 << ID_WIDTH_SHIFT) - 1)) as usize,
+            ids_word >> ID_WIDTH_SHIFT,
+        );
+        let (kinds, volumes) = (kinds as usize, volumes as usize);
+        // Every column but the days has a size its length fixes; the days
+        // hold what is left.
+        let rest = (ids << width) + kinds.div_ceil(8) + 8 * volumes;
+        let day_bytes = (bytes.len() - 16).checked_sub(rest)?;
+        if width > 2 || (!runs && day_bytes != 4 * days) {
             return None;
         }
-        let (days, rest) = bytes[16..].split_at(4 * days as usize);
-        let (ids, rest) = rest.split_at(4 * ids as usize);
-        let (kinds, volumes) = rest.split_at(kinds as usize);
-        if kinds.iter().any(|&k| k > 1) {
+        let (day_cells, rest) = bytes[16..].split_at(day_bytes);
+        let (days, used) = decode_day_column(day_cells, days, runs, days <= ids)?;
+        let (id_cells, rest) = rest.split_at(ids << width);
+        let (kind_bits, volumes) = rest.split_at(kinds.div_ceil(8));
+        let object_ids = match width {
+            0 => id_cells.iter().map(|&id| u32::from(id)).collect(),
+            1 => cells(id_cells, |id| u32::from(u16::from_le_bytes(id))),
+            _ => cells(id_cells, u32::from_le_bytes),
+        };
+        let widest = object_ids.iter().copied().max().unwrap_or(0);
+        let padding = match kinds % 8 {
+            0 => 0,
+            used => kind_bits.last().map_or(0, |&last| last >> used),
+        };
+        if used != day_bytes || id_width(widest) != width || padding != 0 {
             return None;
+        }
+        let mut kinds_out = Vec::with_capacity(kinds);
+        for (at, &byte) in kind_bits.iter().enumerate() {
+            let bits = (kinds - 8 * at).min(8);
+            kinds_out
+                .extend((0..bits).map(|bit| {
+                    [AccessKind::Read, AccessKind::Write][usize::from(byte >> bit & 1)]
+                }));
         }
         Some(EventColumns {
-            days: cells(days, u32::from_le_bytes),
-            object_ids: cells(ids, u32::from_le_bytes),
-            kinds: cells(kinds, |[k]| {
-                [AccessKind::Read, AccessKind::Write][k as usize]
-            }),
+            days,
+            object_ids,
+            kinds: kinds_out,
             volumes: cells(volumes, |b| f64::from_bits(u64::from_le_bytes(b))),
         })
     }
 }
 
-/// Fill the front of `dst` with `src`, `W` little-endian bytes per
-/// element, and return what is left of `dst`.
-fn fill_le<'a, T: Copy, const W: usize>(
-    dst: &'a mut [u8],
-    src: &[T],
-    le: impl Fn(T) -> [u8; W],
-) -> &'a mut [u8] {
-    let (column, rest) = dst.split_at_mut(src.len() * W);
-    for (slot, &value) in column.chunks_exact_mut(W).zip(src) {
-        slot.copy_from_slice(&le(value));
+/// Bit 31 of a column block's days word: the days are runs.
+const DAYS_RUNS: u32 = 1 << 31;
+
+/// Where a column block's ids word keeps log2 of the id cell width.
+const ID_WIDTH_SHIFT: u32 = 30;
+
+/// Log2 of the narrowest of 1, 2 or 4 bytes that holds `id`.
+fn id_width(id: u32) -> u32 {
+    match id {
+        0..=0xff => 0,
+        0x100..=0xffff => 1,
+        _ => 2,
     }
-    rest
+}
+
+/// Maximal runs of equal values in `values`.
+fn run_count(values: &[u32]) -> usize {
+    usize::from(!values.is_empty()) + values.windows(2).filter(|w| w[0] != w[1]).count()
+}
+
+/// Append a column of `n` days, `day(i)` the `i`-th, to `out` in the
+/// shorter of two codings and say which: **runs** — one `(day u32, count
+/// u32)` pair per maximal run of equal days, little-endian — when
+/// `runs_allowed` and that is strictly fewer bytes than the days as `u32`
+/// cells, the cells otherwise. The column block's days and the serving
+/// checkpoint's per-object `last_day` column are both coded by it. Any
+/// `u32` is a day here: a corrupt one round-trips to be judged by its
+/// reader.
+pub fn encode_day_column(
+    n: usize,
+    day: impl Fn(usize) -> u32,
+    runs_allowed: bool,
+    out: &mut Vec<u8>,
+) -> bool {
+    let start = out.len();
+    if runs_allowed {
+        // Runs as they are found, given up for cells once they are no
+        // shorter: a column of a few runs is read once.
+        let mut i = 0;
+        while i < n && out.len() - start < 4 * n {
+            let d = day(i);
+            let mut j = i + 1;
+            // Sixteen days at a time while the run lasts (a test without
+            // branches, which the compiler vectorises), then one by one.
+            while j + 16 <= n && (j..j + 16).fold(true, |same, k| same & (day(k) == d)) {
+                j += 16;
+            }
+            while j < n && day(j) == d {
+                j += 1;
+            }
+            out.extend_from_slice(&d.to_le_bytes());
+            out.extend_from_slice(&((j - i) as u32).to_le_bytes());
+            i = j;
+        }
+        if out.len() - start < 4 * n {
+            return true;
+        }
+        out.truncate(start);
+    }
+    out.extend((0..n).flat_map(|i| day(i).to_le_bytes()));
+    false
+}
+
+/// Read `n` days from the front of `bytes`, coded by
+/// [`encode_day_column`] as runs or as cells (`runs`): the days and the
+/// bytes they took, or `None` when they are not exactly what it writes
+/// for them under `runs_allowed` — too few bytes, a run of no days, two
+/// runs of one day side by side, runs past `n` days, runs where cells
+/// are as short or not allowed, or cells where runs are shorter.
+/// Allocates `4 × n` bytes up front, so the caller bounds `n` first.
+pub fn decode_day_column(
+    bytes: &[u8],
+    n: usize,
+    runs: bool,
+    runs_allowed: bool,
+) -> Option<(Vec<u32>, usize)> {
+    if runs && !runs_allowed {
+        return None;
+    }
+    let mut days = Vec::with_capacity(n);
+    let (shorter, used) = if runs {
+        let mut pairs = bytes.chunks_exact(8);
+        let mut used = 0;
+        while days.len() < n {
+            let pair = pairs.next()?;
+            used += 8;
+            let (day, count) = (
+                u32::from_le_bytes(le(&pair[..4])),
+                u32::from_le_bytes(le(&pair[4..])),
+            );
+            if count == 0 || count as usize > n - days.len() || days.last() == Some(&day) {
+                return None;
+            }
+            days.resize(days.len() + count as usize, day);
+        }
+        // The runs read are maximal, so they are the days' runs.
+        (used < 4 * n, used)
+    } else {
+        days.extend(
+            bytes
+                .get(..4 * n)?
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(le(b))),
+        );
+        (runs_allowed && 2 * run_count(&days) < n, 4 * n)
+    };
+    (shorter == runs).then_some((days, used))
 }
 
 /// A `W`-byte slice as an array.
@@ -901,6 +1069,173 @@ mod tests {
         assert_eq!(class(1, UNKNOWN_OBJECT - 1, 1.0), OutOfRange);
         assert_eq!(classify(1, 0, 1.0, 60, 0), OutOfRange);
         assert_eq!(classify(0, 0, 1.0, 0, 3), Dropped);
+    }
+
+    /// The block of `cols`, alone.
+    fn block(cols: &EventColumns) -> Vec<u8> {
+        let mut out = Vec::new();
+        cols.encode_into(&mut out);
+        out
+    }
+
+    /// Three events on one day, one of them naming an id past 255, and the
+    /// same batch torn: ids and kinds lost entries, volumes all but one.
+    fn golden_batch(torn: bool) -> EventColumns {
+        let mut cols = EventColumns::default();
+        cols.push_resolved(5, 1, AccessKind::Read, 0.5);
+        cols.push_resolved(5, 300, AccessKind::Write, 1.0);
+        cols.push_resolved(5, 2, AccessKind::Write, 2.0);
+        if torn {
+            cols.object_ids = vec![1, 2];
+            cols.kinds.truncate(1);
+            cols.volumes.truncate(1);
+        }
+        cols
+    }
+
+    /// The column block, pinned byte for byte. A layout change must
+    /// replace these bytes on purpose.
+    #[test]
+    fn the_column_block_is_pinned_by_golden_blocks() {
+        let half = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+        let clean: Vec<u8> = [
+            // Three days as runs, three ids in 2-byte cells, three kinds,
+            // three volumes.
+            &[3, 0, 0, 0x80, 3, 0, 0, 0x40, 3, 0, 0, 0, 3, 0, 0, 0][..],
+            &[5, 0, 0, 0, 3, 0, 0, 0],
+            &[1, 0, 0x2C, 0x01, 2, 0],
+            &[0b110],
+            &half,
+            &[0, 0, 0, 0, 0, 0, 0xF0, 0x3F],
+            &[0, 0, 0, 0, 0, 0, 0, 0x40],
+        ]
+        .concat();
+        // More days than ids: the days go out as cells although one run
+        // would be shorter, and the ids fit one byte each.
+        let torn: Vec<u8> = [
+            &[3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0][..],
+            &[5, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0],
+            &[1, 2],
+            &[0],
+            &half,
+        ]
+        .concat();
+        for (golden, cols) in [(clean, golden_batch(false)), (torn, golden_batch(true))] {
+            assert_eq!(block(&cols), golden);
+            assert_eq!(EventColumns::decode(&golden), Some(cols));
+        }
+        assert_eq!(block(&EventColumns::default()), [0; 16]);
+    }
+
+    /// Overwrite header word `word` of `bytes`.
+    fn set_word(bytes: &mut [u8], word: usize, value: u32) {
+        bytes[4 * word..][..4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn blocks_encode_would_not_write_are_refused() {
+        let clean = block(&golden_batch(false));
+        let refused = |bytes: &[u8]| EventColumns::decode(bytes).is_none();
+        // Cut short, padded, or no header at all.
+        assert!(refused(&clean[..clean.len() - 1]));
+        assert!(refused(&[clean.clone(), vec![0]].concat()));
+        assert!(refused(&clean[..15]));
+        // Id width code 3, and ids in cells wider than the largest needs.
+        let mut bad = clean.clone();
+        set_word(&mut bad, 1, 3 | 3 << ID_WIDTH_SHIFT);
+        assert!(refused(&bad));
+        let mut cols = golden_batch(false);
+        cols.object_ids[1] = 255;
+        let narrow = block(&cols);
+        assert_eq!(narrow.len(), clean.len() - 3);
+        let mut wide: Vec<u8> = narrow[..24].to_vec();
+        set_word(&mut wide, 1, 3 | 1 << ID_WIDTH_SHIFT);
+        wide.extend_from_slice(&[1, 0, 255, 0, 2, 0]);
+        wide.extend_from_slice(&narrow[27..]);
+        assert!(refused(&wide));
+        // A set padding bit of the kind bitmap.
+        let mut bad = clean.clone();
+        bad[30] |= 0x80;
+        assert!(refused(&bad));
+        // The days as cells where runs are shorter, and as runs where
+        // there are more days than ids.
+        let mut cells: Vec<u8> = [&clean[..16], &[5, 0, 0, 0].repeat(3), &clean[24..]].concat();
+        set_word(&mut cells, 0, 3);
+        assert!(refused(&cells));
+
+        let mut torn = block(&golden_batch(true));
+        assert!(!refused(&torn));
+        set_word(&mut torn, 0, 3 | DAYS_RUNS);
+        torn.drain(16..28);
+        torn.splice(16..16, [5, 0, 0, 0, 3, 0, 0, 0]);
+        assert!(refused(&torn));
+        // A header that declares 2³¹ − 1 days of runs and no ids asks for
+        // nothing: runs of more days than ids are refused first.
+        let mut hostile = vec![0xFF, 0xFF, 0xFF, 0xFF];
+        hostile.extend_from_slice(&[0; 12]);
+        hostile.extend_from_slice(&[7, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F]);
+        assert!(refused(&hostile));
+    }
+
+    #[test]
+    fn day_columns_take_the_shorter_coding_and_refuse_any_other() {
+        let code = |days: &[u32], allowed: bool| {
+            let mut out = vec![0xAB];
+            let runs = encode_day_column(days.len(), |i| days[i], allowed, &mut out);
+            assert_eq!(out[0], 0xAB, "appends after what `out` holds");
+            (runs, out.split_off(1))
+        };
+        let pair = |day: u32, count: u32| [day.to_le_bytes(), count.to_le_bytes()].concat();
+        // Three days of one value: one run, 8 bytes against 12.
+        let (runs, bytes) = code(&[9, 9, 9], true);
+        assert!(runs);
+        assert_eq!(bytes, pair(9, 3));
+        assert_eq!(
+            decode_day_column(&bytes, 3, true, true),
+            Some((vec![9; 3], 8))
+        );
+        // Not allowed, or not strictly shorter: cells.
+        for (days, allowed) in [(&[9, 9, 9][..], false), (&[1, 1, 2, 2], true), (&[], true)] {
+            let (runs, bytes) = code(days, allowed);
+            assert!(!runs);
+            assert_eq!(bytes.len(), 4 * days.len());
+            assert_eq!(
+                decode_day_column(&bytes, days.len(), false, allowed),
+                Some((days.to_vec(), bytes.len()))
+            );
+            assert_eq!(decode_day_column(&bytes, days.len(), true, allowed), None);
+        }
+        // Any u32 is carried, and trailing bytes are the caller's.
+        let (_, bytes) = code(&[u32::MAX; 4], true);
+        let long = [bytes.clone(), vec![1, 2, 3]].concat();
+        assert_eq!(
+            decode_day_column(&long, 4, true, true),
+            Some((vec![u32::MAX; 4], 8))
+        );
+        // Cells where runs are shorter; a zero run; two runs of one day;
+        // a run past `n`; too few bytes.
+        assert_eq!(
+            decode_day_column(&[9, 0, 0, 0].repeat(3), 3, false, true),
+            None
+        );
+        let runs_of = |pairs: &[(u32, u32)]| {
+            pairs
+                .iter()
+                .flat_map(|&(d, c)| pair(d, c))
+                .collect::<Vec<u8>>()
+        };
+        for bad in [
+            runs_of(&[(9, 0), (9, 5)]),
+            runs_of(&[(9, 2), (9, 3)]),
+            runs_of(&[(9, 6)]),
+            runs_of(&[(9, 5)])[..7].to_vec(),
+        ] {
+            assert_eq!(decode_day_column(&bad, 5, true, true), None, "{bad:?}");
+        }
+        assert_eq!(
+            decode_day_column(&runs_of(&[(9, 2), (8, 3)]), 5, true, true),
+            Some((vec![9, 9, 8, 8, 8], 16))
+        );
     }
 
     #[test]

@@ -441,7 +441,6 @@ mod tests {
             generator_scale: 0.05,
             queries_per_template: 4,
             total_files: 40,
-            ..Default::default()
         })
         .unwrap()
     }

@@ -135,8 +135,6 @@ pub struct ScenarioOptions {
     /// Total number of physical files across all tables (controls partition
     /// granularity; the paper's 100 GB run ends up with ~137 partitions).
     pub total_files: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for ScenarioOptions {
@@ -146,10 +144,14 @@ impl Default for ScenarioOptions {
             generator_scale: 0.3,
             queries_per_template: 20,
             total_files: 80,
-            seed: 7,
         }
     }
 }
+
+/// Seed of the TPC-H scenario's table generator and query workload. No
+/// caller chose another: the scenario is one fixed experiment, and its
+/// inputs are pinned by digest at this seed.
+const SEED: u64 = 7;
 
 /// Projection horizon in months: the paper's 5.5, for the TPC-H and the
 /// Enterprise Data II scenarios alike.
@@ -210,7 +212,7 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
     let gen = TpchGenerator::new(TpchOptions {
         scale_factor: options.generator_scale,
         skew: None,
-        seed: options.seed,
+        seed: SEED,
     })?;
     let tables = gen.generate_all();
 
@@ -250,7 +252,7 @@ pub fn tpch_scenario(options: &ScenarioOptions) -> Result<PipelineInputs, ScopeE
         &QueryWorkloadOptions {
             queries_per_template: options.queries_per_template,
             template_skew: None,
-            seed: options.seed,
+            seed: SEED,
         },
     )?;
     let mut families = workload.families;
@@ -326,7 +328,6 @@ mod tests {
             generator_scale: 0.05,
             queries_per_template: 4,
             total_files: 40,
-            ..Default::default()
         }
     }
 
@@ -374,7 +375,7 @@ mod tests {
         let tables = TpchGenerator::new(TpchOptions {
             scale_factor: options.generator_scale,
             skew: None,
-            seed: options.seed,
+            seed: SEED,
         })
         .unwrap()
         .generate_all();

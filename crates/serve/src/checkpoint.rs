@@ -13,11 +13,11 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 5)
+//! ## Wire layout (version 6)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 5)
+//! version u32 little-endian            (currently 6)
 //! payload                              (engine state, see below)
 //! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
@@ -37,9 +37,11 @@
 //! static        byte length u64, then N records in interned-id order:
 //!               name (string), shard u32, size_gb f64, residency_days u32,
 //!               latency_threshold_seconds f64
-//! dynamic       five columns of N cells each, in interned-id order:
+//! dynamic       four columns of N cells each, in interned-id order:
 //!               tier (W_t bytes), scheme (W_s bytes), bucket
-//!               representative f64, heat f64, last_day u32
+//!               representative f64, heat f64; then last_day: a tag u8
+//!               (0 cells | 1 runs) and N days as u32 cells or as one
+//!               (day u32, count u32) pair per run
 //! shards        per shard, in order: failures u32, retry_after u32,
 //!               stale u8 (0 | 1), dirty count u64 + rows u32 each,
 //!               incumbent: tag u8 (0 none | 1 some)
@@ -58,7 +60,12 @@
 //! restore re-registers the objects from it and rejects a section that
 //! does not re-encode to the same bytes. The **dynamic columns** are what
 //! an epoch can change (every heat cell decays at every boundary), each
-//! written as one tight array. Tier and scheme ids take the narrowest of
+//! written as one tight array. `last_day` is coded by
+//! [`scope_cloudsim::encode_day_column`], the helper that codes a column
+//! block's days: runs when they are strictly shorter than cells. At an
+//! epoch boundary `advance_to` has brought every object to the day, so
+//! the column is one run, 9 bytes where cells take 4 per object. Tier and
+//! scheme ids take the narrowest of
 //! 1, 2, 4 or 8 bytes that holds every id of the catalog (`W_t`) and of
 //! the scheme list (`W_s`) the checkpoint was taken under — both are
 //! pinned by the fingerprint, so the widths are not stored and an id can
@@ -68,8 +75,8 @@
 //! re-solve changes either, and it changes both), so they are not written
 //! a second time. `ServeConfig::threads` is not part of a snapshot: it
 //! cannot change a result, and a restored engine decides its own fan-out.
-//! A **parked batch** of the reorder buffer is the column block of
-//! [`scope_cloudsim::EventColumns::encode_into`], the bytes a journal
+//! A **parked batch** of the reorder buffer is the compact column block
+//! of [`scope_cloudsim::EventColumns::encode_into`], the bytes a journal
 //! batch record carries: each column keeps its own length, so a torn
 //! batch parked early is restored exactly as it was delivered.
 //!
@@ -86,9 +93,11 @@
 //! object with `u64` tier and scheme ids, the configured thread count,
 //! and each shard's incumbent choices spelled out beside the applied
 //! ones), version 3 (parked batches as five `u64`-counted columns, a
-//! precomputed billing period per event among them) and version 4 (a
+//! precomputed billing period per event among them), version 4 (a
 //! branch-and-bound node budget in the configuration, from when a re-solve
-//! could be one) are rejected as unsupported versions.
+//! could be one) and version 5 (parked batches as fixed-width blocks of 17
+//! bytes per event, `last_day` as `u32` cells) are rejected as unsupported
+//! versions.
 //!
 //! ## The dynamic snapshot (`SCPD`, same version)
 //!
@@ -130,7 +139,9 @@
 //! flipped bits, truncation, trailing garbage — fails the checksum or a
 //! bounds check and surfaces as a typed error, never a panic.
 
-use scope_cloudsim::{EventColumns, QuarantineReason, TierCatalog};
+use scope_cloudsim::{
+    decode_day_column, encode_day_column, EventColumns, QuarantineReason, TierCatalog,
+};
 use scope_optassign::CompressionOption;
 use scope_wal::xxh64;
 
@@ -144,7 +155,7 @@ pub(crate) const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
 
 /// Current checkpoint format version, of both layouts: the dynamic one is
 /// the full one less a section, so they change together.
-pub(crate) const CHECKPOINT_VERSION: u32 = 5;
+pub(crate) const CHECKPOINT_VERSION: u32 = 6;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {
@@ -197,10 +208,21 @@ impl<'a> Writer<'a> {
     }
 
     /// A batch's column block, length-prefixed like [`Writer::bytes`] and
-    /// encoded in place.
+    /// encoded in place: the length is written once the block is.
     pub(crate) fn columns(&mut self, columns: &EventColumns) {
-        self.u64(columns.encoded_len() as u64);
+        let at = self.buf.len();
+        self.u64(0);
         columns.encode_into(self.buf);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// A column of `n` days, `day(i)` the `i`-th: a coding tag (0 cells |
+    /// 1 runs), then the column as [`encode_day_column`] writes it.
+    pub(crate) fn day_column(&mut self, n: usize, day: impl Fn(usize) -> u32) {
+        let at = self.buf.len();
+        self.u8(0);
+        self.buf[at] = u8::from(encode_day_column(n, day, true, self.buf));
     }
 
     /// A quarantine reason's stable one-byte tag: 0 for a non-finite
@@ -352,6 +374,26 @@ impl<'a> Reader<'a> {
         EventColumns::decode(block).ok_or_else(|| {
             ServeError::Checkpoint(format!("malformed {}-byte event column block", block.len()))
         })
+    }
+
+    /// `n` days written by [`Writer::day_column`]; the caller has bounded
+    /// `n` by the payload (a cell of at least one byte per day elsewhere),
+    /// since the column is allocated up front.
+    pub(crate) fn day_column(&mut self, n: usize) -> Result<Vec<u32>, ServeError> {
+        let runs = match self.u8()? {
+            0 => false,
+            1 => true,
+            tag => return Err(ServeError::Checkpoint(format!("bad day column tag {tag}"))),
+        };
+        let (days, used) =
+            decode_day_column(&self.bytes[self.pos..], n, runs, true).ok_or_else(|| {
+                ServeError::Checkpoint(format!(
+                    "malformed column of {n} days at offset {}",
+                    self.pos
+                ))
+            })?;
+        self.pos += used;
+        Ok(days)
     }
 
     /// A quarantine reason written by [`Writer::reason`].
@@ -520,10 +562,11 @@ mod tests {
         assert!(open_error(&magic).contains("bad magic"));
 
         // Unknown versions — 1, the retired FNV-1a layout, 2, the retired
-        // row-interleaved one, 3, the five-column reorder buffer, and 4,
-        // the node-budget preamble, among them — re-checksummed so the
-        // version check is the only one that can fire.
-        for version in [0u8, 1, 2, 3, 4, 6, 99] {
+        // row-interleaved one, 3, the five-column reorder buffer, 4, the
+        // node-budget preamble, and 5, the fixed-width reorder buffer,
+        // among them — re-checksummed so the version check is the only
+        // one that can fire.
+        for version in [0u8, 1, 2, 3, 4, 5, 7, 99] {
             let mut vers = good.clone();
             vers[4] = version;
             let body_len = vers.len() - 8;

@@ -506,52 +506,98 @@ pub struct ServeEngine {
 /// floor would slow the cold start of a small fleet.
 const FAN_OUT_MIN_ROWS: usize = 4096;
 
+/// Refuse what no engine can price: an empty catalog, a tier that
+/// reserves capacity (the reservation couples partitions, and the per-row
+/// greedy re-solve would ignore it), a storage, read or write rate, TTFB or
+/// compute cost that is NaN, infinite or negative, and a scheme list that
+/// does not lead with the no-compression option or holds an invalid ratio
+/// or decompression time. [`ServeEngine::new`], every restore and
+/// [`crate::JournaledEngine::recover`] check it first.
+pub(crate) fn check_catalog(
+    catalog: &TierCatalog,
+    schemes: &[CompressionOption],
+) -> Result<(), ServeError> {
+    if catalog.is_empty() {
+        return Err(ServeError::InvalidConfig("tier catalog is empty".into()));
+    }
+    if let Some((_, tier)) = catalog.iter().find(|(_, t)| t.capacity_gb.is_some()) {
+        return Err(ServeError::InvalidConfig(format!(
+            "tier {} reserves capacity, which greedy re-solves ignore",
+            tier.name
+        )));
+    }
+    for (_, tier) in catalog.iter() {
+        let rates = [
+            (
+                "storage_cost_cents_per_gb_month",
+                tier.storage_cost_cents_per_gb_month,
+            ),
+            ("read_cost_cents_per_gb", tier.read_cost_cents_per_gb),
+            ("write_cost_cents_per_gb", tier.write_cost_cents_per_gb),
+            ("ttfb_seconds", tier.ttfb_seconds),
+        ];
+        if let Some((field, value)) = rates.into_iter().find(|&(_, v)| !valid_rate(v)) {
+            return Err(ServeError::InvalidConfig(format!(
+                "tier {} has invalid {field} {value}",
+                tier.name
+            )));
+        }
+    }
+    let compute = catalog.compute_cost_cents_per_second;
+    if !valid_rate(compute) {
+        return Err(ServeError::InvalidConfig(format!(
+            "catalog has invalid compute_cost_cents_per_second {compute}"
+        )));
+    }
+    if schemes.is_empty() {
+        return Err(ServeError::InvalidConfig(
+            "scheme list is empty; it must at least contain the no-compression option".into(),
+        ));
+    }
+    if schemes[0].ratio != 1.0 {
+        return Err(ServeError::InvalidConfig(format!(
+            "schemes[0] must be the no-compression option (ratio 1.0), got ratio {}",
+            schemes[0].ratio
+        )));
+    }
+    for (k, s) in schemes.iter().enumerate() {
+        if !(s.ratio > 0.0) || !s.ratio.is_finite() {
+            return Err(ServeError::InvalidConfig(format!(
+                "scheme {k} ({}) has invalid ratio {}",
+                s.name, s.ratio
+            )));
+        }
+        if !(s.decompress_seconds >= 0.0) || !s.decompress_seconds.is_finite() {
+            return Err(ServeError::InvalidConfig(format!(
+                "scheme {k} ({}) has invalid decompress_seconds {}",
+                s.name, s.decompress_seconds
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A price or latency an engine can use: finite and not negative.
+fn valid_rate(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
+}
+
 impl ServeEngine {
     /// Create an engine over `catalog` with a shared compression-scheme
     /// list (`schemes[0]` must have ratio 1.0 — the "no compression"
-    /// slot every partition's option list leads with). A tier that
-    /// reserves capacity is refused: the reservation couples partitions,
-    /// and the per-row greedy re-solve would ignore it.
+    /// slot every partition's option list leads with). A catalog no
+    /// engine can price is refused with [`ServeError::InvalidConfig`]:
+    /// an empty one, a tier that reserves capacity (the reservation
+    /// couples partitions, and the per-row greedy re-solve would ignore
+    /// it), and a NaN, infinite or negative storage, read or write rate,
+    /// TTFB or compute cost, named by its tier and field.
     pub fn new(
         catalog: TierCatalog,
         schemes: Vec<CompressionOption>,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        if catalog.is_empty() {
-            return Err(ServeError::InvalidConfig("tier catalog is empty".into()));
-        }
-        if let Some((_, tier)) = catalog.iter().find(|(_, t)| t.capacity_gb.is_some()) {
-            return Err(ServeError::InvalidConfig(format!(
-                "tier {} reserves capacity, which greedy re-solves ignore",
-                tier.name
-            )));
-        }
-        if schemes.is_empty() {
-            return Err(ServeError::InvalidConfig(
-                "scheme list is empty; it must at least contain the no-compression option".into(),
-            ));
-        }
-        if schemes[0].ratio != 1.0 {
-            return Err(ServeError::InvalidConfig(format!(
-                "schemes[0] must be the no-compression option (ratio 1.0), got ratio {}",
-                schemes[0].ratio
-            )));
-        }
-        for (k, s) in schemes.iter().enumerate() {
-            if !(s.ratio > 0.0) || !s.ratio.is_finite() {
-                return Err(ServeError::InvalidConfig(format!(
-                    "scheme {k} ({}) has invalid ratio {}",
-                    s.name, s.ratio
-                )));
-            }
-            if !(s.decompress_seconds >= 0.0) || !s.decompress_seconds.is_finite() {
-                return Err(ServeError::InvalidConfig(format!(
-                    "scheme {k} ({}) has invalid decompress_seconds {}",
-                    s.name, s.decompress_seconds
-                )));
-            }
-        }
+        check_catalog(&catalog, &schemes)?;
         Ok(ServeEngine {
             decay: DecayTable::new(config.decay_per_day, config.horizon_days),
             config,
@@ -1073,7 +1119,7 @@ impl ServeEngine {
         let dirty: usize = self.shards.iter().map(|s| s.dirty.len()).sum();
         let accounts: usize = self.shards.iter().map(|s| s.account.len()).sum();
         256 + self.static_image.len()
-            + self.locs.len() * self.dynamic_row_bytes()
+            + self.locs.len() * (self.dynamic_row_bytes() + 4)
             + dirty * 4
             + accounts
             + self.shards.len() * 80
@@ -1084,11 +1130,13 @@ impl ServeEngine {
         (id_width(self.catalog.len()), id_width(self.schemes.len()))
     }
 
-    /// Bytes one object takes across the dynamic columns: tier and scheme
-    /// ids, bucket representative, heat bits, `last_day`.
+    /// Bytes one object takes across the fixed-width dynamic columns:
+    /// tier and scheme ids, bucket representative, heat bits. The
+    /// `last_day` column follows them, from 8 bytes in all (one run) to 4
+    /// per object.
     fn dynamic_row_bytes(&self) -> usize {
         let (tier_width, scheme_width) = self.id_widths();
-        tier_width + scheme_width + 8 + 8 + 4
+        tier_width + scheme_width + 8 + 8
     }
 
     /// Append the checkpoint [`Self::checkpoint`] returns to `out`, after
@@ -1172,15 +1220,13 @@ impl ServeEngine {
         let columns = w.zeroed(n * self.dynamic_row_bytes());
         let (tiers, columns) = columns.split_at_mut(n * tier_width);
         let (schemes, columns) = columns.split_at_mut(n * scheme_width);
-        let (reps, columns) = columns.split_at_mut(n * 8);
-        let (heats, last_days) = columns.split_at_mut(n * 8);
+        let (reps, heats) = columns.split_at_mut(n * 8);
         let cells = tiers
             .chunks_exact_mut(tier_width)
             .zip(schemes.chunks_exact_mut(scheme_width))
-            .zip(reps.chunks_exact_mut(8))
-            .zip(heats.chunks_exact_mut(8).zip(last_days.chunks_exact_mut(4)));
+            .zip(reps.chunks_exact_mut(8).zip(heats.chunks_exact_mut(8)));
         let objects = self.locs.iter().zip(&self.heat).zip(&self.bucket_reps);
-        for (((&(shard_idx, row), h), bucket_rep), (((tier, scheme), rep), (heat, last_day))) in
+        for (((&(shard_idx, row), h), bucket_rep), ((tier, scheme), (rep, heat))) in
             objects.zip(cells)
         {
             let (on_tier, with_scheme) = self.shards[shard_idx as usize].choices[row as usize];
@@ -1188,8 +1234,9 @@ impl ServeEngine {
             put_id(scheme, with_scheme);
             rep.copy_from_slice(&bucket_rep.to_bits().to_le_bytes());
             heat.copy_from_slice(&h.value.to_bits().to_le_bytes());
-            last_day.copy_from_slice(&h.last_day.to_le_bytes());
         }
+        // One run once `advance_to` has brought every object to the day.
+        w.day_column(n, |i| self.heat[i].last_day);
         // Per-shard degraded-mode state.
         for shard in &self.shards {
             w.u32(shard.failures);
@@ -1244,6 +1291,9 @@ impl ServeEngine {
         schemes: Vec<CompressionOption>,
         bytes: &[u8],
     ) -> Result<ServeEngine, ServeError> {
+        // Judged before the fingerprint: a catalog no engine can price is
+        // a configuration error, not a mismatched snapshot.
+        check_catalog(&catalog, &schemes)?;
         let r = Reader::open(bytes, CHECKPOINT_MAGIC)?;
         Self::restore_from(catalog, schemes, r, None)
     }
@@ -1262,6 +1312,7 @@ impl ServeEngine {
         full: &[u8],
         dynamic: &[u8],
     ) -> Result<ServeEngine, ServeError> {
+        check_catalog(&catalog, &schemes)?;
         let donor = static_section(&catalog, &schemes, full)?;
         let r = Reader::open(dynamic, DYNAMIC_MAGIC)?;
         Self::restore_from(catalog, schemes, r, Some(donor))
@@ -1304,13 +1355,9 @@ impl ServeEngine {
         let schemes = r.take(n_objects * scheme_width)?;
         let reps = r.take(n_objects * 8)?;
         let heats = r.take(n_objects * 8)?;
-        let last_days = r.take(n_objects * 4)?;
+        let last_days = r.day_column(n_objects)?;
         let mut statics = Reader::over(static_image);
-        let (mut reps, mut heats, mut last_days) = (
-            Reader::over(reps),
-            Reader::over(heats),
-            Reader::over(last_days),
-        );
+        let (mut reps, mut heats) = (Reader::over(reps), Reader::over(heats));
         for gid in 0..n_objects {
             let name = statics.str()?;
             let shard_idx = statics.u32()? as usize;
@@ -1342,7 +1389,7 @@ impl ServeEngine {
                 bucket_rep;
             engine.heat[gid] = HeatState {
                 value: written_heat(gid, "heat", heats.f64_bits()?)?,
-                last_day: last_days.u32()?,
+                last_day: last_days[gid],
             };
         }
         // Registration re-encoded every record; anything but the bytes it
@@ -1876,6 +1923,78 @@ mod tests {
         assert_eq!(engine.object_id("a"), Some(0));
         assert_eq!(engine.object_name(0), Some("a"));
         assert_eq!(engine.placement(0), Some((TierId(0), 0)));
+    }
+
+    #[test]
+    fn a_catalog_no_engine_can_price_is_refused_by_tier_and_field() {
+        use crate::{JournaledEngine, Serving};
+        use scope_cloudsim::{ProviderCatalog, Tier, TierCatalog};
+        use scope_wal::{JournalConfig, MemStorage};
+        let stock = [
+            TierCatalog::azure_hot_cool(),
+            TierCatalog::azure_hot_cool_archive(),
+            TierCatalog::azure_premium_hot_cool(),
+            ProviderCatalog::azure_s3_gcs().merged_catalog(),
+        ];
+        for catalog in &stock {
+            ServeEngine::new(catalog.clone(), schemes(), ServeConfig::default()).unwrap();
+        }
+        let snapshot = demo_engine(1, 2, ServeConfig::default()).checkpoint();
+        let journal = || {
+            let mut journaled = JournaledEngine::create(
+                demo_engine(1, 2, ServeConfig::default()),
+                MemStorage::new(),
+                JournalConfig::default(),
+            )
+            .unwrap();
+            journaled.checkpoint_epoch(0).unwrap();
+            journaled.crash()
+        };
+        let refusal = |catalog: TierCatalog| {
+            let new = ServeEngine::new(catalog.clone(), schemes(), ServeConfig::default());
+            let restored = ServeEngine::restore(catalog.clone(), schemes(), &snapshot);
+            let recovered = JournaledEngine::recover(
+                journal(),
+                JournalConfig::default(),
+                catalog,
+                schemes(),
+                || unreachable!("a refused catalog builds no engine"),
+            )
+            .map(|_| ());
+            let reasons = [new.map(|_| ()), restored.map(|_| ()), recovered].map(|r| match r {
+                Err(ServeError::InvalidConfig(reason)) => reason,
+                other => panic!("not a configuration error: {other:?}"),
+            });
+            assert!(reasons.iter().all(|r| *r == reasons[0]), "{reasons:?}");
+            reasons[0].clone()
+        };
+        let fields = [
+            "storage_cost_cents_per_gb_month",
+            "read_cost_cents_per_gb",
+            "write_cost_cents_per_gb",
+            "ttfb_seconds",
+        ];
+        let base = TierCatalog::azure_hot_cool_archive();
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            for (i, field) in fields.into_iter().enumerate() {
+                let mut tiers: Vec<Tier> = base.iter().map(|(_, t)| t.clone()).collect();
+                let cool = &mut tiers[1];
+                *[
+                    &mut cool.storage_cost_cents_per_gb_month,
+                    &mut cool.read_cost_cents_per_gb,
+                    &mut cool.write_cost_cents_per_gb,
+                    &mut cool.ttfb_seconds,
+                ][i] = bad;
+                let reason = refusal(TierCatalog::new(tiers).unwrap());
+                assert_eq!(reason, format!("tier Cool has invalid {field} {bad}"));
+            }
+            let mut catalog = base.clone();
+            catalog.compute_cost_cents_per_second = bad;
+            assert_eq!(
+                refusal(catalog),
+                format!("catalog has invalid compute_cost_cents_per_second {bad}")
+            );
+        }
     }
 
     #[test]
@@ -2660,14 +2779,34 @@ mod tests {
         }
     }
 
-    /// An `SCPK` version-5 checkpoint, byte for byte: [`golden_engine`]'s
+    /// An `SCPK` version-6 checkpoint, byte for byte: [`golden_engine`]'s
     /// two objects in one account on [`golden_catalog`] /
     /// [`golden_schemes`] with explicit (non-default) configuration, one
     /// folded and one quarantined (NaN) event, one boundary at day 15 with
-    /// a re-solve that moved both objects, and a one-event batch (a write
-    /// of 0.5 GB to object 1 on day 16) parked in the reorder buffer under
-    /// sequence number 2, as a 33-byte column block. A layout change must
-    /// bump `CHECKPOINT_VERSION` and replace these bytes on purpose.
+    /// a re-solve that moved both objects (`last_day` stays two `u32`
+    /// cells: one run of two is no shorter), and a one-event batch (a write of 0.5 GB to object 1 on day 16) parked in
+    /// the reorder buffer under sequence number 2, as a 30-byte column
+    /// block. A layout change must bump `CHECKPOINT_VERSION` and replace
+    /// these bytes on purpose.
+    const GOLDEN_SCPK_V6: &str = "\
+             5343504b060000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
+             0200000000000000010000000000000001000000000000000000000000000000\
+             0100000000000000040000000000000061636374020000000000000042000000\
+             0000000001000000000000006100000000000000000000f83f07000000000000\
+             000000f07f010000000000000062000000000000000000001040000000000000\
+             0000000002400100010100000000000000000000000000000000000000000000\
+             103f0000000000000000000f0000000f00000000000000000000000002000000\
+             000000000000000001000000010000000000c023400000000000802140000000\
+             0000000000000000000000f23f00000000000000000000000000000000000400\
+             0000000000010000000000000000000000000000000100000000000000010000\
+             00000000000200000001000000000000000000f87f0001000000000000000200\
+             0000000000001e00000000000000010000000100000001000000010000001000\
+             00000101000000000000e03f7580e8130463eeb1";
+
+    /// The retired version-5 layout's fixture of the same scenario (the
+    /// parked batch a fixed-width 33-byte block, `last_day` as `u32`
+    /// cells): kept to be refused.
     const GOLDEN_SCPK_V5: &str = "\
              5343504b050000006e4a1504387e4b0c3c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
@@ -2684,25 +2823,6 @@ mod tests {
              0000000000210000000000000001000000010000000100000001000000100000\
              000100000001000000000000e03fa72f7e1cb1e3cf44";
 
-    /// The retired version-4 layout's fixture (the same scenario under a
-    /// capacity catalog, its preamble carrying a node budget of 1 000):
-    /// kept to be refused.
-    const GOLDEN_SCPK_V4: &str = "\
-             5343504b04000000232f3441bcbf95593c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
-             0000000000000000000200000000000000010000000000000001000000000000\
-             0000000000000000000100000000000000040000000000000061636374020000\
-             0000000000420000000000000001000000000000006100000000000000000000\
-             f83f07000000000000000000f07f010000000000000062000000000000000000\
-             0010400000000000000000000002400100010100000000000000000000000000\
-             000000000000000000103f00000000000000000f0000000f0000000000000000\
-             0000000002000000000000000000000001000000010000000000c02340000000\
-             00008021400000000000000000000000000000f23f0000000000000000000000\
-             0000000000000400000000000001000000000000000000000000000000010000\
-             000000000001000000000000000200000001000000000000000000f87f000100\
-             0000000000000200000000000000210000000000000001000000010000000100\
-             000001000000100000000100000001000000000000e03fff25900997aea6b7";
-
     fn unhex(hex: &str) -> Vec<u8> {
         hex.as_bytes()
             .chunks(2)
@@ -2711,9 +2831,9 @@ mod tests {
     }
 
     #[test]
-    fn the_version_5_layout_is_pinned_by_a_golden_checkpoint() {
-        let golden = unhex(GOLDEN_SCPK_V5);
-        assert_eq!(golden.len(), 438);
+    fn the_version_6_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden = unhex(GOLDEN_SCPK_V6);
+        assert_eq!(golden.len(), 436);
         assert_eq!(golden_engine().checkpoint(), golden);
         assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
@@ -2734,16 +2854,21 @@ mod tests {
         assert_eq!((restored.next_seq(), restored.pending_batches()), (1, 1));
         // The writer reproduces the fixture from the decoded state.
         assert_eq!(restored.checkpoint(), golden);
+        // The heat column ends in object 1's zero heat; `last_day`
+        // follows, tagged as cells.
+        let last_day: [&[u8]; 3] = [&[0; 8], &[0], &[15, 0, 0, 0, 15, 0, 0, 0]];
+        let at = 0xE2;
+        assert_eq!(golden[at..at + 17], last_day.concat()[..]);
         // The pending section closes the payload: one batch, seq 2, and
-        // its 33-byte block — four lengths of 1, day 16, object 1, a
-        // write, 0.5 GB.
+        // its 30-byte block — four lengths of 1, day 16 (one day: a `u32`
+        // cell), object 1 (a one-byte cell), a write, 0.5 GB.
         let pending: [&[u8]; 8] = [
             &[1, 0, 0, 0, 0, 0, 0, 0],
             &[2, 0, 0, 0, 0, 0, 0, 0],
-            &[33, 0, 0, 0, 0, 0, 0, 0],
+            &[30, 0, 0, 0, 0, 0, 0, 0],
             &[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
             &[16, 0, 0, 0],
-            &[1, 0, 0, 0],
+            &[1],
             &[1],
             &[0, 0, 0, 0, 0, 0, 0xE0, 0x3F],
         ];
@@ -2751,19 +2876,60 @@ mod tests {
         let end = golden.len() - 8;
         assert_eq!(golden[end - pending.len()..end], pending[..]);
 
-        // A real version-4 snapshot is refused by name, not misread.
-        let retired = unhex(GOLDEN_SCPK_V4);
+        // A real version-5 snapshot is refused by name, not misread.
+        let retired = unhex(GOLDEN_SCPK_V5);
         let reason = checkpoint_error(ServeEngine::restore(
             golden_catalog(),
             golden_schemes(),
             &retired,
         ));
-        assert!(reason.contains("unsupported version 4"), "{reason}");
+        assert!(reason.contains("unsupported version 5"), "{reason}");
     }
 
-    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V5`] holds: the
+    #[test]
+    fn last_day_goes_out_as_one_run_after_a_boundary() {
+        // Four objects, all brought to day 15: one run, tagged 1.
+        let engine = eventful_engine();
+        let snapshot = engine.checkpoint();
+        let run: [&[u8]; 3] = [&[1], &15u32.to_le_bytes(), &4u32.to_le_bytes()];
+        assert!(snapshot.windows(9).any(|w| w == run.concat()));
+        assert_eq!(restore_demo(&snapshot).unwrap().checkpoint(), snapshot);
+        // Mid-epoch, reads have moved two objects on: three runs of four
+        // days are cells again, and restore just as exactly.
+        let mut engine = engine;
+        let mut batch = EventColumns::default();
+        batch.push_resolved(20, 0, AccessKind::Read, 1.0);
+        batch.push_resolved(21, 3, AccessKind::Read, 1.0);
+        engine.deliver(engine.next_seq(), &batch).unwrap();
+        let snapshot = engine.checkpoint();
+        assert!(!snapshot.windows(9).any(|w| w == run.concat()));
+        let restored = restore_demo(&snapshot).unwrap();
+        assert_eq!(restored.checkpoint(), snapshot);
+        assert_eq!(
+            restored.heat.iter().map(|h| h.last_day).collect::<Vec<_>>(),
+            [20, 15, 15, 21]
+        );
+    }
+
+    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V6`] holds: the
     /// same bytes less the static section, whose place its length (0x42)
     /// and XXH64 take, under the `SCPD` magic.
+    const GOLDEN_SCPD_V6: &str = "\
+             53435044060000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
+             0200000000000000010000000000000001000000000000000000000000000000\
+             0100000000000000040000000000000061636374020000000000000042000000\
+             00000000bf78d6998edd4dc10100010100000000000000000000000000000000\
+             000000000000103f0000000000000000000f0000000f00000000000000000000\
+             000002000000000000000000000001000000010000000000c023400000000000\
+             8021400000000000000000000000000000f23f00000000000000000000000000\
+             0000000004000000000000010000000000000000000000000000000100000000\
+             00000001000000000000000200000001000000000000000000f87f0001000000\
+             0000000002000000000000001e00000000000000010000000100000001000000\
+             01000000100000000101000000000000e03f39973a27c699f847";
+
+    /// The version-5 dynamic snapshot of the same scenario: kept to be
+    /// refused.
     const GOLDEN_SCPD_V5: &str = "\
              53435044050000006e4a1504387e4b0c3c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
@@ -2778,28 +2944,11 @@ mod tests {
              0000000200000000000000210000000000000001000000010000000100000001\
              000000100000000100000001000000000000e03f5865fd0c855025ce";
 
-    /// The version-4 dynamic snapshot of the same scenario: kept to be
-    /// refused.
-    const GOLDEN_SCPD_V4: &str = "\
-             5343504404000000232f3441bcbf95593c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f01e8030000000000000f0000\
-             0000000000000000000200000000000000010000000000000001000000000000\
-             0000000000000000000100000000000000040000000000000061636374020000\
-             00000000004200000000000000bf78d6998edd4dc10100010100000000000000\
-             000000000000000000000000000000103f00000000000000000f0000000f0000\
-             0000000000000000000002000000000000000000000001000000010000000000\
-             c0234000000000008021400000000000000000000000000000f23f0000000000\
-             0000000000000000000000000400000000000001000000000000000000000000\
-             0000000100000000000000010000000000000002000000010000000000000000\
-             00f87f0001000000000000000200000000000000210000000000000001000000\
-             010000000100000001000000100000000100000001000000000000e03f140b3d\
-             091d780126";
-
     #[test]
     fn the_dynamic_layout_is_pinned_by_a_golden_snapshot() {
-        let full = unhex(GOLDEN_SCPK_V5);
-        let golden = unhex(GOLDEN_SCPD_V5);
-        assert_eq!(golden.len(), 380);
+        let full = unhex(GOLDEN_SCPK_V6);
+        let golden = unhex(GOLDEN_SCPD_V6);
+        assert_eq!(golden.len(), 378);
         assert_eq!(golden_engine().checkpoint_dynamic(), golden);
         let engine = ServeEngine::restore(golden_catalog(), golden_schemes(), &full).unwrap();
         assert_eq!(engine.checkpoint_dynamic(), golden);
@@ -2834,15 +2983,15 @@ mod tests {
         assert_eq!(restored.checkpoint(), full);
         assert_eq!(restored.checkpoint_dynamic(), golden);
 
-        // The version-4 dynamic snapshot is refused by name too.
-        let retired = unhex(GOLDEN_SCPD_V4);
+        // The version-5 dynamic snapshot is refused by name too.
+        let retired = unhex(GOLDEN_SCPD_V5);
         let reason = checkpoint_error(ServeEngine::restore_dynamic(
             golden_catalog(),
             golden_schemes(),
             &full,
             &retired,
         ));
-        assert!(reason.contains("unsupported version 4"), "{reason}");
+        assert!(reason.contains("unsupported version 5"), "{reason}");
     }
 
     fn checkpoint_error(result: Result<ServeEngine, ServeError>) -> String {

@@ -68,7 +68,9 @@
 //! bytes — to an engine that never crashed, which
 //! `tests/integration_recovery.rs` asserts after every crash.
 
-use crate::engine::{static_section, IngestReport, ResolveOutcome, ServeEngine, ShardFault};
+use crate::engine::{
+    check_catalog, static_section, IngestReport, ResolveOutcome, ServeEngine, ShardFault,
+};
 use crate::error::ServeError;
 use crate::serving::Serving;
 use scope_cloudsim::{EventColumns, TierCatalog};
@@ -175,6 +177,9 @@ impl<S: Storage> JournaledEngine<S> {
         schemes: Vec<CompressionOption>,
         fresh: impl FnOnce() -> Result<ServeEngine, ServeError>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
+        // A catalog no engine can price would fail every restore and so
+        // pass every checkpoint by: refuse it before the walk starts.
+        check_catalog(&catalog, &schemes)?;
         // A donor is judged by what it is kept for — a snapshot of this
         // configuration whose static section digests to what its frame
         // says — at the price of two checksums, not a restore. The

@@ -22,6 +22,9 @@ pub enum CorruptKind {
     Checksum,
     /// The record kind byte is not one the journal writes.
     Kind,
+    /// The record kind is one an older build wrote in a layout this build
+    /// no longer reads: the fixed-width batch record, kind 1.
+    Retired,
     /// The record payload does not decode as an event-columns batch.
     Payload,
 }
@@ -33,6 +36,7 @@ impl fmt::Display for CorruptKind {
             CorruptKind::Length => "implausible frame length",
             CorruptKind::Checksum => "checksum mismatch",
             CorruptKind::Kind => "unknown record kind",
+            CorruptKind::Retired => "retired record kind (an older build's batch layout)",
             CorruptKind::Payload => "undecodable payload",
         };
         f.write_str(s)

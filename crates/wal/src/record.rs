@@ -9,7 +9,7 @@
 //! len: u32 LE      bytes after the 8-byte (len, checksum) header
 //! checksum: u32 LE low 32 bits of the XXH64 (seed 0) of everything
 //!                  after the header
-//! kind: u8         RECORD_BATCH = 1 | RECORD_EPOCH = 2
+//! kind: u8         RECORD_BATCH = 3 | RECORD_EPOCH = 2
 //! seq: u64 LE      intake sequence number of the delivery
 //! payload          kind-specific body
 //! ```
@@ -25,8 +25,8 @@
 //!
 //! A reader can always either validate a frame completely or classify
 //! the failure: not enough bytes for a header, an implausible length, a
-//! checksum mismatch, an unknown kind, or an undecodable payload — each
-//! a distinct [`CorruptKind`].
+//! checksum mismatch, an unknown kind, a retired kind, or an undecodable
+//! payload — each a distinct [`CorruptKind`].
 //!
 //! # Failure model of the frame checksum
 //!
@@ -60,13 +60,23 @@
 //! A batch record's payload is exactly one **column block**, the byte
 //! layout `scope-cloudsim` owns for an [`EventColumns`] batch
 //! ([`EventColumns::encode_into`]): four `u32` column lengths, then the
-//! days (`u32`), object ids (`u32`), kinds (`u8`) and volume bits (`u64`,
-//! so NaN corruption survives for the validating intake to quarantine),
-//! little-endian — 16 bytes per record and 17 per event. Each column
-//! carries its own length, so a **ragged** (torn) delivery is journaled
-//! as it stands and replays as it was delivered: the intake, not the
-//! journal, judges it. A payload that is not exactly one block is
+//! days (runs of one day, or `u32` cells), object ids (cells of 1, 2 or 4
+//! bytes), kinds (one bit each) and volume bits (`u64`, so NaN corruption
+//! survives for the validating intake to quarantine), little-endian — 16
+//! bytes per record and, for a batch whose days are a few runs over a
+//! fleet of fewer than 65 536 objects, ≈ 10.1 per event; never more than
+//! 17. Each column carries its own length, so a **ragged** (torn)
+//! delivery is journaled as it stands and replays as it was delivered:
+//! the intake, not the journal, judges it. A payload that is not exactly
+//! one block, or not the block the encoder writes for its values, is
 //! [`CorruptKind::Payload`].
+//!
+//! Kind 1 was the batch record of builds that wrote a fixed-width block
+//! (`u32` days and ids, a byte per kind: 17 bytes per event). Such a frame
+//! checksums like any other but is refused as [`CorruptKind::Retired`],
+//! never read as the compact block, so a journal an older build wrote
+//! recovers to its last checkpoint and quarantines the first such frame
+//! past it.
 //!
 //! # Checkpoint frame (`WCKP`, version 3)
 //!
@@ -106,8 +116,12 @@ use crate::error::{CorruptKind, WalError};
 use crate::xxh64::xxh64;
 use scope_cloudsim::EventColumns;
 
-/// Record kind: one delivered `EventColumns` batch.
-pub(crate) const RECORD_BATCH: u8 = 1;
+/// Record kind: one delivered `EventColumns` batch, as a column block.
+pub(crate) const RECORD_BATCH: u8 = 3;
+
+/// Record kind of the retired fixed-width batch record (see the module
+/// docs): refused as [`CorruptKind::Retired`].
+const RECORD_BATCH_FIXED_WIDTH: u8 = 1;
 
 /// Record kind: an epoch-boundary marker (see the module docs).
 pub(crate) const RECORD_EPOCH: u8 = 2;
@@ -211,7 +225,7 @@ pub(crate) fn encode_epoch_record_into(out: &mut Vec<u8>, seq: u64, day: u32) {
 
 /// Encode a batch delivery as one framed record.
 pub fn encode_record(seq: u64, columns: &EventColumns) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_BODY_MIN + columns.encoded_len());
+    let mut out = Vec::new();
     encode_record_into(&mut out, seq, columns);
     out
 }
@@ -307,6 +321,9 @@ pub fn decode_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
                 next,
             }
         }
+        RECORD_BATCH_FIXED_WIDTH => FrameOutcome::Invalid {
+            kind: CorruptKind::Retired,
+        },
         _ => FrameOutcome::Invalid {
             kind: CorruptKind::Kind,
         },
@@ -494,7 +511,7 @@ mod tests {
     use crate::journal::{segment_name, Journal, JournalConfig};
     use crate::storage::{MemStorage, Storage};
     use proptest::prelude::*;
-    use scope_cloudsim::AccessKind;
+    use scope_cloudsim::{AccessKind, UNKNOWN_OBJECT};
 
     fn batch(n: usize) -> EventColumns {
         let mut cols = EventColumns::default();
@@ -538,8 +555,9 @@ mod tests {
         for n in [0usize, 1, 7, 100] {
             let cols = batch(n);
             let enc = block(&cols);
-            assert_eq!(enc.len(), 16 + 17 * n);
-            assert_eq!(enc.len(), cols.encoded_len());
+            // Days all distinct (cells), ids under 7 (one byte), a bit per
+            // kind.
+            assert_eq!(enc.len(), 16 + 4 * n + n + n.div_ceil(8) + 8 * n);
             assert_same(&EventColumns::decode(&enc).unwrap(), &cols);
         }
     }
@@ -553,9 +571,9 @@ mod tests {
         assert!(EventColumns::decode(&padded).is_none());
         assert!(EventColumns::decode(&[]).is_none());
         assert!(EventColumns::decode(&enc[..15]).is_none());
-        // A kind byte outside {0, 1} is payload corruption.
+        // A set padding bit of the kind bitmap is payload corruption.
         let mut bad_kind = enc;
-        bad_kind[16 + 5 * 8] = 7;
+        bad_kind[16 + 5 * 4 + 5] |= 0x80;
         assert!(EventColumns::decode(&bad_kind).is_none());
         // A ragged batch is encoded as it stands and read back as it was:
         // each column carries its own length.
@@ -563,18 +581,19 @@ mod tests {
         ragged.volumes.pop();
         ragged.kinds.truncate(2);
         let enc = block(&ragged);
-        assert_eq!(enc.len(), 16 + 5 * 17 - 8 - 3);
+        assert_eq!(enc.len(), 16 + 5 * 4 + 5 + 1 + 4 * 8);
         let decoded = EventColumns::decode(&enc).unwrap();
         assert_same(&decoded, &ragged);
         assert_eq!(block(&decoded), enc);
     }
 
-    /// Two events, and the same two torn: `kinds` and `volumes` lost their
-    /// last entry.
+    /// Three events on one day, and the same three torn: `kinds` and
+    /// `volumes` lost their last entry.
     fn golden_batch(torn: bool) -> EventColumns {
         let mut cols = EventColumns::default();
         cols.push_resolved(3, 1, AccessKind::Read, 0.5);
-        cols.push_resolved(4, 2, AccessKind::Write, 1.0);
+        cols.push_resolved(3, 2, AccessKind::Write, 1.0);
+        cols.push_resolved(3, 1, AccessKind::Read, 0.5);
         if torn {
             cols.kinds.pop();
             cols.volumes.pop();
@@ -594,53 +613,105 @@ mod tests {
         golden
     }
 
-    /// The three golden frames — a clean batch, the torn batch and an
+    const HALF: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
+    const ONE: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
+
+    /// An epoch marker for day 42 under sequence number 5.
+    fn golden_epoch(checksum: [u8; 4]) -> Vec<u8> {
+        golden_frame(13, checksum, RECORD_EPOCH, 5, &[&[42, 0, 0, 0]])
+    }
+
+    /// The three golden frames — the clean batch, the torn batch and an
     /// epoch marker — with `checksums` in their headers.
     fn golden_frames(checksums: [[u8; 4]; 3]) -> [Vec<u8>; 3] {
+        // One run of three days on day 3, ids in one-byte cells.
+        let days_and_ids: [&[u8]; 2] = [&[3, 0, 0, 0, 3, 0, 0, 0], &[1, 2, 1]];
+        let clean = golden_frame(
+            61,
+            checksums[0],
+            RECORD_BATCH,
+            7,
+            &[
+                &[3, 0, 0, 0x80, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0],
+                days_and_ids[0],
+                days_and_ids[1],
+                &[0b010],
+                &HALF,
+                &ONE,
+                &HALF,
+            ],
+        );
+        let torn = golden_frame(
+            53,
+            checksums[1],
+            RECORD_BATCH,
+            7,
+            &[
+                &[3, 0, 0, 0x80, 3, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0],
+                days_and_ids[0],
+                days_and_ids[1],
+                &[0b10],
+                &HALF,
+                &ONE,
+            ],
+        );
+        [clean, torn, golden_epoch(checksums[2])]
+    }
+
+    /// The low 32 bits of each golden body's XXH64, little-endian — what
+    /// this build seals.
+    const XXH64_SEALED: [[u8; 4]; 3] = [
+        [0x84, 0x2C, 0xD5, 0x76],
+        [0xD4, 0xE8, 0x72, 0x7F],
+        [0x82, 0xE2, 0xA9, 0xA6],
+    ];
+
+    /// The fixed-width batch frames of builds before the column block was
+    /// compact (kind 1: two events on days 3 and 4, `u32` days and ids, a
+    /// byte per kind, and the same two torn), and the epoch marker, with
+    /// `checksums` in their headers. Kept to be refused, not misread.
+    fn fixed_width_frames(checksums: [[u8; 4]; 3]) -> [Vec<u8>; 3] {
         let days_and_ids: [&[u8]; 2] = [&[3, 0, 0, 0, 4, 0, 0, 0], &[1, 0, 0, 0, 2, 0, 0, 0]];
-        let half = [0, 0, 0, 0, 0, 0, 0xE0, 0x3F];
-        let one = [0, 0, 0, 0, 0, 0, 0xF0, 0x3F];
         let clean = golden_frame(
             59,
             checksums[0],
-            RECORD_BATCH,
+            RECORD_BATCH_FIXED_WIDTH,
             7,
             &[
                 &[2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0],
                 days_and_ids[0],
                 days_and_ids[1],
                 &[0, 1],
-                &half,
-                &one,
+                &HALF,
+                &ONE,
             ],
         );
         let torn = golden_frame(
             50,
             checksums[1],
-            RECORD_BATCH,
+            RECORD_BATCH_FIXED_WIDTH,
             7,
             &[
                 &[2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
                 days_and_ids[0],
                 days_and_ids[1],
                 &[0],
-                &half,
+                &HALF,
             ],
         );
-        let epoch = golden_frame(13, checksums[2], RECORD_EPOCH, 5, &[&[42, 0, 0, 0]]);
-        [clean, torn, epoch]
+        [clean, torn, golden_epoch(checksums[2])]
     }
 
-    /// The low 32 bits of each golden body's XXH64, little-endian — what
-    /// this build seals.
-    const XXH64_SEALED: [[u8; 4]; 3] = [
+    /// The low 32 bits of each fixed-width frame body's XXH64: what the
+    /// builds that wrote them sealed.
+    const FIXED_WIDTH_XXH64_SEALED: [[u8; 4]; 3] = [
         [0xC4, 0x0B, 0xF8, 0x56],
         [0xE1, 0x26, 0x5F, 0x08],
         [0x82, 0xE2, 0xA9, 0xA6],
     ];
 
-    /// zlib's `crc32` of each golden body, little-endian — what builds
-    /// before the one-checksum change sealed.
+    /// zlib's `crc32` of each fixed-width frame body, little-endian — what
+    /// builds before the one-checksum change sealed.
     const CRC_SEALED: [[u8; 4]; 3] = [
         [0xA8, 0xA5, 0x11, 0x43],
         [0x8E, 0xF0, 0x10, 0x2D],
@@ -653,7 +724,7 @@ mod tests {
     #[test]
     fn the_record_layout_is_pinned_by_golden_frames() {
         let [clean, torn, epoch] = golden_frames(XXH64_SEALED);
-        assert_eq!((clean.len(), torn.len(), epoch.len()), (67, 58, 21));
+        assert_eq!((clean.len(), torn.len(), epoch.len()), (69, 61, 21));
 
         for (golden, columns) in [(&clean, golden_batch(false)), (&torn, golden_batch(true))] {
             assert_eq!(encode_record(7, &columns), *golden);
@@ -669,9 +740,23 @@ mod tests {
         };
         assert_eq!(record.payload, RecordPayload::Epoch { day: 42 });
 
+        // The fixed-width batch frames, sealed as their builds sealed
+        // them: refused as a retired kind, not misread. The epoch marker
+        // is the same frame in both layouts.
+        let [old_clean, old_torn, old_epoch] = fixed_width_frames(FIXED_WIDTH_XXH64_SEALED);
+        for retired in [old_clean, old_torn] {
+            assert_eq!(
+                decode_frame(&retired, 0),
+                FrameOutcome::Invalid {
+                    kind: CorruptKind::Retired
+                }
+            );
+        }
+        assert_eq!(old_epoch, epoch);
+
         // The same frames as a CRC-32 build sealed them: refused by the
         // checksum, not misread.
-        for crc_sealed in golden_frames(CRC_SEALED) {
+        for crc_sealed in fixed_width_frames(CRC_SEALED) {
             assert_eq!(
                 decode_frame(&crc_sealed, 0),
                 FrameOutcome::Invalid {
@@ -726,7 +811,7 @@ mod tests {
         journal.publish_checkpoint(b"engine snapshot", 9).unwrap();
         let segment = segment_name(journal.active_segment());
         let mut storage = journal.into_storage();
-        let crc_sealed = golden_frames(CRC_SEALED).concat();
+        let crc_sealed = fixed_width_frames(CRC_SEALED).concat();
         storage.append(&segment, &crc_sealed).unwrap();
         storage.sync(&segment).unwrap();
 
@@ -761,14 +846,14 @@ mod tests {
     }
 
     /// The decoder's contract on one input: no panic (the caller would
-    /// see it), no allocation past the input's length, and a batch only
-    /// when it re-encodes to exactly these bytes.
+    /// see it), no allocation past eight bytes per input byte, and a batch
+    /// only when it re-encodes to exactly these bytes.
     fn decoder_contract(bytes: &[u8]) -> Result<Option<EventColumns>, String> {
         let Some(cols) = EventColumns::decode(bytes) else {
             return Ok(None);
         };
         prop_assert!(
-            allocated(&cols) <= bytes.len(),
+            allocated(&cols) <= 8 * bytes.len(),
             "{} > {}",
             allocated(&cols),
             bytes.len()
@@ -861,29 +946,82 @@ mod tests {
             decoder_contract(&bytes)?;
         }
 
-        /// Bytes behind a plausible header — small column lengths, ragged
-        /// or square, and a body a few bytes off or exact, drawn from an
-        /// alphabet that makes kind bytes valid about two times in three:
-        /// a batch exactly when the body fits and every kind byte does.
+        /// Arbitrary batches — ragged or square, any `u32` day or a few
+        /// runs of days, ids of every width and `UNKNOWN_OBJECT`, any
+        /// volume bits (NaN and negative among them): each round-trips bit
+        /// for bit, its block is never longer than the fixed-width
+        /// layout's, and the block with one byte overwritten still keeps
+        /// the decoder's contract.
         #[test]
-        fn plausible_headers_decode_exactly_when_the_block_is_well_formed(
-            lens in proptest::collection::vec(0u32..6, 4),
-            slack in -2i64..3,
-            pool in proptest::collection::vec(0u8..3, 128),
+        fn arbitrary_batches_round_trip_into_blocks_no_longer_than_fixed_width(
+            days in proptest::collection::vec(any::<u32>(), 0..40),
+            few_days in any::<bool>(),
+            object_ids in proptest::collection::vec(any::<u32>(), 0..40),
+            id_range in 0u8..4,
+            reads in proptest::collection::vec(any::<bool>(), 0..40),
+            volume_bits in proptest::collection::vec(any::<u64>(), 0..40),
+            square in any::<bool>(),
+            poke_at in any::<u64>(),
+            poke in any::<u8>(),
         ) {
-            let declared = [4, 4, 1, 8].iter().zip(&lens).map(|(w, &n)| w * n as i64).sum::<i64>();
-            let body = (declared + slack).max(0) as usize;
-            let mut bytes: Vec<u8> = lens.iter().flat_map(|n| n.to_le_bytes()).collect();
-            bytes.extend_from_slice(&pool[..body]);
-            let kinds_at = 16 + 4 * (lens[0] + lens[1]) as usize;
-            let well_formed = body as i64 == declared
-                && bytes[kinds_at..][..lens[2] as usize].iter().all(|&k| k <= 1);
-            let decoded = decoder_contract(&bytes)?;
-            prop_assert_eq!(decoded.is_some(), well_formed);
-            if let Some(cols) = decoded {
-                let got = [cols.days.len(), cols.object_ids.len(), cols.kinds.len(), cols.volumes.len()];
-                prop_assert_eq!(got.map(|n| n as u32).to_vec(), lens);
+            let (mut days, mut object_ids) = (days, object_ids);
+            if few_days {
+                days.iter_mut().for_each(|d| *d %= 3);
+                days.sort_unstable();
             }
+            for id in &mut object_ids {
+                *id = match id_range {
+                    0 => *id & 0xff,
+                    1 => *id & 0xffff,
+                    2 => *id,
+                    _ => if *id % 2 == 0 { UNKNOWN_OBJECT } else { *id & 0xff },
+                };
+            }
+            let mut cols = EventColumns {
+                days,
+                object_ids,
+                kinds: reads
+                    .iter()
+                    .map(|&read| if read { AccessKind::Read } else { AccessKind::Write })
+                    .collect(),
+                volumes: volume_bits.into_iter().map(f64::from_bits).collect(),
+            };
+            if square {
+                cols = cols.range(0..cols.usable_prefix().0);
+            }
+            let enc = block(&cols);
+            let fixed_width = 16
+                + 4 * (cols.days.len() + cols.object_ids.len())
+                + cols.kinds.len()
+                + 8 * cols.volumes.len();
+            prop_assert!(enc.len() <= fixed_width, "{} > {fixed_width}", enc.len());
+            let decoded = decoder_contract(&enc)?;
+            prop_assert!(decoded.is_some(), "a block did not decode");
+            if let Some(decoded) = decoded {
+                assert_same(&decoded, &cols);
+            }
+            let mut poked = enc.clone();
+            let at = (poke_at % poked.len() as u64) as usize;
+            poked[at] = poke;
+            decoder_contract(&poked)?;
+        }
+
+        /// A hostile header — any four words, or small lengths under any
+        /// coding bits — over a short body: refused or decoded, never a
+        /// panic, never more than eight bytes allocated per block byte.
+        #[test]
+        fn hostile_headers_never_allocate_past_eight_bytes_per_block_byte(
+            words in proptest::collection::vec(any::<u32>(), 4),
+            small in any::<bool>(),
+            body in proptest::collection::vec(0u8..3, 0..64),
+        ) {
+            let mut bytes = Vec::new();
+            for &word in &words {
+                let word = if small { word & 0xC000_0007 } else { word };
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes.extend_from_slice(&body);
+            decoder_contract(&bytes)?;
         }
     }
 

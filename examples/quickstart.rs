@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         generator_scale: 0.1,
         queries_per_template: 6,
         total_files: 60,
-        ..Default::default()
     })?;
     println!(
         "\nScenario: {} tables, {:.0} GB nominal, {} query families over {:.1} months",

@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         generator_scale: 0.15,
         queries_per_template: 10,
         total_files: 80,
-        ..Default::default()
     })?;
     print_table("TPC-H 100 GB-class (paper Table X)", &tpch100)?;
 
@@ -46,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         generator_scale: 0.15,
         queries_per_template: 10,
         total_files: 120,
-        ..Default::default()
     })?;
     print_table("TPC-H 1 TB-class (paper Table XI)", &tpch1tb)?;
 

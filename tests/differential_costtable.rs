@@ -868,7 +868,6 @@ fn parallel_tradeoff_sweep_equals_per_alpha_points() {
         generator_scale: 0.05,
         queries_per_template: 4,
         total_files: 24,
-        ..Default::default()
     })
     .unwrap();
     let alphas = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0];

@@ -11,7 +11,6 @@ fn scenario() -> scope_core::PipelineInputs {
         generator_scale: 0.05,
         queries_per_template: 4,
         total_files: 40,
-        ..Default::default()
     })
     .expect("scenario builds")
 }
@@ -124,7 +123,6 @@ fn scenario_scale_changes_costs_proportionally() {
         generator_scale: 0.05,
         queries_per_template: 4,
         total_files: 40,
-        ..Default::default()
     })
     .unwrap();
     let policy = Policy::default_premium();
@@ -156,7 +154,6 @@ fn tradeoff_sweep_integrates_with_the_scenario() {
         generator_scale: 0.05,
         queries_per_template: 3,
         total_files: 24,
-        ..Default::default()
     })
     .unwrap();
     let alphas = [0.0, 0.5, 2.0];

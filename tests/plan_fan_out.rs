@@ -74,7 +74,6 @@ fn the_policy_table_spawns_one_level_of_workers() {
         generator_scale: 0.05,
         queries_per_template: 4,
         total_files: 40,
-        ..Default::default()
     })
     .expect("valid scenario");
     let rows = Policy::table_rows().len();
