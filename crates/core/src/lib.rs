@@ -40,16 +40,13 @@
 //! * [`lockstep`] — the deployment loop, once: a generated account's day
 //!   log laid out as one schedule of sequenced deliveries and epoch
 //!   boundaries and replayed through the incremental serving engine
-//!   (`scope-serve`) by one step loop. Three scenarios configure it, each
+//!   (`scope-serve`) by one step loop. Two scenarios configure it, each
 //!   pinned exactly: [`run_serving`] (every incremental re-solve equals
-//!   the preserved batch path bit-for-bit), [`run_chaos`] (under seeded
+//!   the preserved batch path bit-for-bit) and [`run_chaos`] (under seeded
 //!   intake, compute and crash faults, heat equals a fault-free twin's,
 //!   the quarantine equals the independent intake reference, healthy
 //!   shards equal the batch path, and a crash-and-restore engine stays
-//!   byte-identical to one that never crashed) and [`run_recovery`] (the
-//!   journaled engine over fault-injected storage, crashed at fuzzed
-//!   positions and recovered by replay, leaves checkpoints byte-identical
-//!   to a never-crashed twin's after every epoch).
+//!   byte-identical to one that never crashed).
 
 #![warn(missing_docs)]
 
@@ -68,8 +65,7 @@ pub use enterprise::{
 };
 pub use lifecycle::{lifecycle_tradeoff, run_lifecycle, LifecycleOptions, LifecycleOutcome};
 pub use lockstep::{
-    run_chaos, run_recovery, run_serving, ChaosOptions, ChaosOutcome, EpochRecord, RecoveryOptions,
-    RecoveryOutcome, ServingOptions, ServingOutcome,
+    run_chaos, run_serving, ChaosOptions, ChaosOutcome, EpochRecord, ServingOptions, ServingOutcome,
 };
 pub use multicloud::{
     multicloud_egress_sweep, run_multicloud, MultiCloudOptions, MultiCloudOutcome,

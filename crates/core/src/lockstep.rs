@@ -1,5 +1,5 @@
 //! The lockstep replay driver: one serving schedule, run through one step
-//! loop, behind the plain, fault-injected and journaled scenarios.
+//! loop, behind the plain and the fault-injected scenarios.
 //!
 //! The paper's production setting is a single loop — access events
 //! arrive, heat moves, OPTASSIGN re-tiers. This module owns that loop
@@ -15,18 +15,15 @@
 //!   step through [`Serving`] — [`Serving::deliver`],
 //!   [`Serving::advance_to`], [`Serving::resolve`] with a [`FaultPlan`]'s
 //!   compute faults, [`Serving::checkpoint_epoch`] — so it runs a plain
-//!   engine or a [`JournaledEngine`] over fault-injected storage alike,
-//!   and writes one [`EpochRecord`] per boundary. What differs per engine
-//!   kind is only its private crash policy: when the engine crashes and
-//!   how it comes back (a plain engine is restored from its snapshot, a
-//!   journaled one recovers from its storage).
+//!   engine or a journaled one alike, and writes one [`EpochRecord`] per
+//!   boundary. Its one crash is a plain engine's: checkpointed, dropped
+//!   and restored after the epochs a [`FaultPlan`] picks.
 //!
-//! [`run_serving`], [`run_chaos`] and [`run_recovery`] are configurations
-//! of that loop over a generated enterprise account, and with their
-//! option / outcome types the module's whole public surface. The
-//! contracts, all exact:
+//! [`run_serving`] and [`run_chaos`] are configurations of that loop over
+//! a generated enterprise account, and with their option / outcome types
+//! the module's whole public surface. The contracts, all exact:
 //!
-//! * **Reference equality** (every scenario, every epoch). The cold batch
+//! * **Reference equality** (both scenarios, every epoch). The cold batch
 //!   path — [`reference::full_resolve`], taken after the advance and
 //!   before the incremental re-solve so both price transitions from the
 //!   same placements — must match every healthy (non-stale) shard
@@ -47,38 +44,19 @@
 //!   restored engine next to one that replays the same faulted stream and
 //!   never crashes — their checkpoints must be byte-identical after every
 //!   epoch and at the end.
-//! * **Durable recovery** (recovery). The journaled engine runs over
-//!   [`FaultyStorage`]: the seeded [`StorageFaultPlan`] fails and tears
-//!   appends, fails syncs and picks crash points, and
-//!   [`StorageFaultPlan::fuzz_points`] forces `FUZZ_CRASHES` (3) more at
-//!   fuzzed step positions. At a crash the plan may tear the unsynced
-//!   tail and flip a durable bit; the single recovery protocol
-//!   ([`JournaledEngine::recover`]) then rebuilds the engine and the loop
-//!   resumes from the position the
-//!   [`scope_serve::RecoveryReport`] proves durable — lost deliveries are
-//!   simply re-delivered, and the journal's epoch markers keep the resume
-//!   point from landing past an un-replayed boundary. If corruption
-//!   destroys every checkpoint *and* the journal's origin, storage is
-//!   wiped and the schedule restarts from step zero. After every epoch
-//!   the durable checkpoint and the objective bits must equal the
-//!   never-crashed twin's.
 //!
-//! Livelock is impossible by construction: [`FaultyStorage`] mixes its
-//! crash generation into every draw, forced crashes fire once, and after
-//! `CRASH_CAP` (48) crashes a rates-none plan takes over so the run
-//! drains.
+//! The durable engine's crashes are not sampled here: `scope-serve`'s
+//! journal tests enumerate a crash at every storage operation of a fixed
+//! run, torn tails and a second crash included.
 
 use crate::lifecycle::billing_events;
 use crate::ScopeError;
 use scope_cloudsim::{EventColumns, TierCatalog, TierId, DAYS_PER_MONTH};
-use scope_faults::{
-    expected_intake, FaultPlan, FaultRates, FaultyStorage, StorageFaultPlan, StorageFaultRates,
-};
+use scope_faults::{expected_intake, FaultPlan, FaultRates};
 use scope_serve::{
-    reference, AccountAssignment, CompressionOption, JournaledEngine, ResolveOutcome, ServeConfig,
-    ServeEngine, ServeError, ServeObject, Serving,
+    reference, AccountAssignment, CompressionOption, ResolveOutcome, ServeConfig, ServeEngine,
+    ServeError, ServeObject, Serving,
 };
-use scope_wal::{JournalConfig, MemStorage, WalError};
 use scope_workload::{EnterpriseOptions, EnterpriseWorkload};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -156,52 +134,13 @@ impl Default for ChaosOptions {
     }
 }
 
-/// Options for the crash-recovery replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryOptions {
-    /// The fleet and its schedule.
-    pub serving: ServingOptions,
-    /// Storage-fault-plan seed.
-    pub seed: u64,
-    /// Storage-fault-plan rates.
-    pub rates: StorageFaultRates,
-}
-
-/// Records per journal segment: eight, far below the journal's default, so
-/// every replay rolls segments and recovery crosses segment boundaries.
-const SEGMENT_RECORDS: usize = 8;
-
-/// Crashes forced at fuzzed step positions regardless of the crash rate
-/// (each fires exactly once): at least three crash points per run, whatever
-/// the plan's rates draw.
-const FUZZ_CRASHES: usize = 3;
-
-/// After this many crashes the plan is swapped for rates-none so the run
-/// always drains (forced fuzz crashes still fire): it bounds a run's
-/// recoveries whatever crash rate the plan draws.
-const CRASH_CAP: usize = 48;
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            serving: ServingOptions::default(),
-            seed: 0xD0_5EED,
-            rates: StorageFaultRates::light(),
-        }
-    }
-}
-
-/// One epoch boundary of a lockstep replay, as its last attempt left it
-/// (a journaled engine re-runs a boundary it crashed across). The
-/// `*_twin` flags are `true` in scenarios that run no twin.
+/// One epoch boundary of a lockstep replay. The `*_twin` flags are `true`
+/// in scenarios that run no twin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// Day the engine advanced to before this re-solve.
     pub day: u32,
-    /// Times this boundary executed (re-runs after crashes included).
-    pub attempts: u32,
-    /// Events folded into heat by this epoch's deliveries (events a
-    /// recovery replayed from the journal are not counted again).
+    /// Events folded into heat by this epoch's deliveries.
     pub folded_events: u64,
     /// Events quarantined this epoch.
     pub quarantined_events: u64,
@@ -229,7 +168,7 @@ pub struct EpochRecord {
     /// Whether the re-solve objective equalled the never-crashed twin's
     /// bit-for-bit.
     pub objective_bits_match: bool,
-    /// Whether this boundary was followed by a crash and recovery.
+    /// Whether this boundary was followed by a crash and restore.
     pub crashed: bool,
 }
 
@@ -289,51 +228,6 @@ pub struct ChaosOutcome {
     /// Total objective after the final epoch.
     pub final_total_objective: f64,
     /// The crash-and-restore engine's checkpoint after the final epoch.
-    pub final_checkpoint: Vec<u8>,
-}
-
-/// Outcome of the crash-recovery replay.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryOutcome {
-    /// Per-epoch records, in schedule order.
-    pub epochs: Vec<EpochRecord>,
-    /// Objects served.
-    pub objects: usize,
-    /// Steps in the schedule (deliveries + epochs).
-    pub steps: usize,
-    /// Crashes survived (plan-drawn, fault-triggered, and forced).
-    pub crashes: usize,
-    /// Crashes forced at fuzzed positions.
-    pub forced_crashes: usize,
-    /// Injected append/sync failures that surfaced as typed errors.
-    pub injected_op_faults: usize,
-    /// Crashes that tore the unsynced tail.
-    pub torn_crashes: usize,
-    /// Crashes that flipped a durable bit.
-    pub bit_flip_crashes: usize,
-    /// Recoveries that found no usable checkpoint and rebuilt fresh.
-    pub recoveries_started_fresh: usize,
-    /// Full restarts after storage corruption destroyed the journal
-    /// origin (recovery by total re-delivery).
-    pub unrecoverable_resets: usize,
-    /// Checkpoints quarantined (deleted) during walk-back, total.
-    pub quarantined_checkpoints: usize,
-    /// Corrupt interior records quarantined, total.
-    pub quarantined_records: usize,
-    /// Torn tail bytes truncated, total.
-    pub torn_bytes: u64,
-    /// Journal records replayed through the validating intake, total.
-    pub replayed_records: u64,
-    /// Deliveries re-executed after recoveries (the re-delivery cost).
-    pub redelivered_batches: u64,
-    /// Whether every attempt of every epoch left a checkpoint equal to
-    /// the twin's.
-    pub checkpoints_bit_identical: bool,
-    /// Whether the final engine state matched the twin's bit-for-bit.
-    pub final_bit_identical: bool,
-    /// Whether the crash cap was hit and the plan swapped to rates-none.
-    pub fault_injection_capped: bool,
-    /// The recovered engine's checkpoint after the final epoch.
     pub final_checkpoint: Vec<u8>,
 }
 
@@ -400,14 +294,6 @@ impl Schedule {
             epochs,
             horizon_days,
         })
-    }
-
-    /// The step position just after the `deliveries`-th delivery — where a
-    /// recovery covering that many deliveries resumes unless its checkpoint
-    /// marker proves more progress.
-    fn after_delivery(&self, deliveries: u64) -> usize {
-        let delivered = |step: &Step| matches!(step, Step::Deliver(seq, _) if *seq < deliveries);
-        self.steps.iter().rposition(delivered).map_or(0, |i| i + 1)
     }
 
     /// Push every delivery through `plan`'s intake faults — each batch
@@ -511,215 +397,8 @@ fn enterprise_replay(options: &ServingOptions) -> Result<(Fleet, Schedule), Scop
     Ok((fleet, schedule))
 }
 
-type FaultyMem = FaultyStorage<MemStorage>;
-
-/// The storage-fault schedule under a journaled engine.
-struct StorageCrashes {
-    plan: StorageFaultPlan,
-    /// Takes over once `CRASH_CAP` crashes have happened.
-    nofault: StorageFaultPlan,
-    journal_cfg: JournalConfig,
-    /// Forced crash positions still to fire, ascending.
-    pending_fuzz: Vec<u64>,
-}
-
-/// What can crash a replay's engine, and how it comes back: all that
-/// differs between the engine kinds [`drive`] runs, which takes every
-/// step through [`Serving`].
-trait CrashPolicy {
-    /// The engine this policy crashes.
-    type Engine: Serving;
-
-    /// Whether `engine` crashes after completing `step` at `step_pos`.
-    fn crashes_after(
-        &mut self,
-        engine: &Self::Engine,
-        step_pos: u64,
-        step: &Step,
-        tally: &mut RecoveryOutcome,
-    ) -> bool;
-
-    /// Crash `engine` at `step_pos` (the crash is already counted): drop
-    /// all in-memory state, recover, and return the engine with the step
-    /// position to resume from (`next` when nothing was lost).
-    fn recover(
-        &mut self,
-        engine: Self::Engine,
-        fleet: &Fleet,
-        schedule: &Schedule,
-        step_pos: u64,
-        next: usize,
-        tally: &mut RecoveryOutcome,
-    ) -> Result<(Self::Engine, usize), ServeError>;
-}
-
-/// A plain engine. With a plan it is checkpointed, dropped and restored
-/// after the epochs the plan picks; without one it never crashes.
-impl CrashPolicy for Option<&FaultPlan> {
-    type Engine = ServeEngine;
-
-    fn crashes_after(
-        &mut self,
-        _: &ServeEngine,
-        _: u64,
-        step: &Step,
-        _: &mut RecoveryOutcome,
-    ) -> bool {
-        match (self, step) {
-            (Some(plan), Step::Epoch { epoch, .. }) => plan.crash_after_epoch(*epoch as u64),
-            _ => false,
-        }
-    }
-
-    fn recover(
-        &mut self,
-        engine: ServeEngine,
-        _: &Fleet,
-        _: &Schedule,
-        _: u64,
-        next: usize,
-        tally: &mut RecoveryOutcome,
-    ) -> Result<(ServeEngine, usize), ServeError> {
-        let snapshot = engine.checkpoint();
-        let restored = ServeEngine::restore(catalog(), schemes(), &snapshot)?;
-        tally.checkpoints_bit_identical &= restored.checkpoint() == snapshot;
-        Ok((restored, next))
-    }
-}
-
-/// A journaled engine over fault-injected in-memory storage.
-impl CrashPolicy for StorageCrashes {
-    type Engine = JournaledEngine<FaultyMem>;
-
-    fn crashes_after(
-        &mut self,
-        journaled: &Self::Engine,
-        step_pos: u64,
-        _: &Step,
-        tally: &mut RecoveryOutcome,
-    ) -> bool {
-        if self.pending_fuzz.first() == Some(&step_pos) {
-            self.pending_fuzz.remove(0);
-            tally.forced_crashes += 1;
-            true
-        } else {
-            tally.crashes < CRASH_CAP
-                && self
-                    .plan
-                    .crash_at(journaled.journal().storage().generation(), step_pos)
-        }
-    }
-
-    fn recover(
-        &mut self,
-        journaled: Self::Engine,
-        fleet: &Fleet,
-        schedule: &Schedule,
-        step_pos: u64,
-        _: usize,
-        tally: &mut RecoveryOutcome,
-    ) -> Result<(Self::Engine, usize), ServeError> {
-        // Apply the crash-time corruption, bump the generation so the
-        // replay draws a fresh fault schedule, and past the cap rebuild the
-        // wrapper around the surviving bytes with the rates-none plan so
-        // the run drains.
-        let mut faulty = journaled.crash();
-        let (tore, flipped) = corrupt_at_crash(
-            &self.plan,
-            faulty.generation(),
-            step_pos,
-            faulty.inner_mut(),
-        );
-        tally.torn_crashes += usize::from(tore);
-        tally.bit_flip_crashes += usize::from(flipped);
-        faulty.bump_generation();
-        let generations = faulty.generation();
-        tally.fault_injection_capped |= tally.crashes == CRASH_CAP;
-        let capped = tally.crashes >= CRASH_CAP;
-        if capped {
-            faulty = FaultyStorage::new(faulty.into_inner(), self.nofault.clone());
-        }
-        match JournaledEngine::recover(
-            faulty,
-            self.journal_cfg.clone(),
-            catalog(),
-            schemes(),
-            || fleet.engine(),
-        ) {
-            Ok((recovered, report)) => {
-                tally.recoveries_started_fresh += usize::from(report.started_fresh);
-                tally.quarantined_checkpoints += report.wal.quarantined_checkpoints.len();
-                tally.quarantined_records += report.wal.quarantined_records.len();
-                tally.torn_bytes += report.wal.torn_bytes;
-                tally.replayed_records += report.replayed;
-                let resume = schedule
-                    .after_delivery(report.resume_deliveries)
-                    .max(report.marker as usize);
-                Ok((recovered, resume))
-            }
-            Err(ServeError::Wal(WalError::Unrecoverable(_))) => {
-                // Storage corruption destroyed the journal origin: wipe and
-                // restart the whole schedule — recovery by total
-                // re-delivery. The generation keeps counting.
-                tally.unrecoverable_resets += 1;
-                let plan = if capped { &self.nofault } else { &self.plan };
-                let mut fresh = FaultyStorage::new(MemStorage::new(), plan.clone());
-                for _ in 0..generations {
-                    fresh.bump_generation();
-                }
-                let journaled =
-                    JournaledEngine::create(fleet.engine()?, fresh, self.journal_cfg.clone())?;
-                Ok((journaled, 0))
-            }
-            Err(err) => Err(err),
-        }
-    }
-}
-
-/// Was this error injected by the fault plan (as opposed to a real bug)?
-fn is_injected(err: &ServeError) -> bool {
-    matches!(
-        err,
-        ServeError::Wal(WalError::Io { reason, .. }) if reason.starts_with("injected fault")
-    )
-}
-
-/// Apply the plan's crash-time corruption to the raw store: possibly tear
-/// the newest pending tail, drop the rest of the pending bytes, possibly
-/// flip one durable bit. Returns `(tore, flipped)`.
-fn corrupt_at_crash(
-    plan: &StorageFaultPlan,
-    generation: u64,
-    pos: u64,
-    mem: &mut MemStorage,
-) -> (bool, bool) {
-    let mut tore = false;
-    if let Some((name, pending)) = mem.pending_objects().into_iter().next_back() {
-        if let Some(keep) = plan.torn_keep(generation, pos, pending) {
-            mem.crash_torn(&name, keep);
-            tore = true;
-        }
-    }
-    mem.crash();
-    let mut flipped = false;
-    if let Some(draw) = plan.flip_bit(generation, pos) {
-        let targets: Vec<String> = mem
-            .durable_objects()
-            .into_iter()
-            .filter(|(_, len)| *len > 0)
-            .map(|(name, _)| name)
-            .collect();
-        if !targets.is_empty() {
-            let target = &targets[(draw >> 48) as usize % targets.len()];
-            flipped = mem.flip_durable_bit(target, draw & 0xffff_ffff_ffff);
-        }
-    }
-    (tore, flipped)
-}
-
 /// What one boundary left behind: the public record plus the exact state
 /// twins are compared on.
-#[derive(Clone)]
 struct Trace {
     record: EpochRecord,
     heat: Vec<Option<u64>>,
@@ -730,10 +409,6 @@ struct Trace {
 struct Replayed<E> {
     engine: E,
     epochs: Vec<Trace>,
-    /// Crash counters (the storage-only ones stay zero for a plain engine);
-    /// `checkpoints_bit_identical` also covers plain restores round-tripping
-    /// their snapshot.
-    tally: RecoveryOutcome,
 }
 
 impl<E> Replayed<E> {
@@ -759,122 +434,81 @@ fn matches_reference(cold: &[AccountAssignment], resolved: &ResolveOutcome) -> b
 /// The step loop. Replays `schedule` on `engine` through its [`Serving`]
 /// steps — deliveries through the sequenced intake; at each boundary
 /// advance, take the cold reference, re-solve under `compute`'s shard
-/// faults, checkpoint and record — and crashes and recovers the engine
-/// where `crashes` says so, resuming from the position recovery proves.
-/// `twins` are the per-epoch traces of the fault-free twin (heat) and of
-/// the never-crashed twin (checkpoint and objective) to compare against.
-fn drive<C: CrashPolicy>(
+/// faults, checkpoint and record. After each boundary `crash_after` is
+/// handed the engine and the epoch: it may crash the engine and bring it
+/// back, and says whether it did. `twins` are the per-epoch traces of the
+/// fault-free twin (heat) and of the never-crashed twin (checkpoint and
+/// objective) to compare against.
+fn drive<E: Serving>(
     fleet: &Fleet,
     schedule: &Schedule,
     compute: Option<&FaultPlan>,
-    mut engine: C::Engine,
-    mut crashes: C,
+    mut engine: E,
+    mut crash_after: impl FnMut(&mut E, usize) -> Result<bool, ServeError>,
     twins: Option<(&[Trace], &[Trace])>,
-) -> Result<Replayed<C::Engine>, ScopeError> {
-    let steps = &schedule.steps;
+) -> Result<Replayed<E>, ScopeError> {
     let shards = fleet.accounts();
-    let mut tally = RecoveryOutcome {
-        checkpoints_bit_identical: true,
-        ..RecoveryOutcome::default()
-    };
-    let mut epochs: Vec<Option<Trace>> = vec![None; schedule.epochs];
-    // Intake counters since the last boundary (or recovery).
+    let mut epochs = Vec::with_capacity(schedule.epochs);
+    // Intake counters since the last boundary.
     let mut intake = (0u64, 0u64, 0u64);
-    let (mut pos, mut max_pos) = (0usize, 0usize);
-    while pos < steps.len() {
-        let step_pos = pos;
-        let result: Result<(), ServeError> = match &steps[step_pos] {
+    for (pos, step) in schedule.steps.iter().enumerate() {
+        let (day, epoch) = match step {
             Step::Deliver(seq, batch) => {
-                tally.redelivered_batches += u64::from(step_pos < max_pos);
-                engine.deliver(*seq, batch).map(|report| {
-                    intake.0 += report.folded;
-                    intake.1 += report.quarantined;
-                    intake.2 += report.truncated;
-                })
+                let report = engine.deliver(*seq, batch)?;
+                intake.0 += report.folded;
+                intake.1 += report.quarantined;
+                intake.2 += report.truncated;
+                continue;
             }
-            Step::Epoch { day, epoch } => (|| {
-                engine.advance_to(*day)?;
-                // The cold reference must be taken before the incremental
-                // re-solve: both solve from the same pre-solve placements
-                // (the re-solve then updates them, changing transition
-                // costs).
-                let cold = reference::full_resolve(engine.engine())?;
-                let faults =
-                    compute.map_or_else(Vec::new, |p| p.shard_faults(*epoch as u64, shards));
-                let resolved = engine.resolve(&faults)?;
-                engine.checkpoint_epoch(step_pos as u64 + 1)?;
-                let served = engine.engine();
-                let heat: Vec<Option<u64>> = (0..served.len() as u32)
-                    .map(|id| served.heat(id).map(f64::to_bits))
-                    .collect();
-                let checkpoint = served.checkpoint();
-                let (heat_ok, checkpoint_ok, objective_ok) =
-                    twins.map_or((true, true, true), |(clean, steady)| {
-                        (
-                            clean[*epoch].heat == heat,
-                            steady[*epoch].checkpoint == checkpoint,
-                            steady[*epoch].record.total_objective.to_bits()
-                                == resolved.total_objective.to_bits(),
-                        )
-                    });
-                tally.checkpoints_bit_identical &= checkpoint_ok;
-                let record = EpochRecord {
-                    day: *day,
-                    attempts: epochs[*epoch].as_ref().map_or(0, |t| t.record.attempts) + 1,
-                    folded_events: intake.0,
-                    quarantined_events: intake.1,
-                    truncated_events: intake.2,
-                    rows_patched: resolved.rows_patched,
-                    retier_decisions: resolved.retier_decisions,
-                    degraded_accounts: resolved.degraded_accounts,
-                    stale_accounts: served.stale_accounts().len(),
-                    total_objective: resolved.total_objective,
-                    matches_reference: matches_reference(&cold, &resolved),
-                    heat_matches_twin: heat_ok,
-                    checkpoint_matches_twin: checkpoint_ok,
-                    objective_bits_match: objective_ok,
-                    crashed: false,
-                };
-                epochs[*epoch] = Some(Trace {
-                    record,
-                    heat,
-                    checkpoint,
-                });
-                intake = (0, 0, 0);
-                Ok(())
-            })(),
+            Step::Epoch { day, epoch } => (*day, *epoch),
         };
-        let crash = match result {
-            Ok(()) => {
-                pos += 1;
-                max_pos = max_pos.max(pos);
-                let crash =
-                    crashes.crashes_after(&engine, step_pos as u64, &steps[step_pos], &mut tally);
-                if let (true, Step::Epoch { epoch, .. }) = (crash, &steps[step_pos]) {
-                    if let Some(trace) = &mut epochs[*epoch] {
-                        trace.record.crashed = true;
-                    }
-                }
-                crash
-            }
-            Err(err) if is_injected(&err) => {
-                tally.injected_op_faults += 1;
-                true
-            }
-            Err(err) => return Err(err.into()),
+        engine.advance_to(day)?;
+        // The cold reference must be taken before the incremental re-solve:
+        // both solve from the same pre-solve placements (the re-solve then
+        // updates them, changing transition costs).
+        let cold = reference::full_resolve(engine.engine())?;
+        let faults = compute.map_or_else(Vec::new, |p| p.shard_faults(epoch as u64, shards));
+        let resolved = engine.resolve(&faults)?;
+        engine.checkpoint_epoch(pos as u64 + 1)?;
+        let served = engine.engine();
+        let heat: Vec<Option<u64>> = (0..served.len() as u32)
+            .map(|id| served.heat(id).map(f64::to_bits))
+            .collect();
+        let checkpoint = served.checkpoint();
+        let (heat_ok, checkpoint_ok, objective_ok) =
+            twins.map_or((true, true, true), |(clean, steady)| {
+                (
+                    clean[epoch].heat == heat,
+                    steady[epoch].checkpoint == checkpoint,
+                    steady[epoch].record.total_objective.to_bits()
+                        == resolved.total_objective.to_bits(),
+                )
+            });
+        let mut record = EpochRecord {
+            day,
+            folded_events: intake.0,
+            quarantined_events: intake.1,
+            truncated_events: intake.2,
+            rows_patched: resolved.rows_patched,
+            retier_decisions: resolved.retier_decisions,
+            degraded_accounts: resolved.degraded_accounts,
+            stale_accounts: served.stale_accounts().len(),
+            total_objective: resolved.total_objective,
+            matches_reference: matches_reference(&cold, &resolved),
+            heat_matches_twin: heat_ok,
+            checkpoint_matches_twin: checkpoint_ok,
+            objective_bits_match: objective_ok,
+            crashed: false,
         };
-        if crash {
-            tally.crashes += 1;
-            (engine, pos) =
-                crashes.recover(engine, fleet, schedule, step_pos as u64, pos, &mut tally)?;
-            intake = (0, 0, 0);
-        }
+        record.crashed = crash_after(&mut engine, epoch)?;
+        epochs.push(Trace {
+            record,
+            heat,
+            checkpoint,
+        });
+        intake = (0, 0, 0);
     }
-    Ok(Replayed {
-        engine,
-        epochs: epochs.into_iter().flatten().collect(),
-        tally,
-    })
+    Ok(Replayed { engine, epochs })
 }
 
 /// [`drive`] a fresh plain engine that never crashes and has no twin.
@@ -888,7 +522,7 @@ fn drive_plain(
         schedule,
         compute,
         fleet.engine()?,
-        None::<&FaultPlan>,
+        |_, _| Ok(false),
         None,
     )
 }
@@ -920,17 +554,30 @@ pub fn run_serving(options: &ServingOptions) -> Result<ServingOutcome, ScopeErro
 /// the plan's crash epochs; a second takes the same stream and faults and
 /// never crashes; a fault-free twin takes the filtered stream.
 pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
-    let plan = FaultPlan::new(options.seed, options.rates).map_err(invalid)?;
+    let plan = FaultPlan::new(options.seed, options.rates)
+        .map_err(|err| ScopeError::InvalidConfig(err.to_string()))?;
     let (fleet, schedule) = enterprise_replay(&options.serving)?;
     let (delivered, clean, in_order) = schedule.inject(&plan);
     let twin = drive_plain(&fleet, &clean, None)?;
     let steady = drive_plain(&fleet, &delivered, Some(&plan))?;
+    // A crash checkpoints the engine, drops it and restores the snapshot,
+    // which must round-trip byte for byte.
+    let mut restores_bit_identical = true;
+    let crash_after = |engine: &mut ServeEngine, epoch: usize| {
+        if !plan.crash_after_epoch(epoch as u64) {
+            return Ok(false);
+        }
+        let snapshot = engine.checkpoint();
+        *engine = ServeEngine::restore(catalog(), schemes(), &snapshot)?;
+        restores_bit_identical &= engine.checkpoint() == snapshot;
+        Ok(true)
+    };
     let run = drive(
         &fleet,
         &delivered,
         Some(&plan),
         fleet.engine()?,
-        Some(&plan),
+        crash_after,
         Some((&twin.epochs, &steady.epochs)),
     )?;
 
@@ -947,8 +594,9 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
     Ok(ChaosOutcome {
         objects: engine.len(),
         accounts: fleet.accounts(),
-        crashes: run.tally.crashes,
-        recoveries_bit_identical: run.tally.checkpoints_bit_identical,
+        crashes: epochs.iter().filter(|e| e.crashed).count(),
+        recoveries_bit_identical: restores_bit_identical
+            && epochs.iter().all(|e| e.checkpoint_matches_twin),
         recovered_matches_never_crashed: final_checkpoint == steady.engine.checkpoint(),
         quarantined_events,
         intake_matches_expected: engine.quarantine().entries() == expected.records
@@ -966,61 +614,11 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosOutcome, ScopeError> {
     })
 }
 
-fn invalid(err: impl std::fmt::Display) -> ScopeError {
-    ScopeError::InvalidConfig(err.to_string())
-}
-
-/// Replay the same window through the journaled engine under the seeded
-/// storage-fault schedule, crashing and recovering along the way, and pin
-/// the recovered states bit-for-bit against a never-crashed twin (see the
-/// [module docs](self)).
-pub fn run_recovery(options: &RecoveryOptions) -> Result<RecoveryOutcome, ScopeError> {
-    let plan = StorageFaultPlan::new(options.seed, options.rates).map_err(invalid)?;
-    let nofault =
-        StorageFaultPlan::new(options.seed, StorageFaultRates::none()).map_err(invalid)?;
-    let (fleet, schedule) = enterprise_replay(&options.serving)?;
-    let steps = &schedule.steps;
-
-    // The never-crashed twin runs the whole schedule once, cleanly.
-    let twin = drive_plain(&fleet, &schedule, None)?;
-
-    let journal_cfg = JournalConfig {
-        segment_records: SEGMENT_RECORDS,
-        ..JournalConfig::default()
-    };
-    let journaled = JournaledEngine::create(
-        fleet.engine()?,
-        FaultyStorage::new(MemStorage::new(), plan.clone()),
-        journal_cfg.clone(),
-    )?;
-    let storage = StorageCrashes {
-        pending_fuzz: plan.fuzz_points(steps.len() as u64, FUZZ_CRASHES),
-        plan,
-        nofault,
-        journal_cfg,
-    };
-    let run = drive(
-        &fleet,
-        &schedule,
-        None,
-        journaled,
-        storage,
-        Some((&twin.epochs, &twin.epochs)),
-    )?;
-    let final_checkpoint = run.engine.engine().checkpoint();
-    Ok(RecoveryOutcome {
-        epochs: run.records(),
-        objects: fleet.objects.len(),
-        steps: steps.len(),
-        final_bit_identical: final_checkpoint == twin.engine.checkpoint(),
-        final_checkpoint,
-        ..run.tally
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scope_serve::JournaledEngine;
+    use scope_wal::{JournalConfig, MemStorage};
 
     /// The scenarios' test fleet: 60 datasets, a six-month window.
     fn serving() -> ServingOptions {
@@ -1038,13 +636,6 @@ mod tests {
 
     fn chaos() -> ChaosOptions {
         ChaosOptions {
-            serving: serving(),
-            ..Default::default()
-        }
-    }
-
-    fn recovery() -> RecoveryOptions {
-        RecoveryOptions {
             serving: serving(),
             ..Default::default()
         }
@@ -1100,22 +691,31 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let recovery = run_recovery(&RecoveryOptions {
-            serving,
-            rates: StorageFaultRates::none(),
-            ..Default::default()
-        })
-        .unwrap();
-        assert!(recovery.crashes >= 3, "{recovery:?}");
+        // The journaled engine replays the scenario-size schedule through
+        // the same loop and never crashes. Two records to a segment roll
+        // segments inside every epoch (four deliveries and a marker), not
+        // only at its publish.
+        let (fleet, schedule) = enterprise_replay(&serving).unwrap();
+        let cfg = JournalConfig {
+            segment_records: 2,
+            ..JournalConfig::default()
+        };
+        let journaled =
+            JournaledEngine::create(fleet.engine().unwrap(), MemStorage::new(), cfg).unwrap();
+        let journaled = drive(&fleet, &schedule, None, journaled, |_, _| Ok(false), None).unwrap();
+        assert!(journaled.engine.journal().active_segment() > 2 * schedule.epochs as u64);
         let bits = |epochs: &[EpochRecord]| -> Vec<u64> {
             epochs.iter().map(|e| e.total_objective.to_bits()).collect()
         };
         assert_eq!(plain.epochs.len(), 8);
         assert_eq!(bits(&plain.epochs), bits(&chaos.epochs));
-        assert_eq!(bits(&plain.epochs), bits(&recovery.epochs));
+        assert_eq!(bits(&plain.epochs), bits(&journaled.records()));
         assert!(!plain.final_checkpoint.is_empty());
         assert_eq!(plain.final_checkpoint, chaos.final_checkpoint);
-        assert_eq!(plain.final_checkpoint, recovery.final_checkpoint);
+        assert_eq!(
+            plain.final_checkpoint,
+            journaled.engine.engine().checkpoint()
+        );
     }
 
     #[test]
@@ -1238,90 +838,6 @@ mod tests {
             },
         ] {
             assert!(matches!(run_chaos(&bad), Err(ScopeError::InvalidConfig(_))));
-        }
-    }
-
-    fn assert_recovery_contracts(outcome: &RecoveryOutcome) {
-        assert!(outcome.checkpoints_bit_identical, "{outcome:?}");
-        assert!(outcome.final_bit_identical, "{outcome:?}");
-        for (i, e) in outcome.epochs.iter().enumerate() {
-            assert!(
-                e.checkpoint_matches_twin,
-                "epoch {i} checkpoint diverged from twin"
-            );
-            assert!(
-                e.objective_bits_match,
-                "epoch {i} objective diverged from twin"
-            );
-        }
-    }
-
-    #[test]
-    fn recovery_replay_is_bit_identical_under_light_storage_faults() {
-        let outcome = run_recovery(&recovery()).unwrap();
-        assert_eq!(outcome.objects, 60);
-        assert_eq!(outcome.epochs.len(), 12);
-        assert_recovery_contracts(&outcome);
-        assert!(outcome.crashes >= 3, "{outcome:?}");
-        assert_eq!(outcome.forced_crashes, 3);
-        assert!(!outcome.fault_injection_capped, "{outcome:?}");
-    }
-
-    #[test]
-    fn recovery_replay_survives_heavy_storage_faults() {
-        let outcome = run_recovery(&RecoveryOptions {
-            rates: StorageFaultRates::heavy(),
-            seed: 7,
-            ..recovery()
-        })
-        .unwrap();
-        assert_recovery_contracts(&outcome);
-        assert!(outcome.crashes > 3, "{outcome:?}");
-        // The heavy mix actually corrupted storage somewhere.
-        assert!(
-            outcome.torn_crashes + outcome.bit_flip_crashes + outcome.injected_op_faults > 0,
-            "{outcome:?}"
-        );
-    }
-
-    #[test]
-    fn a_faultless_plan_still_exercises_forced_fuzz_crashes() {
-        let outcome = run_recovery(&RecoveryOptions {
-            rates: StorageFaultRates::none(),
-            ..recovery()
-        })
-        .unwrap();
-        assert_recovery_contracts(&outcome);
-        assert_eq!(outcome.crashes, 3, "only the forced fuzz crashes");
-        assert_eq!(outcome.forced_crashes, 3);
-        assert_eq!(outcome.injected_op_faults, 0);
-        assert_eq!(outcome.torn_crashes, 0);
-        assert_eq!(outcome.bit_flip_crashes, 0);
-        assert_eq!(outcome.unrecoverable_resets, 0);
-    }
-
-    #[test]
-    fn recovery_options_are_validated() {
-        for bad in [
-            RecoveryOptions {
-                serving: ServingOptions {
-                    epoch_days: 0,
-                    ..serving()
-                },
-                ..recovery()
-            },
-            RecoveryOptions {
-                rates: StorageFaultRates {
-                    crash: -1.0,
-                    ..StorageFaultRates::none()
-                },
-                ..recovery()
-            },
-        ] {
-            assert!(matches!(
-                run_recovery(&bad),
-                Err(ScopeError::InvalidConfig(_))
-            ));
         }
     }
 }

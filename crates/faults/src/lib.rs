@@ -16,11 +16,13 @@
 //!   per-shard re-solve failures and deadline overruns, mapped onto
 //!   [`scope_serve::ShardFault`].
 //! * **Crashes** ([`FaultPlan::crash_after_epoch`]): which epochs end in a
-//!   simulated crash, exercising checkpoint/restore/replay.
-//! * **Storage faults** ([`storage`]): seeded failure schedules for the
-//!   write-ahead intake journal — failed/partial appends, failed syncs,
-//!   torn tails, bit rot and crash points — applied through the
-//!   [`FaultyStorage`] wrapper over any `scope-wal` backend.
+//!   simulated crash of a plain engine, exercising checkpoint → restore.
+//!
+//! Intake and compute faults only: the durable journal's storage faults
+//! are not sampled here. `scope-serve`'s journal tests enumerate them
+//! instead — a crash at every storage operation of a fixed run, clean and
+//! with the unsynced tail torn at every frame end ± 1 byte, then a second
+//! crash at every operation of the recovery and of the resumed run.
 //!
 //! [`expected_intake`] is the one independent reference implementation of
 //! the intake's validation rules (horizon drop, quarantine, unknown skip,
@@ -32,10 +34,6 @@
 //! the rule nor its oracle can drift silently.
 
 #![warn(missing_docs)]
-
-pub mod storage;
-
-pub use storage::{FaultyStorage, StorageFaultPlan, StorageFaultRates};
 
 use std::fmt;
 
@@ -196,7 +194,7 @@ impl FaultPlan {
     }
 
     /// SplitMix64-style avalanche over `(seed, domain, epoch, id)`.
-    pub(crate) fn mix(&self, domain: u64, epoch: u64, id: u64) -> u64 {
+    fn mix(&self, domain: u64, epoch: u64, id: u64) -> u64 {
         let mut z = self
             .seed
             .wrapping_add(domain.wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -209,7 +207,7 @@ impl FaultPlan {
     }
 
     /// Bernoulli draw with probability `rate` from the hash stream.
-    pub(crate) fn chance(&self, domain: u64, epoch: u64, id: u64, rate: f64) -> bool {
+    fn chance(&self, domain: u64, epoch: u64, id: u64, rate: f64) -> bool {
         if rate <= 0.0 {
             return false;
         }

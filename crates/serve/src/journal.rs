@@ -65,8 +65,10 @@
 //! (`resume_deliveries`) and the last durable schedule position
 //! (`marker`); re-delivering from there makes the recovered engine
 //! bit-for-bit equal — heat bits, placements, objective bits, checkpoint
-//! bytes — to an engine that never crashed, which
-//! `tests/integration_recovery.rs` asserts after every crash.
+//! bytes — to an engine that never crashed. This module's tests assert it
+//! after a crash at every storage operation of a fixed run, clean or
+//! torn, and after a second crash inside the recovery or the resumed run;
+//! `tests/integration_recovery.rs` after arbitrary corruption.
 
 use crate::engine::{
     check_catalog, static_section, IngestReport, ResolveOutcome, ServeEngine, ShardFault,
@@ -241,9 +243,11 @@ impl<S: Storage> Serving for JournaledEngine<S> {
     }
 
     /// Admit, append, fold: a refused delivery is neither journaled nor
-    /// counted in [`JournaledEngine::deliveries`]. An append error leaves
-    /// the engine poisoned from the caller's point of view — treat it as a
-    /// crash and run [`JournaledEngine::recover`].
+    /// counted in [`JournaledEngine::deliveries`]. That includes a batch
+    /// too large for one journal frame (`WalError::FrameTooLarge`), which
+    /// leaves engine and journal as they were. Any other append error
+    /// leaves the engine poisoned from the caller's point of view — treat
+    /// it as a crash and run [`JournaledEngine::recover`].
     fn deliver(&mut self, seq: u64, columns: &EventColumns) -> Result<IngestReport, ServeError> {
         self.engine.admit(seq)?;
         self.journal.append(seq, columns)?;
@@ -282,8 +286,10 @@ mod tests {
     use super::*;
     use crate::engine::{ServeConfig, ServeObject};
     use scope_cloudsim::{AccessKind, TierId};
-    use scope_wal::MemStorage;
+    use scope_wal::{decode_frame, FrameOutcome, MemStorage, WalError};
+    use std::cell::{RefCell, RefMut};
     use std::ops::Range;
+    use std::rc::Rc;
 
     const HORIZON_DAYS: u32 = 60;
 
@@ -697,8 +703,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The crash differential: every storage operation, every retained
-    // object (ROADMAP item 3(a), at the scale of this module's fleet).
+    // The crash differential: every storage operation, every torn tail,
+    // a second crash anywhere after the first, every retained object.
     // ------------------------------------------------------------------
 
     /// Deliveries per epoch of the differential's schedule.
@@ -746,9 +752,9 @@ mod tests {
         engine.checkpoint()
     }
 
-    fn recover_small(
-        storage: MemStorage,
-    ) -> Result<(JournaledEngine<MemStorage>, RecoveryReport), ServeError> {
+    fn recover_small<S: Storage>(
+        storage: S,
+    ) -> Result<(JournaledEngine<S>, RecoveryReport), ServeError> {
         JournaledEngine::recover(
             storage,
             small_segments(),
@@ -758,42 +764,70 @@ mod tests {
         )
     }
 
-    /// Recover `storage`, finish the schedule to `until` from where the
-    /// report says the engine stands, and require the twin's bytes. At
-    /// most `lost` acknowledged boundaries may have to be redone.
-    fn recover_and_converge(storage: MemStorage, acknowledged: u64, lost: u64, until: u64) {
-        let (mut j, report) = recover_small(storage).expect("recoverable");
+    /// Finish the schedule to `until` from where `report` says the
+    /// recovered `j` stands. At most `lost` of the `acknowledged`
+    /// boundaries may have to be redone; boundaries acknowledged on the
+    /// way are added to it.
+    fn resume<S: Storage>(
+        j: &mut JournaledEngine<S>,
+        report: &RecoveryReport,
+        acknowledged: &mut u64,
+        lost: u64,
+        until: u64,
+    ) -> Result<(), ServeError> {
         assert!(
-            report.marker + lost >= acknowledged,
+            report.marker + lost >= *acknowledged,
             "{acknowledged} boundaries were acknowledged, recovery stands at {}",
             report.marker
         );
         assert!(report.resume_deliveries >= report.marker * PER_EPOCH);
-        let mut done = 0;
         drive(
-            &mut j,
+            j,
             report.marker,
             report.resume_deliveries,
             until,
-            &mut done,
+            acknowledged,
         )
-        .unwrap();
-        assert_eq!(j.engine().checkpoint(), twin_after(until));
     }
 
-    /// A `MemStorage` whose process dies after `left` more mutating
-    /// operations: that many complete, the next one is the crash.
+    /// Recover `storage`, finish the schedule to `until` and require the
+    /// never-crashed `twin`'s bytes, redoing at most `lost` of the
+    /// `acknowledged` boundaries.
+    fn recover_and_converge(
+        storage: MemStorage,
+        mut acknowledged: u64,
+        lost: u64,
+        until: u64,
+        twin: &[u8],
+    ) {
+        let (mut j, report) = recover_small(storage).unwrap_or_else(|e| panic!("{e}"));
+        resume(&mut j, &report, &mut acknowledged, lost, until).unwrap();
+        assert_eq!(j.engine().checkpoint(), twin);
+    }
+
+    /// A store whose process dies after `left` more mutating operations:
+    /// that many complete, the next one is the crash. Its bytes live in
+    /// `mem`, shared with the test, so they outlive whatever the crash
+    /// interrupted — a run, or a recovery that never handed them back.
     #[derive(Debug)]
     struct CrashAfter {
-        inner: MemStorage,
+        mem: Rc<RefCell<MemStorage>>,
         left: usize,
         ops: usize,
     }
 
     impl CrashAfter {
-        fn op(&mut self, name: &str) -> Result<&mut MemStorage, scope_wal::WalError> {
+        fn new(mem: &Rc<RefCell<MemStorage>>, left: usize) -> Self {
+            CrashAfter {
+                mem: Rc::clone(mem),
+                left,
+                ops: 0,
+            }
+        }
+
+        fn op(&mut self, name: &str) -> Result<RefMut<'_, MemStorage>, WalError> {
             if self.left == 0 {
-                return Err(scope_wal::WalError::Io {
+                return Err(WalError::Io {
                     object: name.to_string(),
                     op: "crash",
                     reason: "the process died here".to_string(),
@@ -801,71 +835,150 @@ mod tests {
             }
             self.left -= 1;
             self.ops += 1;
-            Ok(&mut self.inner)
+            Ok(self.mem.borrow_mut())
         }
     }
 
     impl Storage for CrashAfter {
-        fn list(&self) -> Result<Vec<String>, scope_wal::WalError> {
-            self.inner.list()
+        fn list(&self) -> Result<Vec<String>, WalError> {
+            self.mem.borrow().list()
         }
-        fn read(&self, name: &str) -> Result<Vec<u8>, scope_wal::WalError> {
-            self.inner.read(name)
+        fn read(&self, name: &str) -> Result<Vec<u8>, WalError> {
+            self.mem.borrow().read(name)
         }
-        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), scope_wal::WalError> {
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
             self.op(name)?.append(name, bytes)
         }
-        fn sync(&mut self, name: &str) -> Result<(), scope_wal::WalError> {
+        fn sync(&mut self, name: &str) -> Result<(), WalError> {
             self.op(name)?.sync(name)
         }
-        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), scope_wal::WalError> {
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), WalError> {
             self.op(name)?.write_atomic(name, bytes)
         }
         // `delete_many` is the default loop: every delete of a retire
         // batch is an operation the process can die after.
-        fn delete(&mut self, name: &str) -> Result<(), scope_wal::WalError> {
+        fn delete(&mut self, name: &str) -> Result<(), WalError> {
             self.op(name)?.delete(name)
         }
-        fn truncate(&mut self, name: &str, len: u64) -> Result<(), scope_wal::WalError> {
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), WalError> {
             self.op(name)?.truncate(name, len)
         }
     }
 
-    /// Five epochs behind a store that dies after `left` operations:
-    /// what it got to, and how many boundaries were acknowledged.
-    fn five_epochs(left: usize) -> (CrashAfter, u64, Result<(), ServeError>) {
-        let storage = CrashAfter {
-            inner: MemStorage::new(),
-            left,
-            ops: 0,
-        };
-        let mut j = JournaledEngine::create(build_engine(), storage, small_segments()).unwrap();
-        let mut done = 0;
-        let outcome = drive(&mut j, 0, 0, 5, &mut done);
-        (j.crash(), done, outcome)
+    fn is_crash(err: &ServeError) -> bool {
+        matches!(err, ServeError::Wal(WalError::Io { op: "crash", .. }))
     }
 
+    /// Five epochs behind a store that dies after `left` operations: the
+    /// bytes it left, the operations it completed, how many boundaries
+    /// were acknowledged, and how the run ended.
+    fn five_epochs(left: usize) -> (MemStorage, usize, u64, Result<(), ServeError>) {
+        let mem = Rc::default();
+        let mut j = JournaledEngine::create(
+            build_engine(),
+            CrashAfter::new(&mem, left),
+            small_segments(),
+        )
+        .unwrap();
+        let mut done = 0;
+        let outcome = drive(&mut j, 0, 0, 5, &mut done);
+        let ops = j.journal().storage().ops;
+        (mem.take(), ops, done, outcome)
+    }
+
+    /// What a process that dies with `mem` in flight can leave on disk:
+    /// every unsynced byte lost, or the newest object with unsynced bytes
+    /// torn at each end of a frame in them ± 1 byte (the end at 0 gives
+    /// the cut inside the first frame's header).
+    fn crash_states(mem: &MemStorage) -> Vec<MemStorage> {
+        let mut clean = mem.clone();
+        clean.crash();
+        let mut states = vec![clean];
+        let Some((name, pending)) = mem.pending_objects().pop() else {
+            return states;
+        };
+        let bytes = mem.read(&name).unwrap();
+        let tail = &bytes[bytes.len() - pending..];
+        let mut ends = vec![0];
+        while let Some(&end) = ends.last().filter(|&&end| end < pending) {
+            let FrameOutcome::Valid { next, .. } = decode_frame(tail, end) else {
+                panic!("the unsynced bytes of {name} are not whole frames");
+            };
+            ends.push(next);
+        }
+        let mut keeps: Vec<usize> = ends
+            .iter()
+            .flat_map(|&end| [end.saturating_sub(1), end, end + 1])
+            .filter(|&keep| keep > 0 && keep <= pending)
+            .collect();
+        keeps.sort_unstable();
+        keeps.dedup();
+        for keep in keeps {
+            let mut torn = mem.clone();
+            torn.crash_torn(&name, keep);
+            torn.crash();
+            states.push(torn);
+        }
+        states
+    }
+
+    /// Every single crash of the five-epoch run — after any storage
+    /// operation, clean or torn — and a second crash after any operation
+    /// of the recovery or of the resumed run that follows it: each lands
+    /// on the never-crashed twin's bytes, none loses an acknowledged
+    /// boundary, none is `Unrecoverable`.
     #[test]
     fn a_crash_after_any_storage_operation_recovers_to_the_twin() {
-        let (clean, done, outcome) = five_epochs(usize::MAX);
+        let twin = twin_after(5);
+        let (_, ops, done, outcome) = five_epochs(usize::MAX);
         outcome.unwrap();
         assert_eq!(done, 5);
-        // Inside every publish and every retire batch included.
-        assert!(clean.ops > 40, "{} operations", clean.ops);
-        for left in 0..clean.ops {
-            let (crashed, acknowledged, outcome) = five_epochs(left);
+        // (crash states, second crashes inside a recovery, second crashes
+        // in a resumed run)
+        let mut cases = (0, 0, 0);
+        for left in 0..ops {
+            let (mem, _, acknowledged, outcome) = five_epochs(left);
             assert!(
-                matches!(
-                    outcome,
-                    Err(ServeError::Wal(scope_wal::WalError::Io { op: "crash", .. }))
-                ),
+                outcome.as_ref().is_err_and(is_crash),
                 "operation {left}: {outcome:?}"
             );
-            let mut storage = crashed.inner;
-            storage.crash();
-            // A clean crash loses no acknowledged boundary.
-            recover_and_converge(storage, acknowledged, 0, 5);
+            for state in crash_states(&mem) {
+                cases.0 += 1;
+                // The second crash comes after `left` operations of the
+                // recovery and the resumed run together, until a count
+                // lets both finish.
+                for left in 0.. {
+                    let mem = Rc::new(RefCell::new(state.clone()));
+                    let mut acknowledged = acknowledged;
+                    let crashed = match recover_small(CrashAfter::new(&mem, left)) {
+                        Err(err) => {
+                            cases.1 += 1;
+                            err
+                        }
+                        Ok((mut j, report)) => {
+                            match resume(&mut j, &report, &mut acknowledged, 0, 5) {
+                                Ok(()) => {
+                                    assert_eq!(j.engine().checkpoint(), twin);
+                                    break;
+                                }
+                                Err(err) => {
+                                    cases.2 += 1;
+                                    err
+                                }
+                            }
+                        }
+                    };
+                    assert!(is_crash(&crashed), "{crashed}");
+                    let mut storage = mem.take();
+                    storage.crash();
+                    recover_and_converge(storage, acknowledged, 0, 5, &twin);
+                }
+            }
         }
+        // 44 operations; 134 crash states, 90 of them torn; 70 second
+        // crashes inside a recovery (its truncates and deletes) and 3 297
+        // in a resumed run.
+        assert_eq!((ops, cases), (44, (134, 70, 3297)));
     }
 
     /// The durable state after five epochs (full, full, dynamic, dynamic,
@@ -902,7 +1015,8 @@ mod tests {
         assert_eq!(report.replayed, 2);
         assert!(report.wal.used_donor.is_some());
         assert_eq!(j.engine().epoch(), 5);
-        recover_and_converge(storage.clone(), 5, 0, 6);
+        let twin = twin_after(6);
+        recover_and_converge(storage.clone(), 5, 0, 6, &twin);
 
         // Each retained object in turn — newest dynamic, older dynamic,
         // newer full, older full, every live segment — once with one bit
@@ -918,7 +1032,7 @@ mod tests {
                 let (_, report) = recover_small(damaged.clone())
                     .unwrap_or_else(|e| panic!("{name} (delete: {delete}): {e}"));
                 assert!(!report.started_fresh, "{name} (delete: {delete})");
-                recover_and_converge(damaged, 5, 1, 6);
+                recover_and_converge(damaged, 5, 1, 6, &twin);
             }
         }
 
@@ -958,7 +1072,7 @@ mod tests {
             }
             assert!(matches!(
                 recover_small(damaged),
-                Err(ServeError::Wal(scope_wal::WalError::Unrecoverable(_)))
+                Err(ServeError::Wal(WalError::Unrecoverable(_)))
             ));
         }
     }

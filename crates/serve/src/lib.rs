@@ -90,8 +90,11 @@
 //! valid checkpoint (walking back past corrupt ones), truncate the torn
 //! tail, quarantine corrupt interior records with typed errors, replay
 //! the tail through the validating intake — and is pinned bit-for-bit
-//! equal to a never-crashed engine across fuzzed crash points and seeded
-//! storage faults by `tests/integration_recovery.rs`.
+//! equal to a never-crashed engine after a crash at every storage
+//! operation of a fixed run, clean or with the unsynced tail torn, and
+//! after a second crash inside the recovery or the resumed run
+//! ([`journal`]'s tests), and under arbitrary truncations and bit flips of
+//! durable objects (`tests/integration_recovery.rs`).
 
 #![warn(missing_docs)]
 

@@ -75,6 +75,17 @@ pub enum WalError {
         /// What failed to validate.
         kind: CorruptKind,
     },
+    /// A record too large for one journal frame: its body would pass the
+    /// cap on a frame's length that recovery enforces, so recovery would
+    /// cut it as a torn tail. It is refused before any byte is written.
+    FrameTooLarge {
+        /// Intake sequence number of the refused batch.
+        seq: u64,
+        /// Body bytes the frame would have.
+        body: u64,
+        /// The largest body a frame may have.
+        max: u64,
+    },
     /// A checkpoint object failed validation (bad frame, or rejected by
     /// the engine-level validator during recovery walk-back).
     Checkpoint {
@@ -102,6 +113,10 @@ impl fmt::Display for WalError {
                 offset,
                 kind,
             } => write!(f, "corrupt frame in {object:?} at byte {offset}: {kind}"),
+            WalError::FrameTooLarge { seq, body, max } => write!(
+                f,
+                "batch {seq} needs a {body}-byte frame body, above the {max}-byte cap"
+            ),
             WalError::Checkpoint { object, reason } => {
                 write!(f, "checkpoint {object:?} rejected: {reason}")
             }

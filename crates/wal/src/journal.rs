@@ -104,11 +104,23 @@
 //! 4. Return the valid tail records for the caller to replay through
 //!    its validating intake, plus a [`WalRecoveryReport`] accounting for
 //!    every byte that was kept, cut, or quarantined.
+//!
+//! **What reaches [`WalError::Unrecoverable`].** Crashes do not. The
+//! serving engine's journal tests enumerate every crash of a five-epoch
+//! run over two-record segments: after any storage operation, clean or
+//! with the unsynced tail torn at any frame end ± 1 byte, then a second
+//! crash after any operation of the recovery that follows or of the
+//! resumed run. Every case recovers to the never-crashed engine's bytes
+//! with no acknowledged boundary lost, and none is `Unrecoverable`. The
+//! known ways in are two lost or corrupt retained objects: both full
+//! frames (no donor is left for any dynamic target), or both targets
+//! (the full frames left lie below the segment floor) — double faults of
+//! the storage, pinned by this module's and the serving engine's tests.
 
 use crate::error::WalError;
 use crate::record::{
     decode_frame, encode_epoch_record_into, encode_record_into, CheckpointFrame, FrameKind,
-    FrameOutcome, Record, RecordPayload, StaticDigest,
+    FrameOutcome, Record, RecordPayload, StaticDigest, FRAME_HEADER_LEN, MAX_FRAME_BODY,
 };
 use crate::storage::Storage;
 use scope_cloudsim::EventColumns;
@@ -364,8 +376,19 @@ impl<S: Storage> Journal<S> {
     }
 
     /// Append one delivered batch. Not durable until [`Journal::sync`].
+    /// A batch whose frame body would pass the cap recovery reads frames
+    /// under is refused with [`WalError::FrameTooLarge`] before any byte
+    /// is written, and the journal stays as it was.
     pub fn append(&mut self, seq: u64, columns: &EventColumns) -> Result<(), WalError> {
         encode_record_into(&mut self.frame, seq, columns);
+        let body = self.frame.len() - FRAME_HEADER_LEN;
+        if body > MAX_FRAME_BODY as usize {
+            return Err(WalError::FrameTooLarge {
+                seq,
+                body: body as u64,
+                max: MAX_FRAME_BODY.into(),
+            });
+        }
         self.append_frame()?;
         self.appended += 1;
         Ok(())
@@ -777,7 +800,7 @@ fn quarantine<S: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_epoch_record, encode_record};
+    use crate::record::{encode_epoch_record, encode_record, FRAME_BODY_MIN};
     use crate::storage::MemStorage;
     use proptest::prelude::*;
     use scope_cloudsim::AccessKind;
@@ -859,6 +882,38 @@ mod tests {
             Journal::create(storage, JournalConfig::default()),
             Err(WalError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_batch_over_the_frame_cap_is_refused_before_a_byte_is_written() {
+        // A torn batch of volumes alone: the kind and seq, a 16-byte column
+        // header and eight bytes a volume make a body one byte over the cap.
+        let volumes = (MAX_FRAME_BODY as usize - FRAME_BODY_MIN - 16) / 8 + 1;
+        let huge = EventColumns {
+            volumes: vec![0.5; volumes],
+            ..EventColumns::default()
+        };
+        let mut j = journal();
+        j.append(0, &batch(0, 3)).unwrap();
+        let before = j.storage().list().unwrap();
+        let segment = j.storage().read(&segment_name(0)).unwrap();
+        assert_eq!(
+            j.append(1, &huge),
+            Err(WalError::FrameTooLarge {
+                seq: 1,
+                body: u64::from(MAX_FRAME_BODY) + 1,
+                max: u64::from(MAX_FRAME_BODY),
+            })
+        );
+        assert_eq!(j.appended(), 1);
+        assert_eq!(j.storage().list().unwrap(), before);
+        assert_eq!(j.storage().read(&segment_name(0)).unwrap(), segment);
+        // The journal stays usable: the next batch appends and recovers.
+        j.append(1, &batch(1, 3)).unwrap();
+        j.sync().unwrap();
+        let rec = recover(j.into_storage());
+        assert_eq!(seqs(&rec.tail), vec![0, 1]);
+        assert_eq!(rec.report.torn_bytes, 0);
     }
 
     #[test]

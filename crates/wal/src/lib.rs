@@ -74,10 +74,9 @@
 //! to resume.
 //!
 //! Two backends ship: [`MemStorage`], whose explicit durable/pending
-//! split and corruption hooks let seeded fault plans (in `scope-faults`)
-//! inject torn writes, bit flips, partial appends and failed syncs
-//! deterministically; and [`FileStorage`], real files used by the bench
-//! bins.
+//! split and corruption hooks let the recovery tests enumerate crashes,
+//! torn writes and bit flips deterministically; and [`FileStorage`], real
+//! files used by the bench bins.
 
 pub mod crc;
 mod error;

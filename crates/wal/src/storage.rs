@@ -16,9 +16,9 @@
 //!   power cut mid-write leaves behind.
 //! * Bit flips and arbitrary corruption of *durable* bytes are applied
 //!   through [`MemStorage::flip_durable_bit`] /
-//!   [`MemStorage::corrupt_durable`], so chaos harnesses (the seeded
-//!   plans in `scope-faults`) can decide *where* to corrupt while the
-//!   mechanics live here.
+//!   [`MemStorage::corrupt_durable`], so the recovery tests decide
+//!   *where* to corrupt — every retained object in turn, or wherever a
+//!   proptest draws — while the mechanics live here.
 //!
 //! The real-file backend lives in [`crate::file`] and is the only place
 //! in the workspace outside the analyzer allowed to touch `std::fs`

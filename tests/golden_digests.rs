@@ -1,5 +1,5 @@
 //! Digest pins for the scenarios whose settings are library constants: the
-//! serving, chaos and recovery replays, the TPC-H scenario's inputs and
+//! serving and chaos replays, the TPC-H scenario's inputs and
 //! the multi-cloud outcome, each at its test options. A constant that
 //! drifts from the value these were pinned at (an account count, a batch
 //! count, a projection horizon, a re-tiering cadence) changes a digest even
@@ -11,8 +11,8 @@
 //! run to run and are left out.
 
 use scope::core::{
-    run_chaos, run_multicloud, run_recovery, run_serving, tpch_scenario, ChaosOptions, EpochRecord,
-    MultiCloudOptions, RecoveryOptions, ScenarioOptions, ServingOptions,
+    run_chaos, run_multicloud, run_serving, tpch_scenario, ChaosOptions, EpochRecord,
+    MultiCloudOptions, ScenarioOptions, ServingOptions,
 };
 use scope::workload::EnterpriseOptions;
 use scope_wal::xxh64;
@@ -58,18 +58,6 @@ fn chaos_replay_digest_is_pinned() {
     assert_eq!(outcome.epochs.len(), 12);
     assert_eq!(xxh64(&outcome.final_checkpoint), 0x2300981d1605bdf0);
     assert_eq!(objective_digest(&outcome.epochs), 0xa41f165fbd4e3406);
-}
-
-#[test]
-fn recovery_replay_digest_is_pinned() {
-    let outcome = run_recovery(&RecoveryOptions {
-        serving: serving(),
-        ..Default::default()
-    })
-    .unwrap();
-    assert_eq!(outcome.epochs.len(), 12);
-    assert_eq!(xxh64(&outcome.final_checkpoint), 0x800731a47bf4982b);
-    assert_eq!(objective_digest(&outcome.epochs), 0x4f8eec20327ec4e6);
 }
 
 #[test]

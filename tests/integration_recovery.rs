@@ -1,7 +1,7 @@
-//! PR-10 recovery suite: storage corruption against the journaled
-//! serving engine's crash-recovery contracts.
+//! Storage corruption against the journaled serving engine's
+//! crash-recovery contracts.
 //!
-//! Three layers of enforcement, all exact:
+//! Two layers of enforcement, both exact:
 //!
 //! * **Proptests** corrupt the raw storage under a journaled run —
 //!   truncating the active segment tail and checkpoint objects at
@@ -14,9 +14,11 @@
 //!   checkpoint, the replay tail is cut at the first epoch marker and
 //!   the harness re-runs the boundary, so the decayed heat still matches
 //!   the twin exactly.
-//! * **End-to-end** — the `scope_core::run_recovery` scenario upholds every
-//!   contract on generated enterprise traces under light and heavy
-//!   storage-fault plans.
+//!
+//! Crashes themselves — at every storage operation of a fixed run, with
+//! the unsynced tail torn at every frame end ± 1 byte, and a second crash
+//! inside the recovery or the resumed run — are enumerated, not sampled,
+//! by `scope-serve`'s journal tests.
 
 mod common;
 
@@ -24,12 +26,9 @@ use common::{heat_bits, random_columns, restore, schemes, HORIZON_DAYS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scope::core::{run_recovery, RecoveryOptions, ServingOptions};
 use scope_cloudsim::{EventColumns, TierCatalog};
-use scope_faults::StorageFaultRates;
 use scope_serve::{JournaledEngine, ServeEngine, ServeError, Serving};
 use scope_wal::{parse_segment_name, JournalConfig, MemStorage, WalError};
-use scope_workload::EnterpriseOptions;
 use std::ops::Range;
 
 const OBJECTS: usize = 10;
@@ -297,41 +296,4 @@ fn epoch_boundary_cut_lands_on_the_twin_without_a_checkpoint() {
     let mut j = j;
     run_steps(&mut j, &batches, mid..batches.len() + 2, true);
     assert_eq!(j.engine().checkpoint(), twin_checkpoint(&batches));
-}
-
-#[test]
-fn recovery_scenario_upholds_every_contract_end_to_end() {
-    for (seed, rates) in [
-        // No plan faults: every crash comes from the fuzzed points alone.
-        (7u64, StorageFaultRates::none()),
-        (3, StorageFaultRates::light()),
-        (17, StorageFaultRates::heavy()),
-    ] {
-        let outcome = run_recovery(&RecoveryOptions {
-            serving: ServingOptions {
-                workload: EnterpriseOptions {
-                    n_datasets: 40,
-                    history_months: 4,
-                    future_months: 4,
-                    seed: 5,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            seed,
-            rates,
-        })
-        .unwrap();
-        assert!(outcome.crashes >= 3, "seed {seed}: {outcome:?}");
-        assert!(outcome.forced_crashes >= 3, "seed {seed}: {outcome:?}");
-        assert!(
-            outcome.checkpoints_bit_identical,
-            "seed {seed}: {outcome:?}"
-        );
-        assert!(outcome.final_bit_identical, "seed {seed}: {outcome:?}");
-        for (i, e) in outcome.epochs.iter().enumerate() {
-            assert!(e.checkpoint_matches_twin, "seed {seed} epoch {i}");
-            assert!(e.objective_bits_match, "seed {seed} epoch {i}");
-        }
-    }
 }
