@@ -13,11 +13,11 @@
 //! post-restore epoch re-derives it (reported `rows_patched` is the one
 //! counter allowed to differ).
 //!
-//! ## Wire layout (version 6)
+//! ## Wire layout (version 7)
 //!
 //! ```text
 //! magic   b"SCPK"                      (4 bytes)
-//! version u32 little-endian            (currently 6)
+//! version u32 little-endian            (currently 7)
 //! payload                              (engine state, see below)
 //! checksum u64 little-endian           (XXH64, seed 0, over magic..payload)
 //! ```
@@ -30,13 +30,13 @@
 //! fingerprint   u64   XXH64 of the tier catalog and scheme list
 //! config        horizon_days u32, horizon_months f64, decay_per_day f64,
 //!               bucket_base f64, bucket_hysteresis f64
-//! counters      day u32, dropped_events u64, events_seen u64, epoch u64,
-//!               next_seq u64, duplicate_batches u64
 //! accounts      count u64, then each name (string), in shard order
 //! objects       count u64 (N)
 //! static        byte length u64, then N records in interned-id order:
 //!               name (string), shard u32, size_gb f64, residency_days u32,
 //!               latency_threshold_seconds f64
+//! counters      day u32, dropped_events u64, events_seen u64, epoch u64,
+//!               next_seq u64, duplicate_batches u64
 //! dynamic       four columns of N cells each, in interned-id order:
 //!               tier (W_t bytes), scheme (W_s bytes), bucket
 //!               representative f64, heat f64; then last_day: a tag u8
@@ -80,6 +80,15 @@
 //! batch record carries: each column keeps its own length, so a torn
 //! batch parked early is restored exactly as it was delivered.
 //!
+//! Everything from the magic to the end of the static section is the
+//! **epoch-invariant prefix**: only a registration changes it (a new
+//! account, one more object, a longer section), so it leads and the
+//! counters, which every epoch moves, come after it. The engine keeps the
+//! [`scope_wal::Xxh64`] state after the prefix, taken at its first
+//! snapshot and forgotten at every registration, and each later snapshot
+//! hashes only the bytes behind it: the trailer is the same XXH64 over
+//! magic..payload, and a reader checks it in one pass as before.
+//!
 //! The payload leads with the **fingerprint**.
 //! [`crate::ServeEngine::restore`] recomputes it from the catalog/schemes
 //! it is given and rejects a mismatch with
@@ -95,9 +104,10 @@
 //! ones), version 3 (parked batches as five `u64`-counted columns, a
 //! precomputed billing period per event among them), version 4 (a
 //! branch-and-bound node budget in the configuration, from when a re-solve
-//! could be one) and version 5 (parked batches as fixed-width blocks of 17
-//! bytes per event, `last_day` as `u32` cells) are rejected as unsupported
-//! versions.
+//! could be one), version 5 (parked batches as fixed-width blocks of 17
+//! bytes per event, `last_day` as `u32` cells) and version 6 (the
+//! counters between the configuration and the accounts, inside what is
+//! now the invariant prefix) are rejected as unsupported versions.
 //!
 //! ## The dynamic snapshot (`SCPD`, same version)
 //!
@@ -112,14 +122,16 @@
 //! payload fingerprint … objects count  as above
 //!         static digest                byte length u64, XXH64 u64 of the
 //!                                      static section — not its bytes
-//!         dynamic … pending            as above
+//!         counters … pending           as above
 //! checksum u64                         (XXH64 over magic..payload)
 //! ```
 //!
 //! The **static digest** — object count, static-section length, and its
 //! XXH64 — names the section the snapshot was taken over. The engine
 //! computes the hash when first asked and forgets it only when `register`
-//! appends, so a steady fleet hashes its static section once.
+//! appends, so a steady fleet hashes its static section once. The digest
+//! closes this layout's invariant prefix, whose hash state the engine
+//! keeps as it does the full layout's.
 //!
 //! Which restore takes what: [`crate::ServeEngine::restore`] takes a full
 //! snapshot and nothing else. [`crate::ServeEngine::restore_dynamic`]
@@ -143,7 +155,7 @@ use scope_cloudsim::{
     decode_day_column, encode_day_column, EventColumns, QuarantineReason, TierCatalog,
 };
 use scope_optassign::CompressionOption;
-use scope_wal::xxh64;
+use scope_wal::{xxh64, Xxh64};
 
 use crate::error::ServeError;
 
@@ -155,7 +167,7 @@ pub(crate) const DYNAMIC_MAGIC: [u8; 4] = *b"SCPD";
 
 /// Current checkpoint format version, of both layouts: the dynamic one is
 /// the full one less a section, so they change together.
-pub(crate) const CHECKPOINT_VERSION: u32 = 6;
+pub(crate) const CHECKPOINT_VERSION: u32 = 7;
 
 /// Little-endian byte writer that appends to a caller's buffer.
 pub(crate) struct Writer<'a> {
@@ -166,7 +178,7 @@ pub(crate) struct Writer<'a> {
 
 impl<'a> Writer<'a> {
     /// Start a checkpoint after whatever `buf` already holds: `magic` and
-    /// version, then the caller's payload, then [`Writer::finish`].
+    /// version, then the caller's payload, then [`Writer::finish_from`].
     pub(crate) fn new(buf: &'a mut Vec<u8>, magic: [u8; 4]) -> Self {
         let mut w = Writer::bare(buf);
         w.buf.extend_from_slice(&magic);
@@ -247,9 +259,21 @@ impl<'a> Writer<'a> {
         xxh64(&self.buf[self.start..])
     }
 
-    /// Append the trailing checksum, completing the checkpoint.
-    pub(crate) fn finish(mut self) {
-        let checksum = self.digest();
+    /// The hash state over everything written through this writer so
+    /// far: what [`Writer::finish_from`] resumes from while the bytes
+    /// written up to here stay the same.
+    pub(crate) fn hashed(&self) -> Xxh64 {
+        let mut state = Xxh64::default();
+        state.fold_stripes(&self.buf[self.start..]);
+        state
+    }
+
+    /// Append the trailing checksum, completing the checkpoint: XXH64
+    /// of everything written through this writer, resumed from `prefix`,
+    /// a [`Writer::hashed`] state over its first bytes (which are not read
+    /// again), or from `Xxh64::default()` to hash it all.
+    pub(crate) fn finish_from(mut self, prefix: Xxh64) {
+        let checksum = prefix.finish(&self.buf[self.start + prefix.folded()..]);
         self.u64(checksum);
     }
 }
@@ -485,7 +509,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut w = Writer::new(&mut bytes, CHECKPOINT_MAGIC);
         payload(&mut w);
-        w.finish();
+        w.finish_from(Xxh64::default());
         bytes
     }
 
@@ -563,10 +587,11 @@ mod tests {
 
         // Unknown versions — 1, the retired FNV-1a layout, 2, the retired
         // row-interleaved one, 3, the five-column reorder buffer, 4, the
-        // node-budget preamble, and 5, the fixed-width reorder buffer,
-        // among them — re-checksummed so the version check is the only
-        // one that can fire.
-        for version in [0u8, 1, 2, 3, 4, 5, 7, 99] {
+        // node-budget preamble, 5, the fixed-width reorder buffer, and 6,
+        // the counters inside the invariant prefix, among them —
+        // re-checksummed so the version check is the only one that can
+        // fire.
+        for version in [0u8, 1, 2, 3, 4, 5, 6, 8, 99] {
             let mut vers = good.clone();
             vers[4] = version;
             let body_len = vers.len() - 8;

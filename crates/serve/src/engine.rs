@@ -39,7 +39,7 @@ use scope_optassign::{
     Assignment, CompressionOption, CostTable, OptAssignError, OptAssignProblem, PartitionSpec,
 };
 
-use scope_wal::{xxh64, StaticDigest};
+use scope_wal::{xxh64, StaticDigest, Xxh64};
 
 use crate::checkpoint::{
     config_fingerprint, get_id, id_width, put_id, Reader, Writer, CHECKPOINT_MAGIC, DYNAMIC_MAGIC,
@@ -472,13 +472,26 @@ pub struct ServeEngine {
     /// nothing in it (name, shard, size, residency, latency threshold)
     /// can change afterwards. Every snapshot copies it whole.
     static_image: Vec<u8>,
-    /// XXH64 of `static_image`, computed when first asked for and
-    /// forgotten whenever [`Self::register`] appends: what a dynamic
-    /// snapshot names its static section by.
-    static_hash: OnceLock<u64>,
+    /// Hashes over the snapshots' epoch-invariant part, each computed
+    /// when first asked for and all forgotten whenever [`Self::register`]
+    /// appends.
+    hashed: StaticHashes,
     /// [`config_fingerprint`] of `catalog` and `schemes`, neither of which
     /// changes after construction: every snapshot leads with it.
     fingerprint: u64,
+}
+
+/// What [`ServeEngine`] remembers of hashing its own snapshots: both
+/// layouts lead with a prefix that only [`ServeEngine::register`] changes
+/// (see [`crate::checkpoint`]), so a steady fleet hashes it once.
+#[derive(Debug, Default)]
+struct StaticHashes {
+    /// XXH64 of the static section: what a dynamic snapshot names it by.
+    section: OnceLock<u64>,
+    /// The hash state after the full layout's prefix and after the
+    /// dynamic one's, in that order, from which each snapshot's trailer
+    /// resumes.
+    prefix: [OnceLock<Xxh64>; 2],
 }
 
 /// Re-solve work, in cost-table rows to build or patch summed over the
@@ -620,7 +633,7 @@ impl ServeEngine {
             pending: BTreeMap::new(),
             duplicate_batches: 0,
             static_image: Vec::new(),
-            static_hash: OnceLock::new(),
+            hashed: StaticHashes::default(),
         })
     }
 
@@ -707,7 +720,7 @@ impl ServeEngine {
         w.f64_bits(partition.size_gb);
         w.u32(partition.residency_days);
         w.f64_bits(partition.latency_threshold_seconds);
-        self.static_hash = OnceLock::new();
+        self.hashed = StaticHashes::default();
         shard.problem.partitions.push(partition);
         shard.choices.push((spec.current_tier, spec.compression));
         // Shape changed: the dense table no longer matches the problem,
@@ -1171,7 +1184,10 @@ impl ServeEngine {
         StaticDigest {
             objects: self.locs.len() as u64,
             len: self.static_image.len() as u64,
-            xxh64: *self.static_hash.get_or_init(|| xxh64(&self.static_image)),
+            xxh64: *self
+                .hashed
+                .section
+                .get_or_init(|| xxh64(&self.static_image)),
         }
     }
 
@@ -1191,22 +1207,14 @@ impl ServeEngine {
         w.f64_bits(self.config.decay_per_day);
         w.f64_bits(self.config.bucket_base);
         w.f64_bits(self.config.bucket_hysteresis);
-        // Global counters.
-        w.u32(self.day);
-        w.u64(self.dropped_events);
-        w.u64(self.events_seen);
-        w.u64(self.epoch);
-        w.u64(self.next_seq);
-        w.u64(self.duplicate_batches);
         // Accounts, in shard order.
         w.u64(self.shards.len() as u64);
         for shard in &self.shards {
             w.str(&shard.account);
         }
-        // Objects, in interned-id order: the static section as it stands,
-        // then the dynamic columns, filled side by side in one pass over
-        // the objects. Re-registering the objects in this order on
-        // restore reproduces the identical shard/row layout.
+        // Objects, in interned-id order: the static section as it stands
+        // here, the dynamic columns below. Re-registering the objects in
+        // this order on restore reproduces the identical shard/row layout.
         let n = self.locs.len();
         w.u64(n as u64);
         if dynamic {
@@ -1216,6 +1224,19 @@ impl ServeEngine {
         } else {
             w.bytes(&self.static_image);
         }
+        // Everything above changes only when `register` appends, which
+        // forgets the state: the trailer hashes only what follows.
+        let prefix = *self.hashed.prefix[usize::from(dynamic)].get_or_init(|| w.hashed());
+        debug_assert_eq!(prefix, w.hashed(), "a snapshot prefix changed unregistered");
+        // Global counters.
+        w.u32(self.day);
+        w.u64(self.dropped_events);
+        w.u64(self.events_seen);
+        w.u64(self.epoch);
+        w.u64(self.next_seq);
+        w.u64(self.duplicate_batches);
+        // The dynamic columns, filled side by side in one pass over the
+        // objects.
         let (tier_width, scheme_width) = self.id_widths();
         let columns = w.zeroed(n * self.dynamic_row_bytes());
         let (tiers, columns) = columns.split_at_mut(n * tier_width);
@@ -1277,7 +1298,7 @@ impl ServeEngine {
             w.u64(seq);
             w.columns(cols);
         }
-        w.finish();
+        w.finish_from(prefix);
     }
 
     /// Rebuild an engine from a [`Self::checkpoint`] taken under the same
@@ -1350,6 +1371,14 @@ impl ServeEngine {
                 (n_objects, image)
             }
         };
+        // Registration below reads none of the counters (a registered
+        // object's `last_day` is overwritten from its column).
+        engine.day = r.u32()?;
+        engine.dropped_events = r.u64()?;
+        engine.events_seen = r.u64()?;
+        engine.epoch = r.u64()?;
+        engine.next_seq = r.u64()?;
+        engine.duplicate_batches = r.u64()?;
         let (tier_width, scheme_width) = engine.id_widths();
         let tiers = r.take(n_objects * tier_width)?;
         let schemes = r.take(n_objects * scheme_width)?;
@@ -1484,12 +1513,6 @@ impl ServeEngine {
             engine.pending.insert(seq, r.columns()?);
         }
         r.expect_end()?;
-        engine.day = head.day;
-        engine.dropped_events = head.dropped_events;
-        engine.events_seen = head.events_seen;
-        engine.epoch = head.epoch;
-        engine.next_seq = head.next_seq;
-        engine.duplicate_batches = head.duplicate_batches;
         Ok(engine)
     }
 }
@@ -1518,12 +1541,6 @@ const STATIC_RECORD_MIN: usize = 8 + 4 + 8 + 4 + 8;
 /// What both snapshot layouts lead with, up to the object count.
 struct Preamble {
     config: ServeConfig,
-    day: u32,
-    dropped_events: u64,
-    events_seen: u64,
-    epoch: u64,
-    next_seq: u64,
-    duplicate_batches: u64,
     /// Account names, in shard order.
     accounts: Vec<String>,
 }
@@ -1548,27 +1565,12 @@ impl Preamble {
             // Not part of a snapshot: the restored engine decides.
             threads: 0,
         };
-        let day = r.u32()?;
-        let dropped_events = r.u64()?;
-        let events_seen = r.u64()?;
-        let epoch = r.u64()?;
-        let next_seq = r.u64()?;
-        let duplicate_batches = r.u64()?;
         let n_accounts = r.len(1)?;
         let mut accounts = Vec::with_capacity(n_accounts);
         for _ in 0..n_accounts {
             accounts.push(r.str()?);
         }
-        Ok(Preamble {
-            config,
-            day,
-            dropped_events,
-            events_seen,
-            epoch,
-            next_seq,
-            duplicate_batches,
-            accounts,
-        })
+        Ok(Preamble { config, accounts })
     }
 }
 
@@ -2731,10 +2733,64 @@ mod tests {
         )
     }
 
+    /// `bytes`, checked to end in the XXH64 of everything before its
+    /// 8-byte trailer.
+    fn sealed(bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        assert_eq!(bytes[body..], xxh64(&bytes[..body]).to_le_bytes());
+        bytes
+    }
+
+    /// Both snapshots of `engine`, each [`sealed`], taken twice: the first
+    /// pair may fill the engine's prefix hash states, the second resumes
+    /// from them.
+    fn sealed_snapshots(engine: &ServeEngine) -> [Vec<u8>; 2] {
+        let snapshots = [engine.checkpoint(), engine.checkpoint_dynamic()].map(sealed);
+        assert_eq!(
+            [engine.checkpoint(), engine.checkpoint_dynamic()].map(sealed),
+            snapshots
+        );
+        snapshots
+    }
+
+    #[test]
+    fn every_snapshot_trailer_is_the_xxh64_of_the_bytes_before_it() {
+        let catalog = scope_cloudsim::TierCatalog::azure_hot_cool_archive;
+        let empty = ServeEngine::new(catalog(), schemes(), ServeConfig::default()).unwrap();
+        sealed_snapshots(&empty);
+        let mut engine = eventful_engine();
+        let before = sealed_snapshots(&engine);
+        // An epoch moves the counters and the columns, not the prefix.
+        let mut batch = EventColumns::default();
+        batch.push_resolved(16, 1, AccessKind::Read, 2.0);
+        engine.deliver(engine.next_seq(), &batch).unwrap();
+        engine.advance(30);
+        engine.reoptimize().unwrap();
+        let moved = sealed_snapshots(&engine);
+        assert_ne!(moved, before);
+        // A registration between two snapshots, into an existing account
+        // and into a new one: each grows the prefix.
+        for account in ["acct-0", "acct-new"] {
+            let name = format!("late-{account}");
+            engine
+                .register(ServeObject::new(name, account, 2.5, TierId(0)))
+                .unwrap();
+            let grown = sealed_snapshots(&engine);
+            assert_ne!(grown[0].len(), moved[0].len());
+        }
+        let [full, dynamic] = sealed_snapshots(&engine);
+        // A restored engine keeps no state of its donor's hashing.
+        let restored = restore_demo(&full).unwrap();
+        assert_eq!(sealed_snapshots(&restored), [full.clone(), dynamic.clone()]);
+        let restored = ServeEngine::restore_dynamic(catalog(), schemes(), &full, &dynamic).unwrap();
+        assert_eq!(sealed_snapshots(&restored), [full, dynamic]);
+    }
+
     #[test]
     fn checkpoint_equals_checkpoint_into_after_arbitrary_existing_bytes() {
         let engine = eventful_engine();
         let snapshot = engine.checkpoint();
+        let dynamic = engine.checkpoint_dynamic();
         for prefix in [
             &b""[..],
             b"x",
@@ -2744,6 +2800,25 @@ mod tests {
             engine.checkpoint_into(&mut buf);
             assert_eq!(&buf[..prefix.len()], prefix);
             assert_eq!(&buf[prefix.len()..], &snapshot[..]);
+            // An engine whose first snapshots go behind the bytes keeps
+            // hash states of its own bytes only: they seal the same
+            // snapshots taken into a fresh buffer afterwards.
+            let fresh = eventful_engine();
+            for (snapshot, into) in [
+                (
+                    &snapshot,
+                    ServeEngine::checkpoint_into as fn(&ServeEngine, &mut Vec<u8>),
+                ),
+                (&dynamic, ServeEngine::checkpoint_dynamic_into),
+            ] {
+                let mut buf = prefix.to_vec();
+                into(&fresh, &mut buf);
+                assert_eq!(&sealed(buf[prefix.len()..].to_vec()), snapshot);
+            }
+            assert_eq!(
+                sealed_snapshots(&fresh),
+                [snapshot.clone(), dynamic.clone()]
+            );
         }
         // The capacity hint is only a hint, but it should be a good one.
         let hint = engine.checkpoint_size_hint();
@@ -2779,7 +2854,7 @@ mod tests {
         }
     }
 
-    /// An `SCPK` version-6 checkpoint, byte for byte: [`golden_engine`]'s
+    /// An `SCPK` version-7 checkpoint, byte for byte: [`golden_engine`]'s
     /// two objects in one account on [`golden_catalog`] /
     /// [`golden_schemes`] with explicit (non-default) configuration, one
     /// folded and one quarantined (NaN) event, one boundary at day 15 with
@@ -2788,6 +2863,25 @@ mod tests {
     /// the reorder buffer under sequence number 2, as a 30-byte column
     /// block. A layout change must bump `CHECKPOINT_VERSION` and replace
     /// these bytes on purpose.
+    const GOLDEN_SCPK_V7: &str = "\
+             5343504b070000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f010000000000000004000000\
+             0000000061636374020000000000000042000000000000000100000000000000\
+             6100000000000000000000f83f07000000000000000000f07f01000000000000\
+             00620000000000000000000010400000000000000000000002400f0000000000\
+             0000000000000200000000000000010000000000000001000000000000000000\
+             0000000000000100010100000000000000000000000000000000000000000000\
+             103f0000000000000000000f0000000f00000000000000000000000002000000\
+             000000000000000001000000010000000000c023400000000000802140000000\
+             0000000000000000000000f23f00000000000000000000000000000000000400\
+             0000000000010000000000000000000000000000000100000000000000010000\
+             00000000000200000001000000000000000000f87f0001000000000000000200\
+             0000000000001e00000000000000010000000100000001000000010000001000\
+             00000101000000000000e03f8ace70079a75593f";
+
+    /// The retired version-6 layout's fixture of the same scenario (the
+    /// counters between the configuration and the accounts): kept to be
+    /// refused.
     const GOLDEN_SCPK_V6: &str = "\
              5343504b060000006e4a1504387e4b0c3c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
@@ -2804,25 +2898,6 @@ mod tests {
              0000000000001e00000000000000010000000100000001000000010000001000\
              00000101000000000000e03f7580e8130463eeb1";
 
-    /// The retired version-5 layout's fixture of the same scenario (the
-    /// parked batch a fixed-width 33-byte block, `last_day` as `u32`
-    /// cells): kept to be refused.
-    const GOLDEN_SCPK_V5: &str = "\
-             5343504b050000006e4a1504387e4b0c3c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
-             0200000000000000010000000000000001000000000000000000000000000000\
-             0100000000000000040000000000000061636374020000000000000042000000\
-             0000000001000000000000006100000000000000000000f83f07000000000000\
-             000000f07f010000000000000062000000000000000000001040000000000000\
-             0000000002400100010100000000000000000000000000000000000000000000\
-             103f00000000000000000f0000000f0000000000000000000000000200000000\
-             0000000000000001000000010000000000c02340000000000080214000000000\
-             00000000000000000000f23f0000000000000000000000000000000000040000\
-             0000000001000000000000000000000000000000010000000000000001000000\
-             000000000200000001000000000000000000f87f000100000000000000020000\
-             0000000000210000000000000001000000010000000100000001000000100000\
-             000100000001000000000000e03fa72f7e1cb1e3cf44";
-
     fn unhex(hex: &str) -> Vec<u8> {
         hex.as_bytes()
             .chunks(2)
@@ -2831,8 +2906,8 @@ mod tests {
     }
 
     #[test]
-    fn the_version_6_layout_is_pinned_by_a_golden_checkpoint() {
-        let golden = unhex(GOLDEN_SCPK_V6);
+    fn the_version_7_layout_is_pinned_by_a_golden_checkpoint() {
+        let golden = unhex(GOLDEN_SCPK_V7);
         assert_eq!(golden.len(), 436);
         assert_eq!(golden_engine().checkpoint(), golden);
         assert_eq!(golden[..4], crate::checkpoint::CHECKPOINT_MAGIC);
@@ -2876,14 +2951,25 @@ mod tests {
         let end = golden.len() - 8;
         assert_eq!(golden[end - pending.len()..end], pending[..]);
 
-        // A real version-5 snapshot is refused by name, not misread.
-        let retired = unhex(GOLDEN_SCPK_V5);
+        // A real version-6 snapshot is refused by name, not misread. Its
+        // bytes are these but for the version, the trailer and where the
+        // 44 bytes of counters sit: before the accounts.
+        let retired = unhex(GOLDEN_SCPK_V6);
+        let (counters, accounts, section_end) = (0x34, 0x60, 0xC6);
+        let moved = [
+            &retired[..counters],
+            &retired[accounts..section_end],
+            &retired[counters..accounts],
+            &retired[section_end..retired.len() - 8],
+        ]
+        .concat();
+        assert_eq!(moved[5..], golden[5..golden.len() - 8]);
         let reason = checkpoint_error(ServeEngine::restore(
             golden_catalog(),
             golden_schemes(),
             &retired,
         ));
-        assert!(reason.contains("unsupported version 5"), "{reason}");
+        assert!(reason.contains("unsupported version 6"), "{reason}");
     }
 
     #[test]
@@ -2911,9 +2997,25 @@ mod tests {
         );
     }
 
-    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V6`] holds: the
+    /// The dynamic snapshot of the engine [`GOLDEN_SCPK_V7`] holds: the
     /// same bytes less the static section, whose place its length (0x42)
     /// and XXH64 take, under the `SCPD` magic.
+    const GOLDEN_SCPD_V7: &str = "\
+             53435044070000006e4a1504387e4b0c3c000000000000000000004000000000\
+             0000e03f0000000000000040000000000000f43f010000000000000004000000\
+             000000006163637402000000000000004200000000000000bf78d6998edd4dc1\
+             0f00000000000000000000000200000000000000010000000000000001000000\
+             0000000000000000000000000100010100000000000000000000000000000000\
+             000000000000103f0000000000000000000f0000000f00000000000000000000\
+             000002000000000000000000000001000000010000000000c023400000000000\
+             8021400000000000000000000000000000f23f00000000000000000000000000\
+             0000000004000000000000010000000000000000000000000000000100000000\
+             00000001000000000000000200000001000000000000000000f87f0001000000\
+             0000000002000000000000001e00000000000000010000000100000001000000\
+             01000000100000000101000000000000e03f7561baae2c9bd185";
+
+    /// The version-6 dynamic snapshot of the same scenario: kept to be
+    /// refused.
     const GOLDEN_SCPD_V6: &str = "\
              53435044060000006e4a1504387e4b0c3c000000000000000000004000000000\
              0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
@@ -2928,26 +3030,10 @@ mod tests {
              0000000002000000000000001e00000000000000010000000100000001000000\
              01000000100000000101000000000000e03f39973a27c699f847";
 
-    /// The version-5 dynamic snapshot of the same scenario: kept to be
-    /// refused.
-    const GOLDEN_SCPD_V5: &str = "\
-             53435044050000006e4a1504387e4b0c3c000000000000000000004000000000\
-             0000e03f0000000000000040000000000000f43f0f0000000000000000000000\
-             0200000000000000010000000000000001000000000000000000000000000000\
-             0100000000000000040000000000000061636374020000000000000042000000\
-             00000000bf78d6998edd4dc10100010100000000000000000000000000000000\
-             000000000000103f00000000000000000f0000000f0000000000000000000000\
-             0002000000000000000000000001000000010000000000c02340000000000080\
-             21400000000000000000000000000000f23f0000000000000000000000000000\
-             0000000400000000000001000000000000000000000000000000010000000000\
-             000001000000000000000200000001000000000000000000f87f000100000000\
-             0000000200000000000000210000000000000001000000010000000100000001\
-             000000100000000100000001000000000000e03f5865fd0c855025ce";
-
     #[test]
     fn the_dynamic_layout_is_pinned_by_a_golden_snapshot() {
-        let full = unhex(GOLDEN_SCPK_V6);
-        let golden = unhex(GOLDEN_SCPD_V6);
+        let full = unhex(GOLDEN_SCPK_V7);
+        let golden = unhex(GOLDEN_SCPD_V7);
         assert_eq!(golden.len(), 378);
         assert_eq!(golden_engine().checkpoint_dynamic(), golden);
         let engine = ServeEngine::restore(golden_catalog(), golden_schemes(), &full).unwrap();
@@ -2955,7 +3041,7 @@ mod tests {
         assert_eq!(golden[..4], crate::checkpoint::DYNAMIC_MAGIC);
         assert_eq!(golden[4], crate::checkpoint::CHECKPOINT_VERSION as u8);
         // Byte for byte the full layout around the static section.
-        let (at, section) = (0x7c, 8 + 0x42);
+        let (at, section) = (0x50, 8 + 0x42);
         assert_eq!(full[at..at + 8], 0x42u64.to_le_bytes());
         assert_eq!(golden[4..at], full[4..at]);
         assert_eq!(golden[at..at + 8], full[at..at + 8]);
@@ -2983,15 +3069,15 @@ mod tests {
         assert_eq!(restored.checkpoint(), full);
         assert_eq!(restored.checkpoint_dynamic(), golden);
 
-        // The version-5 dynamic snapshot is refused by name too.
-        let retired = unhex(GOLDEN_SCPD_V5);
+        // The version-6 dynamic snapshot is refused by name too.
+        let retired = unhex(GOLDEN_SCPD_V6);
         let reason = checkpoint_error(ServeEngine::restore_dynamic(
             golden_catalog(),
             golden_schemes(),
             &full,
             &retired,
         ));
-        assert!(reason.contains("unsupported version 5"), "{reason}");
+        assert!(reason.contains("unsupported version 6"), "{reason}");
     }
 
     fn checkpoint_error(result: Result<ServeEngine, ServeError>) -> String {

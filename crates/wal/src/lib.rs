@@ -98,4 +98,4 @@ pub use record::{
     StaticDigest,
 };
 pub use storage::{MemStorage, Storage};
-pub use xxh64::xxh64;
+pub use xxh64::{xxh64, Xxh64};
