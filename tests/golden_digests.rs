@@ -44,7 +44,7 @@ fn objective_digest(epochs: &[EpochRecord]) -> u64 {
 fn serving_replay_digest_is_pinned() {
     let outcome = run_serving(&serving()).unwrap();
     assert_eq!(outcome.epochs.len(), 12);
-    assert_eq!(xxh64(&outcome.final_checkpoint), 0x800731a47bf4982b);
+    assert_eq!(xxh64(&outcome.final_checkpoint), 0x66817d624ce52fb2);
     assert_eq!(objective_digest(&outcome.epochs), 0x4f8eec20327ec4e6);
 }
 
@@ -56,7 +56,7 @@ fn chaos_replay_digest_is_pinned() {
     })
     .unwrap();
     assert_eq!(outcome.epochs.len(), 12);
-    assert_eq!(xxh64(&outcome.final_checkpoint), 0x2300981d1605bdf0);
+    assert_eq!(xxh64(&outcome.final_checkpoint), 0xae156a5957fbd197);
     assert_eq!(objective_digest(&outcome.epochs), 0xa41f165fbd4e3406);
 }
 
