@@ -495,29 +495,47 @@ struct StaticHashes {
 }
 
 /// Re-solve work, in cost-table rows to build or patch summed over the
-/// shards, from which a `threads: 0` engine fans the shards out. First
-/// read off `benchmark/run.sh --sweep` and per-epoch timings (the curve
-/// is in CHANGES.md, PR 18). Re-measured on a 2-vCPU VM once a row priced
-/// in about 0.2 µs, with explicit `threads: 1` and `threads: 2` engines
-/// of 16 accounts (the median of 15–61 re-solves per point):
+/// shards, from which a `threads: 0` engine fans the shards out (see
+/// [`fans_out`]). Measured on a 2-vCPU VM with explicit `threads: 1` and
+/// `threads: 2` engines of 16 accounts, each steady re-solve right after
+/// an epoch's intake (4.5 writes per object), advance and the previous
+/// checkpoint, as in the serving loop: medians of 11 cold starts or of 25
+/// steady re-solves per point, in µs, one worker / two. The second vCPU
+/// was sometimes free (a two-thread compute probe ran 1.6–1.8× faster
+/// than one thread around the run) and for long stretches held by a
+/// neighbour (0.96–0.97×):
 ///
-/// | re-solve | 1 worker | 2 workers |
-/// |---|---|---|
-/// | cold, 2 000 objects | 578–676 µs | 700–757 µs |
-/// | cold, 8 000 objects | 3 266–3 521 µs | 3 359–3 596 µs |
-/// | 2 000 dirty rows of 8 000 objects | 500 µs | 486 µs |
-/// | 4 000 dirty rows of 8 000 objects | 1 074 µs | 815 µs |
-/// | 500 dirty rows of 40 000 objects | 610–665 µs | 471–542 µs |
-/// | 2 000 dirty rows of 40 000 objects | 1 288–1 334 µs | 918–1 102 µs |
+/// | re-solve | stale rows | free | held | rule |
+/// |---|---|---|---|---|
+/// | cold, 2 000 objects | 2 000 | 869 / 527 | 522 / 579 | 1 |
+/// | cold, 8 000 objects | 8 000 | 4 246 / 2 534 | 2 720 / 2 819 | 2 |
+/// | cold, 16 000 objects | 16 000 | 9 784 / 4 913 | 6 563 / 6 550 | 2 |
+/// | cold, 40 000 objects | 40 000 | 26 799 / 12 184 | 17 824 / 18 788 | 2 |
+/// | 500 dirty rows of 8 000 objects | 500 | 221 / 199 | 163 / 210 | 1 |
+/// | 2 000 dirty rows of 8 000 objects | 2 000 | 324 / 299 | 430 / 552 | 1 |
+/// | 4 000 dirty rows of 8 000 objects | 4 000 | 1 103 / 846 | 1 015 / 1 168 | 1 |
+/// | 0 dirty rows of 40 000 objects | 0 | 155 / 190 | 336 / 460 | 1 |
+/// | 500 dirty rows of 40 000 objects | 500 | 282 / 264 | 379 / 469 | 1 |
+/// | 2 000 dirty rows of 40 000 objects | 2 000 | 596 / 458 | 678 / 767 | 1 |
 ///
-/// So no single row count is the break-even: a cold start gains nothing
-/// from a second worker up to 8 000 rows, while a steady re-solve also
-/// does work in proportion to the whole shard (the incumbent's choice
-/// list, the objective sum), which fans out too, and on a 40 000-object
-/// fleet two workers win from 500 dirty rows. 4 096 stays: a steady
-/// re-solve of that many rows gained on every fleet measured, and a lower
-/// floor would slow the cold start of a small fleet.
+/// A cold start gains 39–55% from a free second vCPU and loses at most
+/// 11% to a held one; the floor keeps only the smallest on one worker. A
+/// steady re-solve also passes over every row of its shards (the
+/// `Assignment` clone of the choices, the objective sum), yet two workers
+/// win only 6–23% on a free vCPU from 500 dirty rows (none at 0), and
+/// lose 13–37% on a held one at every size measured. Counting the shard
+/// rows too would fan out every steady epoch of a 40 000-object fleet: on
+/// `serve_steady` (seed 12, vCPU held) that lost to one worker in three
+/// pairs of three (`step_p50_ms` 0.87–0.95 against 0.81–0.92 ms). So the
+/// floor counts stale rows alone and stays where a steady re-solve is
+/// large.
 const FAN_OUT_MIN_ROWS: usize = 4096;
+
+/// Whether a `threads: 0` re-solve fans its shards out, given the
+/// cost-table rows it builds or patches, summed over the shards.
+fn fans_out(stale_rows: usize) -> bool {
+    stale_rows >= FAN_OUT_MIN_ROWS
+}
 
 /// Refuse what no engine can price: an empty catalog, a tier that
 /// reserves capacity (the reservation couples partitions, and the per-row
@@ -1067,7 +1085,7 @@ impl Serving for ServeEngine {
         // The one fan-out decision of the re-solve: the shards below
         // price, decide and apply on the worker that runs them.
         let threads = match self.config.threads {
-            0 if self.stale_rows() >= FAN_OUT_MIN_ROWS => default_threads(),
+            0 if fans_out(self.stale_rows()) => default_threads(),
             0 => 1,
             n => n,
         };
@@ -2299,6 +2317,26 @@ mod tests {
 
     /// One epoch's digest: per-account choices plus the total-objective bits.
     type EpochDigest = Vec<(Vec<(TierId, usize)>, u64)>;
+
+    #[test]
+    fn the_fan_out_rule_takes_the_side_its_table_records() {
+        // The rows of the `FAN_OUT_MIN_ROWS` table: stale rows, and
+        // whether the rule fans out.
+        for (resolve, stale_rows, two) in [
+            ("cold, 2 000 objects", 2_000, false),
+            ("cold, 8 000 objects", 8_000, true),
+            ("cold, 16 000 objects", 16_000, true),
+            ("cold, 40 000 objects", 40_000, true),
+            ("500 dirty rows of 8 000 objects", 500, false),
+            ("2 000 dirty rows of 8 000 objects", 2_000, false),
+            ("4 000 dirty rows of 8 000 objects", 4_000, false),
+            ("0 dirty rows of 40 000 objects", 0, false),
+            ("500 dirty rows of 40 000 objects", 500, false),
+            ("2 000 dirty rows of 40 000 objects", 2_000, false),
+        ] {
+            assert_eq!(fans_out(stale_rows), two, "{resolve}");
+        }
+    }
 
     #[test]
     fn resolve_outcome_is_thread_count_independent() {
